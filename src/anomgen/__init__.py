@@ -5,7 +5,7 @@ from .lotteries import (Example, ExampleCollection, FosdOrder, Lottery, Menu,
                         project_to_simplex, sample_random_menu)
 from .cpt import CptParams, CptPredictor, choice_prob, cpt_value, prob_weights
 from .basis import ISplineBasis, PolynomialBasis, basis_from_config
-from .theory import TheorySpec, fit_theta, min_theory_loss, theory_choice_prob
+from .theory import TheorySpec, fit_theta, theory_choice_prob
 from .verifier import (VerificationResult, is_anomaly, verify_increasing_utility,
                        verify_parametrized)
 from .categorize import (AnomalyCategory, categorize, categorize_three_payoff,

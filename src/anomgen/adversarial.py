@@ -23,7 +23,7 @@ import numpy as np
 from .basis import basis_from_config
 from .lotteries import (Example, ExampleCollection, Menu, menu_from_flat,
                         project_to_simplex, run_rng, sample_random_menu)
-from .theory import (FitConfig, TheorySpec, eu_difference_features,
+from .theory import (TheorySpec, eu_difference_features,
                      eu_difference_grad, fit_theta, theory_loss,
                      theory_loss_grad_features)
 
@@ -42,7 +42,6 @@ class GdaConfig:
     free_size: int = 2
     n_payoffs: int = 2
     logit_scale: float = 1.0
-    fit_restarts: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -122,7 +121,6 @@ def gda_run(predictor, config: GdaConfig, x0, provenance: dict | None = None) ->
     """
     basis = config.make_basis()
     domain = basis.domain
-    fit_cfg = FitConfig(restarts=config.fit_restarts)
     flags = []
 
     if config.collection_mode == "pair_anchored":
@@ -138,16 +136,13 @@ def gda_run(predictor, config: GdaConfig, x0, provenance: dict | None = None) ->
         moving = [m.flatten() for m in inits]
     J = (anchor or inits[0]).n_payoffs
 
-    warm = None
     trajectory = [[m.copy() for m in moving]]
     iterations = 0
     for s in range(config.max_iters):
         menus = ([anchor] if anchor is not None else []) + \
                 [menu_from_flat(x, J) for x in moving]
         examples = [(m, predictor.predict(m)) for m in menus]
-        fit = fit_theta(basis, examples, fit_cfg, scale=config.logit_scale,
-                        warm_start=warm)
-        warm = fit.theta
+        fit = fit_theta(basis, examples, scale=config.logit_scale)
         spec = TheorySpec(basis, fit.theta, config.logit_scale)
 
         new_moving = []

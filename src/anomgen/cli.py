@@ -135,12 +135,14 @@ def _verify_chunk(raw_config: dict, recs):
         rec = dict(rec)
         rec["min_kl"] = float(pv.min_kl)
         rec["parametrized_inconsistent"] = bool(pv.inconsistent)
+        rec["fit_converged"] = bool(pv.converged)
+        rec["fit_on_bound"] = bool(pv.on_norm_bound)
         rec["any_utility_inconsistent"] = bool(not av.consistent)
         rec["margin"] = float(av.margin)
         rec["witness"] = None if av.witness_utility is None else \
             [float(u) for u in av.witness_utility]
         if not av.consistent:
-            minimal = minimal_anomaly(coll)
+            minimal = minimal_anomaly(coll, cfg.margin_threshold)
             rec["anomaly_minimal_indices"] = list(minimal[0]) if minimal else None
         else:
             rec["anomaly_minimal_indices"] = None

@@ -20,7 +20,7 @@ from .basis import basis_from_config
 from .cpt import logistic
 from .lotteries import (Example, ExampleCollection, Menu, menu_from_flat,
                         project_to_simplex, run_rng, sample_random_menu)
-from .theory import FitConfig, fit_theta
+from .theory import fit_theta
 
 DEFAULT_BASIS = {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}
 STOP_NORM = 1e-8
@@ -41,7 +41,6 @@ class MorphConfig:
     basis_config: dict = field(default_factory=lambda: dict(DEFAULT_BASIS))
     n_payoffs: int = 2
     logit_scale: float = 1.0
-    fit_restarts: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -137,28 +136,29 @@ def morph_run(predictor, config: MorphConfig, x0: Menu,
     basis = config.make_basis()
     J = x0.n_payoffs
     rng = rng or np.random.default_rng(config.seed)
-    fit_cfg = FitConfig(restarts=config.fit_restarts)
     flags: list = []
 
-    f0 = predictor.predict(x0)
-    seed_fit = fit_theta(basis, [(x0, f0)], fit_cfg, scale=config.logit_scale)
-    history = [seed_fit.theta]
-
-    # Payoffs are frozen, so the basis values at each payoff are fixed.
+    # Payoffs are frozen, so the basis values at each payoff are fixed and
+    # every design row is p1 @ B1 - p0 @ B0, as in eu_difference_features.
     B0 = basis.eval(x0.lottery0.payoffs)            # (J, K)
     B1 = basis.eval(x0.lottery1.payoffs)
     p0_init = np.concatenate([x0.lottery0.probs, x0.lottery1.probs])
+    d0 = x0.lottery1.probs @ B1 - x0.lottery0.probs @ B0
+
+    f0 = predictor.predict(x0)
+    seed_fit = fit_theta(basis, [(x0, f0)], scale=config.logit_scale,
+                         design=d0[None, :])
+    history = [seed_fit.theta]
 
     x = x0.flatten()
     trajectory = [x.copy()]
-    warm = seed_fit.theta
     drift = 0.0
     iterations = 0
     for s in range(config.max_iters):
         menu = menu_from_flat(x, J)
+        d = menu.lottery1.probs @ B1 - menu.lottery0.probs @ B0
         fit = fit_theta(basis, [(x0, f0), (menu, predictor.predict(menu))],
-                        fit_cfg, scale=config.logit_scale, warm_start=warm)
-        warm = fit.theta
+                        scale=config.logit_scale, design=np.array([d0, d]))
         history.append(fit.theta)
 
         thetas = sample_theta_history(history, config.n_gradient_samples, rng)

@@ -12,7 +12,7 @@ of the anomaly search reduces to small soft-label logistic regressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,42 +83,68 @@ def target_entropy(y: np.ndarray) -> float:
     return float(np.mean(-y * np.log(y) - (1 - y) * np.log(1 - y)))
 
 
+# The Newton solve stops once the KKT residual is below KKT_TOL; the cap
+# only bounds a fit whose line search keeps failing.
+MAX_NEWTON_ITER = 50
+KKT_TOL = 1e-10
+BOUND_TOL = 1e-9      # a norm this close to the bound counts as on it
+
+
 @dataclass
 class FitResult:
     theta: np.ndarray
     kl: float
     cross_entropy: float
-    converged: bool = True
+    converged: bool = True      # the KKT stop fired (or the fit is exact)
     on_norm_bound: bool = False
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    restarts: int = 5
-    init_scale: float = 0.1
-    max_iter: int = 300
-    grad_tol: float = 1e-11
-    seed: int = 0
+def _ball_newton_point(H: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+    """argmin b.z + z.Hz/2 over ||z|| <= radius, H symmetric positive semidefinite.
 
-
-def _fit_logits(D: np.ndarray, y: np.ndarray, scale: float, cfg: FitConfig,
-                warm_start=None) -> FitResult:
-    """Minimize mean CE of sigma(scale * D theta) against targets y.
-
-    Backtracking gradient descent from several starts.  The problem is convex,
-    so restarts guard numerics rather than local minima; an exact-interpolation
-    least-squares start short-circuits the common fittable case.
+    Inside the ball this is the Newton point; otherwise z = -(H + mu I)^-1 b
+    with mu > 0 solving the secular equation 1/||z(mu)|| = 1/radius by
+    bracketed Newton (More and Sorensen 1983).
     """
-    n, dim = D.shape
+    evals, Q = np.linalg.eigh(H)
+    evals = np.maximum(evals, 0.0)
+    beta = Q.T @ b
+    if evals[0] > 0.0 and np.linalg.norm(beta / evals) <= radius:
+        return -(Q @ (beta / evals))
+    bnorm = np.linalg.norm(beta)
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    # ||z(mu)|| lies between ||beta||/(evals[-1]+mu) and ||beta||/(evals[0]+mu).
+    lo, hi = max(bnorm / radius - evals[-1], 0.0), bnorm / radius - evals[0]
+    mu = hi
+    for _ in range(100):
+        q = beta / (evals + mu)
+        znorm = np.linalg.norm(q)
+        if abs(znorm - radius) <= 1e-14 * radius:
+            break
+        lo, hi = (mu, hi) if znorm > radius else (lo, mu)
+        mu -= (1.0 / znorm - 1.0 / radius) * znorm ** 3 / (q @ (q / (evals + mu)))
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+    return -(Q @ q) * min(1.0, radius / znorm)
+
+
+def _fit_logits(D: np.ndarray, y: np.ndarray, scale: float) -> FitResult:
+    """Minimize mean CE of sigma(scale * D theta) against targets y over the ball.
+
+    The loss sees theta only through D theta, so the constrained optimum lies
+    in the row space of D: theta = V w, with V from a thin SVD and w of the
+    rank r <= rows.  Each Newton step minimizes the quadratic model over the
+    ball, then backtracks; the fit stops when the KKT residual
+    ||grad + lam w||, lam = max(0, -grad.w/||w||^2) on the ball and 0 inside,
+    is at most ``KKT_TOL``.
+    """
+    n = D.shape[0]
     y = _clip_targets(y)
     entropy = target_entropy(y)
 
     def ce(theta):
         return _cross_entropy(scale * (D @ theta), y)
-
-    def grad(theta):
-        f = logistic(scale * (D @ theta))
-        return scale * ((f - y) @ D) / n
 
     # Interpolating start: if D theta = logit(y)/scale is solvable the CE lower
     # bound (target entropy) is attained and no search is needed.
@@ -129,64 +155,57 @@ def _fit_logits(D: np.ndarray, y: np.ndarray, scale: float, cfg: FitConfig,
     if ce(theta_ls) - entropy < 1e-12:
         return FitResult(theta_ls, max(ce(theta_ls) - entropy, 0.0), ce(theta_ls))
 
-    rng = np.random.default_rng(cfg.seed)
-    starts = [theta_ls, np.zeros(dim)]
-    if warm_start is not None:
-        starts.append(np.asarray(warm_start, dtype=float))
-    starts += [rng.normal(0.0, cfg.init_scale, size=dim) for _ in range(cfg.restarts)]
-
-    best = None
-    for theta0 in starts:
-        theta = theta0.copy()
-        value = ce(theta)
-        step = 1.0
-        converged = False
-        for _ in range(cfg.max_iter):
-            g = grad(theta)
-            gnorm = np.linalg.norm(g)
-            if gnorm < cfg.grad_tol:
-                converged = True
+    U, svals, Vt = np.linalg.svd(D, full_matrices=False)
+    rank = int(np.sum(svals > svals[0] * max(D.shape) * np.finfo(float).eps))
+    V = Vt[:rank]
+    A = scale * (U[:, :rank] * svals[:rank])      # logits are A @ w
+    w = V @ theta_ls
+    value = _cross_entropy(A @ w, y)
+    converged = False
+    for _ in range(MAX_NEWTON_ITER):
+        sig = logistic(A @ w)
+        g = ((sig - y) @ A) / n
+        on_ball = w @ w >= (THETA_NORM_BOUND - BOUND_TOL) ** 2
+        lam = max(0.0, -(g @ w) / (w @ w)) if on_ball else 0.0
+        if np.linalg.norm(g + lam * w) <= KKT_TOL:
+            converged = True
+            break
+        H = (A.T * (sig * (1.0 - sig))) @ A / n
+        step = _ball_newton_point(H, g - H @ w, THETA_NORM_BOUND) - w
+        slope = g @ step
+        if not slope < 0.0:
+            break
+        # Backtrack on the segment, which stays in the ball.  A few ulps of
+        # slack let through a last full step whose predicted decrease is
+        # below the rounding of the loss.
+        t = 1.0
+        while t > 1e-10:
+            cand_value = _cross_entropy(A @ (w + t * step), y)
+            if cand_value <= value + 1e-4 * t * slope + 4 * np.finfo(float).eps * value:
+                w, value = w + t * step, cand_value
                 break
-            # Backtracking line search with Armijo condition.
-            while step > 1e-14:
-                cand = theta - step * g
-                cand_norm = np.linalg.norm(cand)
-                if cand_norm > THETA_NORM_BOUND:
-                    cand = cand * (THETA_NORM_BOUND / cand_norm)
-                cand_value = ce(cand)
-                if cand_value <= value - 1e-4 * step * gnorm ** 2:
-                    theta, value = cand, cand_value
-                    step = min(step * 2.0, 1e6)
-                    break
-                step *= 0.5
-            else:
-                break
-        result = FitResult(theta, max(value - entropy, 0.0), value, converged,
-                           on_norm_bound=np.linalg.norm(theta) >= THETA_NORM_BOUND - 1e-9)
-        if best is None or result.cross_entropy < best.cross_entropy:
-            best = result
-    return best
+            t *= 0.5
+        else:
+            break
+    theta = V.T @ w
+    value = ce(theta)
+    return FitResult(theta, max(value - entropy, 0.0), value, converged,
+                     on_norm_bound=bool(np.linalg.norm(theta) >= THETA_NORM_BOUND - BOUND_TOL))
 
 
-def fit_theta(basis, examples, cfg: FitConfig | None = None, scale: float = 1.0,
-              warm_start=None) -> FitResult:
+def fit_theta(basis, examples, scale: float = 1.0, design=None) -> FitResult:
     """Fit theta to (menu, target probability) pairs by mean cross-entropy.
 
     The reported loss is the mean KL divergence of the fit from the targets,
-    which is 0 exactly when the theory matches them.
+    which is 0 exactly when the theory matches them.  ``design`` optionally
+    supplies the rows of ``design_matrix(basis, menus)`` precomputed.
     """
     if not examples:
         raise ValueError("need at least one example")
-    cfg = cfg or FitConfig()
-    menus = [m for m, _ in examples]
     y = np.array([t for _, t in examples], dtype=float)
-    D = design_matrix(basis, menus)
-    return _fit_logits(D, y, scale, cfg, warm_start)
-
-
-def min_theory_loss(basis, examples, restarts: int = 5, scale: float = 1.0) -> FitResult:
-    """Multi-restart wrapper over fit_theta; returns the best fit found."""
-    return fit_theta(basis, examples, FitConfig(restarts=restarts), scale)
+    D = design_matrix(basis, [m for m, _ in examples]) if design is None \
+        else np.asarray(design, dtype=float)
+    return _fit_logits(D, y, scale)
 
 
 def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import simplex_lp
 from .lotteries import ExampleCollection, Menu, merge_payoff_grid, probs_on_grid
-from .theory import min_theory_loss
+from .theory import fit_theta
 
 MARGIN_THRESHOLD = 1e-9
 MAX_MENUS = 8
@@ -149,11 +149,13 @@ def is_anomaly(collection: ExampleCollection) -> AnomalyVerdict:
     return AnomalyVerdict(True, full)
 
 
-def minimal_anomaly(collection: ExampleCollection):
+def minimal_anomaly(collection: ExampleCollection,
+                    margin_threshold: float = MARGIN_THRESHOLD):
     """Smallest inconsistent sub-collection, or None if consistent.
 
     A candidate pair whose one menu is already a dominance violation yields
     that singleton; a pair inconsistent only jointly yields the pair itself.
+    Subsets are judged at the same margin threshold as the full collection.
     """
     menus = collection.menus
     choices = collection.implied_choices
@@ -161,7 +163,7 @@ def minimal_anomaly(collection: ExampleCollection):
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             sub = verify_increasing_utility([menus[i] for i in subset],
-                                            choices[list(subset)])
+                                            choices[list(subset)], margin_threshold)
             if not sub.consistent:
                 return subset, sub
     return None
@@ -172,13 +174,15 @@ class ParametrizedVerdict:
     inconsistent: bool
     min_kl: float
     converged: bool = True
+    on_norm_bound: bool = False
 
 
 def verify_parametrized(basis, collection: ExampleCollection,
                         kl_threshold: float = DEFAULT_KL_THRESHOLD,
-                        restarts: int = 5, scale: float = 1.0) -> ParametrizedVerdict:
+                        scale: float = 1.0) -> ParametrizedVerdict:
     """Inconsistency with the logit-EUT class: best-fit mean KL above threshold."""
     examples = [(e.menu, e.choice_prob) for e in collection]
-    fit = min_theory_loss(basis, examples, restarts=restarts, scale=scale)
+    fit = fit_theta(basis, examples, scale=scale)
     return ParametrizedVerdict(inconsistent=fit.kl > kl_threshold,
-                               min_kl=fit.kl, converged=fit.converged)
+                               min_kl=fit.kl, converged=fit.converged,
+                               on_norm_bound=fit.on_norm_bound)

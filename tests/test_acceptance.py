@@ -31,7 +31,7 @@ from anomgen.morphing import MorphConfig, morph_step_direction, run_morph_index
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
                                menu_input_scaling, mlp_grad, mlp_predict,
                                _backprop, _ce_loss)
-from anomgen.theory import (TheorySpec, min_theory_loss, theory_loss,
+from anomgen.theory import (TheorySpec, fit_theta, theory_loss,
                             theory_loss_grad_features)
 from anomgen.verifier import (is_anomaly, verify_collection,
                               verify_increasing_utility, verify_parametrized)
@@ -134,7 +134,7 @@ def test_criterion_3_closed_form_checks(allais_menus):
         assert w.sum() == pytest.approx(0.8412, abs=1e-4)
         menu_a, menu_b = allais_menus
         basis = PolynomialBasis(order=6, domain=(0, 5e6))
-        fit = min_theory_loss(basis, [(menu_a, 0.2), (menu_b, 0.8)])
+        fit = fit_theta(basis, [(menu_a, 0.2), (menu_b, 0.8)])
         assert fit.kl == pytest.approx(0.1927, abs=1e-3)
 
 

@@ -120,6 +120,36 @@ class TestPipelineCommands:
         assert recs[0]["any_utility_inconsistent"] is True
         assert recs[0]["min_kl"] == pytest.approx(0.1927, abs=1e-3)
 
+    def test_verified_records_flag_fits_on_the_ball(self, tmp_path, capsys):
+        # Seed 3, run 0 ends on a collection whose best fit lies on the
+        # coefficient ball; run 1 is fit inside it.
+        os.chdir(tmp_path)
+        run_ok(["adversarial", "--inits", "2", "--seed", "3",
+                "--out", "c.jsonl"], capsys)
+        run_ok(["verify", "--in", "c.jsonl", "--out", "v.jsonl"], capsys)
+        _, recs = read_jsonl("v.jsonl", expected_kind="verified")
+        assert [(r["fit_on_bound"], r["fit_converged"]) for r in recs] == \
+            [(True, True), (False, True)]
+        basis = basis_from_config(parse_config({}).theory_basis)
+        for rec in recs:
+            verdict = verify_parametrized(basis, record_to_collection(rec))
+            assert verdict.on_norm_bound is rec["fit_on_bound"]
+            assert verdict.converged is rec["fit_converged"]
+
+    def test_configured_margin_threshold_reaches_minimality(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"verification": {"margin_threshold": 0.05}}))
+        run_ok(["baseline", "--inits", "50", "--seed", "1", "--config", str(cfg),
+                "--out", "b.jsonl"], capsys)
+        run_ok(["verify", "--in", "b.jsonl", "--config", str(cfg),
+                "--out", "bv.jsonl"], capsys)
+        _, recs = read_jsonl("bv.jsonl", expected_kind="verified")
+        flagged = [r for r in recs if r["any_utility_inconsistent"]]
+        assert flagged
+        for rec in flagged:
+            assert rec["anomaly_minimal_indices"], rec["id"]
+
     def test_worker_count_does_not_change_bytes(self, tmp_path, capsys):
         os.chdir(tmp_path)
         run_ok(["morph", "--inits", "6", "--seed", "4", "--out", "m1.jsonl",

@@ -3,10 +3,11 @@ import pytest
 
 from anomgen.basis import ISplineBasis
 from anomgen.cpt import CptParams, CptPredictor
-from anomgen.lotteries import sample_random_menu
+from anomgen.lotteries import menu_from_flat, sample_random_menu
 from anomgen.morphing import (MorphConfig, morph_run, morph_step_direction,
                               null_space_projection, run_morph_index,
                               sample_theta_history, _tangent)
+from anomgen.theory import fit_theta
 
 
 class TestSampleThetaHistory:
@@ -127,6 +128,30 @@ class TestMorphRun:
         b = run_morph_index(pred, cfg, 10, 0)
         np.testing.assert_array_equal(a.candidate.menus[1].flatten(),
                                       b.candidate.menus[1].flatten())
+
+    def test_frozen_basis_rows_give_the_same_fits(self):
+        # morph_run builds its design rows from the basis values at the
+        # frozen payoffs; along a trajectory that route must reproduce the
+        # fit from freshly evaluated features bit for bit.
+        pred = CptPredictor(CptParams(0.726, 0.309))
+        cfg = MorphConfig(seed=11)
+        basis = cfg.make_basis()
+        result = run_morph_index(pred, cfg, 11, 3)
+        assert result.iterations >= 5
+        x0 = result.candidate.menus[0]
+        B0 = basis.eval(x0.lottery0.payoffs)
+        B1 = basis.eval(x0.lottery1.payoffs)
+        for x in result.trajectory:
+            menu = menu_from_flat(x, 2)
+            examples = [(x0, pred.predict(x0)), (menu, pred.predict(menu))]
+            rows = np.array([m.lottery1.probs @ B1 - m.lottery0.probs @ B0
+                             for m, _ in examples])
+            plain = fit_theta(basis, examples)
+            given = fit_theta(basis, examples, design=rows)
+            np.testing.assert_array_equal(given.theta, plain.theta)
+            assert (given.kl, given.cross_entropy, given.converged,
+                    given.on_norm_bound) == (plain.kl, plain.cross_entropy,
+                                             plain.converged, plain.on_norm_bound)
 
 
 class TestMorphStepDirection:

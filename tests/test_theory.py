@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from anomgen import adversarial, theory
+from anomgen.adversarial import GdaConfig, run_adversarial_index
 from anomgen.basis import PolynomialBasis
+from anomgen.cpt import CptParams, CptPredictor
 from anomgen.lotteries import sample_random_menu
-from anomgen.theory import (FitConfig, TheorySpec, eu_difference_features,
-                            fit_theta, min_theory_loss, theory_choice_prob,
-                            theory_loss, theory_loss_grad_features)
+from anomgen.theory import (THETA_NORM_BOUND, TheorySpec, design_matrix,
+                            eu_difference_features, fit_theta,
+                            theory_choice_prob, theory_loss,
+                            theory_loss_grad_features)
 from conftest import central_difference, flat_menu_fn
 
 
@@ -69,18 +73,9 @@ class TestFitTheta:
     def test_allais_pooled_closed_form(self, allais_menus):
         menu_a, menu_b = allais_menus
         basis = PolynomialBasis(order=6, domain=(0, 5e6))
-        fit = min_theory_loss(basis, [(menu_a, 0.2), (menu_b, 0.8)])
+        fit = fit_theta(basis, [(menu_a, 0.2), (menu_b, 0.8)])
         assert fit.kl == pytest.approx(ALLAIS_POOLED_KL, abs=1e-3)
         assert fit.kl == pytest.approx(0.1927, abs=1e-3)
-
-    def test_loss_non_increasing_in_restarts(self, basis10):
-        rng = np.random.default_rng(6)
-        menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(4)]
-        examples = [(m, t) for m, t in zip(menus, (0.9, 0.1, 0.8, 0.2))]
-        losses = [min_theory_loss(basis10, examples, restarts=r).cross_entropy
-                  for r in (1, 3, 6)]
-        assert losses[0] >= losses[1] - 1e-12
-        assert losses[1] >= losses[2] - 1e-12
 
     def test_constant_basis_member_changes_nothing(self, basis10):
         # A constant utility shift is invisible to choice probabilities.
@@ -99,13 +94,87 @@ class TestFitTheta:
         rng = np.random.default_rng(7)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(5)]
         examples = [(m, t) for m, t in zip(menus, (0.9, 0.15, 0.6, 0.4, 0.8))]
-        plain = min_theory_loss(basis10, examples).cross_entropy
-        augmented = min_theory_loss(Augmented(), examples).cross_entropy
+        plain = fit_theta(basis10, examples).cross_entropy
+        augmented = fit_theta(Augmented(), examples).cross_entropy
         assert augmented == pytest.approx(plain, abs=1e-8)
 
     def test_empty_examples_rejected(self, basis10):
         with pytest.raises(ValueError):
             fit_theta(basis10, [])
+
+
+@pytest.fixture(scope="module")
+def on_bound_cases():
+    """(basis, examples) of the inner fits that land on the coefficient ball
+    in short adversarial runs (seed 23, bruhin-b oracle)."""
+    cases = []
+
+    def record(basis, examples, scale=1.0, design=None):
+        fit = theory.fit_theta(basis, examples, scale=scale, design=design)
+        if fit.on_norm_bound:
+            cases.append((basis, list(examples)))
+        return fit
+
+    predictor = CptPredictor(CptParams(0.726, 0.309))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversarial, "fit_theta", record)
+        for i in range(600):
+            run_adversarial_index(predictor, GdaConfig(max_iters=3), 23, i)
+            if len(cases) >= 60:
+                break
+    return cases
+
+
+def logit_problem(basis, examples):
+    D = design_matrix(basis, [m for m, _ in examples])
+    y = np.clip([t for _, t in examples], theory.TARGET_CLIP, 1 - theory.TARGET_CLIP)
+    return D, y
+
+
+def mean_kl(D, y, theta):
+    """Mean KL of sigma(D theta) from targets y, for thetas stacked in rows."""
+    u = np.atleast_2d(theta) @ D.T
+    entropy = np.mean(-y * np.log(y) - (1 - y) * np.log(1 - y))
+    return np.mean(np.logaddexp(0.0, u) - y * u, axis=1) - entropy
+
+
+class TestBallConstrainedFit:
+    def test_on_bound_fits_satisfy_kkt(self, on_bound_cases):
+        assert len(on_bound_cases) >= 50
+        for basis, examples in on_bound_cases:
+            fit = fit_theta(basis, examples)
+            D, y = logit_problem(basis, examples)
+            theta = fit.theta
+            grad = ((1.0 / (1.0 + np.exp(-(D @ theta))) - y) @ D) / len(y)
+            norm = np.linalg.norm(theta)
+            lam = -(grad @ theta) / norm ** 2
+            assert fit.on_norm_bound and fit.converged
+            assert abs(norm - THETA_NORM_BOUND) <= 1e-9
+            assert lam >= 0.0
+            assert np.linalg.norm(grad + lam * theta) <= 1e-10
+
+    def test_two_row_fits_match_dense_circle_scan(self, on_bound_cases):
+        pairs = [(b, ex) for b, ex in on_bound_cases if len(ex) == 2][:20]
+        assert len(pairs) >= 10
+        for basis, examples in pairs:
+            D, y = logit_problem(basis, examples)
+            _, _, Vt = np.linalg.svd(D, full_matrices=False)
+            # The loss sees theta only through its row-space part, so the
+            # optimum on the ball lies on the circle of radius R in that plane.
+            phi = np.linspace(0.0, 2 * np.pi, 100_000, endpoint=False)
+            for width in (None, 4 * (phi[1] - phi[0])):
+                if width is not None:
+                    phi = best + np.linspace(-width, width, 20_001)
+                circle = THETA_NORM_BOUND * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+                kls = mean_kl(D, y, circle @ Vt[:2])
+                best = phi[np.argmin(kls)]
+            assert fit_theta(basis, examples).kl <= kls.min() + 1e-10
+
+    def test_iteration_cap_reports_unconverged(self, on_bound_cases, monkeypatch):
+        basis, examples = on_bound_cases[0]
+        assert fit_theta(basis, examples).converged
+        monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 1)
+        assert not fit_theta(basis, examples).converged
 
 
 class TestTheoryLoss:
