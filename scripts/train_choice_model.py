@@ -47,10 +47,8 @@ def main():
     par = full = 0
     cats = {}
     for i in range(args.runs):
-        for cand in (run_adversarial_index(pred, GdaConfig(seed=args.seed),
-                                           args.seed, i).candidate,
-                     run_morph_index(pred, MorphConfig(seed=args.seed),
-                                     args.seed, i).candidate):
+        for cand in (run_adversarial_index(pred, GdaConfig(), args.seed, i).candidate,
+                     run_morph_index(pred, MorphConfig(), args.seed, i).candidate):
             par += verify_parametrized(basis, cand).inconsistent
             if not verify_collection(cand).consistent:
                 full += 1

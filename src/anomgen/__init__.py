@@ -6,12 +6,12 @@ from .lotteries import (Example, ExampleCollection, FosdOrder, Lottery, Menu,
 from .cpt import CptParams, CptPredictor, choice_prob, cpt_value, prob_weights
 from .basis import ISplineBasis, PolynomialBasis, basis_from_config
 from .theory import TheorySpec, fit_theta, theory_choice_prob
-from .verifier import (VerificationResult, is_anomaly, verify_increasing_utility,
-                       verify_parametrized)
+from .verifier import (VerificationResult, minimal_anomaly,
+                       verify_increasing_utility, verify_parametrized)
 from .categorize import (AnomalyCategory, categorize, categorize_three_payoff,
                          categorize_two_payoff, check_certificate,
                          decompose_shared_components, solve_degenerate_mix)
-from .adversarial import GdaConfig, gda_run, generate_adversarial
-from .morphing import MorphConfig, generate_morphs, morph_run, null_space_projection
+from .adversarial import GdaConfig, gda_run, run_adversarial_index
+from .morphing import MorphConfig, morph_run, null_space_projection, run_morph_index
 
 __all__ = [name for name in dir() if not name.startswith("_")]

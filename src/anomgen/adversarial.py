@@ -22,10 +22,10 @@ import numpy as np
 
 from .basis import basis_from_config
 from .lotteries import (Example, ExampleCollection, Menu, menu_from_flat,
-                        project_to_simplex, run_rng, sample_random_menu)
-from .theory import (TheorySpec, eu_difference_features,
-                     eu_difference_grad, fit_theta, theory_loss,
-                     theory_loss_grad_features)
+                        run_rng, sample_random_menu, step_probs)
+from .theory import (TheorySpec, basis_values, eu_difference_features,
+                     eu_difference_grad, eu_difference_row, fit_theta,
+                     theory_loss, theory_loss_grad_features)
 
 INTERIOR_EPS = 1e-8
 DEFAULT_BASIS = {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
@@ -37,20 +37,15 @@ class GdaConfig:
     max_iters: int = 50
     basis_config: dict = field(default_factory=lambda: dict(DEFAULT_BASIS))
     objective: str = "logit_disagreement"       # or "raw_loss"
-    ascent_coords: str = "probabilities_only"   # or "all"
     collection_mode: str = "pair_anchored"      # or "free"
     free_size: int = 2
     n_payoffs: int = 2
-    logit_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.step_size <= 0 or self.max_iters < 1:
             raise ValueError("step size must be positive and iterations >= 1")
         if self.objective not in ("raw_loss", "logit_disagreement"):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.ascent_coords not in ("probabilities_only", "all"):
-            raise ValueError(f"unknown ascent coordinates {self.ascent_coords!r}")
         if self.collection_mode not in ("pair_anchored", "free"):
             raise ValueError(f"unknown collection mode {self.collection_mode!r}")
 
@@ -84,27 +79,6 @@ def ascent_objective(kind: str, predictor, spec: TheorySpec, menu: Menu):
     raise ValueError(f"unknown objective {kind!r}")
 
 
-def _mask_coords(grad: np.ndarray, n_payoffs: int, coords: str) -> np.ndarray:
-    if coords == "all":
-        return grad
-    J = n_payoffs
-    out = grad.copy()
-    out[:J] = 0.0
-    out[2 * J:3 * J] = 0.0
-    return out
-
-
-def _feasible(x: np.ndarray, n_payoffs: int, domain) -> np.ndarray:
-    """Project probability blocks to the simplex, clamp payoffs to the domain."""
-    J = n_payoffs
-    out = x.copy()
-    out[:J] = np.clip(out[:J], domain[0], domain[1])
-    out[2 * J:3 * J] = np.clip(out[2 * J:3 * J], domain[0], domain[1])
-    out[J:2 * J] = project_to_simplex(out[J:2 * J])
-    out[3 * J:] = project_to_simplex(out[3 * J:])
-    return out
-
-
 @dataclass
 class GdaRunResult:
     candidate: ExampleCollection
@@ -120,7 +94,6 @@ def gda_run(predictor, config: GdaConfig, x0, provenance: dict | None = None) ->
     ``free_size`` initial menus that evolve jointly.
     """
     basis = config.make_basis()
-    domain = basis.domain
     flags = []
 
     if config.collection_mode == "pair_anchored":
@@ -135,28 +108,30 @@ def gda_run(predictor, config: GdaConfig, x0, provenance: dict | None = None) ->
         anchor = None
         moving = [m.flatten() for m in inits]
     J = (anchor or inits[0]).n_payoffs
+    # Only probabilities move: each menu's basis values, and the anchor's
+    # prediction, stay fixed for the whole run.
+    fixed = [] if anchor is None else [(anchor, predictor.predict(anchor))]
+    values = [basis_values(basis, m) for m, _ in fixed]
+    values += [basis_values(basis, menu_from_flat(x, J)) for x in moving]
 
     trajectory = [[m.copy() for m in moving]]
     iterations = 0
     for s in range(config.max_iters):
-        menus = ([anchor] if anchor is not None else []) + \
-                [menu_from_flat(x, J) for x in moving]
-        examples = [(m, predictor.predict(m)) for m in menus]
-        fit = fit_theta(basis, examples, scale=config.logit_scale)
-        spec = TheorySpec(basis, fit.theta, config.logit_scale)
+        menus = [menu_from_flat(x, J) for x in moving]
+        examples = fixed + [(m, predictor.predict(m)) for m in menus]
+        rows = [eu_difference_row(m, *v) for (m, _), v in zip(examples, values)]
+        fit = fit_theta(basis, examples, design=np.array(rows))
+        spec = TheorySpec(basis, fit.theta)
 
         new_moving = []
-        bad = False
-        for x in moving:
-            menu = menu_from_flat(x, J)
+        for x, menu in zip(moving, menus):
             _, grad = ascent_objective(config.objective, predictor, spec, menu)
-            grad = _mask_coords(grad, J, config.ascent_coords)
+            grad = np.concatenate([grad[J:2 * J], grad[3 * J:]])
             if not np.all(np.isfinite(grad)):
                 flags.append(f"nonfinite_gradient@iter{s}")
-                bad = True
                 break
-            new_moving.append(_feasible(x + config.step_size * grad, J, domain))
-        if bad:
+            new_moving.append(step_probs(x, J, config.step_size * grad))
+        if flags:
             break
         moving = new_moving
         trajectory.append([m.copy() for m in moving])
@@ -176,29 +151,16 @@ def gda_run(predictor, config: GdaConfig, x0, provenance: dict | None = None) ->
                         trajectory=trajectory, iterations=iterations, flags=flags)
 
 
-def generate_adversarial(predictor, config: GdaConfig, num_inits: int,
-                         master_seed: int | None = None) -> list:
-    """Independent seeded runs; output order is deterministic in the run index."""
-    if num_inits < 1:
-        raise ValueError("need at least one initialization")
-    seed = config.seed if master_seed is None else master_seed
-    domain = config.make_basis().domain
-    results = []
-    for i in range(num_inits):
-        results.append(run_adversarial_index(predictor, config, seed, i, domain))
-    return results
-
-
 def run_adversarial_index(predictor, config: GdaConfig, master_seed: int,
-                          run_index: int, domain=None) -> GdaRunResult:
+                          run_index: int) -> GdaRunResult:
     """Single run addressed by (master seed, run index); worker-pool friendly."""
-    domain = domain or config.make_basis().domain
+    low, high = config.make_basis().domain
     rng = run_rng(master_seed, run_index)
     if config.collection_mode == "free":
-        x0 = [sample_random_menu(rng, config.n_payoffs, domain[0], domain[1])
+        x0 = [sample_random_menu(rng, config.n_payoffs, low, high)
               for _ in range(config.free_size)]
     else:
-        x0 = sample_random_menu(rng, config.n_payoffs, domain[0], domain[1])
+        x0 = sample_random_menu(rng, config.n_payoffs, low, high)
     prov = {"procedure": "adversarial", "master_seed": master_seed,
             "run_index": run_index}
     return gda_run(predictor, config, x0, prov)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lotteries import (Example, ExampleCollection, Menu, lottery_stats,
+from .lotteries import (Example, ExampleCollection, lottery_stats,
                         run_rng, sample_random_menu)
 from .verifier import (DEFAULT_KL_THRESHOLD, verify_collection,
                        verify_increasing_utility, verify_parametrized)
@@ -66,19 +66,25 @@ def baseline_random_pairs(predictor, basis, num_pairs: int, master_seed: int,
     if num_pairs < 1:
         raise ValueError("need at least one pair")
     par = full = 0
-    cats: dict = {}
     for i in range(num_pairs):
-        rng = run_rng(master_seed, i)
-        menus = [sample_random_menu(rng, n_payoffs, *payoff_range) for _ in range(2)]
-        coll = ExampleCollection(
-            tuple(Example(m, predictor.predict(m)) for m in menus),
-            {"procedure": "baseline", "run_index": i})
+        coll = random_pair(predictor, master_seed, i, n_payoffs, payoff_range)
         if verify_parametrized(basis, coll, kl_threshold).inconsistent:
             par += 1
         if not verify_collection(coll).consistent:
             full += 1
     return VerificationReport(runs=num_pairs, parametrized_count=par,
-                              full_count=full, category_counts=cats)
+                              full_count=full)
+
+
+def random_pair(predictor, master_seed: int, run_index: int, n_payoffs: int,
+                payoff_range) -> ExampleCollection:
+    """Baseline run ``(master seed, run index)``: two random menus with the
+    predictor's choice probabilities attached."""
+    rng = run_rng(master_seed, run_index)
+    menus = [sample_random_menu(rng, n_payoffs, *payoff_range) for _ in range(2)]
+    return ExampleCollection(
+        tuple(Example(m, predictor.predict(m)) for m in menus),
+        {"procedure": "baseline", "master_seed": master_seed, "run_index": run_index})
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 categorize -> cluster -> report.
 
 Every subcommand writes outputs atomically and prints a single machine-
-readable JSON summary line to stdout.  Generation fans independent runs over
-a worker pool; records depend only on (master seed, run index), so outputs
-are byte-identical for any worker count.
+readable JSON summary line to stdout.  Generation and verification fan
+independent runs over a worker pool; records depend only on (master seed,
+run index), so outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -58,9 +58,8 @@ def _gda_config(cfg: PipelineConfig) -> GdaConfig:
     a = cfg.adversarial
     return GdaConfig(step_size=a.step_size, max_iters=a.max_iters,
                      basis_config=a.basis, objective=a.objective,
-                     ascent_coords=a.ascent_coords,
                      collection_mode=a.collection_mode, free_size=a.free_size,
-                     n_payoffs=cfg.n_payoffs, seed=cfg.seed)
+                     n_payoffs=cfg.n_payoffs)
 
 
 def _morph_config(cfg: PipelineConfig) -> MorphConfig:
@@ -68,10 +67,25 @@ def _morph_config(cfg: PipelineConfig) -> MorphConfig:
     return MorphConfig(step_size=m.step_size, max_iters=m.max_iters,
                        n_gradient_samples=m.n_gradient_samples,
                        rank_tol=m.rank_tol, basis_config=m.basis,
-                       n_payoffs=cfg.n_payoffs, seed=cfg.seed)
+                       n_payoffs=cfg.n_payoffs)
 
 
-# -- generation workers (module level for pickling) -------------------------
+# -- worker chunks (module level for pickling) and their fan-out -------------
+
+def _fan_out(chunk_fn, args: tuple, items: list, workers: int) -> list:
+    """``chunk_fn(*args, chunk)`` over strided chunks of ``items``, in a
+    process pool when ``workers > 1``; the ``(index, record)`` pairs it
+    returns come back as records in index order."""
+    if workers > 1:
+        chunks = [items[w::workers] for w in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(chunk_fn, *zip(*[(*args, ch) for ch in chunks]))
+            collected = [item for part in parts for item in part]
+    else:
+        collected = chunk_fn(*args, items)
+    collected.sort(key=lambda t: t[0])
+    return [r for _, r in collected]
+
 
 def _generate_chunk(raw_config: dict, procedure: str, seed: int, indices):
     cfg = parse_config(raw_config)
@@ -79,19 +93,12 @@ def _generate_chunk(raw_config: dict, procedure: str, seed: int, indices):
     out = []
     for i in indices:
         if procedure == "adversarial":
-            result = run_adversarial_index(predictor, _gda_config(cfg), seed, i)
-            coll = result.candidate
+            coll = run_adversarial_index(predictor, _gda_config(cfg), seed, i).candidate
         elif procedure == "morph":
-            result = run_morph_index(predictor, _morph_config(cfg), seed, i)
-            coll = result.candidate
+            coll = run_morph_index(predictor, _morph_config(cfg), seed, i).candidate
         else:
-            rng = run_rng(seed, i)
-            domain = tuple(cfg.theory_basis.get("domain", (0.0, 10.0)))
-            menus = [sample_random_menu(rng, cfg.n_payoffs, *domain) for _ in range(2)]
-            from .lotteries import Example, ExampleCollection
-            coll = ExampleCollection(
-                tuple(Example(m, predictor.predict(m)) for m in menus),
-                {"procedure": "baseline", "master_seed": seed, "run_index": i})
+            coll = analysis.random_pair(predictor, seed, i, cfg.n_payoffs,
+                                        cfg.theory_basis["domain"])
         record = records.candidate_to_record(coll)
         record["predictor"] = getattr(predictor, "label", None)
         out.append((i, record))
@@ -104,19 +111,9 @@ def _run_generation(args, procedure: str) -> int:
         cfg.adversarial.inits if procedure == "adversarial" else cfg.morph.inits)
     if inits < 1:
         raise ConfigError("need at least one initialization (--inits >= 1)")
-    raw = _read_raw_config(args.config)
     seed = cfg.seed
-    indices = list(range(inits))
-    if cfg.workers > 1:
-        chunks = [indices[w::cfg.workers] for w in range(cfg.workers)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = pool.map(_generate_chunk, *zip(*[(raw, procedure, seed, ch)
-                                                     for ch in chunks]))
-            collected = [item for part in parts for item in part]
-    else:
-        collected = _generate_chunk(raw, procedure, seed, indices)
-    collected.sort(key=lambda t: t[0])
-    recs = [r for _, r in collected]
+    recs = _fan_out(_generate_chunk, (_read_raw_config(args.config), procedure, seed),
+                    list(range(inits)), cfg.workers)
     records.write_jsonl(args.out, recs, kind="candidates")
     return _summary(command=procedure, runs=inits, seed=seed, out=args.out,
                     workers=cfg.workers)
@@ -152,18 +149,9 @@ def _verify_chunk(raw_config: dict, recs):
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    raw = _read_raw_config(args.config)
     _, recs = records.read_jsonl(args.inp)
-    indexed = list(enumerate(recs))
-    if cfg.workers > 1:
-        chunks = [indexed[w::cfg.workers] for w in range(cfg.workers)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = pool.map(_verify_chunk, *zip(*[(raw, ch) for ch in chunks]))
-            collected = [item for part in parts for item in part]
-    else:
-        collected = _verify_chunk(raw, indexed)
-    collected.sort(key=lambda t: t[0])
-    out_recs = [r for _, r in collected]
+    out_recs = _fan_out(_verify_chunk, (_read_raw_config(args.config),),
+                        list(enumerate(recs)), cfg.workers)
     records.write_jsonl(args.out, out_recs, kind="verified")
     n_par = sum(r["parametrized_inconsistent"] for r in out_recs)
     n_full = sum(r["any_utility_inconsistent"] for r in out_recs)
@@ -247,7 +235,7 @@ def cmd_simulate(args) -> int:
     else:
         params = CptParams.preset(pred_cfg.preset)
     rng = run_rng(cfg.seed, 0)
-    domain = tuple(cfg.theory_basis.get("domain", (0.0, 10.0)))
+    domain = cfg.theory_basis["domain"]
     menus = [sample_random_menu(rng, cfg.n_payoffs, *domain) for _ in range(args.n)]
     ds = simulate_choices(rng, menus, params, kind=args.kind, count=args.count,
                           scale=pred_cfg.scale)
@@ -387,7 +375,7 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc)}),
               file=sys.stderr)
         return 1

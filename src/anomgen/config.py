@@ -9,10 +9,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .adversarial import DEFAULT_BASIS
 from .cpt import PRESETS
-
-_DEFAULT_BASIS = {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
-_MORPH_BASIS = {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}
+from .morphing import DEFAULT_BASIS as MORPH_BASIS
 
 
 class ConfigError(ValueError):
@@ -50,7 +49,6 @@ class SearchSection:
     max_iters: int = 50
     inits: int = 100
     objective: str = "logit_disagreement"
-    ascent_coords: str = "probabilities_only"
     collection_mode: str = "pair_anchored"
     free_size: int = 2
     n_gradient_samples: int = 2_000
@@ -89,10 +87,9 @@ def parse_config(raw: dict) -> PipelineConfig:
     _reject_unknown(pred_raw, "predictor")
 
     theory_raw = dict(raw.pop("theory", {}))
-    theory_basis = dict(_take(theory_raw, "theory", "basis", dict(_DEFAULT_BASIS),
-                              lambda v: isinstance(v, dict)))
+    theory_basis = {**DEFAULT_BASIS, **_take(theory_raw, "theory", "basis", {},
+                                             lambda v: isinstance(v, dict))}
     _reject_unknown(theory_raw, "theory")
-    theory_basis = {**_DEFAULT_BASIS, **theory_basis}
 
     adv_raw = dict(raw.pop("adversarial", {}))
     adversarial = SearchSection(
@@ -101,9 +98,6 @@ def parse_config(raw: dict) -> PipelineConfig:
         inits=_take(adv_raw, "adversarial", "inits", 100, lambda v: v >= 0),
         objective=_take(adv_raw, "adversarial", "objective", "logit_disagreement",
                         lambda v: v in ("raw_loss", "logit_disagreement")),
-        ascent_coords=_take(adv_raw, "adversarial", "ascent_coords",
-                            "probabilities_only",
-                            lambda v: v in ("probabilities_only", "all")),
         collection_mode=_take(adv_raw, "adversarial", "collection_mode",
                               "pair_anchored",
                               lambda v: v in ("pair_anchored", "free")),
@@ -153,12 +147,11 @@ def parse_config(raw: dict) -> PipelineConfig:
     if not cfg.adversarial.basis:
         cfg.adversarial.basis = dict(theory_basis)
     else:
-        cfg.adversarial.basis = {**_DEFAULT_BASIS, **cfg.adversarial.basis}
+        cfg.adversarial.basis = {**DEFAULT_BASIS, **cfg.adversarial.basis}
     if not cfg.morph.basis:
-        cfg.morph.basis = dict(_MORPH_BASIS)
-        cfg.morph.basis["domain"] = list(theory_basis.get("domain", [0.0, 10.0]))
+        cfg.morph.basis = {**MORPH_BASIS, "domain": list(theory_basis["domain"])}
     else:
-        cfg.morph.basis = {**_MORPH_BASIS, **cfg.morph.basis}
+        cfg.morph.basis = {**MORPH_BASIS, **cfg.morph.basis}
     return cfg
 
 

@@ -209,6 +209,16 @@ def project_to_simplex(v) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def step_probs(x: np.ndarray, n_payoffs: int, delta: np.ndarray) -> np.ndarray:
+    """Move the probability blocks of flat coordinates by ``delta`` (p0 then
+    p1, length 2J) and project each back onto the simplex; payoffs are kept."""
+    J = n_payoffs
+    out = x.copy()
+    out[J:2 * J] = project_to_simplex(x[J:2 * J] + delta[:J])
+    out[3 * J:] = project_to_simplex(x[3 * J:] + delta[J:])
+    return out
+
+
 def sample_random_menu(rng: np.random.Generator, n_payoffs: int,
                        payoff_low: float, payoff_high: float) -> Menu:
     """Random menu: i.i.d. uniform payoffs, sum-normalized uniform probabilities."""

@@ -19,8 +19,8 @@ from .adversarial import interior_menu
 from .basis import basis_from_config
 from .cpt import logistic
 from .lotteries import (Example, ExampleCollection, Menu, menu_from_flat,
-                        project_to_simplex, run_rng, sample_random_menu)
-from .theory import fit_theta
+                        run_rng, sample_random_menu, step_probs)
+from .theory import basis_values, eu_difference_row, fit_theta
 
 DEFAULT_BASIS = {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}
 STOP_NORM = 1e-8
@@ -40,8 +40,6 @@ class MorphConfig:
     rank_tol: float = 0.1
     basis_config: dict = field(default_factory=lambda: dict(DEFAULT_BASIS))
     n_payoffs: int = 2
-    logit_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.step_size <= 0 or self.n_gradient_samples < 1:
@@ -118,36 +116,20 @@ def morph_step_direction(pred_grad_probs: np.ndarray, sampled_grads_probs: np.nd
     return null_space_projection(g_t, G_t, rank_tol)
 
 
-def _prob_vector(x_flat: np.ndarray, J: int) -> np.ndarray:
-    return np.concatenate([x_flat[J:2 * J], x_flat[3 * J:]])
-
-
-def _with_probs(x_flat: np.ndarray, J: int, probs: np.ndarray) -> np.ndarray:
-    out = x_flat.copy()
-    out[J:2 * J] = project_to_simplex(probs[:J])
-    out[3 * J:] = project_to_simplex(probs[J:])
-    return out
-
-
-def morph_run(predictor, config: MorphConfig, x0: Menu,
-              provenance: dict | None = None,
-              rng: np.random.Generator | None = None) -> MorphRunResult:
+def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator,
+              provenance: dict | None = None) -> MorphRunResult:
     """One morphing run; stops early once the projected direction vanishes."""
     basis = config.make_basis()
     J = x0.n_payoffs
-    rng = rng or np.random.default_rng(config.seed)
     flags: list = []
 
-    # Payoffs are frozen, so the basis values at each payoff are fixed and
-    # every design row is p1 @ B1 - p0 @ B0, as in eu_difference_features.
-    B0 = basis.eval(x0.lottery0.payoffs)            # (J, K)
-    B1 = basis.eval(x0.lottery1.payoffs)
+    # Payoffs are frozen, so the basis values at each payoff are fixed.
+    B0, B1 = basis_values(basis, x0)                # (J, K) each
     p0_init = np.concatenate([x0.lottery0.probs, x0.lottery1.probs])
-    d0 = x0.lottery1.probs @ B1 - x0.lottery0.probs @ B0
+    d0 = eu_difference_row(x0, B0, B1)
 
     f0 = predictor.predict(x0)
-    seed_fit = fit_theta(basis, [(x0, f0)], scale=config.logit_scale,
-                         design=d0[None, :])
+    seed_fit = fit_theta(basis, [(x0, f0)], design=d0[None, :])
     history = [seed_fit.theta]
 
     x = x0.flatten()
@@ -156,25 +138,22 @@ def morph_run(predictor, config: MorphConfig, x0: Menu,
     iterations = 0
     for s in range(config.max_iters):
         menu = menu_from_flat(x, J)
-        d = menu.lottery1.probs @ B1 - menu.lottery0.probs @ B0
+        d = eu_difference_row(menu, B0, B1)
         fit = fit_theta(basis, [(x0, f0), (menu, predictor.predict(menu))],
-                        scale=config.logit_scale, design=np.array([d0, d]))
+                        design=np.array([d0, d]))
         history.append(fit.theta)
 
         thetas = sample_theta_history(history, config.n_gradient_samples, rng)
-        p = _prob_vector(x, J)
         U0 = thetas @ B0.T                           # (B, J) utilities
         U1 = thetas @ B1.T
         dvals = U1 @ menu.lottery1.probs - U0 @ menu.lottery0.probs
-        fb = logistic(config.logit_scale * dvals)
-        slope = config.logit_scale * fb * (1.0 - fb)
+        fb = logistic(dvals)
+        slope = fb * (1.0 - fb)
         sampled = slope[:, None] * np.concatenate([-U0, U1], axis=1)
 
         # Representational drift of the sampled theories between x^0 and x^s.
         dvals0 = U1 @ p0_init[J:] - U0 @ p0_init[:J]
-        drift = max(drift, float(np.max(np.abs(
-            logistic(config.logit_scale * dvals) -
-            logistic(config.logit_scale * dvals0)))))
+        drift = max(drift, float(np.max(np.abs(fb - logistic(dvals0)))))
 
         pred_grad = predictor.grad(interior_menu(menu))
         pred_grad_probs = np.concatenate([pred_grad[J:2 * J], pred_grad[3 * J:]])
@@ -184,7 +163,7 @@ def morph_run(predictor, config: MorphConfig, x0: Menu,
         direction = morph_step_direction(pred_grad_probs, sampled, J, config.rank_tol)
         if np.linalg.norm(direction) < STOP_NORM:
             break
-        x = _with_probs(x, J, p - config.step_size * direction)
+        x = step_probs(x, J, -config.step_size * direction)
         trajectory.append(x.copy())
         iterations = s + 1
 
@@ -201,22 +180,11 @@ def morph_run(predictor, config: MorphConfig, x0: Menu,
                           drift=drift, flags=flags)
 
 
-def generate_morphs(predictor, config: MorphConfig, num_inits: int,
-                    master_seed: int | None = None) -> list:
-    """Independent seeded morph runs, deterministic in the run index."""
-    if num_inits < 1:
-        raise ValueError("need at least one initialization")
-    seed = config.seed if master_seed is None else master_seed
-    domain = config.make_basis().domain
-    return [run_morph_index(predictor, config, seed, i, domain)
-            for i in range(num_inits)]
-
-
 def run_morph_index(predictor, config: MorphConfig, master_seed: int,
-                    run_index: int, domain=None) -> MorphRunResult:
-    domain = domain or config.make_basis().domain
+                    run_index: int) -> MorphRunResult:
+    low, high = config.make_basis().domain
     rng = run_rng(master_seed, run_index)
-    x0 = sample_random_menu(rng, config.n_payoffs, domain[0], domain[1])
+    x0 = sample_random_menu(rng, config.n_payoffs, low, high)
     prov = {"procedure": "morphing", "master_seed": master_seed,
             "run_index": run_index}
-    return morph_run(predictor, config, x0, prov, rng)
+    return morph_run(predictor, config, x0, rng, prov)

@@ -15,8 +15,7 @@ import numpy as np
 from .cpt import CptParams, CptPredictor, logistic
 from .data import ChoiceDataset
 from .lotteries import Menu
-
-TARGET_CLIP = 1e-6
+from .theory import TARGET_CLIP
 
 
 # ---------------------------------------------------------------------------

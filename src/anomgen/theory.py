@@ -24,17 +24,17 @@ TARGET_CLIP = 1e-6
 # On the rescaled payoff domain this allows utility swings two orders beyond
 # behaviorally plausible logits; anything larger lets exploding coefficients
 # rationalize near-parallel conflicting menus and empties the parametrized
-# class of content.
+# class of content.  The logit noise scale is fixed at 1, because scale s
+# with this radius is the same class as scale 1 with radius 100 s.
 THETA_NORM_BOUND = 100.0
 
 
 @dataclass(frozen=True)
 class TheorySpec:
-    """A basis, a coefficient vector and the logit noise scale."""
+    """A basis and a coefficient vector; the logit noise scale is 1."""
 
     basis: object
     theta: np.ndarray
-    logit_scale: float = 1.0
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -51,11 +51,23 @@ class TheorySpec:
         return self.basis.deriv(z) @ self.theta
 
 
+def basis_values(basis, menu: Menu) -> tuple[np.ndarray, np.ndarray]:
+    """Basis values (J, K) at the payoffs of lottery 0 and of lottery 1."""
+    return basis.eval(menu.lottery0.payoffs), basis.eval(menu.lottery1.payoffs)
+
+
+def eu_difference_row(menu: Menu, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """d(x) from the basis values at the menu's payoffs.
+
+    The searches keep payoffs frozen, so they evaluate the basis once per
+    menu and build every later row from these values.
+    """
+    return menu.lottery1.probs @ b1 - menu.lottery0.probs @ b0
+
+
 def eu_difference_features(basis, menu: Menu) -> np.ndarray:
     """d(x): basis-weighted expected-utility difference feature vector."""
-    b1 = basis.eval(menu.lottery1.payoffs)
-    b0 = basis.eval(menu.lottery0.payoffs)
-    return menu.lottery1.probs @ b1 - menu.lottery0.probs @ b0
+    return eu_difference_row(menu, *basis_values(basis, menu))
 
 
 def design_matrix(basis, menus) -> np.ndarray:
@@ -64,7 +76,7 @@ def design_matrix(basis, menus) -> np.ndarray:
 
 def theory_choice_prob(spec: TheorySpec, menu: Menu) -> float:
     d = eu_difference_features(spec.basis, menu)
-    return float(logistic(spec.logit_scale * (d @ spec.theta)))
+    return float(logistic(d @ spec.theta))
 
 
 def _clip_targets(y: np.ndarray) -> np.ndarray:
@@ -129,8 +141,8 @@ def _ball_newton_point(H: np.ndarray, b: np.ndarray, radius: float) -> np.ndarra
     return -(Q @ q) * min(1.0, radius / znorm)
 
 
-def _fit_logits(D: np.ndarray, y: np.ndarray, scale: float) -> FitResult:
-    """Minimize mean CE of sigma(scale * D theta) against targets y over the ball.
+def _fit_logits(D: np.ndarray, y: np.ndarray) -> FitResult:
+    """Minimize mean CE of sigma(D theta) against targets y over the ball.
 
     The loss sees theta only through D theta, so the constrained optimum lies
     in the row space of D: theta = V w, with V from a thin SVD and w of the
@@ -144,11 +156,11 @@ def _fit_logits(D: np.ndarray, y: np.ndarray, scale: float) -> FitResult:
     entropy = target_entropy(y)
 
     def ce(theta):
-        return _cross_entropy(scale * (D @ theta), y)
+        return _cross_entropy(D @ theta, y)
 
-    # Interpolating start: if D theta = logit(y)/scale is solvable the CE lower
+    # Interpolating start: if D theta = logit(y) is solvable the CE lower
     # bound (target entropy) is attained and no search is needed.
-    c = np.log(y / (1 - y)) / scale
+    c = np.log(y / (1 - y))
     theta_ls, *_ = np.linalg.lstsq(D, c, rcond=None)
     if np.linalg.norm(theta_ls) > THETA_NORM_BOUND:
         theta_ls = theta_ls * (THETA_NORM_BOUND / np.linalg.norm(theta_ls))
@@ -158,7 +170,7 @@ def _fit_logits(D: np.ndarray, y: np.ndarray, scale: float) -> FitResult:
     U, svals, Vt = np.linalg.svd(D, full_matrices=False)
     rank = int(np.sum(svals > svals[0] * max(D.shape) * np.finfo(float).eps))
     V = Vt[:rank]
-    A = scale * (U[:, :rank] * svals[:rank])      # logits are A @ w
+    A = U[:, :rank] * svals[:rank]                # logits are A @ w
     w = V @ theta_ls
     value = _cross_entropy(A @ w, y)
     converged = False
@@ -193,7 +205,7 @@ def _fit_logits(D: np.ndarray, y: np.ndarray, scale: float) -> FitResult:
                      on_norm_bound=bool(np.linalg.norm(theta) >= THETA_NORM_BOUND - BOUND_TOL))
 
 
-def fit_theta(basis, examples, scale: float = 1.0, design=None) -> FitResult:
+def fit_theta(basis, examples, design=None) -> FitResult:
     """Fit theta to (menu, target probability) pairs by mean cross-entropy.
 
     The reported loss is the mean KL divergence of the fit from the targets,
@@ -205,7 +217,7 @@ def fit_theta(basis, examples, scale: float = 1.0, design=None) -> FitResult:
     y = np.array([t for _, t in examples], dtype=float)
     D = design_matrix(basis, [m for m, _ in examples]) if design is None \
         else np.asarray(design, dtype=float)
-    return _fit_logits(D, y, scale)
+    return _fit_logits(D, y)
 
 
 def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
@@ -213,8 +225,7 @@ def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
     menus = [m for m, _ in examples]
     y = _clip_targets(np.array([t for _, t in examples], dtype=float))
     D = design_matrix(spec.basis, menus)
-    u = spec.logit_scale * (D @ spec.theta)
-    ce = _cross_entropy(u, y)
+    ce = _cross_entropy(D @ spec.theta, y)
     return ce, max(ce - target_entropy(y), 0.0)
 
 
@@ -237,7 +248,7 @@ def theory_loss_grad_features(spec: TheorySpec, examples) -> list:
     grads = []
     for menu, target in examples:
         d = eu_difference_features(spec.basis, menu)
-        f = logistic(spec.logit_scale * (d @ spec.theta))
+        f = logistic(d @ spec.theta)
         y = float(np.clip(target, TARGET_CLIP, 1 - TARGET_CLIP))
-        grads.append(spec.logit_scale * (f - y) * eu_difference_grad(spec, menu) / n)
+        grads.append((f - y) * eu_difference_grad(spec, menu) / n)
     return grads

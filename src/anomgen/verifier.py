@@ -9,19 +9,20 @@ Two layers:
 * ``verify_parametrized`` asks whether the logit-EUT class fits the stated
   choice probabilities, thresholding the best achievable mean KL.
 
-``is_anomaly`` adds the minimality requirement: the collection must be
-inconsistent while every proper subset is consistent.
+``minimal_anomaly`` adds the minimality requirement: a collection is an
+anomaly (inconsistent, with every proper subset consistent) exactly when the
+smallest inconsistent sub-collection it returns is the whole collection.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import simplex_lp
-from .lotteries import ExampleCollection, Menu, merge_payoff_grid, probs_on_grid
+from .lotteries import ExampleCollection, merge_payoff_grid, probs_on_grid
 from .theory import fit_theta
 
 MARGIN_THRESHOLD = 1e-9
@@ -41,11 +42,6 @@ class VerificationResult:
     @property
     def consistent(self) -> bool:
         return self.status == "consistent"
-
-
-def implied_binary_choices(collection: ExampleCollection) -> np.ndarray:
-    """Indicator of choosing lottery 1 per menu; ties at 0.5 map to 1."""
-    return collection.implied_choices
 
 
 def _margin_lp(menus, choices):
@@ -123,32 +119,6 @@ def verify_collection(collection: ExampleCollection,
                                      margin_threshold)
 
 
-@dataclass(frozen=True)
-class AnomalyVerdict:
-    anomaly: bool
-    result: VerificationResult
-    failing_subset: tuple | None = None   # smallest inconsistent proper subset
-
-
-def is_anomaly(collection: ExampleCollection) -> AnomalyVerdict:
-    """Definition-2 check: inconsistent, with every proper subset consistent."""
-    menus = collection.menus
-    choices = collection.implied_choices
-    n = len(menus)
-    if n > MAX_MENUS:
-        raise ValueError(f"collection size must be <= {MAX_MENUS}")
-    full = verify_increasing_utility(menus, choices)
-    if full.consistent:
-        return AnomalyVerdict(False, full)
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            sub = verify_increasing_utility([menus[i] for i in subset],
-                                            choices[list(subset)])
-            if not sub.consistent:
-                return AnomalyVerdict(False, full, failing_subset=subset)
-    return AnomalyVerdict(True, full)
-
-
 def minimal_anomaly(collection: ExampleCollection,
                     margin_threshold: float = MARGIN_THRESHOLD):
     """Smallest inconsistent sub-collection, or None if consistent.
@@ -156,6 +126,8 @@ def minimal_anomaly(collection: ExampleCollection,
     A candidate pair whose one menu is already a dominance violation yields
     that singleton; a pair inconsistent only jointly yields the pair itself.
     Subsets are judged at the same margin threshold as the full collection.
+    The collection is an anomaly (Definition 2) exactly when the returned
+    subset holds all of its indices.
     """
     menus = collection.menus
     choices = collection.implied_choices
@@ -178,11 +150,10 @@ class ParametrizedVerdict:
 
 
 def verify_parametrized(basis, collection: ExampleCollection,
-                        kl_threshold: float = DEFAULT_KL_THRESHOLD,
-                        scale: float = 1.0) -> ParametrizedVerdict:
+                        kl_threshold: float = DEFAULT_KL_THRESHOLD) -> ParametrizedVerdict:
     """Inconsistency with the logit-EUT class: best-fit mean KL above threshold."""
     examples = [(e.menu, e.choice_prob) for e in collection]
-    fit = fit_theta(basis, examples, scale=scale)
+    fit = fit_theta(basis, examples)
     return ParametrizedVerdict(inconsistent=fit.kl > kl_threshold,
                                min_kl=fit.kl, converged=fit.converged,
                                on_norm_bound=fit.on_norm_bound)

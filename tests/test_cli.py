@@ -8,10 +8,19 @@ import pytest
 from anomgen.cli import run_command
 from anomgen.config import ConfigError, load_config, parse_config
 from anomgen.records import read_jsonl, record_to_collection
-from anomgen.verifier import verify_collection, verify_parametrized
+from anomgen.verifier import minimal_anomaly, verify_collection, verify_parametrized
 from anomgen.basis import basis_from_config
 
 DATA = Path(__file__).parent / "data"
+
+
+def reverified(rec, basis):
+    """The stored verdicts a record re-verifies to, at the default thresholds."""
+    coll = record_to_collection(rec)
+    minimal = minimal_anomaly(coll)
+    return {"parametrized_inconsistent": verify_parametrized(basis, coll).inconsistent,
+            "any_utility_inconsistent": not verify_collection(coll).consistent,
+            "anomaly_minimal_indices": list(minimal[0]) if minimal else None}
 
 
 def run_ok(argv, capsys):
@@ -46,6 +55,9 @@ class TestConfig:
             parse_config({"adversarial": {"learning_rate": 0.1}})
         with pytest.raises(ConfigError, match="typo"):
             parse_config({"typo": 1})
+        # The search moves only probabilities; there is no coordinate switch.
+        with pytest.raises(ConfigError, match="adversarial.ascent_coords"):
+            parse_config({"adversarial": {"ascent_coords": "all"}})
 
     def test_invalid_value_named(self):
         with pytest.raises(ConfigError, match="step_size"):
@@ -71,14 +83,14 @@ class TestPipelineCommands:
         summary = run_ok(["verify", "--in", "c.jsonl", "--out", "v.jsonl"], capsys)
         assert summary["records"] == 3
         _, verified = read_jsonl("v.jsonl", expected_kind="verified")
-        # Every persisted record is self-contained: re-verification matches.
+        # Every persisted record is self-contained: re-verification matches,
+        # for fresh records and for the stored golden ones alike.
+        _, golden = read_jsonl(DATA / "golden_verified.jsonl", expected_kind="verified")
+        assert len(golden) == 12
         basis = basis_from_config(parse_config({}).theory_basis)
-        for rec in verified:
-            coll = record_to_collection(rec)
-            assert verify_collection(coll).consistent == \
-                (not rec["any_utility_inconsistent"])
-            assert verify_parametrized(basis, coll).inconsistent == \
-                rec["parametrized_inconsistent"]
+        for rec in verified + golden:
+            got = reverified(rec, basis)
+            assert got == {k: rec[k] for k in got}, rec["id"]
 
     def test_zero_inits_errors(self, tmp_path, capsys):
         os.chdir(tmp_path)
@@ -90,6 +102,32 @@ class TestPipelineCommands:
     def test_unknown_flag_usage_error(self):
         rc = run_command(["adversarial", "--bogus", "1"])
         assert rc != 0
+
+    def test_diverged_training_prints_error_line(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        run_ok(["simulate", "--n", "100", "--seed", "1", "--kind", "rate",
+                "--out", "d.csv"], capsys)
+        rc = run_command(["train-mlp", "--in", "d.csv", "--out", "m.json",
+                          "--epochs", "3", "--step-size", "1e300"])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rc == 1
+        assert err["command"] == "train-mlp" and "diverged" in err["error"]
+        assert not os.path.exists("m.json")
+
+    def test_lp_failure_prints_error_line(self, tmp_path, capsys, monkeypatch):
+        from anomgen import simplex_lp
+        os.chdir(tmp_path)
+        run_ok(["baseline", "--inits", "2", "--seed", "1", "--out", "b.jsonl"], capsys)
+
+        def fail(*args, **kwargs):
+            raise simplex_lp.SimplexError("iteration limit reached")
+
+        monkeypatch.setattr(simplex_lp, "solve_max", fail)
+        rc = run_command(["verify", "--in", "b.jsonl", "--out", "v.jsonl"])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rc == 1
+        assert err == {"command": "verify", "error": "iteration limit reached"}
+        assert not os.path.exists("v.jsonl")
 
     def test_golden_report_reproduced_byte_for_byte(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

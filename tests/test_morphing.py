@@ -92,7 +92,7 @@ class TestMorphRun:
         # Force rank_tol tiny: the sampled ensemble spans the tangent space,
         # the projected direction is ~0 and the run stops at step 0.
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = MorphConfig(seed=6, rank_tol=1e-9)
+        cfg = MorphConfig(rank_tol=1e-9)
         result = run_morph_index(pred, cfg, 6, 0)
         assert result.iterations == 0
         m0, mS = result.candidate.menus
@@ -100,7 +100,7 @@ class TestMorphRun:
 
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = MorphConfig(seed=7)
+        cfg = MorphConfig()
         for i in range(5):
             result = run_morph_index(pred, cfg, 7, i)
             for x in result.trajectory:
@@ -110,20 +110,20 @@ class TestMorphRun:
 
     def test_payoffs_frozen(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        result = run_morph_index(pred, MorphConfig(seed=8), 8, 1)
+        result = run_morph_index(pred, MorphConfig(), 8, 1)
         x0, xS = (m.flatten() for m in result.candidate.menus)
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
 
     def test_drift_reported(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        result = run_morph_index(pred, MorphConfig(seed=9), 9, 2)
+        result = run_morph_index(pred, MorphConfig(), 9, 2)
         assert np.isfinite(result.drift) and result.drift >= 0
         assert result.candidate.provenance["drift"] == result.drift
 
     def test_determinism(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = MorphConfig(seed=10)
+        cfg = MorphConfig()
         a = run_morph_index(pred, cfg, 10, 0)
         b = run_morph_index(pred, cfg, 10, 0)
         np.testing.assert_array_equal(a.candidate.menus[1].flatten(),
@@ -134,7 +134,7 @@ class TestMorphRun:
         # frozen payoffs; along a trajectory that route must reproduce the
         # fit from freshly evaluated features bit for bit.
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = MorphConfig(seed=11)
+        cfg = MorphConfig()
         basis = cfg.make_basis()
         result = run_morph_index(pred, cfg, 11, 3)
         assert result.iterations >= 5

@@ -109,8 +109,8 @@ def on_bound_cases():
     in short adversarial runs (seed 23, bruhin-b oracle)."""
     cases = []
 
-    def record(basis, examples, scale=1.0, design=None):
-        fit = theory.fit_theta(basis, examples, scale=scale, design=design)
+    def record(basis, examples, design=None):
+        fit = theory.fit_theta(basis, examples, design=design)
         if fit.on_norm_bound:
             cases.append((basis, list(examples)))
         return fit

@@ -5,7 +5,7 @@ from anomgen.basis import PolynomialBasis
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu,
                                make_lottery, merge_payoff_grid, probs_on_grid,
                                sample_random_menu)
-from anomgen.verifier import (is_anomaly, minimal_anomaly,
+from anomgen.verifier import (minimal_anomaly, verify_collection,
                               verify_increasing_utility, verify_parametrized)
 
 
@@ -159,17 +159,18 @@ class TestVerifyIncreasingUtility:
 
 
 class TestIsAnomaly:
+    """A collection is an anomaly exactly when ``minimal_anomaly`` returns
+    all of its indices."""
+
     def test_allais_is_minimal(self, allais_collection):
-        verdict = is_anomaly(allais_collection)
-        assert verdict.anomaly and verdict.failing_subset is None
+        subset, sub = minimal_anomaly(allais_collection)
+        assert subset == (0, 1) and not sub.consistent
 
     def test_pair_with_dominated_singleton_is_not_minimal(self):
         bad = Menu(make_lottery([5], [1.0]), make_lottery([6], [1.0]))
         ok = Menu(make_lottery([2, 8], [0.5, 0.5]), make_lottery([1, 9], [0.4, 0.6]))
         coll = ExampleCollection((Example(bad, 0.3), Example(ok, 0.7)))
-        verdict = is_anomaly(coll)
-        assert not verdict.anomaly
-        assert verdict.failing_subset == (0,)
+        assert not verify_collection(coll).consistent
         subset, sub = minimal_anomaly(coll)
         assert subset == (0,) and not sub.consistent
 
@@ -177,7 +178,6 @@ class TestIsAnomaly:
         menu = Menu(make_lottery([2, 8], [0.5, 0.5]),
                     make_lottery([1, 9], [0.4, 0.6]))
         coll = ExampleCollection((Example(menu, 0.7), Example(menu, 0.7)))
-        assert not is_anomaly(coll).anomaly
         assert minimal_anomaly(coll) is None
 
 
