@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import basis_from_config
+from .cpt import logistic
 from .lotteries import (Example, ExampleCollection, Menu, menu_from_flat,
                         run_rng, sample_random_menu, step_probs)
-from .theory import (TheorySpec, basis_values, eu_difference_features,
-                     eu_difference_grad, eu_difference_row, fit_theta,
-                     theory_loss, theory_loss_grad_features)
+from .theory import (TARGET_CLIP, TheorySpec, basis_values, eu_difference_row,
+                     fit_theta)
 
 INTERIOR_EPS = 1e-8
 DEFAULT_BASIS = {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
@@ -54,27 +54,44 @@ class GdaConfig:
 
 
 def interior_menu(menu: Menu, eps: float = INTERIOR_EPS) -> Menu:
-    """Clamp probabilities away from the simplex boundary for differentiation."""
+    """Move probabilities at least ``eps`` inside the simplex for differentiation.
+
+    Probabilities are clamped to ``[eps, 1 - eps]`` and renormalized.  When
+    renormalizing pushes a clamped coordinate back below ``eps``, the lottery
+    becomes ``eps + (1 - J eps) p``, which sums to one with every coordinate
+    at least ``eps``.
+    """
     def fix(lot):
         p = np.clip(lot.probs, eps, 1.0 - eps)
-        return type(lot)(lot.payoffs, p / p.sum())
+        p = p / p.sum()
+        if p.min() < eps:
+            p = eps + (1.0 - p.size * eps) * p
+        return type(lot)(lot.payoffs, p)
     return Menu(fix(menu.lottery0), fix(menu.lottery1))
 
 
-def ascent_objective(kind: str, predictor, spec: TheorySpec, menu: Menu):
-    """(value, gradient over flattened coordinates) of the outer objective."""
+def ascent_objective(kind: str, predictor, spec: TheorySpec, menu: Menu, values):
+    """(value, gradient over the probability coordinates (p0, p1)) of the
+    outer objective.
+
+    ``values`` are the basis values at the menu's payoffs (``basis_values``).
+    Only probabilities move, and the expected-utility difference is linear in
+    them with gradient (-u0, u1), the utilities at the frozen payoffs.
+    """
+    B0, B1 = values
+    J = B0.shape[0]
+    g = float(eu_difference_row(menu, B0, B1) @ spec.theta)
+    grad_g = np.concatenate([-(B0 @ spec.theta), B1 @ spec.theta])
     if kind == "raw_loss":
-        target = predictor.predict(menu)
-        ce, _ = theory_loss(spec, [(menu, target)])
-        grad = theory_loss_grad_features(spec, [(menu, target)])[0]
-        return ce, grad
+        # Cross-entropy of the fit against the predictor's value, held fixed.
+        y = float(np.clip(predictor.predict(menu), TARGET_CLIP, 1 - TARGET_CLIP))
+        return float(np.logaddexp(0.0, g) - y * g), (logistic(g) - y) * grad_g
     if kind == "logit_disagreement":
         safe = interior_menu(menu)
         f = float(np.clip(predictor.predict(safe), 1e-12, 1 - 1e-12))
         m = np.log(f / (1.0 - f))
-        g = float(eu_difference_features(spec.basis, menu) @ spec.theta)
-        grad_m = predictor.grad(safe) / (f * (1.0 - f))
-        grad_g = eu_difference_grad(spec, safe)
+        pred_grad = predictor.grad(safe)
+        grad_m = np.concatenate([pred_grad[J:2 * J], pred_grad[3 * J:]]) / (f * (1.0 - f))
         return -m * g, -(g * grad_m + m * grad_g)
     raise ValueError(f"unknown objective {kind!r}")
 
@@ -124,9 +141,8 @@ def gda_run(predictor, config: GdaConfig, x0, provenance: dict | None = None) ->
         spec = TheorySpec(basis, fit.theta)
 
         new_moving = []
-        for x, menu in zip(moving, menus):
-            _, grad = ascent_objective(config.objective, predictor, spec, menu)
-            grad = np.concatenate([grad[J:2 * J], grad[3 * J:]])
+        for x, menu, v in zip(moving, menus, values[len(fixed):]):
+            _, grad = ascent_objective(config.objective, predictor, spec, menu, v)
             if not np.all(np.isfinite(grad)):
                 flags.append(f"nonfinite_gradient@iter{s}")
                 break

@@ -44,13 +44,10 @@ class CptParams:
 
 
 def logistic(u):
-    """Numerically stable standard logistic."""
+    """Numerically stable standard logistic: one ``exp``, of ``-|u|``."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
+    e = np.exp(-np.abs(u))
+    out = np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out

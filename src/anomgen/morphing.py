@@ -7,6 +7,10 @@ vectors drawn around the running history of inner fits; directions they pin
 down are removed, directions they leave free carry the morph.  The projected
 step is always a descent direction for the predictor and is orthogonal to
 every sampled gradient retained by the rank cutoff.
+
+Payoffs stay frozen, so a sampled theory enters only through its 2J
+utilities at the menu's payoffs: those are drawn directly, and the span of
+the sampled gradients is read from their 2J x 2J Gram matrix.
 """
 
 from __future__ import annotations
@@ -49,11 +53,16 @@ class MorphConfig:
         return basis_from_config(self.basis_config)
 
 
-def sample_theta_history(history, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw coefficient vectors around the running fit history.
+def sample_theta_history(history, count: int, rng: np.random.Generator,
+                         basis_rows: np.ndarray) -> np.ndarray:
+    """Draw the utilities ``basis_rows @ theta`` for theta around the fit history.
 
-    Mean and sample covariance of the history, with an isotropic fallback for
-    a single entry and a small jitter keeping the covariance factorizable.
+    theta ~ N(mean, cov + jitter I), with the mean and sample covariance of
+    the history, an isotropic fallback for a single entry and a small jitter
+    keeping the covariance factorizable.  Only the R utilities are drawn: the
+    (R, K) factor ``basis_rows @ chol(cov)`` is reduced by SVD to at most R
+    columns, so a singular utility covariance (lotteries sharing a payoff, or
+    R > K) still samples.  Returns an (R, count) array, one draw per column.
     """
     H = np.atleast_2d(np.array(history, dtype=float))
     if H.shape[0] < 1:
@@ -65,29 +74,32 @@ def sample_theta_history(history, count: int, rng: np.random.Generator) -> np.nd
     else:
         cov = np.cov(H, rowvar=False, ddof=1)
     cov = cov + COV_JITTER * np.eye(dim)
-    return rng.multivariate_normal(mean, cov, size=count, method="cholesky")
+    rows = np.asarray(basis_rows, dtype=float)
+    W, svals, _ = np.linalg.svd(rows @ np.linalg.cholesky(cov), full_matrices=False)
+    draws = (W * svals) @ rng.standard_normal((svals.size, count))
+    draws += (rows @ mean)[:, None]
+    return draws
 
 
 def null_space_projection(g_star: np.ndarray, sampled_grads: np.ndarray,
                           rank_tol: float = 1e-6) -> np.ndarray:
     """Project g_star onto the orthogonal complement of the sampled span.
 
-    The span is computed by SVD with singular values below ``rank_tol`` times
-    the largest treated as zero; gradients with norm below ``rank_tol`` are
-    dropped before the decomposition.  Full-span input maps to the zero vector.
+    Gradients with norm below ``rank_tol`` are dropped.  The span is read
+    from the eigendecomposition of the Gram matrix G^T G, whose eigenvalues
+    are the squared singular values of G: those below ``rank_tol**2`` times
+    the largest are treated as zero.  Full-span input maps to the zero vector.
     """
     g_star = np.asarray(g_star, dtype=float)
     G = np.atleast_2d(np.asarray(sampled_grads, dtype=float))
     if G.shape[1] != g_star.size:
         raise ValueError("dimension mismatch between gradient and samples")
-    norms = np.linalg.norm(G, axis=1)
-    G = G[norms > rank_tol]
+    G = G[np.sqrt(np.einsum("ij,ij->i", G, G)) > rank_tol]
     if G.shape[0] == 0:
         return g_star.copy()
-    _, svals, Vt = np.linalg.svd(G, full_matrices=False)
-    keep = svals > rank_tol * svals[0]
-    V = Vt[keep]
-    return g_star - V.T @ (V @ g_star)
+    evals, vecs = np.linalg.eigh(G.T @ G)           # ascending
+    V = vecs[:, evals > rank_tol ** 2 * evals[-1]]
+    return g_star - V @ (V.T @ g_star)
 
 
 def _tangent(vecs: np.ndarray, n_payoffs: int) -> np.ndarray:
@@ -111,9 +123,10 @@ class MorphRunResult:
 def morph_step_direction(pred_grad_probs: np.ndarray, sampled_grads_probs: np.ndarray,
                          n_payoffs: int, rank_tol: float) -> np.ndarray:
     """Null-space projection restricted to simplex-tangent coordinates."""
-    g_t = _tangent(pred_grad_probs, n_payoffs)
-    G_t = _tangent(sampled_grads_probs, n_payoffs)
-    return null_space_projection(g_t, G_t, rank_tol)
+    P = _tangent(np.eye(2 * n_payoffs), n_payoffs)    # symmetric projector
+    G = np.atleast_2d(np.asarray(sampled_grads_probs, dtype=float))
+    # (P G^T)^T is G P; this order reads a transposed view row by row.
+    return null_space_projection(P @ pred_grad_probs, (P @ G.T).T, rank_tol)
 
 
 def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator,
@@ -125,7 +138,7 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
 
     # Payoffs are frozen, so the basis values at each payoff are fixed.
     B0, B1 = basis_values(basis, x0)                # (J, K) each
-    p0_init = np.concatenate([x0.lottery0.probs, x0.lottery1.probs])
+    Bs = np.concatenate([B0, B1])
     d0 = eu_difference_row(x0, B0, B1)
 
     f0 = predictor.predict(x0)
@@ -143,24 +156,23 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
                         design=np.array([d0, d]))
         history.append(fit.theta)
 
-        thetas = sample_theta_history(history, config.n_gradient_samples, rng)
-        U0 = thetas @ B0.T                           # (B, J) utilities
-        U1 = thetas @ B1.T
-        dvals = U1 @ menu.lottery1.probs - U0 @ menu.lottery0.probs
-        fb = logistic(dvals)
-        slope = fb * (1.0 - fb)
-        sampled = slope[:, None] * np.concatenate([-U0, U1], axis=1)
-
+        # Sampled utilities at the frozen payoffs: rows U0 then U1.
+        U = sample_theta_history(history, config.n_gradient_samples, rng, Bs)
+        fb = logistic(menu.lottery1.probs @ U[J:] - menu.lottery0.probs @ U[:J])
         # Representational drift of the sampled theories between x^0 and x^s.
-        dvals0 = U1 @ p0_init[J:] - U0 @ p0_init[:J]
-        drift = max(drift, float(np.max(np.abs(fb - logistic(dvals0)))))
+        fb0 = logistic(x0.lottery1.probs @ U[J:] - x0.lottery0.probs @ U[:J])
+        drift = max(drift, float(np.max(np.abs(fb - fb0))))
+        # In place, column i becomes the gradient of draw i's choice
+        # probability over (p0, p1): slope * (-U0, U1).
+        U[:J] *= -1.0
+        U *= fb * (1.0 - fb)
 
         pred_grad = predictor.grad(interior_menu(menu))
         pred_grad_probs = np.concatenate([pred_grad[J:2 * J], pred_grad[3 * J:]])
         if not np.all(np.isfinite(pred_grad_probs)):
             flags.append(f"nonfinite_gradient@iter{s}")
             break
-        direction = morph_step_direction(pred_grad_probs, sampled, J, config.rank_tol)
+        direction = morph_step_direction(pred_grad_probs, U.T, J, config.rank_tol)
         if np.linalg.norm(direction) < STOP_NORM:
             break
         x = step_probs(x, J, -config.step_size * direction)

@@ -4,9 +4,9 @@ import pytest
 from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run,
                                  interior_menu, run_adversarial_index)
 from anomgen.basis import PolynomialBasis
-from anomgen.cpt import CptParams, CptPredictor
-from anomgen.lotteries import Menu, menu_from_flat, sample_random_menu
-from anomgen.theory import TheorySpec, fit_theta, theory_choice_prob
+from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor
+from anomgen.lotteries import Lottery, Menu, menu_from_flat, sample_random_menu
+from anomgen.theory import TheorySpec, basis_values, fit_theta, theory_choice_prob
 from conftest import central_difference
 
 BASIS = PolynomialBasis(order=6, domain=(0, 10))
@@ -28,13 +28,46 @@ class LogitEutPredictor:
         return f * (1 - f) * eu_difference_grad(self.spec, menu)
 
 
+class TestInteriorMenu:
+    def test_boundary_coordinates_lifted_to_tolerance(self):
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            J = int(rng.integers(2, 5))
+            lots = []
+            for _ in range(2):
+                p = rng.dirichlet(np.ones(J))
+                at_face = rng.random(J) < 0.5
+                at_face[rng.integers(J)] = False
+                p[at_face] = rng.choice([0.0, 1e-300, 1e-9, 9.99e-9])
+                lots.append(Lottery(rng.uniform(0, 10, J), p / p.sum()))
+            out = interior_menu(Menu(*lots))
+            for lot, before in zip((out.lottery0, out.lottery1), lots):
+                assert lot.probs.min() >= GRAD_BOUNDARY
+                assert abs(lot.probs.sum() - 1.0) <= 1e-12
+                np.testing.assert_array_equal(lot.payoffs, before.payoffs)
+
+    def test_interior_menu_only_renormalized(self):
+        # Menus already inside come back as before the boundary fix: clamping
+        # is a no-op and only the division by the sum remains.
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            menu = sample_random_menu(rng, int(rng.integers(2, 5)), 0, 10)
+            out = interior_menu(menu)
+            for lot, before in zip((out.lottery0, out.lottery1),
+                                   (menu.lottery0, menu.lottery1)):
+                if before.probs.min() >= 2 * GRAD_BOUNDARY:
+                    np.testing.assert_array_equal(lot.probs,
+                                                  before.probs / before.probs.sum())
+
+
 class TestAscentObjective:
     def test_logit_objective_zero_at_indifference(self):
         lot_menu = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
         menu = Menu(lot_menu.lottery0, lot_menu.lottery0)   # predictor gives 0.5
         pred = CptPredictor(CptParams(0.726, 0.309))
         spec = TheorySpec(BASIS, np.random.default_rng(1).normal(size=6))
-        value, _ = ascent_objective("logit_disagreement", pred, spec, menu)
+        value, _ = ascent_objective("logit_disagreement", pred, spec, menu,
+                                    basis_values(BASIS, menu))
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_self_consistent_predictor_never_disagrees(self):
@@ -44,7 +77,8 @@ class TestAscentObjective:
         spec = TheorySpec(BASIS, theta)
         for _ in range(1000):
             menu = sample_random_menu(rng, 2, 0, 10)
-            value, _ = ascent_objective("logit_disagreement", pred, spec, menu)
+            value, _ = ascent_objective("logit_disagreement", pred, spec, menu,
+                                        basis_values(BASIS, menu))
             assert value <= 1e-12
 
     def test_logit_gradient_matches_finite_differences(self):
@@ -56,13 +90,16 @@ class TestAscentObjective:
             if min(menu.lottery0.probs.min(), menu.lottery1.probs.min()) < 0.05:
                 continue
             spec = TheorySpec(BASIS, rng.normal(0, 0.4, size=6))
-            _, grad = ascent_objective("logit_disagreement", pred, spec, menu)
+            _, grad = ascent_objective("logit_disagreement", pred, spec, menu,
+                                       basis_values(BASIS, menu))
 
             def value_at(x):
                 m = menu_from_flat(x, 2, validate=False)
-                return ascent_objective("logit_disagreement", pred, spec, m)[0]
+                return ascent_objective("logit_disagreement", pred, spec, m,
+                                        basis_values(BASIS, m))[0]
 
-            fd = central_difference(value_at, menu.flatten())
+            # The objective's gradient covers the probability coordinates.
+            fd = central_difference(value_at, menu.flatten())[[2, 3, 6, 7]]
             worst = max(worst, np.max(np.abs(fd - grad) / (np.abs(grad) + 1e-7)))
         assert worst < 1e-4
 
@@ -77,13 +114,15 @@ class TestAscentObjective:
             menu = sample_random_menu(rng, 2, 0.5, 9.5)
             spec = TheorySpec(BASIS, rng.normal(0, 0.4, size=6))
             target = pred.predict(menu)
-            _, grad = ascent_objective("raw_loss", pred, spec, menu)
+            _, grad = ascent_objective("raw_loss", pred, spec, menu,
+                                       basis_values(BASIS, menu))
 
             def value_at(x):
                 m = menu_from_flat(x, 2, validate=False)
                 return theory_loss(spec, [(m, target)])[0]
 
-            fd = central_difference(value_at, menu.flatten())
+            # The objective's gradient covers the probability coordinates.
+            fd = central_difference(value_at, menu.flatten())[[2, 3, 6, 7]]
             worst = max(worst, np.max(np.abs(fd - grad) / (np.abs(grad) + 1e-7)))
         assert worst < 1e-4
 
@@ -97,7 +136,8 @@ class TestAscentObjective:
             if fit.kl > 1e-10:
                 continue
             spec = TheorySpec(BASIS, fit.theta)
-            _, grad = ascent_objective("raw_loss", pred, spec, menu)
+            _, grad = ascent_objective("raw_loss", pred, spec, menu,
+                                       basis_values(BASIS, menu))
             assert np.linalg.norm(grad) < 1e-6
 
 

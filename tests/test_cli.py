@@ -188,6 +188,19 @@ class TestPipelineCommands:
         for rec in flagged:
             assert rec["anomaly_minimal_indices"], rec["id"]
 
+    def test_three_payoff_ascent_reaching_a_face_completes(self, tmp_path, capsys):
+        # An iterate on a simplex face used to be clamped to 1e-8 and then
+        # renormalized to just below the gradient's boundary tolerance, which
+        # aborted the whole command.
+        os.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_payoffs": 3, "adversarial": {"max_iters": 5}}))
+        summary = run_ok(["adversarial", "--config", str(cfg), "--inits", "5",
+                          "--seed", "9", "--out", "a.jsonl"], capsys)
+        assert summary["runs"] == 5
+        _, recs = read_jsonl("a.jsonl")
+        assert len(recs) == 5
+
     def test_worker_count_does_not_change_bytes(self, tmp_path, capsys):
         os.chdir(tmp_path)
         run_ok(["morph", "--inits", "6", "--seed", "4", "--out", "m1.jsonl",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomgen.cpt import (CptParams, CptPredictor, choice_prob,
-                         choice_prob_grad, cpt_value, prob_weights,
+                         choice_prob_grad, cpt_value, logistic, prob_weights,
                          simulate_choices)
 from anomgen.lotteries import (Lottery, Menu, make_lottery, menu_from_flat,
                                sample_random_menu)
@@ -55,6 +55,29 @@ class TestCptValue:
     def test_half_half_example(self):
         lot = make_lottery([0, 10], [0.5, 0.5])
         assert cpt_value(lot, BRUHIN_B) == pytest.approx(10 * 0.726 / 1.726, abs=1e-9)
+
+
+class TestLogistic:
+    def test_matches_two_branch_formula_bit_for_bit(self):
+        # The masked two-branch form: 1/(1+exp(-u)) for u >= 0 and
+        # exp(u)/(1+exp(u)) below, each exp taken only where it cannot overflow.
+        def two_branch(u):
+            out = np.empty_like(u)
+            pos = u >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+            e = np.exp(u[~pos])
+            out[~pos] = e / (1.0 + e)
+            return out
+
+        rng = np.random.default_rng(12)
+        u = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 745.2, -745.2, 36.8, -36.8],
+            np.linspace(-800.0, 800.0, 100_001),
+            rng.normal(0.0, 30.0, 100_000),
+            rng.uniform(-800.0, 800.0, 100_000)])
+        np.testing.assert_array_equal(logistic(u), two_branch(u))
+        assert logistic(-0.0) == 0.5 and isinstance(logistic(3.0), float)
+        assert logistic(np.inf) == 1.0 and logistic(-np.inf) == 0.0
 
 
 class TestChoiceProb:

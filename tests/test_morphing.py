@@ -1,41 +1,181 @@
 import numpy as np
 import pytest
 
-from anomgen.basis import ISplineBasis
-from anomgen.cpt import CptParams, CptPredictor
-from anomgen.lotteries import menu_from_flat, sample_random_menu
-from anomgen.morphing import (MorphConfig, morph_run, morph_step_direction,
-                              null_space_projection, run_morph_index,
-                              sample_theta_history, _tangent)
+from anomgen.basis import ISplineBasis, PolynomialBasis
+from anomgen.cpt import CptParams, CptPredictor, logistic
+from anomgen.lotteries import Lottery, Menu, menu_from_flat, sample_random_menu
+from anomgen.morphing import (COV_JITTER, MorphConfig, morph_run,
+                              morph_step_direction, null_space_projection,
+                              run_morph_index, sample_theta_history, _tangent)
 from anomgen.theory import fit_theta
 
 
 class TestSampleThetaHistory:
+    # With identity basis rows the utilities are theta itself.
     def test_single_entry_fallback(self):
         theta = np.arange(5.0)
-        draws = sample_theta_history([theta], 20_000, np.random.default_rng(0))
-        np.testing.assert_allclose(draws.mean(axis=0), theta, atol=0.01)
-        np.testing.assert_allclose(draws.std(axis=0), 0.1, atol=0.01)
+        draws = sample_theta_history([theta], 20_000, np.random.default_rng(0),
+                                     np.eye(5))
+        np.testing.assert_allclose(draws.mean(axis=1), theta, atol=0.01)
+        np.testing.assert_allclose(draws.std(axis=1), 0.1, atol=0.01)
 
     def test_two_point_history_moments(self):
         h = [np.array([0.0, 1.0]), np.array([2.0, 3.0])]
-        draws = sample_theta_history(h, 10_000, np.random.default_rng(1))
+        draws = sample_theta_history(h, 10_000, np.random.default_rng(1), np.eye(2))
         mean = np.array([1.0, 2.0])
         # Sample covariance of two points is rank one with variance 2.
         se = np.sqrt(2.0 / 10_000)
-        assert np.all(np.abs(draws.mean(axis=0) - mean) < 3 * np.sqrt(2) * se * 50)
-        np.testing.assert_allclose(np.cov(draws, rowvar=False, ddof=1),
-                                   [[2, 2], [2, 2]], atol=0.1)
+        assert np.all(np.abs(draws.mean(axis=1) - mean) < 3 * np.sqrt(2) * se * 50)
+        np.testing.assert_allclose(np.cov(draws, ddof=1), [[2, 2], [2, 2]], atol=0.1)
 
     def test_seed_reproducible(self):
         h = [np.zeros(3), np.ones(3)]
-        a = sample_theta_history(h, 100, np.random.default_rng(2))
-        b = sample_theta_history(h, 100, np.random.default_rng(2))
+        rows = np.arange(12.0).reshape(4, 3)
+        a = sample_theta_history(h, 100, np.random.default_rng(2), rows)
+        b = sample_theta_history(h, 100, np.random.default_rng(2), rows)
         np.testing.assert_array_equal(a, b)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            sample_theta_history(np.empty((0, 3)), 10, np.random.default_rng(0))
+            sample_theta_history(np.empty((0, 3)), 10, np.random.default_rng(0),
+                                 np.eye(3))
+
+
+class TestUtilityDraws:
+    """The utility-space draw against theta drawn in coefficient space."""
+
+    @staticmethod
+    def moments_agree(basis, menu, history, n=200_000):
+        rows = np.concatenate([basis.eval(menu.lottery0.payoffs),
+                               basis.eval(menu.lottery1.payoffs)])
+        H = np.array(history)
+        mean = H.mean(axis=0)
+        cov = np.cov(H, rowvar=False, ddof=1) + COV_JITTER * np.eye(basis.dim)
+        U = sample_theta_history(history, n, np.random.default_rng(13), rows)
+        ref = np.random.default_rng(14).multivariate_normal(mean, cov, size=n) @ rows.T
+        assert U.shape == (rows.shape[0], n)
+        # Two independent estimates of the same moments: five standard errors
+        # of their difference.
+        S = rows @ cov @ rows.T
+        var = np.diag(S)
+        assert np.all(np.abs(U.mean(axis=1) - ref.mean(axis=0))
+                      <= 5 * np.sqrt(2 * var / n) + 1e-12)
+        cov_se = np.sqrt((np.outer(var, var) + S ** 2) / n)
+        assert np.all(np.abs(np.cov(U) - np.cov(ref, rowvar=False))
+                      <= 5 * np.sqrt(2) * cov_se + 1e-12)
+        return rows, U
+
+    def test_moments_match_theta_space_draws(self):
+        rng = np.random.default_rng(15)
+        basis = ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0))
+        for _ in range(3):
+            menu = sample_random_menu(rng, 2, 0.0, 10.0)
+            history = list(rng.normal(0.0, 2.0, size=(4, basis.dim)))
+            self.moments_agree(basis, menu, history)
+
+    def test_shared_payoff_gives_singular_covariance(self):
+        # Both lotteries pay 4.0, so two utility rows coincide and the 4x4
+        # utility covariance has rank at most 3; the draw still samples and
+        # keeps the two utilities equal.
+        rng = np.random.default_rng(16)
+        basis = ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0))
+        menu = Menu(Lottery(np.array([4.0, 9.0]), np.array([0.3, 0.7])),
+                    Lottery(np.array([1.0, 4.0]), np.array([0.6, 0.4])))
+        history = list(rng.normal(0.0, 2.0, size=(3, basis.dim)))
+        rows, U = self.moments_agree(basis, menu, history)
+        assert np.linalg.matrix_rank(rows) == 3
+        np.testing.assert_allclose(U[0], U[3], rtol=0, atol=1e-9 * np.abs(U).max())
+
+    def test_more_utilities_than_coefficients(self):
+        # J = 3 with a 2-term polynomial basis: six utilities from a
+        # 2-dimensional theta.
+        rng = np.random.default_rng(17)
+        basis = PolynomialBasis(order=2, domain=(0.0, 10.0))
+        menu = sample_random_menu(rng, 3, 0.0, 10.0)
+        history = list(rng.normal(0.0, 2.0, size=(3, basis.dim)))
+        rows, U = self.moments_agree(basis, menu, history)
+        assert np.linalg.matrix_rank(np.cov(U)) == 2
+
+
+def svd_projection(g_star, sampled_grads, rank_tol):
+    """Reference: the span from an SVD of the filtered sampled gradients."""
+    G = sampled_grads[np.linalg.norm(sampled_grads, axis=1) > rank_tol]
+    if G.shape[0] == 0:
+        return g_star.copy()
+    _, svals, Vt = np.linalg.svd(G, full_matrices=False)
+    V = Vt[svals > rank_tol * svals[0]]
+    return g_star - V.T @ (V @ g_star)
+
+
+class TestGramMatchesSvd:
+    @pytest.mark.parametrize("rank_tol", [0.1, 1e-6])
+    def test_morph_like_gradients(self, rank_tol):
+        # Sampled gradients built as morph_run builds them, around the inner
+        # fits at a random start menu and at a second menu with its payoffs.
+        pred = CptPredictor(CptParams(0.726, 0.309))
+        basis = ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0))
+        rng = np.random.default_rng(18)
+        compared = 0
+        for _ in range(25):
+            x0 = sample_random_menu(rng, 2, 0.0, 10.0)
+            rows = np.concatenate([basis.eval(x0.lottery0.payoffs),
+                                   basis.eval(x0.lottery1.payoffs)])
+            f0 = pred.predict(x0)
+            menu = menu_from_flat(np.concatenate(
+                [x0.flatten()[:2], rng.dirichlet([2, 2]),
+                 x0.flatten()[4:6], rng.dirichlet([2, 2])]), 2)
+            history = [fit_theta(basis, [(x0, f0)]).theta,
+                       fit_theta(basis, [(x0, f0), (menu, pred.predict(menu))]).theta]
+            U = sample_theta_history(history, 200_000, rng, rows)
+            fb = logistic(menu.lottery1.probs @ U[2:] - menu.lottery0.probs @ U[:2])
+            sampled = (np.concatenate([-U[:2], U[2:]]) * (fb * (1 - fb))).T
+            grad = pred.grad(menu)
+            g = np.concatenate([grad[2:4], grad[6:8]])
+            g_t, G_t = _tangent(g, 2), _tangent(sampled, 2)
+            # A singular value within 1% of the cutoff may fall on either
+            # side of it under the two routes' rounding; such cases are not
+            # comparable and must stay rare.
+            kept = G_t[np.linalg.norm(G_t, axis=1) > rank_tol]
+            if kept.shape[0]:
+                ratios = np.linalg.svd(kept, compute_uv=False)
+                ratios = ratios / ratios[0]
+                if np.any(np.abs(ratios / rank_tol - 1.0) < 0.01):
+                    continue
+            reference = svd_projection(g_t, G_t, rank_tol)
+            np.testing.assert_allclose(null_space_projection(g_t, G_t, rank_tol),
+                                       reference, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(morph_step_direction(g, sampled, 2, rank_tol),
+                                       reference, rtol=0, atol=1e-10)
+            compared += 1
+        assert compared >= 23
+
+    @pytest.mark.parametrize("rank_tol", [0.1, 1e-6])
+    def test_random_gradients(self, rank_tol):
+        # Squaring the singular values costs the Gram route accuracy in the
+        # weakest retained direction: the error grows like eps * (s_1/s_k)^2
+        # for the smallest kept singular value s_k.  It stays below 1e-10
+        # while s_k/s_1 >= 1e-3, the regime of morph_run's default cutoff.
+        rng = np.random.default_rng(19)
+        tight = 0
+        for _ in range(300):
+            dim = int(rng.integers(2, 8))
+            g = rng.normal(size=dim)
+            scales = 10.0 ** rng.uniform(-4, 0, size=dim)
+            grads = rng.normal(size=(int(rng.integers(1, 50)), dim)) * scales
+            kept = grads[np.linalg.norm(grads, axis=1) > rank_tol]
+            if kept.shape[0] == 0:
+                continue
+            ratios = np.linalg.svd(kept, compute_uv=False)
+            ratios = ratios / ratios[0]
+            if np.any(np.abs(ratios / rank_tol - 1.0) < 0.01):
+                continue
+            weakest = ratios[ratios > rank_tol].min()
+            atol = 1e-10 if weakest >= 1e-3 else 1e2 * np.finfo(float).eps / weakest ** 2
+            tight += weakest >= 1e-3
+            np.testing.assert_allclose(null_space_projection(g, grads, rank_tol),
+                                       svd_projection(g, grads, rank_tol),
+                                       rtol=0, atol=atol)
+        assert tight >= 100
 
 
 class TestNullSpaceProjection:
