@@ -79,7 +79,6 @@ def ascent_objective(kind: str, predictor, spec: TheorySpec, menu: Menu, values)
     them with gradient (-u0, u1), the utilities at the frozen payoffs.
     """
     B0, B1 = values
-    J = B0.shape[0]
     g = float(eu_difference_row(menu, B0, B1) @ spec.theta)
     grad_g = np.concatenate([-(B0 @ spec.theta), B1 @ spec.theta])
     if kind == "raw_loss":
@@ -90,8 +89,7 @@ def ascent_objective(kind: str, predictor, spec: TheorySpec, menu: Menu, values)
         safe = interior_menu(menu)
         f = float(np.clip(predictor.predict(safe), 1e-12, 1 - 1e-12))
         m = np.log(f / (1.0 - f))
-        pred_grad = predictor.grad(safe)
-        grad_m = np.concatenate([pred_grad[J:2 * J], pred_grad[3 * J:]]) / (f * (1.0 - f))
+        grad_m = predictor.grad(safe) / (f * (1.0 - f))
         return -m * g, -(g * grad_m + m * grad_g)
     raise ValueError(f"unknown objective {kind!r}")
 

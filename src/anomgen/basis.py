@@ -45,22 +45,15 @@ class PolynomialBasis:
         powers = np.arange(1, self.order + 1)
         return t[:, None] ** powers[None, :]
 
-    def deriv(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        low, high = self.domain
-        t = (_check_domain(z, low, high) - low) / (high - low)
-        powers = np.arange(1, self.order + 1)
-        return powers[None, :] * t[:, None] ** (powers[None, :] - 1) / (high - low)
-
     def config_dict(self) -> dict:
         return {"kind": "polynomial", "order": self.order, "domain": list(self.domain)}
 
 
-def _mspline_values(x: np.ndarray, knots: np.ndarray, order: int, want_deriv: bool):
+def _mspline_values(x: np.ndarray, knots: np.ndarray, order: int) -> np.ndarray:
     """All M-spline members of a given order on a knot sequence.
 
-    Returns (M, dM) arrays of shape (len(knots) - order, len(x)); dM is None
-    unless requested.  Intervals are half-open [t_i, t_{i+1}).
+    Returns an array of shape (len(knots) - order, len(x)).  Intervals are
+    half-open [t_i, t_{i+1}).
     """
     n1 = len(knots) - 1
     M = np.zeros((n1, x.size))
@@ -68,11 +61,9 @@ def _mspline_values(x: np.ndarray, knots: np.ndarray, order: int, want_deriv: bo
         ti, ti1 = knots[i], knots[i + 1]
         if ti1 > ti:
             M[i] = ((x >= ti) & (x < ti1)) / (ti1 - ti)
-    dM = np.zeros_like(M) if want_deriv else None
     for k in range(2, order + 1):
         nk = len(knots) - k
         Mk = np.zeros((nk, x.size))
-        dMk = np.zeros((nk, x.size)) if want_deriv else None
         for i in range(nk):
             span = knots[i + k] - knots[i]
             if span <= 0:
@@ -81,10 +72,8 @@ def _mspline_values(x: np.ndarray, knots: np.ndarray, order: int, want_deriv: bo
             left = x - knots[i]
             right = knots[i + k] - x
             Mk[i] = c * (left * M[i] + right * M[i + 1])
-            if want_deriv:
-                dMk[i] = c * (M[i] + left * dM[i] - M[i + 1] + right * dM[i + 1])
-        M, dM = Mk, dMk
-    return M, dM
+        M = Mk
+    return M
 
 
 class ISplineBasis:
@@ -116,39 +105,29 @@ class ISplineBasis:
     def dim(self) -> int:
         return self.n_knots + self.degree - 2
 
-    def _eval(self, z, want_deriv: bool) -> np.ndarray:
+    def eval(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         low, high = self.domain
         t = (_check_domain(z, low, high) - low) / (high - low)
         k = self.degree
         knots = self._knots
-        M, dM = _mspline_values(t, knots, k + 1, want_deriv)
+        M = _mspline_values(t, knots, k + 1)
         # 1-based index j with t_j <= x < t_{j+1}; at x = 1 it lands past every
         # interval, which the branching below turns into the exact value 1.
         j = np.searchsorted(knots, t, side="right")
         n = self.dim
-        terms = M if not want_deriv else dM
         # Row m-1 holds the summand for member index m (1-based).
         summands = np.array(
-            [(knots[m + k] - knots[m - 1]) * terms[m - 1] / (k + 1)
+            [(knots[m + k] - knots[m - 1]) * M[m - 1] / (k + 1)
              for m in range(1, M.shape[0] + 1)]
         )
         out = np.zeros((z.size, n))
-        at_flat = 1.0 if not want_deriv else 0.0
         for i in range(1, n + 1):
             include = (np.arange(1, M.shape[0] + 1)[:, None] >= i + 1) & \
                       (np.arange(1, M.shape[0] + 1)[:, None] <= j[None, :])
             sums = (summands * include).sum(axis=0)
-            out[:, i - 1] = np.where(i > j, 0.0, np.where(i < j - k, at_flat, sums))
-        if want_deriv:
-            out /= (high - low)
+            out[:, i - 1] = np.where(i > j, 0.0, np.where(i < j - k, 1.0, sums))
         return out
-
-    def eval(self, z) -> np.ndarray:
-        return self._eval(z, want_deriv=False)
-
-    def deriv(self, z) -> np.ndarray:
-        return self._eval(z, want_deriv=True)
 
     def config_dict(self) -> dict:
         return {"kind": "ispline", "knots": self.n_knots, "degree": self.degree,

@@ -80,14 +80,13 @@ def choice_prob(menu: Menu, params: CptParams, scale: float = 1.0) -> float:
     return logistic(scale * diff)
 
 
-def _value_grads(lottery: Lottery, params: CptParams):
-    """(dV/dz, dV/dp) for one lottery; requires interior probabilities."""
+def _value_grads(lottery: Lottery, params: CptParams) -> np.ndarray:
+    """dV/dp for one lottery; requires interior probabilities."""
     z, p = lottery.payoffs, lottery.probs
     d, g = params.delta, params.gamma
     w = np.power(p, g)
     total = w.sum()
     denom = d * w + (total - w)
-    pw = d * w / denom          # dV/dz_j is just the weight
     wp = g * np.power(p, g - 1.0)  # dw_j/dp_j
     # dpi_j/dp_i = -d w_j wp_i / denom_j^2 for i != j,
     # dpi_j/dp_j = d wp_j (total - w_j) / denom_j^2.
@@ -97,11 +96,14 @@ def _value_grads(lottery: Lottery, params: CptParams):
         diag = d * wp[i] * (total - w[i]) / denom[i] ** 2 * z[i]
         off = -(wp[i] * common * z).sum() + wp[i] * common[i] * z[i]
         dv_dp[i] = diag + off
-    return pw, dv_dp
+    return dv_dp
 
 
 def choice_prob_grad(menu: Menu, params: CptParams, scale: float = 1.0) -> np.ndarray:
-    """Analytic gradient of choice_prob over flattened (z0, p0, z1, p1).
+    """Analytic gradient of choice_prob over the probabilities (p0, p1).
+
+    Payoffs never move in the searches, so only the 2J probability
+    coordinates are differentiated.
 
     Raises if any probability coordinate is below the boundary tolerance;
     callers clamp iterates into the interior before differentiating.
@@ -111,9 +113,8 @@ def choice_prob_grad(menu: Menu, params: CptParams, scale: float = 1.0) -> np.nd
             raise ValueError("probability coordinate at the simplex boundary")
     f = choice_prob(menu, params, scale)
     slope = scale * f * (1.0 - f)
-    pw0, dv_dp0 = _value_grads(menu.lottery0, params)
-    pw1, dv_dp1 = _value_grads(menu.lottery1, params)
-    return slope * np.concatenate([-pw0, -dv_dp0, pw1, dv_dp1])
+    return slope * np.concatenate([-_value_grads(menu.lottery0, params),
+                                   _value_grads(menu.lottery1, params)])
 
 
 class CptPredictor:

@@ -176,10 +176,6 @@ class ExampleCollection:
         return [e.menu for e in self.examples]
 
     @property
-    def choice_probs(self) -> np.ndarray:
-        return np.array([e.choice_prob for e in self.examples])
-
-    @property
     def implied_choices(self) -> np.ndarray:
         return np.array([e.implied_choice for e in self.examples], dtype=int)
 

@@ -116,7 +116,6 @@ class MorphRunResult:
     candidate: ExampleCollection
     trajectory: list
     iterations: int
-    drift: float                      # max sampled-theory movement seen
     flags: list = field(default_factory=list)
 
 
@@ -147,7 +146,6 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
 
     x = x0.flatten()
     trajectory = [x.copy()]
-    drift = 0.0
     iterations = 0
     for s in range(config.max_iters):
         menu = menu_from_flat(x, J)
@@ -159,20 +157,16 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
         # Sampled utilities at the frozen payoffs: rows U0 then U1.
         U = sample_theta_history(history, config.n_gradient_samples, rng, Bs)
         fb = logistic(menu.lottery1.probs @ U[J:] - menu.lottery0.probs @ U[:J])
-        # Representational drift of the sampled theories between x^0 and x^s.
-        fb0 = logistic(x0.lottery1.probs @ U[J:] - x0.lottery0.probs @ U[:J])
-        drift = max(drift, float(np.max(np.abs(fb - fb0))))
         # In place, column i becomes the gradient of draw i's choice
         # probability over (p0, p1): slope * (-U0, U1).
         U[:J] *= -1.0
         U *= fb * (1.0 - fb)
 
         pred_grad = predictor.grad(interior_menu(menu))
-        pred_grad_probs = np.concatenate([pred_grad[J:2 * J], pred_grad[3 * J:]])
-        if not np.all(np.isfinite(pred_grad_probs)):
+        if not np.all(np.isfinite(pred_grad)):
             flags.append(f"nonfinite_gradient@iter{s}")
             break
-        direction = morph_step_direction(pred_grad_probs, U.T, J, config.rank_tol)
+        direction = morph_step_direction(pred_grad, U.T, J, config.rank_tol)
         if np.linalg.norm(direction) < STOP_NORM:
             break
         x = step_probs(x, J, -config.step_size * direction)
@@ -183,13 +177,11 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
     prov = dict(provenance or {})
     prov.setdefault("procedure", "morphing")
     prov["iterations"] = iterations
-    prov["drift"] = drift
     if flags:
         prov["flags"] = list(flags)
     examples = (Example(x0, f0), Example(final, predictor.predict(final)))
     return MorphRunResult(candidate=ExampleCollection(examples, prov),
-                          trajectory=trajectory, iterations=iterations,
-                          drift=drift, flags=flags)
+                          trajectory=trajectory, iterations=iterations, flags=flags)
 
 
 def run_morph_index(predictor, config: MorphConfig, master_seed: int,

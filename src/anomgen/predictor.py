@@ -2,7 +2,8 @@
 
 Both expose the same handle surface as the closed-form oracle: ``predict(menu)``
 returning a probability in (0, 1) and ``grad(menu)`` returning the gradient
-over the flattened menu coordinates.
+over the probability coordinates (p0, p1), 2J entries; payoffs never move in
+the searches, so they are not differentiated.
 """
 
 from __future__ import annotations
@@ -195,7 +196,11 @@ def mlp_predict(model: MlpModel, menu: Menu) -> float:
 
 
 def mlp_grad(model: MlpModel, menu: Menu) -> np.ndarray:
-    """Gradient of the predicted probability over raw menu coordinates."""
+    """Gradient of the predicted probability over the raw probabilities (p0, p1).
+
+    Backpropagation yields all 4J input coordinates of ``menu.flatten()``;
+    the payoff entries are dropped.
+    """
     x = menu.flatten()
     if x.size != model.widths[0]:
         raise ValueError("menu dimension does not match model input layer")
@@ -207,7 +212,9 @@ def mlp_grad(model: MlpModel, menu: Menu) -> np.ndarray:
         delta = delta @ model.weights[l].T
         delta[acts[l] <= 0.0] = 0.0
     dx_scaled = (delta @ model.weights[0].T)[0]
-    return f * (1.0 - f) * dx_scaled * model.input_scaling
+    grad = f * (1.0 - f) * dx_scaled * model.input_scaling
+    J = menu.n_payoffs
+    return np.concatenate([grad[J:2 * J], grad[3 * J:]])
 
 
 class MlpPredictor:

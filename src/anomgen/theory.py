@@ -44,12 +44,6 @@ class TheorySpec:
             raise ValueError("non-finite coefficient")
         object.__setattr__(self, "theta", theta)
 
-    def utility(self, z) -> np.ndarray:
-        return self.basis.eval(z) @ self.theta
-
-    def utility_deriv(self, z) -> np.ndarray:
-        return self.basis.deriv(z) @ self.theta
-
 
 def basis_values(basis, menu: Menu) -> tuple[np.ndarray, np.ndarray]:
     """Basis values (J, K) at the payoffs of lottery 0 and of lottery 1."""
@@ -228,27 +222,3 @@ def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
     ce = _cross_entropy(D @ spec.theta, y)
     return ce, max(ce - target_entropy(y), 0.0)
 
-
-def eu_difference_grad(spec: TheorySpec, menu: Menu) -> np.ndarray:
-    """Gradient of the expected-utility difference over (z0, p0, z1, p1)."""
-    z0, p0 = menu.lottery0.payoffs, menu.lottery0.probs
-    z1, p1 = menu.lottery1.payoffs, menu.lottery1.probs
-    u0, u1 = spec.utility(z0), spec.utility(z1)
-    du0, du1 = spec.utility_deriv(z0), spec.utility_deriv(z1)
-    return np.concatenate([-p0 * du0, -u0, p1 * du1, u1])
-
-
-def theory_loss_grad_features(spec: TheorySpec, examples) -> list:
-    """Per-menu gradient of the mean cross-entropy over flattened coordinates.
-
-    Targets are treated as data, so the gradient vanishes at an exact fit
-    (the vanishing-gradient regime that motivates the logit ascent objective).
-    """
-    n = len(examples)
-    grads = []
-    for menu, target in examples:
-        d = eu_difference_features(spec.basis, menu)
-        f = logistic(d @ spec.theta)
-        y = float(np.clip(target, TARGET_CLIP, 1 - TARGET_CLIP))
-        grads.append((f - y) * eu_difference_grad(spec, menu) / n)
-    return grads

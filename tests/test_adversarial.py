@@ -23,9 +23,11 @@ class LogitEutPredictor:
         return theory_choice_prob(self.spec, menu)
 
     def grad(self, menu):
-        from anomgen.theory import eu_difference_grad
+        # Over (p0, p1): the expected-utility difference has gradient (-u0, u1).
         f = self.predict(menu)
-        return f * (1 - f) * eu_difference_grad(self.spec, menu)
+        B0, B1 = basis_values(BASIS, menu)
+        theta = self.spec.theta
+        return f * (1 - f) * np.concatenate([-(B0 @ theta), B1 @ theta])
 
 
 class TestInteriorMenu:
@@ -234,7 +236,8 @@ class TestEstimatedPredictors:
                                       again.candidate.menus[1].flatten())
         from anomgen.morphing import MorphConfig, run_morph_index
         morph = run_morph_index(pred, MorphConfig(), 13, 0)
-        assert np.isfinite(morph.drift)
+        assert len(morph.candidate.menus) == 2
+        assert all(np.isfinite(e.choice_prob) for e in morph.candidate)
 
     def test_cpt_fit_backed_generation(self):
         from anomgen.predictor import cpt_fit_predictor

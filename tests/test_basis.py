@@ -10,12 +10,6 @@ class TestPolynomialBasis:
         np.testing.assert_allclose(b.eval(10.0), [[1.0, 1.0]])
         np.testing.assert_allclose(b.eval(0.0), [[0.0, 0.0]])
 
-    def test_derivative_matches_finite_differences(self):
-        b = PolynomialBasis(order=6, domain=(0, 10))
-        z, h = 3.7, 1e-6
-        fd = (b.eval(z + h) - b.eval(z - h)) / (2 * h)
-        np.testing.assert_allclose(b.deriv(z), fd, rtol=1e-6)
-
     def test_domain_enforced(self):
         b = PolynomialBasis(order=3, domain=(0, 10))
         with pytest.raises(ValueError, match="domain"):
@@ -43,19 +37,6 @@ class TestISplineBasis:
         b = ISplineBasis(knots=10, degree=3, domain=(0, 10))
         v = b.eval(5.0)[0]
         assert np.all(v >= 0) and np.all(v <= 1)
-
-    def test_derivative_matches_finite_differences(self):
-        b = ISplineBasis(knots=10, degree=3, domain=(0, 10))
-        rng = np.random.default_rng(0)
-        for z in rng.uniform(0.3, 9.7, size=20):
-            h = 1e-6
-            fd = (b.eval(z + h) - b.eval(z - h)) / (2 * h)
-            np.testing.assert_allclose(b.deriv(z), fd, atol=2e-6, rtol=1e-4)
-
-    def test_derivative_nonnegative(self):
-        b = ISplineBasis(knots=7, degree=2, domain=(0, 10))
-        grid = np.linspace(0, 9.999, 500)
-        assert b.deriv(grid).min() >= -1e-12
 
 
 class TestBasisFromConfig:

@@ -1,14 +1,22 @@
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from anomgen.cli import run_command
 from anomgen.config import ConfigError, load_config, parse_config
-from anomgen.records import read_jsonl, record_to_collection
-from anomgen.verifier import minimal_anomaly, verify_collection, verify_parametrized
+from anomgen.cpt import CptParams, CptPredictor
+from anomgen.lotteries import (Example, ExampleCollection, Menu, make_lottery,
+                               sample_random_menu)
+from anomgen.records import (candidate_to_record, read_jsonl, record_to_collection,
+                             write_jsonl)
+from anomgen.verifier import (MAX_DISTINCT_PAYOFFS, minimal_anomaly, verify_collection,
+                              verify_parametrized)
 from anomgen.basis import basis_from_config
 
 DATA = Path(__file__).parent / "data"
@@ -236,6 +244,63 @@ class TestPipelineCommands:
         assert summary["train_mse"] < 0.25
         fit = run_ok(["fit-cpt", "--in", "d.csv"], capsys)
         assert 0.3 < fit["delta"] < 1.6
+
+
+def _random_candidate(seed, n_payoffs, kinds):
+    """A CPT-labelled collection: a random first menu, then one menu per kind.
+
+    ``fresh`` draws a new random menu.  ``shared`` keeps the first menu's
+    payoffs with new probabilities, as a search output does.  ``sure`` does
+    the same but makes lottery 0 a sure payoff, where the oracle's
+    subcertainty can prefer a dominated lottery.
+    """
+    rng = np.random.default_rng(seed)
+    first = sample_random_menu(rng, n_payoffs, 0.0, 10.0)
+    menus = [first]
+    ones = np.ones(n_payoffs)
+    for kind in kinds:
+        if kind == "fresh":
+            menus.append(sample_random_menu(rng, n_payoffs, 0.0, 10.0))
+            continue
+        p0 = rng.dirichlet(ones) if kind == "shared" else \
+            np.eye(n_payoffs)[rng.integers(n_payoffs)]
+        menus.append(Menu(make_lottery(first.lottery0.payoffs, p0),
+                          make_lottery(first.lottery1.payoffs, rng.dirichlet(ones))))
+    oracle = CptPredictor(CptParams.preset("bruhin-b"))
+    examples = tuple(Example(m, oracle.predict(m)) for m in menus)
+    return ExampleCollection(examples, {"procedure": "random", "master_seed": seed,
+                                        "run_index": len(kinds)})
+
+
+class TestRecordRoundTripProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_payoffs=st.sampled_from([2, 3]),
+           kinds=st.lists(st.sampled_from(["fresh", "shared", "sure"]),
+                          min_size=1, max_size=2))
+    # Anomalies are rare among random draws; these seeds give minimal sets
+    # (2,), (0, 2) and (0, 1).
+    @example(seed=23, n_payoffs=2, kinds=["sure", "sure"])
+    @example(seed=40, n_payoffs=2, kinds=["shared", "sure"])
+    @example(seed=52, n_payoffs=2, kinds=["sure"])
+    def test_random_records_reverify_to_stored_verdicts(self, seed, n_payoffs, kinds):
+        # candidate_to_record -> write_jsonl -> read_jsonl -> `anomgen verify`,
+        # then every stored verdict is reproduced from the stored record alone.
+        fresh_menus = 1 + kinds.count("fresh")
+        assume(2 * n_payoffs * fresh_menus <= MAX_DISTINCT_PAYOFFS)
+        coll = _random_candidate(seed, n_payoffs, kinds)
+        basis = basis_from_config(parse_config({}).theory_basis)
+        with tempfile.TemporaryDirectory() as tmp:
+            cand, ver = os.path.join(tmp, "c.jsonl"), os.path.join(tmp, "v.jsonl")
+            write_jsonl(cand, [candidate_to_record(coll)], kind="candidates")
+            _, (rec,) = read_jsonl(cand, expected_kind="candidates")
+            # Reading renormalizes each probability vector by its sum, which
+            # may move the last bit; verify and re-verify both see the record.
+            for got, menu in zip(record_to_collection(rec).menus, coll.menus, strict=True):
+                np.testing.assert_allclose(got.flatten(), menu.flatten(), rtol=0, atol=1e-15)
+            assert run_command(["verify", "--in", cand, "--out", ver]) == 0
+            _, (stored,) = read_jsonl(ver, expected_kind="verified")
+        got = reverified(stored, basis)
+        assert got == {k: stored[k] for k in got}
 
 
 class TestClusterCommand:

@@ -108,30 +108,48 @@ class TestChoiceProbGrad:
     def test_symmetry_for_identical_lotteries(self):
         lot = make_lottery([2, 6], [0.4, 0.6])
         g = choice_prob_grad(Menu(lot, lot), BRUHIN_B)
-        np.testing.assert_allclose(g[:2], -g[4:6], rtol=1e-12)
+        assert g.shape == (4,)
+        np.testing.assert_allclose(g[:2], -g[2:], rtol=1e-12)
 
     def test_identity_params_reduce_to_expected_value_case(self):
+        # With delta = gamma = 1 the weights are p / sum(p), so on the simplex
+        # dV/dp_j = z_j - EV: slope * (-z0, z1) up to a per-lottery constant,
+        # which vanishes along every simplex-tangent direction.
         m = sample_random_menu(np.random.default_rng(2), 2, 0, 10)
         g = choice_prob_grad(m, CptParams(1, 1))
         f = choice_prob(m, CptParams(1, 1))
         slope = f * (1 - f)
-        np.testing.assert_allclose(g[:2], -slope * m.lottery0.probs, rtol=1e-10)
-        np.testing.assert_allclose(g[4:6], slope * m.lottery1.probs, rtol=1e-10)
+        z0, p0 = m.lottery0.payoffs, m.lottery0.probs
+        z1, p1 = m.lottery1.payoffs, m.lottery1.probs
+        np.testing.assert_allclose(g[:2], -slope * (z0 - p0 @ z0), rtol=1e-10)
+        np.testing.assert_allclose(g[2:], slope * (z1 - p1 @ z1), rtol=1e-10)
+        tangent = np.array([1.0, -1.0])
+        assert g[:2] @ tangent == pytest.approx(-slope * (z0 @ tangent), rel=1e-10)
+        assert g[2:] @ tangent == pytest.approx(slope * (z1 @ tangent), rel=1e-10)
 
     def test_matches_finite_differences(self):
         params = CptParams(0.926, 0.377)
         rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(100):
-            m = sample_random_menu(rng, 2, 0.5, 9.5)
-            if m.lottery0.probs.min() < 0.05 or m.lottery1.probs.min() < 0.05:
-                continue
-            g = choice_prob_grad(m, params)
-            fd = central_difference(
-                flat_menu_fn(lambda menu: choice_prob(menu, params), 2),
-                m.flatten())
-            worst = max(worst, np.max(np.abs(fd - g) / (np.abs(g) + 1e-10)))
-        assert worst < 1e-5
+        # Three-payoff gradients have entries near zero, where a central
+        # difference at h = 1e-6 reads rounding (eps * f / h ~ 1e-10), so
+        # that leg allows 1e-9 absolute error.
+        for J, floor in ((2, 0.0), (3, 1e-9)):
+            worst, checked = 0.0, 0
+            for _ in range(100):
+                m = sample_random_menu(rng, J, 0.5, 9.5)
+                if m.lottery0.probs.min() < 0.05 or m.lottery1.probs.min() < 0.05:
+                    continue
+                g = choice_prob_grad(m, params)
+                assert g.shape == (2 * J,)
+                fd = central_difference(
+                    flat_menu_fn(lambda menu: choice_prob(menu, params), J),
+                    m.flatten())
+                fd = np.concatenate([fd[J:2 * J], fd[3 * J:]])
+                err = np.maximum(np.abs(fd - g) - floor, 0.0)
+                worst = max(worst, np.max(err / (np.abs(g) + 1e-10)))
+                checked += 1
+            assert checked > 10
+            assert worst < 1e-5
 
     def test_boundary_point_rejected(self):
         menu = Menu(make_lottery([1, 2], [1.0, 0.0]), make_lottery([1, 2], [0.5, 0.5]))

@@ -147,23 +147,27 @@ class TestTrainMlp:
 
 class TestMlpGradients:
     def test_input_gradient_matches_finite_differences(self):
-        model = MlpModel.init_random([8, 32, 32, 1], menu_input_scaling(2), seed=10)
         rng = np.random.default_rng(11)
-        worst = 0.0
-        checked = 0
-        for _ in range(60):
-            m = sample_random_menu(rng, 2, 0.5, 9.5)
-            g = mlp_grad(model, m)
-            fd = central_difference(
-                lambda x: mlp_predict(model, menu_from_flat(x, 2, validate=False)),
-                m.flatten())
-            rel = np.max(np.abs(fd - g) / (np.abs(g) + 1e-9))
-            # Skip menus that straddle a rectifier kink.
-            if rel < 1e-2:
-                worst = max(worst, rel)
-                checked += 1
-        assert checked > 40
-        assert worst < 1e-4
+        for J in (2, 3):
+            model = MlpModel.init_random([4 * J, 32, 32, 1], menu_input_scaling(J),
+                                         seed=10)
+            worst = 0.0
+            checked = 0
+            for _ in range(60):
+                m = sample_random_menu(rng, J, 0.5, 9.5)
+                g = mlp_grad(model, m)
+                assert g.shape == (2 * J,)
+                fd = central_difference(
+                    lambda x: mlp_predict(model, menu_from_flat(x, J, validate=False)),
+                    m.flatten())
+                fd = np.concatenate([fd[J:2 * J], fd[3 * J:]])
+                rel = np.max(np.abs(fd - g) / (np.abs(g) + 1e-9))
+                # Skip menus that straddle a rectifier kink.
+                if rel < 1e-2:
+                    worst = max(worst, rel)
+                    checked += 1
+            assert checked > 40
+            assert worst < 1e-4
 
 
 class TestFitCptParams:

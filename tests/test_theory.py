@@ -8,9 +8,7 @@ from anomgen.cpt import CptParams, CptPredictor
 from anomgen.lotteries import sample_random_menu
 from anomgen.theory import (THETA_NORM_BOUND, TheorySpec, design_matrix,
                             eu_difference_features, fit_theta,
-                            theory_choice_prob, theory_loss,
-                            theory_loss_grad_features)
-from conftest import central_difference, flat_menu_fn
+                            theory_choice_prob, theory_loss)
 
 
 def pooled_kl(targets, q):
@@ -86,10 +84,6 @@ class TestFitTheta:
             def eval(self, z):
                 base = basis10.eval(z)
                 return np.concatenate([base, np.ones((base.shape[0], 1))], axis=1)
-
-            def deriv(self, z):
-                base = basis10.deriv(z)
-                return np.concatenate([base, np.zeros((base.shape[0], 1))], axis=1)
 
         rng = np.random.default_rng(7)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(5)]
@@ -186,22 +180,6 @@ class TestTheoryLoss:
         spec = TheorySpec(basis10, fit.theta)
         ce, kl = theory_loss(spec, [(m, target)])
         assert kl < 1e-10
-        grad = theory_loss_grad_features(spec, [(m, target)])[0]
-        assert np.linalg.norm(grad) < 1e-6
-
-    def test_gradient_matches_finite_differences(self, basis10):
-        rng = np.random.default_rng(9)
-        worst = 0.0
-        for _ in range(50):
-            m = sample_random_menu(rng, 2, 0.5, 9.5)
-            spec = TheorySpec(basis10, rng.normal(0, 0.4, size=6))
-            target = rng.uniform(0.05, 0.95)
-            grad = theory_loss_grad_features(spec, [(m, target)])[0]
-            fd = central_difference(
-                flat_menu_fn(lambda menu: theory_loss(spec, [(menu, target)])[0], 2),
-                m.flatten())
-            worst = max(worst, np.max(np.abs(fd - grad) / (np.abs(grad) + 1e-8)))
-        assert worst < 1e-5
 
     def test_duplication_leaves_mean_loss_unchanged(self, basis10):
         rng = np.random.default_rng(10)
