@@ -1,80 +1,22 @@
-"""Verification reporting, random baseline, clustering and error estimation."""
+"""Random baseline, clustering and error estimation."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lotteries import (Example, ExampleCollection, lottery_stats,
                         run_rng, sample_random_menu)
-from .verifier import (DEFAULT_KL_THRESHOLD, verify_collection,
-                       verify_increasing_utility, verify_parametrized)
+from .verifier import verify_increasing_utility
 
 PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 # ---------------------------------------------------------------------------
-# Logical-verification reporting
+# Random-pair baseline
 # ---------------------------------------------------------------------------
-
-@dataclass
-class VerificationReport:
-    runs: int
-    parametrized_count: int
-    full_count: int
-    category_counts: dict = field(default_factory=dict)
-
-    @property
-    def parametrized_rate(self) -> float:
-        return self.parametrized_count / self.runs if self.runs else 0.0
-
-    @property
-    def full_rate(self) -> float:
-        return self.full_count / self.runs if self.runs else 0.0
-
-
-def logical_verification_report(records) -> VerificationReport:
-    """Aggregate verified records into the two verification metrics.
-
-    Each record needs ``parametrized_inconsistent`` and
-    ``any_utility_inconsistent`` flags and, optionally, a category tag.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no records to report on")
-    par = sum(bool(r.get("parametrized_inconsistent")) for r in records)
-    full = sum(bool(r.get("any_utility_inconsistent")) for r in records)
-    cats: dict = {}
-    for r in records:
-        if r.get("any_utility_inconsistent") and r.get("category"):
-            tag = r["category"]["tag"] if isinstance(r["category"], dict) else r["category"]
-            cats[tag] = cats.get(tag, 0) + 1
-    return VerificationReport(runs=len(records), parametrized_count=par,
-                              full_count=full, category_counts=cats)
-
-
-def baseline_random_pairs(predictor, basis, num_pairs: int, master_seed: int,
-                          n_payoffs: int = 2, payoff_range=(0.0, 10.0),
-                          kl_threshold: float = DEFAULT_KL_THRESHOLD) -> VerificationReport:
-    """Verification rates for randomly sampled menu pairs, no optimization.
-
-    The falsification-free baseline: draw pairs, attach predicted choice
-    probabilities, and push them through both verifications.
-    """
-    if num_pairs < 1:
-        raise ValueError("need at least one pair")
-    par = full = 0
-    for i in range(num_pairs):
-        coll = random_pair(predictor, master_seed, i, n_payoffs, payoff_range)
-        if verify_parametrized(basis, coll, kl_threshold).inconsistent:
-            par += 1
-        if not verify_collection(coll).consistent:
-            full += 1
-    return VerificationReport(runs=num_pairs, parametrized_count=par,
-                              full_count=full)
-
 
 def random_pair(predictor, master_seed: int, run_index: int, n_payoffs: int,
                 payoff_range) -> ExampleCollection:

@@ -269,7 +269,7 @@ def cmd_fit_cpt(args) -> int:
     return _summary(command="fit-cpt", rows=len(ds), delta=fit.params.delta,
                     gamma=fit.params.gamma,
                     cross_entropy=round(fit.cross_entropy, 6),
-                    converged=fit.converged, out=args.out)
+                    converged=fit.converged, iterations=fit.iterations, out=args.out)
 
 
 def cmd_epsilon(args) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lotteries import Lottery, Menu
+from .lotteries import Menu
 
 # Calibrated (delta, gamma) presets used throughout the experiments.
 PRESETS = {
@@ -53,50 +53,56 @@ def logistic(u):
     return out
 
 
-def prob_weights(p, params: CptParams) -> np.ndarray:
-    """Weight vector for a probability vector on the simplex.
+def lottery_values(Z, P, params: CptParams, wrt: str | None = None):
+    """Values of the lotteries in (..., J) payoff and probability arrays.
 
-    Convention: 0^gamma = 0, and a weight is 0 whenever its denominator is 0.
+    The one implementation of the weighting formula, with 0^gamma = 0; every
+    lottery needs some positive probability.  ``wrt="p"`` also returns
+    dV/dp, shape (..., J), and raises if a probability is below
+    ``GRAD_BOUNDARY``; ``wrt="params"`` also returns dV/d(delta) and
+    dV/d(gamma).  Derivatives not asked for are not computed.
     """
-    p = np.asarray(p, dtype=float)
-    if p.size == 0:
+    if P.shape[-1] == 0:
         raise ValueError("empty probability vector")
-    w = np.where(p > 0.0, np.power(np.clip(p, 1e-300, None), params.gamma), 0.0)
-    total = w.sum()
-    denom = params.delta * w + (total - w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denom > 0.0, params.delta * w / np.where(denom > 0, denom, 1.0), 0.0)
-    return out
+    d, g = params.delta, params.gamma
+    W = np.where(P > 0.0, np.power(np.clip(P, 1e-300, None), g), 0.0)
+    T = W.sum(axis=-1, keepdims=True)
+    D = d * W + (T - W)                  # positive when some probability is
+    pi = d * W / D
+    V = np.matmul(pi[..., None, :], Z[..., :, None])[..., 0, 0]
+    if wrt is None:
+        return V
+    if wrt == "p":
+        if np.any(P < GRAD_BOUNDARY):
+            raise ValueError("probability coordinate at the simplex boundary")
+        # dpi_j/dp_i = -d w_j w'_i / D_j^2 for i != j and
+        # d w'_j (T - w_j) / D_j^2 for i = j, with w' = dw/dp.  The diagonal
+        # squares through C pow (float_power), not x*x: the two differ in the
+        # last bit on some inputs, and search outputs are byte-compared.
+        Wp = g * np.power(P, g - 1.0)
+        common = d * W / D ** 2
+        diag = d * Wp * (T - W) / np.float_power(D, 2) * Z
+        off = (Wp[..., :, None] * common[..., None, :] * Z[..., None, :]).sum(axis=-1)
+        return V, diag + (-off + Wp * common * Z)
+    if wrt == "params":
+        Wg = W * np.where(P > 0.0, np.log(np.clip(P, 1e-300, None)), 0.0)  # dW/dgamma
+        Dg = d * Wg + (Wg.sum(axis=-1, keepdims=True) - Wg)
+        dpi_dd = W * (T - W) / D ** 2
+        dpi_dg = d * (Wg * D - W * Dg) / D ** 2
+        return V, (dpi_dd * Z).sum(axis=-1), (dpi_dg * Z).sum(axis=-1)
+    raise ValueError(f"unknown derivative {wrt!r}")
 
 
-def cpt_value(lottery: Lottery, params: CptParams) -> float:
-    """Weighted payoff sum with linear utility."""
-    return float(prob_weights(lottery.probs, params) @ lottery.payoffs)
+def stack_menus(menus):
+    """Payoff and probability arrays (n, 2, J) of n menus, lottery 0 first."""
+    X = np.array([m.flatten() for m in menus]).reshape(len(menus), 2, 2, -1)
+    return X[:, :, 0], X[:, :, 1]
 
 
 def choice_prob(menu: Menu, params: CptParams, scale: float = 1.0) -> float:
     """P(choose lottery 1) = logistic(scale * CPT-value difference)."""
-    diff = cpt_value(menu.lottery1, params) - cpt_value(menu.lottery0, params)
-    return logistic(scale * diff)
-
-
-def _value_grads(lottery: Lottery, params: CptParams) -> np.ndarray:
-    """dV/dp for one lottery; requires interior probabilities."""
-    z, p = lottery.payoffs, lottery.probs
-    d, g = params.delta, params.gamma
-    w = np.power(p, g)
-    total = w.sum()
-    denom = d * w + (total - w)
-    wp = g * np.power(p, g - 1.0)  # dw_j/dp_j
-    # dpi_j/dp_i = -d w_j wp_i / denom_j^2 for i != j,
-    # dpi_j/dp_j = d wp_j (total - w_j) / denom_j^2.
-    common = d * w / denom ** 2          # row j factor for off-diagonal terms
-    dv_dp = np.empty_like(p)
-    for i in range(p.size):
-        diag = d * wp[i] * (total - w[i]) / denom[i] ** 2 * z[i]
-        off = -(wp[i] * common * z).sum() + wp[i] * common[i] * z[i]
-        dv_dp[i] = diag + off
-    return dv_dp
+    V = lottery_values(*stack_menus([menu]), params)[0]
+    return logistic(scale * (V[1] - V[0]))
 
 
 def choice_prob_grad(menu: Menu, params: CptParams, scale: float = 1.0) -> np.ndarray:
@@ -108,13 +114,10 @@ def choice_prob_grad(menu: Menu, params: CptParams, scale: float = 1.0) -> np.nd
     Raises if any probability coordinate is below the boundary tolerance;
     callers clamp iterates into the interior before differentiating.
     """
-    for lot in (menu.lottery0, menu.lottery1):
-        if np.any(lot.probs < GRAD_BOUNDARY):
-            raise ValueError("probability coordinate at the simplex boundary")
-    f = choice_prob(menu, params, scale)
+    V, dV = lottery_values(*stack_menus([menu]), params, wrt="p")
+    f = logistic(scale * (V[0, 1] - V[0, 0]))
     slope = scale * f * (1.0 - f)
-    return slope * np.concatenate([-_value_grads(menu.lottery0, params),
-                                   _value_grads(menu.lottery1, params)])
+    return slope * np.concatenate([-dV[0, 0], dV[0, 1]])
 
 
 class CptPredictor:
@@ -145,12 +148,13 @@ def simulate_choices(rng: np.random.Generator, menus, params: CptParams,
         raise ValueError("kind must be 'binary' or 'rate'")
     if kind == "rate" and count < 1:
         raise ValueError("rate mode needs count >= 1")
-    rows = []
-    for menu in menus:
-        f = choice_prob(menu, params, scale)
-        if kind == "binary":
-            y = float(rng.random() < f)
-        else:
-            y = float((rng.random(count) < f).mean())
-        rows.append(ChoiceRow(menu=menu, outcome=y, outcome_kind=kind))
-    return ChoiceDataset(rows)
+    menus = list(menus)
+    if not menus:
+        return ChoiceDataset([])
+    V = lottery_values(*stack_menus(menus), params)
+    f = logistic(scale * (V[:, 1] - V[:, 0]))
+    # ``count`` draws per menu in rate mode, one in binary mode, menu by menu.
+    draws = rng.random((len(menus), count if kind == "rate" else 1))
+    y = (draws < f[:, None]).mean(axis=1)
+    return ChoiceDataset([ChoiceRow(menu=m, outcome=float(v), outcome_kind=kind)
+                          for m, v in zip(menus, y)])

@@ -8,13 +8,11 @@ with an optional trailing ``weight`` column.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lotteries import Lottery, Menu
-
-PROB_SUM_TOL = 1e-6
+from .lotteries import Menu, make_lottery
 
 
 @dataclass(frozen=True)
@@ -63,14 +61,6 @@ class ChoiceDataset:
     def outcomes(self) -> np.ndarray:
         return np.array([r.outcome for r in self.rows])
 
-    def arrays(self):
-        """(Z0, P0, Z1, P1, y) stacked row-wise for vectorized model fits."""
-        Z0 = np.array([r.menu.lottery0.payoffs for r in self.rows])
-        P0 = np.array([r.menu.lottery0.probs for r in self.rows])
-        Z1 = np.array([r.menu.lottery1.payoffs for r in self.rows])
-        P1 = np.array([r.menu.lottery1.probs for r in self.rows])
-        return Z0, P0, Z1, P1, self.outcomes()
-
 
 def _schema_columns(n_payoffs: int) -> list:
     cols = []
@@ -82,8 +72,8 @@ def _schema_columns(n_payoffs: int) -> list:
 def load_dataset(path, n_payoffs: int = 2) -> ChoiceDataset:
     """Read and validate a CSV choice dataset.
 
-    Probabilities off the simplex by more than the tolerance raise with the
-    offending row index; within tolerance they are renormalized exactly.
+    Lotteries are built by ``make_lottery``; its errors (probabilities off
+    the simplex by more than 1e-6, say) raise with the offending row index.
     """
     required = _schema_columns(n_payoffs)
     rows = []
@@ -99,10 +89,7 @@ def load_dataset(path, n_payoffs: int = 2) -> ChoiceDataset:
                 p0 = [float(rec[f"p0_{j}"]) for j in range(1, n_payoffs + 1)]
                 z1 = [float(rec[f"z1_{j}"]) for j in range(1, n_payoffs + 1)]
                 p1 = [float(rec[f"p1_{j}"]) for j in range(1, n_payoffs + 1)]
-                for p in (p0, p1):
-                    if abs(sum(p) - 1.0) > PROB_SUM_TOL:
-                        raise ValueError(f"probabilities sum to {sum(p)}")
-                menu = Menu(_norm_lottery(z0, p0), _norm_lottery(z1, p1))
+                menu = Menu(make_lottery(z0, p0), make_lottery(z1, p1))
                 row = ChoiceRow(menu=menu,
                                 outcome=float(rec["outcome"]),
                                 outcome_kind=rec["outcome_kind"],
@@ -111,11 +98,6 @@ def load_dataset(path, n_payoffs: int = 2) -> ChoiceDataset:
                 raise ValueError(f"row {i}: {exc}") from exc
             rows.append(row)
     return ChoiceDataset(rows)
-
-
-def _norm_lottery(z, p) -> Lottery:
-    p = np.asarray(p, dtype=float)
-    return Lottery(np.asarray(z, dtype=float), p / p.sum())
 
 
 def save_dataset(ds: ChoiceDataset, path) -> None:

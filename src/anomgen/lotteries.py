@@ -8,13 +8,15 @@ flattened coordinate vector ``(z0, p0, z1, p1)`` of length 4J.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # Payoffs closer than this are treated as the same monetary amount.
 PAYOFF_MERGE_TOL = 1e-9
+# A nonnegative vector whose sum is this close to 1 is on the simplex (up to
+# accumulated rounding) and is stored as it is.
+SIMPLEX_TOL = 64 * np.finfo(float).eps
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -59,20 +61,20 @@ class Lottery:
 def make_lottery(payoffs, probs) -> Lottery:
     """Validate and build a lottery, renormalizing probabilities exactly.
 
-    The probability vector may be off the simplex by at most 1e-6; it is
-    rescaled by its sum so the stored vector sums to 1.
+    The probability vector may be off the simplex by at most 1e-6.  It is
+    rescaled by its sum unless it is on the simplex within ``SIMPLEX_TOL``
+    already, so a vector read back from a record is the one written.
     """
     z = np.asarray(payoffs, dtype=float)
     p = np.asarray(probs, dtype=float)
-    if z.shape != p.shape or z.ndim != 1:
-        raise ValueError("payoffs and probs must be 1-d vectors of equal length")
     if np.any(p < -PAYOFF_MERGE_TOL):
         raise ValueError(f"negative probability in {p}")
     total = p.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-6")
     p = np.clip(p, 0.0, None)
-    return Lottery(z, p / p.sum())
+    total = p.sum()
+    return Lottery(z, p if abs(total - 1.0) <= SIMPLEX_TOL else p / total)
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ def project_to_simplex(v) -> np.ndarray:
     # Points already on the simplex (up to accumulated rounding) are their own
     # projection; returning them unchanged makes the operation idempotent
     # bit-for-bit.
-    if np.all(v >= 0.0) and abs(v.sum() - 1.0) <= 64 * np.finfo(float).eps:
+    if np.all(v >= 0.0) and abs(v.sum() - 1.0) <= SIMPLEX_TOL:
         return v.copy()
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0

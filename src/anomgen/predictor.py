@@ -9,14 +9,14 @@ the searches, so they are not differentiated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cpt import CptParams, CptPredictor, logistic
+from .cpt import CptParams, CptPredictor, logistic, lottery_values, stack_menus
 from .data import ChoiceDataset
 from .lotteries import Menu
-from .theory import TARGET_CLIP
+from .theory import KKT_TOL, MAX_NEWTON_ITER, TARGET_CLIP
 
 
 # ---------------------------------------------------------------------------
@@ -233,80 +233,67 @@ class MlpPredictor:
 # Parametric probability-weighting fit
 # ---------------------------------------------------------------------------
 
-def _cpt_value_batch(Z, P, delta, gamma):
-    """Vectorized lottery values plus derivatives in (delta, gamma)."""
-    W = np.where(P > 0.0, np.power(np.clip(P, 1e-300, None), gamma), 0.0)
-    logP = np.where(P > 0.0, np.log(np.clip(P, 1e-300, None)), 0.0)
-    Wp = W * logP                      # dW/dgamma
-    T = W.sum(axis=1, keepdims=True)
-    Tp = Wp.sum(axis=1, keepdims=True)
-    D = delta * W + (T - W)
-    Dp = delta * Wp + (Tp - Wp)
-    safe = np.where(D > 0.0, D, 1.0)
-    pi = np.where(D > 0.0, delta * W / safe, 0.0)
-    dpi_ddelta = np.where(D > 0.0, W * (T - W) / safe ** 2, 0.0)
-    dpi_dgamma = np.where(D > 0.0, delta * (Wp * D - W * Dp) / safe ** 2, 0.0)
-    V = (pi * Z).sum(axis=1)
-    return V, (dpi_ddelta * Z).sum(axis=1), (dpi_dgamma * Z).sum(axis=1)
-
-
 @dataclass(frozen=True)
 class CptFit:
     params: CptParams
     cross_entropy: float
-    converged: bool
+    converged: bool       # the gradient stop test holds at params
+    iterations: int       # Newton steps taken
 
 
-def fit_cpt_params(ds: ChoiceDataset, scale: float = 1.0,
-                   max_iter: int = 500, grad_tol: float = 1e-9) -> CptFit:
+def _cpt_objective(ds: ChoiceDataset, scale: float):
+    """The weighting fit's objective over x = log(delta, gamma): a function
+    of x returning the mean CE, its gradient in x and the Fisher
+    (Gauss-Newton) matrix of the logistic likelihood in x."""
+    Z, P = stack_menus([r.menu for r in ds])
+    yc = np.clip(ds.outcomes(), TARGET_CLIP, 1 - TARGET_CLIP)
+
+    def objective(x):
+        V, *dV = lottery_values(Z, P, CptParams(*np.exp(x)), wrt="params")
+        dV = np.stack(dV, axis=-1)                 # (row, lottery, parameter)
+        u = scale * (V[:, 1] - V[:, 0])
+        du = scale * (dV[:, 1] - dV[:, 0]) * np.exp(x)
+        sig = logistic(u)
+        ce = float(np.mean(np.logaddexp(0.0, u) - yc * u))
+        return ce, (sig - yc) @ du / u.size, (du.T * (sig * (1.0 - sig))) @ du / u.size
+
+    return objective
+
+
+def fit_cpt_params(ds: ChoiceDataset, scale: float = 1.0) -> CptFit:
     """Max-likelihood probability-weighting parameters.
 
-    Gradient descent with backtracking over (log delta, log gamma) from a few
-    fixed starts; analytic gradients throughout.
+    Damped Newton on (log delta, log gamma) from (1, 1): each step solves the
+    Fisher system (least squares, so a parameter the data cannot identify
+    stays put), then backtracks.  The fit stops when the gradient norm is at
+    most ``KKT_TOL``; ``converged`` says that this test holds at the returned
+    parameters, and a fit cut off by the ``MAX_NEWTON_ITER`` cap or a failed
+    line search reports False.
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    Z0, P0, Z1, P1, y = ds.arrays()
-    yc = np.clip(y, TARGET_CLIP, 1 - TARGET_CLIP)
-    n = len(ds)
-
-    def loss_grad(log_params):
-        delta, gamma = np.exp(log_params)
-        V0, dV0_dd, dV0_dg = _cpt_value_batch(Z0, P0, delta, gamma)
-        V1, dV1_dd, dV1_dg = _cpt_value_batch(Z1, P1, delta, gamma)
-        u = scale * (V1 - V0)
-        ce = float(np.mean(np.logaddexp(0.0, u) - yc * u))
-        resid = (logistic(u) - yc) * scale
-        g_delta = float(np.mean(resid * (dV1_dd - dV0_dd))) * delta
-        g_gamma = float(np.mean(resid * (dV1_dg - dV0_dg))) * gamma
-        return ce, np.array([g_delta, g_gamma])
-
-    best = None
-    for start in (np.zeros(2), np.log([0.7, 0.35]), np.log([1.1, 0.45])):
-        x = start.copy()
-        value, g = loss_grad(x)
-        step = 1.0
-        converged = False
-        for _ in range(max_iter):
-            gnorm = np.linalg.norm(g)
-            if gnorm < grad_tol:
-                converged = True
+    objective = _cpt_objective(ds, scale)
+    x = np.zeros(2)
+    value, g, H = objective(x)
+    iterations = 0
+    while np.linalg.norm(g) > KKT_TOL and iterations < MAX_NEWTON_ITER:
+        step = -np.linalg.lstsq(H, g, rcond=None)[0]
+        slope = g @ step
+        if not slope < 0.0:
+            break
+        t = 1.0
+        while t > 1e-10:
+            cand = objective(x + t * step)
+            if cand[0] <= value + 1e-4 * t * slope + 4 * np.finfo(float).eps * value:
+                x, (value, g, H) = x + t * step, cand
                 break
-            while step > 1e-14:
-                cand = x - step * g
-                cand_value, cand_g = loss_grad(cand)
-                if cand_value <= value - 1e-4 * step * gnorm ** 2:
-                    x, value, g = cand, cand_value, cand_g
-                    step = min(step * 2.0, 1e3)
-                    break
-                step *= 0.5
-            else:
-                break
-        if best is None or value < best[1]:
-            best = (x, value, converged)
-    x, value, converged = best
+            t *= 0.5
+        else:
+            break
+        iterations += 1
     delta, gamma = np.exp(x)
-    return CptFit(CptParams(float(delta), float(gamma)), value, converged)
+    return CptFit(CptParams(float(delta), float(gamma)), value,
+                  bool(np.linalg.norm(g) <= KKT_TOL), iterations)
 
 
 def cpt_fit_predictor(ds: ChoiceDataset, scale: float = 1.0) -> CptPredictor:

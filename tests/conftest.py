@@ -97,3 +97,11 @@ def central_difference(fn, x, h=1e-6):
 def flat_menu_fn(fn, n_payoffs):
     """Adapt a Menu function to flat coordinates without revalidation."""
     return lambda x: fn(menu_from_flat(x, n_payoffs, validate=False))
+
+
+def kernel_weights(p, params):
+    """Probability weights read from the CPT value kernel: the value of the
+    unit payoff vector e_j under probabilities p is the weight of outcome j."""
+    from anomgen.cpt import lottery_values
+    p = np.asarray(p, dtype=float)
+    return lottery_values(np.eye(p.size), np.tile(p, (p.size, 1)), params)

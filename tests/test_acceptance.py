@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from anomgen.adversarial import GdaConfig, run_adversarial_index
-from anomgen.analysis import (PatternFrequencies, baseline_random_pairs,
-                              estimate_epsilon, kmeans, pca,
-                              simulate_respondents, standardize)
+from anomgen.analysis import (PatternFrequencies, estimate_epsilon, kmeans,
+                              pca, simulate_respondents, standardize)
 from anomgen.basis import PolynomialBasis, basis_from_config
 from anomgen.categorize import categorize, decompose_shared_components
 from anomgen.cli import run_command
 from anomgen.cpt import (CptParams, CptPredictor, choice_prob,
-                         choice_prob_grad, prob_weights, simulate_choices)
+                         choice_prob_grad, simulate_choices)
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu,
                                fosd_compare, make_lottery, menu_from_flat,
                                merge_payoff_grid, probs_on_grid,
@@ -31,10 +30,11 @@ from anomgen.morphing import MorphConfig, morph_step_direction, run_morph_index
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
                                menu_input_scaling, mlp_grad, mlp_predict,
                                _backprop, _ce_loss)
+from anomgen.records import read_jsonl
 from anomgen.theory import fit_theta
 from anomgen.verifier import (minimal_anomaly, verify_collection,
                               verify_increasing_utility, verify_parametrized)
-from conftest import TABLE_TOL, central_difference
+from conftest import TABLE_TOL, central_difference, kernel_weights
 
 DESK_SEED = 23
 DESK_RUNS = 300          # per procedure
@@ -127,9 +127,9 @@ def test_criterion_2_paper_table_categorization(
 def test_criterion_3_closed_form_checks(allais_menus):
     with criterion(3, "closed-form weighting and pooled-KL values"):
         p = np.array([0.31, 0.47, 0.22])
-        np.testing.assert_allclose(prob_weights(p, CptParams(1, 1)), p,
+        np.testing.assert_allclose(kernel_weights(p, CptParams(1, 1)), p,
                                    atol=1e-12)
-        w = prob_weights(np.array([0.5, 0.5]), BRUHIN_B)
+        w = kernel_weights(np.array([0.5, 0.5]), BRUHIN_B)
         assert w.sum() == pytest.approx(0.8412, abs=1e-4)
         menu_a, menu_b = allais_menus
         basis = PolynomialBasis(order=6, domain=(0, 5e6))
@@ -219,15 +219,18 @@ def test_criterion_5_desk_scale_generation(desk_scale_results):
         assert desk_scale_results["total_seconds"] <= 900
 
 
-def test_criterion_6_baseline_separation(desk_scale_results):
+def test_criterion_6_baseline_separation(desk_scale_results, tmp_path):
     with criterion(6, "random-pair baseline finds (almost) nothing"):
-        pred = CptPredictor(BRUHIN_B)
-        basis = basis_from_config({"kind": "polynomial", "order": 6,
-                                   "domain": [0.0, 10.0]})
-        report = baseline_random_pairs(pred, basis, 5000, master_seed=DESK_SEED)
+        cand, ver = str(tmp_path / "base.jsonl"), str(tmp_path / "base_v.jsonl")
+        assert run_command(["baseline", "--inits", "5000", "--seed", str(DESK_SEED),
+                            "--out", cand]) == 0
+        assert run_command(["verify", "--in", cand, "--out", ver]) == 0
+        _, recs = read_jsonl(ver, expected_kind="verified")
+        full_count = sum(r["any_utility_inconsistent"] for r in recs)
         pipeline_full = sum(r["full"] for r in desk_scale_results["records"])
-        assert report.full_count <= 2
-        assert report.full_count < pipeline_full
+        assert len(recs) == 5000
+        assert full_count <= 2
+        assert full_count < pipeline_full
 
 
 def test_criterion_7_null_model_sanity():

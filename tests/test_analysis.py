@@ -1,54 +1,42 @@
+import json
+
 import numpy as np
 import pytest
 
 from anomgen.analysis import (FEATURE_NAMES, EpsilonFit, PatternFrequencies,
-                              anomaly_features, baseline_random_pairs,
-                              bootstrap_stat, consistent_patterns,
-                              estimate_epsilon, kmeans,
-                              logical_verification_report, pca,
-                              simulate_respondents, standardize)
-from anomgen.basis import PolynomialBasis
-from anomgen.cpt import CptParams, CptPredictor
+                              anomaly_features, bootstrap_stat,
+                              consistent_patterns, estimate_epsilon, kmeans,
+                              pca, simulate_respondents, standardize)
+from anomgen.cli import run_command
 from anomgen.lotteries import (Example, ExampleCollection, Menu, lottery_stats,
                                make_lottery, sample_random_menu)
+from anomgen.records import read_jsonl
 
 
-class TestVerificationReport:
-    def test_all_consistent(self):
-        recs = [{"parametrized_inconsistent": False,
-                 "any_utility_inconsistent": False} for _ in range(10)]
-        rep = logical_verification_report(recs)
-        assert rep.parametrized_rate == 0.0 and rep.full_rate == 0.0
-
-    def test_half_and_half(self):
-        recs = [{"parametrized_inconsistent": i % 2 == 0,
-                 "any_utility_inconsistent": i % 2 == 0,
-                 "category": {"tag": "fosd"} if i % 2 == 0 else None}
-                for i in range(10)]
-        rep = logical_verification_report(recs)
-        assert rep.parametrized_rate == 0.5
-        assert rep.full_rate == 0.5
-        assert rep.category_counts == {"fosd": 5}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            logical_verification_report([])
+def baseline_verdicts(tmp_path, predictor: dict, inits: int, seed: int):
+    """``anomgen baseline`` then ``anomgen verify``: the verified records."""
+    tmp_path.mkdir(exist_ok=True)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"predictor": predictor}))
+    cand, ver = tmp_path / "b.jsonl", tmp_path / "v.jsonl"
+    assert run_command(["baseline", "--config", str(config), "--inits", str(inits),
+                        "--seed", str(seed), "--out", str(cand)]) == 0
+    assert run_command(["verify", "--config", str(config), "--in", str(cand),
+                        "--out", str(ver)]) == 0
+    return read_jsonl(ver, expected_kind="verified")[1]
 
 
 class TestBaseline:
-    def test_eut_oracle_rates_zero(self):
-        pred = CptPredictor(CptParams(1.0, 1.0))
-        basis = PolynomialBasis(order=6, domain=(0, 10))
-        rep = baseline_random_pairs(pred, basis, 200, master_seed=0)
-        assert rep.full_count == 0
+    def test_eut_oracle_rates_zero(self, tmp_path):
+        recs = baseline_verdicts(tmp_path, {"delta": 1, "gamma": 1}, 200, seed=0)
+        assert len(recs) == 200
+        assert sum(r["any_utility_inconsistent"] for r in recs) == 0
 
-    def test_seed_determinism(self):
-        pred = CptPredictor(CptParams(0.726, 0.309))
-        basis = PolynomialBasis(order=6, domain=(0, 10))
-        r1 = baseline_random_pairs(pred, basis, 50, master_seed=1)
-        r2 = baseline_random_pairs(pred, basis, 50, master_seed=1)
-        assert (r1.parametrized_count, r1.full_count) == \
-            (r2.parametrized_count, r2.full_count)
+    def test_seed_determinism(self, tmp_path):
+        verdicts = [[(r["parametrized_inconsistent"], r["any_utility_inconsistent"])
+                     for r in baseline_verdicts(tmp_path / str(k), {}, 50, seed=1)]
+                    for k in range(2)]
+        assert verdicts[0] == verdicts[1]
 
 
 class TestAnomalyFeatures:

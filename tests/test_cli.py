@@ -293,10 +293,8 @@ class TestRecordRoundTripProperty:
             cand, ver = os.path.join(tmp, "c.jsonl"), os.path.join(tmp, "v.jsonl")
             write_jsonl(cand, [candidate_to_record(coll)], kind="candidates")
             _, (rec,) = read_jsonl(cand, expected_kind="candidates")
-            # Reading renormalizes each probability vector by its sum, which
-            # may move the last bit; verify and re-verify both see the record.
             for got, menu in zip(record_to_collection(rec).menus, coll.menus, strict=True):
-                np.testing.assert_allclose(got.flatten(), menu.flatten(), rtol=0, atol=1e-15)
+                np.testing.assert_array_equal(got.flatten(), menu.flatten())
             assert run_command(["verify", "--in", cand, "--out", ver]) == 0
             _, (stored,) = read_jsonl(ver, expected_kind="verified")
         got = reverified(stored, basis)

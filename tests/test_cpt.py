@@ -4,26 +4,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomgen.cpt import (CptParams, CptPredictor, choice_prob,
-                         choice_prob_grad, cpt_value, logistic, prob_weights,
+                         choice_prob_grad, logistic, lottery_values,
                          simulate_choices)
 from anomgen.lotteries import (Lottery, Menu, make_lottery, menu_from_flat,
                                sample_random_menu)
-from conftest import central_difference, flat_menu_fn
+from conftest import central_difference, flat_menu_fn, kernel_weights
 
 BRUHIN_B = CptParams(0.726, 0.309)
+
+
+def value(lottery, params):
+    return lottery_values(lottery.payoffs, lottery.probs, params)
 
 
 class TestProbWeights:
     def test_identity_parameters(self):
         p = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(prob_weights(p, CptParams(1, 1)), p)
+        np.testing.assert_allclose(kernel_weights(p, CptParams(1, 1)), p)
 
     def test_certainty_maps_to_one(self):
-        np.testing.assert_allclose(prob_weights(np.array([1.0, 0.0]), BRUHIN_B),
+        np.testing.assert_allclose(kernel_weights(np.array([1.0, 0.0]), BRUHIN_B),
                                    [1.0, 0.0])
 
     def test_subcertainty_half_half(self):
-        w = prob_weights(np.array([0.5, 0.5]), BRUHIN_B)
+        w = kernel_weights(np.array([0.5, 0.5]), BRUHIN_B)
         # delta p^g / (delta p^g + p^g) = delta / (1 + delta) at p = (.5, .5)
         assert w[0] == pytest.approx(0.726 / 1.726, abs=1e-12)
         assert w.sum() == pytest.approx(0.8412, abs=1e-4)
@@ -31,7 +35,7 @@ class TestProbWeights:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            prob_weights(np.array([]), BRUHIN_B)
+            lottery_values(np.array([]), np.array([]), BRUHIN_B)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -39,22 +43,83 @@ class TestProbWeights:
         rng = np.random.default_rng(seed)
         p = rng.dirichlet(np.ones(4))
         perm = rng.permutation(4)
-        w = prob_weights(p, BRUHIN_B)
-        np.testing.assert_allclose(prob_weights(p[perm], BRUHIN_B), w[perm],
+        w = kernel_weights(p, BRUHIN_B)
+        np.testing.assert_allclose(kernel_weights(p[perm], BRUHIN_B), w[perm],
                                    rtol=1e-12)
 
 
 class TestCptValue:
     def test_certain_payoff(self):
-        assert cpt_value(make_lottery([5], [1.0]), BRUHIN_B) == pytest.approx(5)
+        assert value(make_lottery([5], [1.0]), BRUHIN_B) == pytest.approx(5)
 
     def test_identity_parameters_give_expected_value(self):
         lot = make_lottery([1, 4, 7], [0.2, 0.5, 0.3])
-        assert cpt_value(lot, CptParams(1, 1)) == pytest.approx(lot.probs @ lot.payoffs)
+        assert value(lot, CptParams(1, 1)) == pytest.approx(lot.probs @ lot.payoffs)
 
     def test_half_half_example(self):
         lot = make_lottery([0, 10], [0.5, 0.5])
-        assert cpt_value(lot, BRUHIN_B) == pytest.approx(10 * 0.726 / 1.726, abs=1e-9)
+        assert value(lot, BRUHIN_B) == pytest.approx(10 * 0.726 / 1.726, abs=1e-9)
+
+
+def loop_values_and_grads(z, p, params):
+    """One lottery's value and dV/dp, coordinate by coordinate: the reference
+    the vectorized kernel must match bit for bit, since search outputs are
+    byte-compared across versions."""
+    d, g = params.delta, params.gamma
+    w = np.power(p, g)
+    total = w.sum()
+    denom = d * w + (total - w)
+    wp = g * np.power(p, g - 1.0)
+    common = d * w / denom ** 2
+    dv_dp = np.empty_like(p)
+    for i in range(p.size):
+        diag = d * wp[i] * (total - w[i]) / denom[i] ** 2 * z[i]
+        off = -(wp[i] * common * z).sum() + wp[i] * common[i] * z[i]
+        dv_dp[i] = diag + off
+    return float((d * w / denom) @ z), dv_dp
+
+
+class TestLotteryValues:
+    def test_matches_coordinate_loop_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for params in (BRUHIN_B, CptParams(0.926, 0.377), CptParams(1.063, 0.451)):
+            for J in (2, 3):
+                Z = rng.uniform(0, 10, size=(2000, J))
+                P = rng.uniform(0, 1, size=(2000, J))
+                P /= P.sum(axis=1, keepdims=True)
+                V, dV = lottery_values(Z, P, params, wrt="p")
+                for z, p, v, dv in zip(Z, P, V, dV):
+                    ref_v, ref_dv = loop_values_and_grads(z, p, params)
+                    assert v == ref_v
+                    np.testing.assert_array_equal(dv, ref_dv)
+
+    def test_batch_rows_match_single_rows_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for J in (2, 3):
+            Z = rng.uniform(0, 10, size=(64, J))
+            P = rng.dirichlet(np.ones(J), size=64)
+            V, dV = lottery_values(Z, P, BRUHIN_B, wrt="p")
+            np.testing.assert_array_equal(lottery_values(Z, P, BRUHIN_B), V)
+            for i in range(64):
+                v, dv = lottery_values(Z[i:i + 1], P[i:i + 1], BRUHIN_B, wrt="p")
+                assert v[0] == V[i]
+                np.testing.assert_array_equal(dv[0], dV[i])
+
+    def test_parameter_derivatives_match_finite_differences(self):
+        rng = np.random.default_rng(7)
+        Z = rng.uniform(0, 10, size=(20, 3))
+        P = rng.dirichlet(np.ones(3), size=20)
+        P[0] = [0.6, 0.4, 0.0]            # a zero coordinate: 0^gamma = 0
+        d, g = 0.926, 0.377
+        V, dd, dg = lottery_values(Z, P, CptParams(d, g), wrt="params")
+        h = 1e-6
+        fd_d = (lottery_values(Z, P, CptParams(d + h, g))
+                - lottery_values(Z, P, CptParams(d - h, g))) / (2 * h)
+        fd_g = (lottery_values(Z, P, CptParams(d, g + h))
+                - lottery_values(Z, P, CptParams(d, g - h))) / (2 * h)
+        np.testing.assert_allclose(dd, fd_d, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(dg, fd_g, rtol=1e-6, atol=1e-8)
+        np.testing.assert_array_equal(V, lottery_values(Z, P, CptParams(d, g)))
 
 
 class TestLogistic:

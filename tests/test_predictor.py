@@ -3,11 +3,14 @@ import pytest
 
 from anomgen.cpt import CptParams, choice_prob, simulate_choices
 from anomgen.data import ChoiceDataset, ChoiceRow, split_dataset
-from anomgen.lotteries import Menu, make_lottery, menu_from_flat, sample_random_menu
+from anomgen import predictor
+from anomgen.lotteries import (Lottery, Menu, make_lottery, menu_from_flat,
+                               sample_random_menu)
 from anomgen.predictor import (MlpModel, MlpPredictor, MlpTrainConfig,
                                evaluate, fit_cpt_params, menu_input_scaling,
                                mlp_grad, mlp_predict, train_mlp, _backprop,
-                               _ce_loss)
+                               _ce_loss, _cpt_objective)
+from anomgen.theory import KKT_TOL
 from conftest import central_difference
 
 BRUHIN_B = CptParams(0.726, 0.309)
@@ -186,6 +189,49 @@ class TestFitCptParams:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_cpt_params(ChoiceDataset([]))
+
+    @staticmethod
+    def _gradient_at(ds, fit):
+        x = np.log([fit.params.delta, fit.params.gamma])
+        return _cpt_objective(ds, 1.0)(x)[1]
+
+    def test_converged_means_gradient_stop(self):
+        ds = cpt_dataset(2000, seed=16, kind="binary")
+        fit = fit_cpt_params(ds)
+        assert fit.converged and 1 <= fit.iterations < predictor.MAX_NEWTON_ITER
+        assert np.linalg.norm(self._gradient_at(ds, fit)) <= KKT_TOL
+
+    def test_objective_gradient_matches_finite_differences(self):
+        ds = cpt_dataset(500, seed=17, kind="rate", count=50)
+        objective = _cpt_objective(ds, 1.0)
+        x = np.log([0.8, 0.4])
+        fd = central_difference(lambda v: objective(v)[0], x, h=1e-5)
+        np.testing.assert_allclose(objective(x)[1], fd, rtol=1e-6, atol=1e-10)
+
+    def test_gamma_unidentified_on_half_half_lotteries(self):
+        # With p = (.5, .5) in every lottery each weight is delta / (1 + delta)
+        # or 1 / (1 + delta), whatever gamma is: the Fisher matrix is singular.
+        rng = np.random.default_rng(18)
+        half = np.array([0.5, 0.5])
+        menus = [Menu(Lottery(rng.uniform(0, 10, 2), half),
+                      Lottery(rng.uniform(0, 10, 2), half)) for _ in range(2000)]
+        ds = simulate_choices(rng, menus, BRUHIN_B)
+        H = _cpt_objective(ds, 1.0)(np.zeros(2))[2]
+        assert np.linalg.matrix_rank(H) == 1
+        fit = fit_cpt_params(ds)
+        assert np.isfinite([fit.params.delta, fit.params.gamma]).all()
+        assert fit.params.gamma == 1.0
+        assert fit.params.delta == pytest.approx(0.726, abs=0.1)
+        gnorm = np.linalg.norm(self._gradient_at(ds, fit))
+        assert fit.converged == (gnorm <= KKT_TOL)
+        assert fit.converged
+
+    def test_iteration_cap_reports_unconverged(self, monkeypatch):
+        ds = cpt_dataset(1000, seed=19, kind="binary")
+        monkeypatch.setattr(predictor, "MAX_NEWTON_ITER", 1)
+        fit = fit_cpt_params(ds)
+        assert fit.iterations == 1 and not fit.converged
+        assert np.linalg.norm(self._gradient_at(ds, fit)) > KKT_TOL
 
 
 class TestEvaluate:
