@@ -1,17 +1,18 @@
 """Gradient descent-ascent search for collections the theory cannot fit.
 
-Each run evolves menu probabilities against the best-responding logit-EUT
-fit: the inner minimization refits theta, the outer step ascends a
-disagreement objective, and every iterate is projected back onto the simplex.
-A run emits the (initial, final) menu pair with the predictor's choice
-probabilities attached; the verifier decides what counts as an anomaly.
+Each run moves the probabilities of one menu against the fixed initial menu:
+the inner minimization refits the logit-EUT theta to the pair (initial,
+moving), the outer step ascends a disagreement score on the moving menu, and
+every iterate is projected back onto the simplex.  A run emits the (initial,
+final) menu pair with the predictor's choice probabilities attached; the
+verifier decides what counts as an anomaly.
 
-Raw cross-entropy ascent stalls wherever the theory fits the current
-collection exactly (the gradient vanishes with the residual), so the default
-objective ascends the negated product of the predictor's log-odds and the
-theory's expected-utility difference, which stays informative at exact fits.
-The product is negated so that the score is positive exactly when the
-best-fit utility ranks the lotteries against the predictor's majority choice.
+The score is not the raw cross-entropy: that stalls wherever the theory fits
+the pair exactly (its gradient vanishes with the residual).  It is the
+negated product of the predictor's log-odds and the theory's
+expected-utility difference, which stays informative at exact fits.  The
+product is negated so that the score is positive exactly when the best-fit
+utility ranks the lotteries against the predictor's majority choice.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import basis_from_config
-from .cpt import logistic
 from .lotteries import (Example, ExampleCollection, Menu, menu_from_flat,
                         run_rng, sample_random_menu, step_probs)
-from .theory import (TARGET_CLIP, TheorySpec, basis_values, eu_difference_row,
-                     fit_theta)
+from .theory import TheorySpec, basis_values, eu_difference_row, fit_theta
 
 INTERIOR_EPS = 1e-8
 DEFAULT_BASIS = {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
@@ -36,18 +35,11 @@ class GdaConfig:
     step_size: float = 0.01
     max_iters: int = 50
     basis_config: dict = field(default_factory=lambda: dict(DEFAULT_BASIS))
-    objective: str = "logit_disagreement"       # or "raw_loss"
-    collection_mode: str = "pair_anchored"      # or "free"
-    free_size: int = 2
     n_payoffs: int = 2
 
     def __post_init__(self):
         if self.step_size <= 0 or self.max_iters < 1:
             raise ValueError("step size must be positive and iterations >= 1")
-        if self.objective not in ("raw_loss", "logit_disagreement"):
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if self.collection_mode not in ("pair_anchored", "free"):
-            raise ValueError(f"unknown collection mode {self.collection_mode!r}")
 
     def make_basis(self):
         return basis_from_config(self.basis_config)
@@ -70,9 +62,9 @@ def interior_menu(menu: Menu, eps: float = INTERIOR_EPS) -> Menu:
     return Menu(fix(menu.lottery0), fix(menu.lottery1))
 
 
-def ascent_objective(kind: str, predictor, spec: TheorySpec, menu: Menu, values):
+def ascent_objective(predictor, spec: TheorySpec, menu: Menu, values):
     """(value, gradient over the probability coordinates (p0, p1)) of the
-    outer objective.
+    disagreement score.
 
     ``values`` are the basis values at the menu's payoffs (``basis_values``).
     Only probabilities move, and the expected-utility difference is linear in
@@ -81,100 +73,76 @@ def ascent_objective(kind: str, predictor, spec: TheorySpec, menu: Menu, values)
     B0, B1 = values
     g = float(eu_difference_row(menu, B0, B1) @ spec.theta)
     grad_g = np.concatenate([-(B0 @ spec.theta), B1 @ spec.theta])
-    if kind == "raw_loss":
-        # Cross-entropy of the fit against the predictor's value, held fixed.
-        y = float(np.clip(predictor.predict(menu), TARGET_CLIP, 1 - TARGET_CLIP))
-        return float(np.logaddexp(0.0, g) - y * g), (logistic(g) - y) * grad_g
-    if kind == "logit_disagreement":
-        safe = interior_menu(menu)
-        f = float(np.clip(predictor.predict(safe), 1e-12, 1 - 1e-12))
-        m = np.log(f / (1.0 - f))
-        grad_m = predictor.grad(safe) / (f * (1.0 - f))
-        return -m * g, -(g * grad_m + m * grad_g)
-    raise ValueError(f"unknown objective {kind!r}")
+    safe = interior_menu(menu)
+    f = float(np.clip(predictor.predict(safe), 1e-12, 1 - 1e-12))
+    m = np.log(f / (1.0 - f))
+    grad_m = predictor.grad(safe) / (f * (1.0 - f))
+    return -m * g, -(g * grad_m + m * grad_g)
 
 
 @dataclass
-class GdaRunResult:
+class SearchResult:
+    """One search run: the (initial, final) candidate, the flat iterates from
+    the start on, the number of completed steps and any stop flags."""
+
     candidate: ExampleCollection
     trajectory: list
     iterations: int
     flags: list = field(default_factory=list)
 
 
-def gda_run(predictor, config: GdaConfig, x0, provenance: dict | None = None) -> GdaRunResult:
-    """One descent-ascent run.
-
-    ``x0`` is the initial menu; free mode instead takes a sequence of
-    ``free_size`` initial menus that evolve jointly.
-    """
-    basis = config.make_basis()
-    flags = []
-
-    if config.collection_mode == "pair_anchored":
-        if not isinstance(x0, Menu):
-            raise TypeError("pair_anchored mode expects a single initial menu")
-        anchor = x0
-        moving = [x0.flatten()]
-    else:
-        inits = [x0] if isinstance(x0, Menu) else list(x0)
-        if len(inits) != config.free_size:
-            raise ValueError(f"free mode expects {config.free_size} initial menus")
-        anchor = None
-        moving = [m.flatten() for m in inits]
-    J = (anchor or inits[0]).n_payoffs
-    # Only probabilities move: each menu's basis values, and the anchor's
-    # prediction, stay fixed for the whole run.
-    fixed = [] if anchor is None else [(anchor, predictor.predict(anchor))]
-    values = [basis_values(basis, m) for m, _ in fixed]
-    values += [basis_values(basis, menu_from_flat(x, J)) for x in moving]
-
-    trajectory = [[m.copy() for m in moving]]
-    iterations = 0
-    for s in range(config.max_iters):
-        menus = [menu_from_flat(x, J) for x in moving]
-        examples = fixed + [(m, predictor.predict(m)) for m in menus]
-        rows = [eu_difference_row(m, *v) for (m, _), v in zip(examples, values)]
-        fit = fit_theta(basis, examples, design=np.array(rows))
-        spec = TheorySpec(basis, fit.theta)
-
-        new_moving = []
-        for x, menu, v in zip(moving, menus, values[len(fixed):]):
-            _, grad = ascent_objective(config.objective, predictor, spec, menu, v)
-            if not np.all(np.isfinite(grad)):
-                flags.append(f"nonfinite_gradient@iter{s}")
-                break
-            new_moving.append(step_probs(x, J, config.step_size * grad))
-        if flags:
-            break
-        moving = new_moving
-        trajectory.append([m.copy() for m in moving])
-        iterations = s + 1
-
-    if anchor is not None:
-        menus_out = [anchor, menu_from_flat(moving[0], J)]
-    else:
-        menus_out = [menu_from_flat(x, J) for x in moving]
+def search_result(predictor, procedure: str, x0: Menu, f0: float, trajectory: list,
+                  flags: list, provenance: dict | None) -> SearchResult:
+    """Package a run that moved ``x0`` (predicted ``f0``) along ``trajectory``,
+    which holds ``x0`` flattened and then one entry per completed step."""
+    iterations = len(trajectory) - 1
+    final = menu_from_flat(trajectory[-1], x0.n_payoffs)
     prov = dict(provenance or {})
-    prov.setdefault("procedure", "adversarial")
+    prov.setdefault("procedure", procedure)
     prov["iterations"] = iterations
     if flags:
         prov["flags"] = list(flags)
-    examples = tuple(Example(m, predictor.predict(m)) for m in menus_out)
-    return GdaRunResult(candidate=ExampleCollection(examples, prov),
+    examples = (Example(x0, f0), Example(final, predictor.predict(final)))
+    return SearchResult(candidate=ExampleCollection(examples, prov),
                         trajectory=trajectory, iterations=iterations, flags=flags)
 
 
+def gda_run(predictor, config: GdaConfig, x0: Menu,
+            provenance: dict | None = None) -> SearchResult:
+    """One descent-ascent run moving a copy of ``x0`` against ``x0`` itself."""
+    basis = config.make_basis()
+    J = x0.n_payoffs
+    flags: list = []
+
+    # Payoffs are frozen and both menus share them, so the basis values, the
+    # anchor's prediction and its design row stay fixed for the whole run.
+    B0, B1 = basis_values(basis, x0)
+    f0 = predictor.predict(x0)
+    d0 = eu_difference_row(x0, B0, B1)
+
+    x = x0.flatten()
+    trajectory = [x.copy()]
+    for s in range(config.max_iters):
+        menu = menu_from_flat(x, J)
+        fit = fit_theta(basis, [(x0, f0), (menu, predictor.predict(menu))],
+                        design=np.array([d0, eu_difference_row(menu, B0, B1)]))
+        _, grad = ascent_objective(predictor, TheorySpec(basis, fit.theta),
+                                   menu, (B0, B1))
+        if not np.all(np.isfinite(grad)):
+            flags.append(f"nonfinite_gradient@iter{s}")
+            break
+        x = step_probs(x, J, config.step_size * grad)
+        trajectory.append(x.copy())
+    return search_result(predictor, "adversarial", x0, f0, trajectory, flags,
+                         provenance)
+
+
 def run_adversarial_index(predictor, config: GdaConfig, master_seed: int,
-                          run_index: int) -> GdaRunResult:
+                          run_index: int) -> SearchResult:
     """Single run addressed by (master seed, run index); worker-pool friendly."""
     low, high = config.make_basis().domain
     rng = run_rng(master_seed, run_index)
-    if config.collection_mode == "free":
-        x0 = [sample_random_menu(rng, config.n_payoffs, low, high)
-              for _ in range(config.free_size)]
-    else:
-        x0 = sample_random_menu(rng, config.n_payoffs, low, high)
+    x0 = sample_random_menu(rng, config.n_payoffs, low, high)
     prov = {"procedure": "adversarial", "master_seed": master_seed,
             "run_index": run_index}
     return gda_run(predictor, config, x0, prov)

@@ -279,19 +279,3 @@ def simulate_respondents(rng: np.random.Generator, n: int, eps: float,
         counts[obs] += 1
     return PatternFrequencies(tuple(counts[p] for p in PATTERNS))
 
-
-def bootstrap_stat(freqs: PatternFrequencies, statistic, reps: int, seed: int,
-                   level: float = 0.95):
-    """Multinomial respondent resampling with a percentile interval."""
-    if reps < 1:
-        raise ValueError("need at least one replication")
-    n = int(round(freqs.total))
-    probs = freqs.frequencies()
-    rng = np.random.default_rng(seed)
-    point = statistic(freqs)
-    draws = rng.multinomial(n, probs, size=reps)
-    stats = np.array([statistic(PatternFrequencies(tuple(d))) for d in draws])
-    alpha = (1 - level) / 2
-    return {"point": float(point),
-            "interval": (float(np.quantile(stats, alpha)),
-                         float(np.quantile(stats, 1 - alpha)))}

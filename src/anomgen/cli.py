@@ -57,9 +57,7 @@ def _config_from_args(args) -> PipelineConfig:
 def _gda_config(cfg: PipelineConfig) -> GdaConfig:
     a = cfg.adversarial
     return GdaConfig(step_size=a.step_size, max_iters=a.max_iters,
-                     basis_config=a.basis, objective=a.objective,
-                     collection_mode=a.collection_mode, free_size=a.free_size,
-                     n_payoffs=cfg.n_payoffs)
+                     basis_config=a.basis, n_payoffs=cfg.n_payoffs)
 
 
 def _morph_config(cfg: PipelineConfig) -> MorphConfig:

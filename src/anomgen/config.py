@@ -48,9 +48,6 @@ class SearchSection:
     step_size: float
     max_iters: int = 50
     inits: int = 100
-    objective: str = "logit_disagreement"
-    collection_mode: str = "pair_anchored"
-    free_size: int = 2
     n_gradient_samples: int = 2_000
     rank_tol: float = 0.1
     basis: dict = field(default_factory=dict)
@@ -96,13 +93,6 @@ def parse_config(raw: dict) -> PipelineConfig:
         step_size=_take(adv_raw, "adversarial", "step_size", 0.01, lambda v: v > 0),
         max_iters=_take(adv_raw, "adversarial", "max_iters", 50, lambda v: v >= 1),
         inits=_take(adv_raw, "adversarial", "inits", 100, lambda v: v >= 0),
-        objective=_take(adv_raw, "adversarial", "objective", "logit_disagreement",
-                        lambda v: v in ("raw_loss", "logit_disagreement")),
-        collection_mode=_take(adv_raw, "adversarial", "collection_mode",
-                              "pair_anchored",
-                              lambda v: v in ("pair_anchored", "free")),
-        free_size=_take(adv_raw, "adversarial", "free_size", 2,
-                        lambda v: v >= 2),
         basis=_take(adv_raw, "adversarial", "basis", {},
                     lambda v: isinstance(v, dict)),
     )

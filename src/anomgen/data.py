@@ -61,6 +61,9 @@ class ChoiceDataset:
     def outcomes(self) -> np.ndarray:
         return np.array([r.outcome for r in self.rows])
 
+    def weights(self) -> np.ndarray:
+        return np.array([r.weight for r in self.rows], dtype=float)
+
 
 def _schema_columns(n_payoffs: int) -> list:
     cols = []

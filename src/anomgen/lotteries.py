@@ -112,30 +112,13 @@ class Menu:
                    Lottery.from_json_dict(d["lottery1"]))
 
 
-def _unchecked_lottery(payoffs, probs) -> Lottery:
-    lot = object.__new__(Lottery)
-    object.__setattr__(lot, "payoffs", _readonly(payoffs))
-    object.__setattr__(lot, "probs", _readonly(probs))
-    return lot
-
-
-def menu_from_flat(x: np.ndarray, n_payoffs: int, validate: bool = True) -> Menu:
-    """Inverse of :meth:`Menu.flatten`.
-
-    ``validate=False`` skips the simplex invariant; finite-difference probes
-    evaluate the smooth formulas a step off the simplex.
-    """
+def menu_from_flat(x: np.ndarray, n_payoffs: int) -> Menu:
+    """Inverse of :meth:`Menu.flatten`."""
     x = np.asarray(x, dtype=float)
     J = n_payoffs
     if x.size != 4 * J:
         raise ValueError(f"flat vector has length {x.size}, expected {4 * J}")
-    z0, p0, z1, p1 = x[:J], x[J:2 * J], x[2 * J:3 * J], x[3 * J:]
-    if validate:
-        return Menu(Lottery(z0, p0), Lottery(z1, p1))
-    menu = object.__new__(Menu)
-    object.__setattr__(menu, "lottery0", _unchecked_lottery(z0, p0))
-    object.__setattr__(menu, "lottery1", _unchecked_lottery(z1, p1))
-    return menu
+    return Menu(Lottery(x[:J], x[J:2 * J]), Lottery(x[2 * J:3 * J], x[3 * J:]))
 
 
 @dataclass(frozen=True)
@@ -302,10 +285,6 @@ class LotteryStats:
         return np.array([self.expected_value, self.variance, self.skew,
                          self.payoff_range, self.min_payoff, self.max_payoff,
                          self.prob_range, self.min_prob, self.max_prob])
-
-
-STAT_NAMES = ("expected_value", "variance", "skew", "payoff_range",
-              "min_payoff", "max_payoff", "prob_range", "min_prob", "max_prob")
 
 
 def lottery_stats(lottery: Lottery) -> LotteryStats:

@@ -19,17 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversarial import interior_menu
+from .adversarial import SearchResult, interior_menu, search_result
 from .basis import basis_from_config
 from .cpt import logistic
-from .lotteries import (Example, ExampleCollection, Menu, menu_from_flat,
-                        run_rng, sample_random_menu, step_probs)
+from .lotteries import Menu, menu_from_flat, run_rng, sample_random_menu, step_probs
 from .theory import basis_values, eu_difference_row, fit_theta
 
 DEFAULT_BASIS = {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}
 STOP_NORM = 1e-8
 COV_JITTER = 1e-8
-SINGLE_POINT_SIGMA = 0.1
 
 
 @dataclass(frozen=True)
@@ -58,22 +56,18 @@ def sample_theta_history(history, count: int, rng: np.random.Generator,
     """Draw the utilities ``basis_rows @ theta`` for theta around the fit history.
 
     theta ~ N(mean, cov + jitter I), with the mean and sample covariance of
-    the history, an isotropic fallback for a single entry and a small jitter
-    keeping the covariance factorizable.  Only the R utilities are drawn: the
+    the history and a small jitter keeping the covariance factorizable.  The
+    history holds at least two fits, because a run first samples after the
+    seed fit and the first step's fit.  Only the R utilities are drawn: the
     (R, K) factor ``basis_rows @ chol(cov)`` is reduced by SVD to at most R
     columns, so a singular utility covariance (lotteries sharing a payoff, or
     R > K) still samples.  Returns an (R, count) array, one draw per column.
     """
     H = np.atleast_2d(np.array(history, dtype=float))
-    if H.shape[0] < 1:
-        raise ValueError("history must contain at least one fit")
+    if H.shape[0] < 2:
+        raise ValueError("history must contain at least two fits")
     mean = H.mean(axis=0)
-    dim = H.shape[1]
-    if H.shape[0] == 1:
-        cov = SINGLE_POINT_SIGMA ** 2 * np.eye(dim)
-    else:
-        cov = np.cov(H, rowvar=False, ddof=1)
-    cov = cov + COV_JITTER * np.eye(dim)
+    cov = np.cov(H, rowvar=False, ddof=1) + COV_JITTER * np.eye(H.shape[1])
     rows = np.asarray(basis_rows, dtype=float)
     W, svals, _ = np.linalg.svd(rows @ np.linalg.cholesky(cov), full_matrices=False)
     draws = (W * svals) @ rng.standard_normal((svals.size, count))
@@ -111,14 +105,6 @@ def _tangent(vecs: np.ndarray, n_payoffs: int) -> np.ndarray:
     return out if np.asarray(vecs).ndim > 1 else out[0]
 
 
-@dataclass
-class MorphRunResult:
-    candidate: ExampleCollection
-    trajectory: list
-    iterations: int
-    flags: list = field(default_factory=list)
-
-
 def morph_step_direction(pred_grad_probs: np.ndarray, sampled_grads_probs: np.ndarray,
                          n_payoffs: int, rank_tol: float) -> np.ndarray:
     """Null-space projection restricted to simplex-tangent coordinates."""
@@ -129,7 +115,7 @@ def morph_step_direction(pred_grad_probs: np.ndarray, sampled_grads_probs: np.nd
 
 
 def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator,
-              provenance: dict | None = None) -> MorphRunResult:
+              provenance: dict | None = None) -> SearchResult:
     """One morphing run; stops early once the projected direction vanishes."""
     basis = config.make_basis()
     J = x0.n_payoffs
@@ -146,7 +132,6 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
 
     x = x0.flatten()
     trajectory = [x.copy()]
-    iterations = 0
     for s in range(config.max_iters):
         menu = menu_from_flat(x, J)
         d = eu_difference_row(menu, B0, B1)
@@ -171,21 +156,13 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
             break
         x = step_probs(x, J, -config.step_size * direction)
         trajectory.append(x.copy())
-        iterations = s + 1
 
-    final = menu_from_flat(x, J)
-    prov = dict(provenance or {})
-    prov.setdefault("procedure", "morphing")
-    prov["iterations"] = iterations
-    if flags:
-        prov["flags"] = list(flags)
-    examples = (Example(x0, f0), Example(final, predictor.predict(final)))
-    return MorphRunResult(candidate=ExampleCollection(examples, prov),
-                          trajectory=trajectory, iterations=iterations, flags=flags)
+    return search_result(predictor, "morphing", x0, f0, trajectory, flags,
+                         provenance)
 
 
 def run_morph_index(predictor, config: MorphConfig, master_seed: int,
-                    run_index: int) -> MorphRunResult:
+                    run_index: int) -> SearchResult:
     low, high = config.make_basis().domain
     rng = run_rng(master_seed, run_index)
     x0 = sample_random_menu(rng, config.n_payoffs, low, high)

@@ -16,7 +16,7 @@ import numpy as np
 from .cpt import CptParams, CptPredictor, logistic, lottery_values, stack_menus
 from .data import ChoiceDataset
 from .lotteries import Menu
-from .theory import KKT_TOL, MAX_NEWTON_ITER, TARGET_CLIP
+from .theory import KKT_TOL, MAX_NEWTON_ITER, TARGET_CLIP, _backtrack
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def train_mlp(train: ChoiceDataset, hidden=(32, 32),
     J = train.n_payoffs
     X_raw = np.array([r.menu.flatten() for r in train])
     y = train.outcomes()
-    w = np.array([r.weight for r in train])
+    w = train.weights()
     scaling = menu_input_scaling(J, payoff_scale)
     X = X_raw * scaling
     widths = [4 * J, *hidden, 1]
@@ -243,10 +243,12 @@ class CptFit:
 
 def _cpt_objective(ds: ChoiceDataset, scale: float):
     """The weighting fit's objective over x = log(delta, gamma): a function
-    of x returning the mean CE, its gradient in x and the Fisher
+    of x returning the row-weighted mean CE, its gradient in x and the Fisher
     (Gauss-Newton) matrix of the logistic likelihood in x."""
     Z, P = stack_menus([r.menu for r in ds])
     yc = np.clip(ds.outcomes(), TARGET_CLIP, 1 - TARGET_CLIP)
+    w = ds.weights()
+    total = w.sum()
 
     def objective(x):
         V, *dV = lottery_values(Z, P, CptParams(*np.exp(x)), wrt="params")
@@ -254,8 +256,9 @@ def _cpt_objective(ds: ChoiceDataset, scale: float):
         u = scale * (V[:, 1] - V[:, 0])
         du = scale * (dV[:, 1] - dV[:, 0]) * np.exp(x)
         sig = logistic(u)
-        ce = float(np.mean(np.logaddexp(0.0, u) - yc * u))
-        return ce, (sig - yc) @ du / u.size, (du.T * (sig * (1.0 - sig))) @ du / u.size
+        ce = float(np.average(np.logaddexp(0.0, u) - yc * u, weights=w))
+        return (ce, ((sig - yc) * w) @ du / total,
+                (du.T * (sig * (1.0 - sig) * w)) @ du / total)
 
     return objective
 
@@ -281,15 +284,10 @@ def fit_cpt_params(ds: ChoiceDataset, scale: float = 1.0) -> CptFit:
         slope = g @ step
         if not slope < 0.0:
             break
-        t = 1.0
-        while t > 1e-10:
-            cand = objective(x + t * step)
-            if cand[0] <= value + 1e-4 * t * slope + 4 * np.finfo(float).eps * value:
-                x, (value, g, H) = x + t * step, cand
-                break
-            t *= 0.5
-        else:
+        accepted = _backtrack(objective, x, step, value, slope)
+        if accepted is None:
             break
+        x, (value, g, H) = accepted
         iterations += 1
     delta, gamma = np.exp(x)
     return CptFit(CptParams(float(delta), float(gamma)), value,
@@ -307,7 +305,7 @@ def cpt_fit_predictor(ds: ChoiceDataset, scale: float = 1.0) -> CptPredictor:
 # ---------------------------------------------------------------------------
 
 def evaluate(handle, ds: ChoiceDataset) -> dict:
-    """Mean squared error and mean cross-entropy of a handle on a dataset."""
+    """Row-weighted mean squared error and cross-entropy of a handle."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
     y = ds.outcomes()
@@ -318,5 +316,6 @@ def evaluate(handle, ds: ChoiceDataset) -> dict:
         preds = np.array([handle.predict(r.menu) for r in ds])
     yc = np.clip(y, TARGET_CLIP, 1 - TARGET_CLIP)
     pc = np.clip(preds, TARGET_CLIP, 1 - TARGET_CLIP)
-    ce = float(np.mean(-yc * np.log(pc) - (1 - yc) * np.log(1 - pc)))
-    return {"mse": float(np.mean((preds - y) ** 2)), "cross_entropy": ce}
+    w = ds.weights()
+    ce = float(np.average(-yc * np.log(pc) - (1 - yc) * np.log(1 - pc), weights=w))
+    return {"mse": float(np.average((preds - y) ** 2, weights=w)), "cross_entropy": ce}

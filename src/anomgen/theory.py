@@ -135,6 +135,27 @@ def _ball_newton_point(H: np.ndarray, b: np.ndarray, radius: float) -> np.ndarra
     return -(Q @ q) * min(1.0, radius / znorm)
 
 
+def _backtrack(objective, x: np.ndarray, step: np.ndarray, value: float,
+               slope: float):
+    """Armijo backtracking along ``x + t step`` for t = 1, 1/2, ... > 1e-10.
+
+    ``objective`` maps a point to a tuple whose first entry is the loss;
+    ``value`` is the loss at ``x`` and ``slope`` its directional derivative
+    along ``step``.  Returns the first accepted ``(point, objective(point))``,
+    or None when every t fails.  A few ulps of slack let through a last full
+    step whose predicted decrease is below the rounding of the loss.  Both
+    Newton fits, theta's and the weighting fit's, step through here.
+    """
+    t = 1.0
+    while t > 1e-10:
+        cand = x + t * step
+        out = objective(cand)
+        if out[0] <= value + 1e-4 * t * slope + 4 * np.finfo(float).eps * value:
+            return cand, out
+        t *= 0.5
+    return None
+
+
 def _fit_logits(D: np.ndarray, y: np.ndarray) -> FitResult:
     """Minimize mean CE of sigma(D theta) against targets y over the ball.
 
@@ -181,18 +202,12 @@ def _fit_logits(D: np.ndarray, y: np.ndarray) -> FitResult:
         slope = g @ step
         if not slope < 0.0:
             break
-        # Backtrack on the segment, which stays in the ball.  A few ulps of
-        # slack let through a last full step whose predicted decrease is
-        # below the rounding of the loss.
-        t = 1.0
-        while t > 1e-10:
-            cand_value = _cross_entropy(A @ (w + t * step), y)
-            if cand_value <= value + 1e-4 * t * slope + 4 * np.finfo(float).eps * value:
-                w, value = w + t * step, cand_value
-                break
-            t *= 0.5
-        else:
+        # Backtrack on the segment, which stays in the ball.
+        accepted = _backtrack(lambda v: (_cross_entropy(A @ v, y),), w, step,
+                              value, slope)
+        if accepted is None:
             break
+        w, (value,) = accepted
     theta = V.T @ w
     value = ce(theta)
     return FitResult(theta, max(value - entropy, 0.0), value, converged,

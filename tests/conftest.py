@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anomgen.lotteries import Example, ExampleCollection, Menu, make_lottery, menu_from_flat
+from anomgen.lotteries import Example, ExampleCollection, Lottery, Menu, make_lottery
 
 # Tolerance used when re-deriving quantities from tables rounded to whole
 # percents / cents.
@@ -94,9 +94,27 @@ def central_difference(fn, x, h=1e-6):
     return grad
 
 
+def unchecked_menu(x, n_payoffs):
+    """Menu from flat coordinates without the simplex invariant: finite
+    differences evaluate the smooth formulas a step off the simplex."""
+    x = np.asarray(x, dtype=float)
+    J = n_payoffs
+
+    def lottery(z, p):
+        lot = object.__new__(Lottery)
+        object.__setattr__(lot, "payoffs", z.copy())
+        object.__setattr__(lot, "probs", p.copy())
+        return lot
+
+    menu = object.__new__(Menu)
+    object.__setattr__(menu, "lottery0", lottery(x[:J], x[J:2 * J]))
+    object.__setattr__(menu, "lottery1", lottery(x[2 * J:3 * J], x[3 * J:]))
+    return menu
+
+
 def flat_menu_fn(fn, n_payoffs):
     """Adapt a Menu function to flat coordinates without revalidation."""
-    return lambda x: fn(menu_from_flat(x, n_payoffs, validate=False))
+    return lambda x: fn(unchecked_menu(x, n_payoffs))
 
 
 def kernel_weights(p, params):

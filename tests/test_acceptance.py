@@ -23,9 +23,8 @@ from anomgen.cli import run_command
 from anomgen.cpt import (CptParams, CptPredictor, choice_prob,
                          choice_prob_grad, simulate_choices)
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu,
-                               fosd_compare, make_lottery, menu_from_flat,
-                               merge_payoff_grid, probs_on_grid,
-                               sample_random_menu)
+                               fosd_compare, make_lottery, merge_payoff_grid,
+                               probs_on_grid, sample_random_menu)
 from anomgen.morphing import MorphConfig, morph_step_direction, run_morph_index
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
                                menu_input_scaling, mlp_grad, mlp_predict,
@@ -34,7 +33,7 @@ from anomgen.records import read_jsonl
 from anomgen.theory import fit_theta
 from anomgen.verifier import (minimal_anomaly, verify_collection,
                               verify_increasing_utility, verify_parametrized)
-from conftest import TABLE_TOL, central_difference, kernel_weights
+from conftest import TABLE_TOL, central_difference, kernel_weights, unchecked_menu
 
 DESK_SEED = 23
 DESK_RUNS = 300          # per procedure
@@ -164,14 +163,14 @@ def test_criterion_4_gradient_suites():
             x = m.flatten()
             g = choice_prob_grad(m, params)
             fd = central_difference(
-                lambda v: choice_prob(menu_from_flat(v, 2, validate=False),
+                lambda v: choice_prob(unchecked_menu(v, 2),
                                       params), x)[probs]
             cpt_worst = max(cpt_worst, _vector_rel(fd, g))
 
             gm = mlp_grad(model, m)
             fdm = central_difference(
                 lambda v: mlp_predict(model,
-                                      menu_from_flat(v, 2, validate=False)), x)[probs]
+                                      unchecked_menu(v, 2)), x)[probs]
             rel = _vector_rel(fdm, gm)
             if rel < 1e-2:      # away from rectifier kinks
                 mlp_worst = max(mlp_worst, rel)

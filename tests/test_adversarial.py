@@ -5,9 +5,10 @@ from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run,
                                  interior_menu, run_adversarial_index)
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor
-from anomgen.lotteries import Lottery, Menu, menu_from_flat, sample_random_menu
-from anomgen.theory import TheorySpec, basis_values, fit_theta, theory_choice_prob
-from conftest import central_difference
+from anomgen.lotteries import Lottery, Menu, sample_random_menu
+from anomgen.theory import (TheorySpec, basis_values, fit_theta, theory_choice_prob,
+                            theory_loss)
+from conftest import central_difference, unchecked_menu
 
 BASIS = PolynomialBasis(order=6, domain=(0, 10))
 
@@ -68,8 +69,7 @@ class TestAscentObjective:
         menu = Menu(lot_menu.lottery0, lot_menu.lottery0)   # predictor gives 0.5
         pred = CptPredictor(CptParams(0.726, 0.309))
         spec = TheorySpec(BASIS, np.random.default_rng(1).normal(size=6))
-        value, _ = ascent_objective("logit_disagreement", pred, spec, menu,
-                                    basis_values(BASIS, menu))
+        value, _ = ascent_objective(pred, spec, menu, basis_values(BASIS, menu))
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_self_consistent_predictor_never_disagrees(self):
@@ -79,8 +79,7 @@ class TestAscentObjective:
         spec = TheorySpec(BASIS, theta)
         for _ in range(1000):
             menu = sample_random_menu(rng, 2, 0, 10)
-            value, _ = ascent_objective("logit_disagreement", pred, spec, menu,
-                                        basis_values(BASIS, menu))
+            value, _ = ascent_objective(pred, spec, menu, basis_values(BASIS, menu))
             assert value <= 1e-12
 
     def test_logit_gradient_matches_finite_differences(self):
@@ -92,36 +91,11 @@ class TestAscentObjective:
             if min(menu.lottery0.probs.min(), menu.lottery1.probs.min()) < 0.05:
                 continue
             spec = TheorySpec(BASIS, rng.normal(0, 0.4, size=6))
-            _, grad = ascent_objective("logit_disagreement", pred, spec, menu,
-                                       basis_values(BASIS, menu))
+            _, grad = ascent_objective(pred, spec, menu, basis_values(BASIS, menu))
 
             def value_at(x):
-                m = menu_from_flat(x, 2, validate=False)
-                return ascent_objective("logit_disagreement", pred, spec, m,
-                                        basis_values(BASIS, m))[0]
-
-            # The objective's gradient covers the probability coordinates.
-            fd = central_difference(value_at, menu.flatten())[[2, 3, 6, 7]]
-            worst = max(worst, np.max(np.abs(fd - grad) / (np.abs(grad) + 1e-7)))
-        assert worst < 1e-4
-
-    def test_raw_loss_gradient_matches_fixed_target_differences(self):
-        # The raw-loss ascent treats the predictor's value as the data point;
-        # its gradient is the theory loss gradient at that frozen target.
-        from anomgen.theory import theory_loss
-        pred = CptPredictor(CptParams(0.926, 0.377))
-        rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(25):
-            menu = sample_random_menu(rng, 2, 0.5, 9.5)
-            spec = TheorySpec(BASIS, rng.normal(0, 0.4, size=6))
-            target = pred.predict(menu)
-            _, grad = ascent_objective("raw_loss", pred, spec, menu,
-                                       basis_values(BASIS, menu))
-
-            def value_at(x):
-                m = menu_from_flat(x, 2, validate=False)
-                return theory_loss(spec, [(m, target)])[0]
+                m = unchecked_menu(x, 2)
+                return ascent_objective(pred, spec, m, basis_values(BASIS, m))[0]
 
             # The objective's gradient covers the probability coordinates.
             fd = central_difference(value_at, menu.flatten())[[2, 3, 6, 7]]
@@ -129,18 +103,25 @@ class TestAscentObjective:
         assert worst < 1e-4
 
     def test_raw_loss_gradient_vanishes_at_exact_fit(self):
-        # The vanishing-gradient regime that motivates the logit objective.
+        # The vanishing-gradient regime that motivates the logit objective:
+        # the cross-entropy of the fit against the predictor's value, held
+        # fixed, is flat in the probabilities wherever the fit is exact.
         pred = CptPredictor(CptParams(0.726, 0.309))
         rng = np.random.default_rng(4)
+        checked = 0
         for _ in range(20):
             menu = sample_random_menu(rng, 2, 0, 10)
-            fit = fit_theta(BASIS, [(menu, pred.predict(menu))])
+            target = pred.predict(menu)
+            fit = fit_theta(BASIS, [(menu, target)])
             if fit.kl > 1e-10:
                 continue
             spec = TheorySpec(BASIS, fit.theta)
-            _, grad = ascent_objective("raw_loss", pred, spec, menu,
-                                       basis_values(BASIS, menu))
+            grad = central_difference(
+                lambda x: theory_loss(spec, [(unchecked_menu(x, 2), target)])[0],
+                menu.flatten())[[2, 3, 6, 7]]
             assert np.linalg.norm(grad) < 1e-6
+            checked += 1
+        assert checked > 0
 
 
 class TestGdaRun:
@@ -158,11 +139,13 @@ class TestGdaRun:
         cfg = GdaConfig()
         for i in range(10):
             result = run_adversarial_index(pred, cfg, 6, i)
-            for step in result.trajectory:
-                for x in step:
-                    assert abs(x[2:4].sum() - 1) < 1e-12
-                    assert abs(x[6:8].sum() - 1) < 1e-12
-                    assert np.all(x[2:4] >= 0) and np.all(x[6:8] >= 0)
+            assert len(result.trajectory) == result.iterations + 1
+            for x in result.trajectory:
+                assert abs(x[2:4].sum() - 1) < 1e-12
+                assert abs(x[6:8].sum() - 1) < 1e-12
+                assert np.all(x[2:4] >= 0) and np.all(x[6:8] >= 0)
+            np.testing.assert_array_equal(result.trajectory[-1],
+                                          result.candidate.menus[1].flatten())
 
     def test_payoffs_frozen_by_default(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
@@ -179,20 +162,10 @@ class TestGdaRun:
         x0 = sample_random_menu(np.random.default_rng(8), 2, 0, 10)
         r1 = gda_run(pred, cfg, x0)
         r2 = gda_run(pred, cfg, x0.swapped())
-        for s1, s2 in zip(r1.trajectory, r2.trajectory):
-            m1 = menu_from_flat(s1[0], 2, validate=False)
-            m2 = menu_from_flat(s2[0], 2, validate=False)
-            np.testing.assert_allclose(m1.swapped().flatten(), m2.flatten(),
-                                       atol=1e-9)
-
-    def test_free_mode_requires_matching_inits(self):
-        pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = GdaConfig(collection_mode="free", free_size=2)
-        x0 = sample_random_menu(np.random.default_rng(9), 2, 0, 10)
-        with pytest.raises(ValueError):
-            gda_run(pred, cfg, [x0])
-        result = gda_run(pred, cfg, [x0, x0.swapped()])
-        assert len(result.candidate) == 2
+        assert len(r1.trajectory) == len(r2.trajectory)
+        for x1, x2 in zip(r1.trajectory, r2.trajectory):
+            # Flat order is (z0, p0, z1, p1): swapping labels swaps halves.
+            np.testing.assert_allclose(np.roll(x1, 4), x2, atol=1e-9)
 
 
 class TestGenerateAdversarial:

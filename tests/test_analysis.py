@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from anomgen.analysis import (FEATURE_NAMES, EpsilonFit, PatternFrequencies,
-                              anomaly_features, bootstrap_stat,
-                              consistent_patterns, estimate_epsilon, kmeans,
-                              pca, simulate_respondents, standardize)
+                              anomaly_features, consistent_patterns,
+                              estimate_epsilon, kmeans, pca,
+                              simulate_respondents, standardize)
 from anomgen.cli import run_command
 from anomgen.lotteries import (Example, ExampleCollection, Menu, lottery_stats,
                                make_lottery, sample_random_menu)
@@ -178,31 +178,3 @@ class TestEstimateEpsilon:
         with pytest.raises(ValueError):
             PatternFrequencies((0, 0, 0, 0)).frequencies()
 
-
-class TestBootstrap:
-    def test_degenerate_counts(self):
-        freqs = PatternFrequencies((100, 0, 0, 0))
-        out = bootstrap_stat(freqs, lambda f: f.frequencies()[0], reps=200, seed=0)
-        assert out["interval"] == (1.0, 1.0)
-
-    def test_seed_determinism(self):
-        freqs = PatternFrequencies((40, 10, 10, 40))
-        stat = lambda f: f.frequencies()[1] + f.frequencies()[2]
-        a = bootstrap_stat(freqs, stat, reps=300, seed=3)
-        b = bootstrap_stat(freqs, stat, reps=300, seed=3)
-        assert a == b
-
-    def test_coverage_on_simulated_ensemble(self):
-        # ~95% of intervals should cover the true violating-pattern mass.
-        rng = np.random.default_rng(12)
-        true = np.array([0.4, 0.1, 0.1, 0.4])
-        stat = lambda f: f.frequencies()[1] + f.frequencies()[2]
-        hits = 0
-        reps = 120
-        for i in range(reps):
-            counts = rng.multinomial(400, true)
-            out = bootstrap_stat(PatternFrequencies(tuple(counts)), stat,
-                                 reps=300, seed=i)
-            lo, hi = out["interval"]
-            hits += lo <= 0.2 <= hi
-        assert hits / reps > 0.85

@@ -63,9 +63,12 @@ class TestConfig:
             parse_config({"adversarial": {"learning_rate": 0.1}})
         with pytest.raises(ConfigError, match="typo"):
             parse_config({"typo": 1})
-        # The search moves only probabilities; there is no coordinate switch.
-        with pytest.raises(ConfigError, match="adversarial.ascent_coords"):
-            parse_config({"adversarial": {"ascent_coords": "all"}})
+        # The search moves only probabilities of one menu against the initial
+        # one, by one score: there is no coordinate, objective or mode switch.
+        for key, value in (("ascent_coords", "all"), ("objective", "raw_loss"),
+                           ("collection_mode", "free"), ("free_size", 2)):
+            with pytest.raises(ConfigError, match=f"adversarial.{key}"):
+                parse_config({"adversarial": {key: value}})
 
     def test_invalid_value_named(self):
         with pytest.raises(ConfigError, match="step_size"):

@@ -12,13 +12,6 @@ from anomgen.theory import fit_theta
 
 class TestSampleThetaHistory:
     # With identity basis rows the utilities are theta itself.
-    def test_single_entry_fallback(self):
-        theta = np.arange(5.0)
-        draws = sample_theta_history([theta], 20_000, np.random.default_rng(0),
-                                     np.eye(5))
-        np.testing.assert_allclose(draws.mean(axis=1), theta, atol=0.01)
-        np.testing.assert_allclose(draws.std(axis=1), 0.1, atol=0.01)
-
     def test_two_point_history_moments(self):
         h = [np.array([0.0, 1.0]), np.array([2.0, 3.0])]
         draws = sample_theta_history(h, 10_000, np.random.default_rng(1), np.eye(2))
@@ -35,10 +28,21 @@ class TestSampleThetaHistory:
         b = sample_theta_history(h, 100, np.random.default_rng(2), rows)
         np.testing.assert_array_equal(a, b)
 
+    def test_single_entry_fallback(self):
+        # There is no isotropic fallback for a one-fit history: it raises
+        # before drawing, so the generator's stream is untouched.
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="at least two fits"):
+            sample_theta_history([np.arange(5.0)], 20_000, rng, np.eye(5))
+        assert rng.random() == np.random.default_rng(0).random()
+
     def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            sample_theta_history(np.empty((0, 3)), 10, np.random.default_rng(0),
-                                 np.eye(3))
+        # A run samples after the seed fit and its first step's fit, so a
+        # history always holds two fits; fewer has no covariance to draw from.
+        for history in (np.empty((0, 3)), [np.arange(3.0)]):
+            with pytest.raises(ValueError):
+                sample_theta_history(history, 10, np.random.default_rng(0),
+                                     np.eye(3))
 
 
 class TestUtilityDraws:

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from anomgen.cpt import CptParams, choice_prob, simulate_choices
+from anomgen.cpt import CptParams, CptPredictor, choice_prob, simulate_choices
 from anomgen.data import ChoiceDataset, ChoiceRow, split_dataset
 from anomgen import predictor
-from anomgen.lotteries import (Lottery, Menu, make_lottery, menu_from_flat,
-                               sample_random_menu)
+from anomgen.lotteries import Lottery, Menu, make_lottery, sample_random_menu
 from anomgen.predictor import (MlpModel, MlpPredictor, MlpTrainConfig,
                                evaluate, fit_cpt_params, menu_input_scaling,
                                mlp_grad, mlp_predict, train_mlp, _backprop,
                                _ce_loss, _cpt_objective)
 from anomgen.theory import KKT_TOL
-from conftest import central_difference
+from conftest import central_difference, unchecked_menu
 
 BRUHIN_B = CptParams(0.726, 0.309)
 
@@ -161,7 +160,7 @@ class TestMlpGradients:
                 g = mlp_grad(model, m)
                 assert g.shape == (2 * J,)
                 fd = central_difference(
-                    lambda x: mlp_predict(model, menu_from_flat(x, J, validate=False)),
+                    lambda x: mlp_predict(model, unchecked_menu(x, J)),
                     m.flatten())
                 fd = np.concatenate([fd[J:2 * J], fd[3 * J:]])
                 rel = np.max(np.abs(fd - g) / (np.abs(g) + 1e-9))
@@ -232,6 +231,35 @@ class TestFitCptParams:
         fit = fit_cpt_params(ds)
         assert fit.iterations == 1 and not fit.converged
         assert np.linalg.norm(self._gradient_at(ds, fit)) > KKT_TOL
+
+
+class TestRowWeights:
+    """A row of weight 2 counts as that row twice, in the weighting fit and
+    in the metrics alike."""
+
+    @staticmethod
+    def _duplicated_and_weighted(row=7):
+        rows = list(cpt_dataset(400, seed=20, kind="rate", count=20))
+        r = rows[row]
+        doubled = ChoiceDataset(rows + [r])
+        rows[row] = ChoiceRow(r.menu, r.outcome, r.outcome_kind, weight=2.0)
+        return doubled, ChoiceDataset(rows)
+
+    def test_weighting_fit(self):
+        doubled, weighted = self._duplicated_and_weighted()
+        a, b = fit_cpt_params(doubled), fit_cpt_params(weighted)
+        assert abs(a.params.delta - b.params.delta) <= 1e-10
+        assert abs(a.params.gamma - b.params.gamma) <= 1e-10
+        assert abs(a.cross_entropy - b.cross_entropy) <= 1e-10
+        assert (a.converged, a.iterations) == (b.converged, b.iterations)
+
+    def test_metrics(self):
+        doubled, weighted = self._duplicated_and_weighted()
+        model = MlpModel.init_random([8, 8, 1], menu_input_scaling(2), seed=3)
+        for handle in (CptPredictor(BRUHIN_B), MlpPredictor(model)):
+            a, b = evaluate(handle, doubled), evaluate(handle, weighted)
+            for key in ("mse", "cross_entropy"):
+                assert abs(a[key] - b[key]) <= 1e-10
 
 
 class TestEvaluate:
