@@ -10,7 +10,9 @@ every sampled gradient retained by the rank cutoff.
 
 Payoffs stay frozen, so a sampled theory enters only through its 2J
 utilities at the menu's payoffs: those are drawn directly, and the span of
-the sampled gradients is read from their 2J x 2J Gram matrix.
+the sampled gradients is read from their 2J x 2J Gram matrix.  A step sums
+that matrix in one pass over fixed blocks of draws, so no array as wide as
+the sample count is built (``morph_step_direction``).
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ import numpy as np
 
 from .adversarial import SearchResult, interior_menu, search_result
 from .basis import basis_from_config
-from .cpt import logistic
 from .lotteries import Menu, menu_from_flat, run_rng, sample_random_menu, step_probs
 from .theory import basis_values, eu_difference_row, fit_theta
 
 DEFAULT_BASIS = {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}
 STOP_NORM = 1e-8
 COV_JITTER = 1e-8
+# Rows of the (count, r) standard-normal stream drawn and reduced at a time:
+# a block's arrays stay in cache, and the size moves no draw.
+_DRAW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -51,28 +55,53 @@ class MorphConfig:
         return basis_from_config(self.basis_config)
 
 
-def sample_theta_history(history, count: int, rng: np.random.Generator,
-                         basis_rows: np.ndarray) -> np.ndarray:
-    """Draw the utilities ``basis_rows @ theta`` for theta around the fit history.
+def _utility_factor(history, basis_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean (R,) and factor (R, r) of the utilities ``basis_rows @ theta``.
 
     theta ~ N(mean, cov + jitter I), with the mean and sample covariance of
     the history and a small jitter keeping the covariance factorizable.  The
     history holds at least two fits, because a run first samples after the
-    seed fit and the first step's fit.  Only the R utilities are drawn: the
-    (R, K) factor ``basis_rows @ chol(cov)`` is reduced by SVD to at most R
-    columns, so a singular utility covariance (lotteries sharing a payoff, or
-    R > K) still samples.  Returns an (R, count) array, one draw per column.
+    seed fit and the first step's fit.  The (R, K) factor
+    ``basis_rows @ chol(cov)`` is reduced by SVD to r <= R columns, so a
+    singular utility covariance (lotteries sharing a payoff, or R > K) still
+    samples: a draw is ``mean + factor @ z`` with z ~ N(0, I_r).
     """
     H = np.atleast_2d(np.array(history, dtype=float))
     if H.shape[0] < 2:
         raise ValueError("history must contain at least two fits")
-    mean = H.mean(axis=0)
     cov = np.cov(H, rowvar=False, ddof=1) + COV_JITTER * np.eye(H.shape[1])
     rows = np.asarray(basis_rows, dtype=float)
     W, svals, _ = np.linalg.svd(rows @ np.linalg.cholesky(cov), full_matrices=False)
-    draws = (W * svals) @ rng.standard_normal((svals.size, count))
-    draws += (rows @ mean)[:, None]
-    return draws
+    return rows @ H.mean(axis=0), W * svals
+
+
+def sample_theta_history(history, count: int, rng: np.random.Generator,
+                         basis_rows: np.ndarray) -> np.ndarray:
+    """Draw the utilities ``basis_rows @ theta`` for theta around the fit history.
+
+    The standard normals are drawn in the (count, r) layout, the stream
+    ``morph_step_direction`` reads block by block, and mapped through the
+    factor of ``_utility_factor``.  Returns an (R, count) array, one draw per
+    column.
+    """
+    mean, factor = _utility_factor(history, basis_rows)
+    return (rng.standard_normal((count, factor.shape[1])) @ factor.T + mean).T
+
+
+def _kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray:
+    """Gram matrix of the gradients ``scale[j] * cols[:, j]``, one per
+    column, whose norm exceeds ``rank_tol``; the others are dropped."""
+    weights = scale * scale
+    kept = weights * np.einsum("ij,ij->j", cols, cols) > rank_tol ** 2
+    return (cols * np.where(kept, weights, 0.0)) @ cols.T
+
+
+def _span(gram: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal columns spanning the eigenvectors of ``gram`` whose
+    eigenvalue (a squared singular value of the gradients) exceeds
+    ``rank_tol**2`` times the largest."""
+    evals, vecs = np.linalg.eigh(gram)              # ascending
+    return vecs[:, evals > rank_tol ** 2 * evals[-1]]
 
 
 def null_space_projection(g_star: np.ndarray, sampled_grads: np.ndarray,
@@ -88,11 +117,7 @@ def null_space_projection(g_star: np.ndarray, sampled_grads: np.ndarray,
     G = np.atleast_2d(np.asarray(sampled_grads, dtype=float))
     if G.shape[1] != g_star.size:
         raise ValueError("dimension mismatch between gradient and samples")
-    G = G[np.sqrt(np.einsum("ij,ij->i", G, G)) > rank_tol]
-    if G.shape[0] == 0:
-        return g_star.copy()
-    evals, vecs = np.linalg.eigh(G.T @ G)           # ascending
-    V = vecs[:, evals > rank_tol ** 2 * evals[-1]]
+    V = _span(_kept_gram(G.T, 1.0, rank_tol), rank_tol)
     return g_star - V @ (V.T @ g_star)
 
 
@@ -105,18 +130,53 @@ def _tangent(vecs: np.ndarray, n_payoffs: int) -> np.ndarray:
     return out if np.asarray(vecs).ndim > 1 else out[0]
 
 
-def morph_step_direction(pred_grad_probs: np.ndarray, sampled_grads_probs: np.ndarray,
-                         n_payoffs: int, rank_tol: float) -> np.ndarray:
-    """Null-space projection restricted to simplex-tangent coordinates."""
-    P = _tangent(np.eye(2 * n_payoffs), n_payoffs)    # symmetric projector
-    G = np.atleast_2d(np.asarray(sampled_grads_probs, dtype=float))
-    # (P G^T)^T is G P; this order reads a transposed view row by row.
-    return null_space_projection(P @ pred_grad_probs, (P @ G.T).T, rank_tol)
+def morph_step_direction(pred_grad: np.ndarray, menu: Menu, history,
+                         basis_rows: np.ndarray, rng: np.random.Generator,
+                         config: MorphConfig) -> tuple[np.ndarray, int]:
+    """One morph step's direction and the rank of the sampled span it removes.
+
+    Draws ``config.n_gradient_samples`` utility vectors U = (U0, U1) around
+    the fit history (``basis_rows`` holds the basis values at the menu's
+    payoffs).  Draw i's choice probability has gradient s_i v_i over
+    (p0, p1), with v_i = (-U0_i, U1_i), logit a_i = p1 . U1_i - p0 . U0_i
+    and slope s_i = sigma(a_i)(1 - sigma(a_i)).  The predictor's gradient and
+    these are restricted to simplex-tangent coordinates by the projector P,
+    and the step is ``null_space_projection`` of P g against the rows
+    s_i P v_i, with the same filter, Gram matrix and cutoff.  The draws are
+    taken in blocks of ``_DRAW_BLOCK`` rows of the (count, r) stream; each
+    block is mapped straight to P v and a and added into the 2J x 2J Gram
+    matrix, so no count-wide array is built.
+    """
+    J = menu.n_payoffs
+    mean, factor = _utility_factor(history, basis_rows)
+    P = _tangent(np.eye(2 * J), J)                  # symmetric projector
+    flip = np.repeat([-1.0, 1.0], J)                # U -> v
+    logit = np.concatenate([-menu.lottery0.probs, menu.lottery1.probs])
+    v_map, v_mean = P @ (flip[:, None] * factor), (P @ (flip * mean))[:, None]
+    a_map, a_mean = logit @ factor, logit @ mean
+    gram = np.zeros((2 * J, 2 * J))
+    count = config.n_gradient_samples
+    for start in range(0, count, _DRAW_BLOCK):
+        z = rng.standard_normal((min(_DRAW_BLOCK, count - start), factor.shape[1])).T
+        # sigma'(a) = e / (1 + e)^2 with e = exp(-|a|): one exp, no overflow.
+        e = np.exp(-np.abs(a_map @ z + a_mean))
+        v = v_map @ z                               # (2J, block)
+        v += v_mean
+        gram += _kept_gram(v, e / (1.0 + e) ** 2, config.rank_tol)
+    V = _span(gram, config.rank_tol)
+    g = P @ pred_grad
+    return g - V @ (V.T @ g), V.shape[1]
 
 
 def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator,
               provenance: dict | None = None) -> SearchResult:
-    """One morphing run; stops early once the projected direction vanishes."""
+    """One morphing run; stops early once the projected direction vanishes.
+
+    The provenance records why the run stopped (``stop``: one of
+    ``direction_vanished``, ``max_iters`` or ``nonfinite_gradient``) and
+    the rank of the sampled span removed by its last projection
+    (``retained_rank``, None when the run stopped before its first).
+    """
     basis = config.make_basis()
     J = x0.n_payoffs
     flags: list = []
@@ -132,6 +192,7 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
 
     x = x0.flatten()
     trajectory = [x.copy()]
+    rank = None
     for s in range(config.max_iters):
         menu = menu_from_flat(x, J)
         d = eu_difference_row(menu, B0, B1)
@@ -139,26 +200,23 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
                         design=np.array([d0, d]))
         history.append(fit.theta)
 
-        # Sampled utilities at the frozen payoffs: rows U0 then U1.
-        U = sample_theta_history(history, config.n_gradient_samples, rng, Bs)
-        fb = logistic(menu.lottery1.probs @ U[J:] - menu.lottery0.probs @ U[:J])
-        # In place, column i becomes the gradient of draw i's choice
-        # probability over (p0, p1): slope * (-U0, U1).
-        U[:J] *= -1.0
-        U *= fb * (1.0 - fb)
-
         pred_grad = predictor.grad(interior_menu(menu))
         if not np.all(np.isfinite(pred_grad)):
             flags.append(f"nonfinite_gradient@iter{s}")
+            stop = "nonfinite_gradient"
             break
-        direction = morph_step_direction(pred_grad, U.T, J, config.rank_tol)
+        direction, rank = morph_step_direction(pred_grad, menu, history, Bs, rng,
+                                               config)
         if np.linalg.norm(direction) < STOP_NORM:
+            stop = "direction_vanished"
             break
         x = step_probs(x, J, -config.step_size * direction)
         trajectory.append(x.copy())
+    else:
+        stop = "max_iters"
 
-    return search_result(predictor, "morphing", x0, f0, trajectory, flags,
-                         provenance)
+    prov = {**(provenance or {}), "stop": stop, "retained_rank": rank}
+    return search_result(predictor, "morphing", x0, f0, trajectory, flags, prov)
 
 
 def run_morph_index(predictor, config: MorphConfig, master_seed: int,

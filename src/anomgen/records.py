@@ -21,7 +21,7 @@ def candidate_to_record(collection: ExampleCollection, record_id: str | None = N
     prov = dict(collection.provenance)
     procedure = prov.get("procedure", "unknown")
     run_index = prov.get("run_index", 0)
-    return {
+    record = {
         "id": record_id or f"{procedure}-{run_index:06d}",
         "procedure": procedure,
         "predictor": prov.get("predictor"),
@@ -33,6 +33,9 @@ def candidate_to_record(collection: ExampleCollection, record_id: str | None = N
         "predicted_probs": [float(e.choice_prob) for e in collection],
         "implied_choices": [int(c) for c in collection.implied_choices],
     }
+    # Morph runs also say why they stopped and the rank they retained.
+    record.update({k: prov[k] for k in ("stop", "retained_rank") if k in prov})
+    return record
 
 
 def record_to_collection(record: dict) -> ExampleCollection:

@@ -25,7 +25,8 @@ from anomgen.cpt import (CptParams, CptPredictor, choice_prob,
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu,
                                fosd_compare, make_lottery, merge_payoff_grid,
                                probs_on_grid, sample_random_menu)
-from anomgen.morphing import MorphConfig, morph_step_direction, run_morph_index
+from anomgen.morphing import (MorphConfig, null_space_projection, run_morph_index,
+                              _tangent)
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
                                menu_input_scaling, mlp_grad, mlp_predict,
                                _backprop, _ce_loss)
@@ -261,9 +262,9 @@ def test_criterion_8_projection_properties():
             B0 = basis.eval(m.lottery0.payoffs)
             B1 = basis.eval(m.lottery1.payoffs)
             sampled = np.concatenate([-(thetas @ B0.T), thetas @ B1.T], axis=1)
-            v = morph_step_direction(g_probs, sampled, 2, rank_tol=1e-6)
-            from anomgen.morphing import _tangent
+            # A morph step projects in simplex-tangent coordinates.
             g_t = _tangent(g_probs, 2)
+            v = null_space_projection(g_t, _tangent(sampled, 2), rank_tol=1e-6)
             assert -(v @ g_t) <= 1e-10
             vn = np.linalg.norm(v)
             for row in _tangent(sampled, 2):

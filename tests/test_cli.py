@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from anomgen import morphing
 from anomgen.cli import run_command
 from anomgen.config import ConfigError, load_config, parse_config
 from anomgen.cpt import CptParams, CptPredictor
@@ -219,6 +220,21 @@ class TestPipelineCommands:
         run_ok(["morph", "--inits", "6", "--seed", "4", "--out", "m2.jsonl",
                 "--workers", "2"], capsys)
         assert Path("m1.jsonl").read_bytes() == Path("m2.jsonl").read_bytes()
+
+    def test_worker_count_does_not_change_multi_block_morph_bytes(self, tmp_path,
+                                                                    capsys):
+        # A step draws its samples in blocks; three full blocks and a
+        # remainder must give the same bytes in every worker layout.
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"morph": {
+            "n_gradient_samples": 3 * morphing._DRAW_BLOCK + 17, "max_iters": 4}}))
+        for workers in ("1", "2"):
+            run_ok(["morph", "--config", "cfg.json", "--inits", "4", "--seed", "4",
+                    "--out", f"m{workers}.jsonl", "--workers", workers], capsys)
+        assert Path("m1.jsonl").read_bytes() == Path("m2.jsonl").read_bytes()
+        _, recs = read_jsonl("m1.jsonl")
+        assert {r["stop"] for r in recs} <= {"direction_vanished", "max_iters"}
+        assert any(r["iterations"] > 0 for r in recs)
 
     def test_workers_env_fallback(self, tmp_path, capsys, monkeypatch):
         os.chdir(tmp_path)

@@ -1,12 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 
+from anomgen import morphing
+from anomgen.adversarial import GdaConfig, run_adversarial_index
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
 from anomgen.lotteries import Lottery, Menu, menu_from_flat, sample_random_menu
 from anomgen.morphing import (COV_JITTER, MorphConfig, morph_run,
                               morph_step_direction, null_space_projection,
                               run_morph_index, sample_theta_history, _tangent)
+from anomgen.records import candidate_to_record
 from anomgen.theory import fit_theta
 
 
@@ -101,6 +106,31 @@ class TestUtilityDraws:
         assert np.linalg.matrix_rank(np.cov(U)) == 2
 
 
+def sampled_gradients(history, count, rng, rows, menu):
+    """The (count, 2J) choice-probability gradients over (p0, p1) of utility
+    draws around ``history``, built from one whole draw."""
+    J = menu.n_payoffs
+    U = sample_theta_history(history, count, rng, rows)
+    fb = logistic(menu.lottery1.probs @ U[J:] - menu.lottery0.probs @ U[:J])
+    return (np.concatenate([-U[:J], U[J:]]) * (fb * (1 - fb))).T
+
+
+def gap_tolerance(kept_rows, rank_tol):
+    """Gap-dependent tolerance of the Gram route against an SVD, or None when
+    a singular value lies within 1% of the cutoff (either side is then right).
+
+    1e-10 while the weakest retained singular value is at least 1e-3 of the
+    largest, ``100 eps / ratio**2`` below that."""
+    if kept_rows.shape[0] == 0:
+        return 1e-10
+    ratios = np.linalg.svd(kept_rows, compute_uv=False)
+    ratios = ratios / ratios[0]
+    if np.any(np.abs(ratios / rank_tol - 1.0) < 0.01):
+        return None
+    weakest = ratios[ratios > rank_tol].min()
+    return 1e-10 if weakest >= 1e-3 else 1e2 * np.finfo(float).eps / weakest ** 2
+
+
 def svd_projection(g_star, sampled_grads, rank_tol):
     """Reference: the span from an SVD of the filtered sampled gradients."""
     G = sampled_grads[np.linalg.norm(sampled_grads, axis=1) > rank_tol]
@@ -130,9 +160,8 @@ class TestGramMatchesSvd:
                  x0.flatten()[4:6], rng.dirichlet([2, 2])]), 2)
             history = [fit_theta(basis, [(x0, f0)]).theta,
                        fit_theta(basis, [(x0, f0), (menu, pred.predict(menu))]).theta]
-            U = sample_theta_history(history, 200_000, rng, rows)
-            fb = logistic(menu.lottery1.probs @ U[2:] - menu.lottery0.probs @ U[:2])
-            sampled = (np.concatenate([-U[:2], U[2:]]) * (fb * (1 - fb))).T
+            step_rng = copy.deepcopy(rng)             # the same draws for the step
+            sampled = sampled_gradients(history, 200_000, rng, rows, menu)
             g = pred.grad(menu)
             g_t, G_t = _tangent(g, 2), _tangent(sampled, 2)
             # A singular value within 1% of the cutoff may fall on either
@@ -147,8 +176,10 @@ class TestGramMatchesSvd:
             reference = svd_projection(g_t, G_t, rank_tol)
             np.testing.assert_allclose(null_space_projection(g_t, G_t, rank_tol),
                                        reference, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(morph_step_direction(g, sampled, 2, rank_tol),
-                                       reference, rtol=0, atol=1e-10)
+            step, _ = morph_step_direction(
+                g, menu, history, rows, step_rng,
+                MorphConfig(n_gradient_samples=200_000, rank_tol=rank_tol))
+            np.testing.assert_allclose(step, reference, rtol=0, atol=1e-10)
             compared += 1
         assert compared >= 23
 
@@ -293,15 +324,163 @@ class TestMorphRun:
 
 class TestMorphStepDirection:
     def test_descent_against_predictor_gradient(self):
-        # Criterion-8 style property on random tangent states.
+        # Criterion-8 style property on random tangent states: the step
+        # descends the tangent predictor gradient and is orthogonal to every
+        # retained sampled gradient of its own draws.
         rng = np.random.default_rng(11)
         for _ in range(200):
             g = rng.normal(size=4)
-            grads = rng.normal(size=(rng.integers(1, 6), 4))
-            v = morph_step_direction(g, grads, 2, rank_tol=1e-6)
+            rows = rng.normal(size=(4, 5))            # random basis values
+            history = list(rng.normal(size=(int(rng.integers(2, 5)), 5)))
+            menu = sample_random_menu(rng, 2, 0.0, 10.0)
+            count = int(rng.integers(1, 6))
+            twin = copy.deepcopy(rng)
+            v, rank = morph_step_direction(
+                g, menu, history, rows, rng,
+                MorphConfig(n_gradient_samples=count, rank_tol=1e-6))
+            grads = sampled_gradients(history, count, twin, rows, menu)
+            assert 0 <= rank <= min(count, 2)
             g_t = _tangent(g, 2)
             assert -(v @ g_t) <= 1e-10
             # Orthogonal to every retained (tangent-projected) gradient.
             for row in _tangent(grads, 2):
                 assert abs(v @ row) <= 1e-6 * (np.linalg.norm(v) + 1e-300) * \
                     (np.linalg.norm(row) + 1e-300) + 1e-12
+
+
+class RecordingRng:
+    """Passes ``standard_normal`` through to a generator and keeps each draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        self.draws.append(out)
+        return out
+
+
+def morph_like_state(rng, J):
+    """Fit history at a random start menu and at a second menu with its
+    payoffs, as a morph run's first step sees them."""
+    pred = CptPredictor(CptParams(0.726, 0.309))
+    basis = ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0))
+    x0 = sample_random_menu(rng, J, 0.0, 10.0)
+    rows = np.concatenate([basis.eval(x0.lottery0.payoffs),
+                           basis.eval(x0.lottery1.payoffs)])
+    f0 = pred.predict(x0)
+    menu = Menu(Lottery(x0.lottery0.payoffs, rng.dirichlet([2.0] * J)),
+                Lottery(x0.lottery1.payoffs, rng.dirichlet([2.0] * J)))
+    history = [fit_theta(basis, [(x0, f0)]).theta,
+               fit_theta(basis, [(x0, f0), (menu, pred.predict(menu))]).theta]
+    return pred.grad(menu), menu, history, rows
+
+
+class TestBlockedGram:
+    """The blocked step against the whole-array route on the same draws."""
+
+    @pytest.mark.parametrize("rank_tol", [0.1, 1e-6])
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_matches_null_space_projection(self, rank_tol, J):
+        count = 2 * morphing._DRAW_BLOCK + 17
+        rng = np.random.default_rng(31 + J)
+        compared = skipped = 0
+        ranks = set()
+        for _ in range(12):
+            g, menu, history, rows = morph_like_state(rng, J)
+            twin = copy.deepcopy(rng)
+            step, rank = morph_step_direction(
+                g, menu, history, rows, rng,
+                MorphConfig(n_gradient_samples=count, rank_tol=rank_tol))
+            G_t = _tangent(sampled_gradients(history, count, twin, rows, menu), J)
+            # The two routes consumed the same stream.
+            assert rng.bit_generator.state == twin.bit_generator.state
+            kept = G_t[np.linalg.norm(G_t, axis=1) > rank_tol]
+            atol = gap_tolerance(kept, rank_tol)
+            if atol is None:
+                skipped += 1
+                continue
+            np.testing.assert_allclose(
+                step, null_space_projection(_tangent(g, J), G_t, rank_tol),
+                rtol=0, atol=atol)
+            expected = 0
+            if kept.size:
+                svals = np.linalg.svd(kept, compute_uv=False)
+                expected = int(np.sum(svals > rank_tol * svals[0]))
+            assert rank == expected
+            ranks.add(rank)
+            compared += 1
+        assert skipped <= 2 and compared >= 10
+        # At the default cutoff the states cover more than one retained rank;
+        # at 1e-6 every sampled span fills the tangent space.
+        assert len(ranks) >= 2 or rank_tol < 1e-3
+
+    def test_block_size_moves_no_draw(self, monkeypatch):
+        # Two block sizes read the same (count, r) stream as one whole draw
+        # and agree on the direction within the gap-dependent tolerance.
+        count = 3 * 4096 + 17
+        rng = np.random.default_rng(37)
+        compared = 0
+        for trial in range(8):
+            g, menu, history, rows = morph_like_state(rng, 2)
+            cfg = MorphConfig(n_gradient_samples=count)
+            results = {}
+            for block in (1000, 4096):
+                monkeypatch.setattr(morphing, "_DRAW_BLOCK", block)
+                recorder = RecordingRng(trial)
+                step, rank = morph_step_direction(g, menu, history, rows,
+                                                  recorder, cfg)
+                assert [d.shape[0] for d in recorder.draws[:-1]] == \
+                    [block] * (len(recorder.draws) - 1)
+                results[block] = (np.concatenate(recorder.draws), step, rank,
+                                  recorder.rng.bit_generator.state)
+            (z1, step1, rank1, state1), (z2, step2, rank2, state2) = results.values()
+            whole = np.random.default_rng(trial)
+            np.testing.assert_array_equal(z1, whole.standard_normal(z1.shape))
+            np.testing.assert_array_equal(z1, z2)
+            assert state1 == state2 == whole.bit_generator.state
+            G_t = _tangent(sampled_gradients(history, count,
+                                             np.random.default_rng(trial), rows,
+                                             menu), 2)
+            atol = gap_tolerance(G_t[np.linalg.norm(G_t, axis=1) > cfg.rank_tol],
+                                 cfg.rank_tol)
+            if atol is None:
+                continue
+            assert rank1 == rank2
+            np.testing.assert_allclose(step1, step2, rtol=0, atol=atol)
+            compared += 1
+        assert compared >= 6
+
+
+class NanGradPredictor(CptPredictor):
+    def grad(self, menu):
+        return np.full(2 * menu.n_payoffs, np.nan)
+
+
+class TestStopRecord:
+    """Morph candidates record why they stopped and the rank they kept."""
+
+    def test_each_stop_value(self):
+        pred = CptPredictor(CptParams(0.726, 0.309))
+        # Cutoffs below ~1e-2 see a full-rank span at step 0 (MorphConfig).
+        vanished = run_morph_index(pred, MorphConfig(rank_tol=1e-3), 6, 0)
+        capped = run_morph_index(pred, MorphConfig(max_iters=2), 11, 3)
+        nonfinite = run_morph_index(NanGradPredictor(CptParams(0.726, 0.309)),
+                                    MorphConfig(), 6, 0)
+        recs = [candidate_to_record(r.candidate)
+                for r in (vanished, capped, nonfinite)]
+        assert [r["stop"] for r in recs] == ["direction_vanished", "max_iters",
+                                             "nonfinite_gradient"]
+        # A full tangent span (rank 2 for J = 2) leaves no direction.
+        assert vanished.iterations == 0 and recs[0]["retained_rank"] == 2
+        assert capped.iterations == 2 and recs[1]["retained_rank"] in (0, 1)
+        # No step reached the projection, so no rank was retained.
+        assert nonfinite.iterations == 0 and recs[2]["retained_rank"] is None
+        assert nonfinite.flags == ["nonfinite_gradient@iter0"]
+
+    def test_other_records_have_no_stop(self):
+        pred = CptPredictor(CptParams(0.726, 0.309))
+        rec = candidate_to_record(
+            run_adversarial_index(pred, GdaConfig(max_iters=2), 6, 0).candidate)
+        assert "stop" not in rec and "retained_rank" not in rec
