@@ -34,6 +34,7 @@ DEFAULT_BASIS = {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
 class GdaConfig:
     step_size: float = 0.01
     max_iters: int = 50
+    inits: int = 100                    # runs a CLI batch makes without --inits
     basis_config: dict = field(default_factory=lambda: dict(DEFAULT_BASIS))
     n_payoffs: int = 2
 

@@ -25,8 +25,9 @@ from .lotteries import (ExampleCollection, FosdOrder, Lottery, Menu,
 
 PAYOFF_STRICT = 1e-9
 DEFAULT_TOL = 1e-6      # raw optimizer output; paper tables need 0.02
-CATEGORY_TAGS = ("fosd", "dominated_consequence", "reverse_dominated_consequence",
-                 "strict_dominance", "shared_component_reversal", "other")
+# In the row order of the category report.
+CATEGORY_TAGS = ("dominated_consequence", "reverse_dominated_consequence",
+                 "strict_dominance", "fosd", "shared_component_reversal", "other")
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import analysis, records
-from .adversarial import GdaConfig, run_adversarial_index
+from .adversarial import run_adversarial_index
 from .basis import basis_from_config
-from .categorize import categorize
+from .categorize import CATEGORY_TAGS, categorize
 from .config import ConfigError, PipelineConfig, build_predictor, load_config, parse_config
-from .cpt import CptParams, simulate_choices
+from .cpt import simulate_choices
 from .data import load_dataset, save_dataset
 from .lotteries import Menu, run_rng, sample_random_menu
-from .morphing import MorphConfig, run_morph_index
+from .morphing import run_morph_index
 from .predictor import (MlpPredictor, MlpTrainConfig, evaluate, fit_cpt_params,
                         train_mlp)
 from .verifier import minimal_anomaly, verify_collection, verify_parametrized
@@ -36,13 +36,6 @@ def _summary(**kwargs) -> int:
     return 0
 
 
-def _read_raw_config(path) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _config_from_args(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else parse_config({})
     if getattr(args, "seed", None) is not None:
@@ -51,21 +44,9 @@ def _config_from_args(args) -> PipelineConfig:
         cfg.workers = args.workers
     elif os.environ.get("ANOMGEN_WORKERS"):
         cfg.workers = int(os.environ["ANOMGEN_WORKERS"])
+    if cfg.workers < 1:
+        raise ConfigError(f"workers: invalid value {cfg.workers!r}")
     return cfg
-
-
-def _gda_config(cfg: PipelineConfig) -> GdaConfig:
-    a = cfg.adversarial
-    return GdaConfig(step_size=a.step_size, max_iters=a.max_iters,
-                     basis_config=a.basis, n_payoffs=cfg.n_payoffs)
-
-
-def _morph_config(cfg: PipelineConfig) -> MorphConfig:
-    m = cfg.morph
-    return MorphConfig(step_size=m.step_size, max_iters=m.max_iters,
-                       n_gradient_samples=m.n_gradient_samples,
-                       rank_tol=m.rank_tol, basis_config=m.basis,
-                       n_payoffs=cfg.n_payoffs)
 
 
 # -- worker chunks (module level for pickling) and their fan-out -------------
@@ -85,15 +66,15 @@ def _fan_out(chunk_fn, args: tuple, items: list, workers: int) -> list:
     return [r for _, r in collected]
 
 
-def _generate_chunk(raw_config: dict, procedure: str, seed: int, indices):
-    cfg = parse_config(raw_config)
+def _generate_chunk(cfg: PipelineConfig, procedure: str, indices):
     predictor = build_predictor(cfg.predictor)
+    seed = cfg.seed
     out = []
     for i in indices:
         if procedure == "adversarial":
-            coll = run_adversarial_index(predictor, _gda_config(cfg), seed, i).candidate
+            coll = run_adversarial_index(predictor, cfg.adversarial, seed, i).candidate
         elif procedure == "morph":
-            coll = run_morph_index(predictor, _morph_config(cfg), seed, i).candidate
+            coll = run_morph_index(predictor, cfg.morph, seed, i).candidate
         else:
             coll = analysis.random_pair(predictor, seed, i, cfg.n_payoffs,
                                         cfg.theory_basis["domain"])
@@ -105,22 +86,18 @@ def _generate_chunk(raw_config: dict, procedure: str, seed: int, indices):
 
 def _run_generation(args, procedure: str) -> int:
     cfg = _config_from_args(args)
-    inits = args.inits if args.inits is not None else (
-        cfg.adversarial.inits if procedure == "adversarial" else cfg.morph.inits)
+    inits = args.inits if args.inits is not None else getattr(cfg, procedure).inits
     if inits < 1:
         raise ConfigError("need at least one initialization (--inits >= 1)")
-    seed = cfg.seed
-    recs = _fan_out(_generate_chunk, (_read_raw_config(args.config), procedure, seed),
-                    list(range(inits)), cfg.workers)
+    recs = _fan_out(_generate_chunk, (cfg, procedure), list(range(inits)), cfg.workers)
     records.write_jsonl(args.out, recs, kind="candidates")
-    return _summary(command=procedure, runs=inits, seed=seed, out=args.out,
+    return _summary(command=procedure, runs=inits, seed=cfg.seed, out=args.out,
                     workers=cfg.workers)
 
 
 # -- verification / categorization ------------------------------------------
 
-def _verify_chunk(raw_config: dict, recs):
-    cfg = parse_config(raw_config)
+def _verify_chunk(cfg: PipelineConfig, recs):
     basis = basis_from_config(cfg.theory_basis)
     out = []
     for idx, rec in recs:
@@ -148,8 +125,7 @@ def _verify_chunk(raw_config: dict, recs):
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     _, recs = records.read_jsonl(args.inp)
-    out_recs = _fan_out(_verify_chunk, (_read_raw_config(args.config),),
-                        list(enumerate(recs)), cfg.workers)
+    out_recs = _fan_out(_verify_chunk, (cfg,), list(enumerate(recs)), cfg.workers)
     records.write_jsonl(args.out, out_recs, kind="verified")
     n_par = sum(r["parametrized_inconsistent"] for r in out_recs)
     n_full = sum(r["any_utility_inconsistent"] for r in out_recs)
@@ -205,9 +181,7 @@ def cmd_cluster(args) -> int:
 def cmd_report(args) -> int:
     _, recs = records.read_jsonl(args.inp)
     predictors = sorted({str(r.get("predictor")) for r in recs})
-    tags = ("dominated_consequence", "reverse_dominated_consequence",
-            "strict_dominance", "fosd", "shared_component_reversal", "other")
-    counts = {(t, p): 0 for t in tags for p in predictors}
+    counts = {(t, p): 0 for t in CATEGORY_TAGS for p in predictors}
     totals = dict.fromkeys(predictors, 0)
     for r in recs:
         if not r.get("any_utility_inconsistent"):
@@ -216,7 +190,7 @@ def cmd_report(args) -> int:
         tag = r.get("category", {}).get("tag", "other")
         counts[(tag, p)] += 1
         totals[p] += 1
-    rows = [[tag] + [counts[(tag, p)] for p in predictors] for tag in tags]
+    rows = [[tag] + [counts[(tag, p)] for p in predictors] for tag in CATEGORY_TAGS]
     rows.append(["total"] + [totals[p] for p in predictors])
     records.write_csv(args.out, ["category"] + predictors, rows)
     return _summary(command="report", records=len(recs),
@@ -227,16 +201,12 @@ def cmd_report(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    pred_cfg = cfg.predictor
-    if pred_cfg.delta is not None and pred_cfg.gamma is not None:
-        params = CptParams(pred_cfg.delta, pred_cfg.gamma)
-    else:
-        params = CptParams.preset(pred_cfg.preset)
+    params, _ = cfg.predictor.cpt_params()
     rng = run_rng(cfg.seed, 0)
     domain = cfg.theory_basis["domain"]
     menus = [sample_random_menu(rng, cfg.n_payoffs, *domain) for _ in range(args.n)]
     ds = simulate_choices(rng, menus, params, kind=args.kind, count=args.count,
-                          scale=pred_cfg.scale)
+                          scale=cfg.predictor.scale)
     save_dataset(ds, args.out)
     return _summary(command="simulate", rows=len(ds), kind=args.kind,
                     delta=params.delta, gamma=params.gamma, out=args.out)
@@ -309,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("adversarial", "morph", "baseline"):
         p = sub.add_parser(name, help=f"run the {name} generator")
         common(p)
-        p.add_argument("--inits", type=int, default=None)
+        # The searches default to their config section's inits; the baseline
+        # has no section.
+        p.add_argument("--inits", type=int, default=None,
+                       required=name == "baseline")
 
     p = sub.add_parser("verify", help="verify candidate collections")
     common(p, inp=True)

@@ -1,35 +1,57 @@
-"""Pipeline configuration: JSON in, validated dataclass out, defaults filled.
+"""Pipeline configuration: JSON in, validated dataclasses out.
 
-Unknown keys are rejected with their path so config typos fail loudly before
-a long batch run.
+Each search section parses straight into its search's config type, and a key
+left out takes that dataclass field's default.  Unknown keys and bad values
+are rejected with their path so config typos fail loudly before a long batch
+run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .adversarial import DEFAULT_BASIS
-from .cpt import PRESETS
-from .morphing import DEFAULT_BASIS as MORPH_BASIS
+from .adversarial import DEFAULT_BASIS, GdaConfig
+from .cpt import PRESETS, CptParams, CptPredictor
+from .morphing import DEFAULT_BASIS as MORPH_BASIS, MorphConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _take(section: dict, path: str, key: str, default, check=None):
-    value = section.pop(key, default)
-    if check is not None and not check(value):
-        raise ConfigError(f"{path}.{key}: invalid value {value!r}")
-    return value
+def _positive(v):
+    return v > 0
 
 
-def _reject_unknown(section: dict, path: str):
-    if section:
-        key = next(iter(section))
-        full = f"{path}.{key}" if path else key
-        raise ConfigError(f"unknown key {full!r}")
+def _is_dict(v):
+    return isinstance(v, dict)
+
+
+def _count(minimum: int):
+    # bool is an int subclass and a float count fails later inside range().
+    return lambda v: type(v) is int and v >= minimum
+
+
+def _pick(section, path: str, checks: dict) -> dict:
+    """``section`` with each key checked by ``checks[key]`` (None: no check).
+
+    A key ``checks`` does not name is rejected.  Keys left out stay out, so the
+    dataclass built from the result supplies its own defaults.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
+    prefix = f"{path}." if path else ""
+    for key, value in section.items():
+        if key not in checks:
+            raise ConfigError(f"unknown key {prefix + key!r}")
+        try:
+            ok = checks[key] is None or checks[key](value)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{prefix}{key}: invalid value {value!r}")
+    return dict(section)
 
 
 @dataclass
@@ -42,26 +64,22 @@ class PredictorSection:
     dataset_path: str | None = None
     scale: float = 1.0
 
-
-@dataclass
-class SearchSection:
-    step_size: float
-    max_iters: int = 50
-    inits: int = 100
-    n_gradient_samples: int = 2_000
-    rank_tol: float = 0.1
-    basis: dict = field(default_factory=dict)
+    def cpt_params(self) -> tuple[CptParams, str]:
+        """(parameters, label): the explicit (delta, gamma) when given, else
+        the preset."""
+        if self.delta is not None:
+            return CptParams(self.delta, self.gamma), f"cpt({self.delta:g},{self.gamma:g})"
+        return CptParams.preset(self.preset), f"cpt:{self.preset}"
 
 
 @dataclass
 class PipelineConfig:
     predictor: PredictorSection
     theory_basis: dict
-    adversarial: SearchSection
-    morph: SearchSection
+    adversarial: GdaConfig
+    morph: MorphConfig
     kl_threshold: float = 1e-5
     margin_threshold: float = 1e-9
-    clusters: int = 4
     n_payoffs: int = 2
     seed: int = 0
     workers: int = 1
@@ -69,80 +87,40 @@ class PipelineConfig:
 
 def parse_config(raw: dict) -> PipelineConfig:
     raw = dict(raw)
-    pred_raw = dict(raw.pop("predictor", {}))
-    predictor = PredictorSection(
-        kind=_take(pred_raw, "predictor", "kind", "cpt",
-                   lambda v: v in ("cpt", "mlp", "cpt_fit")),
-        preset=_take(pred_raw, "predictor", "preset", "bruhin-b",
-                     lambda v: v is None or v in PRESETS),
-        delta=_take(pred_raw, "predictor", "delta", None),
-        gamma=_take(pred_raw, "predictor", "gamma", None),
-        model_path=_take(pred_raw, "predictor", "model_path", None),
-        dataset_path=_take(pred_raw, "predictor", "dataset_path", None),
-        scale=_take(pred_raw, "predictor", "scale", 1.0, lambda v: v > 0),
-    )
-    _reject_unknown(pred_raw, "predictor")
+    predictor = PredictorSection(**_pick(raw.pop("predictor", {}), "predictor", {
+        "kind": lambda v: v in ("cpt", "mlp", "cpt_fit"),
+        "preset": lambda v: v in PRESETS,
+        "delta": _positive, "gamma": _positive,
+        "model_path": None, "dataset_path": None, "scale": _positive}))
+    if (predictor.delta is None) != (predictor.gamma is None):
+        raise ConfigError("predictor.delta and predictor.gamma must be given together")
+    theory = _pick(raw.pop("theory", {}), "theory", {"basis": _is_dict})
+    search = {"step_size": _positive, "max_iters": _count(1), "inits": _count(0),
+              "basis": _is_dict}
+    adversarial = _pick(raw.pop("adversarial", {}), "adversarial", search)
+    morph = _pick(raw.pop("morph", {}), "morph", {
+        **search, "n_gradient_samples": _count(1), "rank_tol": _positive})
+    verification = _pick(raw.pop("verification", {}), "verification", {
+        "kl_threshold": _positive, "margin_threshold": _positive})
+    top = _pick(raw, "", {"n_payoffs": lambda v: v in (2, 3) and type(v) is int,
+                          "seed": _count(0), "workers": _count(1)})
 
-    theory_raw = dict(raw.pop("theory", {}))
-    theory_basis = {**DEFAULT_BASIS, **_take(theory_raw, "theory", "basis", {},
-                                             lambda v: isinstance(v, dict))}
-    _reject_unknown(theory_raw, "theory")
-
-    adv_raw = dict(raw.pop("adversarial", {}))
-    adversarial = SearchSection(
-        step_size=_take(adv_raw, "adversarial", "step_size", 0.01, lambda v: v > 0),
-        max_iters=_take(adv_raw, "adversarial", "max_iters", 50, lambda v: v >= 1),
-        inits=_take(adv_raw, "adversarial", "inits", 100, lambda v: v >= 0),
-        basis=_take(adv_raw, "adversarial", "basis", {},
-                    lambda v: isinstance(v, dict)),
-    )
-    _reject_unknown(adv_raw, "adversarial")
-
-    morph_raw = dict(raw.pop("morph", {}))
-    morph = SearchSection(
-        step_size=_take(morph_raw, "morph", "step_size", 10.0, lambda v: v > 0),
-        max_iters=_take(morph_raw, "morph", "max_iters", 50, lambda v: v >= 1),
-        inits=_take(morph_raw, "morph", "inits", 100, lambda v: v >= 0),
-        n_gradient_samples=_take(morph_raw, "morph", "n_gradient_samples", 2_000,
-                                 lambda v: v >= 1),
-        rank_tol=_take(morph_raw, "morph", "rank_tol", 0.1, lambda v: v > 0),
-        basis=_take(morph_raw, "morph", "basis", {}, lambda v: isinstance(v, dict)),
-    )
-    _reject_unknown(morph_raw, "morph")
-
-    ver_raw = dict(raw.pop("verification", {}))
-    kl_threshold = _take(ver_raw, "verification", "kl_threshold", 1e-5,
-                         lambda v: v > 0)
-    margin_threshold = _take(ver_raw, "verification", "margin_threshold", 1e-9,
-                             lambda v: v > 0)
-    _reject_unknown(ver_raw, "verification")
-
-    ana_raw = dict(raw.pop("analysis", {}))
-    clusters = _take(ana_raw, "analysis", "clusters", 4, lambda v: v >= 1)
-    _reject_unknown(ana_raw, "analysis")
-
-    cfg = PipelineConfig(
+    theory_basis = {**DEFAULT_BASIS, **theory.get("basis", {})}
+    adversarial_basis = adversarial.pop("basis", None)
+    morph_basis = morph.pop("basis", None)
+    n_payoffs = top.get("n_payoffs", PipelineConfig.n_payoffs)
+    return PipelineConfig(
         predictor=predictor,
         theory_basis=theory_basis,
-        adversarial=adversarial,
-        morph=morph,
-        kl_threshold=kl_threshold,
-        margin_threshold=margin_threshold,
-        clusters=clusters,
-        n_payoffs=_take(raw, "", "n_payoffs", 2, lambda v: v in (2, 3)),
-        seed=_take(raw, "", "seed", 0),
-        workers=_take(raw, "", "workers", 1, lambda v: v >= 1),
-    )
-    _reject_unknown(raw, "")
-    if not cfg.adversarial.basis:
-        cfg.adversarial.basis = dict(theory_basis)
-    else:
-        cfg.adversarial.basis = {**DEFAULT_BASIS, **cfg.adversarial.basis}
-    if not cfg.morph.basis:
-        cfg.morph.basis = {**MORPH_BASIS, "domain": list(theory_basis["domain"])}
-    else:
-        cfg.morph.basis = {**MORPH_BASIS, **cfg.morph.basis}
-    return cfg
+        adversarial=GdaConfig(
+            **adversarial, n_payoffs=n_payoffs,
+            basis_config={**DEFAULT_BASIS, **adversarial_basis} if adversarial_basis
+            else dict(theory_basis)),
+        morph=MorphConfig(
+            **morph, n_payoffs=n_payoffs,
+            basis_config={**MORPH_BASIS, **morph_basis} if morph_basis
+            else {**MORPH_BASIS, "domain": list(theory_basis["domain"])}),
+        **verification, **top)
 
 
 def load_config(path) -> PipelineConfig:
@@ -158,17 +136,11 @@ def load_config(path) -> PipelineConfig:
 
 def build_predictor(section: PredictorSection):
     """Materialize the configured predictor handle."""
-    from .cpt import CptParams, CptPredictor
     from .predictor import MlpModel, MlpPredictor, cpt_fit_predictor
     from .data import load_dataset
 
     if section.kind == "cpt":
-        if section.delta is not None and section.gamma is not None:
-            params = CptParams(section.delta, section.gamma)
-            label = f"cpt({section.delta:g},{section.gamma:g})"
-        else:
-            params = CptParams.preset(section.preset)
-            label = f"cpt:{section.preset}"
+        params, label = section.cpt_params()
         return CptPredictor(params, scale=section.scale, label=label)
     if section.kind == "mlp":
         if not section.model_path:

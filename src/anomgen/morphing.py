@@ -38,6 +38,7 @@ _DRAW_BLOCK = 8192
 class MorphConfig:
     step_size: float = 10.0
     max_iters: int = 50
+    inits: int = 100                    # runs a CLI batch makes without --inits
     n_gradient_samples: int = 2_000     # paper-scale runs use 200,000
     # Rank cutoff separating genuinely pinned directions from covariance
     # jitter.  Early-iteration sampled-gradient spectra have second singular

@@ -36,7 +36,6 @@ class VerificationResult:
     status: str                      # "consistent" | "inconsistent"
     margin: float
     witness_utility: np.ndarray | None
-    distinct_payoffs: np.ndarray
     note: str = ""
 
     @property
@@ -106,11 +105,11 @@ def verify_increasing_utility(menus, choices,
     if margin is None:
         # All payoffs identical: every choice is a tie between identical
         # lotteries; vacuously consistent.
-        return VerificationResult("consistent", 0.0, None, grid,
+        return VerificationResult("consistent", 0.0, None,
                                   note="degenerate: single merged payoff")
     status = "consistent" if margin > margin_threshold else "inconsistent"
     return VerificationResult(status, float(margin),
-                              witness if status == "consistent" else None, grid)
+                              witness if status == "consistent" else None)
 
 
 def verify_collection(collection: ExampleCollection,

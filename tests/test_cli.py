@@ -9,9 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anomgen import morphing
+from anomgen.adversarial import GdaConfig
 from anomgen.cli import run_command
 from anomgen.config import ConfigError, load_config, parse_config
 from anomgen.cpt import CptParams, CptPredictor
+from anomgen.morphing import MorphConfig
 from anomgen.lotteries import (Example, ExampleCollection, Menu, make_lottery,
                                sample_random_menu)
 from anomgen.records import (candidate_to_record, read_jsonl, record_to_collection,
@@ -50,6 +52,11 @@ class TestConfig:
         assert cfg.morph.n_gradient_samples == 2000
         assert cfg.kl_threshold == 1e-5
 
+    def test_search_defaults_are_the_search_configs_own(self):
+        cfg = parse_config({})
+        assert cfg.adversarial == GdaConfig()
+        assert cfg.morph == MorphConfig()
+
     def test_paper_scale_values_accepted(self):
         cfg = parse_config({
             "adversarial": {"step_size": 0.01, "max_iters": 50, "inits": 25000},
@@ -70,10 +77,37 @@ class TestConfig:
                            ("collection_mode", "free"), ("free_size", 2)):
             with pytest.raises(ConfigError, match=f"adversarial.{key}"):
                 parse_config({"adversarial": {key: value}})
+        # The cluster count is a flag of ``cluster`` only.
+        with pytest.raises(ConfigError, match="unknown key 'analysis'"):
+            parse_config({"analysis": {"clusters": 4}})
+
+    @pytest.mark.parametrize("given", [{"delta": 0.5}, {"gamma": 0.5}])
+    def test_half_given_weighting_pair_rejected(self, given):
+        with pytest.raises(ConfigError, match="predictor.delta and predictor.gamma"):
+            parse_config({"predictor": given})
+
+    def test_explicit_weighting_pair_used(self):
+        params, label = parse_config(
+            {"predictor": {"delta": 0.5, "gamma": 0.4}}).predictor.cpt_params()
+        assert (params.delta, params.gamma, label) == (0.5, 0.4, "cpt(0.5,0.4)")
 
     def test_invalid_value_named(self):
         with pytest.raises(ConfigError, match="step_size"):
             parse_config({"adversarial": {"step_size": -1}})
+        # A value or section of the wrong JSON type is a config error, not a
+        # TypeError out of the comparison.
+        with pytest.raises(ConfigError, match="morph.step_size"):
+            parse_config({"morph": {"step_size": "fast"}})
+        for raw, path in (({"seed": "x"}, "seed"), ({"workers": 1.5}, "workers"),
+                          ({"adversarial": {"max_iters": 2.5}}, "adversarial.max_iters"),
+                          ({"morph": {"n_gradient_samples": 1e5}},
+                           "morph.n_gradient_samples")):
+            with pytest.raises(ConfigError, match=path):
+                parse_config(raw)
+        with pytest.raises(ConfigError, match="predictor: must be a JSON object"):
+            parse_config({"predictor": None})
+        with pytest.raises(ConfigError, match="predictor.delta"):
+            parse_config({"predictor": {"delta": -1.0, "gamma": 0.3}})
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -110,6 +144,29 @@ class TestPipelineCommands:
                           "--out", "x.jsonl"])
         assert rc != 0
         assert not os.path.exists("x.jsonl")
+
+    def test_worker_count_below_one_errors(self, tmp_path, capsys, monkeypatch):
+        os.chdir(tmp_path)
+        assert run_command(["baseline", "--inits", "2", "--workers", "0",
+                            "--out", "x.jsonl"]) == 1
+        monkeypatch.setenv("ANOMGEN_WORKERS", "-2")
+        assert run_command(["baseline", "--inits", "2", "--out", "x.jsonl"]) == 1
+        assert not os.path.exists("x.jsonl")
+
+    def test_null_preset_prints_error_line(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"predictor": {"preset": None}}))
+        rc = run_command(["adversarial", "--config", "cfg.json", "--inits", "1",
+                          "--out", "x.jsonl"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1
+        assert "predictor.preset" in json.loads(err[0])["error"]
+        assert not os.path.exists("x.jsonl")
+
+    def test_baseline_requires_inits(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        assert run_command(["baseline", "--seed", "1", "--out", "b.jsonl"]) != 0
+        assert not os.path.exists("b.jsonl")
 
     def test_unknown_flag_usage_error(self):
         rc = run_command(["adversarial", "--bogus", "1"])
