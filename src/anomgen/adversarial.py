@@ -13,6 +13,13 @@ negated product of the predictor's log-odds and the theory's
 expected-utility difference, which stays informative at exact fits.  The
 product is negated so that the score is positive exactly when the best-fit
 utility ranks the lotteries against the predictor's majority choice.
+
+A run has no randomness after its initial menu and its payoffs are frozen,
+so runs advance in lockstep: ``gda_run`` moves an (R, 2, J) probability
+stack against fixed payoffs and basis values, through the predictor's batch
+methods and one stacked inner fit per iteration.  Every operation acts row
+by row, so a run's bytes depend only on (master seed, run index), not on the
+runs it is stacked with.
 """
 
 from __future__ import annotations
@@ -22,12 +29,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import basis_from_config
-from .lotteries import (Example, ExampleCollection, Menu, menu_from_flat,
-                        run_rng, sample_random_menu, step_probs)
-from .theory import TheorySpec, basis_values, eu_difference_row, fit_theta
+from .lotteries import (LOTTERY_SIGN, Example, ExampleCollection, Menu, check_probs,
+                        flat_stack, menu_from_flat, run_rng, sample_random_menu,
+                        stack_menus, step_probs)
+from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 INTERIOR_EPS = 1e-8
 DEFAULT_BASIS = {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
+# Runs advanced together: enough to amortize the per-iteration overhead,
+# few enough that a block's trajectories stay small.  The size moves no byte.
+_RUN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -46,56 +57,59 @@ class GdaConfig:
         return basis_from_config(self.basis_config)
 
 
-def interior_menu(menu: Menu, eps: float = INTERIOR_EPS) -> Menu:
-    """Move probabilities at least ``eps`` inside the simplex for differentiation.
+def interior_menu(P: np.ndarray, eps: float = INTERIOR_EPS) -> np.ndarray:
+    """A probability stack (..., J) moved at least ``eps`` inside the
+    simplex, lottery by lottery, for differentiation.
 
     Probabilities are clamped to ``[eps, 1 - eps]`` and renormalized.  When
     renormalizing pushes a clamped coordinate back below ``eps``, the lottery
     becomes ``eps + (1 - J eps) p``, which sums to one with every coordinate
     at least ``eps``.
     """
-    def fix(lot):
-        p = np.clip(lot.probs, eps, 1.0 - eps)
-        p = p / p.sum()
-        if p.min() < eps:
-            p = eps + (1.0 - p.size * eps) * p
-        return type(lot)(lot.payoffs, p)
-    return Menu(fix(menu.lottery0), fix(menu.lottery1))
+    p = np.clip(P, eps, 1.0 - eps)
+    p = p / p.sum(axis=-1, keepdims=True)
+    low = p.min(axis=-1) < eps
+    if np.any(low):
+        p[low] = eps + (1.0 - p.shape[-1] * eps) * p[low]
+    return p
 
 
-def ascent_objective(predictor, spec: TheorySpec, menu: Menu, values):
-    """(value, gradient over the probability coordinates (p0, p1)) of the
-    disagreement score.
+def ascent_objective(predictor, theta: np.ndarray, Z: np.ndarray, P: np.ndarray,
+                     B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values (R,), gradients (R, 2, J) over the probabilities (p0, p1)) of
+    the disagreement score for a stack of menus.
 
-    ``values`` are the basis values at the menu's payoffs (``basis_values``).
-    Only probabilities move, and the expected-utility difference is linear in
+    ``theta`` (R, K) holds each menu's coefficients and ``B`` (R, 2, J, K)
+    the basis values at the payoffs ``Z`` (``stack_basis_values``).  Only
+    probabilities move, and the expected-utility difference is linear in
     them with gradient (-u0, u1), the utilities at the frozen payoffs.
     """
-    B0, B1 = values
-    g = float(eu_difference_row(menu, B0, B1) @ spec.theta)
-    grad_g = np.concatenate([-(B0 @ spec.theta), B1 @ spec.theta])
-    safe = interior_menu(menu)
-    f = float(np.clip(predictor.predict(safe), 1e-12, 1 - 1e-12))
+    g = np.matmul(eu_difference_rows(P, B)[:, None, :], theta[:, :, None])[:, 0, 0]
+    grad_g = LOTTERY_SIGN * np.matmul(B, theta[:, None, :, None])[..., 0]
+    f, df = predictor.grad_batch(Z, interior_menu(P))
+    f = np.clip(f, 1e-12, 1 - 1e-12)
     m = np.log(f / (1.0 - f))
-    grad_m = predictor.grad(safe) / (f * (1.0 - f))
-    return -m * g, -(g * grad_m + m * grad_g)
+    grad_m = df / (f * (1.0 - f))[:, None, None]
+    return -m * g, -(g[:, None, None] * grad_m + m[:, None, None] * grad_g)
 
 
 @dataclass
 class SearchResult:
     """One search run: the (initial, final) candidate, the flat iterates from
-    the start on, the number of completed steps and any stop flags."""
+    the start on (one row each), the number of completed steps and any stop
+    flags."""
 
     candidate: ExampleCollection
-    trajectory: list
+    trajectory: np.ndarray
     iterations: int
     flags: list = field(default_factory=list)
 
 
-def search_result(predictor, procedure: str, x0: Menu, f0: float, trajectory: list,
-                  flags: list, provenance: dict | None) -> SearchResult:
+def search_result(procedure: str, x0: Menu, f0: float, trajectory: np.ndarray,
+                  f_final: float, flags: list, provenance: dict | None) -> SearchResult:
     """Package a run that moved ``x0`` (predicted ``f0``) along ``trajectory``,
-    which holds ``x0`` flattened and then one entry per completed step."""
+    which holds ``x0`` flattened and then one row per completed step; the
+    predictor gives the last row ``f_final``."""
     iterations = len(trajectory) - 1
     final = menu_from_flat(trajectory[-1], x0.n_payoffs)
     prov = dict(provenance or {})
@@ -103,47 +117,80 @@ def search_result(predictor, procedure: str, x0: Menu, f0: float, trajectory: li
     prov["iterations"] = iterations
     if flags:
         prov["flags"] = list(flags)
-    examples = (Example(x0, f0), Example(final, predictor.predict(final)))
+    examples = (Example(x0, float(f0)), Example(final, float(f_final)))
     return SearchResult(candidate=ExampleCollection(examples, prov),
                         trajectory=trajectory, iterations=iterations, flags=flags)
 
 
-def gda_run(predictor, config: GdaConfig, x0: Menu,
-            provenance: dict | None = None) -> SearchResult:
-    """One descent-ascent run moving a copy of ``x0`` against ``x0`` itself."""
-    basis = config.make_basis()
-    J = x0.n_payoffs
-    flags: list = []
+def gda_run(predictor, config: GdaConfig, menus, provenances=None) -> list[SearchResult]:
+    """Descent-ascent runs, each moving a copy of its initial menu against
+    the menu itself, advanced in lockstep.
 
-    # Payoffs are frozen and both menus share them, so the basis values, the
-    # anchor's prediction and its design row stay fixed for the whole run.
-    B0, B1 = basis_values(basis, x0)
-    f0 = predictor.predict(x0)
-    d0 = eu_difference_row(x0, B0, B1)
+    A run that meets a non-finite gradient stops there and leaves the stack;
+    the others go on.  Each run's provenance counts its inner fits that ended
+    on the coefficient ball (``inner_fits_on_bound``) and unconverged
+    (``inner_fits_unconverged``).
+    """
+    menus = list(menus)
+    provenances = list(provenances) if provenances is not None else [{}] * len(menus)
+    # Payoffs are frozen and both menus of a run share them, so the basis
+    # values, the anchors' predictions and their design rows stay fixed.
+    Z, P0 = stack_menus(menus)
+    B = stack_basis_values(config.make_basis(), Z)
+    f0 = predictor.predict_batch(Z, P0)
+    d0 = eu_difference_rows(P0, B)
 
-    x = x0.flatten()
-    trajectory = [x.copy()]
+    R = len(menus)
+    iterations = np.zeros(R, dtype=int)
+    on_bound = np.zeros(R, dtype=int)
+    unconverged = np.zeros(R, dtype=int)
+    flags = [[] for _ in range(R)]
+    P, history = P0, [P0]
+    active = np.arange(R)
     for s in range(config.max_iters):
-        menu = menu_from_flat(x, J)
-        fit = fit_theta(basis, [(x0, f0), (menu, predictor.predict(menu))],
-                        design=np.array([d0, eu_difference_row(menu, B0, B1)]))
-        _, grad = ascent_objective(predictor, TheorySpec(basis, fit.theta),
-                                   menu, (B0, B1))
-        if not np.all(np.isfinite(grad)):
-            flags.append(f"nonfinite_gradient@iter{s}")
+        if active.size == 0:
             break
-        x = step_probs(x, J, config.step_size * grad)
-        trajectory.append(x.copy())
-    return search_result(predictor, "adversarial", x0, f0, trajectory, flags,
-                         provenance)
+        Za, Pa, Ba = Z[active], P[active], B[active]
+        fit = _fit_logits(np.stack([d0[active], eu_difference_rows(Pa, Ba)], axis=1),
+                          np.stack([f0[active], predictor.predict_batch(Za, Pa)], axis=1))
+        on_bound[active] += fit.on_norm_bound
+        unconverged[active] += ~fit.converged
+        _, grad = ascent_objective(predictor, fit.theta, Za, Pa, Ba)
+        finite = np.all(np.isfinite(grad), axis=(1, 2))
+        for r in active[~finite]:
+            flags[r].append(f"nonfinite_gradient@iter{s}")
+        active = active[finite]
+        P = P.copy()
+        P[active] = step_probs(Pa[finite], config.step_size * grad[finite])
+        check_probs(P[active])
+        iterations[active] += 1
+        history.append(P)
+
+    # A stopped run's row stays put, so its trajectory is a prefix.
+    X = flat_stack(Z, np.stack(history))
+    f_final = predictor.predict_batch(Z, P)
+    return [search_result("adversarial", menus[r], f0[r], X[:iterations[r] + 1, r],
+                          f_final[r], flags[r],
+                          {**provenances[r], "inner_fits_on_bound": int(on_bound[r]),
+                           "inner_fits_unconverged": int(unconverged[r])})
+            for r in range(R)]
+
+
+def run_adversarial_indices(predictor, config: GdaConfig, master_seed: int, indices):
+    """Runs addressed by (master seed, run index), advanced ``_RUN_BLOCK``
+    at a time; yields their results in the order of ``indices``."""
+    low, high = config.make_basis().domain
+    indices = list(indices)
+    for start in range(0, len(indices), _RUN_BLOCK):
+        block = indices[start:start + _RUN_BLOCK]
+        menus = [sample_random_menu(run_rng(master_seed, i), config.n_payoffs, low, high)
+                 for i in block]
+        yield from gda_run(predictor, config, menus,
+                           [{"procedure": "adversarial", "master_seed": master_seed,
+                             "run_index": i} for i in block])
 
 
 def run_adversarial_index(predictor, config: GdaConfig, master_seed: int,
                           run_index: int) -> SearchResult:
-    """Single run addressed by (master seed, run index); worker-pool friendly."""
-    low, high = config.make_basis().domain
-    rng = run_rng(master_seed, run_index)
-    x0 = sample_random_menu(rng, config.n_payoffs, low, high)
-    prov = {"procedure": "adversarial", "master_seed": master_seed,
-            "run_index": run_index}
-    return gda_run(predictor, config, x0, prov)
+    """Single run addressed by (master seed, run index)."""
+    return next(run_adversarial_indices(predictor, config, master_seed, [run_index]))

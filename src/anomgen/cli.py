@@ -13,12 +13,13 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import analysis, records
-from .adversarial import run_adversarial_index
+from .adversarial import run_adversarial_indices
 from .basis import basis_from_config
 from .categorize import CATEGORY_TAGS, categorize
 from .config import ConfigError, PipelineConfig, build_predictor, load_config, parse_config
@@ -34,6 +35,14 @@ from .verifier import minimal_anomaly, verify_collection, verify_parametrized
 def _summary(**kwargs) -> int:
     print(json.dumps(kwargs, sort_keys=True))
     return 0
+
+
+def _throughput(start: float, count: int, unit: str) -> dict:
+    """Stage wall time since ``start`` and ``count`` items per second, for
+    the summary line only: records never carry timings."""
+    elapsed = time.perf_counter() - start
+    return {"elapsed_s": round(elapsed, 3),
+            f"{unit}_per_s": round(count / elapsed, 1) if elapsed > 0 else None}
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -69,15 +78,17 @@ def _fan_out(chunk_fn, args: tuple, items: list, workers: int) -> list:
 def _generate_chunk(cfg: PipelineConfig, procedure: str, indices):
     predictor = build_predictor(cfg.predictor)
     seed = cfg.seed
+    if procedure == "adversarial":
+        # The adversarial runs of a chunk advance in lockstep.
+        colls = (r.candidate for r in
+                 run_adversarial_indices(predictor, cfg.adversarial, seed, indices))
+    elif procedure == "morph":
+        colls = (run_morph_index(predictor, cfg.morph, seed, i).candidate for i in indices)
+    else:
+        colls = (analysis.random_pair(predictor, seed, i, cfg.n_payoffs,
+                                      cfg.theory_basis["domain"]) for i in indices)
     out = []
-    for i in indices:
-        if procedure == "adversarial":
-            coll = run_adversarial_index(predictor, cfg.adversarial, seed, i).candidate
-        elif procedure == "morph":
-            coll = run_morph_index(predictor, cfg.morph, seed, i).candidate
-        else:
-            coll = analysis.random_pair(predictor, seed, i, cfg.n_payoffs,
-                                        cfg.theory_basis["domain"])
+    for i, coll in zip(indices, colls):
         record = records.candidate_to_record(coll)
         record["predictor"] = getattr(predictor, "label", None)
         out.append((i, record))
@@ -85,6 +96,7 @@ def _generate_chunk(cfg: PipelineConfig, procedure: str, indices):
 
 
 def _run_generation(args, procedure: str) -> int:
+    start = time.perf_counter()
     cfg = _config_from_args(args)
     inits = args.inits if args.inits is not None else getattr(cfg, procedure).inits
     if inits < 1:
@@ -92,7 +104,7 @@ def _run_generation(args, procedure: str) -> int:
     recs = _fan_out(_generate_chunk, (cfg, procedure), list(range(inits)), cfg.workers)
     records.write_jsonl(args.out, recs, kind="candidates")
     return _summary(command=procedure, runs=inits, seed=cfg.seed, out=args.out,
-                    workers=cfg.workers)
+                    workers=cfg.workers, **_throughput(start, inits, "runs"))
 
 
 # -- verification / categorization ------------------------------------------
@@ -123,6 +135,7 @@ def _verify_chunk(cfg: PipelineConfig, recs):
 
 
 def cmd_verify(args) -> int:
+    start = time.perf_counter()
     cfg = _config_from_args(args)
     _, recs = records.read_jsonl(args.inp)
     out_recs = _fan_out(_verify_chunk, (cfg,), list(enumerate(recs)), cfg.workers)
@@ -131,10 +144,12 @@ def cmd_verify(args) -> int:
     n_full = sum(r["any_utility_inconsistent"] for r in out_recs)
     return _summary(command="verify", records=len(out_recs),
                     parametrized_inconsistent=n_par,
-                    any_utility_inconsistent=n_full, out=args.out)
+                    any_utility_inconsistent=n_full, out=args.out,
+                    **_throughput(start, len(out_recs), "records"))
 
 
 def cmd_categorize(args) -> int:
+    start = time.perf_counter()
     _, recs = records.read_jsonl(args.inp, expected_kind="verified")
     out_recs = []
     counts: dict = {}
@@ -150,7 +165,8 @@ def cmd_categorize(args) -> int:
         out_recs.append(rec)
     records.write_jsonl(args.out, out_recs, kind="categorized")
     return _summary(command="categorize", records=len(out_recs),
-                    category_counts=counts, out=args.out)
+                    category_counts=counts, out=args.out,
+                    **_throughput(start, len(out_recs), "records"))
 
 
 def cmd_cluster(args) -> int:
@@ -159,8 +175,8 @@ def cmd_cluster(args) -> int:
             if r.get("any_utility_inconsistent") and r.get("features")
             and r.get("category", {}).get("tag") != "fosd"]
     if len(rows) < args.k:
-        return _summary(command="cluster", error="fewer anomalies than clusters",
-                        anomalies=len(rows))
+        raise ValueError(f"{len(rows)} non-FOSD anomalies with features, "
+                         f"fewer than the {args.k} clusters asked for")
     X = np.array([r["features"] for r in rows])
     Z = analysis.standardize(X)
     km = analysis.kmeans(Z, args.k, seed=args.seed or 0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .adversarial import DEFAULT_BASIS, GdaConfig
 from .cpt import PRESETS, CptParams, CptPredictor
-from .morphing import DEFAULT_BASIS as MORPH_BASIS, MorphConfig
+from .morphing import DEFAULT_BASIS as MORPH_BASIS, MIN_RANK_TOL, MorphConfig
 
 
 class ConfigError(ValueError):
@@ -99,7 +99,8 @@ def parse_config(raw: dict) -> PipelineConfig:
               "basis": _is_dict}
     adversarial = _pick(raw.pop("adversarial", {}), "adversarial", search)
     morph = _pick(raw.pop("morph", {}), "morph", {
-        **search, "n_gradient_samples": _count(1), "rank_tol": _positive})
+        **search, "n_gradient_samples": _count(1),
+        "rank_tol": lambda v: v >= MIN_RANK_TOL})
     verification = _pick(raw.pop("verification", {}), "verification", {
         "kl_threshold": _positive, "margin_threshold": _positive})
     top = _pick(raw, "", {"n_payoffs": lambda v: v in (2, 3) and type(v) is int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lotteries import Menu
+from .lotteries import LOTTERY_SIGN, Menu, stack_menus
 
 # Calibrated (delta, gamma) presets used throughout the experiments.
 PRESETS = {
@@ -93,16 +93,9 @@ def lottery_values(Z, P, params: CptParams, wrt: str | None = None):
     raise ValueError(f"unknown derivative {wrt!r}")
 
 
-def stack_menus(menus):
-    """Payoff and probability arrays (n, 2, J) of n menus, lottery 0 first."""
-    X = np.array([m.flatten() for m in menus]).reshape(len(menus), 2, 2, -1)
-    return X[:, :, 0], X[:, :, 1]
-
-
 def choice_prob(menu: Menu, params: CptParams, scale: float = 1.0) -> float:
     """P(choose lottery 1) = logistic(scale * CPT-value difference)."""
-    V = lottery_values(*stack_menus([menu]), params)[0]
-    return logistic(scale * (V[1] - V[0]))
+    return CptPredictor(params, scale).predict(menu)
 
 
 def choice_prob_grad(menu: Menu, params: CptParams, scale: float = 1.0) -> np.ndarray:
@@ -114,25 +107,40 @@ def choice_prob_grad(menu: Menu, params: CptParams, scale: float = 1.0) -> np.nd
     Raises if any probability coordinate is below the boundary tolerance;
     callers clamp iterates into the interior before differentiating.
     """
-    V, dV = lottery_values(*stack_menus([menu]), params, wrt="p")
-    f = logistic(scale * (V[0, 1] - V[0, 0]))
-    slope = scale * f * (1.0 - f)
-    return slope * np.concatenate([-dV[0, 0], dV[0, 1]])
+    return CptPredictor(params, scale).grad(menu)
 
 
 class CptPredictor:
-    """Predictor handle backed by the closed-form oracle."""
+    """Predictor handle backed by the closed-form oracle.
+
+    ``predict_batch`` and ``grad_batch`` take (R, 2, J) payoff and
+    probability stacks (``lotteries.stack_menus``); ``predict`` and ``grad``
+    are their one-row calls.  The kernel acts row by row, so a row's bytes
+    do not depend on the stack it sits in.
+    """
 
     def __init__(self, params: CptParams, scale: float = 1.0, label: str | None = None):
         self.params = params
         self.scale = scale
         self.label = label or f"cpt({params.delta:g},{params.gamma:g})"
 
+    def predict_batch(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+        V = lottery_values(Z, P, self.params)
+        return logistic(self.scale * (V[..., 1] - V[..., 0]))
+
+    def grad_batch(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f, df/dp): choice probabilities (R,) from the same kernel call
+        as ``predict_batch``, and their gradients (R, 2, J) over (p0, p1)."""
+        V, dV = lottery_values(Z, P, self.params, wrt="p")
+        f = logistic(self.scale * (V[..., 1] - V[..., 0]))
+        slope = self.scale * f * (1.0 - f)
+        return f, slope[..., None, None] * (LOTTERY_SIGN * dV)
+
     def predict(self, menu: Menu) -> float:
-        return choice_prob(menu, self.params, self.scale)
+        return float(self.predict_batch(*stack_menus([menu]))[0])
 
     def grad(self, menu: Menu) -> np.ndarray:
-        return choice_prob_grad(menu, self.params, self.scale)
+        return self.grad_batch(*stack_menus([menu]))[1][0].reshape(-1)
 
 
 def simulate_choices(rng: np.random.Generator, menus, params: CptParams,

@@ -41,10 +41,7 @@ class Lottery:
             raise ValueError("lottery needs at least one payoff")
         if not np.all(np.isfinite(self.payoffs)):
             raise ValueError("non-finite payoff")
-        if np.any(self.probs < -PAYOFF_MERGE_TOL):
-            raise ValueError("negative probability")
-        if abs(self.probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {self.probs.sum()}, not 1")
+        check_probs(self.probs)
 
     @property
     def size(self) -> int:
@@ -56,6 +53,21 @@ class Lottery:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Lottery":
         return make_lottery(d["payoffs"], d["probs"])
+
+
+def check_probs(P) -> None:
+    """Raise unless each lottery (last axis) of ``P`` is a probability vector:
+    finite, nonnegative within ``PAYOFF_MERGE_TOL`` and summing to 1 within
+    1e-9.  ``Lottery`` checks its vector here, and the searches their whole
+    (R, 2, J) probability stacks."""
+    P = np.asarray(P, dtype=float)
+    low = P.min(initial=np.inf)         # NaN fails the test below, +inf the sum's
+    if not low >= -PAYOFF_MERGE_TOL:
+        raise ValueError("negative probability" if low < 0 else "non-finite probability")
+    error = np.abs(P.sum(axis=-1) - 1.0)
+    if not error.max(initial=0.0) <= 1e-9:
+        worst = P.reshape(-1, P.shape[-1])[np.asarray(error).argmax()]
+        raise ValueError(f"probabilities sum to {worst.sum()}, not 1")
 
 
 def make_lottery(payoffs, probs) -> Lottery:
@@ -112,6 +124,19 @@ class Menu:
                    Lottery.from_json_dict(d["lottery1"]))
 
 
+def stack_menus(menus) -> tuple[np.ndarray, np.ndarray]:
+    """Payoff and probability stacks (n, 2, J) of n menus, lottery 0 first."""
+    X = np.array([m.flatten() for m in menus]).reshape(len(menus), 2, 2, -1)
+    return np.ascontiguousarray(X[:, :, 0]), np.ascontiguousarray(X[:, :, 1])
+
+
+def flat_stack(Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Flat coordinates (..., 4J) of (..., 2, J) payoff and probability
+    stacks: the inverse of ``stack_menus``, row by row."""
+    Z, P = np.broadcast_arrays(Z, P)
+    return np.stack([Z, P], axis=-2).reshape(*Z.shape[:-2], -1)
+
+
 def menu_from_flat(x: np.ndarray, n_payoffs: int) -> Menu:
     """Inverse of :meth:`Menu.flatten`."""
     x = np.asarray(x, dtype=float)
@@ -165,39 +190,44 @@ class ExampleCollection:
         return np.array([e.implied_choice for e in self.examples], dtype=int)
 
 
-def project_to_simplex(v) -> np.ndarray:
-    """Euclidean projection of a vector onto the unit simplex.
+# Sign of each lottery in a menu's value difference (lottery 1 minus
+# lottery 0), shaped to broadcast over (..., 2, J) stacks.
+LOTTERY_SIGN = np.array([[-1.0], [1.0]])
 
-    Sort-based algorithm; O(n log n), exact up to floating point.
+
+def project_to_simplex(v) -> np.ndarray:
+    """Euclidean projection of each row (last axis) of ``v`` onto the unit
+    simplex.
+
+    Sort-based algorithm, row by row; exact up to floating point.  Every
+    operation acts on one row at a time, so a row's result does not depend on
+    the rows stacked with it.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty 1-d vector")
+    v = np.array(v, dtype=float)
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError("expected non-empty rows")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite input")
-    n = v.size
-    # Points already on the simplex (up to accumulated rounding) are their own
+    # Rows already on the simplex (up to accumulated rounding) are their own
     # projection; returning them unchanged makes the operation idempotent
     # bit-for-bit.
-    if np.all(v >= 0.0) and abs(v.sum() - 1.0) <= SIMPLEX_TOL:
-        return v.copy()
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, n + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+    move = ~(np.all(v >= 0.0, axis=-1) & (np.abs(v.sum(axis=-1) - 1.0) <= SIMPLEX_TOL))
+    if np.any(move):
+        rows = v[move]
+        n = rows.shape[-1]
+        u = np.sort(rows, axis=-1)[:, ::-1]
+        css = np.cumsum(u, axis=-1) - 1.0
+        cond = u - css / np.arange(1, n + 1) > 0
+        rho = n - np.argmax(cond[:, ::-1], axis=-1)          # last index that holds
+        theta = np.take_along_axis(css, rho[:, None] - 1, axis=-1) / rho[:, None]
+        v[move] = np.maximum(rows - theta, 0.0)
+    return v
 
 
-def step_probs(x: np.ndarray, n_payoffs: int, delta: np.ndarray) -> np.ndarray:
-    """Move the probability blocks of flat coordinates by ``delta`` (p0 then
-    p1, length 2J) and project each back onto the simplex; payoffs are kept."""
-    J = n_payoffs
-    out = x.copy()
-    out[J:2 * J] = project_to_simplex(x[J:2 * J] + delta[:J])
-    out[3 * J:] = project_to_simplex(x[3 * J:] + delta[J:])
-    return out
+def step_probs(P: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Move a probability stack (..., J) by ``delta`` and project each
+    lottery back onto the simplex; payoffs are not part of the stack."""
+    return project_to_simplex(P + delta)
 
 
 def sample_random_menu(rng: np.random.Generator, n_payoffs: int,

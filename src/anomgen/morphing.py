@@ -23,7 +23,8 @@ import numpy as np
 
 from .adversarial import SearchResult, interior_menu, search_result
 from .basis import basis_from_config
-from .lotteries import Menu, menu_from_flat, run_rng, sample_random_menu, step_probs
+from .lotteries import (Menu, flat_stack, menu_from_flat, run_rng, sample_random_menu,
+                        stack_menus, step_probs)
 from .theory import basis_values, eu_difference_row, fit_theta
 
 DEFAULT_BASIS = {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}
@@ -32,6 +33,10 @@ COV_JITTER = 1e-8
 # Rows of the (count, r) standard-normal stream drawn and reduced at a time:
 # a block's arrays stay in cache, and the size moves no draw.
 _DRAW_BLOCK = 8192
+# Smallest rank cutoff the Gram route resolves.  Below it the eigenvalue
+# cutoff keeps rounding noise normal to the simplex, and the retained rank
+# counts that noise (rank 3 where the tangent space of J = 2 has dimension 2).
+MIN_RANK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,8 @@ class MorphConfig:
     def __post_init__(self):
         if self.step_size <= 0 or self.n_gradient_samples < 1:
             raise ValueError("step size must be positive and sample count >= 1")
+        if not self.rank_tol >= MIN_RANK_TOL:
+            raise ValueError(f"rank_tol must be at least {MIN_RANK_TOL:g}")
 
     def make_basis(self):
         return basis_from_config(self.basis_config)
@@ -191,17 +198,17 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
     seed_fit = fit_theta(basis, [(x0, f0)], design=d0[None, :])
     history = [seed_fit.theta]
 
-    x = x0.flatten()
-    trajectory = [x.copy()]
+    Z, P = stack_menus([x0])
+    trajectory = [x0.flatten()]
     rank = None
     for s in range(config.max_iters):
-        menu = menu_from_flat(x, J)
+        menu = menu_from_flat(trajectory[-1], J)
         d = eu_difference_row(menu, B0, B1)
         fit = fit_theta(basis, [(x0, f0), (menu, predictor.predict(menu))],
                         design=np.array([d0, d]))
         history.append(fit.theta)
 
-        pred_grad = predictor.grad(interior_menu(menu))
+        pred_grad = predictor.grad_batch(Z, interior_menu(P))[1].reshape(-1)
         if not np.all(np.isfinite(pred_grad)):
             flags.append(f"nonfinite_gradient@iter{s}")
             stop = "nonfinite_gradient"
@@ -211,13 +218,14 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
         if np.linalg.norm(direction) < STOP_NORM:
             stop = "direction_vanished"
             break
-        x = step_probs(x, J, -config.step_size * direction)
-        trajectory.append(x.copy())
+        P = step_probs(P, -config.step_size * direction.reshape(P.shape))
+        trajectory.append(flat_stack(Z, P)[0])
     else:
         stop = "max_iters"
 
     prov = {**(provenance or {}), "stop": stop, "retained_rank": rank}
-    return search_result(predictor, "morphing", x0, f0, trajectory, flags, prov)
+    return search_result("morphing", x0, f0, np.array(trajectory),
+                         predictor.predict_batch(Z, P)[0], flags, prov)
 
 
 def run_morph_index(predictor, config: MorphConfig, master_seed: int,

@@ -1,9 +1,11 @@
 """Predictive choice models: a from-scratch MLP and a parametric CPT fit.
 
-Both expose the same handle surface as the closed-form oracle: ``predict(menu)``
-returning a probability in (0, 1) and ``grad(menu)`` returning the gradient
-over the probability coordinates (p0, p1), 2J entries; payoffs never move in
-the searches, so they are not differentiated.
+Both expose the same handle surface as the closed-form oracle:
+``predict_batch(Z, P)`` returning probabilities in (0, 1) for (R, 2, J)
+payoff and probability stacks, ``grad_batch(Z, P)`` returning those
+probabilities with their gradients (R, 2, J) over the probability coordinates
+(p0, p1), and ``predict(menu)``/``grad(menu)``, their one-row calls.  Payoffs
+never move in the searches, so they are not differentiated.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpt import CptParams, CptPredictor, logistic, lottery_values, stack_menus
+from .cpt import CptParams, CptPredictor, logistic, lottery_values
 from .data import ChoiceDataset
-from .lotteries import Menu
+from .lotteries import Menu, flat_stack, stack_menus
 from .theory import KKT_TOL, MAX_NEWTON_ITER, TARGET_CLIP, _backtrack
 
 
@@ -189,44 +191,64 @@ def train_mlp(train: ChoiceDataset, hidden=(32, 32),
 
 
 def mlp_predict(model: MlpModel, menu: Menu) -> float:
-    x = menu.flatten()
-    if x.size != model.widths[0]:
-        raise ValueError("menu dimension does not match model input layer")
-    return float(model.predict_batch(x[None, :])[0])
+    return MlpPredictor(model).predict(menu)
 
 
 def mlp_grad(model: MlpModel, menu: Menu) -> np.ndarray:
-    """Gradient of the predicted probability over the raw probabilities (p0, p1).
-
-    Backpropagation yields all 4J input coordinates of ``menu.flatten()``;
-    the payoff entries are dropped.
-    """
-    x = menu.flatten()
-    if x.size != model.widths[0]:
-        raise ValueError("menu dimension does not match model input layer")
-    X = (x * model.input_scaling)[None, :]
-    logits, acts = model.forward(X, keep=True)
-    f = logistic(logits[0])
-    delta = np.ones((1, 1))
-    for l in range(len(model.weights) - 1, 0, -1):
-        delta = delta @ model.weights[l].T
-        delta[acts[l] <= 0.0] = 0.0
-    dx_scaled = (delta @ model.weights[0].T)[0]
-    grad = f * (1.0 - f) * dx_scaled * model.input_scaling
-    J = menu.n_payoffs
-    return np.concatenate([grad[J:2 * J], grad[3 * J:]])
+    """Gradient of the predicted probability over the raw probabilities (p0, p1)."""
+    return MlpPredictor(model).grad(menu)
 
 
 class MlpPredictor:
+    """Predictor handle backed by an ``MlpModel``.
+
+    The batch methods push each row through its own stacked (1, width)
+    products.  One (R, width) product would be faster, but BLAS blocks it
+    differently at different R, so a row's bytes would depend on its batch.
+    """
+
     def __init__(self, model: MlpModel, label: str = "mlp"):
         self.model = model
         self.label = label
 
+    def _activations(self, Z: np.ndarray, P: np.ndarray) -> list:
+        """Scaled inputs, then each layer's output, as (R, 1, width) arrays."""
+        model = self.model
+        X = flat_stack(Z, P)
+        if X.shape[-1] != model.widths[0]:
+            raise ValueError("menu dimension does not match model input layer")
+        h = (X * model.input_scaling)[:, None, :]
+        acts = [h]
+        for l, (W, b) in enumerate(zip(model.weights, model.biases)):
+            h = np.matmul(h, W) + b
+            if l < len(model.weights) - 1:
+                h = np.maximum(h, 0.0)
+            acts.append(h)
+        return acts
+
+    def predict_batch(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+        return logistic(self._activations(Z, P)[-1][:, 0, 0])
+
+    def grad_batch(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f, df/dp): ``predict_batch``'s probabilities and their gradients
+        (R, 2, J) over (p0, p1).  Backpropagation yields all 4J input
+        coordinates; the payoff entries are dropped."""
+        acts = self._activations(Z, P)
+        weights = self.model.weights
+        f = logistic(acts[-1][:, 0, 0])
+        delta = np.ones((f.size, 1, 1))
+        for l in range(len(weights) - 1, 0, -1):
+            delta = np.matmul(delta, weights[l].T)
+            delta[acts[l] <= 0.0] = 0.0
+        dx_scaled = np.matmul(delta, weights[0].T)[:, 0, :]
+        grad = (f * (1.0 - f))[:, None] * dx_scaled * self.model.input_scaling
+        return f, grad.reshape(f.size, 2, 2, -1)[:, :, 1, :]
+
     def predict(self, menu: Menu) -> float:
-        return mlp_predict(self.model, menu)
+        return float(self.predict_batch(*stack_menus([menu]))[0])
 
     def grad(self, menu: Menu) -> np.ndarray:
-        return mlp_grad(self.model, menu)
+        return self.grad_batch(*stack_menus([menu]))[1][0].reshape(-1)
 
 
 # ---------------------------------------------------------------------------

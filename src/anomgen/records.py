@@ -33,8 +33,11 @@ def candidate_to_record(collection: ExampleCollection, record_id: str | None = N
         "predicted_probs": [float(e.choice_prob) for e in collection],
         "implied_choices": [int(c) for c in collection.implied_choices],
     }
-    # Morph runs also say why they stopped and the rank they retained.
-    record.update({k: prov[k] for k in ("stop", "retained_rank") if k in prov})
+    # Morph runs also say why they stopped and the rank they retained, and
+    # adversarial runs how many of their inner fits ended on the ball or
+    # unconverged.
+    record.update({k: prov[k] for k in ("stop", "retained_rank", "inner_fits_on_bound",
+                                        "inner_fits_unconverged") if k in prov})
     return record
 
 

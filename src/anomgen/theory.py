@@ -59,6 +59,20 @@ def eu_difference_row(menu: Menu, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
     return menu.lottery1.probs @ b1 - menu.lottery0.probs @ b0
 
 
+def stack_basis_values(basis, Z: np.ndarray) -> np.ndarray:
+    """Basis values (..., 2, J, K) at a (..., 2, J) payoff stack, from one
+    evaluation over all payoffs."""
+    return basis.eval(Z.reshape(-1)).reshape(*Z.shape, basis.dim)
+
+
+def eu_difference_rows(P: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """d(x) (R, K) for a stack of menus: P (R, 2, J) probabilities and B
+    (R, 2, J, K) basis values at their payoffs.  One stacked (1, J) x (J, K)
+    product per lottery, so a row does not depend on the others."""
+    E = np.matmul(P[..., None, :], B)[..., 0, :]
+    return E[:, 1] - E[:, 0]
+
+
 def eu_difference_features(basis, menu: Menu) -> np.ndarray:
     """d(x): basis-weighted expected-utility difference feature vector."""
     return eu_difference_row(menu, *basis_values(basis, menu))
@@ -77,16 +91,25 @@ def _clip_targets(y: np.ndarray) -> np.ndarray:
     return np.clip(y, TARGET_CLIP, 1.0 - TARGET_CLIP)
 
 
-def _cross_entropy(u: np.ndarray, y: np.ndarray) -> float:
-    """Mean CE of logits u against soft targets y, stable for large |u|."""
+# Means over the last axis are taken as sum / count, which is what np.mean
+# computes, without its per-call overhead on the inner fit's tiny arrays.
+
+def _cross_entropy(u: np.ndarray, y: np.ndarray):
+    """Mean CE (over the last axis) of logits u against soft targets y,
+    stable for large |u|."""
     # -y*log(sigma(u)) - (1-y)*log(1-sigma(u)) = softplus(u) - y*u
     softplus = np.logaddexp(0.0, u)
-    return float(np.mean(softplus - y * u))
+    return (softplus - y * u).sum(axis=-1) / u.shape[-1]
 
 
-def target_entropy(y: np.ndarray) -> float:
-    y = _clip_targets(np.asarray(y, dtype=float))
-    return float(np.mean(-y * np.log(y) - (1 - y) * np.log(1 - y)))
+def _entropy(y: np.ndarray):
+    """Mean binary entropy (over the last axis) of clipped targets."""
+    return (-y * np.log(y) - (1 - y) * np.log(1 - y)).sum(axis=-1) / y.shape[-1]
+
+
+def target_entropy(y: np.ndarray):
+    """Mean binary entropy (over the last axis) of the clipped targets."""
+    return _entropy(_clip_targets(np.asarray(y, dtype=float)))
 
 
 # The Newton solve stops once the KKT residual is below KKT_TOL; the cap
@@ -98,6 +121,9 @@ BOUND_TOL = 1e-9      # a norm this close to the bound counts as on it
 
 @dataclass
 class FitResult:
+    """One fit; ``_fit_logits`` fills the same fields with one entry per row
+    of a stack."""
+
     theta: np.ndarray
     kl: float
     cross_entropy: float
@@ -157,36 +183,58 @@ def _backtrack(objective, x: np.ndarray, step: np.ndarray, value: float,
 
 
 def _fit_logits(D: np.ndarray, y: np.ndarray) -> FitResult:
-    """Minimize mean CE of sigma(D theta) against targets y over the ball.
+    """Minimize mean CE of sigma(D_r theta_r) against targets y_r over the
+    ball, for each problem r of a stack: D is (R, n, K) and y is (R, n).
+
+    One stacked thin SVD, D = U S V^T, serves every step.  Interpolating
+    start: the pseudo-inverse solution of D theta = logit(y), with singular
+    values below ``max(n, K) eps`` times the largest treated as zero, clipped
+    to the ball.  Where that attains the CE lower bound (the target entropy)
+    the row is exact and needs no search.  Only the other rows go through
+    ``_newton``, one at a time, from that start and with their own factors.
+    Every operation on the stack acts row by row, so a row's result does not
+    depend on the problems stacked with it.
+    """
+    R, n, K = D.shape
+    y = _clip_targets(y)
+    entropy = _entropy(y)
+    c = np.log(y / (1 - y))
+    U, svals, Vt = np.linalg.svd(D, full_matrices=False)
+    kept = svals > svals[:, :1] * max(n, K) * np.finfo(float).eps
+    inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=kept)
+    coef = inv * np.matmul(c[:, None, :], U)[:, 0]
+    theta = np.matmul(coef[:, None, :], Vt)[:, 0]
+    # Scale each row down onto the ball; a row inside it is scaled by 1.0,
+    # which leaves it bit-for-bit as it was.
+    norm = np.sqrt((theta * theta).sum(axis=-1))
+    theta *= (THETA_NORM_BOUND / np.maximum(norm, THETA_NORM_BOUND))[:, None]
+    ce = _cross_entropy(np.matmul(D, theta[..., None])[..., 0], y)
+    converged = np.ones(R, dtype=bool)
+    on_bound = np.zeros(R, dtype=bool)
+    for r in np.flatnonzero(~(ce - entropy < 1e-12)):
+        rank = int(kept[r].sum())
+        theta[r], converged[r] = _newton(U[r, :, :rank] * svals[r, :rank], Vt[r, :rank],
+                                         y[r], theta[r])
+        ce[r] = _cross_entropy(D[r] @ theta[r], y[r])
+        on_bound[r] = np.linalg.norm(theta[r]) >= THETA_NORM_BOUND - BOUND_TOL
+    return FitResult(theta, np.maximum(ce - entropy, 0.0), ce, converged, on_bound)
+
+
+def _newton(A: np.ndarray, V: np.ndarray, y: np.ndarray,
+            theta: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Ball-constrained Newton fit of one problem from ``theta``: (theta,
+    converged).
 
     The loss sees theta only through D theta, so the constrained optimum lies
-    in the row space of D: theta = V w, with V from a thin SVD and w of the
-    rank r <= rows.  Each Newton step minimizes the quadratic model over the
-    ball, then backtracks; the fit stops when the KKT residual
-    ||grad + lam w||, lam = max(0, -grad.w/||w||^2) on the ball and 0 inside,
-    is at most ``KKT_TOL``.
+    in the row space of D: theta = V^T w, with V (rank, K) the leading right
+    singular vectors and A = U S (n, rank), so that the logits are A w.  Each
+    Newton step minimizes the quadratic model over the ball, then
+    backtracks; the fit stops when the KKT residual ||grad + lam w||,
+    lam = max(0, -grad.w/||w||^2) on the ball and 0 inside, is at most
+    ``KKT_TOL``.
     """
-    n = D.shape[0]
-    y = _clip_targets(y)
-    entropy = target_entropy(y)
-
-    def ce(theta):
-        return _cross_entropy(D @ theta, y)
-
-    # Interpolating start: if D theta = logit(y) is solvable the CE lower
-    # bound (target entropy) is attained and no search is needed.
-    c = np.log(y / (1 - y))
-    theta_ls, *_ = np.linalg.lstsq(D, c, rcond=None)
-    if np.linalg.norm(theta_ls) > THETA_NORM_BOUND:
-        theta_ls = theta_ls * (THETA_NORM_BOUND / np.linalg.norm(theta_ls))
-    if ce(theta_ls) - entropy < 1e-12:
-        return FitResult(theta_ls, max(ce(theta_ls) - entropy, 0.0), ce(theta_ls))
-
-    U, svals, Vt = np.linalg.svd(D, full_matrices=False)
-    rank = int(np.sum(svals > svals[0] * max(D.shape) * np.finfo(float).eps))
-    V = Vt[:rank]
-    A = U[:, :rank] * svals[:rank]                # logits are A @ w
-    w = V @ theta_ls
+    n = A.shape[0]
+    w = V @ theta
     value = _cross_entropy(A @ w, y)
     converged = False
     for _ in range(MAX_NEWTON_ITER):
@@ -208,10 +256,7 @@ def _fit_logits(D: np.ndarray, y: np.ndarray) -> FitResult:
         if accepted is None:
             break
         w, (value,) = accepted
-    theta = V.T @ w
-    value = ce(theta)
-    return FitResult(theta, max(value - entropy, 0.0), value, converged,
-                     on_norm_bound=bool(np.linalg.norm(theta) >= THETA_NORM_BOUND - BOUND_TOL))
+    return V.T @ w, converged
 
 
 def fit_theta(basis, examples, design=None) -> FitResult:
@@ -226,7 +271,9 @@ def fit_theta(basis, examples, design=None) -> FitResult:
     y = np.array([t for _, t in examples], dtype=float)
     D = design_matrix(basis, [m for m, _ in examples]) if design is None \
         else np.asarray(design, dtype=float)
-    return _fit_logits(D, y)
+    fit = _fit_logits(D[None], y[None])
+    return FitResult(fit.theta[0], float(fit.kl[0]), float(fit.cross_entropy[0]),
+                     bool(fit.converged[0]), bool(fit.on_norm_bound[0]))
 
 
 def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
@@ -234,6 +281,6 @@ def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
     menus = [m for m, _ in examples]
     y = _clip_targets(np.array([t for _, t in examples], dtype=float))
     D = design_matrix(spec.basis, menus)
-    ce = _cross_entropy(D @ spec.theta, y)
-    return ce, max(ce - target_entropy(y), 0.0)
+    ce = float(_cross_entropy(D @ spec.theta, y))
+    return ce, max(ce - float(target_entropy(y)), 0.0)
 

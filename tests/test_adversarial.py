@@ -4,10 +4,10 @@ import pytest
 from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run,
                                  interior_menu, run_adversarial_index)
 from anomgen.basis import PolynomialBasis
-from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor
-from anomgen.lotteries import Lottery, Menu, sample_random_menu
-from anomgen.theory import (TheorySpec, basis_values, fit_theta, theory_choice_prob,
-                            theory_loss)
+from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor, logistic
+from anomgen.lotteries import LOTTERY_SIGN, Lottery, Menu, sample_random_menu, stack_menus
+from anomgen.theory import (TheorySpec, eu_difference_rows, fit_theta,
+                            stack_basis_values, theory_loss)
 from conftest import central_difference, unchecked_menu
 
 BASIS = PolynomialBasis(order=6, domain=(0, 10))
@@ -17,18 +17,23 @@ class LogitEutPredictor:
     """A predictor that IS a member of the allowable class."""
 
     def __init__(self, theta):
-        self.spec = TheorySpec(BASIS, theta)
+        self.theta = TheorySpec(BASIS, theta).theta
         self.label = "logit-eut"
 
-    def predict(self, menu):
-        return theory_choice_prob(self.spec, menu)
-
-    def grad(self, menu):
+    def grad_batch(self, Z, P):
         # Over (p0, p1): the expected-utility difference has gradient (-u0, u1).
-        f = self.predict(menu)
-        B0, B1 = basis_values(BASIS, menu)
-        theta = self.spec.theta
-        return f * (1 - f) * np.concatenate([-(B0 @ theta), B1 @ theta])
+        B = stack_basis_values(BASIS, Z)
+        f = logistic(eu_difference_rows(P, B) @ self.theta)
+        return f, (f * (1 - f))[:, None, None] * LOTTERY_SIGN * (B @ self.theta)
+
+
+def objective(pred, spec, menu):
+    """The disagreement score and its gradient for one menu, flattened to
+    (p0, p1) order."""
+    Z, P = stack_menus([menu])
+    value, grad = ascent_objective(pred, spec.theta[None], Z, P,
+                                   stack_basis_values(BASIS, Z))
+    return value[0], grad[0].reshape(-1)
 
 
 class TestInteriorMenu:
@@ -43,11 +48,10 @@ class TestInteriorMenu:
                 at_face[rng.integers(J)] = False
                 p[at_face] = rng.choice([0.0, 1e-300, 1e-9, 9.99e-9])
                 lots.append(Lottery(rng.uniform(0, 10, J), p / p.sum()))
-            out = interior_menu(Menu(*lots))
-            for lot, before in zip((out.lottery0, out.lottery1), lots):
-                assert lot.probs.min() >= GRAD_BOUNDARY
-                assert abs(lot.probs.sum() - 1.0) <= 1e-12
-                np.testing.assert_array_equal(lot.payoffs, before.payoffs)
+            out = interior_menu(np.stack([lot.probs for lot in lots]))
+            for p in out:
+                assert p.min() >= GRAD_BOUNDARY
+                assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_interior_menu_only_renormalized(self):
         # Menus already inside come back as before the boundary fix: clamping
@@ -55,12 +59,10 @@ class TestInteriorMenu:
         rng = np.random.default_rng(21)
         for _ in range(200):
             menu = sample_random_menu(rng, int(rng.integers(2, 5)), 0, 10)
-            out = interior_menu(menu)
-            for lot, before in zip((out.lottery0, out.lottery1),
-                                   (menu.lottery0, menu.lottery1)):
+            out = interior_menu(stack_menus([menu])[1][0])
+            for p, before in zip(out, (menu.lottery0, menu.lottery1)):
                 if before.probs.min() >= 2 * GRAD_BOUNDARY:
-                    np.testing.assert_array_equal(lot.probs,
-                                                  before.probs / before.probs.sum())
+                    np.testing.assert_array_equal(p, before.probs / before.probs.sum())
 
 
 class TestAscentObjective:
@@ -69,7 +71,7 @@ class TestAscentObjective:
         menu = Menu(lot_menu.lottery0, lot_menu.lottery0)   # predictor gives 0.5
         pred = CptPredictor(CptParams(0.726, 0.309))
         spec = TheorySpec(BASIS, np.random.default_rng(1).normal(size=6))
-        value, _ = ascent_objective(pred, spec, menu, basis_values(BASIS, menu))
+        value, _ = objective(pred, spec, menu)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_self_consistent_predictor_never_disagrees(self):
@@ -79,7 +81,7 @@ class TestAscentObjective:
         spec = TheorySpec(BASIS, theta)
         for _ in range(1000):
             menu = sample_random_menu(rng, 2, 0, 10)
-            value, _ = ascent_objective(pred, spec, menu, basis_values(BASIS, menu))
+            value, _ = objective(pred, spec, menu)
             assert value <= 1e-12
 
     def test_logit_gradient_matches_finite_differences(self):
@@ -91,11 +93,10 @@ class TestAscentObjective:
             if min(menu.lottery0.probs.min(), menu.lottery1.probs.min()) < 0.05:
                 continue
             spec = TheorySpec(BASIS, rng.normal(0, 0.4, size=6))
-            _, grad = ascent_objective(pred, spec, menu, basis_values(BASIS, menu))
+            _, grad = objective(pred, spec, menu)
 
             def value_at(x):
-                m = unchecked_menu(x, 2)
-                return ascent_objective(pred, spec, m, basis_values(BASIS, m))[0]
+                return objective(pred, spec, unchecked_menu(x, 2))[0]
 
             # The objective's gradient covers the probability coordinates.
             fd = central_difference(value_at, menu.flatten())[[2, 3, 6, 7]]
@@ -130,7 +131,7 @@ class TestGdaRun:
         pred = CptPredictor(CptParams(0.726, 0.309))
         x0 = sample_random_menu(np.random.default_rng(5), 2, 0, 10)
         cfg = GdaConfig(step_size=1e-300, max_iters=3)
-        result = gda_run(pred, cfg, x0)
+        (result,) = gda_run(pred, cfg, [x0])
         np.testing.assert_allclose(result.candidate.menus[1].flatten(),
                                    x0.flatten(), atol=1e-12)
 
@@ -160,8 +161,7 @@ class TestGdaRun:
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = GdaConfig(max_iters=25)
         x0 = sample_random_menu(np.random.default_rng(8), 2, 0, 10)
-        r1 = gda_run(pred, cfg, x0)
-        r2 = gda_run(pred, cfg, x0.swapped())
+        r1, r2 = gda_run(pred, cfg, [x0, x0.swapped()])
         assert len(r1.trajectory) == len(r2.trajectory)
         for x1, x2 in zip(r1.trajectory, r2.trajectory):
             # Flat order is (z0, p0, z1, p1): swapping labels swaps halves.
@@ -217,3 +217,60 @@ class TestEstimatedPredictors:
         pred = cpt_fit_predictor(self._training_data())
         result = run_adversarial_index(pred, GdaConfig(), 14, 0)
         assert result.iterations == 50
+
+
+class RowNanPredictor(CptPredictor):
+    """Non-finite gradients for menus whose lottery 0 puts more than half its
+    mass on its first payoff; the oracle's elsewhere."""
+
+    def grad_batch(self, Z, P):
+        f, df = super().grad_batch(Z, P)
+        df[P[:, 0, 0] > 0.5] = np.nan
+        return f, df
+
+
+def candidate_bytes(result):
+    coll = result.candidate
+    return (np.concatenate([m.flatten() for m in coll.menus]).tobytes(),
+            [e.choice_prob for e in coll], sorted(coll.provenance.items()))
+
+
+class TestLockstep:
+    """Runs advance as one probability stack; a run's bytes do not depend on
+    the runs stacked with it."""
+
+    def test_stack_matches_runs_alone(self):
+        pred = CptPredictor(CptParams(0.726, 0.309))
+        cfg = GdaConfig(max_iters=20)
+        rng = np.random.default_rng(40)
+        menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(9)]
+        together = gda_run(pred, cfg, menus)
+        for menu, result in zip(menus, together):
+            (alone,) = gda_run(pred, cfg, [menu])
+            assert candidate_bytes(alone) == candidate_bytes(result)
+            np.testing.assert_array_equal(alone.trajectory, result.trajectory)
+
+    def test_nonfinite_run_stops_and_others_go_on(self):
+        pred = RowNanPredictor(CptParams(0.726, 0.309))
+        cfg = GdaConfig(max_iters=5)
+        rng = np.random.default_rng(41)
+        menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(12)]
+        results = gda_run(pred, cfg, menus)
+        stopped = [r for r in results if r.flags]
+        assert stopped and len(stopped) < len(results)
+        for menu, result in zip(menus, results):
+            assert result.flags == ([f"nonfinite_gradient@iter{result.iterations}"]
+                                    if result.iterations < 5 else [])
+            assert candidate_bytes(gda_run(pred, cfg, [menu])[0]) == candidate_bytes(result)
+
+    def test_inner_fit_counts_recorded(self):
+        pred = CptPredictor(CptParams(0.726, 0.309))
+        results = [run_adversarial_index(pred, GdaConfig(max_iters=3), 23, i)
+                   for i in range(40)]
+        from anomgen.records import candidate_to_record
+        recs = [candidate_to_record(r.candidate) for r in results]
+        on_bound = [r["inner_fits_on_bound"] for r in recs]
+        unconverged = [r["inner_fits_unconverged"] for r in recs]
+        assert all(type(v) is int and 0 <= v <= 3 for v in on_bound + unconverged)
+        # Short runs at this seed land some inner fits on the ball.
+        assert sum(on_bound) > 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from anomgen import morphing
+from anomgen import adversarial, morphing
 from anomgen.adversarial import GdaConfig
 from anomgen.cli import run_command
 from anomgen.config import ConfigError, load_config, parse_config
@@ -21,6 +21,7 @@ from anomgen.records import (candidate_to_record, read_jsonl, record_to_collecti
 from anomgen.verifier import (MAX_DISTINCT_PAYOFFS, minimal_anomaly, verify_collection,
                               verify_parametrized)
 from anomgen.basis import basis_from_config
+from anomgen.predictor import MlpModel, menu_input_scaling
 
 DATA = Path(__file__).parent / "data"
 
@@ -377,30 +378,114 @@ class TestRecordRoundTripProperty:
         assert got == {k: stored[k] for k in got}
 
 
+def write_anomalies(path, n):
+    """A synthetic categorized stream of ``n`` non-FOSD anomalies."""
+    rng = np.random.default_rng(0)
+    recs = []
+    for i in range(n):
+        menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(2)]
+        recs.append({
+            "id": f"x-{i:06d}", "procedure": "adversarial",
+            "predictor": "t", "master_seed": 0, "run_index": i,
+            "iterations": 0, "flags": [],
+            "menus": [m.to_json_dict() for m in menus],
+            "predicted_probs": [0.8, 0.2], "implied_choices": [1, 0],
+            "any_utility_inconsistent": True,
+            "category": {"tag": "other", "certificate": {}},
+            "features": rng.normal(size=18).tolist(),
+        })
+    write_jsonl(path, recs, kind="categorized")
+
+
 class TestClusterCommand:
     def test_cluster_csv_schema(self, tmp_path, capsys):
-        # Build a synthetic categorized stream with enough non-FOSD anomalies.
-        from anomgen.records import write_jsonl
-        from anomgen.lotteries import sample_random_menu
-        rng = np.random.default_rng(0)
-        recs = []
-        for i in range(10):
-            menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(2)]
-            recs.append({
-                "id": f"x-{i:06d}", "procedure": "adversarial",
-                "predictor": "t", "master_seed": 0, "run_index": i,
-                "iterations": 0, "flags": [],
-                "menus": [m.to_json_dict() for m in menus],
-                "predicted_probs": [0.8, 0.2], "implied_choices": [1, 0],
-                "any_utility_inconsistent": True,
-                "category": {"tag": "other", "certificate": {}},
-                "features": rng.normal(size=18).tolist(),
-            })
         os.chdir(tmp_path)
-        write_jsonl("cat.jsonl", recs, kind="categorized")
+        write_anomalies("cat.jsonl", 10)
         summary = run_ok(["cluster", "--in", "cat.jsonl", "--k", "3",
                           "--seed", "0", "--out", "cl.csv"], capsys)
         lines = Path("cl.csv").read_text().splitlines()
         assert lines[0] == "id,cluster,pc1,pc2"
         assert len(lines) == 11
         assert summary["k"] == 3
+
+    def test_fewer_anomalies_than_clusters_exits_1(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        write_anomalies("cat.jsonl", 2)
+        rc = run_command(["cluster", "--in", "cat.jsonl", "--k", "3", "--out", "cl.csv"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and not out.strip()
+        (line,) = err.strip().splitlines()
+        error = json.loads(line)
+        assert error["command"] == "cluster" and "fewer" in error["error"]
+        assert not os.path.exists("cl.csv")
+
+
+class TestStageTiming:
+    def test_summaries_carry_timing_and_records_do_not(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        timing = {"elapsed_s", "runs_per_s", "records_per_s"}
+        summaries = [run_ok([proc, "--inits", "2", "--seed", "1", "--out", f"{proc}.jsonl"],
+                            capsys) for proc in ("adversarial", "morph", "baseline")]
+        assert all(s["runs_per_s"] > 0 for s in summaries)
+        summaries.append(run_ok(["verify", "--in", "adversarial.jsonl", "--out", "v.jsonl"],
+                                capsys))
+        summaries.append(run_ok(["categorize", "--in", "v.jsonl", "--out", "c.jsonl"],
+                                capsys))
+        assert all(s["records_per_s"] > 0 for s in summaries[3:])
+        assert all(s["elapsed_s"] >= 0 for s in summaries)
+        for path in ("adversarial.jsonl", "morph.jsonl", "baseline.jsonl", "v.jsonl",
+                     "c.jsonl"):
+            header, recs = read_jsonl(path)
+            assert recs and not timing & set(header)
+            assert all(not timing & set(rec) for rec in recs)
+
+
+class TestRankTolBound:
+    def test_smallest_cutoff_accepted_and_below_rejected(self, tmp_path, capsys):
+        assert parse_config({"morph": {"rank_tol": 1e-6}}).morph.rank_tol == 1e-6
+        with pytest.raises(ConfigError, match="morph.rank_tol"):
+            parse_config({"morph": {"rank_tol": 9.9e-7}})
+        with pytest.raises(ValueError, match="rank_tol"):
+            MorphConfig(rank_tol=9.9e-7)
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"morph": {"rank_tol": 1e-9}}))
+        rc = run_command(["morph", "--config", "cfg.json", "--inits", "1", "--out", "m.jsonl"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1
+        assert "morph.rank_tol" in json.loads(err[0])["error"]
+        assert not os.path.exists("m.jsonl")
+
+    def test_smallest_cutoff_keeps_rank_within_tangent_space(self):
+        # Below the bound, 7 of these 12 runs reported rank 3 for J = 2.
+        pred = CptPredictor(CptParams(0.726, 0.309))
+        cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
+        ranks = [morphing.run_morph_index(pred, cfg, 6, i).candidate.provenance["retained_rank"]
+                 for i in range(12)]
+        assert all(r is not None and r <= 2 for r in ranks)
+
+
+class TestLockstepBytes:
+    """Adversarial candidates depend only on (master seed, run index): the
+    run-block size and the worker count move no byte."""
+
+    @pytest.mark.parametrize("kind", ["cpt", "mlp"])
+    def test_block_size_and_workers_move_no_byte(self, kind, tmp_path, capsys,
+                                                 monkeypatch):
+        os.chdir(tmp_path)
+        cfg = {"adversarial": {"max_iters": 50}}
+        if kind == "mlp":
+            MlpModel.init_random([8, 16, 16, 1], menu_input_scaling(2), seed=3).save(
+                "model.json")
+            cfg["predictor"] = {"kind": "mlp", "model_path": "model.json"}
+        Path("cfg.json").write_text(json.dumps(cfg))
+        outputs = {}
+        for block in (1, 7, 64):
+            monkeypatch.setattr(adversarial, "_RUN_BLOCK", block)
+            for workers in (1, 2):
+                out = f"a-{block}-{workers}.jsonl"
+                run_ok(["adversarial", "--config", "cfg.json", "--inits", "70",
+                        "--seed", "9", "--workers", str(workers), "--out", out], capsys)
+                outputs[block, workers] = Path(out).read_bytes()
+        assert len(set(outputs.values())) == 1
+        _, recs = read_jsonl("a-64-1.jsonl")
+        assert sum(r["iterations"] == 50 for r in recs) > 60

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomgen.lotteries import (FosdOrder, Lottery, Menu, fosd_compare,
+from anomgen.lotteries import (FosdOrder, Lottery, Menu, check_probs, fosd_compare,
                                lottery_stats, make_lottery, menu_from_flat,
                                merge_payoff_grid, project_to_simplex,
-                               run_rng, sample_random_menu)
+                               run_rng, sample_random_menu, step_probs)
 
 
 class TestMakeLottery:
@@ -67,6 +67,57 @@ class TestSimplexProjection:
         assert np.all(p >= 0)
         assert abs(p.sum() - 1) < 1e-12
         np.testing.assert_array_equal(project_to_simplex(p), p)
+
+
+def project_one(v):
+    """Reference: the sort-based projection of one vector, one step at a time."""
+    v = np.asarray(v, dtype=float)
+    if np.all(v >= 0.0) and abs(v.sum() - 1.0) <= 64 * np.finfo(float).eps:
+        return v.copy()
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, v.size + 1)
+    rho = idx[u - css / idx > 0][-1]
+    return np.maximum(v - css[rho - 1] / rho, 0.0)
+
+
+class TestStackedProjection:
+    def test_rows_equal_one_vector_projections(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 5):
+            V = rng.normal(0.3, 0.8, size=(200, n))
+            V[::7] = rng.dirichlet(np.ones(n), size=V[::7].shape[0])   # on the simplex
+            V[3::11, 0] = 0.0
+            out = project_to_simplex(V)
+            np.testing.assert_array_equal(out, [project_one(v) for v in V])
+            np.testing.assert_array_equal(project_to_simplex(V.reshape(40, 5, n)),
+                                          out.reshape(40, 5, n))
+
+    def test_step_probs_projects_each_lottery(self):
+        rng = np.random.default_rng(13)
+        P = rng.dirichlet(np.ones(3), size=(10, 2))
+        delta = rng.normal(0, 0.3, size=P.shape)
+        out = step_probs(P, delta)
+        np.testing.assert_array_equal(out.reshape(-1, 3),
+                                      [project_one(v) for v in (P + delta).reshape(-1, 3)])
+
+
+class TestCheckProbs:
+    @pytest.mark.parametrize("bad, match", [
+        ([[0.5, 0.5], [np.nan, 1.0]], "non-finite"),
+        ([[0.5, 0.5], [1.1, -0.1]], "negative"),
+        ([[0.5, 0.5], [0.6, 0.5]], "sum to"),
+        ([[0.5, 0.5], [np.inf, 0.0]], "sum to"),
+    ])
+    def test_rejects_what_a_lottery_rejects(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            check_probs(np.array(bad))
+        with pytest.raises(ValueError, match=match):
+            Lottery(np.zeros(2), np.array(bad[1]))
+
+    def test_accepts_rounding_and_empty_stacks(self):
+        check_probs(np.array([[0.3, 0.7 + 1e-12], [1.0, -1e-10]]))
+        check_probs(np.zeros((0, 2, 2)))
 
 
 class TestSampling:

@@ -263,10 +263,11 @@ class TestTangent:
 
 class TestMorphRun:
     def test_full_tangent_span_stops_immediately(self):
-        # Force rank_tol tiny: the sampled ensemble spans the tangent space,
-        # the projected direction is ~0 and the run stops at step 0.
+        # Force rank_tol to the smallest accepted cutoff: the sampled ensemble
+        # spans the tangent space, the projected direction is ~0 and the run
+        # stops at step 0.
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = MorphConfig(rank_tol=1e-9)
+        cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
         result = run_morph_index(pred, cfg, 6, 0)
         assert result.iterations == 0
         m0, mS = result.candidate.menus
@@ -454,8 +455,9 @@ class TestBlockedGram:
 
 
 class NanGradPredictor(CptPredictor):
-    def grad(self, menu):
-        return np.full(2 * menu.n_payoffs, np.nan)
+    def grad_batch(self, Z, P):
+        f, df = super().grad_batch(Z, P)
+        return f, np.full_like(df, np.nan)
 
 
 class TestStopRecord:

@@ -4,7 +4,8 @@ import pytest
 from anomgen.cpt import CptParams, CptPredictor, choice_prob, simulate_choices
 from anomgen.data import ChoiceDataset, ChoiceRow, split_dataset
 from anomgen import predictor
-from anomgen.lotteries import Lottery, Menu, make_lottery, sample_random_menu
+from anomgen.adversarial import interior_menu
+from anomgen.lotteries import Lottery, Menu, make_lottery, sample_random_menu, stack_menus
 from anomgen.predictor import (MlpModel, MlpPredictor, MlpTrainConfig,
                                evaluate, fit_cpt_params, menu_input_scaling,
                                mlp_grad, mlp_predict, train_mlp, _backprop,
@@ -170,6 +171,49 @@ class TestMlpGradients:
                     checked += 1
             assert checked > 40
             assert worst < 1e-4
+
+
+def menu_stack(n, seed):
+    """Random 2-payoff menus stacked, a few with a coordinate at the
+    simplex boundary, plus the menus themselves."""
+    rng = np.random.default_rng(seed)
+    menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(n)]
+    for i in range(0, n, 9):
+        menus[i] = Menu(make_lottery(menus[i].lottery0.payoffs, [1.0, 0.0]),
+                        menus[i].lottery1)
+    return menus, stack_menus(menus)
+
+
+class TestBatchMethods:
+    """predict_batch/grad_batch rows do not depend on the batch they sit in."""
+
+    def test_mlp_rows_equal_single_row_results_at_any_batch_size(self):
+        model = MlpModel.init_random([8, 16, 16, 1], menu_input_scaling(2), seed=4)
+        pred = MlpPredictor(model)
+        menus, (Z, P) = menu_stack(64, 50)
+        single_f = np.array([pred.predict(m) for m in menus])
+        single_g = np.array([pred.grad(m) for m in menus]).reshape(P.shape)
+        # The one-row results are the training forward pass on that row.
+        np.testing.assert_array_equal(
+            single_f, [model.predict_batch(m.flatten()[None, :])[0] for m in menus])
+        for R in (1, 7, 64):
+            parts = [slice(i, i + R) for i in range(0, len(menus), R)]
+            f = np.concatenate([pred.predict_batch(Z[s], P[s]) for s in parts])
+            gf, g = (np.concatenate(x) for x in zip(*[pred.grad_batch(Z[s], P[s])
+                                                      for s in parts]))
+            np.testing.assert_array_equal(f, single_f)
+            np.testing.assert_array_equal(gf, single_f)
+            np.testing.assert_array_equal(g, single_g)
+
+    @pytest.mark.parametrize("kind", ["cpt", "mlp"])
+    def test_grad_batch_value_is_predict_batch(self, kind):
+        pred = CptPredictor(BRUHIN_B) if kind == "cpt" else MlpPredictor(
+            MlpModel.init_random([8, 16, 1], menu_input_scaling(2), seed=5))
+        _, (Z, P) = menu_stack(40, 51)
+        P = interior_menu(P)                # gradients need interior points
+        f, g = pred.grad_batch(Z, P)
+        np.testing.assert_array_equal(f, pred.predict_batch(Z, P))
+        assert g.shape == P.shape
 
 
 class TestFitCptParams:

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from anomgen import adversarial, theory
-from anomgen.adversarial import GdaConfig, run_adversarial_index
+from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor
 from anomgen.lotteries import sample_random_menu
-from anomgen.theory import (THETA_NORM_BOUND, TheorySpec, design_matrix,
-                            eu_difference_features, fit_theta,
-                            theory_choice_prob, theory_loss)
+from anomgen.theory import (THETA_NORM_BOUND, TheorySpec, eu_difference_features,
+                            fit_theta, theory_choice_prob, theory_loss)
 
 
 def pooled_kl(targets, q):
@@ -99,30 +98,31 @@ class TestFitTheta:
 
 @pytest.fixture(scope="module")
 def on_bound_cases():
-    """(basis, examples) of the inner fits that land on the coefficient ball
-    in short adversarial runs (seed 23, bruhin-b oracle)."""
+    """(design, targets) of the inner fits that land on the coefficient ball
+    in short adversarial runs (seed 23, bruhin-b oracle), as the lockstep
+    search hands them to the stacked fit."""
     cases = []
 
-    def record(basis, examples, design=None):
-        fit = theory.fit_theta(basis, examples, design=design)
-        if fit.on_norm_bound:
-            cases.append((basis, list(examples)))
+    def record(D, y):
+        fit = theory._fit_logits(D, y)
+        cases.extend((D[r].copy(), y[r].copy()) for r in np.flatnonzero(fit.on_norm_bound))
         return fit
 
     predictor = CptPredictor(CptParams(0.726, 0.309))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(adversarial, "fit_theta", record)
-        for i in range(600):
-            run_adversarial_index(predictor, GdaConfig(max_iters=3), 23, i)
+        mp.setattr(adversarial, "_fit_logits", record)
+        for start in range(0, 600, 50):
+            list(run_adversarial_indices(predictor, GdaConfig(max_iters=3), 23,
+                                         range(start, start + 50)))
             if len(cases) >= 60:
                 break
     return cases
 
 
-def logit_problem(basis, examples):
-    D = design_matrix(basis, [m for m, _ in examples])
-    y = np.clip([t for _, t in examples], theory.TARGET_CLIP, 1 - theory.TARGET_CLIP)
-    return D, y
+def fit_problem(D, y):
+    """``fit_theta`` on a recorded (design, targets) problem: once the design
+    is given, the menus are not needed."""
+    return fit_theta(None, [(None, t) for t in y], design=D)
 
 
 def mean_kl(D, y, theta):
@@ -132,12 +132,16 @@ def mean_kl(D, y, theta):
     return np.mean(np.logaddexp(0.0, u) - y * u, axis=1) - entropy
 
 
+def clipped(y):
+    return np.clip(y, theory.TARGET_CLIP, 1 - theory.TARGET_CLIP)
+
+
 class TestBallConstrainedFit:
     def test_on_bound_fits_satisfy_kkt(self, on_bound_cases):
         assert len(on_bound_cases) >= 50
-        for basis, examples in on_bound_cases:
-            fit = fit_theta(basis, examples)
-            D, y = logit_problem(basis, examples)
+        for D, y in on_bound_cases:
+            fit = fit_problem(D, y)
+            y = clipped(y)
             theta = fit.theta
             grad = ((1.0 / (1.0 + np.exp(-(D @ theta))) - y) @ D) / len(y)
             norm = np.linalg.norm(theta)
@@ -148,10 +152,10 @@ class TestBallConstrainedFit:
             assert np.linalg.norm(grad + lam * theta) <= 1e-10
 
     def test_two_row_fits_match_dense_circle_scan(self, on_bound_cases):
-        pairs = [(b, ex) for b, ex in on_bound_cases if len(ex) == 2][:20]
+        pairs = [(D, y) for D, y in on_bound_cases if len(y) == 2][:20]
         assert len(pairs) >= 10
-        for basis, examples in pairs:
-            D, y = logit_problem(basis, examples)
+        for D, y in pairs:
+            yc = clipped(y)
             _, _, Vt = np.linalg.svd(D, full_matrices=False)
             # The loss sees theta only through its row-space part, so the
             # optimum on the ball lies on the circle of radius R in that plane.
@@ -160,15 +164,31 @@ class TestBallConstrainedFit:
                 if width is not None:
                     phi = best + np.linspace(-width, width, 20_001)
                 circle = THETA_NORM_BOUND * np.stack([np.cos(phi), np.sin(phi)], axis=1)
-                kls = mean_kl(D, y, circle @ Vt[:2])
+                kls = mean_kl(D, yc, circle @ Vt[:2])
                 best = phi[np.argmin(kls)]
-            assert fit_theta(basis, examples).kl <= kls.min() + 1e-10
+            assert fit_problem(D, y).kl <= kls.min() + 1e-10
 
     def test_iteration_cap_reports_unconverged(self, on_bound_cases, monkeypatch):
-        basis, examples = on_bound_cases[0]
-        assert fit_theta(basis, examples).converged
+        D, y = on_bound_cases[0]
+        assert fit_problem(D, y).converged
         monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 1)
-        assert not fit_theta(basis, examples).converged
+        assert not fit_problem(D, y).converged
+
+    def test_stacked_fit_gives_each_problems_own_newton_fit(self, on_bound_cases):
+        # On-bound problems stacked with exact ones: every row of the stacked
+        # fit is the fit of that problem alone, to the bit.
+        rng = np.random.default_rng(30)
+        exact = [(D, 1 / (1 + np.exp(-(D @ rng.normal(0, 0.1, D.shape[1])))))
+                 for D, _ in on_bound_cases[:5]]
+        problems = [p for pair in zip(on_bound_cases, exact) for p in pair]
+        stacked = theory._fit_logits(np.stack([D for D, _ in problems]),
+                                     np.stack([y for _, y in problems]))
+        assert stacked.on_norm_bound.sum() >= 5 and (~stacked.on_norm_bound).sum() >= 5
+        for r, (D, y) in enumerate(problems):
+            alone = fit_problem(D, y)
+            np.testing.assert_array_equal(stacked.theta[r], alone.theta)
+            assert (stacked.kl[r], stacked.converged[r], stacked.on_norm_bound[r]) == \
+                (alone.kl, alone.converged, alone.on_norm_bound)
 
 
 class TestTheoryLoss:
