@@ -8,13 +8,11 @@ JSONL/CSV streams reusable by the anomgen CLI.
 """
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import time
 
-from anomgen.cli import run_command
+from anomgen.cli import cluster_rows, run_command
 
 
 def sh(argv):
@@ -22,6 +20,19 @@ def sh(argv):
     rc = run_command(argv)
     if rc != 0:
         raise SystemExit(rc)
+
+
+def cluster_pooled(pooled, pooled_path, out, k, seed):
+    """Cluster the pooled anomalies into ``k`` groups.  Too few non-FOSD
+    anomalies for the clusters is a result, reported in one line; any other
+    failure of ``cluster`` stops the script with its exit status."""
+    count = len(cluster_rows(pooled))
+    if count < k:
+        print(f"clustering skipped: {count} non-FOSD anomalies with features, "
+              f"fewer than the {k} clusters")
+        return
+    sh(["cluster", "--in", pooled_path, "--k", str(k), "--seed", str(seed),
+        "--out", out])
 
 
 def main():
@@ -67,16 +78,8 @@ def main():
     write_jsonl(path("pooled_categorized.jsonl"), pooled, kind="categorized")
     sh(["report", "--in", path("pooled_categorized.jsonl"),
         "--out", path("report.csv")])
-    # Too few non-FOSD anomalies for the clusters is a result, not a failure.
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = run_command(["cluster", "--in", path("pooled_categorized.jsonl"),
-                          "--k", "4", "--seed", str(args.seed),
-                          "--out", path("clusters.csv")])
-    if rc != 0:
-        lines = err.getvalue().strip().splitlines()
-        reason = json.loads(lines[-1])["error"] if lines else f"exit status {rc}"
-        print(f"clustering skipped: {reason}")
+    cluster_pooled(pooled, path("pooled_categorized.jsonl"), path("clusters.csv"),
+                   k=4, seed=args.seed)
 
     n_par = sum(r.get("parametrized_inconsistent", False) for r in pooled)
     n_full = sum(r.get("any_utility_inconsistent", False) for r in pooled)

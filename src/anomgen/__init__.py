@@ -3,7 +3,7 @@
 from .lotteries import (Example, ExampleCollection, FosdOrder, Lottery, Menu,
                         fosd_compare, lottery_stats, make_lottery,
                         project_to_simplex, sample_random_menu)
-from .cpt import CptParams, CptPredictor, choice_prob, lottery_values
+from .cpt import CptParams, CptPredictor, lottery_values
 from .basis import ISplineBasis, PolynomialBasis, basis_from_config
 from .theory import TheorySpec, fit_theta, theory_choice_prob
 from .verifier import (VerificationResult, minimal_anomaly,

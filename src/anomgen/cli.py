@@ -169,11 +169,17 @@ def cmd_categorize(args) -> int:
                     **_throughput(start, len(out_recs), "records"))
 
 
-def cmd_cluster(args) -> int:
-    _, recs = records.read_jsonl(args.inp, expected_kind="categorized")
-    rows = [r for r in recs
+def cluster_rows(recs) -> list:
+    """The categorized records ``cluster`` groups: non-FOSD anomalies with
+    features."""
+    return [r for r in recs
             if r.get("any_utility_inconsistent") and r.get("features")
             and r.get("category", {}).get("tag") != "fosd"]
+
+
+def cmd_cluster(args) -> int:
+    _, recs = records.read_jsonl(args.inp, expected_kind="categorized")
+    rows = cluster_rows(recs)
     if len(rows) < args.k:
         raise ValueError(f"{len(rows)} non-FOSD anomalies with features, "
                          f"fewer than the {args.k} clusters asked for")

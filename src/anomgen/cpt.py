@@ -93,23 +93,6 @@ def lottery_values(Z, P, params: CptParams, wrt: str | None = None):
     raise ValueError(f"unknown derivative {wrt!r}")
 
 
-def choice_prob(menu: Menu, params: CptParams, scale: float = 1.0) -> float:
-    """P(choose lottery 1) = logistic(scale * CPT-value difference)."""
-    return CptPredictor(params, scale).predict(menu)
-
-
-def choice_prob_grad(menu: Menu, params: CptParams, scale: float = 1.0) -> np.ndarray:
-    """Analytic gradient of choice_prob over the probabilities (p0, p1).
-
-    Payoffs never move in the searches, so only the 2J probability
-    coordinates are differentiated.
-
-    Raises if any probability coordinate is below the boundary tolerance;
-    callers clamp iterates into the interior before differentiating.
-    """
-    return CptPredictor(params, scale).grad(menu)
-
-
 class CptPredictor:
     """Predictor handle backed by the closed-form oracle.
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from .adversarial import SearchResult, interior_menu, search_result
 from .basis import basis_from_config
-from .lotteries import (Menu, flat_stack, menu_from_flat, run_rng, sample_random_menu,
+from .lotteries import (Menu, check_probs, flat_stack, run_rng, sample_random_menu,
                         stack_menus, step_probs)
-from .theory import basis_values, eu_difference_row, fit_theta
+from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 DEFAULT_BASIS = {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}
 STOP_NORM = 1e-8
@@ -138,14 +138,14 @@ def _tangent(vecs: np.ndarray, n_payoffs: int) -> np.ndarray:
     return out if np.asarray(vecs).ndim > 1 else out[0]
 
 
-def morph_step_direction(pred_grad: np.ndarray, menu: Menu, history,
+def morph_step_direction(pred_grad: np.ndarray, probs: np.ndarray, history,
                          basis_rows: np.ndarray, rng: np.random.Generator,
                          config: MorphConfig) -> tuple[np.ndarray, int]:
     """One morph step's direction and the rank of the sampled span it removes.
 
     Draws ``config.n_gradient_samples`` utility vectors U = (U0, U1) around
     the fit history (``basis_rows`` holds the basis values at the menu's
-    payoffs).  Draw i's choice probability has gradient s_i v_i over
+    payoffs, and ``probs`` (2, J) its probabilities (p0, p1)).  Draw i's choice probability has gradient s_i v_i over
     (p0, p1), with v_i = (-U0_i, U1_i), logit a_i = p1 . U1_i - p0 . U0_i
     and slope s_i = sigma(a_i)(1 - sigma(a_i)).  The predictor's gradient and
     these are restricted to simplex-tangent coordinates by the projector P,
@@ -155,11 +155,11 @@ def morph_step_direction(pred_grad: np.ndarray, menu: Menu, history,
     block is mapped straight to P v and a and added into the 2J x 2J Gram
     matrix, so no count-wide array is built.
     """
-    J = menu.n_payoffs
+    J = probs.shape[-1]
     mean, factor = _utility_factor(history, basis_rows)
     P = _tangent(np.eye(2 * J), J)                  # symmetric projector
     flip = np.repeat([-1.0, 1.0], J)                # U -> v
-    logit = np.concatenate([-menu.lottery0.probs, menu.lottery1.probs])
+    logit = np.concatenate([-probs[0], probs[1]])
     v_map, v_mean = P @ (flip[:, None] * factor), (P @ (flip * mean))[:, None]
     a_map, a_mean = logit @ factor, logit @ mean
     gram = np.zeros((2 * J, 2 * J))
@@ -185,46 +185,41 @@ def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator
     the rank of the sampled span removed by its last projection
     (``retained_rank``, None when the run stopped before its first).
     """
-    basis = config.make_basis()
-    J = x0.n_payoffs
     flags: list = []
-
-    # Payoffs are frozen, so the basis values at each payoff are fixed.
-    B0, B1 = basis_values(basis, x0)                # (J, K) each
-    Bs = np.concatenate([B0, B1])
-    d0 = eu_difference_row(x0, B0, B1)
-
-    f0 = predictor.predict(x0)
-    seed_fit = fit_theta(basis, [(x0, f0)], design=d0[None, :])
-    history = [seed_fit.theta]
-
+    # Payoffs are frozen, so the basis values at each payoff are fixed.  The
+    # run moves the (1, 2, J) probability stack of its menu.
     Z, P = stack_menus([x0])
-    trajectory = [x0.flatten()]
+    B = stack_basis_values(config.make_basis(), Z)  # (1, 2, J, K)
+    Bs = B[0].reshape(-1, B.shape[-1])              # (2J, K), lottery 0 first
+    d0 = eu_difference_rows(P, B)
+    f0 = predictor.predict_batch(Z, P)
+    history = [_fit_logits(d0[:, None], f0[:, None]).theta[0]]
+
+    trajectory = [flat_stack(Z, P)[0]]
     rank = None
     for s in range(config.max_iters):
-        menu = menu_from_flat(trajectory[-1], J)
-        d = eu_difference_row(menu, B0, B1)
-        fit = fit_theta(basis, [(x0, f0), (menu, predictor.predict(menu))],
-                        design=np.array([d0, d]))
-        history.append(fit.theta)
+        fit = _fit_logits(np.stack([d0, eu_difference_rows(P, B)], axis=1),
+                          np.stack([f0, predictor.predict_batch(Z, P)], axis=1))
+        history.append(fit.theta[0])
 
         pred_grad = predictor.grad_batch(Z, interior_menu(P))[1].reshape(-1)
         if not np.all(np.isfinite(pred_grad)):
             flags.append(f"nonfinite_gradient@iter{s}")
             stop = "nonfinite_gradient"
             break
-        direction, rank = morph_step_direction(pred_grad, menu, history, Bs, rng,
+        direction, rank = morph_step_direction(pred_grad, P[0], history, Bs, rng,
                                                config)
         if np.linalg.norm(direction) < STOP_NORM:
             stop = "direction_vanished"
             break
         P = step_probs(P, -config.step_size * direction.reshape(P.shape))
+        check_probs(P)
         trajectory.append(flat_stack(Z, P)[0])
     else:
         stop = "max_iters"
 
     prov = {**(provenance or {}), "stop": stop, "retained_rank": rank}
-    return search_result("morphing", x0, f0, np.array(trajectory),
+    return search_result("morphing", x0, f0[0], np.array(trajectory),
                          predictor.predict_batch(Z, P)[0], flags, prov)
 
 

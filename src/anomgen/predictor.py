@@ -63,7 +63,11 @@ class MlpModel:
                         [b.copy() for b in self.biases], self.input_scaling.copy())
 
     def forward(self, X: np.ndarray, keep: bool = False):
-        """Logits for a batch of scaled inputs; optionally keep activations."""
+        """Logits for a batch of scaled inputs; optionally keep activations.
+
+        Inputs (N, width) give logits (N,); inputs (R, 1, width) give (R, 1)
+        through stacked (1, width) products, one row at a time.
+        """
         acts = [X]
         h = X
         for l, (W, b) in enumerate(zip(self.weights, self.biases)):
@@ -190,15 +194,6 @@ def train_mlp(train: ChoiceDataset, hidden=(32, 32),
     return model
 
 
-def mlp_predict(model: MlpModel, menu: Menu) -> float:
-    return MlpPredictor(model).predict(menu)
-
-
-def mlp_grad(model: MlpModel, menu: Menu) -> np.ndarray:
-    """Gradient of the predicted probability over the raw probabilities (p0, p1)."""
-    return MlpPredictor(model).grad(menu)
-
-
 class MlpPredictor:
     """Predictor handle backed by an ``MlpModel``.
 
@@ -211,31 +206,26 @@ class MlpPredictor:
         self.model = model
         self.label = label
 
-    def _activations(self, Z: np.ndarray, P: np.ndarray) -> list:
-        """Scaled inputs, then each layer's output, as (R, 1, width) arrays."""
-        model = self.model
+    def _forward(self, Z: np.ndarray, P: np.ndarray):
+        """Logits (R,) and the activations of ``MlpModel.forward`` on the
+        scaled inputs as (R, 1, width) rows."""
         X = flat_stack(Z, P)
-        if X.shape[-1] != model.widths[0]:
+        if X.shape[-1] != self.model.widths[0]:
             raise ValueError("menu dimension does not match model input layer")
-        h = (X * model.input_scaling)[:, None, :]
-        acts = [h]
-        for l, (W, b) in enumerate(zip(model.weights, model.biases)):
-            h = np.matmul(h, W) + b
-            if l < len(model.weights) - 1:
-                h = np.maximum(h, 0.0)
-            acts.append(h)
-        return acts
+        logits, acts = self.model.forward((X * self.model.input_scaling)[:, None, :],
+                                          keep=True)
+        return logits[:, 0], acts
 
     def predict_batch(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
-        return logistic(self._activations(Z, P)[-1][:, 0, 0])
+        return logistic(self._forward(Z, P)[0])
 
     def grad_batch(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(f, df/dp): ``predict_batch``'s probabilities and their gradients
         (R, 2, J) over (p0, p1).  Backpropagation yields all 4J input
         coordinates; the payoff entries are dropped."""
-        acts = self._activations(Z, P)
+        logits, acts = self._forward(Z, P)
         weights = self.model.weights
-        f = logistic(acts[-1][:, 0, 0])
+        f = logistic(logits)
         delta = np.ones((f.size, 1, 1))
         for l in range(len(weights) - 1, 0, -1):
             delta = np.matmul(delta, weights[l].T)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpt import logistic
-from .lotteries import Menu
+from .lotteries import Menu, stack_menus
 
 TARGET_CLIP = 1e-6
 # Radius of the coefficient ball standing in for a compact parameter space.
@@ -45,20 +45,6 @@ class TheorySpec:
         object.__setattr__(self, "theta", theta)
 
 
-def basis_values(basis, menu: Menu) -> tuple[np.ndarray, np.ndarray]:
-    """Basis values (J, K) at the payoffs of lottery 0 and of lottery 1."""
-    return basis.eval(menu.lottery0.payoffs), basis.eval(menu.lottery1.payoffs)
-
-
-def eu_difference_row(menu: Menu, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """d(x) from the basis values at the menu's payoffs.
-
-    The searches keep payoffs frozen, so they evaluate the basis once per
-    menu and build every later row from these values.
-    """
-    return menu.lottery1.probs @ b1 - menu.lottery0.probs @ b0
-
-
 def stack_basis_values(basis, Z: np.ndarray) -> np.ndarray:
     """Basis values (..., 2, J, K) at a (..., 2, J) payoff stack, from one
     evaluation over all payoffs."""
@@ -75,11 +61,15 @@ def eu_difference_rows(P: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def eu_difference_features(basis, menu: Menu) -> np.ndarray:
     """d(x): basis-weighted expected-utility difference feature vector."""
-    return eu_difference_row(menu, *basis_values(basis, menu))
+    return design_matrix(basis, [menu])[0]
 
 
 def design_matrix(basis, menus) -> np.ndarray:
-    return np.array([eu_difference_features(basis, m) for m in menus])
+    """The rows d(x) of ``menus``; the searches keep payoffs frozen, so they
+    evaluate the basis once (``stack_basis_values``) and build every later
+    row with ``eu_difference_rows``."""
+    Z, P = stack_menus(menus)
+    return eu_difference_rows(P, stack_basis_values(basis, Z))
 
 
 def theory_choice_prob(spec: TheorySpec, menu: Menu) -> float:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from anomgen.lotteries import Example, ExampleCollection, Lottery, Menu, make_lottery
+from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu, make_lottery,
+                               sample_random_menu)
+from anomgen.records import write_jsonl
 
 # Tolerance used when re-deriving quantities from tables rounded to whole
 # percents / cents.
@@ -123,3 +125,22 @@ def kernel_weights(p, params):
     from anomgen.cpt import lottery_values
     p = np.asarray(p, dtype=float)
     return lottery_values(np.eye(p.size), np.tile(p, (p.size, 1)), params)
+
+
+def write_anomalies(path, n):
+    """A synthetic categorized stream of ``n`` non-FOSD anomalies."""
+    rng = np.random.default_rng(0)
+    recs = []
+    for i in range(n):
+        menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(2)]
+        recs.append({
+            "id": f"x-{i:06d}", "procedure": "adversarial",
+            "predictor": "t", "master_seed": 0, "run_index": i,
+            "iterations": 0, "flags": [],
+            "menus": [m.to_json_dict() for m in menus],
+            "predicted_probs": [0.8, 0.2], "implied_choices": [1, 0],
+            "any_utility_inconsistent": True,
+            "category": {"tag": "other", "certificate": {}},
+            "features": rng.normal(size=18).tolist(),
+        })
+    write_jsonl(path, recs, kind="categorized")

@@ -20,16 +20,14 @@ from anomgen.analysis import (PatternFrequencies, estimate_epsilon, kmeans,
 from anomgen.basis import PolynomialBasis, basis_from_config
 from anomgen.categorize import categorize, decompose_shared_components
 from anomgen.cli import run_command
-from anomgen.cpt import (CptParams, CptPredictor, choice_prob,
-                         choice_prob_grad, simulate_choices)
+from anomgen.cpt import CptParams, CptPredictor, simulate_choices
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu,
                                fosd_compare, make_lottery, merge_payoff_grid,
                                probs_on_grid, sample_random_menu)
 from anomgen.morphing import (MorphConfig, null_space_projection, run_morph_index,
                               _tangent)
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
-                               menu_input_scaling, mlp_grad, mlp_predict,
-                               _backprop, _ce_loss)
+                               menu_input_scaling, _backprop, _ce_loss)
 from anomgen.records import read_jsonl
 from anomgen.theory import fit_theta
 from anomgen.verifier import (minimal_anomaly, verify_collection,
@@ -146,9 +144,10 @@ def _vector_rel(fd, g):
 def test_criterion_4_gradient_suites():
     with criterion(4, "analytic gradients match central differences on 500 points"):
         rng = np.random.default_rng(101)
-        params = CptParams(0.926, 0.377)
+        oracle = CptPredictor(CptParams(0.926, 0.377))
         model = MlpModel.init_random([8, 32, 32, 1], menu_input_scaling(2),
                                      seed=7)
+        mlp = MlpPredictor(model)
 
         def interior_menu():
             while True:
@@ -162,16 +161,14 @@ def test_criterion_4_gradient_suites():
         for _ in range(500):
             m = interior_menu()
             x = m.flatten()
-            g = choice_prob_grad(m, params)
+            g = oracle.grad(m)
             fd = central_difference(
-                lambda v: choice_prob(unchecked_menu(v, 2),
-                                      params), x)[probs]
+                lambda v: oracle.predict(unchecked_menu(v, 2)), x)[probs]
             cpt_worst = max(cpt_worst, _vector_rel(fd, g))
 
-            gm = mlp_grad(model, m)
+            gm = mlp.grad(m)
             fdm = central_difference(
-                lambda v: mlp_predict(model,
-                                      unchecked_menu(v, 2)), x)[probs]
+                lambda v: mlp.predict(unchecked_menu(v, 2)), x)[probs]
             rel = _vector_rel(fdm, gm)
             if rel < 1e-2:      # away from rectifier kinks
                 mlp_worst = max(mlp_worst, rel)

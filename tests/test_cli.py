@@ -22,6 +22,7 @@ from anomgen.verifier import (MAX_DISTINCT_PAYOFFS, minimal_anomaly, verify_coll
                               verify_parametrized)
 from anomgen.basis import basis_from_config
 from anomgen.predictor import MlpModel, menu_input_scaling
+from conftest import write_anomalies
 
 DATA = Path(__file__).parent / "data"
 
@@ -376,25 +377,6 @@ class TestRecordRoundTripProperty:
             _, (stored,) = read_jsonl(ver, expected_kind="verified")
         got = reverified(stored, basis)
         assert got == {k: stored[k] for k in got}
-
-
-def write_anomalies(path, n):
-    """A synthetic categorized stream of ``n`` non-FOSD anomalies."""
-    rng = np.random.default_rng(0)
-    recs = []
-    for i in range(n):
-        menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(2)]
-        recs.append({
-            "id": f"x-{i:06d}", "procedure": "adversarial",
-            "predictor": "t", "master_seed": 0, "run_index": i,
-            "iterations": 0, "flags": [],
-            "menus": [m.to_json_dict() for m in menus],
-            "predicted_probs": [0.8, 0.2], "implied_choices": [1, 0],
-            "any_utility_inconsistent": True,
-            "category": {"tag": "other", "certificate": {}},
-            "features": rng.normal(size=18).tolist(),
-        })
-    write_jsonl(path, recs, kind="categorized")
 
 
 class TestClusterCommand:

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomgen.cpt import (CptParams, CptPredictor, choice_prob,
-                         choice_prob_grad, logistic, lottery_values,
+from anomgen.cpt import (CptParams, CptPredictor, logistic, lottery_values,
                          simulate_choices)
-from anomgen.lotteries import (Lottery, Menu, make_lottery, menu_from_flat,
-                               sample_random_menu)
+from anomgen.lotteries import (Lottery, Menu, make_lottery, sample_random_menu,
+                               stack_menus)
 from conftest import central_difference, flat_menu_fn, kernel_weights
 
 BRUHIN_B = CptParams(0.726, 0.309)
+ORACLE_B = CptPredictor(BRUHIN_B)
 
 
 def value(lottery, params):
@@ -148,31 +148,31 @@ class TestLogistic:
 class TestChoiceProb:
     def test_identical_lotteries(self):
         lot = make_lottery([2, 6], [0.4, 0.6])
-        assert choice_prob(Menu(lot, lot), BRUHIN_B) == pytest.approx(0.5)
+        assert ORACLE_B.predict(Menu(lot, lot)) == pytest.approx(0.5)
 
     def test_swap_antisymmetry(self):
         m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
-        f = choice_prob(m, BRUHIN_B)
-        assert choice_prob(m.swapped(), BRUHIN_B) == pytest.approx(1 - f, abs=1e-12)
+        f = ORACLE_B.predict(m)
+        assert ORACLE_B.predict(m.swapped()) == pytest.approx(1 - f, abs=1e-12)
 
     def test_composed_example(self):
         menu = Menu(Lottery(np.array([5.0, 5.0]), np.array([1.0, 0.0])),
                     make_lottery([0, 10], [0.5, 0.5]))
         expected = 1 / (1 + np.exp(-(10 * 0.726 / 1.726 - 5.0)))
-        assert choice_prob(menu, BRUHIN_B) == pytest.approx(expected, abs=1e-12)
-        assert choice_prob(menu, BRUHIN_B) == pytest.approx(0.311, abs=1e-3)
+        assert ORACLE_B.predict(menu) == pytest.approx(expected, abs=1e-12)
+        assert ORACLE_B.predict(menu) == pytest.approx(0.311, abs=1e-3)
 
     def test_strictly_interior(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            f = choice_prob(sample_random_menu(rng, 2, 0, 10), BRUHIN_B)
+            f = ORACLE_B.predict(sample_random_menu(rng, 2, 0, 10))
             assert 0.0 < f < 1.0
 
 
 class TestChoiceProbGrad:
     def test_symmetry_for_identical_lotteries(self):
         lot = make_lottery([2, 6], [0.4, 0.6])
-        g = choice_prob_grad(Menu(lot, lot), BRUHIN_B)
+        g = ORACLE_B.grad(Menu(lot, lot))
         assert g.shape == (4,)
         np.testing.assert_allclose(g[:2], -g[2:], rtol=1e-12)
 
@@ -181,8 +181,8 @@ class TestChoiceProbGrad:
         # dV/dp_j = z_j - EV: slope * (-z0, z1) up to a per-lottery constant,
         # which vanishes along every simplex-tangent direction.
         m = sample_random_menu(np.random.default_rng(2), 2, 0, 10)
-        g = choice_prob_grad(m, CptParams(1, 1))
-        f = choice_prob(m, CptParams(1, 1))
+        g = CptPredictor(CptParams(1, 1)).grad(m)
+        f = CptPredictor(CptParams(1, 1)).predict(m)
         slope = f * (1 - f)
         z0, p0 = m.lottery0.payoffs, m.lottery0.probs
         z1, p1 = m.lottery1.payoffs, m.lottery1.probs
@@ -204,10 +204,10 @@ class TestChoiceProbGrad:
                 m = sample_random_menu(rng, J, 0.5, 9.5)
                 if m.lottery0.probs.min() < 0.05 or m.lottery1.probs.min() < 0.05:
                     continue
-                g = choice_prob_grad(m, params)
+                g = CptPredictor(params).grad(m)
                 assert g.shape == (2 * J,)
                 fd = central_difference(
-                    flat_menu_fn(lambda menu: choice_prob(menu, params), J),
+                    flat_menu_fn(lambda menu: CptPredictor(params).predict(menu), J),
                     m.flatten())
                 fd = np.concatenate([fd[J:2 * J], fd[3 * J:]])
                 err = np.maximum(np.abs(fd - g) - floor, 0.0)
@@ -219,7 +219,7 @@ class TestChoiceProbGrad:
     def test_boundary_point_rejected(self):
         menu = Menu(make_lottery([1, 2], [1.0, 0.0]), make_lottery([1, 2], [0.5, 0.5]))
         with pytest.raises(ValueError, match="boundary"):
-            choice_prob_grad(menu, BRUHIN_B)
+            ORACLE_B.grad(menu)
 
 
 class TestSimulateChoices:
@@ -241,7 +241,7 @@ class TestSimulateChoices:
         m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
         ds = simulate_choices(np.random.default_rng(1), [m], BRUHIN_B,
                               kind="rate", count=5_000)
-        assert abs(ds.outcomes()[0] - choice_prob(m, BRUHIN_B)) < 0.03
+        assert abs(ds.outcomes()[0] - ORACLE_B.predict(m)) < 0.03
 
     def test_rate_requires_count(self):
         m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
@@ -254,8 +254,9 @@ class TestPredictorHandle:
     def test_predict_and_grad_consistent(self):
         pred = CptPredictor(BRUHIN_B)
         m = sample_random_menu(np.random.default_rng(4), 2, 1, 9)
-        assert pred.predict(m) == choice_prob(m, BRUHIN_B)
-        np.testing.assert_array_equal(pred.grad(m), choice_prob_grad(m, BRUHIN_B))
+        Z, P = stack_menus([m])
+        assert pred.predict(m) == pred.predict_batch(Z, P)[0]
+        np.testing.assert_array_equal(pred.grad(m), pred.grad_batch(Z, P)[1][0].ravel())
 
     def test_preset_lookup(self):
         assert CptParams.preset("bruhin-a") == CptParams(0.926, 0.377)

@@ -7,12 +7,13 @@ from anomgen import morphing
 from anomgen.adversarial import GdaConfig, run_adversarial_index
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
-from anomgen.lotteries import Lottery, Menu, menu_from_flat, sample_random_menu
+from anomgen.lotteries import (Lottery, Menu, menu_from_flat, sample_random_menu,
+                               stack_menus)
 from anomgen.morphing import (COV_JITTER, MorphConfig, morph_run,
                               morph_step_direction, null_space_projection,
                               run_morph_index, sample_theta_history, _tangent)
 from anomgen.records import candidate_to_record
-from anomgen.theory import fit_theta
+from anomgen.theory import eu_difference_rows, fit_theta, stack_basis_values
 
 
 class TestSampleThetaHistory:
@@ -106,6 +107,11 @@ class TestUtilityDraws:
         assert np.linalg.matrix_rank(np.cov(U)) == 2
 
 
+def probs_of(menu):
+    """The (2, J) probabilities (p0, p1) of a menu, as a morph step takes them."""
+    return np.stack([menu.lottery0.probs, menu.lottery1.probs])
+
+
 def sampled_gradients(history, count, rng, rows, menu):
     """The (count, 2J) choice-probability gradients over (p0, p1) of utility
     draws around ``history``, built from one whole draw."""
@@ -177,7 +183,7 @@ class TestGramMatchesSvd:
             np.testing.assert_allclose(null_space_projection(g_t, G_t, rank_tol),
                                        reference, rtol=0, atol=1e-10)
             step, _ = morph_step_direction(
-                g, menu, history, rows, step_rng,
+                g, probs_of(menu), history, rows, step_rng,
                 MorphConfig(n_gradient_samples=200_000, rank_tol=rank_tol))
             np.testing.assert_allclose(step, reference, rtol=0, atol=1e-10)
             compared += 1
@@ -308,13 +314,13 @@ class TestMorphRun:
         result = run_morph_index(pred, cfg, 11, 3)
         assert result.iterations >= 5
         x0 = result.candidate.menus[0]
-        B0 = basis.eval(x0.lottery0.payoffs)
-        B1 = basis.eval(x0.lottery1.payoffs)
+        Z0, P0 = stack_menus([x0])
+        B = stack_basis_values(basis, Z0)
         for x in result.trajectory:
             menu = menu_from_flat(x, 2)
             examples = [(x0, pred.predict(x0)), (menu, pred.predict(menu))]
-            rows = np.array([m.lottery1.probs @ B1 - m.lottery0.probs @ B0
-                             for m, _ in examples])
+            rows = np.concatenate([eu_difference_rows(P0, B),
+                                   eu_difference_rows(stack_menus([menu])[1], B)])
             plain = fit_theta(basis, examples)
             given = fit_theta(basis, examples, design=rows)
             np.testing.assert_array_equal(given.theta, plain.theta)
@@ -337,7 +343,7 @@ class TestMorphStepDirection:
             count = int(rng.integers(1, 6))
             twin = copy.deepcopy(rng)
             v, rank = morph_step_direction(
-                g, menu, history, rows, rng,
+                g, probs_of(menu), history, rows, rng,
                 MorphConfig(n_gradient_samples=count, rank_tol=1e-6))
             grads = sampled_gradients(history, count, twin, rows, menu)
             assert 0 <= rank <= min(count, 2)
@@ -392,7 +398,7 @@ class TestBlockedGram:
             g, menu, history, rows = morph_like_state(rng, J)
             twin = copy.deepcopy(rng)
             step, rank = morph_step_direction(
-                g, menu, history, rows, rng,
+                g, probs_of(menu), history, rows, rng,
                 MorphConfig(n_gradient_samples=count, rank_tol=rank_tol))
             G_t = _tangent(sampled_gradients(history, count, twin, rows, menu), J)
             # The two routes consumed the same stream.
@@ -430,7 +436,7 @@ class TestBlockedGram:
             for block in (1000, 4096):
                 monkeypatch.setattr(morphing, "_DRAW_BLOCK", block)
                 recorder = RecordingRng(trial)
-                step, rank = morph_step_direction(g, menu, history, rows,
+                step, rank = morph_step_direction(g, probs_of(menu), history, rows,
                                                   recorder, cfg)
                 assert [d.shape[0] for d in recorder.draws[:-1]] == \
                     [block] * (len(recorder.draws) - 1)

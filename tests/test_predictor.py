@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from anomgen.cpt import CptParams, CptPredictor, choice_prob, simulate_choices
+from anomgen.cpt import CptParams, CptPredictor, simulate_choices
 from anomgen.data import ChoiceDataset, ChoiceRow, split_dataset
 from anomgen import predictor
 from anomgen.adversarial import interior_menu
 from anomgen.lotteries import Lottery, Menu, make_lottery, sample_random_menu, stack_menus
 from anomgen.predictor import (MlpModel, MlpPredictor, MlpTrainConfig,
                                evaluate, fit_cpt_params, menu_input_scaling,
-                               mlp_grad, mlp_predict, train_mlp, _backprop,
-                               _ce_loss, _cpt_objective)
+                               train_mlp, _backprop, _ce_loss, _cpt_objective)
 from anomgen.theory import KKT_TOL
 from conftest import central_difference, unchecked_menu
 
@@ -30,7 +29,7 @@ class TestMlpModel:
         model.save(path)
         back = MlpModel.load(path)
         m = sample_random_menu(np.random.default_rng(1), 2, 0, 10)
-        assert mlp_predict(back, m) == mlp_predict(model, m)
+        assert MlpPredictor(back).predict(m) == MlpPredictor(model).predict(m)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -41,7 +40,7 @@ class TestMlpModel:
         model = MlpModel.init_random([8, 4, 1], menu_input_scaling(2), seed=0)
         bad = sample_random_menu(np.random.default_rng(0), 3, 0, 10)
         with pytest.raises(ValueError):
-            mlp_predict(model, bad)
+            MlpPredictor(model).predict(bad)
 
     def test_block_swap_symmetrized_model_is_indifferent_on_duplicates(self):
         # Mirror the hidden layer across a lottery swap and subtract: the
@@ -61,7 +60,7 @@ class TestMlpModel:
         v = rng.normal(size=(8, 1))
         model.weights[1] = np.concatenate([v, -v], axis=0)
         lot = make_lottery([2, 7], [0.3, 0.7])
-        assert mlp_predict(model, Menu(lot, lot)) == pytest.approx(0.5, abs=1e-12)
+        assert MlpPredictor(model).predict(Menu(lot, lot)) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestTrainMlp:
@@ -158,10 +157,10 @@ class TestMlpGradients:
             checked = 0
             for _ in range(60):
                 m = sample_random_menu(rng, J, 0.5, 9.5)
-                g = mlp_grad(model, m)
+                g = MlpPredictor(model).grad(m)
                 assert g.shape == (2 * J,)
                 fd = central_difference(
-                    lambda x: mlp_predict(model, unchecked_menu(x, J)),
+                    lambda x: MlpPredictor(model).predict(unchecked_menu(x, J)),
                     m.flatten())
                 fd = np.concatenate([fd[J:2 * J], fd[3 * J:]])
                 rel = np.max(np.abs(fd - g) / (np.abs(g) + 1e-9))
@@ -309,11 +308,12 @@ class TestRowWeights:
 class TestEvaluate:
     def test_perfect_predictor(self):
         ds = cpt_dataset(100, seed=14, kind="rate", count=1)
+        oracle = CptPredictor(BRUHIN_B)
         class Oracle:
             def predict(self, menu):
-                return choice_prob(menu, BRUHIN_B)
-        exact = ChoiceDataset([ChoiceRow(r.menu, choice_prob(r.menu, BRUHIN_B),
-                                         "rate") for r in ds])
+                return oracle.predict(menu)
+        exact = ChoiceDataset([ChoiceRow(r.menu, oracle.predict(r.menu), "rate")
+                               for r in ds])
         assert evaluate(Oracle(), exact)["mse"] == pytest.approx(0.0, abs=1e-16)
 
     def test_constant_half_on_bernoulli(self):

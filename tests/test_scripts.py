@@ -1,11 +1,15 @@
 """Smoke runs of the experiment scripts at tiny sizes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from anomgen.records import read_jsonl
+from conftest import write_anomalies
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,3 +36,42 @@ def test_script_runs(name, args, outputs, tmp_path):
     assert out.stdout.strip()
     for path in outputs:
         assert (tmp_path / path).is_file(), path
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDeskClustering:
+    """Too few anomalies to cluster is reported; any other failure stops."""
+
+    def pooled(self, tmp_path, n):
+        path = tmp_path / "pooled.jsonl"
+        write_anomalies(path, n)
+        return read_jsonl(path)[1], str(path)
+
+    def test_too_few_anomalies_are_reported(self, tmp_path, capsys):
+        desk = load_script("run_desk_scale.py")
+        pooled, path = self.pooled(tmp_path, 3)
+        desk.cluster_pooled(pooled, path, str(tmp_path / "cl.csv"), k=4, seed=0)
+        out = capsys.readouterr().out
+        assert out.startswith("clustering skipped: 3 non-FOSD anomalies")
+        assert not (tmp_path / "cl.csv").exists()
+
+    def test_other_cluster_failures_stop_the_script(self, tmp_path, capsys):
+        desk = load_script("run_desk_scale.py")
+        pooled, path = self.pooled(tmp_path, 10)
+        (tmp_path / "cl.csv").mkdir()           # the CSV cannot be written
+        with pytest.raises(SystemExit) as exc:
+            desk.cluster_pooled(pooled, path, str(tmp_path / "cl.csv"), k=4, seed=0)
+        assert exc.value.code == 1
+        assert "skipped" not in capsys.readouterr().out
+
+    def test_enough_anomalies_are_clustered(self, tmp_path, capsys):
+        desk = load_script("run_desk_scale.py")
+        pooled, path = self.pooled(tmp_path, 10)
+        desk.cluster_pooled(pooled, path, str(tmp_path / "cl.csv"), k=4, seed=0)
+        assert len((tmp_path / "cl.csv").read_text().splitlines()) == 11
