@@ -7,16 +7,17 @@ small batch of both anomaly searches against the fitted model.
 """
 
 import argparse
+import itertools
 
 import numpy as np
 
-from anomgen.adversarial import GdaConfig, run_adversarial_index
+from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.basis import basis_from_config
 from anomgen.categorize import categorize
 from anomgen.cpt import CptParams, simulate_choices
 from anomgen.data import split_dataset
 from anomgen.lotteries import sample_random_menu
-from anomgen.morphing import MorphConfig, run_morph_index
+from anomgen.morphing import MorphConfig, run_morph_indices
 from anomgen.predictor import MlpPredictor, MlpTrainConfig, evaluate, train_mlp
 from anomgen.verifier import verify_collection, verify_parametrized
 
@@ -46,14 +47,15 @@ def main():
                                "domain": [0.0, 10.0]})
     par = full = 0
     cats = {}
-    for i in range(args.runs):
-        for cand in (run_adversarial_index(pred, GdaConfig(), args.seed, i).candidate,
-                     run_morph_index(pred, MorphConfig(), args.seed, i).candidate):
-            par += verify_parametrized(basis, cand).inconsistent
-            if not verify_collection(cand).consistent:
-                full += 1
-                tag = categorize(cand).tag
-                cats[tag] = cats.get(tag, 0) + 1
+    for result in itertools.chain(
+            run_adversarial_indices(pred, GdaConfig(), args.seed, range(args.runs)),
+            run_morph_indices(pred, MorphConfig(), args.seed, range(args.runs))):
+        cand = result.candidate
+        par += verify_parametrized(basis, cand).inconsistent
+        if not verify_collection(cand).consistent:
+            full += 1
+            tag = categorize(cand).tag
+            cats[tag] = cats.get(tag, 0) + 1
     total = 2 * args.runs
     print(f"runs: {total}  parametrized-inconsistent: {par} ({par / total:.1%})  "
           f"fully verified: {full}  categories: {cats}")

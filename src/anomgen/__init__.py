@@ -5,13 +5,13 @@ from .lotteries import (Example, ExampleCollection, FosdOrder, Lottery, Menu,
                         project_to_simplex, sample_random_menu)
 from .cpt import CptParams, CptPredictor, lottery_values
 from .basis import ISplineBasis, PolynomialBasis, basis_from_config
-from .theory import TheorySpec, fit_theta, theory_choice_prob
+from .theory import fit_theta
 from .verifier import (VerificationResult, minimal_anomaly,
                        verify_increasing_utility, verify_parametrized)
 from .categorize import (AnomalyCategory, categorize, categorize_three_payoff,
                          categorize_two_payoff, check_certificate,
                          decompose_shared_components, solve_degenerate_mix)
-from .adversarial import GdaConfig, gda_run, run_adversarial_index
-from .morphing import MorphConfig, morph_run, null_space_projection, run_morph_index
+from .adversarial import GdaConfig, run_adversarial_indices
+from .morphing import MorphConfig, null_space_projection, run_morph_indices
 
 __all__ = [name for name in dir() if not name.startswith("_")]

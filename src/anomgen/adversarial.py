@@ -14,12 +14,13 @@ expected-utility difference, which stays informative at exact fits.  The
 product is negated so that the score is positive exactly when the best-fit
 utility ranks the lotteries against the predictor's majority choice.
 
-A run has no randomness after its initial menu and its payoffs are frozen,
-so runs advance in lockstep: ``gda_run`` moves an (R, 2, J) probability
-stack against fixed payoffs and basis values, through the predictor's batch
-methods and one stacked inner fit per iteration.  Every operation acts row
-by row, so a run's bytes depend only on (master seed, run index), not on the
-runs it is stacked with.
+Both searches keep a menu's payoffs fixed, move only its probabilities and
+refit the theory once per step, so their runs share one loop: ``lockstep``
+moves an (R, 2, J) probability stack against fixed payoffs and basis values,
+through the predictor's batch methods and one stacked inner fit per step,
+and a search supplies only its step rule (``gda_run`` here, the morph step in
+``morphing``).  Every operation acts row by row, so a run's bytes depend
+only on (master seed, run index), not on the runs it is stacked with.
 """
 
 from __future__ import annotations
@@ -29,20 +30,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import basis_from_config
-from .lotteries import (LOTTERY_SIGN, Example, ExampleCollection, Menu, check_probs,
+from .lotteries import (LOTTERY_SIGN, Example, ExampleCollection, check_probs,
                         flat_stack, menu_from_flat, run_rng, sample_random_menu,
                         stack_menus, step_probs)
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 INTERIOR_EPS = 1e-8
 DEFAULT_BASIS = {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
-# Runs advanced together.  The size moves no byte; it trades the loop's
-# per-iteration overhead against memory, since a block's trajectories and
-# packaged results live until the block is consumed.  One worker at 50
-# iterations (seed 5, 2-core Xeon VM): 25,000 runs took 135 s and peaked at
-# 124 MB in blocks of 256, against 133 s and 325 MB as one stack; 6,000 runs
-# took 34-38 s in blocks of 256 or 1,024 (62 and 73 MB) and 39-44 s in
-# blocks of 64.
+# Runs advanced together, by either search.  The size moves no byte; it
+# trades the loop's per-iteration overhead against memory, since a block's
+# trajectories and packaged results live until the block is consumed.  One
+# worker at 50 adversarial iterations (seed 5, 2-core Xeon VM): 25,000 runs
+# took 135 s and peaked at 124 MB in blocks of 256, against 133 s and 325 MB
+# as one stack; 6,000 runs took 34-38 s in blocks of 256 or 1,024 (62 and
+# 73 MB) and 39-44 s in blocks of 64.  Morph runs draw their samples one run
+# at a time, so a block holds no per-sample array: 256 morph runs at 200,000
+# samples and one step peaked at 41.9 MB in one block, against 41.4 MB run by
+# run.
 _RUN_BLOCK = 256
 
 
@@ -79,19 +83,20 @@ def interior_menu(P: np.ndarray, eps: float = INTERIOR_EPS) -> np.ndarray:
     return p
 
 
-def ascent_objective(predictor, theta: np.ndarray, Z: np.ndarray, P: np.ndarray,
-                     B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ascent_objective(theta: np.ndarray, P: np.ndarray, B: np.ndarray, f: np.ndarray,
+                     df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values (R,), gradients (R, 2, J) over the probabilities (p0, p1)) of
     the disagreement score for a stack of menus.
 
     ``theta`` (R, K) holds each menu's coefficients and ``B`` (R, 2, J, K)
-    the basis values at the payoffs ``Z`` (``stack_basis_values``).  Only
-    probabilities move, and the expected-utility difference is linear in
-    them with gradient (-u0, u1), the utilities at the frozen payoffs.
+    the basis values at its payoffs (``stack_basis_values``); ``f`` and
+    ``df`` are the predictor's probabilities and their gradients
+    (``grad_batch``).  Only probabilities move, and the expected-utility
+    difference is linear in them with gradient (-u0, u1), the utilities at
+    the frozen payoffs.
     """
     g = np.matmul(eu_difference_rows(P, B)[:, None, :], theta[:, :, None])[:, 0, 0]
     grad_g = LOTTERY_SIGN * np.matmul(B, theta[:, None, :, None])[..., 0]
-    f, df = predictor.grad_batch(Z, interior_menu(P))
     f = np.clip(f, 1e-12, 1 - 1e-12)
     m = np.log(f / (1.0 - f))
     grad_m = df / (f * (1.0 - f))[:, None, None]
@@ -107,39 +112,23 @@ class SearchResult:
     candidate: ExampleCollection
     trajectory: np.ndarray
     iterations: int
-    flags: list = field(default_factory=list)
+    flags: list
 
 
-def search_result(procedure: str, x0: Menu, f0: float, trajectory: np.ndarray,
-                  f_final: float, flags: list, provenance: dict | None) -> SearchResult:
-    """Package a run that moved ``x0`` (predicted ``f0``) along ``trajectory``,
-    which holds ``x0`` flattened and then one row per completed step; the
-    predictor gives the last row ``f_final``."""
-    iterations = len(trajectory) - 1
-    final = menu_from_flat(trajectory[-1], x0.n_payoffs)
-    prov = dict(provenance or {})
-    prov.setdefault("procedure", procedure)
-    prov["iterations"] = iterations
-    if flags:
-        prov["flags"] = list(flags)
-    examples = (Example(x0, float(f0)), Example(final, float(f_final)))
-    return SearchResult(candidate=ExampleCollection(examples, prov),
-                        trajectory=trajectory, iterations=iterations, flags=flags)
+def lockstep(predictor, config, menus, step, provenance,
+             procedure: str) -> list[SearchResult]:
+    """Both searches' loop: runs that each move a copy of their initial menu
+    (a sequence of ``menus``) against the menu itself, as one (R, 2, J) stack.
 
-
-def gda_run(predictor, config: GdaConfig, menus, provenances=None) -> list[SearchResult]:
-    """Descent-ascent runs, each moving a copy of its initial menu against
-    the menu itself, advanced in lockstep.
-
-    A run that meets a non-finite gradient stops there and leaves the stack;
-    the others go on.  Each run's provenance counts its inner fits that ended
-    on the coefficient ball (``inner_fits_on_bound``) and unconverged
-    (``inner_fits_unconverged``).
+    Step ``s`` refits the running rows (run indices ``rows``) to their
+    (anchor, current) pairs; ``step(s, rows, D, y, fit, P, B, f, df)`` maps
+    the fit's design rows D (R', 2, K), targets y (R', 2) and result, the
+    rows' probabilities P and basis values B, and the predictor's f and df at
+    ``interior_menu(P)`` to the rows' moves (R', 2, J) and a mask of the rows
+    that take them.  A row whose move is not finite is flagged
+    ``nonfinite_gradient@iter{s}``; a row that takes no move leaves the
+    stack.  ``provenance(r)`` gives run r's provenance after the loop.
     """
-    menus = list(menus)
-    provenances = list(provenances) if provenances is not None else [{}] * len(menus)
-    # Payoffs are frozen and both menus of a run share them, so the basis
-    # values, the anchors' predictions and their design rows stay fixed.
     Z, P0 = stack_menus(menus)
     B = stack_basis_values(config.make_basis(), Z)
     f0 = predictor.predict_batch(Z, P0)
@@ -147,8 +136,6 @@ def gda_run(predictor, config: GdaConfig, menus, provenances=None) -> list[Searc
 
     R = len(menus)
     iterations = np.zeros(R, dtype=int)
-    on_bound = np.zeros(R, dtype=int)
-    unconverged = np.zeros(R, dtype=int)
     flags = [[] for _ in range(R)]
     P, history = P0, [P0]
     active = np.arange(R)
@@ -156,17 +143,18 @@ def gda_run(predictor, config: GdaConfig, menus, provenances=None) -> list[Searc
         if active.size == 0:
             break
         Za, Pa, Ba = Z[active], P[active], B[active]
-        fit = _fit_logits(np.stack([d0[active], eu_difference_rows(Pa, Ba)], axis=1),
-                          np.stack([f0[active], predictor.predict_batch(Za, Pa)], axis=1))
-        on_bound[active] += fit.on_norm_bound
-        unconverged[active] += ~fit.converged
-        _, grad = ascent_objective(predictor, fit.theta, Za, Pa, Ba)
-        finite = np.all(np.isfinite(grad), axis=(1, 2))
+        D = np.stack([d0[active], eu_difference_rows(Pa, Ba)], axis=1)
+        y = np.stack([f0[active], predictor.predict_batch(Za, Pa)], axis=1)
+        fit = _fit_logits(D, y)
+        f, df = predictor.grad_batch(Za, interior_menu(Pa))
+        delta, go = step(s, active, D, y, fit, Pa, Ba, f, df)
+        finite = np.all(np.isfinite(delta), axis=(1, 2))
         for r in active[~finite]:
             flags[r].append(f"nonfinite_gradient@iter{s}")
-        active = active[finite]
+        go = finite & go
+        active = active[go]
         P = P.copy()
-        P[active] = step_probs(Pa[finite], config.step_size * grad[finite])
+        P[active] = step_probs(Pa[go], delta[go])
         check_probs(P[active])
         iterations[active] += 1
         history.append(P)
@@ -174,28 +162,52 @@ def gda_run(predictor, config: GdaConfig, menus, provenances=None) -> list[Searc
     # A stopped run's row stays put, so its trajectory is a prefix.
     X = flat_stack(Z, np.stack(history))
     f_final = predictor.predict_batch(Z, P)
-    return [search_result("adversarial", menus[r], f0[r], X[:iterations[r] + 1, r],
-                          f_final[r], flags[r],
-                          {**provenances[r], "inner_fits_on_bound": int(on_bound[r]),
-                           "inner_fits_unconverged": int(unconverged[r])})
-            for r in range(R)]
+    results = []
+    for r, n in enumerate(iterations.tolist()):
+        prov = {"procedure": procedure, **provenance(r), "iterations": n}
+        if flags[r]:
+            prov["flags"] = list(flags[r])
+        final = menu_from_flat(X[n, r], menus[r].n_payoffs)
+        examples = (Example(menus[r], float(f0[r])), Example(final, float(f_final[r])))
+        results.append(SearchResult(ExampleCollection(examples, prov), X[:n + 1, r], n,
+                                    flags[r]))
+    return results
 
 
-def run_adversarial_indices(predictor, config: GdaConfig, master_seed: int, indices):
-    """Runs addressed by (master seed, run index), advanced ``_RUN_BLOCK``
-    at a time; yields their results in the order of ``indices``."""
+def gda_run(predictor, config: GdaConfig, menus, provenances=None) -> list[SearchResult]:
+    """Descent-ascent runs advanced in ``lockstep``.  Each run's provenance
+    counts its inner fits that ended on the coefficient ball
+    (``inner_fits_on_bound``) and unconverged (``inner_fits_unconverged``)."""
+    provenances = provenances or [{}] * len(menus)
+    on_bound = np.zeros(len(menus), dtype=int)
+    unconverged = np.zeros(len(menus), dtype=int)
+
+    def ascend(s, rows, D, y, fit, P, B, f, df):
+        on_bound[rows] += fit.on_norm_bound
+        unconverged[rows] += ~fit.converged
+        return config.step_size * ascent_objective(fit.theta, P, B, f, df)[1], True
+
+    return lockstep(predictor, config, menus, ascend,
+                    lambda r: {**provenances[r], "inner_fits_on_bound": int(on_bound[r]),
+                               "inner_fits_unconverged": int(unconverged[r])},
+                    "adversarial")
+
+
+def index_blocks(config, master_seed: int, indices):
+    """Runs addressed by (master seed, run index), ``_RUN_BLOCK`` at a time:
+    yields each block's initial menus, the generators they were drawn from
+    (a run's own stream goes on from there) and provenances."""
     low, high = config.make_basis().domain
     indices = list(indices)
     for start in range(0, len(indices), _RUN_BLOCK):
         block = indices[start:start + _RUN_BLOCK]
-        menus = [sample_random_menu(run_rng(master_seed, i), config.n_payoffs, low, high)
-                 for i in block]
-        yield from gda_run(predictor, config, menus,
-                           [{"procedure": "adversarial", "master_seed": master_seed,
-                             "run_index": i} for i in block])
+        rngs = [run_rng(master_seed, i) for i in block]
+        yield ([sample_random_menu(rng, config.n_payoffs, low, high) for rng in rngs],
+               rngs, [{"master_seed": master_seed, "run_index": i} for i in block])
 
 
-def run_adversarial_index(predictor, config: GdaConfig, master_seed: int,
-                          run_index: int) -> SearchResult:
-    """Single run addressed by (master seed, run index)."""
-    return next(run_adversarial_indices(predictor, config, master_seed, [run_index]))
+def run_adversarial_indices(predictor, config: GdaConfig, master_seed: int, indices):
+    """Adversarial runs addressed by (master seed, run index); yields their
+    results in the order of ``indices``."""
+    for menus, _, provenances in index_blocks(config, master_seed, indices):
+        yield from gda_run(predictor, config, menus, provenances)

@@ -26,7 +26,7 @@ from .config import ConfigError, PipelineConfig, build_predictor, load_config, p
 from .cpt import simulate_choices
 from .data import load_dataset, save_dataset
 from .lotteries import Menu, run_rng, sample_random_menu
-from .morphing import run_morph_index
+from .morphing import run_morph_indices
 from .predictor import (MlpPredictor, MlpTrainConfig, evaluate, fit_cpt_params,
                         train_mlp)
 from .verifier import minimal_anomaly, verify_collection, verify_parametrized
@@ -78,12 +78,11 @@ def _fan_out(chunk_fn, args: tuple, items: list, workers: int) -> list:
 def _generate_chunk(cfg: PipelineConfig, procedure: str, indices):
     predictor = build_predictor(cfg.predictor)
     seed = cfg.seed
-    if procedure == "adversarial":
-        # The adversarial runs of a chunk advance in lockstep.
+    if procedure != "baseline":
+        # A search's runs advance in lockstep blocks.
+        search = run_adversarial_indices if procedure == "adversarial" else run_morph_indices
         colls = (r.candidate for r in
-                 run_adversarial_indices(predictor, cfg.adversarial, seed, indices))
-    elif procedure == "morph":
-        colls = (run_morph_index(predictor, cfg.morph, seed, i).candidate for i in indices)
+                 search(predictor, getattr(cfg, procedure), seed, indices))
     else:
         colls = (analysis.random_pair(predictor, seed, i, cfg.n_payoffs,
                                       cfg.theory_basis["domain"]) for i in indices)

@@ -13,6 +13,10 @@ utilities at the menu's payoffs: those are drawn directly, and the span of
 the sampled gradients is read from their 2J x 2J Gram matrix.  A step sums
 that matrix in one pass over fixed blocks of draws, so no array as wide as
 the sample count is built (``morph_step_direction``).
+
+Runs advance through the adversarial search's loop
+(``adversarial.lockstep``); the morph step draws each run's direction from
+that run's own generator.
 """
 
 from __future__ import annotations
@@ -21,11 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversarial import SearchResult, interior_menu, search_result
+from .adversarial import SearchResult, index_blocks, lockstep
 from .basis import basis_from_config
-from .lotteries import (Menu, check_probs, flat_stack, run_rng, sample_random_menu,
-                        stack_menus, step_probs)
-from .theory import _fit_logits, eu_difference_rows, stack_basis_values
+from .theory import _fit_logits
 
 DEFAULT_BASIS = {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}
 STOP_NORM = 1e-8
@@ -81,19 +83,6 @@ def _utility_factor(history, basis_rows: np.ndarray) -> tuple[np.ndarray, np.nda
     rows = np.asarray(basis_rows, dtype=float)
     W, svals, _ = np.linalg.svd(rows @ np.linalg.cholesky(cov), full_matrices=False)
     return rows @ H.mean(axis=0), W * svals
-
-
-def sample_theta_history(history, count: int, rng: np.random.Generator,
-                         basis_rows: np.ndarray) -> np.ndarray:
-    """Draw the utilities ``basis_rows @ theta`` for theta around the fit history.
-
-    The standard normals are drawn in the (count, r) layout, the stream
-    ``morph_step_direction`` reads block by block, and mapped through the
-    factor of ``_utility_factor``.  Returns an (R, count) array, one draw per
-    column.
-    """
-    mean, factor = _utility_factor(history, basis_rows)
-    return (rng.standard_normal((count, factor.shape[1])) @ factor.T + mean).T
 
 
 def _kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray:
@@ -176,58 +165,44 @@ def morph_step_direction(pred_grad: np.ndarray, probs: np.ndarray, history,
     return g - V @ (V.T @ g), V.shape[1]
 
 
-def morph_run(predictor, config: MorphConfig, x0: Menu, rng: np.random.Generator,
-              provenance: dict | None = None) -> SearchResult:
-    """One morphing run; stops early once the projected direction vanishes.
-
-    The provenance records why the run stopped (``stop``: one of
-    ``direction_vanished``, ``max_iters`` or ``nonfinite_gradient``) and
-    the rank of the sampled span removed by its last projection
-    (``retained_rank``, None when the run stopped before its first).
+def morph_lockstep(predictor, config: MorphConfig, menus, rngs,
+                   provenances=None) -> list[SearchResult]:
+    """Morphing runs advanced in ``lockstep``; run r draws from its own
+    generator ``rngs[r]`` and stops early once its direction vanishes.  Its
+    provenance records why it stopped (``stop``: ``direction_vanished``,
+    ``max_iters`` or ``nonfinite_gradient``) and the rank of the sampled span
+    removed by its last projection (``retained_rank``, None when it stopped
+    before its first).
     """
-    flags: list = []
-    # Payoffs are frozen, so the basis values at each payoff are fixed.  The
-    # run moves the (1, 2, J) probability stack of its menu.
-    Z, P = stack_menus([x0])
-    B = stack_basis_values(config.make_basis(), Z)  # (1, 2, J, K)
-    Bs = B[0].reshape(-1, B.shape[-1])              # (2J, K), lottery 0 first
-    d0 = eu_difference_rows(P, B)
-    f0 = predictor.predict_batch(Z, P)
-    history = [_fit_logits(d0[:, None], f0[:, None]).theta[0]]
+    provenances = provenances or [{}] * len(menus)
+    R = len(menus)
+    history, stop, rank = [None] * R, ["max_iters"] * R, [None] * R
 
-    trajectory = [flat_stack(Z, P)[0]]
-    rank = None
-    for s in range(config.max_iters):
-        fit = _fit_logits(np.stack([d0, eu_difference_rows(P, B)], axis=1),
-                          np.stack([f0, predictor.predict_batch(Z, P)], axis=1))
-        history.append(fit.theta[0])
+    def morph(s, rows, D, y, fit, P, B, f, df):
+        if s == 0:          # every run's history starts at its seed fit
+            history[:] = [[theta] for theta in _fit_logits(D[:, :1], y[:, :1]).theta]
+        delta, go = np.zeros_like(df), np.zeros(len(rows), dtype=bool)
+        for k, r in enumerate(rows):
+            history[r].append(fit.theta[k])
+            if not np.all(np.isfinite(df[k])):
+                delta[k], stop[r] = np.nan, "nonfinite_gradient"
+                continue
+            direction, rank[r] = morph_step_direction(
+                df[k].reshape(-1), P[k], history[r], B[k].reshape(-1, B.shape[-1]),
+                rngs[r], config)
+            if np.linalg.norm(direction) < STOP_NORM:
+                stop[r] = "direction_vanished"
+            else:
+                delta[k], go[k] = -config.step_size * direction.reshape(P[k].shape), True
+        return delta, go
 
-        pred_grad = predictor.grad_batch(Z, interior_menu(P))[1].reshape(-1)
-        if not np.all(np.isfinite(pred_grad)):
-            flags.append(f"nonfinite_gradient@iter{s}")
-            stop = "nonfinite_gradient"
-            break
-        direction, rank = morph_step_direction(pred_grad, P[0], history, Bs, rng,
-                                               config)
-        if np.linalg.norm(direction) < STOP_NORM:
-            stop = "direction_vanished"
-            break
-        P = step_probs(P, -config.step_size * direction.reshape(P.shape))
-        check_probs(P)
-        trajectory.append(flat_stack(Z, P)[0])
-    else:
-        stop = "max_iters"
-
-    prov = {**(provenance or {}), "stop": stop, "retained_rank": rank}
-    return search_result("morphing", x0, f0[0], np.array(trajectory),
-                         predictor.predict_batch(Z, P)[0], flags, prov)
+    return lockstep(predictor, config, menus, morph,
+                    lambda r: {**provenances[r], "stop": stop[r],
+                               "retained_rank": rank[r]}, "morphing")
 
 
-def run_morph_index(predictor, config: MorphConfig, master_seed: int,
-                    run_index: int) -> SearchResult:
-    low, high = config.make_basis().domain
-    rng = run_rng(master_seed, run_index)
-    x0 = sample_random_menu(rng, config.n_payoffs, low, high)
-    prov = {"procedure": "morphing", "master_seed": master_seed,
-            "run_index": run_index}
-    return morph_run(predictor, config, x0, rng, prov)
+def run_morph_indices(predictor, config: MorphConfig, master_seed: int, indices):
+    """Morphing runs addressed by (master seed, run index); yields their
+    results in the order of ``indices``."""
+    for menus, rngs, provenances in index_blocks(config, master_seed, indices):
+        yield from morph_lockstep(predictor, config, menus, rngs, provenances)

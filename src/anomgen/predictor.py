@@ -321,11 +321,7 @@ def evaluate(handle, ds: ChoiceDataset) -> dict:
     if len(ds) == 0:
         raise ValueError("empty dataset")
     y = ds.outcomes()
-    if isinstance(handle, MlpPredictor):
-        X = np.array([r.menu.flatten() for r in ds])
-        preds = handle.model.predict_batch(X)
-    else:
-        preds = np.array([handle.predict(r.menu) for r in ds])
+    preds = handle.predict_batch(*stack_menus([r.menu for r in ds]))
     yc = np.clip(y, TARGET_CLIP, 1 - TARGET_CLIP)
     pc = np.clip(preds, TARGET_CLIP, 1 - TARGET_CLIP)
     w = ds.weights()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpt import logistic
-from .lotteries import Menu, stack_menus
+from .lotteries import stack_menus
 
 TARGET_CLIP = 1e-6
 # Radius of the coefficient ball standing in for a compact parameter space.
@@ -27,22 +27,6 @@ TARGET_CLIP = 1e-6
 # class of content.  The logit noise scale is fixed at 1, because scale s
 # with this radius is the same class as scale 1 with radius 100 s.
 THETA_NORM_BOUND = 100.0
-
-
-@dataclass(frozen=True)
-class TheorySpec:
-    """A basis and a coefficient vector; the logit noise scale is 1."""
-
-    basis: object
-    theta: np.ndarray
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.shape != (self.basis.dim,):
-            raise ValueError(f"theta has shape {theta.shape}, basis dim {self.basis.dim}")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("non-finite coefficient")
-        object.__setattr__(self, "theta", theta)
 
 
 def stack_basis_values(basis, Z: np.ndarray) -> np.ndarray:
@@ -59,22 +43,12 @@ def eu_difference_rows(P: np.ndarray, B: np.ndarray) -> np.ndarray:
     return E[:, 1] - E[:, 0]
 
 
-def eu_difference_features(basis, menu: Menu) -> np.ndarray:
-    """d(x): basis-weighted expected-utility difference feature vector."""
-    return design_matrix(basis, [menu])[0]
-
-
 def design_matrix(basis, menus) -> np.ndarray:
     """The rows d(x) of ``menus``; the searches keep payoffs frozen, so they
     evaluate the basis once (``stack_basis_values``) and build every later
     row with ``eu_difference_rows``."""
     Z, P = stack_menus(menus)
     return eu_difference_rows(P, stack_basis_values(basis, Z))
-
-
-def theory_choice_prob(spec: TheorySpec, menu: Menu) -> float:
-    d = eu_difference_features(spec.basis, menu)
-    return float(logistic(d @ spec.theta))
 
 
 def _clip_targets(y: np.ndarray) -> np.ndarray:
@@ -95,11 +69,6 @@ def _cross_entropy(u: np.ndarray, y: np.ndarray):
 def _entropy(y: np.ndarray):
     """Mean binary entropy (over the last axis) of clipped targets."""
     return (-y * np.log(y) - (1 - y) * np.log(1 - y)).sum(axis=-1) / y.shape[-1]
-
-
-def target_entropy(y: np.ndarray):
-    """Mean binary entropy (over the last axis) of the clipped targets."""
-    return _entropy(_clip_targets(np.asarray(y, dtype=float)))
 
 
 # The Newton solve stops once the KKT residual is below KKT_TOL; the cap
@@ -264,13 +233,3 @@ def fit_theta(basis, examples, design=None) -> FitResult:
     fit = _fit_logits(D[None], y[None])
     return FitResult(fit.theta[0], float(fit.kl[0]), float(fit.cross_entropy[0]),
                      bool(fit.converged[0]), bool(fit.on_norm_bound[0]))
-
-
-def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
-    """(mean cross-entropy, mean KL) of a spec on (menu, target) examples."""
-    menus = [m for m, _ in examples]
-    y = _clip_targets(np.array([t for _, t in examples], dtype=float))
-    D = design_matrix(spec.basis, menus)
-    ce = float(_cross_entropy(D @ spec.theta, y))
-    return ce, max(ce - float(target_entropy(y)), 0.0)
-

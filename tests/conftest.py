@@ -1,11 +1,16 @@
 """Shared fixtures: the classic menus and small helpers used across tests."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from anomgen.cpt import logistic
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu, make_lottery,
                                sample_random_menu)
+from anomgen.morphing import _utility_factor
 from anomgen.records import write_jsonl
+from anomgen.theory import _clip_targets, _cross_entropy, _entropy, design_matrix
 
 # Tolerance used when re-deriving quantities from tables rounded to whole
 # percents / cents.
@@ -144,3 +149,54 @@ def write_anomalies(path, n):
             "features": rng.normal(size=18).tolist(),
         })
     write_jsonl(path, recs, kind="categorized")
+
+
+# -- reference theory and draws ------------------------------------------------
+
+@dataclass(frozen=True)
+class TheorySpec:
+    """A basis and a coefficient vector; the logit noise scale is 1."""
+
+    basis: object
+    theta: np.ndarray
+
+    def __post_init__(self):
+        theta = np.asarray(self.theta, dtype=float)
+        if theta.shape != (self.basis.dim,):
+            raise ValueError(f"theta has shape {theta.shape}, basis dim {self.basis.dim}")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("non-finite coefficient")
+        object.__setattr__(self, "theta", theta)
+
+
+def eu_difference_features(basis, menu: Menu) -> np.ndarray:
+    """d(x): basis-weighted expected-utility difference feature vector."""
+    return design_matrix(basis, [menu])[0]
+
+
+def theory_choice_prob(spec: TheorySpec, menu: Menu) -> float:
+    d = eu_difference_features(spec.basis, menu)
+    return float(logistic(d @ spec.theta))
+
+
+def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
+    """(mean cross-entropy, mean KL) of a spec on (menu, target) examples."""
+    menus = [m for m, _ in examples]
+    y = _clip_targets(np.array([t for _, t in examples], dtype=float))
+    D = design_matrix(spec.basis, menus)
+    ce = float(_cross_entropy(D @ spec.theta, y))
+    return ce, max(ce - float(_entropy(y)), 0.0)
+
+
+def sample_theta_history(history, count: int, rng: np.random.Generator,
+                         basis_rows: np.ndarray) -> np.ndarray:
+    """Reference draw of the utilities ``basis_rows @ theta`` for theta
+    around the fit history, built whole.
+
+    The standard normals are drawn in the (count, r) layout, the stream
+    ``morph_step_direction`` reads block by block, and mapped through the
+    factor of ``_utility_factor``.  Returns an (R, count) array, one draw per
+    column.
+    """
+    mean, factor = _utility_factor(history, basis_rows)
+    return (rng.standard_normal((count, factor.shape[1])) @ factor.T + mean).T

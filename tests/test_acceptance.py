@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anomgen.adversarial import GdaConfig, run_adversarial_index
+from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.analysis import (PatternFrequencies, estimate_epsilon, kmeans,
                               pca, simulate_respondents, standardize)
 from anomgen.basis import PolynomialBasis, basis_from_config
@@ -24,7 +24,7 @@ from anomgen.cpt import CptParams, CptPredictor, simulate_choices
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu,
                                fosd_compare, make_lottery, merge_payoff_grid,
                                probs_on_grid, sample_random_menu)
-from anomgen.morphing import (MorphConfig, null_space_projection, run_morph_index,
+from anomgen.morphing import (MorphConfig, null_space_projection, run_morph_indices,
                               _tangent)
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
                                menu_input_scaling, _backprop, _ce_loss)
@@ -57,15 +57,10 @@ def desk_scale_results():
     basis = basis_from_config({"kind": "polynomial", "order": 6,
                                "domain": [0.0, 10.0]})
     start = time.time()
-    records = []
-    for i in range(DESK_RUNS):
-        cand = run_adversarial_index(pred, GdaConfig(),
-                                     DESK_SEED, i).candidate
-        records.append(("adversarial", cand))
-    for i in range(DESK_RUNS):
-        cand = run_morph_index(pred, MorphConfig(),
-                               DESK_SEED, i).candidate
-        records.append(("morphing", cand))
+    records = [("adversarial", r.candidate) for r in
+               run_adversarial_indices(pred, GdaConfig(), DESK_SEED, range(DESK_RUNS))]
+    records += [("morphing", r.candidate) for r in
+                run_morph_indices(pred, MorphConfig(), DESK_SEED, range(DESK_RUNS))]
     generation_seconds = time.time() - start
     verified = []
     for proc, cand in records:
@@ -234,13 +229,11 @@ def test_criterion_7_null_model_sanity():
     with criterion(7, "risk-neutral oracle yields exactly zero verified anomalies"):
         pred = CptPredictor(CptParams(1.0, 1.0))
         full = 0
-        for i in range(200):
-            cand = run_adversarial_index(pred, GdaConfig(), 301, i).candidate
-            full += not verify_collection(cand).consistent
+        for r in run_adversarial_indices(pred, GdaConfig(), 301, range(200)):
+            full += not verify_collection(r.candidate).consistent
         assert full == 0
-        for i in range(200):
-            cand = run_morph_index(pred, MorphConfig(), 302, i).candidate
-            full += not verify_collection(cand).consistent
+        for r in run_morph_indices(pred, MorphConfig(), 302, range(200)):
+            full += not verify_collection(r.candidate).consistent
         assert full == 0
 
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run,
-                                 interior_menu, run_adversarial_index)
+                                 interior_menu, run_adversarial_indices)
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor, logistic
 from anomgen.lotteries import LOTTERY_SIGN, Lottery, Menu, sample_random_menu, stack_menus
-from anomgen.theory import (TheorySpec, eu_difference_rows, fit_theta,
-                            stack_basis_values, theory_loss)
-from conftest import central_difference, unchecked_menu
+from anomgen.morphing import MorphConfig, run_morph_indices
+from anomgen.theory import eu_difference_rows, fit_theta, stack_basis_values
+from conftest import TheorySpec, central_difference, theory_loss, unchecked_menu
 
 BASIS = PolynomialBasis(order=6, domain=(0, 10))
 
@@ -31,8 +31,8 @@ def objective(pred, spec, menu):
     """The disagreement score and its gradient for one menu, flattened to
     (p0, p1) order."""
     Z, P = stack_menus([menu])
-    value, grad = ascent_objective(pred, spec.theta[None], Z, P,
-                                   stack_basis_values(BASIS, Z))
+    value, grad = ascent_objective(spec.theta[None], P, stack_basis_values(BASIS, Z),
+                                   *pred.grad_batch(Z, interior_menu(P)))
     return value[0], grad[0].reshape(-1)
 
 
@@ -138,8 +138,7 @@ class TestGdaRun:
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = GdaConfig()
-        for i in range(10):
-            result = run_adversarial_index(pred, cfg, 6, i)
+        for result in run_adversarial_indices(pred, cfg, 6, range(10)):
             assert len(result.trajectory) == result.iterations + 1
             for x in result.trajectory:
                 assert abs(x[2:4].sum() - 1) < 1e-12
@@ -150,7 +149,7 @@ class TestGdaRun:
 
     def test_payoffs_frozen_by_default(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        result = run_adversarial_index(pred, GdaConfig(), 7, 0)
+        (result,) = run_adversarial_indices(pred, GdaConfig(), 7, [0])
         x0, xS = (m.flatten() for m in result.candidate.menus)
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
@@ -172,15 +171,14 @@ class TestGenerateAdversarial:
     def test_master_seed_determinism(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = GdaConfig()
-        for i in range(5):
-            a = run_adversarial_index(pred, cfg, 11, i)
-            b = run_adversarial_index(pred, cfg, 11, i)
+        for a, b in zip(run_adversarial_indices(pred, cfg, 11, range(5)),
+                        run_adversarial_indices(pred, cfg, 11, range(5))):
             np.testing.assert_array_equal(a.candidate.menus[1].flatten(),
                                           b.candidate.menus[1].flatten())
 
     def test_provenance_recorded(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        result = run_adversarial_index(pred, GdaConfig(), 12, 3)
+        (result,) = run_adversarial_indices(pred, GdaConfig(), 12, [3])
         prov = result.candidate.provenance
         assert prov["procedure"] == "adversarial"
         assert prov["master_seed"] == 12 and prov["run_index"] == 3
@@ -202,20 +200,19 @@ class TestEstimatedPredictors:
         model = train_mlp(self._training_data(), hidden=(16, 16),
                           config=MlpTrainConfig(epochs=60, seed=0))
         pred = MlpPredictor(model)
-        result = run_adversarial_index(pred, GdaConfig(), 13, 0)
+        (result,) = run_adversarial_indices(pred, GdaConfig(), 13, [0])
         assert result.iterations == 50
-        again = run_adversarial_index(pred, GdaConfig(), 13, 0)
+        (again,) = run_adversarial_indices(pred, GdaConfig(), 13, [0])
         np.testing.assert_array_equal(result.candidate.menus[1].flatten(),
                                       again.candidate.menus[1].flatten())
-        from anomgen.morphing import MorphConfig, run_morph_index
-        morph = run_morph_index(pred, MorphConfig(), 13, 0)
+        (morph,) = run_morph_indices(pred, MorphConfig(), 13, [0])
         assert len(morph.candidate.menus) == 2
         assert all(np.isfinite(e.choice_prob) for e in morph.candidate)
 
     def test_cpt_fit_backed_generation(self):
         from anomgen.predictor import cpt_fit_predictor
         pred = cpt_fit_predictor(self._training_data())
-        result = run_adversarial_index(pred, GdaConfig(), 14, 0)
+        (result,) = run_adversarial_indices(pred, GdaConfig(), 14, [0])
         assert result.iterations == 50
 
 
@@ -236,8 +233,10 @@ def candidate_bytes(result):
 
 
 class TestLockstep:
-    """Runs advance as one probability stack; a run's bytes do not depend on
-    the runs stacked with it."""
+    """Runs of either search advance as one probability stack; a run's bytes
+    do not depend on the runs stacked with it.  Morph runs draw from their
+    own generators, so a stack where some runs stop while others go on
+    checks that each run keeps its own stream."""
 
     def test_stack_matches_runs_alone(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
@@ -247,6 +246,15 @@ class TestLockstep:
         together = gda_run(pred, cfg, menus)
         for menu, result in zip(menus, together):
             (alone,) = gda_run(pred, cfg, [menu])
+            assert candidate_bytes(alone) == candidate_bytes(result)
+            np.testing.assert_array_equal(alone.trajectory, result.trajectory)
+        cfg = MorphConfig(max_iters=20)
+        together = list(run_morph_indices(pred, cfg, 40, range(9)))
+        # Some runs' directions vanish while the others go on.
+        stops = [r.candidate.provenance["stop"] for r in together]
+        assert "direction_vanished" in stops and "max_iters" in stops
+        for i, result in enumerate(together):
+            (alone,) = run_morph_indices(pred, cfg, 40, [i])
             assert candidate_bytes(alone) == candidate_bytes(result)
             np.testing.assert_array_equal(alone.trajectory, result.trajectory)
 
@@ -262,11 +270,21 @@ class TestLockstep:
             assert result.flags == ([f"nonfinite_gradient@iter{result.iterations}"]
                                     if result.iterations < 5 else [])
             assert candidate_bytes(gda_run(pred, cfg, [menu])[0]) == candidate_bytes(result)
+        cfg = MorphConfig(max_iters=5)
+        results = list(run_morph_indices(pred, cfg, 41, range(12)))
+        stops = [r.candidate.provenance["stop"] for r in results]
+        # Runs stop at step 0 on a non-finite gradient while others go on.
+        assert results[0].iterations == 0 and stops[0] == "nonfinite_gradient"
+        assert stops.count("nonfinite_gradient") < len(results)
+        for i, result in enumerate(results):
+            assert result.flags == ([f"nonfinite_gradient@iter{result.iterations}"]
+                                    if stops[i] == "nonfinite_gradient" else [])
+            (alone,) = run_morph_indices(pred, cfg, 41, [i])
+            assert candidate_bytes(alone) == candidate_bytes(result)
 
     def test_inner_fit_counts_recorded(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        results = [run_adversarial_index(pred, GdaConfig(max_iters=3), 23, i)
-                   for i in range(40)]
+        results = run_adversarial_indices(pred, GdaConfig(max_iters=3), 23, range(40))
         from anomgen.records import candidate_to_record
         recs = [candidate_to_record(r.candidate) for r in results]
         on_bound = [r["inner_fits_on_bound"] for r in recs]

@@ -441,20 +441,23 @@ class TestRankTolBound:
         # Below the bound, 7 of these 12 runs reported rank 3 for J = 2.
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
-        ranks = [morphing.run_morph_index(pred, cfg, 6, i).candidate.provenance["retained_rank"]
-                 for i in range(12)]
+        ranks = [r.candidate.provenance["retained_rank"]
+                 for r in morphing.run_morph_indices(pred, cfg, 6, range(12))]
         assert all(r is not None and r <= 2 for r in ranks)
 
 
 class TestLockstepBytes:
-    """Adversarial candidates depend only on (master seed, run index): the
+    """Search candidates depend only on (master seed, run index): the
     run-block size and the worker count move no byte."""
 
-    @pytest.mark.parametrize("kind", ["cpt", "mlp"])
-    def test_block_size_and_workers_move_no_byte(self, kind, tmp_path, capsys,
-                                                 monkeypatch):
+    @pytest.mark.parametrize("kind, procedure",
+                             [("cpt", "adversarial"), ("mlp", "adversarial"),
+                              ("cpt", "morph"), ("mlp", "morph")],
+                             ids=["cpt", "mlp", "cpt-morph", "mlp-morph"])
+    def test_block_size_and_workers_move_no_byte(self, kind, procedure, tmp_path,
+                                                 capsys, monkeypatch):
         os.chdir(tmp_path)
-        cfg = {"adversarial": {"max_iters": 50}}
+        cfg = {procedure: {"max_iters": 50}}
         if kind == "mlp":
             MlpModel.init_random([8, 16, 16, 1], menu_input_scaling(2), seed=3).save(
                 "model.json")
@@ -465,9 +468,13 @@ class TestLockstepBytes:
             monkeypatch.setattr(adversarial, "_RUN_BLOCK", block)
             for workers in (1, 2):
                 out = f"a-{block}-{workers}.jsonl"
-                run_ok(["adversarial", "--config", "cfg.json", "--inits", "70",
+                run_ok([procedure, "--config", "cfg.json", "--inits", "70",
                         "--seed", "9", "--workers", str(workers), "--out", out], capsys)
                 outputs[block, workers] = Path(out).read_bytes()
         assert len(set(outputs.values())) == 1
         _, recs = read_jsonl("a-64-1.jsonl")
-        assert sum(r["iterations"] == 50 for r in recs) > 60
+        if procedure == "adversarial":
+            assert sum(r["iterations"] == 50 for r in recs) > 60
+        else:
+            # Blocks of 7 and 64 hold runs that stop while others go on.
+            assert len({r["iterations"] for r in recs}) > 5

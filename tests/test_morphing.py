@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from anomgen import morphing
-from anomgen.adversarial import GdaConfig, run_adversarial_index
+from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
 from anomgen.lotteries import (Lottery, Menu, menu_from_flat, sample_random_menu,
                                stack_menus)
-from anomgen.morphing import (COV_JITTER, MorphConfig, morph_run,
-                              morph_step_direction, null_space_projection,
-                              run_morph_index, sample_theta_history, _tangent)
+from anomgen.morphing import (COV_JITTER, MorphConfig, morph_step_direction,
+                              null_space_projection, run_morph_indices, _tangent)
 from anomgen.records import candidate_to_record
 from anomgen.theory import eu_difference_rows, fit_theta, stack_basis_values
+from conftest import sample_theta_history
 
 
 class TestSampleThetaHistory:
@@ -150,7 +150,7 @@ def svd_projection(g_star, sampled_grads, rank_tol):
 class TestGramMatchesSvd:
     @pytest.mark.parametrize("rank_tol", [0.1, 1e-6])
     def test_morph_like_gradients(self, rank_tol):
-        # Sampled gradients built as morph_run builds them, around the inner
+        # Sampled gradients built as a morph step builds them, around the inner
         # fits at a random start menu and at a second menu with its payoffs.
         pred = CptPredictor(CptParams(0.726, 0.309))
         basis = ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0))
@@ -194,7 +194,7 @@ class TestGramMatchesSvd:
         # Squaring the singular values costs the Gram route accuracy in the
         # weakest retained direction: the error grows like eps * (s_1/s_k)^2
         # for the smallest kept singular value s_k.  It stays below 1e-10
-        # while s_k/s_1 >= 1e-3, the regime of morph_run's default cutoff.
+        # while s_k/s_1 >= 1e-3, the regime of the morph search's default cutoff.
         rng = np.random.default_rng(19)
         tight = 0
         for _ in range(300):
@@ -274,7 +274,7 @@ class TestMorphRun:
         # stops at step 0.
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
-        result = run_morph_index(pred, cfg, 6, 0)
+        (result,) = run_morph_indices(pred, cfg, 6, [0])
         assert result.iterations == 0
         m0, mS = result.candidate.menus
         np.testing.assert_array_equal(m0.flatten(), mS.flatten())
@@ -282,8 +282,7 @@ class TestMorphRun:
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig()
-        for i in range(5):
-            result = run_morph_index(pred, cfg, 7, i)
+        for result in run_morph_indices(pred, cfg, 7, range(5)):
             for x in result.trajectory:
                 assert abs(x[2:4].sum() - 1) < 1e-12
                 assert abs(x[6:8].sum() - 1) < 1e-12
@@ -291,7 +290,7 @@ class TestMorphRun:
 
     def test_payoffs_frozen(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        result = run_morph_index(pred, MorphConfig(), 8, 1)
+        (result,) = run_morph_indices(pred, MorphConfig(), 8, [1])
         x0, xS = (m.flatten() for m in result.candidate.menus)
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
@@ -299,19 +298,19 @@ class TestMorphRun:
     def test_determinism(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig()
-        a = run_morph_index(pred, cfg, 10, 0)
-        b = run_morph_index(pred, cfg, 10, 0)
+        (a,) = run_morph_indices(pred, cfg, 10, [0])
+        (b,) = run_morph_indices(pred, cfg, 10, [0])
         np.testing.assert_array_equal(a.candidate.menus[1].flatten(),
                                       b.candidate.menus[1].flatten())
 
     def test_frozen_basis_rows_give_the_same_fits(self):
-        # morph_run builds its design rows from the basis values at the
+        # The morph search builds its design rows from the basis values at the
         # frozen payoffs; along a trajectory that route must reproduce the
         # fit from freshly evaluated features bit for bit.
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig()
         basis = cfg.make_basis()
-        result = run_morph_index(pred, cfg, 11, 3)
+        (result,) = run_morph_indices(pred, cfg, 11, [3])
         assert result.iterations >= 5
         x0 = result.candidate.menus[0]
         Z0, P0 = stack_menus([x0])
@@ -472,10 +471,10 @@ class TestStopRecord:
     def test_each_stop_value(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         # Cutoffs below ~1e-2 see a full-rank span at step 0 (MorphConfig).
-        vanished = run_morph_index(pred, MorphConfig(rank_tol=1e-3), 6, 0)
-        capped = run_morph_index(pred, MorphConfig(max_iters=2), 11, 3)
-        nonfinite = run_morph_index(NanGradPredictor(CptParams(0.726, 0.309)),
-                                    MorphConfig(), 6, 0)
+        (vanished,) = run_morph_indices(pred, MorphConfig(rank_tol=1e-3), 6, [0])
+        (capped,) = run_morph_indices(pred, MorphConfig(max_iters=2), 11, [3])
+        (nonfinite,) = run_morph_indices(NanGradPredictor(CptParams(0.726, 0.309)),
+                                         MorphConfig(), 6, [0])
         recs = [candidate_to_record(r.candidate)
                 for r in (vanished, capped, nonfinite)]
         assert [r["stop"] for r in recs] == ["direction_vanished", "max_iters",
@@ -489,6 +488,6 @@ class TestStopRecord:
 
     def test_other_records_have_no_stop(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        rec = candidate_to_record(
-            run_adversarial_index(pred, GdaConfig(max_iters=2), 6, 0).candidate)
+        (result,) = run_adversarial_indices(pred, GdaConfig(max_iters=2), 6, [0])
+        rec = candidate_to_record(result.candidate)
         assert "stop" not in rec and "retained_rank" not in rec

@@ -310,8 +310,8 @@ class TestEvaluate:
         ds = cpt_dataset(100, seed=14, kind="rate", count=1)
         oracle = CptPredictor(BRUHIN_B)
         class Oracle:
-            def predict(self, menu):
-                return oracle.predict(menu)
+            def predict_batch(self, Z, P):
+                return oracle.predict_batch(Z, P)
         exact = ChoiceDataset([ChoiceRow(r.menu, oracle.predict(r.menu), "rate")
                                for r in ds])
         assert evaluate(Oracle(), exact)["mse"] == pytest.approx(0.0, abs=1e-16)
@@ -323,7 +323,7 @@ class TestEvaluate:
         fair = ChoiceDataset([ChoiceRow(m, float(rng.random() < 0.5), "binary")
                               for m in menus])
         class Half:
-            def predict(self, menu):
-                return 0.5
+            def predict_batch(self, Z, P):
+                return np.full(len(Z), 0.5)
         mse = evaluate(Half(), fair)["mse"]
         assert mse == pytest.approx(0.25, abs=0.01)

@@ -6,8 +6,8 @@ from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor
 from anomgen.lotteries import sample_random_menu
-from anomgen.theory import (THETA_NORM_BOUND, TheorySpec, eu_difference_features,
-                            fit_theta, theory_choice_prob, theory_loss)
+from anomgen.theory import THETA_NORM_BOUND, fit_theta
+from conftest import TheorySpec, eu_difference_features, theory_choice_prob, theory_loss
 
 
 def pooled_kl(targets, q):

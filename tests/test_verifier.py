@@ -184,7 +184,7 @@ class TestIsAnomaly:
 class TestVerifyParametrized:
     def test_generated_collection_consistent(self):
         basis = PolynomialBasis(order=6, domain=(0, 10))
-        from anomgen.theory import TheorySpec, theory_choice_prob
+        from conftest import TheorySpec, theory_choice_prob
         rng = np.random.default_rng(5)
         spec = TheorySpec(basis, rng.normal(0, 0.5, size=6))
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(4)]
