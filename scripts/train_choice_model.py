@@ -47,10 +47,9 @@ def main():
                                "domain": [0.0, 10.0]})
     par = full = 0
     cats = {}
-    for result in itertools.chain(
+    for cand in itertools.chain(
             run_adversarial_indices(pred, GdaConfig(), args.seed, range(args.runs)),
             run_morph_indices(pred, MorphConfig(), args.seed, range(args.runs))):
-        cand = result.candidate
         par += verify_parametrized(basis, cand).inconsistent
         if not verify_collection(cand).consistent:
             full += 1

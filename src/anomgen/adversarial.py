@@ -19,8 +19,9 @@ refit the theory once per step, so their runs share one loop: ``lockstep``
 moves an (R, 2, J) probability stack against fixed payoffs and basis values,
 through the predictor's batch methods and one stacked inner fit per step,
 and a search supplies only its step rule (``gda_run`` here, the morph step in
-``morphing``).  Every operation acts row by row, so a run's bytes depend
-only on (master seed, run index), not on the runs it is stacked with.
+``morphing``).  Only the final stack is kept: each run's candidate is built
+from it.  Every operation acts row by row, so a run's bytes depend only on
+(master seed, run index), not on the runs it is stacked with.
 """
 
 from __future__ import annotations
@@ -30,23 +31,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import basis_from_config
-from .lotteries import (LOTTERY_SIGN, Example, ExampleCollection, check_probs,
-                        flat_stack, menu_from_flat, run_rng, sample_random_menu,
-                        stack_menus, step_probs)
+from .lotteries import (LOTTERY_SIGN, Example, ExampleCollection, Lottery, Menu,
+                        check_probs, project_to_simplex, run_rng, sample_random_menu,
+                        stack_menus)
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 INTERIOR_EPS = 1e-8
 DEFAULT_BASIS = {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
 # Runs advanced together, by either search.  The size moves no byte; it
 # trades the loop's per-iteration overhead against memory, since a block's
-# trajectories and packaged results live until the block is consumed.  One
-# worker at 50 adversarial iterations (seed 5, 2-core Xeon VM): 25,000 runs
-# took 135 s and peaked at 124 MB in blocks of 256, against 133 s and 325 MB
-# as one stack; 6,000 runs took 34-38 s in blocks of 256 or 1,024 (62 and
-# 73 MB) and 39-44 s in blocks of 64.  Morph runs draw their samples one run
-# at a time, so a block holds no per-sample array: 256 morph runs at 200,000
-# samples and one step peaked at 41.9 MB in one block, against 41.4 MB run by
-# run.
+# stacks, per-step arrays and candidates live until the block is consumed.
+# One worker at 50 adversarial iterations, through ``anomgen adversarial``
+# (seed 5, 2-core Xeon VM): 25,000 runs took 118 s and peaked at 177 MB in
+# blocks of 256, against 111 s and 234 MB as one stack (116 s and 343 MB
+# while every run's trajectory was kept); 6,000 runs took 34-38 s in blocks
+# of 256 or 1,024 and 39-44 s in blocks of 64.  Morph runs draw their
+# samples one run at a time, so a block holds no per-sample array: 256 morph
+# runs at 200,000 samples and one step peaked at 41.9 MB in one block,
+# against 41.4 MB run by run.  A morph run that kept its normals across steps
+# would hold about 6.4 MB at 200,000 samples, so the block stays.
 _RUN_BLOCK = 256
 
 
@@ -103,20 +106,8 @@ def ascent_objective(theta: np.ndarray, P: np.ndarray, B: np.ndarray, f: np.ndar
     return -m * g, -(g[:, None, None] * grad_m + m[:, None, None] * grad_g)
 
 
-@dataclass
-class SearchResult:
-    """One search run: the (initial, final) candidate, the flat iterates from
-    the start on (one row each), the number of completed steps and any stop
-    flags."""
-
-    candidate: ExampleCollection
-    trajectory: np.ndarray
-    iterations: int
-    flags: list
-
-
 def lockstep(predictor, config, menus, step, provenance,
-             procedure: str) -> list[SearchResult]:
+             procedure: str) -> list[ExampleCollection]:
     """Both searches' loop: runs that each move a copy of their initial menu
     (a sequence of ``menus``) against the menu itself, as one (R, 2, J) stack.
 
@@ -127,18 +118,17 @@ def lockstep(predictor, config, menus, step, provenance,
     ``interior_menu(P)`` to the rows' moves (R', 2, J) and a mask of the rows
     that take them.  A row whose move is not finite is flagged
     ``nonfinite_gradient@iter{s}``; a row that takes no move leaves the
-    stack.  ``provenance(r)`` gives run r's provenance after the loop.
+    stack.  Each run's (initial, final) candidate is built from the final
+    stack; ``provenance(r)`` gives run r's provenance after the loop.
     """
-    Z, P0 = stack_menus(menus)
+    Z, P = stack_menus(menus)
     B = stack_basis_values(config.make_basis(), Z)
-    f0 = predictor.predict_batch(Z, P0)
-    d0 = eu_difference_rows(P0, B)
+    f0 = predictor.predict_batch(Z, P)
+    d0 = eu_difference_rows(P, B)
 
-    R = len(menus)
-    iterations = np.zeros(R, dtype=int)
-    flags = [[] for _ in range(R)]
-    P, history = P0, [P0]
-    active = np.arange(R)
+    iterations = np.zeros(len(menus), dtype=int)
+    flags = [[] for _ in menus]
+    active = np.arange(len(menus))
     for s in range(config.max_iters):
         if active.size == 0:
             break
@@ -153,28 +143,24 @@ def lockstep(predictor, config, menus, step, provenance,
             flags[r].append(f"nonfinite_gradient@iter{s}")
         go = finite & go
         active = active[go]
-        P = P.copy()
-        P[active] = step_probs(Pa[go], delta[go])
+        P[active] = project_to_simplex(Pa[go] + delta[go])
         check_probs(P[active])
         iterations[active] += 1
-        history.append(P)
 
-    # A stopped run's row stays put, so its trajectory is a prefix.
-    X = flat_stack(Z, np.stack(history))
     f_final = predictor.predict_batch(Z, P)
-    results = []
+    candidates = []
     for r, n in enumerate(iterations.tolist()):
         prov = {"procedure": procedure, **provenance(r), "iterations": n}
         if flags[r]:
-            prov["flags"] = list(flags[r])
-        final = menu_from_flat(X[n, r], menus[r].n_payoffs)
-        examples = (Example(menus[r], float(f0[r])), Example(final, float(f_final[r])))
-        results.append(SearchResult(ExampleCollection(examples, prov), X[:n + 1, r], n,
-                                    flags[r]))
-    return results
+            prov["flags"] = flags[r]
+        final = Menu(Lottery(Z[r, 0], P[r, 0]), Lottery(Z[r, 1], P[r, 1]))
+        candidates.append(ExampleCollection(
+            (Example(menus[r], float(f0[r])), Example(final, float(f_final[r]))), prov))
+    return candidates
 
 
-def gda_run(predictor, config: GdaConfig, menus, provenances=None) -> list[SearchResult]:
+def gda_run(predictor, config: GdaConfig, menus,
+            provenances=None) -> list[ExampleCollection]:
     """Descent-ascent runs advanced in ``lockstep``.  Each run's provenance
     counts its inner fits that ended on the coefficient ball
     (``inner_fits_on_bound``) and unconverged (``inner_fits_unconverged``)."""
@@ -208,6 +194,6 @@ def index_blocks(config, master_seed: int, indices):
 
 def run_adversarial_indices(predictor, config: GdaConfig, master_seed: int, indices):
     """Adversarial runs addressed by (master seed, run index); yields their
-    results in the order of ``indices``."""
+    candidates in the order of ``indices``."""
     for menus, _, provenances in index_blocks(config, master_seed, indices):
         yield from gda_run(predictor, config, menus, provenances)

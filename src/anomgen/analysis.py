@@ -264,18 +264,3 @@ def estimate_epsilon(freqs: PatternFrequencies, menus=None,
     w, val = _simplex_lstsq(_pattern_matrix(eps, patterns), target)
     weights = {p: float(w[c]) for c, p in enumerate(patterns)}
     return EpsilonFit(epsilon=eps, weights=weights, fit_distance=float(val))
-
-
-def simulate_respondents(rng: np.random.Generator, n: int, eps: float,
-                         weights: dict) -> PatternFrequencies:
-    """Draw pattern counts from the idiosyncratic-error model."""
-    pats = list(weights)
-    probs = np.array([weights[p] for p in pats], dtype=float)
-    probs = probs / probs.sum()
-    counts = dict.fromkeys(PATTERNS, 0)
-    for _ in range(n):
-        true = pats[rng.choice(len(pats), p=probs)]
-        obs = tuple(1 - t if rng.random() < eps else t for t in true)
-        counts[obs] += 1
-    return PatternFrequencies(tuple(counts[p] for p in PATTERNS))
-

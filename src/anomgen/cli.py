@@ -77,14 +77,12 @@ def _fan_out(chunk_fn, args: tuple, items: list, workers: int) -> list:
 
 def _generate_chunk(cfg: PipelineConfig, procedure: str, indices):
     predictor = build_predictor(cfg.predictor)
-    seed = cfg.seed
     if procedure != "baseline":
         # A search's runs advance in lockstep blocks.
         search = run_adversarial_indices if procedure == "adversarial" else run_morph_indices
-        colls = (r.candidate for r in
-                 search(predictor, getattr(cfg, procedure), seed, indices))
+        colls = search(predictor, getattr(cfg, procedure), cfg.seed, indices)
     else:
-        colls = (analysis.random_pair(predictor, seed, i, cfg.n_payoffs,
+        colls = (analysis.random_pair(predictor, cfg.seed, i, cfg.n_payoffs,
                                       cfg.theory_basis["domain"]) for i in indices)
     out = []
     for i, coll in zip(indices, colls):
@@ -122,13 +120,9 @@ def _verify_chunk(cfg: PipelineConfig, recs):
         rec["fit_on_bound"] = bool(pv.on_norm_bound)
         rec["any_utility_inconsistent"] = bool(not av.consistent)
         rec["margin"] = float(av.margin)
-        rec["witness"] = None if av.witness_utility is None else \
-            [float(u) for u in av.witness_utility]
-        if not av.consistent:
-            minimal = minimal_anomaly(coll, cfg.margin_threshold)
-            rec["anomaly_minimal_indices"] = list(minimal[0]) if minimal else None
-        else:
-            rec["anomaly_minimal_indices"] = None
+        rec["witness"] = None if av.witness_utility is None else av.witness_utility.tolist()
+        minimal = None if av.consistent else minimal_anomaly(coll, cfg.margin_threshold)
+        rec["anomaly_minimal_indices"] = list(minimal[0]) if minimal else None
         out.append((idx, rec))
     return out
 

@@ -9,6 +9,7 @@ run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .adversarial import DEFAULT_BASIS, GdaConfig
@@ -33,6 +34,13 @@ def _count(minimum: int):
     return lambda v: type(v) is int and v >= minimum
 
 
+# Each basis kind's defaults, and the check of every key some kind takes.
+_BASIS_DEFAULTS = {b["kind"]: b for b in (DEFAULT_BASIS, MORPH_BASIS)}
+_BASIS_CHECKS = {"kind": None, "order": _count(1), "knots": _count(2), "degree": _count(1),
+                 "domain": lambda v: type(v) is list and len(v) == 2
+                 and 0 < v[1] - v[0] < math.inf}
+
+
 def _pick(section, path: str, checks: dict) -> dict:
     """``section`` with each key checked by ``checks[key]`` (None: no check).
 
@@ -52,6 +60,16 @@ def _pick(section, path: str, checks: dict) -> dict:
         if not ok:
             raise ConfigError(f"{prefix}{key}: invalid value {value!r}")
     return dict(section)
+
+
+def _pick_basis(section: dict, path: str, kind: str) -> dict:
+    """A basis section merged over the defaults of the kind it names, or of
+    ``kind`` when it names none; a key of another kind is rejected."""
+    kind = section.get("kind", kind)
+    if not (isinstance(kind, str) and kind in _BASIS_DEFAULTS):
+        raise ConfigError(f"{path}.kind: invalid value {kind!r}")
+    base = _BASIS_DEFAULTS[kind]
+    return {**base, **_pick(section, path, {key: _BASIS_CHECKS[key] for key in base})}
 
 
 @dataclass
@@ -106,7 +124,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     top = _pick(raw, "", {"n_payoffs": lambda v: v in (2, 3) and type(v) is int,
                           "seed": _count(0), "workers": _count(1)})
 
-    theory_basis = {**DEFAULT_BASIS, **theory.get("basis", {})}
+    theory_basis = _pick_basis(theory.get("basis", {}), "theory.basis", "polynomial")
     adversarial_basis = adversarial.pop("basis", None)
     morph_basis = morph.pop("basis", None)
     n_payoffs = top.get("n_payoffs", PipelineConfig.n_payoffs)
@@ -115,11 +133,11 @@ def parse_config(raw: dict) -> PipelineConfig:
         theory_basis=theory_basis,
         adversarial=GdaConfig(
             **adversarial, n_payoffs=n_payoffs,
-            basis_config={**DEFAULT_BASIS, **adversarial_basis} if adversarial_basis
-            else dict(theory_basis)),
+            basis_config=_pick_basis(adversarial_basis, "adversarial.basis", "polynomial")
+            if adversarial_basis else dict(theory_basis)),
         morph=MorphConfig(
             **morph, n_payoffs=n_payoffs,
-            basis_config={**MORPH_BASIS, **morph_basis} if morph_basis
+            basis_config=_pick_basis(morph_basis, "morph.basis", "ispline") if morph_basis
             else {**MORPH_BASIS, "domain": list(theory_basis["domain"])}),
         **verification, **top)
 

@@ -137,15 +137,6 @@ def flat_stack(Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.stack([Z, P], axis=-2).reshape(*Z.shape[:-2], -1)
 
 
-def menu_from_flat(x: np.ndarray, n_payoffs: int) -> Menu:
-    """Inverse of :meth:`Menu.flatten`."""
-    x = np.asarray(x, dtype=float)
-    J = n_payoffs
-    if x.size != 4 * J:
-        raise ValueError(f"flat vector has length {x.size}, expected {4 * J}")
-    return Menu(Lottery(x[:J], x[J:2 * J]), Lottery(x[2 * J:3 * J], x[3 * J:]))
-
-
 @dataclass(frozen=True)
 class Example:
     """A menu plus the modeled choice probability for lottery 1."""
@@ -222,12 +213,6 @@ def project_to_simplex(v) -> np.ndarray:
         theta = np.take_along_axis(css, rho[:, None] - 1, axis=-1) / rho[:, None]
         v[move] = np.maximum(rows - theta, 0.0)
     return v
-
-
-def step_probs(P: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Move a probability stack (..., J) by ``delta`` and project each
-    lottery back onto the simplex; payoffs are not part of the stack."""
-    return project_to_simplex(P + delta)
 
 
 def sample_random_menu(rng: np.random.Generator, n_payoffs: int,

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversarial import SearchResult, index_blocks, lockstep
+from .adversarial import index_blocks, lockstep
 from .basis import basis_from_config
+from .lotteries import ExampleCollection
 from .theory import _fit_logits
 
 DEFAULT_BASIS = {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}
@@ -166,7 +167,7 @@ def morph_step_direction(pred_grad: np.ndarray, probs: np.ndarray, history,
 
 
 def morph_lockstep(predictor, config: MorphConfig, menus, rngs,
-                   provenances=None) -> list[SearchResult]:
+                   provenances=None) -> list[ExampleCollection]:
     """Morphing runs advanced in ``lockstep``; run r draws from its own
     generator ``rngs[r]`` and stops early once its direction vanishes.  Its
     provenance records why it stopped (``stop``: ``direction_vanished``,
@@ -203,6 +204,6 @@ def morph_lockstep(predictor, config: MorphConfig, menus, rngs,
 
 def run_morph_indices(predictor, config: MorphConfig, master_seed: int, indices):
     """Morphing runs addressed by (master seed, run index); yields their
-    results in the order of ``indices``."""
+    candidates in the order of ``indices``."""
     for menus, rngs, provenances in index_blocks(config, master_seed, indices):
         yield from morph_lockstep(predictor, config, menus, rngs, provenances)

@@ -46,8 +46,7 @@ def solve_max(c, A, b, max_iter: int = 10_000) -> LpSolution:
     basis = list(range(n, n + m))
 
     for it in range(max_iter):
-        reduced = T[m, :-1]
-        candidates = np.nonzero(reduced < -_EPS)[0]
+        candidates = np.nonzero(T[m, :-1] < -_EPS)[0]
         if candidates.size == 0:
             x = np.zeros(n + m)
             x[basis] = T[:m, -1]
@@ -64,10 +63,13 @@ def solve_max(c, A, b, max_iter: int = 10_000) -> LpSolution:
         ties = np.nonzero(np.abs(ratios - best) <= _EPS * (1 + abs(best)))[0]
         if ties.size > 1:
             row = int(min(ties, key=lambda r: basis[r]))
-        pivot = T[row, col]
-        T[row] /= pivot
-        for r in range(m + 1):
-            if r != row and abs(T[r, col]) > 0:
-                T[r] -= T[r, col] * T[row]
+        T[row] /= T[row, col]
+        # Eliminate the column from every row by one rank-1 update.  A row
+        # with a zero in the column changes at most a -0.0 into 0.0: the tests
+        # above compare against +-_EPS, and the right-hand sides, which start
+        # at max(b, 0), hold no -0.0, so pivots and solution keep their bytes.
+        pivot_row = T[row].copy()
+        T -= np.outer(T[:, col], pivot_row)
+        T[row] = pivot_row
         basis[row] = col
     raise SimplexError("iteration limit reached")

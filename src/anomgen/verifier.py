@@ -6,6 +6,7 @@ Two layers:
   (no noise) rationalizes the implied binary choices.  Strict inequalities are
   encoded through a shared maximized slack t over the merged payoff grid, so
   the verdict comes with a margin and, when consistent, a witness utility.
+  The LP is built as arrays, once the grid's size has been checked.
 * ``verify_parametrized`` asks whether the logit-EUT class fits the stated
   choice probabilities, thresholding the best achievable mean KL.
 
@@ -43,51 +44,28 @@ class VerificationResult:
         return self.status == "consistent"
 
 
-def _margin_lp(menus, choices):
-    """Max-slack LP over utilities on the merged grid.
+def _margin_lp(menus, choices, grid):
+    """(margin, witness) of the max-slack LP over utilities on ``grid``.
 
     Variables are the interior utility levels u_2..u_{k-1} (u_1 = 0, u_k = 1
-    pin down location and scale) plus tau = t + 1 >= 0.  All right-hand sides
-    are nonnegative by construction, so the one-phase solver applies.
+    pin down location and scale) plus tau = t + 1 >= 0.  Each row c of C, a
+    menu's chosen-minus-other grid probabilities or a monotonicity step
+    u_{j+1} - u_j, asks c . u >= t, which is the LP row (-c_free, 1) <= 1 + c_k.
+    The box rows u_j <= 1 follow.  All right-hand sides are nonnegative by
+    construction, so the one-phase solver applies.
     """
-    grid = merge_payoff_grid([l for m in menus for l in (m.lottery0, m.lottery1)])
     k = grid.size
-    if k < 2:
-        return grid, None, None
     n_free = k - 2
-    rows, rhs = [], []
-
-    def add_geq(coeffs_full, const):
-        # sum_j coeffs_full[j] * u_j + const >= t  ->  LP row in (u_free, tau).
-        row = np.zeros(n_free + 1)
-        row[:n_free] = -np.asarray(coeffs_full)[1:k - 1]
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(1.0 + const + coeffs_full[-1])
-
-    for menu, y in zip(menus, choices):
-        chosen = menu.lottery1 if y == 1 else menu.lottery0
-        other = menu.lottery0 if y == 1 else menu.lottery1
-        diff = probs_on_grid(chosen, grid) - probs_on_grid(other, grid)
-        add_geq(diff, 0.0)
-    for j in range(k - 1):
-        e = np.zeros(k)
-        e[j + 1], e[j] = 1.0, -1.0
-        add_geq(e, 0.0)
-    for j in range(n_free):
-        row = np.zeros(n_free + 1)
-        row[j] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-
-    c = np.zeros(n_free + 1)
-    c[-1] = 1.0
-    sol = simplex_lp.solve_max(c, np.array(rows), np.array(rhs))
-    margin = sol.objective - 1.0
-    witness = np.empty(k)
-    witness[0], witness[-1] = 0.0, 1.0
-    witness[1:k - 1] = sol.x[:n_free]
-    return grid, margin, witness
+    probs = np.array([[probs_on_grid(m.lottery0, grid), probs_on_grid(m.lottery1, grid)]
+                      for m in menus])
+    i = np.arange(len(menus))
+    C = np.vstack([probs[i, choices] - probs[i, 1 - choices], np.diff(np.eye(k), axis=0)])
+    A = np.block([[-C[:, 1:-1], np.ones((len(C), 1))],
+                  [np.eye(n_free), np.zeros((n_free, 1))]])
+    b = np.concatenate([1.0 + C[:, -1], np.ones(n_free)])
+    sol = simplex_lp.solve_max(np.eye(n_free + 1)[-1], A, b)
+    witness = np.concatenate([[0.0], sol.x[:n_free], [1.0]])
+    return sol.objective - 1.0, witness
 
 
 def verify_increasing_utility(menus, choices,
@@ -99,14 +77,15 @@ def verify_increasing_utility(menus, choices,
         raise ValueError(f"collection size must be in [1, {MAX_MENUS}]")
     if choices.shape != (len(menus),):
         raise ValueError("one choice per menu required")
-    grid, margin, witness = _margin_lp(menus, choices)
+    grid = merge_payoff_grid([l for m in menus for l in (m.lottery0, m.lottery1)])
     if grid.size > MAX_DISTINCT_PAYOFFS:
         raise ValueError(f"{grid.size} distinct payoffs exceeds {MAX_DISTINCT_PAYOFFS}")
-    if margin is None:
+    if grid.size < 2:
         # All payoffs identical: every choice is a tie between identical
         # lotteries; vacuously consistent.
         return VerificationResult("consistent", 0.0, None,
                                   note="degenerate: single merged payoff")
+    margin, witness = _margin_lp(menus, choices, grid)
     status = "consistent" if margin > margin_threshold else "inconsistent"
     return VerificationResult(status, float(margin),
                               witness if status == "consistent" else None)

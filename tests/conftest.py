@@ -1,13 +1,14 @@
 """Shared fixtures: the classic menus and small helpers used across tests."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from anomgen.analysis import PATTERNS, PatternFrequencies
 from anomgen.cpt import logistic
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu, make_lottery,
-                               sample_random_menu)
+                               probs_on_grid, sample_random_menu)
 from anomgen.morphing import _utility_factor
 from anomgen.records import write_jsonl
 from anomgen.theory import _clip_targets, _cross_entropy, _entropy, design_matrix
@@ -124,12 +125,38 @@ def flat_menu_fn(fn, n_payoffs):
     return lambda x: fn(unchecked_menu(x, n_payoffs))
 
 
+def search_iterates(search, predictor, config, master_seed, indices):
+    """(s, candidates) for s = 1, 2, ...: a run capped at s steps ends at its
+    iterate s, so its final menu is that iterate.  Ends after
+    ``config.max_iters`` steps, or once every run stopped before step s."""
+    for s in range(1, config.max_iters + 1):
+        candidates = list(search(predictor, replace(config, max_iters=s), master_seed,
+                                 indices))
+        yield s, candidates
+        if all(c.provenance["iterations"] < s for c in candidates):
+            return
+
+
 def kernel_weights(p, params):
     """Probability weights read from the CPT value kernel: the value of the
     unit payoff vector e_j under probabilities p is the weight of outcome j."""
     from anomgen.cpt import lottery_values
     p = np.asarray(p, dtype=float)
     return lottery_values(np.eye(p.size), np.tile(p, (p.size, 1)), params)
+
+
+def simulate_respondents(rng: np.random.Generator, n: int, eps: float,
+                         weights: dict) -> PatternFrequencies:
+    """Draw pattern counts from the idiosyncratic-error model."""
+    pats = list(weights)
+    probs = np.array([weights[p] for p in pats], dtype=float)
+    probs = probs / probs.sum()
+    counts = dict.fromkeys(PATTERNS, 0)
+    for _ in range(n):
+        true = pats[rng.choice(len(pats), p=probs)]
+        obs = tuple(1 - t if rng.random() < eps else t for t in true)
+        counts[obs] += 1
+    return PatternFrequencies(tuple(counts[p] for p in PATTERNS))
 
 
 def write_anomalies(path, n):
@@ -200,3 +227,80 @@ def sample_theta_history(history, count: int, rng: np.random.Generator,
     """
     mean, factor = _utility_factor(history, basis_rows)
     return (rng.standard_normal((count, factor.shape[1])) @ factor.T + mean).T
+
+
+# -- reference margin LP: built and pivoted one row at a time ------------------
+
+def reference_solve_max(c, A, b, max_iter: int = 10_000):
+    """``simplex_lp.solve_max`` with the elimination as a loop over rows:
+    (x, objective, iterations)."""
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = np.maximum(b, 0.0)
+    T[m, :n] = -c
+    basis = list(range(n, n + m))
+    for it in range(max_iter):
+        candidates = np.nonzero(T[m, :-1] < -1e-12)[0]
+        if candidates.size == 0:
+            x = np.zeros(n + m)
+            x[basis] = T[:m, -1]
+            return x[:n], float(T[m, -1]), it
+        col = int(candidates.min())
+        ratios = np.full(m, np.inf)
+        positive = T[:m, col] > 1e-12
+        ratios[positive] = T[:m, -1][positive] / T[:m, col][positive]
+        if not np.any(np.isfinite(ratios)):
+            raise RuntimeError("unbounded LP")
+        row = int(np.argmin(ratios))
+        best = ratios[row]
+        ties = np.nonzero(np.abs(ratios - best) <= 1e-12 * (1 + abs(best)))[0]
+        if ties.size > 1:
+            row = int(min(ties, key=lambda r: basis[r]))
+        pivot = T[row, col]
+        T[row] /= pivot
+        for r in range(m + 1):
+            if r != row and abs(T[r, col]) > 0:
+                T[r] -= T[r, col] * T[row]
+        basis[row] = col
+    raise RuntimeError("iteration limit reached")
+
+
+def reference_margin_lp(menus, choices, grid):
+    """(margin, witness, (c, A, b)) of the verifier's max-slack LP, each row
+    built by its own call."""
+    k = grid.size
+    n_free = k - 2
+    rows, rhs = [], []
+
+    def add_geq(coeffs_full, const):
+        # sum_j coeffs_full[j] * u_j + const >= t  ->  LP row in (u_free, tau).
+        row = np.zeros(n_free + 1)
+        row[:n_free] = -np.asarray(coeffs_full)[1:k - 1]
+        row[-1] = 1.0
+        rows.append(row)
+        rhs.append(1.0 + const + coeffs_full[-1])
+
+    for menu, y in zip(menus, choices):
+        chosen = menu.lottery1 if y == 1 else menu.lottery0
+        other = menu.lottery0 if y == 1 else menu.lottery1
+        add_geq(probs_on_grid(chosen, grid) - probs_on_grid(other, grid), 0.0)
+    for j in range(k - 1):
+        e = np.zeros(k)
+        e[j + 1], e[j] = 1.0, -1.0
+        add_geq(e, 0.0)
+    for j in range(n_free):
+        row = np.zeros(n_free + 1)
+        row[j] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    c = np.zeros(n_free + 1)
+    c[-1] = 1.0
+    lp = (c, np.array(rows), np.array(rhs))
+    x, objective, _ = reference_solve_max(*lp)
+    witness = np.empty(k)
+    witness[0], witness[-1] = 0.0, 1.0
+    witness[1:k - 1] = x[:n_free]
+    return objective - 1.0, witness, lp

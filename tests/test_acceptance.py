@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from anomgen.adversarial import GdaConfig, run_adversarial_indices
-from anomgen.analysis import (PatternFrequencies, estimate_epsilon, kmeans,
-                              pca, simulate_respondents, standardize)
+from anomgen.analysis import PatternFrequencies, estimate_epsilon, kmeans, pca, standardize
 from anomgen.basis import PolynomialBasis, basis_from_config
 from anomgen.categorize import categorize, decompose_shared_components
 from anomgen.cli import run_command
@@ -32,7 +31,8 @@ from anomgen.records import read_jsonl
 from anomgen.theory import fit_theta
 from anomgen.verifier import (minimal_anomaly, verify_collection,
                               verify_increasing_utility, verify_parametrized)
-from conftest import TABLE_TOL, central_difference, kernel_weights, unchecked_menu
+from conftest import (TABLE_TOL, central_difference, kernel_weights, simulate_respondents,
+                      unchecked_menu)
 
 DESK_SEED = 23
 DESK_RUNS = 300          # per procedure
@@ -57,9 +57,9 @@ def desk_scale_results():
     basis = basis_from_config({"kind": "polynomial", "order": 6,
                                "domain": [0.0, 10.0]})
     start = time.time()
-    records = [("adversarial", r.candidate) for r in
+    records = [("adversarial", c) for c in
                run_adversarial_indices(pred, GdaConfig(), DESK_SEED, range(DESK_RUNS))]
-    records += [("morphing", r.candidate) for r in
+    records += [("morphing", c) for c in
                 run_morph_indices(pred, MorphConfig(), DESK_SEED, range(DESK_RUNS))]
     generation_seconds = time.time() - start
     verified = []
@@ -230,10 +230,10 @@ def test_criterion_7_null_model_sanity():
         pred = CptPredictor(CptParams(1.0, 1.0))
         full = 0
         for r in run_adversarial_indices(pred, GdaConfig(), 301, range(200)):
-            full += not verify_collection(r.candidate).consistent
+            full += not verify_collection(r).consistent
         assert full == 0
         for r in run_morph_indices(pred, MorphConfig(), 302, range(200)):
-            full += not verify_collection(r.candidate).consistent
+            full += not verify_collection(r).consistent
         assert full == 0
 
 

@@ -5,11 +5,11 @@ import pytest
 
 from anomgen.analysis import (FEATURE_NAMES, EpsilonFit, PatternFrequencies,
                               anomaly_features, consistent_patterns,
-                              estimate_epsilon, kmeans, pca,
-                              simulate_respondents, standardize)
+                              estimate_epsilon, kmeans, pca, standardize)
 from anomgen.cli import run_command
 from anomgen.lotteries import (Example, ExampleCollection, Menu, lottery_stats,
                                make_lottery, sample_random_menu)
+from conftest import simulate_respondents
 from anomgen.records import read_jsonl
 
 

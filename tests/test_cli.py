@@ -111,6 +111,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="predictor.delta"):
             parse_config({"predictor": {"delta": -1.0, "gamma": 0.3}})
 
+    def test_basis_key_typo_named(self):
+        with pytest.raises(ConfigError, match="theory.basis.ordr"):
+            parse_config({"theory": {"basis": {"kind": "polynomial", "ordr": 4}}})
+
+    def test_bad_basis_value_is_one_json_error_line(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"adversarial": {"basis": {"order": "six"}}}))
+        rc = run_command(["adversarial", "--config", "cfg.json", "--inits", "1",
+                          "--out", "a.jsonl"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1
+        assert "adversarial.basis.order" in json.loads(err[0])["error"]
+        assert not os.path.exists("a.jsonl")
+
+    def test_basis_defaults_merge_within_one_kind(self):
+        cfg = parse_config({"adversarial": {"basis": {"kind": "ispline"}}})
+        assert cfg.adversarial.basis_config == MorphConfig().basis_config
+        assert cfg.adversarial.make_basis().config_dict() == cfg.adversarial.basis_config
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 7}))
@@ -441,7 +460,7 @@ class TestRankTolBound:
         # Below the bound, 7 of these 12 runs reported rank 3 for J = 2.
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
-        ranks = [r.candidate.provenance["retained_rank"]
+        ranks = [r.provenance["retained_rank"]
                  for r in morphing.run_morph_indices(pred, cfg, 6, range(12))]
         assert all(r is not None and r <= 2 for r in ranks)
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomgen.lotteries import (FosdOrder, Lottery, Menu, check_probs, fosd_compare,
-                               lottery_stats, make_lottery, menu_from_flat,
+from anomgen.lotteries import (FosdOrder, Lottery, Menu, check_probs, flat_stack,
+                               fosd_compare, lottery_stats, make_lottery,
                                merge_payoff_grid, project_to_simplex,
-                               run_rng, sample_random_menu, step_probs)
+                               run_rng, sample_random_menu, stack_menus)
 
 
 class TestMakeLottery:
@@ -92,14 +92,6 @@ class TestStackedProjection:
             np.testing.assert_array_equal(out, [project_one(v) for v in V])
             np.testing.assert_array_equal(project_to_simplex(V.reshape(40, 5, n)),
                                           out.reshape(40, 5, n))
-
-    def test_step_probs_projects_each_lottery(self):
-        rng = np.random.default_rng(13)
-        P = rng.dirichlet(np.ones(3), size=(10, 2))
-        delta = rng.normal(0, 0.3, size=P.shape)
-        out = step_probs(P, delta)
-        np.testing.assert_array_equal(out.reshape(-1, 3),
-                                      [project_one(v) for v in (P + delta).reshape(-1, 3)])
 
 
 class TestCheckProbs:
@@ -236,8 +228,8 @@ class TestLotteryStats:
 class TestMenu:
     def test_flatten_roundtrip(self):
         m = sample_random_menu(np.random.default_rng(0), 3, 0, 10)
-        back = menu_from_flat(m.flatten(), 3)
-        np.testing.assert_array_equal(back.flatten(), m.flatten())
+        Z, P = stack_menus([m])
+        np.testing.assert_array_equal(flat_stack(Z, P)[0], m.flatten())
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):

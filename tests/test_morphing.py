@@ -7,13 +7,12 @@ from anomgen import morphing
 from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
-from anomgen.lotteries import (Lottery, Menu, menu_from_flat, sample_random_menu,
-                               stack_menus)
+from anomgen.lotteries import Lottery, Menu, sample_random_menu, stack_menus
 from anomgen.morphing import (COV_JITTER, MorphConfig, morph_step_direction,
                               null_space_projection, run_morph_indices, _tangent)
 from anomgen.records import candidate_to_record
 from anomgen.theory import eu_difference_rows, fit_theta, stack_basis_values
-from conftest import sample_theta_history
+from conftest import sample_theta_history, search_iterates
 
 
 class TestSampleThetaHistory:
@@ -161,9 +160,8 @@ class TestGramMatchesSvd:
             rows = np.concatenate([basis.eval(x0.lottery0.payoffs),
                                    basis.eval(x0.lottery1.payoffs)])
             f0 = pred.predict(x0)
-            menu = menu_from_flat(np.concatenate(
-                [x0.flatten()[:2], rng.dirichlet([2, 2]),
-                 x0.flatten()[4:6], rng.dirichlet([2, 2])]), 2)
+            menu = Menu(Lottery(x0.lottery0.payoffs, rng.dirichlet([2, 2])),
+                        Lottery(x0.lottery1.payoffs, rng.dirichlet([2, 2])))
             history = [fit_theta(basis, [(x0, f0)]).theta,
                        fit_theta(basis, [(x0, f0), (menu, pred.predict(menu))]).theta]
             step_rng = copy.deepcopy(rng)             # the same draws for the step
@@ -275,15 +273,16 @@ class TestMorphRun:
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
         (result,) = run_morph_indices(pred, cfg, 6, [0])
-        assert result.iterations == 0
-        m0, mS = result.candidate.menus
+        assert result.provenance["iterations"] == 0
+        m0, mS = result.menus
         np.testing.assert_array_equal(m0.flatten(), mS.flatten())
 
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = MorphConfig()
-        for result in run_morph_indices(pred, cfg, 7, range(5)):
-            for x in result.trajectory:
+        for _, results in search_iterates(run_morph_indices, pred, MorphConfig(), 7,
+                                          range(5)):
+            for result in results:
+                x = result.menus[1].flatten()
                 assert abs(x[2:4].sum() - 1) < 1e-12
                 assert abs(x[6:8].sum() - 1) < 1e-12
                 assert np.all(x[2:4] >= 0) and np.all(x[6:8] >= 0)
@@ -291,7 +290,7 @@ class TestMorphRun:
     def test_payoffs_frozen(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         (result,) = run_morph_indices(pred, MorphConfig(), 8, [1])
-        x0, xS = (m.flatten() for m in result.candidate.menus)
+        x0, xS = (m.flatten() for m in result.menus)
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
 
@@ -300,8 +299,7 @@ class TestMorphRun:
         cfg = MorphConfig()
         (a,) = run_morph_indices(pred, cfg, 10, [0])
         (b,) = run_morph_indices(pred, cfg, 10, [0])
-        np.testing.assert_array_equal(a.candidate.menus[1].flatten(),
-                                      b.candidate.menus[1].flatten())
+        np.testing.assert_array_equal(a.menus[1].flatten(), b.menus[1].flatten())
 
     def test_frozen_basis_rows_give_the_same_fits(self):
         # The morph search builds its design rows from the basis values at the
@@ -310,13 +308,13 @@ class TestMorphRun:
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig()
         basis = cfg.make_basis()
-        (result,) = run_morph_indices(pred, cfg, 11, [3])
-        assert result.iterations >= 5
-        x0 = result.candidate.menus[0]
+        iterates = [results[0] for _, results in
+                    search_iterates(run_morph_indices, pred, cfg, 11, [3])]
+        assert iterates[-1].provenance["iterations"] >= 5
+        x0 = iterates[0].menus[0]
         Z0, P0 = stack_menus([x0])
         B = stack_basis_values(basis, Z0)
-        for x in result.trajectory:
-            menu = menu_from_flat(x, 2)
+        for menu in [x0] + [c.menus[1] for c in iterates]:
             examples = [(x0, pred.predict(x0)), (menu, pred.predict(menu))]
             rows = np.concatenate([eu_difference_rows(P0, B),
                                    eu_difference_rows(stack_menus([menu])[1], B)])
@@ -475,19 +473,18 @@ class TestStopRecord:
         (capped,) = run_morph_indices(pred, MorphConfig(max_iters=2), 11, [3])
         (nonfinite,) = run_morph_indices(NanGradPredictor(CptParams(0.726, 0.309)),
                                          MorphConfig(), 6, [0])
-        recs = [candidate_to_record(r.candidate)
-                for r in (vanished, capped, nonfinite)]
+        recs = [candidate_to_record(r) for r in (vanished, capped, nonfinite)]
         assert [r["stop"] for r in recs] == ["direction_vanished", "max_iters",
                                              "nonfinite_gradient"]
         # A full tangent span (rank 2 for J = 2) leaves no direction.
-        assert vanished.iterations == 0 and recs[0]["retained_rank"] == 2
-        assert capped.iterations == 2 and recs[1]["retained_rank"] in (0, 1)
+        assert recs[0]["iterations"] == 0 and recs[0]["retained_rank"] == 2
+        assert recs[1]["iterations"] == 2 and recs[1]["retained_rank"] in (0, 1)
         # No step reached the projection, so no rank was retained.
-        assert nonfinite.iterations == 0 and recs[2]["retained_rank"] is None
-        assert nonfinite.flags == ["nonfinite_gradient@iter0"]
+        assert recs[2]["iterations"] == 0 and recs[2]["retained_rank"] is None
+        assert recs[2]["flags"] == ["nonfinite_gradient@iter0"]
 
     def test_other_records_have_no_stop(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         (result,) = run_adversarial_indices(pred, GdaConfig(max_iters=2), 6, [0])
-        rec = candidate_to_record(result.candidate)
+        rec = candidate_to_record(result)
         assert "stop" not in rec and "retained_rank" not in rec

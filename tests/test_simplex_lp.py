@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anomgen.simplex_lp import SimplexError, solve_max
+from conftest import reference_solve_max
 
 
 def brute_force_box_grid(c, A, b, resolution=60):
@@ -78,3 +79,27 @@ class TestSolveMax:
                 slack = b - A @ sol.x
                 room = np.min(slack / np.maximum(A[:, j], 1e-12))
                 assert room < 1e-6
+
+    def test_rank_one_pivot_matches_row_loop(self):
+        # Exact zeros of both signs in A, b and c, where the rank-1 update and
+        # the row loop differ in the sign of a zero inside the tableau.
+        rng = np.random.default_rng(2)
+        for _ in range(400):
+            n, m = rng.integers(1, 8), rng.integers(1, 12)
+            A = rng.normal(0.3, 1.0, size=(m, n))
+            A[rng.random(A.shape) < 0.3] = 0.0
+            A[rng.random(A.shape) < 0.2] = -0.0
+            b = rng.uniform(0.0, 2.0, size=m)
+            b[rng.random(m) < 0.2] = 0.0
+            b[rng.random(m) < 0.2] = -0.0
+            c = rng.normal(0.2, 1.0, size=n)
+            c[rng.random(n) < 0.3] = -0.0
+            try:
+                x, objective, iterations = reference_solve_max(c, A, b)
+            except RuntimeError:
+                with pytest.raises(SimplexError):
+                    solve_max(c, A, b)
+                continue
+            sol = solve_max(c, A, b)
+            assert sol.x.tobytes() == x.tobytes()
+            assert (sol.objective, sol.iterations) == (objective, iterations)

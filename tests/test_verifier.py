@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anomgen import simplex_lp, verifier
 from anomgen.basis import PolynomialBasis
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu,
                                make_lottery, merge_payoff_grid, probs_on_grid,
                                sample_random_menu)
 from anomgen.verifier import (minimal_anomaly, verify_collection,
                               verify_increasing_utility, verify_parametrized)
+from conftest import reference_margin_lp
 
 
 def grid_consistent(menus, choices, steps=200, strictness=1e-6):
@@ -156,6 +162,62 @@ class TestVerifyIncreasingUtility:
         menu = Menu(make_lottery([5.0], [1.0]), make_lottery([5.0], [1.0]))
         res = verify_increasing_utility([menu], [1])
         assert res.consistent and "degenerate" in res.note
+
+    def test_payoff_count_checked_before_the_lp(self, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("LP solved for a collection over the payoff limit")
+
+        monkeypatch.setattr(simplex_lp, "solve_max", no_lp)
+        menus = [Menu(make_lottery([4 * i, 4 * i + 1], [0.5, 0.5]),
+                      make_lottery([4 * i + 2, 4 * i + 3], [0.5, 0.5])) for i in range(4)]
+        with pytest.raises(ValueError, match="16 distinct payoffs"):
+            verify_increasing_utility(menus, [0, 1, 0, 1])
+
+
+@st.composite
+def lp_collections(draw):
+    """Menus over J in {2, 3} payoffs drawn from one pool of at most 12
+    values, integers (shared between lotteries) mixed with fresh floats, and
+    probabilities with exact zeros; one choice per menu."""
+    J = draw(st.sampled_from([2, 3]))
+    pool = draw(st.lists(st.one_of(st.integers(0, 10).map(float), st.floats(0, 10)),
+                         min_size=2, max_size=12, unique=True))
+    payoffs = st.lists(st.sampled_from(pool), min_size=J, max_size=J)
+    weights = st.lists(st.integers(0, 4), min_size=J, max_size=J).filter(any)
+
+    def lottery():
+        w = np.array(draw(weights), dtype=float)
+        return make_lottery(draw(payoffs), w / w.sum())
+
+    menus = [Menu(lottery(), lottery()) for _ in range(draw(st.integers(1, 4)))]
+    return menus, np.array(draw(st.lists(st.integers(0, 1), min_size=len(menus),
+                                         max_size=len(menus))))
+
+
+class TestMarginLpArrays:
+    """The LP built as one matrix and pivoted by rank-1 updates has the bytes
+    of the LP built and pivoted row by row, signed zeros included, and so
+    have its margin and witness."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lp_collections())
+    def test_margin_and_witness_match_row_by_row(self, drawn):
+        menus, choices = drawn
+        grid = merge_payoff_grid([l for m in menus for l in (m.lottery0, m.lottery1)])
+        if grid.size < 2:
+            return
+        solve, built = simplex_lp.solve_max, []
+
+        def recording(*lp):
+            built.append(lp)
+            return solve(*lp)
+
+        with mock.patch.object(simplex_lp, "solve_max", recording):
+            margin, witness = verifier._margin_lp(menus, choices, grid)
+        ref_margin, ref_witness, ref_lp = reference_margin_lp(menus, choices, grid)
+        assert np.float64(margin).tobytes() == np.float64(ref_margin).tobytes()
+        assert witness.tobytes() == ref_witness.tobytes()
+        assert [v.tobytes() for v in built[0]] == [v.tobytes() for v in ref_lp]
 
 
 class TestIsAnomaly:
