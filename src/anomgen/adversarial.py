@@ -30,14 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import basis_from_config
+from .basis import PolynomialBasis, basis_from_config
 from .lotteries import (LOTTERY_SIGN, Example, ExampleCollection, Lottery, Menu,
                         check_probs, project_to_simplex, run_rng, sample_random_menu,
                         stack_menus)
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 INTERIOR_EPS = 1e-8
-DEFAULT_BASIS = {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
+DEFAULT_BASIS = PolynomialBasis().config_dict()
 # Runs advanced together, by either search.  The size moves no byte; it
 # trades the loop's per-iteration overhead against memory, since a block's
 # stacks, per-step arrays and candidates live until the block is consumed.

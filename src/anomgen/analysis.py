@@ -45,9 +45,7 @@ def anomaly_features(collection: ExampleCollection) -> np.ndarray:
         raise ValueError("feature vector is defined for two-menu anomalies")
     blocks = []
     for example in collection:
-        menu = example.menu
-        chosen = menu.lottery1 if example.implied_choice == 1 else menu.lottery0
-        other = menu.lottery0 if example.implied_choice == 1 else menu.lottery1
+        chosen, other = example.chosen_and_other
         blocks.append(lottery_stats(chosen).as_array() - lottery_stats(other).as_array())
     return np.concatenate(blocks)
 

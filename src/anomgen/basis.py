@@ -135,13 +135,12 @@ class ISplineBasis:
 
 
 def basis_from_config(cfg: dict):
-    """Build a basis from its JSON description."""
+    """Build a basis from its JSON description: ``kind`` names the class, and
+    the other keys are its constructor's arguments (a key it does not take
+    raises ``TypeError``)."""
     cfg = dict(cfg)
     kind = cfg.pop("kind")
-    domain = tuple(cfg.pop("domain", (0.0, 10.0)))
-    if kind == "polynomial":
-        return PolynomialBasis(order=cfg.pop("order", 6), domain=domain)
-    if kind == "ispline":
-        return ISplineBasis(knots=cfg.pop("knots", 10), degree=cfg.pop("degree", 3),
-                            domain=domain)
+    for cls in (PolynomialBasis, ISplineBasis):
+        if cls.kind == kind:
+            return cls(**cfg)
     raise ValueError(f"unknown basis kind {kind!r}")

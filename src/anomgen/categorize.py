@@ -1,15 +1,18 @@
 """Categorize verified anomalies by the expected-utility violation they show.
 
-Two-payoff pairs are matched, over every labeling of menus and lotteries,
-against three compounding operations that mix each lottery with a degenerate
-payoff: both mixed toward their low payoffs (dominated consequence), both
-toward their high payoffs (reverse dominated consequence), or lottery 0 down
-and lottery 1 up (strict dominance).  Direct dominance violations are tagged
+Two-payoff pairs are matched against three compounding operations that mix
+each lottery of a base menu with a degenerate payoff: both mixed toward their
+low payoffs (dominated consequence), both toward their high payoffs (reverse
+dominated consequence), or ell0 down and ell1 up (strict dominance).  The
+choices fix the roles: the base menu's chosen lottery is ell1, the compound
+menu's chosen lottery is comp0.  Direct dominance violations are tagged
 first.  Three-payoff pairs are instead decomposed as compound lotteries over
 shared two-payoff components.
 
-Every category carries a machine-checkable certificate; ``check_certificate``
-re-derives all of its inequalities from the raw menus.
+Every category carries a machine-checkable certificate.  Each category's test
+is one function that the categorizer and ``check_certificate`` both run: the
+checker re-derives a certificate from the raw menus through the rule that
+made it, and compares.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lotteries import (ExampleCollection, FosdOrder, Lottery, Menu,
-                        fosd_compare, lottery_stats, merge_payoff_grid,
-                        probs_on_grid)
+from .lotteries import (ExampleCollection, FosdOrder, Lottery, fosd_compare,
+                        lottery_stats, merge_payoff_grid, probs_on_grid)
 
 PAYOFF_STRICT = 1e-9
 DEFAULT_TOL = 1e-6      # raw optimizer output; paper tables need 0.02
@@ -84,69 +86,51 @@ def _anchor(lottery: Lottery, side: str) -> float:
     return float(lottery.payoffs.min() if side == "low" else lottery.payoffs.max())
 
 
-# pattern -> (anchor side for ell0, anchor side for ell1, alpha condition)
+# tag -> (anchor sides of ell0 and ell1, (i, k) when alpha_i >= alpha_k must hold)
 _PATTERNS = {
-    "dominated_consequence": ("low", "low", "alpha1_ge_alpha0"),
-    "reverse_dominated_consequence": ("high", "high", "alpha0_ge_alpha1"),
-    "strict_dominance": ("low", "high", None),
+    "dominated_consequence": (("low", "low"), (1, 0)),
+    "reverse_dominated_consequence": (("high", "high"), (0, 1)),
+    "strict_dominance": (("low", "high"), None),
 }
 
 
-def _pattern_conditions(tag: str, ell0: Lottery, ell1: Lottery) -> bool:
+def _pattern_certificate(tag: str, menus, choices, base_idx: int, tol: float):
+    """Certificate that ``menus[base_idx]`` and its compound menu show ``tag``.
+
+    The roles follow from the choices: the base menu's chosen lottery is ell1
+    and the compound menu's chosen lottery is comp0.  Each compound lottery
+    must be its base lottery mixed toward the pattern's anchor payoff, and
+    when both anchors sit on one side, ell0's must be strictly below ell1's.
+    Returns None when the pattern does not hold.
+    """
+    sides, order = _PATTERNS[tag]
+    a1, c0 = int(choices[base_idx]), int(choices[1 - base_idx])
+    roles = {"ell0": 1 - a1, "ell1": a1, "comp0": c0, "comp1": 1 - c0}
+    base, comp = menus[base_idx].lotteries, menus[1 - base_idx].lotteries
+    ells = (base[1 - a1], base[a1])
+    anchors = [_anchor(ell, side) for ell, side in zip(ells, sides)]
+    if sides[0] == sides[1] and not anchors[0] < anchors[1] - PAYOFF_STRICT:
+        return None
+    alphas = [solve_degenerate_mix(ell, comp[c], anchor, tol)
+              for ell, c, anchor in zip(ells, (c0, 1 - c0), anchors)]
+    if None in alphas or (order and alphas[order[0]] < alphas[order[1]] - tol):
+        return None
+    cert = {"pattern": tag, "base_menu": base_idx, "roles": roles, "anchors": anchors,
+            "alpha0": alphas[0], "alpha1": alphas[1], "tol": tol}
     if tag == "dominated_consequence":
-        return ell0.payoffs.min() < ell1.payoffs.min() - PAYOFF_STRICT
-    if tag == "reverse_dominated_consequence":
-        return ell0.payoffs.max() < ell1.payoffs.max() - PAYOFF_STRICT
-    return True
+        cert["common_ratio"] = bool(abs(alphas[0] - alphas[1]) <= tol)
+    return cert
 
 
-def _match_pattern(tag: str, base: Menu, comp: Menu, base_choice: int,
-                   comp_choice: int, tol: float):
-    """Search lottery labelings of (base, compound) for one pattern."""
-    side0, side1, alpha_cond = _PATTERNS[tag]
-    for a0, a1 in ((0, 1), (1, 0)):
-        if base_choice != a1:       # base menu must choose the ell1 role
-            continue
-        ell0 = base.lottery0 if a0 == 0 else base.lottery1
-        ell1 = base.lottery0 if a1 == 0 else base.lottery1
-        if not _pattern_conditions(tag, ell0, ell1):
-            continue
-        for c0, c1 in ((0, 1), (1, 0)):
-            if comp_choice != c0:   # compound menu must choose the ell0' role
-                continue
-            comp0 = comp.lottery0 if c0 == 0 else comp.lottery1
-            comp1 = comp.lottery0 if c1 == 0 else comp.lottery1
-            anchor0 = _anchor(ell0, side0)
-            anchor1 = _anchor(ell1, side1)
-            alpha0 = solve_degenerate_mix(ell0, comp0, anchor0, tol)
-            alpha1 = solve_degenerate_mix(ell1, comp1, anchor1, tol)
-            if alpha0 is None or alpha1 is None:
-                continue
-            if alpha_cond == "alpha1_ge_alpha0" and alpha1 < alpha0 - tol:
-                continue
-            if alpha_cond == "alpha0_ge_alpha1" and alpha0 < alpha1 - tol:
-                continue
-            cert = {
-                "pattern": tag,
-                "base_menu": None,  # filled by caller
-                "roles": {"ell0": a0, "ell1": a1, "comp0": c0, "comp1": c1},
-                "anchors": [anchor0, anchor1],
-                "alpha0": alpha0,
-                "alpha1": alpha1,
-                "tol": tol,
-            }
-            if tag == "dominated_consequence":
-                cert["common_ratio"] = bool(abs(alpha0 - alpha1) <= tol)
-            return cert
-    return None
+def _dominated(example) -> bool:
+    """Whether the example's unchosen lottery first-order dominates its choice."""
+    chosen, other = example.chosen_and_other
+    return fosd_compare(other, chosen) is FosdOrder.A_DOMINATES
 
 
 def _fosd_certificate(collection: ExampleCollection) -> dict | None:
     for idx, example in enumerate(collection):
-        menu = example.menu
-        chosen = menu.lottery1 if example.implied_choice == 1 else menu.lottery0
-        other = menu.lottery0 if example.implied_choice == 1 else menu.lottery1
-        if fosd_compare(other, chosen) is FosdOrder.A_DOMINATES:
+        if _dominated(example):
             return {"menu_index": idx, "implied_choice": int(example.implied_choice)}
     return None
 
@@ -159,15 +143,11 @@ def categorize_two_payoff(collection: ExampleCollection,
     fosd_cert = _fosd_certificate(collection)
     if fosd_cert is not None:
         return AnomalyCategory("fosd", fosd_cert)
-    choices = collection.implied_choices
-    menus = collection.menus
-    for tag in ("dominated_consequence", "reverse_dominated_consequence",
-                "strict_dominance"):
-        for base_idx, comp_idx in ((0, 1), (1, 0)):
-            cert = _match_pattern(tag, menus[base_idx], menus[comp_idx],
-                                  int(choices[base_idx]), int(choices[comp_idx]), tol)
+    for tag in _PATTERNS:
+        for base_idx in (0, 1):
+            cert = _pattern_certificate(tag, collection.menus, collection.implied_choices,
+                                        base_idx, tol)
             if cert is not None:
-                cert["base_menu"] = base_idx
                 return AnomalyCategory(tag, cert)
     return AnomalyCategory("other", {})
 
@@ -259,6 +239,31 @@ def _orient(comp1: Lottery, comp2: Lottery, alpha_a: float, alpha_b: float) -> d
     return {"comp1": comp1, "comp2": comp2, "alpha_a": alpha_a, "alpha_b": alpha_b}
 
 
+def _family_decomposition(menus, j: int, tol: float):
+    """Shared components of both menus' lottery j, or None when there are none."""
+    lot_a, lot_b = (menu.lotteries[j] for menu in menus)
+    try:
+        return decompose_shared_components(lot_a, lot_b, tol)
+    except ValueError:
+        return None
+
+
+def _reverses(dec: dict, choices, j: int, tol: float) -> bool:
+    """Whether the choice switch reverses family j's shared-component order.
+
+    Comp1 must dominate comp2, and the weight on comp1 must move against the
+    switch: down when the second menu's choice moved to lottery j, up when it
+    moved away.
+    """
+    if choices[0] == choices[1]:
+        return False
+    if fosd_compare(dec["comp1"], dec["comp2"]) is not FosdOrder.A_DOMINATES:
+        return False
+    delta_alpha = dec["alpha_b"] - dec["alpha_a"]
+    moved_to_j = choices[1] == j
+    return bool((moved_to_j and delta_alpha < -tol) or (not moved_to_j and delta_alpha > tol))
+
+
 def categorize_three_payoff(collection: ExampleCollection,
                             tol: float = DEFAULT_TOL) -> AnomalyCategory:
     """Category of a verified two-menu anomaly over three-payoff lotteries."""
@@ -267,118 +272,56 @@ def categorize_three_payoff(collection: ExampleCollection,
     fosd_cert = _fosd_certificate(collection)
     if fosd_cert is not None:
         return AnomalyCategory("fosd", fosd_cert)
-    menu_a, menu_b = collection.menus
-    choice_a, choice_b = (int(c) for c in collection.implied_choices)
-    if choice_a == choice_b:
+    choices = [int(c) for c in collection.implied_choices]
+    decs = [_family_decomposition(collection.menus, j, tol) for j in (0, 1)]
+    if None in decs:
         return AnomalyCategory("other", {})
-    decs = {}
-    for j in (0, 1):
-        try:
-            dec = decompose_shared_components(
-                menu_a.lottery1 if j == 1 else menu_a.lottery0,
-                menu_b.lottery1 if j == 1 else menu_b.lottery0, tol)
-        except ValueError:
-            dec = None
-        if dec is None:
-            return AnomalyCategory("other", {})
-        decs[j] = dec
-    for j in (0, 1):
-        dec = decs[j]
-        if fosd_compare(dec["comp1"], dec["comp2"]) is not FosdOrder.A_DOMINATES:
-            continue
-        delta_alpha = dec["alpha_b"] - dec["alpha_a"]
-        moved_to_j = choice_b == j
-        # Reversal: the lottery's dominating-component weight moves against
-        # the direction of the choice switch.
-        if (moved_to_j and delta_alpha < -tol) or (not moved_to_j and delta_alpha > tol):
-            cert = {
+    for j, dec in enumerate(decs):
+        if _reverses(dec, choices, j, tol):
+            return AnomalyCategory("shared_component_reversal", {
                 "family": j,
                 "alpha_a": {i: decs[i]["alpha_a"] for i in (0, 1)},
                 "alpha_b": {i: decs[i]["alpha_b"] for i in (0, 1)},
                 "comp1": dec["comp1"].to_json_dict(),
                 "comp2": dec["comp2"].to_json_dict(),
-                "choices": [choice_a, choice_b],
+                "choices": choices,
                 "tol": tol,
-            }
-            return AnomalyCategory("shared_component_reversal", cert)
+            })
     return AnomalyCategory("other", {})
 
 
 def check_certificate(category: AnomalyCategory, collection: ExampleCollection) -> bool:
-    """Re-derive every inequality in a certificate from the raw menus."""
+    """Re-derive a certificate through the rule that made it, from the raw menus."""
     tag, cert = category.tag, category.certificate
     if tag == "other":
         return True
     if not cert:
         raise ValueError("missing certificate")
     choices = collection.implied_choices
-    menus = collection.menus
     if tag == "fosd":
         example = collection.examples[cert["menu_index"]]
-        menu = example.menu
-        chosen = menu.lottery1 if example.implied_choice == 1 else menu.lottery0
-        other = menu.lottery0 if example.implied_choice == 1 else menu.lottery1
-        return (fosd_compare(other, chosen) is FosdOrder.A_DOMINATES
-                and example.implied_choice == cert["implied_choice"])
-    if tag in _PATTERNS:
-        tol = cert.get("tol", DEFAULT_TOL)
-        base_idx = cert["base_menu"]
-        comp_idx = 1 - base_idx
-        roles = cert["roles"]
-        base, comp = menus[base_idx], menus[comp_idx]
-        ell0 = base.lottery0 if roles["ell0"] == 0 else base.lottery1
-        ell1 = base.lottery0 if roles["ell1"] == 0 else base.lottery1
-        comp0 = comp.lottery0 if roles["comp0"] == 0 else comp.lottery1
-        comp1 = comp.lottery0 if roles["comp1"] == 0 else comp.lottery1
-        if choices[base_idx] != roles["ell1"] or choices[comp_idx] != roles["comp0"]:
-            return False
-        if not _pattern_conditions(tag, ell0, ell1):
-            return False
-        side0, side1, alpha_cond = _PATTERNS[tag]
-        a0 = solve_degenerate_mix(ell0, comp0, _anchor(ell0, side0), tol)
-        a1 = solve_degenerate_mix(ell1, comp1, _anchor(ell1, side1), tol)
-        if a0 is None or a1 is None:
-            return False
-        if abs(a0 - cert["alpha0"]) > tol or abs(a1 - cert["alpha1"]) > tol:
-            return False
-        if alpha_cond == "alpha1_ge_alpha0" and a1 < a0 - tol:
-            return False
-        if alpha_cond == "alpha0_ge_alpha1" and a0 < a1 - tol:
-            return False
-        if cert.get("common_ratio") and abs(a0 - a1) > tol:
-            return False
-        return True
+        return _dominated(example) and example.implied_choice == cert["implied_choice"]
+    tol = cert.get("tol", DEFAULT_TOL)
     if tag == "shared_component_reversal":
-        tol = cert.get("tol", DEFAULT_TOL)
         j = cert["family"]
-        menu_a, menu_b = menus
-        try:
-            dec = decompose_shared_components(
-                menu_a.lottery1 if j == 1 else menu_a.lottery0,
-                menu_b.lottery1 if j == 1 else menu_b.lottery0, tol)
-        except ValueError:
-            return False
-        if dec is None:
-            return False
-        if fosd_compare(dec["comp1"], dec["comp2"]) is not FosdOrder.A_DOMINATES:
-            return False
-        if list(choices) != cert["choices"] or choices[0] == choices[1]:
-            return False
-        delta_alpha = dec["alpha_b"] - dec["alpha_a"]
-        moved_to_j = choices[1] == j
-        return bool((moved_to_j and delta_alpha < -tol)
-                    or (not moved_to_j and delta_alpha > tol))
-    raise ValueError(f"unknown category tag {tag!r}")
+        dec = _family_decomposition(collection.menus, j, tol) if j in (0, 1) else None
+        return (dec is not None and list(choices) == cert["choices"]
+                and _reverses(dec, choices, j, tol))
+    # A pattern: its rule must give the stored roles, alphas within tol, and a
+    # common ratio wherever the certificate claims one.
+    got = _pattern_certificate(tag, collection.menus, choices, cert["base_menu"], tol)
+    return bool(got is not None
+                and all(cert["roles"][k] == v for k, v in got["roles"].items())
+                and not (abs(got["alpha0"] - cert["alpha0"]) > tol
+                         or abs(got["alpha1"] - cert["alpha1"]) > tol)
+                and (not cert.get("common_ratio") or got.get("common_ratio")))
 
 
 def categorize(collection: ExampleCollection, tol: float = DEFAULT_TOL) -> AnomalyCategory:
-    """Dispatch on the menus' payoff arity."""
-    J = collection.menus[0].n_payoffs
+    """Dispatch on the number of menus and their payoff arity."""
     if len(collection) == 1:
         cert = _fosd_certificate(collection)
-        if cert is not None:
-            return AnomalyCategory("fosd", cert)
-        return AnomalyCategory("other", {})
-    if J <= 2:
+        return AnomalyCategory("fosd", cert) if cert else AnomalyCategory("other", {})
+    if collection.menus[0].n_payoffs <= 2:
         return categorize_two_payoff(collection, tol)
     return categorize_three_payoff(collection, tol)

@@ -258,14 +258,17 @@ def cmd_fit_cpt(args) -> int:
 def cmd_epsilon(args) -> int:
     with open(args.freqs) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    header = lines[0].split(",")
     expected = ["pattern_00", "pattern_01", "pattern_10", "pattern_11"]
-    if header[:4] != expected:
-        raise ConfigError(f"{args.freqs}: expected columns {expected}")
+    if len(lines) < 2 or lines[0].split(",")[:4] != expected:
+        raise ConfigError(f"{args.freqs}: expected columns {expected} and a row of counts")
     counts = tuple(float(v) for v in lines[1].split(",")[:4])
     freqs = analysis.PatternFrequencies(counts)
     with open(args.menus) as fh:
-        menus = [Menu.from_json_dict(d) for d in json.load(fh)]
+        data = json.load(fh)
+    try:
+        menus = [Menu.from_json_dict(d) for d in data]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{args.menus}: expected a list of menus ({exc!r})") from None
     fit = analysis.estimate_epsilon(freqs, menus=menus)
     return _summary(command="epsilon", epsilon=fit.epsilon,
                     weights={"".join(map(str, k)): round(v, 6)

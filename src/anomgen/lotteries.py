@@ -104,6 +104,11 @@ class Menu:
     def n_payoffs(self) -> int:
         return self.lottery0.size
 
+    @property
+    def lotteries(self) -> tuple:
+        """``(lottery0, lottery1)``, so a choice indexes its lottery."""
+        return (self.lottery0, self.lottery1)
+
     def flatten(self) -> np.ndarray:
         """Canonical coordinate order (z0, p0, z1, p1)."""
         return np.concatenate(
@@ -152,6 +157,12 @@ class Example:
     def implied_choice(self) -> int:
         # Ties at exactly 0.5 map to lottery 1.
         return 1 if self.choice_prob >= 0.5 else 0
+
+    @property
+    def chosen_and_other(self) -> tuple:
+        """The implied choice's lottery, then the other lottery."""
+        lotteries = self.menu.lotteries
+        return lotteries[self.implied_choice], lotteries[1 - self.implied_choice]
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversarial import index_blocks, lockstep
-from .basis import basis_from_config
+from .basis import ISplineBasis, basis_from_config
 from .lotteries import ExampleCollection
 from .theory import _fit_logits
 
-DEFAULT_BASIS = {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}
+DEFAULT_BASIS = ISplineBasis().config_dict()
 STOP_NORM = 1e-8
 COV_JITTER = 1e-8
 # Rows of the (count, r) standard-normal stream drawn and reduced at a time:

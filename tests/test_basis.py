@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from anomgen.adversarial import DEFAULT_BASIS
 from anomgen.basis import ISplineBasis, PolynomialBasis, basis_from_config
+from anomgen.morphing import DEFAULT_BASIS as MORPH_BASIS
 
 
 class TestPolynomialBasis:
@@ -59,3 +61,13 @@ class TestBasisFromConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             basis_from_config({"kind": "fourier"})
+
+    def test_unknown_key_raises(self):
+        # A misspelt key used to be dropped, leaving the default order 6.
+        with pytest.raises(TypeError):
+            basis_from_config({"kind": "polynomial", "ordr": 4})
+
+    def test_default_configs_are_the_constructor_defaults(self):
+        assert DEFAULT_BASIS == {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
+        assert MORPH_BASIS == {"kind": "ispline", "knots": 10, "degree": 3,
+                               "domain": [0.0, 10.0]}

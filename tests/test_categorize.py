@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomgen.categorize import (AnomalyCategory, categorize,
                                 categorize_three_payoff, categorize_two_payoff,
@@ -8,6 +12,47 @@ from anomgen.categorize import (AnomalyCategory, categorize,
 from anomgen.lotteries import (Example, ExampleCollection, FosdOrder, Menu,
                                fosd_compare, make_lottery, sample_random_menu)
 from conftest import TABLE_TOL
+
+# The fixture holding a collection of each category, and tampered variants of
+# each certificate field.
+COLLECTIONS = {"dominated_consequence": "dc_example_collection",
+               "reverse_dominated_consequence": "rdc_example_collection",
+               "strict_dominance": "sd_example_collection",
+               "fosd": "fosd_example_collection",
+               "shared_component_reversal": "ternary_example_collection"}
+
+
+def _flip(key):
+    return lambda cert: {**cert, key: 1 - cert[key]}
+
+
+def _flip_role(role):
+    return lambda cert: {**cert, "roles": {**cert["roles"], role: 1 - cert["roles"][role]}}
+
+
+TAMPERS = [
+    *[(tag, field, tamper)
+      for tag in ("dominated_consequence", "reverse_dominated_consequence", "strict_dominance")
+      for field, tamper in (("alpha0", lambda c: {**c, "alpha0": c["alpha0"] + 0.1}),
+                            ("alpha1", lambda c: {**c, "alpha1": c["alpha1"] + 0.1}),
+                            ("base_menu", _flip("base_menu")),
+                            *[(role, _flip_role(role))
+                              for role in ("ell0", "ell1", "comp0", "comp1")])],
+    ("strict_dominance", "common_ratio", lambda c: {**c, "common_ratio": True}),
+    ("shared_component_reversal", "family", _flip("family")),
+    ("shared_component_reversal", "choices", lambda c: {**c, "choices": c["choices"][::-1]}),
+    ("fosd", "implied_choice", _flip("implied_choice")),
+]
+
+
+@pytest.fixture
+def fosd_example_collection():
+    """Menu A's chosen lottery is dominated by its alternative."""
+    dominated = Menu(make_lottery([5, 6], [0.5, 0.5]),
+                     make_lottery([6, 7], [0.5, 0.5]))
+    other = Menu(make_lottery([2, 8], [0.5, 0.5]),
+                 make_lottery([1, 9], [0.4, 0.6]))
+    return ExampleCollection((Example(dominated, 0.2), Example(other, 0.8)))
 
 
 class TestSolveDegenerateMix:
@@ -70,12 +115,8 @@ class TestTwoPayoffCategorization:
         assert cat.tag == "strict_dominance"
         assert check_certificate(cat, sd_example_collection)
 
-    def test_fosd_first(self):
-        dominated = Menu(make_lottery([5, 6], [0.5, 0.5]),
-                         make_lottery([6, 7], [0.5, 0.5]))
-        other = Menu(make_lottery([2, 8], [0.5, 0.5]),
-                     make_lottery([1, 9], [0.4, 0.6]))
-        coll = ExampleCollection((Example(dominated, 0.2), Example(other, 0.8)))
+    def test_fosd_first(self, fosd_example_collection):
+        coll = fosd_example_collection
         cat = categorize_two_payoff(coll)
         assert cat.tag == "fosd"
         assert cat.certificate["menu_index"] == 0
@@ -96,6 +137,21 @@ class TestTwoPayoffCategorization:
         assert cat.tag == "dominated_consequence"
         assert cat.certificate["common_ratio"] is True
         assert check_certificate(cat, coll)
+
+    def test_common_ratio_claimed_only_by_dominated_consequence(self):
+        # Strict dominance at equal mixing weights: the certificate names no
+        # common ratio, and one that claims it does not check.
+        ell0 = make_lottery([1.0, 9.0], [0.4, 0.6])
+        ell1 = make_lottery([3.0, 6.0], [0.7, 0.3])
+        comp0 = make_lottery([1.0, 9.0], [0.7, 0.3])      # ell0 toward 1 at alpha 0.5
+        comp1 = make_lottery([3.0, 6.0], [0.35, 0.65])    # ell1 toward 6 at alpha 0.5
+        coll = ExampleCollection((Example(Menu(ell0, ell1), 0.8),
+                                  Example(Menu(comp0, comp1), 0.2)))
+        cat = categorize_two_payoff(coll)
+        assert cat.tag == "strict_dominance" and "common_ratio" not in cat.certificate
+        assert check_certificate(cat, coll)
+        claimed = AnomalyCategory(cat.tag, {**cat.certificate, "common_ratio": True})
+        assert not check_certificate(claimed, coll)
 
     def test_unstructured_pair_is_other(self):
         # Disjoint payoff supports: no mixing relation can hold, no dominance.
@@ -118,11 +174,55 @@ class TestTwoPayoffCategorization:
             assert categorize_two_payoff(coll, tol=TABLE_TOL).tag == \
                 "dominated_consequence"
 
-    def test_perturbed_alpha_ordering_fails_certificate(self, dc_example_collection):
-        cat = categorize_two_payoff(dc_example_collection, tol=TABLE_TOL)
-        broken = AnomalyCategory(cat.tag, {**cat.certificate,
-                                           "alpha0": cat.certificate["alpha0"] + 0.1})
-        assert not check_certificate(broken, dc_example_collection)
+    @pytest.mark.parametrize("tag, field, tamper", TAMPERS,
+                             ids=[f"{tag}-{field}" for tag, field, _ in TAMPERS])
+    def test_perturbed_alpha_ordering_fails_certificate(self, request, tag, field, tamper):
+        coll = request.getfixturevalue(COLLECTIONS[tag])
+        cat = categorize(coll, tol=TABLE_TOL)
+        assert cat.tag == tag and check_certificate(cat, coll)
+        assert not check_certificate(AnomalyCategory(tag, tamper(cat.certificate)), coll)
+
+    @pytest.mark.parametrize("tag", COLLECTIONS)
+    def test_certificate_checks_after_a_json_round_trip(self, request, tag):
+        # Certificates read back from JSON carry string keys in alpha_a/alpha_b.
+        coll = request.getfixturevalue(COLLECTIONS[tag])
+        cat = categorize(coll, tol=TABLE_TOL)
+        assert cat.tag == tag
+        assert check_certificate(
+            AnomalyCategory(tag, json.loads(json.dumps(cat.certificate))), coll)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payoffs=st.lists(st.integers(0, 10), min_size=4, max_size=4, unique=True),
+           supports=st.sampled_from([[0, 3, 1, 2], [1, 2, 0, 3], [0, 2, 1, 3]]),
+           p=st.lists(st.integers(0, 20), min_size=2, max_size=2),
+           sides=st.tuples(st.sampled_from(["low", "high"]), st.sampled_from(["low", "high"])),
+           alphas=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0]) | st.floats(0, 1),
+                           min_size=2, max_size=2),
+           swaps=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           # The lottery each menu chooses, before the swaps; (1, 0) is the
+           # orientation the mixing patterns need.
+           chosen=st.sampled_from([(1, 0), (1, 0), (0, 0), (0, 1), (1, 1)]),
+           tol=st.sampled_from([1e-6, TABLE_TOL]))
+    def test_constructed_pairs_check_after_a_json_round_trip(
+            self, payoffs, supports, p, sides, alphas, swaps, chosen, tol):
+        # A base menu against its compound menu: each lottery mixed toward its
+        # low or high payoff, with the lotteries of each menu and the two menus
+        # in a drawn order.
+        z = np.sort(payoffs)[supports]
+        base, comp = [], []
+        for zs, pi, side, alpha in zip((z[:2], z[2:]), p, sides, alphas):
+            probs = np.array([pi, 20 - pi]) / 20
+            base.append(make_lottery(zs, probs))
+            mixed = alpha * probs
+            mixed[0 if side == "low" else 1] += 1 - alpha
+            comp.append(make_lottery(zs, mixed))
+        examples = [Example(Menu(*pair[::-1]) if swap else Menu(*pair),
+                            0.8 if c != swap else 0.2)
+                    for pair, swap, c in zip((base, comp), swaps, chosen)]
+        coll = ExampleCollection(examples[::-1] if swaps[2] else examples)
+        cat = categorize(coll, tol)
+        assert check_certificate(
+            AnomalyCategory(cat.tag, json.loads(json.dumps(cat.certificate))), coll)
 
     def test_wrong_arity_rejected(self, dc_example_collection):
         single = ExampleCollection(dc_example_collection.examples[:1])

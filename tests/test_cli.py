@@ -331,6 +331,31 @@ class TestPipelineCommands:
                           "--menus", "menus.json"], capsys)
         assert summary["epsilon"] == pytest.approx(0.0528, abs=1e-3)
 
+    @pytest.mark.parametrize("freqs, menus, named", [
+        ("pattern_00,pattern_01,pattern_10,pattern_11\n", [], "freqs.csv"),
+        ("pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n", [{}], "menus.json"),
+        ("pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n", {"a": 1}, "menus.json"),
+    ])
+    def test_malformed_epsilon_input_is_one_json_error_line(self, tmp_path, capsys,
+                                                            freqs, menus, named):
+        os.chdir(tmp_path)
+        Path("freqs.csv").write_text(freqs)
+        Path("menus.json").write_text(json.dumps(menus))
+        rc = run_command(["epsilon", "--freqs", "freqs.csv", "--menus", "menus.json"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1
+        assert named in json.loads(err[0])["error"]
+
+    def test_categorize_record_without_menus_is_one_json_error_line(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        write_jsonl("v.jsonl", [{"id": "baseline-000007", "any_utility_inconsistent": True}],
+                    kind="verified")
+        rc = run_command(["categorize", "--in", "v.jsonl", "--out", "c.jsonl"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1
+        assert "baseline-000007" in json.loads(err[0])["error"]
+        assert not os.path.exists("c.jsonl")
+
     def test_simulate_train_fit_flow(self, tmp_path, capsys):
         os.chdir(tmp_path)
         run_ok(["simulate", "--n", "300", "--seed", "1", "--kind", "rate",
