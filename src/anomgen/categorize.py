@@ -264,6 +264,13 @@ def _reverses(dec: dict, choices, j: int, tol: float) -> bool:
     return bool((moved_to_j and delta_alpha < -tol) or (not moved_to_j and delta_alpha > tol))
 
 
+def _same_lottery(stored: dict, lottery: Lottery, tol: float) -> bool:
+    """Whether a stored lottery puts the same mass, within tol, on each payoff."""
+    stored = Lottery.from_json_dict(stored)
+    grid = merge_payoff_grid([stored, lottery])
+    return bool(np.abs(probs_on_grid(stored, grid) - probs_on_grid(lottery, grid)).max() <= tol)
+
+
 def categorize_three_payoff(collection: ExampleCollection,
                             tol: float = DEFAULT_TOL) -> AnomalyCategory:
     """Category of a verified two-menu anomaly over three-payoff lotteries."""
@@ -303,10 +310,17 @@ def check_certificate(category: AnomalyCategory, collection: ExampleCollection) 
         return _dominated(example) and example.implied_choice == cert["implied_choice"]
     tol = cert.get("tol", DEFAULT_TOL)
     if tag == "shared_component_reversal":
+        # Both families' weights and family j's components must match the
+        # recomputed decompositions; JSONL gives the weight keys back as strings.
         j = cert["family"]
-        dec = _family_decomposition(collection.menus, j, tol) if j in (0, 1) else None
-        return (dec is not None and list(choices) == cert["choices"]
-                and _reverses(dec, choices, j, tol))
+        decs = [_family_decomposition(collection.menus, i, tol) for i in (0, 1)]
+        if j not in (0, 1) or None in decs or list(choices) != cert["choices"]:
+            return False
+        alphas = [({int(k): a for k, a in cert[key].items()}[i], decs[i][key])
+                  for key in ("alpha_a", "alpha_b") for i in (0, 1)]
+        return (all(abs(stored - got) <= tol for stored, got in alphas)
+                and all(_same_lottery(cert[key], decs[j][key], tol) for key in ("comp1", "comp2"))
+                and _reverses(decs[j], choices, j, tol))
     # A pattern: its rule must give the stored roles, alphas within tol, and a
     # common ratio wherever the certificate claims one.
     got = _pattern_certificate(tag, collection.menus, choices, cert["base_menu"], tol)

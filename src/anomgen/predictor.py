@@ -18,7 +18,7 @@ import numpy as np
 from .cpt import CptParams, CptPredictor, logistic, lottery_values
 from .data import ChoiceDataset
 from .lotteries import Menu, flat_stack, stack_menus
-from .theory import KKT_TOL, MAX_NEWTON_ITER, TARGET_CLIP, _backtrack
+from .theory import TARGET_CLIP, damped_newton
 
 
 # ---------------------------------------------------------------------------
@@ -278,32 +278,20 @@ def _cpt_objective(ds: ChoiceDataset, scale: float):
 def fit_cpt_params(ds: ChoiceDataset, scale: float = 1.0) -> CptFit:
     """Max-likelihood probability-weighting parameters.
 
-    Damped Newton on (log delta, log gamma) from (1, 1): each step solves the
-    Fisher system (least squares, so a parameter the data cannot identify
-    stays put), then backtracks.  The fit stops when the gradient norm is at
-    most ``KKT_TOL``; ``converged`` says that this test holds at the returned
-    parameters, and a fit cut off by the ``MAX_NEWTON_ITER`` cap or a failed
-    line search reports False.
+    ``theory.damped_newton`` on (log delta, log gamma) from (1, 1): each step
+    solves the Fisher system (least squares, so a parameter the data cannot
+    identify stays put), and the residual is the gradient norm, so
+    ``converged`` says that it is at most ``KKT_TOL`` at the returned
+    parameters.
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    objective = _cpt_objective(ds, scale)
-    x = np.zeros(2)
-    value, g, H = objective(x)
-    iterations = 0
-    while np.linalg.norm(g) > KKT_TOL and iterations < MAX_NEWTON_ITER:
-        step = -np.linalg.lstsq(H, g, rcond=None)[0]
-        slope = g @ step
-        if not slope < 0.0:
-            break
-        accepted = _backtrack(objective, x, step, value, slope)
-        if accepted is None:
-            break
-        x, (value, g, H) = accepted
-        iterations += 1
+    x, value, converged, steps = damped_newton(
+        _cpt_objective(ds, scale), np.zeros(2),
+        lambda x, g, H: -np.linalg.lstsq(H, g, rcond=None)[0],
+        lambda x, g: np.linalg.norm(g))
     delta, gamma = np.exp(x)
-    return CptFit(CptParams(float(delta), float(gamma)), value,
-                  bool(np.linalg.norm(g) <= KKT_TOL), iterations)
+    return CptFit(CptParams(float(delta), float(gamma)), value, converged, steps)
 
 
 def cpt_fit_predictor(ds: ChoiceDataset, scale: float = 1.0) -> CptPredictor:

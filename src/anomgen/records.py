@@ -44,11 +44,11 @@ def candidate_to_record(collection: ExampleCollection, record_id: str | None = N
 def record_to_collection(record: dict) -> ExampleCollection:
     try:
         menus = [Menu.from_json_dict(m) for m in record["menus"]]
-        probs = record["predicted_probs"]
-    except (KeyError, TypeError) as exc:
+        examples = tuple(Example(m, p) for m, p in
+                         zip(menus, record["predicted_probs"], strict=True))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"record {record.get('id')!r}: malformed menus or "
                          f"predicted_probs ({exc!r})") from None
-    examples = tuple(Example(m, p) for m, p in zip(menus, probs))
     prov = {k: record.get(k) for k in
             ("procedure", "predictor", "master_seed", "run_index", "iterations")}
     return ExampleCollection(examples, prov)

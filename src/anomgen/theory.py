@@ -71,8 +71,8 @@ def _entropy(y: np.ndarray):
     return (-y * np.log(y) - (1 - y) * np.log(1 - y)).sum(axis=-1) / y.shape[-1]
 
 
-# The Newton solve stops once the KKT residual is below KKT_TOL; the cap
-# only bounds a fit whose line search keeps failing.
+# ``damped_newton`` stops once the residual is below KKT_TOL; the cap only
+# bounds a fit whose line search keeps failing.
 MAX_NEWTON_ITER = 50
 KKT_TOL = 1e-10
 BOUND_TOL = 1e-9      # a norm this close to the bound counts as on it
@@ -86,7 +86,7 @@ class FitResult:
     theta: np.ndarray
     kl: float
     cross_entropy: float
-    converged: bool = True      # the KKT stop fired (or the fit is exact)
+    converged: bool = True      # the KKT test holds at theta (or the fit is exact)
     on_norm_bound: bool = False
 
 
@@ -120,25 +120,37 @@ def _ball_newton_point(H: np.ndarray, b: np.ndarray, radius: float) -> np.ndarra
     return -(Q @ q) * min(1.0, radius / znorm)
 
 
-def _backtrack(objective, x: np.ndarray, step: np.ndarray, value: float,
-               slope: float):
-    """Armijo backtracking along ``x + t step`` for t = 1, 1/2, ... > 1e-10.
+def damped_newton(objective, x: np.ndarray, newton_step, residual):
+    """Damped Newton from ``x`` for both fits, theta's and the weighting
+    fit's: (x, value, converged, steps).
 
-    ``objective`` maps a point to a tuple whose first entry is the loss;
-    ``value`` is the loss at ``x`` and ``slope`` its directional derivative
-    along ``step``.  Returns the first accepted ``(point, objective(point))``,
-    or None when every t fails.  A few ulps of slack let through a last full
-    step whose predicted decrease is below the rounding of the loss.  Both
-    Newton fits, theta's and the weighting fit's, step through here.
+    ``objective`` maps a point to (loss, gradient, Hessian).  Each
+    ``newton_step(x, g, H)`` backtracks (Armijo) along ``x + t step`` for
+    t = 1, 1/2, ... > 1e-10, with a few ulps of slack for a last full step
+    whose predicted decrease is below the rounding of the loss.  The loop stops
+    when ``residual(x, g)`` is at most ``KKT_TOL``, after ``MAX_NEWTON_ITER``
+    steps, on a step that does not descend, or when every t fails;
+    ``converged`` says that the residual test holds at the returned point.
     """
-    t = 1.0
-    while t > 1e-10:
-        cand = x + t * step
-        out = objective(cand)
-        if out[0] <= value + 1e-4 * t * slope + 4 * np.finfo(float).eps * value:
-            return cand, out
-        t *= 0.5
-    return None
+    value, g, H = objective(x)
+    steps = 0
+    while (res := residual(x, g)) > KKT_TOL and steps < MAX_NEWTON_ITER:
+        step = newton_step(x, g, H)
+        slope = g @ step
+        if not slope < 0.0:
+            break
+        t = 1.0
+        while t > 1e-10:
+            cand = x + t * step
+            out = objective(cand)
+            if out[0] <= value + 1e-4 * t * slope + 4 * np.finfo(float).eps * value:
+                break
+            t *= 0.5
+        else:
+            break               # the line search failed
+        x, (value, g, H) = cand, out
+        steps += 1
+    return x, value, bool(res <= KKT_TOL), steps
 
 
 def _fit_logits(D: np.ndarray, y: np.ndarray) -> FitResult:
@@ -187,49 +199,39 @@ def _newton(A: np.ndarray, V: np.ndarray, y: np.ndarray,
     The loss sees theta only through D theta, so the constrained optimum lies
     in the row space of D: theta = V^T w, with V (rank, K) the leading right
     singular vectors and A = U S (n, rank), so that the logits are A w.  Each
-    Newton step minimizes the quadratic model over the ball, then
-    backtracks; the fit stops when the KKT residual ||grad + lam w||,
-    lam = max(0, -grad.w/||w||^2) on the ball and 0 inside, is at most
-    ``KKT_TOL``.
+    ``damped_newton`` step minimizes the quadratic model over the ball, so the
+    backtracking segment stays in it; the residual is the KKT residual
+    ||grad + lam w||, lam = max(0, -grad.w/||w||^2) on the ball and 0 inside.
     """
     n = A.shape[0]
-    w = V @ theta
-    value = _cross_entropy(A @ w, y)
-    converged = False
-    for _ in range(MAX_NEWTON_ITER):
-        sig = logistic(A @ w)
-        g = ((sig - y) @ A) / n
+
+    def objective(w):
+        u = A @ w
+        sig = logistic(u)
+        return (_cross_entropy(u, y), ((sig - y) @ A) / n,
+                (A.T * (sig * (1.0 - sig))) @ A / n)
+
+    def kkt_residual(w, g):
         on_ball = w @ w >= (THETA_NORM_BOUND - BOUND_TOL) ** 2
         lam = max(0.0, -(g @ w) / (w @ w)) if on_ball else 0.0
-        if np.linalg.norm(g + lam * w) <= KKT_TOL:
-            converged = True
-            break
-        H = (A.T * (sig * (1.0 - sig))) @ A / n
-        step = _ball_newton_point(H, g - H @ w, THETA_NORM_BOUND) - w
-        slope = g @ step
-        if not slope < 0.0:
-            break
-        # Backtrack on the segment, which stays in the ball.
-        accepted = _backtrack(lambda v: (_cross_entropy(A @ v, y),), w, step,
-                              value, slope)
-        if accepted is None:
-            break
-        w, (value,) = accepted
+        return np.linalg.norm(g + lam * w)
+
+    w, _, converged, _ = damped_newton(
+        objective, V @ theta,
+        lambda w, g, H: _ball_newton_point(H, g - H @ w, THETA_NORM_BOUND) - w,
+        kkt_residual)
     return V.T @ w, converged
 
 
-def fit_theta(basis, examples, design=None) -> FitResult:
+def fit_theta(basis, examples) -> FitResult:
     """Fit theta to (menu, target probability) pairs by mean cross-entropy.
 
     The reported loss is the mean KL divergence of the fit from the targets,
-    which is 0 exactly when the theory matches them.  ``design`` optionally
-    supplies the rows of ``design_matrix(basis, menus)`` precomputed.
+    which is 0 exactly when the theory matches them.
     """
     if not examples:
         raise ValueError("need at least one example")
     y = np.array([t for _, t in examples], dtype=float)
-    D = design_matrix(basis, [m for m, _ in examples]) if design is None \
-        else np.asarray(design, dtype=float)
-    fit = _fit_logits(D[None], y[None])
+    fit = _fit_logits(design_matrix(basis, [m for m, _ in examples])[None], y[None])
     return FitResult(fit.theta[0], float(fit.kl[0]), float(fit.cross_entropy[0]),
                      bool(fit.converged[0]), bool(fit.on_norm_bound[0]))

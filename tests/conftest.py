@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anomgen.analysis import PATTERNS, PatternFrequencies
-from anomgen.cpt import logistic
+from anomgen.cpt import CptParams, logistic, simulate_choices
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu, make_lottery,
                                probs_on_grid, sample_random_menu)
 from anomgen.morphing import _utility_factor
@@ -88,6 +88,17 @@ def ternary_example_collection():
     menu_b = Menu(make_lottery([4.30, 6.17, 8.51], [0.36, 0.36, 0.28]),
                   make_lottery([4.63, 5.04, 5.81], [0.30, 0.67, 0.03]))
     return ExampleCollection((Example(menu_a, 0.8), Example(menu_b, 0.2)))
+
+
+BRUHIN_B = CptParams(0.726, 0.309)
+
+
+def cpt_dataset(n, seed, kind="rate", count=500, params=BRUHIN_B):
+    """n random two-payoff menus with choices simulated from a CPT chooser."""
+    menus = [sample_random_menu(np.random.default_rng((seed, i)), 2, 0, 10)
+             for i in range(n)]
+    return simulate_choices(np.random.default_rng((seed, n + 1)), menus, params,
+                            kind=kind, count=count)
 
 
 def central_difference(fn, x, h=1e-6):

@@ -11,6 +11,7 @@ from anomgen.categorize import (AnomalyCategory, categorize,
                                 solve_degenerate_mix)
 from anomgen.lotteries import (Example, ExampleCollection, FosdOrder, Menu,
                                fosd_compare, make_lottery, sample_random_menu)
+from anomgen.records import read_jsonl, write_jsonl
 from conftest import TABLE_TOL
 
 # The fixture holding a collection of each category, and tampered variants of
@@ -41,6 +42,11 @@ TAMPERS = [
     ("strict_dominance", "common_ratio", lambda c: {**c, "common_ratio": True}),
     ("shared_component_reversal", "family", _flip("family")),
     ("shared_component_reversal", "choices", lambda c: {**c, "choices": c["choices"][::-1]}),
+    ("shared_component_reversal", "alpha_a-and-comp1",
+     lambda c: {**c, "alpha_a": {0: 0.99, 1: 0.99}, "comp1": {"payoffs": [0.0], "probs": [1.0]}}),
+    ("shared_component_reversal", "alpha_b",
+     lambda c: {**c, "alpha_b": {i: a + 0.1 for i, a in c["alpha_b"].items()}}),
+    ("shared_component_reversal", "comp2", lambda c: {**c, "comp2": c["comp1"]}),
     ("fosd", "implied_choice", _flip("implied_choice")),
 ]
 
@@ -190,6 +196,18 @@ class TestTwoPayoffCategorization:
         assert cat.tag == tag
         assert check_certificate(
             AnomalyCategory(tag, json.loads(json.dumps(cat.certificate))), coll)
+
+    def test_reversal_certificate_checks_after_a_jsonl_round_trip(
+            self, tmp_path, ternary_example_collection):
+        cat = categorize(ternary_example_collection, tol=TABLE_TOL)
+        write_jsonl(tmp_path / "c.jsonl", [{"category": {"tag": cat.tag,
+                                                         "certificate": cat.certificate}}],
+                    kind="categorized")
+        _, (rec,) = read_jsonl(tmp_path / "c.jsonl", expected_kind="categorized")
+        back = AnomalyCategory(cat.tag, rec["category"]["certificate"])
+        assert set(back.certificate["alpha_a"]) == {"0", "1"}
+        assert check_certificate(cat, ternary_example_collection)
+        assert check_certificate(back, ternary_example_collection)
 
     @settings(max_examples=300, deadline=None)
     @given(payoffs=st.lists(st.integers(0, 10), min_size=4, max_size=4, unique=True),

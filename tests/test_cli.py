@@ -356,6 +356,24 @@ class TestPipelineCommands:
         assert "baseline-000007" in json.loads(err[0])["error"]
         assert not os.path.exists("c.jsonl")
 
+    def test_record_with_a_missing_probability_is_rejected(self, allais_collection):
+        rec = candidate_to_record(allais_collection, "allais-000000")
+        rec["predicted_probs"] = rec["predicted_probs"][:1]
+        with pytest.raises(ValueError, match="allais-000000"):
+            record_to_collection(rec)
+
+    def test_verify_record_with_a_missing_probability_is_one_json_error_line(
+            self, tmp_path, capsys, allais_collection):
+        os.chdir(tmp_path)
+        rec = candidate_to_record(allais_collection, "allais-000000")
+        rec["predicted_probs"] = rec["predicted_probs"][:1]
+        write_jsonl("c.jsonl", [rec], kind="candidates")
+        rc = run_command(["verify", "--in", "c.jsonl", "--out", "v.jsonl"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1
+        assert "allais-000000" in json.loads(err[0])["error"]
+        assert not os.path.exists("v.jsonl")
+
     def test_simulate_train_fit_flow(self, tmp_path, capsys):
         os.chdir(tmp_path)
         run_ok(["simulate", "--n", "300", "--seed", "1", "--kind", "rate",

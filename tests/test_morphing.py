@@ -11,7 +11,7 @@ from anomgen.lotteries import Lottery, Menu, sample_random_menu, stack_menus
 from anomgen.morphing import (COV_JITTER, MorphConfig, morph_step_direction,
                               null_space_projection, run_morph_indices, _tangent)
 from anomgen.records import candidate_to_record
-from anomgen.theory import eu_difference_rows, fit_theta, stack_basis_values
+from anomgen.theory import _fit_logits, eu_difference_rows, fit_theta, stack_basis_values
 from conftest import sample_theta_history, search_iterates
 
 
@@ -319,11 +319,11 @@ class TestMorphRun:
             rows = np.concatenate([eu_difference_rows(P0, B),
                                    eu_difference_rows(stack_menus([menu])[1], B)])
             plain = fit_theta(basis, examples)
-            given = fit_theta(basis, examples, design=rows)
-            np.testing.assert_array_equal(given.theta, plain.theta)
-            assert (given.kl, given.cross_entropy, given.converged,
-                    given.on_norm_bound) == (plain.kl, plain.cross_entropy,
-                                             plain.converged, plain.on_norm_bound)
+            given = _fit_logits(rows[None], np.array([[t for _, t in examples]]))
+            np.testing.assert_array_equal(given.theta[0], plain.theta)
+            assert (given.kl[0], given.cross_entropy[0], given.converged[0],
+                    given.on_norm_bound[0]) == (plain.kl, plain.cross_entropy,
+                                                plain.converged, plain.on_norm_bound)
 
 
 class TestMorphStepDirection:

@@ -3,23 +3,14 @@ import pytest
 
 from anomgen.cpt import CptParams, CptPredictor, simulate_choices
 from anomgen.data import ChoiceDataset, ChoiceRow, split_dataset
-from anomgen import predictor
+from anomgen import theory
 from anomgen.adversarial import interior_menu
 from anomgen.lotteries import Lottery, Menu, make_lottery, sample_random_menu, stack_menus
 from anomgen.predictor import (MlpModel, MlpPredictor, MlpTrainConfig,
                                evaluate, fit_cpt_params, menu_input_scaling,
                                train_mlp, _backprop, _ce_loss, _cpt_objective)
 from anomgen.theory import KKT_TOL
-from conftest import central_difference, unchecked_menu
-
-BRUHIN_B = CptParams(0.726, 0.309)
-
-
-def cpt_dataset(n, seed, kind="rate", count=500, params=BRUHIN_B):
-    menus = [sample_random_menu(np.random.default_rng((seed, i)), 2, 0, 10)
-             for i in range(n)]
-    return simulate_choices(np.random.default_rng((seed, n + 1)), menus, params,
-                            kind=kind, count=count)
+from conftest import BRUHIN_B, central_difference, cpt_dataset, unchecked_menu
 
 
 class TestMlpModel:
@@ -240,7 +231,7 @@ class TestFitCptParams:
     def test_converged_means_gradient_stop(self):
         ds = cpt_dataset(2000, seed=16, kind="binary")
         fit = fit_cpt_params(ds)
-        assert fit.converged and 1 <= fit.iterations < predictor.MAX_NEWTON_ITER
+        assert fit.converged and 1 <= fit.iterations < theory.MAX_NEWTON_ITER
         assert np.linalg.norm(self._gradient_at(ds, fit)) <= KKT_TOL
 
     def test_objective_gradient_matches_finite_differences(self):
@@ -270,7 +261,7 @@ class TestFitCptParams:
 
     def test_iteration_cap_reports_unconverged(self, monkeypatch):
         ds = cpt_dataset(1000, seed=19, kind="binary")
-        monkeypatch.setattr(predictor, "MAX_NEWTON_ITER", 1)
+        monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 1)
         fit = fit_cpt_params(ds)
         assert fit.iterations == 1 and not fit.converged
         assert np.linalg.norm(self._gradient_at(ds, fit)) > KKT_TOL

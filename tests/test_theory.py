@@ -4,10 +4,12 @@ import pytest
 from anomgen import adversarial, theory
 from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.basis import PolynomialBasis
-from anomgen.cpt import CptParams, CptPredictor
+from anomgen.cpt import CptParams, CptPredictor, logistic
 from anomgen.lotteries import sample_random_menu
-from anomgen.theory import THETA_NORM_BOUND, fit_theta
-from conftest import TheorySpec, eu_difference_features, theory_choice_prob, theory_loss
+from anomgen.predictor import _cpt_objective, fit_cpt_params
+from anomgen.theory import THETA_NORM_BOUND, FitResult, fit_theta
+from conftest import (TheorySpec, cpt_dataset, eu_difference_features, theory_choice_prob,
+                      theory_loss)
 
 
 def pooled_kl(targets, q):
@@ -120,9 +122,11 @@ def on_bound_cases():
 
 
 def fit_problem(D, y):
-    """``fit_theta`` on a recorded (design, targets) problem: once the design
-    is given, the menus are not needed."""
-    return fit_theta(None, [(None, t) for t in y], design=D)
+    """The fit of one recorded (design, targets) problem, as a one-row stack:
+    once the design is given, the menus are not needed."""
+    fit = theory._fit_logits(D[None], y[None])
+    return FitResult(fit.theta[0], fit.kl[0], fit.cross_entropy[0], fit.converged[0],
+                     fit.on_norm_bound[0])
 
 
 def mean_kl(D, y, theta):
@@ -173,6 +177,41 @@ class TestBallConstrainedFit:
         assert fit_problem(D, y).converged
         monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 1)
         assert not fit_problem(D, y).converged
+
+    def test_cap_at_the_steps_needed_reports_converged(self, on_bound_cases, monkeypatch):
+        # The first on-bound case meets the KKT test after its third Newton
+        # step, so a cap of 3 returns the uncapped fit, converged; a cap of 2
+        # stops one step short.
+        D, y = on_bound_cases[0]
+        full = fit_problem(D, y)
+        monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 3)
+        capped = fit_problem(D, y)
+        assert capped.converged
+        np.testing.assert_array_equal(capped.theta, full.theta)
+        monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 2)
+        assert not fit_problem(D, y).converged
+
+    @pytest.mark.parametrize("cap", [1, 50])
+    @pytest.mark.parametrize("which", ["theta", "weighting"])
+    def test_converged_is_the_residual_test_at_the_returned_point(
+            self, on_bound_cases, monkeypatch, which, cap):
+        # Both fits run ``theory.damped_newton``: whatever stops it, converged
+        # reports the fit's residual test, recomputed at the returned point.
+        monkeypatch.setattr(theory, "MAX_NEWTON_ITER", cap)
+        if which == "theta":
+            D, y = on_bound_cases[0]
+            fit = fit_problem(D, y)
+            theta, y = fit.theta, clipped(y)
+            grad = ((logistic(D @ theta) - y) @ D) / len(y)
+            lam = max(0.0, -(grad @ theta) / (theta @ theta)) if fit.on_norm_bound else 0.0
+            residual = np.linalg.norm(grad + lam * theta)
+        else:
+            ds = cpt_dataset(1000, seed=19, kind="binary")
+            fit = fit_cpt_params(ds)
+            x = np.log([fit.params.delta, fit.params.gamma])
+            residual = np.linalg.norm(_cpt_objective(ds, 1.0)(x)[1])
+        assert fit.converged == (residual <= theory.KKT_TOL)
+        assert fit.converged == (cap == 50)
 
     def test_stacked_fit_gives_each_problems_own_newton_fit(self, on_bound_cases):
         # On-bound problems stacked with exact ones: every row of the stacked
