@@ -21,7 +21,8 @@ through the predictor's batch methods and one stacked inner fit per step,
 and a search supplies only its step rule (``gda_run`` here, the morph step in
 ``morphing``).  Only the final stack is kept: each run's candidate is built
 from it.  Every operation acts row by row, so a run's bytes depend only on
-(master seed, run index), not on the runs it is stacked with.
+(master seed, run index), not on the runs it is stacked with; a caller picks
+which runs share a stack (the CLI stacks a block of ``cli._RUN_BLOCK``).
 """
 
 from __future__ import annotations
@@ -38,19 +39,6 @@ from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 INTERIOR_EPS = 1e-8
 DEFAULT_BASIS = PolynomialBasis().config_dict()
-# Runs advanced together, by either search.  The size moves no byte; it
-# trades the loop's per-iteration overhead against memory, since a block's
-# stacks, per-step arrays and candidates live until the block is consumed.
-# One worker at 50 adversarial iterations, through ``anomgen adversarial``
-# (seed 5, 2-core Xeon VM): 25,000 runs took 118 s and peaked at 177 MB in
-# blocks of 256, against 111 s and 234 MB as one stack (116 s and 343 MB
-# while every run's trajectory was kept); 6,000 runs took 34-38 s in blocks
-# of 256 or 1,024 and 39-44 s in blocks of 64.  Morph runs draw their
-# samples one run at a time, so a block holds no per-sample array: 256 morph
-# runs at 200,000 samples and one step peaked at 41.9 MB in one block,
-# against 41.4 MB run by run.  A morph run that kept its normals across steps
-# would hold about 6.4 MB at 200,000 samples, so the block stays.
-_RUN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -179,21 +167,18 @@ def gda_run(predictor, config: GdaConfig, menus,
                     "adversarial")
 
 
-def index_blocks(config, master_seed: int, indices):
-    """Runs addressed by (master seed, run index), ``_RUN_BLOCK`` at a time:
-    yields each block's initial menus, the generators they were drawn from
-    (a run's own stream goes on from there) and provenances."""
+def index_block(config, master_seed: int, indices):
+    """Runs addressed by (master seed, run index), stacked together: their
+    initial menus, the generators they were drawn from (a run's own stream
+    goes on from there) and provenances."""
     low, high = config.make_basis().domain
-    indices = list(indices)
-    for start in range(0, len(indices), _RUN_BLOCK):
-        block = indices[start:start + _RUN_BLOCK]
-        rngs = [run_rng(master_seed, i) for i in block]
-        yield ([sample_random_menu(rng, config.n_payoffs, low, high) for rng in rngs],
-               rngs, [{"master_seed": master_seed, "run_index": i} for i in block])
+    rngs = [run_rng(master_seed, i) for i in indices]
+    return ([sample_random_menu(rng, config.n_payoffs, low, high) for rng in rngs],
+            rngs, [{"master_seed": master_seed, "run_index": i} for i in indices])
 
 
 def run_adversarial_indices(predictor, config: GdaConfig, master_seed: int, indices):
-    """Adversarial runs addressed by (master seed, run index); yields their
-    candidates in the order of ``indices``."""
-    for menus, _, provenances in index_blocks(config, master_seed, indices):
-        yield from gda_run(predictor, config, menus, provenances)
+    """Adversarial runs addressed by (master seed, run index), advanced as one
+    stack; their candidates in the order of ``indices``."""
+    menus, _, provenances = index_block(config, master_seed, indices)
+    return gda_run(predictor, config, menus, provenances)

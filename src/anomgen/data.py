@@ -1,6 +1,7 @@
 """Choice datasets: validated rows, CSV ingestion, deterministic splits.
 
-CSV schema (J = 2 shown; J = 3 appends _3 columns):
+CSV schema (J = 2 shown; J = 3 appends _3 columns, and the loader reads J
+from the header):
 ``z0_1,z0_2,p0_1,p0_2,z1_1,z1_2,p1_1,p1_2,outcome,outcome_kind``
 with an optional trailing ``weight`` column.
 """
@@ -72,26 +73,26 @@ def _schema_columns(n_payoffs: int) -> list:
     return cols + ["outcome", "outcome_kind"]
 
 
-def load_dataset(path, n_payoffs: int = 2) -> ChoiceDataset:
-    """Read and validate a CSV choice dataset.
+def load_dataset(path) -> ChoiceDataset:
+    """Read and validate a CSV choice dataset; J is the number of its
+    ``z0_*`` columns, and the rest of J's schema must be there too.
 
     Lotteries are built by ``make_lottery``; its errors (probabilities off
     the simplex by more than 1e-6, say) raise with the offending row index.
     """
-    required = _schema_columns(n_payoffs)
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
+        # A header without a z0_* column misses at least the J = 1 columns.
+        n_payoffs = max(sum(c.startswith("z0_") for c in header), 1)
+        missing = [c for c in _schema_columns(n_payoffs) if c not in header]
         if missing:
             raise ValueError(f"missing columns: {missing}")
         for i, rec in enumerate(reader):
             try:
-                z0 = [float(rec[f"z0_{j}"]) for j in range(1, n_payoffs + 1)]
-                p0 = [float(rec[f"p0_{j}"]) for j in range(1, n_payoffs + 1)]
-                z1 = [float(rec[f"z1_{j}"]) for j in range(1, n_payoffs + 1)]
-                p1 = [float(rec[f"p1_{j}"]) for j in range(1, n_payoffs + 1)]
+                z0, p0, z1, p1 = ([float(rec[f"{side}_{j}"]) for j in range(1, n_payoffs + 1)]
+                                  for side in ("z0", "p0", "z1", "p1"))
                 menu = Menu(make_lottery(z0, p0), make_lottery(z1, p1))
                 row = ChoiceRow(menu=menu,
                                 outcome=float(rec["outcome"]),

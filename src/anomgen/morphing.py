@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversarial import index_blocks, lockstep
+from .adversarial import index_block, lockstep
 from .basis import ISplineBasis, basis_from_config
 from .lotteries import ExampleCollection
 from .theory import _fit_logits
@@ -167,15 +167,14 @@ def morph_step_direction(pred_grad: np.ndarray, probs: np.ndarray, history,
 
 
 def morph_lockstep(predictor, config: MorphConfig, menus, rngs,
-                   provenances=None) -> list[ExampleCollection]:
+                   provenances) -> list[ExampleCollection]:
     """Morphing runs advanced in ``lockstep``; run r draws from its own
     generator ``rngs[r]`` and stops early once its direction vanishes.  Its
-    provenance records why it stopped (``stop``: ``direction_vanished``,
-    ``max_iters`` or ``nonfinite_gradient``) and the rank of the sampled span
-    removed by its last projection (``retained_rank``, None when it stopped
-    before its first).
+    provenance adds to ``provenances[r]`` why it stopped (``stop``:
+    ``direction_vanished``, ``max_iters`` or ``nonfinite_gradient``) and the
+    rank of the sampled span removed by its last projection
+    (``retained_rank``, None when it stopped before its first).
     """
-    provenances = provenances or [{}] * len(menus)
     R = len(menus)
     history, stop, rank = [None] * R, ["max_iters"] * R, [None] * R
 
@@ -203,7 +202,6 @@ def morph_lockstep(predictor, config: MorphConfig, menus, rngs,
 
 
 def run_morph_indices(predictor, config: MorphConfig, master_seed: int, indices):
-    """Morphing runs addressed by (master seed, run index); yields their
-    candidates in the order of ``indices``."""
-    for menus, rngs, provenances in index_blocks(config, master_seed, indices):
-        yield from morph_lockstep(predictor, config, menus, rngs, provenances)
+    """Morphing runs addressed by (master seed, run index), advanced as one
+    stack; their candidates in the order of ``indices``."""
+    return morph_lockstep(predictor, config, *index_block(config, master_seed, indices))

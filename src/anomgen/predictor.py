@@ -254,8 +254,8 @@ class CptFit:
 
 
 def _cpt_objective(ds: ChoiceDataset, scale: float):
-    """The weighting fit's objective over x = log(delta, gamma): a function
-    of x returning the row-weighted mean CE, its gradient in x and the Fisher
+    """The weighting fit's ``damped_newton`` objective over x = log(delta,
+    gamma): the row-weighted mean CE, then its gradient in x and the Fisher
     (Gauss-Newton) matrix of the logistic likelihood in x."""
     Z, P = stack_menus([r.menu for r in ds])
     yc = np.clip(ds.outcomes(), TARGET_CLIP, 1 - TARGET_CLIP)
@@ -266,11 +266,14 @@ def _cpt_objective(ds: ChoiceDataset, scale: float):
         V, *dV = lottery_values(Z, P, CptParams(*np.exp(x)), wrt="params")
         dV = np.stack(dV, axis=-1)                 # (row, lottery, parameter)
         u = scale * (V[:, 1] - V[:, 0])
-        du = scale * (dV[:, 1] - dV[:, 0]) * np.exp(x)
-        sig = logistic(u)
-        ce = float(np.average(np.logaddexp(0.0, u) - yc * u, weights=w))
-        return (ce, ((sig - yc) * w) @ du / total,
-                (du.T * (sig * (1.0 - sig) * w)) @ du / total)
+
+        def derivatives():
+            du = scale * (dV[:, 1] - dV[:, 0]) * np.exp(x)
+            sig = logistic(u)
+            return (((sig - yc) * w) @ du / total,
+                    (du.T * (sig * (1.0 - sig) * w)) @ du / total)
+
+        return float(np.average(np.logaddexp(0.0, u) - yc * u, weights=w)), derivatives
 
     return objective
 

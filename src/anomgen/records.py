@@ -2,8 +2,8 @@
 
 Every record is self-contained: menus plus predicted probabilities are enough
 to re-run verification and reproduce the stored verdicts bit-for-bit.  Writes
-go through a temp file and an atomic rename so interrupted batch runs never
-leave half-written outputs.
+stream their lines to a temp file and rename it into place, so interrupted
+batch runs never leave half-written outputs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 
 from .lotteries import Example, ExampleCollection, Menu
 
@@ -54,12 +55,15 @@ def record_to_collection(record: dict) -> ExampleCollection:
     return ExampleCollection(examples, prov)
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_lines(path, lines) -> None:
+    """Write each of ``lines`` and a newline to ``path`` as they come, through
+    a temp file and an atomic rename: a failure partway, in writing or in
+    producing a line, leaves neither file behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-anomgen-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(f"{line}\n" for line in lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -68,10 +72,10 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_jsonl(path, records, kind: str) -> None:
+    """A version header line, then one line per record, written as it comes."""
     header = {"version": FORMAT_VERSION, "kind": kind}
-    lines = [json.dumps(header, sort_keys=True)]
-    lines += [json.dumps(r, sort_keys=True) for r in records]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, chain([json.dumps(header, sort_keys=True)],
+                                   (json.dumps(r, sort_keys=True) for r in records)))
 
 
 def read_jsonl(path, expected_kind: str | None = None):
@@ -88,7 +92,5 @@ def read_jsonl(path, expected_kind: str | None = None):
 
 
 def write_csv(path, header_row, rows) -> None:
-    lines = [",".join(header_row)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, chain([",".join(header_row)],
+                                   (",".join(str(v) for v in row) for row in rows)))

@@ -124,7 +124,8 @@ def damped_newton(objective, x: np.ndarray, newton_step, residual):
     """Damped Newton from ``x`` for both fits, theta's and the weighting
     fit's: (x, value, converged, steps).
 
-    ``objective`` maps a point to (loss, gradient, Hessian).  Each
+    ``objective`` maps a point to its loss and a no-argument function giving
+    the (gradient, Hessian) there, called only at accepted points.  Each
     ``newton_step(x, g, H)`` backtracks (Armijo) along ``x + t step`` for
     t = 1, 1/2, ... > 1e-10, with a few ulps of slack for a last full step
     whose predicted decrease is below the rounding of the loss.  The loop stops
@@ -132,7 +133,8 @@ def damped_newton(objective, x: np.ndarray, newton_step, residual):
     steps, on a step that does not descend, or when every t fails;
     ``converged`` says that the residual test holds at the returned point.
     """
-    value, g, H = objective(x)
+    value, derivatives = objective(x)
+    g, H = derivatives()
     steps = 0
     while (res := residual(x, g)) > KKT_TOL and steps < MAX_NEWTON_ITER:
         step = newton_step(x, g, H)
@@ -142,13 +144,14 @@ def damped_newton(objective, x: np.ndarray, newton_step, residual):
         t = 1.0
         while t > 1e-10:
             cand = x + t * step
-            out = objective(cand)
-            if out[0] <= value + 1e-4 * t * slope + 4 * np.finfo(float).eps * value:
+            cand_value, derivatives = objective(cand)
+            if cand_value <= value + 1e-4 * t * slope + 4 * np.finfo(float).eps * value:
                 break
             t *= 0.5
         else:
             break               # the line search failed
-        x, (value, g, H) = cand, out
+        x, value = cand, cand_value
+        g, H = derivatives()
         steps += 1
     return x, value, bool(res <= KKT_TOL), steps
 
@@ -207,9 +210,12 @@ def _newton(A: np.ndarray, V: np.ndarray, y: np.ndarray,
 
     def objective(w):
         u = A @ w
-        sig = logistic(u)
-        return (_cross_entropy(u, y), ((sig - y) @ A) / n,
-                (A.T * (sig * (1.0 - sig))) @ A / n)
+
+        def derivatives():
+            sig = logistic(u)
+            return ((sig - y) @ A) / n, (A.T * (sig * (1.0 - sig))) @ A / n
+
+        return _cross_entropy(u, y), derivatives
 
     def kkt_residual(w, g):
         on_ball = w @ w >= (THETA_NORM_BOUND - BOUND_TOL) ** 2

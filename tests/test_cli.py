@@ -8,10 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from anomgen import adversarial, morphing
+from anomgen import cli, morphing
 from anomgen.adversarial import GdaConfig
 from anomgen.cli import run_command
-from anomgen.config import ConfigError, load_config, parse_config
+from anomgen.config import ConfigError, build_predictor, load_config, parse_config
 from anomgen.cpt import CptParams, CptPredictor
 from anomgen.morphing import MorphConfig
 from anomgen.lotteries import (Example, ExampleCollection, Menu, make_lottery,
@@ -385,6 +385,27 @@ class TestPipelineCommands:
         fit = run_ok(["fit-cpt", "--in", "d.csv"], capsys)
         assert 0.3 < fit["delta"] < 1.6
 
+    def test_three_payoff_dataset_needs_no_payoff_flag(self, tmp_path, capsys):
+        # The number of payoffs comes from the CSV header, for a cpt_fit
+        # predictor as for fit-cpt and train-mlp; a 3-payoff dataset used to
+        # be read as J = 2 and rejected.
+        os.chdir(tmp_path)
+        Path("p3.json").write_text(json.dumps({"n_payoffs": 3}))
+        run_ok(["simulate", "--config", "p3.json", "--n", "200", "--seed", "1",
+                "--out", "d3.csv"], capsys)
+        Path("fit.json").write_text(json.dumps({
+            "n_payoffs": 3, "predictor": {"kind": "cpt_fit", "dataset_path": "d3.csv"},
+            "adversarial": {"max_iters": 3}}))
+        run_ok(["adversarial", "--config", "fit.json", "--inits", "3", "--seed", "2",
+                "--out", "a.jsonl"], capsys)
+        _, recs = read_jsonl("a.jsonl")
+        assert len(recs) == 3 and recs[0]["predictor"].startswith("cpt-fit(")
+        assert len(recs[0]["menus"][0]["lottery0"]["probs"]) == 3
+        assert run_ok(["fit-cpt", "--in", "d3.csv"], capsys)["rows"] == 200
+        run_ok(["train-mlp", "--in", "d3.csv", "--hidden", "4", "--epochs", "2",
+                "--out", "m3.json"], capsys)
+        assert MlpModel.load("m3.json").widths[0] == len(menu_input_scaling(3))
+
 
 def _random_candidate(seed, n_payoffs, kinds):
     """A CPT-labelled collection: a random first menu, then one menu per kind.
@@ -508,9 +529,92 @@ class TestRankTolBound:
         assert all(r is not None and r <= 2 for r in ranks)
 
 
+def _block_chunk(tag, block):
+    """One item per block, naming the block: what ``cli._fan_out`` cut."""
+    return [(tag, list(block))]
+
+
+class TestStreaming:
+    """Generation cuts a batch into consecutive blocks and writes each block's
+    records as soon as the block is done."""
+
+    def test_one_worker_runs_a_block_when_its_records_are_read(self, monkeypatch):
+        monkeypatch.setattr(cli, "_RUN_BLOCK", 4)
+        ran = []
+
+        def chunk(tag, block):
+            ran.append(list(block))
+            return [f"{tag}{i}" for i in block]
+
+        stream = cli._fan_out(chunk, ("r",), range(10), 1)
+        assert next(stream) == "r0"
+        assert ran == [[0, 1, 2, 3]]
+        assert list(stream) == [f"r{i}" for i in range(1, 10)]
+        assert ran == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+
+    @pytest.mark.parametrize("workers, blocks", [
+        (2, [range(0, 7), range(7, 14), range(14, 17)]),
+        (3, [range(0, 6), range(6, 12), range(12, 17)])])
+    def test_blocks_are_consecutive_and_come_back_in_order(self, monkeypatch,
+                                                           workers, blocks):
+        monkeypatch.setattr(cli, "_RUN_BLOCK", 7)
+        assert list(cli._fan_out(_block_chunk, ("r",), range(17), workers)) == [
+            ("r", list(b)) for b in blocks]
+
+    def test_failing_record_stream_leaves_no_file(self, tmp_path):
+        def recs():
+            yield {"id": 0}
+            yield {"id": 1}
+            raise RuntimeError("run 2 failed")
+
+        with pytest.raises(RuntimeError, match="run 2 failed"):
+            write_jsonl(tmp_path / "c.jsonl", recs(), kind="candidates")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_failing_after_a_written_block_leaves_no_file(self, tmp_path, capsys,
+                                                              monkeypatch):
+        from anomgen import analysis
+        os.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_RUN_BLOCK", 2)
+        random_pair = analysis.random_pair
+
+        def fail_at_five(predictor, master_seed, run_index, *args):
+            if run_index == 5:
+                raise ValueError("run 5 failed")
+            return random_pair(predictor, master_seed, run_index, *args)
+
+        monkeypatch.setattr(analysis, "random_pair", fail_at_five)
+        assert run_command(["baseline", "--inits", "8", "--out", "b.jsonl"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "run 5 failed"
+        assert os.listdir() == []
+
+    def test_predictor_is_built_once(self, tmp_path, capsys, monkeypatch):
+        os.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_RUN_BLOCK", 2)
+        built = []
+
+        def build(section):
+            built.append(section.kind)
+            return build_predictor(section)
+
+        monkeypatch.setattr(cli, "build_predictor", build)
+        run_ok(["baseline", "--inits", "6", "--workers", "2", "--out", "b.jsonl"], capsys)
+        assert built == ["cpt"]
+
+    def test_missing_model_exits_1_with_no_output(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(
+            {"predictor": {"kind": "mlp", "model_path": "absent.json"}}))
+        rc = run_command(["adversarial", "--config", "cfg.json", "--inits", "2",
+                          "--workers", "2", "--out", "a.jsonl"])
+        assert rc == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert os.listdir() == ["cfg.json"]
+
+
 class TestLockstepBytes:
     """Search candidates depend only on (master seed, run index): the
-    run-block size and the worker count move no byte."""
+    CLI's block size and the worker count move no byte."""
 
     @pytest.mark.parametrize("kind, procedure",
                              [("cpt", "adversarial"), ("mlp", "adversarial"),
@@ -527,7 +631,7 @@ class TestLockstepBytes:
         Path("cfg.json").write_text(json.dumps(cfg))
         outputs = {}
         for block in (1, 7, 64):
-            monkeypatch.setattr(adversarial, "_RUN_BLOCK", block)
+            monkeypatch.setattr(cli, "_RUN_BLOCK", block)
             for workers in (1, 2):
                 out = f"a-{block}-{workers}.jsonl"
                 run_ok([procedure, "--config", "cfg.json", "--inits", "70",

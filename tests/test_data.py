@@ -44,6 +44,19 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="missing columns"):
             load_dataset(path)
 
+    def test_payoff_count_read_from_header_and_its_columns_checked(self, tmp_path):
+        rng = np.random.default_rng(2)
+        menus = [sample_random_menu(rng, 3, 0, 10) for _ in range(5)]
+        path = tmp_path / "p3.csv"
+        save_dataset(simulate_choices(rng, menus, CptParams(0.726, 0.309)), path)
+        assert load_dataset(path).n_payoffs == 3
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        drop = lines[0].index("p1_3")
+        path.write_text("".join(",".join(v for j, v in enumerate(line) if j != drop) + "\n"
+                                for line in lines))
+        with pytest.raises(ValueError, match=r"missing columns: \['p1_3'\]"):
+            load_dataset(path)
+
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(20)]

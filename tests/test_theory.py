@@ -209,7 +209,7 @@ class TestBallConstrainedFit:
             ds = cpt_dataset(1000, seed=19, kind="binary")
             fit = fit_cpt_params(ds)
             x = np.log([fit.params.delta, fit.params.gamma])
-            residual = np.linalg.norm(_cpt_objective(ds, 1.0)(x)[1])
+            residual = np.linalg.norm(_cpt_objective(ds, 1.0)(x)[1]()[0])
         assert fit.converged == (residual <= theory.KKT_TOL)
         assert fit.converged == (cap == 50)
 
