@@ -3,10 +3,12 @@ categorize -> cluster -> report.
 
 Every subcommand writes outputs atomically and prints a single machine-
 readable JSON summary line to stdout.  Generation and verification cut their
-runs into consecutive blocks and fan them over a worker pool; generated
-records stream to disk block by block, in index order.  Records depend only
-on (master seed, run index), so outputs are byte-identical for any worker
-count.
+runs into consecutive blocks and fan them over a worker pool; records stream
+to disk block by block, in index order.  Verification runs a block as
+stacks, one per record shape: one stacked fit and one stacked LP solve per
+grid size, each acting on every record on its own.  Records depend only on
+(master seed, run index), so outputs are byte-identical for any worker
+count or block size; bit-reproducibility matters more than speed.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from .categorize import CATEGORY_TAGS, categorize
 from .config import ConfigError, PipelineConfig, build_predictor, load_config, parse_config
 from .cpt import simulate_choices
 from .data import load_dataset, save_dataset
-from .lotteries import Menu, run_rng, sample_random_menu
+from .lotteries import Menu, implied_choices, run_rng, sample_random_menu
 from .morphing import run_morph_indices
 from .predictor import (MlpPredictor, MlpTrainConfig, evaluate, fit_cpt_params,
                         train_mlp)
-from .verifier import minimal_anomaly, verify_collection, verify_parametrized
+from .verifier import minimal_anomaly, parametrized_verdicts, utility_verdicts
 
 
 def _summary(**kwargs) -> int:
@@ -118,23 +120,23 @@ def _run_generation(args, procedure: str) -> int:
 # -- verification / categorization ------------------------------------------
 
 def _verify_chunk(cfg: PipelineConfig, recs) -> list:
+    """Verify a block of records, one stack per shape (``records.stack_records``):
+    one fit and one stacked LP solve per grid size and shape.  Only an
+    inconsistent record is read into a collection, for ``minimal_anomaly``."""
     basis = basis_from_config(cfg.theory_basis)
-    out = []
-    for rec in recs:
-        coll = records.record_to_collection(rec)
-        pv = verify_parametrized(basis, coll, cfg.kl_threshold)
-        av = verify_collection(coll, cfg.margin_threshold)
-        rec = dict(rec)
-        rec["min_kl"] = float(pv.min_kl)
-        rec["parametrized_inconsistent"] = bool(pv.inconsistent)
-        rec["fit_converged"] = bool(pv.converged)
-        rec["fit_on_bound"] = bool(pv.on_norm_bound)
-        rec["any_utility_inconsistent"] = bool(not av.consistent)
-        rec["margin"] = float(av.margin)
-        rec["witness"] = None if av.witness_utility is None else av.witness_utility.tolist()
-        minimal = None if av.consistent else minimal_anomaly(coll, cfg.margin_threshold)
-        rec["anomaly_minimal_indices"] = list(minimal[0]) if minimal else None
-        out.append(rec)
+    out = [dict(rec) for rec in recs]
+    for stack in records.stack_records(recs):
+        pvs = parametrized_verdicts(basis, stack.Z, stack.P, stack.q, cfg.kl_threshold)
+        avs = utility_verdicts(stack.Z, stack.P, implied_choices(stack.q), cfg.margin_threshold)
+        for i, pv, av in zip(stack.rows, pvs, avs):
+            minimal = None if av.consistent else minimal_anomaly(
+                records.record_to_collection(recs[i]), cfg.margin_threshold)
+            out[i].update(
+                min_kl=pv.min_kl, parametrized_inconsistent=pv.inconsistent,
+                fit_converged=pv.converged, fit_on_bound=pv.on_norm_bound,
+                any_utility_inconsistent=not av.consistent, margin=av.margin,
+                witness=None if av.witness_utility is None else av.witness_utility.tolist(),
+                anomaly_minimal_indices=list(minimal[0]) if minimal else None)
     return out
 
 
@@ -142,14 +144,22 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     cfg = _config_from_args(args)
     _, recs = records.read_jsonl(args.inp)
-    out_recs = list(_fan_out(_verify_chunk, (cfg,), recs, cfg.workers))
-    records.write_jsonl(args.out, out_recs, kind="verified")
-    n_par = sum(r["parametrized_inconsistent"] for r in out_recs)
-    n_full = sum(r["any_utility_inconsistent"] for r in out_recs)
-    return _summary(command="verify", records=len(out_recs),
-                    parametrized_inconsistent=n_par,
-                    any_utility_inconsistent=n_full, out=args.out,
-                    **_throughput(start, len(out_recs), "records"))
+    counts = dict.fromkeys(("records", "parametrized_inconsistent", "any_utility_inconsistent",
+                            "fit_on_bound", "fit_unconverged"), 0)
+
+    def counted(verified):
+        for rec in verified:
+            counts["records"] += 1
+            counts["parametrized_inconsistent"] += rec["parametrized_inconsistent"]
+            counts["any_utility_inconsistent"] += rec["any_utility_inconsistent"]
+            counts["fit_on_bound"] += rec["fit_on_bound"]
+            counts["fit_unconverged"] += not rec["fit_converged"]
+            yield rec
+
+    records.write_jsonl(args.out, counted(_fan_out(_verify_chunk, (cfg,), recs, cfg.workers)),
+                        kind="verified")
+    return _summary(command="verify", out=args.out, **counts,
+                    **_throughput(start, counts["records"], "records"))
 
 
 def cmd_categorize(args) -> int:

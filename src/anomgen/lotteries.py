@@ -70,23 +70,32 @@ def check_probs(P) -> None:
         raise ValueError(f"probabilities sum to {worst.sum()}, not 1")
 
 
-def make_lottery(payoffs, probs) -> Lottery:
-    """Validate and build a lottery, renormalizing probabilities exactly.
+def read_probs(P) -> tuple[np.ndarray, np.ndarray]:
+    """Each probability vector (last axis) of ``P`` as it is read from a
+    record: (vectors, bad).
 
-    The probability vector may be off the simplex by at most 1e-6.  It is
-    rescaled by its sum unless it is on the simplex within ``SIMPLEX_TOL``
-    already, so a vector read back from a record is the one written.
+    A vector may be off the simplex by at most 1e-6.  It is clipped at 0
+    and rescaled by its sum unless it is on the simplex within
+    ``SIMPLEX_TOL`` already, so a vector read back from a record is the one
+    written.  ``bad`` marks the vectors that are off by more, negative
+    beyond ``PAYOFF_MERGE_TOL`` or not finite; their entries mean nothing.
     """
-    z = np.asarray(payoffs, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    if np.any(p < -PAYOFF_MERGE_TOL):
-        raise ValueError(f"negative probability in {p}")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-6")
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    return Lottery(z, p if abs(total - 1.0) <= SIMPLEX_TOL else p / total)
+    P = np.asarray(P, dtype=float)
+    bad = np.any(P < -PAYOFF_MERGE_TOL, axis=-1) | ~(np.abs(P.sum(axis=-1) - 1.0) <= 1e-6)
+    P = np.clip(P, 0.0, None)
+    total = P.sum(axis=-1, keepdims=True)
+    np.divide(P, total, out=P, where=~(np.abs(total - 1.0) <= SIMPLEX_TOL))
+    return P, bad
+
+
+def make_lottery(payoffs, probs) -> Lottery:
+    """Validate and build a lottery, reading its probabilities by
+    ``read_probs``."""
+    p, bad = read_probs(probs)
+    if bad:
+        raise ValueError(f"probabilities {probs} (sum {np.sum(probs)}) not within 1e-6 "
+                         "of the simplex")
+    return Lottery(payoffs, p)
 
 
 @dataclass(frozen=True)
@@ -155,8 +164,7 @@ class Example:
 
     @property
     def implied_choice(self) -> int:
-        # Ties at exactly 0.5 map to lottery 1.
-        return 1 if self.choice_prob >= 0.5 else 0
+        return int(implied_choices(self.choice_prob))
 
     @property
     def chosen_and_other(self) -> tuple:
@@ -189,7 +197,13 @@ class ExampleCollection:
 
     @property
     def implied_choices(self) -> np.ndarray:
-        return np.array([e.implied_choice for e in self.examples], dtype=int)
+        return implied_choices([e.choice_prob for e in self.examples])
+
+
+def implied_choices(q) -> np.ndarray:
+    """The lottery each predicted probability of lottery 1 implies is
+    chosen; ties at exactly 0.5 map to lottery 1."""
+    return (np.asarray(q, dtype=float) >= 0.5).astype(int)
 
 
 # Sign of each lottery in a menu's value difference (lottery 1 minus
@@ -249,29 +263,61 @@ class FosdOrder(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
+def merge_payoff_grids(Z, tol: float = PAYOFF_MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sorted payoffs of each row of a payoff stack (R, ...), a
+    value within ``tol`` of the last one kept merging into it: (grids,
+    sizes).  Row r's grid is ``grids[r, :sizes[r]]``; +inf pads the rest."""
+    values = np.sort(np.asarray(Z, dtype=float).reshape(len(Z), -1), axis=-1)
+    keep = np.ones(values.shape, dtype=bool)
+    last = values[:, 0]
+    for j in range(1, values.shape[1]):
+        keep[:, j] = values[:, j] - last > tol
+        last = np.where(keep[:, j], values[:, j], last)
+    grids = np.full(values.shape, np.inf)
+    rows, _ = np.nonzero(keep)
+    grids[rows, np.cumsum(keep, axis=1)[keep] - 1] = values[keep]
+    return grids, keep.sum(axis=1)
+
+
 def merge_payoff_grid(lotteries, tol: float = PAYOFF_MERGE_TOL) -> np.ndarray:
     """Distinct sorted payoffs across lotteries, merging values within tol."""
-    values = np.sort(np.concatenate([l.payoffs for l in lotteries]))
-    merged = [values[0]]
-    for v in values[1:]:
-        if v - merged[-1] > tol:
-            merged.append(v)
-    return np.array(merged)
+    grids, sizes = merge_payoff_grids(np.concatenate([l.payoffs for l in lotteries])[None],
+                                      tol)
+    return grids[0, :sizes[0]]
+
+
+def grid_probs(Z, P, grids, tol: float = PAYOFF_MERGE_TOL) -> np.ndarray:
+    """Probabilities (R, L, k) of lotteries (R, L, J) re-expressed over
+    their row's grid, one of ``grids`` (R, k) padded with +inf.
+
+    A payoff goes to the first grid value at or above it if that is within
+    ``tol``, else to the one below; its probability is added to the value's
+    in payoff order.
+    """
+    Z, P, grids = (np.asarray(v, dtype=float) for v in (Z, P, grids))
+    R, L, J = Z.shape
+    k = grids.shape[1]
+    # Padded so that column i + 1 holds grid value i: the ends never match.
+    padded = np.concatenate([np.full((R, 1), -np.inf), grids, np.full((R, 1), np.inf)],
+                            axis=1)
+    out = np.zeros((R, L, k))
+    r, l = np.indices((R, L))
+    for j in range(J):
+        z = Z[:, :, j]
+        i = (grids[:, None, :] < z[..., None]).sum(axis=-1)     # searchsorted, left
+        above = np.abs(padded[r, i + 1] - z) <= tol
+        below = np.abs(padded[r, i] - z) <= tol
+        if not np.all(above | below):
+            raise ValueError(f"payoff {z[~(above | below)][0]} not on merged grid")
+        out[r, l, np.where(above, i, i - 1)] += P[:, :, j]
+    return out
 
 
 def probs_on_grid(lottery: Lottery, grid: np.ndarray,
                   tol: float = PAYOFF_MERGE_TOL) -> np.ndarray:
     """Re-express a lottery's probabilities over a merged payoff grid."""
-    out = np.zeros(grid.size)
-    idx = np.searchsorted(grid, lottery.payoffs)
-    for z, p, i in zip(lottery.payoffs, lottery.probs, idx):
-        if i < grid.size and abs(grid[i] - z) <= tol:
-            out[i] += p
-        elif i > 0 and abs(grid[i - 1] - z) <= tol:
-            out[i - 1] += p
-        else:
-            raise ValueError(f"payoff {z} not on merged grid")
-    return out
+    return grid_probs(lottery.payoffs[None, None], lottery.probs[None, None],
+                      np.asarray(grid, dtype=float)[None], tol)[0, 0]
 
 
 def fosd_compare(a: Lottery, b: Lottery, tol: float = PAYOFF_MERGE_TOL) -> FosdOrder:

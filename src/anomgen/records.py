@@ -1,8 +1,9 @@
 """Persisted anomaly records: JSONL streams with a version header, CSV tables.
 
 Every record is self-contained: menus plus predicted probabilities are enough
-to re-run verification and reproduce the stored verdicts bit-for-bit.  Writes
-stream their lines to a temp file and rename it into place, so interrupted
+to re-run verification and reproduce the stored verdicts bit-for-bit.  A
+block of records is read as arrays, one stack per shape (``stack_records``),
+and ``record_to_collection`` reads one record the same way.  Writes stream their lines to a temp file and rename it into place, so interrupted
 batch runs never leave half-written outputs.
 """
 
@@ -11,9 +12,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from itertools import chain
 
-from .lotteries import Example, ExampleCollection, Menu
+import numpy as np
+
+from .lotteries import Example, ExampleCollection, Lottery, Menu, read_probs
 
 FORMAT_VERSION = 1
 
@@ -42,14 +46,73 @@ def candidate_to_record(collection: ExampleCollection, record_id: str | None = N
     return record
 
 
+@dataclass(frozen=True)
+class RecordStack:
+    """The records of a block that share a shape, m menus over J payoffs,
+    read as arrays: ``Z`` and ``P`` (R, m, 2, J) hold the payoffs and
+    probabilities, lottery 0 first, with the probabilities as
+    ``lotteries.read_probs`` reads them, and ``q`` (R, m) the predicted
+    probabilities of lottery 1."""
+
+    rows: list                  # the records' positions in the block
+    Z: np.ndarray
+    P: np.ndarray
+    q: np.ndarray
+
+
+def stack_records(recs) -> list[RecordStack]:
+    """Read a block of records into one stack per shape, in the order in
+    which the shapes first appear.
+
+    A record is malformed when its menus do not form m >= 1 menus of two
+    lotteries over the same J >= 1 payoffs, when it has other than m
+    predicted probabilities, or when a value is out of range: a payoff that
+    is not finite, a probability vector ``read_probs`` rejects or a
+    predicted probability outside [0, 1].  The first malformed record of the
+    block raises ValueError naming its id.
+    """
+    errors, shapes = {}, {}
+    for i, rec in enumerate(recs):
+        try:
+            X = np.array([[[lot["payoffs"], lot["probs"]]
+                           for lot in (menu["lottery0"], menu["lottery1"])]
+                          for menu in rec["menus"]], dtype=float)
+            q = np.array(rec["predicted_probs"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            errors[i] = repr(exc)
+            continue
+        if X.ndim != 4 or X.size == 0:
+            errors[i] = "not m >= 1 menus of two lotteries over the same J >= 1 payoffs"
+        elif q.shape != X.shape[:1]:
+            errors[i] = f"{q.size} predicted probabilities for {len(X)} menus"
+        else:
+            shapes.setdefault(X.shape, []).append((i, X, q))
+    stacks = []
+    for group in shapes.values():
+        rows = [i for i, _, _ in group]
+        X = np.stack([X for _, X, _ in group])
+        q = np.stack([q for _, _, q in group])
+        Z = np.ascontiguousarray(X[:, :, :, 0])
+        P, bad_probs = read_probs(X[:, :, :, 1])
+        checks = (("payoff not finite", ~np.isfinite(Z).all(axis=(1, 2, 3))),
+                  ("probabilities not within 1e-6 of the simplex", bad_probs.any(axis=(1, 2))),
+                  ("predicted probability outside [0, 1]", ~((q >= 0) & (q <= 1)).all(axis=1)))
+        for why, bad in checks:
+            for r in np.flatnonzero(bad):
+                errors.setdefault(rows[r], why)
+        stacks.append(RecordStack(rows, Z, P, q))
+    if errors:
+        first = min(errors)
+        raise ValueError(f"record {recs[first].get('id')!r}: malformed menus or "
+                         f"predicted_probs ({errors[first]})")
+    return stacks
+
+
 def record_to_collection(record: dict) -> ExampleCollection:
-    try:
-        menus = [Menu.from_json_dict(m) for m in record["menus"]]
-        examples = tuple(Example(m, p) for m, p in
-                         zip(menus, record["predicted_probs"], strict=True))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"record {record.get('id')!r}: malformed menus or "
-                         f"predicted_probs ({exc!r})") from None
+    """The collection of a record, read by ``stack_records``."""
+    (stack,) = stack_records([record])
+    examples = tuple(Example(Menu(Lottery(z[0], p[0]), Lottery(z[1], p[1])), float(q))
+                     for z, p, q in zip(stack.Z[0], stack.P[0], stack.q[0]))
     prov = {k: record.get(k) for k in
             ("procedure", "predictor", "master_seed", "run_index", "iterations")}
     return ExampleCollection(examples, prov)

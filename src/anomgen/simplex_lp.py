@@ -3,8 +3,12 @@
 Solves   max c'x   s.t.  A x <= b,  x >= 0,  with b >= 0,
 
 so the all-slack basis is feasible and a single primal phase suffices.  Bland's
-rule guards against cycling.  Problem sizes here are at most ~15 variables and
-~30 rows, and bit-reproducibility matters more than speed.
+rule guards against cycling.  A stack of problems of one size is pivoted at
+once: each step takes one Bland pivot in every problem still running, and a
+problem leaves the stack once it is solved, so every problem goes through
+the same arithmetic as when it is solved alone, and its solution has the
+same bytes.  Problem sizes here are at most ~15 variables and ~30 rows, and
+bit-reproducibility matters more than speed.
 """
 
 from __future__ import annotations
@@ -22,54 +26,79 @@ class SimplexError(RuntimeError):
 
 @dataclass
 class LpSolution:
+    """One problem's solution; a stack's fields have one entry per problem."""
+
     x: np.ndarray
     objective: float
     iterations: int
 
 
 def solve_max(c, A, b, max_iter: int = 10_000) -> LpSolution:
+    """Solve one problem, A (m, n), or a stack of them, A (R, m, n) with c
+    (R, n) and b (R, m).  Any problem of a stack that is unbounded, or still
+    running after ``max_iter`` pivots, fails the whole call."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if c.shape != (n,) or b.shape != (m,):
+    single = A.ndim == 2
+    if single:
+        c, A, b = c[None], A[None], b[None]
+    R, m, n = A.shape
+    if c.shape != (R, n) or b.shape != (R, m):
         raise ValueError("inconsistent LP dimensions")
     if np.any(b < -_EPS):
         raise SimplexError("negative right-hand side; initial basis infeasible")
 
-    # Tableau: [A | I | b] with the objective row [-c | 0 | 0] underneath.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = np.maximum(b, 0.0)
-    T[m, :n] = -c
-    basis = list(range(n, n + m))
+    # Tableaux: [A | I | b] with the objective row [-c | 0 | 0] underneath.
+    # ``T`` holds the problems still running, ``running`` their indices;
+    # a problem leaves both once no column improves its objective.
+    T = np.zeros((R, m + 1, n + m + 1))
+    T[:, :m, :n] = A
+    T[:, :m, n:n + m] = np.eye(m)
+    T[:, :m, -1] = np.maximum(b, 0.0)
+    T[:, m, :n] = -c
+    basis = np.tile(np.arange(n, n + m), (R, 1))
+    running = np.arange(R)
+    x = np.empty((R, n + m))
+    objective = np.empty(R)
+    iterations = np.zeros(R, dtype=int)
+    k = np.arange(R)
 
     for it in range(max_iter):
-        candidates = np.nonzero(T[m, :-1] < -_EPS)[0]
-        if candidates.size == 0:
-            x = np.zeros(n + m)
-            x[basis] = T[:m, -1]
-            return LpSolution(x=x[:n], objective=float(T[m, -1]), iterations=it)
-        col = int(candidates.min())  # Bland's rule
-        ratios = np.full(m, np.inf)
-        positive = T[:m, col] > _EPS
-        ratios[positive] = T[:m, -1][positive] / T[:m, col][positive]
-        if not np.any(np.isfinite(ratios)):
+        entering = T[:, m, :-1] < -_EPS
+        done = ~entering.any(axis=1)
+        if done.any():
+            finished = running[done]
+            solved = np.zeros((finished.size, n + m))
+            np.put_along_axis(solved, basis[done], T[done, :m, -1], axis=1)
+            x[finished] = solved
+            objective[finished] = T[done, m, -1]
+            iterations[finished] = it
+            T, basis, running, entering = (v[~done] for v in (T, basis, running, entering))
+            if running.size == 0:
+                break
+            k = np.arange(running.size)
+        col = entering.argmax(axis=1)  # Bland's rule: the first improving column
+        pivots = T[k, :m, col]
+        ratios = np.divide(T[:, :m, -1], pivots, out=np.full(pivots.shape, np.inf),
+                           where=pivots > _EPS)
+        best = ratios.min(axis=1, keepdims=True)
+        if not np.isfinite(best).all():
             raise SimplexError("unbounded LP")
-        row = int(np.argmin(ratios))
-        best = ratios[row]
         # Bland tie-break: smallest basis index among minimal ratios.
-        ties = np.nonzero(np.abs(ratios - best) <= _EPS * (1 + abs(best)))[0]
-        if ties.size > 1:
-            row = int(min(ties, key=lambda r: basis[r]))
-        T[row] /= T[row, col]
+        ties = np.abs(ratios - best) <= _EPS * (1 + np.abs(best))
+        row = np.where(ties, basis, n + m).argmin(axis=1)
         # Eliminate the column from every row by one rank-1 update.  A row
         # with a zero in the column changes at most a -0.0 into 0.0: the tests
         # above compare against +-_EPS, and the right-hand sides, which start
         # at max(b, 0), hold no -0.0, so pivots and solution keep their bytes.
-        pivot_row = T[row].copy()
-        T -= np.outer(T[:, col], pivot_row)
-        T[row] = pivot_row
-        basis[row] = col
-    raise SimplexError("iteration limit reached")
+        pivot_row = T[k, row] / pivots[k, row][:, None]
+        T -= T[k, :, col][:, :, None] * pivot_row[:, None, :]
+        T[k, row] = pivot_row
+        basis[k, row] = col
+    if running.size:
+        raise SimplexError("iteration limit reached")
+    if single:
+        return LpSolution(x=x[0, :n], objective=float(objective[0]),
+                          iterations=int(iterations[0]))
+    return LpSolution(x=x[:, :n], objective=objective, iterations=iterations)

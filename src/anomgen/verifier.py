@@ -1,14 +1,22 @@
 """Consistency checks against expected utility theory.
 
-Two layers:
+Two layers, each verifying a stack of collections of one shape, m menus over
+J payoffs, given as (R, m, 2, J) payoff and probability arrays:
 
-* ``verify_increasing_utility`` asks whether ANY strictly increasing utility
-  (no noise) rationalizes the implied binary choices.  Strict inequalities are
+* ``utility_verdicts`` asks whether ANY strictly increasing utility (no
+  noise) rationalizes the implied binary choices.  Strict inequalities are
   encoded through a shared maximized slack t over the merged payoff grid, so
   the verdict comes with a margin and, when consistent, a witness utility.
-  The LP is built as arrays, once the grid's size has been checked.
-* ``verify_parametrized`` asks whether the logit-EUT class fits the stated
-  choice probabilities, thresholding the best achievable mean KL.
+  The LPs of the collections whose grids have one size are built as one
+  array and solved by one stacked ``simplex_lp.solve_max`` call.
+* ``parametrized_verdicts`` asks whether the logit-EUT class fits the stated
+  choice probabilities, thresholding the best achievable mean KL; the whole
+  stack is one ``theory._fit_logits`` call.
+
+Every step acts on each collection of a stack on its own, so a verdict has
+the same bytes whatever it is stacked with; bit-reproducibility matters more
+than speed.  The per-collection functions ``verify_increasing_utility``,
+``verify_collection`` and ``verify_parametrized`` are one-collection stacks.
 
 ``minimal_anomaly`` adds the minimality requirement: a collection is an
 anomaly (inconsistent, with every proper subset consistent) exactly when the
@@ -23,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex_lp
-from .lotteries import ExampleCollection, merge_payoff_grid, probs_on_grid
-from .theory import fit_theta
+from .lotteries import ExampleCollection, grid_probs, merge_payoff_grids
+from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 MARGIN_THRESHOLD = 1e-9
 MAX_MENUS = 8
@@ -44,8 +52,10 @@ class VerificationResult:
         return self.status == "consistent"
 
 
-def _margin_lp(menus, choices, grid):
-    """(margin, witness) of the max-slack LP over utilities on ``grid``.
+def _margin_lp(Q, choices):
+    """(margins, witnesses) of the max-slack LPs over utilities on each
+    collection's grid: Q (R, m, 2, k) holds the menus' probabilities on
+    grids of k payoffs, choices (R, m) the implied choices.
 
     Variables are the interior utility levels u_2..u_{k-1} (u_1 = 0, u_k = 1
     pin down location and scale) plus tau = t + 1 >= 0.  Each row c of C, a
@@ -54,18 +64,62 @@ def _margin_lp(menus, choices, grid):
     The box rows u_j <= 1 follow.  All right-hand sides are nonnegative by
     construction, so the one-phase solver applies.
     """
-    k = grid.size
+    R, m, _, k = Q.shape
     n_free = k - 2
-    probs = np.array([[probs_on_grid(m.lottery0, grid), probs_on_grid(m.lottery1, grid)]
-                      for m in menus])
-    i = np.arange(len(menus))
-    C = np.vstack([probs[i, choices] - probs[i, 1 - choices], np.diff(np.eye(k), axis=0)])
-    A = np.block([[-C[:, 1:-1], np.ones((len(C), 1))],
-                  [np.eye(n_free), np.zeros((n_free, 1))]])
-    b = np.concatenate([1.0 + C[:, -1], np.ones(n_free)])
-    sol = simplex_lp.solve_max(np.eye(n_free + 1)[-1], A, b)
-    witness = np.concatenate([[0.0], sol.x[:n_free], [1.0]])
-    return sol.objective - 1.0, witness
+    r, i = np.indices((R, m))
+    chosen, other = Q[r, i, choices], Q[r, i, 1 - choices]
+    steps = np.broadcast_to(np.diff(np.eye(k), axis=0), (R, k - 1, k))
+    C = np.concatenate([chosen - other, steps], axis=1)
+    A = np.zeros((R, m + k - 1 + n_free, n_free + 1))
+    A[:, :m + k - 1, :n_free] = -C[:, :, 1:-1]
+    A[:, :m + k - 1, -1] = 1.0
+    A[:, m + k - 1:, :n_free] = np.eye(n_free)
+    b = np.concatenate([1.0 + C[:, :, -1], np.ones((R, n_free))], axis=1)
+    sol = simplex_lp.solve_max(np.tile(np.eye(n_free + 1)[-1], (R, 1)), A, b)
+    witnesses = np.zeros((R, k))
+    witnesses[:, 1:-1] = sol.x[:, :n_free]
+    witnesses[:, -1] = 1.0
+    return sol.objective - 1.0, witnesses
+
+
+def utility_verdicts(Z, P, choices,
+                     margin_threshold: float = MARGIN_THRESHOLD) -> list[VerificationResult]:
+    """Feasibility of each collection's strict rationalization system, with
+    margin: Z and P (R, m, 2, J), choices (R, m)."""
+    R, m, _, J = Z.shape
+    if not 1 <= m <= MAX_MENUS:
+        raise ValueError(f"collection size must be in [1, {MAX_MENUS}]")
+    grids, sizes = merge_payoff_grids(Z)
+    if np.any(sizes > MAX_DISTINCT_PAYOFFS):
+        raise ValueError(f"{sizes.max()} distinct payoffs exceeds {MAX_DISTINCT_PAYOFFS}")
+    # All payoffs identical: every choice is a tie between identical
+    # lotteries; vacuously consistent.
+    degenerate = VerificationResult("consistent", 0.0, None,
+                                    note="degenerate: single merged payoff")
+    out = [degenerate] * R
+    for k in sorted(set(sizes[sizes >= 2].tolist())):
+        rows = np.flatnonzero(sizes == k)
+        Q = grid_probs(Z[rows].reshape(-1, 2 * m, J), P[rows].reshape(-1, 2 * m, J),
+                       grids[rows, :k]).reshape(-1, m, 2, k)
+        margins, witnesses = _margin_lp(Q, choices[rows])
+        for r, margin, witness in zip(rows, margins, witnesses):
+            consistent = margin > margin_threshold
+            out[r] = VerificationResult("consistent" if consistent else "inconsistent",
+                                        float(margin), witness if consistent else None)
+    return out
+
+
+def _menu_stack(menus):
+    """Payoff and probability stacks (m, 2, J) of menus whose lotteries may
+    differ in size: a shorter lottery repeats its last payoff at probability
+    0, which leaves its merged grid and its grid probabilities as they are."""
+    lotteries = [lot for menu in menus for lot in menu.lotteries]
+    J = max(lot.size for lot in lotteries)
+    Z, P = np.empty((len(lotteries), J)), np.zeros((len(lotteries), J))
+    for z, p, lot in zip(Z, P, lotteries):
+        z[:] = lot.payoffs[-1]
+        z[:lot.size], p[:lot.size] = lot.payoffs, lot.probs
+    return Z.reshape(-1, 2, J), P.reshape(-1, 2, J)
 
 
 def verify_increasing_utility(menus, choices,
@@ -77,18 +131,8 @@ def verify_increasing_utility(menus, choices,
         raise ValueError(f"collection size must be in [1, {MAX_MENUS}]")
     if choices.shape != (len(menus),):
         raise ValueError("one choice per menu required")
-    grid = merge_payoff_grid([l for m in menus for l in (m.lottery0, m.lottery1)])
-    if grid.size > MAX_DISTINCT_PAYOFFS:
-        raise ValueError(f"{grid.size} distinct payoffs exceeds {MAX_DISTINCT_PAYOFFS}")
-    if grid.size < 2:
-        # All payoffs identical: every choice is a tie between identical
-        # lotteries; vacuously consistent.
-        return VerificationResult("consistent", 0.0, None,
-                                  note="degenerate: single merged payoff")
-    margin, witness = _margin_lp(menus, choices, grid)
-    status = "consistent" if margin > margin_threshold else "inconsistent"
-    return VerificationResult(status, float(margin),
-                              witness if status == "consistent" else None)
+    Z, P = _menu_stack(menus)
+    return utility_verdicts(Z[None], P[None], choices[None], margin_threshold)[0]
 
 
 def verify_collection(collection: ExampleCollection,
@@ -103,17 +147,20 @@ def minimal_anomaly(collection: ExampleCollection,
 
     A candidate pair whose one menu is already a dominance violation yields
     that singleton; a pair inconsistent only jointly yields the pair itself.
-    Subsets are judged at the same margin threshold as the full collection.
-    The collection is an anomaly (Definition 2) exactly when the returned
-    subset holds all of its indices.
+    Subsets are judged at the same margin threshold as the full collection,
+    the subsets of one size as one stack, and the first inconsistent one in
+    ``itertools.combinations`` order is returned.  The collection is an
+    anomaly (Definition 2) exactly when the returned subset holds all of its
+    indices.
     """
-    menus = collection.menus
+    Z, P = _menu_stack(collection.menus)
     choices = collection.implied_choices
-    n = len(menus)
+    n = len(choices)
     for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub = verify_increasing_utility([menus[i] for i in subset],
-                                            choices[list(subset)], margin_threshold)
+        subsets = list(itertools.combinations(range(n), size))
+        idx = np.array(subsets)
+        for subset, sub in zip(subsets, utility_verdicts(Z[idx], P[idx], choices[idx],
+                                                         margin_threshold)):
             if not sub.consistent:
                 return subset, sub
     return None
@@ -127,11 +174,22 @@ class ParametrizedVerdict:
     on_norm_bound: bool = False
 
 
+def parametrized_verdicts(basis, Z, P, q,
+                          kl_threshold: float = DEFAULT_KL_THRESHOLD) -> list[ParametrizedVerdict]:
+    """Inconsistency of each collection with the logit-EUT class, best-fit
+    mean KL above threshold: Z and P (R, m, 2, J), q (R, m) the predicted
+    probabilities of lottery 1."""
+    R, m, _, J = Z.shape
+    D = eu_difference_rows(P.reshape(-1, 2, J), stack_basis_values(basis, Z.reshape(-1, 2, J)))
+    fit = _fit_logits(D.reshape(R, m, -1), np.asarray(q, dtype=float))
+    return [ParametrizedVerdict(inconsistent=bool(kl > kl_threshold), min_kl=float(kl),
+                                converged=bool(converged), on_norm_bound=bool(on_bound))
+            for kl, converged, on_bound in zip(fit.kl, fit.converged, fit.on_norm_bound)]
+
+
 def verify_parametrized(basis, collection: ExampleCollection,
                         kl_threshold: float = DEFAULT_KL_THRESHOLD) -> ParametrizedVerdict:
     """Inconsistency with the logit-EUT class: best-fit mean KL above threshold."""
-    examples = [(e.menu, e.choice_prob) for e in collection]
-    fit = fit_theta(basis, examples)
-    return ParametrizedVerdict(inconsistent=fit.kl > kl_threshold,
-                               min_kl=fit.kl, converged=fit.converged,
-                               on_norm_bound=fit.on_norm_bound)
+    Z, P = _menu_stack(collection.menus)
+    q = np.array([e.choice_prob for e in collection], dtype=float)
+    return parametrized_verdicts(basis, Z[None], P[None], q[None], kl_threshold)[0]

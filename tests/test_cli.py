@@ -462,6 +462,102 @@ class TestRecordRoundTripProperty:
         assert got == {k: stored[k] for k in got}
 
 
+def _mixed_candidates(capsys):
+    """Candidate records of every shape and branch verify meets: adversarial,
+    morph and baseline runs; J = 2 and J = 3; 1-, 2- and 3-menu collections;
+    a collection whose payoffs all merge to one; inconsistent 3-menu
+    collections with minimal subsets (2,) and (0, 2); and a record 1e-7 off
+    the simplex."""
+    Path("p3.json").write_text(json.dumps({"n_payoffs": 3}))
+    Path("short.json").write_text(json.dumps({"morph": {"max_iters": 5,
+                                                        "n_gradient_samples": 200}}))
+    for argv in (["adversarial", "--inits", "6"], ["morph", "--config", "short.json",
+                                                  "--inits", "4"],
+                 ["baseline", "--inits", "6"], ["baseline", "--config", "p3.json",
+                                                "--inits", "6"]):
+        run_ok([*argv, "--seed", "2", "--out", "part.jsonl"], capsys)
+        yield from read_jsonl("part.jsonl")[1]
+    menu = sample_random_menu(np.random.default_rng(0), 2, 0.0, 10.0)
+    yield candidate_to_record(ExampleCollection((Example(menu, 0.7),)), "single-000000")
+    flat = Menu(make_lottery([5.0, 5.0], [0.3, 0.7]), make_lottery([5.0, 5.0], [0.5, 0.5]))
+    yield candidate_to_record(ExampleCollection((Example(flat, 0.6),)), "flat-000000")
+    yield candidate_to_record(_random_candidate(23, 2, ["sure", "sure"]), "minimal-000023")
+    yield candidate_to_record(_random_candidate(40, 2, ["shared", "sure"]), "minimal-000040")
+    off = candidate_to_record(_random_candidate(7, 3, ["fresh"]), "off-000007")
+    off["menus"][0]["lottery0"]["probs"] = [p * (1 + 1e-7)
+                                            for p in off["menus"][0]["lottery0"]["probs"]]
+    yield off
+
+
+class TestVerifyStacks:
+    """``verify`` reads a block into one stack per shape; a record's verdicts
+    do not depend on the records stacked with it."""
+
+    def test_block_size_and_workers_move_no_byte(self, tmp_path, capsys, monkeypatch):
+        os.chdir(tmp_path)
+        recs = list(_mixed_candidates(capsys))
+        recs = recs[::2] + recs[1::2]           # blocks of 7 hold several shapes
+        write_jsonl("mixed.jsonl", recs, kind="candidates")
+        outputs = {}
+        for block in (1, 7, 256):
+            monkeypatch.setattr(cli, "_RUN_BLOCK", block)
+            for workers in (1, 2):
+                out = f"v-{block}-{workers}.jsonl"
+                run_ok(["verify", "--in", "mixed.jsonl", "--workers", str(workers),
+                        "--out", out], capsys)
+                outputs[block, workers] = Path(out).read_bytes()
+        assert len(set(outputs.values())) == 1
+        # Every record re-verifies, one collection at a time, to its stored fields.
+        cfg = parse_config({})
+        basis = basis_from_config(cfg.theory_basis)
+        _, verified = read_jsonl("v-256-1.jsonl", expected_kind="verified")
+        for rec in verified:
+            coll = record_to_collection(rec)
+            pv = verify_parametrized(basis, coll, cfg.kl_threshold)
+            av = verify_collection(coll, cfg.margin_threshold)
+            minimal = None if av.consistent else minimal_anomaly(coll, cfg.margin_threshold)
+            want = {"min_kl": pv.min_kl, "parametrized_inconsistent": pv.inconsistent,
+                    "fit_converged": pv.converged, "fit_on_bound": pv.on_norm_bound,
+                    "any_utility_inconsistent": not av.consistent, "margin": av.margin,
+                    "witness": None if av.witness_utility is None
+                    else av.witness_utility.tolist(),
+                    "anomaly_minimal_indices": list(minimal[0]) if minimal else None}
+            assert {k: rec[k] for k in want} == want, rec["id"]
+        by_id = {r["id"]: r for r in verified}
+        assert {r["procedure"] for r in verified} >= {"adversarial", "morphing", "baseline"}
+        assert {(len(r["menus"]), len(r["menus"][0]["lottery0"]["payoffs"]))
+                for r in verified} >= {(1, 2), (2, 2), (2, 3), (3, 2)}
+        assert (by_id["flat-000000"]["margin"], by_id["flat-000000"]["witness"]) == (0.0, None)
+        assert by_id["minimal-000023"]["anomaly_minimal_indices"] == [2]
+        assert by_id["minimal-000040"]["anomaly_minimal_indices"] == [0, 2]
+        assert record_to_collection(by_id["off-000007"]).menus[0].lottery0.probs.tolist() \
+            != by_id["off-000007"]["menus"][0]["lottery0"]["probs"]
+
+    @pytest.mark.parametrize("malform", [
+        lambda rec: rec["predicted_probs"].__setitem__(0, 1.5),
+        lambda rec: rec["menus"][0]["lottery0"]["probs"].__setitem__(0, 0.5 + 1e-5),
+        lambda rec: rec["menus"][1]["lottery1"].update(probs=[-1e-6, 1.0 + 1e-6]),
+        lambda rec: rec["menus"][0]["lottery1"]["payoffs"].__setitem__(1, float("nan")),
+        lambda rec: rec["menus"][1].update(lottery1={"payoffs": [1.0, 2.0, 3.0],
+                                                      "probs": [0.2, 0.3, 0.5]}),
+        lambda rec: rec.update(predicted_probs=rec["predicted_probs"][:1]),
+    ], ids=["choice-1.5", "sum-1e-5-off", "negative-1e-6", "nan-payoff", "mixed-J",
+            "menus-vs-probs"])
+    def test_malformed_record_in_a_block_is_one_json_error_line(self, malform, tmp_path,
+                                                                capsys):
+        os.chdir(tmp_path)
+        run_ok(["baseline", "--inits", "7", "--seed", "3", "--out", "b.jsonl"], capsys)
+        _, recs = read_jsonl("b.jsonl")
+        recs[3]["menus"][0]["lottery0"]["probs"] = [0.5, 0.5]
+        malform(recs[3])
+        write_jsonl("c.jsonl", recs, kind="candidates")
+        rc = run_command(["verify", "--in", "c.jsonl", "--out", "v.jsonl"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1
+        assert repr(recs[3]["id"]) in json.loads(err[0])["error"]
+        assert not os.path.exists("v.jsonl")
+
+
 class TestClusterCommand:
     def test_cluster_csv_schema(self, tmp_path, capsys):
         os.chdir(tmp_path)

@@ -103,3 +103,86 @@ class TestSolveMax:
             sol = solve_max(c, A, b)
             assert sol.x.tobytes() == x.tobytes()
             assert (sol.objective, sol.iterations) == (objective, iterations)
+
+
+def _assert_matches_reference(sol, problems):
+    """Each problem of a stacked solve has the bytes of its reference solve."""
+    for r, (c, A, b) in enumerate(problems):
+        x, objective, iterations = reference_solve_max(c, A, b)
+        assert sol.x[r].tobytes() == x.tobytes()
+        assert np.float64(sol.objective[r]).tobytes() == np.float64(objective).tobytes()
+        assert sol.iterations[r] == iterations
+
+
+def _stack(problems):
+    return [np.array(v) for v in zip(*problems)]
+
+
+def _random_problems(rng, count, m, n):
+    """The sign-mixed problems of ``test_rank_one_pivot_matches_row_loop``,
+    of one size, that the row-loop reference solves."""
+    problems = []
+    while len(problems) < count:
+        A = rng.normal(0.3, 1.0, size=(m, n))
+        A[rng.random(A.shape) < 0.3] = 0.0
+        A[rng.random(A.shape) < 0.2] = -0.0
+        b = rng.uniform(0.0, 2.0, size=m)
+        b[rng.random(m) < 0.2] = 0.0
+        b[rng.random(m) < 0.2] = -0.0
+        c = rng.normal(0.2, 1.0, size=n)
+        c[rng.random(n) < 0.3] = -0.0
+        try:
+            reference_solve_max(c, A, b)
+        except RuntimeError:
+            continue
+        problems.append((c, A, b))
+    return problems
+
+
+# A ratio tie at the second pivot whose smallest basic index is not in the
+# first minimal row: Bland's rule solves it in 2 pivots, the first minimal
+# row would take 3.
+BLAND_TIE = ([1.0, 2.0], [[1.0, 1.0], [2.0, 1.0], [2.0, 0.0]], [1.0, 1.0, 1.0])
+
+
+class TestStackedSolveMax:
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (7, 3), (11, 7)])
+    def test_each_problem_of_a_stack_matches_its_own_solve(self, m, n):
+        problems = _random_problems(np.random.default_rng(m * 100 + n), 60, m, n)
+        sol = solve_max(*_stack(problems))
+        _assert_matches_reference(sol, problems)
+        if m > 1:
+            assert len(set(sol.iterations.tolist())) > 1      # mixed pivot counts
+
+    def test_bland_tie_in_a_stack(self):
+        problems = [BLAND_TIE] + _random_problems(np.random.default_rng(5), 5, 3, 2)
+        _assert_matches_reference(solve_max(*_stack(problems)), problems)
+        assert solve_max(*BLAND_TIE).iterations == 2
+
+    def test_two_dimensional_call_keeps_one_solution(self):
+        sol = solve_max(*BLAND_TIE)
+        assert sol.x.shape == (2,)
+        assert type(sol.objective) is float and type(sol.iterations) is int
+        stacked = solve_max(*_stack([BLAND_TIE]))
+        assert stacked.x.shape == (1, 2) and stacked.iterations.shape == (1,)
+        assert stacked.x[0].tobytes() == sol.x.tobytes()
+        assert stacked.objective[0] == sol.objective
+
+    def test_an_unbounded_problem_fails_the_stack(self):
+        problems = [([1.0], [[1.0]], [1.0]), ([1.0], [[-1.0]], [1.0]), ([1.0], [[2.0]], [1.0])]
+        with pytest.raises(SimplexError, match="^unbounded LP$"):
+            solve_max(*_stack(problems))
+
+    def test_a_problem_at_the_iteration_limit_fails_the_stack(self):
+        # The textbook instance takes more pivots than the others.
+        problems = [([3.0, 5.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]], [4.0, 12.0, 18.0]),
+                    ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0])]
+        iterations = solve_max(*_stack(problems)).iterations
+        assert iterations.tolist() == [reference_solve_max(*p)[2] for p in problems]
+        solve_max(*_stack(problems), max_iter=int(iterations.max()) + 1)
+        with pytest.raises(SimplexError, match="^iteration limit reached$"):
+            solve_max(*_stack(problems), max_iter=int(iterations.max()))
+
+    def test_stacked_dimensions_checked(self):
+        with pytest.raises(ValueError):
+            solve_max(np.ones((2, 2)), np.ones((2, 3, 2)), np.ones((1, 3)))

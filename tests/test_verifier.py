@@ -212,11 +212,14 @@ class TestMarginLpArrays:
             built.append(lp)
             return solve(*lp)
 
+        Q = np.array([[probs_on_grid(m.lottery0, grid), probs_on_grid(m.lottery1, grid)]
+                      for m in menus])
         with mock.patch.object(simplex_lp, "solve_max", recording):
-            margin, witness = verifier._margin_lp(menus, choices, grid)
+            (margin,), (witness,) = verifier._margin_lp(Q[None], choices[None])
         ref_margin, ref_witness, ref_lp = reference_margin_lp(menus, choices, grid)
         assert np.float64(margin).tobytes() == np.float64(ref_margin).tobytes()
         assert witness.tobytes() == ref_witness.tobytes()
+        # A one-problem stack has the bytes of the one problem.
         assert [v.tobytes() for v in built[0]] == [v.tobytes() for v in ref_lp]
 
 
