@@ -125,7 +125,10 @@ class ISplineBasis:
         for i in range(1, n + 1):
             include = (np.arange(1, M.shape[0] + 1)[:, None] >= i + 1) & \
                       (np.arange(1, M.shape[0] + 1)[:, None] <= j[None, :])
-            sums = (summands * include).sum(axis=0)
+            # A running sum adds the rows in index order whatever the number
+            # of payoffs; ``sum(axis=0)`` sums one payoff's column pairwise,
+            # so eval([z]) would differ in the last bit from z in a batch.
+            sums = np.cumsum(summands * include, axis=0)[-1]
             out[:, i - 1] = np.where(i > j, 0.0, np.where(i < j - k, 1.0, sums))
         return out
 

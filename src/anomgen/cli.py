@@ -73,9 +73,11 @@ def _config_from_args(args) -> PipelineConfig:
 # 2-core Xeon VM): 25,000 runs took 84 s and peaked at 41 MB in blocks of
 # 256; 6,000 runs took 26 s at 40 MB in blocks of 64, 18 s at 41 MB in
 # blocks of 256, 18 s at 47 MB in blocks of 1,024 and 18 s at 79 MB as one
-# stack.  Morph runs draw their samples one run at a time, so a block holds
-# no per-sample array: 256 morph runs at 200,000 samples and one step
-# peaked at 41.9 MB in one block, against 41.4 MB run by run.
+# stack.  A morph step factors, projects and maps a block's runs as one
+# stack, but draws their samples one run at a time into work buffers of at
+# most ``morphing._DRAW_BLOCK`` draws that every run reuses, so a block holds
+# no per-sample array per run: 256 morph runs at 200,000 samples and one
+# step peaked at 41.7 MB in one block, and 29 runs at 40.4 MB.
 _RUN_BLOCK = 256
 
 
@@ -165,22 +167,24 @@ def cmd_verify(args) -> int:
 def cmd_categorize(args) -> int:
     start = time.perf_counter()
     _, recs = records.read_jsonl(args.inp, expected_kind="verified")
-    out_recs = []
     counts: dict = {}
-    for rec in recs:
-        rec = dict(rec)
-        if rec.get("any_utility_inconsistent"):
-            coll = records.record_to_collection(rec)
-            cat = categorize(coll)
-            rec["category"] = {"tag": cat.tag, "certificate": cat.certificate}
-            counts[cat.tag] = counts.get(cat.tag, 0) + 1
-            if len(coll) == 2:
-                rec["features"] = [float(v) for v in analysis.anomaly_features(coll)]
-        out_recs.append(rec)
-    records.write_jsonl(args.out, out_recs, kind="categorized")
-    return _summary(command="categorize", records=len(out_recs),
+
+    def categorized():
+        for rec in recs:
+            rec = dict(rec)
+            if rec.get("any_utility_inconsistent"):
+                coll = records.record_to_collection(rec)
+                cat = categorize(coll)
+                rec["category"] = {"tag": cat.tag, "certificate": cat.certificate}
+                counts[cat.tag] = counts.get(cat.tag, 0) + 1
+                if len(coll) == 2:
+                    rec["features"] = [float(v) for v in analysis.anomaly_features(coll)]
+            yield rec
+
+    records.write_jsonl(args.out, categorized(), kind="categorized")
+    return _summary(command="categorize", records=len(recs),
                     category_counts=counts, out=args.out,
-                    **_throughput(start, len(out_recs), "records"))
+                    **_throughput(start, len(recs), "records"))
 
 
 def cluster_rows(recs) -> list:

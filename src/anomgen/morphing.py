@@ -12,11 +12,14 @@ Payoffs stay frozen, so a sampled theory enters only through its 2J
 utilities at the menu's payoffs: those are drawn directly, and the span of
 the sampled gradients is read from their 2J x 2J Gram matrix.  A step sums
 that matrix in one pass over fixed blocks of draws, so no array as wide as
-the sample count is built (``morph_step_direction``).
+the sample count is built.
 
 Runs advance through the adversarial search's loop
-(``adversarial.lockstep``); the morph step draws each run's direction from
-that run's own generator.
+(``adversarial.lockstep``), and one call per step,
+``morph_step_directions``, gives every running run its direction: the
+factorizations, maps, eigendecompositions and projections act on the whole
+stack, while each run's draws come from that run's own generator.  Every
+row has the bytes of its own one-run step (``morph_step_direction``).
 """
 
 from __future__ import annotations
@@ -66,40 +69,66 @@ class MorphConfig:
         return basis_from_config(self.basis_config)
 
 
-def _utility_factor(history, basis_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean (R,) and factor (R, r) of the utilities ``basis_rows @ theta``.
+def _utility_factors(H: np.ndarray, basis_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means (R, 2J) and factors (R, 2J, r) of the utilities ``basis_rows @ theta``,
+    one per row of a stack.
 
-    theta ~ N(mean, cov + jitter I), with the mean and sample covariance of
-    the history and a small jitter keeping the covariance factorizable.  The
-    history holds at least two fits, because a run first samples after the
-    seed fit and the first step's fit.  The (R, K) factor
-    ``basis_rows @ chol(cov)`` is reduced by SVD to r <= R columns, so a
-    singular utility covariance (lotteries sharing a payoff, or R > K) still
-    samples: a draw is ``mean + factor @ z`` with z ~ N(0, I_r).
+    Row k draws theta ~ N(mean, cov + jitter I), with the mean and sample
+    covariance of its fit history ``H[k]`` (H is (R, h, K)) and a small
+    jitter keeping the covariance factorizable.  A history holds at least two
+    fits, because a run first samples after the seed fit and the first step's
+    fit.  The (2J, K) factor ``basis_rows[k] @ chol(cov)`` is reduced by SVD
+    to r <= 2J columns, so a singular utility covariance (lotteries sharing a
+    payoff, or 2J > K) still samples: a draw is ``mean + factor @ z`` with
+    z ~ N(0, I_r).  The covariance is formed as ``np.cov`` forms it, scaled
+    by ``1 / (h - 1)``, so every row has the bytes of its own one-row call.
     """
-    H = np.atleast_2d(np.array(history, dtype=float))
-    if H.shape[0] < 2:
+    _, h, K = H.shape
+    if h < 2:
         raise ValueError("history must contain at least two fits")
-    cov = np.cov(H, rowvar=False, ddof=1) + COV_JITTER * np.eye(H.shape[1])
-    rows = np.asarray(basis_rows, dtype=float)
-    W, svals, _ = np.linalg.svd(rows @ np.linalg.cholesky(cov), full_matrices=False)
-    return rows @ H.mean(axis=0), W * svals
+    theta_mean = H.mean(axis=1)
+    X = H - theta_mean[:, None, :]
+    cov = np.matmul(X.transpose(0, 2, 1), X)
+    cov *= np.true_divide(1, h - 1)
+    cov += COV_JITTER * np.eye(K)
+    W, svals, _ = np.linalg.svd(basis_rows @ np.linalg.cholesky(cov), full_matrices=False)
+    return (basis_rows @ theta_mean[:, :, None])[..., 0], W * svals[:, None, :]
 
 
-def _kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray:
-    """Gram matrix of the gradients ``scale[j] * cols[:, j]``, one per
-    column, whose norm exceeds ``rank_tol``; the others are dropped."""
-    weights = scale * scale
-    kept = weights * np.einsum("ij,ij->j", cols, cols) > rank_tol ** 2
-    return (cols * np.where(kept, weights, 0.0)) @ cols.T
+def _add_kept_gram(gram: np.ndarray, cols: np.ndarray, scale: np.ndarray, rank_tol: float,
+                   work: np.ndarray) -> None:
+    """Add into ``gram`` the Gram matrix of the gradients ``scale[j] * cols[:, j]``,
+    one per column, whose norm exceeds ``rank_tol``; the others are dropped.
+    ``scale`` is overwritten, and ``work`` is scratch of the shape of ``cols``."""
+    weights = np.multiply(scale, scale, out=scale)
+    weights[~(weights * np.einsum("ij,ij->j", cols, cols) > rank_tol ** 2)] = 0.0
+    gram += np.multiply(cols, weights, out=work) @ cols.T
 
 
-def _span(gram: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal columns spanning the eigenvectors of ``gram`` whose
-    eigenvalue (a squared singular value of the gradients) exceeds
-    ``rank_tol**2`` times the largest."""
-    evals, vecs = np.linalg.eigh(gram)              # ascending
-    return vecs[:, evals > rank_tol ** 2 * evals[-1]]
+def _project_off_span(g: np.ndarray, grams: np.ndarray,
+                      rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``g`` (R, n) with its Gram matrix's span removed, and the
+    rank of that span (R,).
+
+    Row k's span is that of the eigenvectors of ``grams[k]`` whose eigenvalue
+    (a squared singular value of the gradients) exceeds ``rank_tol**2`` times
+    the largest: the last ones, since ``eigh`` sorts ascending.  Rows of one
+    rank are projected together, each with only its own kept columns, held
+    column by column as a one-row ``vecs[:, kept]`` holds them: that layout
+    picks the BLAS call, and so the last bits.
+    """
+    evals, vecs = np.linalg.eigh(grams)
+    ranks = np.sum(evals > rank_tol ** 2 * evals[:, -1:], axis=1)
+    out = np.empty_like(g)
+    n = g.shape[1]
+    for k in range(n + 1):
+        rows = np.flatnonzero(ranks == k)
+        if rows.size == 0:
+            continue
+        Vt = np.ascontiguousarray(vecs[rows, :, n - k:].transpose(0, 2, 1))
+        gk = g[rows, :, None]
+        out[rows] = (gk - Vt.transpose(0, 2, 1) @ (Vt @ gk))[..., 0]
+    return out, ranks
 
 
 def null_space_projection(g_star: np.ndarray, sampled_grads: np.ndarray,
@@ -115,8 +144,10 @@ def null_space_projection(g_star: np.ndarray, sampled_grads: np.ndarray,
     G = np.atleast_2d(np.asarray(sampled_grads, dtype=float))
     if G.shape[1] != g_star.size:
         raise ValueError("dimension mismatch between gradient and samples")
-    V = _span(_kept_gram(G.T, 1.0, rank_tol), rank_tol)
-    return g_star - V @ (V.T @ g_star)
+    gram = np.zeros((1, g_star.size, g_star.size))
+    _add_kept_gram(gram[0], G.T, np.ones(G.shape[0]), rank_tol, np.empty(G.T.shape))
+    out, _ = _project_off_span(g_star[None], gram, rank_tol)
+    return out[0]
 
 
 def _tangent(vecs: np.ndarray, n_payoffs: int) -> np.ndarray:
@@ -128,42 +159,79 @@ def _tangent(vecs: np.ndarray, n_payoffs: int) -> np.ndarray:
     return out if np.asarray(vecs).ndim > 1 else out[0]
 
 
+def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: np.ndarray,
+                          basis_rows: np.ndarray, rngs,
+                          config: MorphConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One morph step for a stack of runs: each row's direction (R, 2J) and
+    the rank of the sampled span it removes (R,).
+
+    Row k draws ``config.n_gradient_samples`` utility vectors U = (U0, U1)
+    from ``rngs[k]`` around its fit history ``histories[k]`` (h, K);
+    ``basis_rows[k]`` (2J, K) holds the basis values at the menu's payoffs
+    and ``probs[k]`` (2, J) its probabilities (p0, p1).  Draw i's choice
+    probability has gradient s_i v_i over (p0, p1), with v_i = (-U0_i, U1_i),
+    logit a_i = p1 . U1_i - p0 . U0_i and slope s_i = sigma(a_i)(1 - sigma(a_i)).
+    The predictor's gradient ``pred_grads[k]`` and these are restricted to
+    simplex-tangent coordinates by the projector P, and the direction is
+    ``null_space_projection`` of P g against the rows s_i P v_i, with the same
+    filter, Gram matrix and cutoff.
+
+    Everything but the draws is done for the whole stack at once: the
+    history moments, the Cholesky and SVD factors, the maps to P v and a, the
+    Gram eigendecompositions and the projections.  The draws go run by run,
+    each from its own generator, in blocks of ``_DRAW_BLOCK`` rows of the
+    (count, r) stream, written into work buffers that every run reuses; each
+    block is mapped straight to P v and a and added into the run's 2J x 2J
+    Gram matrix, so no count-wide array is built.  Every operation acts on
+    one row, so a row's bytes do not depend on the rows stacked with it.
+    """
+    R, _, J = probs.shape
+    means, factors = _utility_factors(histories, basis_rows)
+    P = _tangent(np.eye(2 * J), J)                  # symmetric projector
+    flip = np.repeat([-1.0, 1.0], J)                # U -> v
+    logit = np.concatenate([-probs[:, 0], probs[:, 1]], axis=1)[:, None, :]
+    v_map, v_mean = P @ (flip[:, None] * factors), P @ (flip * means)[..., None]
+    a_map, a_mean = (logit @ factors)[:, 0], (logit @ means[..., None])[:, 0, 0]
+    grams = np.zeros((R, 2 * J, 2 * J))
+    count, r = config.n_gradient_samples, factors.shape[-1]
+    # Flat work buffers for one block, shared by every block of every run; a
+    # block of n draws views them as contiguous arrays of its own size.  The
+    # draws' buffer holds the weighted gradients once the draws are mapped.
+    block = min(count, _DRAW_BLOCK)
+    draws, grads, logits, slopes = (np.empty(size) for size in
+                                    (2 * J * block, 2 * J * block, block, block))
+    for k, rng in enumerate(rngs):
+        for start in range(0, count, _DRAW_BLOCK):
+            n = min(_DRAW_BLOCK, count - start)
+            z = draws[:n * r].reshape(n, r)
+            rng.standard_normal(out=z)
+            a, s = logits[:n], slopes[:n]
+            np.matmul(a_map[k], z.T, out=a)
+            a += a_mean[k]
+            # sigma'(a) = e / (1 + e)^2 with e = exp(-|a|): one exp, no overflow.
+            e = np.exp(np.negative(np.abs(a, out=a), out=a), out=a)
+            np.add(1.0, e, out=s)
+            s **= 2
+            np.divide(e, s, out=s)
+            v = np.matmul(v_map[k], z.T, out=grads[:2 * J * n].reshape(2 * J, n))
+            v += v_mean[k]
+            _add_kept_gram(grams[k], v, s, config.rank_tol,
+                           draws[:2 * J * n].reshape(2 * J, n))
+    return _project_off_span((P @ pred_grads[..., None])[..., 0], grams, config.rank_tol)
+
+
 def morph_step_direction(pred_grad: np.ndarray, probs: np.ndarray, history,
                          basis_rows: np.ndarray, rng: np.random.Generator,
                          config: MorphConfig) -> tuple[np.ndarray, int]:
-    """One morph step's direction and the rank of the sampled span it removes.
-
-    Draws ``config.n_gradient_samples`` utility vectors U = (U0, U1) around
-    the fit history (``basis_rows`` holds the basis values at the menu's
-    payoffs, and ``probs`` (2, J) its probabilities (p0, p1)).  Draw i's choice probability has gradient s_i v_i over
-    (p0, p1), with v_i = (-U0_i, U1_i), logit a_i = p1 . U1_i - p0 . U0_i
-    and slope s_i = sigma(a_i)(1 - sigma(a_i)).  The predictor's gradient and
-    these are restricted to simplex-tangent coordinates by the projector P,
-    and the step is ``null_space_projection`` of P g against the rows
-    s_i P v_i, with the same filter, Gram matrix and cutoff.  The draws are
-    taken in blocks of ``_DRAW_BLOCK`` rows of the (count, r) stream; each
-    block is mapped straight to P v and a and added into the 2J x 2J Gram
-    matrix, so no count-wide array is built.
-    """
-    J = probs.shape[-1]
-    mean, factor = _utility_factor(history, basis_rows)
-    P = _tangent(np.eye(2 * J), J)                  # symmetric projector
-    flip = np.repeat([-1.0, 1.0], J)                # U -> v
-    logit = np.concatenate([-probs[0], probs[1]])
-    v_map, v_mean = P @ (flip[:, None] * factor), (P @ (flip * mean))[:, None]
-    a_map, a_mean = logit @ factor, logit @ mean
-    gram = np.zeros((2 * J, 2 * J))
-    count = config.n_gradient_samples
-    for start in range(0, count, _DRAW_BLOCK):
-        z = rng.standard_normal((min(_DRAW_BLOCK, count - start), factor.shape[1])).T
-        # sigma'(a) = e / (1 + e)^2 with e = exp(-|a|): one exp, no overflow.
-        e = np.exp(-np.abs(a_map @ z + a_mean))
-        v = v_map @ z                               # (2J, block)
-        v += v_mean
-        gram += _kept_gram(v, e / (1.0 + e) ** 2, config.rank_tol)
-    V = _span(gram, config.rank_tol)
-    g = P @ pred_grad
-    return g - V @ (V.T @ g), V.shape[1]
+    """One run's morph step: ``morph_step_directions`` on a stack of one.
+    ``pred_grad`` is (2J,), ``probs`` (2, J), ``history`` a sequence of at
+    least two fits and ``basis_rows`` (2J, K); returns the direction (2J,)
+    and the retained rank."""
+    directions, ranks = morph_step_directions(
+        np.asarray(pred_grad, dtype=float)[None], np.asarray(probs, dtype=float)[None],
+        np.atleast_2d(np.array(history, dtype=float))[None],
+        np.asarray(basis_rows, dtype=float)[None], [rng], config)
+    return directions[0], int(ranks[0])
 
 
 def morph_lockstep(predictor, config: MorphConfig, menus, rngs,
@@ -174,26 +242,43 @@ def morph_lockstep(predictor, config: MorphConfig, menus, rngs,
     ``direction_vanished``, ``max_iters`` or ``nonfinite_gradient``) and the
     rank of the sampled span removed by its last projection
     (``retained_rank``, None when it stopped before its first).
+
+    Each step's directions come from one ``morph_step_directions`` call over
+    the running rows whose gradient is finite.  The fit histories live in one
+    (R, max_iters + 1, K) array: the seed fit, then one fit per step, so at
+    step s every running row holds s + 2 fits.
     """
     R = len(menus)
-    history, stop, rank = [None] * R, ["max_iters"] * R, [None] * R
+    history = None
+    stop, rank = ["max_iters"] * R, [None] * R
 
     def morph(s, rows, D, y, fit, P, B, f, df):
+        nonlocal history
         if s == 0:          # every run's history starts at its seed fit
-            history[:] = [[theta] for theta in _fit_logits(D[:, :1], y[:, :1]).theta]
+            seed = _fit_logits(D[:, :1], y[:, :1]).theta
+            history = np.empty((R, config.max_iters + 1, seed.shape[1]))
+            history[:, 0] = seed
+        history[rows, s + 1] = fit.theta
         delta, go = np.zeros_like(df), np.zeros(len(rows), dtype=bool)
-        for k, r in enumerate(rows):
-            history[r].append(fit.theta[k])
-            if not np.all(np.isfinite(df[k])):
-                delta[k], stop[r] = np.nan, "nonfinite_gradient"
-                continue
-            direction, rank[r] = morph_step_direction(
-                df[k].reshape(-1), P[k], history[r], B[k].reshape(-1, B.shape[-1]),
-                rngs[r], config)
-            if np.linalg.norm(direction) < STOP_NORM:
+        finite = np.all(np.isfinite(df), axis=(1, 2))
+        delta[~finite] = np.nan
+        for r in rows[~finite]:
+            stop[r] = "nonfinite_gradient"
+        live = np.flatnonzero(finite)
+        directions, ranks = morph_step_directions(
+            df.reshape(len(rows), -1)[live], P[live], history[rows[live], :s + 2],
+            B.reshape(len(rows), -1, B.shape[-1])[live], [rngs[r] for r in rows[live]],
+            config)
+        # The norm of each row as ``np.linalg.norm`` takes it: sqrt(d . d).
+        vanished = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0]) \
+            < STOP_NORM
+        for r, k, gone in zip(rows[live], ranks.tolist(), vanished):
+            rank[r] = k
+            if gone:
                 stop[r] = "direction_vanished"
-            else:
-                delta[k], go[k] = -config.step_size * direction.reshape(P[k].shape), True
+        moving = live[~vanished]
+        delta[moving] = -config.step_size * directions[~vanished].reshape(-1, *P.shape[1:])
+        go[moving] = True
         return delta, go
 
     return lockstep(predictor, config, menus, morph,

@@ -5,11 +5,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from anomgen import morphing
 from anomgen.analysis import PATTERNS, PatternFrequencies
 from anomgen.cpt import CptParams, logistic, simulate_choices
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu, make_lottery,
                                probs_on_grid, sample_random_menu)
-from anomgen.morphing import _utility_factor
+from anomgen.morphing import COV_JITTER, _tangent
 from anomgen.records import write_jsonl
 from anomgen.theory import _clip_targets, _cross_entropy, _entropy, design_matrix
 
@@ -226,17 +227,64 @@ def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
     return ce, max(ce - float(_entropy(y)), 0.0)
 
 
+def reference_utility_factor(history, basis_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean (2J,) and factor (2J, r) of one run's utilities ``basis_rows @ theta``,
+    formed on their own: ``np.cov`` of the history plus the jitter, its
+    Cholesky factor, and the SVD of ``basis_rows @ chol(cov)``."""
+    H = np.atleast_2d(np.array(history, dtype=float))
+    if H.shape[0] < 2:
+        raise ValueError("history must contain at least two fits")
+    cov = np.cov(H, rowvar=False, ddof=1) + COV_JITTER * np.eye(H.shape[1])
+    rows = np.asarray(basis_rows, dtype=float)
+    W, svals, _ = np.linalg.svd(rows @ np.linalg.cholesky(cov), full_matrices=False)
+    return rows @ H.mean(axis=0), W * svals
+
+
+def _reference_kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray:
+    """Gram matrix of the gradients ``scale[j] * cols[:, j]`` whose norm
+    exceeds ``rank_tol``, built from fresh arrays."""
+    weights = scale * scale
+    kept = weights * np.einsum("ij,ij->j", cols, cols) > rank_tol ** 2
+    return (cols * np.where(kept, weights, 0.0)) @ cols.T
+
+
+def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config):
+    """One run's morph step, (direction (2J,), retained rank), computed on its
+    own: the per-run step that ``morphing.morph_step_directions`` stacks, and
+    the bit-for-bit reference for every row of a stack."""
+    J = probs.shape[-1]
+    mean, factor = reference_utility_factor(history, basis_rows)
+    P = _tangent(np.eye(2 * J), J)
+    flip = np.repeat([-1.0, 1.0], J)
+    logit = np.concatenate([-probs[0], probs[1]])
+    v_map, v_mean = P @ (flip[:, None] * factor), (P @ (flip * mean))[:, None]
+    a_map, a_mean = logit @ factor, logit @ mean
+    gram = np.zeros((2 * J, 2 * J))
+    count = config.n_gradient_samples
+    for start in range(0, count, morphing._DRAW_BLOCK):
+        z = rng.standard_normal((min(morphing._DRAW_BLOCK, count - start),
+                                 factor.shape[1])).T
+        e = np.exp(-np.abs(a_map @ z + a_mean))
+        v = v_map @ z
+        v += v_mean
+        gram += _reference_kept_gram(v, e / (1.0 + e) ** 2, config.rank_tol)
+    evals, vecs = np.linalg.eigh(gram)
+    V = vecs[:, evals > config.rank_tol ** 2 * evals[-1]]
+    g = P @ pred_grad
+    return g - V @ (V.T @ g), V.shape[1]
+
+
 def sample_theta_history(history, count: int, rng: np.random.Generator,
                          basis_rows: np.ndarray) -> np.ndarray:
     """Reference draw of the utilities ``basis_rows @ theta`` for theta
     around the fit history, built whole.
 
-    The standard normals are drawn in the (count, r) layout, the stream
-    ``morph_step_direction`` reads block by block, and mapped through the
-    factor of ``_utility_factor``.  Returns an (R, count) array, one draw per
+    The standard normals are drawn in the (count, r) layout, the stream a
+    morph step reads block by block, and mapped through the factor of
+    ``reference_utility_factor``.  Returns an (R, count) array, one draw per
     column.
     """
-    mean, factor = _utility_factor(history, basis_rows)
+    mean, factor = reference_utility_factor(history, basis_rows)
     return (rng.standard_normal((count, factor.shape[1])) @ factor.T + mean).T
 
 

@@ -40,6 +40,16 @@ class TestISplineBasis:
         v = b.eval(5.0)[0]
         assert np.all(v >= 0) and np.all(v <= 1)
 
+    @pytest.mark.parametrize("knots, degree", [(10, 3), (6, 2), (12, 4)])
+    def test_one_payoff_has_the_bits_of_its_row_in_a_batch(self, knots, degree):
+        # A value must not depend on the payoffs evaluated with it, down to
+        # the last bit: one-row callers and stacked callers share bytes.
+        b = ISplineBasis(knots=knots, degree=degree, domain=(0, 10))
+        zs = np.random.default_rng(knots).uniform(0, 10, 400)
+        batch = b.eval(zs)
+        for z, row in zip(zs, batch):
+            assert b.eval([z])[0].tobytes() == row.tobytes()
+
 
 class TestBasisFromConfig:
     def test_polynomial(self):

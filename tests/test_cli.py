@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from anomgen import cli, morphing
+from anomgen import cli, morphing, records
 from anomgen.adversarial import GdaConfig
 from anomgen.cli import run_command
 from anomgen.config import ConfigError, build_predictor, load_config, parse_config
@@ -21,6 +22,7 @@ from anomgen.records import (candidate_to_record, read_jsonl, record_to_collecti
 from anomgen.verifier import (MAX_DISTINCT_PAYOFFS, minimal_anomaly, verify_collection,
                               verify_parametrized)
 from anomgen.basis import basis_from_config
+from anomgen.categorize import categorize
 from anomgen.predictor import MlpModel, menu_input_scaling
 from conftest import write_anomalies
 
@@ -697,6 +699,48 @@ class TestStreaming:
         run_ok(["baseline", "--inits", "6", "--workers", "2", "--out", "b.jsonl"], capsys)
         assert built == ["cpt"]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_outputs_get_the_mode_open_gives(self, umask, tmp_path, capsys):
+        os.chdir(tmp_path)
+        old = os.umask(umask)
+        try:
+            run_ok(["baseline", "--inits", "2", "--out", "b.jsonl"], capsys)
+            write_jsonl("w.jsonl", [{"id": 0}], kind="candidates")
+            with open("plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        modes = {name: stat.S_IMODE(os.stat(name).st_mode)
+                 for name in ("b.jsonl", "w.jsonl", "plain.txt")}
+        assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+    def test_categorize_writes_each_record_as_it_is_categorized(self, tmp_path, capsys,
+                                                                monkeypatch):
+        os.chdir(tmp_path)
+        write_anomalies("c.jsonl", 6)
+        _, recs = read_jsonl("c.jsonl")
+        write_jsonl("v.jsonl", [{k: v for k, v in r.items()
+                                 if k not in ("category", "features")} for r in recs],
+                    kind="verified")
+        categorized, seen = [], []
+        monkeypatch.setattr(cli, "categorize",
+                            lambda coll: categorized.append(coll) or categorize(coll))
+        write = records.write_jsonl
+
+        def tapped(path, stream, kind):
+            def tap():
+                for rec in stream:
+                    seen.append(len(categorized))
+                    yield rec
+            write(path, tap(), kind)
+
+        monkeypatch.setattr(records, "write_jsonl", tapped)
+        summary = run_ok(["categorize", "--in", "v.jsonl", "--out", "o.jsonl"], capsys)
+        assert seen == [1, 2, 3, 4, 5, 6]
+        assert summary["records"] == 6 and sum(summary["category_counts"].values()) == 6
+        assert [r["category"]["tag"] for r in read_jsonl("o.jsonl")[1]] == \
+            [categorize(c).tag for c in categorized]
+
     def test_missing_model_exits_1_with_no_output(self, tmp_path, capsys):
         os.chdir(tmp_path)
         Path("cfg.json").write_text(json.dumps(
@@ -726,7 +770,8 @@ class TestLockstepBytes:
             cfg["predictor"] = {"kind": "mlp", "model_path": "model.json"}
         Path("cfg.json").write_text(json.dumps(cfg))
         outputs = {}
-        for block in (1, 7, 64):
+        # A morph block of 256 (the default) stacks every run at one worker.
+        for block in (1, 7, 64) + ((256,) if procedure == "morph" else ()):
             monkeypatch.setattr(cli, "_RUN_BLOCK", block)
             for workers in (1, 2):
                 out = f"a-{block}-{workers}.jsonl"

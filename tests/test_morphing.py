@@ -9,10 +9,11 @@ from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
 from anomgen.lotteries import Lottery, Menu, sample_random_menu, stack_menus
 from anomgen.morphing import (COV_JITTER, MorphConfig, morph_step_direction,
-                              null_space_projection, run_morph_indices, _tangent)
+                              morph_step_directions, null_space_projection,
+                              run_morph_indices, _tangent)
 from anomgen.records import candidate_to_record
 from anomgen.theory import _fit_logits, eu_difference_rows, fit_theta, stack_basis_values
-from conftest import sample_theta_history, search_iterates
+from conftest import reference_step_direction, sample_theta_history, search_iterates
 
 
 class TestSampleThetaHistory:
@@ -353,24 +354,30 @@ class TestMorphStepDirection:
 
 
 class RecordingRng:
-    """Passes ``standard_normal`` through to a generator and keeps each draw."""
+    """Passes ``standard_normal`` through to a generator, by ``size`` or into
+    ``out``, and keeps a copy of each draw (a step reuses its ``out``)."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.draws = []
 
-    def standard_normal(self, size):
-        out = self.rng.standard_normal(size)
-        self.draws.append(out)
+    def standard_normal(self, size=None, out=None):
+        out = self.rng.standard_normal(size, out=out)
+        self.draws.append(out.copy())
         return out
 
 
-def morph_like_state(rng, J):
+def morph_like_state(rng, J, shared_payoff=False):
     """Fit history at a random start menu and at a second menu with its
-    payoffs, as a morph run's first step sees them."""
+    payoffs, as a morph run's first step sees them.  With ``shared_payoff``
+    the lotteries share a payoff, so the utility covariance is singular."""
     pred = CptPredictor(CptParams(0.726, 0.309))
     basis = ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0))
     x0 = sample_random_menu(rng, J, 0.0, 10.0)
+    if shared_payoff:
+        z1 = x0.lottery1.payoffs.copy()
+        z1[0] = x0.lottery0.payoffs[-1]
+        x0 = Menu(x0.lottery0, Lottery(z1, x0.lottery1.probs))
     rows = np.concatenate([basis.eval(x0.lottery0.payoffs),
                            basis.eval(x0.lottery1.payoffs)])
     f0 = pred.predict(x0)
@@ -455,6 +462,64 @@ class TestBlockedGram:
             np.testing.assert_allclose(step1, step2, rtol=0, atol=atol)
             compared += 1
         assert compared >= 6
+
+
+def morph_like_stack(rng, R, J, h):
+    """R morph-like states stacked as a step takes them: the predictor's
+    gradients (R, 2J), probabilities (R, 2, J), h-fit histories (R, h, K) and
+    basis rows (R, 2J, K).  Fits past the first two scatter around the
+    second, and every fifth state's lotteries share a payoff."""
+    states = [morph_like_state(rng, J, shared_payoff=k % 5 == 4) for k in range(R)]
+    histories = [history + [history[1] + rng.normal(0.0, 0.5, history[1].size)
+                            for _ in range(h - 2)] for _, _, history, _ in states]
+    return (np.array([g for g, _, _, _ in states]),
+            np.array([probs_of(menu) for _, menu, _, _ in states]),
+            np.array(histories), np.array([rows for _, _, _, rows in states]))
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedStep:
+    """A stack's step is, row by row, each run's own step, bit for bit."""
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("count, h", [(17, 7), (2000, 6), (morphing._DRAW_BLOCK, 2),
+                                          (3 * morphing._DRAW_BLOCK + 17, 3)])
+    def test_rows_equal_their_own_steps(self, count, h, J):
+        cfg = MorphConfig(n_gradient_samples=count)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(50 + J), 64, J, h)
+        alone, reference, states = [], [], []
+        for k in range(64):
+            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+            alone.append(morph_step_direction(g[k], probs[k], list(H[k]), rows[k], rng, cfg))
+            reference.append(reference_step_direction(g[k], probs[k], list(H[k]), rows[k],
+                                                      ref_rng, cfg))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            states.append(rng.bit_generator.state)
+        for (direction, rank), (ref_direction, ref_rank) in zip(alone, reference):
+            assert_same_bits(direction, ref_direction)
+            assert rank == ref_rank
+        for R in (1, 7, 64):
+            rngs = [np.random.default_rng(k) for k in range(R)]
+            directions, ranks = morph_step_directions(g[:R], probs[:R], H[:R], rows[:R],
+                                                      rngs, cfg)
+            assert directions.shape == (R, 2 * J) and ranks.shape == (R,)
+            for k in range(R):
+                assert_same_bits(directions[k], alone[k][0])
+                assert ranks[k] == alone[k][1]
+                assert rngs[k].bit_generator.state == states[k]
+        # The stack of 64 groups rows of more than one retained rank.
+        assert len(set(ranks.tolist())) >= 2
+
+    def test_one_fit_history_rejected_before_drawing(self):
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(3), 1, 2, 2)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="at least two fits"):
+            morph_step_direction(g[0], probs[0], H[0, :1], rows[0], rng, MorphConfig())
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class NanGradPredictor(CptPredictor):

@@ -1,14 +1,16 @@
 """Smoke runs of the experiment scripts at tiny sizes."""
 
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from anomgen.records import read_jsonl
+from anomgen.records import read_jsonl, write_jsonl
 from conftest import write_anomalies
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,3 +77,61 @@ class TestDeskClustering:
         pooled, path = self.pooled(tmp_path, 10)
         desk.cluster_pooled(pooled, path, str(tmp_path / "cl.csv"), k=4, seed=0)
         assert len((tmp_path / "cl.csv").read_text().splitlines()) == 11
+
+
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    """A small desk-scale output directory."""
+    root = tmp_path_factory.mktemp("desk")
+    out = run_script("run_desk_scale.py", "--inits", "3", "--baseline-pairs", "20",
+                     "--outdir", "run", cwd=root)
+    assert out.returncode == 0, out.stderr
+    return root / "run"
+
+
+class TestCompareRuns:
+    """``compare_runs.py`` reports exactly the records whose verdicts differ."""
+
+    def test_copies_of_one_run_do_not_differ(self, desk_run, tmp_path):
+        shutil.copytree(desk_run, tmp_path / "copy")
+        out = run_script("compare_runs.py", str(desk_run), str(tmp_path / "copy"),
+                         cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        (summary,) = [json.loads(line) for line in out.stdout.splitlines()]
+        assert summary["differing"] == 0
+        assert summary["records"] == {"old": 26, "new": 26}
+        assert summary["category_counts"]["old"] == summary["category_counts"]["new"]
+
+    @pytest.mark.parametrize("stem, field", [("baseline", "any_utility_inconsistent"),
+                                             ("morph", "implied_choices")])
+    def test_one_edited_verdict_is_reported(self, desk_run, tmp_path, stem, field):
+        edited = tmp_path / "edited"
+        shutil.copytree(desk_run, edited)
+        path = edited / f"{stem}_categorized.jsonl"
+        header, recs = read_jsonl(path)
+        rec = recs[1]
+        old_value = rec[field]
+        rec[field] = not old_value if field != "implied_choices" else \
+            [1 - c for c in old_value]
+        write_jsonl(path, recs, kind=header["kind"])
+        out = run_script("compare_runs.py", str(desk_run), str(edited), cwd=tmp_path)
+        assert out.returncode == 1, out.stderr
+        *diffs, summary = [json.loads(line) for line in out.stdout.splitlines()]
+        assert diffs == [{"id": rec["id"], "fields": {
+            field: {"old": old_value, "new": rec[field]}}}]
+        assert summary["differing"] == 1
+
+    def test_a_record_in_one_run_only_is_reported(self, desk_run, tmp_path):
+        pruned = tmp_path / "pruned"
+        shutil.copytree(desk_run, pruned)
+        path = pruned / "adversarial_categorized.jsonl"
+        header, recs = read_jsonl(path)
+        write_jsonl(path, recs[1:], kind=header["kind"])
+        compare = load_script("compare_runs.py")
+        diffs = compare.compare(compare.load_run(str(desk_run)), compare.load_run(str(pruned)))
+        assert diffs == [{"id": recs[0]["id"], "only_in": "old"}]
+
+    def test_unreadable_run_exits_2(self, desk_run, tmp_path):
+        out = run_script("compare_runs.py", str(desk_run), str(tmp_path / "absent"),
+                         cwd=tmp_path)
+        assert out.returncode == 2 and "no categorized streams" in out.stderr
