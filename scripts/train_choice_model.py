@@ -19,6 +19,7 @@ from anomgen.data import split_dataset
 from anomgen.lotteries import sample_random_menu
 from anomgen.morphing import MorphConfig, run_morph_indices
 from anomgen.predictor import MlpPredictor, MlpTrainConfig, evaluate, train_mlp
+from anomgen.records import record_to_collection
 from anomgen.verifier import verify_collection, verify_parametrized
 
 
@@ -47,9 +48,10 @@ def main():
                                "domain": [0.0, 10.0]})
     par = full = 0
     cats = {}
-    for cand in itertools.chain(
+    for rec in itertools.chain(
             run_adversarial_indices(pred, GdaConfig(), args.seed, range(args.runs)),
             run_morph_indices(pred, MorphConfig(), args.seed, range(args.runs))):
+        cand = record_to_collection(rec)
         par += verify_parametrized(basis, cand).inconsistent
         if not verify_collection(cand).consistent:
             full += 1

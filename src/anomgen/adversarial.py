@@ -19,7 +19,7 @@ refit the theory once per step, so their runs share one loop: ``lockstep``
 moves an (R, 2, J) probability stack against fixed payoffs and basis values,
 through the predictor's batch methods and one stacked inner fit per step,
 and a search supplies only its step rule (``gda_run`` here, the morph step in
-``morphing``).  Only the final stack is kept: each run's candidate is built
+``morphing``).  Only the final stack is kept: each run's record is written
 from it.  Every operation acts row by row, so a run's bytes depend only on
 (master seed, run index), not on the runs it is stacked with; a caller picks
 which runs share a stack (the CLI stacks a block of ``cli._RUN_BLOCK``).
@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import PolynomialBasis, basis_from_config
-from .lotteries import (LOTTERY_SIGN, Example, ExampleCollection, Lottery, Menu,
-                        check_probs, project_to_simplex, run_rng, sample_random_menu,
-                        stack_menus)
+from .lotteries import LOTTERY_SIGN, check_probs, draw_menus, project_to_simplex, run_rng
+from .records import stack_to_records
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 INTERIOR_EPS = 1e-8
@@ -94,29 +93,31 @@ def ascent_objective(theta: np.ndarray, P: np.ndarray, B: np.ndarray, f: np.ndar
     return -m * g, -(g[:, None, None] * grad_m + m[:, None, None] * grad_g)
 
 
-def lockstep(predictor, config, menus, step, provenance,
-             procedure: str) -> list[ExampleCollection]:
+def lockstep(predictor, config, Z, P, step, columns, procedure: str, master_seed,
+             indices) -> list[dict]:
     """Both searches' loop: runs that each move a copy of their initial menu
-    (a sequence of ``menus``) against the menu itself, as one (R, 2, J) stack.
+    (payoffs ``Z`` and probabilities ``P``, (R, 2, J)) against the menu
+    itself, as one stack; ``P`` moves in place.
 
-    Step ``s`` refits the running rows (run indices ``rows``) to their
+    Step ``s`` refits the running rows (run positions ``rows``) to their
     (anchor, current) pairs; ``step(s, rows, D, y, fit, P, B, f, df)`` maps
     the fit's design rows D (R', 2, K), targets y (R', 2) and result, the
     rows' probabilities P and basis values B, and the predictor's f and df at
     ``interior_menu(P)`` to the rows' moves (R', 2, J) and a mask of the rows
     that take them.  A row whose move is not finite is flagged
     ``nonfinite_gradient@iter{s}``; a row that takes no move leaves the
-    stack.  Each run's (initial, final) candidate is built from the final
-    stack; ``provenance(r)`` gives run r's provenance after the loop.
+    stack.  Returns the records of runs ``indices`` of ``master_seed``, each
+    its (initial, final) pair, with the per-run fields ``columns()`` gives
+    after the loop.
     """
-    Z, P = stack_menus(menus)
+    P0 = P.copy()
     B = stack_basis_values(config.make_basis(), Z)
     f0 = predictor.predict_batch(Z, P)
     d0 = eu_difference_rows(P, B)
 
-    iterations = np.zeros(len(menus), dtype=int)
-    flags = [[] for _ in menus]
-    active = np.arange(len(menus))
+    iterations = np.zeros(len(Z), dtype=int)
+    flags = [[] for _ in Z]
+    active = np.arange(len(Z))
     for s in range(config.max_iters):
         if active.size == 0:
             break
@@ -135,50 +136,42 @@ def lockstep(predictor, config, menus, step, provenance,
         check_probs(P[active])
         iterations[active] += 1
 
-    f_final = predictor.predict_batch(Z, P)
-    candidates = []
-    for r, n in enumerate(iterations.tolist()):
-        prov = {"procedure": procedure, **provenance(r), "iterations": n}
-        if flags[r]:
-            prov["flags"] = flags[r]
-        final = Menu(Lottery(Z[r, 0], P[r, 0]), Lottery(Z[r, 1], P[r, 1]))
-        candidates.append(ExampleCollection(
-            (Example(menus[r], float(f0[r])), Example(final, float(f_final[r]))), prov))
-    return candidates
+    return stack_to_records(
+        np.stack([Z, Z], axis=1), np.stack([P0, P], axis=1),
+        np.stack([f0, predictor.predict_batch(Z, P)], axis=1), procedure, predictor.label,
+        master_seed, indices, iterations=iterations.tolist(), flags=flags, **columns())
 
 
-def gda_run(predictor, config: GdaConfig, menus,
-            provenances=None) -> list[ExampleCollection]:
-    """Descent-ascent runs advanced in ``lockstep``.  Each run's provenance
-    counts its inner fits that ended on the coefficient ball
-    (``inner_fits_on_bound``) and unconverged (``inner_fits_unconverged``)."""
-    provenances = provenances or [{}] * len(menus)
-    on_bound = np.zeros(len(menus), dtype=int)
-    unconverged = np.zeros(len(menus), dtype=int)
+def gda_run(predictor, config: GdaConfig, Z, P, master_seed, indices) -> list[dict]:
+    """Descent-ascent runs from the menus (Z, P), advanced in ``lockstep``.
+    Each record counts the run's inner fits that ended on the coefficient
+    ball (``inner_fits_on_bound``) and unconverged
+    (``inner_fits_unconverged``)."""
+    on_bound = np.zeros(len(Z), dtype=int)
+    unconverged = np.zeros(len(Z), dtype=int)
 
     def ascend(s, rows, D, y, fit, P, B, f, df):
         on_bound[rows] += fit.on_norm_bound
         unconverged[rows] += ~fit.converged
         return config.step_size * ascent_objective(fit.theta, P, B, f, df)[1], True
 
-    return lockstep(predictor, config, menus, ascend,
-                    lambda r: {**provenances[r], "inner_fits_on_bound": int(on_bound[r]),
-                               "inner_fits_unconverged": int(unconverged[r])},
-                    "adversarial")
+    return lockstep(predictor, config, Z, P, ascend,
+                    lambda: {"inner_fits_on_bound": on_bound.tolist(),
+                             "inner_fits_unconverged": unconverged.tolist()},
+                    "adversarial", master_seed, indices)
 
 
-def index_block(config, master_seed: int, indices):
+def index_block(master_seed: int, indices, n_menus: int, n_payoffs: int, domain):
     """Runs addressed by (master seed, run index), stacked together: their
-    initial menus, the generators they were drawn from (a run's own stream
-    goes on from there) and provenances."""
-    low, high = config.make_basis().domain
+    menus' (R, n_menus, 2, J) payoff and probability stacks (``draw_menus``)
+    and the generators they were drawn from (a run's stream goes on)."""
     rngs = [run_rng(master_seed, i) for i in indices]
-    return ([sample_random_menu(rng, config.n_payoffs, low, high) for rng in rngs],
-            rngs, [{"master_seed": master_seed, "run_index": i} for i in indices])
+    Z, P = zip(*(draw_menus(rng, n_menus, n_payoffs, *domain) for rng in rngs))
+    return np.stack(Z), np.stack(P), rngs
 
 
 def run_adversarial_indices(predictor, config: GdaConfig, master_seed: int, indices):
     """Adversarial runs addressed by (master seed, run index), advanced as one
-    stack; their candidates in the order of ``indices``."""
-    menus, _, provenances = index_block(config, master_seed, indices)
-    return gda_run(predictor, config, menus, provenances)
+    stack; their records in the order of ``indices``."""
+    Z, P, _ = index_block(master_seed, indices, 1, config.n_payoffs, config.make_basis().domain)
+    return gda_run(predictor, config, Z[:, 0], P[:, 0], master_seed, indices)

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lotteries import (Example, ExampleCollection, lottery_stats,
-                        run_rng, sample_random_menu)
+from .adversarial import index_block
+from .lotteries import ExampleCollection, lottery_stats
+from .records import stack_to_records
 from .verifier import verify_increasing_utility
 
 PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -18,15 +19,13 @@ PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Random-pair baseline
 # ---------------------------------------------------------------------------
 
-def random_pair(predictor, master_seed: int, run_index: int, n_payoffs: int,
-                payoff_range) -> ExampleCollection:
-    """Baseline run ``(master seed, run index)``: two random menus with the
-    predictor's choice probabilities attached."""
-    rng = run_rng(master_seed, run_index)
-    menus = [sample_random_menu(rng, n_payoffs, *payoff_range) for _ in range(2)]
-    return ExampleCollection(
-        tuple(Example(m, predictor.predict(m)) for m in menus),
-        {"procedure": "baseline", "master_seed": master_seed, "run_index": run_index})
+def run_baseline_indices(predictor, cfg, master_seed: int, indices) -> list[dict]:
+    """Baseline runs addressed by (master seed, run index): two random menus
+    each, over the theory basis's domain, predicted in one batch call."""
+    Z, P, _ = index_block(master_seed, indices, 2, cfg.n_payoffs, cfg.theory_basis["domain"])
+    q = predictor.predict_batch(Z.reshape(-1, *Z.shape[2:]), P.reshape(-1, *P.shape[2:]))
+    return stack_to_records(Z, P, q.reshape(len(Z), 2), "baseline", predictor.label,
+                            master_seed, indices)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ count or block size; bit-reproducibility matters more than speed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -96,14 +97,10 @@ def _fan_out(chunk_fn, args: tuple, items, workers: int):
 
 
 def _generate_chunk(predictor, cfg: PipelineConfig, procedure: str, indices) -> list:
-    if procedure != "baseline":
-        search = run_adversarial_indices if procedure == "adversarial" else run_morph_indices
-        colls = search(predictor, getattr(cfg, procedure), cfg.seed, indices)
-    else:
-        colls = (analysis.random_pair(predictor, cfg.seed, i, cfg.n_payoffs,
-                                      cfg.theory_basis["domain"]) for i in indices)
-    label = getattr(predictor, "label", None)
-    return [{**records.candidate_to_record(coll), "predictor": label} for coll in colls]
+    """The records of runs ``indices``; the baseline has no config section."""
+    generate = {"adversarial": run_adversarial_indices, "morph": run_morph_indices,
+                "baseline": analysis.run_baseline_indices}[procedure]
+    return generate(predictor, getattr(cfg, procedure, cfg), cfg.seed, indices)
 
 
 def _run_generation(args, procedure: str) -> int:
@@ -303,7 +300,9 @@ def cmd_epsilon(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process at its first use."""
     parser = argparse.ArgumentParser(prog="anomgen",
                                      description="Anomaly generation for "
                                                  "expected utility theory")
@@ -380,9 +379,8 @@ _DISPATCH = {
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -8,7 +8,7 @@ flattened coordinate vector ``(z0, p0, z1, p1)`` of length 4J.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,10 +128,6 @@ class Menu:
     def swapped(self) -> "Menu":
         return Menu(self.lottery1, self.lottery0)
 
-    def to_json_dict(self) -> dict:
-        return {"lottery0": self.lottery0.to_json_dict(),
-                "lottery1": self.lottery1.to_json_dict()}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "Menu":
         return cls(Lottery.from_json_dict(d["lottery0"]),
@@ -175,10 +171,9 @@ class Example:
 
 @dataclass(frozen=True)
 class ExampleCollection:
-    """An ordered, non-empty collection of examples with run provenance."""
+    """An ordered, non-empty collection of examples."""
 
     examples: tuple
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "examples", tuple(self.examples))
@@ -240,20 +235,25 @@ def project_to_simplex(v) -> np.ndarray:
     return v
 
 
-def sample_random_menu(rng: np.random.Generator, n_payoffs: int,
-                       payoff_low: float, payoff_high: float) -> Menu:
-    """Random menu: i.i.d. uniform payoffs, sum-normalized uniform probabilities."""
+def draw_menus(rng: np.random.Generator, n_menus: int, n_payoffs: int,
+               payoff_low: float, payoff_high: float) -> tuple[np.ndarray, np.ndarray]:
+    """Payoff and probability stacks (n_menus, 2, J) of random menus: i.i.d.
+    uniform payoffs, then sum-normalized uniform probabilities, per lottery."""
     if payoff_low >= payoff_high:
         raise ValueError("payoff_low must be strictly below payoff_high")
     if n_payoffs < 1:
         raise ValueError("need at least one payoff")
+    U = rng.uniform([[payoff_low], [0.0]], [[payoff_high], [1.0]],
+                    size=(n_menus, 2, 2, n_payoffs))
+    P = U[:, :, 1] / U[:, :, 1].sum(axis=-1, keepdims=True)
+    return np.ascontiguousarray(U[:, :, 0]), P
 
-    def lottery():
-        z = rng.uniform(payoff_low, payoff_high, size=n_payoffs)
-        p = rng.uniform(0.0, 1.0, size=n_payoffs)
-        return Lottery(z, p / p.sum())
 
-    return Menu(lottery(), lottery())
+def sample_random_menu(rng: np.random.Generator, n_payoffs: int,
+                       payoff_low: float, payoff_high: float) -> Menu:
+    """One menu of ``draw_menus``."""
+    (Z,), (P,) = draw_menus(rng, 1, n_payoffs, payoff_low, payoff_high)
+    return Menu(Lottery(Z[0], P[0]), Lottery(Z[1], P[1]))
 
 
 class FosdOrder(enum.Enum):

@@ -30,7 +30,6 @@ import numpy as np
 
 from .adversarial import index_block, lockstep
 from .basis import ISplineBasis, basis_from_config
-from .lotteries import ExampleCollection
 from .theory import _fit_logits
 
 DEFAULT_BASIS = ISplineBasis().config_dict()
@@ -234,11 +233,11 @@ def morph_step_direction(pred_grad: np.ndarray, probs: np.ndarray, history,
     return directions[0], int(ranks[0])
 
 
-def morph_lockstep(predictor, config: MorphConfig, menus, rngs,
-                   provenances) -> list[ExampleCollection]:
-    """Morphing runs advanced in ``lockstep``; run r draws from its own
-    generator ``rngs[r]`` and stops early once its direction vanishes.  Its
-    provenance adds to ``provenances[r]`` why it stopped (``stop``:
+def morph_lockstep(predictor, config: MorphConfig, Z, P, rngs, master_seed,
+                   indices) -> list[dict]:
+    """Morphing runs from the menus (Z, P), advanced in ``lockstep``; run r
+    draws from its own generator ``rngs[r]`` and stops early once its
+    direction vanishes.  Its record says why it stopped (``stop``:
     ``direction_vanished``, ``max_iters`` or ``nonfinite_gradient``) and the
     rank of the sampled span removed by its last projection
     (``retained_rank``, None when it stopped before its first).
@@ -248,7 +247,7 @@ def morph_lockstep(predictor, config: MorphConfig, menus, rngs,
     (R, max_iters + 1, K) array: the seed fit, then one fit per step, so at
     step s every running row holds s + 2 fits.
     """
-    R = len(menus)
+    R = len(Z)
     history = None
     stop, rank = ["max_iters"] * R, [None] * R
 
@@ -281,12 +280,13 @@ def morph_lockstep(predictor, config: MorphConfig, menus, rngs,
         go[moving] = True
         return delta, go
 
-    return lockstep(predictor, config, menus, morph,
-                    lambda r: {**provenances[r], "stop": stop[r],
-                               "retained_rank": rank[r]}, "morphing")
+    return lockstep(predictor, config, Z, P, morph,
+                    lambda: {"stop": stop, "retained_rank": rank}, "morphing", master_seed,
+                    indices)
 
 
 def run_morph_indices(predictor, config: MorphConfig, master_seed: int, indices):
     """Morphing runs addressed by (master seed, run index), advanced as one
-    stack; their candidates in the order of ``indices``."""
-    return morph_lockstep(predictor, config, *index_block(config, master_seed, indices))
+    stack; their records in the order of ``indices``."""
+    Z, P, rngs = index_block(master_seed, indices, 1, config.n_payoffs, config.make_basis().domain)
+    return morph_lockstep(predictor, config, Z[:, 0], P[:, 0], rngs, master_seed, indices)

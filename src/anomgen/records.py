@@ -1,10 +1,13 @@
 """Persisted anomaly records: JSONL streams with a version header, CSV tables.
 
 Every record is self-contained: menus plus predicted probabilities are enough
-to re-run verification and reproduce the stored verdicts bit-for-bit.  A
-block of records is read as arrays, one stack per shape (``stack_records``),
-and ``record_to_collection`` reads one record the same way.  Writes stream their lines to a temp file and rename it into place, so interrupted
-batch runs never leave half-written outputs.
+to re-run verification and reproduce the stored verdicts bit-for-bit.  The
+record format lives here only.  Generation writes a block's records from its
+(R, m, 2, J) payoff and probability stacks (``stack_to_records``), and a
+block of records is read back into such stacks, one per shape
+(``stack_records``); ``record_to_collection`` reads one record the same way.
+Writes stream their lines to a temp file and rename it into place, so
+interrupted batch runs never leave half-written outputs.
 """
 
 from __future__ import annotations
@@ -17,33 +20,28 @@ from itertools import chain
 
 import numpy as np
 
-from .lotteries import Example, ExampleCollection, Lottery, Menu, read_probs
+from .lotteries import Example, ExampleCollection, Lottery, Menu, implied_choices, read_probs
 
 FORMAT_VERSION = 1
 
 
-def candidate_to_record(collection: ExampleCollection, record_id: str | None = None) -> dict:
-    prov = dict(collection.provenance)
-    procedure = prov.get("procedure", "unknown")
-    run_index = prov.get("run_index", 0)
-    record = {
-        "id": record_id or f"{procedure}-{run_index:06d}",
-        "procedure": procedure,
-        "predictor": prov.get("predictor"),
-        "master_seed": prov.get("master_seed"),
-        "run_index": run_index,
-        "iterations": prov.get("iterations"),
-        "flags": prov.get("flags", []),
-        "menus": [m.to_json_dict() for m in collection.menus],
-        "predicted_probs": [float(e.choice_prob) for e in collection],
-        "implied_choices": [int(c) for c in collection.implied_choices],
-    }
-    # Morph runs also say why they stopped and the rank they retained, and
-    # adversarial runs how many of their inner fits ended on the ball or
-    # unconverged.
-    record.update({k: prov[k] for k in ("stop", "retained_rank", "inner_fits_on_bound",
-                                        "inner_fits_unconverged") if k in prov})
-    return record
+def stack_to_records(Z: np.ndarray, P: np.ndarray, q: np.ndarray, procedure: str,
+                     predictor, master_seed, indices, **columns) -> list[dict]:
+    """The records of runs ``indices``, the inverse of ``stack_records``:
+    run r's menus are ``Z[r]``, ``P[r]`` (R, m, 2, J) and its predictions
+    ``q[r]`` (R, m); ``predictor`` is a label.  Each of ``columns`` holds one
+    value per run; ``iterations`` defaults to None and ``flags`` to []."""
+    if not np.all((q >= 0.0) & (q <= 1.0)):
+        raise ValueError("choice probability outside [0, 1]")
+    columns = {"iterations": [None] * len(q), "flags": [[] for _ in q], **columns}
+    menus = [[{f"lottery{k}": {"payoffs": z, "probs": p} for k, (z, p) in enumerate(menu)}
+              for menu in run] for run in np.stack([Z, P], axis=-2).tolist()]
+    probs, choices = q.tolist(), implied_choices(q).tolist()
+    return [{"id": f"{procedure}-{i:06d}", "procedure": procedure, "predictor": predictor,
+             "master_seed": master_seed, "run_index": i, "menus": menus[r],
+             "predicted_probs": probs[r], "implied_choices": choices[r],
+             **{k: v[r] for k, v in columns.items()}}
+            for r, i in enumerate(indices)]
 
 
 @dataclass(frozen=True)
@@ -111,11 +109,9 @@ def stack_records(recs) -> list[RecordStack]:
 def record_to_collection(record: dict) -> ExampleCollection:
     """The collection of a record, read by ``stack_records``."""
     (stack,) = stack_records([record])
-    examples = tuple(Example(Menu(Lottery(z[0], p[0]), Lottery(z[1], p[1])), float(q))
-                     for z, p, q in zip(stack.Z[0], stack.P[0], stack.q[0]))
-    prov = {k: record.get(k) for k in
-            ("procedure", "predictor", "master_seed", "run_index", "iterations")}
-    return ExampleCollection(examples, prov)
+    return ExampleCollection(tuple(
+        Example(Menu(Lottery(z[0], p[0]), Lottery(z[1], p[1])), float(q))
+        for z, p, q in zip(stack.Z[0], stack.P[0], stack.q[0])))
 
 
 def atomic_write_lines(path, lines) -> None:
@@ -158,6 +154,15 @@ def read_jsonl(path, expected_kind: str | None = None):
     return header, [json.loads(ln) for ln in lines[1:]]
 
 
+def _csv_field(value) -> str:
+    """``value`` as a CSV field, quoted as RFC 4180 asks when it needs to be
+    (a label such as ``cpt(0.7,0.3)`` holds a comma)."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path, header_row, rows) -> None:
-    atomic_write_lines(path, chain([",".join(header_row)],
-                                   (",".join(str(v) for v in row) for row in rows)))
+    atomic_write_lines(path, (",".join(map(_csv_field, row))
+                              for row in chain([header_row], rows)))

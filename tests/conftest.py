@@ -1,5 +1,6 @@
 """Shared fixtures: the classic menus and small helpers used across tests."""
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -9,9 +10,9 @@ from anomgen import morphing
 from anomgen.analysis import PATTERNS, PatternFrequencies
 from anomgen.cpt import CptParams, logistic, simulate_choices
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu, make_lottery,
-                               probs_on_grid, sample_random_menu)
+                               probs_on_grid, run_rng, sample_random_menu)
 from anomgen.morphing import COV_JITTER, _tangent
-from anomgen.records import write_jsonl
+from anomgen.records import record_to_collection, write_jsonl
 from anomgen.theory import _clip_targets, _cross_entropy, _entropy, design_matrix
 
 # Tolerance used when re-deriving quantities from tables rounded to whole
@@ -138,15 +139,81 @@ def flat_menu_fn(fn, n_payoffs):
 
 
 def search_iterates(search, predictor, config, master_seed, indices):
-    """(s, candidates) for s = 1, 2, ...: a run capped at s steps ends at its
+    """(s, records) for s = 1, 2, ...: a run capped at s steps ends at its
     iterate s, so its final menu is that iterate.  Ends after
     ``config.max_iters`` steps, or once every run stopped before step s."""
     for s in range(1, config.max_iters + 1):
-        candidates = list(search(predictor, replace(config, max_iters=s), master_seed,
-                                 indices))
-        yield s, candidates
-        if all(c.provenance["iterations"] < s for c in candidates):
+        recs = list(search(predictor, replace(config, max_iters=s), master_seed, indices))
+        yield s, recs
+        if all(rec["iterations"] < s for rec in recs):
             return
+
+
+def menu_json(menu) -> dict:
+    """A menu as records hold it."""
+    return {"lottery0": menu.lottery0.to_json_dict(), "lottery1": menu.lottery1.to_json_dict()}
+
+
+def record_menus(rec) -> list:
+    """The menus of a record, as ``Menu`` objects."""
+    return record_to_collection(rec).menus
+
+
+def record_bytes(rec) -> str:
+    """A record's JSONL line."""
+    return json.dumps(rec, sort_keys=True)
+
+
+# -- reference object path: a run's menus, predictions and record ---------------
+
+def reference_record(collection, record_id=None, provenance=None) -> dict:
+    """The record of a collection and its run's provenance, built from the
+    objects one field at a time."""
+    prov = provenance or {}
+    procedure = prov.get("procedure", "unknown")
+    run_index = prov.get("run_index", 0)
+    record = {
+        "id": record_id or f"{procedure}-{run_index:06d}",
+        "procedure": procedure,
+        "predictor": prov.get("predictor"),
+        "master_seed": prov.get("master_seed"),
+        "run_index": run_index,
+        "iterations": prov.get("iterations"),
+        "flags": prov.get("flags", []),
+        "menus": [menu_json(m) for m in collection.menus],
+        "predicted_probs": [float(e.choice_prob) for e in collection],
+        "implied_choices": [int(c) for c in collection.implied_choices],
+    }
+    record.update({k: prov[k] for k in ("stop", "retained_rank", "inner_fits_on_bound",
+                                        "inner_fits_unconverged") if k in prov})
+    return record
+
+
+def reference_generated_record(predictor, cfg, procedure, rec) -> dict:
+    """Generated record ``rec`` rebuilt through objects.  The run's menus are
+    drawn one by one by ``sample_random_menu`` from its generator, and each
+    probability comes from a one-row ``predict``.  A search run's final menu
+    is read from ``rec``, and so are its steps and stop fields."""
+    master_seed, run_index = rec["master_seed"], rec["run_index"]
+    rng = run_rng(master_seed, run_index)
+    if procedure == "baseline":
+        menus = [sample_random_menu(rng, cfg.n_payoffs, *cfg.theory_basis["domain"])
+                 for _ in range(2)]
+        searched = {}
+    else:
+        section = getattr(cfg, procedure)
+        menus = [sample_random_menu(rng, section.n_payoffs, *section.make_basis().domain),
+                 record_menus(rec)[1]]
+        searched = {k: rec[k] for k in ("iterations", "stop", "retained_rank",
+                                        "inner_fits_on_bound", "inner_fits_unconverged")
+                    if k in rec}
+        if rec["flags"]:
+            searched["flags"] = rec["flags"]
+    coll = ExampleCollection(tuple(Example(m, predictor.predict(m)) for m in menus))
+    return reference_record(coll, provenance={
+        "procedure": {"morph": "morphing"}.get(procedure, procedure),
+        "predictor": predictor.label, "master_seed": master_seed, "run_index": run_index,
+        **searched})
 
 
 def kernel_weights(p, params):
@@ -181,7 +248,7 @@ def write_anomalies(path, n):
             "id": f"x-{i:06d}", "procedure": "adversarial",
             "predictor": "t", "master_seed": 0, "run_index": i,
             "iterations": 0, "flags": [],
-            "menus": [m.to_json_dict() for m in menus],
+            "menus": [menu_json(m) for m in menus],
             "predicted_probs": [0.8, 0.2], "implied_choices": [1, 0],
             "any_utility_inconsistent": True,
             "category": {"tag": "other", "certificate": {}},

@@ -27,7 +27,7 @@ from anomgen.morphing import (MorphConfig, null_space_projection, run_morph_indi
                               _tangent)
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
                                menu_input_scaling, _backprop, _ce_loss)
-from anomgen.records import read_jsonl
+from anomgen.records import read_jsonl, record_to_collection
 from anomgen.theory import fit_theta
 from anomgen.verifier import (minimal_anomaly, verify_collection,
                               verify_increasing_utility, verify_parametrized)
@@ -57,9 +57,9 @@ def desk_scale_results():
     basis = basis_from_config({"kind": "polynomial", "order": 6,
                                "domain": [0.0, 10.0]})
     start = time.time()
-    records = [("adversarial", c) for c in
+    records = [("adversarial", record_to_collection(r)) for r in
                run_adversarial_indices(pred, GdaConfig(), DESK_SEED, range(DESK_RUNS))]
-    records += [("morphing", c) for c in
+    records += [("morphing", record_to_collection(r)) for r in
                 run_morph_indices(pred, MorphConfig(), DESK_SEED, range(DESK_RUNS))]
     generation_seconds = time.time() - start
     verified = []
@@ -230,10 +230,10 @@ def test_criterion_7_null_model_sanity():
         pred = CptPredictor(CptParams(1.0, 1.0))
         full = 0
         for r in run_adversarial_indices(pred, GdaConfig(), 301, range(200)):
-            full += not verify_collection(r).consistent
+            full += not verify_collection(record_to_collection(r)).consistent
         assert full == 0
         for r in run_morph_indices(pred, MorphConfig(), 302, range(200)):
-            full += not verify_collection(r).consistent
+            full += not verify_collection(record_to_collection(r)).consistent
         assert full == 0
 
 

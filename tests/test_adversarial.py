@@ -7,9 +7,10 @@ from anomgen.basis import PolynomialBasis
 from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor, logistic
 from anomgen.lotteries import LOTTERY_SIGN, Lottery, Menu, sample_random_menu, stack_menus
 from anomgen.morphing import MorphConfig, run_morph_indices
+from anomgen.records import record_to_collection
 from anomgen.theory import eu_difference_rows, fit_theta, stack_basis_values
-from conftest import (TheorySpec, central_difference, search_iterates, theory_loss,
-                      unchecked_menu)
+from conftest import (TheorySpec, central_difference, record_bytes, record_menus,
+                      search_iterates, theory_loss, unchecked_menu)
 
 BASIS = PolynomialBasis(order=6, domain=(0, 10))
 
@@ -26,6 +27,12 @@ class LogitEutPredictor:
         B = stack_basis_values(BASIS, Z)
         f = logistic(eu_difference_rows(P, B) @ self.theta)
         return f, (f * (1 - f))[:, None, None] * LOTTERY_SIGN * (B @ self.theta)
+
+
+def gda_menus(pred, config, menus, indices=None):
+    """``gda_run`` from menu objects; run r is run ``indices[r]``, by default r."""
+    return gda_run(pred, config, *stack_menus(menus), None,
+                   range(len(menus)) if indices is None else indices)
 
 
 def objective(pred, spec, menu):
@@ -132,8 +139,8 @@ class TestGdaRun:
         pred = CptPredictor(CptParams(0.726, 0.309))
         x0 = sample_random_menu(np.random.default_rng(5), 2, 0, 10)
         cfg = GdaConfig(step_size=1e-300, max_iters=3)
-        (result,) = gda_run(pred, cfg, [x0])
-        np.testing.assert_allclose(result.menus[1].flatten(),
+        (result,) = gda_menus(pred, cfg, [x0])
+        np.testing.assert_allclose(record_menus(result)[1].flatten(),
                                    x0.flatten(), atol=1e-12)
 
     def test_simplex_feasibility_along_trajectory(self):
@@ -141,8 +148,8 @@ class TestGdaRun:
         for s, results in search_iterates(run_adversarial_indices, pred, GdaConfig(), 6,
                                           range(10)):
             for result in results:
-                assert result.provenance["iterations"] == s
-                x = result.menus[1].flatten()
+                assert result["iterations"] == s
+                x = record_menus(result)[1].flatten()
                 assert abs(x[2:4].sum() - 1) < 1e-12
                 assert abs(x[6:8].sum() - 1) < 1e-12
                 assert np.all(x[2:4] >= 0) and np.all(x[6:8] >= 0)
@@ -151,7 +158,7 @@ class TestGdaRun:
     def test_payoffs_frozen_by_default(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         (result,) = run_adversarial_indices(pred, GdaConfig(), 7, [0])
-        x0, xS = (m.flatten() for m in result.menus)
+        x0, xS = (m.flatten() for m in record_menus(result))
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
 
@@ -161,11 +168,11 @@ class TestGdaRun:
         pred = CptPredictor(CptParams(0.726, 0.309))
         x0 = sample_random_menu(np.random.default_rng(8), 2, 0, 10)
         for s in range(1, 26):
-            r1, r2 = gda_run(pred, GdaConfig(max_iters=s), [x0, x0.swapped()])
-            assert r1.provenance["iterations"] == r2.provenance["iterations"] == s
+            r1, r2 = gda_menus(pred, GdaConfig(max_iters=s), [x0, x0.swapped()])
+            assert r1["iterations"] == r2["iterations"] == s
             # Flat order is (z0, p0, z1, p1): swapping labels swaps halves.
-            np.testing.assert_allclose(np.roll(r1.menus[1].flatten(), 4),
-                                       r2.menus[1].flatten(), atol=1e-9)
+            np.testing.assert_allclose(np.roll(record_menus(r1)[1].flatten(), 4),
+                                       record_menus(r2)[1].flatten(), atol=1e-9)
 
 
 class TestGenerateAdversarial:
@@ -174,15 +181,14 @@ class TestGenerateAdversarial:
         cfg = GdaConfig()
         for a, b in zip(run_adversarial_indices(pred, cfg, 11, range(5)),
                         run_adversarial_indices(pred, cfg, 11, range(5))):
-            np.testing.assert_array_equal(a.menus[1].flatten(), b.menus[1].flatten())
+            assert a == b
 
     def test_provenance_recorded(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         (result,) = run_adversarial_indices(pred, GdaConfig(), 12, [3])
-        prov = result.provenance
-        assert prov["procedure"] == "adversarial"
-        assert prov["master_seed"] == 12 and prov["run_index"] == 3
-        assert prov["iterations"] == 50
+        assert result["procedure"] == "adversarial" and result["id"] == "adversarial-000003"
+        assert result["master_seed"] == 12 and result["run_index"] == 3
+        assert result["iterations"] == 50
 
 
 class TestEstimatedPredictors:
@@ -201,18 +207,18 @@ class TestEstimatedPredictors:
                           config=MlpTrainConfig(epochs=60, seed=0))
         pred = MlpPredictor(model)
         (result,) = run_adversarial_indices(pred, GdaConfig(), 13, [0])
-        assert result.provenance["iterations"] == 50
+        assert result["iterations"] == 50
         (again,) = run_adversarial_indices(pred, GdaConfig(), 13, [0])
-        np.testing.assert_array_equal(result.menus[1].flatten(), again.menus[1].flatten())
+        assert again == result
         (morph,) = run_morph_indices(pred, MorphConfig(), 13, [0])
-        assert len(morph.menus) == 2
-        assert all(np.isfinite(e.choice_prob) for e in morph)
+        assert len(record_to_collection(morph)) == 2
+        assert all(np.isfinite(morph["predicted_probs"]))
 
     def test_cpt_fit_backed_generation(self):
         from anomgen.predictor import cpt_fit_predictor
         pred = cpt_fit_predictor(self._training_data())
         (result,) = run_adversarial_indices(pred, GdaConfig(), 14, [0])
-        assert result.provenance["iterations"] == 50
+        assert result["iterations"] == 50
 
 
 class RowNanPredictor(CptPredictor):
@@ -223,11 +229,6 @@ class RowNanPredictor(CptPredictor):
         f, df = super().grad_batch(Z, P)
         df[P[:, 0, 0] > 0.5] = np.nan
         return f, df
-
-
-def candidate_bytes(coll):
-    return (np.concatenate([m.flatten() for m in coll.menus]).tobytes(),
-            [e.choice_prob for e in coll], sorted(coll.provenance.items()))
 
 
 class TestLockstep:
@@ -241,51 +242,48 @@ class TestLockstep:
         cfg = GdaConfig(max_iters=20)
         rng = np.random.default_rng(40)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(9)]
-        together = gda_run(pred, cfg, menus)
-        for menu, result in zip(menus, together):
-            (alone,) = gda_run(pred, cfg, [menu])
-            assert candidate_bytes(alone) == candidate_bytes(result)
+        together = gda_menus(pred, cfg, menus)
+        for r, (menu, result) in enumerate(zip(menus, together)):
+            (alone,) = gda_menus(pred, cfg, [menu], [r])
+            assert record_bytes(alone) == record_bytes(result)
         cfg = MorphConfig(max_iters=20)
         together = list(run_morph_indices(pred, cfg, 40, range(9)))
         # Some runs' directions vanish while the others go on.
-        stops = [r.provenance["stop"] for r in together]
+        stops = [r["stop"] for r in together]
         assert "direction_vanished" in stops and "max_iters" in stops
         for i, result in enumerate(together):
             (alone,) = run_morph_indices(pred, cfg, 40, [i])
-            assert candidate_bytes(alone) == candidate_bytes(result)
+            assert record_bytes(alone) == record_bytes(result)
 
     def test_nonfinite_run_stops_and_others_go_on(self):
         pred = RowNanPredictor(CptParams(0.726, 0.309))
         cfg = GdaConfig(max_iters=5)
         rng = np.random.default_rng(41)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(12)]
-        results = gda_run(pred, cfg, menus)
-        stopped = [r for r in results if "flags" in r.provenance]
+        results = gda_menus(pred, cfg, menus)
+        stopped = [r for r in results if r["flags"]]
         assert stopped and len(stopped) < len(results)
-        for menu, result in zip(menus, results):
-            n = result.provenance["iterations"]
-            assert result.provenance.get("flags") == ([f"nonfinite_gradient@iter{n}"]
-                                                      if n < 5 else None)
-            assert candidate_bytes(gda_run(pred, cfg, [menu])[0]) == candidate_bytes(result)
+        for r, (menu, result) in enumerate(zip(menus, results)):
+            n = result["iterations"]
+            assert result["flags"] == ([f"nonfinite_gradient@iter{n}"] if n < 5 else [])
+            (alone,) = gda_menus(pred, cfg, [menu], [r])
+            assert record_bytes(alone) == record_bytes(result)
         cfg = MorphConfig(max_iters=5)
         results = list(run_morph_indices(pred, cfg, 41, range(12)))
-        stops = [r.provenance["stop"] for r in results]
+        stops = [r["stop"] for r in results]
         # Runs stop at step 0 on a non-finite gradient while others go on.
-        assert results[0].provenance["iterations"] == 0 and stops[0] == "nonfinite_gradient"
+        assert results[0]["iterations"] == 0 and stops[0] == "nonfinite_gradient"
         assert stops.count("nonfinite_gradient") < len(results)
         for i, result in enumerate(results):
-            n = result.provenance["iterations"]
-            assert result.provenance.get("flags") == ([f"nonfinite_gradient@iter{n}"]
-                                                      if stops[i] == "nonfinite_gradient"
-                                                      else None)
+            n = result["iterations"]
+            assert result["flags"] == ([f"nonfinite_gradient@iter{n}"]
+                                       if stops[i] == "nonfinite_gradient" else [])
             (alone,) = run_morph_indices(pred, cfg, 41, [i])
-            assert candidate_bytes(alone) == candidate_bytes(result)
+            assert record_bytes(alone) == record_bytes(result)
 
     def test_inner_fit_counts_recorded(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        results = run_adversarial_indices(pred, GdaConfig(max_iters=3), 23, range(40))
-        from anomgen.records import candidate_to_record
-        recs = [candidate_to_record(r) for r in results]
+        recs = run_adversarial_indices(pred, GdaConfig(max_iters=3), 23, range(40))
         on_bound = [r["inner_fits_on_bound"] for r in recs]
         unconverged = [r["inner_fits_unconverged"] for r in recs]
         assert all(type(v) is int and 0 <= v <= 3 for v in on_bound + unconverged)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import stat
@@ -17,14 +18,14 @@ from anomgen.cpt import CptParams, CptPredictor
 from anomgen.morphing import MorphConfig
 from anomgen.lotteries import (Example, ExampleCollection, Menu, make_lottery,
                                sample_random_menu)
-from anomgen.records import (candidate_to_record, read_jsonl, record_to_collection,
-                             write_jsonl)
+from anomgen.records import read_jsonl, record_to_collection, write_jsonl
 from anomgen.verifier import (MAX_DISTINCT_PAYOFFS, minimal_anomaly, verify_collection,
                               verify_parametrized)
 from anomgen.basis import basis_from_config
 from anomgen.categorize import categorize
 from anomgen.predictor import MlpModel, menu_input_scaling
-from conftest import write_anomalies
+from conftest import (menu_json, reference_generated_record, reference_record,
+                      write_anomalies)
 
 DATA = Path(__file__).parent / "data"
 
@@ -227,13 +228,38 @@ class TestPipelineCommands:
                 "--out", str(out)], capsys)
         assert out.read_bytes() == (DATA / "golden_report.csv").read_bytes()
 
+    def test_report_with_a_comma_in_a_predictor_label_reads_back_as_csv(self, tmp_path,
+                                                                         capsys):
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"predictor": {"delta": 0.7, "gamma": 0.3}}))
+        run_ok(["baseline", "--config", "cfg.json", "--inits", "40", "--out", "b.jsonl"],
+               capsys)
+        run_ok(["verify", "--config", "cfg.json", "--in", "b.jsonl", "--out", "v.jsonl"],
+               capsys)
+        run_ok(["categorize", "--in", "v.jsonl", "--out", "c.jsonl"], capsys)
+        run_ok(["report", "--in", "c.jsonl", "--out", "r.csv"], capsys)
+        with open("r.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["category", "cpt(0.7,0.3)"]
+        assert {len(row) for row in rows} == {2}
+        assert Path("r.csv").read_text().startswith('category,"cpt(0.7,0.3)"\n')
+
+    def test_csv_quotes_only_the_fields_that_need_it(self, tmp_path):
+        fields = ["plain", "cpt(0.7,0.3)", 'say "hi"', "two\nlines", 0.25, 3]
+        records.write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e", "f"], [fields])
+        text = (tmp_path / "t.csv").read_text()
+        assert text.startswith("a,b,c,d,e,f\nplain,")
+        assert text.endswith(",0.25,3\n")
+        with open(tmp_path / "t.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1] == [str(v) for v in fields]
+
     def test_verify_marks_allais_record(self, tmp_path, capsys, allais_menus):
         from anomgen.records import write_jsonl
         menu_a, menu_b = allais_menus
         rec = {
             "id": "allais-000000", "procedure": "manual", "predictor": "paper",
             "master_seed": 0, "run_index": 0, "iterations": 0, "flags": [],
-            "menus": [menu_a.to_json_dict(), menu_b.to_json_dict()],
+            "menus": [menu_json(menu_a), menu_json(menu_b)],
             "predicted_probs": [0.2, 0.8],
             "implied_choices": [0, 1],
         }
@@ -328,7 +354,7 @@ class TestPipelineCommands:
         Path("freqs.csv").write_text(
             "pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n")
         Path("menus.json").write_text(json.dumps(
-            [m.to_json_dict() for m in allais_menus]))
+            [menu_json(m) for m in allais_menus]))
         summary = run_ok(["epsilon", "--freqs", "freqs.csv",
                           "--menus", "menus.json"], capsys)
         assert summary["epsilon"] == pytest.approx(0.0528, abs=1e-3)
@@ -359,7 +385,7 @@ class TestPipelineCommands:
         assert not os.path.exists("c.jsonl")
 
     def test_record_with_a_missing_probability_is_rejected(self, allais_collection):
-        rec = candidate_to_record(allais_collection, "allais-000000")
+        rec = reference_record(allais_collection, "allais-000000")
         rec["predicted_probs"] = rec["predicted_probs"][:1]
         with pytest.raises(ValueError, match="allais-000000"):
             record_to_collection(rec)
@@ -367,7 +393,7 @@ class TestPipelineCommands:
     def test_verify_record_with_a_missing_probability_is_one_json_error_line(
             self, tmp_path, capsys, allais_collection):
         os.chdir(tmp_path)
-        rec = candidate_to_record(allais_collection, "allais-000000")
+        rec = reference_record(allais_collection, "allais-000000")
         rec["predicted_probs"] = rec["predicted_probs"][:1]
         write_jsonl("c.jsonl", [rec], kind="candidates")
         rc = run_command(["verify", "--in", "c.jsonl", "--out", "v.jsonl"])
@@ -430,9 +456,7 @@ def _random_candidate(seed, n_payoffs, kinds):
         menus.append(Menu(make_lottery(first.lottery0.payoffs, p0),
                           make_lottery(first.lottery1.payoffs, rng.dirichlet(ones))))
     oracle = CptPredictor(CptParams.preset("bruhin-b"))
-    examples = tuple(Example(m, oracle.predict(m)) for m in menus)
-    return ExampleCollection(examples, {"procedure": "random", "master_seed": seed,
-                                        "run_index": len(kinds)})
+    return ExampleCollection(tuple(Example(m, oracle.predict(m)) for m in menus))
 
 
 class TestRecordRoundTripProperty:
@@ -446,7 +470,7 @@ class TestRecordRoundTripProperty:
     @example(seed=40, n_payoffs=2, kinds=["shared", "sure"])
     @example(seed=52, n_payoffs=2, kinds=["sure"])
     def test_random_records_reverify_to_stored_verdicts(self, seed, n_payoffs, kinds):
-        # candidate_to_record -> write_jsonl -> read_jsonl -> `anomgen verify`,
+        # reference_record -> write_jsonl -> read_jsonl -> `anomgen verify`,
         # then every stored verdict is reproduced from the stored record alone.
         fresh_menus = 1 + kinds.count("fresh")
         assume(2 * n_payoffs * fresh_menus <= MAX_DISTINCT_PAYOFFS)
@@ -454,7 +478,7 @@ class TestRecordRoundTripProperty:
         basis = basis_from_config(parse_config({}).theory_basis)
         with tempfile.TemporaryDirectory() as tmp:
             cand, ver = os.path.join(tmp, "c.jsonl"), os.path.join(tmp, "v.jsonl")
-            write_jsonl(cand, [candidate_to_record(coll)], kind="candidates")
+            write_jsonl(cand, [reference_record(coll)], kind="candidates")
             _, (rec,) = read_jsonl(cand, expected_kind="candidates")
             for got, menu in zip(record_to_collection(rec).menus, coll.menus, strict=True):
                 np.testing.assert_array_equal(got.flatten(), menu.flatten())
@@ -480,12 +504,12 @@ def _mixed_candidates(capsys):
         run_ok([*argv, "--seed", "2", "--out", "part.jsonl"], capsys)
         yield from read_jsonl("part.jsonl")[1]
     menu = sample_random_menu(np.random.default_rng(0), 2, 0.0, 10.0)
-    yield candidate_to_record(ExampleCollection((Example(menu, 0.7),)), "single-000000")
+    yield reference_record(ExampleCollection((Example(menu, 0.7),)), "single-000000")
     flat = Menu(make_lottery([5.0, 5.0], [0.3, 0.7]), make_lottery([5.0, 5.0], [0.5, 0.5]))
-    yield candidate_to_record(ExampleCollection((Example(flat, 0.6),)), "flat-000000")
-    yield candidate_to_record(_random_candidate(23, 2, ["sure", "sure"]), "minimal-000023")
-    yield candidate_to_record(_random_candidate(40, 2, ["shared", "sure"]), "minimal-000040")
-    off = candidate_to_record(_random_candidate(7, 3, ["fresh"]), "off-000007")
+    yield reference_record(ExampleCollection((Example(flat, 0.6),)), "flat-000000")
+    yield reference_record(_random_candidate(23, 2, ["sure", "sure"]), "minimal-000023")
+    yield reference_record(_random_candidate(40, 2, ["shared", "sure"]), "minimal-000040")
+    off = reference_record(_random_candidate(7, 3, ["fresh"]), "off-000007")
     off["menus"][0]["lottery0"]["probs"] = [p * (1 + 1e-7)
                                             for p in off["menus"][0]["lottery0"]["probs"]]
     yield off
@@ -622,7 +646,7 @@ class TestRankTolBound:
         # Below the bound, 7 of these 12 runs reported rank 3 for J = 2.
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
-        ranks = [r.provenance["retained_rank"]
+        ranks = [r["retained_rank"]
                  for r in morphing.run_morph_indices(pred, cfg, 6, range(12))]
         assert all(r is not None and r <= 2 for r in ranks)
 
@@ -671,17 +695,19 @@ class TestStreaming:
 
     def test_run_failing_after_a_written_block_leaves_no_file(self, tmp_path, capsys,
                                                               monkeypatch):
-        from anomgen import analysis
         os.chdir(tmp_path)
         monkeypatch.setattr(cli, "_RUN_BLOCK", 2)
-        random_pair = analysis.random_pair
+        predict_batch = CptPredictor.predict_batch
+        blocks = []
 
-        def fail_at_five(predictor, master_seed, run_index, *args):
-            if run_index == 5:
+        def fail_at_five(self, Z, P):
+            # One call per block of 2 runs, 2 menus each: the third holds run 5.
+            blocks.append(len(Z))
+            if len(blocks) == 3:
                 raise ValueError("run 5 failed")
-            return random_pair(predictor, master_seed, run_index, *args)
+            return predict_batch(self, Z, P)
 
-        monkeypatch.setattr(analysis, "random_pair", fail_at_five)
+        monkeypatch.setattr(CptPredictor, "predict_batch", fail_at_five)
         assert run_command(["baseline", "--inits", "8", "--out", "b.jsonl"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "run 5 failed"
         assert os.listdir() == []
@@ -750,6 +776,53 @@ class TestStreaming:
         assert rc == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert os.listdir() == ["cfg.json"]
+
+
+class TestParser:
+    def test_two_commands_build_one_parser(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        cli.build_parser.cache_clear()
+        run_ok(["baseline", "--inits", "2", "--out", "b.jsonl"], capsys)
+        run_ok(["verify", "--in", "b.jsonl", "--out", "v.jsonl"], capsys)
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+class TestGenerationReference:
+    """Generated records equal the object path's (``conftest``): menus drawn
+    one by one, one-row predictions and the record built field by field.
+    Blocks and workers move no byte."""
+
+    @pytest.mark.parametrize("n_payoffs", [2, 3])
+    @pytest.mark.parametrize("kind", ["cpt", "mlp"])
+    @pytest.mark.parametrize("procedure", ["baseline", "adversarial", "morph"])
+    def test_records_match_the_object_path(self, procedure, kind, n_payoffs, tmp_path,
+                                           capsys, monkeypatch):
+        os.chdir(tmp_path)
+        raw = {"n_payoffs": n_payoffs, "adversarial": {"max_iters": 5},
+               "morph": {"max_iters": 5, "n_gradient_samples": 300}}
+        if kind == "mlp":
+            MlpModel.init_random([4 * n_payoffs, 8, 1], menu_input_scaling(n_payoffs),
+                                 seed=4).save("model.json")
+            raw["predictor"] = {"kind": "mlp", "model_path": "model.json"}
+        Path("cfg.json").write_text(json.dumps(raw))
+        outputs = {}
+        for block in (1, 7, 256):
+            monkeypatch.setattr(cli, "_RUN_BLOCK", block)
+            for workers in (1, 2):
+                out = f"g-{block}-{workers}.jsonl"
+                run_ok([procedure, "--config", "cfg.json", "--inits", "16", "--seed", "3",
+                        "--workers", str(workers), "--out", out], capsys)
+                outputs[block, workers] = Path(out).read_bytes()
+        assert len(set(outputs.values())) == 1
+        cfg = load_config("cfg.json")
+        predictor = build_predictor(cfg.predictor)
+        lines = Path("g-7-1.jsonl").read_text().splitlines()[1:]
+        assert len(lines) == 16
+        for line in lines:
+            rec = json.loads(line)
+            assert line == json.dumps(
+                reference_generated_record(predictor, cfg, procedure, rec), sort_keys=True)
 
 
 class TestLockstepBytes:

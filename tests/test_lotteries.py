@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomgen.lotteries import (FosdOrder, Lottery, Menu, check_probs, flat_stack,
-                               fosd_compare, lottery_stats, make_lottery,
+from anomgen.lotteries import (FosdOrder, Lottery, Menu, check_probs, draw_menus,
+                               flat_stack, fosd_compare, lottery_stats, make_lottery,
                                merge_payoff_grid, project_to_simplex,
                                run_rng, sample_random_menu, stack_menus)
+from conftest import menu_json
 
 
 class TestMakeLottery:
@@ -144,6 +145,21 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_random_menu(np.random.default_rng(0), 2, 5, 5)
 
+    @pytest.mark.parametrize("J", [1, 2, 3, 5, 9])
+    def test_one_draw_equals_a_draw_per_vector(self, J):
+        # One array draw of a run's menus reads the stream and gives the bits
+        # of drawing each payoff and probability vector by its own call.
+        for seed in range(50):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            Z, P = draw_menus(rng, 3, J, 0.5, 9.5)
+            for m in range(3):
+                for k in range(2):
+                    z = ref.uniform(0.5, 9.5, size=J)
+                    p = ref.uniform(0.0, 1.0, size=J)
+                    assert Z[m, k].tobytes() == z.tobytes()
+                    assert P[m, k].tobytes() == (p / p.sum()).tobytes()
+            assert rng.random() == ref.random()
+
 
 def _cdf_compare_oracle(a, b):
     """Direct CDF comparison on the merged grid."""
@@ -237,7 +253,7 @@ class TestMenu:
 
     def test_json_roundtrip_full_precision(self):
         m = sample_random_menu(np.random.default_rng(5), 2, 0, 10)
-        back = Menu.from_json_dict(m.to_json_dict())
+        back = Menu.from_json_dict(menu_json(m))
         np.testing.assert_array_equal(back.flatten(), m.flatten())
 
     def test_immutable(self):

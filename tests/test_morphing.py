@@ -11,9 +11,9 @@ from anomgen.lotteries import Lottery, Menu, sample_random_menu, stack_menus
 from anomgen.morphing import (COV_JITTER, MorphConfig, morph_step_direction,
                               morph_step_directions, null_space_projection,
                               run_morph_indices, _tangent)
-from anomgen.records import candidate_to_record
 from anomgen.theory import _fit_logits, eu_difference_rows, fit_theta, stack_basis_values
-from conftest import reference_step_direction, sample_theta_history, search_iterates
+from conftest import (record_menus, reference_step_direction, sample_theta_history,
+                      search_iterates)
 
 
 class TestSampleThetaHistory:
@@ -274,8 +274,8 @@ class TestMorphRun:
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
         (result,) = run_morph_indices(pred, cfg, 6, [0])
-        assert result.provenance["iterations"] == 0
-        m0, mS = result.menus
+        assert result["iterations"] == 0
+        m0, mS = record_menus(result)
         np.testing.assert_array_equal(m0.flatten(), mS.flatten())
 
     def test_simplex_feasibility_along_trajectory(self):
@@ -283,7 +283,7 @@ class TestMorphRun:
         for _, results in search_iterates(run_morph_indices, pred, MorphConfig(), 7,
                                           range(5)):
             for result in results:
-                x = result.menus[1].flatten()
+                x = record_menus(result)[1].flatten()
                 assert abs(x[2:4].sum() - 1) < 1e-12
                 assert abs(x[6:8].sum() - 1) < 1e-12
                 assert np.all(x[2:4] >= 0) and np.all(x[6:8] >= 0)
@@ -291,7 +291,7 @@ class TestMorphRun:
     def test_payoffs_frozen(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         (result,) = run_morph_indices(pred, MorphConfig(), 8, [1])
-        x0, xS = (m.flatten() for m in result.menus)
+        x0, xS = (m.flatten() for m in record_menus(result))
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
 
@@ -300,7 +300,7 @@ class TestMorphRun:
         cfg = MorphConfig()
         (a,) = run_morph_indices(pred, cfg, 10, [0])
         (b,) = run_morph_indices(pred, cfg, 10, [0])
-        np.testing.assert_array_equal(a.menus[1].flatten(), b.menus[1].flatten())
+        assert a == b
 
     def test_frozen_basis_rows_give_the_same_fits(self):
         # The morph search builds its design rows from the basis values at the
@@ -311,11 +311,11 @@ class TestMorphRun:
         basis = cfg.make_basis()
         iterates = [results[0] for _, results in
                     search_iterates(run_morph_indices, pred, cfg, 11, [3])]
-        assert iterates[-1].provenance["iterations"] >= 5
-        x0 = iterates[0].menus[0]
+        assert iterates[-1]["iterations"] >= 5
+        x0 = record_menus(iterates[0])[0]
         Z0, P0 = stack_menus([x0])
         B = stack_basis_values(basis, Z0)
-        for menu in [x0] + [c.menus[1] for c in iterates]:
+        for menu in [x0] + [record_menus(c)[1] for c in iterates]:
             examples = [(x0, pred.predict(x0)), (menu, pred.predict(menu))]
             rows = np.concatenate([eu_difference_rows(P0, B),
                                    eu_difference_rows(stack_menus([menu])[1], B)])
@@ -538,7 +538,7 @@ class TestStopRecord:
         (capped,) = run_morph_indices(pred, MorphConfig(max_iters=2), 11, [3])
         (nonfinite,) = run_morph_indices(NanGradPredictor(CptParams(0.726, 0.309)),
                                          MorphConfig(), 6, [0])
-        recs = [candidate_to_record(r) for r in (vanished, capped, nonfinite)]
+        recs = [vanished, capped, nonfinite]
         assert [r["stop"] for r in recs] == ["direction_vanished", "max_iters",
                                              "nonfinite_gradient"]
         # A full tangent span (rank 2 for J = 2) leaves no direction.
@@ -550,6 +550,5 @@ class TestStopRecord:
 
     def test_other_records_have_no_stop(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        (result,) = run_adversarial_indices(pred, GdaConfig(max_iters=2), 6, [0])
-        rec = candidate_to_record(result)
+        (rec,) = run_adversarial_indices(pred, GdaConfig(max_iters=2), 6, [0])
         assert "stop" not in rec and "retained_rank" not in rec
