@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from anomgen.cpt import PRESETS, CptParams, simulate_choices
-from anomgen.lotteries import sample_random_menu
+from anomgen.lotteries import draw_menus
 from anomgen.predictor import fit_cpt_params
 
 
@@ -27,8 +27,7 @@ def main():
         params = CptParams(delta, gamma)
         for n in sizes:
             rng = np.random.default_rng((args.seed, n, sum(map(ord, name))))
-            menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(n)]
-            ds = simulate_choices(rng, menus, params, kind="binary")
+            ds = simulate_choices(rng, *draw_menus(rng, n, 2, 0, 10), params, kind="binary")
             fit = fit_cpt_params(ds)
             print(f"{name:<10} {n:>7} {delta:>8.3f} {gamma:>8.3f} "
                   f"{fit.params.delta:>8.3f} {fit.params.gamma:>8.3f} "

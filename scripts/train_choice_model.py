@@ -16,7 +16,7 @@ from anomgen.basis import basis_from_config
 from anomgen.categorize import categorize
 from anomgen.cpt import CptParams, simulate_choices
 from anomgen.data import split_dataset
-from anomgen.lotteries import sample_random_menu
+from anomgen.lotteries import draw_menus
 from anomgen.morphing import MorphConfig, run_morph_indices
 from anomgen.predictor import MlpPredictor, MlpTrainConfig, evaluate, train_mlp
 from anomgen.records import record_to_collection
@@ -34,8 +34,8 @@ def main():
 
     params = CptParams.preset("bruhin-b")
     rng = np.random.default_rng(args.seed)
-    menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(args.n)]
-    ds = simulate_choices(rng, menus, params, kind="rate", count=1000)
+    ds = simulate_choices(rng, *draw_menus(rng, args.n, 2, 0, 10), params, kind="rate",
+                          count=1000)
     train, test = split_dataset(ds, 0.2, seed=args.seed)
 
     hidden = tuple(int(w) for w in args.hidden.split(","))

@@ -31,7 +31,7 @@ from .categorize import CATEGORY_TAGS, categorize
 from .config import ConfigError, PipelineConfig, build_predictor, load_config, parse_config
 from .cpt import simulate_choices
 from .data import load_dataset, save_dataset
-from .lotteries import Menu, implied_choices, run_rng, sample_random_menu
+from .lotteries import Menu, draw_menus, implied_choices, run_rng
 from .morphing import run_morph_indices
 from .predictor import (MlpPredictor, MlpTrainConfig, evaluate, fit_cpt_params,
                         train_mlp)
@@ -189,7 +189,7 @@ def cluster_rows(recs) -> list:
     features."""
     return [r for r in recs
             if r.get("any_utility_inconsistent") and r.get("features")
-            and r.get("category", {}).get("tag") != "fosd"]
+            and (r.get("category") or {}).get("tag") != "fosd"]
 
 
 def cmd_cluster(args) -> int:
@@ -224,7 +224,7 @@ def cmd_report(args) -> int:
         if not r.get("any_utility_inconsistent"):
             continue
         p = str(r.get("predictor"))
-        tag = r.get("category", {}).get("tag", "other")
+        tag = (r.get("category") or {}).get("tag", "other")
         counts[(tag, p)] += 1
         totals[p] += 1
     rows = [[tag] + [counts[(tag, p)] for p in predictors] for tag in CATEGORY_TAGS]
@@ -239,10 +239,11 @@ def cmd_report(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     params, _ = cfg.predictor.cpt_params()
+    if args.n < 1:
+        raise ValueError("empty dataset")
     rng = run_rng(cfg.seed, 0)
-    domain = cfg.theory_basis["domain"]
-    menus = [sample_random_menu(rng, cfg.n_payoffs, *domain) for _ in range(args.n)]
-    ds = simulate_choices(rng, menus, params, kind=args.kind, count=args.count,
+    Z, P = draw_menus(rng, args.n, cfg.n_payoffs, *cfg.theory_basis["domain"])
+    ds = simulate_choices(rng, Z, P, params, kind=args.kind, count=args.count,
                           scale=cfg.predictor.scale)
     save_dataset(ds, args.out)
     return _summary(command="simulate", rows=len(ds), kind=args.kind,

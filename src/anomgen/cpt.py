@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import ChoiceDataset
 from .lotteries import LOTTERY_SIGN, Menu, stack_menus
 
 # Calibrated (delta, gamma) presets used throughout the experiments.
@@ -126,26 +127,21 @@ class CptPredictor:
         return self.grad_batch(*stack_menus([menu]))[1][0].reshape(-1)
 
 
-def simulate_choices(rng: np.random.Generator, menus, params: CptParams,
-                     kind: str = "binary", count: int = 1, scale: float = 1.0):
-    """Simulate a choice dataset from the oracle.
+def simulate_choices(rng: np.random.Generator, Z: np.ndarray, P: np.ndarray,
+                     params: CptParams, kind: str = "binary", count: int = 1,
+                     scale: float = 1.0) -> ChoiceDataset:
+    """Simulate a choice dataset from the oracle on the menus of (n, 2, J)
+    payoff and probability stacks.
 
     ``binary`` draws one Bernoulli(f*(x)) outcome per menu; ``rate`` records
     the empirical mean of ``count`` draws.
     """
-    from .data import ChoiceDataset, ChoiceRow
-
     if kind not in ("binary", "rate"):
         raise ValueError("kind must be 'binary' or 'rate'")
     if kind == "rate" and count < 1:
         raise ValueError("rate mode needs count >= 1")
-    menus = list(menus)
-    if not menus:
-        return ChoiceDataset([])
-    V = lottery_values(*stack_menus(menus), params)
+    V = lottery_values(Z, P, params)
     f = logistic(scale * (V[:, 1] - V[:, 0]))
     # ``count`` draws per menu in rate mode, one in binary mode, menu by menu.
-    draws = rng.random((len(menus), count if kind == "rate" else 1))
-    y = (draws < f[:, None]).mean(axis=1)
-    return ChoiceDataset([ChoiceRow(menu=m, outcome=float(v), outcome_kind=kind)
-                          for m, v in zip(menus, y)])
+    draws = rng.random((len(f), count if kind == "rate" else 1))
+    return ChoiceDataset(Z, P, (draws < f[:, None]).mean(axis=1), kind)

@@ -1,4 +1,9 @@
-"""Choice datasets: validated rows, CSV ingestion, deterministic splits.
+"""Choice datasets: rows of choice data as arrays, CSV ingestion,
+deterministic splits.
+
+A row is a menu and the observed probability that lottery 1 is chosen from
+it.  A dataset holds its menus as a block of records is read: (n, 2, J)
+payoff and probability stacks, probabilities read by ``read_probs``.
 
 CSV schema (J = 2 shown; J = 3 appends _3 columns, and the loader reads J
 from the header):
@@ -9,61 +14,49 @@ with an optional trailing ``weight`` column.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lotteries import Menu, make_lottery
-
-
-@dataclass(frozen=True)
-class ChoiceRow:
-    menu: Menu
-    outcome: float
-    outcome_kind: str = "binary"
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.outcome_kind not in ("binary", "rate"):
-            raise ValueError(f"bad outcome_kind {self.outcome_kind!r}")
-        if not 0.0 <= self.outcome <= 1.0:
-            raise ValueError(f"outcome {self.outcome} outside [0, 1]")
-        if not self.weight > 0:
-            raise ValueError("weight must be positive")
+from .lotteries import flat_stack, read_probs
 
 
 class ChoiceDataset:
-    """Immutable list of rows with a homogeneous number of payoffs."""
+    """``Z``, ``P`` (n, 2, J), lottery 0 first, and ``outcomes``, ``kinds``,
+    ``weights`` (n,); one kind or weight is every row's.  The first row with
+    a payoff that is not finite, probabilities ``read_probs`` rejects, a kind
+    other than binary or rate, an outcome outside [0, 1] or a weight that is
+    not positive raises ValueError naming its index."""
 
-    def __init__(self, rows):
-        rows = tuple(rows)
-        if rows:
-            J = rows[0].menu.n_payoffs
-            for i, r in enumerate(rows):
-                if r.menu.n_payoffs != J:
-                    raise ValueError(f"row {i} has {r.menu.n_payoffs} payoffs, expected {J}")
-        self.rows = rows
+    def __init__(self, Z, P, outcomes, kinds="binary", weights=1.0):
+        self.Z = np.array(Z, dtype=float)
+        P = np.asarray(P, dtype=float)
+        if not (self.Z.ndim == 3 and self.Z.shape[1:2] == (2,) and P.shape == self.Z.shape):
+            raise ValueError(f"payoffs {self.Z.shape}, probabilities {P.shape}: not (n, 2, J)")
+        self.P, bad_probs = read_probs(P)
+        n = len(self.Z)
+        self.outcomes, self.kinds, self.weights = (
+            np.array(np.broadcast_to(np.asarray(v, dtype=t), (n,)))
+            for v, t in ((outcomes, float), (kinds, str), (weights, float)))
+        checks = (("payoff not finite", self.Z, ~np.isfinite(self.Z).all(axis=(1, 2))),
+                  ("probabilities not within 1e-6 of the simplex", P, bad_probs.any(axis=1)),
+                  ("kind not binary or rate", self.kinds,
+                   ~np.isin(self.kinds, ("binary", "rate"))),
+                  ("outcome outside [0, 1]", self.outcomes,
+                   ~((self.outcomes >= 0.0) & (self.outcomes <= 1.0))),
+                  ("weight not positive", self.weights, ~(self.weights > 0.0)))
+        bad = np.array([mask for _, _, mask in checks])
+        if bad.any():
+            i = bad.any(axis=0).argmax()
+            why, values, _ = checks[bad[:, i].argmax()]
+            raise ValueError(f"row {i}: {why}: {values[i].tolist()!r}")
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.outcomes)
 
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    @property
-    def n_payoffs(self) -> int:
-        if not self.rows:
-            raise ValueError("empty dataset")
-        return self.rows[0].menu.n_payoffs
-
-    def outcomes(self) -> np.ndarray:
-        return np.array([r.outcome for r in self.rows])
-
-    def weights(self) -> np.ndarray:
-        return np.array([r.weight for r in self.rows], dtype=float)
+    def take(self, rows) -> "ChoiceDataset":
+        """The dataset of ``rows`` (indices or a mask), in their order."""
+        return ChoiceDataset(self.Z[rows], self.P[rows], self.outcomes[rows],
+                             self.kinds[rows], self.weights[rows])
 
 
 def _schema_columns(n_payoffs: int) -> list:
@@ -73,54 +66,55 @@ def _schema_columns(n_payoffs: int) -> list:
     return cols + ["outcome", "outcome_kind"]
 
 
-def load_dataset(path) -> ChoiceDataset:
-    """Read and validate a CSV choice dataset; J is the number of its
-    ``z0_*`` columns, and the rest of J's schema must be there too.
+def _dataset(values, kinds, weights, n_payoffs: int) -> ChoiceDataset:
+    """The dataset of CSV rows parsed into (z0, p0, z1, p1, outcome) values."""
+    X = np.array(values, dtype=float).reshape(-1, 4 * n_payoffs + 1)
+    ZP = X[:, :-1].reshape(-1, 2, 2, n_payoffs)
+    return ChoiceDataset(ZP[:, :, 0], ZP[:, :, 1], X[:, -1], kinds, weights)
 
-    Lotteries are built by ``make_lottery``; its errors (probabilities off
-    the simplex by more than 1e-6, say) raise with the offending row index.
-    """
-    rows = []
+
+def load_dataset(path) -> ChoiceDataset:
+    """Read a CSV choice dataset; J is the number of its ``z0_*`` columns,
+    and the rest of J's schema must be there too.  A row short of a schema
+    column or with a value that is not a number raises ValueError with its
+    index, unless an earlier row is rejected; a missing weight is 1."""
+    values, kinds, weights = [], [], []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         # A header without a z0_* column misses at least the J = 1 columns.
         n_payoffs = max(sum(c.startswith("z0_") for c in header), 1)
         missing = [c for c in _schema_columns(n_payoffs) if c not in header]
         if missing:
             raise ValueError(f"missing columns: {missing}")
-        for i, rec in enumerate(reader):
+        cols = [header.index(c) for c in _schema_columns(n_payoffs)]
+        w = header.index("weight") if "weight" in header else len(header)
+        for i, fields in enumerate(f for f in reader if f):
             try:
-                z0, p0, z1, p1 = ([float(rec[f"{side}_{j}"]) for j in range(1, n_payoffs + 1)]
-                                  for side in ("z0", "p0", "z1", "p1"))
-                menu = Menu(make_lottery(z0, p0), make_lottery(z1, p1))
-                row = ChoiceRow(menu=menu,
-                                outcome=float(rec["outcome"]),
-                                outcome_kind=rec["outcome_kind"],
-                                weight=float(rec.get("weight", 1.0) or 1.0))
-            except (ValueError, KeyError) as exc:
+                if len(fields) <= max(cols):
+                    raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
+                values.append([float(fields[c]) for c in cols[:-1]])
+                kinds.append(fields[cols[-1]])
+                weights.append(float(fields[w] if w < len(fields) and fields[w] else 1.0))
+            except ValueError as exc:
+                _dataset(values[:i], kinds[:i], weights[:i], n_payoffs)
                 raise ValueError(f"row {i}: {exc}") from exc
-            rows.append(row)
-    return ChoiceDataset(rows)
+    return _dataset(values, kinds, weights, n_payoffs)
 
 
 def save_dataset(ds: ChoiceDataset, path) -> None:
     """Full-precision CSV writer; round-trips bit-exactly through load."""
-    J = ds.n_payoffs
-    cols = _schema_columns(J) + ["weight"]
+    X = np.concatenate([flat_stack(ds.Z, ds.P), ds.outcomes[:, None]], axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
-        for r in ds:
-            vals = (list(r.menu.lottery0.payoffs) + list(r.menu.lottery0.probs)
-                    + list(r.menu.lottery1.payoffs) + list(r.menu.lottery1.probs))
-            writer.writerow([repr(float(v)) for v in vals]
-                            + [repr(float(r.outcome)), r.outcome_kind,
-                               repr(float(r.weight))])
+        writer.writerow(_schema_columns(ds.Z.shape[-1]) + ["weight"])
+        writer.writerows([*map(repr, x), kind, repr(weight)] for x, kind, weight
+                         in zip(X.tolist(), ds.kinds.tolist(), ds.weights.tolist()))
 
 
 def split_dataset(ds: ChoiceDataset, holdout_fraction: float, seed: int):
-    """Disjoint, exhaustive, seed-deterministic (train, test) split."""
+    """Disjoint, exhaustive, seed-deterministic (train, test) split; each
+    part keeps the dataset's row order."""
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout fraction must be in (0, 1)")
     n = len(ds)
@@ -130,7 +124,6 @@ def split_dataset(ds: ChoiceDataset, holdout_fraction: float, seed: int):
     perm = rng.permutation(n)
     n_test = max(1, int(round(n * holdout_fraction)))
     n_test = min(n_test, n - 1)
-    test_idx = set(perm[:n_test].tolist())
-    train = ChoiceDataset([ds[i] for i in range(n) if i not in test_idx])
-    test = ChoiceDataset([ds[i] for i in range(n) if i in test_idx])
-    return train, test
+    held = np.zeros(n, dtype=bool)
+    held[perm[:n_test]] = True
+    return ds.take(~held), ds.take(held)

@@ -108,12 +108,16 @@ class MlpModel:
             return cls.from_json_dict(json.load(fh))
 
 
-def menu_input_scaling(n_payoffs: int, payoff_scale: float = 10.0) -> np.ndarray:
+# The width of the default payoff domain [0, 10]; MLP payoff inputs are divided by it.
+PAYOFF_SCALE = 10.0
+
+
+def menu_input_scaling(n_payoffs: int) -> np.ndarray:
     """Divide payoff coordinates by the sampling range so inputs lie in [0, 1]."""
     J = n_payoffs
     s = np.ones(4 * J)
-    s[:J] = 1.0 / payoff_scale
-    s[2 * J:3 * J] = 1.0 / payoff_scale
+    s[:J] = 1.0 / PAYOFF_SCALE
+    s[2 * J:3 * J] = 1.0 / PAYOFF_SCALE
     return s
 
 
@@ -148,8 +152,7 @@ class MlpTrainConfig:
 
 
 def train_mlp(train: ChoiceDataset, hidden=(32, 32),
-              config: MlpTrainConfig | None = None,
-              payoff_scale: float = 10.0) -> MlpModel:
+              config: MlpTrainConfig | None = None) -> MlpModel:
     """Mini-batch gradient descent on mean cross-entropy with soft labels.
 
     The full-set loss is monitored each epoch; an epoch that raises it is
@@ -159,12 +162,10 @@ def train_mlp(train: ChoiceDataset, hidden=(32, 32),
     if len(train) == 0:
         raise ValueError("empty training set")
     cfg = config or MlpTrainConfig()
-    J = train.n_payoffs
-    X_raw = np.array([r.menu.flatten() for r in train])
-    y = train.outcomes()
-    w = train.weights()
-    scaling = menu_input_scaling(J, payoff_scale)
-    X = X_raw * scaling
+    J = train.Z.shape[-1]
+    y, w = train.outcomes, train.weights
+    scaling = menu_input_scaling(J)
+    X = flat_stack(train.Z, train.P) * scaling
     widths = [4 * J, *hidden, 1]
     model = MlpModel.init_random(widths, scaling, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -257,9 +258,8 @@ def _cpt_objective(ds: ChoiceDataset, scale: float):
     """The weighting fit's ``damped_newton`` objective over x = log(delta,
     gamma): the row-weighted mean CE, then its gradient in x and the Fisher
     (Gauss-Newton) matrix of the logistic likelihood in x."""
-    Z, P = stack_menus([r.menu for r in ds])
-    yc = np.clip(ds.outcomes(), TARGET_CLIP, 1 - TARGET_CLIP)
-    w = ds.weights()
+    Z, P, w = ds.Z, ds.P, ds.weights
+    yc = np.clip(ds.outcomes, TARGET_CLIP, 1 - TARGET_CLIP)
     total = w.sum()
 
     def objective(x):
@@ -311,10 +311,9 @@ def evaluate(handle, ds: ChoiceDataset) -> dict:
     """Row-weighted mean squared error and cross-entropy of a handle."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    y = ds.outcomes()
-    preds = handle.predict_batch(*stack_menus([r.menu for r in ds]))
+    y, w = ds.outcomes, ds.weights
+    preds = handle.predict_batch(ds.Z, ds.P)
     yc = np.clip(y, TARGET_CLIP, 1 - TARGET_CLIP)
     pc = np.clip(preds, TARGET_CLIP, 1 - TARGET_CLIP)
-    w = ds.weights()
     ce = float(np.average(-yc * np.log(pc) - (1 - yc) * np.log(1 - pc), weights=w))
     return {"mse": float(np.average((preds - y) ** 2, weights=w)), "cross_entropy": ce}

@@ -142,16 +142,22 @@ def write_jsonl(path, records, kind: str) -> None:
 
 
 def read_jsonl(path, expected_kind: str | None = None):
+    """(header, records); a line that is not a JSON object raises ValueError."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
+        lines = fh.read().splitlines()
+    objs = [json.loads(ln) for ln in lines if ln.strip()]
+    if not objs:
         raise ValueError(f"{path}: empty stream")
-    header = json.loads(lines[0])
+    for i, obj in enumerate(objs):
+        if not isinstance(obj, dict):
+            n = [n for n, ln in enumerate(lines, 1) if ln.strip()][i]
+            raise ValueError(f"{path}: line {n} is not a JSON object")
+    header = objs.pop(0)
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")
     if expected_kind is not None and header.get("kind") != expected_kind:
         raise ValueError(f"{path}: kind {header.get('kind')!r}, expected {expected_kind!r}")
-    return header, [json.loads(ln) for ln in lines[1:]]
+    return header, objs
 
 
 def _csv_field(value) -> str:

@@ -10,7 +10,8 @@ from anomgen import morphing
 from anomgen.analysis import PATTERNS, PatternFrequencies
 from anomgen.cpt import CptParams, logistic, simulate_choices
 from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu, make_lottery,
-                               probs_on_grid, run_rng, sample_random_menu)
+                               probs_on_grid, run_rng, sample_random_menu,
+                               stack_menus)
 from anomgen.morphing import COV_JITTER, _tangent
 from anomgen.records import record_to_collection, write_jsonl
 from anomgen.theory import _clip_targets, _cross_entropy, _entropy, design_matrix
@@ -97,9 +98,9 @@ BRUHIN_B = CptParams(0.726, 0.309)
 
 def cpt_dataset(n, seed, kind="rate", count=500, params=BRUHIN_B):
     """n random two-payoff menus with choices simulated from a CPT chooser."""
-    menus = [sample_random_menu(np.random.default_rng((seed, i)), 2, 0, 10)
-             for i in range(n)]
-    return simulate_choices(np.random.default_rng((seed, n + 1)), menus, params,
+    Z, P = stack_menus([sample_random_menu(np.random.default_rng((seed, i)), 2, 0, 10)
+                        for i in range(n)])
+    return simulate_choices(np.random.default_rng((seed, n + 1)), Z, P, params,
                             kind=kind, count=count)
 
 

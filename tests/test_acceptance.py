@@ -20,7 +20,7 @@ from anomgen.basis import PolynomialBasis, basis_from_config
 from anomgen.categorize import categorize, decompose_shared_components
 from anomgen.cli import run_command
 from anomgen.cpt import CptParams, CptPredictor, simulate_choices
-from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu,
+from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu, draw_menus,
                                fosd_compare, make_lottery, merge_payoff_grid,
                                probs_on_grid, sample_random_menu)
 from anomgen.morphing import (MorphConfig, null_space_projection, run_morph_indices,
@@ -269,9 +269,8 @@ def test_criterion_9_estimation_recoveries():
                                      ("bruhin-b", (0.726, 0.309)),
                                      ("bruhin-c", (1.063, 0.451))):
             rng = np.random.default_rng((501, hashsum(name)))
-            menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(25_000)]
-            ds = simulate_choices(rng, menus, CptParams(delta, gamma),
-                                  kind="binary")
+            ds = simulate_choices(rng, *draw_menus(rng, 25_000, 2, 0, 10),
+                                  CptParams(delta, gamma), kind="binary")
             fit = fit_cpt_params(ds)
             assert fit.params.delta == pytest.approx(delta, abs=0.05), name
             assert fit.params.gamma == pytest.approx(gamma, abs=0.05), name

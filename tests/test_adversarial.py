@@ -198,7 +198,7 @@ class TestEstimatedPredictors:
         from anomgen.cpt import simulate_choices
         menus = [sample_random_menu(np.random.default_rng((77, i)), 2, 0, 10)
                  for i in range(n)]
-        return simulate_choices(np.random.default_rng(78), menus,
+        return simulate_choices(np.random.default_rng(78), *stack_menus(menus),
                                 CptParams(0.726, 0.309), kind="rate", count=200)
 
     def test_mlp_backed_generation(self):

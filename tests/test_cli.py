@@ -607,6 +607,90 @@ class TestClusterCommand:
         assert not os.path.exists("cl.csv")
 
 
+def error_line(capsys) -> dict:
+    """The one JSON error line of a failed command, which printed nothing
+    else."""
+    out, err = capsys.readouterr()
+    (line,) = err.strip().splitlines()
+    assert not out.strip()
+    return json.loads(line)
+
+
+class TestBadInputIsOneErrorLine:
+    """A bad dataset row or JSONL line exits 1 with one JSON error line and
+    leaves no output file."""
+
+    HEADER = "z0_1,z0_2,p0_1,p0_2,z1_1,z1_2,p1_1,p1_2,outcome,outcome_kind,weight\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-cpt", "--in", "short.csv", "--out", "out"],
+        ["train-mlp", "--in", "short.csv", "--epochs", "1", "--out", "out"],
+        ["adversarial", "--config", "fit.json", "--inits", "1", "--out", "out"],
+    ], ids=["fit-cpt", "train-mlp", "cpt_fit-config"])
+    def test_short_csv_row(self, argv, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("short.csv").write_text(self.HEADER + "1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate,1\n"
+                                     "1,2,0.5,0.5,3\n")
+        Path("fit.json").write_text(json.dumps(
+            {"predictor": {"kind": "cpt_fit", "dataset_path": "short.csv"}}))
+        assert run_command(argv) == 1
+        assert error_line(capsys) == {"command": argv[0],
+                                      "error": "row 1: 5 fields, the header has 11"}
+        assert not os.path.exists("out")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--n", "0", "--out", "out"], "empty dataset"),
+        (["fit-cpt", "--in", "empty.csv", "--out", "out"], "empty dataset"),
+        (["train-mlp", "--in", "empty.csv", "--out", "out"], "empty training set"),
+    ], ids=["simulate", "fit-cpt", "train-mlp"])
+    def test_empty_dataset(self, argv, message, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("empty.csv").write_text(self.HEADER)
+        assert run_command(argv) == 1
+        assert error_line(capsys) == {"command": argv[0], "error": message}
+        assert not os.path.exists("out")
+
+    @pytest.mark.parametrize("command, lines, bad", [
+        ("verify", ["[1]"], 1),
+        ("verify", ['{"kind": "candidates", "version": 1}', "", "1"], 3),
+        ("categorize", ['{"kind": "verified", "version": 1}', "1"], 2),
+        ("report", ['{"kind": "categorized", "version": 1}', "1"], 2),
+    ], ids=["verify-header", "verify-record", "categorize-record", "report-record"])
+    def test_jsonl_line_that_is_not_an_object(self, command, lines, bad, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("in.jsonl").write_text("\n".join(lines) + "\n")
+        assert run_command([command, "--in", "in.jsonl", "--out", "out"]) == 1
+        assert error_line(capsys) == {"command": command,
+                                      "error": f"in.jsonl: line {bad} is not a JSON object"}
+        assert not os.path.exists("out")
+
+    def test_read_jsonl_returns_a_list_of_objects(self, tmp_path):
+        write_jsonl(tmp_path / "r.jsonl", [{"id": "a"}, {"id": "b"}], kind="candidates")
+        assert read_jsonl(tmp_path / "r.jsonl") == (
+            {"kind": "candidates", "version": 1}, [{"id": "a"}, {"id": "b"}])
+
+    def test_a_null_category_is_a_missing_one(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        write_anomalies("cat.jsonl", 8)
+        _, recs = read_jsonl("cat.jsonl")
+        recs[0]["category"] = {"tag": "fosd", "certificate": {}}
+        for rec in recs[1:4]:
+            rec["category"] = None
+        write_jsonl("null.jsonl", recs, kind="categorized")
+        for rec in recs[1:4]:
+            del rec["category"]
+        write_jsonl("missing.jsonl", recs, kind="categorized")
+        for name in ("null", "missing"):
+            run_ok(["report", "--in", f"{name}.jsonl", "--out", f"{name}.csv"], capsys)
+            run_ok(["cluster", "--in", f"{name}.jsonl", "--k", "2", "--seed", "0",
+                    "--out", f"{name}-cl.csv"], capsys)
+        assert Path("null.csv").read_bytes() == Path("missing.csv").read_bytes()
+        assert "other,7\n" in Path("null.csv").read_text()
+        assert Path("null-cl.csv").read_bytes() == Path("missing-cl.csv").read_bytes()
+        assert [r["id"] for r in cli.cluster_rows(read_jsonl("null.jsonl")[1])] == \
+            [r["id"] for r in recs[1:]]
+
+
 class TestStageTiming:
     def test_summaries_carry_timing_and_records_do_not(self, tmp_path, capsys):
         os.chdir(tmp_path)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from anomgen.cpt import (CptParams, CptPredictor, logistic, lottery_values,
                          simulate_choices)
-from anomgen.lotteries import (Lottery, Menu, make_lottery, sample_random_menu,
-                               stack_menus)
+from anomgen.lotteries import (Lottery, Menu, draw_menus, make_lottery,
+                               sample_random_menu, stack_menus)
 from conftest import central_difference, flat_menu_fn, kernel_weights
 
 BRUHIN_B = CptParams(0.726, 0.309)
@@ -225,29 +225,47 @@ class TestChoiceProbGrad:
 class TestSimulateChoices:
     def test_bernoulli_mean_at_half(self):
         lot = make_lottery([3, 7], [0.5, 0.5])
-        menu = Menu(lot, lot)   # f* = 0.5 exactly
-        ds = simulate_choices(np.random.default_rng(0), [menu] * 100_000,
-                              BRUHIN_B, kind="binary")
-        assert 0.494 <= ds.outcomes().mean() <= 0.506
+        Z, P = stack_menus([Menu(lot, lot)])   # f* = 0.5 exactly
+        ds = simulate_choices(np.random.default_rng(0), Z.repeat(100_000, axis=0),
+                              P.repeat(100_000, axis=0), BRUHIN_B, kind="binary")
+        assert 0.494 <= ds.outcomes.mean() <= 0.506
 
     def test_seed_determinism(self):
-        menus = [sample_random_menu(np.random.default_rng(i), 2, 0, 10)
-                 for i in range(20)]
-        d1 = simulate_choices(np.random.default_rng(5), menus, BRUHIN_B)
-        d2 = simulate_choices(np.random.default_rng(5), menus, BRUHIN_B)
-        np.testing.assert_array_equal(d1.outcomes(), d2.outcomes())
+        Z, P = stack_menus([sample_random_menu(np.random.default_rng(i), 2, 0, 10)
+                            for i in range(20)])
+        d1 = simulate_choices(np.random.default_rng(5), Z, P, BRUHIN_B)
+        d2 = simulate_choices(np.random.default_rng(5), Z, P, BRUHIN_B)
+        np.testing.assert_array_equal(d1.outcomes, d2.outcomes)
 
     def test_rate_mode(self):
         m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
-        ds = simulate_choices(np.random.default_rng(1), [m], BRUHIN_B,
+        ds = simulate_choices(np.random.default_rng(1), *stack_menus([m]), BRUHIN_B,
                               kind="rate", count=5_000)
-        assert abs(ds.outcomes()[0] - ORACLE_B.predict(m)) < 0.03
+        assert abs(ds.outcomes[0] - ORACLE_B.predict(m)) < 0.03
 
     def test_rate_requires_count(self):
         m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
         with pytest.raises(ValueError):
-            simulate_choices(np.random.default_rng(1), [m], BRUHIN_B,
+            simulate_choices(np.random.default_rng(1), *stack_menus([m]), BRUHIN_B,
                              kind="rate", count=0)
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("kind", ["binary", "rate"])
+    def test_one_array_draw_is_the_menu_by_menu_draw(self, J, kind):
+        # ``simulate`` draws its menus in one ``draw_menus`` call; the menus,
+        # the outcomes and the stream after them are those of one
+        # ``sample_random_menu`` call per menu.
+        seed = (J, kind == "rate")
+        rng = np.random.default_rng(seed)
+        ds = simulate_choices(rng, *draw_menus(rng, 40, J, 0, 10), BRUHIN_B,
+                              kind=kind, count=9)
+        ref_rng = np.random.default_rng(seed)
+        menus = [sample_random_menu(ref_rng, J, 0, 10) for _ in range(40)]
+        ref = simulate_choices(ref_rng, *stack_menus(menus), BRUHIN_B, kind=kind, count=9)
+        for name in ("Z", "P", "outcomes", "kinds", "weights"):
+            np.testing.assert_array_equal(getattr(ds, name), getattr(ref, name))
+        assert rng.random() == ref_rng.random()
+        assert set(ds.kinds) == {kind}
 
 
 class TestPredictorHandle:

@@ -2,16 +2,26 @@ import numpy as np
 import pytest
 
 from anomgen.cpt import CptParams, simulate_choices
-from anomgen.data import (ChoiceDataset, ChoiceRow, load_dataset, save_dataset,
+from anomgen.data import (ChoiceDataset, _schema_columns, load_dataset, save_dataset,
                           split_dataset)
-from anomgen.lotteries import Menu, make_lottery, sample_random_menu
+from anomgen.lotteries import (SIMPLEX_TOL, draw_menus, flat_stack, read_probs,
+                               sample_random_menu, stack_menus)
 
 
-def small_csv(tmp_path, rows):
+HEADER = "z0_1,z0_2,p0_1,p0_2,z1_1,z1_2,p1_1,p1_2,outcome,outcome_kind"
+
+
+def small_csv(tmp_path, rows, header=HEADER):
     path = tmp_path / "ds.csv"
-    header = "z0_1,z0_2,p0_1,p0_2,z1_1,z1_2,p1_1,p1_2,outcome,outcome_kind"
     path.write_text("\n".join([header] + rows) + "\n")
     return path
+
+
+def stack_csv(tmp_path, Z, P):
+    """A CSV file of (n, 2, J) stacks, every value written in full."""
+    return small_csv(tmp_path, [",".join([*map(repr, x), "0.5", "rate"])
+                                for x in flat_stack(Z, P).tolist()],
+                     header=",".join(_schema_columns(Z.shape[-1])))
 
 
 class TestLoadDataset:
@@ -22,8 +32,10 @@ class TestLoadDataset:
         ])
         ds = load_dataset(path)
         assert len(ds) == 2
-        assert ds[0].outcome == 0.8 and ds[0].outcome_kind == "rate"
-        np.testing.assert_allclose(ds[1].menu.lottery0.probs, [0.1, 0.9])
+        assert ds.outcomes[0] == 0.8 and ds.kinds[0] == "rate"
+        np.testing.assert_allclose(ds.P[1, 0], [0.1, 0.9])
+        assert ds.Z.shape == ds.P.shape == (2, 2, 2)
+        np.testing.assert_array_equal(ds.weights, [1.0, 1.0])
 
     def test_off_simplex_row_names_index(self, tmp_path):
         path = small_csv(tmp_path, [
@@ -38,6 +50,43 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="row 0"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("row, named", [
+        ("1,inf,0.5,0.5,3,4,0.25,0.75,0.8,rate", "payoff not finite"),
+        ("1,2,0.5,0.5,3,4,0.25,0.75,0.8,frequency", "kind not binary or rate: 'frequency'"),
+        ("1,2,0.5,0.5,3,4,0.25,0.75,nan,rate", "outcome outside"),
+        ("1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate,0", "weight not positive"),
+        ("1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate,-1", "weight not positive"),
+        ("1,2,-0.5,1.5,3,4,0.25,0.75,0.8,rate", "simplex"),
+        ("1,x,0.5,0.5,3,4,0.25,0.75,0.8,rate", "could not convert"),
+        ("1,2,0.5,0.5,3", "5 fields"),
+        ("1,2,0.5,0.5,3,4,0.25,0.75,0.8", "9 fields"),
+    ], ids=["payoff", "kind", "outcome", "zero-weight", "negative-weight", "negative-prob",
+            "not-a-number", "short", "no-kind"])
+    def test_every_bad_row_is_named(self, tmp_path, row, named):
+        path = small_csv(tmp_path, ["1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate,1", row],
+                         header=HEADER + ",weight")
+        with pytest.raises(ValueError, match=f"^row 1: .*{named}"):
+            load_dataset(path)
+
+    def test_the_first_bad_row_is_named(self, tmp_path):
+        # Row 1 is off the simplex, row 2 is short: row 1 is named.
+        path = small_csv(tmp_path, ["1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate",
+                                    "1,2,0.5,0.4,3,4,0.25,0.75,0.8,rate",
+                                    "1,2,0.5"])
+        with pytest.raises(ValueError, match="^row 1: probabilities"):
+            load_dataset(path)
+
+    def test_missing_or_empty_weight_is_one(self, tmp_path):
+        path = small_csv(tmp_path, ["1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate,2.5",
+                                    "1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate,",
+                                    "1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate"],
+                         header=HEADER + ",weight")
+        np.testing.assert_array_equal(load_dataset(path).weights, [2.5, 1.0, 1.0])
+
+    def test_header_only_is_an_empty_dataset(self, tmp_path):
+        ds = load_dataset(small_csv(tmp_path, []))
+        assert len(ds) == 0 and ds.Z.shape == (0, 2, 2)
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("z0_1,z0_2\n1,2\n")
@@ -46,10 +95,10 @@ class TestLoadDataset:
 
     def test_payoff_count_read_from_header_and_its_columns_checked(self, tmp_path):
         rng = np.random.default_rng(2)
-        menus = [sample_random_menu(rng, 3, 0, 10) for _ in range(5)]
         path = tmp_path / "p3.csv"
-        save_dataset(simulate_choices(rng, menus, CptParams(0.726, 0.309)), path)
-        assert load_dataset(path).n_payoffs == 3
+        save_dataset(simulate_choices(rng, *draw_menus(rng, 5, 3, 0, 10),
+                                      CptParams(0.726, 0.309)), path)
+        assert load_dataset(path).Z.shape[-1] == 3
         lines = [line.split(",") for line in path.read_text().splitlines()]
         drop = lines[0].index("p1_3")
         path.write_text("".join(",".join(v for j, v in enumerate(line) if j != drop) + "\n"
@@ -59,41 +108,83 @@ class TestLoadDataset:
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(20)]
-        ds = simulate_choices(np.random.default_rng(1), menus,
+        Z, P = stack_menus([sample_random_menu(rng, 2, 0, 10) for _ in range(20)])
+        ds = simulate_choices(np.random.default_rng(1), Z, P,
                               CptParams(0.726, 0.309), kind="rate", count=64)
         path = tmp_path / "round.csv"
         save_dataset(ds, path)
         back = load_dataset(path)
-        for a, b in zip(ds, back):
-            np.testing.assert_array_equal(a.menu.flatten(), b.menu.flatten())
-            assert a.outcome == b.outcome
-            assert a.outcome_kind == b.outcome_kind
+        np.testing.assert_array_equal(flat_stack(ds.Z, ds.P), flat_stack(back.Z, back.P))
+        np.testing.assert_array_equal(ds.outcomes, back.outcomes)
+        np.testing.assert_array_equal(ds.kinds, back.kinds)
+        second = tmp_path / "again.csv"
+        save_dataset(back, second)
+        assert second.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("J", [2, 3])
+class TestCsvReadingRule:
+    """A CSV row's probabilities are read as a record's are: by
+    ``read_probs``."""
+
+    @staticmethod
+    def stacks(J, off):
+        """Two menus whose lottery-0 vectors sum to 1 + ``off``."""
+        Z, P = draw_menus(np.random.default_rng(J), 2, J, 0, 10)
+        P[:, 0, -1] += off
+        return Z, P
+
+    def test_within_simplex_tol_kept_bit_for_bit(self, J, tmp_path):
+        Z, P = self.stacks(J, 20 * np.finfo(float).eps)
+        assert np.all(np.abs(P.sum(axis=-1) - 1.0) <= SIMPLEX_TOL)
+        ds = load_dataset(stack_csv(tmp_path, Z, P))
+        np.testing.assert_array_equal(ds.P, P)
+        np.testing.assert_array_equal(ds.Z, Z)
+
+    def test_up_to_1e6_off_rescaled_as_read_probs_does(self, J, tmp_path):
+        Z, P = self.stacks(J, 9e-7)
+        ds = load_dataset(stack_csv(tmp_path, Z, P))
+        expected, bad = read_probs(P)
+        assert not bad.any()
+        np.testing.assert_array_equal(ds.P, expected)
+        assert not np.array_equal(ds.P[:, 0], P[:, 0])
+
+    def test_further_off_rejected_with_its_row(self, J, tmp_path):
+        Z, P = self.stacks(J, 0.0)
+        P[1, 1, 0] += 2e-6
+        path = stack_csv(tmp_path, Z, P)
+        with pytest.raises(ValueError, match="^row 1: probabilities not within 1e-6"):
+            load_dataset(path)
 
 
 class TestChoiceDataset:
-    def test_heterogeneous_arity_rejected(self):
-        row2 = ChoiceRow(Menu(make_lottery([1, 2], [0.5, 0.5]),
-                              make_lottery([3, 4], [0.5, 0.5])), 0.5)
-        row3 = ChoiceRow(Menu(make_lottery([1, 2, 3], [0.3, 0.3, 0.4]),
-                              make_lottery([3, 4, 5], [0.3, 0.3, 0.4])), 0.5)
-        with pytest.raises(ValueError):
-            ChoiceDataset([row2, row3])
-
     def test_outcome_validation(self):
-        menu = Menu(make_lottery([1, 2], [0.5, 0.5]),
-                    make_lottery([3, 4], [0.5, 0.5]))
+        Z, P = draw_menus(np.random.default_rng(0), 1, 2, 0, 10)
         with pytest.raises(ValueError):
-            ChoiceRow(menu, 1.5)
+            ChoiceDataset(Z, P, [1.5])
         with pytest.raises(ValueError):
-            ChoiceRow(menu, 0.5, outcome_kind="frequency")
+            ChoiceDataset(Z, P, [0.5], kinds="frequency")
+
+    def test_shapes_checked(self):
+        Z, P = draw_menus(np.random.default_rng(0), 3, 2, 0, 10)
+        with pytest.raises(ValueError, match=r"not \(n, 2, J\)"):
+            ChoiceDataset(Z, P[:, :, :1], [0.5] * 3)
+        with pytest.raises(ValueError):
+            ChoiceDataset(Z, P, [0.5] * 2)
+
+    def test_take_keeps_the_order_asked_for(self):
+        Z, P = draw_menus(np.random.default_rng(0), 5, 2, 0, 10)
+        ds = ChoiceDataset(Z, P, np.linspace(0, 1, 5), weights=np.arange(1.0, 6.0))
+        part = ds.take([3, 0, 3])
+        np.testing.assert_array_equal(part.Z, Z[[3, 0, 3]])
+        np.testing.assert_array_equal(part.weights, [4.0, 1.0, 4.0])
 
 
 class TestSplitDataset:
     def _dataset(self, n):
         rng = np.random.default_rng(2)
-        menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(n)]
-        return ChoiceDataset([ChoiceRow(m, 0.5) for m in menus])
+        Z, P = stack_menus([sample_random_menu(rng, 2, 0, 10) for _ in range(n)])
+        return ChoiceDataset(Z, P, np.full(n, 0.5))
 
     def test_proportions(self):
         train, test = split_dataset(self._dataset(9831), 1000 / 9831, seed=0)
@@ -107,12 +198,19 @@ class TestSplitDataset:
         ds = self._dataset(50)
         t1, h1 = split_dataset(ds, 0.3, seed=7)
         t2, h2 = split_dataset(ds, 0.3, seed=7)
-        first = {tuple(r.menu.flatten()) for r in t1}
-        second = {tuple(r.menu.flatten()) for r in t2}
-        held = {tuple(r.menu.flatten()) for r in h1}
+        first = {tuple(x) for x in flat_stack(t1.Z, t1.P)}
+        second = {tuple(x) for x in flat_stack(t2.Z, t2.P)}
+        held = {tuple(x) for x in flat_stack(h1.Z, h1.P)}
         assert first == second
         assert not (first & held)
         assert len(first) + len(held) == 50
+
+    def test_parts_keep_the_row_order(self):
+        ds = self._dataset(50)
+        ds = ChoiceDataset(ds.Z, ds.P, np.linspace(0, 1, 50))
+        train, test = split_dataset(ds, 0.3, seed=7)
+        for part in (train, test):
+            assert np.all(np.diff(part.outcomes) > 0)
 
     def test_too_small(self):
         with pytest.raises(ValueError):

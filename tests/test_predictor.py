@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from anomgen.cpt import CptParams, CptPredictor, simulate_choices
-from anomgen.data import ChoiceDataset, ChoiceRow, split_dataset
+from anomgen.data import ChoiceDataset, split_dataset
 from anomgen import theory
 from anomgen.adversarial import interior_menu
-from anomgen.lotteries import Lottery, Menu, make_lottery, sample_random_menu, stack_menus
+from anomgen.lotteries import Menu, flat_stack, make_lottery, sample_random_menu, stack_menus
 from anomgen.predictor import (MlpModel, MlpPredictor, MlpTrainConfig,
                                evaluate, fit_cpt_params, menu_input_scaling,
                                train_mlp, _backprop, _ce_loss, _cpt_objective)
@@ -58,10 +58,10 @@ class TestTrainMlp:
     def test_constant_target(self):
         rng = np.random.default_rng(3)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(400)]
-        ds = ChoiceDataset([ChoiceRow(m, 0.5, "rate") for m in menus])
+        ds = ChoiceDataset(*stack_menus(menus), np.full(400, 0.5), "rate")
         model = train_mlp(ds, hidden=(8,),
                           config=MlpTrainConfig(epochs=2000, step_size=2.0, seed=0))
-        preds = model.predict_batch(np.array([r.menu.flatten() for r in ds]))
+        preds = model.predict_batch(flat_stack(ds.Z, ds.P))
         assert np.all(np.abs(preds - 0.5) < 0.01)
 
     def test_cpt_rates_reach_low_heldout_mse(self):
@@ -74,8 +74,8 @@ class TestTrainMlp:
 
     def test_weight_gradients_match_finite_differences(self):
         ds = cpt_dataset(64, seed=5, kind="rate", count=200)
-        X = np.array([r.menu.flatten() for r in ds]) * menu_input_scaling(2)
-        y = ds.outcomes()
+        X = flat_stack(ds.Z, ds.P) * menu_input_scaling(2)
+        y = ds.outcomes
         w = np.ones(len(ds))
         model = MlpModel.init_random([8, 6, 1], menu_input_scaling(2), seed=2)
         gW, gb = _backprop(model, X, y, w)
@@ -111,7 +111,7 @@ class TestTrainMlp:
         model = train_mlp(train, hidden=(16, 16),
                           config=MlpTrainConfig(epochs=80, seed=0))
         mlp_mse = evaluate(MlpPredictor(model), test)["mse"]
-        best_const = float(np.mean((test.outcomes() - train.outcomes().mean()) ** 2))
+        best_const = float(np.mean((test.outcomes - train.outcomes.mean()) ** 2))
         assert mlp_mse <= best_const
 
     def test_huge_step_recovers_via_halving(self):
@@ -119,7 +119,7 @@ class TestTrainMlp:
         ds = cpt_dataset(128, seed=9, kind="rate", count=100)
         model = train_mlp(ds, hidden=(8,),
                           config=MlpTrainConfig(epochs=30, step_size=1e6, seed=0))
-        preds = model.predict_batch(np.array([r.menu.flatten() for r in ds]))
+        preds = model.predict_batch(flat_stack(ds.Z, ds.P))
         assert np.all(np.isfinite(preds))
 
     def test_divergence_aborts(self, monkeypatch):
@@ -221,7 +221,7 @@ class TestFitCptParams:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_cpt_params(ChoiceDataset([]))
+            fit_cpt_params(ChoiceDataset(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), []))
 
     @staticmethod
     def _gradient_at(ds, fit):
@@ -245,10 +245,8 @@ class TestFitCptParams:
         # With p = (.5, .5) in every lottery each weight is delta / (1 + delta)
         # or 1 / (1 + delta), whatever gamma is: the Fisher matrix is singular.
         rng = np.random.default_rng(18)
-        half = np.array([0.5, 0.5])
-        menus = [Menu(Lottery(rng.uniform(0, 10, 2), half),
-                      Lottery(rng.uniform(0, 10, 2), half)) for _ in range(2000)]
-        ds = simulate_choices(rng, menus, BRUHIN_B)
+        ds = simulate_choices(rng, rng.uniform(0, 10, (2000, 2, 2)), np.full((2000, 2, 2), 0.5),
+                              BRUHIN_B)
         H = _cpt_objective(ds, 1.0)(np.zeros(2))[1]()[1]
         assert np.linalg.matrix_rank(H) == 1
         fit = fit_cpt_params(ds)
@@ -273,11 +271,11 @@ class TestRowWeights:
 
     @staticmethod
     def _duplicated_and_weighted(row=7):
-        rows = list(cpt_dataset(400, seed=20, kind="rate", count=20))
-        r = rows[row]
-        doubled = ChoiceDataset(rows + [r])
-        rows[row] = ChoiceRow(r.menu, r.outcome, r.outcome_kind, weight=2.0)
-        return doubled, ChoiceDataset(rows)
+        ds = cpt_dataset(400, seed=20, kind="rate", count=20)
+        weights = np.ones(len(ds))
+        weights[row] = 2.0
+        return (ds.take(np.r_[np.arange(len(ds)), row]),
+                ChoiceDataset(ds.Z, ds.P, ds.outcomes, ds.kinds, weights))
 
     def test_weighting_fit(self):
         doubled, weighted = self._duplicated_and_weighted()
@@ -303,16 +301,14 @@ class TestEvaluate:
         class Oracle:
             def predict_batch(self, Z, P):
                 return oracle.predict_batch(Z, P)
-        exact = ChoiceDataset([ChoiceRow(r.menu, oracle.predict(r.menu), "rate")
-                               for r in ds])
+        exact = ChoiceDataset(ds.Z, ds.P, oracle.predict_batch(ds.Z, ds.P), "rate")
         assert evaluate(Oracle(), exact)["mse"] == pytest.approx(0.0, abs=1e-16)
 
     def test_constant_half_on_bernoulli(self):
         rng = np.random.default_rng(15)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(4000)]
-        lot = make_lottery([1, 2], [0.5, 0.5])
-        fair = ChoiceDataset([ChoiceRow(m, float(rng.random() < 0.5), "binary")
-                              for m in menus])
+        fair = ChoiceDataset(*stack_menus(menus), (rng.random(4000) < 0.5).astype(float),
+                             "binary")
         class Half:
             def predict_batch(self, Z, P):
                 return np.full(len(Z), 0.5)
