@@ -1,12 +1,11 @@
 """Anomaly generation for expected utility theory from predictive choice models."""
 
-from .lotteries import (Example, ExampleCollection, FosdOrder, Lottery, Menu,
-                        fosd_compare, lottery_stats, make_lottery,
-                        project_to_simplex, sample_random_menu)
+from .lotteries import (Collection, FosdOrder, draw_menus, fosd_compare, lottery_stats,
+                        project_to_simplex)
 from .cpt import CptParams, CptPredictor, lottery_values
 from .basis import ISplineBasis, PolynomialBasis, basis_from_config
-from .theory import fit_theta
-from .verifier import (VerificationResult, minimal_anomaly,
+from .records import record_to_collection
+from .verifier import (VerificationResult, minimal_anomaly, verify_collection,
                        verify_increasing_utility, verify_parametrized)
 from .categorize import (AnomalyCategory, categorize, categorize_three_payoff,
                          categorize_two_payoff, check_certificate,

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversarial import index_block
-from .lotteries import ExampleCollection, lottery_stats
+from .lotteries import Collection, implied_choices, lottery_stats
 from .records import stack_to_records
-from .verifier import verify_increasing_utility
+from .verifier import utility_verdicts
 
 PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -38,15 +38,13 @@ _STAT_LABELS = ("ev", "variance", "skew", "payoff_range", "min_payoff",
 FEATURE_NAMES = tuple(f"{menu}_{s}_diff" for menu in ("A", "B") for s in _STAT_LABELS)
 
 
-def anomaly_features(collection: ExampleCollection) -> np.ndarray:
+def anomaly_features(collection: Collection) -> np.ndarray:
     """18 signed differences (chosen minus alternative), menu A block then B."""
-    if len(collection) != 2:
+    if len(collection.q) != 2:
         raise ValueError("feature vector is defined for two-menu anomalies")
-    blocks = []
-    for example in collection:
-        chosen, other = example.chosen_and_other
-        blocks.append(lottery_stats(chosen).as_array() - lottery_stats(other).as_array())
-    return np.concatenate(blocks)
+    return np.concatenate([lottery_stats(z[c], p[c]) - lottery_stats(z[1 - c], p[1 - c])
+                           for z, p, c in zip(collection.Z, collection.P,
+                                              implied_choices(collection.q))])
 
 
 def standardize(matrix: np.ndarray) -> np.ndarray:
@@ -166,13 +164,13 @@ class PatternFrequencies:
         return np.array(self.counts) / self.total
 
 
-def consistent_patterns(menus) -> list:
-    """Joint patterns rationalizable by some increasing utility."""
-    out = []
-    for pattern in PATTERNS:
-        if verify_increasing_utility(menus, list(pattern)).consistent:
-            out.append(pattern)
-    return out
+def consistent_patterns(Z, P) -> list:
+    """Joint patterns of two menus, Z and P (2, 2, J), that some increasing
+    utility rationalizes, judged as one stack."""
+    if len(Z) != 2:
+        raise ValueError("choice patterns are defined for two-menu collections")
+    verdicts = utility_verdicts(np.stack([Z] * 4), np.stack([P] * 4), np.array(PATTERNS))
+    return [pattern for pattern, v in zip(PATTERNS, verdicts) if v.consistent]
 
 
 def _pattern_matrix(eps: float, patterns) -> np.ndarray:
@@ -230,7 +228,8 @@ class EpsilonFit:
 
 def estimate_epsilon(freqs: PatternFrequencies, menus=None,
                      patterns=None) -> EpsilonFit:
-    """Error rate and mixture over consistent patterns by minimum distance.
+    """Error rate and mixture over consistent patterns by minimum distance;
+    ``menus`` is a (Z, P) pair of (2, 2, J) stacks.
 
     Respondents hold a consistent pattern and flip each choice independently
     with probability eps in [0, 0.5]; eps is fit on a 1e-3 grid with local
@@ -240,7 +239,7 @@ def estimate_epsilon(freqs: PatternFrequencies, menus=None,
     if patterns is None:
         if menus is None:
             raise ValueError("provide menus or precomputed consistent patterns")
-        patterns = consistent_patterns(menus)
+        patterns = consistent_patterns(*menus)
     if not patterns:
         raise ValueError("no consistent patterns to mix over")
     target = freqs.frequencies()

@@ -9,10 +9,11 @@ menu's chosen lottery is comp0.  Direct dominance violations are tagged
 first.  Three-payoff pairs are instead decomposed as compound lotteries over
 shared two-payoff components.
 
-Every category carries a machine-checkable certificate.  Each category's test
-is one function that the categorizer and ``check_certificate`` both run: the
-checker re-derives a certificate from the raw menus through the rule that
-made it, and compares.
+A collection is a record's arrays (``lotteries.Collection``), and a lottery
+a (payoffs, probs) pair of vectors.  Every category carries a
+machine-checkable certificate.  Each category's test is one function that
+the categorizer and ``check_certificate`` both run: the checker re-derives a
+certificate from the raw menus through the rule that made it, and compares.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lotteries import (ExampleCollection, FosdOrder, Lottery, fosd_compare,
-                        lottery_stats, merge_payoff_grid, probs_on_grid)
+from .lotteries import (Collection, FosdOrder, fosd_compare, implied_choices,
+                        on_merged_grid, read_probs)
 
 PAYOFF_STRICT = 1e-9
 DEFAULT_TOL = 1e-6      # raw optimizer output; paper tables need 0.02
@@ -42,20 +43,20 @@ class AnomalyCategory:
             raise ValueError(f"unknown category tag {self.tag!r}")
 
 
-def solve_degenerate_mix(base: Lottery, candidate: Lottery, anchor: float,
-                         tol: float = DEFAULT_TOL):
-    """alpha in [0, 1] with candidate = alpha * base + (1 - alpha) * delta(anchor).
+def _lottery(collection: Collection, i: int, l: int) -> tuple:
+    """The lottery ``l`` of menu ``i``, as its (payoffs, probs) vectors."""
+    return collection.Z[i, l], collection.P[i, l]
+
+
+def solve_degenerate_mix(base, candidate, anchor: float, tol: float = DEFAULT_TOL):
+    """alpha in [0, 1] with candidate = alpha * base + (1 - alpha) * delta(anchor),
+    for lotteries given as (payoffs, probs) vectors.
 
     Returns None when no alpha reproduces the candidate within tolerance.
     """
-    grid = merge_payoff_grid([base, candidate])
-    try:
-        pb = probs_on_grid(base, grid)
-        pc = probs_on_grid(candidate, grid)
-    except ValueError:
-        return None
+    grid, (pb, pc) = on_merged_grid([base, candidate])
     payoff_tol = max(tol, PAYOFF_STRICT)
-    if not np.any(np.abs(base.payoffs - anchor) <= payoff_tol):
+    if not np.any(np.abs(base[0] - anchor) <= payoff_tol):
         return None
     anchor_idx = int(np.argmin(np.abs(grid - anchor)))
     if abs(grid[anchor_idx] - anchor) > payoff_tol:
@@ -82,8 +83,8 @@ def solve_degenerate_mix(base: Lottery, candidate: Lottery, anchor: float,
     return alpha
 
 
-def _anchor(lottery: Lottery, side: str) -> float:
-    return float(lottery.payoffs.min() if side == "low" else lottery.payoffs.max())
+def _anchor(lottery, side: str) -> float:
+    return float(lottery[0].min() if side == "low" else lottery[0].max())
 
 
 # tag -> (anchor sides of ell0 and ell1, (i, k) when alpha_i >= alpha_k must hold)
@@ -94,8 +95,8 @@ _PATTERNS = {
 }
 
 
-def _pattern_certificate(tag: str, menus, choices, base_idx: int, tol: float):
-    """Certificate that ``menus[base_idx]`` and its compound menu show ``tag``.
+def _pattern_certificate(tag: str, collection: Collection, choices, base_idx: int, tol: float):
+    """Certificate that menu ``base_idx`` and its compound menu show ``tag``.
 
     The roles follow from the choices: the base menu's chosen lottery is ell1
     and the compound menu's chosen lottery is comp0.  Each compound lottery
@@ -106,13 +107,13 @@ def _pattern_certificate(tag: str, menus, choices, base_idx: int, tol: float):
     sides, order = _PATTERNS[tag]
     a1, c0 = int(choices[base_idx]), int(choices[1 - base_idx])
     roles = {"ell0": 1 - a1, "ell1": a1, "comp0": c0, "comp1": 1 - c0}
-    base, comp = menus[base_idx].lotteries, menus[1 - base_idx].lotteries
-    ells = (base[1 - a1], base[a1])
+    ells = [_lottery(collection, base_idx, l) for l in (1 - a1, a1)]
+    comps = [_lottery(collection, 1 - base_idx, l) for l in (c0, 1 - c0)]
     anchors = [_anchor(ell, side) for ell, side in zip(ells, sides)]
     if sides[0] == sides[1] and not anchors[0] < anchors[1] - PAYOFF_STRICT:
         return None
-    alphas = [solve_degenerate_mix(ell, comp[c], anchor, tol)
-              for ell, c, anchor in zip(ells, (c0, 1 - c0), anchors)]
+    alphas = [solve_degenerate_mix(ell, comp, anchor, tol)
+              for ell, comp, anchor in zip(ells, comps, anchors)]
     if None in alphas or (order and alphas[order[0]] < alphas[order[1]] - tol):
         return None
     cert = {"pattern": tag, "base_menu": base_idx, "roles": roles, "anchors": anchors,
@@ -122,31 +123,30 @@ def _pattern_certificate(tag: str, menus, choices, base_idx: int, tol: float):
     return cert
 
 
-def _dominated(example) -> bool:
-    """Whether the example's unchosen lottery first-order dominates its choice."""
-    chosen, other = example.chosen_and_other
-    return fosd_compare(other, chosen) is FosdOrder.A_DOMINATES
+def _dominated(collection: Collection, i: int, choice: int) -> bool:
+    """Whether menu ``i``'s unchosen lottery first-order dominates its choice."""
+    return fosd_compare(_lottery(collection, i, 1 - choice),
+                        _lottery(collection, i, choice)) is FosdOrder.A_DOMINATES
 
 
-def _fosd_certificate(collection: ExampleCollection) -> dict | None:
-    for idx, example in enumerate(collection):
-        if _dominated(example):
-            return {"menu_index": idx, "implied_choice": int(example.implied_choice)}
+def _fosd_certificate(collection: Collection, choices) -> dict | None:
+    for idx, choice in enumerate(choices):
+        if _dominated(collection, idx, choice):
+            return {"menu_index": idx, "implied_choice": int(choice)}
     return None
 
 
-def categorize_two_payoff(collection: ExampleCollection,
-                          tol: float = DEFAULT_TOL) -> AnomalyCategory:
+def categorize_two_payoff(collection: Collection, tol: float = DEFAULT_TOL) -> AnomalyCategory:
     """Category of a verified two-menu anomaly over two-payoff lotteries."""
-    if len(collection) != 2:
+    if len(collection.q) != 2:
         raise ValueError("expected a two-menu collection")
-    fosd_cert = _fosd_certificate(collection)
+    choices = implied_choices(collection.q)
+    fosd_cert = _fosd_certificate(collection, choices)
     if fosd_cert is not None:
         return AnomalyCategory("fosd", fosd_cert)
     for tag in _PATTERNS:
         for base_idx in (0, 1):
-            cert = _pattern_certificate(tag, collection.menus, collection.implied_choices,
-                                        base_idx, tol)
+            cert = _pattern_certificate(tag, collection, choices, base_idx, tol)
             if cert is not None:
                 return AnomalyCategory(tag, cert)
     return AnomalyCategory("other", {})
@@ -157,24 +157,23 @@ def _subsets(indices):
         yield from itertools.combinations(indices, size)
 
 
-def decompose_shared_components(lot_a: Lottery, lot_b: Lottery,
-                                tol: float = DEFAULT_TOL):
-    """Write both lotteries as mixtures of the same two components.
+def decompose_shared_components(lot_a, lot_b, tol: float = DEFAULT_TOL):
+    """Write both lotteries, (payoffs, probs) pairs, as mixtures of the same
+    two components.
 
     Solves lot = alpha * comp1 + (1 - alpha) * comp2 where each component is
     supported on at most two of the merged payoffs.  Geometrically: the line
     through the two probability vectors must cross both component faces of the
     simplex.  Returns the first feasible split in canonical order, with comp1
-    normalized to the higher-expected-value component.
+    normalized to the higher-expected-value component; a component is a
+    (payoffs, probs) pair too.
     """
-    grid = merge_payoff_grid([lot_a, lot_b])
+    grid, (pa, pb) = on_merged_grid([lot_a, lot_b])
     k = grid.size
     if k > 3:
         raise ValueError("shared-component decomposition expects <= 3 payoffs")
-    pa = probs_on_grid(lot_a, grid)
-    pb = probs_on_grid(lot_b, grid)
     if k == 1:
-        comp = Lottery(grid, np.ones(1))
+        comp = (grid, np.ones(1))
         return {"comp1": comp, "comp2": comp, "alpha_a": 1.0, "alpha_b": 1.0}
 
     d = pb - pa
@@ -182,14 +181,14 @@ def decompose_shared_components(lot_a: Lottery, lot_b: Lottery,
         # Identical lotteries: split off the first support payoff.
         i = int(np.argmax(pa > tol))
         alpha = float(pa[i])
-        comp1 = Lottery(grid[[i]], np.ones(1))
+        comp1 = (grid[[i]], np.ones(1))
         rest = pa.copy()
         rest[i] = 0.0
         if rest.sum() <= tol:
             comp2 = comp1
         else:
             keep = rest > tol
-            comp2 = Lottery(grid[keep], rest[keep] / rest[keep].sum())
+            comp2 = (grid[keep], rest[keep] / rest[keep].sum())
         return _orient(comp1, comp2, alpha, alpha)
 
     def face_param(vanish):
@@ -224,26 +223,24 @@ def decompose_shared_components(lot_a: Lottery, lot_b: Lottery,
                 continue
             q1 = np.clip(pa + t1 * d, 0.0, None)
             q2 = np.clip(pa + t2 * d, 0.0, None)
-            comp1 = Lottery(grid, q1 / q1.sum())
-            comp2 = Lottery(grid, q2 / q2.sum())
-            return _orient(comp1, comp2, float(np.clip(alpha_a, 0, 1)),
-                           float(np.clip(alpha_b, 0, 1)))
+            return _orient((grid, q1 / q1.sum()), (grid, q2 / q2.sum()),
+                           float(np.clip(alpha_a, 0, 1)), float(np.clip(alpha_b, 0, 1)))
     return None
 
 
-def _orient(comp1: Lottery, comp2: Lottery, alpha_a: float, alpha_b: float) -> dict:
+def _orient(comp1, comp2, alpha_a: float, alpha_b: float) -> dict:
     """Normalize labeling: comp1 is the higher-expected-value component."""
-    if lottery_stats(comp2).expected_value > lottery_stats(comp1).expected_value:
+    if comp2[1] @ comp2[0] > comp1[1] @ comp1[0]:
         comp1, comp2 = comp2, comp1
         alpha_a, alpha_b = 1.0 - alpha_a, 1.0 - alpha_b
     return {"comp1": comp1, "comp2": comp2, "alpha_a": alpha_a, "alpha_b": alpha_b}
 
 
-def _family_decomposition(menus, j: int, tol: float):
+def _family_decomposition(collection: Collection, j: int, tol: float):
     """Shared components of both menus' lottery j, or None when there are none."""
-    lot_a, lot_b = (menu.lotteries[j] for menu in menus)
     try:
-        return decompose_shared_components(lot_a, lot_b, tol)
+        return decompose_shared_components(_lottery(collection, 0, j),
+                                           _lottery(collection, 1, j), tol)
     except ValueError:
         return None
 
@@ -264,23 +261,32 @@ def _reverses(dec: dict, choices, j: int, tol: float) -> bool:
     return bool((moved_to_j and delta_alpha < -tol) or (not moved_to_j and delta_alpha > tol))
 
 
-def _same_lottery(stored: dict, lottery: Lottery, tol: float) -> bool:
-    """Whether a stored lottery puts the same mass, within tol, on each payoff."""
-    stored = Lottery.from_json_dict(stored)
-    grid = merge_payoff_grid([stored, lottery])
-    return bool(np.abs(probs_on_grid(stored, grid) - probs_on_grid(lottery, grid)).max() <= tol)
+def _same_lottery(stored: dict, lottery, tol: float) -> bool:
+    """Whether a stored certificate component puts the same mass, within
+    tol, on each payoff as ``lottery``.  The component comes from outside
+    the program, so it is read as a record's lottery is: finite payoffs, and
+    probabilities by ``read_probs``, which rejects a vector off the simplex."""
+    z = np.asarray(stored["payoffs"], dtype=float)
+    p, bad = read_probs(stored["probs"])
+    if z.ndim != 1 or z.shape != p.shape or not z.size or bad or not np.isfinite(z).all():
+        raise ValueError(f"certificate component {stored} is not a lottery")
+    _, (ps, pl) = on_merged_grid([(z, p), lottery])
+    return bool(np.abs(ps - pl).max() <= tol)
 
 
-def categorize_three_payoff(collection: ExampleCollection,
-                            tol: float = DEFAULT_TOL) -> AnomalyCategory:
+def _lottery_json(lottery) -> dict:
+    return {"payoffs": lottery[0].tolist(), "probs": lottery[1].tolist()}
+
+
+def categorize_three_payoff(collection: Collection, tol: float = DEFAULT_TOL) -> AnomalyCategory:
     """Category of a verified two-menu anomaly over three-payoff lotteries."""
-    if len(collection) != 2:
+    if len(collection.q) != 2:
         raise ValueError("expected a two-menu collection")
-    fosd_cert = _fosd_certificate(collection)
+    choices = [int(c) for c in implied_choices(collection.q)]
+    fosd_cert = _fosd_certificate(collection, choices)
     if fosd_cert is not None:
         return AnomalyCategory("fosd", fosd_cert)
-    choices = [int(c) for c in collection.implied_choices]
-    decs = [_family_decomposition(collection.menus, j, tol) for j in (0, 1)]
+    decs = [_family_decomposition(collection, j, tol) for j in (0, 1)]
     if None in decs:
         return AnomalyCategory("other", {})
     for j, dec in enumerate(decs):
@@ -289,31 +295,32 @@ def categorize_three_payoff(collection: ExampleCollection,
                 "family": j,
                 "alpha_a": {i: decs[i]["alpha_a"] for i in (0, 1)},
                 "alpha_b": {i: decs[i]["alpha_b"] for i in (0, 1)},
-                "comp1": dec["comp1"].to_json_dict(),
-                "comp2": dec["comp2"].to_json_dict(),
+                "comp1": _lottery_json(dec["comp1"]),
+                "comp2": _lottery_json(dec["comp2"]),
                 "choices": choices,
                 "tol": tol,
             })
     return AnomalyCategory("other", {})
 
 
-def check_certificate(category: AnomalyCategory, collection: ExampleCollection) -> bool:
+def check_certificate(category: AnomalyCategory, collection: Collection) -> bool:
     """Re-derive a certificate through the rule that made it, from the raw menus."""
     tag, cert = category.tag, category.certificate
     if tag == "other":
         return True
     if not cert:
         raise ValueError("missing certificate")
-    choices = collection.implied_choices
+    choices = implied_choices(collection.q)
     if tag == "fosd":
-        example = collection.examples[cert["menu_index"]]
-        return _dominated(example) and example.implied_choice == cert["implied_choice"]
+        i = cert["menu_index"]
+        choice = int(choices[i])
+        return _dominated(collection, i, choice) and choice == cert["implied_choice"]
     tol = cert.get("tol", DEFAULT_TOL)
     if tag == "shared_component_reversal":
         # Both families' weights and family j's components must match the
         # recomputed decompositions; JSONL gives the weight keys back as strings.
         j = cert["family"]
-        decs = [_family_decomposition(collection.menus, i, tol) for i in (0, 1)]
+        decs = [_family_decomposition(collection, i, tol) for i in (0, 1)]
         if j not in (0, 1) or None in decs or list(choices) != cert["choices"]:
             return False
         alphas = [({int(k): a for k, a in cert[key].items()}[i], decs[i][key])
@@ -323,7 +330,7 @@ def check_certificate(category: AnomalyCategory, collection: ExampleCollection) 
                 and _reverses(decs[j], choices, j, tol))
     # A pattern: its rule must give the stored roles, alphas within tol, and a
     # common ratio wherever the certificate claims one.
-    got = _pattern_certificate(tag, collection.menus, choices, cert["base_menu"], tol)
+    got = _pattern_certificate(tag, collection, choices, cert["base_menu"], tol)
     return bool(got is not None
                 and all(cert["roles"][k] == v for k, v in got["roles"].items())
                 and not (abs(got["alpha0"] - cert["alpha0"]) > tol
@@ -331,11 +338,11 @@ def check_certificate(category: AnomalyCategory, collection: ExampleCollection) 
                 and (not cert.get("common_ratio") or got.get("common_ratio")))
 
 
-def categorize(collection: ExampleCollection, tol: float = DEFAULT_TOL) -> AnomalyCategory:
+def categorize(collection: Collection, tol: float = DEFAULT_TOL) -> AnomalyCategory:
     """Dispatch on the number of menus and their payoff arity."""
-    if len(collection) == 1:
-        cert = _fosd_certificate(collection)
+    if len(collection.q) == 1:
+        cert = _fosd_certificate(collection, implied_choices(collection.q))
         return AnomalyCategory("fosd", cert) if cert else AnomalyCategory("other", {})
-    if collection.menus[0].n_payoffs <= 2:
+    if collection.Z.shape[-1] <= 2:
         return categorize_two_payoff(collection, tol)
     return categorize_three_payoff(collection, tol)

@@ -31,7 +31,7 @@ from .categorize import CATEGORY_TAGS, categorize
 from .config import ConfigError, PipelineConfig, build_predictor, load_config, parse_config
 from .cpt import simulate_choices
 from .data import load_dataset, save_dataset
-from .lotteries import Menu, draw_menus, implied_choices, run_rng
+from .lotteries import Collection, draw_menus, implied_choices, run_rng
 from .morphing import run_morph_indices
 from .predictor import (MlpPredictor, MlpTrainConfig, evaluate, fit_cpt_params,
                         train_mlp)
@@ -120,16 +120,16 @@ def _run_generation(args, procedure: str) -> int:
 
 def _verify_chunk(cfg: PipelineConfig, recs) -> list:
     """Verify a block of records, one stack per shape (``records.stack_records``):
-    one fit and one stacked LP solve per grid size and shape.  Only an
-    inconsistent record is read into a collection, for ``minimal_anomaly``."""
+    one fit and one stacked LP solve per grid size and shape.  An
+    inconsistent record's row of the stack goes to ``minimal_anomaly``."""
     basis = basis_from_config(cfg.theory_basis)
     out = [dict(rec) for rec in recs]
     for stack in records.stack_records(recs):
         pvs = parametrized_verdicts(basis, stack.Z, stack.P, stack.q, cfg.kl_threshold)
         avs = utility_verdicts(stack.Z, stack.P, implied_choices(stack.q), cfg.margin_threshold)
-        for i, pv, av in zip(stack.rows, pvs, avs):
-            minimal = None if av.consistent else minimal_anomaly(
-                records.record_to_collection(recs[i]), cfg.margin_threshold)
+        for i, pv, av, *row in zip(stack.rows, pvs, avs, stack.Z, stack.P, stack.q):
+            minimal = None if av.consistent else minimal_anomaly(Collection(*row),
+                                                                 cfg.margin_threshold)
             out[i].update(
                 min_kl=pv.min_kl, parametrized_inconsistent=pv.inconsistent,
                 fit_converged=pv.converged, fit_on_bound=pv.on_norm_bound,
@@ -174,7 +174,7 @@ def cmd_categorize(args) -> int:
                 cat = categorize(coll)
                 rec["category"] = {"tag": cat.tag, "certificate": cat.certificate}
                 counts[cat.tag] = counts.get(cat.tag, 0) + 1
-                if len(coll) == 2:
+                if len(coll.q) == 2:
                     rec["features"] = [float(v) for v in analysis.anomaly_features(coll)]
             yield rec
 
@@ -224,7 +224,11 @@ def cmd_report(args) -> int:
         if not r.get("any_utility_inconsistent"):
             continue
         p = str(r.get("predictor"))
-        tag = (r.get("category") or {}).get("tag", "other")
+        category = r.get("category") or {}
+        tag = category.get("tag", "other") if isinstance(category, dict) else None
+        if tag not in CATEGORY_TAGS:
+            raise ValueError(f"record {r.get('id')!r}: category {r.get('category')!r} "
+                             f"has no tag of {CATEGORY_TAGS}")
         counts[(tag, p)] += 1
         totals[p] += 1
     rows = [[tag] + [counts[(tag, p)] for p in predictors] for tag in CATEGORY_TAGS]
@@ -289,10 +293,13 @@ def cmd_epsilon(args) -> int:
     with open(args.menus) as fh:
         data = json.load(fh)
     try:
-        menus = [Menu.from_json_dict(d) for d in data]
-    except (KeyError, TypeError) as exc:
+        (Z,), (P,), faults = records.read_menus(records.parse_menus(data)[None])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.menus}: expected a list of menus ({exc!r})") from None
-    fit = analysis.estimate_epsilon(freqs, menus=menus)
+    for why, bad in faults:
+        if bad[0]:
+            raise ConfigError(f"{args.menus}: {why}")
+    fit = analysis.estimate_epsilon(freqs, menus=(Z, P))
     return _summary(command="epsilon", epsilon=fit.epsilon,
                     weights={"".join(map(str, k)): round(v, 6)
                              for k, v in fit.weights.items()},

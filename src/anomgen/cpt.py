@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ChoiceDataset
-from .lotteries import LOTTERY_SIGN, Menu, stack_menus
+from .lotteries import LOTTERY_SIGN
 
 # Calibrated (delta, gamma) presets used throughout the experiments.
 PRESETS = {
@@ -98,9 +98,9 @@ class CptPredictor:
     """Predictor handle backed by the closed-form oracle.
 
     ``predict_batch`` and ``grad_batch`` take (R, 2, J) payoff and
-    probability stacks (``lotteries.stack_menus``); ``predict`` and ``grad``
-    are their one-row calls.  The kernel acts row by row, so a row's bytes
-    do not depend on the stack it sits in.
+    probability stacks, lottery 0 first; one menu is a stack of one.  The
+    kernel acts row by row, so a row's bytes do not depend on the stack it
+    sits in.
     """
 
     def __init__(self, params: CptParams, scale: float = 1.0, label: str | None = None):
@@ -119,12 +119,6 @@ class CptPredictor:
         f = logistic(self.scale * (V[..., 1] - V[..., 0]))
         slope = self.scale * f * (1.0 - f)
         return f, slope[..., None, None] * (LOTTERY_SIGN * dV)
-
-    def predict(self, menu: Menu) -> float:
-        return float(self.predict_batch(*stack_menus([menu]))[0])
-
-    def grad(self, menu: Menu) -> np.ndarray:
-        return self.grad_batch(*stack_menus([menu]))[1][0].reshape(-1)
 
 
 def simulate_choices(rng: np.random.Generator, Z: np.ndarray, P: np.ndarray,

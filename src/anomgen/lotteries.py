@@ -1,14 +1,16 @@
-"""Lotteries, menus and simplex arithmetic.
+"""Lotteries, menus and simplex arithmetic, as arrays.
 
-A menu is a pair of lotteries over J monetary payoffs.  Everything downstream
-(choice models, the anomaly search, verification) runs over the canonical
-flattened coordinate vector ``(z0, p0, z1, p1)`` of length 4J.
+A menu is a pair of lotteries over J monetary payoffs.  A stack of menus is a
+pair of (..., 2, J) payoff and probability arrays, lottery 0 first, and a
+lottery is a (payoffs, probs) pair of J-vectors.  Choice models see a menu
+through its canonical flattened coordinate vector ``(z0, p0, z1, p1)`` of
+length 4J.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,47 +21,11 @@ PAYOFF_MERGE_TOL = 1e-9
 SIMPLEX_TOL = 64 * np.finfo(float).eps
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
-@dataclass(frozen=True)
-class Lottery:
-    """A finite lottery: payoff vector and matching probability vector."""
-
-    payoffs: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "payoffs", _readonly(self.payoffs))
-        object.__setattr__(self, "probs", _readonly(self.probs))
-        if self.payoffs.ndim != 1 or self.payoffs.shape != self.probs.shape:
-            raise ValueError("payoffs and probs must be 1-d vectors of equal length")
-        if self.payoffs.size < 1:
-            raise ValueError("lottery needs at least one payoff")
-        if not np.all(np.isfinite(self.payoffs)):
-            raise ValueError("non-finite payoff")
-        check_probs(self.probs)
-
-    @property
-    def size(self) -> int:
-        return self.payoffs.size
-
-    def to_json_dict(self) -> dict:
-        return {"payoffs": self.payoffs.tolist(), "probs": self.probs.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Lottery":
-        return make_lottery(d["payoffs"], d["probs"])
-
-
 def check_probs(P) -> None:
     """Raise unless each lottery (last axis) of ``P`` is a probability vector:
     finite, nonnegative within ``PAYOFF_MERGE_TOL`` and summing to 1 within
-    1e-9.  ``Lottery`` checks its vector here, and the searches their whole
-    (R, 2, J) probability stacks."""
+    1e-9.  The searches check their whole (R, 2, J) probability stacks
+    here."""
     P = np.asarray(P, dtype=float)
     low = P.min(initial=np.inf)         # NaN fails the test below, +inf the sum's
     if not low >= -PAYOFF_MERGE_TOL:
@@ -88,111 +54,21 @@ def read_probs(P) -> tuple[np.ndarray, np.ndarray]:
     return P, bad
 
 
-def make_lottery(payoffs, probs) -> Lottery:
-    """Validate and build a lottery, reading its probabilities by
-    ``read_probs``."""
-    p, bad = read_probs(probs)
-    if bad:
-        raise ValueError(f"probabilities {probs} (sum {np.sum(probs)}) not within 1e-6 "
-                         "of the simplex")
-    return Lottery(payoffs, p)
-
-
-@dataclass(frozen=True)
-class Menu:
-    """A binary menu; both lotteries must have the same number of payoffs."""
-
-    lottery0: Lottery
-    lottery1: Lottery
-
-    def __post_init__(self):
-        if self.lottery0.size != self.lottery1.size:
-            raise ValueError("both lotteries in a menu must have the same J")
-
-    @property
-    def n_payoffs(self) -> int:
-        return self.lottery0.size
-
-    @property
-    def lotteries(self) -> tuple:
-        """``(lottery0, lottery1)``, so a choice indexes its lottery."""
-        return (self.lottery0, self.lottery1)
-
-    def flatten(self) -> np.ndarray:
-        """Canonical coordinate order (z0, p0, z1, p1)."""
-        return np.concatenate(
-            [self.lottery0.payoffs, self.lottery0.probs,
-             self.lottery1.payoffs, self.lottery1.probs]
-        )
-
-    def swapped(self) -> "Menu":
-        return Menu(self.lottery1, self.lottery0)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Menu":
-        return cls(Lottery.from_json_dict(d["lottery0"]),
-                   Lottery.from_json_dict(d["lottery1"]))
-
-
-def stack_menus(menus) -> tuple[np.ndarray, np.ndarray]:
-    """Payoff and probability stacks (n, 2, J) of n menus, lottery 0 first."""
-    X = np.array([m.flatten() for m in menus]).reshape(len(menus), 2, 2, -1)
-    return np.ascontiguousarray(X[:, :, 0]), np.ascontiguousarray(X[:, :, 1])
-
-
 def flat_stack(Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Flat coordinates (..., 4J) of (..., 2, J) payoff and probability
-    stacks: the inverse of ``stack_menus``, row by row."""
+    stacks, row by row."""
     Z, P = np.broadcast_arrays(Z, P)
     return np.stack([Z, P], axis=-2).reshape(*Z.shape[:-2], -1)
 
 
-@dataclass(frozen=True)
-class Example:
-    """A menu plus the modeled choice probability for lottery 1."""
+class Collection(NamedTuple):
+    """A collection of m menus as a record holds it: payoffs ``Z`` and
+    probabilities ``P`` (m, 2, J), lottery 0 first, and ``q`` (m,) the
+    predicted probabilities of lottery 1."""
 
-    menu: Menu
-    choice_prob: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.choice_prob <= 1.0:
-            raise ValueError("choice probability outside [0, 1]")
-
-    @property
-    def implied_choice(self) -> int:
-        return int(implied_choices(self.choice_prob))
-
-    @property
-    def chosen_and_other(self) -> tuple:
-        """The implied choice's lottery, then the other lottery."""
-        lotteries = self.menu.lotteries
-        return lotteries[self.implied_choice], lotteries[1 - self.implied_choice]
-
-
-@dataclass(frozen=True)
-class ExampleCollection:
-    """An ordered, non-empty collection of examples."""
-
-    examples: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
-        if not self.examples:
-            raise ValueError("collection must be non-empty")
-
-    def __len__(self):
-        return len(self.examples)
-
-    def __iter__(self):
-        return iter(self.examples)
-
-    @property
-    def menus(self) -> list:
-        return [e.menu for e in self.examples]
-
-    @property
-    def implied_choices(self) -> np.ndarray:
-        return implied_choices([e.choice_prob for e in self.examples])
+    Z: np.ndarray
+    P: np.ndarray
+    q: np.ndarray
 
 
 def implied_choices(q) -> np.ndarray:
@@ -249,13 +125,6 @@ def draw_menus(rng: np.random.Generator, n_menus: int, n_payoffs: int,
     return np.ascontiguousarray(U[:, :, 0]), P
 
 
-def sample_random_menu(rng: np.random.Generator, n_payoffs: int,
-                       payoff_low: float, payoff_high: float) -> Menu:
-    """One menu of ``draw_menus``."""
-    (Z,), (P,) = draw_menus(rng, 1, n_payoffs, payoff_low, payoff_high)
-    return Menu(Lottery(Z[0], P[0]), Lottery(Z[1], P[1]))
-
-
 class FosdOrder(enum.Enum):
     A_DOMINATES = "a_dominates"
     B_DOMINATES = "b_dominates"
@@ -277,13 +146,6 @@ def merge_payoff_grids(Z, tol: float = PAYOFF_MERGE_TOL) -> tuple[np.ndarray, np
     rows, _ = np.nonzero(keep)
     grids[rows, np.cumsum(keep, axis=1)[keep] - 1] = values[keep]
     return grids, keep.sum(axis=1)
-
-
-def merge_payoff_grid(lotteries, tol: float = PAYOFF_MERGE_TOL) -> np.ndarray:
-    """Distinct sorted payoffs across lotteries, merging values within tol."""
-    grids, sizes = merge_payoff_grids(np.concatenate([l.payoffs for l in lotteries])[None],
-                                      tol)
-    return grids[0, :sizes[0]]
 
 
 def grid_probs(Z, P, grids, tol: float = PAYOFF_MERGE_TOL) -> np.ndarray:
@@ -313,23 +175,24 @@ def grid_probs(Z, P, grids, tol: float = PAYOFF_MERGE_TOL) -> np.ndarray:
     return out
 
 
-def probs_on_grid(lottery: Lottery, grid: np.ndarray,
-                  tol: float = PAYOFF_MERGE_TOL) -> np.ndarray:
-    """Re-express a lottery's probabilities over a merged payoff grid."""
-    return grid_probs(lottery.payoffs[None, None], lottery.probs[None, None],
-                      np.asarray(grid, dtype=float)[None], tol)[0, 0]
+def on_merged_grid(lotteries, tol: float = PAYOFF_MERGE_TOL) -> tuple[np.ndarray, list]:
+    """The merged payoff grid of lotteries given as (payoffs, probs) vectors
+    of any lengths, and each lottery's probabilities on it."""
+    grids, sizes = merge_payoff_grids(np.concatenate([z for z, _ in lotteries])[None], tol)
+    grid = grids[0, :sizes[0]]
+    return grid, [grid_probs(z[None, None], p[None, None], grid[None], tol)[0, 0]
+                  for z, p in lotteries]
 
 
-def fosd_compare(a: Lottery, b: Lottery, tol: float = PAYOFF_MERGE_TOL) -> FosdOrder:
-    """First-order stochastic dominance on the merged payoff grid.
+def fosd_compare(a, b, tol: float = PAYOFF_MERGE_TOL) -> FosdOrder:
+    """First-order stochastic dominance of lotteries ``a`` and ``b``, each a
+    (payoffs, probs) pair, on the merged payoff grid.
 
     ``a`` dominates iff its CDF is everywhere weakly below ``b``'s and strictly
     below somewhere.
     """
-    grid = merge_payoff_grid([a, b], tol)
-    cdf_a = np.cumsum(probs_on_grid(a, grid, tol))
-    cdf_b = np.cumsum(probs_on_grid(b, grid, tol))
-    diff = cdf_a - cdf_b
+    _, (pa, pb) = on_merged_grid([a, b], tol)
+    diff = np.cumsum(pa) - np.cumsum(pb)
     a_weak = np.all(diff <= tol)
     b_weak = np.all(diff >= -tol)
     if a_weak and b_weak:
@@ -341,44 +204,15 @@ def fosd_compare(a: Lottery, b: Lottery, tol: float = PAYOFF_MERGE_TOL) -> FosdO
     return FosdOrder.INCOMPARABLE
 
 
-@dataclass(frozen=True)
-class LotteryStats:
-    expected_value: float
-    variance: float
-    skew: float
-    payoff_range: float
-    min_payoff: float
-    max_payoff: float
-    prob_range: float
-    min_prob: float
-    max_prob: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.expected_value, self.variance, self.skew,
-                         self.payoff_range, self.min_payoff, self.max_payoff,
-                         self.prob_range, self.min_prob, self.max_prob])
-
-
-def lottery_stats(lottery: Lottery) -> LotteryStats:
-    """Moments and range summaries under the lottery's distribution."""
-    z, p = lottery.payoffs, lottery.probs
+def lottery_stats(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Moments and range summaries of the lottery with payoffs ``z`` and
+    probabilities ``p``: expected value, variance, skew, payoff range, min
+    and max payoff, probability range, min and max probability."""
     ev = float(p @ z)
     var = float(p @ (z - ev) ** 2)
-    if var < 1e-12:
-        skew = 0.0
-    else:
-        skew = float(p @ (z - ev) ** 3) / var ** 1.5
-    return LotteryStats(
-        expected_value=ev,
-        variance=var,
-        skew=skew,
-        payoff_range=float(z.max() - z.min()),
-        min_payoff=float(z.min()),
-        max_payoff=float(z.max()),
-        prob_range=float(p.max() - p.min()),
-        min_prob=float(p.min()),
-        max_prob=float(p.max()),
-    )
+    skew = 0.0 if var < 1e-12 else float(p @ (z - ev) ** 3) / var ** 1.5
+    return np.array([ev, var, skew, z.max() - z.min(), z.min(), z.max(),
+                     p.max() - p.min(), p.min(), p.max()])
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:

@@ -1,4 +1,5 @@
-"""Example morphing: move menus along directions the theory cannot see.
+"""The morphing search (example morphing): move menus along directions the
+theory cannot see.
 
 At each step the predictor's probability-gradient is projected onto the
 (approximate) common null space of sampled theory gradients and the menu is

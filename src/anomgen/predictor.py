@@ -4,8 +4,8 @@ Both expose the same handle surface as the closed-form oracle:
 ``predict_batch(Z, P)`` returning probabilities in (0, 1) for (R, 2, J)
 payoff and probability stacks, ``grad_batch(Z, P)`` returning those
 probabilities with their gradients (R, 2, J) over the probability coordinates
-(p0, p1), and ``predict(menu)``/``grad(menu)``, their one-row calls.  Payoffs
-never move in the searches, so they are not differentiated.
+(p0, p1); one menu is a stack of one.  Payoffs never move in the searches, so
+they are not differentiated.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .cpt import CptParams, CptPredictor, logistic, lottery_values
 from .data import ChoiceDataset
-from .lotteries import Menu, flat_stack, stack_menus
+from .lotteries import flat_stack
 from .theory import TARGET_CLIP, damped_newton
 
 
@@ -234,12 +234,6 @@ class MlpPredictor:
         dx_scaled = np.matmul(delta, weights[0].T)[:, 0, :]
         grad = (f * (1.0 - f))[:, None] * dx_scaled * self.model.input_scaling
         return f, grad.reshape(f.size, 2, 2, -1)[:, :, 1, :]
-
-    def predict(self, menu: Menu) -> float:
-        return float(self.predict_batch(*stack_menus([menu]))[0])
-
-    def grad(self, menu: Menu) -> np.ndarray:
-        return self.grad_batch(*stack_menus([menu]))[1][0].reshape(-1)
 
 
 # ---------------------------------------------------------------------------

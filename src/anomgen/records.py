@@ -5,7 +5,9 @@ to re-run verification and reproduce the stored verdicts bit-for-bit.  The
 record format lives here only.  Generation writes a block's records from its
 (R, m, 2, J) payoff and probability stacks (``stack_to_records``), and a
 block of records is read back into such stacks, one per shape
-(``stack_records``); ``record_to_collection`` reads one record the same way.
+(``stack_records``); ``record_to_collection`` reads one record the same way,
+as (m, 2, J) arrays.  A list of menus is read by one rule wherever it comes
+from: ``parse_menus``, then ``read_menus``.
 Writes stream their lines to a temp file and rename it into place, so
 interrupted batch runs never leave half-written outputs.
 """
@@ -20,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .lotteries import Example, ExampleCollection, Lottery, Menu, implied_choices, read_probs
+from .lotteries import Collection, implied_choices, read_probs
 
 FORMAT_VERSION = 1
 
@@ -58,44 +60,58 @@ class RecordStack:
     q: np.ndarray
 
 
+def parse_menus(menus) -> np.ndarray:
+    """Menus as a record holds them, as one (m, 2, 2, J) array: each menu's
+    lotteries, each one's payoffs then its probabilities, as written.  Raises
+    KeyError, TypeError or ValueError unless they form m >= 1 menus of two
+    lotteries over the same J >= 1 payoffs."""
+    X = np.array([[[lot["payoffs"], lot["probs"]] for lot in (menu["lottery0"], menu["lottery1"])]
+                  for menu in menus], dtype=float)
+    if X.ndim != 4 or X.size == 0:
+        raise ValueError("not m >= 1 menus of two lotteries over the same J >= 1 payoffs")
+    return X
+
+
+def read_menus(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Payoffs and probabilities (R, m, 2, J) of R parsed menu lists X (R, m,
+    2, 2, J), the probabilities as ``lotteries.read_probs`` reads them, and
+    the faults by which a list is rejected, as (why, bad) with bad (R,): a
+    payoff that is not finite, a probability vector ``read_probs`` rejects."""
+    Z = np.ascontiguousarray(X[:, :, :, 0])
+    P, bad_probs = read_probs(X[:, :, :, 1])
+    return Z, P, (("payoff not finite", ~np.isfinite(Z).all(axis=(1, 2, 3))),
+                  ("probabilities not within 1e-6 of the simplex", bad_probs.any(axis=(1, 2))))
+
+
 def stack_records(recs) -> list[RecordStack]:
     """Read a block of records into one stack per shape, in the order in
     which the shapes first appear.
 
-    A record is malformed when its menus do not form m >= 1 menus of two
-    lotteries over the same J >= 1 payoffs, when it has other than m
-    predicted probabilities, or when a value is out of range: a payoff that
-    is not finite, a probability vector ``read_probs`` rejects or a
-    predicted probability outside [0, 1].  The first malformed record of the
-    block raises ValueError naming its id.
+    A record is malformed when its menus do not parse (``parse_menus``),
+    when it has other than m predicted probabilities, or when a value is out
+    of range: a fault of ``read_menus`` or a predicted probability outside
+    [0, 1].  The first malformed record of the block raises ValueError
+    naming its id.
     """
     errors, shapes = {}, {}
     for i, rec in enumerate(recs):
         try:
-            X = np.array([[[lot["payoffs"], lot["probs"]]
-                           for lot in (menu["lottery0"], menu["lottery1"])]
-                          for menu in rec["menus"]], dtype=float)
+            X = parse_menus(rec["menus"])
             q = np.array(rec["predicted_probs"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             errors[i] = repr(exc)
             continue
-        if X.ndim != 4 or X.size == 0:
-            errors[i] = "not m >= 1 menus of two lotteries over the same J >= 1 payoffs"
-        elif q.shape != X.shape[:1]:
+        if q.shape != X.shape[:1]:
             errors[i] = f"{q.size} predicted probabilities for {len(X)} menus"
         else:
             shapes.setdefault(X.shape, []).append((i, X, q))
     stacks = []
     for group in shapes.values():
         rows = [i for i, _, _ in group]
-        X = np.stack([X for _, X, _ in group])
+        Z, P, faults = read_menus(np.stack([X for _, X, _ in group]))
         q = np.stack([q for _, _, q in group])
-        Z = np.ascontiguousarray(X[:, :, :, 0])
-        P, bad_probs = read_probs(X[:, :, :, 1])
-        checks = (("payoff not finite", ~np.isfinite(Z).all(axis=(1, 2, 3))),
-                  ("probabilities not within 1e-6 of the simplex", bad_probs.any(axis=(1, 2))),
-                  ("predicted probability outside [0, 1]", ~((q >= 0) & (q <= 1)).all(axis=1)))
-        for why, bad in checks:
+        for why, bad in (*faults, ("predicted probability outside [0, 1]",
+                                   ~((q >= 0) & (q <= 1)).all(axis=1))):
             for r in np.flatnonzero(bad):
                 errors.setdefault(rows[r], why)
         stacks.append(RecordStack(rows, Z, P, q))
@@ -106,12 +122,11 @@ def stack_records(recs) -> list[RecordStack]:
     return stacks
 
 
-def record_to_collection(record: dict) -> ExampleCollection:
-    """The collection of a record, read by ``stack_records``."""
+def record_to_collection(record: dict) -> Collection:
+    """The menus and predictions of a record as (m, 2, J) and (m,) arrays,
+    read by ``stack_records``."""
     (stack,) = stack_records([record])
-    return ExampleCollection(tuple(
-        Example(Menu(Lottery(z[0], p[0]), Lottery(z[1], p[1])), float(q))
-        for z, p, q in zip(stack.Z[0], stack.P[0], stack.q[0])))
+    return Collection(stack.Z[0], stack.P[0], stack.q[0])
 
 
 def atomic_write_lines(path, lines) -> None:
@@ -142,16 +157,23 @@ def write_jsonl(path, records, kind: str) -> None:
 
 
 def read_jsonl(path, expected_kind: str | None = None):
-    """(header, records); a line that is not a JSON object raises ValueError."""
+    """(header, records); a line that is not valid JSON or not a JSON object
+    raises ValueError naming the path and the line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    objs = [json.loads(ln) for ln in lines if ln.strip()]
+    objs = []
+    for n, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {n} is not valid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: line {n} is not a JSON object")
+        objs.append(obj)
     if not objs:
         raise ValueError(f"{path}: empty stream")
-    for i, obj in enumerate(objs):
-        if not isinstance(obj, dict):
-            n = [n for n, ln in enumerate(lines, 1) if ln.strip()][i]
-            raise ValueError(f"{path}: line {n} is not a JSON object")
     header = objs.pop(0)
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported version {header.get('version')}")

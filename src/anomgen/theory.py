@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpt import logistic
-from .lotteries import stack_menus
 
 TARGET_CLIP = 1e-6
 # Radius of the coefficient ball standing in for a compact parameter space.
@@ -41,14 +40,6 @@ def eu_difference_rows(P: np.ndarray, B: np.ndarray) -> np.ndarray:
     product per lottery, so a row does not depend on the others."""
     E = np.matmul(P[..., None, :], B)[..., 0, :]
     return E[:, 1] - E[:, 0]
-
-
-def design_matrix(basis, menus) -> np.ndarray:
-    """The rows d(x) of ``menus``; the searches keep payoffs frozen, so they
-    evaluate the basis once (``stack_basis_values``) and build every later
-    row with ``eu_difference_rows``."""
-    Z, P = stack_menus(menus)
-    return eu_difference_rows(P, stack_basis_values(basis, Z))
 
 
 def _clip_targets(y: np.ndarray) -> np.ndarray:
@@ -80,14 +71,13 @@ BOUND_TOL = 1e-9      # a norm this close to the bound counts as on it
 
 @dataclass
 class FitResult:
-    """One fit; ``_fit_logits`` fills the same fields with one entry per row
-    of a stack."""
+    """The fits of a stack, one entry per row."""
 
     theta: np.ndarray
-    kl: float
-    cross_entropy: float
-    converged: bool = True      # the KKT test holds at theta (or the fit is exact)
-    on_norm_bound: bool = False
+    kl: np.ndarray
+    cross_entropy: np.ndarray
+    converged: np.ndarray       # the KKT test holds at theta (or the fit is exact)
+    on_norm_bound: np.ndarray
 
 
 def _ball_newton_point(H: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
@@ -227,17 +217,3 @@ def _newton(A: np.ndarray, V: np.ndarray, y: np.ndarray,
         lambda w, g, H: _ball_newton_point(H, g - H @ w, THETA_NORM_BOUND) - w,
         kkt_residual)
     return V.T @ w, converged
-
-
-def fit_theta(basis, examples) -> FitResult:
-    """Fit theta to (menu, target probability) pairs by mean cross-entropy.
-
-    The reported loss is the mean KL divergence of the fit from the targets,
-    which is 0 exactly when the theory matches them.
-    """
-    if not examples:
-        raise ValueError("need at least one example")
-    y = np.array([t for _, t in examples], dtype=float)
-    fit = _fit_logits(design_matrix(basis, [m for m, _ in examples])[None], y[None])
-    return FitResult(fit.theta[0], float(fit.kl[0]), float(fit.cross_entropy[0]),
-                     bool(fit.converged[0]), bool(fit.on_norm_bound[0]))

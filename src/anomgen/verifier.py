@@ -16,7 +16,9 @@ J payoffs, given as (R, m, 2, J) payoff and probability arrays:
 Every step acts on each collection of a stack on its own, so a verdict has
 the same bytes whatever it is stacked with; bit-reproducibility matters more
 than speed.  The per-collection functions ``verify_increasing_utility``,
-``verify_collection`` and ``verify_parametrized`` are one-collection stacks.
+``verify_collection`` and ``verify_parametrized`` are one-collection stacks;
+a collection is a record's arrays (``lotteries.Collection``: Z and P (m, 2,
+J), q (m,)).
 
 ``minimal_anomaly`` adds the minimality requirement: a collection is an
 anomaly (inconsistent, with every proper subset consistent) exactly when the
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex_lp
-from .lotteries import ExampleCollection, grid_probs, merge_payoff_grids
+from .lotteries import Collection, grid_probs, implied_choices, merge_payoff_grids
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 MARGIN_THRESHOLD = 1e-9
@@ -109,39 +111,23 @@ def utility_verdicts(Z, P, choices,
     return out
 
 
-def _menu_stack(menus):
-    """Payoff and probability stacks (m, 2, J) of menus whose lotteries may
-    differ in size: a shorter lottery repeats its last payoff at probability
-    0, which leaves its merged grid and its grid probabilities as they are."""
-    lotteries = [lot for menu in menus for lot in menu.lotteries]
-    J = max(lot.size for lot in lotteries)
-    Z, P = np.empty((len(lotteries), J)), np.zeros((len(lotteries), J))
-    for z, p, lot in zip(Z, P, lotteries):
-        z[:] = lot.payoffs[-1]
-        z[:lot.size], p[:lot.size] = lot.payoffs, lot.probs
-    return Z.reshape(-1, 2, J), P.reshape(-1, 2, J)
-
-
-def verify_increasing_utility(menus, choices,
+def verify_increasing_utility(Z, P, choices,
                               margin_threshold: float = MARGIN_THRESHOLD) -> VerificationResult:
-    """Feasibility of the strict rationalization system, with margin."""
-    menus = list(menus)
+    """Feasibility of the strict rationalization system, with margin: Z and
+    P (m, 2, J), choices (m,)."""
     choices = np.asarray(choices, dtype=int)
-    if not 1 <= len(menus) <= MAX_MENUS:
-        raise ValueError(f"collection size must be in [1, {MAX_MENUS}]")
-    if choices.shape != (len(menus),):
+    if choices.shape != Z.shape[:1]:
         raise ValueError("one choice per menu required")
-    Z, P = _menu_stack(menus)
     return utility_verdicts(Z[None], P[None], choices[None], margin_threshold)[0]
 
 
-def verify_collection(collection: ExampleCollection,
+def verify_collection(collection: Collection,
                       margin_threshold: float = MARGIN_THRESHOLD) -> VerificationResult:
-    return verify_increasing_utility(collection.menus, collection.implied_choices,
-                                     margin_threshold)
+    return verify_increasing_utility(collection.Z, collection.P,
+                                     implied_choices(collection.q), margin_threshold)
 
 
-def minimal_anomaly(collection: ExampleCollection,
+def minimal_anomaly(collection: Collection,
                     margin_threshold: float = MARGIN_THRESHOLD):
     """Smallest inconsistent sub-collection, or None if consistent.
 
@@ -153,8 +139,8 @@ def minimal_anomaly(collection: ExampleCollection,
     anomaly (Definition 2) exactly when the returned subset holds all of its
     indices.
     """
-    Z, P = _menu_stack(collection.menus)
-    choices = collection.implied_choices
+    Z, P, q = collection
+    choices = implied_choices(q)
     n = len(choices)
     for size in range(1, n + 1):
         subsets = list(itertools.combinations(range(n), size))
@@ -187,9 +173,9 @@ def parametrized_verdicts(basis, Z, P, q,
             for kl, converged, on_bound in zip(fit.kl, fit.converged, fit.on_norm_bound)]
 
 
-def verify_parametrized(basis, collection: ExampleCollection,
+def verify_parametrized(basis, collection: Collection,
                         kl_threshold: float = DEFAULT_KL_THRESHOLD) -> ParametrizedVerdict:
     """Inconsistency with the logit-EUT class: best-fit mean KL above threshold."""
-    Z, P = _menu_stack(collection.menus)
-    q = np.array([e.choice_prob for e in collection], dtype=float)
-    return parametrized_verdicts(basis, Z[None], P[None], q[None], kl_threshold)[0]
+    Z, P, q = collection
+    return parametrized_verdicts(basis, Z[None], P[None], np.asarray(q, dtype=float)[None],
+                                 kl_threshold)[0]

@@ -9,88 +9,156 @@ import pytest
 from anomgen import morphing
 from anomgen.analysis import PATTERNS, PatternFrequencies
 from anomgen.cpt import CptParams, logistic, simulate_choices
-from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu, make_lottery,
-                               probs_on_grid, run_rng, sample_random_menu,
-                               stack_menus)
+from anomgen.lotteries import (Collection, draw_menus, flat_stack, grid_probs,
+                               implied_choices, run_rng)
 from anomgen.morphing import COV_JITTER, _tangent
 from anomgen.records import record_to_collection, write_jsonl
-from anomgen.theory import _clip_targets, _cross_entropy, _entropy, design_matrix
+from anomgen.theory import (FitResult, _clip_targets, _cross_entropy, _entropy, _fit_logits,
+                            eu_difference_rows, stack_basis_values)
 
 # Tolerance used when re-deriving quantities from tables rounded to whole
 # percents / cents.
 TABLE_TOL = 0.02
 
 
+# -- menus as arrays: a lottery is a (payoffs, probs) pair of vectors, a menu a
+# (Z, P) pair of (2, J) stacks, lottery 0 first ---------------------------------
+
+def menu_json(menu) -> dict:
+    """A menu as records hold it."""
+    return {f"lottery{k}": {"payoffs": z.tolist(), "probs": p.tolist()}
+            for k, (z, p) in enumerate(zip(*menu))}
+
+
+def lottery(payoffs, probs) -> tuple:
+    """A lottery read by the records' rule (``record_to_collection``): finite
+    payoffs, and probabilities within 1e-6 of the simplex, rescaled unless on
+    it already.  Anything else raises ValueError."""
+    lot = {"payoffs": np.asarray(payoffs, dtype=float).tolist(),
+           "probs": np.asarray(probs, dtype=float).tolist()}
+    coll = record_to_collection({"menus": [{"lottery0": lot, "lottery1": lot}],
+                                 "predicted_probs": [0.5]})
+    return coll.Z[0, 0], coll.P[0, 0]
+
+
+def menu(lot0, lot1) -> tuple:
+    """The menu of two lotteries over the same J payoffs, as (Z, P) (2, J);
+    lotteries of unequal length raise ValueError."""
+    return np.stack([lot0[0], lot1[0]]), np.stack([lot0[1], lot1[1]])
+
+
+def stack(menus) -> tuple:
+    """(Z, P) (n, 2, J) of n menus."""
+    return np.stack([m[0] for m in menus]), np.stack([m[1] for m in menus])
+
+
+def collection(menus, probs) -> Collection:
+    """The collection of menus with predicted probabilities of lottery 1."""
+    return Collection(*stack(menus), np.array(probs, dtype=float))
+
+
+def flat(menu) -> np.ndarray:
+    """A menu's canonical coordinates (z0, p0, z1, p1)."""
+    return flat_stack(*menu)
+
+
+def swapped(menu) -> tuple:
+    return menu[0][::-1], menu[1][::-1]
+
+
+def sample_random_menu(rng: np.random.Generator, n_payoffs: int,
+                       payoff_low: float, payoff_high: float) -> tuple:
+    """One menu of ``draw_menus``, as (Z, P) (2, J): the per-menu draw
+    reference."""
+    (Z,), (P,) = draw_menus(rng, 1, n_payoffs, payoff_low, payoff_high)
+    return Z, P
+
+
+def predict(predictor, menu) -> float:
+    """A predictor's probability of lottery 1 on one menu, a stack of one."""
+    return float(predictor.predict_batch(menu[0][None], menu[1][None])[0])
+
+
+def grad(predictor, menu) -> np.ndarray:
+    """Its gradient over (p0, p1), flat (2J,)."""
+    return predictor.grad_batch(menu[0][None], menu[1][None])[1][0].reshape(-1)
+
+
+def probs_on_grid(lottery, grid) -> np.ndarray:
+    """A lottery's probabilities re-expressed over a merged payoff grid."""
+    return grid_probs(lottery[0][None, None], lottery[1][None, None], np.asarray(grid)[None])[0, 0]
+
+
 @pytest.fixture
 def allais_menus():
     """The two 1M/5M menus; hypothesized choices are lottery 0 then lottery 1."""
-    menu_a = Menu(make_lottery([1e6, 0, 5e6], [1.0, 0.0, 0.0]),
-                  make_lottery([1e6, 0, 5e6], [0.89, 0.01, 0.10]))
-    menu_b = Menu(make_lottery([0, 1e6, 5e6], [0.89, 0.11, 0.0]),
-                  make_lottery([0, 1e6, 5e6], [0.90, 0.0, 0.10]))
+    menu_a = menu(lottery([1e6, 0, 5e6], [1.0, 0.0, 0.0]),
+                  lottery([1e6, 0, 5e6], [0.89, 0.01, 0.10]))
+    menu_b = menu(lottery([0, 1e6, 5e6], [0.89, 0.11, 0.0]),
+                  lottery([0, 1e6, 5e6], [0.90, 0.0, 0.10]))
     return menu_a, menu_b
 
 
 @pytest.fixture
 def allais_collection(allais_menus):
     menu_a, menu_b = allais_menus
-    return ExampleCollection((Example(menu_a, 0.2), Example(menu_b, 0.8)))
+    return collection([menu_a, menu_b], [0.2, 0.8])
 
 
 @pytest.fixture
 def certainty_menus():
     """Certain 3000 against risky 4000, then both scaled to low probability."""
-    menu_a = Menu(make_lottery([4000, 0], [0.80, 0.20]),
-                  make_lottery([3000, 0], [1.00, 0.00]))
-    menu_b = Menu(make_lottery([4000, 0], [0.20, 0.80]),
-                  make_lottery([3000, 0], [0.25, 0.75]))
+    menu_a = menu(lottery([4000, 0], [0.80, 0.20]),
+                  lottery([3000, 0], [1.00, 0.00]))
+    menu_b = menu(lottery([4000, 0], [0.20, 0.80]),
+                  lottery([3000, 0], [0.25, 0.75]))
     return menu_a, menu_b
 
 
 @pytest.fixture
 def certainty_collection(certainty_menus):
     menu_a, menu_b = certainty_menus
-    return ExampleCollection((Example(menu_a, 0.8), Example(menu_b, 0.2)))
+    return collection([menu_a, menu_b], [0.8, 0.2])
 
 
 @pytest.fixture
 def dc_example_collection():
     """Two-payoff dominated-consequence pair (choices: lottery 0, lottery 1)."""
-    menu_a = Menu(make_lottery([6.44, 6.71], [0.00, 1.00]),
-                  make_lottery([5.72, 8.64], [0.13, 0.87]))
-    menu_b = Menu(make_lottery([6.44, 6.71], [0.11, 0.89]),
-                  make_lottery([5.72, 8.64], [0.34, 0.66]))
-    return ExampleCollection((Example(menu_a, 0.3), Example(menu_b, 0.7)))
+    menu_a = menu(lottery([6.44, 6.71], [0.00, 1.00]),
+                  lottery([5.72, 8.64], [0.13, 0.87]))
+    menu_b = menu(lottery([6.44, 6.71], [0.11, 0.89]),
+                  lottery([5.72, 8.64], [0.34, 0.66]))
+    return collection([menu_a, menu_b], [0.3, 0.7])
 
 
 @pytest.fixture
 def rdc_example_collection():
     """Reverse dominated-consequence pair (choices: lottery 0, lottery 1)."""
-    menu_a = Menu(make_lottery([2.59, 8.87], [0.88, 0.12]),
-                  make_lottery([3.51, 8.65], [0.99, 0.01]))
-    menu_b = Menu(make_lottery([2.59, 8.87], [0.49, 0.51]),
-                  make_lottery([3.51, 8.65], [0.65, 0.35]))
-    return ExampleCollection((Example(menu_a, 0.2), Example(menu_b, 0.8)))
+    menu_a = menu(lottery([2.59, 8.87], [0.88, 0.12]),
+                  lottery([3.51, 8.65], [0.99, 0.01]))
+    menu_b = menu(lottery([2.59, 8.87], [0.49, 0.51]),
+                  lottery([3.51, 8.65], [0.65, 0.35]))
+    return collection([menu_a, menu_b], [0.2, 0.8])
 
 
 @pytest.fixture
 def sd_example_collection():
     """Strict-dominance pair (choices: lottery 1, lottery 0)."""
-    menu_a = Menu(make_lottery([6.71, 8.98], [0.22, 0.78]),
-                  make_lottery([7.17, 8.04], [1.00, 0.00]))
-    menu_b = Menu(make_lottery([6.71, 8.98], [0.49, 0.51]),
-                  make_lottery([7.17, 8.04], [0.45, 0.55]))
-    return ExampleCollection((Example(menu_a, 0.8), Example(menu_b, 0.2)))
+    menu_a = menu(lottery([6.71, 8.98], [0.22, 0.78]),
+                  lottery([7.17, 8.04], [1.00, 0.00]))
+    menu_b = menu(lottery([6.71, 8.98], [0.49, 0.51]),
+                  lottery([7.17, 8.04], [0.45, 0.55]))
+    return collection([menu_a, menu_b], [0.8, 0.2])
 
 
 @pytest.fixture
 def ternary_example_collection():
     """Three-payoff pair whose lotteries decompose over shared components."""
-    menu_a = Menu(make_lottery([4.30, 6.17, 8.51], [0.15, 0.61, 0.24]),
-                  make_lottery([4.63, 5.04, 5.81], [1.00, 0.00, 0.00]))
-    menu_b = Menu(make_lottery([4.30, 6.17, 8.51], [0.36, 0.36, 0.28]),
-                  make_lottery([4.63, 5.04, 5.81], [0.30, 0.67, 0.03]))
-    return ExampleCollection((Example(menu_a, 0.8), Example(menu_b, 0.2)))
+    menu_a = menu(lottery([4.30, 6.17, 8.51], [0.15, 0.61, 0.24]),
+                  lottery([4.63, 5.04, 5.81], [1.00, 0.00, 0.00]))
+    menu_b = menu(lottery([4.30, 6.17, 8.51], [0.36, 0.36, 0.28]),
+                  lottery([4.63, 5.04, 5.81], [0.30, 0.67, 0.03]))
+    return collection([menu_a, menu_b], [0.8, 0.2])
 
 
 BRUHIN_B = CptParams(0.726, 0.309)
@@ -98,8 +166,8 @@ BRUHIN_B = CptParams(0.726, 0.309)
 
 def cpt_dataset(n, seed, kind="rate", count=500, params=BRUHIN_B):
     """n random two-payoff menus with choices simulated from a CPT chooser."""
-    Z, P = stack_menus([sample_random_menu(np.random.default_rng((seed, i)), 2, 0, 10)
-                        for i in range(n)])
+    Z, P = stack([sample_random_menu(np.random.default_rng((seed, i)), 2, 0, 10)
+                  for i in range(n)])
     return simulate_choices(np.random.default_rng((seed, n + 1)), Z, P, params,
                             kind=kind, count=count)
 
@@ -117,25 +185,14 @@ def central_difference(fn, x, h=1e-6):
 
 
 def unchecked_menu(x, n_payoffs):
-    """Menu from flat coordinates without the simplex invariant: finite
+    """Menu (Z, P) from flat coordinates, whatever they hold: finite
     differences evaluate the smooth formulas a step off the simplex."""
-    x = np.asarray(x, dtype=float)
-    J = n_payoffs
-
-    def lottery(z, p):
-        lot = object.__new__(Lottery)
-        object.__setattr__(lot, "payoffs", z.copy())
-        object.__setattr__(lot, "probs", p.copy())
-        return lot
-
-    menu = object.__new__(Menu)
-    object.__setattr__(menu, "lottery0", lottery(x[:J], x[J:2 * J]))
-    object.__setattr__(menu, "lottery1", lottery(x[2 * J:3 * J], x[3 * J:]))
-    return menu
+    X = np.array(x, dtype=float).reshape(2, 2, n_payoffs)
+    return X[:, 0], X[:, 1]
 
 
 def flat_menu_fn(fn, n_payoffs):
-    """Adapt a Menu function to flat coordinates without revalidation."""
+    """Adapt a function of a menu to flat coordinates."""
     return lambda x: fn(unchecked_menu(x, n_payoffs))
 
 
@@ -150,14 +207,10 @@ def search_iterates(search, predictor, config, master_seed, indices):
             return
 
 
-def menu_json(menu) -> dict:
-    """A menu as records hold it."""
-    return {"lottery0": menu.lottery0.to_json_dict(), "lottery1": menu.lottery1.to_json_dict()}
-
-
 def record_menus(rec) -> list:
-    """The menus of a record, as ``Menu`` objects."""
-    return record_to_collection(rec).menus
+    """The menus of a record, each as (Z, P) (2, J)."""
+    coll = record_to_collection(rec)
+    return list(zip(coll.Z, coll.P))
 
 
 def record_bytes(rec) -> str:
@@ -181,9 +234,9 @@ def reference_record(collection, record_id=None, provenance=None) -> dict:
         "run_index": run_index,
         "iterations": prov.get("iterations"),
         "flags": prov.get("flags", []),
-        "menus": [menu_json(m) for m in collection.menus],
-        "predicted_probs": [float(e.choice_prob) for e in collection],
-        "implied_choices": [int(c) for c in collection.implied_choices],
+        "menus": [menu_json(m) for m in zip(collection.Z, collection.P)],
+        "predicted_probs": [float(v) for v in collection.q],
+        "implied_choices": [int(c) for c in implied_choices(collection.q)],
     }
     record.update({k: prov[k] for k in ("stop", "retained_rank", "inner_fits_on_bound",
                                         "inner_fits_unconverged") if k in prov})
@@ -193,7 +246,7 @@ def reference_record(collection, record_id=None, provenance=None) -> dict:
 def reference_generated_record(predictor, cfg, procedure, rec) -> dict:
     """Generated record ``rec`` rebuilt through objects.  The run's menus are
     drawn one by one by ``sample_random_menu`` from its generator, and each
-    probability comes from a one-row ``predict``.  A search run's final menu
+    probability comes from a one-menu ``predict``.  A search run's final menu
     is read from ``rec``, and so are its steps and stop fields."""
     master_seed, run_index = rec["master_seed"], rec["run_index"]
     rng = run_rng(master_seed, run_index)
@@ -210,7 +263,7 @@ def reference_generated_record(predictor, cfg, procedure, rec) -> dict:
                     if k in rec}
         if rec["flags"]:
             searched["flags"] = rec["flags"]
-    coll = ExampleCollection(tuple(Example(m, predictor.predict(m)) for m in menus))
+    coll = collection(menus, [predict(predictor, m) for m in menus])
     return reference_record(coll, provenance={
         "procedure": {"morph": "morphing"}.get(procedure, procedure),
         "predictor": predictor.label, "master_seed": master_seed, "run_index": run_index,
@@ -276,21 +329,37 @@ class TheorySpec:
         object.__setattr__(self, "theta", theta)
 
 
-def eu_difference_features(basis, menu: Menu) -> np.ndarray:
+def design_matrix(basis, Z, P) -> np.ndarray:
+    """The rows d(x) (n, K) of menus Z and P (n, 2, J)."""
+    return eu_difference_rows(P, stack_basis_values(basis, Z))
+
+
+def fit_theta(basis, Z, P, y) -> FitResult:
+    """Fit theta to menus Z and P (n, 2, J) and target probabilities y (n,)
+    by mean cross-entropy: the stacked fit of one problem, with scalar
+    fields.  The reported loss is the mean KL divergence of the fit from the
+    targets, which is 0 exactly when the theory matches them."""
+    if not len(y):
+        raise ValueError("need at least one example")
+    fit = _fit_logits(design_matrix(basis, Z, P)[None], np.asarray(y, dtype=float)[None])
+    return FitResult(fit.theta[0], float(fit.kl[0]), float(fit.cross_entropy[0]),
+                     bool(fit.converged[0]), bool(fit.on_norm_bound[0]))
+
+
+def eu_difference_features(basis, menu) -> np.ndarray:
     """d(x): basis-weighted expected-utility difference feature vector."""
-    return design_matrix(basis, [menu])[0]
+    return design_matrix(basis, menu[0][None], menu[1][None])[0]
 
 
-def theory_choice_prob(spec: TheorySpec, menu: Menu) -> float:
+def theory_choice_prob(spec: TheorySpec, menu) -> float:
     d = eu_difference_features(spec.basis, menu)
     return float(logistic(d @ spec.theta))
 
 
 def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
     """(mean cross-entropy, mean KL) of a spec on (menu, target) examples."""
-    menus = [m for m, _ in examples]
     y = _clip_targets(np.array([t for _, t in examples], dtype=float))
-    D = design_matrix(spec.basis, menus)
+    D = design_matrix(spec.basis, *stack([m for m, _ in examples]))
     ce = float(_cross_entropy(D @ spec.theta, y))
     return ce, max(ce - float(_entropy(y)), 0.0)
 
@@ -410,10 +479,9 @@ def reference_margin_lp(menus, choices, grid):
         rows.append(row)
         rhs.append(1.0 + const + coeffs_full[-1])
 
-    for menu, y in zip(menus, choices):
-        chosen = menu.lottery1 if y == 1 else menu.lottery0
-        other = menu.lottery0 if y == 1 else menu.lottery1
-        add_geq(probs_on_grid(chosen, grid) - probs_on_grid(other, grid), 0.0)
+    for (Z, P), y in zip(menus, choices):
+        add_geq(probs_on_grid((Z[y], P[y]), grid) - probs_on_grid((Z[1 - y], P[1 - y]), grid),
+                0.0)
     for j in range(k - 1):
         e = np.zeros(k)
         e[j + 1], e[j] = 1.0, -1.0

@@ -20,19 +20,17 @@ from anomgen.basis import PolynomialBasis, basis_from_config
 from anomgen.categorize import categorize, decompose_shared_components
 from anomgen.cli import run_command
 from anomgen.cpt import CptParams, CptPredictor, simulate_choices
-from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu, draw_menus,
-                               fosd_compare, make_lottery, merge_payoff_grid,
-                               probs_on_grid, sample_random_menu)
+from anomgen.lotteries import draw_menus, on_merged_grid
 from anomgen.morphing import (MorphConfig, null_space_projection, run_morph_indices,
                               _tangent)
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
                                menu_input_scaling, _backprop, _ce_loss)
 from anomgen.records import read_jsonl, record_to_collection
-from anomgen.theory import fit_theta
 from anomgen.verifier import (minimal_anomaly, verify_collection,
                               verify_increasing_utility, verify_parametrized)
-from conftest import (TABLE_TOL, central_difference, kernel_weights, simulate_respondents,
-                      unchecked_menu)
+from conftest import (TABLE_TOL, central_difference, collection, fit_theta, flat, grad,
+                      kernel_weights, lottery, predict, probs_on_grid, sample_random_menu,
+                      simulate_respondents, stack, unchecked_menu)
 
 DESK_SEED = 23
 DESK_RUNS = 300          # per procedure
@@ -81,13 +79,12 @@ def test_criterion_1_paper_oracle_verification(allais_menus, certainty_menus):
     with criterion(1, "Allais and certainty-effect menus verify as minimal anomalies"):
         for menus, choices in ((allais_menus, (0, 1)), (certainty_menus, (1, 0))):
             start = time.time()
-            pair = verify_increasing_utility(list(menus), list(choices))
+            pair = verify_increasing_utility(*stack(menus), list(choices))
             assert not pair.consistent
             for menu, choice in zip(menus, choices):
-                assert verify_increasing_utility([menu], [choice]).consistent
+                assert verify_increasing_utility(*stack([menu]), [choice]).consistent
             probs = [0.2 if c == 0 else 0.8 for c in choices]
-            coll = ExampleCollection(tuple(
-                Example(m, p) for m, p in zip(menus, probs)))
+            coll = collection(menus, probs)
             assert minimal_anomaly(coll)[0] == (0, 1)
             assert time.time() - start < 1.0
 
@@ -103,13 +100,13 @@ def test_criterion_2_paper_table_categorization(
         assert categorize(sd_example_collection, tol=TABLE_TOL).tag == \
             "strict_dominance"
         dec1 = decompose_shared_components(
-            make_lottery([4.63, 5.04, 5.81], [1.00, 0.00, 0.00]),
-            make_lottery([4.63, 5.04, 5.81], [0.30, 0.67, 0.03]), tol=TABLE_TOL)
+            lottery([4.63, 5.04, 5.81], [1.00, 0.00, 0.00]),
+            lottery([4.63, 5.04, 5.81], [0.30, 0.67, 0.03]), tol=TABLE_TOL)
         assert dec1["alpha_a"] == pytest.approx(0.0, abs=TABLE_TOL)
         assert dec1["alpha_b"] == pytest.approx(0.70, abs=TABLE_TOL)
         dec0 = decompose_shared_components(
-            make_lottery([4.30, 6.17, 8.51], [0.15, 0.61, 0.24]),
-            make_lottery([4.30, 6.17, 8.51], [0.36, 0.36, 0.28]), tol=TABLE_TOL)
+            lottery([4.30, 6.17, 8.51], [0.15, 0.61, 0.24]),
+            lottery([4.30, 6.17, 8.51], [0.36, 0.36, 0.28]), tol=TABLE_TOL)
         got = sorted([dec0["alpha_a"], dec0["alpha_b"]])
         assert got[0] == pytest.approx(0.45, abs=TABLE_TOL)
         assert got[1] == pytest.approx(0.77, abs=TABLE_TOL)
@@ -126,7 +123,7 @@ def test_criterion_3_closed_form_checks(allais_menus):
         assert w.sum() == pytest.approx(0.8412, abs=1e-4)
         menu_a, menu_b = allais_menus
         basis = PolynomialBasis(order=6, domain=(0, 5e6))
-        fit = fit_theta(basis, [(menu_a, 0.2), (menu_b, 0.8)])
+        fit = fit_theta(basis, *stack([menu_a, menu_b]), [0.2, 0.8])
         assert fit.kl == pytest.approx(0.1927, abs=1e-3)
 
 
@@ -147,7 +144,7 @@ def test_criterion_4_gradient_suites():
         def interior_menu():
             while True:
                 m = sample_random_menu(rng, 2, 0.5, 9.5)
-                if min(m.lottery0.probs.min(), m.lottery1.probs.min()) > 0.05:
+                if m[1].min() > 0.05:
                     return m
 
         probs = np.r_[2:4, 6:8]      # (p0, p1) within the flattened menu
@@ -155,15 +152,15 @@ def test_criterion_4_gradient_suites():
         mlp_checked = 0
         for _ in range(500):
             m = interior_menu()
-            x = m.flatten()
-            g = oracle.grad(m)
+            x = flat(m)
+            g = grad(oracle, m)
             fd = central_difference(
-                lambda v: oracle.predict(unchecked_menu(v, 2)), x)[probs]
+                lambda v: predict(oracle, unchecked_menu(v, 2)), x)[probs]
             cpt_worst = max(cpt_worst, _vector_rel(fd, g))
 
-            gm = mlp.grad(m)
+            gm = grad(mlp, m)
             fdm = central_difference(
-                lambda v: mlp.predict(unchecked_menu(v, 2)), x)[probs]
+                lambda v: predict(mlp, unchecked_menu(v, 2)), x)[probs]
             rel = _vector_rel(fdm, gm)
             if rel < 1e-2:      # away from rectifier kinks
                 mlp_worst = max(mlp_worst, rel)
@@ -174,7 +171,7 @@ def test_criterion_4_gradient_suites():
 
         # Weight gradients on 500 random weights, compared as one vector.
         menus = [interior_menu() for _ in range(64)]
-        X = np.array([m.flatten() for m in menus]) * model.input_scaling
+        X = np.array([flat(m) for m in menus]) * model.input_scaling
         y = rng.uniform(0.1, 0.9, size=64)
         w = np.ones(64)
         gW, gb = _backprop(model, X, y, w)
@@ -245,12 +242,11 @@ def test_criterion_8_projection_properties():
         rng = np.random.default_rng(401)
         for _ in range(1000):
             m = sample_random_menu(rng, 2, 0.5, 9.5)
-            if min(m.lottery0.probs.min(), m.lottery1.probs.min()) < 0.05:
+            if m[1].min() < 0.05:
                 continue
-            g_probs = pred.grad(m)
+            g_probs = grad(pred, m)
             thetas = rng.normal(0, 0.3, size=(rng.integers(1, 6), basis.dim))
-            B0 = basis.eval(m.lottery0.payoffs)
-            B1 = basis.eval(m.lottery1.payoffs)
+            B0, B1 = (basis.eval(z) for z in m[0])
             sampled = np.concatenate([-(thetas @ B0.T), thetas @ B1.T], axis=1)
             # A morph step projects in simplex-tangent coordinates.
             g_t = _tangent(g_probs, 2)
@@ -299,11 +295,10 @@ def test_criterion_10_lp_oracle_equivalence():
             base = sample_random_menu(rng, 2, 0, 10)
             p0 = rng.uniform(0, 1, 2)
             p1 = rng.uniform(0, 1, 2)
-            other = Menu(Lottery(base.lottery0.payoffs, p0 / p0.sum()),
-                         Lottery(base.lottery1.payoffs, p1 / p1.sum()))
+            other = base[0], np.stack([p0 / p0.sum(), p1 / p1.sum()])
             menus = [base, other]
             choices = rng.integers(0, 2, size=2)
-            lp = verify_increasing_utility(menus, choices)
+            lp = verify_increasing_utility(*stack(menus), choices)
             if _grid_consistent(menus, choices):
                 checked += 1
                 assert lp.consistent
@@ -311,14 +306,12 @@ def test_criterion_10_lp_oracle_equivalence():
 
 
 def _grid_consistent(menus, choices, steps=200, strictness=1e-6):
-    grid = merge_payoff_grid([l for m in menus for l in (m.lottery0, m.lottery1)])
+    grid, _ = on_merged_grid([(z, p) for Z, P in menus for z, p in zip(Z, P)])
     k = grid.size
     assert k <= 4
     diffs = []
-    for menu, y in zip(menus, choices):
-        chosen = menu.lottery1 if y == 1 else menu.lottery0
-        other = menu.lottery0 if y == 1 else menu.lottery1
-        diffs.append(probs_on_grid(chosen, grid) - probs_on_grid(other, grid))
+    for (Z, P), y in zip(menus, choices):
+        diffs.append(probs_on_grid((Z[y], P[y]), grid) - probs_on_grid((Z[1 - y], P[1 - y]), grid))
     diffs = np.array(diffs)
     ticks = np.linspace(0.0, 1.0, steps + 1)
     if k == 2:

@@ -5,12 +5,13 @@ from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run,
                                  interior_menu, run_adversarial_indices)
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor, logistic
-from anomgen.lotteries import LOTTERY_SIGN, Lottery, Menu, sample_random_menu, stack_menus
+from anomgen.lotteries import LOTTERY_SIGN
 from anomgen.morphing import MorphConfig, run_morph_indices
 from anomgen.records import record_to_collection
-from anomgen.theory import eu_difference_rows, fit_theta, stack_basis_values
-from conftest import (TheorySpec, central_difference, record_bytes, record_menus,
-                      search_iterates, theory_loss, unchecked_menu)
+from anomgen.theory import eu_difference_rows, stack_basis_values
+from conftest import (TheorySpec, central_difference, fit_theta, flat, predict, record_bytes,
+                      record_menus, sample_random_menu, search_iterates, stack, swapped,
+                      theory_loss, unchecked_menu)
 
 BASIS = PolynomialBasis(order=6, domain=(0, 10))
 
@@ -30,15 +31,15 @@ class LogitEutPredictor:
 
 
 def gda_menus(pred, config, menus, indices=None):
-    """``gda_run`` from menu objects; run r is run ``indices[r]``, by default r."""
-    return gda_run(pred, config, *stack_menus(menus), None,
+    """``gda_run`` from a list of menus; run r is run ``indices[r]``, by default r."""
+    return gda_run(pred, config, *stack(menus), None,
                    range(len(menus)) if indices is None else indices)
 
 
 def objective(pred, spec, menu):
     """The disagreement score and its gradient for one menu, flattened to
     (p0, p1) order."""
-    Z, P = stack_menus([menu])
+    Z, P = stack([menu])
     value, grad = ascent_objective(spec.theta[None], P, stack_basis_values(BASIS, Z),
                                    *pred.grad_batch(Z, interior_menu(P)))
     return value[0], grad[0].reshape(-1)
@@ -49,14 +50,15 @@ class TestInteriorMenu:
         rng = np.random.default_rng(20)
         for _ in range(500):
             J = int(rng.integers(2, 5))
-            lots = []
+            probs = []
             for _ in range(2):
                 p = rng.dirichlet(np.ones(J))
                 at_face = rng.random(J) < 0.5
                 at_face[rng.integers(J)] = False
                 p[at_face] = rng.choice([0.0, 1e-300, 1e-9, 9.99e-9])
-                lots.append(Lottery(rng.uniform(0, 10, J), p / p.sum()))
-            out = interior_menu(np.stack([lot.probs for lot in lots]))
+                rng.uniform(0, 10, J)                   # the lottery's payoffs
+                probs.append(p / p.sum())
+            out = interior_menu(np.stack(probs))
             for p in out:
                 assert p.min() >= GRAD_BOUNDARY
                 assert abs(p.sum() - 1.0) <= 1e-12
@@ -66,17 +68,17 @@ class TestInteriorMenu:
         # is a no-op and only the division by the sum remains.
         rng = np.random.default_rng(21)
         for _ in range(200):
-            menu = sample_random_menu(rng, int(rng.integers(2, 5)), 0, 10)
-            out = interior_menu(stack_menus([menu])[1][0])
-            for p, before in zip(out, (menu.lottery0, menu.lottery1)):
-                if before.probs.min() >= 2 * GRAD_BOUNDARY:
-                    np.testing.assert_array_equal(p, before.probs / before.probs.sum())
+            _, P = sample_random_menu(rng, int(rng.integers(2, 5)), 0, 10)
+            out = interior_menu(P)
+            for p, before in zip(out, P):
+                if before.min() >= 2 * GRAD_BOUNDARY:
+                    np.testing.assert_array_equal(p, before / before.sum())
 
 
 class TestAscentObjective:
     def test_logit_objective_zero_at_indifference(self):
-        lot_menu = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
-        menu = Menu(lot_menu.lottery0, lot_menu.lottery0)   # predictor gives 0.5
+        Z, P = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
+        menu = (Z[[0, 0]], P[[0, 0]])   # predictor gives 0.5
         pred = CptPredictor(CptParams(0.726, 0.309))
         spec = TheorySpec(BASIS, np.random.default_rng(1).normal(size=6))
         value, _ = objective(pred, spec, menu)
@@ -98,7 +100,7 @@ class TestAscentObjective:
         worst = 0.0
         for _ in range(25):
             menu = sample_random_menu(rng, 2, 0.5, 9.5)
-            if min(menu.lottery0.probs.min(), menu.lottery1.probs.min()) < 0.05:
+            if menu[1].min() < 0.05:
                 continue
             spec = TheorySpec(BASIS, rng.normal(0, 0.4, size=6))
             _, grad = objective(pred, spec, menu)
@@ -107,7 +109,7 @@ class TestAscentObjective:
                 return objective(pred, spec, unchecked_menu(x, 2))[0]
 
             # The objective's gradient covers the probability coordinates.
-            fd = central_difference(value_at, menu.flatten())[[2, 3, 6, 7]]
+            fd = central_difference(value_at, flat(menu))[[2, 3, 6, 7]]
             worst = max(worst, np.max(np.abs(fd - grad) / (np.abs(grad) + 1e-7)))
         assert worst < 1e-4
 
@@ -120,14 +122,14 @@ class TestAscentObjective:
         checked = 0
         for _ in range(20):
             menu = sample_random_menu(rng, 2, 0, 10)
-            target = pred.predict(menu)
-            fit = fit_theta(BASIS, [(menu, target)])
+            target = predict(pred, menu)
+            fit = fit_theta(BASIS, *stack([menu]), [target])
             if fit.kl > 1e-10:
                 continue
             spec = TheorySpec(BASIS, fit.theta)
             grad = central_difference(
                 lambda x: theory_loss(spec, [(unchecked_menu(x, 2), target)])[0],
-                menu.flatten())[[2, 3, 6, 7]]
+                flat(menu))[[2, 3, 6, 7]]
             assert np.linalg.norm(grad) < 1e-6
             checked += 1
         assert checked > 0
@@ -140,8 +142,7 @@ class TestGdaRun:
         x0 = sample_random_menu(np.random.default_rng(5), 2, 0, 10)
         cfg = GdaConfig(step_size=1e-300, max_iters=3)
         (result,) = gda_menus(pred, cfg, [x0])
-        np.testing.assert_allclose(record_menus(result)[1].flatten(),
-                                   x0.flatten(), atol=1e-12)
+        np.testing.assert_allclose(flat(record_menus(result)[1]), flat(x0), atol=1e-12)
 
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
@@ -149,7 +150,7 @@ class TestGdaRun:
                                           range(10)):
             for result in results:
                 assert result["iterations"] == s
-                x = record_menus(result)[1].flatten()
+                x = flat(record_menus(result)[1])
                 assert abs(x[2:4].sum() - 1) < 1e-12
                 assert abs(x[6:8].sum() - 1) < 1e-12
                 assert np.all(x[2:4] >= 0) and np.all(x[6:8] >= 0)
@@ -158,7 +159,7 @@ class TestGdaRun:
     def test_payoffs_frozen_by_default(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         (result,) = run_adversarial_indices(pred, GdaConfig(), 7, [0])
-        x0, xS = (m.flatten() for m in record_menus(result))
+        x0, xS = (flat(m) for m in record_menus(result))
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
 
@@ -168,11 +169,11 @@ class TestGdaRun:
         pred = CptPredictor(CptParams(0.726, 0.309))
         x0 = sample_random_menu(np.random.default_rng(8), 2, 0, 10)
         for s in range(1, 26):
-            r1, r2 = gda_menus(pred, GdaConfig(max_iters=s), [x0, x0.swapped()])
+            r1, r2 = gda_menus(pred, GdaConfig(max_iters=s), [x0, swapped(x0)])
             assert r1["iterations"] == r2["iterations"] == s
             # Flat order is (z0, p0, z1, p1): swapping labels swaps halves.
-            np.testing.assert_allclose(np.roll(record_menus(r1)[1].flatten(), 4),
-                                       record_menus(r2)[1].flatten(), atol=1e-9)
+            np.testing.assert_allclose(np.roll(flat(record_menus(r1)[1]), 4),
+                                       flat(record_menus(r2)[1]), atol=1e-9)
 
 
 class TestGenerateAdversarial:
@@ -198,7 +199,7 @@ class TestEstimatedPredictors:
         from anomgen.cpt import simulate_choices
         menus = [sample_random_menu(np.random.default_rng((77, i)), 2, 0, 10)
                  for i in range(n)]
-        return simulate_choices(np.random.default_rng(78), *stack_menus(menus),
+        return simulate_choices(np.random.default_rng(78), *stack(menus),
                                 CptParams(0.726, 0.309), kind="rate", count=200)
 
     def test_mlp_backed_generation(self):
@@ -211,7 +212,7 @@ class TestEstimatedPredictors:
         (again,) = run_adversarial_indices(pred, GdaConfig(), 13, [0])
         assert again == result
         (morph,) = run_morph_indices(pred, MorphConfig(), 13, [0])
-        assert len(record_to_collection(morph)) == 2
+        assert len(record_to_collection(morph).q) == 2
         assert all(np.isfinite(morph["predicted_probs"]))
 
     def test_cpt_fit_backed_generation(self):

@@ -7,9 +7,7 @@ from anomgen.analysis import (FEATURE_NAMES, EpsilonFit, PatternFrequencies,
                               anomaly_features, consistent_patterns,
                               estimate_epsilon, kmeans, pca, standardize)
 from anomgen.cli import run_command
-from anomgen.lotteries import (Example, ExampleCollection, Menu, lottery_stats,
-                               make_lottery, sample_random_menu)
-from conftest import simulate_respondents
+from conftest import collection, lottery, menu, sample_random_menu, simulate_respondents, stack
 from anomgen.records import read_jsonl
 
 
@@ -41,13 +39,12 @@ class TestBaseline:
 
 class TestAnomalyFeatures:
     def _pair(self, menu_a, menu_b, fa, fb):
-        return ExampleCollection((Example(menu_a, fa), Example(menu_b, fb)))
+        return collection([menu_a, menu_b], [fa, fb])
 
     def test_identical_lotteries_zero_block(self):
-        lot = make_lottery([2, 7], [0.4, 0.6])
-        menu = Menu(lot, lot)
+        lot = lottery([2, 7], [0.4, 0.6])
         other = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
-        feats = anomaly_features(self._pair(menu, other, 0.8, 0.2))
+        feats = anomaly_features(self._pair(menu(lot, lot), other, 0.8, 0.2))
         np.testing.assert_allclose(feats[:9], 0, atol=1e-12)
 
     def test_flipping_choice_negates_block(self):
@@ -67,9 +64,9 @@ class TestAnomalyFeatures:
         assert FEATURE_NAMES[0] == "A_ev_diff"
 
     def test_arity(self):
-        menu = sample_random_menu(np.random.default_rng(3), 2, 0, 10)
+        m = sample_random_menu(np.random.default_rng(3), 2, 0, 10)
         with pytest.raises(ValueError):
-            anomaly_features(ExampleCollection((Example(menu, 0.7),)))
+            anomaly_features(collection([m], [0.7]))
 
 
 class TestStandardize:
@@ -161,7 +158,7 @@ class TestEstimateEpsilon:
         assert fit.epsilon == pytest.approx(0.05, abs=0.01)
 
     def test_patterns_from_verifier(self, allais_menus):
-        pats = consistent_patterns(list(allais_menus))
+        pats = consistent_patterns(*stack(allais_menus))
         assert set(pats) == {(0, 0), (1, 1)}
 
     def test_objective_at_optimum_beats_endpoints(self):

@@ -9,10 +9,10 @@ from anomgen.categorize import (AnomalyCategory, categorize,
                                 categorize_three_payoff, categorize_two_payoff,
                                 check_certificate, decompose_shared_components,
                                 solve_degenerate_mix)
-from anomgen.lotteries import (Example, ExampleCollection, FosdOrder, Menu,
-                               fosd_compare, make_lottery, sample_random_menu)
+from anomgen.lotteries import Collection, FosdOrder, fosd_compare
 from anomgen.records import read_jsonl, write_jsonl
-from conftest import TABLE_TOL
+from conftest import (TABLE_TOL, collection, lottery, menu, probs_on_grid, sample_random_menu,
+                      swapped)
 
 # The fixture holding a collection of each category, and tampered variants of
 # each certificate field.
@@ -54,48 +54,49 @@ TAMPERS = [
 @pytest.fixture
 def fosd_example_collection():
     """Menu A's chosen lottery is dominated by its alternative."""
-    dominated = Menu(make_lottery([5, 6], [0.5, 0.5]),
-                     make_lottery([6, 7], [0.5, 0.5]))
-    other = Menu(make_lottery([2, 8], [0.5, 0.5]),
-                 make_lottery([1, 9], [0.4, 0.6]))
-    return ExampleCollection((Example(dominated, 0.2), Example(other, 0.8)))
+    dominated = menu(lottery([5, 6], [0.5, 0.5]),
+                     lottery([6, 7], [0.5, 0.5]))
+    other = menu(lottery([2, 8], [0.5, 0.5]),
+                 lottery([1, 9], [0.4, 0.6]))
+    return collection([dominated, other], [0.2, 0.8])
 
 
 class TestSolveDegenerateMix:
     def test_identity(self):
-        lot = make_lottery([1, 5], [0.3, 0.7])
+        lot = lottery([1, 5], [0.3, 0.7])
         assert solve_degenerate_mix(lot, lot, 1.0) == pytest.approx(1.0)
 
     def test_published_dc_alphas(self):
         # Ratio solves on the dominated-consequence example menus.
-        a1 = solve_degenerate_mix(make_lottery([5.72, 8.64], [0.13, 0.87]),
-                                  make_lottery([5.72, 8.64], [0.34, 0.66]),
+        a1 = solve_degenerate_mix(lottery([5.72, 8.64], [0.13, 0.87]),
+                                  lottery([5.72, 8.64], [0.34, 0.66]),
                                   5.72, tol=TABLE_TOL)
         assert a1 == pytest.approx(0.66 / 0.87, abs=1e-9)
-        a0 = solve_degenerate_mix(make_lottery([6.44, 6.71], [0.00, 1.00]),
-                                  make_lottery([6.44, 6.71], [0.11, 0.89]),
+        a0 = solve_degenerate_mix(lottery([6.44, 6.71], [0.00, 1.00]),
+                                  lottery([6.44, 6.71], [0.11, 0.89]),
                                   6.44, tol=TABLE_TOL)
         assert a0 == pytest.approx(0.89, abs=1e-9)
 
     def test_synthetic_mix_recovered_exactly(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            base = sample_random_menu(rng, 2, 0, 10).lottery0
+            (z, _), (p, _) = sample_random_menu(rng, 2, 0, 10)
+            base = (z, p)
             alpha = rng.uniform(0, 1)
-            anchor = float(base.payoffs.min())
-            probs = alpha * base.probs
-            probs[np.argmin(base.payoffs)] += 1 - alpha
-            cand = make_lottery(base.payoffs, probs)
+            anchor = float(z.min())
+            probs = alpha * p
+            probs[np.argmin(z)] += 1 - alpha
+            cand = lottery(z, probs)
             got = solve_degenerate_mix(base, cand, anchor)
             assert got == pytest.approx(alpha, abs=1e-9)
 
     def test_infeasible_returns_none(self):
-        base = make_lottery([1, 5], [0.5, 0.5])
-        cand = make_lottery([1, 5], [0.2, 0.8])   # mass on 5 grew: alpha > 1
+        base = lottery([1, 5], [0.5, 0.5])
+        cand = lottery([1, 5], [0.2, 0.8])   # mass on 5 grew: alpha > 1
         assert solve_degenerate_mix(base, cand, 1.0) is None
 
     def test_anchor_must_be_base_payoff(self):
-        base = make_lottery([1, 5], [0.5, 0.5])
+        base = lottery([1, 5], [0.5, 0.5])
         assert solve_degenerate_mix(base, base, 3.0) is None
 
 
@@ -130,15 +131,14 @@ class TestTwoPayoffCategorization:
 
     def test_common_ratio_flag(self):
         # Equal mixing weights: the common-ratio special case.
-        base0 = make_lottery([1.0, 6.0], [0.4, 0.6])
-        base1 = make_lottery([2.0, 9.0], [0.7, 0.3])
+        base0 = lottery([1.0, 6.0], [0.4, 0.6])
+        base1 = lottery([2.0, 9.0], [0.7, 0.3])
         alpha = 0.5
-        mix = lambda lot: make_lottery(
-            lot.payoffs, alpha * lot.probs + (1 - alpha) *
-            (lot.payoffs == lot.payoffs.min()).astype(float))
-        menu_a = Menu(base0, base1)
-        menu_b = Menu(mix(base0), mix(base1))
-        coll = ExampleCollection((Example(menu_a, 0.8), Example(menu_b, 0.2)))
+        mix = lambda lot: lottery(
+            lot[0], alpha * lot[1] + (1 - alpha) * (lot[0] == lot[0].min()).astype(float))
+        menu_a = menu(base0, base1)
+        menu_b = menu(mix(base0), mix(base1))
+        coll = collection([menu_a, menu_b], [0.8, 0.2])
         cat = categorize_two_payoff(coll)
         assert cat.tag == "dominated_consequence"
         assert cat.certificate["common_ratio"] is True
@@ -147,12 +147,11 @@ class TestTwoPayoffCategorization:
     def test_common_ratio_claimed_only_by_dominated_consequence(self):
         # Strict dominance at equal mixing weights: the certificate names no
         # common ratio, and one that claims it does not check.
-        ell0 = make_lottery([1.0, 9.0], [0.4, 0.6])
-        ell1 = make_lottery([3.0, 6.0], [0.7, 0.3])
-        comp0 = make_lottery([1.0, 9.0], [0.7, 0.3])      # ell0 toward 1 at alpha 0.5
-        comp1 = make_lottery([3.0, 6.0], [0.35, 0.65])    # ell1 toward 6 at alpha 0.5
-        coll = ExampleCollection((Example(Menu(ell0, ell1), 0.8),
-                                  Example(Menu(comp0, comp1), 0.2)))
+        ell0 = lottery([1.0, 9.0], [0.4, 0.6])
+        ell1 = lottery([3.0, 6.0], [0.7, 0.3])
+        comp0 = lottery([1.0, 9.0], [0.7, 0.3])      # ell0 toward 1 at alpha 0.5
+        comp1 = lottery([3.0, 6.0], [0.35, 0.65])    # ell1 toward 6 at alpha 0.5
+        coll = collection([menu(ell0, ell1), menu(comp0, comp1)], [0.8, 0.2])
         cat = categorize_two_payoff(coll)
         assert cat.tag == "strict_dominance" and "common_ratio" not in cat.certificate
         assert check_certificate(cat, coll)
@@ -161,22 +160,21 @@ class TestTwoPayoffCategorization:
 
     def test_unstructured_pair_is_other(self):
         # Disjoint payoff supports: no mixing relation can hold, no dominance.
-        menu_a = Menu(make_lottery([2, 8], [0.5, 0.5]),
-                      make_lottery([1, 9], [0.4, 0.6]))
-        menu_b = Menu(make_lottery([3.3, 7.7], [0.6, 0.4]),
-                      make_lottery([0.5, 9.5], [0.5, 0.5]))
-        coll = ExampleCollection((Example(menu_a, 0.8), Example(menu_b, 0.2)))
+        menu_a = menu(lottery([2, 8], [0.5, 0.5]),
+                      lottery([1, 9], [0.4, 0.6]))
+        menu_b = menu(lottery([3.3, 7.7], [0.6, 0.4]),
+                      lottery([0.5, 9.5], [0.5, 0.5]))
+        coll = collection([menu_a, menu_b], [0.8, 0.2])
         cat = categorize_two_payoff(coll)
         assert cat.tag == "other"
 
     def test_relabel_invariance(self, dc_example_collection):
         # Swapping lotteries (with flipped probabilities) and menu order must
         # not change the category.
-        examples = dc_example_collection.examples
-        swapped = ExampleCollection(tuple(
-            Example(e.menu.swapped(), 1 - e.choice_prob) for e in examples))
-        reordered = ExampleCollection((examples[1], examples[0]))
-        for coll in (swapped, reordered):
+        Z, P, q = dc_example_collection
+        flipped = collection([swapped(m) for m in zip(Z, P)], 1 - q)
+        reordered = Collection(Z[::-1], P[::-1], q[::-1])
+        for coll in (flipped, reordered):
             assert categorize_two_payoff(coll, tol=TABLE_TOL).tag == \
                 "dominated_consequence"
 
@@ -230,27 +228,37 @@ class TestTwoPayoffCategorization:
         base, comp = [], []
         for zs, pi, side, alpha in zip((z[:2], z[2:]), p, sides, alphas):
             probs = np.array([pi, 20 - pi]) / 20
-            base.append(make_lottery(zs, probs))
+            base.append(lottery(zs, probs))
             mixed = alpha * probs
             mixed[0 if side == "low" else 1] += 1 - alpha
-            comp.append(make_lottery(zs, mixed))
-        examples = [Example(Menu(*pair[::-1]) if swap else Menu(*pair),
-                            0.8 if c != swap else 0.2)
-                    for pair, swap, c in zip((base, comp), swaps, chosen)]
-        coll = ExampleCollection(examples[::-1] if swaps[2] else examples)
+            comp.append(lottery(zs, mixed))
+        menus = [menu(*pair[::-1]) if swap else menu(*pair)
+                 for pair, swap in zip((base, comp), swaps)]
+        probs = [0.8 if c != swap else 0.2 for swap, c in zip(swaps, chosen)]
+        coll = (collection(menus[::-1], probs[::-1]) if swaps[2]
+                else collection(menus, probs))
         cat = categorize(coll, tol)
         assert check_certificate(
             AnomalyCategory(cat.tag, json.loads(json.dumps(cat.certificate))), coll)
 
+    def test_stored_component_off_the_simplex_is_rejected(self, ternary_example_collection):
+        # A certificate's components come from outside the program: one whose
+        # probabilities are off the simplex is an error, not a verdict.
+        cat = categorize(ternary_example_collection, tol=TABLE_TOL)
+        comp1 = cat.certificate["comp1"]
+        bad = {**cat.certificate, "comp1": {**comp1, "probs": [2 * p for p in comp1["probs"]]}}
+        with pytest.raises(ValueError):
+            check_certificate(AnomalyCategory(cat.tag, bad), ternary_example_collection)
+
     def test_wrong_arity_rejected(self, dc_example_collection):
-        single = ExampleCollection(dc_example_collection.examples[:1])
+        single = Collection(*(v[:1] for v in dc_example_collection))
         with pytest.raises(ValueError):
             categorize_two_payoff(single)
 
 
 class TestSharedComponents:
     def test_identical_lotteries_trivial(self):
-        lot = make_lottery([1, 5], [0.4, 0.6])
+        lot = lottery([1, 5], [0.4, 0.6])
         dec = decompose_shared_components(lot, lot)
         assert dec is not None
         assert dec["alpha_a"] == pytest.approx(dec["alpha_b"])
@@ -258,20 +266,20 @@ class TestSharedComponents:
     def test_lottery1_family(self):
         # Degenerate base against the mixture that adds the dominating pair.
         dec = decompose_shared_components(
-            make_lottery([4.63, 5.04, 5.81], [1.00, 0.00, 0.00]),
-            make_lottery([4.63, 5.04, 5.81], [0.30, 0.67, 0.03]), tol=TABLE_TOL)
+            lottery([4.63, 5.04, 5.81], [1.00, 0.00, 0.00]),
+            lottery([4.63, 5.04, 5.81], [0.30, 0.67, 0.03]), tol=TABLE_TOL)
         assert dec is not None
         assert dec["alpha_a"] == pytest.approx(0.0, abs=TABLE_TOL)
         assert dec["alpha_b"] == pytest.approx(0.70, abs=TABLE_TOL)
         assert fosd_compare(dec["comp1"], dec["comp2"]) is FosdOrder.A_DOMINATES
         # comp1 is the 96/4 mixture over the upper payoffs.
-        np.testing.assert_allclose(
-            dec["comp1"].probs[dec["comp1"].payoffs > 4.7].sum(), 1.0)
+        z, p = dec["comp1"]
+        np.testing.assert_allclose(p[z > 4.7].sum(), 1.0)
 
     def test_lottery0_family_alpha_set(self):
         dec = decompose_shared_components(
-            make_lottery([4.30, 6.17, 8.51], [0.15, 0.61, 0.24]),
-            make_lottery([4.30, 6.17, 8.51], [0.36, 0.36, 0.28]), tol=TABLE_TOL)
+            lottery([4.30, 6.17, 8.51], [0.15, 0.61, 0.24]),
+            lottery([4.30, 6.17, 8.51], [0.36, 0.36, 0.28]), tol=TABLE_TOL)
         assert dec is not None
         got = sorted([dec["alpha_a"], dec["alpha_b"]])
         assert got[0] == pytest.approx(0.45, abs=TABLE_TOL)
@@ -282,7 +290,6 @@ class TestSharedComponents:
     def test_decomposition_reconstructs_the_lotteries(self):
         # Decompositions are not unique; the contract is that the returned
         # components and weights reproduce both probability vectors exactly.
-        from anomgen.lotteries import merge_payoff_grid, probs_on_grid
         rng = np.random.default_rng(2)
         grid = np.array([1.0, 4.0, 9.0])
         for _ in range(30):
@@ -290,24 +297,22 @@ class TestSharedComponents:
             q1[1] = 1 - q1[0]
             q2 = np.array([0.0, 0.0, 1.0])
             aa, ab = rng.uniform(0.1, 0.9, size=2)
-            lot_a = make_lottery(grid, aa * q1 + (1 - aa) * q2)
-            lot_b = make_lottery(grid, ab * q1 + (1 - ab) * q2)
+            lot_a = lottery(grid, aa * q1 + (1 - aa) * q2)
+            lot_b = lottery(grid, ab * q1 + (1 - ab) * q2)
             dec = decompose_shared_components(lot_a, lot_b)
             assert dec is not None
             c1 = probs_on_grid(dec["comp1"], grid)
             c2 = probs_on_grid(dec["comp2"], grid)
             np.testing.assert_allclose(
-                dec["alpha_a"] * c1 + (1 - dec["alpha_a"]) * c2,
-                lot_a.probs, atol=1e-9)
+                dec["alpha_a"] * c1 + (1 - dec["alpha_a"]) * c2, lot_a[1], atol=1e-9)
             np.testing.assert_allclose(
-                dec["alpha_b"] * c1 + (1 - dec["alpha_b"]) * c2,
-                lot_b.probs, atol=1e-9)
+                dec["alpha_b"] * c1 + (1 - dec["alpha_b"]) * c2, lot_b[1], atol=1e-9)
 
     def test_too_many_payoffs_rejected(self):
         with pytest.raises(ValueError):
             decompose_shared_components(
-                make_lottery([1, 2, 3], [0.3, 0.3, 0.4]),
-                make_lottery([4, 5, 6], [0.3, 0.3, 0.4]))
+                lottery([1, 2, 3], [0.3, 0.3, 0.4]),
+                lottery([4, 5, 6], [0.3, 0.3, 0.4]))
 
 
 class TestThreePayoffCategorization:
@@ -320,11 +325,11 @@ class TestThreePayoffCategorization:
         assert check_certificate(cat, ternary_example_collection)
 
     def test_fosd_first(self):
-        dominated = Menu(make_lottery([5, 6, 7], [0.3, 0.3, 0.4]),
-                         make_lottery([6, 7, 8], [0.3, 0.3, 0.4]))
-        other = Menu(make_lottery([2, 5, 8], [0.3, 0.4, 0.3]),
-                     make_lottery([1, 6, 9], [0.2, 0.4, 0.4]))
-        coll = ExampleCollection((Example(dominated, 0.2), Example(other, 0.8)))
+        dominated = menu(lottery([5, 6, 7], [0.3, 0.3, 0.4]),
+                         lottery([6, 7, 8], [0.3, 0.3, 0.4]))
+        other = menu(lottery([2, 5, 8], [0.3, 0.4, 0.3]),
+                     lottery([1, 6, 9], [0.2, 0.4, 0.4]))
+        coll = collection([dominated, other], [0.2, 0.8])
         assert categorize_three_payoff(coll).tag == "fosd"
 
     def test_random_pair_is_other(self):
@@ -332,7 +337,7 @@ class TestThreePayoffCategorization:
         while True:
             menu_a = sample_random_menu(rng, 3, 0, 10)
             menu_b = sample_random_menu(rng, 3, 0, 10)
-            coll = ExampleCollection((Example(menu_a, 0.8), Example(menu_b, 0.2)))
+            coll = collection([menu_a, menu_b], [0.8, 0.2])
             cat = categorize_three_payoff(coll)
             if cat.tag != "fosd":
                 assert cat.tag == "other"
@@ -343,6 +348,5 @@ class TestThreePayoffCategorization:
             "dominated_consequence"
         assert categorize(ternary_example_collection, tol=TABLE_TOL).tag == \
             "shared_component_reversal"
-        single = ExampleCollection((Example(
-            Menu(make_lottery([5], [1.0]), make_lottery([6], [1.0])), 0.3),))
+        single = collection([menu(lottery([5], [1.0]), lottery([6], [1.0]))], [0.3])
         assert categorize(single).tag == "fosd"

@@ -16,15 +16,14 @@ from anomgen.cli import run_command
 from anomgen.config import ConfigError, build_predictor, load_config, parse_config
 from anomgen.cpt import CptParams, CptPredictor
 from anomgen.morphing import MorphConfig
-from anomgen.lotteries import (Example, ExampleCollection, Menu, make_lottery,
-                               sample_random_menu)
 from anomgen.records import read_jsonl, record_to_collection, write_jsonl
 from anomgen.verifier import (MAX_DISTINCT_PAYOFFS, minimal_anomaly, verify_collection,
                               verify_parametrized)
 from anomgen.basis import basis_from_config
-from anomgen.categorize import categorize
+from anomgen.categorize import CATEGORY_TAGS, categorize
 from anomgen.predictor import MlpModel, menu_input_scaling
-from conftest import (menu_json, reference_generated_record, reference_record,
+from conftest import (collection, flat, lottery, menu, menu_json, predict,
+                      reference_generated_record, reference_record, sample_random_menu,
                       write_anomalies)
 
 DATA = Path(__file__).parent / "data"
@@ -222,6 +221,23 @@ class TestPipelineCommands:
         assert err == {"command": "verify", "error": "iteration limit reached"}
         assert not os.path.exists("v.jsonl")
 
+    def test_golden_tags_reproduced_byte_for_byte(self, tmp_path, capsys):
+        # One fixture pair per category (and a single-menu FOSD violation and
+        # a consistent pair), verified and categorized when menus were
+        # objects: every certificate and feature vector keeps its bytes.
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(
+            {"theory": {"basis": {"kind": "polynomial", "domain": [0, 5000000]}}}))
+        run_ok(["verify", "--config", "cfg.json", "--in",
+                str(DATA / "golden_tags_candidates.jsonl"), "--out", "v.jsonl"], capsys)
+        assert Path("v.jsonl").read_bytes() == \
+            (DATA / "golden_tags_verified.jsonl").read_bytes()
+        summary = run_ok(["categorize", "--in", str(DATA / "golden_tags_verified.jsonl"),
+                          "--out", "c.jsonl"], capsys)
+        assert set(summary["category_counts"]) == set(CATEGORY_TAGS)
+        assert Path("c.jsonl").read_bytes() == \
+            (DATA / "golden_tags_categorized.jsonl").read_bytes()
+
     def test_golden_report_reproduced_byte_for_byte(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         run_ok(["report", "--in", str(DATA / "golden_categorized.jsonl"),
@@ -363,6 +379,10 @@ class TestPipelineCommands:
         ("pattern_00,pattern_01,pattern_10,pattern_11\n", [], "freqs.csv"),
         ("pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n", [{}], "menus.json"),
         ("pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n", {"a": 1}, "menus.json"),
+        ("pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n",
+         [{"lottery0": {"payoffs": [1, 2], "probs": [0.5, 0.6]},
+           "lottery1": {"payoffs": [1, 2], "probs": [0.5, 0.5]}}] * 2,
+         "menus.json: probabilities"),
     ])
     def test_malformed_epsilon_input_is_one_json_error_line(self, tmp_path, capsys,
                                                             freqs, menus, named):
@@ -373,6 +393,21 @@ class TestPipelineCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 1 and len(err) == 1
         assert named in json.loads(err[0])["error"]
+
+    def test_epsilon_menus_of_unequal_payoff_counts_are_one_json_error_line(
+            self, tmp_path, capsys, allais_menus, certainty_menus):
+        # A J = 3 menu beside a J = 2 one: the menus file is read by the
+        # records' rule, which holds one J per collection.
+        os.chdir(tmp_path)
+        Path("freqs.csv").write_text(
+            "pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n")
+        Path("menus.json").write_text(json.dumps(
+            [menu_json(allais_menus[0]), menu_json(certainty_menus[0])]))
+        rc = run_command(["epsilon", "--freqs", "freqs.csv", "--menus", "menus.json"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(err) == 1
+        error = json.loads(err[0])
+        assert error["command"] == "epsilon" and "menus.json" in error["error"]
 
     def test_categorize_record_without_menus_is_one_json_error_line(self, tmp_path, capsys):
         os.chdir(tmp_path)
@@ -453,10 +488,10 @@ def _random_candidate(seed, n_payoffs, kinds):
             continue
         p0 = rng.dirichlet(ones) if kind == "shared" else \
             np.eye(n_payoffs)[rng.integers(n_payoffs)]
-        menus.append(Menu(make_lottery(first.lottery0.payoffs, p0),
-                          make_lottery(first.lottery1.payoffs, rng.dirichlet(ones))))
+        (z0, z1), _ = first
+        menus.append(menu(lottery(z0, p0), lottery(z1, rng.dirichlet(ones))))
     oracle = CptPredictor(CptParams.preset("bruhin-b"))
-    return ExampleCollection(tuple(Example(m, oracle.predict(m)) for m in menus))
+    return collection(menus, [predict(oracle, m) for m in menus])
 
 
 class TestRecordRoundTripProperty:
@@ -480,8 +515,8 @@ class TestRecordRoundTripProperty:
             cand, ver = os.path.join(tmp, "c.jsonl"), os.path.join(tmp, "v.jsonl")
             write_jsonl(cand, [reference_record(coll)], kind="candidates")
             _, (rec,) = read_jsonl(cand, expected_kind="candidates")
-            for got, menu in zip(record_to_collection(rec).menus, coll.menus, strict=True):
-                np.testing.assert_array_equal(got.flatten(), menu.flatten())
+            got = record_to_collection(rec)
+            np.testing.assert_array_equal(flat((got.Z, got.P)), flat((coll.Z, coll.P)))
             assert run_command(["verify", "--in", cand, "--out", ver]) == 0
             _, (stored,) = read_jsonl(ver, expected_kind="verified")
         got = reverified(stored, basis)
@@ -503,10 +538,10 @@ def _mixed_candidates(capsys):
                                                 "--inits", "6"]):
         run_ok([*argv, "--seed", "2", "--out", "part.jsonl"], capsys)
         yield from read_jsonl("part.jsonl")[1]
-    menu = sample_random_menu(np.random.default_rng(0), 2, 0.0, 10.0)
-    yield reference_record(ExampleCollection((Example(menu, 0.7),)), "single-000000")
-    flat = Menu(make_lottery([5.0, 5.0], [0.3, 0.7]), make_lottery([5.0, 5.0], [0.5, 0.5]))
-    yield reference_record(ExampleCollection((Example(flat, 0.6),)), "flat-000000")
+    single = sample_random_menu(np.random.default_rng(0), 2, 0.0, 10.0)
+    yield reference_record(collection([single], [0.7]), "single-000000")
+    merged = menu(lottery([5.0, 5.0], [0.3, 0.7]), lottery([5.0, 5.0], [0.5, 0.5]))
+    yield reference_record(collection([merged], [0.6]), "flat-000000")
     yield reference_record(_random_candidate(23, 2, ["sure", "sure"]), "minimal-000023")
     yield reference_record(_random_candidate(40, 2, ["shared", "sure"]), "minimal-000040")
     off = reference_record(_random_candidate(7, 3, ["fresh"]), "off-000007")
@@ -556,7 +591,7 @@ class TestVerifyStacks:
         assert (by_id["flat-000000"]["margin"], by_id["flat-000000"]["witness"]) == (0.0, None)
         assert by_id["minimal-000023"]["anomaly_minimal_indices"] == [2]
         assert by_id["minimal-000040"]["anomaly_minimal_indices"] == [0, 2]
-        assert record_to_collection(by_id["off-000007"]).menus[0].lottery0.probs.tolist() \
+        assert record_to_collection(by_id["off-000007"]).P[0, 0].tolist() \
             != by_id["off-000007"]["menus"][0]["lottery0"]["probs"]
 
     @pytest.mark.parametrize("malform", [
@@ -662,6 +697,28 @@ class TestBadInputIsOneErrorLine:
         assert run_command([command, "--in", "in.jsonl", "--out", "out"]) == 1
         assert error_line(capsys) == {"command": command,
                                       "error": f"in.jsonl: line {bad} is not a JSON object"}
+        assert not os.path.exists("out")
+
+    def test_jsonl_line_that_is_not_valid_json(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("in.jsonl").write_text('{"kind": "candidates", "version": 1}\n{oops\n')
+        assert run_command(["verify", "--in", "in.jsonl", "--out", "out"]) == 1
+        error = error_line(capsys)
+        assert error["command"] == "verify"
+        assert error["error"].startswith("in.jsonl: line 2 is not valid JSON (")
+        assert not os.path.exists("out")
+
+    @pytest.mark.parametrize("category", [{"tag": "bogus"}, "fosd"], ids=["bogus-tag", "string"])
+    def test_report_category_without_a_known_tag(self, category, tmp_path, capsys):
+        os.chdir(tmp_path)
+        write_anomalies("cat.jsonl", 3)
+        _, recs = read_jsonl("cat.jsonl")
+        recs[1]["category"] = category
+        write_jsonl("bad.jsonl", recs, kind="categorized")
+        assert run_command(["report", "--in", "bad.jsonl", "--out", "out"]) == 1
+        error = error_line(capsys)
+        assert error["command"] == "report"
+        assert error["error"].startswith("record 'x-000001': ")
         assert not os.path.exists("out")
 
     def test_read_jsonl_returns_a_list_of_objects(self, tmp_path):

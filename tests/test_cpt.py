@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 
 from anomgen.cpt import (CptParams, CptPredictor, logistic, lottery_values,
                          simulate_choices)
-from anomgen.lotteries import (Lottery, Menu, draw_menus, make_lottery,
-                               sample_random_menu, stack_menus)
-from conftest import central_difference, flat_menu_fn, kernel_weights
+from anomgen.lotteries import draw_menus
+from conftest import (central_difference, flat, flat_menu_fn, grad, kernel_weights, lottery,
+                      menu, predict, sample_random_menu, stack, swapped)
 
 BRUHIN_B = CptParams(0.726, 0.309)
 ORACLE_B = CptPredictor(BRUHIN_B)
 
 
-def value(lottery, params):
-    return lottery_values(lottery.payoffs, lottery.probs, params)
+def value(lot, params):
+    return lottery_values(*lot, params)
 
 
 class TestProbWeights:
@@ -50,14 +50,14 @@ class TestProbWeights:
 
 class TestCptValue:
     def test_certain_payoff(self):
-        assert value(make_lottery([5], [1.0]), BRUHIN_B) == pytest.approx(5)
+        assert value(lottery([5], [1.0]), BRUHIN_B) == pytest.approx(5)
 
     def test_identity_parameters_give_expected_value(self):
-        lot = make_lottery([1, 4, 7], [0.2, 0.5, 0.3])
-        assert value(lot, CptParams(1, 1)) == pytest.approx(lot.probs @ lot.payoffs)
+        lot = lottery([1, 4, 7], [0.2, 0.5, 0.3])
+        assert value(lot, CptParams(1, 1)) == pytest.approx(lot[1] @ lot[0])
 
     def test_half_half_example(self):
-        lot = make_lottery([0, 10], [0.5, 0.5])
+        lot = lottery([0, 10], [0.5, 0.5])
         assert value(lot, BRUHIN_B) == pytest.approx(10 * 0.726 / 1.726, abs=1e-9)
 
 
@@ -147,32 +147,31 @@ class TestLogistic:
 
 class TestChoiceProb:
     def test_identical_lotteries(self):
-        lot = make_lottery([2, 6], [0.4, 0.6])
-        assert ORACLE_B.predict(Menu(lot, lot)) == pytest.approx(0.5)
+        lot = lottery([2, 6], [0.4, 0.6])
+        assert predict(ORACLE_B, menu(lot, lot)) == pytest.approx(0.5)
 
     def test_swap_antisymmetry(self):
         m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
-        f = ORACLE_B.predict(m)
-        assert ORACLE_B.predict(m.swapped()) == pytest.approx(1 - f, abs=1e-12)
+        f = predict(ORACLE_B, m)
+        assert predict(ORACLE_B, swapped(m)) == pytest.approx(1 - f, abs=1e-12)
 
     def test_composed_example(self):
-        menu = Menu(Lottery(np.array([5.0, 5.0]), np.array([1.0, 0.0])),
-                    make_lottery([0, 10], [0.5, 0.5]))
+        m = menu((np.array([5.0, 5.0]), np.array([1.0, 0.0])), lottery([0, 10], [0.5, 0.5]))
         expected = 1 / (1 + np.exp(-(10 * 0.726 / 1.726 - 5.0)))
-        assert ORACLE_B.predict(menu) == pytest.approx(expected, abs=1e-12)
-        assert ORACLE_B.predict(menu) == pytest.approx(0.311, abs=1e-3)
+        assert predict(ORACLE_B, m) == pytest.approx(expected, abs=1e-12)
+        assert predict(ORACLE_B, m) == pytest.approx(0.311, abs=1e-3)
 
     def test_strictly_interior(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            f = ORACLE_B.predict(sample_random_menu(rng, 2, 0, 10))
+            f = predict(ORACLE_B, sample_random_menu(rng, 2, 0, 10))
             assert 0.0 < f < 1.0
 
 
 class TestChoiceProbGrad:
     def test_symmetry_for_identical_lotteries(self):
-        lot = make_lottery([2, 6], [0.4, 0.6])
-        g = ORACLE_B.grad(Menu(lot, lot))
+        lot = lottery([2, 6], [0.4, 0.6])
+        g = grad(ORACLE_B, menu(lot, lot))
         assert g.shape == (4,)
         np.testing.assert_allclose(g[:2], -g[2:], rtol=1e-12)
 
@@ -181,11 +180,10 @@ class TestChoiceProbGrad:
         # dV/dp_j = z_j - EV: slope * (-z0, z1) up to a per-lottery constant,
         # which vanishes along every simplex-tangent direction.
         m = sample_random_menu(np.random.default_rng(2), 2, 0, 10)
-        g = CptPredictor(CptParams(1, 1)).grad(m)
-        f = CptPredictor(CptParams(1, 1)).predict(m)
+        g = grad(CptPredictor(CptParams(1, 1)), m)
+        f = predict(CptPredictor(CptParams(1, 1)), m)
         slope = f * (1 - f)
-        z0, p0 = m.lottery0.payoffs, m.lottery0.probs
-        z1, p1 = m.lottery1.payoffs, m.lottery1.probs
+        (z0, z1), (p0, p1) = m
         np.testing.assert_allclose(g[:2], -slope * (z0 - p0 @ z0), rtol=1e-10)
         np.testing.assert_allclose(g[2:], slope * (z1 - p1 @ z1), rtol=1e-10)
         tangent = np.array([1.0, -1.0])
@@ -202,13 +200,12 @@ class TestChoiceProbGrad:
             worst, checked = 0.0, 0
             for _ in range(100):
                 m = sample_random_menu(rng, J, 0.5, 9.5)
-                if m.lottery0.probs.min() < 0.05 or m.lottery1.probs.min() < 0.05:
+                if m[1].min() < 0.05:
                     continue
-                g = CptPredictor(params).grad(m)
+                g = grad(CptPredictor(params), m)
                 assert g.shape == (2 * J,)
                 fd = central_difference(
-                    flat_menu_fn(lambda menu: CptPredictor(params).predict(menu), J),
-                    m.flatten())
+                    flat_menu_fn(lambda x: predict(CptPredictor(params), x), J), flat(m))
                 fd = np.concatenate([fd[J:2 * J], fd[3 * J:]])
                 err = np.maximum(np.abs(fd - g) - floor, 0.0)
                 worst = max(worst, np.max(err / (np.abs(g) + 1e-10)))
@@ -217,21 +214,21 @@ class TestChoiceProbGrad:
             assert worst < 1e-5
 
     def test_boundary_point_rejected(self):
-        menu = Menu(make_lottery([1, 2], [1.0, 0.0]), make_lottery([1, 2], [0.5, 0.5]))
+        m = menu(lottery([1, 2], [1.0, 0.0]), lottery([1, 2], [0.5, 0.5]))
         with pytest.raises(ValueError, match="boundary"):
-            ORACLE_B.grad(menu)
+            grad(ORACLE_B, m)
 
 
 class TestSimulateChoices:
     def test_bernoulli_mean_at_half(self):
-        lot = make_lottery([3, 7], [0.5, 0.5])
-        Z, P = stack_menus([Menu(lot, lot)])   # f* = 0.5 exactly
+        lot = lottery([3, 7], [0.5, 0.5])
+        Z, P = stack([menu(lot, lot)])   # f* = 0.5 exactly
         ds = simulate_choices(np.random.default_rng(0), Z.repeat(100_000, axis=0),
                               P.repeat(100_000, axis=0), BRUHIN_B, kind="binary")
         assert 0.494 <= ds.outcomes.mean() <= 0.506
 
     def test_seed_determinism(self):
-        Z, P = stack_menus([sample_random_menu(np.random.default_rng(i), 2, 0, 10)
+        Z, P = stack([sample_random_menu(np.random.default_rng(i), 2, 0, 10)
                             for i in range(20)])
         d1 = simulate_choices(np.random.default_rng(5), Z, P, BRUHIN_B)
         d2 = simulate_choices(np.random.default_rng(5), Z, P, BRUHIN_B)
@@ -239,14 +236,14 @@ class TestSimulateChoices:
 
     def test_rate_mode(self):
         m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
-        ds = simulate_choices(np.random.default_rng(1), *stack_menus([m]), BRUHIN_B,
+        ds = simulate_choices(np.random.default_rng(1), *stack([m]), BRUHIN_B,
                               kind="rate", count=5_000)
-        assert abs(ds.outcomes[0] - ORACLE_B.predict(m)) < 0.03
+        assert abs(ds.outcomes[0] - predict(ORACLE_B, m)) < 0.03
 
     def test_rate_requires_count(self):
         m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
         with pytest.raises(ValueError):
-            simulate_choices(np.random.default_rng(1), *stack_menus([m]), BRUHIN_B,
+            simulate_choices(np.random.default_rng(1), *stack([m]), BRUHIN_B,
                              kind="rate", count=0)
 
     @pytest.mark.parametrize("J", [2, 3])
@@ -261,7 +258,7 @@ class TestSimulateChoices:
                               kind=kind, count=9)
         ref_rng = np.random.default_rng(seed)
         menus = [sample_random_menu(ref_rng, J, 0, 10) for _ in range(40)]
-        ref = simulate_choices(ref_rng, *stack_menus(menus), BRUHIN_B, kind=kind, count=9)
+        ref = simulate_choices(ref_rng, *stack(menus), BRUHIN_B, kind=kind, count=9)
         for name in ("Z", "P", "outcomes", "kinds", "weights"):
             np.testing.assert_array_equal(getattr(ds, name), getattr(ref, name))
         assert rng.random() == ref_rng.random()
@@ -270,11 +267,15 @@ class TestSimulateChoices:
 
 class TestPredictorHandle:
     def test_predict_and_grad_consistent(self):
+        # A menu's prediction and gradient as a stack of one are its row of a
+        # larger stack, to the bit.
         pred = CptPredictor(BRUHIN_B)
-        m = sample_random_menu(np.random.default_rng(4), 2, 1, 9)
-        Z, P = stack_menus([m])
-        assert pred.predict(m) == pred.predict_batch(Z, P)[0]
-        np.testing.assert_array_equal(pred.grad(m), pred.grad_batch(Z, P)[1][0].ravel())
+        rng = np.random.default_rng(4)
+        menus = [sample_random_menu(rng, 2, 1, 9) for _ in range(5)]
+        Z, P = stack(menus)
+        for r, m in enumerate(menus):
+            assert predict(pred, m) == pred.predict_batch(Z, P)[r]
+            np.testing.assert_array_equal(grad(pred, m), pred.grad_batch(Z, P)[1][r].ravel())
 
     def test_preset_lookup(self):
         assert CptParams.preset("bruhin-a") == CptParams(0.926, 0.377)

@@ -4,8 +4,8 @@ import pytest
 from anomgen.cpt import CptParams, simulate_choices
 from anomgen.data import (ChoiceDataset, _schema_columns, load_dataset, save_dataset,
                           split_dataset)
-from anomgen.lotteries import (SIMPLEX_TOL, draw_menus, flat_stack, read_probs,
-                               sample_random_menu, stack_menus)
+from anomgen.lotteries import SIMPLEX_TOL, draw_menus, flat_stack, read_probs
+from conftest import sample_random_menu, stack
 
 
 HEADER = "z0_1,z0_2,p0_1,p0_2,z1_1,z1_2,p1_1,p1_2,outcome,outcome_kind"
@@ -108,7 +108,7 @@ class TestLoadDataset:
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        Z, P = stack_menus([sample_random_menu(rng, 2, 0, 10) for _ in range(20)])
+        Z, P = stack([sample_random_menu(rng, 2, 0, 10) for _ in range(20)])
         ds = simulate_choices(np.random.default_rng(1), Z, P,
                               CptParams(0.726, 0.309), kind="rate", count=64)
         path = tmp_path / "round.csv"
@@ -183,7 +183,7 @@ class TestChoiceDataset:
 class TestSplitDataset:
     def _dataset(self, n):
         rng = np.random.default_rng(2)
-        Z, P = stack_menus([sample_random_menu(rng, 2, 0, 10) for _ in range(n)])
+        Z, P = stack([sample_random_menu(rng, 2, 0, 10) for _ in range(n)])
         return ChoiceDataset(Z, P, np.full(n, 0.5))
 
     def test_proportions(self):

@@ -3,42 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomgen.lotteries import (FosdOrder, Lottery, Menu, check_probs, draw_menus,
-                               flat_stack, fosd_compare, lottery_stats, make_lottery,
-                               merge_payoff_grid, project_to_simplex,
-                               run_rng, sample_random_menu, stack_menus)
-from conftest import menu_json
+from anomgen.lotteries import (FosdOrder, check_probs, draw_menus, flat_stack, fosd_compare,
+                               lottery_stats, on_merged_grid, project_to_simplex, run_rng)
+from anomgen.records import parse_menus, read_menus
+from conftest import flat, lottery, menu, menu_json, sample_random_menu, stack
 
 
 class TestMakeLottery:
+    """A lottery as a record's menus are read (``conftest.lottery``)."""
+
     def test_degenerate(self):
-        lot = make_lottery([5], [1.0])
-        assert lot.payoffs.tolist() == [5.0]
-        assert lot.probs.tolist() == [1.0]
+        z, p = lottery([5], [1.0])
+        assert z.tolist() == [5.0]
+        assert p.tolist() == [1.0]
 
     def test_certainty_effect_lottery(self):
-        lot = make_lottery([4000, 0], [0.8, 0.2])
-        assert lot.probs.sum() == 1.0
+        _, p = lottery([4000, 0], [0.8, 0.2])
+        assert p.sum() == 1.0
 
     def test_renormalizes_within_tolerance(self):
-        lot = make_lottery([1, 2], [0.5, 0.5 + 5e-7])
-        assert lot.probs.sum() == pytest.approx(1.0, abs=1e-15)
+        _, p = lottery([1, 2], [0.5, 0.5 + 5e-7])
+        assert p.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            make_lottery([1, 2], [0.5, 0.6])
+        with pytest.raises(ValueError, match="simplex"):
+            lottery([1, 2], [0.5, 0.6])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            make_lottery([1, 2, 3], [0.5, 0.5])
+            lottery([1, 2, 3], [0.5, 0.5])
 
     def test_rejects_negative_prob(self):
         with pytest.raises(ValueError):
-            make_lottery([1, 2], [-0.1, 1.1])
+            lottery([1, 2], [-0.1, 1.1])
 
     def test_rejects_nonfinite_payoff(self):
         with pytest.raises(ValueError):
-            make_lottery([np.inf, 2], [0.5, 0.5])
+            lottery([np.inf, 2], [0.5, 0.5])
 
 
 class TestSimplexProjection:
@@ -105,8 +106,10 @@ class TestCheckProbs:
     def test_rejects_what_a_lottery_rejects(self, bad, match):
         with pytest.raises(ValueError, match=match):
             check_probs(np.array(bad))
-        with pytest.raises(ValueError, match=match):
-            Lottery(np.zeros(2), np.array(bad[1]))
+        # The records' rule rejects the same vector.
+        X = parse_menus([menu_json((np.zeros((2, 2)), np.array(bad)))])
+        _, _, faults = read_menus(X[None])
+        assert dict(faults)["probabilities not within 1e-6 of the simplex"][0]
 
     def test_accepts_rounding_and_empty_stacks(self):
         check_probs(np.array([[0.3, 0.7 + 1e-12], [1.0, -1e-10]]))
@@ -117,29 +120,27 @@ class TestSampling:
     def test_seed_determinism(self):
         m1 = sample_random_menu(np.random.default_rng(42), 2, 0, 10)
         m2 = sample_random_menu(np.random.default_rng(42), 2, 0, 10)
-        np.testing.assert_array_equal(m1.flatten(), m2.flatten())
+        np.testing.assert_array_equal(flat(m1), flat(m2))
 
     def test_payoff_mean_matches_uniform(self):
         rng = np.random.default_rng(7)
-        payoffs = [sample_random_menu(rng, 2, 0, 10).lottery0.payoffs
-                   for _ in range(10_000)]
+        payoffs = [sample_random_menu(rng, 2, 0, 10)[0][0] for _ in range(10_000)]
         mean = np.mean(payoffs)
         assert 4.8 <= mean <= 5.2
 
     def test_normalized_probability_means(self):
         # Monte-Carlo check for the normalized-uniform distribution with J=3.
         rng = np.random.default_rng(11)
-        probs = np.array([sample_random_menu(rng, 3, 0, 10).lottery1.probs
-                          for _ in range(10_000)])
+        probs = np.array([sample_random_menu(rng, 3, 0, 10)[1][1] for _ in range(10_000)])
         assert np.all(probs.mean(axis=0) > 0.31)
         assert np.all(probs.mean(axis=0) < 0.36)
 
     def test_simplex_feasibility(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            m = sample_random_menu(rng, 3, 0, 10)
-            assert abs(m.lottery0.probs.sum() - 1) < 1e-12
-            assert abs(m.lottery1.probs.sum() - 1) < 1e-12
+            _, P = sample_random_menu(rng, 3, 0, 10)
+            assert abs(P[0].sum() - 1) < 1e-12
+            assert abs(P[1].sum() - 1) < 1e-12
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
@@ -163,9 +164,8 @@ class TestSampling:
 
 def _cdf_compare_oracle(a, b):
     """Direct CDF comparison on the merged grid."""
-    grid = merge_payoff_grid([a, b])
-    cdf = lambda lot: np.array([lot.probs[lot.payoffs <= t + 1e-9].sum()
-                                for t in grid])
+    grid, _ = on_merged_grid([a, b])
+    cdf = lambda lot: np.array([lot[1][lot[0] <= t + 1e-9].sum() for t in grid])
     da, db = cdf(a), cdf(b)
     a_weak = np.all(da <= db + 1e-9)
     b_weak = np.all(db <= da + 1e-9)
@@ -180,27 +180,26 @@ def _cdf_compare_oracle(a, b):
 
 class TestFosd:
     def test_higher_certain_payoff(self):
-        assert fosd_compare(make_lottery([10], [1]), make_lottery([5], [1])) \
+        assert fosd_compare(lottery([10], [1]), lottery([5], [1])) \
             is FosdOrder.A_DOMINATES
 
     def test_component_lottery_dominates_degenerate(self):
-        a = make_lottery([5.04, 5.81], [0.96, 0.04])
-        b = make_lottery([4.63], [1.0])
+        a = lottery([5.04, 5.81], [0.96, 0.04])
+        b = lottery([4.63], [1.0])
         assert fosd_compare(a, b) is FosdOrder.A_DOMINATES
         assert _cdf_compare_oracle(a, b) is FosdOrder.A_DOMINATES
 
     def test_crossing_cdfs_incomparable(self):
-        a = make_lottery([6.17, 8.51], [0.79, 0.21])
-        b = make_lottery([4.30, 8.51], [0.66, 0.34])
+        a = lottery([6.17, 8.51], [0.79, 0.21])
+        b = lottery([4.30, 8.51], [0.66, 0.34])
         assert fosd_compare(a, b) is FosdOrder.INCOMPARABLE
         assert _cdf_compare_oracle(a, b) is FosdOrder.INCOMPARABLE
 
     def test_agrees_with_cdf_oracle_on_random_lotteries(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
-            m = sample_random_menu(rng, 2, 0, 10)
-            assert fosd_compare(m.lottery0, m.lottery1) is \
-                _cdf_compare_oracle(m.lottery0, m.lottery1)
+            (z0, z1), (p0, p1) = sample_random_menu(rng, 2, 0, 10)
+            assert fosd_compare((z0, p0), (z1, p1)) is _cdf_compare_oracle((z0, p0), (z1, p1))
 
     def test_antisymmetric(self):
         rng = np.random.default_rng(1)
@@ -209,57 +208,55 @@ class TestFosd:
                 FosdOrder.EQUAL: FosdOrder.EQUAL,
                 FosdOrder.INCOMPARABLE: FosdOrder.INCOMPARABLE}
         for _ in range(100):
-            m = sample_random_menu(rng, 2, 0, 10)
-            assert fosd_compare(m.lottery1, m.lottery0) is \
-                flip[fosd_compare(m.lottery0, m.lottery1)]
+            (z0, z1), (p0, p1) = sample_random_menu(rng, 2, 0, 10)
+            assert fosd_compare((z1, p1), (z0, p0)) is flip[fosd_compare((z0, p0), (z1, p1))]
 
     def test_invariant_to_payoff_splitting(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            m = sample_random_menu(rng, 2, 0, 10)
-            a, b = m.lottery0, m.lottery1
+            (z0, z1), (p0, p1) = sample_random_menu(rng, 2, 0, 10)
+            a, b = (z0, p0), (z1, p1)
             # Split a's first payoff into two equal payoffs with halved mass.
-            split = Lottery(np.concatenate([[a.payoffs[0]], a.payoffs]),
-                            np.concatenate([[a.probs[0] / 2],
-                                            [a.probs[0] / 2], a.probs[1:]]))
+            split = (np.concatenate([[z0[0]], z0]),
+                     np.concatenate([[p0[0] / 2], [p0[0] / 2], p0[1:]]))
             assert fosd_compare(split, b) is fosd_compare(a, b)
 
 
 class TestLotteryStats:
+    # The vector's order: expected value, variance, skew, payoff range, ...
     def test_degenerate(self):
-        s = lottery_stats(make_lottery([5], [1.0]))
-        assert (s.expected_value, s.variance, s.skew, s.payoff_range) == (5, 0, 0, 0)
+        s = lottery_stats(*lottery([5], [1.0]))
+        assert tuple(s[:4]) == (5, 0, 0, 0)
 
     def test_symmetric_two_point(self):
-        s = lottery_stats(make_lottery([0, 10], [0.5, 0.5]))
-        assert s.expected_value == pytest.approx(5)
-        assert s.variance == pytest.approx(25)
-        assert s.skew == pytest.approx(0, abs=1e-12)
+        s = lottery_stats(*lottery([0, 10], [0.5, 0.5]))
+        assert s[0] == pytest.approx(5)
+        assert s[1] == pytest.approx(25)
+        assert s[2] == pytest.approx(0, abs=1e-12)
 
     def test_ternary_expected_value(self):
-        s = lottery_stats(make_lottery([4.30, 6.17, 8.51], [0.15, 0.61, 0.24]))
-        assert s.expected_value == pytest.approx(6.45, abs=0.01)
+        s = lottery_stats(*lottery([4.30, 6.17, 8.51], [0.15, 0.61, 0.24]))
+        assert s[0] == pytest.approx(6.45, abs=0.01)
 
 
 class TestMenu:
     def test_flatten_roundtrip(self):
-        m = sample_random_menu(np.random.default_rng(0), 3, 0, 10)
-        Z, P = stack_menus([m])
-        np.testing.assert_array_equal(flat_stack(Z, P)[0], m.flatten())
+        (z0, z1), (p0, p1) = m = sample_random_menu(np.random.default_rng(0), 3, 0, 10)
+        Z, P = stack([m])
+        np.testing.assert_array_equal(flat_stack(Z, P)[0], np.concatenate([z0, p0, z1, p1]))
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Menu(make_lottery([1], [1.0]), make_lottery([1, 2], [0.5, 0.5]))
+            menu(lottery([1], [1.0]), lottery([1, 2], [0.5, 0.5]))
+        # A record's menu whose lotteries differ in J does not parse.
+        with pytest.raises(ValueError):
+            parse_menus([{"lottery0": {"payoffs": [1.0], "probs": [1.0]},
+                          "lottery1": {"payoffs": [1.0, 2.0], "probs": [0.5, 0.5]}}])
 
     def test_json_roundtrip_full_precision(self):
         m = sample_random_menu(np.random.default_rng(5), 2, 0, 10)
-        back = Menu.from_json_dict(menu_json(m))
-        np.testing.assert_array_equal(back.flatten(), m.flatten())
-
-    def test_immutable(self):
-        m = sample_random_menu(np.random.default_rng(9), 2, 0, 10)
-        with pytest.raises(ValueError):
-            m.lottery0.probs[0] = 0.9
+        (Z,), (P,), _ = read_menus(parse_menus([menu_json(m)])[None])
+        np.testing.assert_array_equal(flat_stack(Z, P)[0], flat(m))
 
 
 class TestRunRng:

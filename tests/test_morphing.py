@@ -7,13 +7,12 @@ from anomgen import morphing
 from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
-from anomgen.lotteries import Lottery, Menu, sample_random_menu, stack_menus
 from anomgen.morphing import (COV_JITTER, MorphConfig, morph_step_direction,
                               morph_step_directions, null_space_projection,
                               run_morph_indices, _tangent)
-from anomgen.theory import _fit_logits, eu_difference_rows, fit_theta, stack_basis_values
-from conftest import (record_menus, reference_step_direction, sample_theta_history,
-                      search_iterates)
+from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
+from conftest import (fit_theta, flat, grad, predict, record_menus, reference_step_direction,
+                      sample_random_menu, sample_theta_history, search_iterates, stack)
 
 
 class TestSampleThetaHistory:
@@ -56,8 +55,7 @@ class TestUtilityDraws:
 
     @staticmethod
     def moments_agree(basis, menu, history, n=200_000):
-        rows = np.concatenate([basis.eval(menu.lottery0.payoffs),
-                               basis.eval(menu.lottery1.payoffs)])
+        rows = np.concatenate([basis.eval(z) for z in menu[0]])
         H = np.array(history)
         mean = H.mean(axis=0)
         cov = np.cov(H, rowvar=False, ddof=1) + COV_JITTER * np.eye(basis.dim)
@@ -89,8 +87,7 @@ class TestUtilityDraws:
         # keeps the two utilities equal.
         rng = np.random.default_rng(16)
         basis = ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0))
-        menu = Menu(Lottery(np.array([4.0, 9.0]), np.array([0.3, 0.7])),
-                    Lottery(np.array([1.0, 4.0]), np.array([0.6, 0.4])))
+        menu = np.array([[4.0, 9.0], [1.0, 4.0]]), np.array([[0.3, 0.7], [0.6, 0.4]])
         history = list(rng.normal(0.0, 2.0, size=(3, basis.dim)))
         rows, U = self.moments_agree(basis, menu, history)
         assert np.linalg.matrix_rank(rows) == 3
@@ -109,15 +106,15 @@ class TestUtilityDraws:
 
 def probs_of(menu):
     """The (2, J) probabilities (p0, p1) of a menu, as a morph step takes them."""
-    return np.stack([menu.lottery0.probs, menu.lottery1.probs])
+    return menu[1]
 
 
 def sampled_gradients(history, count, rng, rows, menu):
     """The (count, 2J) choice-probability gradients over (p0, p1) of utility
     draws around ``history``, built from one whole draw."""
-    J = menu.n_payoffs
+    (p0, p1), J = menu[1], menu[1].shape[-1]
     U = sample_theta_history(history, count, rng, rows)
-    fb = logistic(menu.lottery1.probs @ U[J:] - menu.lottery0.probs @ U[:J])
+    fb = logistic(p1 @ U[J:] - p0 @ U[:J])
     return (np.concatenate([-U[:J], U[J:]]) * (fb * (1 - fb))).T
 
 
@@ -158,16 +155,14 @@ class TestGramMatchesSvd:
         compared = 0
         for _ in range(25):
             x0 = sample_random_menu(rng, 2, 0.0, 10.0)
-            rows = np.concatenate([basis.eval(x0.lottery0.payoffs),
-                                   basis.eval(x0.lottery1.payoffs)])
-            f0 = pred.predict(x0)
-            menu = Menu(Lottery(x0.lottery0.payoffs, rng.dirichlet([2, 2])),
-                        Lottery(x0.lottery1.payoffs, rng.dirichlet([2, 2])))
-            history = [fit_theta(basis, [(x0, f0)]).theta,
-                       fit_theta(basis, [(x0, f0), (menu, pred.predict(menu))]).theta]
+            rows = np.concatenate([basis.eval(z) for z in x0[0]])
+            f0 = predict(pred, x0)
+            menu = x0[0], np.stack([rng.dirichlet([2, 2]), rng.dirichlet([2, 2])])
+            history = [fit_theta(basis, *stack([x0]), [f0]).theta,
+                       fit_theta(basis, *stack([x0, menu]), [f0, predict(pred, menu)]).theta]
             step_rng = copy.deepcopy(rng)             # the same draws for the step
             sampled = sampled_gradients(history, 200_000, rng, rows, menu)
-            g = pred.grad(menu)
+            g = grad(pred, menu)
             g_t, G_t = _tangent(g, 2), _tangent(sampled, 2)
             # A singular value within 1% of the cutoff may fall on either
             # side of it under the two routes' rounding; such cases are not
@@ -276,14 +271,14 @@ class TestMorphRun:
         (result,) = run_morph_indices(pred, cfg, 6, [0])
         assert result["iterations"] == 0
         m0, mS = record_menus(result)
-        np.testing.assert_array_equal(m0.flatten(), mS.flatten())
+        np.testing.assert_array_equal(flat(m0), flat(mS))
 
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         for _, results in search_iterates(run_morph_indices, pred, MorphConfig(), 7,
                                           range(5)):
             for result in results:
-                x = record_menus(result)[1].flatten()
+                x = flat(record_menus(result)[1])
                 assert abs(x[2:4].sum() - 1) < 1e-12
                 assert abs(x[6:8].sum() - 1) < 1e-12
                 assert np.all(x[2:4] >= 0) and np.all(x[6:8] >= 0)
@@ -291,7 +286,7 @@ class TestMorphRun:
     def test_payoffs_frozen(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         (result,) = run_morph_indices(pred, MorphConfig(), 8, [1])
-        x0, xS = (m.flatten() for m in record_menus(result))
+        x0, xS = (flat(m) for m in record_menus(result))
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
 
@@ -313,14 +308,14 @@ class TestMorphRun:
                     search_iterates(run_morph_indices, pred, cfg, 11, [3])]
         assert iterates[-1]["iterations"] >= 5
         x0 = record_menus(iterates[0])[0]
-        Z0, P0 = stack_menus([x0])
+        Z0, P0 = stack([x0])
         B = stack_basis_values(basis, Z0)
         for menu in [x0] + [record_menus(c)[1] for c in iterates]:
-            examples = [(x0, pred.predict(x0)), (menu, pred.predict(menu))]
+            targets = [predict(pred, x0), predict(pred, menu)]
             rows = np.concatenate([eu_difference_rows(P0, B),
-                                   eu_difference_rows(stack_menus([menu])[1], B)])
-            plain = fit_theta(basis, examples)
-            given = _fit_logits(rows[None], np.array([[t for _, t in examples]]))
+                                   eu_difference_rows(stack([menu])[1], B)])
+            plain = fit_theta(basis, *stack([x0, menu]), targets)
+            given = _fit_logits(rows[None], np.array([targets]))
             np.testing.assert_array_equal(given.theta[0], plain.theta)
             assert (given.kl[0], given.cross_entropy[0], given.converged[0],
                     given.on_norm_bound[0]) == (plain.kl, plain.cross_entropy,
@@ -375,17 +370,15 @@ def morph_like_state(rng, J, shared_payoff=False):
     basis = ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0))
     x0 = sample_random_menu(rng, J, 0.0, 10.0)
     if shared_payoff:
-        z1 = x0.lottery1.payoffs.copy()
-        z1[0] = x0.lottery0.payoffs[-1]
-        x0 = Menu(x0.lottery0, Lottery(z1, x0.lottery1.probs))
-    rows = np.concatenate([basis.eval(x0.lottery0.payoffs),
-                           basis.eval(x0.lottery1.payoffs)])
-    f0 = pred.predict(x0)
-    menu = Menu(Lottery(x0.lottery0.payoffs, rng.dirichlet([2.0] * J)),
-                Lottery(x0.lottery1.payoffs, rng.dirichlet([2.0] * J)))
-    history = [fit_theta(basis, [(x0, f0)]).theta,
-               fit_theta(basis, [(x0, f0), (menu, pred.predict(menu))]).theta]
-    return pred.grad(menu), menu, history, rows
+        Z = x0[0].copy()
+        Z[1, 0] = Z[0, -1]
+        x0 = Z, x0[1]
+    rows = np.concatenate([basis.eval(z) for z in x0[0]])
+    f0 = predict(pred, x0)
+    menu = x0[0], np.stack([rng.dirichlet([2.0] * J), rng.dirichlet([2.0] * J)])
+    history = [fit_theta(basis, *stack([x0]), [f0]).theta,
+               fit_theta(basis, *stack([x0, menu]), [f0, predict(pred, menu)]).theta]
+    return grad(pred, menu), menu, history, rows
 
 
 class TestBlockedGram:

@@ -5,12 +5,13 @@ from anomgen.cpt import CptParams, CptPredictor, simulate_choices
 from anomgen.data import ChoiceDataset, split_dataset
 from anomgen import theory
 from anomgen.adversarial import interior_menu
-from anomgen.lotteries import Menu, flat_stack, make_lottery, sample_random_menu, stack_menus
+from anomgen.lotteries import flat_stack
 from anomgen.predictor import (MlpModel, MlpPredictor, MlpTrainConfig,
                                evaluate, fit_cpt_params, menu_input_scaling,
                                train_mlp, _backprop, _ce_loss, _cpt_objective)
 from anomgen.theory import KKT_TOL
-from conftest import BRUHIN_B, central_difference, cpt_dataset, unchecked_menu
+from conftest import (BRUHIN_B, central_difference, cpt_dataset, flat, grad, lottery, menu,
+                      predict, sample_random_menu, stack, unchecked_menu)
 
 
 class TestMlpModel:
@@ -20,7 +21,7 @@ class TestMlpModel:
         model.save(path)
         back = MlpModel.load(path)
         m = sample_random_menu(np.random.default_rng(1), 2, 0, 10)
-        assert MlpPredictor(back).predict(m) == MlpPredictor(model).predict(m)
+        assert predict(MlpPredictor(back), m) == predict(MlpPredictor(model), m)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -31,7 +32,7 @@ class TestMlpModel:
         model = MlpModel.init_random([8, 4, 1], menu_input_scaling(2), seed=0)
         bad = sample_random_menu(np.random.default_rng(0), 3, 0, 10)
         with pytest.raises(ValueError):
-            MlpPredictor(model).predict(bad)
+            predict(MlpPredictor(model), bad)
 
     def test_block_swap_symmetrized_model_is_indifferent_on_duplicates(self):
         # Mirror the hidden layer across a lottery swap and subtract: the
@@ -50,15 +51,15 @@ class TestMlpModel:
         # Rebuild output weights so halves are exact negatives.
         v = rng.normal(size=(8, 1))
         model.weights[1] = np.concatenate([v, -v], axis=0)
-        lot = make_lottery([2, 7], [0.3, 0.7])
-        assert MlpPredictor(model).predict(Menu(lot, lot)) == pytest.approx(0.5, abs=1e-12)
+        lot = lottery([2, 7], [0.3, 0.7])
+        assert predict(MlpPredictor(model), menu(lot, lot)) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestTrainMlp:
     def test_constant_target(self):
         rng = np.random.default_rng(3)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(400)]
-        ds = ChoiceDataset(*stack_menus(menus), np.full(400, 0.5), "rate")
+        ds = ChoiceDataset(*stack(menus), np.full(400, 0.5), "rate")
         model = train_mlp(ds, hidden=(8,),
                           config=MlpTrainConfig(epochs=2000, step_size=2.0, seed=0))
         preds = model.predict_batch(flat_stack(ds.Z, ds.P))
@@ -148,11 +149,10 @@ class TestMlpGradients:
             checked = 0
             for _ in range(60):
                 m = sample_random_menu(rng, J, 0.5, 9.5)
-                g = MlpPredictor(model).grad(m)
+                g = grad(MlpPredictor(model), m)
                 assert g.shape == (2 * J,)
                 fd = central_difference(
-                    lambda x: MlpPredictor(model).predict(unchecked_menu(x, J)),
-                    m.flatten())
+                    lambda x: predict(MlpPredictor(model), unchecked_menu(x, J)), flat(m))
                 fd = np.concatenate([fd[J:2 * J], fd[3 * J:]])
                 rel = np.max(np.abs(fd - g) / (np.abs(g) + 1e-9))
                 # Skip menus that straddle a rectifier kink.
@@ -169,9 +169,9 @@ def menu_stack(n, seed):
     rng = np.random.default_rng(seed)
     menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(n)]
     for i in range(0, n, 9):
-        menus[i] = Menu(make_lottery(menus[i].lottery0.payoffs, [1.0, 0.0]),
-                        menus[i].lottery1)
-    return menus, stack_menus(menus)
+        (z0, z1), (_, p1) = menus[i]
+        menus[i] = menu(lottery(z0, [1.0, 0.0]), (z1, p1))
+    return menus, stack(menus)
 
 
 class TestBatchMethods:
@@ -181,11 +181,11 @@ class TestBatchMethods:
         model = MlpModel.init_random([8, 16, 16, 1], menu_input_scaling(2), seed=4)
         pred = MlpPredictor(model)
         menus, (Z, P) = menu_stack(64, 50)
-        single_f = np.array([pred.predict(m) for m in menus])
-        single_g = np.array([pred.grad(m) for m in menus]).reshape(P.shape)
+        single_f = np.array([predict(pred, m) for m in menus])
+        single_g = np.array([grad(pred, m) for m in menus]).reshape(P.shape)
         # The one-row results are the training forward pass on that row.
         np.testing.assert_array_equal(
-            single_f, [model.predict_batch(m.flatten()[None, :])[0] for m in menus])
+            single_f, [model.predict_batch(flat(m)[None, :])[0] for m in menus])
         for R in (1, 7, 64):
             parts = [slice(i, i + R) for i in range(0, len(menus), R)]
             f = np.concatenate([pred.predict_batch(Z[s], P[s]) for s in parts])
@@ -307,7 +307,7 @@ class TestEvaluate:
     def test_constant_half_on_bernoulli(self):
         rng = np.random.default_rng(15)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(4000)]
-        fair = ChoiceDataset(*stack_menus(menus), (rng.random(4000) < 0.5).astype(float),
+        fair = ChoiceDataset(*stack(menus), (rng.random(4000) < 0.5).astype(float),
                              "binary")
         class Half:
             def predict_batch(self, Z, P):

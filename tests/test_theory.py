@@ -5,11 +5,10 @@ from anomgen import adversarial, theory
 from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
-from anomgen.lotteries import sample_random_menu
 from anomgen.predictor import _cpt_objective, fit_cpt_params
-from anomgen.theory import THETA_NORM_BOUND, FitResult, fit_theta
-from conftest import (TheorySpec, cpt_dataset, eu_difference_features, theory_choice_prob,
-                      theory_loss)
+from anomgen.theory import THETA_NORM_BOUND, FitResult
+from conftest import (TheorySpec, cpt_dataset, eu_difference_features, fit_theta,
+                      sample_random_menu, stack, theory_choice_prob, theory_loss)
 
 
 def pooled_kl(targets, q):
@@ -28,9 +27,8 @@ def basis10():
 
 class TestTheoryChoiceProb:
     def test_identical_lotteries(self, basis10):
-        m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
-        from anomgen.lotteries import Menu
-        menu = Menu(m.lottery0, m.lottery0)
+        Z, P = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
+        menu = (Z[[0, 0]], P[[0, 0]])
         spec = TheorySpec(basis10, np.random.default_rng(1).normal(size=6))
         assert theory_choice_prob(spec, menu) == pytest.approx(0.5)
 
@@ -57,7 +55,7 @@ class TestFitTheta:
     def test_single_example_fits_exactly(self, basis10):
         m = sample_random_menu(np.random.default_rng(4), 2, 0, 10)
         for target in (0.1, 0.37, 0.9):
-            fit = fit_theta(basis10, [(m, target)])
+            fit = fit_theta(basis10, *stack([m]), [target])
             assert fit.kl < 1e-8
 
     def test_self_consistency(self, basis10):
@@ -66,13 +64,13 @@ class TestFitTheta:
         theta0 = rng.normal(0, 0.5, size=6)
         spec0 = TheorySpec(basis10, theta0)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(10)]
-        fit = fit_theta(basis10, [(m, theory_choice_prob(spec0, m)) for m in menus])
+        fit = fit_theta(basis10, *stack(menus), [theory_choice_prob(spec0, m) for m in menus])
         assert fit.kl < 1e-8
 
     def test_allais_pooled_closed_form(self, allais_menus):
         menu_a, menu_b = allais_menus
         basis = PolynomialBasis(order=6, domain=(0, 5e6))
-        fit = fit_theta(basis, [(menu_a, 0.2), (menu_b, 0.8)])
+        fit = fit_theta(basis, *stack([menu_a, menu_b]), [0.2, 0.8])
         assert fit.kl == pytest.approx(ALLAIS_POOLED_KL, abs=1e-3)
         assert fit.kl == pytest.approx(0.1927, abs=1e-3)
 
@@ -88,14 +86,14 @@ class TestFitTheta:
 
         rng = np.random.default_rng(7)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(5)]
-        examples = [(m, t) for m, t in zip(menus, (0.9, 0.15, 0.6, 0.4, 0.8))]
-        plain = fit_theta(basis10, examples).cross_entropy
-        augmented = fit_theta(Augmented(), examples).cross_entropy
+        targets = (0.9, 0.15, 0.6, 0.4, 0.8)
+        plain = fit_theta(basis10, *stack(menus), targets).cross_entropy
+        augmented = fit_theta(Augmented(), *stack(menus), targets).cross_entropy
         assert augmented == pytest.approx(plain, abs=1e-8)
 
     def test_empty_examples_rejected(self, basis10):
         with pytest.raises(ValueError):
-            fit_theta(basis10, [])
+            fit_theta(basis10, np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), [])
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +233,7 @@ class TestTheoryLoss:
         rng = np.random.default_rng(8)
         m = sample_random_menu(rng, 2, 0.5, 9.5)
         target = 0.42
-        fit = fit_theta(basis10, [(m, target)])
+        fit = fit_theta(basis10, *stack([m]), [target])
         spec = TheorySpec(basis10, fit.theta)
         ce, kl = theory_loss(spec, [(m, target)])
         assert kl < 1e-10

@@ -7,12 +7,20 @@ from hypothesis import strategies as st
 
 from anomgen import simplex_lp, verifier
 from anomgen.basis import PolynomialBasis
-from anomgen.lotteries import (Example, ExampleCollection, Lottery, Menu,
-                               make_lottery, merge_payoff_grid, probs_on_grid,
-                               sample_random_menu)
-from anomgen.verifier import (minimal_anomaly, verify_collection,
-                              verify_increasing_utility, verify_parametrized)
-from conftest import reference_margin_lp
+from anomgen.lotteries import implied_choices, on_merged_grid
+from anomgen.verifier import (minimal_anomaly, verify_collection, verify_increasing_utility,
+                              verify_parametrized)
+from conftest import (collection, lottery, menu, probs_on_grid, reference_margin_lp,
+                      sample_random_menu, stack, swapped)
+
+
+def verify_menus(menus, choices):
+    """``verify_increasing_utility`` on a list of menus."""
+    return verify_increasing_utility(*stack(menus), choices)
+
+
+def lotteries_of(menus) -> list:
+    return [(z, p) for Z, P in menus for z, p in zip(Z, P)]
 
 
 def grid_consistent(menus, choices, steps=200, strictness=1e-6):
@@ -22,14 +30,12 @@ def grid_consistent(menus, choices, steps=200, strictness=1e-6):
     inequality with slack above ``strictness``; this one-sidedly implies the
     LP verdict must be consistent.
     """
-    grid = merge_payoff_grid([l for m in menus for l in (m.lottery0, m.lottery1)])
+    grid, _ = on_merged_grid(lotteries_of(menus))
     k = grid.size
     assert k <= 4
     diffs = []
-    for menu, y in zip(menus, choices):
-        chosen = menu.lottery1 if y == 1 else menu.lottery0
-        other = menu.lottery0 if y == 1 else menu.lottery1
-        diffs.append(probs_on_grid(chosen, grid) - probs_on_grid(other, grid))
+    for (Z, P), y in zip(menus, choices):
+        diffs.append(probs_on_grid((Z[y], P[y]), grid) - probs_on_grid((Z[1 - y], P[1 - y]), grid))
     diffs = np.array(diffs)
     ticks = np.linspace(0.0, 1.0, steps + 1)
     if k == 2:
@@ -51,52 +57,49 @@ def grid_consistent(menus, choices, steps=200, strictness=1e-6):
 
 def _reprob(menu, rng):
     """Same payoffs, fresh random probabilities."""
-    def redraw(lot):
-        p = rng.uniform(0, 1, size=lot.size)
-        return Lottery(lot.payoffs, p / p.sum())
-    return Menu(redraw(menu.lottery0), redraw(menu.lottery1))
+    Z, _ = menu
+    P = rng.uniform(0, 1, size=Z.shape)
+    return Z, P / P.sum(axis=-1, keepdims=True)
 
 
 class TestImpliedChoices:
     def test_threshold_and_tie(self):
         m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
-        coll = ExampleCollection((Example(m, 0.311), Example(m, 0.5),
-                                  Example(m, 0.8)))
-        np.testing.assert_array_equal(coll.implied_choices, [0, 1, 1])
+        coll = collection([m, m, m], [0.311, 0.5, 0.8])
+        np.testing.assert_array_equal(implied_choices(coll.q), [0, 1, 1])
 
 
 class TestVerifyIncreasingUtility:
     def test_allais_inconsistent_with_consistent_singletons(self, allais_menus):
         menu_a, menu_b = allais_menus
-        pair = verify_increasing_utility([menu_a, menu_b], [0, 1])
+        pair = verify_menus([menu_a, menu_b], [0, 1])
         assert not pair.consistent
-        assert verify_increasing_utility([menu_a], [0]).consistent
-        assert verify_increasing_utility([menu_b], [1]).consistent
+        assert verify_menus([menu_a], [0]).consistent
+        assert verify_menus([menu_b], [1]).consistent
 
     def test_certainty_effect_inconsistent(self, certainty_menus):
         menu_a, menu_b = certainty_menus
-        assert not verify_increasing_utility([menu_a, menu_b], [1, 0]).consistent
-        assert verify_increasing_utility([menu_a], [1]).consistent
-        assert verify_increasing_utility([menu_b], [0]).consistent
+        assert not verify_menus([menu_a, menu_b], [1, 0]).consistent
+        assert verify_menus([menu_a], [1]).consistent
+        assert verify_menus([menu_b], [0]).consistent
 
     def test_single_undominated_choice_consistent_with_margin(self):
-        menu = Menu(make_lottery([2, 8], [0.5, 0.5]),
-                    make_lottery([1, 9], [0.4, 0.6]))
+        m = menu(lottery([2, 8], [0.5, 0.5]), lottery([1, 9], [0.4, 0.6]))
         for choice in (0, 1):
-            res = verify_increasing_utility([menu], [choice])
+            res = verify_menus([m], [choice])
             assert res.consistent and res.margin > 1e-6
             # Witness satisfies all constraints it claims to.
             assert np.all(np.diff(res.witness_utility) > 0)
 
     def test_dominated_single_choice_inconsistent(self):
-        menu = Menu(make_lottery([5], [1.0]), make_lottery([6], [1.0]))
-        assert not verify_increasing_utility([menu], [0]).consistent
-        assert verify_increasing_utility([menu], [1]).consistent
+        m = menu(lottery([5], [1.0]), lottery([6], [1.0]))
+        assert not verify_menus([m], [0]).consistent
+        assert verify_menus([m], [1]).consistent
 
     def test_menu_order_invariance(self, allais_menus):
         menu_a, menu_b = allais_menus
-        r1 = verify_increasing_utility([menu_a, menu_b], [0, 1])
-        r2 = verify_increasing_utility([menu_b, menu_a], [1, 0])
+        r1 = verify_menus([menu_a, menu_b], [0, 1])
+        r2 = verify_menus([menu_b, menu_a], [1, 0])
         assert r1.status == r2.status
         assert r1.margin == pytest.approx(r2.margin, abs=1e-9)
 
@@ -105,21 +108,17 @@ class TestVerifyIncreasingUtility:
         for _ in range(25):
             menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(2)]
             choices = rng.integers(0, 2, size=2)
-            r1 = verify_increasing_utility(menus, choices)
-            r2 = verify_increasing_utility([m.swapped() for m in menus],
-                                           1 - choices)
+            r1 = verify_menus(menus, choices)
+            r2 = verify_menus([swapped(m) for m in menus], 1 - choices)
             assert r1.status == r2.status
             assert r1.margin == pytest.approx(r2.margin, abs=1e-9)
 
     def test_affine_payoff_rescale_invariance(self, certainty_menus):
         def rescale(menu):
-            return Menu(Lottery(menu.lottery0.payoffs * 0.003 + 1.0,
-                                menu.lottery0.probs),
-                        Lottery(menu.lottery1.payoffs * 0.003 + 1.0,
-                                menu.lottery1.probs))
+            return menu[0] * 0.003 + 1.0, menu[1]
         menu_a, menu_b = certainty_menus
-        r1 = verify_increasing_utility([menu_a, menu_b], [1, 0])
-        r2 = verify_increasing_utility([rescale(menu_a), rescale(menu_b)], [1, 0])
+        r1 = verify_menus([menu_a, menu_b], [1, 0])
+        r2 = verify_menus([rescale(menu_a), rescale(menu_b)], [1, 0])
         assert r1.status == r2.status
         assert r1.margin == pytest.approx(r2.margin, abs=1e-9)
 
@@ -131,9 +130,9 @@ class TestVerifyIncreasingUtility:
             base = sample_random_menu(rng, 2, 0, 10)
             menus = [base] + [_reprob(base, rng) for _ in range(2)]
             choices = rng.integers(0, 2, size=3)
-            m1 = verify_increasing_utility(menus[:1], choices[:1]).margin
-            m2 = verify_increasing_utility(menus[:2], choices[:2]).margin
-            m3 = verify_increasing_utility(menus, choices).margin
+            m1 = verify_menus(menus[:1], choices[:1]).margin
+            m2 = verify_menus(menus[:2], choices[:2]).margin
+            m3 = verify_menus(menus, choices).margin
             assert m1 >= m2 - 1e-9
             assert m2 >= m3 - 1e-9
 
@@ -145,7 +144,7 @@ class TestVerifyIncreasingUtility:
             base = sample_random_menu(rng, 2, 0, 10)
             menus = [base, _reprob(base, rng)]
             choices = rng.integers(0, 2, size=2)
-            lp = verify_increasing_utility(menus, choices)
+            lp = verify_menus(menus, choices)
             if grid_consistent(menus, choices):
                 checked += 1
                 disagreements += not lp.consistent
@@ -156,11 +155,11 @@ class TestVerifyIncreasingUtility:
         rng = np.random.default_rng(4)
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(9)]
         with pytest.raises(ValueError):
-            verify_increasing_utility(menus, [0] * 9)
+            verify_menus(menus, [0] * 9)
 
     def test_degenerate_single_payoff(self):
-        menu = Menu(make_lottery([5.0], [1.0]), make_lottery([5.0], [1.0]))
-        res = verify_increasing_utility([menu], [1])
+        m = menu(lottery([5.0], [1.0]), lottery([5.0], [1.0]))
+        res = verify_menus([m], [1])
         assert res.consistent and "degenerate" in res.note
 
     def test_payoff_count_checked_before_the_lp(self, monkeypatch):
@@ -168,10 +167,10 @@ class TestVerifyIncreasingUtility:
             raise AssertionError("LP solved for a collection over the payoff limit")
 
         monkeypatch.setattr(simplex_lp, "solve_max", no_lp)
-        menus = [Menu(make_lottery([4 * i, 4 * i + 1], [0.5, 0.5]),
-                      make_lottery([4 * i + 2, 4 * i + 3], [0.5, 0.5])) for i in range(4)]
+        menus = [menu(lottery([4 * i, 4 * i + 1], [0.5, 0.5]),
+                      lottery([4 * i + 2, 4 * i + 3], [0.5, 0.5])) for i in range(4)]
         with pytest.raises(ValueError, match="16 distinct payoffs"):
-            verify_increasing_utility(menus, [0, 1, 0, 1])
+            verify_menus(menus, [0, 1, 0, 1])
 
 
 @st.composite
@@ -185,11 +184,11 @@ def lp_collections(draw):
     payoffs = st.lists(st.sampled_from(pool), min_size=J, max_size=J)
     weights = st.lists(st.integers(0, 4), min_size=J, max_size=J).filter(any)
 
-    def lottery():
+    def drawn_lottery():
         w = np.array(draw(weights), dtype=float)
-        return make_lottery(draw(payoffs), w / w.sum())
+        return lottery(draw(payoffs), w / w.sum())
 
-    menus = [Menu(lottery(), lottery()) for _ in range(draw(st.integers(1, 4)))]
+    menus = [menu(drawn_lottery(), drawn_lottery()) for _ in range(draw(st.integers(1, 4)))]
     return menus, np.array(draw(st.lists(st.integers(0, 1), min_size=len(menus),
                                          max_size=len(menus))))
 
@@ -203,7 +202,7 @@ class TestMarginLpArrays:
     @given(lp_collections())
     def test_margin_and_witness_match_row_by_row(self, drawn):
         menus, choices = drawn
-        grid = merge_payoff_grid([l for m in menus for l in (m.lottery0, m.lottery1)])
+        grid, _ = on_merged_grid(lotteries_of(menus))
         if grid.size < 2:
             return
         solve, built = simplex_lp.solve_max, []
@@ -212,8 +211,7 @@ class TestMarginLpArrays:
             built.append(lp)
             return solve(*lp)
 
-        Q = np.array([[probs_on_grid(m.lottery0, grid), probs_on_grid(m.lottery1, grid)]
-                      for m in menus])
+        Q = np.array([[probs_on_grid(lot, grid) for lot in zip(Z, P)] for Z, P in menus])
         with mock.patch.object(simplex_lp, "solve_max", recording):
             (margin,), (witness,) = verifier._margin_lp(Q[None], choices[None])
         ref_margin, ref_witness, ref_lp = reference_margin_lp(menus, choices, grid)
@@ -232,17 +230,17 @@ class TestIsAnomaly:
         assert subset == (0, 1) and not sub.consistent
 
     def test_pair_with_dominated_singleton_is_not_minimal(self):
-        bad = Menu(make_lottery([5], [1.0]), make_lottery([6], [1.0]))
-        ok = Menu(make_lottery([2, 8], [0.5, 0.5]), make_lottery([1, 9], [0.4, 0.6]))
-        coll = ExampleCollection((Example(bad, 0.3), Example(ok, 0.7)))
+        # Certain 5 against certain 6, over the J = 2 payoffs of the other menu.
+        bad = menu(lottery([5, 5], [1.0, 0.0]), lottery([6, 6], [1.0, 0.0]))
+        ok = menu(lottery([2, 8], [0.5, 0.5]), lottery([1, 9], [0.4, 0.6]))
+        coll = collection([bad, ok], [0.3, 0.7])
         assert not verify_collection(coll).consistent
         subset, sub = minimal_anomaly(coll)
         assert subset == (0,) and not sub.consistent
 
     def test_consistent_duplicated_pair_is_not_anomaly(self):
-        menu = Menu(make_lottery([2, 8], [0.5, 0.5]),
-                    make_lottery([1, 9], [0.4, 0.6]))
-        coll = ExampleCollection((Example(menu, 0.7), Example(menu, 0.7)))
+        m = menu(lottery([2, 8], [0.5, 0.5]), lottery([1, 9], [0.4, 0.6]))
+        coll = collection([m, m], [0.7, 0.7])
         assert minimal_anomaly(coll) is None
 
 
@@ -253,8 +251,7 @@ class TestVerifyParametrized:
         rng = np.random.default_rng(5)
         spec = TheorySpec(basis, rng.normal(0, 0.5, size=6))
         menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(4)]
-        coll = ExampleCollection(tuple(
-            Example(m, theory_choice_prob(spec, m)) for m in menus))
+        coll = collection(menus, [theory_choice_prob(spec, m) for m in menus])
         verdict = verify_parametrized(basis, coll)
         assert not verdict.inconsistent and verdict.min_kl < 1e-8
 
@@ -267,5 +264,5 @@ class TestVerifyParametrized:
     def test_single_menu_consistent(self):
         basis = PolynomialBasis(order=6, domain=(0, 10))
         m = sample_random_menu(np.random.default_rng(6), 2, 0, 10)
-        coll = ExampleCollection((Example(m, 0.93),))
+        coll = collection([m], [0.93])
         assert not verify_parametrized(basis, coll).inconsistent
