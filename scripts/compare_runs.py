@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the verdicts of two desk-scale runs, record by record.
+"""Compare the verdicts of two desk-scale runs, record by record, or the
+rates of two sets of runs.
 
 OLD and NEW are output directories of ``scripts/run_desk_scale.py``.  The
 records of their per-procedure categorized streams
@@ -12,14 +13,34 @@ line with the record and category counts of both runs.  The exit status is
 1 when any record differs, 0 when none does and 2 when a run cannot be read.
 
     python scripts/compare_runs.py runs/desk-old runs/desk-new
+
+With ``--rates`` the records of several OLD and several NEW directories
+(several seeds, say) are pooled, and each procedure's rates are compared
+instead: the shares of parametrized-inconsistent and of any-utility
+(fully verified) inconsistent records and, for the searches, the share of
+runs of at most one step, each ``stop`` reason's share (``max_iters`` is
+the share that hit the cap) and the mean step count.  A share gets a Wilson
+95% interval (Wilson 1927) on each side, and its difference NEW - OLD
+Newcombe's hybrid score interval (Newcombe 1998, method 10); the mean's
+difference gets a normal interval.  The difference intervals hold jointly
+at 95%: each is at the Bonferroni level 1 - 0.05 / k over the k
+differences compared.  One JSON line is printed per comparison, then a
+summary line.  The exit status is 1 when a difference interval excludes 0
+or a procedure is in one set only, 0 when none is and 2 when a run cannot
+be read.
+
+    python scripts/compare_runs.py --rates --old runs/p23 runs/p1729 \
+        --new runs/n23 runs/n1729
 """
 
 import argparse
 import json
+import math
 import os
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from glob import glob
+from statistics import NormalDist, fmean, variance
 
 from anomgen.records import read_jsonl
 
@@ -35,8 +56,8 @@ def verdicts(rec: dict) -> dict:
     return out
 
 
-def load_run(outdir: str) -> dict:
-    """Record id -> verdicts, over the run's per-procedure categorized streams."""
+def load_records(outdir: str) -> dict:
+    """Record id -> record, over the run's per-procedure categorized streams."""
     paths = [p for p in sorted(glob(os.path.join(outdir, "*_categorized.jsonl")))
              if os.path.basename(p) != POOLED]
     if not paths:
@@ -46,8 +67,13 @@ def load_run(outdir: str) -> dict:
         for rec in read_jsonl(path, expected_kind="categorized")[1]:
             if rec["id"] in run:
                 raise ValueError(f"{path}: record id {rec['id']!r} seen twice")
-            run[rec["id"]] = verdicts(rec)
+            run[rec["id"]] = rec
     return run
+
+
+def load_run(outdir: str) -> dict:
+    """Record id -> verdicts, over the run's per-procedure categorized streams."""
+    return {rid: verdicts(rec) for rid, rec in load_records(outdir).items()}
 
 
 def compare(old: dict, new: dict) -> list[dict]:
@@ -69,16 +95,101 @@ def category_counts(run: dict) -> dict:
                                if v["category"] is not None).items()))
 
 
+def wilson(count: int, n: int, z: float) -> tuple[float, float]:
+    """Wilson score interval of the share count / n at normal quantile z."""
+    p, zz = count / n, z * z / n
+    center = (p + zz / 2) / (1 + zz)
+    half = z / (1 + zz) * math.sqrt(p * (1 - p) / n + zz / (4 * n))
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def newcombe(old: tuple[int, int], new: tuple[int, int], z: float) -> tuple[float, float]:
+    """Newcombe's hybrid score interval of the difference new - old of two
+    independent shares, each given as (count, n), at normal quantile z."""
+    p1, p0 = new[0] / new[1], old[0] / old[1]
+    (l1, u1), (l0, u0) = wilson(*new, z), wilson(*old, z)
+    d = p1 - p0
+    return d - math.hypot(p1 - l1, u0 - p0), d + math.hypot(u1 - p1, p0 - l0)
+
+
+def rate_samples(recs, stops) -> dict:
+    """(procedure, quantity) -> per-record values: 0/1 for a share, the step
+    count for ``mean_steps``.  ``stops`` names the ``stop`` reasons whose
+    shares are taken."""
+    out = defaultdict(list)
+    for rec in recs:
+        proc = rec["procedure"]
+        for verdict in ("parametrized_inconsistent", "any_utility_inconsistent"):
+            out[proc, verdict].append(int(bool(rec[verdict])))
+        if rec.get("iterations") is not None:
+            out[proc, "at_most_one_step"].append(int(rec["iterations"] <= 1))
+            out[proc, "mean_steps"].append(rec["iterations"])
+        if "stop" in rec:
+            for stop in stops:
+                out[proc, f"stop={stop}"].append(int(rec["stop"] == stop))
+    return out
+
+
+def compare_rates(old_recs, new_recs) -> list[dict]:
+    """One entry per (procedure, quantity) of either side, in order, with
+    both sides' estimates and the difference's interval at the joint level."""
+    stops = sorted({"max_iters"} | {r["stop"] for r in (*old_recs, *new_recs) if "stop" in r})
+    old, new = rate_samples(old_recs, stops), rate_samples(new_recs, stops)
+    keys = sorted(old.keys() | new.keys())
+    level = 1 - 0.05 / len(keys)
+    z, z95 = NormalDist().inv_cdf(1 - (1 - level) / 2), NormalDist().inv_cdf(0.975)
+    out = []
+    for proc, what in keys:
+        a, b = old.get((proc, what)), new.get((proc, what))
+        entry = {"procedure": proc, "quantity": what}
+        if a is None or b is None:
+            out.append({**entry, "only_in": "old" if b is None else "new", "differs": True})
+            continue
+        if what == "mean_steps":
+            sides = {side: {"mean": fmean(v), "n": len(v)} for side, v in (("old", a), ("new", b))}
+            d = sides["new"]["mean"] - sides["old"]["mean"]
+            half = z * math.sqrt(sum(variance(v) / len(v) for v in (a, b) if len(v) > 1))
+            interval = (d - half, d + half)
+        else:
+            sides = {side: {"count": sum(v), "n": len(v), "share": sum(v) / len(v),
+                            "wilson95": list(wilson(sum(v), len(v), z95))}
+                     for side, v in (("old", a), ("new", b))}
+            d = sides["new"]["share"] - sides["old"]["share"]
+            interval = newcombe((sum(a), len(a)), (sum(b), len(b)), z)
+        out.append({**entry, **sides, "difference": d, "interval": list(interval),
+                    "level": level, "differs": not interval[0] <= 0.0 <= interval[1]})
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("old", help="output directory of the reference run")
-    ap.add_argument("new", help="output directory of the run to check")
+    ap.add_argument("runs", nargs="*", metavar="DIR",
+                    help="OLD and NEW: output directories of the reference run and of the "
+                         "run to check")
+    ap.add_argument("--rates", action="store_true", help="compare the pooled rates of "
+                    "the --old and the --new runs")
+    ap.add_argument("--old", nargs="+", default=[], help="reference runs, with --rates")
+    ap.add_argument("--new", nargs="+", default=[], help="runs to check, with --rates")
     args = ap.parse_args(argv)
+    if args.rates and (args.runs or not (args.old and args.new)) or \
+            not args.rates and (len(args.runs) != 2 or args.old or args.new):
+        ap.error("give OLD NEW, or --rates with --old and --new")
     try:
-        old, new = load_run(args.old), load_run(args.new)
+        if args.rates:
+            entries = compare_rates(*([rec for d in dirs for rec in load_records(d).values()]
+                                      for dirs in (args.old, args.new)))
+        else:
+            old, new = load_run(args.runs[0]), load_run(args.runs[1])
     except (ValueError, KeyError, OSError) as exc:
         print(f"compare_runs: {exc}", file=sys.stderr)
         return 2
+    if args.rates:
+        for entry in entries:
+            print(json.dumps(entry, sort_keys=True))
+        differing = sum(e["differs"] for e in entries)
+        print(json.dumps({"comparisons": len(entries), "differing": differing,
+                          "old": args.old, "new": args.new}, sort_keys=True))
+        return 1 if differing else 0
     diffs = compare(old, new)
     for diff in diffs:
         print(json.dumps(diff, sort_keys=True))

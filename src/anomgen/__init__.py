@@ -11,6 +11,6 @@ from .categorize import (AnomalyCategory, categorize, categorize_three_payoff,
                          categorize_two_payoff, check_certificate,
                          decompose_shared_components, solve_degenerate_mix)
 from .adversarial import GdaConfig, run_adversarial_indices
-from .morphing import MorphConfig, null_space_projection, run_morph_indices
+from .morphing import MorphConfig, run_morph_indices
 
 __all__ = [name for name in dir() if not name.startswith("_")]

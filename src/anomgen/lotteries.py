@@ -44,13 +44,16 @@ def read_probs(P) -> tuple[np.ndarray, np.ndarray]:
     and rescaled by its sum unless it is on the simplex within
     ``SIMPLEX_TOL`` already, so a vector read back from a record is the one
     written.  ``bad`` marks the vectors that are off by more, negative
-    beyond ``PAYOFF_MERGE_TOL`` or not finite; their entries mean nothing.
+    beyond ``PAYOFF_MERGE_TOL`` or not finite; their entries mean nothing,
+    and no arithmetic touches a non-finite one, so none warns.
     """
     P = np.asarray(P, dtype=float)
-    bad = np.any(P < -PAYOFF_MERGE_TOL, axis=-1) | ~(np.abs(P.sum(axis=-1) - 1.0) <= 1e-6)
+    bad = ~np.isfinite(P).all(axis=-1)
+    P = np.where(bad[..., None], 0.0, P)
+    bad |= np.any(P < -PAYOFF_MERGE_TOL, axis=-1) | ~(np.abs(P.sum(axis=-1) - 1.0) <= 1e-6)
     P = np.clip(P, 0.0, None)
     total = P.sum(axis=-1, keepdims=True)
-    np.divide(P, total, out=P, where=~(np.abs(total - 1.0) <= SIMPLEX_TOL))
+    np.divide(P, total, out=P, where=~(bad[..., None] | (np.abs(total - 1.0) <= SIMPLEX_TOL)))
     return P, bad
 
 

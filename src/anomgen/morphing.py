@@ -10,17 +10,19 @@ step is always a descent direction for the predictor and is orthogonal to
 every sampled gradient retained by the rank cutoff.
 
 Payoffs stay frozen, so a sampled theory enters only through its 2J
-utilities at the menu's payoffs: those are drawn directly, and the span of
-the sampled gradients is read from their 2J x 2J Gram matrix.  A step sums
-that matrix in one pass over fixed blocks of draws, so no array as wide as
-the sample count is built.
+utilities at the menu's payoffs, and a step reads a utility draw only
+through its logit and its gradient in the simplex's tangent space: 2J - 1
+numbers, drawn directly from at most 2J - 1 standard normals.  The span of
+the sampled gradients is read from their (2J - 2) x (2J - 2) Gram matrix in
+tangent coordinates.  A step sums that matrix in one pass over fixed blocks
+of draws, so no array as wide as the sample count is built.
 
 Runs advance through the adversarial search's loop
 (``adversarial.lockstep``), and one call per step,
 ``morph_step_directions``, gives every running run its direction: the
 factorizations, maps, eigendecompositions and projections act on the whole
 stack, while each run's draws come from that run's own generator.  Every
-row has the bytes of its own one-run step (``morph_step_direction``).
+row has the bytes it has in a stack of one.
 """
 
 from __future__ import annotations
@@ -36,12 +38,14 @@ from .theory import _fit_logits
 DEFAULT_BASIS = ISplineBasis().config_dict()
 STOP_NORM = 1e-8
 COV_JITTER = 1e-8
-# Rows of the (count, r) standard-normal stream drawn and reduced at a time:
+# Rows of the (count, d) standard-normal stream drawn and reduced at a time:
 # a block's arrays stay in cache, and the size moves no draw.
 _DRAW_BLOCK = 8192
-# Smallest rank cutoff the Gram route resolves.  Below it the eigenvalue
-# cutoff keeps rounding noise normal to the simplex, and the retained rank
-# counts that noise (rank 3 where the tangent space of J = 2 has dimension 2).
+# Smallest rank cutoff the Gram route resolves.  The eigenvalue cutoff is
+# rank_tol**2 times the largest eigenvalue, and the summed Gram matrix
+# carries rounding of some eps times the largest: at 1e-6 the cutoff stays
+# decades above that noise, while near sqrt(eps) the noise would decide the
+# retained rank.
 MIN_RANK_TOL = 1e-6
 
 
@@ -131,32 +135,32 @@ def _project_off_span(g: np.ndarray, grams: np.ndarray,
     return out, ranks
 
 
-def null_space_projection(g_star: np.ndarray, sampled_grads: np.ndarray,
-                          rank_tol: float = 1e-6) -> np.ndarray:
-    """Project g_star onto the orthogonal complement of the sampled span.
+def _tangent_basis(J: int) -> np.ndarray:
+    """T (2J, 2J - 2): an orthonormal basis of the simplex's tangent space,
+    whose directions sum to zero within each block of J, in closed form from
+    Helmert contrasts per block.  ``T @ T.T`` removes per-block means."""
+    k, rows = np.arange(1, J), np.arange(J)[:, None]
+    return np.kron(np.eye(2), ((rows < k) - k * (rows == k)) / np.sqrt(k * (k + 1)))
 
-    Gradients with norm below ``rank_tol`` are dropped.  The span is read
-    from the eigendecomposition of the Gram matrix G^T G, whose eigenvalues
-    are the squared singular values of G: those below ``rank_tol**2`` times
-    the largest are treated as zero.  Full-span input maps to the zero vector.
+
+def _step_factors(probs: np.ndarray, histories: np.ndarray, basis_rows: np.ndarray,
+                  T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means (R, 2J - 1) and lower-triangular factors L (R, 2J - 1, d) of what
+    a step reads of a utility draw U = (U0, U1): its logit
+    a = p1 . U1 - p0 . U0 and its tangent gradient w = T^T v, v = (-U0, U1).
+
+    With U = mean + F z (``_utility_factors``), (a, w) = mean + M z for
+    M = [a_map; T^T v_map] (2J - 1, r).  The QR of M^T gives L = R^T with
+    L L^T = M M^T, so mean + L z', z' ~ N(0, I_d) with d = min(2J - 1, r),
+    draws the same law from fewer normals; L's first row is (L00, 0, ...).
     """
-    g_star = np.asarray(g_star, dtype=float)
-    G = np.atleast_2d(np.asarray(sampled_grads, dtype=float))
-    if G.shape[1] != g_star.size:
-        raise ValueError("dimension mismatch between gradient and samples")
-    gram = np.zeros((1, g_star.size, g_star.size))
-    _add_kept_gram(gram[0], G.T, np.ones(G.shape[0]), rank_tol, np.empty(G.T.shape))
-    out, _ = _project_off_span(g_star[None], gram, rank_tol)
-    return out[0]
-
-
-def _tangent(vecs: np.ndarray, n_payoffs: int) -> np.ndarray:
-    """Remove per-block means: feasible simplex directions sum to zero."""
-    J = n_payoffs
-    out = np.atleast_2d(vecs).astype(float).copy()
-    out[:, :J] -= out[:, :J].mean(axis=1, keepdims=True)
-    out[:, J:] -= out[:, J:].mean(axis=1, keepdims=True)
-    return out if np.asarray(vecs).ndim > 1 else out[0]
+    J = probs.shape[-1]
+    means, factors = _utility_factors(histories, basis_rows)
+    flip = np.repeat([-1.0, 1.0], J)                # U -> v
+    logit = np.concatenate([-probs[:, 0], probs[:, 1]], axis=1)[:, None, :]
+    M = np.concatenate([logit @ factors, T.T @ (flip[:, None] * factors)], axis=1)
+    mean = np.concatenate([logit @ means[..., None], T.T @ (flip * means)[..., None]], axis=1)
+    return mean[..., 0], np.linalg.qr(M.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
 
 
 def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: np.ndarray,
@@ -171,67 +175,53 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     and ``probs[k]`` (2, J) its probabilities (p0, p1).  Draw i's choice
     probability has gradient s_i v_i over (p0, p1), with v_i = (-U0_i, U1_i),
     logit a_i = p1 . U1_i - p0 . U0_i and slope s_i = sigma(a_i)(1 - sigma(a_i)).
-    The predictor's gradient ``pred_grads[k]`` and these are restricted to
-    simplex-tangent coordinates by the projector P, and the direction is
-    ``null_space_projection`` of P g against the rows s_i P v_i, with the same
-    filter, Gram matrix and cutoff.
+    In the coordinates w = T^T v of the tangent basis T, the direction is the
+    predictor's gradient T^T g with the span of the gradients s_i w_i removed,
+    lifted back by T.  A gradient is kept when its norm exceeds
+    ``config.rank_tol``, and the span is read from the kept gradients' Gram
+    matrix with the relative cutoff ``config.rank_tol``.
 
     Everything but the draws is done for the whole stack at once: the
-    history moments, the Cholesky and SVD factors, the maps to P v and a, the
-    Gram eigendecompositions and the projections.  The draws go run by run,
-    each from its own generator, in blocks of ``_DRAW_BLOCK`` rows of the
-    (count, r) stream, written into work buffers that every run reuses; each
-    block is mapped straight to P v and a and added into the run's 2J x 2J
-    Gram matrix, so no count-wide array is built.  Every operation acts on
-    one row, so a row's bytes do not depend on the rows stacked with it.
+    history moments, the Cholesky, SVD and QR factors (``_step_factors``),
+    the Gram eigendecompositions and the projections.  The draws go run by
+    run, each from its own generator, in blocks of ``_DRAW_BLOCK`` rows of
+    the (count, d) stream, written into work buffers that every run reuses;
+    each block is mapped straight to a and w and added into the run's
+    (2J - 2) x (2J - 2) Gram matrix, so no count-wide array is built.  Every
+    operation acts on one row, so a row's bytes do not depend on the rows
+    stacked with it.
     """
     R, _, J = probs.shape
-    means, factors = _utility_factors(histories, basis_rows)
-    P = _tangent(np.eye(2 * J), J)                  # symmetric projector
-    flip = np.repeat([-1.0, 1.0], J)                # U -> v
-    logit = np.concatenate([-probs[:, 0], probs[:, 1]], axis=1)[:, None, :]
-    v_map, v_mean = P @ (flip[:, None] * factors), P @ (flip * means)[..., None]
-    a_map, a_mean = (logit @ factors)[:, 0], (logit @ means[..., None])[:, 0, 0]
-    grams = np.zeros((R, 2 * J, 2 * J))
-    count, r = config.n_gradient_samples, factors.shape[-1]
+    T = _tangent_basis(J)
+    mean, L = _step_factors(probs, histories, basis_rows, T)
+    scale, w_map = L[:, 0, 0], np.ascontiguousarray(L[:, 1:])
+    count, (m, d) = config.n_gradient_samples, w_map.shape[1:]
+    grams = np.zeros((R, m, m))
     # Flat work buffers for one block, shared by every block of every run; a
     # block of n draws views them as contiguous arrays of its own size.  The
     # draws' buffer holds the weighted gradients once the draws are mapped.
     block = min(count, _DRAW_BLOCK)
     draws, grads, logits, slopes = (np.empty(size) for size in
-                                    (2 * J * block, 2 * J * block, block, block))
+                                    ((m + 1) * block, m * block, block, block))
     for k, rng in enumerate(rngs):
         for start in range(0, count, _DRAW_BLOCK):
             n = min(_DRAW_BLOCK, count - start)
-            z = draws[:n * r].reshape(n, r)
+            z = draws[:n * d].reshape(n, d)
             rng.standard_normal(out=z)
             a, s = logits[:n], slopes[:n]
-            np.matmul(a_map[k], z.T, out=a)
-            a += a_mean[k]
+            np.multiply(z[:, 0], scale[k], out=a)
+            a += mean[k, 0]
             # sigma'(a) = e / (1 + e)^2 with e = exp(-|a|): one exp, no overflow.
             e = np.exp(np.negative(np.abs(a, out=a), out=a), out=a)
             np.add(1.0, e, out=s)
             s **= 2
             np.divide(e, s, out=s)
-            v = np.matmul(v_map[k], z.T, out=grads[:2 * J * n].reshape(2 * J, n))
-            v += v_mean[k]
-            _add_kept_gram(grams[k], v, s, config.rank_tol,
-                           draws[:2 * J * n].reshape(2 * J, n))
-    return _project_off_span((P @ pred_grads[..., None])[..., 0], grams, config.rank_tol)
-
-
-def morph_step_direction(pred_grad: np.ndarray, probs: np.ndarray, history,
-                         basis_rows: np.ndarray, rng: np.random.Generator,
-                         config: MorphConfig) -> tuple[np.ndarray, int]:
-    """One run's morph step: ``morph_step_directions`` on a stack of one.
-    ``pred_grad`` is (2J,), ``probs`` (2, J), ``history`` a sequence of at
-    least two fits and ``basis_rows`` (2J, K); returns the direction (2J,)
-    and the retained rank."""
-    directions, ranks = morph_step_directions(
-        np.asarray(pred_grad, dtype=float)[None], np.asarray(probs, dtype=float)[None],
-        np.atleast_2d(np.array(history, dtype=float))[None],
-        np.asarray(basis_rows, dtype=float)[None], [rng], config)
-    return directions[0], int(ranks[0])
+            w = np.matmul(w_map[k], z.T, out=grads[:m * n].reshape(m, n))
+            w += mean[k, 1:, None]
+            _add_kept_gram(grams[k], w, s, config.rank_tol, draws[:m * n].reshape(m, n))
+    directions, ranks = _project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
+                                          config.rank_tol)
+    return (T @ directions[..., None])[..., 0], ranks
 
 
 def morph_lockstep(predictor, config: MorphConfig, Z, P, rngs, master_seed,

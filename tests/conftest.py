@@ -11,7 +11,7 @@ from anomgen.analysis import PATTERNS, PatternFrequencies
 from anomgen.cpt import CptParams, logistic, simulate_choices
 from anomgen.lotteries import (Collection, draw_menus, flat_stack, grid_probs,
                                implied_choices, run_rng)
-from anomgen.morphing import COV_JITTER, _tangent
+from anomgen.morphing import COV_JITTER
 from anomgen.records import record_to_collection, write_jsonl
 from anomgen.theory import (FitResult, _clip_targets, _cross_entropy, _entropy, _fit_logits,
                             eu_difference_rows, stack_basis_values)
@@ -377,6 +377,60 @@ def reference_utility_factor(history, basis_rows: np.ndarray) -> tuple[np.ndarra
     return rows @ H.mean(axis=0), W * svals
 
 
+def tangent(vecs, n_payoffs: int) -> np.ndarray:
+    """Each vector (last axis, 2J) with its per-block means removed: the
+    simplex-tangent projection, built from fresh arrays."""
+    out = np.array(vecs, dtype=float)
+    J = n_payoffs
+    out[..., :J] -= out[..., :J].mean(axis=-1, keepdims=True)
+    out[..., J:] -= out[..., J:].mean(axis=-1, keepdims=True)
+    return out
+
+
+def null_space_projection(g_star, sampled_grads, rank_tol: float = 1e-6) -> np.ndarray:
+    """``g_star`` projected off the span of the rows of ``sampled_grads``, by
+    the morph step's filter, Gram matrix and cutoff: rows of norm at most
+    ``rank_tol`` are dropped, and eigenvalues of the Gram matrix below
+    ``rank_tol**2`` times the largest count as zero.  Full-span input maps to
+    the zero vector."""
+    g_star = np.asarray(g_star, dtype=float)
+    G = np.atleast_2d(np.asarray(sampled_grads, dtype=float))
+    if G.shape[1] != g_star.size:
+        raise ValueError("dimension mismatch between gradient and samples")
+    gram = np.zeros((1, g_star.size, g_star.size))
+    morphing._add_kept_gram(gram[0], G.T, np.ones(G.shape[0]), rank_tol,
+                            np.empty(G.T.shape))
+    out, _ = morphing._project_off_span(g_star[None], gram, rank_tol)
+    return out[0]
+
+
+def morph_step_direction(pred_grad, probs, history, basis_rows, rng, config):
+    """One run's morph step: ``morph_step_directions`` on a stack of one.
+    ``pred_grad`` is (2J,), ``probs`` (2, J), ``history`` a sequence of at
+    least two fits and ``basis_rows`` (2J, K); returns the direction (2J,)
+    and the retained rank."""
+    directions, ranks = morphing.morph_step_directions(
+        np.asarray(pred_grad, dtype=float)[None], np.asarray(probs, dtype=float)[None],
+        np.atleast_2d(np.array(history, dtype=float))[None],
+        np.asarray(basis_rows, dtype=float)[None], [rng], config)
+    return directions[0], int(ranks[0])
+
+
+def reference_step_factor(probs, history, basis_rows):
+    """One run's (mean (2J - 1,), L (2J - 1, d)) of the logit and tangent
+    gradient of its utility draws, formed on its own: the maps of
+    ``reference_utility_factor``'s factor into M = [a_map; T^T v_map] and
+    the QR of M^T."""
+    J = probs.shape[-1]
+    mean, factor = reference_utility_factor(history, basis_rows)
+    T = morphing._tangent_basis(J)
+    flip = np.repeat([-1.0, 1.0], J)
+    logit = np.concatenate([-probs[0], probs[1]])
+    M = np.concatenate([(logit @ factor)[None], T.T @ (flip[:, None] * factor)])
+    return (np.concatenate([[logit @ mean], T.T @ (flip * mean)]),
+            np.linalg.qr(M.T, mode="r").T)
+
+
 def _reference_kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray:
     """Gram matrix of the gradients ``scale[j] * cols[:, j]`` whose norm
     exceeds ``rank_tol``, built from fresh arrays."""
@@ -389,26 +443,32 @@ def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config)
     """One run's morph step, (direction (2J,), retained rank), computed on its
     own: the per-run step that ``morphing.morph_step_directions`` stacks, and
     the bit-for-bit reference for every row of a stack."""
-    J = probs.shape[-1]
-    mean, factor = reference_utility_factor(history, basis_rows)
-    P = _tangent(np.eye(2 * J), J)
-    flip = np.repeat([-1.0, 1.0], J)
-    logit = np.concatenate([-probs[0], probs[1]])
-    v_map, v_mean = P @ (flip[:, None] * factor), (P @ (flip * mean))[:, None]
-    a_map, a_mean = logit @ factor, logit @ mean
-    gram = np.zeros((2 * J, 2 * J))
+    T = morphing._tangent_basis(probs.shape[-1])
+    mean, L = reference_step_factor(probs, history, basis_rows)
+    w_map = np.ascontiguousarray(L[1:])
+    gram = np.zeros((T.shape[1], T.shape[1]))
     count = config.n_gradient_samples
     for start in range(0, count, morphing._DRAW_BLOCK):
-        z = rng.standard_normal((min(morphing._DRAW_BLOCK, count - start),
-                                 factor.shape[1])).T
-        e = np.exp(-np.abs(a_map @ z + a_mean))
-        v = v_map @ z
-        v += v_mean
-        gram += _reference_kept_gram(v, e / (1.0 + e) ** 2, config.rank_tol)
+        z = rng.standard_normal((min(morphing._DRAW_BLOCK, count - start), L.shape[1]))
+        e = np.exp(-np.abs(z[:, 0] * L[0, 0] + mean[0]))
+        w = w_map @ z.T
+        w += mean[1:, None]
+        gram += _reference_kept_gram(w, e / (1.0 + e) ** 2, config.rank_tol)
     evals, vecs = np.linalg.eigh(gram)
     V = vecs[:, evals > config.rank_tol ** 2 * evals[-1]]
-    g = P @ pred_grad
-    return g - V @ (V.T @ g), V.shape[1]
+    g = T.T @ pred_grad
+    return T @ (g - V @ (V.T @ g)), V.shape[1]
+
+
+def sample_step_gradients(probs, history, count: int, rng: np.random.Generator,
+                          basis_rows: np.ndarray) -> np.ndarray:
+    """The (count, 2J) tangent-projected choice-probability gradients s_i v_i
+    of a morph step's draws, built from one whole (count, d) draw of the
+    stream the step reads block by block."""
+    mean, L = reference_step_factor(probs, history, basis_rows)
+    aw = rng.standard_normal((count, L.shape[1])) @ L.T + mean
+    fb = logistic(aw[:, 0])
+    return (aw[:, 1:] * (fb * (1 - fb))[:, None]) @ morphing._tangent_basis(probs.shape[-1]).T
 
 
 def sample_theta_history(history, count: int, rng: np.random.Generator,

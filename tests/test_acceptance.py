@@ -21,16 +21,15 @@ from anomgen.categorize import categorize, decompose_shared_components
 from anomgen.cli import run_command
 from anomgen.cpt import CptParams, CptPredictor, simulate_choices
 from anomgen.lotteries import draw_menus, on_merged_grid
-from anomgen.morphing import (MorphConfig, null_space_projection, run_morph_indices,
-                              _tangent)
+from anomgen.morphing import MorphConfig, run_morph_indices
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
                                menu_input_scaling, _backprop, _ce_loss)
 from anomgen.records import read_jsonl, record_to_collection
 from anomgen.verifier import (minimal_anomaly, verify_collection,
                               verify_increasing_utility, verify_parametrized)
 from conftest import (TABLE_TOL, central_difference, collection, fit_theta, flat, grad,
-                      kernel_weights, lottery, predict, probs_on_grid, sample_random_menu,
-                      simulate_respondents, stack, unchecked_menu)
+                      kernel_weights, lottery, null_space_projection, predict, probs_on_grid,
+                      sample_random_menu, simulate_respondents, stack, tangent, unchecked_menu)
 
 DESK_SEED = 23
 DESK_RUNS = 300          # per procedure
@@ -249,11 +248,11 @@ def test_criterion_8_projection_properties():
             B0, B1 = (basis.eval(z) for z in m[0])
             sampled = np.concatenate([-(thetas @ B0.T), thetas @ B1.T], axis=1)
             # A morph step projects in simplex-tangent coordinates.
-            g_t = _tangent(g_probs, 2)
-            v = null_space_projection(g_t, _tangent(sampled, 2), rank_tol=1e-6)
+            g_t = tangent(g_probs, 2)
+            v = null_space_projection(g_t, tangent(sampled, 2), rank_tol=1e-6)
             assert -(v @ g_t) <= 1e-10
             vn = np.linalg.norm(v)
-            for row in _tangent(sampled, 2):
+            for row in tangent(sampled, 2):
                 rn = np.linalg.norm(row)
                 if rn > 1e-6:
                     assert abs(v @ row) <= 1e-6 * (vn + 1e-300) * rn + 1e-12

@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -708,6 +709,24 @@ class TestBadInputIsOneErrorLine:
         assert error["error"].startswith("in.jsonl: line 2 is not valid JSON (")
         assert not os.path.exists("out")
 
+    def test_infinite_probability_warns_nothing(self, tmp_path, capsys):
+        # An infinite probability is rejected before any arithmetic on it,
+        # so numpy prints no RuntimeWarning ahead of the error line.
+        os.chdir(tmp_path)
+        lot = {"payoffs": [1.0, 2.0], "probs": [0.5, 0.5]}
+        rec = {"id": "x-000000", "menus": [{"lottery0": lot, "lottery1": {
+            "payoffs": [1.0, 2.0], "probs": [float("inf"), 0.0]}}], "predicted_probs": [0.5]}
+        Path("in.jsonl").write_text('{"kind": "candidates", "version": 1}\n'
+                                    + json.dumps(rec) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_command(["verify", "--in", "in.jsonl", "--out", "out"]) == 1
+        assert [str(w.message) for w in caught] == []
+        error = error_line(capsys)
+        assert error["command"] == "verify" and "x-000000" in error["error"]
+        assert "probabilities not within 1e-6 of the simplex" in error["error"]
+        assert not os.path.exists("out")
+
     @pytest.mark.parametrize("category", [{"tag": "bogus"}, "fosd"], ids=["bogus-tag", "string"])
     def test_report_category_without_a_known_tag(self, category, tmp_path, capsys):
         os.chdir(tmp_path)
@@ -784,7 +803,8 @@ class TestRankTolBound:
         assert not os.path.exists("m.jsonl")
 
     def test_smallest_cutoff_keeps_rank_within_tangent_space(self):
-        # Below the bound, 7 of these 12 runs reported rank 3 for J = 2.
+        # The span is taken in tangent coordinates, so the retained rank is
+        # at most 2J - 2 = 2 for J = 2, even at the smallest accepted cutoff.
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
         ranks = [r["retained_rank"]

@@ -103,6 +103,7 @@ class TestCheckProbs:
         ([[0.5, 0.5], [0.6, 0.5]], "sum to"),
         ([[0.5, 0.5], [np.inf, 0.0]], "sum to"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_rejects_what_a_lottery_rejects(self, bad, match):
         with pytest.raises(ValueError, match=match):
             check_probs(np.array(bad))

@@ -7,12 +7,13 @@ from anomgen import morphing
 from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
-from anomgen.morphing import (COV_JITTER, MorphConfig, morph_step_direction,
-                              morph_step_directions, null_space_projection,
-                              run_morph_indices, _tangent)
+from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_basis,
+                              morph_step_directions, run_morph_indices)
 from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
-from conftest import (fit_theta, flat, grad, predict, record_menus, reference_step_direction,
-                      sample_random_menu, sample_theta_history, search_iterates, stack)
+from conftest import (fit_theta, flat, grad, morph_step_direction, null_space_projection,
+                      predict, record_menus, reference_step_direction, reference_step_factor,
+                      reference_utility_factor, sample_random_menu, sample_step_gradients,
+                      sample_theta_history, search_iterates, stack, tangent)
 
 
 class TestSampleThetaHistory:
@@ -161,9 +162,9 @@ class TestGramMatchesSvd:
             history = [fit_theta(basis, *stack([x0]), [f0]).theta,
                        fit_theta(basis, *stack([x0, menu]), [f0, predict(pred, menu)]).theta]
             step_rng = copy.deepcopy(rng)             # the same draws for the step
-            sampled = sampled_gradients(history, 200_000, rng, rows, menu)
+            G_t = sample_step_gradients(probs_of(menu), history, 200_000, rng, rows)
             g = grad(pred, menu)
-            g_t, G_t = _tangent(g, 2), _tangent(sampled, 2)
+            g_t = tangent(g, 2)
             # A singular value within 1% of the cutoff may fall on either
             # side of it under the two routes' rounding; such cases are not
             # comparable and must stay rare.
@@ -256,9 +257,17 @@ class TestTangent:
     def test_blocks_sum_to_zero(self):
         rng = np.random.default_rng(5)
         vecs = rng.normal(size=(10, 6))
-        t = _tangent(vecs, 3)
+        t = tangent(vecs, 3)
         np.testing.assert_allclose(t[:, :3].sum(axis=1), 0, atol=1e-12)
         np.testing.assert_allclose(t[:, 3:].sum(axis=1), 0, atol=1e-12)
+
+    @pytest.mark.parametrize("J", [2, 3, 5])
+    def test_basis_is_orthonormal_and_spans_the_tangent_space(self, J):
+        T = _tangent_basis(J)
+        assert T.shape == (2 * J, 2 * J - 2)
+        np.testing.assert_allclose(T.T @ T, np.eye(2 * J - 2), rtol=0, atol=1e-15)
+        # T T^T is the projector that removes per-block means.
+        np.testing.assert_allclose(T @ T.T, tangent(np.eye(2 * J), J), rtol=0, atol=1e-15)
 
 
 class TestMorphRun:
@@ -338,12 +347,12 @@ class TestMorphStepDirection:
             v, rank = morph_step_direction(
                 g, probs_of(menu), history, rows, rng,
                 MorphConfig(n_gradient_samples=count, rank_tol=1e-6))
-            grads = sampled_gradients(history, count, twin, rows, menu)
+            grads = sample_step_gradients(probs_of(menu), history, count, twin, rows)
             assert 0 <= rank <= min(count, 2)
-            g_t = _tangent(g, 2)
+            g_t = tangent(g, 2)
             assert -(v @ g_t) <= 1e-10
             # Orthogonal to every retained (tangent-projected) gradient.
-            for row in _tangent(grads, 2):
+            for row in grads:
                 assert abs(v @ row) <= 1e-6 * (np.linalg.norm(v) + 1e-300) * \
                     (np.linalg.norm(row) + 1e-300) + 1e-12
 
@@ -397,7 +406,7 @@ class TestBlockedGram:
             step, rank = morph_step_direction(
                 g, probs_of(menu), history, rows, rng,
                 MorphConfig(n_gradient_samples=count, rank_tol=rank_tol))
-            G_t = _tangent(sampled_gradients(history, count, twin, rows, menu), J)
+            G_t = sample_step_gradients(probs_of(menu), history, count, twin, rows)
             # The two routes consumed the same stream.
             assert rng.bit_generator.state == twin.bit_generator.state
             kept = G_t[np.linalg.norm(G_t, axis=1) > rank_tol]
@@ -406,7 +415,7 @@ class TestBlockedGram:
                 skipped += 1
                 continue
             np.testing.assert_allclose(
-                step, null_space_projection(_tangent(g, J), G_t, rank_tol),
+                step, null_space_projection(tangent(g, J), G_t, rank_tol),
                 rtol=0, atol=atol)
             expected = 0
             if kept.size:
@@ -421,7 +430,7 @@ class TestBlockedGram:
         assert len(ranks) >= 2 or rank_tol < 1e-3
 
     def test_block_size_moves_no_draw(self, monkeypatch):
-        # Two block sizes read the same (count, r) stream as one whole draw
+        # Two block sizes read the same (count, d) stream as one whole draw
         # and agree on the direction within the gap-dependent tolerance.
         count = 3 * 4096 + 17
         rng = np.random.default_rng(37)
@@ -444,9 +453,8 @@ class TestBlockedGram:
             np.testing.assert_array_equal(z1, whole.standard_normal(z1.shape))
             np.testing.assert_array_equal(z1, z2)
             assert state1 == state2 == whole.bit_generator.state
-            G_t = _tangent(sampled_gradients(history, count,
-                                             np.random.default_rng(trial), rows,
-                                             menu), 2)
+            G_t = sample_step_gradients(probs_of(menu), history, count,
+                                        np.random.default_rng(trial), rows)
             atol = gap_tolerance(G_t[np.linalg.norm(G_t, axis=1) > cfg.rank_tol],
                                  cfg.rank_tol)
             if atol is None:
@@ -495,7 +503,7 @@ class TestStackedStep:
         for (direction, rank), (ref_direction, ref_rank) in zip(alone, reference):
             assert_same_bits(direction, ref_direction)
             assert rank == ref_rank
-        for R in (1, 7, 64):
+        for R in (1, 7, 29, 64):
             rngs = [np.random.default_rng(k) for k in range(R)]
             directions, ranks = morph_step_directions(g[:R], probs[:R], H[:R], rows[:R],
                                                       rngs, cfg)
@@ -513,6 +521,97 @@ class TestStackedStep:
         with pytest.raises(ValueError, match="at least two fits"):
             morph_step_direction(g[0], probs[0], H[0, :1], rows[0], rng, MorphConfig())
         assert rng.random() == np.random.default_rng(0).random()
+
+
+def lifted(J):
+    """(2J + 1, 2J - 1): maps (a, w) in tangent coordinates back to (a, v)."""
+    out = np.zeros((2 * J + 1, 2 * J - 1))
+    out[0, 0], out[1:, 1:] = 1.0, _tangent_basis(J)
+    return out
+
+
+class TestStepFactors:
+    """The step's draw of (logit, tangent gradient) against the maps of the
+    old (count, r) draw: the same law, from min(2J - 1, r) normals."""
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("basis", [ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0)),
+                                       PolynomialBasis(order=6, domain=(0.0, 10.0)),
+                                       PolynomialBasis(order=2, domain=(0.0, 10.0))],
+                             ids=["ispline", "polynomial", "polynomial-2"])
+    @pytest.mark.parametrize("shared_payoff", [False, True])
+    def test_covariance_equals_the_old_maps(self, J, basis, shared_payoff):
+        # The 2-term polynomial gives r = 2 < 2J - 1; a shared payoff makes
+        # the utility covariance singular.
+        rng = np.random.default_rng(70 + J)
+        R = 6
+        menus = [sample_random_menu(rng, J, 0.0, 10.0) for _ in range(R)]
+        if shared_payoff:
+            for Z, _ in menus:
+                Z[1, 0] = Z[0, -1]
+        rows = np.array([np.concatenate([basis.eval(z) for z in Z]) for Z, _ in menus])
+        probs = np.array([P for _, P in menus])
+        H = rng.normal(0.0, 2.0, size=(R, 4, basis.dim))
+        mean, L = _step_factors(probs, H, rows, _tangent_basis(J))
+        r = min(2 * J, basis.dim)
+        assert L.shape == (R, 2 * J - 1, min(2 * J - 1, r))
+        flip = np.repeat([-1.0, 1.0], J)
+        for k in range(R):
+            old_mean, factor = reference_utility_factor(H[k], rows[k])
+            logit = np.concatenate([-probs[k, 0], probs[k, 1]])
+            old = np.concatenate([(logit @ factor)[None], tangent((flip[:, None] * factor).T, J).T])
+            cov, lift = old @ old.T, lifted(J) @ L[k]
+            np.testing.assert_allclose(lift @ lift.T, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
+            old_mean = np.concatenate([[logit @ old_mean], tangent(flip * old_mean, J)])
+            np.testing.assert_allclose(lifted(J) @ mean[k], old_mean, rtol=0,
+                                       atol=1e-12 * np.abs(old_mean).max())
+            # The logit reads the first normal alone.
+            assert np.all(L[k, 0, 1:] == 0.0)
+            ref_mean, ref_L = reference_step_factor(probs[k], H[k], rows[k])
+            assert_same_bits(mean[k], ref_mean)
+            assert_same_bits(L[k], ref_L)
+
+
+class TestAgainstOldLayout:
+    """At 200k samples the step agrees with the old (count, r) draw, made
+    from an independent stream, within its Monte Carlo error."""
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_direction_and_rank_agree(self, J):
+        count, cfg = 200_000, MorphConfig(n_gradient_samples=200_000)
+        rng = np.random.default_rng(60 + J)
+        compared, ranks = 0, set()
+        for trial in range(10):
+            g, menu, history, rows = morph_like_state(rng, J)
+            step, rank = morph_step_direction(g, probs_of(menu), history, rows,
+                                              np.random.default_rng(trial), cfg)
+            G = tangent(sampled_gradients(history, count, np.random.default_rng(1000 + trial),
+                                          rows, menu), J)
+            g_t = tangent(g, J)
+            reference = null_space_projection(g_t, G, cfg.rank_tol)
+            # Standard errors of the difference of two estimates of the Gram
+            # matrix, in the eigenbasis of the reference's.
+            G[np.linalg.norm(G, axis=1) <= cfg.rank_tol] = 0.0
+            evals, vecs = np.linalg.eigh(G.T @ G)
+            Y = G @ vecs
+            se = np.sqrt(2 * count) * (Y[:, :, None] * Y[:, None, :]).std(axis=0)
+            cut = cfg.rank_tol ** 2 * evals[-1]
+            kept = evals > cut
+            # An eigenvalue within 5 standard errors of the cutoff may fall on
+            # either side of it; such states are not comparable.
+            if np.any(np.abs(evals - cut) <= 5 * (np.diag(se) + cfg.rank_tol ** 2 * se[-1, -1])):
+                continue
+            assert rank == kept.sum()
+            # First-order perturbation of the kept span (Davis and Kahan):
+            # its projector moves by the kept-dropped coupling over the gap.
+            atol = 1e-12
+            if kept.any() and not kept.all():
+                gap = evals[kept].min() - evals[~kept].max()
+                atol += 6 * np.linalg.norm(se[np.ix_(kept, ~kept)]) / gap * np.linalg.norm(g_t)
+            np.testing.assert_allclose(step, reference, rtol=0, atol=atol)
+            compared += 1
+            ranks.add(rank)
+        assert compared >= 7 and len(ranks) >= 2
 
 
 class NanGradPredictor(CptPredictor):

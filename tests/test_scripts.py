@@ -135,3 +135,55 @@ class TestCompareRuns:
         out = run_script("compare_runs.py", str(desk_run), str(tmp_path / "absent"),
                          cwd=tmp_path)
         assert out.returncode == 2 and "no categorized streams" in out.stderr
+
+
+class TestCompareRates:
+    """``compare_runs.py --rates`` compares pooled rates, not records."""
+
+    def test_published_intervals(self):
+        # Newcombe (1998): Wilson's interval for 81/263, and the hybrid
+        # interval for 56/70 - 48/80.
+        compare = load_script("compare_runs.py")
+        lo, hi = compare.wilson(81, 263, 1.959964)
+        assert (round(lo, 4), round(hi, 4)) == (0.2553, 0.3662)
+        lo, hi = compare.newcombe((48, 80), (56, 70), 1.959964)
+        assert (round(lo, 4), round(hi, 4)) == (0.0524, 0.3339)
+
+    def test_copies_of_one_run_have_the_same_rates(self, desk_run, tmp_path):
+        shutil.copytree(desk_run, tmp_path / "copy")
+        out = run_script("compare_runs.py", "--rates", "--old", str(desk_run),
+                         str(tmp_path / "copy"), "--new", str(tmp_path / "copy"),
+                         str(desk_run), cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        *entries, summary = [json.loads(line) for line in out.stdout.splitlines()]
+        assert summary["differing"] == 0 and summary["comparisons"] == len(entries)
+        quantities = {(e["procedure"], e["quantity"]) for e in entries}
+        assert {("morphing", "stop=max_iters"), ("morphing", "mean_steps"),
+                ("adversarial", "at_most_one_step"),
+                ("baseline", "any_utility_inconsistent")} <= quantities
+        for e in entries:
+            assert e["difference"] == 0.0 and e["interval"][0] <= 0.0 <= e["interval"][1]
+            assert e["old"] == e["new"]
+
+    def test_planted_verdict_changes_are_reported(self, desk_run, tmp_path):
+        planted = tmp_path / "planted"
+        shutil.copytree(desk_run, planted)
+        path = planted / "baseline_categorized.jsonl"
+        header, recs = read_jsonl(path)
+        for rec in recs:
+            rec["parametrized_inconsistent"] = not rec["parametrized_inconsistent"]
+        write_jsonl(path, recs, kind=header["kind"])
+        out = run_script("compare_runs.py", "--rates", "--old", str(desk_run),
+                         "--new", str(planted), cwd=tmp_path)
+        assert out.returncode == 1, out.stderr
+        *entries, summary = [json.loads(line) for line in out.stdout.splitlines()]
+        assert [(e["procedure"], e["quantity"]) for e in entries if e["differs"]] == \
+            [("baseline", "parametrized_inconsistent")]
+        assert summary["differing"] == 1
+
+    def test_mode_arguments_are_checked(self, desk_run, tmp_path):
+        for args in (["--rates", str(desk_run), str(desk_run)],
+                     ["--rates", "--old", str(desk_run)],
+                     [str(desk_run), str(desk_run), "--old", str(desk_run)]):
+            out = run_script("compare_runs.py", *args, cwd=tmp_path)
+            assert out.returncode == 2 and "give OLD NEW" in out.stderr
