@@ -150,8 +150,8 @@ class PatternFrequencies:
 
     def __post_init__(self):
         counts = tuple(float(c) for c in self.counts)
-        if len(counts) != 4 or any(c < 0 for c in counts):
-            raise ValueError("need four nonnegative pattern counts")
+        if len(counts) != 4 or not all(0 <= c < np.inf for c in counts):
+            raise ValueError("need four finite nonnegative pattern counts")
         object.__setattr__(self, "counts", counts)
 
     @property

@@ -57,8 +57,11 @@ def _config_from_args(args) -> PipelineConfig:
         cfg.seed = args.seed
     if getattr(args, "workers", None) is not None:
         cfg.workers = args.workers
-    elif os.environ.get("ANOMGEN_WORKERS"):
-        cfg.workers = int(os.environ["ANOMGEN_WORKERS"])
+    elif value := os.environ.get("ANOMGEN_WORKERS"):
+        try:
+            cfg.workers = int(value)
+        except ValueError:
+            raise ConfigError(f"ANOMGEN_WORKERS: invalid value {value!r}") from None
     if cfg.workers < 1:
         raise ConfigError(f"workers: invalid value {cfg.workers!r}")
     return cfg

@@ -1,4 +1,5 @@
-"""Predictive choice models: a from-scratch MLP and a parametric CPT fit.
+"""Predictive choice models: a from-scratch MLP, and a parametric CPT fit that
+runs ``theory.damped_newton``, the inner fit's stacked solver, on one problem.
 
 Both expose the same handle surface as the closed-form oracle:
 ``predict_batch(Z, P)`` returning probabilities in (0, 1) for (R, 2, J)
@@ -18,7 +19,7 @@ import numpy as np
 from .cpt import CptParams, CptPredictor, logistic, lottery_values
 from .data import ChoiceDataset
 from .lotteries import flat_stack
-from .theory import TARGET_CLIP, damped_newton
+from .theory import _clip_targets, _cross_entropy, damped_newton
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +122,12 @@ def menu_input_scaling(n_payoffs: int) -> np.ndarray:
     return s
 
 
-def _ce_loss(logits: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    yc = np.clip(y, TARGET_CLIP, 1 - TARGET_CLIP)
-    return float(np.average(np.logaddexp(0.0, logits) - yc * logits, weights=w))
-
-
 def _backprop(model: MlpModel, X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Mean-CE gradients for all weights and biases on a scaled batch."""
     logits, acts = model.forward(X, keep=True)
     f = logistic(logits)
     wn = w / w.sum()
-    delta = ((f - np.clip(y, TARGET_CLIP, 1 - TARGET_CLIP)) * wn)[:, None]
+    delta = ((f - _clip_targets(y)) * wn)[:, None]
     gW, gb = [None] * len(model.weights), [None] * len(model.weights)
     for l in range(len(model.weights) - 1, -1, -1):
         inputs = acts[l]
@@ -151,6 +147,8 @@ class MlpTrainConfig:
     seed: int = 0
 
 
+# A diverging run overflows before its loss is checked; the check reports it.
+@np.errstate(over="ignore", invalid="ignore")
 def train_mlp(train: ChoiceDataset, hidden=(32, 32),
               config: MlpTrainConfig | None = None) -> MlpModel:
     """Mini-batch gradient descent on mean cross-entropy with soft labels.
@@ -163,7 +161,7 @@ def train_mlp(train: ChoiceDataset, hidden=(32, 32),
         raise ValueError("empty training set")
     cfg = config or MlpTrainConfig()
     J = train.Z.shape[-1]
-    y, w = train.outcomes, train.weights
+    y, w = _clip_targets(train.outcomes), train.weights
     scaling = menu_input_scaling(J)
     X = flat_stack(train.Z, train.P) * scaling
     widths = [4 * J, *hidden, 1]
@@ -171,7 +169,7 @@ def train_mlp(train: ChoiceDataset, hidden=(32, 32),
     rng = np.random.default_rng(cfg.seed + 1)
 
     step = cfg.step_size
-    prev_loss = _ce_loss(model.forward(X), y, w)
+    prev_loss = _cross_entropy(model.forward(X), y, w)
     snapshot = model.copy()
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train))
@@ -181,7 +179,7 @@ def train_mlp(train: ChoiceDataset, hidden=(32, 32),
             for l in range(len(model.weights)):
                 model.weights[l] -= step * gW[l]
                 model.biases[l] -= step * gb[l]
-        loss = _ce_loss(model.forward(X), y, w)
+        loss = _cross_entropy(model.forward(X), y, w)
         if not np.isfinite(loss):
             raise RuntimeError(
                 f"training diverged at epoch {epoch} (step size {step}); "
@@ -248,47 +246,32 @@ class CptFit:
     iterations: int       # Newton steps taken
 
 
-def _cpt_objective(ds: ChoiceDataset, scale: float):
-    """The weighting fit's ``damped_newton`` objective over x = log(delta,
-    gamma): the row-weighted mean CE, then its gradient in x and the Fisher
-    (Gauss-Newton) matrix of the logistic likelihood in x."""
-    Z, P, w = ds.Z, ds.P, ds.weights
-    yc = np.clip(ds.outcomes, TARGET_CLIP, 1 - TARGET_CLIP)
-    total = w.sum()
+def _cpt_logits(Z: np.ndarray, P: np.ndarray, scale: float):
+    """The weighting fit's logit map: x = log(delta, gamma) (1, 2) to the
+    logits u (1, n) of menus Z, P (n, 2, J) and their Jacobian (1, n, 2)."""
 
-    def objective(x):
-        V, *dV = lottery_values(Z, P, CptParams(*np.exp(x)), wrt="params")
+    def logits(rows, x):
+        V, *dV = lottery_values(Z, P, CptParams(*np.exp(x[0])), wrt="params")
         dV = np.stack(dV, axis=-1)                 # (row, lottery, parameter)
-        u = scale * (V[:, 1] - V[:, 0])
+        return ((scale * (V[:, 1] - V[:, 0]))[None],
+                (scale * (dV[:, 1] - dV[:, 0]) * np.exp(x[0]))[None])
 
-        def derivatives():
-            du = scale * (dV[:, 1] - dV[:, 0]) * np.exp(x)
-            sig = logistic(u)
-            return (((sig - yc) * w) @ du / total,
-                    (du.T * (sig * (1.0 - sig) * w)) @ du / total)
-
-        return float(np.average(np.logaddexp(0.0, u) - yc * u, weights=w)), derivatives
-
-    return objective
+    return logits
 
 
 def fit_cpt_params(ds: ChoiceDataset, scale: float = 1.0) -> CptFit:
-    """Max-likelihood probability-weighting parameters.
-
-    ``theory.damped_newton`` on (log delta, log gamma) from (1, 1): each step
-    solves the Fisher system (least squares, so a parameter the data cannot
-    identify stays put), and the residual is the gradient norm, so
-    ``converged`` says that it is at most ``KKT_TOL`` at the returned
-    parameters.
-    """
+    """Max-likelihood probability-weighting parameters: ``damped_newton`` on
+    (log delta, log gamma) from (1, 1), one problem with no ball (radius inf)
+    and the dataset's row weights.  A direction the data cannot identify is
+    left out of each Fisher step; the residual is the gradient norm, so
+    ``converged`` says that it is at most ``KKT_TOL`` at the returned point."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
     x, value, converged, steps = damped_newton(
-        _cpt_objective(ds, scale), np.zeros(2),
-        lambda x, g, H: -np.linalg.lstsq(H, g, rcond=None)[0],
-        lambda x, g: np.linalg.norm(g))
-    delta, gamma = np.exp(x)
-    return CptFit(CptParams(float(delta), float(gamma)), value, converged, steps)
+        _cpt_logits(ds.Z, ds.P, scale), np.zeros((1, 2)),
+        _clip_targets(ds.outcomes)[None], ds.weights[None], np.inf)
+    return CptFit(CptParams(*map(float, np.exp(x[0]))), float(value[0]), bool(converged[0]),
+                  int(steps[0]))
 
 
 def cpt_fit_predictor(ds: ChoiceDataset, scale: float = 1.0) -> CptPredictor:
@@ -307,7 +290,6 @@ def evaluate(handle, ds: ChoiceDataset) -> dict:
         raise ValueError("empty dataset")
     y, w = ds.outcomes, ds.weights
     preds = handle.predict_batch(ds.Z, ds.P)
-    yc = np.clip(y, TARGET_CLIP, 1 - TARGET_CLIP)
-    pc = np.clip(preds, TARGET_CLIP, 1 - TARGET_CLIP)
+    yc, pc = _clip_targets(y), _clip_targets(preds)
     ce = float(np.average(-yc * np.log(pc) - (1 - yc) * np.log(1 - pc), weights=w))
     return {"mse": float(np.average((preds - y) ** 2, weights=w)), "cross_entropy": ce}

@@ -8,12 +8,13 @@ import pytest
 
 from anomgen import morphing
 from anomgen.analysis import PATTERNS, PatternFrequencies
-from anomgen.cpt import CptParams, logistic, simulate_choices
+from anomgen.cpt import CptParams, logistic, lottery_values, simulate_choices
 from anomgen.lotteries import (Collection, draw_menus, flat_stack, grid_probs,
                                implied_choices, run_rng)
 from anomgen.morphing import COV_JITTER
 from anomgen.records import record_to_collection, write_jsonl
-from anomgen.theory import (FitResult, _clip_targets, _cross_entropy, _entropy, _fit_logits,
+from anomgen.theory import (BOUND_TOL, KKT_TOL, TARGET_CLIP, THETA_NORM_BOUND, FitResult,
+                            _clip_targets, _cross_entropy, _entropy, _fit_logits,
                             eu_difference_rows, stack_basis_values)
 
 # Tolerance used when re-deriving quantities from tables rounded to whole
@@ -360,8 +361,108 @@ def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
     """(mean cross-entropy, mean KL) of a spec on (menu, target) examples."""
     y = _clip_targets(np.array([t for _, t in examples], dtype=float))
     D = design_matrix(spec.basis, *stack([m for m, _ in examples]))
-    ce = float(_cross_entropy(D @ spec.theta, y))
+    ce = float(_cross_entropy(D @ spec.theta, y, np.ones_like(y)))
     return ce, max(ce - float(_entropy(y)), 0.0)
+
+
+def _reference_ball_point(H, b, radius):
+    """argmin b.z + z.Hz/2 over ||z|| <= radius for one problem, by a scalar
+    More-Sorensen loop."""
+    evals, Q = np.linalg.eigh(H)
+    evals = np.maximum(evals, 0.0)
+    beta = Q.T @ b
+    if evals[0] > 0.0 and np.linalg.norm(beta / evals) <= radius:
+        return -(Q @ (beta / evals))
+    bnorm = np.linalg.norm(beta)
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    lo, hi = max(bnorm / radius - evals[-1], 0.0), bnorm / radius - evals[0]
+    mu = hi
+    for _ in range(100):
+        q = beta / (evals + mu)
+        znorm = np.linalg.norm(q)
+        if abs(znorm - radius) <= 1e-14 * radius:
+            break
+        lo, hi = (mu, hi) if znorm > radius else (lo, mu)
+        mu -= (1.0 / znorm - 1.0 / radius) * znorm ** 3 / (q @ (q / (evals + mu)))
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+    return -(Q @ q) * min(1.0, radius / znorm)
+
+
+def reference_newton_fit(D, y):
+    """(theta, converged) of one problem, D (n, K) and y (n,), by the one-row
+    loop that ``theory.damped_newton`` stacks: the interpolating start of
+    ``_fit_logits``, then, unless it is exact, damped Newton in D's row space
+    with a scalar ball step, Armijo backtrack and KKT test."""
+    from anomgen.theory import MAX_NEWTON_ITER      # read at call time: tests patch it
+    B, (n, K) = THETA_NORM_BOUND, D.shape
+    y = _clip_targets(y)
+    U, svals, Vt = np.linalg.svd(D[None], full_matrices=False)
+    kept = svals > svals[:, :1] * max(n, K) * np.finfo(float).eps
+    inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=kept)
+    coef = inv * np.matmul(np.log(y / (1 - y))[None, None, :], U)[:, 0]
+    theta = np.matmul(coef[:, None, :], Vt)[0, 0]
+    theta *= B / max(np.sqrt((theta * theta).sum()), B)
+    ones = np.ones(n)
+    if _cross_entropy(D @ theta, y, ones) - _entropy(y) < 1e-12:
+        return theta, True
+    rank = int(kept.sum())
+    A, V = U[0, :, :rank] * svals[0, :rank], Vt[0, :rank]
+
+    def loss(w):
+        return _cross_entropy(A @ w, y, ones)
+
+    def derivatives(w):
+        sig = logistic(A @ w)
+        return ((sig - y) @ A) / n, (A.T * (sig * (1.0 - sig))) @ A / n
+
+    def residual(w, g):
+        lam = max(0.0, -(g @ w) / (w @ w)) if w @ w >= (B - BOUND_TOL) ** 2 else 0.0
+        return np.linalg.norm(g + lam * w)
+
+    w = V @ theta
+    value, (g, H), steps = loss(w), derivatives(w), 0
+    while (res := residual(w, g)) > KKT_TOL and steps < MAX_NEWTON_ITER:
+        step = _reference_ball_point(H, g - H @ w, B) - w
+        slope = g @ step
+        if not slope < 0.0:
+            break
+        t = 1.0
+        while t > 1e-10:
+            cand = w + t * step
+            if loss(cand) <= value + 1e-4 * t * slope + 4 * np.finfo(float).eps * value:
+                break
+            t *= 0.5
+        else:
+            break
+        w, value, (g, H), steps = cand, loss(cand), derivatives(cand), steps + 1
+    return V.T @ w, bool(res <= KKT_TOL)
+
+
+def cpt_objective(ds, scale: float):
+    """The weighting fit's objective over x = log(delta, gamma), formed on its
+    own: the row-weighted mean CE at x, then a no-argument function giving its
+    gradient in x and the Fisher (Gauss-Newton) matrix of the logistic
+    likelihood in x."""
+    Z, P, w = ds.Z, ds.P, ds.weights
+    yc = np.clip(ds.outcomes, TARGET_CLIP, 1 - TARGET_CLIP)
+    total = w.sum()
+
+    def objective(x):
+        V, *dV = lottery_values(Z, P, CptParams(*np.exp(x)), wrt="params")
+        dV = np.stack(dV, axis=-1)                 # (row, lottery, parameter)
+        u = scale * (V[:, 1] - V[:, 0])
+
+        def derivatives():
+            du = scale * (dV[:, 1] - dV[:, 0]) * np.exp(x)
+            sig = logistic(u)
+            return (((sig - yc) * w) @ du / total,
+                    (du.T * (sig * (1.0 - sig) * w)) @ du / total)
+
+        return float(np.average(np.logaddexp(0.0, u) - yc * u, weights=w)), derivatives
+
+    return objective
 
 
 def reference_utility_factor(history, basis_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

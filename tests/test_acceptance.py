@@ -23,8 +23,9 @@ from anomgen.cpt import CptParams, CptPredictor, simulate_choices
 from anomgen.lotteries import draw_menus, on_merged_grid
 from anomgen.morphing import MorphConfig, run_morph_indices
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
-                               menu_input_scaling, _backprop, _ce_loss)
+                               menu_input_scaling, _backprop)
 from anomgen.records import read_jsonl, record_to_collection
+from anomgen.theory import _clip_targets, _cross_entropy
 from anomgen.verifier import (minimal_anomaly, verify_collection,
                               verify_increasing_utility, verify_parametrized)
 from conftest import (TABLE_TOL, central_difference, collection, fit_theta, flat, grad,
@@ -183,9 +184,9 @@ def test_criterion_4_gradient_suites():
             j = int(rng.integers(0, W.shape[1]))
             orig = W[i, j]
             W[i, j] = orig + h
-            up = _ce_loss(model.forward(X), y, w)
+            up = _cross_entropy(model.forward(X), _clip_targets(y), w)
             W[i, j] = orig - h
-            down = _ce_loss(model.forward(X), y, w)
+            down = _cross_entropy(model.forward(X), _clip_targets(y), w)
             W[i, j] = orig
             fd_parts.append((up - down) / (2 * h))
             an_parts.append(gW[layer][i, j])

@@ -175,6 +175,12 @@ class TestPipelineCommands:
                             "--out", "x.jsonl"]) == 1
         monkeypatch.setenv("ANOMGEN_WORKERS", "-2")
         assert run_command(["baseline", "--inits", "2", "--out", "x.jsonl"]) == 1
+        capsys.readouterr()
+        monkeypatch.setenv("ANOMGEN_WORKERS", "abc")
+        assert run_command(["baseline", "--inits", "2", "--out", "x.jsonl"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ANOMGEN_WORKERS: invalid value 'abc'"
         assert not os.path.exists("x.jsonl")
 
     def test_null_preset_prints_error_line(self, tmp_path, capsys):
@@ -378,6 +384,8 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("freqs, menus, named", [
         ("pattern_00,pattern_01,pattern_10,pattern_11\n", [], "freqs.csv"),
+        ("pattern_00,pattern_01,pattern_10,pattern_11\nnan,5,5,45\n", [], "finite"),
+        ("pattern_00,pattern_01,pattern_10,pattern_11\n45,inf,5,45\n", [], "finite"),
         ("pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n", [{}], "menus.json"),
         ("pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n", {"a": 1}, "menus.json"),
         ("pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n",

@@ -8,10 +8,10 @@ from anomgen.adversarial import interior_menu
 from anomgen.lotteries import flat_stack
 from anomgen.predictor import (MlpModel, MlpPredictor, MlpTrainConfig,
                                evaluate, fit_cpt_params, menu_input_scaling,
-                               train_mlp, _backprop, _ce_loss, _cpt_objective)
-from anomgen.theory import KKT_TOL
-from conftest import (BRUHIN_B, central_difference, cpt_dataset, flat, grad, lottery, menu,
-                      predict, sample_random_menu, stack, unchecked_menu)
+                               train_mlp, _backprop, _cpt_logits)
+from anomgen.theory import KKT_TOL, _clip_targets, _cross_entropy
+from conftest import (BRUHIN_B, central_difference, cpt_dataset, cpt_objective, flat, grad,
+                      lottery, menu, predict, sample_random_menu, stack, unchecked_menu)
 
 
 class TestMlpModel:
@@ -89,9 +89,9 @@ class TestTrainMlp:
             i, j = rng.integers(0, W.shape[0]), rng.integers(0, W.shape[1])
             orig = W[i, j]
             W[i, j] = orig + h
-            up = _ce_loss(model.forward(X), y, w)
+            up = _cross_entropy(model.forward(X), _clip_targets(y), w)
             W[i, j] = orig - h
-            down = _ce_loss(model.forward(X), y, w)
+            down = _cross_entropy(model.forward(X), _clip_targets(y), w)
             W[i, j] = orig
             fd = (up - down) / (2 * h)
             err = abs(fd - gW[layer][i, j]) / (abs(gW[layer][i, j]) + 1e-8)
@@ -226,7 +226,7 @@ class TestFitCptParams:
     @staticmethod
     def _gradient_at(ds, fit):
         x = np.log([fit.params.delta, fit.params.gamma])
-        return _cpt_objective(ds, 1.0)(x)[1]()[0]
+        return cpt_objective(ds, 1.0)(x)[1]()[0]
 
     def test_converged_means_gradient_stop(self):
         ds = cpt_dataset(2000, seed=16, kind="binary")
@@ -234,12 +234,17 @@ class TestFitCptParams:
         assert fit.converged and 1 <= fit.iterations < theory.MAX_NEWTON_ITER
         assert np.linalg.norm(self._gradient_at(ds, fit)) <= KKT_TOL
 
-    def test_objective_gradient_matches_finite_differences(self):
+    def test_logit_jacobian_matches_finite_differences(self):
         ds = cpt_dataset(500, seed=17, kind="rate", count=50)
-        objective = _cpt_objective(ds, 1.0)
+        logits = _cpt_logits(ds.Z, ds.P, 1.0)
         x = np.log([0.8, 0.4])
-        fd = central_difference(lambda v: objective(v)[0], x, h=1e-5)
-        np.testing.assert_allclose(objective(x)[1]()[0], fd, rtol=1e-6, atol=1e-10)
+        u, J = logits(None, x[None])
+        assert u.shape == (1, len(ds)) and J.shape == (1, len(ds), 2)
+        for i in range(2):
+            h = np.zeros(2)
+            h[i] = 1e-5
+            fd = (logits(None, (x + h)[None])[0] - logits(None, (x - h)[None])[0]) / 2e-5
+            np.testing.assert_allclose(J[0, :, i], fd[0], rtol=1e-6, atol=1e-10)
 
     def test_gamma_unidentified_on_half_half_lotteries(self):
         # With p = (.5, .5) in every lottery each weight is delta / (1 + delta)
@@ -247,7 +252,7 @@ class TestFitCptParams:
         rng = np.random.default_rng(18)
         ds = simulate_choices(rng, rng.uniform(0, 10, (2000, 2, 2)), np.full((2000, 2, 2), 0.5),
                               BRUHIN_B)
-        H = _cpt_objective(ds, 1.0)(np.zeros(2))[1]()[1]
+        H = cpt_objective(ds, 1.0)(np.zeros(2))[1]()[1]
         assert np.linalg.matrix_rank(H) == 1
         fit = fit_cpt_params(ds)
         assert np.isfinite([fit.params.delta, fit.params.gamma]).all()

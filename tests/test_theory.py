@@ -5,10 +5,11 @@ from anomgen import adversarial, theory
 from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
-from anomgen.predictor import _cpt_objective, fit_cpt_params
+from anomgen.predictor import fit_cpt_params
 from anomgen.theory import THETA_NORM_BOUND, FitResult
-from conftest import (TheorySpec, cpt_dataset, eu_difference_features, fit_theta,
-                      sample_random_menu, stack, theory_choice_prob, theory_loss)
+from conftest import (TheorySpec, cpt_dataset, cpt_objective, eu_difference_features, fit_theta,
+                      reference_newton_fit, sample_random_menu, stack, theory_choice_prob,
+                      theory_loss)
 
 
 def pooled_kl(targets, q):
@@ -207,7 +208,7 @@ class TestBallConstrainedFit:
             ds = cpt_dataset(1000, seed=19, kind="binary")
             fit = fit_cpt_params(ds)
             x = np.log([fit.params.delta, fit.params.gamma])
-            residual = np.linalg.norm(_cpt_objective(ds, 1.0)(x)[1]()[0])
+            residual = np.linalg.norm(cpt_objective(ds, 1.0)(x)[1]()[0])
         assert fit.converged == (residual <= theory.KKT_TOL)
         assert fit.converged == (cap == 50)
 
@@ -221,6 +222,46 @@ class TestBallConstrainedFit:
         stacked = theory._fit_logits(np.stack([D for D, _ in problems]),
                                      np.stack([y for _, y in problems]))
         assert stacked.on_norm_bound.sum() >= 5 and (~stacked.on_norm_bound).sum() >= 5
+        for r, (D, y) in enumerate(problems):
+            alone = fit_problem(D, y)
+            np.testing.assert_array_equal(stacked.theta[r], alone.theta)
+            assert (stacked.kl[r], stacked.converged[r], stacked.on_norm_bound[r]) == \
+                (alone.kl, alone.converged, alone.on_norm_bound)
+
+    def test_search_fits_match_the_one_row_reference_to_the_bit(self):
+        # Every fit of 64 adversarial runs at 50 iterations (seed 5), made in
+        # the search's own stacks, is the fit the scalar loop makes alone.
+        cases = []
+
+        def record(D, y):
+            fit = theory._fit_logits(D, y)
+            cases.extend(zip(D.copy(), y.copy(), fit.theta, fit.converged))
+            return fit
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adversarial, "_fit_logits", record)
+            list(run_adversarial_indices(CptPredictor(CptParams(0.726, 0.309)),
+                                         GdaConfig(max_iters=50), 5, range(64)))
+        assert len(cases) >= 3000
+        for D, y, theta, converged in cases:
+            ref_theta, ref_converged = reference_newton_fit(D, y)
+            np.testing.assert_array_equal(theta, ref_theta)
+            assert converged == ref_converged
+
+    @pytest.mark.parametrize("R", [1, 7, 64])
+    def test_mixed_rank_stack_gives_each_row_its_own_fit(self, on_bound_cases, R):
+        # Rank-1 rows (one menu listed twice with two targets) cycled with
+        # rank-2 on-bound rows: each goes to its own rank group and its own
+        # rows of the stacked solver, and equals its one-row fit to the bit.
+        two_row = [(D, y) for D, y in on_bound_cases if len(y) == 2][:8]
+        rank_one = [(D[[0, 0]], y) for D, y in two_row]
+        problems = [p for pair in zip(rank_one, two_row) for p in pair]
+        problems = [problems[r % len(problems)] for r in range(R)]
+        stacked = theory._fit_logits(np.stack([D for D, _ in problems]),
+                                     np.stack([y for _, y in problems]))
+        assert (stacked.kl[::2] > 0).all()       # the rank-1 rows are not exact
+        if R > 1:
+            assert stacked.on_norm_bound.any() and not stacked.on_norm_bound.all()
         for r, (D, y) in enumerate(problems):
             alone = fit_problem(D, y)
             np.testing.assert_array_equal(stacked.theta[r], alone.theta)
