@@ -32,7 +32,7 @@ from .config import ConfigError, PipelineConfig, build_predictor, load_config, p
 from .cpt import simulate_choices
 from .data import load_dataset, save_dataset
 from .lotteries import Collection, draw_menus, implied_choices, run_rng
-from .morphing import run_morph_indices
+from .morphing import draw_threads, run_morph_indices, set_draw_cpus
 from .predictor import (MlpPredictor, MlpTrainConfig, evaluate, fit_cpt_params,
                         train_mlp)
 from .verifier import minimal_anomaly, parametrized_verdicts, utility_verdicts
@@ -78,24 +78,37 @@ def _config_from_args(args) -> PipelineConfig:
 # 256; 6,000 runs took 26 s at 40 MB in blocks of 64, 18 s at 41 MB in
 # blocks of 256, 18 s at 47 MB in blocks of 1,024 and 18 s at 79 MB as one
 # stack.  A morph step factors, projects and maps a block's runs as one
-# stack, but draws their samples one run at a time into work buffers of at
-# most ``morphing._DRAW_BLOCK`` draws that every run reuses, so a block holds
-# no per-sample array per run: 256 morph runs at 200,000 samples and one
-# step peaked at 41.7 MB in one block, and 29 runs at 40.4 MB.
+# stack, but draws their samples one run at a time, on each of its draw
+# threads, into that thread's work buffers of at most ``morphing._DRAW_BLOCK``
+# draws, so a block holds no per-sample array per run: 256 morph runs at
+# 200,000 samples and one step peaked at 42.3 MB in one block on 2 threads
+# (41.8 MB on one), and 29 runs at 40.6 MB.
 _RUN_BLOCK = 256
+
+
+def _block_size(count: int, workers: int) -> int:
+    """Items in a block: at most ``_RUN_BLOCK``, fewer when that keeps every
+    worker busy."""
+    return min(_RUN_BLOCK, (count + workers - 1) // workers) or 1
+
+
+def _cpu_share(workers: int) -> int:
+    """CPUs each of ``workers`` processes may draw morph samples on."""
+    return max(1, len(os.sched_getaffinity(0)) // workers)
 
 
 def _fan_out(chunk_fn, args: tuple, items, workers: int):
     """The records of ``chunk_fn(*args, block)`` over consecutive blocks of
-    ``items`` (fewer than ``_RUN_BLOCK`` when that keeps every worker busy),
-    yielded in order as each block is done, in a pool if ``workers > 1``."""
-    size = min(_RUN_BLOCK, (len(items) + workers - 1) // workers) or 1
+    ``items`` (``_block_size``), yielded in order as each block is done, in a
+    pool if ``workers > 1``, whose processes share the CPUs out."""
+    size = _block_size(len(items), workers)
     calls = (chunk_fn, *map(repeat, args),
              (items[i:i + size] for i in range(0, len(items), size)))
     if workers == 1:
         yield from chain.from_iterable(map(*calls))
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=set_draw_cpus,
+                             initargs=(_cpu_share(workers),)) as pool:
         yield from chain.from_iterable(pool.map(*calls))
 
 
@@ -115,8 +128,13 @@ def _run_generation(args, procedure: str) -> int:
     predictor = build_predictor(cfg.predictor)
     records.write_jsonl(args.out, _fan_out(_generate_chunk, (predictor, cfg, procedure),
                                            range(inits), cfg.workers), kind="candidates")
+    extra = {}
+    if procedure == "morph":    # the threads a step of a full block draws on, per process
+        extra["draw_threads"] = draw_threads(_block_size(inits, cfg.workers),
+                                             cfg.morph.n_gradient_samples,
+                                             _cpu_share(cfg.workers))
     return _summary(command=procedure, runs=inits, seed=cfg.seed, out=args.out,
-                    workers=cfg.workers, **_throughput(start, inits, "runs"))
+                    workers=cfg.workers, **extra, **_throughput(start, inits, "runs"))
 
 
 # -- verification / categorization ------------------------------------------

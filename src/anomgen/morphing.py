@@ -21,12 +21,20 @@ Runs advance through the adversarial search's loop
 (``adversarial.lockstep``), and one call per step,
 ``morph_step_directions``, gives every running run its direction: the
 factorizations, maps, eigendecompositions and projections act on the whole
-stack, while each run's draws come from that run's own generator.  Every
-row has the bytes it has in a stack of one.
+stack, while each run's draws come from that run's own generator.  When a
+run draws more than one block, the stack's runs are shared out over threads
+(``draw_threads``): numpy releases the GIL while it fills a block with
+normals and maps and sums it, so the draws use every CPU of a one-worker
+process.  A run is drawn and summed in the same order by whichever thread
+owns it, so every row has the bytes it has in a stack of one, on any
+number of threads.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +55,9 @@ _DRAW_BLOCK = 8192
 # decades above that noise, while near sqrt(eps) the noise would decide the
 # retained rank.
 MIN_RANK_TOL = 1e-6
+# CPUs a step's draws may use: None reads this process's CPU affinity at
+# each step; a pool worker's initializer sets its share (``set_draw_cpus``).
+_draw_cpus = None
 
 
 @dataclass(frozen=True)
@@ -163,6 +174,53 @@ def _step_factors(probs: np.ndarray, histories: np.ndarray, basis_rows: np.ndarr
     return mean[..., 0], np.linalg.qr(M.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
 
 
+def set_draw_cpus(cpus: int | None) -> None:
+    """Let this process's morph steps draw on ``cpus`` CPUs (None: all it may run on)."""
+    global _draw_cpus
+    _draw_cpus = cpus
+
+
+def draw_threads(rows: int, count: int, cpus: int | None = None) -> int:
+    """Threads a step of ``rows`` runs at ``count`` samples draws on: the
+    CPUs (``cpus``, else ``set_draw_cpus``'s, else this process's affinity)
+    capped at the rows, and one when a run's draws fit in one block, whose
+    few small calls would hold the GIL."""
+    if count <= _DRAW_BLOCK:
+        return 1
+    return max(1, min(cpus or _draw_cpus or len(os.sched_getaffinity(0)), rows))
+
+
+def _draw_grams(grams: np.ndarray, runs, rngs, mean: np.ndarray, scale: np.ndarray,
+                w_map: np.ndarray, count: int, rank_tol: float) -> None:
+    """Add into ``grams[k]``, for each run k of ``runs``, the Gram matrix of
+    ``count`` draws from ``rngs[k]``: one pass over blocks of at most
+    ``_DRAW_BLOCK`` rows of the (count, d) stream, written into work buffers
+    that every block of these runs reuses."""
+    m, d = w_map.shape[1:]
+    # Flat work buffers for one block; a block of n draws views them as
+    # contiguous arrays of its own size.  The draws' buffer holds the
+    # weighted gradients once the draws are mapped.
+    block = min(count, _DRAW_BLOCK)
+    draws, grads, logits, slopes = (np.empty(size) for size in
+                                    ((m + 1) * block, m * block, block, block))
+    for k in runs:
+        for start in range(0, count, _DRAW_BLOCK):
+            n = min(_DRAW_BLOCK, count - start)
+            z = draws[:n * d].reshape(n, d)
+            rngs[k].standard_normal(out=z)
+            a, s = logits[:n], slopes[:n]
+            np.multiply(z[:, 0], scale[k], out=a)
+            a += mean[k, 0]
+            # sigma'(a) = e / (1 + e)^2 with e = exp(-|a|): one exp, no overflow.
+            e = np.exp(np.negative(np.abs(a, out=a), out=a), out=a)
+            np.add(1.0, e, out=s)
+            s **= 2
+            np.divide(e, s, out=s)
+            w = np.matmul(w_map[k], z.T, out=grads[:m * n].reshape(m, n))
+            w += mean[k, 1:, None]
+            _add_kept_gram(grams[k], w, s, rank_tol, draws[:m * n].reshape(m, n))
+
+
 def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: np.ndarray,
                           basis_rows: np.ndarray, rngs,
                           config: MorphConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -185,40 +243,36 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     history moments, the Cholesky, SVD and QR factors (``_step_factors``),
     the Gram eigendecompositions and the projections.  The draws go run by
     run, each from its own generator, in blocks of ``_DRAW_BLOCK`` rows of
-    the (count, d) stream, written into work buffers that every run reuses;
-    each block is mapped straight to a and w and added into the run's
-    (2J - 2) x (2J - 2) Gram matrix, so no count-wide array is built.  Every
-    operation acts on one row, so a row's bytes do not depend on the rows
-    stacked with it.
+    the (count, d) stream, written into work buffers that the drawing
+    thread's runs reuse; each block is mapped straight to a and w and added
+    into the run's (2J - 2) x (2J - 2) Gram matrix, so no count-wide array is
+    built.  When a run draws more than one block, the runs are split into
+    ``draw_threads`` consecutive shares, one per thread, each with its own
+    buffers.  Every operation acts on one row, and a run's blocks are drawn
+    and summed in the same order on any thread, so a row's bytes depend
+    neither on the rows stacked with it nor on the thread count.
     """
     R, _, J = probs.shape
     T = _tangent_basis(J)
     mean, L = _step_factors(probs, histories, basis_rows, T)
     scale, w_map = L[:, 0, 0], np.ascontiguousarray(L[:, 1:])
-    count, (m, d) = config.n_gradient_samples, w_map.shape[1:]
+    count, m = config.n_gradient_samples, w_map.shape[1]
     grams = np.zeros((R, m, m))
-    # Flat work buffers for one block, shared by every block of every run; a
-    # block of n draws views them as contiguous arrays of its own size.  The
-    # draws' buffer holds the weighted gradients once the draws are mapped.
-    block = min(count, _DRAW_BLOCK)
-    draws, grads, logits, slopes = (np.empty(size) for size in
-                                    ((m + 1) * block, m * block, block, block))
-    for k, rng in enumerate(rngs):
-        for start in range(0, count, _DRAW_BLOCK):
-            n = min(_DRAW_BLOCK, count - start)
-            z = draws[:n * d].reshape(n, d)
-            rng.standard_normal(out=z)
-            a, s = logits[:n], slopes[:n]
-            np.multiply(z[:, 0], scale[k], out=a)
-            a += mean[k, 0]
-            # sigma'(a) = e / (1 + e)^2 with e = exp(-|a|): one exp, no overflow.
-            e = np.exp(np.negative(np.abs(a, out=a), out=a), out=a)
-            np.add(1.0, e, out=s)
-            s **= 2
-            np.divide(e, s, out=s)
-            w = np.matmul(w_map[k], z.T, out=grads[:m * n].reshape(m, n))
-            w += mean[k, 1:, None]
-            _add_kept_gram(grams[k], w, s, config.rank_tol, draws[:m * n].reshape(m, n))
+    args = rngs, mean, scale, w_map, count, config.rank_tol
+    shares = np.array_split(np.arange(R), draw_threads(R, count))
+    if len(shares) == 1:
+        _draw_grams(grams, range(R), *args)
+    else:
+        # Each thread draws its own runs into its own buffers and writes only
+        # their Gram matrices, in a copy of the caller's context, which holds
+        # numpy's error state.  The main thread draws the first share, and
+        # every thread is joined before the step returns.
+        with ThreadPoolExecutor(len(shares) - 1) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, _draw_grams,
+                                   grams, share, *args) for share in shares[1:]]
+            _draw_grams(grams, shares[0], *args)
+            for future in futures:
+                future.result()
     directions, ranks = _project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
                                           config.rank_tol)
     return (T @ directions[..., None])[..., 0], ranks

@@ -351,19 +351,40 @@ class TestPipelineCommands:
         assert Path("m1.jsonl").read_bytes() == Path("m2.jsonl").read_bytes()
 
     def test_worker_count_does_not_change_multi_block_morph_bytes(self, tmp_path,
-                                                                    capsys):
-        # A step draws its samples in blocks; three full blocks and a
-        # remainder must give the same bytes in every worker layout.
+                                                                    capsys, monkeypatch):
+        # A step draws its samples in blocks, and its runs on as many threads
+        # as the process's share of the CPUs; three full blocks and a
+        # remainder must give the same bytes in every layout of workers and
+        # CPUs, and the summary reports the threads a step drew on.
         os.chdir(tmp_path)
         Path("cfg.json").write_text(json.dumps({"morph": {
             "n_gradient_samples": 3 * morphing._DRAW_BLOCK + 17, "max_iters": 4}}))
-        for workers in ("1", "2"):
-            run_ok(["morph", "--config", "cfg.json", "--inits", "4", "--seed", "4",
-                    "--out", f"m{workers}.jsonl", "--workers", workers], capsys)
-        assert Path("m1.jsonl").read_bytes() == Path("m2.jsonl").read_bytes()
-        _, recs = read_jsonl("m1.jsonl")
+        outs = []
+        for cpus, workers, threads in ((1, 1, 1), (3, 1, 3), (4, 2, 2), (3, 2, 1), (1, 2, 1)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            outs.append(f"m{cpus}-{workers}.jsonl")
+            summary = run_ok(["morph", "--config", "cfg.json", "--inits", "4", "--seed", "4",
+                              "--out", outs[-1], "--workers", str(workers)], capsys)
+            assert summary["draw_threads"] == threads
+        for out in outs[1:]:
+            assert Path(out).read_bytes() == Path(outs[0]).read_bytes()
+        _, recs = read_jsonl(outs[0])
         assert {r["stop"] for r in recs} <= {"direction_vanished", "max_iters"}
         assert any(r["iterations"] > 0 for r in recs)
+
+    @pytest.mark.parametrize("samples, inits, threads", [(3 * morphing._DRAW_BLOCK + 17, 2, 2),
+                                                         (morphing._DRAW_BLOCK, 4, 1)])
+    def test_draw_threads_are_capped_by_runs_and_blocks(self, tmp_path, capsys, monkeypatch,
+                                                        samples, inits, threads):
+        # At most one thread per run of a block, and none past the caller's
+        # while a run's draws fit in one block.
+        os.chdir(tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        Path("cfg.json").write_text(json.dumps({"morph": {
+            "n_gradient_samples": samples, "max_iters": 2}}))
+        summary = run_ok(["morph", "--config", "cfg.json", "--inits", str(inits),
+                          "--out", "m.jsonl"], capsys)
+        assert summary["draw_threads"] == threads
 
     def test_workers_env_fallback(self, tmp_path, capsys, monkeypatch):
         os.chdir(tmp_path)

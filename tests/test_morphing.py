@@ -1,4 +1,7 @@
 import copy
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -521,6 +524,113 @@ class TestStackedStep:
         with pytest.raises(ValueError, match="at least two fits"):
             morph_step_direction(g[0], probs[0], H[0, :1], rows[0], rng, MorphConfig())
         assert rng.random() == np.random.default_rng(0).random()
+
+
+class ThreadRecordingRng:
+    """Passes ``standard_normal`` through to a generator and notes the thread
+    of each call; ``fill``, when given, then overwrites the draw or raises."""
+
+    def __init__(self, seed, fill=None):
+        self.rng = np.random.default_rng(seed)
+        self.fill = fill
+        self.threads = []
+
+    def standard_normal(self, size=None, out=None):
+        self.threads.append(threading.get_ident())
+        out = self.rng.standard_normal(size, out=out)
+        if self.fill is not None:
+            out[...] = self.fill()
+        return out
+
+
+def with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestThreadedDraws:
+    """A stack's runs are drawn on as many threads as the process has CPUs,
+    up to one per run, once a run draws more than one block; the bytes do
+    not depend on the thread count."""
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_rows_equal_their_own_steps_on_any_thread_count(self, monkeypatch, cpus, J):
+        count, R = 3 * morphing._DRAW_BLOCK + 17, 7
+        cfg = MorphConfig(n_gradient_samples=count)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(60 + J), R, J, 4)
+        alone_rngs = [np.random.default_rng(k) for k in range(R)]
+        alone = [morph_step_direction(g[k], probs[k], list(H[k]), rows[k], alone_rngs[k], cfg)
+                 for k in range(R)]
+        with_cpus(monkeypatch, cpus)
+        assert morphing.draw_threads(R, count) == cpus
+        rngs = [ThreadRecordingRng(k) for k in range(R)]
+        # Switch threads often, so that a buffer or Gram row two threads
+        # shared would be overwritten mid-block.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            directions, ranks = morph_step_directions(g, probs, H, rows, rngs, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(R):
+            assert_same_bits(directions[k], alone[k][0])
+            assert ranks[k] == alone[k][1]
+            assert rngs[k].rng.bit_generator.state == alone_rngs[k].bit_generator.state
+            # Each run is drawn whole by one thread, block after block.
+            assert len(rngs[k].threads) == 4 and len(set(rngs[k].threads)) == 1
+        threads = [r.threads[0] for r in rngs]
+        assert len(set(threads)) == cpus
+        assert threads[0] == threading.get_ident()
+
+    @pytest.mark.parametrize("count", [17, morphing._DRAW_BLOCK])
+    def test_one_block_draws_on_the_calling_thread(self, monkeypatch, count):
+        with_cpus(monkeypatch, 3)
+        assert morphing.draw_threads(7, count) == 1
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(5), 7, 2, 3)
+        rngs = [ThreadRecordingRng(k) for k in range(7)]
+        before = threading.active_count()
+        morph_step_directions(g, probs, H, rows, rngs, MorphConfig(n_gradient_samples=count))
+        assert {t for r in rngs for t in r.threads} == {threading.get_ident()}
+        assert threading.active_count() == before
+
+    def test_error_in_a_thread_share_is_raised_and_every_thread_joined(self, monkeypatch):
+        with_cpus(monkeypatch, 2)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(6), 7, 2, 3)
+
+        def fail():
+            raise RuntimeError("generator failed")
+
+        rngs = [ThreadRecordingRng(k) for k in range(6)] + [ThreadRecordingRng(6, fail)]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="generator failed"):
+            morph_step_directions(g, probs, H, rows, rngs,
+                                  MorphConfig(n_gradient_samples=2 * morphing._DRAW_BLOCK + 1))
+        assert rngs[6].threads and rngs[6].threads[0] != threading.get_ident()
+        assert threading.active_count() == before
+
+    def test_threads_keep_the_callers_error_state(self, monkeypatch):
+        # Infinite normals in a thread's share make its gradients invalid:
+        # numpy warns there as it would on the calling thread, and stays
+        # silent there under the caller's errstate.
+        with_cpus(monkeypatch, 2)
+        count = 2 * morphing._DRAW_BLOCK + 1
+        cfg = MorphConfig(n_gradient_samples=count)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(7), 7, 2, 3)
+
+        def step():
+            rngs = [ThreadRecordingRng(k) for k in range(6)] + \
+                [ThreadRecordingRng(6, lambda: np.inf)]
+            return rngs, morph_step_directions(g, probs, H, rows, rngs, cfg)
+
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            step()
+        with np.errstate(invalid="ignore"):
+            rngs, (directions, _) = step()
+        assert rngs[6].threads[0] != threading.get_ident()
+        for k in range(6):
+            assert_same_bits(directions[k],
+                             morph_step_direction(g[k], probs[k], list(H[k]), rows[k],
+                                                  np.random.default_rng(k), cfg)[0])
 
 
 def lifted(J):
