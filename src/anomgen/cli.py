@@ -35,7 +35,7 @@ from .lotteries import Collection, draw_menus, implied_choices, run_rng
 from .morphing import draw_threads, run_morph_indices, set_draw_cpus
 from .predictor import (MlpPredictor, MlpTrainConfig, evaluate, fit_cpt_params,
                         train_mlp)
-from .verifier import minimal_anomaly, parametrized_verdicts, utility_verdicts
+from .verifier import minimal_anomaly, parametrized_verdicts, size_fault, utility_verdicts
 
 
 def _summary(**kwargs) -> int:
@@ -142,10 +142,13 @@ def _run_generation(args, procedure: str) -> int:
 def _verify_chunk(cfg: PipelineConfig, recs) -> list:
     """Verify a block of records, one stack per shape (``records.stack_records``):
     one fit and one stacked LP solve per grid size and shape.  An
-    inconsistent record's row of the stack goes to ``minimal_anomaly``."""
+    inconsistent record's row of the stack goes to ``minimal_anomaly``.  A
+    record too large to verify (``size_fault``) raises ValueError naming it."""
     basis = basis_from_config(cfg.theory_basis)
     out = [dict(rec) for rec in recs]
     for stack in records.stack_records(recs):
+        if fault := size_fault(stack.Z):
+            raise ValueError(f"record {recs[stack.rows[fault[0]]].get('id')!r}: {fault[1]}")
         pvs = parametrized_verdicts(basis, stack.Z, stack.P, stack.q, cfg.kl_threshold)
         avs = utility_verdicts(stack.Z, stack.P, implied_choices(stack.q), cfg.margin_threshold)
         for i, pv, av, *row in zip(stack.rows, pvs, avs, stack.Z, stack.P, stack.q):

@@ -10,6 +10,7 @@ length 4J.
 from __future__ import annotations
 
 import enum
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -210,10 +211,12 @@ def fosd_compare(a, b, tol: float = PAYOFF_MERGE_TOL) -> FosdOrder:
 def lottery_stats(z: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Moments and range summaries of the lottery with payoffs ``z`` and
     probabilities ``p``: expected value, variance, skew, payoff range, min
-    and max payoff, probability range, min and max probability."""
-    ev = float(p @ z)
-    var = float(p @ (z - ev) ** 2)
-    skew = 0.0 if var < 1e-12 else float(p @ (z - ev) ** 3) / var ** 1.5
+    and max payoff, probability range, min and max probability.  A moment is
+    the ``math.fsum`` of elementwise products: no BLAS or SIMD kernel moves it."""
+    ev = math.fsum(p * z)
+    d = z - ev
+    var = math.fsum(p * d * d)
+    skew = 0.0 if var < 1e-12 else math.fsum(p * d * d * d) / var ** 1.5
     return np.array([ev, var, skew, z.max() - z.min(), z.min(), z.max(),
                      p.max() - p.min(), p.min(), p.max()])
 

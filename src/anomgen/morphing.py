@@ -12,17 +12,18 @@ every sampled gradient retained by the rank cutoff.
 Payoffs stay frozen, so a sampled theory enters only through its 2J
 utilities at the menu's payoffs, and a step reads a utility draw only
 through its logit and its gradient in the simplex's tangent space: 2J - 1
-numbers, drawn directly from at most 2J - 1 standard normals.  The span of
-the sampled gradients is read from their (2J - 2) x (2J - 2) Gram matrix in
+numbers, drawn directly from 2J - 1 standard normals through one QR factor
+of the fit history's deviations (``_step_factors``).  The span of the
+sampled gradients is read from their (2J - 2) x (2J - 2) Gram matrix in
 tangent coordinates.  A step sums that matrix in one pass over fixed blocks
 of draws, so no array as wide as the sample count is built.
 
 Runs advance through the adversarial search's loop
 (``adversarial.lockstep``), and one call per step,
 ``morph_step_directions``, gives every running run its direction: the
-factorizations, maps, eigendecompositions and projections act on the whole
-stack, while each run's draws come from that run's own generator.  When a
-run draws more than one block, the stack's runs are shared out over threads
+QR factors, eigendecompositions and projections act on the whole stack,
+while each run's draws come from that run's own generator.  When a run
+draws more than one block, the stack's runs are shared out over threads
 (``draw_threads``): numpy releases the GIL while it fills a block with
 normals and maps and sums it, so the draws use every CPU of a one-worker
 process.  A run is drawn and summed in the same order by whichever thread
@@ -45,6 +46,9 @@ from .theory import _fit_logits
 
 DEFAULT_BASIS = ISplineBasis().config_dict()
 STOP_NORM = 1e-8
+# Variance added to each coefficient of the sampled law, theta ~ N(mean,
+# cov + COV_JITTER I): a history's fits may not vary along every coefficient,
+# and ``MorphConfig.rank_tol`` is calibrated against the spread it adds.
 COV_JITTER = 1e-8
 # Rows of the (count, d) standard-normal stream drawn and reduced at a time:
 # a block's arrays stay in cache, and the size moves no draw.
@@ -84,32 +88,6 @@ class MorphConfig:
         return basis_from_config(self.basis_config)
 
 
-def _utility_factors(H: np.ndarray, basis_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means (R, 2J) and factors (R, 2J, r) of the utilities ``basis_rows @ theta``,
-    one per row of a stack.
-
-    Row k draws theta ~ N(mean, cov + jitter I), with the mean and sample
-    covariance of its fit history ``H[k]`` (H is (R, h, K)) and a small
-    jitter keeping the covariance factorizable.  A history holds at least two
-    fits, because a run first samples after the seed fit and the first step's
-    fit.  The (2J, K) factor ``basis_rows[k] @ chol(cov)`` is reduced by SVD
-    to r <= 2J columns, so a singular utility covariance (lotteries sharing a
-    payoff, or 2J > K) still samples: a draw is ``mean + factor @ z`` with
-    z ~ N(0, I_r).  The covariance is formed as ``np.cov`` forms it, scaled
-    by ``1 / (h - 1)``, so every row has the bytes of its own one-row call.
-    """
-    _, h, K = H.shape
-    if h < 2:
-        raise ValueError("history must contain at least two fits")
-    theta_mean = H.mean(axis=1)
-    X = H - theta_mean[:, None, :]
-    cov = np.matmul(X.transpose(0, 2, 1), X)
-    cov *= np.true_divide(1, h - 1)
-    cov += COV_JITTER * np.eye(K)
-    W, svals, _ = np.linalg.svd(basis_rows @ np.linalg.cholesky(cov), full_matrices=False)
-    return (basis_rows @ theta_mean[:, :, None])[..., 0], W * svals[:, None, :]
-
-
 def _add_kept_gram(gram: np.ndarray, cols: np.ndarray, scale: np.ndarray, rank_tol: float,
                    work: np.ndarray) -> None:
     """Add into ``gram`` the Gram matrix of the gradients ``scale[j] * cols[:, j]``,
@@ -125,25 +103,15 @@ def _project_off_span(g: np.ndarray, grams: np.ndarray,
     """Each row of ``g`` (R, n) with its Gram matrix's span removed, and the
     rank of that span (R,).
 
-    Row k's span is that of the eigenvectors of ``grams[k]`` whose eigenvalue
-    (a squared singular value of the gradients) exceeds ``rank_tol**2`` times
-    the largest: the last ones, since ``eigh`` sorts ascending.  Rows of one
-    rank are projected together, each with only its own kept columns, held
-    column by column as a one-row ``vecs[:, kept]`` holds them: that layout
-    picks the BLAS call, and so the last bits.
+    Row k's span is that of the eigenvectors V of ``grams[k]`` whose
+    eigenvalue (a squared singular value of the gradients) exceeds
+    ``rank_tol**2`` times the largest.  Every row is projected by one masked
+    product, g - V (kept * V^T g): a dropped eigenvector's coefficient is zero.
     """
     evals, vecs = np.linalg.eigh(grams)
-    ranks = np.sum(evals > rank_tol ** 2 * evals[:, -1:], axis=1)
-    out = np.empty_like(g)
-    n = g.shape[1]
-    for k in range(n + 1):
-        rows = np.flatnonzero(ranks == k)
-        if rows.size == 0:
-            continue
-        Vt = np.ascontiguousarray(vecs[rows, :, n - k:].transpose(0, 2, 1))
-        gk = g[rows, :, None]
-        out[rows] = (gk - Vt.transpose(0, 2, 1) @ (Vt @ gk))[..., 0]
-    return out, ranks
+    kept = evals > rank_tol ** 2 * evals[:, -1:]
+    coef = (vecs.transpose(0, 2, 1) @ g[..., None])[..., 0] * kept
+    return g - (vecs @ coef[..., None])[..., 0], kept.sum(axis=1)
 
 
 def _tangent_basis(J: int) -> np.ndarray:
@@ -157,21 +125,31 @@ def _tangent_basis(J: int) -> np.ndarray:
 def _step_factors(probs: np.ndarray, histories: np.ndarray, basis_rows: np.ndarray,
                   T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Means (R, 2J - 1) and lower-triangular factors L (R, 2J - 1, d) of what
-    a step reads of a utility draw U = (U0, U1): its logit
-    a = p1 . U1 - p0 . U0 and its tangent gradient w = T^T v, v = (-U0, U1).
+    a step reads of a utility draw U = (U0, U1) = basis_rows @ theta: its
+    logit a = p1 . U1 - p0 . U0 and its tangent gradient w = T^T v, with
+    v = (-U0, U1).
 
-    With U = mean + F z (``_utility_factors``), (a, w) = mean + M z for
-    M = [a_map; T^T v_map] (2J - 1, r).  The QR of M^T gives L = R^T with
-    L L^T = M M^T, so mean + L z', z' ~ N(0, I_d) with d = min(2J - 1, r),
-    draws the same law from fewer normals; L's first row is (L00, 0, ...).
+    Row k draws theta ~ N(mean, cov + COV_JITTER I) around its fit history
+    ``histories[k]``, h >= 2 fits of K coefficients with deviations X from
+    their mean.  (a, w) = G theta for G = [a_map; T^T v_map] @ basis_rows, so
+    its covariance is N^T N for N = [X G^T / sqrt(h - 1); sqrt(COV_JITTER) G^T].
+    One QR of N, the square-root form, gives L = R^T with L L^T = N^T N: no
+    covariance is formed, and a singular law needs no care.  mean + L z with
+    z ~ N(0, I_d) draws (a, w) from d = 2J - 1 normals (h + K, if fewer), and
+    L's first row is (L00, 0, ...).
     """
+    h = histories.shape[1]
+    if h < 2:
+        raise ValueError("history must contain at least two fits")
     J = probs.shape[-1]
-    means, factors = _utility_factors(histories, basis_rows)
-    flip = np.repeat([-1.0, 1.0], J)                # U -> v
     logit = np.concatenate([-probs[:, 0], probs[:, 1]], axis=1)[:, None, :]
-    M = np.concatenate([logit @ factors, T.T @ (flip[:, None] * factors)], axis=1)
-    mean = np.concatenate([logit @ means[..., None], T.T @ (flip * means)[..., None]], axis=1)
-    return mean[..., 0], np.linalg.qr(M.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
+    flip = np.repeat([-1.0, 1.0], J)                # U -> v
+    G = np.concatenate([logit @ basis_rows, (T.T * flip) @ basis_rows], axis=1)
+    theta_mean = histories.mean(axis=1)
+    Gt = G.transpose(0, 2, 1)
+    N = np.concatenate([(histories - theta_mean[:, None, :]) @ Gt / np.sqrt(h - 1),
+                        np.sqrt(COV_JITTER) * Gt], axis=1)
+    return (G @ theta_mean[..., None])[..., 0], np.linalg.qr(N, mode="r").transpose(0, 2, 1)
 
 
 def set_draw_cpus(cpus: int | None) -> None:
@@ -240,8 +218,8 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     matrix with the relative cutoff ``config.rank_tol``.
 
     Everything but the draws is done for the whole stack at once: the
-    history moments, the Cholesky, SVD and QR factors (``_step_factors``),
-    the Gram eigendecompositions and the projections.  The draws go run by
+    history means and one QR factor per run (``_step_factors``), the Gram
+    eigendecompositions and the projections.  The draws go run by
     run, each from its own generator, in blocks of ``_DRAW_BLOCK`` rows of
     the (count, d) stream, written into work buffers that the drawing
     thread's runs reuse; each block is mapped straight to a and w and added

@@ -519,17 +519,21 @@ def morph_step_direction(pred_grad, probs, history, basis_rows, rng, config):
 
 def reference_step_factor(probs, history, basis_rows):
     """One run's (mean (2J - 1,), L (2J - 1, d)) of the logit and tangent
-    gradient of its utility draws, formed on its own: the maps of
-    ``reference_utility_factor``'s factor into M = [a_map; T^T v_map] and
-    the QR of M^T."""
+    gradient of its utility draws, formed on its own: the map
+    G = [a_map; T^T v_map] @ basis_rows of theta to them, and the QR of the
+    history's deviations and the jitter's square root, both mapped by G."""
     J = probs.shape[-1]
-    mean, factor = reference_utility_factor(history, basis_rows)
+    H = np.atleast_2d(np.array(history, dtype=float))
+    if H.shape[0] < 2:
+        raise ValueError("history must contain at least two fits")
     T = morphing._tangent_basis(J)
     flip = np.repeat([-1.0, 1.0], J)
     logit = np.concatenate([-probs[0], probs[1]])
-    M = np.concatenate([(logit @ factor)[None], T.T @ (flip[:, None] * factor)])
-    return (np.concatenate([[logit @ mean], T.T @ (flip * mean)]),
-            np.linalg.qr(M.T, mode="r").T)
+    G = np.concatenate([logit[None] @ basis_rows, (T.T * flip) @ basis_rows])
+    theta_mean = H.mean(axis=0)
+    N = np.concatenate([(H - theta_mean) @ G.T / np.sqrt(H.shape[0] - 1),
+                        np.sqrt(COV_JITTER) * G.T])
+    return G @ theta_mean, np.linalg.qr(N, mode="r").T
 
 
 def _reference_kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray:
@@ -556,9 +560,9 @@ def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config)
         w += mean[1:, None]
         gram += _reference_kept_gram(w, e / (1.0 + e) ** 2, config.rank_tol)
     evals, vecs = np.linalg.eigh(gram)
-    V = vecs[:, evals > config.rank_tol ** 2 * evals[-1]]
+    kept = evals > config.rank_tol ** 2 * evals[-1]
     g = T.T @ pred_grad
-    return T @ (g - V @ (V.T @ g)), V.shape[1]
+    return T @ (g - vecs @ ((vecs.T @ g) * kept)), int(kept.sum())
 
 
 def sample_step_gradients(probs, history, count: int, rng: np.random.Generator,

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -28,6 +30,12 @@ from conftest import (collection, flat, lottery, menu, menu_json, predict,
                       write_anomalies)
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def shifted(menu, by):
+    """A menu as records hold it, every payoff moved by ``by``."""
+    return {k: {**lot, "payoffs": [z + by for z in lot["payoffs"]]} for k, lot in menu.items()}
 
 
 def reverified(rec, basis):
@@ -243,6 +251,22 @@ class TestPipelineCommands:
                           "--out", "c.jsonl"], capsys)
         assert set(summary["category_counts"]) == set(CATEGORY_TAGS)
         assert Path("c.jsonl").read_bytes() == \
+            (DATA / "golden_tags_categorized.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_golden_tags_categorized_on_any_blas_kernel(self, coretype, tmp_path):
+        # OpenBLAS picks its kernel when numpy loads, so each kernel gets a
+        # process of its own: an AVX2 or an SSE3 one writes the golden
+        # features too, whatever kernel this process runs.
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from anomgen.cli import main; main()", "categorize",
+             "--in", str(DATA / "golden_tags_verified.jsonl"), "--out", "c.jsonl"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "c.jsonl").read_bytes() == \
             (DATA / "golden_tags_categorized.jsonl").read_bytes()
 
     def test_golden_report_reproduced_byte_for_byte(self, tmp_path, capsys):
@@ -632,8 +656,11 @@ class TestVerifyStacks:
         lambda rec: rec["menus"][1].update(lottery1={"payoffs": [1.0, 2.0, 3.0],
                                                       "probs": [0.2, 0.3, 0.5]}),
         lambda rec: rec.update(predicted_probs=rec["predicted_probs"][:1]),
+        lambda rec: rec.update(menus=rec["menus"] * 5, predicted_probs=rec["predicted_probs"] * 5),
+        lambda rec: rec.update(menus=rec["menus"] + [shifted(m, 0.5) for m in rec["menus"]],
+                               predicted_probs=rec["predicted_probs"] * 2),
     ], ids=["choice-1.5", "sum-1e-5-off", "negative-1e-6", "nan-payoff", "mixed-J",
-            "menus-vs-probs"])
+            "menus-vs-probs", "10-menus", "16-payoffs"])
     def test_malformed_record_in_a_block_is_one_json_error_line(self, malform, tmp_path,
                                                                 capsys):
         os.chdir(tmp_path)

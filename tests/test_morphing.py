@@ -642,7 +642,8 @@ def lifted(J):
 
 class TestStepFactors:
     """The step's draw of (logit, tangent gradient) against the maps of the
-    old (count, r) draw: the same law, from min(2J - 1, r) normals."""
+    old (count, r) draw, whose factor comes from the covariance's Cholesky
+    factor and an SVD: the same law, from 2J - 1 normals."""
 
     @pytest.mark.parametrize("J", [2, 3])
     @pytest.mark.parametrize("basis", [ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0)),
@@ -651,8 +652,8 @@ class TestStepFactors:
                              ids=["ispline", "polynomial", "polynomial-2"])
     @pytest.mark.parametrize("shared_payoff", [False, True])
     def test_covariance_equals_the_old_maps(self, J, basis, shared_payoff):
-        # The 2-term polynomial gives r = 2 < 2J - 1; a shared payoff makes
-        # the utility covariance singular.
+        # The 2-term polynomial gives a utility covariance of rank 2 < 2J - 1,
+        # and a shared payoff makes it singular: still 2J - 1 normals.
         rng = np.random.default_rng(70 + J)
         R = 6
         menus = [sample_random_menu(rng, J, 0.0, 10.0) for _ in range(R)]
@@ -663,8 +664,7 @@ class TestStepFactors:
         probs = np.array([P for _, P in menus])
         H = rng.normal(0.0, 2.0, size=(R, 4, basis.dim))
         mean, L = _step_factors(probs, H, rows, _tangent_basis(J))
-        r = min(2 * J, basis.dim)
-        assert L.shape == (R, 2 * J - 1, min(2 * J - 1, r))
+        assert L.shape == (R, 2 * J - 1, 2 * J - 1)
         flip = np.repeat([-1.0, 1.0], J)
         for k in range(R):
             old_mean, factor = reference_utility_factor(H[k], rows[k])
