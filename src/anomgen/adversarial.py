@@ -56,15 +56,16 @@ class GdaConfig:
         return basis_from_config(self.basis_config)
 
 
-def interior_menu(P: np.ndarray, eps: float = INTERIOR_EPS) -> np.ndarray:
-    """A probability stack (..., J) moved at least ``eps`` inside the
-    simplex, lottery by lottery, for differentiation.
+def interior_menu(P: np.ndarray) -> np.ndarray:
+    """A probability stack (..., J) moved at least ``eps = INTERIOR_EPS``
+    inside the simplex, lottery by lottery, for differentiation.
 
     Probabilities are clamped to ``[eps, 1 - eps]`` and renormalized.  When
     renormalizing pushes a clamped coordinate back below ``eps``, the lottery
     becomes ``eps + (1 - J eps) p``, which sums to one with every coordinate
     at least ``eps``.
     """
+    eps = INTERIOR_EPS
     p = np.clip(P, eps, 1.0 - eps)
     p = p / p.sum(axis=-1, keepdims=True)
     low = p.min(axis=-1) < eps

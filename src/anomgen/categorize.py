@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lotteries import (Collection, FosdOrder, fosd_compare, implied_choices,
-                        on_merged_grid, read_probs)
+from .lotteries import Collection, fosd_dominates, implied_choices, on_merged_grid, read_probs
 
 PAYOFF_STRICT = 1e-9
 DEFAULT_TOL = 1e-6      # raw optimizer output; paper tables need 0.02
@@ -125,8 +124,7 @@ def _pattern_certificate(tag: str, collection: Collection, choices, base_idx: in
 
 def _dominated(collection: Collection, i: int, choice: int) -> bool:
     """Whether menu ``i``'s unchosen lottery first-order dominates its choice."""
-    return fosd_compare(_lottery(collection, i, 1 - choice),
-                        _lottery(collection, i, choice)) is FosdOrder.A_DOMINATES
+    return fosd_dominates(_lottery(collection, i, 1 - choice), _lottery(collection, i, choice))
 
 
 def _fosd_certificate(collection: Collection, choices) -> dict | None:
@@ -134,22 +132,6 @@ def _fosd_certificate(collection: Collection, choices) -> dict | None:
         if _dominated(collection, idx, choice):
             return {"menu_index": idx, "implied_choice": int(choice)}
     return None
-
-
-def categorize_two_payoff(collection: Collection, tol: float = DEFAULT_TOL) -> AnomalyCategory:
-    """Category of a verified two-menu anomaly over two-payoff lotteries."""
-    if len(collection.q) != 2:
-        raise ValueError("expected a two-menu collection")
-    choices = implied_choices(collection.q)
-    fosd_cert = _fosd_certificate(collection, choices)
-    if fosd_cert is not None:
-        return AnomalyCategory("fosd", fosd_cert)
-    for tag in _PATTERNS:
-        for base_idx in (0, 1):
-            cert = _pattern_certificate(tag, collection, choices, base_idx, tol)
-            if cert is not None:
-                return AnomalyCategory(tag, cert)
-    return AnomalyCategory("other", {})
 
 
 def _subsets(indices):
@@ -254,7 +236,7 @@ def _reverses(dec: dict, choices, j: int, tol: float) -> bool:
     """
     if choices[0] == choices[1]:
         return False
-    if fosd_compare(dec["comp1"], dec["comp2"]) is not FosdOrder.A_DOMINATES:
+    if not fosd_dominates(dec["comp1"], dec["comp2"]):
         return False
     delta_alpha = dec["alpha_b"] - dec["alpha_a"]
     moved_to_j = choices[1] == j
@@ -276,31 +258,6 @@ def _same_lottery(stored: dict, lottery, tol: float) -> bool:
 
 def _lottery_json(lottery) -> dict:
     return {"payoffs": lottery[0].tolist(), "probs": lottery[1].tolist()}
-
-
-def categorize_three_payoff(collection: Collection, tol: float = DEFAULT_TOL) -> AnomalyCategory:
-    """Category of a verified two-menu anomaly over three-payoff lotteries."""
-    if len(collection.q) != 2:
-        raise ValueError("expected a two-menu collection")
-    choices = [int(c) for c in implied_choices(collection.q)]
-    fosd_cert = _fosd_certificate(collection, choices)
-    if fosd_cert is not None:
-        return AnomalyCategory("fosd", fosd_cert)
-    decs = [_family_decomposition(collection, j, tol) for j in (0, 1)]
-    if None in decs:
-        return AnomalyCategory("other", {})
-    for j, dec in enumerate(decs):
-        if _reverses(dec, choices, j, tol):
-            return AnomalyCategory("shared_component_reversal", {
-                "family": j,
-                "alpha_a": {i: decs[i]["alpha_a"] for i in (0, 1)},
-                "alpha_b": {i: decs[i]["alpha_b"] for i in (0, 1)},
-                "comp1": _lottery_json(dec["comp1"]),
-                "comp2": _lottery_json(dec["comp2"]),
-                "choices": choices,
-                "tol": tol,
-            })
-    return AnomalyCategory("other", {})
 
 
 def check_certificate(category: AnomalyCategory, collection: Collection) -> bool:
@@ -339,10 +296,40 @@ def check_certificate(category: AnomalyCategory, collection: Collection) -> bool
 
 
 def categorize(collection: Collection, tol: float = DEFAULT_TOL) -> AnomalyCategory:
-    """Dispatch on the number of menus and their payoff arity."""
-    if len(collection.q) == 1:
-        cert = _fosd_certificate(collection, implied_choices(collection.q))
-        return AnomalyCategory("fosd", cert) if cert else AnomalyCategory("other", {})
+    """Category of a verified anomaly of one or two menus.
+
+    A menu whose choice is first-order dominated is tagged first, at every
+    payoff arity.  Otherwise a one-menu anomaly is "other", a two-payoff pair
+    is matched against the compounding patterns, and a pair over more payoffs
+    against the shared-component reversal.
+    """
+    if len(collection.q) not in (1, 2):
+        raise ValueError("expected a one- or two-menu collection")
+    choices = implied_choices(collection.q).tolist()
+    fosd_cert = _fosd_certificate(collection, choices)
+    if fosd_cert is not None:
+        return AnomalyCategory("fosd", fosd_cert)
+    if len(choices) == 1:
+        return AnomalyCategory("other", {})
     if collection.Z.shape[-1] <= 2:
-        return categorize_two_payoff(collection, tol)
-    return categorize_three_payoff(collection, tol)
+        for tag in _PATTERNS:
+            for base_idx in (0, 1):
+                cert = _pattern_certificate(tag, collection, choices, base_idx, tol)
+                if cert is not None:
+                    return AnomalyCategory(tag, cert)
+        return AnomalyCategory("other", {})
+    decs = [_family_decomposition(collection, j, tol) for j in (0, 1)]
+    if None in decs:
+        return AnomalyCategory("other", {})
+    for j, dec in enumerate(decs):
+        if _reverses(dec, choices, j, tol):
+            return AnomalyCategory("shared_component_reversal", {
+                "family": j,
+                "alpha_a": {i: decs[i]["alpha_a"] for i in (0, 1)},
+                "alpha_b": {i: decs[i]["alpha_b"] for i in (0, 1)},
+                "comp1": _lottery_json(dec["comp1"]),
+                "comp2": _lottery_json(dec["comp2"]),
+                "choices": choices,
+                "tol": tol,
+            })
+    return AnomalyCategory("other", {})

@@ -52,10 +52,14 @@ def _throughput(start: float, count: int, unit: str) -> dict:
 
 
 def _config_from_args(args) -> PipelineConfig:
+    """The pipeline config, with the command's --seed and --workers (else
+    ``ANOMGEN_WORKERS``) over it where the command takes them."""
     cfg = load_config(args.config) if args.config else parse_config({})
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if getattr(args, "workers", None) is not None:
+    if "workers" not in args:
+        return cfg
+    if args.workers is not None:
         cfg.workers = args.workers
     elif value := os.environ.get("ANOMGEN_WORKERS"):
         try:
@@ -119,12 +123,13 @@ def _generate_chunk(predictor, cfg: PipelineConfig, procedure: str, indices) -> 
     return generate(predictor, getattr(cfg, procedure, cfg), cfg.seed, indices)
 
 
-def _run_generation(args, procedure: str) -> int:
+def cmd_generate(args) -> int:
     start = time.perf_counter()
+    procedure = args.command
     cfg = _config_from_args(args)
     inits = args.inits if args.inits is not None else getattr(cfg, procedure).inits
     if inits < 1:
-        raise ConfigError("need at least one initialization (--inits >= 1)")
+        raise ConfigError(f"--inits: invalid value {inits!r}")
     predictor = build_predictor(cfg.predictor)
     records.write_jsonl(args.out, _fan_out(_generate_chunk, (predictor, cfg, procedure),
                                            range(inits), cfg.workers), kind="candidates")
@@ -279,13 +284,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train_mlp(args) -> int:
+    config = MlpTrainConfig(batch_size=args.batch_size, epochs=args.epochs,
+                            step_size=args.step_size, seed=args.seed or 0)
     ds = load_dataset(args.inp)
     hidden = tuple(int(w) for w in args.hidden.split(",") if w)
-    model = train_mlp(ds, hidden=hidden,
-                      config=MlpTrainConfig(batch_size=args.batch_size,
-                                            epochs=args.epochs,
-                                            step_size=args.step_size,
-                                            seed=args.seed or 0))
+    model = train_mlp(ds, hidden=hidden, config=config)
     model.save(args.out)
     metrics = evaluate(MlpPredictor(model), ds)
     return _summary(command="train-mlp", rows=len(ds), hidden=list(hidden),
@@ -334,80 +337,63 @@ def cmd_epsilon(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process at its first use."""
+    """The command-line parser, built once per process at its first use.  A
+    subcommand takes only the shared flags it reads."""
     parser = argparse.ArgumentParser(prog="anomgen",
                                      description="Anomaly generation for "
                                                  "expected utility theory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, inp=False, out=True, config=True):
-        if config:
+    def command(name, func, help, flags=(), inp=True, out=True):
+        """Subcommand ``name`` running ``func``, with the ``flags`` of
+        "config", "seed" and "workers" it reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if "config" in flags:
             p.add_argument("--config", default=None, help="pipeline config JSON")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        for flag in ("seed", "workers"):
+            if flag in flags:
+                p.add_argument(f"--{flag}", type=int, default=None)
         if inp:
             p.add_argument("--in", dest="inp", required=True)
         if out:
             p.add_argument("--out", required=True)
+        return p
 
     for name in ("adversarial", "morph", "baseline"):
-        p = sub.add_parser(name, help=f"run the {name} generator")
-        common(p)
+        p = command(name, cmd_generate, f"run the {name} generator",
+                    ("config", "seed", "workers"), inp=False)
         # The searches default to their config section's inits; the baseline
         # has no section.
         p.add_argument("--inits", type=int, default=None,
                        required=name == "baseline")
 
-    p = sub.add_parser("verify", help="verify candidate collections")
-    common(p, inp=True)
-
-    p = sub.add_parser("categorize", help="categorize verified anomalies")
-    common(p, inp=True, config=False)
-
-    p = sub.add_parser("cluster", help="k-means + PCA over anomaly features")
-    common(p, inp=True, config=False)
+    command("verify", cmd_verify, "verify candidate collections", ("config", "workers"))
+    command("categorize", cmd_categorize, "categorize verified anomalies")
+    p = command("cluster", cmd_cluster, "k-means + PCA over anomaly features", ("seed",))
     p.add_argument("--k", type=int, default=4)
+    command("report", cmd_report, "category-count CSV")
 
-    p = sub.add_parser("report", help="category-count CSV")
-    common(p, inp=True, config=False)
-
-    p = sub.add_parser("simulate", help="simulate a choice dataset")
-    common(p)
+    p = command("simulate", cmd_simulate, "simulate a choice dataset", ("config", "seed"),
+                inp=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("binary", "rate"), default="binary")
     p.add_argument("--count", type=int, default=100)
 
-    p = sub.add_parser("train-mlp", help="train the feedforward choice model")
-    common(p, inp=True, config=False)
+    p = command("train-mlp", cmd_train_mlp, "train the feedforward choice model", ("seed",))
     p.add_argument("--hidden", default="32,32")
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--step-size", type=float, default=0.5)
 
-    p = sub.add_parser("fit-cpt", help="fit probability-weighting parameters")
-    common(p, inp=True, config=False, out=False)
+    p = command("fit-cpt", cmd_fit_cpt, "fit probability-weighting parameters", out=False)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("epsilon", help="idiosyncratic-error estimate")
+    p = command("epsilon", cmd_epsilon, "idiosyncratic-error estimate", inp=False, out=False)
     p.add_argument("--freqs", required=True)
     p.add_argument("--menus", required=True)
 
     return parser
-
-
-_DISPATCH = {
-    "adversarial": lambda a: _run_generation(a, "adversarial"),
-    "morph": lambda a: _run_generation(a, "morph"),
-    "baseline": lambda a: _run_generation(a, "baseline"),
-    "verify": cmd_verify,
-    "categorize": cmd_categorize,
-    "cluster": cmd_cluster,
-    "report": cmd_report,
-    "simulate": cmd_simulate,
-    "train-mlp": cmd_train_mlp,
-    "fit-cpt": cmd_fit_cpt,
-    "epsilon": cmd_epsilon,
-}
 
 
 def run_command(argv) -> int:
@@ -416,7 +402,9 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed: invalid value {args.seed!r}")
+        return args.func(args)
     except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc)}),
               file=sys.stderr)

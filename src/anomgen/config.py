@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .adversarial import DEFAULT_BASIS, GdaConfig
 from .cpt import PRESETS, CptParams, CptPredictor
 from .morphing import DEFAULT_BASIS as MORPH_BASIS, MIN_RANK_TOL, MorphConfig
+from .verifier import DEFAULT_KL_THRESHOLD, MARGIN_THRESHOLD
 
 
 class ConfigError(ValueError):
@@ -96,8 +97,8 @@ class PipelineConfig:
     theory_basis: dict
     adversarial: GdaConfig
     morph: MorphConfig
-    kl_threshold: float = 1e-5
-    margin_threshold: float = 1e-9
+    kl_threshold: float = DEFAULT_KL_THRESHOLD
+    margin_threshold: float = MARGIN_THRESHOLD
     n_payoffs: int = 2
     seed: int = 0
     workers: int = 1
@@ -113,7 +114,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     if (predictor.delta is None) != (predictor.gamma is None):
         raise ConfigError("predictor.delta and predictor.gamma must be given together")
     theory = _pick(raw.pop("theory", {}), "theory", {"basis": _is_dict})
-    search = {"step_size": _positive, "max_iters": _count(1), "inits": _count(0),
+    search = {"step_size": _positive, "max_iters": _count(1), "inits": _count(1),
               "basis": _is_dict}
     adversarial = _pick(raw.pop("adversarial", {}), "adversarial", search)
     morph = _pick(raw.pop("morph", {}), "morph", {

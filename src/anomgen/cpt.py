@@ -48,10 +48,7 @@ def logistic(u):
     """Numerically stable standard logistic: one ``exp``, of ``-|u|``."""
     u = np.asarray(u, dtype=float)
     e = np.exp(-np.abs(u))
-    out = np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def lottery_values(Z, P, params: CptParams, wrt: str | None = None):

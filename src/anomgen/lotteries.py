@@ -9,7 +9,6 @@ length 4J.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
@@ -129,22 +128,15 @@ def draw_menus(rng: np.random.Generator, n_menus: int, n_payoffs: int,
     return np.ascontiguousarray(U[:, :, 0]), P
 
 
-class FosdOrder(enum.Enum):
-    A_DOMINATES = "a_dominates"
-    B_DOMINATES = "b_dominates"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def merge_payoff_grids(Z, tol: float = PAYOFF_MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
+def merge_payoff_grids(Z) -> tuple[np.ndarray, np.ndarray]:
     """Distinct sorted payoffs of each row of a payoff stack (R, ...), a
-    value within ``tol`` of the last one kept merging into it: (grids,
-    sizes).  Row r's grid is ``grids[r, :sizes[r]]``; +inf pads the rest."""
+    value within ``PAYOFF_MERGE_TOL`` of the last one kept merging into it:
+    (grids, sizes).  Row r's grid is ``grids[r, :sizes[r]]``; +inf pads the rest."""
     values = np.sort(np.asarray(Z, dtype=float).reshape(len(Z), -1), axis=-1)
     keep = np.ones(values.shape, dtype=bool)
     last = values[:, 0]
     for j in range(1, values.shape[1]):
-        keep[:, j] = values[:, j] - last > tol
+        keep[:, j] = values[:, j] - last > PAYOFF_MERGE_TOL
         last = np.where(keep[:, j], values[:, j], last)
     grids = np.full(values.shape, np.inf)
     rows, _ = np.nonzero(keep)
@@ -152,13 +144,13 @@ def merge_payoff_grids(Z, tol: float = PAYOFF_MERGE_TOL) -> tuple[np.ndarray, np
     return grids, keep.sum(axis=1)
 
 
-def grid_probs(Z, P, grids, tol: float = PAYOFF_MERGE_TOL) -> np.ndarray:
+def grid_probs(Z, P, grids) -> np.ndarray:
     """Probabilities (R, L, k) of lotteries (R, L, J) re-expressed over
     their row's grid, one of ``grids`` (R, k) padded with +inf.
 
     A payoff goes to the first grid value at or above it if that is within
-    ``tol``, else to the one below; its probability is added to the value's
-    in payoff order.
+    ``PAYOFF_MERGE_TOL``, else to the one below; its probability is added to
+    the value's in payoff order.
     """
     Z, P, grids = (np.asarray(v, dtype=float) for v in (Z, P, grids))
     R, L, J = Z.shape
@@ -171,41 +163,31 @@ def grid_probs(Z, P, grids, tol: float = PAYOFF_MERGE_TOL) -> np.ndarray:
     for j in range(J):
         z = Z[:, :, j]
         i = (grids[:, None, :] < z[..., None]).sum(axis=-1)     # searchsorted, left
-        above = np.abs(padded[r, i + 1] - z) <= tol
-        below = np.abs(padded[r, i] - z) <= tol
+        above = np.abs(padded[r, i + 1] - z) <= PAYOFF_MERGE_TOL
+        below = np.abs(padded[r, i] - z) <= PAYOFF_MERGE_TOL
         if not np.all(above | below):
             raise ValueError(f"payoff {z[~(above | below)][0]} not on merged grid")
         out[r, l, np.where(above, i, i - 1)] += P[:, :, j]
     return out
 
 
-def on_merged_grid(lotteries, tol: float = PAYOFF_MERGE_TOL) -> tuple[np.ndarray, list]:
+def on_merged_grid(lotteries) -> tuple[np.ndarray, list]:
     """The merged payoff grid of lotteries given as (payoffs, probs) vectors
     of any lengths, and each lottery's probabilities on it."""
-    grids, sizes = merge_payoff_grids(np.concatenate([z for z, _ in lotteries])[None], tol)
+    grids, sizes = merge_payoff_grids(np.concatenate([z for z, _ in lotteries])[None])
     grid = grids[0, :sizes[0]]
-    return grid, [grid_probs(z[None, None], p[None, None], grid[None], tol)[0, 0]
+    return grid, [grid_probs(z[None, None], p[None, None], grid[None])[0, 0]
                   for z, p in lotteries]
 
 
-def fosd_compare(a, b, tol: float = PAYOFF_MERGE_TOL) -> FosdOrder:
-    """First-order stochastic dominance of lotteries ``a`` and ``b``, each a
-    (payoffs, probs) pair, on the merged payoff grid.
-
-    ``a`` dominates iff its CDF is everywhere weakly below ``b``'s and strictly
-    below somewhere.
-    """
-    _, (pa, pb) = on_merged_grid([a, b], tol)
+def fosd_dominates(a, b) -> bool:
+    """Whether lottery ``a`` first-order stochastically dominates lottery
+    ``b``, each a (payoffs, probs) pair: on the merged payoff grid, ``a``'s
+    CDF is everywhere weakly below ``b``'s and strictly below somewhere, both
+    within ``PAYOFF_MERGE_TOL``."""
+    _, (pa, pb) = on_merged_grid([a, b])
     diff = np.cumsum(pa) - np.cumsum(pb)
-    a_weak = np.all(diff <= tol)
-    b_weak = np.all(diff >= -tol)
-    if a_weak and b_weak:
-        return FosdOrder.EQUAL
-    if a_weak:
-        return FosdOrder.A_DOMINATES
-    if b_weak:
-        return FosdOrder.B_DOMINATES
-    return FosdOrder.INCOMPARABLE
+    return bool(np.all(diff <= PAYOFF_MERGE_TOL) and np.any(diff < -PAYOFF_MERGE_TOL))
 
 
 def lottery_stats(z: np.ndarray, p: np.ndarray) -> np.ndarray:

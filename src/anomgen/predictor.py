@@ -80,9 +80,6 @@ class MlpModel:
         logits = h[:, 0]
         return (logits, acts) if keep else logits
 
-    def predict_batch(self, X_raw: np.ndarray) -> np.ndarray:
-        return logistic(self.forward(X_raw * self.input_scaling))
-
     def to_json_dict(self) -> dict:
         return {
             "widths": self.widths,
@@ -145,6 +142,12 @@ class MlpTrainConfig:
     epochs: int = 500
     step_size: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        for name, ok in (("batch_size", self.batch_size >= 1), ("epochs", self.epochs >= 0),
+                         ("step_size", self.step_size > 0)):
+            if not ok:
+                raise ValueError(f"{name}: invalid value {getattr(self, name)!r}")
 
 
 # A diverging run overflows before its loss is checked; the check reports it.

@@ -26,23 +26,20 @@ class SimplexError(RuntimeError):
 
 @dataclass
 class LpSolution:
-    """One problem's solution; a stack's fields have one entry per problem."""
+    """A stack's solutions, one entry per problem."""
 
     x: np.ndarray
-    objective: float
-    iterations: int
+    objective: np.ndarray
+    iterations: np.ndarray
 
 
 def solve_max(c, A, b, max_iter: int = 10_000) -> LpSolution:
-    """Solve one problem, A (m, n), or a stack of them, A (R, m, n) with c
-    (R, n) and b (R, m).  Any problem of a stack that is unbounded, or still
-    running after ``max_iter`` pivots, fails the whole call."""
+    """Solve a stack of problems, A (R, m, n) with c (R, n) and b (R, m).
+    Any problem of the stack that is unbounded, or still running after
+    ``max_iter`` pivots, fails the whole call."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    single = A.ndim == 2
-    if single:
-        c, A, b = c[None], A[None], b[None]
     R, m, n = A.shape
     if c.shape != (R, n) or b.shape != (R, m):
         raise ValueError("inconsistent LP dimensions")
@@ -98,7 +95,4 @@ def solve_max(c, A, b, max_iter: int = 10_000) -> LpSolution:
         basis[k, row] = col
     if running.size:
         raise SimplexError("iteration limit reached")
-    if single:
-        return LpSolution(x=x[0, :n], objective=float(objective[0]),
-                          iterations=int(iterations[0]))
     return LpSolution(x=x[:, :n], objective=objective, iterations=iterations)

@@ -15,10 +15,9 @@ J payoffs, given as (R, m, 2, J) payoff and probability arrays:
 
 Every step acts on each collection of a stack on its own, so a verdict has
 the same bytes whatever it is stacked with; bit-reproducibility matters more
-than speed.  The per-collection functions ``verify_increasing_utility``,
-``verify_collection`` and ``verify_parametrized`` are one-collection stacks;
-a collection is a record's arrays (``lotteries.Collection``: Z and P (m, 2,
-J), q (m,)).
+than speed.  The per-collection functions ``verify_collection`` and
+``verify_parametrized`` are one-collection stacks; a collection is a
+record's arrays (``lotteries.Collection``: Z and P (m, 2, J), q (m,)).
 
 ``minimal_anomaly`` adds the minimality requirement: a collection is an
 anomaly (inconsistent, with every proper subset consistent) exactly when the
@@ -44,14 +43,9 @@ DEFAULT_KL_THRESHOLD = 1e-5
 
 @dataclass(frozen=True)
 class VerificationResult:
-    status: str                      # "consistent" | "inconsistent"
+    consistent: bool
     margin: float
     witness_utility: np.ndarray | None
-    note: str = ""
-
-    @property
-    def consistent(self) -> bool:
-        return self.status == "consistent"
 
 
 def _margin_lp(Q, choices):
@@ -108,35 +102,24 @@ def utility_verdicts(Z, P, choices,
     grids, sizes = merge_payoff_grids(Z)
     # All payoffs identical: every choice is a tie between identical
     # lotteries; vacuously consistent.
-    degenerate = VerificationResult("consistent", 0.0, None,
-                                    note="degenerate: single merged payoff")
-    out = [degenerate] * R
+    out = [VerificationResult(True, 0.0, None)] * R
     for k in sorted(set(sizes[sizes >= 2].tolist())):
         rows = np.flatnonzero(sizes == k)
         Q = grid_probs(Z[rows].reshape(-1, 2 * m, J), P[rows].reshape(-1, 2 * m, J),
                        grids[rows, :k]).reshape(-1, m, 2, k)
         margins, witnesses = _margin_lp(Q, choices[rows])
         for r, margin, witness in zip(rows, margins, witnesses):
-            consistent = margin > margin_threshold
-            out[r] = VerificationResult("consistent" if consistent else "inconsistent",
-                                        float(margin), witness if consistent else None)
+            consistent = bool(margin > margin_threshold)
+            out[r] = VerificationResult(consistent, float(margin),
+                                        witness if consistent else None)
     return out
-
-
-def verify_increasing_utility(Z, P, choices,
-                              margin_threshold: float = MARGIN_THRESHOLD) -> VerificationResult:
-    """Feasibility of the strict rationalization system, with margin: Z and
-    P (m, 2, J), choices (m,)."""
-    choices = np.asarray(choices, dtype=int)
-    if choices.shape != Z.shape[:1]:
-        raise ValueError("one choice per menu required")
-    return utility_verdicts(Z[None], P[None], choices[None], margin_threshold)[0]
 
 
 def verify_collection(collection: Collection,
                       margin_threshold: float = MARGIN_THRESHOLD) -> VerificationResult:
-    return verify_increasing_utility(collection.Z, collection.P,
-                                     implied_choices(collection.q), margin_threshold)
+    """``utility_verdicts`` of one collection's implied choices."""
+    Z, P, q = collection
+    return utility_verdicts(Z[None], P[None], implied_choices(q)[None], margin_threshold)[0]
 
 
 def minimal_anomaly(collection: Collection,

@@ -13,6 +13,7 @@ from anomgen.lotteries import (Collection, draw_menus, flat_stack, grid_probs,
                                implied_choices, run_rng)
 from anomgen.morphing import COV_JITTER
 from anomgen.records import record_to_collection, write_jsonl
+from anomgen.verifier import utility_verdicts
 from anomgen.theory import (BOUND_TOL, KKT_TOL, TARGET_CLIP, THETA_NORM_BOUND, FitResult,
                             _clip_targets, _cross_entropy, _entropy, _fit_logits,
                             eu_difference_rows, stack_basis_values)
@@ -56,6 +57,13 @@ def stack(menus) -> tuple:
 def collection(menus, probs) -> Collection:
     """The collection of menus with predicted probabilities of lottery 1."""
     return Collection(*stack(menus), np.array(probs, dtype=float))
+
+
+def verify_menus(menus, choices):
+    """``verifier.utility_verdicts`` of one collection: ``menus`` with the
+    given choices."""
+    Z, P = stack(menus)
+    return utility_verdicts(Z[None], P[None], np.asarray(choices, dtype=int)[None])[0]
 
 
 def flat(menu) -> np.ndarray:

@@ -26,11 +26,11 @@ from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
                                menu_input_scaling, _backprop)
 from anomgen.records import read_jsonl, record_to_collection
 from anomgen.theory import _clip_targets, _cross_entropy
-from anomgen.verifier import (minimal_anomaly, verify_collection,
-                              verify_increasing_utility, verify_parametrized)
+from anomgen.verifier import minimal_anomaly, verify_collection, verify_parametrized
 from conftest import (TABLE_TOL, central_difference, collection, fit_theta, flat, grad,
                       kernel_weights, lottery, null_space_projection, predict, probs_on_grid,
-                      sample_random_menu, simulate_respondents, stack, tangent, unchecked_menu)
+                      sample_random_menu, simulate_respondents, stack, tangent, unchecked_menu,
+                      verify_menus)
 
 DESK_SEED = 23
 DESK_RUNS = 300          # per procedure
@@ -79,10 +79,10 @@ def test_criterion_1_paper_oracle_verification(allais_menus, certainty_menus):
     with criterion(1, "Allais and certainty-effect menus verify as minimal anomalies"):
         for menus, choices in ((allais_menus, (0, 1)), (certainty_menus, (1, 0))):
             start = time.time()
-            pair = verify_increasing_utility(*stack(menus), list(choices))
+            pair = verify_menus(menus, choices)
             assert not pair.consistent
             for menu, choice in zip(menus, choices):
-                assert verify_increasing_utility(*stack([menu]), [choice]).consistent
+                assert verify_menus([menu], [choice]).consistent
             probs = [0.2 if c == 0 else 0.8 for c in choices]
             coll = collection(menus, probs)
             assert minimal_anomaly(coll)[0] == (0, 1)
@@ -298,7 +298,7 @@ def test_criterion_10_lp_oracle_equivalence():
             other = base[0], np.stack([p0 / p0.sum(), p1 / p1.sum()])
             menus = [base, other]
             choices = rng.integers(0, 2, size=2)
-            lp = verify_increasing_utility(*stack(menus), choices)
+            lp = verify_menus(menus, choices)
             if _grid_consistent(menus, choices):
                 checked += 1
                 assert lp.consistent
@@ -367,10 +367,8 @@ def test_criterion_12_pipeline_determinism(tmp_path):
             assert run_command(["verify", "--in", f"m_{tag}.jsonl", *args,
                                 "--out", f"mv_{tag}.jsonl"]) == 0
             assert run_command(["categorize", "--in", f"av_{tag}.jsonl",
-                                "--seed", "0",
                                 "--out", f"ac_{tag}.jsonl"]) == 0
             assert run_command(["report", "--in", f"ac_{tag}.jsonl",
-                                "--seed", "0",
                                 "--out", f"r_{tag}.csv"]) == 0
 
         pipeline("w1", 1)

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomgen.categorize import (AnomalyCategory, categorize,
-                                categorize_three_payoff, categorize_two_payoff,
-                                check_certificate, decompose_shared_components,
-                                solve_degenerate_mix)
-from anomgen.lotteries import Collection, FosdOrder, fosd_compare
+from anomgen.categorize import (AnomalyCategory, categorize, check_certificate,
+                                decompose_shared_components, solve_degenerate_mix)
+from anomgen.lotteries import Collection, fosd_dominates
 from anomgen.records import read_jsonl, write_jsonl
 from conftest import (TABLE_TOL, collection, lottery, menu, probs_on_grid, sample_random_menu,
                       swapped)
@@ -102,7 +100,7 @@ class TestSolveDegenerateMix:
 
 class TestTwoPayoffCategorization:
     def test_dominated_consequence_table(self, dc_example_collection):
-        cat = categorize_two_payoff(dc_example_collection, tol=TABLE_TOL)
+        cat = categorize(dc_example_collection, tol=TABLE_TOL)
         assert cat.tag == "dominated_consequence"
         cert = cat.certificate
         # Labeling: roles ell0/ell1 are menu A's lottery 1 and lottery 0.
@@ -113,18 +111,18 @@ class TestTwoPayoffCategorization:
         assert check_certificate(cat, dc_example_collection)
 
     def test_reverse_dominated_consequence_table(self, rdc_example_collection):
-        cat = categorize_two_payoff(rdc_example_collection, tol=TABLE_TOL)
+        cat = categorize(rdc_example_collection, tol=TABLE_TOL)
         assert cat.tag == "reverse_dominated_consequence"
         assert check_certificate(cat, rdc_example_collection)
 
     def test_strict_dominance_table(self, sd_example_collection):
-        cat = categorize_two_payoff(sd_example_collection, tol=TABLE_TOL)
+        cat = categorize(sd_example_collection, tol=TABLE_TOL)
         assert cat.tag == "strict_dominance"
         assert check_certificate(cat, sd_example_collection)
 
     def test_fosd_first(self, fosd_example_collection):
         coll = fosd_example_collection
-        cat = categorize_two_payoff(coll)
+        cat = categorize(coll)
         assert cat.tag == "fosd"
         assert cat.certificate["menu_index"] == 0
         assert check_certificate(cat, coll)
@@ -139,7 +137,7 @@ class TestTwoPayoffCategorization:
         menu_a = menu(base0, base1)
         menu_b = menu(mix(base0), mix(base1))
         coll = collection([menu_a, menu_b], [0.8, 0.2])
-        cat = categorize_two_payoff(coll)
+        cat = categorize(coll)
         assert cat.tag == "dominated_consequence"
         assert cat.certificate["common_ratio"] is True
         assert check_certificate(cat, coll)
@@ -152,7 +150,7 @@ class TestTwoPayoffCategorization:
         comp0 = lottery([1.0, 9.0], [0.7, 0.3])      # ell0 toward 1 at alpha 0.5
         comp1 = lottery([3.0, 6.0], [0.35, 0.65])    # ell1 toward 6 at alpha 0.5
         coll = collection([menu(ell0, ell1), menu(comp0, comp1)], [0.8, 0.2])
-        cat = categorize_two_payoff(coll)
+        cat = categorize(coll)
         assert cat.tag == "strict_dominance" and "common_ratio" not in cat.certificate
         assert check_certificate(cat, coll)
         claimed = AnomalyCategory(cat.tag, {**cat.certificate, "common_ratio": True})
@@ -165,7 +163,7 @@ class TestTwoPayoffCategorization:
         menu_b = menu(lottery([3.3, 7.7], [0.6, 0.4]),
                       lottery([0.5, 9.5], [0.5, 0.5]))
         coll = collection([menu_a, menu_b], [0.8, 0.2])
-        cat = categorize_two_payoff(coll)
+        cat = categorize(coll)
         assert cat.tag == "other"
 
     def test_relabel_invariance(self, dc_example_collection):
@@ -175,7 +173,7 @@ class TestTwoPayoffCategorization:
         flipped = collection([swapped(m) for m in zip(Z, P)], 1 - q)
         reordered = Collection(Z[::-1], P[::-1], q[::-1])
         for coll in (flipped, reordered):
-            assert categorize_two_payoff(coll, tol=TABLE_TOL).tag == \
+            assert categorize(coll, tol=TABLE_TOL).tag == \
                 "dominated_consequence"
 
     @pytest.mark.parametrize("tag, field, tamper", TAMPERS,
@@ -251,9 +249,9 @@ class TestTwoPayoffCategorization:
             check_certificate(AnomalyCategory(cat.tag, bad), ternary_example_collection)
 
     def test_wrong_arity_rejected(self, dc_example_collection):
-        single = Collection(*(v[:1] for v in dc_example_collection))
-        with pytest.raises(ValueError):
-            categorize_two_payoff(single)
+        triple = Collection(*(np.concatenate([v, v[:1]]) for v in dc_example_collection))
+        with pytest.raises(ValueError, match="one- or two-menu"):
+            categorize(triple)
 
 
 class TestSharedComponents:
@@ -271,7 +269,7 @@ class TestSharedComponents:
         assert dec is not None
         assert dec["alpha_a"] == pytest.approx(0.0, abs=TABLE_TOL)
         assert dec["alpha_b"] == pytest.approx(0.70, abs=TABLE_TOL)
-        assert fosd_compare(dec["comp1"], dec["comp2"]) is FosdOrder.A_DOMINATES
+        assert fosd_dominates(dec["comp1"], dec["comp2"])
         # comp1 is the 96/4 mixture over the upper payoffs.
         z, p = dec["comp1"]
         np.testing.assert_allclose(p[z > 4.7].sum(), 1.0)
@@ -317,7 +315,7 @@ class TestSharedComponents:
 
 class TestThreePayoffCategorization:
     def test_published_ternary_anomaly(self, ternary_example_collection):
-        cat = categorize_three_payoff(ternary_example_collection, tol=TABLE_TOL)
+        cat = categorize(ternary_example_collection, tol=TABLE_TOL)
         assert cat.tag == "shared_component_reversal"
         assert cat.certificate["family"] == 1
         assert cat.certificate["alpha_a"][1] == pytest.approx(0.0, abs=TABLE_TOL)
@@ -330,7 +328,7 @@ class TestThreePayoffCategorization:
         other = menu(lottery([2, 5, 8], [0.3, 0.4, 0.3]),
                      lottery([1, 6, 9], [0.2, 0.4, 0.4]))
         coll = collection([dominated, other], [0.2, 0.8])
-        assert categorize_three_payoff(coll).tag == "fosd"
+        assert categorize(coll).tag == "fosd"
 
     def test_random_pair_is_other(self):
         rng = np.random.default_rng(3)
@@ -338,7 +336,7 @@ class TestThreePayoffCategorization:
             menu_a = sample_random_menu(rng, 3, 0, 10)
             menu_b = sample_random_menu(rng, 3, 0, 10)
             coll = collection([menu_a, menu_b], [0.8, 0.2])
-            cat = categorize_three_payoff(coll)
+            cat = categorize(coll)
             if cat.tag != "fosd":
                 assert cat.tag == "other"
                 break

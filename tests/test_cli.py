@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import stat
@@ -17,14 +20,16 @@ from anomgen import cli, morphing, records
 from anomgen.adversarial import GdaConfig
 from anomgen.cli import run_command
 from anomgen.config import ConfigError, build_predictor, load_config, parse_config
-from anomgen.cpt import CptParams, CptPredictor
+from anomgen.cpt import CptParams, CptPredictor, logistic, lottery_values, simulate_choices
+from anomgen.data import load_dataset
+from anomgen.lotteries import draw_menus, run_rng
 from anomgen.morphing import MorphConfig
 from anomgen.records import read_jsonl, record_to_collection, write_jsonl
 from anomgen.verifier import (MAX_DISTINCT_PAYOFFS, minimal_anomaly, verify_collection,
                               verify_parametrized)
 from anomgen.basis import basis_from_config
 from anomgen.categorize import CATEGORY_TAGS, categorize
-from anomgen.predictor import MlpModel, menu_input_scaling
+from anomgen.predictor import MlpModel, fit_cpt_params, menu_input_scaling
 from conftest import (collection, flat, lottery, menu, menu_json, predict,
                       reference_generated_record, reference_record, sample_random_menu,
                       write_anomalies)
@@ -52,6 +57,13 @@ def run_ok(argv, capsys):
     out = capsys.readouterr().out.strip().splitlines()[-1]
     assert rc == 0, out
     return json.loads(out)
+
+
+def _error_line(capsys) -> dict:
+    """The one JSON error line a failed command printed."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    return json.loads(err[0])
 
 
 class TestConfig:
@@ -113,6 +125,8 @@ class TestConfig:
             parse_config({"morph": {"step_size": "fast"}})
         for raw, path in (({"seed": "x"}, "seed"), ({"workers": 1.5}, "workers"),
                           ({"adversarial": {"max_iters": 2.5}}, "adversarial.max_iters"),
+                          ({"adversarial": {"inits": 0}}, "adversarial.inits"),
+                          ({"morph": {"inits": 0}}, "morph.inits"),
                           ({"morph": {"n_gradient_samples": 1e5}},
                            "morph.n_gradient_samples")):
             with pytest.raises(ConfigError, match=path):
@@ -176,6 +190,15 @@ class TestPipelineCommands:
                           "--out", "x.jsonl"])
         assert rc != 0
         assert not os.path.exists("x.jsonl")
+
+    @pytest.mark.parametrize("procedure", ["adversarial", "morph"])
+    def test_zero_config_inits_named(self, procedure, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({procedure: {"inits": 0}}))
+        assert run_command([procedure, "--config", "cfg.json", "--out", "x.jsonl"]) == 1
+        assert _error_line(capsys) == {"command": procedure,
+                                       "error": f"{procedure}.inits: invalid value 0"}
+        assert os.listdir() == ["cfg.json"]
 
     def test_worker_count_below_one_errors(self, tmp_path, capsys, monkeypatch):
         os.chdir(tmp_path)
@@ -1004,6 +1027,17 @@ class TestParser:
         info = cli.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
+    def test_shared_flags_only_where_a_command_reads_them(self):
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        takes = {flag: {name for name, p in commands.items()
+                        if any(flag in a.option_strings for a in p._actions)}
+                 for flag in ("--config", "--seed", "--workers")}
+        generators = {"adversarial", "morph", "baseline"}
+        assert takes == {"--config": generators | {"verify", "simulate"},
+                         "--seed": generators | {"simulate", "cluster", "train-mlp"},
+                         "--workers": generators | {"verify"}}
+
 
 class TestGenerationReference:
     """Generated records equal the object path's (``conftest``): menus drawn
@@ -1075,3 +1109,147 @@ class TestLockstepBytes:
         else:
             # Blocks of 7 and 64 hold runs that stop while others go on.
             assert len({r["iterations"] for r in recs}) > 5
+
+
+
+class TestCommandFlags:
+    """Each subcommand takes only the shared flags it reads."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A verified and a categorized baseline, and a choice dataset."""
+        path, cwd = tmp_path_factory.mktemp("inputs"), os.getcwd()
+        os.chdir(path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["baseline", "--inits", "20", "--seed", "1", "--out", "b.jsonl"],
+                         ["verify", "--in", "b.jsonl", "--out", "v.jsonl"],
+                         ["categorize", "--in", "v.jsonl", "--out", "c.jsonl"],
+                         ["simulate", "--n", "50", "--seed", "1", "--out", "d.csv"]):
+                assert run_command(argv) == 0
+        os.chdir(cwd)
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--in", "b.jsonl", "--seed", "1"],
+        ["categorize", "--in", "v.jsonl", "--workers", "2"],
+        ["categorize", "--in", "v.jsonl", "--seed", "1"],
+        ["cluster", "--in", "c.jsonl", "--workers", "2"],
+        ["report", "--in", "c.jsonl", "--seed", "1"],
+        ["report", "--in", "c.jsonl", "--workers", "2"],
+        ["simulate", "--n", "5", "--workers", "2"],
+        ["train-mlp", "--in", "d.csv", "--workers", "2"],
+        ["fit-cpt", "--in", "d.csv", "--seed", "1"],
+        ["fit-cpt", "--in", "d.csv", "--workers", "2"],
+    ], ids=" ".join)
+    def test_flag_a_command_does_not_read_is_rejected(self, argv, inputs, tmp_path, capsys):
+        os.chdir(tmp_path)
+        argv = [str(inputs / a) if a.endswith((".jsonl", ".csv")) else a for a in argv]
+        assert run_command([*argv, "--out", "out"]) != 0
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert os.listdir() == []
+
+    @pytest.mark.parametrize("argv", [
+        ["adversarial", "--inits", "1"], ["morph", "--inits", "1"], ["baseline", "--inits", "1"],
+        ["simulate", "--n", "5"], ["cluster", "--in", "c.jsonl"],
+        ["train-mlp", "--in", "d.csv"]], ids=lambda argv: argv[0])
+    def test_negative_seed_is_named(self, argv, inputs, tmp_path, capsys):
+        os.chdir(tmp_path)
+        argv = [str(inputs / a) if a.endswith((".jsonl", ".csv")) else a for a in argv]
+        assert run_command([*argv, "--seed", "-1", "--out", "out"]) == 1
+        assert _error_line(capsys) == {"command": argv[0], "error": "--seed: invalid value -1"}
+        assert os.listdir() == []
+
+    def test_workers_env_is_read_only_where_workers_is_a_flag(self, tmp_path, capsys,
+                                                              monkeypatch):
+        os.chdir(tmp_path)
+        monkeypatch.setenv("ANOMGEN_WORKERS", "abc")
+        run_ok(["simulate", "--n", "5", "--seed", "1", "--out", "d.csv"], capsys)
+
+
+class TestTrainMlpFlags:
+    @pytest.fixture
+    def dataset(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        run_ok(["simulate", "--n", "100", "--seed", "1", "--kind", "rate",
+                "--out", "d.csv"], capsys)
+        return "d.csv"
+
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--batch-size", "0", "batch_size: invalid value 0"),
+        ("--batch-size", "-3", "batch_size: invalid value -3"),
+        ("--epochs", "-1", "epochs: invalid value -1"),
+        ("--step-size", "0", "step_size: invalid value 0.0"),
+        ("--step-size", "-0.5", "step_size: invalid value -0.5")])
+    def test_invalid_training_value_is_named(self, flag, value, error, dataset, capsys):
+        assert run_command(["train-mlp", "--in", dataset, flag, value, "--out", "m.json"]) == 1
+        assert _error_line(capsys) == {"command": "train-mlp", "error": error}
+        assert not os.path.exists("m.json")
+
+    def test_batch_size_reaches_training(self, dataset, capsys, monkeypatch):
+        import anomgen.predictor as predictor_mod
+        sizes, backprop = [], predictor_mod._backprop
+
+        def recording(model, X, y, w):
+            sizes.append(len(X))
+            return backprop(model, X, y, w)
+
+        monkeypatch.setattr(predictor_mod, "_backprop", recording)
+        run_ok(["train-mlp", "--in", dataset, "--hidden", "4", "--epochs", "2",
+                "--batch-size", "30", "--out", "m.json"], capsys)
+        assert sizes == [30, 30, 30, 10] * 2
+
+
+class TestConfiguredValuesReachTheirCode:
+    def test_kl_threshold_above_min_kl_flips_the_verdict(self, tmp_path, capsys):
+        # Seed 3, run 0 fits no logit-EUT model to within a mean KL of 0.0155.
+        os.chdir(tmp_path)
+        run_ok(["adversarial", "--inits", "2", "--seed", "3", "--out", "c.jsonl"], capsys)
+        run_ok(["verify", "--in", "c.jsonl", "--out", "v.jsonl"], capsys)
+        Path("cfg.json").write_text(json.dumps({"verification": {"kl_threshold": 0.02}}))
+        run_ok(["verify", "--in", "c.jsonl", "--config", "cfg.json", "--out", "v2.jsonl"],
+               capsys)
+        (_, default), (_, raised) = read_jsonl("v.jsonl"), read_jsonl("v2.jsonl")
+        assert default[0]["parametrized_inconsistent"]
+        assert 1e-5 < default[0]["min_kl"] < 0.02
+        assert not raised[0]["parametrized_inconsistent"]
+        assert [r["min_kl"] for r in raised] == [r["min_kl"] for r in default]
+
+    def test_predictor_scale_reaches_baseline_predictions(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"predictor": {"scale": 2}}))
+        run_ok(["baseline", "--config", "cfg.json", "--inits", "20", "--seed", "1",
+                "--out", "b2.jsonl"], capsys)
+        run_ok(["baseline", "--inits", "20", "--seed", "1", "--out", "b1.jsonl"], capsys)
+        params = CptParams.preset("bruhin-b")
+        for path, scale in (("b2.jsonl", 2.0), ("b1.jsonl", 1.0)):
+            colls = [record_to_collection(r) for r in read_jsonl(path)[1]]
+            Z, P = (np.concatenate([getattr(c, k) for c in colls]) for k in "ZP")
+            V = lottery_values(Z, P, params)
+            np.testing.assert_array_equal(np.concatenate([c.q for c in colls]),
+                                          logistic(scale * (V[:, 1] - V[:, 0])))
+        assert Path("b2.jsonl").read_bytes() != Path("b1.jsonl").read_bytes()
+
+    def test_predictor_scale_reaches_simulate(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"predictor": {"scale": 2}}))
+        run_ok(["simulate", "--config", "cfg.json", "--n", "40", "--seed", "4",
+                "--kind", "rate", "--count", "50", "--out", "d.csv"], capsys)
+        got = load_dataset("d.csv")
+        for scale in (2.0, 1.0):
+            rng = run_rng(4, 0)
+            Z, P = draw_menus(rng, 40, 2, *parse_config({}).theory_basis["domain"])
+            want = simulate_choices(rng, Z, P, CptParams.preset("bruhin-b"), kind="rate",
+                                    count=50, scale=scale)
+            assert (want.outcomes.tobytes() == got.outcomes.tobytes()) is (scale == 2.0)
+
+    def test_predictor_scale_reaches_the_cpt_fit_predictor(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        run_ok(["simulate", "--n", "200", "--seed", "1", "--kind", "rate",
+                "--out", "d.csv"], capsys)
+        ds = load_dataset("d.csv")
+        cfg = parse_config({"predictor": {"kind": "cpt_fit", "dataset_path": "d.csv",
+                                          "scale": 2}})
+        pred = build_predictor(cfg.predictor)
+        assert pred.scale == 2
+        assert pred.params == fit_cpt_params(ds, scale=2.0).params
+        assert pred.params != fit_cpt_params(ds).params

@@ -141,7 +141,7 @@ class TestLogistic:
             rng.normal(0.0, 30.0, 100_000),
             rng.uniform(-800.0, 800.0, 100_000)])
         np.testing.assert_array_equal(logistic(u), two_branch(u))
-        assert logistic(-0.0) == 0.5 and isinstance(logistic(3.0), float)
+        assert logistic(-0.0) == 0.5
         assert logistic(np.inf) == 1.0 and logistic(-np.inf) == 0.0
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomgen.lotteries import (FosdOrder, check_probs, draw_menus, flat_stack, fosd_compare,
+from anomgen.lotteries import (check_probs, draw_menus, flat_stack, fosd_dominates,
                                lottery_stats, on_merged_grid, project_to_simplex, run_rng)
 from anomgen.records import parse_menus, read_menus
 from conftest import flat, lottery, menu, menu_json, sample_random_menu, stack
@@ -163,54 +163,49 @@ class TestSampling:
             assert rng.random() == ref.random()
 
 
-def _cdf_compare_oracle(a, b):
-    """Direct CDF comparison on the merged grid."""
+def _cdf_dominance_oracle(a, b):
+    """Direct CDF comparison on the merged grid: whether ``a`` dominates."""
     grid, _ = on_merged_grid([a, b])
     cdf = lambda lot: np.array([lot[1][lot[0] <= t + 1e-9].sum() for t in grid])
     da, db = cdf(a), cdf(b)
-    a_weak = np.all(da <= db + 1e-9)
-    b_weak = np.all(db <= da + 1e-9)
-    if a_weak and b_weak:
-        return FosdOrder.EQUAL
-    if a_weak:
-        return FosdOrder.A_DOMINATES
-    if b_weak:
-        return FosdOrder.B_DOMINATES
-    return FosdOrder.INCOMPARABLE
+    return bool(np.all(da <= db + 1e-9) and not np.all(db <= da + 1e-9))
 
 
 class TestFosd:
     def test_higher_certain_payoff(self):
-        assert fosd_compare(lottery([10], [1]), lottery([5], [1])) \
-            is FosdOrder.A_DOMINATES
+        assert fosd_dominates(lottery([10], [1]), lottery([5], [1]))
+        assert not fosd_dominates(lottery([5], [1]), lottery([10], [1]))
 
     def test_component_lottery_dominates_degenerate(self):
         a = lottery([5.04, 5.81], [0.96, 0.04])
         b = lottery([4.63], [1.0])
-        assert fosd_compare(a, b) is FosdOrder.A_DOMINATES
-        assert _cdf_compare_oracle(a, b) is FosdOrder.A_DOMINATES
+        assert fosd_dominates(a, b)
+        assert _cdf_dominance_oracle(a, b)
 
     def test_crossing_cdfs_incomparable(self):
         a = lottery([6.17, 8.51], [0.79, 0.21])
         b = lottery([4.30, 8.51], [0.66, 0.34])
-        assert fosd_compare(a, b) is FosdOrder.INCOMPARABLE
-        assert _cdf_compare_oracle(a, b) is FosdOrder.INCOMPARABLE
+        for x, y in ((a, b), (b, a)):
+            assert not fosd_dominates(x, y)
+            assert not _cdf_dominance_oracle(x, y)
+
+    def test_equal_lotteries_do_not_dominate(self):
+        a = lottery([1, 5], [0.4, 0.6])
+        assert not fosd_dominates(a, a)
 
     def test_agrees_with_cdf_oracle_on_random_lotteries(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
             (z0, z1), (p0, p1) = sample_random_menu(rng, 2, 0, 10)
-            assert fosd_compare((z0, p0), (z1, p1)) is _cdf_compare_oracle((z0, p0), (z1, p1))
+            for a, b in (((z0, p0), (z1, p1)), ((z1, p1), (z0, p0))):
+                assert fosd_dominates(a, b) is _cdf_dominance_oracle(a, b)
 
     def test_antisymmetric(self):
         rng = np.random.default_rng(1)
-        flip = {FosdOrder.A_DOMINATES: FosdOrder.B_DOMINATES,
-                FosdOrder.B_DOMINATES: FosdOrder.A_DOMINATES,
-                FosdOrder.EQUAL: FosdOrder.EQUAL,
-                FosdOrder.INCOMPARABLE: FosdOrder.INCOMPARABLE}
         for _ in range(100):
             (z0, z1), (p0, p1) = sample_random_menu(rng, 2, 0, 10)
-            assert fosd_compare((z1, p1), (z0, p0)) is flip[fosd_compare((z0, p0), (z1, p1))]
+            assert not (fosd_dominates((z0, p0), (z1, p1))
+                        and fosd_dominates((z1, p1), (z0, p0)))
 
     def test_invariant_to_payoff_splitting(self):
         rng = np.random.default_rng(2)
@@ -220,7 +215,8 @@ class TestFosd:
             # Split a's first payoff into two equal payoffs with halved mass.
             split = (np.concatenate([[z0[0]], z0]),
                      np.concatenate([[p0[0] / 2], [p0[0] / 2], p0[1:]]))
-            assert fosd_compare(split, b) is fosd_compare(a, b)
+            assert fosd_dominates(split, b) is fosd_dominates(a, b)
+            assert fosd_dominates(b, split) is fosd_dominates(b, a)
 
 
 class TestLotteryStats:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anomgen.cpt import CptParams, CptPredictor, simulate_choices
+from anomgen.cpt import CptParams, CptPredictor, logistic, simulate_choices
 from anomgen.data import ChoiceDataset, split_dataset
 from anomgen import theory
 from anomgen.adversarial import interior_menu
@@ -62,7 +62,7 @@ class TestTrainMlp:
         ds = ChoiceDataset(*stack(menus), np.full(400, 0.5), "rate")
         model = train_mlp(ds, hidden=(8,),
                           config=MlpTrainConfig(epochs=2000, step_size=2.0, seed=0))
-        preds = model.predict_batch(flat_stack(ds.Z, ds.P))
+        preds = MlpPredictor(model).predict_batch(ds.Z, ds.P)
         assert np.all(np.abs(preds - 0.5) < 0.01)
 
     def test_cpt_rates_reach_low_heldout_mse(self):
@@ -120,7 +120,7 @@ class TestTrainMlp:
         ds = cpt_dataset(128, seed=9, kind="rate", count=100)
         model = train_mlp(ds, hidden=(8,),
                           config=MlpTrainConfig(epochs=30, step_size=1e6, seed=0))
-        preds = model.predict_batch(flat_stack(ds.Z, ds.P))
+        preds = MlpPredictor(model).predict_batch(ds.Z, ds.P)
         assert np.all(np.isfinite(preds))
 
     def test_divergence_aborts(self, monkeypatch):
@@ -185,7 +185,8 @@ class TestBatchMethods:
         single_g = np.array([grad(pred, m) for m in menus]).reshape(P.shape)
         # The one-row results are the training forward pass on that row.
         np.testing.assert_array_equal(
-            single_f, [model.predict_batch(flat(m)[None, :])[0] for m in menus])
+            single_f, [logistic(model.forward(flat(m)[None, :] * model.input_scaling))[0]
+                       for m in menus])
         for R in (1, 7, 64):
             parts = [slice(i, i + R) for i in range(0, len(menus), R)]
             f = np.concatenate([pred.predict_batch(Z[s], P[s]) for s in parts])

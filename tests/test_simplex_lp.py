@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from anomgen.simplex_lp import SimplexError, solve_max
+from anomgen.simplex_lp import LpSolution, SimplexError, solve_max
 from conftest import reference_solve_max
+
+
+def _stack(problems):
+    return [np.array(v) for v in zip(*problems)]
+
+
+def solve_one(c, A, b, **kwargs) -> LpSolution:
+    """The solution of one problem, solved as a stack of one."""
+    sol = solve_max(*_stack([(c, A, b)]), **kwargs)
+    return LpSolution(sol.x[0], sol.objective[0], sol.iterations[0])
 
 
 def brute_force_box_grid(c, A, b, resolution=60):
@@ -27,29 +37,29 @@ def brute_force_box_grid(c, A, b, resolution=60):
 class TestSolveMax:
     def test_textbook_instance(self):
         # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18
-        sol = solve_max([3, 5], [[1, 0], [0, 2], [3, 2]], [4, 12, 18])
+        sol = solve_one([3, 5], [[1, 0], [0, 2], [3, 2]], [4, 12, 18])
         assert sol.objective == pytest.approx(36)
         np.testing.assert_allclose(sol.x, [2, 6], atol=1e-9)
 
     def test_degenerate_objective(self):
-        sol = solve_max([0, 0], [[1, 1]], [1])
+        sol = solve_one([0, 0], [[1, 1]], [1])
         assert sol.objective == pytest.approx(0)
 
     def test_binding_box(self):
-        sol = solve_max([1, 1], [[1, 0], [0, 1]], [2, 3])
+        sol = solve_one([1, 1], [[1, 0], [0, 1]], [2, 3])
         assert sol.objective == pytest.approx(5)
 
     def test_unbounded_detected(self):
         with pytest.raises(SimplexError, match="unbounded"):
-            solve_max([1], np.array([[-1.0]]), np.array([1.0]))
+            solve_one([1], np.array([[-1.0]]), np.array([1.0]))
 
     def test_negative_rhs_rejected(self):
         with pytest.raises(SimplexError):
-            solve_max([1], np.array([[1.0]]), np.array([-1.0]))
+            solve_one([1], np.array([[1.0]]), np.array([-1.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            solve_max([1, 2], np.array([[1.0]]), np.array([1.0]))
+            solve_one([1, 2], np.array([[1.0]]), np.array([1.0]))
 
     def test_agrees_with_grid_oracle_on_random_instances(self):
         rng = np.random.default_rng(0)
@@ -58,7 +68,7 @@ class TestSolveMax:
             A = rng.uniform(0.1, 2.0, size=(m, n))
             b = rng.uniform(0.5, 3.0, size=m)
             c = rng.uniform(-1.0, 2.0, size=n)
-            sol = solve_max(c, A, b)
+            sol = solve_one(c, A, b)
             grid = brute_force_box_grid(c, A, b)
             assert sol.objective >= grid - 0.15   # grid undershoots by mesh size
             assert np.all(A @ sol.x <= b + 1e-9)
@@ -71,7 +81,7 @@ class TestSolveMax:
             A = rng.uniform(0.05, 1.5, size=(m, n))
             b = rng.uniform(0.2, 2.5, size=m)
             c = rng.uniform(0.0, 1.0, size=n)
-            sol = solve_max(c, A, b)
+            sol = solve_one(c, A, b)
             # Optimality spot check: no single-coordinate increase is feasible.
             for j in range(n):
                 if c[j] <= 1e-12:
@@ -98,9 +108,9 @@ class TestSolveMax:
                 x, objective, iterations = reference_solve_max(c, A, b)
             except RuntimeError:
                 with pytest.raises(SimplexError):
-                    solve_max(c, A, b)
+                    solve_one(c, A, b)
                 continue
-            sol = solve_max(c, A, b)
+            sol = solve_one(c, A, b)
             assert sol.x.tobytes() == x.tobytes()
             assert (sol.objective, sol.iterations) == (objective, iterations)
 
@@ -112,10 +122,6 @@ def _assert_matches_reference(sol, problems):
         assert sol.x[r].tobytes() == x.tobytes()
         assert np.float64(sol.objective[r]).tobytes() == np.float64(objective).tobytes()
         assert sol.iterations[r] == iterations
-
-
-def _stack(problems):
-    return [np.array(v) for v in zip(*problems)]
 
 
 def _random_problems(rng, count, m, n):
@@ -157,16 +163,17 @@ class TestStackedSolveMax:
     def test_bland_tie_in_a_stack(self):
         problems = [BLAND_TIE] + _random_problems(np.random.default_rng(5), 5, 3, 2)
         _assert_matches_reference(solve_max(*_stack(problems)), problems)
-        assert solve_max(*BLAND_TIE).iterations == 2
+        assert solve_one(*BLAND_TIE).iterations == 2
 
-    def test_two_dimensional_call_keeps_one_solution(self):
-        sol = solve_max(*BLAND_TIE)
-        assert sol.x.shape == (2,)
-        assert type(sol.objective) is float and type(sol.iterations) is int
+    def test_one_problem_stack_keeps_one_solution_per_problem(self):
         stacked = solve_max(*_stack([BLAND_TIE]))
         assert stacked.x.shape == (1, 2) and stacked.iterations.shape == (1,)
-        assert stacked.x[0].tobytes() == sol.x.tobytes()
-        assert stacked.objective[0] == sol.objective
+        assert stacked.objective.shape == (1,)
+        _assert_matches_reference(stacked, [BLAND_TIE])
+
+    def test_two_dimensional_problem_rejected(self):
+        with pytest.raises(ValueError):
+            solve_max(*BLAND_TIE)
 
     def test_an_unbounded_problem_fails_the_stack(self):
         problems = [([1.0], [[1.0]], [1.0]), ([1.0], [[-1.0]], [1.0]), ([1.0], [[2.0]], [1.0])]
