@@ -13,6 +13,10 @@ from .records import stack_to_records
 from .verifier import utility_verdicts
 
 PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# Single k-means runs, each from its own seeding, that ``kmeans`` keeps the
+# best of; and the loadings ``pca`` reports per component.
+KMEANS_RESTARTS = 10
+PCA_TOP_LOADINGS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +86,6 @@ def _kmeans_once(X: np.ndarray, k: int, rng: np.random.Generator) -> KmeansResul
             if len(members):
                 C[j] = members.mean(axis=0)
         if np.array_equal(new_assign, assign):
-            assign = new_assign
             break
         assign = new_assign
     d2 = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
@@ -90,13 +93,13 @@ def _kmeans_once(X: np.ndarray, k: int, rng: np.random.Generator) -> KmeansResul
     return KmeansResult(assign, C, inertia)
 
 
-def kmeans(matrix: np.ndarray, k: int, seed: int = 0, restarts: int = 10) -> KmeansResult:
-    """Lloyd iterations with farthest-point seeding; best inertia over restarts."""
+def kmeans(matrix: np.ndarray, k: int, seed: int = 0) -> KmeansResult:
+    """Lloyd iterations with farthest-point seeding; best of KMEANS_RESTARTS runs."""
     X = np.asarray(matrix, dtype=float)
     if k < 1 or k > X.shape[0]:
         raise ValueError("k must be between 1 and the number of rows")
     best = None
-    for r in range(max(restarts, 1)):
+    for r in range(KMEANS_RESTARTS):
         result = _kmeans_once(X, k, np.random.default_rng((seed, r)))
         if best is None or result.inertia < best.inertia:
             best = result
@@ -111,7 +114,7 @@ class PcaResult:
     top_loadings: list            # per component: [(feature index, loading), ...]
 
 
-def pca(matrix: np.ndarray, n_top: int = 4) -> PcaResult:
+def pca(matrix: np.ndarray) -> PcaResult:
     """Eigendecomposition of the correlation matrix of standardized features.
 
     Component signs are fixed so each component's largest-magnitude loading is
@@ -133,7 +136,7 @@ def pca(matrix: np.ndarray, n_top: int = 4) -> PcaResult:
     scores = Z @ comps.T
     top = []
     for i in range(comps.shape[0]):
-        idx = np.argsort(-np.abs(comps[i]))[:n_top]
+        idx = np.argsort(-np.abs(comps[i]))[:PCA_TOP_LOADINGS]
         top.append([(int(j), float(comps[i, j])) for j in idx])
     return PcaResult(comps, explained, scores, top)
 
@@ -142,26 +145,16 @@ def pca(matrix: np.ndarray, n_top: int = 4) -> PcaResult:
 # Idiosyncratic-error estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatternFrequencies:
-    """Counts of the four joint choice patterns on a two-menu anomaly."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(float(c) for c in self.counts)
-        if len(counts) != 4 or not all(0 <= c < np.inf for c in counts):
-            raise ValueError("need four finite nonnegative pattern counts")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> float:
-        return sum(self.counts)
-
-    def frequencies(self) -> np.ndarray:
-        if self.total <= 0:
-            raise ValueError("all-zero counts")
-        return np.array(self.counts) / self.total
+def pattern_frequencies(counts) -> np.ndarray:
+    """The shares of the four joint choice patterns on a two-menu anomaly,
+    in the order of PATTERNS, from their counts."""
+    counts = tuple(float(c) for c in counts)
+    if len(counts) != 4 or not all(0 <= c < np.inf for c in counts):
+        raise ValueError("need four finite nonnegative pattern counts")
+    total = sum(counts)
+    if total <= 0:
+        raise ValueError("all-zero counts")
+    return np.array(counts) / total
 
 
 def consistent_patterns(Z, P) -> list:
@@ -226,23 +219,17 @@ class EpsilonFit:
     fit_distance: float
 
 
-def estimate_epsilon(freqs: PatternFrequencies, menus=None,
-                     patterns=None) -> EpsilonFit:
-    """Error rate and mixture over consistent patterns by minimum distance;
-    ``menus`` is a (Z, P) pair of (2, 2, J) stacks.
+def estimate_epsilon(target: np.ndarray, patterns) -> EpsilonFit:
+    """Error rate and mixture over the consistent ``patterns`` by minimum
+    distance to the pattern shares ``target`` (``pattern_frequencies``).
 
     Respondents hold a consistent pattern and flip each choice independently
     with probability eps in [0, 0.5]; eps is fit on a 1e-3 grid with local
     refinement to 1e-5, with the mixing weights profiled out by
     simplex-constrained least squares.
     """
-    if patterns is None:
-        if menus is None:
-            raise ValueError("provide menus or precomputed consistent patterns")
-        patterns = consistent_patterns(*menus)
     if not patterns:
         raise ValueError("no consistent patterns to mix over")
-    target = freqs.frequencies()
 
     def objective(eps):
         _, val = _simplex_lstsq(_pattern_matrix(eps, patterns), target)

@@ -82,10 +82,6 @@ def solve_degenerate_mix(base, candidate, anchor: float, tol: float = DEFAULT_TO
     return alpha
 
 
-def _anchor(lottery, side: str) -> float:
-    return float(lottery[0].min() if side == "low" else lottery[0].max())
-
-
 # tag -> (anchor sides of ell0 and ell1, (i, k) when alpha_i >= alpha_k must hold)
 _PATTERNS = {
     "dominated_consequence": (("low", "low"), (1, 0)),
@@ -108,7 +104,8 @@ def _pattern_certificate(tag: str, collection: Collection, choices, base_idx: in
     roles = {"ell0": 1 - a1, "ell1": a1, "comp0": c0, "comp1": 1 - c0}
     ells = [_lottery(collection, base_idx, l) for l in (1 - a1, a1)]
     comps = [_lottery(collection, 1 - base_idx, l) for l in (c0, 1 - c0)]
-    anchors = [_anchor(ell, side) for ell, side in zip(ells, sides)]
+    anchors = [float(ell[0].min() if side == "low" else ell[0].max())
+               for ell, side in zip(ells, sides)]
     if sides[0] == sides[1] and not anchors[0] < anchors[1] - PAYOFF_STRICT:
         return None
     alphas = [solve_degenerate_mix(ell, comp, anchor, tol)
@@ -125,13 +122,6 @@ def _pattern_certificate(tag: str, collection: Collection, choices, base_idx: in
 def _dominated(collection: Collection, i: int, choice: int) -> bool:
     """Whether menu ``i``'s unchosen lottery first-order dominates its choice."""
     return fosd_dominates(_lottery(collection, i, 1 - choice), _lottery(collection, i, choice))
-
-
-def _fosd_certificate(collection: Collection, choices) -> dict | None:
-    for idx, choice in enumerate(choices):
-        if _dominated(collection, idx, choice):
-            return {"menu_index": idx, "implied_choice": int(choice)}
-    return None
 
 
 def _subsets(indices):
@@ -306,9 +296,9 @@ def categorize(collection: Collection, tol: float = DEFAULT_TOL) -> AnomalyCateg
     if len(collection.q) not in (1, 2):
         raise ValueError("expected a one- or two-menu collection")
     choices = implied_choices(collection.q).tolist()
-    fosd_cert = _fosd_certificate(collection, choices)
-    if fosd_cert is not None:
-        return AnomalyCategory("fosd", fosd_cert)
+    for idx, choice in enumerate(choices):
+        if _dominated(collection, idx, choice):
+            return AnomalyCategory("fosd", {"menu_index": idx, "implied_choice": int(choice)})
     if len(choices) == 1:
         return AnomalyCategory("other", {})
     if collection.Z.shape[-1] <= 2:

@@ -128,8 +128,6 @@ def cmd_generate(args) -> int:
     procedure = args.command
     cfg = _config_from_args(args)
     inits = args.inits if args.inits is not None else getattr(cfg, procedure).inits
-    if inits < 1:
-        raise ConfigError(f"--inits: invalid value {inits!r}")
     predictor = build_predictor(cfg.predictor)
     records.write_jsonl(args.out, _fan_out(_generate_chunk, (predictor, cfg, procedure),
                                            range(inits), cfg.workers), kind="candidates")
@@ -151,12 +149,12 @@ def _verify_chunk(cfg: PipelineConfig, recs) -> list:
     record too large to verify (``size_fault``) raises ValueError naming it."""
     basis = basis_from_config(cfg.theory_basis)
     out = [dict(rec) for rec in recs]
-    for stack in records.stack_records(recs):
-        if fault := size_fault(stack.Z):
-            raise ValueError(f"record {recs[stack.rows[fault[0]]].get('id')!r}: {fault[1]}")
-        pvs = parametrized_verdicts(basis, stack.Z, stack.P, stack.q, cfg.kl_threshold)
-        avs = utility_verdicts(stack.Z, stack.P, implied_choices(stack.q), cfg.margin_threshold)
-        for i, pv, av, *row in zip(stack.rows, pvs, avs, stack.Z, stack.P, stack.q):
+    for rows, Z, P, q in records.stack_records(recs):
+        if fault := size_fault(Z):
+            raise ValueError(f"record {recs[rows[fault[0]]].get('id')!r}: {fault[1]}")
+        pvs = parametrized_verdicts(basis, Z, P, q, cfg.kl_threshold)
+        avs = utility_verdicts(Z, P, implied_choices(q), cfg.margin_threshold)
+        for i, pv, av, *row in zip(rows, pvs, avs, Z, P, q):
             minimal = None if av.consistent else minimal_anomaly(Collection(*row),
                                                                  cfg.margin_threshold)
             out[i].update(
@@ -222,14 +220,14 @@ def cluster_rows(recs) -> list:
 
 
 def cmd_cluster(args) -> int:
+    start = time.perf_counter()
     _, recs = records.read_jsonl(args.inp, expected_kind="categorized")
     rows = cluster_rows(recs)
     if len(rows) < args.k:
         raise ValueError(f"{len(rows)} non-FOSD anomalies with features, "
                          f"fewer than the {args.k} clusters asked for")
     X = np.array([r["features"] for r in rows])
-    Z = analysis.standardize(X)
-    km = analysis.kmeans(Z, args.k, seed=args.seed or 0)
+    km = analysis.kmeans(analysis.standardize(X), args.k, seed=args.seed or 0)
     pc = analysis.pca(X)
     out_rows = [(r["id"], int(km.assignments[i]),
                  repr(float(pc.scores[i, 0])), repr(float(pc.scores[i, 1])))
@@ -241,10 +239,12 @@ def cmd_cluster(args) -> int:
                     inertia=km.inertia,
                     explained_variance=[round(float(v), 6)
                                         for v in pc.explained_variance[:2]],
-                    top_loadings=loadings, out=args.out)
+                    top_loadings=loadings, out=args.out,
+                    **_throughput(start, len(recs), "records"))
 
 
 def cmd_report(args) -> int:
+    start = time.perf_counter()
     _, recs = records.read_jsonl(args.inp)
     predictors = sorted({str(r.get("predictor")) for r in recs})
     counts = {(t, p): 0 for t in CATEGORY_TAGS for p in predictors}
@@ -264,7 +264,8 @@ def cmd_report(args) -> int:
     rows.append(["total"] + [totals[p] for p in predictors])
     records.write_csv(args.out, ["category"] + predictors, rows)
     return _summary(command="report", records=len(recs),
-                    anomalies=sum(totals.values()), out=args.out)
+                    anomalies=sum(totals.values()), out=args.out,
+                    **_throughput(start, len(recs), "records"))
 
 
 # -- data / model commands ---------------------------------------------------
@@ -283,11 +284,21 @@ def cmd_simulate(args) -> int:
                     delta=params.delta, gamma=params.gamma, out=args.out)
 
 
+def _width(field: str) -> int:
+    """A hidden layer's width, a field of ``--hidden``: an integer >= 1."""
+    try:
+        if int(field) >= 1:
+            return int(field)
+    except ValueError:
+        pass
+    raise ConfigError(f"--hidden: invalid value {field!r}")
+
+
 def cmd_train_mlp(args) -> int:
     config = MlpTrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                             step_size=args.step_size, seed=args.seed or 0)
+    hidden = tuple(_width(w) for w in args.hidden.split(",") if w)
     ds = load_dataset(args.inp)
-    hidden = tuple(int(w) for w in args.hidden.split(",") if w)
     model = train_mlp(ds, hidden=hidden, config=config)
     model.save(args.out)
     metrics = evaluate(MlpPredictor(model), ds)
@@ -315,8 +326,7 @@ def cmd_epsilon(args) -> int:
     expected = ["pattern_00", "pattern_01", "pattern_10", "pattern_11"]
     if len(lines) < 2 or lines[0].split(",")[:4] != expected:
         raise ConfigError(f"{args.freqs}: expected columns {expected} and a row of counts")
-    counts = tuple(float(v) for v in lines[1].split(",")[:4])
-    freqs = analysis.PatternFrequencies(counts)
+    target = analysis.pattern_frequencies(lines[1].split(",")[:4])
     with open(args.menus) as fh:
         data = json.load(fh)
     try:
@@ -326,7 +336,7 @@ def cmd_epsilon(args) -> int:
     for why, bad in faults:
         if bad[0]:
             raise ConfigError(f"{args.menus}: {why}")
-    fit = analysis.estimate_epsilon(freqs, menus=(Z, P))
+    fit = analysis.estimate_epsilon(target, analysis.consistent_patterns(Z, P))
     return _summary(command="epsilon", epsilon=fit.epsilon,
                     weights={"".join(map(str, k)): round(v, 6)
                              for k, v in fit.weights.items()},
@@ -402,8 +412,10 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError(f"--seed: invalid value {args.seed!r}")
+        # The integer flags with a floor, checked before a command reads anything.
+        for flag, least in (("seed", 0), ("inits", 1), ("k", 1)):
+            if (value := getattr(args, flag, None)) is not None and value < least:
+                raise ConfigError(f"--{flag}: invalid value {value!r}")
         return args.func(args)
     except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc)}),

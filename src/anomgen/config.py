@@ -156,7 +156,7 @@ def load_config(path) -> PipelineConfig:
 
 def build_predictor(section: PredictorSection):
     """Materialize the configured predictor handle."""
-    from .predictor import MlpModel, MlpPredictor, cpt_fit_predictor
+    from .predictor import MlpModel, MlpPredictor, fit_cpt_params
     from .data import load_dataset
 
     if section.kind == "cpt":
@@ -170,6 +170,7 @@ def build_predictor(section: PredictorSection):
     if section.kind == "cpt_fit":
         if not section.dataset_path:
             raise ConfigError("predictor.dataset_path required for kind 'cpt_fit'")
-        ds = load_dataset(section.dataset_path)
-        return cpt_fit_predictor(ds, scale=section.scale)
+        params = fit_cpt_params(load_dataset(section.dataset_path), scale=section.scale).params
+        return CptPredictor(params, scale=section.scale,
+                            label=f"cpt-fit({params.delta:.3f},{params.gamma:.3f})")
     raise ConfigError(f"unknown predictor kind {section.kind!r}")

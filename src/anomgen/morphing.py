@@ -238,19 +238,17 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     grams = np.zeros((R, m, m))
     args = rngs, mean, scale, w_map, count, config.rank_tol
     shares = np.array_split(np.arange(R), draw_threads(R, count))
-    if len(shares) == 1:
-        _draw_grams(grams, range(R), *args)
-    else:
-        # Each thread draws its own runs into its own buffers and writes only
-        # their Gram matrices, in a copy of the caller's context, which holds
-        # numpy's error state.  The main thread draws the first share, and
-        # every thread is joined before the step returns.
-        with ThreadPoolExecutor(len(shares) - 1) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, _draw_grams,
-                                   grams, share, *args) for share in shares[1:]]
-            _draw_grams(grams, shares[0], *args)
-            for future in futures:
-                future.result()
+    # Each thread draws its own runs into its own buffers and writes only
+    # their Gram matrices, in a copy of the caller's context, which holds
+    # numpy's error state.  The calling thread draws the first share; the
+    # pool starts a thread per share submitted, so a step of one share
+    # starts none, and every thread is joined before the step returns.
+    with ThreadPoolExecutor(max(1, len(shares) - 1)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _draw_grams,
+                               grams, share, *args) for share in shares[1:]]
+        _draw_grams(grams, shares[0], *args)
+        for future in futures:
+            future.result()
     directions, ranks = _project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
                                           config.rank_tol)
     return (T @ directions[..., None])[..., 0], ranks

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpt import CptParams, CptPredictor, logistic, lottery_values
+from .cpt import CptParams, logistic, lottery_values
 from .data import ChoiceDataset
 from .lotteries import flat_stack
 from .theory import _clip_targets, _cross_entropy, damped_newton
@@ -80,30 +80,22 @@ class MlpModel:
         logits = h[:, 0]
         return (logits, acts) if keep else logits
 
-    def to_json_dict(self) -> dict:
-        return {
-            "widths": self.widths,
-            "weights": [W.ravel().tolist() for W in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "input_scaling": self.input_scaling.tolist(),
-        }
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump({"widths": self.widths,
+                       "weights": [W.ravel().tolist() for W in self.weights],
+                       "biases": [b.tolist() for b in self.biases],
+                       "input_scaling": self.input_scaling.tolist()}, fh)
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "MlpModel":
+    def load(cls, path) -> "MlpModel":
+        with open(path) as fh:
+            d = json.load(fh)
         widths = d["widths"]
         weights = [np.array(w).reshape(widths[l], widths[l + 1])
                    for l, w in enumerate(d["weights"])]
         return cls(widths, weights, [np.array(b) for b in d["biases"]],
                    np.array(d["input_scaling"]))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path) -> "MlpModel":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 # The width of the default payoff domain [0, 10]; MLP payoff inputs are divided by it.
@@ -275,12 +267,6 @@ def fit_cpt_params(ds: ChoiceDataset, scale: float = 1.0) -> CptFit:
         _clip_targets(ds.outcomes)[None], ds.weights[None], np.inf)
     return CptFit(CptParams(*map(float, np.exp(x[0]))), float(value[0]), bool(converged[0]),
                   int(steps[0]))
-
-
-def cpt_fit_predictor(ds: ChoiceDataset, scale: float = 1.0) -> CptPredictor:
-    fit = fit_cpt_params(ds, scale=scale)
-    return CptPredictor(fit.params, scale=scale,
-                        label=f"cpt-fit({fit.params.delta:.3f},{fit.params.gamma:.3f})")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -46,20 +45,6 @@ def stack_to_records(Z: np.ndarray, P: np.ndarray, q: np.ndarray, procedure: str
             for r, i in enumerate(indices)]
 
 
-@dataclass(frozen=True)
-class RecordStack:
-    """The records of a block that share a shape, m menus over J payoffs,
-    read as arrays: ``Z`` and ``P`` (R, m, 2, J) hold the payoffs and
-    probabilities, lottery 0 first, with the probabilities as
-    ``lotteries.read_probs`` reads them, and ``q`` (R, m) the predicted
-    probabilities of lottery 1."""
-
-    rows: list                  # the records' positions in the block
-    Z: np.ndarray
-    P: np.ndarray
-    q: np.ndarray
-
-
 def parse_menus(menus) -> np.ndarray:
     """Menus as a record holds them, as one (m, 2, 2, J) array: each menu's
     lotteries, each one's payoffs then its probabilities, as written.  Raises
@@ -83,9 +68,12 @@ def read_menus(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
                   ("probabilities not within 1e-6 of the simplex", bad_probs.any(axis=(1, 2))))
 
 
-def stack_records(recs) -> list[RecordStack]:
+def stack_records(recs) -> list[tuple]:
     """Read a block of records into one stack per shape, in the order in
-    which the shapes first appear.
+    which the shapes first appear: (rows, Z, P, q), the records' positions
+    in the block, their payoffs and probabilities (R, m, 2, J), lottery 0
+    first, the latter as ``lotteries.read_probs`` reads them, and their
+    predicted probabilities of lottery 1 (R, m).
 
     A record is malformed when its menus do not parse (``parse_menus``),
     when it has other than m predicted probabilities, or when a value is out
@@ -114,7 +102,7 @@ def stack_records(recs) -> list[RecordStack]:
                                    ~((q >= 0) & (q <= 1)).all(axis=1))):
             for r in np.flatnonzero(bad):
                 errors.setdefault(rows[r], why)
-        stacks.append(RecordStack(rows, Z, P, q))
+        stacks.append((rows, Z, P, q))
     if errors:
         first = min(errors)
         raise ValueError(f"record {recs[first].get('id')!r}: malformed menus or "
@@ -125,8 +113,8 @@ def stack_records(recs) -> list[RecordStack]:
 def record_to_collection(record: dict) -> Collection:
     """The menus and predictions of a record as (m, 2, J) and (m,) arrays,
     read by ``stack_records``."""
-    (stack,) = stack_records([record])
-    return Collection(stack.Z[0], stack.P[0], stack.q[0])
+    ((_, Z, P, q),) = stack_records([record])
+    return Collection(Z[0], P[0], q[0])
 
 
 def atomic_write_lines(path, lines) -> None:
@@ -159,19 +147,20 @@ def write_jsonl(path, records, kind: str) -> None:
 def read_jsonl(path, expected_kind: str | None = None):
     """(header, records); a line that is not valid JSON or not a JSON object
     raises ValueError naming the path and the line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
     objs = []
-    for n, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {n} is not valid JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: line {n} is not a JSON object")
-        objs.append(obj)
+    with open(path) as fh:
+        # A file iterates by newlines only, so a JSON string may hold a raw
+        # U+2028 or U+0085 without ending its line.
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {n} is not valid JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {n} is not a JSON object")
+            objs.append(obj)
     if not objs:
         raise ValueError(f"{path}: empty stream")
     header = objs.pop(0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anomgen import morphing
-from anomgen.analysis import PATTERNS, PatternFrequencies
+from anomgen.analysis import PATTERNS, pattern_frequencies
 from anomgen.cpt import CptParams, logistic, lottery_values, simulate_choices
 from anomgen.lotteries import (Collection, draw_menus, flat_stack, grid_probs,
                                implied_choices, run_rng)
@@ -288,8 +288,9 @@ def kernel_weights(p, params):
 
 
 def simulate_respondents(rng: np.random.Generator, n: int, eps: float,
-                         weights: dict) -> PatternFrequencies:
-    """Draw pattern counts from the idiosyncratic-error model."""
+                         weights: dict) -> np.ndarray:
+    """Pattern shares (``pattern_frequencies``) of counts drawn from the
+    idiosyncratic-error model."""
     pats = list(weights)
     probs = np.array([weights[p] for p in pats], dtype=float)
     probs = probs / probs.sum()
@@ -298,7 +299,7 @@ def simulate_respondents(rng: np.random.Generator, n: int, eps: float,
         true = pats[rng.choice(len(pats), p=probs)]
         obs = tuple(1 - t if rng.random() < eps else t for t in true)
         counts[obs] += 1
-    return PatternFrequencies(tuple(counts[p] for p in PATTERNS))
+    return pattern_frequencies(counts[p] for p in PATTERNS)
 
 
 def write_anomalies(path, n):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from anomgen.adversarial import GdaConfig, run_adversarial_indices
-from anomgen.analysis import PatternFrequencies, estimate_epsilon, kmeans, pca, standardize
+from anomgen.analysis import estimate_epsilon, kmeans, pattern_frequencies, pca, standardize
 from anomgen.basis import PolynomialBasis, basis_from_config
 from anomgen.categorize import categorize, decompose_shared_components
 from anomgen.cli import run_command
@@ -272,14 +272,13 @@ def test_criterion_9_estimation_recoveries():
             assert fit.params.gamma == pytest.approx(gamma, abs=0.05), name
 
         # Closed-form case: violating mass 0.05 on each side.
-        freqs = PatternFrequencies((0.45, 0.05, 0.05, 0.45))
-        fit = estimate_epsilon(freqs, patterns=[(0, 0), (1, 1)])
+        fit = estimate_epsilon(pattern_frequencies((0.45, 0.05, 0.05, 0.45)), [(0, 0), (1, 1)])
         expected = (1 - np.sqrt(1 - 0.2)) / 2
         assert fit.epsilon == pytest.approx(expected, abs=1e-4)
 
         sim = simulate_respondents(np.random.default_rng(502), 5000, eps=0.05,
                                    weights={(0, 0): 0.45, (1, 1): 0.55})
-        fit2 = estimate_epsilon(sim, patterns=[(0, 0), (1, 1)])
+        fit2 = estimate_epsilon(sim, [(0, 0), (1, 1)])
         assert fit2.epsilon == pytest.approx(0.05, abs=0.005)
 
 
@@ -336,7 +335,7 @@ def test_criterion_11_clustering_and_pca():
                            dtype=float)
         labels = np.repeat(np.arange(4), 50)
         X = centers[labels] + rng.normal(0, 0.5, size=(200, 3))
-        km = kmeans(standardize(X), 4, seed=0, restarts=8)
+        km = kmeans(standardize(X), 4, seed=0)
         for j in range(4):
             assert len(set(km.assignments[labels == j].tolist())) == 1
         assert len(set(km.assignments.tolist())) == 4

@@ -215,9 +215,12 @@ class TestEstimatedPredictors:
         assert len(record_to_collection(morph).q) == 2
         assert all(np.isfinite(morph["predicted_probs"]))
 
-    def test_cpt_fit_backed_generation(self):
-        from anomgen.predictor import cpt_fit_predictor
-        pred = cpt_fit_predictor(self._training_data())
+    def test_cpt_fit_backed_generation(self, tmp_path):
+        from anomgen.config import PredictorSection, build_predictor
+        from anomgen.data import save_dataset
+        save_dataset(self._training_data(), tmp_path / "d.csv")
+        pred = build_predictor(PredictorSection(kind="cpt_fit",
+                                                dataset_path=str(tmp_path / "d.csv")))
         (result,) = run_adversarial_indices(pred, GdaConfig(), 14, [0])
         assert result["iterations"] == 50
 

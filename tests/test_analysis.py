@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from anomgen.analysis import (FEATURE_NAMES, EpsilonFit, PatternFrequencies,
-                              anomaly_features, consistent_patterns,
-                              estimate_epsilon, kmeans, pca, standardize)
+from anomgen.analysis import (FEATURE_NAMES, KMEANS_RESTARTS, PCA_TOP_LOADINGS, EpsilonFit,
+                              _kmeans_once, anomaly_features, consistent_patterns,
+                              estimate_epsilon, kmeans, pattern_frequencies, pca, standardize)
 from anomgen.cli import run_command
 from conftest import collection, lottery, menu, sample_random_menu, simulate_respondents, stack
 from anomgen.records import read_jsonl
@@ -81,7 +81,7 @@ class TestStandardize:
 class TestKmeans:
     def test_k1_centroid_is_mean(self):
         X = np.random.default_rng(4).normal(size=(30, 3))
-        result = kmeans(X, 1, seed=0, restarts=3)
+        result = kmeans(X, 1, seed=0)
         np.testing.assert_allclose(result.centroids[0], X.mean(axis=0), atol=1e-9)
 
     def test_separated_blobs_recovered_exactly(self):
@@ -89,18 +89,20 @@ class TestKmeans:
         centers = np.array([[0, 0], [20, 0], [0, 20], [20, 20]], dtype=float)
         labels = np.repeat(np.arange(4), 40)
         X = centers[labels] + rng.normal(0, 0.5, size=(160, 2))
-        result = kmeans(X, 4, seed=0, restarts=5)
+        result = kmeans(X, 4, seed=0)
         # Exact recovery up to label permutation (adjusted Rand = 1).
         for j in range(4):
             members = result.assignments[labels == j]
             assert len(set(members.tolist())) == 1
         assert len(set(result.assignments.tolist())) == 4
 
-    def test_inertia_nonincreasing_in_restarts(self):
+    def test_best_of_its_single_runs(self):
         X = np.random.default_rng(6).normal(size=(60, 4))
-        inertias = [kmeans(X, 3, seed=1, restarts=r).inertia for r in (1, 3, 8)]
-        assert inertias[0] >= inertias[1] - 1e-9
-        assert inertias[1] >= inertias[2] - 1e-9
+        runs = [_kmeans_once(X, 3, np.random.default_rng((1, r))) for r in range(KMEANS_RESTARTS)]
+        result = kmeans(X, 3, seed=1)
+        assert result.inertia == min(run.inertia for run in runs)
+        best = next(run for run in runs if run.inertia == result.inertia)
+        np.testing.assert_array_equal(result.assignments, best.assignments)
 
     def test_k_bounds(self):
         X = np.zeros((3, 2))
@@ -131,21 +133,21 @@ class TestPca:
 
     def test_top_loadings_report(self):
         X = np.random.default_rng(10).normal(size=(30, 5))
-        result = pca(X, n_top=3)
-        assert len(result.top_loadings[0]) == 3
+        result = pca(X)
+        assert len(result.top_loadings[0]) == PCA_TOP_LOADINGS
+        for comp, top in zip(result.components, result.top_loadings):
+            assert [j for j, _ in top] == np.argsort(-np.abs(comp))[:PCA_TOP_LOADINGS].tolist()
 
 
 class TestEstimateEpsilon:
     def test_mass_on_consistent_patterns_gives_zero(self):
-        freqs = PatternFrequencies((45, 0, 0, 55))
-        fit = estimate_epsilon(freqs, patterns=[(0, 0), (1, 1)])
+        fit = estimate_epsilon(pattern_frequencies((45, 0, 0, 55)), [(0, 0), (1, 1)])
         assert fit.epsilon == pytest.approx(0.0, abs=1e-9)
 
     def test_allais_structure_closed_form(self):
         # Violating patterns each have model frequency eps(1 - eps); solving
         # eps(1 - eps) = 0.05 gives the quadratic root below 1/2.
-        freqs = PatternFrequencies((0.45, 0.05, 0.05, 0.45))
-        fit = estimate_epsilon(freqs, patterns=[(0, 0), (1, 1)])
+        fit = estimate_epsilon(pattern_frequencies((0.45, 0.05, 0.05, 0.45)), [(0, 0), (1, 1)])
         expected = (1 - np.sqrt(1 - 4 * 0.05)) / 2
         assert fit.epsilon == pytest.approx(expected, abs=1e-4)
         assert fit.epsilon == pytest.approx(0.0528, abs=1e-4)
@@ -154,7 +156,7 @@ class TestEstimateEpsilon:
         rng = np.random.default_rng(11)
         freqs = simulate_respondents(rng, 5000, eps=0.05,
                                      weights={(0, 0): 0.5, (1, 1): 0.5})
-        fit = estimate_epsilon(freqs, patterns=[(0, 0), (1, 1)])
+        fit = estimate_epsilon(freqs, [(0, 0), (1, 1)])
         assert fit.epsilon == pytest.approx(0.05, abs=0.01)
 
     def test_patterns_from_verifier(self, allais_menus):
@@ -162,16 +164,18 @@ class TestEstimateEpsilon:
         assert set(pats) == {(0, 0), (1, 1)}
 
     def test_objective_at_optimum_beats_endpoints(self):
-        freqs = PatternFrequencies((0.30, 0.20, 0.15, 0.35))
+        target = pattern_frequencies((0.30, 0.20, 0.15, 0.35))
         pats = [(0, 0), (1, 1)]
-        fit = estimate_epsilon(freqs, patterns=pats)
+        fit = estimate_epsilon(target, pats)
         from anomgen.analysis import _pattern_matrix, _simplex_lstsq
-        target = freqs.frequencies()
         for eps in (0.0, 0.5):
             _, val = _simplex_lstsq(_pattern_matrix(eps, pats), target)
             assert fit.fit_distance <= val + 1e-12
 
     def test_zero_counts_rejected(self):
-        with pytest.raises(ValueError):
-            PatternFrequencies((0, 0, 0, 0)).frequencies()
+        with pytest.raises(ValueError, match="all-zero counts"):
+            pattern_frequencies((0, 0, 0, 0))
+        for counts in ((1, 2, 3), (1, -1, 0, 0), (1, np.inf, 0, 0)):
+            with pytest.raises(ValueError, match="need four finite nonnegative pattern counts"):
+                pattern_frequencies(counts)
 

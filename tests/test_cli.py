@@ -819,6 +819,28 @@ class TestBadInputIsOneErrorLine:
         assert error["error"].startswith("record 'x-000001': ")
         assert not os.path.exists("out")
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cluster_k_below_one_warns_nothing(self, k, tmp_path, capsys):
+        # --k is rejected before any arithmetic: on a stream with no non-FOSD
+        # anomaly, standardizing the empty feature matrix would warn first.
+        os.chdir(tmp_path)
+        write_jsonl("cat.jsonl", [], kind="categorized")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_command(["cluster", "--in", "cat.jsonl", f"--k={k}", "--out", "out"]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert error_line(capsys) == {"command": "cluster", "error": f"--k: invalid value {k}"}
+        assert not os.path.exists("out")
+
+    def test_jsonl_string_with_a_unicode_line_break(self, tmp_path):
+        # A JSON string may hold U+2028, U+2029 or U+0085 raw; a JSONL line
+        # ends at a newline only.
+        rec = {"id": "a\u2028b\u2029c\x85d"}
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"kind": "candidates", "version": 1}\n'
+                        + json.dumps(rec, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert read_jsonl(path) == ({"kind": "candidates", "version": 1}, [rec])
+
     def test_read_jsonl_returns_a_list_of_objects(self, tmp_path):
         write_jsonl(tmp_path / "r.jsonl", [{"id": "a"}, {"id": "b"}], kind="candidates")
         assert read_jsonl(tmp_path / "r.jsonl") == (
@@ -857,6 +879,10 @@ class TestStageTiming:
                                 capsys))
         summaries.append(run_ok(["categorize", "--in", "v.jsonl", "--out", "c.jsonl"],
                                 capsys))
+        write_anomalies("anomalies.jsonl", 6)
+        summaries.append(run_ok(["cluster", "--in", "anomalies.jsonl", "--k", "2",
+                                 "--out", "cl.csv"], capsys))
+        summaries.append(run_ok(["report", "--in", "c.jsonl", "--out", "r.csv"], capsys))
         assert all(s["records_per_s"] > 0 for s in summaries[3:])
         assert all(s["elapsed_s"] >= 0 for s in summaries)
         for path in ("adversarial.jsonl", "morph.jsonl", "baseline.jsonl", "v.jsonl",
@@ -864,6 +890,8 @@ class TestStageTiming:
             header, recs = read_jsonl(path)
             assert recs and not timing & set(header)
             assert all(not timing & set(rec) for rec in recs)
+        for path in ("cl.csv", "r.csv"):
+            assert not timing & set(Path(path).read_text().replace("\n", ",").split(","))
 
 
 class TestRankTolBound:
@@ -1183,6 +1211,15 @@ class TestTrainMlpFlags:
     def test_invalid_training_value_is_named(self, flag, value, error, dataset, capsys):
         assert run_command(["train-mlp", "--in", dataset, flag, value, "--out", "m.json"]) == 1
         assert _error_line(capsys) == {"command": "train-mlp", "error": error}
+        assert not os.path.exists("m.json")
+
+    @pytest.mark.parametrize("hidden, field", [
+        ("0", "0"), ("-2", "-2"), ("8,0", "0"), ("x", "x"), ("8,2.5", "2.5")])
+    def test_invalid_hidden_width_is_named(self, hidden, field, dataset, capsys):
+        assert run_command(["train-mlp", "--in", dataset, f"--hidden={hidden}",
+                            "--out", "m.json"]) == 1
+        assert _error_line(capsys) == {"command": "train-mlp",
+                                       "error": f"--hidden: invalid value {field!r}"}
         assert not os.path.exists("m.json")
 
     def test_batch_size_reaches_training(self, dataset, capsys, monkeypatch):
