@@ -18,6 +18,13 @@ sampled gradients is read from their (2J - 2) x (2J - 2) Gram matrix in
 tangent coordinates.  A step sums that matrix in one pass over fixed blocks
 of draws, so no array as wide as the sample count is built.
 
+A step whose logistic slope is tiny wherever its law puts its mass keeps
+no draw: each sampled gradient's norm falls under ``rank_tol``, the Gram
+matrix stays zero and the direction is the whole predictor gradient.  A
+tail bound on the draws proves this from the factors alone
+(``_certified``), and such a step draws nothing; it differs from the
+sampled step with probability at most ``CERTIFY_MISS`` = 1e-12.
+
 Runs advance through the adversarial search's loop
 (``adversarial.lockstep``), and one call per step,
 ``morph_step_directions``, gives every running run its direction: the
@@ -28,7 +35,7 @@ draws more than one block, the stack's runs are shared out over threads
 normals and maps and sums it, so the draws use every CPU of a one-worker
 process.  A run is drawn and summed in the same order by whichever thread
 owns it, so every row has the bytes it has in a stack of one, on any
-number of threads.
+number of threads.  Only the runs the certificate leaves are shared out.
 """
 
 from __future__ import annotations
@@ -59,6 +66,12 @@ _DRAW_BLOCK = 8192
 # decades above that noise, while near sqrt(eps) the noise would decide the
 # retained rank.
 MIN_RANK_TOL = 1e-6
+# A step's certificate (``_certified``): the chance that a certified step's
+# sampled Gram matrix would keep a draw is at most CERTIFY_MISS, and its
+# bound must fall CERTIFY_MARGIN (relative) under ``rank_tol``, which covers
+# the rounding of the kept test.
+CERTIFY_MISS = 1e-12
+CERTIFY_MARGIN = 1e-9
 # CPUs a step's draws may use: None reads this process's CPU affinity at
 # each step; a pool worker's initializer sets its share (``set_draw_cpus``).
 _draw_cpus = None
@@ -152,6 +165,33 @@ def _step_factors(probs: np.ndarray, histories: np.ndarray, basis_rows: np.ndarr
     return (G @ theta_mean[..., None])[..., 0], np.linalg.qr(N, mode="r").transpose(0, 2, 1)
 
 
+def _certified(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float) -> np.ndarray:
+    """Rows (R,) of a step whose ``count`` draws the kept test would all drop,
+    save with probability at most ``CERTIFY_MISS``: their Gram matrix is zero.
+
+    A draw is (a, w) = mean + L z with z ~ N(0, I_d), and its gradient is
+    kept when sigma'(a) |w| > rank_tol.  By Laurent and Massart's chi-square
+    tail bound (*Ann. Statist.* 28(5), 2000, Lemma 1),
+    P(|z|^2 >= d + 2 sqrt(d x) + 2x) <= e^-x, so with x = ln(count /
+    CERTIFY_MISS) every draw has |z| <= R = sqrt(d + 2 sqrt(d x) + 2x) but
+    with probability at most CERTIFY_MISS.  In that ball
+    |a| >= |mean_a| - |L00| R and |w| <= |mean_w| + ||L[1:]||_2 R, and the
+    slope sigma'(a) = e / (1 + e)^2, e = exp(-|a|), falls with |a|; so
+    B = sigma'(max(0, |mean_a| - |L00| R)) (|mean_w| + ||L[1:]||_2 R) bounds
+    every draw's sigma'(a) |w|.  A row is certified when
+    B <= rank_tol (1 - CERTIFY_MARGIN); a factor that is not finite is not.
+    """
+    d, W = L.shape[-1], L[:, 1:]
+    x = np.log(count / CERTIFY_MISS)
+    radius = np.sqrt(d + 2.0 * np.sqrt(d * x) + 2.0 * x)
+    e = np.exp(-np.maximum(0.0, np.abs(mean[:, 0]) - np.abs(L[:, 0, 0]) * radius))
+    # ||W||_2 from the largest eigenvalue of W W^T, which, unlike an SVD, a
+    # NaN does not stop.
+    spread = np.sqrt(np.linalg.eigvalsh(W @ W.transpose(0, 2, 1))[:, -1])
+    bound = e / (1.0 + e) ** 2 * (np.linalg.norm(mean[:, 1:], axis=1) + spread * radius)
+    return bound <= rank_tol * (1.0 - CERTIFY_MARGIN)
+
+
 def set_draw_cpus(cpus: int | None) -> None:
     """Let this process's morph steps draw on ``cpus`` CPUs (None: all it may run on)."""
     global _draw_cpus
@@ -201,9 +241,10 @@ def _draw_grams(grams: np.ndarray, runs, rngs, mean: np.ndarray, scale: np.ndarr
 
 def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: np.ndarray,
                           basis_rows: np.ndarray, rngs,
-                          config: MorphConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One morph step for a stack of runs: each row's direction (R, 2J) and
-    the rank of the sampled span it removes (R,).
+                          config: MorphConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One morph step for a stack of runs: each row's direction (R, 2J), the
+    rank of the sampled span it removes (R,), and whether the certificate
+    spared its draws (R,).
 
     Row k draws ``config.n_gradient_samples`` utility vectors U = (U0, U1)
     from ``rngs[k]`` around its fit history ``histories[k]`` (h, K);
@@ -217,6 +258,13 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     ``config.rank_tol``, and the span is read from the kept gradients' Gram
     matrix with the relative cutoff ``config.rank_tol``.
 
+    A row that ``_certified`` proves would keep none of its draws is not
+    drawn: its Gram matrix stays zero and its generator is not touched.  Its
+    direction has the bits its sampled step's would have whenever that
+    step's Gram matrix is zero, which fails with probability at most
+    ``CERTIFY_MISS``; later steps of its run read the stream from where it
+    stood.
+
     Everything but the draws is done for the whole stack at once: the
     history means and one QR factor per run (``_step_factors``), the Gram
     eigendecompositions and the projections.  The draws go run by
@@ -224,11 +272,12 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     the (count, d) stream, written into work buffers that the drawing
     thread's runs reuse; each block is mapped straight to a and w and added
     into the run's (2J - 2) x (2J - 2) Gram matrix, so no count-wide array is
-    built.  When a run draws more than one block, the runs are split into
-    ``draw_threads`` consecutive shares, one per thread, each with its own
-    buffers.  Every operation acts on one row, and a run's blocks are drawn
-    and summed in the same order on any thread, so a row's bytes depend
-    neither on the rows stacked with it nor on the thread count.
+    built.  When a run draws more than one block, the uncertified runs are
+    split into ``draw_threads`` consecutive shares, one per thread, each
+    with its own buffers.  Every operation acts on one row, and a run's
+    blocks are drawn and summed in the same order on any thread, so a row's
+    bytes depend neither on the rows stacked with it nor on the thread
+    count.
     """
     R, _, J = probs.shape
     T = _tangent_basis(J)
@@ -236,8 +285,10 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     scale, w_map = L[:, 0, 0], np.ascontiguousarray(L[:, 1:])
     count, m = config.n_gradient_samples, w_map.shape[1]
     grams = np.zeros((R, m, m))
+    certified = _certified(mean, L, count, config.rank_tol)
+    drawn = np.flatnonzero(~certified)
     args = rngs, mean, scale, w_map, count, config.rank_tol
-    shares = np.array_split(np.arange(R), draw_threads(R, count))
+    shares = np.array_split(drawn, draw_threads(len(drawn), count))
     # Each thread draws its own runs into its own buffers and writes only
     # their Gram matrices, in a copy of the caller's context, which holds
     # numpy's error state.  The calling thread draws the first share; the
@@ -251,7 +302,7 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
             future.result()
     directions, ranks = _project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
                                           config.rank_tol)
-    return (T @ directions[..., None])[..., 0], ranks
+    return (T @ directions[..., None])[..., 0], ranks, certified
 
 
 def morph_lockstep(predictor, config: MorphConfig, Z, P, rngs, master_seed,
@@ -261,7 +312,9 @@ def morph_lockstep(predictor, config: MorphConfig, Z, P, rngs, master_seed,
     direction vanishes.  Its record says why it stopped (``stop``:
     ``direction_vanished``, ``max_iters`` or ``nonfinite_gradient``) and the
     rank of the sampled span removed by its last projection
-    (``retained_rank``, None when it stopped before its first).
+    (``retained_rank``, None when it stopped before its first), and the
+    count of its steps whose draws the certificate spared
+    (``certified_steps``).
 
     Each step's directions come from one ``morph_step_directions`` call over
     the running rows whose gradient is finite.  The fit histories live in one
@@ -271,6 +324,7 @@ def morph_lockstep(predictor, config: MorphConfig, Z, P, rngs, master_seed,
     R = len(Z)
     history = None
     stop, rank = ["max_iters"] * R, [None] * R
+    certified_steps = np.zeros(R, dtype=int)
 
     def morph(s, rows, D, y, fit, P, B, f, df):
         nonlocal history
@@ -285,10 +339,11 @@ def morph_lockstep(predictor, config: MorphConfig, Z, P, rngs, master_seed,
         for r in rows[~finite]:
             stop[r] = "nonfinite_gradient"
         live = np.flatnonzero(finite)
-        directions, ranks = morph_step_directions(
+        directions, ranks, certified = morph_step_directions(
             df.reshape(len(rows), -1)[live], P[live], history[rows[live], :s + 2],
             B.reshape(len(rows), -1, B.shape[-1])[live], [rngs[r] for r in rows[live]],
             config)
+        certified_steps[rows[live]] += certified
         # The norm of each row as ``np.linalg.norm`` takes it: sqrt(d . d).
         vanished = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0]) \
             < STOP_NORM
@@ -302,8 +357,9 @@ def morph_lockstep(predictor, config: MorphConfig, Z, P, rngs, master_seed,
         return delta, go
 
     return lockstep(predictor, config, Z, P, morph,
-                    lambda: {"stop": stop, "retained_rank": rank}, "morphing", master_seed,
-                    indices)
+                    lambda: {"stop": stop, "retained_rank": rank,
+                             "certified_steps": certified_steps.tolist()},
+                    "morphing", master_seed, indices)
 
 
 def run_morph_indices(predictor, config: MorphConfig, master_seed: int, indices):

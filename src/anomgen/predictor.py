@@ -19,6 +19,7 @@ import numpy as np
 from .cpt import CptParams, logistic, lottery_values
 from .data import ChoiceDataset
 from .lotteries import flat_stack
+from .records import atomic_write_lines
 from .theory import _clip_targets, _cross_entropy, damped_newton
 
 
@@ -81,11 +82,12 @@ class MlpModel:
         return (logits, acts) if keep else logits
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"widths": self.widths,
-                       "weights": [W.ravel().tolist() for W in self.weights],
-                       "biases": [b.tolist() for b in self.biases],
-                       "input_scaling": self.input_scaling.tolist()}, fh)
+        """Write the model as one JSON object, with no trailing newline,
+        through ``atomic_write_lines``' temp file and rename."""
+        atomic_write_lines(path, [json.dumps({
+            "widths": self.widths, "weights": [W.ravel().tolist() for W in self.weights],
+            "biases": [b.tolist() for b in self.biases],
+            "input_scaling": self.input_scaling.tolist()})], end="")
 
     @classmethod
     def load(cls, path) -> "MlpModel":

@@ -117,16 +117,17 @@ def record_to_collection(record: dict) -> Collection:
     return Collection(Z[0], P[0], q[0])
 
 
-def atomic_write_lines(path, lines) -> None:
-    """Write each of ``lines`` and a newline to ``path`` as they come, through
+def atomic_write_lines(path, lines, end: str = "\n") -> None:
+    """Write each of ``lines`` and ``end`` to ``path`` as they come, through
     a temp file and an atomic rename: a failure partway, in writing or in
-    producing a line, leaves neither file behind.  The file gets the mode
-    ``open`` would give it, 0o666 less the umask (``mkstemp`` makes 0o600)."""
+    producing a line, leaves ``path`` as it was and no temp file behind.
+    The file gets the mode ``open`` would give it, 0o666 less the umask
+    (``mkstemp`` makes 0o600)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-anomgen-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
+            fh.writelines(f"{line}{end}" for line in lines)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

@@ -1,6 +1,7 @@
 """Shared fixtures: the classic menus and small helpers used across tests."""
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -247,8 +248,9 @@ def reference_record(collection, record_id=None, provenance=None) -> dict:
         "predicted_probs": [float(v) for v in collection.q],
         "implied_choices": [int(c) for c in implied_choices(collection.q)],
     }
-    record.update({k: prov[k] for k in ("stop", "retained_rank", "inner_fits_on_bound",
-                                        "inner_fits_unconverged") if k in prov})
+    record.update({k: prov[k] for k in ("stop", "retained_rank", "certified_steps",
+                                        "inner_fits_on_bound", "inner_fits_unconverged")
+                   if k in prov})
     return record
 
 
@@ -268,8 +270,8 @@ def reference_generated_record(predictor, cfg, procedure, rec) -> dict:
         menus = [sample_random_menu(rng, section.n_payoffs, *section.make_basis().domain),
                  record_menus(rec)[1]]
         searched = {k: rec[k] for k in ("iterations", "stop", "retained_rank",
-                                        "inner_fits_on_bound", "inner_fits_unconverged")
-                    if k in rec}
+                                        "certified_steps", "inner_fits_on_bound",
+                                        "inner_fits_unconverged") if k in rec}
         if rec["flags"]:
             searched["flags"] = rec["flags"]
     coll = collection(menus, [predict(predictor, m) for m in menus])
@@ -519,7 +521,7 @@ def morph_step_direction(pred_grad, probs, history, basis_rows, rng, config):
     ``pred_grad`` is (2J,), ``probs`` (2, J), ``history`` a sequence of at
     least two fits and ``basis_rows`` (2J, K); returns the direction (2J,)
     and the retained rank."""
-    directions, ranks = morphing.morph_step_directions(
+    directions, ranks, _ = morphing.morph_step_directions(
         np.asarray(pred_grad, dtype=float)[None], np.asarray(probs, dtype=float)[None],
         np.atleast_2d(np.array(history, dtype=float))[None],
         np.asarray(basis_rows, dtype=float)[None], [rng], config)
@@ -543,6 +545,22 @@ def reference_step_factor(probs, history, basis_rows):
     N = np.concatenate([(H - theta_mean) @ G.T / np.sqrt(H.shape[0] - 1),
                         np.sqrt(COV_JITTER) * G.T])
     return G @ theta_mean, np.linalg.qr(N, mode="r").T
+
+
+def reference_certificate(probs, history, basis_rows, count: int, rank_tol: float):
+    """(bound, certified) of one run's step, formed on its own: the largest
+    slope times tangent-gradient norm, sigma'(a) |w|, over the draws whose
+    normals z lie in the ball |z| <= R, where R^2 is Laurent and Massart's
+    chi-square quantile bound at tail ``CERTIFY_MISS / count``, and whether
+    that bound clears ``rank_tol`` by the certificate's margin."""
+    mean, L = reference_step_factor(probs, history, basis_rows)
+    d = L.shape[1]
+    x = math.log(count / morphing.CERTIFY_MISS)
+    radius = math.sqrt(d + 2 * math.sqrt(d * x) + 2 * x)
+    f = logistic(max(0.0, abs(mean[0]) - abs(L[0, 0]) * radius))
+    bound = f * (1 - f) * (np.linalg.norm(mean[1:])
+                           + np.linalg.svd(L[1:], compute_uv=False)[0] * radius)
+    return bound, bool(bound <= rank_tol * (1 - morphing.CERTIFY_MARGIN))
 
 
 def _reference_kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray:

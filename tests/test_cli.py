@@ -418,6 +418,8 @@ class TestPipelineCommands:
         _, recs = read_jsonl(outs[0])
         assert {r["stop"] for r in recs} <= {"direction_vanished", "max_iters"}
         assert any(r["iterations"] > 0 for r in recs)
+        # Certified steps, which draw nothing, ride in the same stacks.
+        assert any(r["certified_steps"] > 0 for r in recs)
 
     @pytest.mark.parametrize("samples, inits, threads", [(3 * morphing._DRAW_BLOCK + 17, 2, 2),
                                                          (morphing._DRAW_BLOCK, 4, 1)])

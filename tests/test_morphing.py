@@ -1,22 +1,25 @@
 import copy
+import math
 import os
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from anomgen import morphing
-from anomgen.adversarial import GdaConfig, run_adversarial_indices
+from anomgen.adversarial import GdaConfig, index_block, run_adversarial_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
 from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_basis,
                               morph_step_directions, run_morph_indices)
 from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
 from conftest import (fit_theta, flat, grad, morph_step_direction, null_space_projection,
-                      predict, record_menus, reference_step_direction, reference_step_factor,
-                      reference_utility_factor, sample_random_menu, sample_step_gradients,
-                      sample_theta_history, search_iterates, stack, tangent)
+                      predict, record_menus, reference_certificate, reference_step_direction,
+                      reference_step_factor, reference_utility_factor, sample_random_menu,
+                      sample_step_gradients, sample_theta_history, search_iterates, stack,
+                      tangent)
 
 
 class TestSampleThetaHistory:
@@ -401,17 +404,25 @@ class TestBlockedGram:
     def test_matches_null_space_projection(self, rank_tol, J):
         count = 2 * morphing._DRAW_BLOCK + 17
         rng = np.random.default_rng(31 + J)
-        compared = skipped = 0
+        compared = skipped = certified = 0
         ranks = set()
         for _ in range(12):
             g, menu, history, rows = morph_like_state(rng, J)
-            twin = copy.deepcopy(rng)
-            step, rank = morph_step_direction(
-                g, probs_of(menu), history, rows, rng,
-                MorphConfig(n_gradient_samples=count, rank_tol=rank_tol))
+            cfg = MorphConfig(n_gradient_samples=count, rank_tol=rank_tol)
+            twin, start = copy.deepcopy(rng), copy.deepcopy(rng)
+            step, rank = morph_step_direction(g, probs_of(menu), history, rows, rng, cfg)
             G_t = sample_step_gradients(probs_of(menu), history, count, twin, rows)
-            # The two routes consumed the same stream.
-            assert rng.bit_generator.state == twin.bit_generator.state
+            if reference_certificate(probs_of(menu), history, rows, count, rank_tol)[1]:
+                # A certified step consumed none of the stream, and its
+                # direction is the one its sampled Gram matrix gives.
+                assert rng.bit_generator.state == start.bit_generator.state
+                assert_same_bits(step, reference_step_direction(g, probs_of(menu), history, rows,
+                                                                start, cfg)[0])
+                certified += 1
+                rng = twin              # the next state as if the step had drawn
+            else:
+                # A drawn step consumed the stream the whole draw did.
+                assert rng.bit_generator.state == twin.bit_generator.state
             kept = G_t[np.linalg.norm(G_t, axis=1) > rank_tol]
             atol = gap_tolerance(kept, rank_tol)
             if atol is None:
@@ -431,13 +442,16 @@ class TestBlockedGram:
         # At the default cutoff the states cover more than one retained rank;
         # at 1e-6 every sampled span fills the tangent space.
         assert len(ranks) >= 2 or rank_tol < 1e-3
+        # The J = 2 states at the default cutoff include certified steps.
+        assert certified >= 1 or (J, rank_tol) != (2, 0.1)
 
     def test_block_size_moves_no_draw(self, monkeypatch):
         # Two block sizes read the same (count, d) stream as one whole draw
-        # and agree on the direction within the gap-dependent tolerance.
+        # and agree on the direction within the gap-dependent tolerance; a
+        # certified step reads none of it at either size.
         count = 3 * 4096 + 17
         rng = np.random.default_rng(37)
-        compared = 0
+        compared = certified = 0
         for trial in range(8):
             g, menu, history, rows = morph_like_state(rng, 2)
             cfg = MorphConfig(n_gradient_samples=count)
@@ -449,10 +463,19 @@ class TestBlockedGram:
                                                   recorder, cfg)
                 assert [d.shape[0] for d in recorder.draws[:-1]] == \
                     [block] * (len(recorder.draws) - 1)
-                results[block] = (np.concatenate(recorder.draws), step, rank,
-                                  recorder.rng.bit_generator.state)
+                results[block] = (recorder.draws, step, rank, recorder.rng.bit_generator.state)
             (z1, step1, rank1, state1), (z2, step2, rank2, state2) = results.values()
             whole = np.random.default_rng(trial)
+            if reference_certificate(probs_of(menu), history, rows, count, cfg.rank_tol)[1]:
+                assert z1 == z2 == []
+                assert state1 == state2 == whole.bit_generator.state
+                assert rank1 == rank2 == 0
+                assert_same_bits(step1, step2)
+                assert_same_bits(step1, reference_step_direction(g, probs_of(menu), history, rows,
+                                                                 whole, cfg)[0])
+                certified += 1
+                continue
+            z1, z2 = np.concatenate(z1), np.concatenate(z2)
             np.testing.assert_array_equal(z1, whole.standard_normal(z1.shape))
             np.testing.assert_array_equal(z1, z2)
             assert state1 == state2 == whole.bit_generator.state
@@ -465,7 +488,7 @@ class TestBlockedGram:
             assert rank1 == rank2
             np.testing.assert_allclose(step1, step2, rtol=0, atol=atol)
             compared += 1
-        assert compared >= 6
+        assert certified >= 1 and compared + certified >= 6
 
 
 def morph_like_stack(rng, R, J, h):
@@ -495,28 +518,38 @@ class TestStackedStep:
     def test_rows_equal_their_own_steps(self, count, h, J):
         cfg = MorphConfig(n_gradient_samples=count)
         g, probs, H, rows = morph_like_stack(np.random.default_rng(50 + J), 64, J, h)
+        certified = np.array([reference_certificate(probs[k], H[k], rows[k], count,
+                                                    cfg.rank_tol)[1] for k in range(64)])
         alone, reference, states = [], [], []
         for k in range(64):
             rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
             alone.append(morph_step_direction(g[k], probs[k], list(H[k]), rows[k], rng, cfg))
             reference.append(reference_step_direction(g[k], probs[k], list(H[k]), rows[k],
                                                       ref_rng, cfg))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            # A drawn row consumes the stream the reference's whole draw
+            # does; a certified row consumes none of it.
+            expected = np.random.default_rng(k) if certified[k] else ref_rng
+            assert rng.bit_generator.state == expected.bit_generator.state
             states.append(rng.bit_generator.state)
+        # Every row, certified or drawn, has the bits of the reference's
+        # sampled step.
         for (direction, rank), (ref_direction, ref_rank) in zip(alone, reference):
             assert_same_bits(direction, ref_direction)
             assert rank == ref_rank
         for R in (1, 7, 29, 64):
             rngs = [np.random.default_rng(k) for k in range(R)]
-            directions, ranks = morph_step_directions(g[:R], probs[:R], H[:R], rows[:R],
-                                                      rngs, cfg)
+            directions, ranks, spared = morph_step_directions(g[:R], probs[:R], H[:R], rows[:R],
+                                                              rngs, cfg)
             assert directions.shape == (R, 2 * J) and ranks.shape == (R,)
+            np.testing.assert_array_equal(spared, certified[:R])
             for k in range(R):
                 assert_same_bits(directions[k], alone[k][0])
                 assert ranks[k] == alone[k][1]
                 assert rngs[k].bit_generator.state == states[k]
         # The stack of 64 groups rows of more than one retained rank.
         assert len(set(ranks.tolist())) >= 2
+        # Two fits at J = 2 leave some rows a narrow law that certifies.
+        assert certified.any() or (J, h) != (2, 2)
 
     def test_one_fit_history_rejected_before_drawing(self):
         g, probs, H, rows = morph_like_stack(np.random.default_rng(3), 1, 2, 2)
@@ -569,7 +602,7 @@ class TestThreadedDraws:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            directions, ranks = morph_step_directions(g, probs, H, rows, rngs, cfg)
+            directions, ranks, _ = morph_step_directions(g, probs, H, rows, rngs, cfg)
         finally:
             sys.setswitchinterval(interval)
         for k in range(R):
@@ -625,12 +658,135 @@ class TestThreadedDraws:
         with pytest.warns(RuntimeWarning, match="invalid value"):
             step()
         with np.errstate(invalid="ignore"):
-            rngs, (directions, _) = step()
+            rngs, (directions, _, _) = step()
         assert rngs[6].threads[0] != threading.get_ident()
         for k in range(6):
             assert_same_bits(directions[k],
                              morph_step_direction(g[k], probs[k], list(H[k]), rows[k],
                                                   np.random.default_rng(k), cfg)[0])
+
+
+def chi2_tail(d, t):
+    """P(chi-square with d degrees of freedom > t), in closed form for d = 3, 5."""
+    r = math.sqrt(t)
+    head = math.sqrt(2 / math.pi) * r * math.exp(-t / 2)
+    return math.erfc(r / math.sqrt(2)) + head * {3: 1.0, 5: 1.0 + t / 3}[d]
+
+
+@pytest.fixture(scope="module")
+def lockstep_steps():
+    """Morph runs of seed 4 (CPT bruhin-b), 30 runs of up to 10 steps at
+    2,000 samples and 16 runs of up to 3 steps at 200,000: per sample count,
+    the (inputs, outputs) of each step's ``morph_step_directions`` call, the
+    runs' generators and their records."""
+    pred = CptPredictor(CptParams(0.726, 0.309))
+    original = morphing.morph_step_directions
+    out = {}
+    for count, runs, iters in ((2_000, 30, 10), (200_000, 16, 3)):
+        cfg = MorphConfig(n_gradient_samples=count, max_iters=iters)
+        Z, P, rngs = index_block(4, range(runs), 1, cfg.n_payoffs, cfg.make_basis().domain)
+        steps = []
+
+        def capture(*args):
+            steps.append((args, original(*args)))
+            return steps[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(morphing, "morph_step_directions", capture)
+            recs = morphing.morph_lockstep(pred, cfg, Z[:, 0], P[:, 0], rngs, 4, range(runs))
+        out[count] = steps, rngs, recs
+    return out
+
+
+class TestCertificate:
+    """A step whose every draw the kept test would drop is proved so from
+    its factors (``morphing._certified``) and draws nothing."""
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("count", [1, 2_000, 200_000])
+    def test_bound_and_radius(self, count, J):
+        # Zero means, a zero logit factor and gradient rows of spectral norm
+        # lam: the bound is sigma'(0) lam R = lam R / 4, so the certificate
+        # flips where that meets rank_tol (1 - CERTIFY_MARGIN).
+        d, rank_tol = 2 * J - 1, 0.1
+        x = math.log(count / morphing.CERTIFY_MISS)
+        radius = math.sqrt(d + 2 * math.sqrt(d * x) + 2 * x)
+        edge = 4 * rank_tol * (1 - morphing.CERTIFY_MARGIN) / radius
+        L = np.zeros((3, d, d))
+        L[:, 1:, 1:] = np.eye(d - 1) * np.array([edge * (1 - 1e-6), edge * (1 + 1e-6),
+                                                 edge * 10])[:, None, None]
+        L[2, 0, 0] = 1.0
+        mean = np.zeros((3, d))
+        mean[2, 0] = 40.0               # |a| >= 40 - R: a slope of e^-(40 - R)
+        certified = morphing._certified(mean, L, count, rank_tol)
+        assert certified.tolist() == [True, False, True]
+        # Laurent and Massart's radius holds every draw of the step with
+        # probability at least 1 - CERTIFY_MISS.
+        assert count * chi2_tail(d, radius ** 2) <= morphing.CERTIFY_MISS
+
+    def test_a_factor_that_is_not_finite_is_not_certified(self):
+        mean, L = np.zeros((4, 3)), np.zeros((4, 3, 3))
+        mean[0, 0], L[1, 1, 1], L[2, 2, 0], mean[3, 1] = np.nan, np.inf, np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            assert not morphing._certified(mean, L, 2_000, 0.1).any()
+
+    @pytest.mark.parametrize("count", [2_000, 200_000])
+    def test_records_count_their_certified_steps(self, lockstep_steps, count):
+        steps, rngs, recs = lockstep_steps[count]
+        certified_steps = Counter()
+        for (*_, step_rngs, _), (_, _, certified) in steps:
+            certified_steps.update(next(r for r, rng in enumerate(rngs) if rng is step_rng)
+                                   for step_rng, spared in zip(step_rngs, certified) if spared)
+        assert [rec["certified_steps"] for rec in recs] == \
+            [certified_steps[r] for r in range(len(recs))]
+        assert sum(certified_steps.values()) > 0
+
+    @pytest.mark.parametrize("count", [2_000, 200_000])
+    def test_certified_rows_keep_no_draw(self, lockstep_steps, count):
+        # The steps of real runs: the certificate agrees with the reference
+        # bound, and each certified row's sampled gradients, drawn here
+        # anyway, all fall under the bound and so under rank_tol.
+        steps, _, _ = lockstep_steps[count]
+        checked = 0
+        for (g, probs, H, rows, _, cfg), (directions, ranks, certified) in steps:
+            for k in range(len(g)):
+                bound, expected = reference_certificate(probs[k], H[k], rows[k], count,
+                                                        cfg.rank_tol)
+                assert certified[k] == expected
+                if not certified[k]:
+                    continue
+                G = sample_step_gradients(probs[k], H[k], count,
+                                          np.random.default_rng(checked), rows[k])
+                assert np.linalg.norm(G, axis=1).max() <= bound <= cfg.rank_tol
+                assert ranks[k] == 0
+                np.testing.assert_allclose(directions[k], tangent(g[k], probs.shape[-1]),
+                                           rtol=0, atol=1e-14 * np.abs(g[k]).max())
+                checked += 1
+        # At step 0 a fifth of the runs or more are certified.
+        assert steps[0][1][2].mean() >= 0.2 and checked >= 10
+
+    def test_certified_rows_are_never_drawn_on_any_thread_count(self, lockstep_steps,
+                                                                monkeypatch):
+        # The first 200k step of 16 runs: the drawn rows, and only they,
+        # are shared out, and the bytes do not depend on the thread count.
+        (g, probs, H, rows, _, cfg), (_, _, certified) = lockstep_steps[200_000][0][0]
+        assert 0 < certified.sum() < len(g)
+        blocks = -(-cfg.n_gradient_samples // morphing._DRAW_BLOCK)
+        outs = []
+        for cpus in (1, 2):
+            with_cpus(monkeypatch, cpus)
+            rngs = [ThreadRecordingRng(k) for k in range(len(g))]
+            outs.append(morph_step_directions(g, probs, H, rows, rngs, cfg))
+            drawn = [r.threads for r, spared in zip(rngs, certified) if not spared]
+            assert all(not r.threads for r, spared in zip(rngs, certified) if spared)
+            assert all(len(t) == blocks and len(set(t)) == 1 for t in drawn)
+            # Each thread draws an even share of the uncertified rows.
+            per_thread = Counter(t[0] for t in drawn)
+            assert len(per_thread) == cpus
+            assert max(per_thread.values()) - min(per_thread.values()) <= 1
+        for a, b in zip(*outs):
+            assert_same_bits(a, b)
+        np.testing.assert_array_equal(outs[0][2], certified)
 
 
 def lifted(J):

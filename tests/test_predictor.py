@@ -1,3 +1,8 @@
+import errno
+import json
+import os
+import resource
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,30 @@ class TestMlpModel:
         back = MlpModel.load(path)
         m = sample_random_menu(np.random.default_rng(1), 2, 0, 10)
         assert predict(MlpPredictor(back), m) == predict(MlpPredictor(model), m)
+
+    def test_save_writes_one_json_object_and_no_newline(self, tmp_path):
+        path = tmp_path / "model.json"
+        MlpModel.init_random([8, 4, 1], menu_input_scaling(2), seed=0).save(path)
+        text = path.read_text()
+        assert json.dumps(json.loads(text)) == text
+
+    def test_a_save_that_fails_midway_keeps_the_previous_file(self, tmp_path):
+        # A file-size limit of 4,096 bytes fails the write of a larger model
+        # partway (Python ignores SIGXFSZ, so the write raises EFBIG).
+        path = tmp_path / "model.json"
+        MlpModel.init_random([8, 4, 1], menu_input_scaling(2), seed=0).save(path)
+        before = path.read_bytes()
+        big = MlpModel.init_random([8, 32, 32, 1], menu_input_scaling(2), seed=1)
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
+        try:
+            with pytest.raises(OSError) as failed:
+                big.save(path)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert failed.value.errno == errno.EFBIG
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.json"]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
