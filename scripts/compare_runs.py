@@ -9,8 +9,11 @@ records) are matched by ``id``.  A record differs when its implied choices,
 ``parametrized_inconsistent``, ``any_utility_inconsistent``,
 ``anomaly_minimal_indices`` or category tag differ, or when only one run has
 it.  Each differing record is printed as one JSON line, then one summary
-line with the record and category counts of both runs.  The exit status is
-1 when any record differs, 0 when none does and 2 when a run cannot be read.
+line with the record and category counts of both runs and, per procedure,
+their unconverged fits: the inner fits of the searches (summed
+``inner_fits_unconverged``) and the verifier's (``fit_converged`` false).
+The exit status is 1 when any record differs, 0 when none does and 2 when
+a run cannot be read.
 
     python scripts/compare_runs.py runs/desk-old runs/desk-new
 
@@ -71,28 +74,36 @@ def load_records(outdir: str) -> dict:
     return run
 
 
-def load_run(outdir: str) -> dict:
-    """Record id -> verdicts, over the run's per-procedure categorized streams."""
-    return {rid: verdicts(rec) for rid, rec in load_records(outdir).items()}
-
-
 def compare(old: dict, new: dict) -> list[dict]:
-    """One entry per differing record, in id order: the fields that differ
-    with both values, or the run that alone has the record."""
+    """One entry per differing record of two runs (record id -> record), in
+    id order: the verdict fields that differ with both values, or the run
+    that alone has the record."""
     diffs = []
     for rid in sorted(old.keys() | new.keys()):
-        a, b = old.get(rid), new.get(rid)
-        if a is None or b is None:
-            diffs.append({"id": rid, "only_in": "old" if b is None else "new"})
-        elif a != b:
+        if rid not in old or rid not in new:
+            diffs.append({"id": rid, "only_in": "old" if rid not in new else "new"})
+            continue
+        a, b = verdicts(old[rid]), verdicts(new[rid])
+        if a != b:
             diffs.append({"id": rid, "fields": {k: {"old": a[k], "new": b[k]}
                                                 for k in a if a[k] != b[k]}})
     return diffs
 
 
 def category_counts(run: dict) -> dict:
-    return dict(sorted(Counter(v["category"] for v in run.values()
-                               if v["category"] is not None).items()))
+    tags = Counter(verdicts(rec)["category"] for rec in run.values())
+    tags.pop(None, None)
+    return dict(sorted(tags.items()))
+
+
+def unconverged_counts(run: dict) -> dict:
+    """Procedure -> its unconverged inner fits and verifier fits."""
+    out = {}
+    for rec in run.values():
+        counts = out.setdefault(rec["procedure"], {"inner": 0, "verify": 0})
+        counts["inner"] += rec.get("inner_fits_unconverged", 0)
+        counts["verify"] += rec.get("fit_converged") is False
+    return dict(sorted(out.items()))
 
 
 def wilson(count: int, n: int, z: float) -> tuple[float, float]:
@@ -179,7 +190,7 @@ def main(argv=None) -> int:
             entries = compare_rates(*([rec for d in dirs for rec in load_records(d).values()]
                                       for dirs in (args.old, args.new)))
         else:
-            old, new = load_run(args.runs[0]), load_run(args.runs[1])
+            old, new = load_records(args.runs[0]), load_records(args.runs[1])
     except (ValueError, KeyError, OSError) as exc:
         print(f"compare_runs: {exc}", file=sys.stderr)
         return 2
@@ -196,6 +207,8 @@ def main(argv=None) -> int:
     print(json.dumps({"records": {"old": len(old), "new": len(new)},
                       "category_counts": {"old": category_counts(old),
                                           "new": category_counts(new)},
+                      "unconverged_fits": {"old": unconverged_counts(old),
+                                           "new": unconverged_counts(new)},
                       "differing": len(diffs)}, sort_keys=True))
     return 1 if diffs else 0
 

@@ -122,10 +122,12 @@ def draw_menus(rng: np.random.Generator, n_menus: int, n_payoffs: int,
         raise ValueError("payoff_low must be strictly below payoff_high")
     if n_payoffs < 1:
         raise ValueError("need at least one payoff")
-    U = rng.uniform([[payoff_low], [0.0]], [[payoff_high], [1.0]],
-                    size=(n_menus, 2, 2, n_payoffs))
+    # One stream for payoffs and probabilities, in the order of the uniform
+    # draw with bounds broadcast over them, low + (high - low) u, which is
+    # what Generator.uniform computes, without its broadcasting.
+    U = rng.random((n_menus, 2, 2, n_payoffs))
     P = U[:, :, 1] / U[:, :, 1].sum(axis=-1, keepdims=True)
-    return np.ascontiguousarray(U[:, :, 0]), P
+    return payoff_low + (payoff_high - payoff_low) * U[:, :, 0], P
 
 
 def merge_payoff_grids(Z) -> tuple[np.ndarray, np.ndarray]:

@@ -95,35 +95,36 @@ def _ball_point(H: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     """argmin b.z + z.Hz/2 over ||z|| <= radius, for stacks of symmetric PSD
     H (R, k, k) and b (R, k).  Eigenvalues at most k eps times the largest
     count as flat, so the free point is -H^+ b; where it lies outside the
-    ball, z = -(H + mu I)^-1 b with mu > 0 solving 1/||z(mu)|| = 1/radius by
-    bracketed Newton (More and Sorensen 1983), each row in its own bracket.
+    ball, z = -(H + mu I)^-1 b with mu > 0 solving 1/||z(mu)|| = 1/radius.
+    That function of mu is concave and increasing (More and Sorensen 1983),
+    so Newton started below its root climbs to it monotonically, with no
+    bracket: each row starts at the lower bound max(0, max_i(|beta_i| /
+    radius - evals_i)), beta = Q^T b, and stops once mu no longer increases
+    or ||z|| <= radius, at the root to working precision.  z is then scaled
+    onto the ball.
     """
     evals, Q = np.linalg.eigh(H)
     evals = np.maximum(evals, 0.0)
     beta = _matvec(np.swapaxes(Q, 1, 2), b)
     kept = evals > H.shape[-1] * np.finfo(float).eps * evals[:, -1:]
     q = np.divide(beta, evals, out=np.zeros_like(beta), where=kept)
-    shrink = np.ones(len(b))
     out = np.flatnonzero(~(np.sqrt(_dot(q, q)) <= radius))
     beta, evals = beta[out], evals[out]
-    # ||z(mu)|| lies between ||beta||/(evals[-1]+mu) and ||beta||/(evals[0]+mu).
-    bnorm = np.sqrt(_dot(beta, beta)) / radius
-    lo, hi = np.maximum(bnorm - evals[:, -1], 0.0), bnorm - evals[:, 0]
-    mu, live, znorm = hi.copy(), np.arange(len(out)), np.empty(len(out))
-    for _ in range(100):
-        q[out[live]] = z = beta[live] / (evals[live] + mu[live, None])
-        znorm[live] = zn = np.sqrt(_dot(z, z))
-        go = ~(abs(zn - radius) <= 1e-14 * radius)
-        live, z, zn, m = live[go], z[go], zn[go], mu[live[go]]
-        if not live.size:
-            break
-        lo[live] = np.where(zn > radius, m, lo[live])
-        hi[live] = np.where(zn > radius, hi[live], m)
-        m = m - (1.0 / zn - 1.0 / radius) * np.float_power(zn, 3) / _dot(
-            z, z / (evals[live] + m[:, None]))
-        mu[live] = np.where((lo[live] < m) & (m < hi[live]), m, 0.5 * (lo[live] + hi[live]))
-    shrink[out] = np.minimum(1.0, radius / znorm)
-    return -_matvec(Q, q) * shrink[:, None]
+    mu = (abs(beta) / radius - evals).max(axis=-1, initial=0.0)
+    live = np.arange(len(out))
+    while live.size:
+        d = evals[live] + mu[live, None]
+        d[d == 0.0] = 1.0           # only where beta is 0, by the bound mu starts at
+        q[out[live]] = z = beta[live] / d
+        zz = _dot(z, z)
+        zn = np.sqrt(zz)
+        m = mu[live] + (zn - radius) / radius * zz / _dot(z, z / d)
+        go = (zn > radius) & (m > mu[live])
+        mu[live[go]] = m[go]
+        live = live[go]
+    z = -_matvec(Q, q)
+    z[out] *= (radius / np.sqrt(_dot(z[out], z[out])))[:, None]
+    return z
 
 
 def _kkt_residual(x: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
@@ -146,8 +147,10 @@ def damped_newton(logits, x: np.ndarray, y: np.ndarray, w: np.ndarray, radius: f
     1e-10, with a few ulps of slack for a last full step whose predicted
     decrease is below the rounding of the loss.  A row leaves the stack once
     its KKT residual is at most ``KKT_TOL``, after ``MAX_NEWTON_ITER`` steps,
-    on a step that does not descend, or when every t fails; ``converged`` is
-    the residual test at the returned point.
+    on a step that does not descend, when every t fails, or when the accepted
+    step leaves x bit for bit as it was (a fit at the rounding floor of its
+    loss), since from the same x it would take the same step again;
+    ``converged`` is the residual test at the returned point.
     """
     total = w.sum(axis=-1)
     x, steps, converged = x.copy(), np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
@@ -179,10 +182,10 @@ def damped_newton(logits, x: np.ndarray, y: np.ndarray, w: np.ndarray, radius: f
             ok = cand_value <= (value[r] + 1e-4 * t[search] * slope[search]
                                 + 4 * np.finfo(float).eps * value[r])
             a = r[ok]
+            moved[search[ok]] = (cand[ok] != x[a]).any(axis=-1)
             x[a], value[a], sig[a], J[a] = cand[ok], cand_value[ok], logistic(u[ok]), Jc[ok]
             g[a] = gradient(a)
             steps[a] += 1
-            moved[search[ok]] = True
             t[search[~ok]] *= 0.5
             search = search[~ok & (t[search] > 1e-10)]
         rows = rows[moved]

@@ -378,34 +378,34 @@ def theory_loss(spec: TheorySpec, examples) -> tuple[float, float]:
 
 def _reference_ball_point(H, b, radius):
     """argmin b.z + z.Hz/2 over ||z|| <= radius for one problem, by a scalar
-    More-Sorensen loop."""
+    Newton loop on 1/||z(mu)|| = 1/radius from mu's lower bound."""
     evals, Q = np.linalg.eigh(H)
     evals = np.maximum(evals, 0.0)
     beta = Q.T @ b
-    if evals[0] > 0.0 and np.linalg.norm(beta / evals) <= radius:
-        return -(Q @ (beta / evals))
-    bnorm = np.linalg.norm(beta)
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    lo, hi = max(bnorm / radius - evals[-1], 0.0), bnorm / radius - evals[0]
-    mu = hi
-    for _ in range(100):
-        q = beta / (evals + mu)
+    kept = evals > len(b) * np.finfo(float).eps * evals[-1]
+    q = np.where(kept, beta / np.where(kept, evals, 1.0), 0.0)
+    if np.linalg.norm(q) <= radius:
+        return -(Q @ q)
+    mu = max(0.0, np.max(abs(beta) / radius - evals))
+    while True:
+        d = evals + mu
+        d[d == 0.0] = 1.0
+        q = beta / d
         znorm = np.linalg.norm(q)
-        if abs(znorm - radius) <= 1e-14 * radius:
-            break
-        lo, hi = (mu, hi) if znorm > radius else (lo, mu)
-        mu -= (1.0 / znorm - 1.0 / radius) * znorm ** 3 / (q @ (q / (evals + mu)))
-        if not lo < mu < hi:
-            mu = 0.5 * (lo + hi)
-    return -(Q @ q) * min(1.0, radius / znorm)
+        step = (znorm - radius) / radius * (q @ q) / (q @ (q / d))
+        if not (znorm > radius and mu + step > mu):
+            z = -(Q @ q)
+            return z * (radius / np.linalg.norm(z))
+        mu += step
 
 
-def reference_newton_fit(D, y):
-    """(theta, converged) of one problem, D (n, K) and y (n,), by the one-row
-    loop that ``theory.damped_newton`` stacks: the interpolating start of
-    ``_fit_logits``, then, unless it is exact, damped Newton in D's row space
-    with a scalar ball step, Armijo backtrack and KKT test."""
+def reference_newton_fit(D, y, ball_point=_reference_ball_point, stop_when_still=True):
+    """(theta, converged, steps) of one problem, D (n, K) and y (n,), by the
+    one-row loop that ``theory.damped_newton`` stacks: the interpolating
+    start of ``_fit_logits``, then, unless it is exact, damped Newton in D's
+    row space with a scalar ball step, Armijo backtrack and KKT test.
+    ``ball_point`` solves the ball step; with ``stop_when_still`` false, a
+    fit whose accepted step leaves it where it was goes on to the cap."""
     from anomgen.theory import MAX_NEWTON_ITER      # read at call time: tests patch it
     B, (n, K) = THETA_NORM_BOUND, D.shape
     y = _clip_targets(y)
@@ -417,7 +417,7 @@ def reference_newton_fit(D, y):
     theta *= B / max(np.sqrt((theta * theta).sum()), B)
     ones = np.ones(n)
     if _cross_entropy(D @ theta, y, ones) - _entropy(y) < 1e-12:
-        return theta, True
+        return theta, True, 0
     rank = int(kept.sum())
     A, V = U[0, :, :rank] * svals[0, :rank], Vt[0, :rank]
 
@@ -435,7 +435,7 @@ def reference_newton_fit(D, y):
     w = V @ theta
     value, (g, H), steps = loss(w), derivatives(w), 0
     while (res := residual(w, g)) > KKT_TOL and steps < MAX_NEWTON_ITER:
-        step = _reference_ball_point(H, g - H @ w, B) - w
+        step = ball_point(H, g - H @ w, B) - w
         slope = g @ step
         if not slope < 0.0:
             break
@@ -447,8 +447,11 @@ def reference_newton_fit(D, y):
             t *= 0.5
         else:
             break
+        still = stop_when_still and np.array_equal(cand, w)
         w, value, (g, H), steps = cand, loss(cand), derivatives(cand), steps + 1
-    return V.T @ w, bool(res <= KKT_TOL)
+        if still:
+            break
+    return V.T @ w, bool(res <= KKT_TOL), steps
 
 
 def cpt_objective(ds, scale: float):

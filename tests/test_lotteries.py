@@ -162,6 +162,22 @@ class TestSampling:
                     assert P[m, k].tobytes() == (p / p.sum()).tobytes()
             assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("low, high", [(0.0, 10.0), (0.5, 9.5), (-3.0, 1e-3),
+                                           (1e6, 5e6), (-7.25, -7.0)])
+    @pytest.mark.parametrize("J", [1, 2, 3, 7])
+    def test_bits_of_the_broadcast_uniform_draw(self, low, high, J):
+        # The draw is Generator.uniform with its bounds broadcast over
+        # payoffs and probabilities, bit for bit, and reads as much of the
+        # stream.
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            Z, P = draw_menus(rng, 4, J, low, high)
+            U = ref.uniform([[low], [0.0]], [[high], [1.0]], size=(4, 2, 2, J))
+            assert Z.tobytes() == np.ascontiguousarray(U[:, :, 0]).tobytes()
+            assert P.tobytes() == (U[:, :, 1] / U[:, :, 1].sum(axis=-1, keepdims=True)).tobytes()
+            assert Z.flags.c_contiguous
+            assert rng.random() == ref.random()
+
 
 def _cdf_dominance_oracle(a, b):
     """Direct CDF comparison on the merged grid: whether ``a`` dominates."""

@@ -101,6 +101,9 @@ class TestCompareRuns:
         assert summary["differing"] == 0
         assert summary["records"] == {"old": 26, "new": 26}
         assert summary["category_counts"]["old"] == summary["category_counts"]["new"]
+        assert summary["unconverged_fits"]["old"] == summary["unconverged_fits"]["new"]
+        assert set(summary["unconverged_fits"]["old"]) == {"adversarial", "morphing",
+                                                           "baseline"}
 
     @pytest.mark.parametrize("stem, field", [("baseline", "any_utility_inconsistent"),
                                              ("morph", "implied_choices")])
@@ -128,8 +131,36 @@ class TestCompareRuns:
         header, recs = read_jsonl(path)
         write_jsonl(path, recs[1:], kind=header["kind"])
         compare = load_script("compare_runs.py")
-        diffs = compare.compare(compare.load_run(str(desk_run)), compare.load_run(str(pruned)))
+        diffs = compare.compare(compare.load_records(str(desk_run)),
+                                compare.load_records(str(pruned)))
         assert diffs == [{"id": recs[0]["id"], "only_in": "old"}]
+
+    def test_unconverged_fits_are_counted_per_procedure(self, desk_run, tmp_path):
+        # Unconverged fits are not verdicts: planted ones change the summary's
+        # counts, not the exit status.
+        edited = tmp_path / "edited"
+        shutil.copytree(desk_run, edited)
+        counts = {}
+        for stem, procedure in (("adversarial", "adversarial"), ("morph", "morphing"),
+                                ("baseline", "baseline")):
+            header, recs = read_jsonl(edited / f"{stem}_categorized.jsonl")
+            inner = sum(r.get("inner_fits_unconverged", 0) for r in recs)
+            verify = sum(not r["fit_converged"] for r in recs)
+            counts[procedure] = {"inner": inner, "verify": verify}
+            recs[0]["fit_converged"] = not recs[0]["fit_converged"]
+            if stem == "adversarial":
+                recs[0]["inner_fits_unconverged"] += 2
+                recs[1]["inner_fits_unconverged"] += 1
+            write_jsonl(edited / f"{stem}_categorized.jsonl", recs, kind=header["kind"])
+        out = run_script("compare_runs.py", str(desk_run), str(edited), cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        (summary,) = [json.loads(line) for line in out.stdout.splitlines()]
+        assert summary["unconverged_fits"]["old"] == counts
+        new = summary["unconverged_fits"]["new"]
+        assert new["adversarial"]["inner"] == counts["adversarial"]["inner"] + 3
+        assert new["morphing"]["inner"] == counts["morphing"]["inner"] == 0
+        for procedure, old in counts.items():
+            assert abs(new[procedure]["verify"] - old["verify"]) == 1
 
     def test_unreadable_run_exits_2(self, desk_run, tmp_path):
         out = run_script("compare_runs.py", str(desk_run), str(tmp_path / "absent"),

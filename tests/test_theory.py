@@ -139,6 +139,122 @@ def clipped(y):
     return np.clip(y, theory.TARGET_CLIP, 1 - theory.TARGET_CLIP)
 
 
+def bracketed_ball_point(H, b, radius):
+    """argmin b.z + z.Hz/2 over ||z|| <= radius for one problem, by Newton on
+    1/||z(mu)|| = 1/radius from the top of mu's bracket, bisecting whenever
+    a step leaves the bracket, to a relative 1e-14 on ||z||."""
+    evals, Q = np.linalg.eigh(H)
+    evals = np.maximum(evals, 0.0)
+    beta = Q.T @ b
+    if evals[0] > 0.0 and np.linalg.norm(beta / evals) <= radius:
+        return -(Q @ (beta / evals))
+    bnorm = np.linalg.norm(beta)
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    lo, hi = max(bnorm / radius - evals[-1], 0.0), bnorm / radius - evals[0]
+    mu = hi
+    for _ in range(100):
+        q = beta / (evals + mu)
+        znorm = np.linalg.norm(q)
+        if abs(znorm - radius) <= 1e-14 * radius:
+            break
+        lo, hi = (mu, hi) if znorm > radius else (lo, mu)
+        mu -= (1.0 / znorm - 1.0 / radius) * znorm ** 3 / (q @ (q / (evals + mu)))
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+    return -(Q @ q) * min(1.0, radius / znorm)
+
+
+def ball_problems(k, seed, radius=1.0):
+    """A stack (H, b, on_ball) of k x k ball problems: random PSD H with b set
+    so that the free point -H^+ b lies well outside or well inside the ball;
+    H with an exact zero eigenvalue and b with a zero and with a nonzero
+    component along it; b = 0.  For k = 3, also a row whose Newton start is
+    mu = 0 with a zero eigenvalue, where evals + mu is 0 and beta is 0."""
+    rng = np.random.default_rng([seed, k])
+    kinds = ["out", "in", "b = 0"]
+    if k > 1:
+        kinds += ["flat, beta 0, out", "flat, beta 0, in", "flat, beta != 0, out"]
+    Hs, bs = [], []
+    for kind in kinds * 3:
+        evals = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), k))
+        beta = rng.normal(size=k)
+        Q = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        if kind.startswith("flat"):
+            # An exact zero eigenvalue needs an exactly decoupled direction:
+            # a block of zeros, mixed with the rest only by a permutation.
+            evals[0], Q[0], Q[:, 0] = 0.0, 0.0, 0.0
+            Q[0, 0] = 1.0
+            Q[1:, 1:] = np.linalg.qr(rng.normal(size=(k - 1, k - 1)))[0]
+            beta[0] *= "beta 0" not in kind
+        free = np.linalg.norm(np.divide(beta, evals, out=np.zeros(k), where=evals > 0))
+        beta *= radius * (rng.uniform(1.5, 20.0) if kind.endswith("out")
+                          else rng.uniform(0.1, 0.7) * (kind != "b = 0")) / free
+        perm = rng.permutation(k)
+        H = ((Q * evals) @ Q.T)[np.ix_(perm, perm)]
+        Hs.append((H + H.T) / 2)
+        bs.append((Q @ beta)[perm])
+    on_ball = [kind.endswith("out") for kind in kinds * 3]
+    if k == 3:
+        Hs.append(np.diag([0.0, 1.0, 1.0]))
+        bs.append(np.array([0.0, -0.9, 0.9]) * radius)
+        on_ball.append(True)
+    return np.array(Hs), np.array(bs), np.array(on_ball)
+
+
+def free_points(H, b):
+    """-H^+ b, row by row."""
+    return np.stack([-np.linalg.pinv(Hr, rcond=1e-12, hermitian=True) @ br
+                     for Hr, br in zip(H, b)])
+
+
+class TestBallPoint:
+    """``theory._ball_point``, the minimizer of b.z + z.Hz/2 over the ball."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("radius", [1.0, 100.0])
+    def test_on_ball_rows_solve_the_secular_system(self, k, radius):
+        for seed in range(3):
+            H, b, on_ball = ball_problems(k, seed, radius)
+            z = theory._ball_point(H, b, radius)
+            np.testing.assert_allclose(z[~on_ball], free_points(H, b)[~on_ball],
+                                       rtol=1e-10, atol=1e-12 * radius)
+            for Hr, br, zr in zip(H[on_ball], b[on_ball], z[on_ball]):
+                norm = np.linalg.norm(zr)
+                assert abs(norm - radius) <= 4 * np.finfo(float).eps * radius
+                mu = -(zr @ (Hr @ zr + br)) / (zr @ zr)
+                assert mu >= 0.0
+                scale = np.linalg.norm(br) + np.linalg.norm(Hr, 2) * norm
+                assert np.linalg.norm(Hr @ zr + mu * zr + br) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("radius", [1.0, np.inf])
+    def test_a_stacked_row_is_its_one_row_call(self, k, radius):
+        H, b, _ = ball_problems(k, 3)
+        z = theory._ball_point(H, b, radius)
+        for r in range(len(b)):
+            alone = theory._ball_point(H[r:r + 1], b[r:r + 1], radius)[0]
+            np.testing.assert_array_equal(z[r], alone)
+        if radius == np.inf:            # no ball: the free point everywhere
+            np.testing.assert_allclose(z, free_points(H, b), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("radius", [1.0, 100.0])
+    def test_no_row_takes_more_than_eight_passes(self, monkeypatch, radius):
+        # One-row calls, with the row-wise products counted: the free point's
+        # norm and the final scaling take one each, and every Newton pass two.
+        calls, dot = [], theory._dot
+        monkeypatch.setattr(theory, "_dot", lambda a, b: calls.append(1) or dot(a, b))
+        passes = []
+        for k in range(1, 9):
+            for seed in range(4):
+                H, b, on_ball = ball_problems(k, seed, radius)
+                for r in np.flatnonzero(on_ball):
+                    calls.clear()
+                    theory._ball_point(H[r:r + 1], b[r:r + 1], radius)
+                    passes.append((len(calls) - 2) // 2)
+        assert 1 <= min(passes) and max(passes) <= 8
+
+
 class TestBallConstrainedFit:
     def test_on_bound_fits_satisfy_kkt(self, on_bound_cases):
         assert len(on_bound_cases) >= 50
@@ -176,6 +292,43 @@ class TestBallConstrainedFit:
         assert fit_problem(D, y).converged
         monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 1)
         assert not fit_problem(D, y).converged
+
+    def test_fits_that_cannot_move_stop_as_they_would_at_the_cap(self, monkeypatch):
+        # The unconverged fits of 512 adversarial runs at 50 iterations (seed
+        # 3) include fits at the rounding floor of their loss, whose accepted
+        # Armijo steps leave theta bit for bit where it was.  Such a fit
+        # leaves the stack at its first such step, with the theta and the
+        # verdict it has at the cap.
+        cases = []
+
+        def record(D, y):
+            fit = theory._fit_logits(D, y)
+            cases.extend((D[r].copy(), y[r].copy()) for r in np.flatnonzero(~fit.converged))
+            return fit
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adversarial, "_fit_logits", record)
+            list(run_adversarial_indices(CptPredictor(CptParams(0.726, 0.309)),
+                                         GdaConfig(max_iters=50), 3, range(512)))
+        steps, newton = [], theory.damped_newton
+
+        def counted(*args):
+            out = newton(*args)
+            steps.append(int(out[3][0]))
+            return out
+
+        monkeypatch.setattr(theory, "damped_newton", counted)
+        stopped_early = 0
+        for D, y in cases:
+            steps.clear()
+            fit = fit_problem(D, y)           # a row's fit is its one-row fit
+            at_cap, at_cap_converged, at_cap_steps = reference_newton_fit(
+                D, y, stop_when_still=False)
+            np.testing.assert_array_equal(fit.theta, at_cap)
+            assert not fit.converged and not at_cap_converged
+            assert steps == [reference_newton_fit(D, y)[2]]
+            stopped_early += steps[0] < at_cap_steps == theory.MAX_NEWTON_ITER
+        assert stopped_early >= 1
 
     def test_cap_at_the_steps_needed_reports_converged(self, on_bound_cases, monkeypatch):
         # The first on-bound case meets the KKT test after its third Newton
@@ -231,6 +384,10 @@ class TestBallConstrainedFit:
     def test_search_fits_match_the_one_row_reference_to_the_bit(self):
         # Every fit of 64 adversarial runs at 50 iterations (seed 5), made in
         # the search's own stacks, is the fit the scalar loop makes alone.
+        # Against the loop whose ball steps solve the secular equation by
+        # bracketed Newton instead, its loss agrees to 1e-13, and so does its
+        # theta where both fits converge; a fit that one of them leaves at
+        # the rounding floor of its loss stops a step away from the other.
         cases = []
 
         def record(D, y):
@@ -244,9 +401,16 @@ class TestBallConstrainedFit:
                                          GdaConfig(max_iters=50), 5, range(64)))
         assert len(cases) >= 3000
         for D, y, theta, converged in cases:
-            ref_theta, ref_converged = reference_newton_fit(D, y)
+            ref_theta, ref_converged, _ = reference_newton_fit(D, y)
             np.testing.assert_array_equal(theta, ref_theta)
             assert converged == ref_converged
+            bracketed, bracketed_converged, _ = reference_newton_fit(
+                D, y, ball_point=bracketed_ball_point)
+            loss, bracketed_loss = (theory._cross_entropy(D @ t, clipped(y), np.ones(len(y)))
+                                    for t in (theta, bracketed))
+            assert abs(loss - bracketed_loss) <= 1e-13 * bracketed_loss
+            if converged and bracketed_converged:
+                assert np.abs(theta - bracketed).max() <= 1e-13 * np.linalg.norm(bracketed)
 
     @pytest.mark.parametrize("R", [1, 7, 64])
     def test_mixed_rank_stack_gives_each_row_its_own_fit(self, on_bound_cases, R):
