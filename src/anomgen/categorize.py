@@ -286,20 +286,19 @@ def check_certificate(category: AnomalyCategory, collection: Collection) -> bool
 
 
 def categorize(collection: Collection, tol: float = DEFAULT_TOL) -> AnomalyCategory:
-    """Category of a verified anomaly of one or two menus.
+    """Category of a verified anomaly.
 
     A menu whose choice is first-order dominated is tagged first, at every
-    payoff arity.  Otherwise a one-menu anomaly is "other", a two-payoff pair
-    is matched against the compounding patterns, and a pair over more payoffs
-    against the shared-component reversal.
+    collection size and payoff arity.  Otherwise a collection of other than
+    two menus is "other", a two-payoff pair is matched against the
+    compounding patterns, and a pair over more payoffs against the
+    shared-component reversal.
     """
-    if len(collection.q) not in (1, 2):
-        raise ValueError("expected a one- or two-menu collection")
     choices = implied_choices(collection.q).tolist()
     for idx, choice in enumerate(choices):
         if _dominated(collection, idx, choice):
             return AnomalyCategory("fosd", {"menu_index": idx, "implied_choice": int(choice)})
-    if len(choices) == 1:
+    if len(choices) != 2:
         return AnomalyCategory("other", {})
     if collection.Z.shape[-1] <= 2:
         for tag in _PATTERNS:

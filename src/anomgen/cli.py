@@ -52,22 +52,12 @@ def _throughput(start: float, count: int, unit: str) -> dict:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    """The pipeline config, with the command's --seed and --workers (else
-    ``ANOMGEN_WORKERS``) over it where the command takes them."""
+    """The pipeline config, with the command's --seed and --workers over it
+    where the command takes them."""
     cfg = load_config(args.config) if args.config else parse_config({})
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if "workers" not in args:
-        return cfg
-    if args.workers is not None:
-        cfg.workers = args.workers
-    elif value := os.environ.get("ANOMGEN_WORKERS"):
-        try:
-            cfg.workers = int(value)
-        except ValueError:
-            raise ConfigError(f"ANOMGEN_WORKERS: invalid value {value!r}") from None
-    if cfg.workers < 1:
-        raise ConfigError(f"workers: invalid value {cfg.workers!r}")
+    for flag in ("seed", "workers"):
+        if (value := getattr(args, flag, None)) is not None:
+            setattr(cfg, flag, value)
     return cfg
 
 
@@ -271,6 +261,7 @@ def cmd_report(args) -> int:
 # -- data / model commands ---------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    start = time.perf_counter()
     cfg = _config_from_args(args)
     params, _ = cfg.predictor.cpt_params()
     if args.n < 1:
@@ -281,7 +272,8 @@ def cmd_simulate(args) -> int:
                           scale=cfg.predictor.scale)
     save_dataset(ds, args.out)
     return _summary(command="simulate", rows=len(ds), kind=args.kind,
-                    delta=params.delta, gamma=params.gamma, out=args.out)
+                    delta=params.delta, gamma=params.gamma, out=args.out,
+                    **_throughput(start, len(ds), "rows"))
 
 
 def _width(field: str) -> int:
@@ -295,6 +287,7 @@ def _width(field: str) -> int:
 
 
 def cmd_train_mlp(args) -> int:
+    start = time.perf_counter()
     config = MlpTrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                             step_size=args.step_size, seed=args.seed or 0)
     hidden = tuple(_width(w) for w in args.hidden.split(",") if w)
@@ -305,10 +298,11 @@ def cmd_train_mlp(args) -> int:
     return _summary(command="train-mlp", rows=len(ds), hidden=list(hidden),
                     train_mse=round(metrics["mse"], 6),
                     train_cross_entropy=round(metrics["cross_entropy"], 6),
-                    out=args.out)
+                    out=args.out, **_throughput(start, len(ds), "rows"))
 
 
 def cmd_fit_cpt(args) -> int:
+    start = time.perf_counter()
     ds = load_dataset(args.inp)
     fit = fit_cpt_params(ds)
     if args.out:
@@ -317,10 +311,12 @@ def cmd_fit_cpt(args) -> int:
     return _summary(command="fit-cpt", rows=len(ds), delta=fit.params.delta,
                     gamma=fit.params.gamma,
                     cross_entropy=round(fit.cross_entropy, 6),
-                    converged=fit.converged, iterations=fit.iterations, out=args.out)
+                    converged=fit.converged, iterations=fit.iterations, out=args.out,
+                    **_throughput(start, len(ds), "rows"))
 
 
 def cmd_epsilon(args) -> int:
+    start = time.perf_counter()
     with open(args.freqs) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     expected = ["pattern_00", "pattern_01", "pattern_10", "pattern_11"]
@@ -340,7 +336,7 @@ def cmd_epsilon(args) -> int:
     return _summary(command="epsilon", epsilon=fit.epsilon,
                     weights={"".join(map(str, k)): round(v, 6)
                              for k, v in fit.weights.items()},
-                    fit_distance=fit.fit_distance)
+                    fit_distance=fit.fit_distance, **_throughput(start, len(Z), "menus"))
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -413,7 +409,7 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         # The integer flags with a floor, checked before a command reads anything.
-        for flag, least in (("seed", 0), ("inits", 1), ("k", 1)):
+        for flag, least in (("seed", 0), ("workers", 1), ("inits", 1), ("k", 1)):
             if (value := getattr(args, flag, None)) is not None and value < least:
                 raise ConfigError(f"--{flag}: invalid value {value!r}")
         return args.func(args)

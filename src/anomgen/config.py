@@ -63,14 +63,16 @@ def _pick(section, path: str, checks: dict) -> dict:
     return dict(section)
 
 
-def _pick_basis(section: dict, path: str, kind: str) -> dict:
+def _pick_basis(section: dict, path: str, kind: str, fixed: dict) -> dict:
     """A basis section merged over the defaults of the kind it names, or of
-    ``kind`` when it names none; a key of another kind is rejected."""
+    ``kind`` when it names none, then over ``fixed``; a key of another kind,
+    or of ``fixed``, is rejected."""
     kind = section.get("kind", kind)
     if not (isinstance(kind, str) and kind in _BASIS_DEFAULTS):
         raise ConfigError(f"{path}.kind: invalid value {kind!r}")
     base = _BASIS_DEFAULTS[kind]
-    return {**base, **_pick(section, path, {key: _BASIS_CHECKS[key] for key in base})}
+    checks = {key: _BASIS_CHECKS[key] for key in base if key not in fixed}
+    return {**base, **_pick(section, path, checks), **fixed}
 
 
 @dataclass
@@ -114,32 +116,28 @@ def parse_config(raw: dict) -> PipelineConfig:
     if (predictor.delta is None) != (predictor.gamma is None):
         raise ConfigError("predictor.delta and predictor.gamma must be given together")
     theory = _pick(raw.pop("theory", {}), "theory", {"basis": _is_dict})
-    search = {"step_size": _positive, "max_iters": _count(1), "inits": _count(1),
-              "basis": _is_dict}
+    search = {"step_size": _positive, "max_iters": _count(1), "inits": _count(1)}
     adversarial = _pick(raw.pop("adversarial", {}), "adversarial", search)
     morph = _pick(raw.pop("morph", {}), "morph", {
         **search, "n_gradient_samples": _count(1),
-        "rank_tol": lambda v: v >= MIN_RANK_TOL})
+        "rank_tol": lambda v: v >= MIN_RANK_TOL, "basis": _is_dict})
     verification = _pick(raw.pop("verification", {}), "verification", {
         "kl_threshold": _positive, "margin_threshold": _positive})
     top = _pick(raw, "", {"n_payoffs": lambda v: v in (2, 3) and type(v) is int,
                           "seed": _count(0), "workers": _count(1)})
 
-    theory_basis = _pick_basis(theory.get("basis", {}), "theory.basis", "polynomial")
-    adversarial_basis = adversarial.pop("basis", None)
-    morph_basis = morph.pop("basis", None)
+    # The theory basis fixes the menus' payoff domain: the adversarial search
+    # runs on it, and the morph's basis of its own kind lives on its domain.
+    theory_basis = _pick_basis(theory.get("basis", {}), "theory.basis", "polynomial", {})
+    morph_basis = _pick_basis(morph.pop("basis", {}), "morph.basis", "ispline",
+                              {"domain": list(theory_basis["domain"])})
     n_payoffs = top.get("n_payoffs", PipelineConfig.n_payoffs)
     return PipelineConfig(
         predictor=predictor,
         theory_basis=theory_basis,
-        adversarial=GdaConfig(
-            **adversarial, n_payoffs=n_payoffs,
-            basis_config=_pick_basis(adversarial_basis, "adversarial.basis", "polynomial")
-            if adversarial_basis else dict(theory_basis)),
-        morph=MorphConfig(
-            **morph, n_payoffs=n_payoffs,
-            basis_config=_pick_basis(morph_basis, "morph.basis", "ispline") if morph_basis
-            else {**MORPH_BASIS, "domain": list(theory_basis["domain"])}),
+        adversarial=GdaConfig(**adversarial, n_payoffs=n_payoffs,
+                              basis_config=dict(theory_basis)),
+        morph=MorphConfig(**morph, n_payoffs=n_payoffs, basis_config=morph_basis),
         **verification, **top)
 
 

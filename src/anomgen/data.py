@@ -18,6 +18,7 @@ import csv
 import numpy as np
 
 from .lotteries import flat_stack, read_probs
+from .records import write_csv
 
 
 class ChoiceDataset:
@@ -103,13 +104,12 @@ def load_dataset(path) -> ChoiceDataset:
 
 
 def save_dataset(ds: ChoiceDataset, path) -> None:
-    """Full-precision CSV writer; round-trips bit-exactly through load."""
+    """Full-precision CSV writer, atomic as ``records.write_csv`` is;
+    round-trips bit-exactly through load."""
     X = np.concatenate([flat_stack(ds.Z, ds.P), ds.outcomes[:, None]], axis=1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_schema_columns(ds.Z.shape[-1]) + ["weight"])
-        writer.writerows([*map(repr, x), kind, repr(weight)] for x, kind, weight
-                         in zip(X.tolist(), ds.kinds.tolist(), ds.weights.tolist()))
+    write_csv(path, _schema_columns(ds.Z.shape[-1]) + ["weight"],
+              ([*map(repr, x), kind, repr(weight)] for x, kind, weight
+               in zip(X.tolist(), ds.kinds.tolist(), ds.weights.tolist())))
 
 
 def split_dataset(ds: ChoiceDataset, holdout_fraction: float, seed: int):

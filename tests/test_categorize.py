@@ -248,10 +248,17 @@ class TestTwoPayoffCategorization:
         with pytest.raises(ValueError):
             check_certificate(AnomalyCategory(cat.tag, bad), ternary_example_collection)
 
-    def test_wrong_arity_rejected(self, dc_example_collection):
+    def test_dominated_choice_is_fosd_at_any_size(self, fosd_example_collection,
+                                                  dc_example_collection):
+        triple = Collection(*(np.concatenate([v, w[:1]]) for v, w
+                              in zip(fosd_example_collection, dc_example_collection)))
+        cat = categorize(triple)
+        assert (cat.tag, cat.certificate["menu_index"]) == ("fosd", 0)
+        assert check_certificate(cat, triple)
+
+    def test_other_than_two_menus_is_other(self, dc_example_collection):
         triple = Collection(*(np.concatenate([v, v[:1]]) for v in dc_example_collection))
-        with pytest.raises(ValueError, match="one- or two-menu"):
-            categorize(triple)
+        assert categorize(triple) == AnomalyCategory("other", {})
 
 
 class TestSharedComponents:

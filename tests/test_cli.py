@@ -142,18 +142,42 @@ class TestConfig:
 
     def test_bad_basis_value_is_one_json_error_line(self, tmp_path, capsys):
         os.chdir(tmp_path)
-        Path("cfg.json").write_text(json.dumps({"adversarial": {"basis": {"order": "six"}}}))
-        rc = run_command(["adversarial", "--config", "cfg.json", "--inits", "1",
+        Path("cfg.json").write_text(json.dumps({"morph": {"basis": {"order": "six"}}}))
+        rc = run_command(["morph", "--config", "cfg.json", "--inits", "1",
                           "--out", "a.jsonl"])
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 1 and len(err) == 1
-        assert "adversarial.basis.order" in json.loads(err[0])["error"]
+        assert "morph.basis.order" in json.loads(err[0])["error"]
         assert not os.path.exists("a.jsonl")
 
     def test_basis_defaults_merge_within_one_kind(self):
-        cfg = parse_config({"adversarial": {"basis": {"kind": "ispline"}}})
-        assert cfg.adversarial.basis_config == MorphConfig().basis_config
-        assert cfg.adversarial.make_basis().config_dict() == cfg.adversarial.basis_config
+        cfg = parse_config({"morph": {"basis": {"kind": "polynomial"}}})
+        assert cfg.morph.basis_config == GdaConfig().basis_config
+        assert cfg.morph.make_basis().config_dict() == cfg.morph.basis_config
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"adversarial": {"basis": {"kind": "polynomial", "domain": [0, 20]}}},
+         "adversarial.basis"),
+        ({"adversarial": {"basis": {"order": 4}}}, "adversarial.basis"),
+        ({"morph": {"basis": {"domain": [0, 20]}}}, "morph.basis.domain"),
+        ({"morph": {"basis": {"kind": "polynomial", "domain": [0, 20]}}},
+         "morph.basis.domain")])
+    def test_basis_domain_is_the_theorys_alone(self, raw, key, tmp_path, capsys):
+        # The theory basis fixes the payoff domain: no search section names one.
+        os.chdir(tmp_path)
+        (procedure,) = raw
+        Path("cfg.json").write_text(json.dumps(raw))
+        assert run_command([procedure, "--config", "cfg.json", "--inits", "1",
+                            "--out", "x.jsonl"]) == 1
+        assert _error_line(capsys) == {"command": procedure, "error": f"unknown key {key!r}"}
+        assert os.listdir() == ["cfg.json"]
+
+    def test_searches_live_on_the_theory_domain(self):
+        theory = {"kind": "polynomial", "order": 4, "domain": [0, 5]}
+        cfg = parse_config({"theory": {"basis": theory}, "morph": {"basis": {"knots": 8}}})
+        assert cfg.theory_basis == cfg.adversarial.basis_config == theory
+        assert cfg.morph.basis_config == {**MorphConfig().basis_config, "knots": 8,
+                                          "domain": [0, 5]}
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -200,19 +224,37 @@ class TestPipelineCommands:
                                        "error": f"{procedure}.inits: invalid value 0"}
         assert os.listdir() == ["cfg.json"]
 
-    def test_worker_count_below_one_errors(self, tmp_path, capsys, monkeypatch):
+    def test_worker_count_below_one_errors(self, tmp_path, capsys):
         os.chdir(tmp_path)
         assert run_command(["baseline", "--inits", "2", "--workers", "0",
                             "--out", "x.jsonl"]) == 1
-        monkeypatch.setenv("ANOMGEN_WORKERS", "-2")
-        assert run_command(["baseline", "--inits", "2", "--out", "x.jsonl"]) == 1
-        capsys.readouterr()
-        monkeypatch.setenv("ANOMGEN_WORKERS", "abc")
-        assert run_command(["baseline", "--inits", "2", "--out", "x.jsonl"]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert json.loads(err[0])["error"] == "ANOMGEN_WORKERS: invalid value 'abc'"
+        assert _error_line(capsys) == {"command": "baseline",
+                                       "error": "--workers: invalid value 0"}
         assert not os.path.exists("x.jsonl")
+
+    def test_workers_flag_overrides_the_config(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"workers": 2}))
+        for argv, workers in (([], 2), (["--workers", "1"], 1)):
+            summary = run_ok(["baseline", "--config", "cfg.json", "--inits", "2", *argv,
+                              "--out", "x.jsonl"], capsys)
+            assert summary["workers"] == workers
+
+    def test_three_menu_anomaly_categorized(self, tmp_path, capsys):
+        # ``verify`` takes up to MAX_MENUS menus, and ``categorize`` tags a
+        # dominated choice in a collection of any size.
+        os.chdir(tmp_path)
+        dominated = menu(lottery([5, 6], [0.5, 0.5]), lottery([6, 7], [0.5, 0.5]))
+        other = menu(lottery([2, 8], [0.5, 0.5]), lottery([1, 9], [0.4, 0.6]))
+        coll = collection([dominated, other, other], [0.2, 0.8, 0.3])
+        write_jsonl("c.jsonl", [reference_record(coll, "triple-000000")], kind="candidates")
+        run_ok(["verify", "--in", "c.jsonl", "--out", "v.jsonl"], capsys)
+        summary = run_ok(["categorize", "--in", "v.jsonl", "--out", "k.jsonl"], capsys)
+        assert summary["category_counts"] == {"fosd": 1}
+        (rec,) = read_jsonl("k.jsonl", expected_kind="categorized")[1]
+        assert rec["category"] == {"tag": "fosd",
+                                   "certificate": {"menu_index": 0, "implied_choice": 0}}
+        assert "features" not in rec
 
     def test_null_preset_prints_error_line(self, tmp_path, capsys):
         os.chdir(tmp_path)
@@ -434,13 +476,6 @@ class TestPipelineCommands:
         summary = run_ok(["morph", "--config", "cfg.json", "--inits", str(inits),
                           "--out", "m.jsonl"], capsys)
         assert summary["draw_threads"] == threads
-
-    def test_workers_env_fallback(self, tmp_path, capsys, monkeypatch):
-        os.chdir(tmp_path)
-        monkeypatch.setenv("ANOMGEN_WORKERS", "2")
-        summary = run_ok(["adversarial", "--inits", "2", "--seed", "1",
-                          "--out", "e.jsonl"], capsys)
-        assert summary["workers"] == 2
 
     def test_epsilon_command(self, tmp_path, capsys, allais_menus):
         os.chdir(tmp_path)
@@ -895,6 +930,26 @@ class TestStageTiming:
         for path in ("cl.csv", "r.csv"):
             assert not timing & set(Path(path).read_text().replace("\n", ",").split(","))
 
+    def test_data_and_model_summaries_carry_timing(self, tmp_path, capsys, allais_menus):
+        os.chdir(tmp_path)
+        timing = {"elapsed_s", "rows_per_s", "menus_per_s"}
+        summaries = [run_ok(["simulate", "--n", "50", "--seed", "1", "--kind", "rate",
+                             "--out", "d.csv"], capsys),
+                     run_ok(["train-mlp", "--in", "d.csv", "--hidden", "4", "--epochs", "2",
+                             "--out", "m.json"], capsys),
+                     run_ok(["fit-cpt", "--in", "d.csv", "--out", "f.json"], capsys)]
+        assert all(s["rows_per_s"] > 0 for s in summaries)
+        Path("freqs.csv").write_text(
+            "pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n")
+        Path("menus.json").write_text(json.dumps([menu_json(m) for m in allais_menus]))
+        summaries.append(run_ok(["epsilon", "--freqs", "freqs.csv", "--menus", "menus.json"],
+                                capsys))
+        assert summaries[-1]["menus_per_s"] > 0
+        assert all(s["elapsed_s"] >= 0 for s in summaries)
+        assert not timing & set(Path("d.csv").read_text().splitlines()[0].split(","))
+        for path in ("m.json", "f.json"):
+            assert not timing & set(json.loads(Path(path).read_text()))
+
 
 class TestRankTolBound:
     def test_smallest_cutoff_accepted_and_below_rejected(self, tmp_path, capsys):
@@ -1189,12 +1244,6 @@ class TestCommandFlags:
         assert _error_line(capsys) == {"command": argv[0], "error": "--seed: invalid value -1"}
         assert os.listdir() == []
 
-    def test_workers_env_is_read_only_where_workers_is_a_flag(self, tmp_path, capsys,
-                                                              monkeypatch):
-        os.chdir(tmp_path)
-        monkeypatch.setenv("ANOMGEN_WORKERS", "abc")
-        run_ok(["simulate", "--n", "5", "--seed", "1", "--out", "d.csv"], capsys)
-
 
 class TestTrainMlpFlags:
     @pytest.fixture
@@ -1239,6 +1288,25 @@ class TestTrainMlpFlags:
 
 
 class TestConfiguredValuesReachTheirCode:
+    @pytest.mark.parametrize("procedure, raw", [
+        ("morph", {"theory": {"basis": {"domain": [0, 5]}},
+                   "morph": {"basis": {"knots": 8}, "max_iters": 5}}),
+        ("adversarial", {"theory": {"basis": {"domain": [0, 5e6]}}}),
+        ("baseline", {"theory": {"basis": {"domain": [0, 5e6]}}})],
+        ids=["morph", "adversarial", "baseline"])
+    def test_generated_menus_verify_on_the_theory_domain(self, procedure, raw, tmp_path,
+                                                         capsys):
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(raw))
+        run_ok([procedure, "--config", "cfg.json", "--inits", "4", "--seed", "1",
+                "--out", "c.jsonl"], capsys)
+        summary = run_ok(["verify", "--config", "cfg.json", "--in", "c.jsonl",
+                          "--out", "v.jsonl"], capsys)
+        assert summary["records"] == 4
+        low, high = raw["theory"]["basis"]["domain"]
+        Z = np.array([record_to_collection(r).Z for r in read_jsonl("v.jsonl")[1]])
+        assert low <= Z.min() and Z.max() <= high and Z.max() > high / 2
+
     def test_kl_threshold_above_min_kl_flips_the_verdict(self, tmp_path, capsys):
         # Seed 3, run 0 fits no logit-EUT model to within a mean KL of 0.0155.
         os.chdir(tmp_path)

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from anomgen import records
 from anomgen.cpt import CptParams, simulate_choices
 from anomgen.data import (ChoiceDataset, _schema_columns, load_dataset, save_dataset,
                           split_dataset)
@@ -120,6 +123,39 @@ class TestLoadDataset:
         second = tmp_path / "again.csv"
         save_dataset(back, second)
         assert second.read_bytes() == path.read_bytes()
+
+    def test_crlf_lines_load_as_lf_lines(self, tmp_path):
+        # Datasets end their lines with LF; files written with CRLF still load.
+        rng = np.random.default_rng(0)
+        ds = simulate_choices(rng, *draw_menus(rng, 5, 2, 0, 10), CptParams(0.726, 0.309),
+                              kind="rate", count=8)
+        path = tmp_path / "lf.csv"
+        save_dataset(ds, path)
+        assert b"\r" not in path.read_bytes()
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        lf, back = load_dataset(path), load_dataset(crlf)
+        for name in ("Z", "P", "outcomes", "kinds", "weights"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(lf, name))
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(0)
+        ds = simulate_choices(rng, *draw_menus(rng, 20, 2, 0, 10), CptParams(0.726, 0.309),
+                              kind="rate", count=8)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"old bytes\n")
+        fields, csv_field = itertools.count(), records._csv_field
+
+        def failing(value):
+            if next(fields) == 50:              # four lines in
+                raise OSError("disk full")
+            return csv_field(value)
+
+        monkeypatch.setattr(records, "_csv_field", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(ds, path)
+        assert path.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 @pytest.mark.parametrize("J", [2, 3])
