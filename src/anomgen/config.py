@@ -63,18 +63,6 @@ def _pick(section, path: str, checks: dict) -> dict:
     return dict(section)
 
 
-def _pick_basis(section: dict, path: str, kind: str, fixed: dict) -> dict:
-    """A basis section merged over the defaults of the kind it names, or of
-    ``kind`` when it names none, then over ``fixed``; a key of another kind,
-    or of ``fixed``, is rejected."""
-    kind = section.get("kind", kind)
-    if not (isinstance(kind, str) and kind in _BASIS_DEFAULTS):
-        raise ConfigError(f"{path}.kind: invalid value {kind!r}")
-    base = _BASIS_DEFAULTS[kind]
-    checks = {key: _BASIS_CHECKS[key] for key in base if key not in fixed}
-    return {**base, **_pick(section, path, checks), **fixed}
-
-
 @dataclass
 class PredictorSection:
     kind: str = "cpt"                   # cpt | mlp | cpt_fit
@@ -120,24 +108,30 @@ def parse_config(raw: dict) -> PipelineConfig:
     adversarial = _pick(raw.pop("adversarial", {}), "adversarial", search)
     morph = _pick(raw.pop("morph", {}), "morph", {
         **search, "n_gradient_samples": _count(1),
-        "rank_tol": lambda v: v >= MIN_RANK_TOL, "basis": _is_dict})
+        "rank_tol": lambda v: v >= MIN_RANK_TOL})
     verification = _pick(raw.pop("verification", {}), "verification", {
         "kl_threshold": _positive, "margin_threshold": _positive})
     top = _pick(raw, "", {"n_payoffs": lambda v: v in (2, 3) and type(v) is int,
                           "seed": _count(0), "workers": _count(1)})
 
-    # The theory basis fixes the menus' payoff domain: the adversarial search
-    # runs on it, and the morph's basis of its own kind lives on its domain.
-    theory_basis = _pick_basis(theory.get("basis", {}), "theory.basis", "polynomial", {})
-    morph_basis = _pick_basis(morph.pop("basis", {}), "morph.basis", "ispline",
-                              {"domain": list(theory_basis["domain"])})
+    # The theory basis merges over the defaults of the kind it names, and fixes
+    # the menus' payoff domain: the adversarial search runs on it, and the
+    # morph's I-spline basis lives on its domain.
+    basis = theory.get("basis", {})
+    kind = basis.get("kind", DEFAULT_BASIS["kind"])
+    if not (isinstance(kind, str) and kind in _BASIS_DEFAULTS):
+        raise ConfigError(f"theory.basis.kind: invalid value {kind!r}")
+    defaults = _BASIS_DEFAULTS[kind]
+    theory_basis = {**defaults, **_pick(basis, "theory.basis",
+                                        {key: _BASIS_CHECKS[key] for key in defaults})}
     n_payoffs = top.get("n_payoffs", PipelineConfig.n_payoffs)
     return PipelineConfig(
         predictor=predictor,
         theory_basis=theory_basis,
         adversarial=GdaConfig(**adversarial, n_payoffs=n_payoffs,
                               basis_config=dict(theory_basis)),
-        morph=MorphConfig(**morph, n_payoffs=n_payoffs, basis_config=morph_basis),
+        morph=MorphConfig(**morph, n_payoffs=n_payoffs,
+                          basis_config={**MORPH_BASIS, "domain": list(theory_basis["domain"])}),
         **verification, **top)
 
 

@@ -142,28 +142,27 @@ class TestConfig:
 
     def test_bad_basis_value_is_one_json_error_line(self, tmp_path, capsys):
         os.chdir(tmp_path)
-        Path("cfg.json").write_text(json.dumps({"morph": {"basis": {"order": "six"}}}))
-        rc = run_command(["morph", "--config", "cfg.json", "--inits", "1",
+        Path("cfg.json").write_text(json.dumps({"theory": {"basis": {"order": "six"}}}))
+        rc = run_command(["adversarial", "--config", "cfg.json", "--inits", "1",
                           "--out", "a.jsonl"])
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 1 and len(err) == 1
-        assert "morph.basis.order" in json.loads(err[0])["error"]
+        assert "theory.basis.order" in json.loads(err[0])["error"]
         assert not os.path.exists("a.jsonl")
 
     def test_basis_defaults_merge_within_one_kind(self):
-        cfg = parse_config({"morph": {"basis": {"kind": "polynomial"}}})
-        assert cfg.morph.basis_config == GdaConfig().basis_config
-        assert cfg.morph.make_basis().config_dict() == cfg.morph.basis_config
+        cfg = parse_config({"theory": {"basis": {"kind": "ispline"}}})
+        assert cfg.theory_basis == MorphConfig().basis_config
+        assert cfg.adversarial.make_basis().config_dict() == cfg.theory_basis
 
     @pytest.mark.parametrize("raw, key", [
         ({"adversarial": {"basis": {"kind": "polynomial", "domain": [0, 20]}}},
          "adversarial.basis"),
         ({"adversarial": {"basis": {"order": 4}}}, "adversarial.basis"),
-        ({"morph": {"basis": {"domain": [0, 20]}}}, "morph.basis.domain"),
-        ({"morph": {"basis": {"kind": "polynomial", "domain": [0, 20]}}},
-         "morph.basis.domain")])
-    def test_basis_domain_is_the_theorys_alone(self, raw, key, tmp_path, capsys):
-        # The theory basis fixes the payoff domain: no search section names one.
+        ({"morph": {"basis": {"domain": [0, 20]}}}, "morph.basis"),
+        ({"morph": {"basis": {"knots": 8}}}, "morph.basis")])
+    def test_only_the_theory_names_a_basis(self, raw, key, tmp_path, capsys):
+        # The theory basis fixes the payoff domain: no search section names a basis.
         os.chdir(tmp_path)
         (procedure,) = raw
         Path("cfg.json").write_text(json.dumps(raw))
@@ -174,10 +173,9 @@ class TestConfig:
 
     def test_searches_live_on_the_theory_domain(self):
         theory = {"kind": "polynomial", "order": 4, "domain": [0, 5]}
-        cfg = parse_config({"theory": {"basis": theory}, "morph": {"basis": {"knots": 8}}})
+        cfg = parse_config({"theory": {"basis": theory}})
         assert cfg.theory_basis == cfg.adversarial.basis_config == theory
-        assert cfg.morph.basis_config == {**MorphConfig().basis_config, "knots": 8,
-                                          "domain": [0, 5]}
+        assert cfg.morph.basis_config == {**MorphConfig().basis_config, "domain": [0, 5]}
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -1290,7 +1288,7 @@ class TestTrainMlpFlags:
 class TestConfiguredValuesReachTheirCode:
     @pytest.mark.parametrize("procedure, raw", [
         ("morph", {"theory": {"basis": {"domain": [0, 5]}},
-                   "morph": {"basis": {"knots": 8}, "max_iters": 5}}),
+                   "morph": {"max_iters": 5}}),
         ("adversarial", {"theory": {"basis": {"domain": [0, 5e6]}}}),
         ("baseline", {"theory": {"basis": {"domain": [0, 5e6]}}})],
         ids=["morph", "adversarial", "baseline"])
