@@ -11,13 +11,14 @@ import itertools
 
 import numpy as np
 
-from anomgen.adversarial import GdaConfig, run_adversarial_indices
+from anomgen.adversarial import run_adversarial_indices
 from anomgen.basis import basis_from_config
 from anomgen.categorize import categorize
-from anomgen.cpt import CptParams, simulate_choices
+from anomgen.config import parse_config
+from anomgen.cpt import simulate_choices
 from anomgen.data import split_dataset
 from anomgen.lotteries import draw_menus
-from anomgen.morphing import MorphConfig, run_morph_indices
+from anomgen.morphing import run_morph_indices
 from anomgen.predictor import MlpPredictor, MlpTrainConfig, evaluate, train_mlp
 from anomgen.records import record_to_collection
 from anomgen.verifier import verify_collection, verify_parametrized
@@ -32,10 +33,12 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    params = CptParams.preset("bruhin-b")
+    cfg = parse_config({"seed": args.seed})
+    params, _ = cfg.predictor.cpt_params()
     rng = np.random.default_rng(args.seed)
-    ds = simulate_choices(rng, *draw_menus(rng, args.n, 2, 0, 10), params, kind="rate",
-                          count=1000)
+    ds = simulate_choices(rng, *draw_menus(rng, args.n, cfg.n_payoffs,
+                                           *cfg.theory_basis["domain"]),
+                          params, kind="rate", count=1000)
     train, test = split_dataset(ds, 0.2, seed=args.seed)
 
     hidden = tuple(int(w) for w in args.hidden.split(","))
@@ -44,16 +47,14 @@ def main():
     pred = MlpPredictor(model)
     print("held-out:", evaluate(pred, test))
 
-    basis = basis_from_config({"kind": "polynomial", "order": 6,
-                               "domain": [0.0, 10.0]})
+    basis = basis_from_config(cfg.theory_basis)
     par = full = 0
     cats = {}
-    for rec in itertools.chain(
-            run_adversarial_indices(pred, GdaConfig(), args.seed, range(args.runs)),
-            run_morph_indices(pred, MorphConfig(), args.seed, range(args.runs))):
+    for rec in itertools.chain(run_adversarial_indices(pred, cfg, range(args.runs)),
+                               run_morph_indices(pred, cfg, range(args.runs))):
         cand = record_to_collection(rec)
-        par += verify_parametrized(basis, cand).inconsistent
-        if not verify_collection(cand).consistent:
+        par += verify_parametrized(basis, cand, cfg.kl_threshold).inconsistent
+        if not verify_collection(cand, cfg.margin_threshold).consistent:
             full += 1
             tag = categorize(cand).tag
             cats[tag] = cats.get(tag, 0) + 1

@@ -9,5 +9,6 @@ from .categorize import (AnomalyCategory, categorize, check_certificate,
                          decompose_shared_components, solve_degenerate_mix)
 from .adversarial import GdaConfig, run_adversarial_indices
 from .morphing import MorphConfig, run_morph_indices
+from .config import parse_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

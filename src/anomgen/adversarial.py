@@ -27,17 +27,16 @@ which runs share a stack (the CLI stacks a block of ``cli._RUN_BLOCK``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import PolynomialBasis, basis_from_config
+from .basis import basis_from_config
 from .lotteries import LOTTERY_SIGN, check_probs, draw_menus, project_to_simplex, run_rng
 from .records import stack_to_records
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 INTERIOR_EPS = 1e-8
-DEFAULT_BASIS = PolynomialBasis().config_dict()
 
 
 @dataclass(frozen=True)
@@ -45,15 +44,6 @@ class GdaConfig:
     step_size: float = 0.01
     max_iters: int = 50
     inits: int = 100                    # runs a CLI batch makes without --inits
-    basis_config: dict = field(default_factory=lambda: dict(DEFAULT_BASIS))
-    n_payoffs: int = 2
-
-    def __post_init__(self):
-        if self.step_size <= 0 or self.max_iters < 1:
-            raise ValueError("step size must be positive and iterations >= 1")
-
-    def make_basis(self):
-        return basis_from_config(self.basis_config)
 
 
 def interior_menu(P: np.ndarray) -> np.ndarray:
@@ -94,11 +84,12 @@ def ascent_objective(theta: np.ndarray, P: np.ndarray, B: np.ndarray, f: np.ndar
     return -m * g, -(g[:, None, None] * grad_m + m[:, None, None] * grad_g)
 
 
-def lockstep(predictor, config, Z, P, step, columns, procedure: str, master_seed,
+def lockstep(predictor, config, basis, Z, P, step, columns, procedure: str, master_seed,
              indices) -> list[dict]:
     """Both searches' loop: runs that each move a copy of their initial menu
     (payoffs ``Z`` and probabilities ``P``, (R, 2, J)) against the menu
-    itself, as one stack; ``P`` moves in place.
+    itself, as one stack, with the theory fit on ``basis``; ``P`` moves in
+    place.
 
     Step ``s`` refits the running rows (run positions ``rows``) to their
     (anchor, current) pairs; ``step(s, rows, D, y, fit, P, B, f, df)`` maps
@@ -112,7 +103,7 @@ def lockstep(predictor, config, Z, P, step, columns, procedure: str, master_seed
     after the loop.
     """
     P0 = P.copy()
-    B = stack_basis_values(config.make_basis(), Z)
+    B = stack_basis_values(basis, Z)
     f0 = predictor.predict_batch(Z, P)
     d0 = eu_difference_rows(P, B)
 
@@ -143,8 +134,9 @@ def lockstep(predictor, config, Z, P, step, columns, procedure: str, master_seed
         master_seed, indices, iterations=iterations.tolist(), flags=flags, **columns())
 
 
-def gda_run(predictor, config: GdaConfig, Z, P, master_seed, indices) -> list[dict]:
-    """Descent-ascent runs from the menus (Z, P), advanced in ``lockstep``.
+def gda_run(predictor, config: GdaConfig, basis, Z, P, master_seed, indices) -> list[dict]:
+    """Descent-ascent runs from the menus (Z, P) against the theory on
+    ``basis``, advanced in ``lockstep``.
     Each record counts the run's inner fits that ended on the coefficient
     ball (``inner_fits_on_bound``) and unconverged
     (``inner_fits_unconverged``)."""
@@ -156,23 +148,28 @@ def gda_run(predictor, config: GdaConfig, Z, P, master_seed, indices) -> list[di
         unconverged[rows] += ~fit.converged
         return config.step_size * ascent_objective(fit.theta, P, B, f, df)[1], True
 
-    return lockstep(predictor, config, Z, P, ascend,
+    return lockstep(predictor, config, basis, Z, P, ascend,
                     lambda: {"inner_fits_on_bound": on_bound.tolist(),
                              "inner_fits_unconverged": unconverged.tolist()},
                     "adversarial", master_seed, indices)
 
 
-def index_block(master_seed: int, indices, n_menus: int, n_payoffs: int, domain):
-    """Runs addressed by (master seed, run index), stacked together: their
-    menus' (R, n_menus, 2, J) payoff and probability stacks (``draw_menus``)
-    and the generators they were drawn from (a run's stream goes on)."""
-    rngs = [run_rng(master_seed, i) for i in indices]
-    Z, P = zip(*(draw_menus(rng, n_menus, n_payoffs, *domain) for rng in rngs))
+def index_block(cfg, indices, n_menus: int):
+    """Runs ``indices`` of the pipeline config ``cfg``, each addressed by
+    (``cfg.seed``, run index), stacked together: their menus' (R, n_menus,
+    2, J) payoff and probability stacks, drawn with ``cfg.n_payoffs``
+    payoffs over the theory basis's domain (``draw_menus``), and the
+    generators they were drawn from (a run's stream goes on)."""
+    rngs = [run_rng(cfg.seed, i) for i in indices]
+    Z, P = zip(*(draw_menus(rng, n_menus, cfg.n_payoffs, *cfg.theory_basis["domain"])
+                 for rng in rngs))
     return np.stack(Z), np.stack(P), rngs
 
 
-def run_adversarial_indices(predictor, config: GdaConfig, master_seed: int, indices):
-    """Adversarial runs addressed by (master seed, run index), advanced as one
-    stack; their records in the order of ``indices``."""
-    Z, P, _ = index_block(master_seed, indices, 1, config.n_payoffs, config.make_basis().domain)
-    return gda_run(predictor, config, Z[:, 0], P[:, 0], master_seed, indices)
+def run_adversarial_indices(predictor, cfg, indices):
+    """Adversarial runs ``indices`` of the pipeline config ``cfg``, on its
+    theory basis, advanced as one stack; their records in the order of
+    ``indices``."""
+    Z, P, _ = index_block(cfg, indices, 1)
+    return gda_run(predictor, cfg.adversarial, basis_from_config(cfg.theory_basis),
+                   Z[:, 0], P[:, 0], cfg.seed, indices)

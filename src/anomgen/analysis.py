@@ -23,13 +23,13 @@ PCA_TOP_LOADINGS = 4
 # Random-pair baseline
 # ---------------------------------------------------------------------------
 
-def run_baseline_indices(predictor, cfg, master_seed: int, indices) -> list[dict]:
-    """Baseline runs addressed by (master seed, run index): two random menus
-    each, over the theory basis's domain, predicted in one batch call."""
-    Z, P, _ = index_block(master_seed, indices, 2, cfg.n_payoffs, cfg.theory_basis["domain"])
+def run_baseline_indices(predictor, cfg, indices) -> list[dict]:
+    """Baseline runs ``indices`` of the pipeline config ``cfg``: two random
+    menus each (``adversarial.index_block``), predicted in one batch call."""
+    Z, P, _ = index_block(cfg, indices, 2)
     q = predictor.predict_batch(Z.reshape(-1, *Z.shape[2:]), P.reshape(-1, *P.shape[2:]))
     return stack_to_records(Z, P, q.reshape(len(Z), 2), "baseline", predictor.label,
-                            master_seed, indices)
+                            cfg.seed, indices)
 
 
 # ---------------------------------------------------------------------------

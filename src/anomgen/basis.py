@@ -137,13 +137,18 @@ class ISplineBasis:
                 "domain": list(self.domain)}
 
 
+# The basis kinds, the first the default; a kind's defaults are its
+# constructor's (``cls().config_dict()``).
+BASES = (PolynomialBasis, ISplineBasis)
+
+
 def basis_from_config(cfg: dict):
     """Build a basis from its JSON description: ``kind`` names the class, and
     the other keys are its constructor's arguments (a key it does not take
     raises ``TypeError``)."""
     cfg = dict(cfg)
     kind = cfg.pop("kind")
-    for cls in (PolynomialBasis, ISplineBasis):
+    for cls in BASES:
         if cls.kind == kind:
             return cls(**cfg)
     raise ValueError(f"unknown basis kind {kind!r}")

@@ -107,10 +107,10 @@ def _fan_out(chunk_fn, args: tuple, items, workers: int):
 
 
 def _generate_chunk(predictor, cfg: PipelineConfig, procedure: str, indices) -> list:
-    """The records of runs ``indices``; the baseline has no config section."""
+    """The records of runs ``indices``."""
     generate = {"adversarial": run_adversarial_indices, "morph": run_morph_indices,
                 "baseline": analysis.run_baseline_indices}[procedure]
-    return generate(predictor, getattr(cfg, procedure, cfg), cfg.seed, indices)
+    return generate(predictor, cfg, indices)
 
 
 def cmd_generate(args) -> int:
@@ -235,7 +235,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_report(args) -> int:
     start = time.perf_counter()
-    _, recs = records.read_jsonl(args.inp)
+    _, recs = records.read_jsonl(args.inp, expected_kind="categorized")
     predictors = sorted({str(r.get("predictor")) for r in recs})
     counts = {(t, p): 0 for t in CATEGORY_TAGS for p in predictors}
     totals = dict.fromkeys(predictors, 0)

@@ -1,9 +1,12 @@
 """Pipeline configuration: JSON in, validated dataclasses out.
 
-Each search section parses straight into its search's config type, and a key
-left out takes that dataclass field's default.  Unknown keys and bad values
-are rejected with their path so config typos fail loudly before a long batch
-run.
+Each search section parses straight into its search's config type, which
+holds only that search's settings, and a key left out takes that dataclass
+field's default.  The menu description (``n_payoffs``, ``theory_basis``) and
+the run address (``seed``) live in ``PipelineConfig`` alone, and every
+generator takes it.  Each value is checked here, once; unknown keys and bad
+values are rejected with their path so config typos fail loudly before a
+long batch run.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .adversarial import DEFAULT_BASIS, GdaConfig
+from .adversarial import GdaConfig
+from .basis import BASES
 from .cpt import PRESETS, CptParams, CptPredictor
-from .morphing import DEFAULT_BASIS as MORPH_BASIS, MIN_RANK_TOL, MorphConfig
+from .morphing import MIN_RANK_TOL, MorphConfig
 from .verifier import DEFAULT_KL_THRESHOLD, MARGIN_THRESHOLD
 
 
@@ -36,7 +40,7 @@ def _count(minimum: int):
 
 
 # Each basis kind's defaults, and the check of every key some kind takes.
-_BASIS_DEFAULTS = {b["kind"]: b for b in (DEFAULT_BASIS, MORPH_BASIS)}
+_BASIS_DEFAULTS = {cls.kind: cls().config_dict() for cls in BASES}
 _BASIS_CHECKS = {"kind": None, "order": _count(1), "knots": _count(2), "degree": _count(1),
                  "domain": lambda v: type(v) is list and len(v) == 2
                  and 0 < v[1] - v[0] < math.inf}
@@ -114,25 +118,17 @@ def parse_config(raw: dict) -> PipelineConfig:
     top = _pick(raw, "", {"n_payoffs": lambda v: v in (2, 3) and type(v) is int,
                           "seed": _count(0), "workers": _count(1)})
 
-    # The theory basis merges over the defaults of the kind it names, and fixes
-    # the menus' payoff domain: the adversarial search runs on it, and the
-    # morph's I-spline basis lives on its domain.
+    # The theory basis merges over the defaults of the kind it names.
     basis = theory.get("basis", {})
-    kind = basis.get("kind", DEFAULT_BASIS["kind"])
+    kind = basis.get("kind", BASES[0].kind)
     if not (isinstance(kind, str) and kind in _BASIS_DEFAULTS):
         raise ConfigError(f"theory.basis.kind: invalid value {kind!r}")
     defaults = _BASIS_DEFAULTS[kind]
     theory_basis = {**defaults, **_pick(basis, "theory.basis",
                                         {key: _BASIS_CHECKS[key] for key in defaults})}
-    n_payoffs = top.get("n_payoffs", PipelineConfig.n_payoffs)
-    return PipelineConfig(
-        predictor=predictor,
-        theory_basis=theory_basis,
-        adversarial=GdaConfig(**adversarial, n_payoffs=n_payoffs,
-                              basis_config=dict(theory_basis)),
-        morph=MorphConfig(**morph, n_payoffs=n_payoffs,
-                          basis_config={**MORPH_BASIS, "domain": list(theory_basis["domain"])}),
-        **verification, **top)
+    return PipelineConfig(predictor=predictor, theory_basis=theory_basis,
+                          adversarial=GdaConfig(**adversarial), morph=MorphConfig(**morph),
+                          **verification, **top)
 
 
 def load_config(path) -> PipelineConfig:

@@ -43,15 +43,14 @@ from __future__ import annotations
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adversarial import index_block, lockstep
-from .basis import ISplineBasis, basis_from_config
+from .basis import ISplineBasis
 from .theory import _fit_logits
 
-DEFAULT_BASIS = ISplineBasis().config_dict()
 STOP_NORM = 1e-8
 # Variance added to each coefficient of the sampled law, theta ~ N(mean,
 # cov + COV_JITTER I): a history's fits may not vary along every coefficient,
@@ -88,17 +87,6 @@ class MorphConfig:
     # values up to ~2e-3 of the first from jitter alone, so cutoffs below
     # ~1e-2 treat the span as full-rank and stall every run at step 0.
     rank_tol: float = 0.1
-    basis_config: dict = field(default_factory=lambda: dict(DEFAULT_BASIS))
-    n_payoffs: int = 2
-
-    def __post_init__(self):
-        if self.step_size <= 0 or self.n_gradient_samples < 1:
-            raise ValueError("step size must be positive and sample count >= 1")
-        if not self.rank_tol >= MIN_RANK_TOL:
-            raise ValueError(f"rank_tol must be at least {MIN_RANK_TOL:g}")
-
-    def make_basis(self):
-        return basis_from_config(self.basis_config)
 
 
 def _add_kept_gram(gram: np.ndarray, cols: np.ndarray, scale: np.ndarray, rank_tol: float,
@@ -305,11 +293,11 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     return (T @ directions[..., None])[..., 0], ranks, certified
 
 
-def morph_lockstep(predictor, config: MorphConfig, Z, P, rngs, master_seed,
+def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, rngs, master_seed,
                    indices) -> list[dict]:
-    """Morphing runs from the menus (Z, P), advanced in ``lockstep``; run r
-    draws from its own generator ``rngs[r]`` and stops early once its
-    direction vanishes.  Its record says why it stopped (``stop``:
+    """Morphing runs from the menus (Z, P) with fits on ``basis``, advanced
+    in ``lockstep``; run r draws from its own generator ``rngs[r]`` and stops
+    early once its direction vanishes.  Its record says why it stopped (``stop``:
     ``direction_vanished``, ``max_iters`` or ``nonfinite_gradient``) and the
     rank of the sampled span removed by its last projection
     (``retained_rank``, None when it stopped before its first), and the
@@ -356,14 +344,16 @@ def morph_lockstep(predictor, config: MorphConfig, Z, P, rngs, master_seed,
         go[moving] = True
         return delta, go
 
-    return lockstep(predictor, config, Z, P, morph,
+    return lockstep(predictor, config, basis, Z, P, morph,
                     lambda: {"stop": stop, "retained_rank": rank,
                              "certified_steps": certified_steps.tolist()},
                     "morphing", master_seed, indices)
 
 
-def run_morph_indices(predictor, config: MorphConfig, master_seed: int, indices):
-    """Morphing runs addressed by (master seed, run index), advanced as one
-    stack; their records in the order of ``indices``."""
-    Z, P, rngs = index_block(master_seed, indices, 1, config.n_payoffs, config.make_basis().domain)
-    return morph_lockstep(predictor, config, Z[:, 0], P[:, 0], rngs, master_seed, indices)
+def run_morph_indices(predictor, cfg, indices):
+    """Morphing runs ``indices`` of the pipeline config ``cfg``, with fits on
+    the default I-spline basis over the theory basis's domain, advanced as
+    one stack; their records in the order of ``indices``."""
+    Z, P, rngs = index_block(cfg, indices, 1)
+    return morph_lockstep(predictor, cfg.morph, ISplineBasis(domain=cfg.theory_basis["domain"]),
+                          Z[:, 0], P[:, 0], rngs, cfg.seed, indices)

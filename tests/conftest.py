@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from anomgen import morphing
+from anomgen.adversarial import run_adversarial_indices
 from anomgen.analysis import PATTERNS, pattern_frequencies
+from anomgen.config import parse_config
 from anomgen.cpt import CptParams, logistic, lottery_values, simulate_choices
 from anomgen.lotteries import (Collection, draw_menus, flat_stack, grid_probs,
                                implied_choices, run_rng)
-from anomgen.morphing import COV_JITTER
+from anomgen.morphing import COV_JITTER, run_morph_indices
 from anomgen.records import record_to_collection, write_jsonl
 from anomgen.verifier import utility_verdicts
 from anomgen.theory import (BOUND_TOL, KKT_TOL, TARGET_CLIP, THETA_NORM_BOUND, FitResult,
@@ -206,12 +208,22 @@ def flat_menu_fn(fn, n_payoffs):
     return lambda x: fn(unchecked_menu(x, n_payoffs))
 
 
-def search_iterates(search, predictor, config, master_seed, indices):
-    """(s, records) for s = 1, 2, ...: a run capped at s steps ends at its
-    iterate s, so its final menu is that iterate.  Ends after
-    ``config.max_iters`` steps, or once every run stopped before step s."""
-    for s in range(1, config.max_iters + 1):
-        recs = list(search(predictor, replace(config, max_iters=s), master_seed, indices))
+def pipeline(seed: int = 0, **raw):
+    """The pipeline config of the JSON object ``raw`` with master seed ``seed``."""
+    return parse_config({"seed": seed, **raw})
+
+
+def search_iterates(procedure, predictor, cfg, indices):
+    """(s, records) for s = 1, 2, ...: runs ``indices`` of the ``procedure``
+    search (``adversarial`` or ``morph``) under ``cfg``; a run capped at s
+    steps ends at its iterate s, so its final menu is that iterate.  Ends
+    after the section's ``max_iters`` steps, or once every run stopped
+    before step s."""
+    search = {"adversarial": run_adversarial_indices, "morph": run_morph_indices}[procedure]
+    section = getattr(cfg, procedure)
+    for s in range(1, section.max_iters + 1):
+        recs = list(search(predictor, replace(cfg, **{procedure: replace(section, max_iters=s)}),
+                           indices))
         yield s, recs
         if all(rec["iterations"] < s for rec in recs):
             return
@@ -261,14 +273,12 @@ def reference_generated_record(predictor, cfg, procedure, rec) -> dict:
     is read from ``rec``, and so are its steps and stop fields."""
     master_seed, run_index = rec["master_seed"], rec["run_index"]
     rng = run_rng(master_seed, run_index)
+    menus = [sample_random_menu(rng, cfg.n_payoffs, *cfg.theory_basis["domain"])]
     if procedure == "baseline":
-        menus = [sample_random_menu(rng, cfg.n_payoffs, *cfg.theory_basis["domain"])
-                 for _ in range(2)]
+        menus.append(sample_random_menu(rng, cfg.n_payoffs, *cfg.theory_basis["domain"]))
         searched = {}
     else:
-        section = getattr(cfg, procedure)
-        menus = [sample_random_menu(rng, section.n_payoffs, *section.make_basis().domain),
-                 record_menus(rec)[1]]
+        menus.append(record_menus(rec)[1])
         searched = {k: rec[k] for k in ("iterations", "stop", "retained_rank",
                                         "certified_steps", "inner_fits_on_bound",
                                         "inner_fits_unconverged") if k in rec}

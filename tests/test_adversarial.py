@@ -6,11 +6,12 @@ from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run,
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor, logistic
 from anomgen.lotteries import LOTTERY_SIGN
-from anomgen.morphing import MorphConfig, run_morph_indices
+from anomgen.morphing import run_morph_indices
 from anomgen.records import record_to_collection
 from anomgen.theory import eu_difference_rows, stack_basis_values
 from conftest import (TheorySpec, central_difference, fit_theta, flat, predict, record_bytes,
-                      record_menus, sample_random_menu, search_iterates, stack, swapped,
+                      pipeline, record_menus, sample_random_menu, search_iterates, stack,
+                      swapped,
                       theory_loss, unchecked_menu)
 
 BASIS = PolynomialBasis(order=6, domain=(0, 10))
@@ -32,7 +33,7 @@ class LogitEutPredictor:
 
 def gda_menus(pred, config, menus, indices=None):
     """``gda_run`` from a list of menus; run r is run ``indices[r]``, by default r."""
-    return gda_run(pred, config, *stack(menus), None,
+    return gda_run(pred, config, BASIS, *stack(menus), None,
                    range(len(menus)) if indices is None else indices)
 
 
@@ -146,8 +147,7 @@ class TestGdaRun:
 
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        for s, results in search_iterates(run_adversarial_indices, pred, GdaConfig(), 6,
-                                          range(10)):
+        for s, results in search_iterates("adversarial", pred, pipeline(6), range(10)):
             for result in results:
                 assert result["iterations"] == s
                 x = flat(record_menus(result)[1])
@@ -158,7 +158,7 @@ class TestGdaRun:
 
     def test_payoffs_frozen_by_default(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        (result,) = run_adversarial_indices(pred, GdaConfig(), 7, [0])
+        (result,) = run_adversarial_indices(pred, pipeline(7), [0])
         x0, xS = (flat(m) for m in record_menus(result))
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
@@ -179,14 +179,14 @@ class TestGdaRun:
 class TestGenerateAdversarial:
     def test_master_seed_determinism(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = GdaConfig()
-        for a, b in zip(run_adversarial_indices(pred, cfg, 11, range(5)),
-                        run_adversarial_indices(pred, cfg, 11, range(5))):
+        cfg = pipeline(11)
+        for a, b in zip(run_adversarial_indices(pred, cfg, range(5)),
+                        run_adversarial_indices(pred, cfg, range(5))):
             assert a == b
 
     def test_provenance_recorded(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        (result,) = run_adversarial_indices(pred, GdaConfig(), 12, [3])
+        (result,) = run_adversarial_indices(pred, pipeline(12), [3])
         assert result["procedure"] == "adversarial" and result["id"] == "adversarial-000003"
         assert result["master_seed"] == 12 and result["run_index"] == 3
         assert result["iterations"] == 50
@@ -207,11 +207,11 @@ class TestEstimatedPredictors:
         model = train_mlp(self._training_data(), hidden=(16, 16),
                           config=MlpTrainConfig(epochs=60, seed=0))
         pred = MlpPredictor(model)
-        (result,) = run_adversarial_indices(pred, GdaConfig(), 13, [0])
+        (result,) = run_adversarial_indices(pred, pipeline(13), [0])
         assert result["iterations"] == 50
-        (again,) = run_adversarial_indices(pred, GdaConfig(), 13, [0])
+        (again,) = run_adversarial_indices(pred, pipeline(13), [0])
         assert again == result
-        (morph,) = run_morph_indices(pred, MorphConfig(), 13, [0])
+        (morph,) = run_morph_indices(pred, pipeline(13), [0])
         assert len(record_to_collection(morph).q) == 2
         assert all(np.isfinite(morph["predicted_probs"]))
 
@@ -221,7 +221,7 @@ class TestEstimatedPredictors:
         save_dataset(self._training_data(), tmp_path / "d.csv")
         pred = build_predictor(PredictorSection(kind="cpt_fit",
                                                 dataset_path=str(tmp_path / "d.csv")))
-        (result,) = run_adversarial_indices(pred, GdaConfig(), 14, [0])
+        (result,) = run_adversarial_indices(pred, pipeline(14), [0])
         assert result["iterations"] == 50
 
 
@@ -250,13 +250,13 @@ class TestLockstep:
         for r, (menu, result) in enumerate(zip(menus, together)):
             (alone,) = gda_menus(pred, cfg, [menu], [r])
             assert record_bytes(alone) == record_bytes(result)
-        cfg = MorphConfig(max_iters=20)
-        together = list(run_morph_indices(pred, cfg, 40, range(9)))
+        cfg = pipeline(40, morph={"max_iters": 20})
+        together = list(run_morph_indices(pred, cfg, range(9)))
         # Some runs' directions vanish while the others go on.
         stops = [r["stop"] for r in together]
         assert "direction_vanished" in stops and "max_iters" in stops
         for i, result in enumerate(together):
-            (alone,) = run_morph_indices(pred, cfg, 40, [i])
+            (alone,) = run_morph_indices(pred, cfg, [i])
             assert record_bytes(alone) == record_bytes(result)
 
     def test_nonfinite_run_stops_and_others_go_on(self):
@@ -272,8 +272,8 @@ class TestLockstep:
             assert result["flags"] == ([f"nonfinite_gradient@iter{n}"] if n < 5 else [])
             (alone,) = gda_menus(pred, cfg, [menu], [r])
             assert record_bytes(alone) == record_bytes(result)
-        cfg = MorphConfig(max_iters=5)
-        results = list(run_morph_indices(pred, cfg, 41, range(12)))
+        cfg = pipeline(41, morph={"max_iters": 5})
+        results = list(run_morph_indices(pred, cfg, range(12)))
         stops = [r["stop"] for r in results]
         # Runs stop at step 0 on a non-finite gradient while others go on.
         assert results[0]["iterations"] == 0 and stops[0] == "nonfinite_gradient"
@@ -282,12 +282,13 @@ class TestLockstep:
             n = result["iterations"]
             assert result["flags"] == ([f"nonfinite_gradient@iter{n}"]
                                        if stops[i] == "nonfinite_gradient" else [])
-            (alone,) = run_morph_indices(pred, cfg, 41, [i])
+            (alone,) = run_morph_indices(pred, cfg, [i])
             assert record_bytes(alone) == record_bytes(result)
 
     def test_inner_fit_counts_recorded(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        recs = run_adversarial_indices(pred, GdaConfig(max_iters=3), 23, range(40))
+        recs = run_adversarial_indices(pred, pipeline(23, adversarial={"max_iters": 3}),
+                                       range(40))
         on_bound = [r["inner_fits_on_bound"] for r in recs]
         unconverged = [r["inner_fits_unconverged"] for r in recs]
         assert all(type(v) is int and 0 <= v <= 3 for v in on_bound + unconverged)

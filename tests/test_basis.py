@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from anomgen.adversarial import DEFAULT_BASIS
-from anomgen.basis import ISplineBasis, PolynomialBasis, basis_from_config
-from anomgen.morphing import DEFAULT_BASIS as MORPH_BASIS
+from anomgen.basis import BASES, ISplineBasis, PolynomialBasis, basis_from_config
 
 
 class TestPolynomialBasis:
@@ -78,6 +76,7 @@ class TestBasisFromConfig:
             basis_from_config({"kind": "polynomial", "ordr": 4})
 
     def test_default_configs_are_the_constructor_defaults(self):
-        assert DEFAULT_BASIS == {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]}
-        assert MORPH_BASIS == {"kind": "ispline", "knots": 10, "degree": 3,
-                               "domain": [0.0, 10.0]}
+        # The kinds in order, the default first, with their documented defaults.
+        assert [cls().config_dict() for cls in BASES] == [
+            {"kind": "polynomial", "order": 6, "domain": [0.0, 10.0]},
+            {"kind": "ispline", "knots": 10, "degree": 3, "domain": [0.0, 10.0]}]

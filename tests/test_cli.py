@@ -16,8 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from anomgen import cli, morphing, records
-from anomgen.adversarial import GdaConfig
+from anomgen import analysis, cli, morphing, records
+from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.cli import run_command
 from anomgen.config import ConfigError, build_predictor, load_config, parse_config
 from anomgen.cpt import CptParams, CptPredictor, logistic, lottery_values, simulate_choices
@@ -27,12 +27,12 @@ from anomgen.morphing import MorphConfig
 from anomgen.records import read_jsonl, record_to_collection, write_jsonl
 from anomgen.verifier import (MAX_DISTINCT_PAYOFFS, minimal_anomaly, verify_collection,
                               verify_parametrized)
-from anomgen.basis import basis_from_config
+from anomgen.basis import ISplineBasis, basis_from_config
 from anomgen.categorize import CATEGORY_TAGS, categorize
 from anomgen.predictor import MlpModel, fit_cpt_params, menu_input_scaling
 from conftest import (collection, flat, lottery, menu, menu_json, predict,
-                      reference_generated_record, reference_record, sample_random_menu,
-                      write_anomalies)
+                      record_menus, reference_generated_record, reference_record,
+                      sample_random_menu, write_anomalies)
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parents[1]
@@ -136,6 +136,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="predictor.delta"):
             parse_config({"predictor": {"delta": -1.0, "gamma": 0.3}})
 
+    @pytest.mark.parametrize("raw, path", [
+        ({"adversarial": {"step_size": 0}}, "adversarial.step_size"),
+        ({"adversarial": {"max_iters": 0}}, "adversarial.max_iters"),
+        ({"morph": {"step_size": 0}}, "morph.step_size"),
+        ({"morph": {"max_iters": 0}}, "morph.max_iters"),
+        ({"morph": {"n_gradient_samples": 0}}, "morph.n_gradient_samples"),
+        ({"morph": {"rank_tol": 9.9e-7}}, "morph.rank_tol")])
+    def test_search_value_out_of_range_named(self, raw, path):
+        # The config's check table is the only check of a search setting.
+        with pytest.raises(ConfigError, match=f"^{path}: invalid value"):
+            parse_config(raw)
+
     def test_basis_key_typo_named(self):
         with pytest.raises(ConfigError, match="theory.basis.ordr"):
             parse_config({"theory": {"basis": {"kind": "polynomial", "ordr": 4}}})
@@ -152,8 +164,8 @@ class TestConfig:
 
     def test_basis_defaults_merge_within_one_kind(self):
         cfg = parse_config({"theory": {"basis": {"kind": "ispline"}}})
-        assert cfg.theory_basis == MorphConfig().basis_config
-        assert cfg.adversarial.make_basis().config_dict() == cfg.theory_basis
+        assert cfg.theory_basis == ISplineBasis().config_dict()
+        assert basis_from_config(cfg.theory_basis).config_dict() == cfg.theory_basis
 
     @pytest.mark.parametrize("raw, key", [
         ({"adversarial": {"basis": {"kind": "polynomial", "domain": [0, 20]}}},
@@ -172,10 +184,19 @@ class TestConfig:
         assert os.listdir() == ["cfg.json"]
 
     def test_searches_live_on_the_theory_domain(self):
-        theory = {"kind": "polynomial", "order": 4, "domain": [0, 5]}
-        cfg = parse_config({"theory": {"basis": theory}})
-        assert cfg.theory_basis == cfg.adversarial.basis_config == theory
-        assert cfg.morph.basis_config == {**MorphConfig().basis_config, "domain": [0, 5]}
+        # Every generator draws run i's initial menu from (seed, i) with the
+        # pipeline's payoff count over the theory basis's domain.
+        cfg = parse_config({"n_payoffs": 3, "seed": 3, "theory": {"basis": {"domain": [0, 5]}},
+                            "adversarial": {"max_iters": 2}, "morph": {"max_iters": 2}})
+        pred = CptPredictor(CptParams(0.726, 0.309))
+        for generate in (run_adversarial_indices, morphing.run_morph_indices,
+                         analysis.run_baseline_indices):
+            for i, rec in zip(range(5, 9), generate(pred, cfg, range(5, 9))):
+                Z, P = record_menus(rec)[0]
+                (Z0,), (P0,) = draw_menus(run_rng(3, i), 1, 3, 0.0, 5.0)
+                np.testing.assert_array_equal(Z, Z0)
+                np.testing.assert_array_equal(P, P0)
+                assert np.all((0 <= Z) & (Z <= 5))
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -854,6 +875,17 @@ class TestBadInputIsOneErrorLine:
         assert error["error"].startswith("record 'x-000001': ")
         assert not os.path.exists("out")
 
+    @pytest.mark.parametrize("kind", ["candidates", "verified"])
+    def test_report_of_a_stream_that_is_not_categorized(self, kind, tmp_path, capsys):
+        # An uncategorized anomaly would be counted as ``other``.
+        os.chdir(tmp_path)
+        write_anomalies("cat.jsonl", 3)
+        write_jsonl("in.jsonl", read_jsonl("cat.jsonl")[1], kind=kind)
+        assert run_command(["report", "--in", "in.jsonl", "--out", "out"]) == 1
+        assert error_line(capsys) == {
+            "command": "report", "error": f"in.jsonl: kind {kind!r}, expected 'categorized'"}
+        assert not os.path.exists("out")
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_cluster_k_below_one_warns_nothing(self, k, tmp_path, capsys):
         # --k is rejected before any arithmetic: on a stream with no non-FOSD
@@ -954,8 +986,6 @@ class TestRankTolBound:
         assert parse_config({"morph": {"rank_tol": 1e-6}}).morph.rank_tol == 1e-6
         with pytest.raises(ConfigError, match="morph.rank_tol"):
             parse_config({"morph": {"rank_tol": 9.9e-7}})
-        with pytest.raises(ValueError, match="rank_tol"):
-            MorphConfig(rank_tol=9.9e-7)
         os.chdir(tmp_path)
         Path("cfg.json").write_text(json.dumps({"morph": {"rank_tol": 1e-9}}))
         rc = run_command(["morph", "--config", "cfg.json", "--inits", "1", "--out", "m.jsonl"])
@@ -968,9 +998,9 @@ class TestRankTolBound:
         # The span is taken in tangent coordinates, so the retained rank is
         # at most 2J - 2 = 2 for J = 2, even at the smallest accepted cutoff.
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
+        cfg = parse_config({"seed": 6, "morph": {"rank_tol": morphing.MIN_RANK_TOL}})
         ranks = [r["retained_rank"]
-                 for r in morphing.run_morph_indices(pred, cfg, 6, range(12))]
+                 for r in morphing.run_morph_indices(pred, cfg, range(12))]
         assert all(r is not None and r <= 2 for r in ranks)
 
 

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 from anomgen import morphing
-from anomgen.adversarial import GdaConfig, index_block, run_adversarial_indices
+from anomgen.adversarial import index_block, run_adversarial_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
 from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_basis,
                               morph_step_directions, run_morph_indices)
 from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
 from conftest import (fit_theta, flat, grad, morph_step_direction, null_space_projection,
-                      predict, record_menus, reference_certificate, reference_step_direction,
+                      pipeline, predict, record_menus, reference_certificate,
+                      reference_step_direction,
                       reference_step_factor, reference_utility_factor, sample_random_menu,
                       sample_step_gradients, sample_theta_history, search_iterates, stack,
                       tangent)
@@ -282,16 +283,15 @@ class TestMorphRun:
         # spans the tangent space, the projected direction is ~0 and the run
         # stops at step 0.
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = MorphConfig(rank_tol=morphing.MIN_RANK_TOL)
-        (result,) = run_morph_indices(pred, cfg, 6, [0])
+        cfg = pipeline(6, morph={"rank_tol": morphing.MIN_RANK_TOL})
+        (result,) = run_morph_indices(pred, cfg, [0])
         assert result["iterations"] == 0
         m0, mS = record_menus(result)
         np.testing.assert_array_equal(flat(m0), flat(mS))
 
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        for _, results in search_iterates(run_morph_indices, pred, MorphConfig(), 7,
-                                          range(5)):
+        for _, results in search_iterates("morph", pred, pipeline(7), range(5)):
             for result in results:
                 x = flat(record_menus(result)[1])
                 assert abs(x[2:4].sum() - 1) < 1e-12
@@ -300,16 +300,16 @@ class TestMorphRun:
 
     def test_payoffs_frozen(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        (result,) = run_morph_indices(pred, MorphConfig(), 8, [1])
+        (result,) = run_morph_indices(pred, pipeline(8), [1])
         x0, xS = (flat(m) for m in record_menus(result))
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
 
     def test_determinism(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = MorphConfig()
-        (a,) = run_morph_indices(pred, cfg, 10, [0])
-        (b,) = run_morph_indices(pred, cfg, 10, [0])
+        cfg = pipeline(10)
+        (a,) = run_morph_indices(pred, cfg, [0])
+        (b,) = run_morph_indices(pred, cfg, [0])
         assert a == b
 
     def test_frozen_basis_rows_give_the_same_fits(self):
@@ -317,10 +317,9 @@ class TestMorphRun:
         # frozen payoffs; along a trajectory that route must reproduce the
         # fit from freshly evaluated features bit for bit.
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = MorphConfig()
-        basis = cfg.make_basis()
+        basis = ISplineBasis()
         iterates = [results[0] for _, results in
-                    search_iterates(run_morph_indices, pred, cfg, 11, [3])]
+                    search_iterates("morph", pred, pipeline(11), [3])]
         assert iterates[-1]["iterations"] >= 5
         x0 = record_menus(iterates[0])[0]
         Z0, P0 = stack([x0])
@@ -683,8 +682,8 @@ def lockstep_steps():
     original = morphing.morph_step_directions
     out = {}
     for count, runs, iters in ((2_000, 30, 10), (200_000, 16, 3)):
-        cfg = MorphConfig(n_gradient_samples=count, max_iters=iters)
-        Z, P, rngs = index_block(4, range(runs), 1, cfg.n_payoffs, cfg.make_basis().domain)
+        cfg = pipeline(4, morph={"n_gradient_samples": count, "max_iters": iters})
+        Z, P, rngs = index_block(cfg, range(runs), 1)
         steps = []
 
         def capture(*args):
@@ -693,7 +692,8 @@ def lockstep_steps():
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(morphing, "morph_step_directions", capture)
-            recs = morphing.morph_lockstep(pred, cfg, Z[:, 0], P[:, 0], rngs, 4, range(runs))
+            recs = morphing.morph_lockstep(pred, cfg.morph, ISplineBasis(), Z[:, 0], P[:, 0],
+                                           rngs, cfg.seed, range(runs))
         out[count] = steps, rngs, recs
     return out
 
@@ -892,10 +892,10 @@ class TestStopRecord:
     def test_each_stop_value(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         # Cutoffs below ~1e-2 see a full-rank span at step 0 (MorphConfig).
-        (vanished,) = run_morph_indices(pred, MorphConfig(rank_tol=1e-3), 6, [0])
-        (capped,) = run_morph_indices(pred, MorphConfig(max_iters=2), 11, [3])
+        (vanished,) = run_morph_indices(pred, pipeline(6, morph={"rank_tol": 1e-3}), [0])
+        (capped,) = run_morph_indices(pred, pipeline(11, morph={"max_iters": 2}), [3])
         (nonfinite,) = run_morph_indices(NanGradPredictor(CptParams(0.726, 0.309)),
-                                         MorphConfig(), 6, [0])
+                                         pipeline(6), [0])
         recs = [vanished, capped, nonfinite]
         assert [r["stop"] for r in recs] == ["direction_vanished", "max_iters",
                                              "nonfinite_gradient"]
@@ -908,5 +908,5 @@ class TestStopRecord:
 
     def test_other_records_have_no_stop(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        (rec,) = run_adversarial_indices(pred, GdaConfig(max_iters=2), 6, [0])
+        (rec,) = run_adversarial_indices(pred, pipeline(6, adversarial={"max_iters": 2}), [0])
         assert "stop" not in rec and "retained_rank" not in rec

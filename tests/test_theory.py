@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from anomgen import adversarial, theory
-from anomgen.adversarial import GdaConfig, run_adversarial_indices
+from anomgen.adversarial import run_adversarial_indices
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
 from anomgen.predictor import fit_cpt_params
 from anomgen.theory import THETA_NORM_BOUND, FitResult
 from conftest import (TheorySpec, cpt_dataset, cpt_objective, eu_difference_features, fit_theta,
-                      reference_newton_fit, sample_random_menu, stack, theory_choice_prob,
-                      theory_loss)
+                      pipeline, reference_newton_fit, sample_random_menu, stack,
+                      theory_choice_prob, theory_loss)
 
 
 def pooled_kl(targets, q):
@@ -113,7 +113,7 @@ def on_bound_cases():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(adversarial, "_fit_logits", record)
         for start in range(0, 600, 50):
-            list(run_adversarial_indices(predictor, GdaConfig(max_iters=3), 23,
+            list(run_adversarial_indices(predictor, pipeline(23, adversarial={"max_iters": 3}),
                                          range(start, start + 50)))
             if len(cases) >= 60:
                 break
@@ -309,7 +309,7 @@ class TestBallConstrainedFit:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adversarial, "_fit_logits", record)
             list(run_adversarial_indices(CptPredictor(CptParams(0.726, 0.309)),
-                                         GdaConfig(max_iters=50), 3, range(512)))
+                                         pipeline(3), range(512)))
         steps, newton = [], theory.damped_newton
 
         def counted(*args):
@@ -398,7 +398,7 @@ class TestBallConstrainedFit:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adversarial, "_fit_logits", record)
             list(run_adversarial_indices(CptPredictor(CptParams(0.726, 0.309)),
-                                         GdaConfig(max_iters=50), 5, range(64)))
+                                         pipeline(5), range(64)))
         assert len(cases) >= 3000
         for D, y, theta, converged in cases:
             ref_theta, ref_converged, _ = reference_newton_fit(D, y)
