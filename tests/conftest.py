@@ -208,7 +208,7 @@ def flat_menu_fn(fn, n_payoffs):
     return lambda x: fn(unchecked_menu(x, n_payoffs))
 
 
-def pipeline(seed: int = 0, **raw):
+def pipeline_config(seed: int = 0, **raw):
     """The pipeline config of the JSON object ``raw`` with master seed ``seed``."""
     return parse_config({"seed": seed, **raw})
 

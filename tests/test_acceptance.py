@@ -28,9 +28,9 @@ from anomgen.records import read_jsonl, record_to_collection
 from anomgen.theory import _clip_targets, _cross_entropy
 from anomgen.verifier import minimal_anomaly, verify_collection, verify_parametrized
 from conftest import (TABLE_TOL, central_difference, collection, fit_theta, flat, grad,
-                      kernel_weights, lottery, null_space_projection, pipeline, predict,
-                      probs_on_grid, sample_random_menu, simulate_respondents, stack, tangent,
-                      unchecked_menu, verify_menus)
+                      kernel_weights, lottery, null_space_projection, pipeline_config,
+                      predict, probs_on_grid, sample_random_menu, simulate_respondents, stack,
+                      tangent, unchecked_menu, verify_menus)
 
 DESK_SEED = 23
 DESK_RUNS = 300          # per procedure
@@ -56,9 +56,9 @@ def desk_scale_results():
                                "domain": [0.0, 10.0]})
     start = time.time()
     records = [("adversarial", record_to_collection(r)) for r in
-               run_adversarial_indices(pred, pipeline(DESK_SEED), range(DESK_RUNS))]
+               run_adversarial_indices(pred, pipeline_config(DESK_SEED), range(DESK_RUNS))]
     records += [("morphing", record_to_collection(r)) for r in
-                run_morph_indices(pred, pipeline(DESK_SEED), range(DESK_RUNS))]
+                run_morph_indices(pred, pipeline_config(DESK_SEED), range(DESK_RUNS))]
     generation_seconds = time.time() - start
     verified = []
     for proc, cand in records:
@@ -226,10 +226,10 @@ def test_criterion_7_null_model_sanity():
     with criterion(7, "risk-neutral oracle yields exactly zero verified anomalies"):
         pred = CptPredictor(CptParams(1.0, 1.0))
         full = 0
-        for r in run_adversarial_indices(pred, pipeline(301), range(200)):
+        for r in run_adversarial_indices(pred, pipeline_config(301), range(200)):
             full += not verify_collection(record_to_collection(r)).consistent
         assert full == 0
-        for r in run_morph_indices(pred, pipeline(302), range(200)):
+        for r in run_morph_indices(pred, pipeline_config(302), range(200)):
             full += not verify_collection(record_to_collection(r)).consistent
         assert full == 0
 

@@ -9,10 +9,9 @@ from anomgen.lotteries import LOTTERY_SIGN
 from anomgen.morphing import run_morph_indices
 from anomgen.records import record_to_collection
 from anomgen.theory import eu_difference_rows, stack_basis_values
-from conftest import (TheorySpec, central_difference, fit_theta, flat, predict, record_bytes,
-                      pipeline, record_menus, sample_random_menu, search_iterates, stack,
-                      swapped,
-                      theory_loss, unchecked_menu)
+from conftest import (TheorySpec, central_difference, fit_theta, flat, pipeline_config,
+                      predict, record_bytes, record_menus, sample_random_menu, search_iterates,
+                      stack, swapped, theory_loss, unchecked_menu)
 
 BASIS = PolynomialBasis(order=6, domain=(0, 10))
 
@@ -147,7 +146,7 @@ class TestGdaRun:
 
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        for s, results in search_iterates("adversarial", pred, pipeline(6), range(10)):
+        for s, results in search_iterates("adversarial", pred, pipeline_config(6), range(10)):
             for result in results:
                 assert result["iterations"] == s
                 x = flat(record_menus(result)[1])
@@ -158,7 +157,7 @@ class TestGdaRun:
 
     def test_payoffs_frozen_by_default(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        (result,) = run_adversarial_indices(pred, pipeline(7), [0])
+        (result,) = run_adversarial_indices(pred, pipeline_config(7), [0])
         x0, xS = (flat(m) for m in record_menus(result))
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
@@ -179,14 +178,14 @@ class TestGdaRun:
 class TestGenerateAdversarial:
     def test_master_seed_determinism(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = pipeline(11)
+        cfg = pipeline_config(11)
         for a, b in zip(run_adversarial_indices(pred, cfg, range(5)),
                         run_adversarial_indices(pred, cfg, range(5))):
             assert a == b
 
     def test_provenance_recorded(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        (result,) = run_adversarial_indices(pred, pipeline(12), [3])
+        (result,) = run_adversarial_indices(pred, pipeline_config(12), [3])
         assert result["procedure"] == "adversarial" and result["id"] == "adversarial-000003"
         assert result["master_seed"] == 12 and result["run_index"] == 3
         assert result["iterations"] == 50
@@ -207,11 +206,11 @@ class TestEstimatedPredictors:
         model = train_mlp(self._training_data(), hidden=(16, 16),
                           config=MlpTrainConfig(epochs=60, seed=0))
         pred = MlpPredictor(model)
-        (result,) = run_adversarial_indices(pred, pipeline(13), [0])
+        (result,) = run_adversarial_indices(pred, pipeline_config(13), [0])
         assert result["iterations"] == 50
-        (again,) = run_adversarial_indices(pred, pipeline(13), [0])
+        (again,) = run_adversarial_indices(pred, pipeline_config(13), [0])
         assert again == result
-        (morph,) = run_morph_indices(pred, pipeline(13), [0])
+        (morph,) = run_morph_indices(pred, pipeline_config(13), [0])
         assert len(record_to_collection(morph).q) == 2
         assert all(np.isfinite(morph["predicted_probs"]))
 
@@ -221,7 +220,7 @@ class TestEstimatedPredictors:
         save_dataset(self._training_data(), tmp_path / "d.csv")
         pred = build_predictor(PredictorSection(kind="cpt_fit",
                                                 dataset_path=str(tmp_path / "d.csv")))
-        (result,) = run_adversarial_indices(pred, pipeline(14), [0])
+        (result,) = run_adversarial_indices(pred, pipeline_config(14), [0])
         assert result["iterations"] == 50
 
 
@@ -250,7 +249,7 @@ class TestLockstep:
         for r, (menu, result) in enumerate(zip(menus, together)):
             (alone,) = gda_menus(pred, cfg, [menu], [r])
             assert record_bytes(alone) == record_bytes(result)
-        cfg = pipeline(40, morph={"max_iters": 20})
+        cfg = pipeline_config(40, morph={"max_iters": 20})
         together = list(run_morph_indices(pred, cfg, range(9)))
         # Some runs' directions vanish while the others go on.
         stops = [r["stop"] for r in together]
@@ -272,7 +271,7 @@ class TestLockstep:
             assert result["flags"] == ([f"nonfinite_gradient@iter{n}"] if n < 5 else [])
             (alone,) = gda_menus(pred, cfg, [menu], [r])
             assert record_bytes(alone) == record_bytes(result)
-        cfg = pipeline(41, morph={"max_iters": 5})
+        cfg = pipeline_config(41, morph={"max_iters": 5})
         results = list(run_morph_indices(pred, cfg, range(12)))
         stops = [r["stop"] for r in results]
         # Runs stop at step 0 on a non-finite gradient while others go on.
@@ -287,7 +286,7 @@ class TestLockstep:
 
     def test_inner_fit_counts_recorded(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        recs = run_adversarial_indices(pred, pipeline(23, adversarial={"max_iters": 3}),
+        recs = run_adversarial_indices(pred, pipeline_config(23, adversarial={"max_iters": 3}),
                                        range(40))
         on_bound = [r["inner_fits_on_bound"] for r in recs]
         unconverged = [r["inner_fits_unconverged"] for r in recs]

@@ -16,11 +16,10 @@ from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_b
                               morph_step_directions, run_morph_indices)
 from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
 from conftest import (fit_theta, flat, grad, morph_step_direction, null_space_projection,
-                      pipeline, predict, record_menus, reference_certificate,
-                      reference_step_direction,
-                      reference_step_factor, reference_utility_factor, sample_random_menu,
-                      sample_step_gradients, sample_theta_history, search_iterates, stack,
-                      tangent)
+                      pipeline_config, predict, record_menus, reference_certificate,
+                      reference_step_direction, reference_step_factor, reference_utility_factor,
+                      sample_random_menu, sample_step_gradients, sample_theta_history,
+                      search_iterates, stack, tangent)
 
 
 class TestSampleThetaHistory:
@@ -283,7 +282,7 @@ class TestMorphRun:
         # spans the tangent space, the projected direction is ~0 and the run
         # stops at step 0.
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = pipeline(6, morph={"rank_tol": morphing.MIN_RANK_TOL})
+        cfg = pipeline_config(6, morph={"rank_tol": morphing.MIN_RANK_TOL})
         (result,) = run_morph_indices(pred, cfg, [0])
         assert result["iterations"] == 0
         m0, mS = record_menus(result)
@@ -291,7 +290,7 @@ class TestMorphRun:
 
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        for _, results in search_iterates("morph", pred, pipeline(7), range(5)):
+        for _, results in search_iterates("morph", pred, pipeline_config(7), range(5)):
             for result in results:
                 x = flat(record_menus(result)[1])
                 assert abs(x[2:4].sum() - 1) < 1e-12
@@ -300,14 +299,14 @@ class TestMorphRun:
 
     def test_payoffs_frozen(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        (result,) = run_morph_indices(pred, pipeline(8), [1])
+        (result,) = run_morph_indices(pred, pipeline_config(8), [1])
         x0, xS = (flat(m) for m in record_menus(result))
         np.testing.assert_array_equal(x0[:2], xS[:2])
         np.testing.assert_array_equal(x0[4:6], xS[4:6])
 
     def test_determinism(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = pipeline(10)
+        cfg = pipeline_config(10)
         (a,) = run_morph_indices(pred, cfg, [0])
         (b,) = run_morph_indices(pred, cfg, [0])
         assert a == b
@@ -319,7 +318,7 @@ class TestMorphRun:
         pred = CptPredictor(CptParams(0.726, 0.309))
         basis = ISplineBasis()
         iterates = [results[0] for _, results in
-                    search_iterates("morph", pred, pipeline(11), [3])]
+                    search_iterates("morph", pred, pipeline_config(11), [3])]
         assert iterates[-1]["iterations"] >= 5
         x0 = record_menus(iterates[0])[0]
         Z0, P0 = stack([x0])
@@ -682,7 +681,7 @@ def lockstep_steps():
     original = morphing.morph_step_directions
     out = {}
     for count, runs, iters in ((2_000, 30, 10), (200_000, 16, 3)):
-        cfg = pipeline(4, morph={"n_gradient_samples": count, "max_iters": iters})
+        cfg = pipeline_config(4, morph={"n_gradient_samples": count, "max_iters": iters})
         Z, P, rngs = index_block(cfg, range(runs), 1)
         steps = []
 
@@ -892,10 +891,11 @@ class TestStopRecord:
     def test_each_stop_value(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         # Cutoffs below ~1e-2 see a full-rank span at step 0 (MorphConfig).
-        (vanished,) = run_morph_indices(pred, pipeline(6, morph={"rank_tol": 1e-3}), [0])
-        (capped,) = run_morph_indices(pred, pipeline(11, morph={"max_iters": 2}), [3])
+        (vanished,) = run_morph_indices(pred, pipeline_config(6, morph={"rank_tol": 1e-3}),
+                                        [0])
+        (capped,) = run_morph_indices(pred, pipeline_config(11, morph={"max_iters": 2}), [3])
         (nonfinite,) = run_morph_indices(NanGradPredictor(CptParams(0.726, 0.309)),
-                                         pipeline(6), [0])
+                                         pipeline_config(6), [0])
         recs = [vanished, capped, nonfinite]
         assert [r["stop"] for r in recs] == ["direction_vanished", "max_iters",
                                              "nonfinite_gradient"]
@@ -908,5 +908,6 @@ class TestStopRecord:
 
     def test_other_records_have_no_stop(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        (rec,) = run_adversarial_indices(pred, pipeline(6, adversarial={"max_iters": 2}), [0])
+        cfg = pipeline_config(6, adversarial={"max_iters": 2})
+        (rec,) = run_adversarial_indices(pred, cfg, [0])
         assert "stop" not in rec and "retained_rank" not in rec

@@ -8,7 +8,7 @@ from anomgen.cpt import CptParams, CptPredictor, logistic
 from anomgen.predictor import fit_cpt_params
 from anomgen.theory import THETA_NORM_BOUND, FitResult
 from conftest import (TheorySpec, cpt_dataset, cpt_objective, eu_difference_features, fit_theta,
-                      pipeline, reference_newton_fit, sample_random_menu, stack,
+                      pipeline_config, reference_newton_fit, sample_random_menu, stack,
                       theory_choice_prob, theory_loss)
 
 
@@ -113,8 +113,9 @@ def on_bound_cases():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(adversarial, "_fit_logits", record)
         for start in range(0, 600, 50):
-            list(run_adversarial_indices(predictor, pipeline(23, adversarial={"max_iters": 3}),
-                                         range(start, start + 50)))
+            list(run_adversarial_indices(
+                predictor, pipeline_config(23, adversarial={"max_iters": 3}),
+                range(start, start + 50)))
             if len(cases) >= 60:
                 break
     return cases
@@ -309,7 +310,7 @@ class TestBallConstrainedFit:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adversarial, "_fit_logits", record)
             list(run_adversarial_indices(CptPredictor(CptParams(0.726, 0.309)),
-                                         pipeline(3), range(512)))
+                                         pipeline_config(3), range(512)))
         steps, newton = [], theory.damped_newton
 
         def counted(*args):
@@ -398,7 +399,7 @@ class TestBallConstrainedFit:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adversarial, "_fit_logits", record)
             list(run_adversarial_indices(CptPredictor(CptParams(0.726, 0.309)),
-                                         pipeline(5), range(64)))
+                                         pipeline_config(5), range(64)))
         assert len(cases) >= 3000
         for D, y, theta, converged in cases:
             ref_theta, ref_converged, _ = reference_newton_fit(D, y)
