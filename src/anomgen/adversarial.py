@@ -27,23 +27,15 @@ which runs share a stack (the CLI stacks a block of ``cli._RUN_BLOCK``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import basis_from_config
+from .config import GdaConfig
 from .lotteries import LOTTERY_SIGN, check_probs, draw_menus, project_to_simplex, run_rng
 from .records import stack_to_records
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 INTERIOR_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class GdaConfig:
-    step_size: float = 0.01
-    max_iters: int = 50
-    inits: int = 100                    # runs a CLI batch makes without --inits
 
 
 def interior_menu(P: np.ndarray) -> np.ndarray:
@@ -159,11 +151,14 @@ def index_block(cfg, indices, n_menus: int):
     (``cfg.seed``, run index), stacked together: their menus' (R, n_menus,
     2, J) payoff and probability stacks, drawn with ``cfg.n_payoffs``
     payoffs over the theory basis's domain (``draw_menus``), and the
-    generators they were drawn from (a run's stream goes on)."""
+    generators they were drawn from (a run's stream goes on).  No indices
+    give empty stacks, which every generator maps to no records."""
     rngs = [run_rng(cfg.seed, i) for i in indices]
-    Z, P = zip(*(draw_menus(rng, n_menus, cfg.n_payoffs, *cfg.theory_basis["domain"])
-                 for rng in rngs))
-    return np.stack(Z), np.stack(P), rngs
+    Z = np.empty((len(rngs), n_menus, 2, cfg.n_payoffs))
+    P = np.empty_like(Z)
+    for r, rng in enumerate(rngs):
+        Z[r], P[r] = draw_menus(rng, n_menus, cfg.n_payoffs, *cfg.theory_basis["domain"])
+    return Z, P, rngs
 
 
 def run_adversarial_indices(predictor, cfg, indices):

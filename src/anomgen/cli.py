@@ -9,6 +9,10 @@ stacks, one per record shape: one stacked fit and one stacked LP solve per
 grid size, each acting on every record on its own.  Records depend only on
 (master seed, run index), so outputs are byte-identical for any worker
 count or block size; bit-reproducibility matters more than speed.
+
+A command imports the modules it runs when it runs, so each command's
+process loads only those: ``report`` loads no search or verifier module, and
+one worker starts no pool.
 """
 
 from __future__ import annotations
@@ -19,23 +23,16 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, repeat
 
 import numpy as np
 
-from . import analysis, records
-from .adversarial import run_adversarial_indices
+from . import records
 from .basis import basis_from_config
-from .categorize import CATEGORY_TAGS, categorize
 from .config import ConfigError, PipelineConfig, build_predictor, load_config, parse_config
 from .cpt import simulate_choices
 from .data import load_dataset, save_dataset
 from .lotteries import Collection, draw_menus, implied_choices, run_rng
-from .morphing import draw_threads, run_morph_indices, set_draw_cpus
-from .predictor import (MlpPredictor, MlpTrainConfig, evaluate, fit_cpt_params,
-                        train_mlp)
-from .verifier import minimal_anomaly, parametrized_verdicts, size_fault, utility_verdicts
 
 
 def _summary(**kwargs) -> int:
@@ -101,6 +98,10 @@ def _fan_out(chunk_fn, args: tuple, items, workers: int):
     if workers == 1:
         yield from chain.from_iterable(map(*calls))
         return
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .morphing import set_draw_cpus
+
     with ProcessPoolExecutor(max_workers=workers, initializer=set_draw_cpus,
                              initargs=(_cpu_share(workers),)) as pool:
         yield from chain.from_iterable(pool.map(*calls))
@@ -108,8 +109,12 @@ def _fan_out(chunk_fn, args: tuple, items, workers: int):
 
 def _generate_chunk(predictor, cfg: PipelineConfig, procedure: str, indices) -> list:
     """The records of runs ``indices``."""
-    generate = {"adversarial": run_adversarial_indices, "morph": run_morph_indices,
-                "baseline": analysis.run_baseline_indices}[procedure]
+    if procedure == "adversarial":
+        from .adversarial import run_adversarial_indices as generate
+    elif procedure == "morph":
+        from .morphing import run_morph_indices as generate
+    else:
+        from .analysis import run_baseline_indices as generate
     return generate(predictor, cfg, indices)
 
 
@@ -123,6 +128,8 @@ def cmd_generate(args) -> int:
                                            range(inits), cfg.workers), kind="candidates")
     extra = {}
     if procedure == "morph":    # the threads a step of a full block draws on, per process
+        from .morphing import draw_threads
+
         extra["draw_threads"] = draw_threads(_block_size(inits, cfg.workers),
                                              cfg.morph.n_gradient_samples,
                                              _cpu_share(cfg.workers))
@@ -137,6 +144,8 @@ def _verify_chunk(cfg: PipelineConfig, recs) -> list:
     one fit and one stacked LP solve per grid size and shape.  An
     inconsistent record's row of the stack goes to ``minimal_anomaly``.  A
     record too large to verify (``size_fault``) raises ValueError naming it."""
+    from .verifier import minimal_anomaly, parametrized_verdicts, size_fault, utility_verdicts
+
     basis = basis_from_config(cfg.theory_basis)
     out = [dict(rec) for rec in recs]
     for rows, Z, P, q in records.stack_records(recs):
@@ -179,6 +188,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_categorize(args) -> int:
+    from .analysis import anomaly_features
+    from .categorize import categorize
+
     start = time.perf_counter()
     _, recs = records.read_jsonl(args.inp, expected_kind="verified")
     counts: dict = {}
@@ -192,7 +204,7 @@ def cmd_categorize(args) -> int:
                 rec["category"] = {"tag": cat.tag, "certificate": cat.certificate}
                 counts[cat.tag] = counts.get(cat.tag, 0) + 1
                 if len(coll.q) == 2:
-                    rec["features"] = [float(v) for v in analysis.anomaly_features(coll)]
+                    rec["features"] = [float(v) for v in anomaly_features(coll)]
             yield rec
 
     records.write_jsonl(args.out, categorized(), kind="categorized")
@@ -210,6 +222,8 @@ def cluster_rows(recs) -> list:
 
 
 def cmd_cluster(args) -> int:
+    from . import analysis
+
     start = time.perf_counter()
     _, recs = records.read_jsonl(args.inp, expected_kind="categorized")
     rows = cluster_rows(recs)
@@ -234,6 +248,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .categorize import CATEGORY_TAGS
+
     start = time.perf_counter()
     _, recs = records.read_jsonl(args.inp, expected_kind="categorized")
     predictors = sorted({str(r.get("predictor")) for r in recs})
@@ -287,6 +303,8 @@ def _width(field: str) -> int:
 
 
 def cmd_train_mlp(args) -> int:
+    from .predictor import MlpPredictor, MlpTrainConfig, evaluate, train_mlp
+
     start = time.perf_counter()
     config = MlpTrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                             step_size=args.step_size, seed=args.seed or 0)
@@ -302,6 +320,8 @@ def cmd_train_mlp(args) -> int:
 
 
 def cmd_fit_cpt(args) -> int:
+    from .predictor import fit_cpt_params
+
     start = time.perf_counter()
     ds = load_dataset(args.inp)
     fit = fit_cpt_params(ds)
@@ -316,6 +336,8 @@ def cmd_fit_cpt(args) -> int:
 
 
 def cmd_epsilon(args) -> int:
+    from . import analysis
+
     start = time.perf_counter()
     with open(args.freqs) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]

@@ -1,6 +1,10 @@
 """Pipeline configuration: JSON in, validated dataclasses out.
 
-Each search section parses straight into its search's config type, which
+This module holds every setting: the search sections' dataclasses
+(``GdaConfig``, ``MorphConfig``), the verifier's default thresholds and the
+smallest rank cutoff, beside the parser.  It imports only ``basis`` and
+``cpt``, so a command pays for the modules it runs and no others.  Each
+search section parses straight into its search's config type, which
 holds only that search's settings, and a key left out takes that dataclass
 field's default.  The menu description (``n_payoffs``, ``theory_basis``) and
 the run address (``seed``) live in ``PipelineConfig`` alone, and every
@@ -15,11 +19,20 @@ import json
 import math
 from dataclasses import dataclass
 
-from .adversarial import GdaConfig
 from .basis import BASES
 from .cpt import PRESETS, CptParams, CptPredictor
-from .morphing import MIN_RANK_TOL, MorphConfig
-from .verifier import DEFAULT_KL_THRESHOLD, MARGIN_THRESHOLD
+
+# The verifier's default thresholds: the best logit-EUT fit's mean KL above
+# which a collection is parametrized-inconsistent, and the LP margin a
+# utility must exceed to rationalize its choices.
+DEFAULT_KL_THRESHOLD = 1e-5
+MARGIN_THRESHOLD = 1e-9
+# Smallest rank cutoff the morph step's Gram route resolves.  The eigenvalue
+# cutoff is rank_tol**2 times the largest eigenvalue, and the summed Gram
+# matrix carries rounding of some eps times the largest: at 1e-6 the cutoff
+# stays decades above that noise, while near sqrt(eps) the noise would
+# decide the retained rank.
+MIN_RANK_TOL = 1e-6
 
 
 class ConfigError(ValueError):
@@ -65,6 +78,26 @@ def _pick(section, path: str, checks: dict) -> dict:
         if not ok:
             raise ConfigError(f"{prefix}{key}: invalid value {value!r}")
     return dict(section)
+
+
+@dataclass(frozen=True)
+class GdaConfig:
+    step_size: float = 0.01
+    max_iters: int = 50
+    inits: int = 100                    # runs a CLI batch makes without --inits
+
+
+@dataclass(frozen=True)
+class MorphConfig:
+    step_size: float = 10.0
+    max_iters: int = 50
+    inits: int = 100                    # runs a CLI batch makes without --inits
+    n_gradient_samples: int = 2_000     # paper-scale runs use 200,000
+    # Rank cutoff separating genuinely pinned directions from covariance
+    # jitter.  Early-iteration sampled-gradient spectra have second singular
+    # values up to ~2e-3 of the first from jitter alone, so cutoffs below
+    # ~1e-2 treat the span as full-rank and stall every run at step 0.
+    rank_tol: float = 0.1
 
 
 @dataclass
@@ -143,13 +176,14 @@ def load_config(path) -> PipelineConfig:
 
 
 def build_predictor(section: PredictorSection):
-    """Materialize the configured predictor handle."""
-    from .predictor import MlpModel, MlpPredictor, fit_cpt_params
-    from .data import load_dataset
-
+    """Materialize the configured predictor handle.  Only the ``mlp`` and
+    ``cpt_fit`` kinds load the model and dataset modules."""
     if section.kind == "cpt":
         params, label = section.cpt_params()
         return CptPredictor(params, scale=section.scale, label=label)
+    from .data import load_dataset
+    from .predictor import MlpModel, MlpPredictor, fit_cpt_params
+
     if section.kind == "mlp":
         if not section.model_path:
             raise ConfigError("predictor.model_path required for kind 'mlp'")

@@ -43,12 +43,12 @@ from __future__ import annotations
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .adversarial import index_block, lockstep
 from .basis import ISplineBasis
+from .config import MIN_RANK_TOL, MorphConfig
 from .theory import _fit_logits
 
 STOP_NORM = 1e-8
@@ -59,12 +59,6 @@ COV_JITTER = 1e-8
 # Rows of the (count, d) standard-normal stream drawn and reduced at a time:
 # a block's arrays stay in cache, and the size moves no draw.
 _DRAW_BLOCK = 8192
-# Smallest rank cutoff the Gram route resolves.  The eigenvalue cutoff is
-# rank_tol**2 times the largest eigenvalue, and the summed Gram matrix
-# carries rounding of some eps times the largest: at 1e-6 the cutoff stays
-# decades above that noise, while near sqrt(eps) the noise would decide the
-# retained rank.
-MIN_RANK_TOL = 1e-6
 # A step's certificate (``_certified``): the chance that a certified step's
 # sampled Gram matrix would keep a draw is at most CERTIFY_MISS, and its
 # bound must fall CERTIFY_MARGIN (relative) under ``rank_tol``, which covers
@@ -74,19 +68,6 @@ CERTIFY_MARGIN = 1e-9
 # CPUs a step's draws may use: None reads this process's CPU affinity at
 # each step; a pool worker's initializer sets its share (``set_draw_cpus``).
 _draw_cpus = None
-
-
-@dataclass(frozen=True)
-class MorphConfig:
-    step_size: float = 10.0
-    max_iters: int = 50
-    inits: int = 100                    # runs a CLI batch makes without --inits
-    n_gradient_samples: int = 2_000     # paper-scale runs use 200,000
-    # Rank cutoff separating genuinely pinned directions from covariance
-    # jitter.  Early-iteration sampled-gradient spectra have second singular
-    # values up to ~2e-3 of the first from jitter alone, so cutoffs below
-    # ~1e-2 treat the span as full-rank and stall every run at step 0.
-    rank_tol: float = 0.1
 
 
 def _add_kept_gram(gram: np.ndarray, cols: np.ndarray, scale: np.ndarray, rank_tol: float,

@@ -32,13 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex_lp
+from .config import DEFAULT_KL_THRESHOLD, MARGIN_THRESHOLD
 from .lotteries import Collection, grid_probs, implied_choices, merge_payoff_grids
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
-MARGIN_THRESHOLD = 1e-9
 MAX_MENUS = 8
 MAX_DISTINCT_PAYOFFS = 12
-DEFAULT_KL_THRESHOLD = 1e-5
 
 
 @dataclass(frozen=True)

@@ -1102,7 +1102,7 @@ class TestStreaming:
                                  if k not in ("category", "features")} for r in recs],
                     kind="verified")
         categorized, seen = [], []
-        monkeypatch.setattr(cli, "categorize",
+        monkeypatch.setattr(sys.modules["anomgen.categorize"], "categorize",
                             lambda coll: categorized.append(coll) or categorize(coll))
         write = records.write_jsonl
 
@@ -1187,6 +1187,14 @@ class TestGenerationReference:
             rec = json.loads(line)
             assert line == json.dumps(
                 reference_generated_record(predictor, cfg, procedure, rec), sort_keys=True)
+
+    @pytest.mark.parametrize("n_payoffs", [2, 3])
+    def test_an_empty_block_gives_no_records(self, n_payoffs):
+        cfg = parse_config({"n_payoffs": n_payoffs})
+        predictor = CptPredictor(CptParams.preset("bruhin-b"))
+        for generate in (run_adversarial_indices, morphing.run_morph_indices,
+                         analysis.run_baseline_indices):
+            assert generate(predictor, cfg, []) == []
 
 
 class TestLockstepBytes:
