@@ -20,17 +20,21 @@ a run cannot be read.
 With ``--rates`` the records of several OLD and several NEW directories
 (several seeds, say) are pooled, and each procedure's rates are compared
 instead: the shares of parametrized-inconsistent and of any-utility
-(fully verified) inconsistent records and, for the searches, the share of
-runs of at most one step, each ``stop`` reason's share (``max_iters`` is
-the share that hit the cap) and the mean step count.  A share gets a Wilson
-95% interval (Wilson 1927) on each side, and its difference NEW - OLD
-Newcombe's hybrid score interval (Newcombe 1998, method 10); the mean's
-difference gets a normal interval.  The difference intervals hold jointly
-at 95%: each is at the Bonferroni level 1 - 0.05 / k over the k
-differences compared.  One JSON line is printed per comparison, then a
-summary line.  The exit status is 1 when a difference interval excludes 0
-or a procedure is in one set only, 0 when none is and 2 when a run cannot
-be read.
+(fully verified) inconsistent records, of the records in each anomaly
+category seen (``category=<tag>``) and of the non-FOSD anomalies and, for
+the searches, the share of runs of at most one step, each ``stop`` reason's
+share (``max_iters`` is the share that hit the cap) and the mean step
+count.  A share gets a Wilson 95% interval (Wilson 1927) on each side, and
+its difference NEW - OLD Newcombe's hybrid score interval (Newcombe 1998,
+method 10); the mean's difference gets a normal interval.  The difference
+intervals hold jointly at 95%: each is at the Bonferroni level 1 - 0.05 / k
+over the k differences compared.  One JSON line is printed per comparison,
+then a summary line, which also gives on each side each search's lift over
+the random-pair baseline: the ratio of its parametrized and of its
+any-utility share to the baseline's, with a 95% interval; the lift is not
+compared.  The exit status is 1 when a difference interval excludes 0 or a
+procedure is in one set only, 0 when none is and 2 when a run cannot be
+read.
 
     python scripts/compare_runs.py --rates --old runs/p23 runs/p1729 \
         --new runs/n23 runs/n1729
@@ -47,8 +51,8 @@ from statistics import NormalDist, fmean, variance
 
 from anomgen.records import read_jsonl
 
-VERDICT_KEYS = ("implied_choices", "parametrized_inconsistent", "any_utility_inconsistent",
-                "anomaly_minimal_indices")
+VERDICTS = ("parametrized_inconsistent", "any_utility_inconsistent")
+VERDICT_KEYS = ("implied_choices", *VERDICTS, "anomaly_minimal_indices")
 POOLED = "pooled_categorized.jsonl"
 
 
@@ -123,15 +127,47 @@ def newcombe(old: tuple[int, int], new: tuple[int, int], z: float) -> tuple[floa
     return d - math.hypot(p1 - l1, u0 - p0), d + math.hypot(u1 - p1, p0 - l0)
 
 
-def rate_samples(recs, stops) -> dict:
+def katz_ratio(search: tuple[int, int], baseline: tuple[int, int], z: float) -> dict:
+    """The ratio of two independent shares, each given as (count, n), with
+    Katz's log interval at normal quantile z (Katz et al., *Biometrics* 34,
+    1978).  When a count is 0, every cell of the 2 x 2 table gains a half
+    (Haldane and Anscombe), so the ratio and interval stay finite."""
+    (a, n1), (b, n0) = search, baseline
+    if a == 0 or b == 0:
+        a, n1, b, n0 = a + 0.5, n1 + 1, b + 0.5, n0 + 1
+    ratio = a / n1 / (b / n0)
+    half = z * math.sqrt(1 / a - 1 / n1 + 1 / b - 1 / n0)
+    return {"ratio": ratio, "interval95": [ratio * math.exp(-half), ratio * math.exp(half)]}
+
+
+def lifts(recs) -> dict:
+    """Search procedure -> verdict -> its lift over the baseline's share
+    (``katz_ratio``); empty without baseline records."""
+    samples, z95 = rate_samples(recs, (), ()), NormalDist().inv_cdf(0.975)
+    out = {}
+    for (proc, what), values in sorted(samples.items()):
+        base = samples.get(("baseline", what))
+        if proc != "baseline" and what in VERDICTS and base:
+            out.setdefault(proc, {})[what] = katz_ratio(
+                (sum(values), len(values)), (sum(base), len(base)), z95)
+    return out
+
+
+def rate_samples(recs, stops, tags) -> dict:
     """(procedure, quantity) -> per-record values: 0/1 for a share, the step
-    count for ``mean_steps``.  ``stops`` names the ``stop`` reasons whose
-    shares are taken."""
+    count for ``mean_steps``.  ``stops`` names the ``stop`` reasons and
+    ``tags`` the category tags whose shares are taken."""
     out = defaultdict(list)
     for rec in recs:
         proc = rec["procedure"]
-        for verdict in ("parametrized_inconsistent", "any_utility_inconsistent"):
+        for verdict in VERDICTS:
             out[proc, verdict].append(int(bool(rec[verdict])))
+        tag = verdicts(rec)["category"]
+        for name in tags:
+            out[proc, f"category={name}"].append(int(tag == name))
+        if tags:
+            out[proc, "non_fosd_anomaly"].append(
+                int(bool(rec["any_utility_inconsistent"]) and tag != "fosd"))
         if rec.get("iterations") is not None:
             out[proc, "at_most_one_step"].append(int(rec["iterations"] <= 1))
             out[proc, "mean_steps"].append(rec["iterations"])
@@ -144,8 +180,10 @@ def rate_samples(recs, stops) -> dict:
 def compare_rates(old_recs, new_recs) -> list[dict]:
     """One entry per (procedure, quantity) of either side, in order, with
     both sides' estimates and the difference's interval at the joint level."""
-    stops = sorted({"max_iters"} | {r["stop"] for r in (*old_recs, *new_recs) if "stop" in r})
-    old, new = rate_samples(old_recs, stops), rate_samples(new_recs, stops)
+    both = (*old_recs, *new_recs)
+    stops = sorted({"max_iters"} | {r["stop"] for r in both if "stop" in r})
+    tags = sorted({verdicts(r)["category"] for r in both} - {None})
+    old, new = rate_samples(old_recs, stops, tags), rate_samples(new_recs, stops, tags)
     keys = sorted(old.keys() | new.keys())
     level = 1 - 0.05 / len(keys)
     z, z95 = NormalDist().inv_cdf(1 - (1 - level) / 2), NormalDist().inv_cdf(0.975)
@@ -187,8 +225,9 @@ def main(argv=None) -> int:
         ap.error("give OLD NEW, or --rates with --old and --new")
     try:
         if args.rates:
-            entries = compare_rates(*([rec for d in dirs for rec in load_records(d).values()]
-                                      for dirs in (args.old, args.new)))
+            old, new = ([rec for d in dirs for rec in load_records(d).values()]
+                        for dirs in (args.old, args.new))
+            entries = compare_rates(old, new)
         else:
             old, new = load_records(args.runs[0]), load_records(args.runs[1])
     except (ValueError, KeyError, OSError) as exc:
@@ -199,7 +238,8 @@ def main(argv=None) -> int:
             print(json.dumps(entry, sort_keys=True))
         differing = sum(e["differs"] for e in entries)
         print(json.dumps({"comparisons": len(entries), "differing": differing,
-                          "old": args.old, "new": args.new}, sort_keys=True))
+                          "old": args.old, "new": args.new,
+                          "lift": {"old": lifts(old), "new": lifts(new)}}, sort_keys=True))
         return 1 if differing else 0
     diffs = compare(old, new)
     for diff in diffs:

@@ -7,10 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversarial import index_block
 from .lotteries import Collection, implied_choices, lottery_stats
 from .records import stack_to_records
-from .verifier import utility_verdicts
 
 PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Single k-means runs, each from its own seeding, that ``kmeans`` keeps the
@@ -26,6 +24,8 @@ PCA_TOP_LOADINGS = 4
 def run_baseline_indices(predictor, cfg, indices) -> list[dict]:
     """Baseline runs ``indices`` of the pipeline config ``cfg``: two random
     menus each (``adversarial.index_block``), predicted in one batch call."""
+    from .adversarial import index_block
+
     Z, P, _ = index_block(cfg, indices, 2)
     q = predictor.predict_batch(Z.reshape(-1, *Z.shape[2:]), P.reshape(-1, *P.shape[2:]))
     return stack_to_records(Z, P, q.reshape(len(Z), 2), "baseline", predictor.label,
@@ -162,6 +162,8 @@ def consistent_patterns(Z, P) -> list:
     utility rationalizes, judged as one stack."""
     if len(Z) != 2:
         raise ValueError("choice patterns are defined for two-menu collections")
+    from .verifier import utility_verdicts
+
     verdicts = utility_verdicts(np.stack([Z] * 4), np.stack([P] * 4), np.array(PATTERNS))
     return [pattern for pattern, v in zip(PATTERNS, verdicts) if v.consistent]
 

@@ -25,11 +25,21 @@ tail bound on the draws proves this from the factors alone
 (``_certified``), and such a step draws nothing; it differs from the
 sampled step with probability at most ``CERTIFY_MISS`` = 1e-12.
 
+A run draws its (count, d) block of standard normals once, at its first
+step that draws, and every later step maps that same block through its own
+factor: common random numbers (Glasserman, *Monte Carlo Methods in
+Financial Engineering*, 2003, ch. 4).  Generating the normals is two thirds
+of a drawing 200k step, and only a run's first drawing step pays it.  That
+step reads its run's generator in the order a fresh draw would; a run holds
+its block only while it may step again, so a one-step run holds none.  A
+caller bounds the normals a stack holds by the runs it stacks
+(``cli._block_size``).
+
 Runs advance through the adversarial search's loop
 (``adversarial.lockstep``), and one call per step,
 ``morph_step_directions``, gives every running run its direction: the
 QR factors, eigendecompositions and projections act on the whole stack,
-while each run's draws come from that run's own generator.  When a run
+while each run's draws come from that run's own normals.  When a run
 draws more than one block, the stack's runs are shared out over threads
 (``draw_threads``): numpy releases the GIL while it fills a block with
 normals and maps and sums it, so the draws use every CPU of a one-worker
@@ -41,6 +51,7 @@ number of threads.  Only the runs the certificate leaves are shared out.
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -96,12 +107,16 @@ def _project_off_span(g: np.ndarray, grams: np.ndarray,
     return g - (vecs @ coef[..., None])[..., 0], kept.sum(axis=1)
 
 
+@functools.cache
 def _tangent_basis(J: int) -> np.ndarray:
     """T (2J, 2J - 2): an orthonormal basis of the simplex's tangent space,
     whose directions sum to zero within each block of J, in closed form from
-    Helmert contrasts per block.  ``T @ T.T`` removes per-block means."""
+    Helmert contrasts per block.  ``T @ T.T`` removes per-block means.  Built
+    once per J and shared read-only."""
     k, rows = np.arange(1, J), np.arange(J)[:, None]
-    return np.kron(np.eye(2), ((rows < k) - k * (rows == k)) / np.sqrt(k * (k + 1)))
+    T = np.kron(np.eye(2), ((rows < k) - k * (rows == k)) / np.sqrt(k * (k + 1)))
+    T.flags.writeable = False
+    return T
 
 
 def _step_factors(probs: np.ndarray, histories: np.ndarray, basis_rows: np.ndarray,
@@ -167,6 +182,13 @@ def set_draw_cpus(cpus: int | None) -> None:
     _draw_cpus = cpus
 
 
+def held_normals_bytes(config: MorphConfig, n_payoffs: int) -> int:
+    """Bytes of standard normals a morph run of ``config`` holds between its
+    steps, at ``n_payoffs`` payoffs a lottery: its (count, 2J - 1) block, or
+    none when it takes one step."""
+    return 8 * config.n_gradient_samples * (2 * n_payoffs - 1) if config.max_iters > 1 else 0
+
+
 def draw_threads(rows: int, count: int, cpus: int | None = None) -> int:
     """Threads a step of ``rows`` runs at ``count`` samples draws on: the
     CPUs (``cpus``, else ``set_draw_cpus``'s, else this process's affinity)
@@ -177,12 +199,17 @@ def draw_threads(rows: int, count: int, cpus: int | None = None) -> int:
     return max(1, min(cpus or _draw_cpus or len(os.sched_getaffinity(0)), rows))
 
 
-def _draw_grams(grams: np.ndarray, runs, rngs, mean: np.ndarray, scale: np.ndarray,
-                w_map: np.ndarray, count: int, rank_tol: float) -> None:
+def _draw_grams(grams: np.ndarray, runs, rngs, normals, hold: bool, mean: np.ndarray,
+                scale: np.ndarray, w_map: np.ndarray, count: int, rank_tol: float) -> None:
     """Add into ``grams[k]``, for each run k of ``runs``, the Gram matrix of
-    ``count`` draws from ``rngs[k]``: one pass over blocks of at most
-    ``_DRAW_BLOCK`` rows of the (count, d) stream, written into work buffers
-    that every block of these runs reuses."""
+    the ``count`` draws its (count, d) standard normals ``normals[k]`` map to:
+    one pass over blocks of at most ``_DRAW_BLOCK`` rows, mapped and summed
+    in work buffers that every block of these runs reuses.
+
+    A run whose ``normals[k]`` is None draws them from ``rngs[k]`` as the
+    pass goes: into a new array left in ``normals[k]`` when ``hold``, else
+    into the work buffers, so a run that keeps none holds no count-wide
+    array."""
     m, d = w_map.shape[1:]
     # Flat work buffers for one block; a block of n draws views them as
     # contiguous arrays of its own size.  The draws' buffer holds the
@@ -191,10 +218,15 @@ def _draw_grams(grams: np.ndarray, runs, rngs, mean: np.ndarray, scale: np.ndarr
     draws, grads, logits, slopes = (np.empty(size) for size in
                                     ((m + 1) * block, m * block, block, block))
     for k in runs:
+        held = normals[k]
+        fresh = held is None
+        if fresh and hold:
+            held = normals[k] = np.empty((count, d))
         for start in range(0, count, _DRAW_BLOCK):
             n = min(_DRAW_BLOCK, count - start)
-            z = draws[:n * d].reshape(n, d)
-            rngs[k].standard_normal(out=z)
+            z = draws[:n * d].reshape(n, d) if held is None else held[start:start + n]
+            if fresh:
+                rngs[k].standard_normal(out=z)
             a, s = logits[:n], slopes[:n]
             np.multiply(z[:, 0], scale[k], out=a)
             a += mean[k, 0]
@@ -209,14 +241,15 @@ def _draw_grams(grams: np.ndarray, runs, rngs, mean: np.ndarray, scale: np.ndarr
 
 
 def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: np.ndarray,
-                          basis_rows: np.ndarray, rngs,
-                          config: MorphConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                          basis_rows: np.ndarray, rngs, config: MorphConfig, normals=None,
+                          hold: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One morph step for a stack of runs: each row's direction (R, 2J), the
     rank of the sampled span it removes (R,), and whether the certificate
     spared its draws (R,).
 
     Row k draws ``config.n_gradient_samples`` utility vectors U = (U0, U1)
-    from ``rngs[k]`` around its fit history ``histories[k]`` (h, K);
+    around its fit history ``histories[k]`` (h, K), each mapped from a row of
+    its run's (count, d) standard normals ``normals[k]``;
     ``basis_rows[k]`` (2J, K) holds the basis values at the menu's payoffs
     and ``probs[k]`` (2, J) its probabilities (p0, p1).  Draw i's choice
     probability has gradient s_i v_i over (p0, p1), with v_i = (-U0_i, U1_i),
@@ -227,21 +260,23 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     ``config.rank_tol``, and the span is read from the kept gradients' Gram
     matrix with the relative cutoff ``config.rank_tol``.
 
-    A row that ``_certified`` proves would keep none of its draws is not
-    drawn: its Gram matrix stays zero and its generator is not touched.  Its
-    direction has the bits its sampled step's would have whenever that
-    step's Gram matrix is zero, which fails with probability at most
-    ``CERTIFY_MISS``; later steps of its run read the stream from where it
-    stood.
+    A row whose ``normals[k]`` is None (every row, when ``normals`` is None)
+    draws its normals from ``rngs[k]``, in the order a whole (count, d) draw
+    reads the stream, and keeps them in ``normals[k]`` when ``hold``: the
+    run's later steps map the same normals.  A row that ``_certified``
+    proves would keep none of its draws is not drawn: its Gram matrix stays
+    zero, and its generator and normals are not touched.  Its direction has
+    the bits its sampled step's would have whenever that step's Gram matrix
+    is zero, which fails with probability at most ``CERTIFY_MISS``.
 
     Everything but the draws is done for the whole stack at once: the
     history means and one QR factor per run (``_step_factors``), the Gram
     eigendecompositions and the projections.  The draws go run by
-    run, each from its own generator, in blocks of ``_DRAW_BLOCK`` rows of
-    the (count, d) stream, written into work buffers that the drawing
-    thread's runs reuse; each block is mapped straight to a and w and added
-    into the run's (2J - 2) x (2J - 2) Gram matrix, so no count-wide array is
-    built.  When a run draws more than one block, the uncertified runs are
+    run, in blocks of ``_DRAW_BLOCK`` rows of the (count, d) normals, mapped
+    in work buffers that the drawing thread's runs reuse; each block is
+    mapped straight to a and w and added into the run's (2J - 2) x (2J - 2)
+    Gram matrix, so no count-wide array is built but the normals a run
+    holds.  When a run draws more than one block, the uncertified runs are
     split into ``draw_threads`` consecutive shares, one per thread, each
     with its own buffers.  Every operation acts on one row, and a run's
     blocks are drawn and summed in the same order on any thread, so a row's
@@ -256,7 +291,9 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     grams = np.zeros((R, m, m))
     certified = _certified(mean, L, count, config.rank_tol)
     drawn = np.flatnonzero(~certified)
-    args = rngs, mean, scale, w_map, count, config.rank_tol
+    if normals is None:
+        normals = [None] * R
+    args = rngs, normals, hold, mean, scale, w_map, count, config.rank_tol
     shares = np.array_split(drawn, draw_threads(len(drawn), count))
     # Each thread draws its own runs into its own buffers and writes only
     # their Gram matrices, in a copy of the caller's context, which holds
@@ -277,26 +314,28 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
 def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, rngs, master_seed,
                    indices) -> list[dict]:
     """Morphing runs from the menus (Z, P) with fits on ``basis``, advanced
-    in ``lockstep``; run r draws from its own generator ``rngs[r]`` and stops
-    early once its direction vanishes.  Its record says why it stopped (``stop``:
-    ``direction_vanished``, ``max_iters`` or ``nonfinite_gradient``) and the
-    rank of the sampled span removed by its last projection
-    (``retained_rank``, None when it stopped before its first), and the
-    count of its steps whose draws the certificate spared
+    in ``lockstep``; run r draws its normals once from its own generator
+    ``rngs[r]`` and stops early once its direction vanishes.  Its record
+    says why it stopped (``stop``: ``direction_vanished``, ``max_iters`` or
+    ``nonfinite_gradient``), the rank of the sampled span removed by its
+    last projection (``retained_rank``, None when it stopped before its
+    first), and the count of its steps whose draws the certificate spared
     (``certified_steps``).
 
     Each step's directions come from one ``morph_step_directions`` call over
     the running rows whose gradient is finite.  The fit histories live in one
     (R, max_iters + 1, K) array: the seed fit, then one fit per step, so at
-    step s every running row holds s + 2 fits.
+    step s every running row holds s + 2 fits.  A run keeps the normals it
+    drew while it may step again, and drops them once it leaves the stack.
     """
     R = len(Z)
     history = None
+    held = {}           # run -> its normals, or None while it has drawn none
     stop, rank = ["max_iters"] * R, [None] * R
     certified_steps = np.zeros(R, dtype=int)
 
     def morph(s, rows, D, y, fit, P, B, f, df):
-        nonlocal history
+        nonlocal history, held
         if s == 0:          # every run's history starts at its seed fit
             seed = _fit_logits(D[:, :1], y[:, :1]).theta
             history = np.empty((R, config.max_iters + 1, seed.shape[1]))
@@ -308,10 +347,11 @@ def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, rngs, master_see
         for r in rows[~finite]:
             stop[r] = "nonfinite_gradient"
         live = np.flatnonzero(finite)
+        normals, hold = [held.get(r) for r in rows[live]], s + 1 < config.max_iters
         directions, ranks, certified = morph_step_directions(
             df.reshape(len(rows), -1)[live], P[live], history[rows[live], :s + 2],
             B.reshape(len(rows), -1, B.shape[-1])[live], [rngs[r] for r in rows[live]],
-            config)
+            config, normals=normals, hold=hold)
         certified_steps[rows[live]] += certified
         # The norm of each row as ``np.linalg.norm`` takes it: sqrt(d . d).
         vanished = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0]) \
@@ -320,6 +360,7 @@ def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, rngs, master_see
             rank[r] = k
             if gone:
                 stop[r] = "direction_vanished"
+        held = {r: z for r, z, gone in zip(rows[live], normals, vanished) if hold and not gone}
         moving = live[~vanished]
         delta[moving] = -config.step_size * directions[~vanished].reshape(-1, *P.shape[1:])
         go[moving] = True

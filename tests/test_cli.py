@@ -1036,6 +1036,21 @@ class TestStreaming:
         assert list(cli._fan_out(_block_chunk, ("r",), range(17), workers)) == [
             ("r", list(b)) for b in blocks]
 
+    def test_a_morph_block_holds_normals_within_the_budget(self):
+        # A run of 200k samples at J = 2 holds 4.8 MB of normals: 53 fit the
+        # budget.  A one-step run holds none, so its blocks stay at 256, as
+        # do other procedures' blocks.
+        cfg = parse_config({"morph": {"n_gradient_samples": 200_000, "max_iters": 2}})
+        run_bytes = morphing.held_normals_bytes(cfg.morph, cfg.n_payoffs)
+        assert run_bytes == 4_800_000
+        assert cli._block_size(256, 1, run_bytes) == 53
+        assert cli._block_size(256, 2, run_bytes) == 53
+        assert cli._block_size(29, 1, run_bytes) == 29
+        assert cli._block_size(256, 1, cli._NORMALS_BUDGET + 1) == 1
+        one_step = parse_config({"morph": {"n_gradient_samples": 200_000, "max_iters": 1}})
+        assert morphing.held_normals_bytes(one_step.morph, one_step.n_payoffs) == 0
+        assert cli._block_size(600, 1) == cli._block_size(600, 1, 0) == 256
+
     def test_failing_record_stream_leaves_no_file(self, tmp_path):
         def recs():
             yield {"id": 0}
@@ -1230,6 +1245,38 @@ class TestLockstepBytes:
         else:
             # Blocks of 7 and 64 hold runs that stop while others go on.
             assert len({r["iterations"] for r in recs}) > 5
+
+
+    @pytest.mark.parametrize("samples", [2_000, 200_000])
+    def test_held_normals_move_no_byte(self, samples, tmp_path, capsys, monkeypatch):
+        # Runs of several steps hold the normals of their first drawing step:
+        # blocks cut by a small normals budget, two workers and one CPU
+        # move no byte.
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(
+            {"morph": {"n_gradient_samples": samples, "max_iters": 3}}))
+        argv = ["morph", "--config", "cfg.json", "--inits", "6", "--seed", "4"]
+        outputs = {}
+        for budget in (cli._NORMALS_BUDGET, 1):
+            monkeypatch.setattr(cli, "_NORMALS_BUDGET", budget)
+            for workers in (1, 2):
+                out = f"m-{budget}-{workers}.jsonl"
+                run_ok(argv + ["--workers", str(workers), "--out", out], capsys)
+                outputs[out] = Path(out).read_bytes()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            ["taskset", "-c", str(min(os.sched_getaffinity(0))), sys.executable, "-c",
+             "from anomgen.cli import main; main()", *argv, "--out", "m-cpu.jsonl"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["draw_threads"] == 1
+        outputs["m-cpu.jsonl"] = Path("m-cpu.jsonl").read_bytes()
+        assert len(set(outputs.values())) == 1, list(outputs)
+        # Some runs drew at more than one step, so later steps mapped held normals.
+        _, recs = read_jsonl("m-cpu.jsonl")
+        assert any(r["iterations"] - r["certified_steps"] >= 2 for r in recs)
 
 
 

@@ -274,6 +274,8 @@ class TestTangent:
         np.testing.assert_allclose(T.T @ T, np.eye(2 * J - 2), rtol=0, atol=1e-15)
         # T T^T is the projector that removes per-block means.
         np.testing.assert_allclose(T @ T.T, tangent(np.eye(2 * J), J), rtol=0, atol=1e-15)
+        # Built once per J, and no caller can write into the shared array.
+        assert _tangent_basis(J) is T and not T.flags.writeable
 
 
 class TestMorphRun:
@@ -685,8 +687,8 @@ def lockstep_steps():
         Z, P, rngs = index_block(cfg, range(runs), 1)
         steps = []
 
-        def capture(*args):
-            steps.append((args, original(*args)))
+        def capture(*args, **kwargs):
+            steps.append((args, original(*args, **kwargs)))
             return steps[-1][1]
 
         with pytest.MonkeyPatch.context() as mp:
@@ -786,6 +788,79 @@ class TestCertificate:
         for a, b in zip(*outs):
             assert_same_bits(a, b)
         np.testing.assert_array_equal(outs[0][2], certified)
+
+
+class BlockRng:
+    """Hands out the rows of a held (count, d) block of normals in order, as
+    a generator's ``standard_normal`` would draw them."""
+
+    def __init__(self, block):
+        self.block, self.row = block, 0
+
+    def standard_normal(self, size):
+        out = self.block[self.row:self.row + size[0]]
+        assert out.shape == size
+        self.row += size[0]
+        return out
+
+
+class TestCommonRandomNumbers:
+    """A run draws its normals once, at its first step that draws, and each
+    later step maps that block through its own factor."""
+
+    @pytest.mark.parametrize("count, runs, iters", [(2_000, 24, 8),
+                                                    (3 * morphing._DRAW_BLOCK + 17, 8, 4)])
+    def test_later_steps_map_the_first_drawing_steps_normals(self, count, runs, iters):
+        pred = CptPredictor(CptParams(0.726, 0.309))
+        cfg = pipeline_config(4, morph={"n_gradient_samples": count, "max_iters": iters})
+        Z, P, rngs = index_block(cfg, range(runs), 1)
+        _, _, fresh = index_block(cfg, range(runs), 1)
+        original, steps = morphing.morph_step_directions, []
+
+        def capture(*args, normals, hold):
+            passed = list(normals)
+            out = original(*args, normals=normals, hold=hold)
+            steps.append((args, passed, list(normals), hold, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(morphing, "morph_step_directions", capture)
+            morphing.morph_lockstep(pred, cfg.morph, ISplineBasis(), Z[:, 0], P[:, 0], rngs,
+                                    cfg.seed, range(runs))
+        blocks, later = {}, 0
+        for s, ((g, probs, H, rows, step_rngs, _), passed, kept, hold, out) in enumerate(steps):
+            assert hold == (s + 1 < iters)
+            directions, ranks, certified = out
+            for k, rng in enumerate(step_rngs):
+                r = next(i for i, run_rng in enumerate(rngs) if run_rng is rng)
+                # A run comes to a step with the normals it drew, if any.
+                assert (passed[k] is None) == (r not in blocks)
+                if certified[k]:
+                    assert kept[k] is passed[k]
+                    continue
+                if r in blocks:
+                    # A later drawing step maps the held block and draws nothing.
+                    assert kept[k] is passed[k]
+                    source = BlockRng(blocks[r])
+                    later += 1
+                else:
+                    # The first drawing step reads the run's generator as a
+                    # fresh draw does, and has that draw's bits.
+                    d = 2 * probs.shape[-1] - 1
+                    blocks[r] = copy.deepcopy(fresh[r]).standard_normal((count, d))
+                    source = fresh[r]
+                    if hold:
+                        np.testing.assert_array_equal(kept[k], blocks[r])
+                    else:
+                        assert kept[k] is None
+                direction, rank = reference_step_direction(g[k], probs[k], H[k], rows[k],
+                                                           source, cfg.morph)
+                assert_same_bits(directions[k], direction)
+                assert ranks[k] == rank
+        # Every generator stood still after its run's first drawing step.
+        for rng, ref in zip(rngs, fresh):
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert len(blocks) >= runs // 2 and later >= runs
 
 
 def lifted(J):

@@ -1,4 +1,4 @@
-"""The package's public names, and the modules a command loads to start."""
+"""The package's public names, and the modules a command loads."""
 
 import json
 import os
@@ -97,3 +97,26 @@ class TestStartup:
         assert "anomgen.categorize" in loaded
         assert not loaded & SEARCH_AND_VERIFY
         assert (tmp_path / "r.csv").read_bytes() == (DATA / "golden_report.csv").read_bytes()
+
+    def test_categorize_loads_no_search_or_verifier(self, tmp_path):
+        verified = str(DATA / "golden_tags_verified.jsonl")
+        loaded = fresh_modules(
+            "from anomgen.cli import run_command\n"
+            f"assert run_command(['categorize', '--in', {verified!r}, '--out', 'c.jsonl']) == 0",
+            tmp_path)
+        assert {"anomgen.categorize", "anomgen.analysis"} <= loaded
+        assert not loaded & (SEARCH_AND_VERIFY - {"anomgen.analysis"})
+        assert (tmp_path / "c.jsonl").read_bytes() == \
+            (DATA / "golden_tags_categorized.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["baseline", "--inits", "4"],
+        ["verify", "--in", str(DATA / "golden_candidates.jsonl")]])
+    def test_a_pool_of_workers_loads_no_morphing(self, argv, tmp_path):
+        # Only morph gives its pool an initializer, which sets the draw CPUs.
+        loaded = fresh_modules(
+            "from anomgen.cli import run_command\n"
+            f"assert run_command({argv + ['--workers', '2', '--out', 'o.jsonl']!r}) == 0",
+            tmp_path)
+        assert "concurrent.futures" in loaded
+        assert "anomgen.morphing" not in loaded

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -211,6 +212,45 @@ class TestCompareRates:
         assert [(e["procedure"], e["quantity"]) for e in entries if e["differs"]] == \
             [("baseline", "parametrized_inconsistent")]
         assert summary["differing"] == 1
+
+    def test_planted_tag_changes_are_reported(self, desk_run, tmp_path):
+        # Two trees whose baseline records are all anomalies, FOSD in one
+        # and unnamed in the other: only the category shares differ.
+        for name, tag in (("fosd", "fosd"), ("other", "other")):
+            shutil.copytree(desk_run, tmp_path / name)
+            path = tmp_path / name / "baseline_categorized.jsonl"
+            header, recs = read_jsonl(path)
+            for rec in recs:
+                rec["any_utility_inconsistent"] = True
+                rec["category"] = {"tag": tag, "certificate": {}}
+            write_jsonl(path, recs, kind=header["kind"])
+        out = run_script("compare_runs.py", "--rates", "--old", str(tmp_path / "fosd"),
+                         "--new", str(tmp_path / "other"), cwd=tmp_path)
+        assert out.returncode == 1, out.stderr
+        *entries, summary = [json.loads(line) for line in out.stdout.splitlines()]
+        assert [(e["procedure"], e["quantity"]) for e in entries if e["differs"]] == [
+            ("baseline", "category=fosd"), ("baseline", "category=other"),
+            ("baseline", "non_fosd_anomaly")]
+        assert summary["differing"] == 3
+        # The verdicts did not move, so neither did each search's lift.
+        old, new = summary["lift"]["old"], summary["lift"]["new"]
+        assert set(old) == {"adversarial", "morphing"} and old == new
+        lift = new["morphing"]["any_utility_inconsistent"]
+        assert lift["interval95"][0] < lift["ratio"] < lift["interval95"][1]
+
+    def test_katz_ratio(self):
+        compare = load_script("compare_runs.py")
+        # 5 in 600 against 1 in 5,000: log-ratio standard error
+        # sqrt(1/5 - 1/600 + 1/1 - 1/5000).
+        lift = compare.katz_ratio((5, 600), (1, 5000), 1.959964)
+        half = 1.959964 * math.sqrt(1 / 5 - 1 / 600 + 1 - 1 / 5000)
+        assert lift["ratio"] == pytest.approx(5 / 600 * 5000)
+        assert lift["interval95"] == pytest.approx([lift["ratio"] * math.exp(-half),
+                                                    lift["ratio"] * math.exp(half)])
+        # A zero count takes a half in every cell.
+        zero = compare.katz_ratio((3, 100), (0, 1000), 1.959964)
+        assert zero["ratio"] == pytest.approx(3.5 / 101 / (0.5 / 1001))
+        assert 0 < zero["interval95"][0] < zero["ratio"] < zero["interval95"][1] < math.inf
 
     def test_mode_arguments_are_checked(self, desk_run, tmp_path):
         for args in (["--rates", str(desk_run), str(desk_run)],
