@@ -89,7 +89,7 @@ def main():
           f"({n_par / len(pooled):.1%})  fully verified: {n_full}")
     print(f"baseline pairs: {len(baseline)}  fully verified: {base_full}")
     print(f"elapsed: {time.time() - start:.0f}s")
-    with open(path("report.csv")) as fh:
+    with open(path("report.csv"), encoding="utf-8") as fh:
         print("\n" + fh.read())
 
 

@@ -4,7 +4,9 @@ categorize -> cluster -> report.
 Every subcommand writes outputs atomically and prints a single machine-
 readable JSON summary line to stdout.  Generation and verification cut their
 runs into consecutive blocks and fan them over a worker pool; records stream
-to disk block by block, in index order.  Verification runs a block as
+to disk block by block, in index order.  ``categorize`` and ``report`` read
+their input one record at a time, and ``categorize`` writes each record it
+does not change as the line it read.  Verification runs a block as
 stacks, one per record shape: one stacked fit and one stacked LP solve per
 grid size, each acting on every record on its own.  Records depend only on
 (master seed, run index), so outputs are byte-identical for any worker
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from itertools import chain, repeat
 
 import numpy as np
@@ -202,25 +205,31 @@ def cmd_categorize(args) -> int:
     from .categorize import categorize
 
     start = time.perf_counter()
-    _, recs = records.read_jsonl(args.inp, expected_kind="verified")
-    counts: dict = {}
+    lines = records.read_lines(args.inp, expected_kind="verified")
+    next(lines)
+    n_records, counts = 0, {}
 
     def categorized():
-        for rec in recs:
-            rec = dict(rec)
-            if rec.get("any_utility_inconsistent"):
-                coll = records.record_to_collection(rec)
-                cat = categorize(coll)
-                rec["category"] = {"tag": cat.tag, "certificate": cat.certificate}
-                counts[cat.tag] = counts.get(cat.tag, 0) + 1
-                if len(coll.q) == 2:
-                    rec["features"] = [float(v) for v in anomaly_features(coll)]
+        """Each record as it is read: an anomaly with its category (and its
+        features if it has two menus), any other record as the line it was."""
+        nonlocal n_records
+        for rec, line in lines:
+            n_records += 1
+            if not rec.get("any_utility_inconsistent"):
+                yield line
+                continue
+            coll = records.record_to_collection(rec)
+            cat = categorize(coll)
+            rec["category"] = {"tag": cat.tag, "certificate": cat.certificate}
+            counts[cat.tag] = counts.get(cat.tag, 0) + 1
+            if len(coll.q) == 2:
+                rec["features"] = [float(v) for v in anomaly_features(coll)]
             yield rec
 
     records.write_jsonl(args.out, categorized(), kind="categorized")
-    return _summary(command="categorize", records=len(recs),
+    return _summary(command="categorize", records=n_records,
                     category_counts=counts, out=args.out,
-                    **_throughput(start, len(recs), "records"))
+                    **_throughput(start, n_records, "records"))
 
 
 def cluster_rows(recs) -> list:
@@ -261,27 +270,28 @@ def cmd_report(args) -> int:
     from .categorize import CATEGORY_TAGS
 
     start = time.perf_counter()
-    _, recs = records.read_jsonl(args.inp, expected_kind="categorized")
-    predictors = sorted({str(r.get("predictor")) for r in recs})
-    counts = {(t, p): 0 for t in CATEGORY_TAGS for p in predictors}
-    totals = dict.fromkeys(predictors, 0)
-    for r in recs:
+    lines = records.read_lines(args.inp, expected_kind="categorized")
+    next(lines)
+    n_records, seen, counts = 0, set(), Counter()
+    for r, _ in lines:
+        n_records += 1
+        p = str(r.get("predictor"))
+        seen.add(p)
         if not r.get("any_utility_inconsistent"):
             continue
-        p = str(r.get("predictor"))
         category = r.get("category") or {}
         tag = category.get("tag", "other") if isinstance(category, dict) else None
         if tag not in CATEGORY_TAGS:
             raise ValueError(f"record {r.get('id')!r}: category {r.get('category')!r} "
                              f"has no tag of {CATEGORY_TAGS}")
         counts[(tag, p)] += 1
-        totals[p] += 1
+    predictors = sorted(seen)
     rows = [[tag] + [counts[(tag, p)] for p in predictors] for tag in CATEGORY_TAGS]
-    rows.append(["total"] + [totals[p] for p in predictors])
+    totals = [sum(counts[(tag, p)] for tag in CATEGORY_TAGS) for p in predictors]
+    rows.append(["total"] + totals)
     records.write_csv(args.out, ["category"] + predictors, rows)
-    return _summary(command="report", records=len(recs),
-                    anomalies=sum(totals.values()), out=args.out,
-                    **_throughput(start, len(recs), "records"))
+    return _summary(command="report", records=n_records, anomalies=sum(totals), out=args.out,
+                    **_throughput(start, n_records, "records"))
 
 
 # -- data / model commands ---------------------------------------------------
@@ -349,13 +359,13 @@ def cmd_epsilon(args) -> int:
     from . import analysis
 
     start = time.perf_counter()
-    with open(args.freqs) as fh:
+    with open(args.freqs, encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     expected = ["pattern_00", "pattern_01", "pattern_10", "pattern_11"]
     if len(lines) < 2 or lines[0].split(",")[:4] != expected:
         raise ConfigError(f"{args.freqs}: expected columns {expected} and a row of counts")
     target = analysis.pattern_frequencies(lines[1].split(",")[:4])
-    with open(args.menus) as fh:
+    with open(args.menus, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         (Z,), (P,), faults = records.read_menus(records.parse_menus(data)[None])

@@ -165,7 +165,7 @@ def parse_config(raw: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:

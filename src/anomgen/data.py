@@ -80,7 +80,7 @@ def load_dataset(path) -> ChoiceDataset:
     column or with a value that is not a number raises ValueError with its
     index, unless an earlier row is rejected; a missing weight is 1."""
     values, kinds, weights = [], [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         # A header without a z0_* column misses at least the J = 1 columns.

@@ -53,6 +53,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -299,11 +300,24 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     # their Gram matrices, in a copy of the caller's context, which holds
     # numpy's error state.  The calling thread draws the first share; the
     # pool starts a thread per share submitted, so a step of one share
-    # starts none, and every thread is joined before the step returns.
+    # starts none, and every thread is joined before the step returns.  No
+    # share starts drawing before every share has its thread, so no pool
+    # thread can end its share early and be handed the next.
+    started = threading.Barrier(len(shares))
+
+    def draw(share):
+        started.wait()
+        _draw_grams(grams, share, *args)
+
     with ThreadPoolExecutor(max(1, len(shares) - 1)) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, _draw_grams,
-                               grams, share, *args) for share in shares[1:]]
-        _draw_grams(grams, shares[0], *args)
+        try:
+            futures = [pool.submit(contextvars.copy_context().run, draw, share)
+                       for share in shares[1:]]
+            draw(shares[0])
+        except BaseException:
+            # Threads still at the barrier leave it, so the pool can join them.
+            started.abort()
+            raise
         for future in futures:
             future.result()
     directions, ranks = _project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,

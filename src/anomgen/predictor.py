@@ -91,7 +91,7 @@ class MlpModel:
 
     @classmethod
     def load(cls, path) -> "MlpModel":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
         widths = d["widths"]
         weights = [np.array(w).reshape(widths[l], widths[l + 1])

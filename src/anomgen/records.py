@@ -8,8 +8,11 @@ block of records is read back into such stacks, one per shape
 (``stack_records``); ``record_to_collection`` reads one record the same way,
 as (m, 2, J) arrays.  A list of menus is read by one rule wherever it comes
 from: ``parse_menus``, then ``read_menus``.
-Writes stream their lines to a temp file and rename it into place, so
-interrupted batch runs never leave half-written outputs.
+A stream is read one line at a time, each record with its line
+(``read_lines``), so a command can write a record it leaves as it is as the
+line it read.  Writes stream their lines to a temp file and rename it into
+place, so interrupted batch runs never leave half-written outputs.  Files
+are UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -118,15 +121,15 @@ def record_to_collection(record: dict) -> Collection:
 
 
 def atomic_write_lines(path, lines, end: str = "\n") -> None:
-    """Write each of ``lines`` and ``end`` to ``path`` as they come, through
-    a temp file and an atomic rename: a failure partway, in writing or in
-    producing a line, leaves ``path`` as it was and no temp file behind.
-    The file gets the mode ``open`` would give it, 0o666 less the umask
-    (``mkstemp`` makes 0o600)."""
+    """Write each of ``lines`` and ``end`` to ``path`` in UTF-8 as they come,
+    through a temp file and an atomic rename: a failure partway, in writing
+    or in producing a line, leaves ``path`` as it was and no temp file
+    behind.  The file gets the mode ``open`` would give it, 0o666 less the
+    umask (``mkstemp`` makes 0o600)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-anomgen-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(f"{line}{end}" for line in lines)
         umask = os.umask(0)
         os.umask(umask)
@@ -138,20 +141,31 @@ def atomic_write_lines(path, lines, end: str = "\n") -> None:
         raise
 
 
+# Every JSONL line is written by this one encoder: the bytes of
+# ``json.dumps(obj, sort_keys=True)``, less the encoder ``dumps`` builds per
+# call.  Records are trees, so no cycle check is needed.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
 def write_jsonl(path, records, kind: str) -> None:
-    """A version header line, then one line per record, written as it comes."""
+    """A version header line, then one line per record, written as it comes.
+    A record given as a str is a line ``read_lines`` read, written as it was
+    read."""
     header = {"version": FORMAT_VERSION, "kind": kind}
-    atomic_write_lines(path, chain([json.dumps(header, sort_keys=True)],
-                                   (json.dumps(r, sort_keys=True) for r in records)))
+    atomic_write_lines(path, chain([_encode(header)],
+                                   (r if isinstance(r, str) else _encode(r) for r in records)))
 
 
-def read_jsonl(path, expected_kind: str | None = None):
-    """(header, records); a line that is not valid JSON or not a JSON object
-    raises ValueError naming the path and the line."""
-    objs = []
-    with open(path) as fh:
-        # A file iterates by newlines only, so a JSON string may hold a raw
-        # U+2028 or U+0085 without ending its line.
+def read_lines(path, expected_kind: str | None = None):
+    """The stream at ``path`` as it is read, one (object, line) pair per
+    line that is not blank: first its header, checked before it is yielded,
+    then each record.  A line is as read, less its end; files are UTF-8.  A
+    line that is not valid JSON or not a JSON object raises ValueError
+    naming the path and the line."""
+    # A file iterates by newlines only, so a JSON string may hold a raw
+    # U+2028 or U+0085 without ending its line; "\r\n" reads as "\n".
+    with open(path, encoding="utf-8") as fh:
+        header = True
         for n, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -161,15 +175,23 @@ def read_jsonl(path, expected_kind: str | None = None):
                 raise ValueError(f"{path}: line {n} is not valid JSON ({exc})") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: line {n} is not a JSON object")
-            objs.append(obj)
-    if not objs:
+            if header:
+                header = False
+                if obj.get("version") != FORMAT_VERSION:
+                    raise ValueError(f"{path}: unsupported version {obj.get('version')}")
+                if expected_kind is not None and obj.get("kind") != expected_kind:
+                    raise ValueError(f"{path}: kind {obj.get('kind')!r}, "
+                                     f"expected {expected_kind!r}")
+            yield obj, line.rstrip("\n")
+    if header:
         raise ValueError(f"{path}: empty stream")
-    header = objs.pop(0)
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {header.get('version')}")
-    if expected_kind is not None and header.get("kind") != expected_kind:
-        raise ValueError(f"{path}: kind {header.get('kind')!r}, expected {expected_kind!r}")
-    return header, objs
+
+
+def read_jsonl(path, expected_kind: str | None = None):
+    """(header, records) of the stream at ``path``, read by ``read_lines``."""
+    lines = read_lines(path, expected_kind)
+    header, _ = next(lines)
+    return header, [rec for rec, _ in lines]
 
 
 def _csv_field(value) -> str:

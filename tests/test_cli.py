@@ -59,6 +59,15 @@ def run_ok(argv, capsys):
     return json.loads(out)
 
 
+def cli_env(**overrides) -> dict:
+    """This process's environment with ``overrides``, in which a child
+    process imports anomgen from this checkout's ``src``."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def _error_line(capsys) -> dict:
     """The one JSON error line a failed command printed."""
     err = capsys.readouterr().err.strip().splitlines()
@@ -342,13 +351,11 @@ class TestPipelineCommands:
         # OpenBLAS picks its kernel when numpy loads, so each kernel gets a
         # process of its own: an AVX2 or an SSE3 one writes the golden
         # features too, whatever kernel this process runs.
-        env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
             [sys.executable, "-c", "from anomgen.cli import main; main()", "categorize",
              "--in", str(DATA / "golden_tags_verified.jsonl"), "--out", "c.jsonl"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+            cwd=tmp_path, env=cli_env(OPENBLAS_CORETYPE=coretype), capture_output=True,
+            text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "c.jsonl").read_bytes() == \
             (DATA / "golden_tags_categorized.jsonl").read_bytes()
@@ -1146,6 +1153,117 @@ class TestStreaming:
         assert os.listdir() == ["cfg.json"]
 
 
+# Records whose values hold what JSON writes specially: NaN, infinities,
+# non-ASCII and control characters, and nested lists.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestLinePassThrough:
+    """``categorize`` writes each record it does not change as the line it
+    read, and every JSONL line is written by one encoder."""
+
+    @staticmethod
+    def golden_lines():
+        """The golden verified stream's lines: header, 8 anomalies, then one
+        consistent pair."""
+        return (DATA / "golden_tags_verified.jsonl").read_text().splitlines()
+
+    @staticmethod
+    def loose(line):
+        """``line`` as a person might edit it: unsorted keys, extra spaces
+        and a float spelled ``1.0e0``."""
+        return '{ "zz_note" : 1.0e0 ,  ' + line[1:-1].replace('": ', '" :  ') + ' }'
+
+    def test_an_unchanged_line_keeps_its_bytes_and_an_anomaly_is_rewritten(self, tmp_path,
+                                                                          capsys):
+        os.chdir(tmp_path)
+        lines = self.golden_lines()
+        consistent, anomaly = self.loose(lines[9]), self.loose(lines[1])
+        assert json.loads(consistent)["any_utility_inconsistent"] is False
+        Path("v.jsonl").write_text("\n".join([lines[0], consistent, anomaly]) + "\n")
+        summary = run_ok(["categorize", "--in", "v.jsonl", "--out", "c.jsonl"], capsys)
+        assert (summary["records"], summary["category_counts"]) == \
+            (2, {"dominated_consequence": 1})
+        golden = (DATA / "golden_tags_categorized.jsonl").read_text().splitlines()
+        rewritten = {**json.loads(golden[1]), "zz_note": 1.0}
+        assert Path("c.jsonl").read_text().splitlines() == [
+            golden[0], consistent, json.dumps(rewritten, sort_keys=True)]
+
+    def test_a_record_without_a_verdict_passes_through(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        line = '{"id": "hand-000000",   "b": [1.50, 2e3], "a": "é"}'
+        Path("v.jsonl").write_text(self.golden_lines()[0] + "\n" + line + "\n",
+                                   encoding="utf-8")
+        assert run_ok(["categorize", "--in", "v.jsonl", "--out", "c.jsonl"],
+                      capsys)["category_counts"] == {}
+        assert Path("c.jsonl").read_text(encoding="utf-8").splitlines()[1] == line
+
+    def test_a_crlf_line_comes_out_ending_in_lf(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        lines = self.golden_lines()
+        Path("v.jsonl").write_bytes("\r\n".join([lines[0], lines[9], lines[8]]).encode()
+                                    + b"\r\n")
+        run_ok(["categorize", "--in", "v.jsonl", "--out", "c.jsonl"], capsys)
+        golden = (DATA / "golden_tags_categorized.jsonl").read_bytes().split(b"\n")
+        assert Path("c.jsonl").read_bytes() == b"\n".join(
+            [golden[0], lines[9].encode(), golden[8], b""])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(), _json_values, max_size=6))
+    def test_the_shared_encoder_writes_what_dumps_writes(self, rec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.jsonl")
+            write_jsonl(path, [rec, rec], kind="candidates")
+            with open(path, encoding="utf-8", newline="") as fh:
+                written = fh.read()
+        line = json.dumps(rec, sort_keys=True)
+        assert written == f'{{"kind": "candidates", "version": 1}}\n{line}\n{line}\n'
+
+    def test_categorize_reads_a_record_only_after_writing_the_last(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        os.chdir(tmp_path)
+        Path("v.jsonl").write_text((DATA / "golden_tags_verified.jsonl").read_text())
+        events = []
+        read, write = records.read_lines, records.write_jsonl
+
+        def read_tapped(path, expected_kind=None):
+            for i, pair in enumerate(read(path, expected_kind)):
+                events.append(("read", i))
+                yield pair
+
+        def write_tapped(path, stream, kind):
+            write(path, (events.append(("write", i)) or rec
+                         for i, rec in enumerate(stream, 1)), kind)
+
+        monkeypatch.setattr(records, "read_lines", read_tapped)
+        monkeypatch.setattr(records, "write_jsonl", write_tapped)
+        run_ok(["categorize", "--in", "v.jsonl", "--out", "c.jsonl"], capsys)
+        assert events == [("read", 0)] + [e for i in range(1, 10)
+                                          for e in (("read", i), ("write", i))]
+
+    @pytest.mark.parametrize("command", ["categorize", "report"])
+    def test_a_raw_line_separator_reads_and_writes_in_any_locale(self, command, tmp_path):
+        # Under the C locale Python's default encoding is ASCII; files are
+        # UTF-8 whatever it is.
+        lines = self.golden_lines()
+        header = lines[0] if command == "categorize" else '{"kind": "categorized", "version": 1}'
+        rec = {**json.loads(lines[9]), "id": "consistent 000000"}
+        line = json.dumps(rec, sort_keys=True, ensure_ascii=False)
+        (tmp_path / "in.jsonl").write_text(f"{header}\n{line}\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from anomgen.cli import main; main()", command,
+             "--in", "in.jsonl", "--out", "out"],
+            cwd=tmp_path, env=cli_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["records"] == 1
+        if command == "categorize":
+            assert (tmp_path / "out").read_bytes().split(b"\n")[1] == line.encode()
+
+
 class TestParser:
     def test_two_commands_build_one_parser(self, tmp_path, capsys):
         os.chdir(tmp_path)
@@ -1263,13 +1381,10 @@ class TestLockstepBytes:
                 out = f"m-{budget}-{workers}.jsonl"
                 run_ok(argv + ["--workers", str(workers), "--out", out], capsys)
                 outputs[out] = Path(out).read_bytes()
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
             ["taskset", "-c", str(min(os.sched_getaffinity(0))), sys.executable, "-c",
              "from anomgen.cli import main; main()", *argv, "--out", "m-cpu.jsonl"],
-            env=env, capture_output=True, text=True, timeout=300)
+            env=cli_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["draw_threads"] == 1
         outputs["m-cpu.jsonl"] = Path("m-cpu.jsonl").read_bytes()
