@@ -150,21 +150,21 @@ def index_block(cfg, indices, n_menus: int):
     """Runs ``indices`` of the pipeline config ``cfg``, each addressed by
     (``cfg.seed``, run index), stacked together: their menus' (R, n_menus,
     2, J) payoff and probability stacks, drawn with ``cfg.n_payoffs``
-    payoffs over the theory basis's domain (``draw_menus``), and the
-    generators they were drawn from (a run's stream goes on).  No indices
-    give empty stacks, which every generator maps to no records."""
-    rngs = [run_rng(cfg.seed, i) for i in indices]
-    Z = np.empty((len(rngs), n_menus, 2, cfg.n_payoffs))
+    payoffs over the theory basis's domain (``draw_menus``) from each run's
+    generator ``run_rng``.  No indices give empty stacks, which every
+    generator maps to no records."""
+    Z = np.empty((len(indices), n_menus, 2, cfg.n_payoffs))
     P = np.empty_like(Z)
-    for r, rng in enumerate(rngs):
-        Z[r], P[r] = draw_menus(rng, n_menus, cfg.n_payoffs, *cfg.theory_basis["domain"])
-    return Z, P, rngs
+    for r, i in enumerate(indices):
+        Z[r], P[r] = draw_menus(run_rng(cfg.seed, i), n_menus, cfg.n_payoffs,
+                                *cfg.theory_basis["domain"])
+    return Z, P
 
 
 def run_adversarial_indices(predictor, cfg, indices):
     """Adversarial runs ``indices`` of the pipeline config ``cfg``, on its
     theory basis, advanced as one stack; their records in the order of
     ``indices``."""
-    Z, P, _ = index_block(cfg, indices, 1)
+    Z, P = index_block(cfg, indices, 1)
     return gda_run(predictor, cfg.adversarial, basis_from_config(cfg.theory_basis),
                    Z[:, 0], P[:, 0], cfg.seed, indices)

@@ -26,7 +26,7 @@ def run_baseline_indices(predictor, cfg, indices) -> list[dict]:
     menus each (``adversarial.index_block``), predicted in one batch call."""
     from .adversarial import index_block
 
-    Z, P, _ = index_block(cfg, indices, 2)
+    Z, P = index_block(cfg, indices, 2)
     q = predictor.predict_batch(Z.reshape(-1, *Z.shape[2:]), P.reshape(-1, *P.shape[2:]))
     return stack_to_records(Z, P, q.reshape(len(Z), 2), "baseline", predictor.label,
                             cfg.seed, indices)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -72,39 +71,24 @@ def _config_from_args(args) -> PipelineConfig:
 # 256; 6,000 runs took 26 s at 40 MB in blocks of 64, 18 s at 41 MB in
 # blocks of 256, 18 s at 47 MB in blocks of 1,024 and 18 s at 79 MB as one
 # stack.  A morph step factors, projects and maps a block's runs as one
-# stack, and maps their samples one run at a time, on each of its draw
-# threads, in that thread's work buffers of at most ``morphing._DRAW_BLOCK``
-# draws.  The one per-sample array is a run's standard normals, held while
-# it may step again: 4.8 MB at 200,000 samples and J = 2, so a morph block's
-# runs are cut to fit ``_NORMALS_BUDGET`` (53 such runs).  256 morph runs at
-# 200,000 samples and one step, which hold none, peaked at 42.3 MB in one
-# block on 2 threads (41.8 MB on one), and 29 runs at 40.6 MB; at two steps
-# they peaked at 186 MB in blocks of 53, on one worker or two.
+# stack, and draws each block of ``morphing._DRAW_BLOCK`` standard normals
+# once for all of them, so its per-sample arrays do not grow with the runs:
+# 256 morph runs at 200,000 samples peaked at 39.2 MB in one block at one
+# step and 39.3 MB at two steps on one worker, and at 36.0 MB on two.
 _RUN_BLOCK = 256
-# Bytes of standard normals the runs of one block may hold.
-_NORMALS_BUDGET = 256 * 10 ** 6
 
 
-def _block_size(count: int, workers: int, run_bytes: int = 0) -> int:
-    """Items in a block: at most ``_RUN_BLOCK``, and at most as many items
-    holding ``run_bytes`` each as ``_NORMALS_BUDGET`` holds; fewer when that
-    keeps every worker busy."""
-    cap = min(_RUN_BLOCK, max(1, _NORMALS_BUDGET // run_bytes)) if run_bytes else _RUN_BLOCK
-    return min(cap, (count + workers - 1) // workers) or 1
+def _block_size(count: int, workers: int) -> int:
+    """Items in a block: at most ``_RUN_BLOCK``, fewer when that keeps every
+    worker busy."""
+    return min(_RUN_BLOCK, (count + workers - 1) // workers) or 1
 
 
-def _cpu_share(workers: int) -> int:
-    """CPUs each of ``workers`` processes may draw morph samples on."""
-    return max(1, len(os.sched_getaffinity(0)) // workers)
-
-
-def _fan_out(chunk_fn, args: tuple, items, workers: int, run_bytes: int = 0,
-             initializer=None):
+def _fan_out(chunk_fn, args: tuple, items, workers: int):
     """The records of ``chunk_fn(*args, block)`` over consecutive blocks of
-    ``items`` (``_block_size``, of items holding ``run_bytes`` each), yielded
-    in order as each block is done, in a pool if ``workers > 1``, whose
-    processes each call ``initializer()`` first, when given."""
-    size = _block_size(len(items), workers, run_bytes)
+    ``items`` (``_block_size``), yielded in order as each block is done, in a
+    pool if ``workers > 1``."""
+    size = _block_size(len(items), workers)
     calls = (chunk_fn, *map(repeat, args),
              (items[i:i + size] for i in range(0, len(items), size)))
     if workers == 1:
@@ -112,7 +96,7 @@ def _fan_out(chunk_fn, args: tuple, items, workers: int, run_bytes: int = 0,
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from chain.from_iterable(pool.map(*calls))
 
 
@@ -133,21 +117,10 @@ def cmd_generate(args) -> int:
     cfg = _config_from_args(args)
     inits = args.inits if args.inits is not None else getattr(cfg, procedure).inits
     predictor = build_predictor(cfg.predictor)
-    run_bytes, initializer, extra = 0, None, {}
-    if procedure == "morph":
-        from .morphing import draw_threads, held_normals_bytes, set_draw_cpus
-
-        # Each process draws on its share of the CPUs; the summary gives the
-        # threads a step of a full block draws on.
-        run_bytes, cpus = held_normals_bytes(cfg.morph, cfg.n_payoffs), _cpu_share(cfg.workers)
-        initializer = functools.partial(set_draw_cpus, cpus)
-        extra["draw_threads"] = draw_threads(_block_size(inits, cfg.workers, run_bytes),
-                                             cfg.morph.n_gradient_samples, cpus)
     records.write_jsonl(args.out, _fan_out(_generate_chunk, (predictor, cfg, procedure),
-                                           range(inits), cfg.workers, run_bytes, initializer),
-                        kind="candidates")
+                                           range(inits), cfg.workers), kind="candidates")
     return _summary(command=procedure, runs=inits, seed=cfg.seed, out=args.out,
-                    workers=cfg.workers, **extra, **_throughput(start, inits, "runs"))
+                    workers=cfg.workers, **_throughput(start, inits, "runs"))
 
 
 # -- verification / categorization ------------------------------------------

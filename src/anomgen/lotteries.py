@@ -212,3 +212,14 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     workers reproduce single-threaded output.
     """
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(run_index,)))
+
+
+def normals_rng(master_seed: int) -> np.random.Generator:
+    """The morph steps' standard-normal generator of ``master_seed``.
+
+    It is drawn from the master seed's root sequence, the parent whose
+    children (spawn keys (i,)) are the runs' generators ``run_rng``, so it
+    is none of them, and it depends on the master seed alone: every drawing
+    morph step of every run of the seed reads the same stream from its start.
+    """
+    return np.random.default_rng(np.random.SeedSequence(master_seed))

@@ -25,42 +25,32 @@ tail bound on the draws proves this from the factors alone
 (``_certified``), and such a step draws nothing; it differs from the
 sampled step with probability at most ``CERTIFY_MISS`` = 1e-12.
 
-A run draws its (count, d) block of standard normals once, at its first
-step that draws, and every later step maps that same block through its own
-factor: common random numbers (Glasserman, *Monte Carlo Methods in
-Financial Engineering*, 2003, ch. 4).  Generating the normals is two thirds
-of a drawing 200k step, and only a run's first drawing step pays it.  That
-step reads its run's generator in the order a fresh draw would; a run holds
-its block only while it may step again, so a one-step run holds none.  A
-caller bounds the normals a stack holds by the runs it stacks
-(``cli._block_size``).
+Every drawing step of every run of one master seed maps the same (count, d)
+standard normals, the seed's stream (``lotteries.normals_rng``), through its
+own factor: common random numbers (Glasserman, *Monte Carlo Methods in
+Financial Engineering*, 2003, ch. 4).  Generating the normals is most of a
+drawing 200k step, and a step generates them once for its whole stack, one
+block at a time, rather than once per run.
 
 Runs advance through the adversarial search's loop
 (``adversarial.lockstep``), and one call per step,
 ``morph_step_directions``, gives every running run its direction: the
 QR factors, eigendecompositions and projections act on the whole stack,
-while each run's draws come from that run's own normals.  When a run
-draws more than one block, the stack's runs are shared out over threads
-(``draw_threads``): numpy releases the GIL while it fills a block with
-normals and maps and sums it, so the draws use every CPU of a one-worker
-process.  A run is drawn and summed in the same order by whichever thread
-owns it, so every row has the bytes it has in a stack of one, on any
-number of threads.  Only the runs the certificate leaves are shared out.
+and each block of the stream is drawn once and mapped and summed through
+every drawing run's factor in turn.  A run's Gram matrix sums the blocks in
+stream order, so every row has the bytes it has in a stack of one.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .adversarial import index_block, lockstep
 from .basis import ISplineBasis
 from .config import MIN_RANK_TOL, MorphConfig
+from .lotteries import normals_rng
 from .theory import _fit_logits
 
 STOP_NORM = 1e-8
@@ -77,9 +67,6 @@ _DRAW_BLOCK = 8192
 # the rounding of the kept test.
 CERTIFY_MISS = 1e-12
 CERTIFY_MARGIN = 1e-9
-# CPUs a step's draws may use: None reads this process's CPU affinity at
-# each step; a pool worker's initializer sets its share (``set_draw_cpus``).
-_draw_cpus = None
 
 
 def _add_kept_gram(gram: np.ndarray, cols: np.ndarray, scale: np.ndarray, rank_tol: float,
@@ -177,58 +164,26 @@ def _certified(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float) -> 
     return bound <= rank_tol * (1.0 - CERTIFY_MARGIN)
 
 
-def set_draw_cpus(cpus: int | None) -> None:
-    """Let this process's morph steps draw on ``cpus`` CPUs (None: all it may run on)."""
-    global _draw_cpus
-    _draw_cpus = cpus
-
-
-def held_normals_bytes(config: MorphConfig, n_payoffs: int) -> int:
-    """Bytes of standard normals a morph run of ``config`` holds between its
-    steps, at ``n_payoffs`` payoffs a lottery: its (count, 2J - 1) block, or
-    none when it takes one step."""
-    return 8 * config.n_gradient_samples * (2 * n_payoffs - 1) if config.max_iters > 1 else 0
-
-
-def draw_threads(rows: int, count: int, cpus: int | None = None) -> int:
-    """Threads a step of ``rows`` runs at ``count`` samples draws on: the
-    CPUs (``cpus``, else ``set_draw_cpus``'s, else this process's affinity)
-    capped at the rows, and one when a run's draws fit in one block, whose
-    few small calls would hold the GIL."""
-    if count <= _DRAW_BLOCK:
-        return 1
-    return max(1, min(cpus or _draw_cpus or len(os.sched_getaffinity(0)), rows))
-
-
-def _draw_grams(grams: np.ndarray, runs, rngs, normals, hold: bool, mean: np.ndarray,
+def _draw_grams(grams: np.ndarray, rows: np.ndarray, master_seed: int, mean: np.ndarray,
                 scale: np.ndarray, w_map: np.ndarray, count: int, rank_tol: float) -> None:
-    """Add into ``grams[k]``, for each run k of ``runs``, the Gram matrix of
-    the ``count`` draws its (count, d) standard normals ``normals[k]`` map to:
-    one pass over blocks of at most ``_DRAW_BLOCK`` rows, mapped and summed
-    in work buffers that every block of these runs reuses.
-
-    A run whose ``normals[k]`` is None draws them from ``rngs[k]`` as the
-    pass goes: into a new array left in ``normals[k]`` when ``hold``, else
-    into the work buffers, so a run that keeps none holds no count-wide
-    array."""
+    """Add into ``grams[k]``, for each row k of ``rows``, the Gram matrix of
+    the ``count`` draws the seed's (count, d) standard normals
+    (``normals_rng(master_seed)``) map to through row k's factor: one pass
+    over the stream's blocks of at most ``_DRAW_BLOCK`` rows, each drawn once
+    into one buffer and mapped and summed through every row in turn, in work
+    buffers that every block and row reuse."""
     m, d = w_map.shape[1:]
-    # Flat work buffers for one block; a block of n draws views them as
-    # contiguous arrays of its own size.  The draws' buffer holds the
-    # weighted gradients once the draws are mapped.
+    stream = normals_rng(master_seed)
     block = min(count, _DRAW_BLOCK)
-    draws, grads, logits, slopes = (np.empty(size) for size in
-                                    ((m + 1) * block, m * block, block, block))
-    for k in runs:
-        held = normals[k]
-        fresh = held is None
-        if fresh and hold:
-            held = normals[k] = np.empty((count, d))
-        for start in range(0, count, _DRAW_BLOCK):
-            n = min(_DRAW_BLOCK, count - start)
-            z = draws[:n * d].reshape(n, d) if held is None else held[start:start + n]
-            if fresh:
-                rngs[k].standard_normal(out=z)
-            a, s = logits[:n], slopes[:n]
+    # Flat buffers for one block; a block of n draws views them as
+    # contiguous arrays of its own size.
+    normals, grads, weighted, logits, slopes = (np.empty(size) for size in
+                                                (d * block, m * block, m * block, block, block))
+    for start in range(0, count, _DRAW_BLOCK):
+        n = min(_DRAW_BLOCK, count - start)
+        z = stream.standard_normal(out=normals[:n * d].reshape(n, d))
+        a, s = logits[:n], slopes[:n]
+        for k in rows:
             np.multiply(z[:, 0], scale[k], out=a)
             a += mean[k, 0]
             # sigma'(a) = e / (1 + e)^2 with e = exp(-|a|): one exp, no overflow.
@@ -238,51 +193,44 @@ def _draw_grams(grams: np.ndarray, runs, rngs, normals, hold: bool, mean: np.nda
             np.divide(e, s, out=s)
             w = np.matmul(w_map[k], z.T, out=grads[:m * n].reshape(m, n))
             w += mean[k, 1:, None]
-            _add_kept_gram(grams[k], w, s, rank_tol, draws[:m * n].reshape(m, n))
+            _add_kept_gram(grams[k], w, s, rank_tol, weighted[:m * n].reshape(m, n))
 
 
 def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: np.ndarray,
-                          basis_rows: np.ndarray, rngs, config: MorphConfig, normals=None,
-                          hold: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One morph step for a stack of runs: each row's direction (R, 2J), the
-    rank of the sampled span it removes (R,), and whether the certificate
-    spared its draws (R,).
+                          basis_rows: np.ndarray, master_seed: int,
+                          config: MorphConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One morph step for a stack of runs of ``master_seed``: each row's
+    direction (R, 2J), the rank of the sampled span it removes (R,), and
+    whether the certificate spared its draws (R,).
 
     Row k draws ``config.n_gradient_samples`` utility vectors U = (U0, U1)
     around its fit history ``histories[k]`` (h, K), each mapped from a row of
-    its run's (count, d) standard normals ``normals[k]``;
-    ``basis_rows[k]`` (2J, K) holds the basis values at the menu's payoffs
-    and ``probs[k]`` (2, J) its probabilities (p0, p1).  Draw i's choice
-    probability has gradient s_i v_i over (p0, p1), with v_i = (-U0_i, U1_i),
-    logit a_i = p1 . U1_i - p0 . U0_i and slope s_i = sigma(a_i)(1 - sigma(a_i)).
-    In the coordinates w = T^T v of the tangent basis T, the direction is the
-    predictor's gradient T^T g with the span of the gradients s_i w_i removed,
-    lifted back by T.  A gradient is kept when its norm exceeds
-    ``config.rank_tol``, and the span is read from the kept gradients' Gram
-    matrix with the relative cutoff ``config.rank_tol``.
+    the seed's (count, d) standard normals (``normals_rng(master_seed)``, read
+    from its start); ``basis_rows[k]`` (2J, K) holds the basis values at the
+    menu's payoffs and ``probs[k]`` (2, J) its probabilities (p0, p1).  Draw
+    i's choice probability has gradient s_i v_i over (p0, p1), with
+    v_i = (-U0_i, U1_i), logit a_i = p1 . U1_i - p0 . U0_i and slope
+    s_i = sigma(a_i)(1 - sigma(a_i)).  In the coordinates w = T^T v of the
+    tangent basis T, the direction is the predictor's gradient T^T g with the
+    span of the gradients s_i w_i removed, lifted back by T.  A gradient is
+    kept when its norm exceeds ``config.rank_tol``, and the span is read from
+    the kept gradients' Gram matrix with the relative cutoff
+    ``config.rank_tol``.
 
-    A row whose ``normals[k]`` is None (every row, when ``normals`` is None)
-    draws its normals from ``rngs[k]``, in the order a whole (count, d) draw
-    reads the stream, and keeps them in ``normals[k]`` when ``hold``: the
-    run's later steps map the same normals.  A row that ``_certified``
-    proves would keep none of its draws is not drawn: its Gram matrix stays
-    zero, and its generator and normals are not touched.  Its direction has
-    the bits its sampled step's would have whenever that step's Gram matrix
-    is zero, which fails with probability at most ``CERTIFY_MISS``.
+    A row that ``_certified`` proves would keep none of its draws is not
+    drawn: its Gram matrix stays zero, and a stack with no other row builds
+    no generator.  Its direction has the bits its sampled step's would have
+    whenever that step's Gram matrix is zero, which fails with probability
+    at most ``CERTIFY_MISS``.
 
     Everything but the draws is done for the whole stack at once: the
     history means and one QR factor per run (``_step_factors``), the Gram
-    eigendecompositions and the projections.  The draws go run by
-    run, in blocks of ``_DRAW_BLOCK`` rows of the (count, d) normals, mapped
-    in work buffers that the drawing thread's runs reuse; each block is
-    mapped straight to a and w and added into the run's (2J - 2) x (2J - 2)
-    Gram matrix, so no count-wide array is built but the normals a run
-    holds.  When a run draws more than one block, the uncertified runs are
-    split into ``draw_threads`` consecutive shares, one per thread, each
-    with its own buffers.  Every operation acts on one row, and a run's
-    blocks are drawn and summed in the same order on any thread, so a row's
-    bytes depend neither on the rows stacked with it nor on the thread
-    count.
+    eigendecompositions and the projections.  The draws go block by block
+    of ``_DRAW_BLOCK`` rows of the normals (``_draw_grams``); each block is
+    mapped straight to every drawn row's a and w and added into its
+    (2J - 2) x (2J - 2) Gram matrix, so no count-wide array is built.  Every
+    operation acts on one row, and a row sums its blocks in stream order, so
+    a row's bytes do not depend on the rows stacked with it.
     """
     R, _, J = probs.shape
     T = _tangent_basis(J)
@@ -292,64 +240,36 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     grams = np.zeros((R, m, m))
     certified = _certified(mean, L, count, config.rank_tol)
     drawn = np.flatnonzero(~certified)
-    if normals is None:
-        normals = [None] * R
-    args = rngs, normals, hold, mean, scale, w_map, count, config.rank_tol
-    shares = np.array_split(drawn, draw_threads(len(drawn), count))
-    # Each thread draws its own runs into its own buffers and writes only
-    # their Gram matrices, in a copy of the caller's context, which holds
-    # numpy's error state.  The calling thread draws the first share; the
-    # pool starts a thread per share submitted, so a step of one share
-    # starts none, and every thread is joined before the step returns.  No
-    # share starts drawing before every share has its thread, so no pool
-    # thread can end its share early and be handed the next.
-    started = threading.Barrier(len(shares))
-
-    def draw(share):
-        started.wait()
-        _draw_grams(grams, share, *args)
-
-    with ThreadPoolExecutor(max(1, len(shares) - 1)) as pool:
-        try:
-            futures = [pool.submit(contextvars.copy_context().run, draw, share)
-                       for share in shares[1:]]
-            draw(shares[0])
-        except BaseException:
-            # Threads still at the barrier leave it, so the pool can join them.
-            started.abort()
-            raise
-        for future in futures:
-            future.result()
+    if drawn.size:
+        _draw_grams(grams, drawn, master_seed, mean, scale, w_map, count, config.rank_tol)
     directions, ranks = _project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
                                           config.rank_tol)
     return (T @ directions[..., None])[..., 0], ranks, certified
 
 
-def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, rngs, master_seed,
+def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, master_seed,
                    indices) -> list[dict]:
-    """Morphing runs from the menus (Z, P) with fits on ``basis``, advanced
-    in ``lockstep``; run r draws its normals once from its own generator
-    ``rngs[r]`` and stops early once its direction vanishes.  Its record
-    says why it stopped (``stop``: ``direction_vanished``, ``max_iters`` or
-    ``nonfinite_gradient``), the rank of the sampled span removed by its
-    last projection (``retained_rank``, None when it stopped before its
-    first), and the count of its steps whose draws the certificate spared
-    (``certified_steps``).
+    """Morphing runs ``indices`` of ``master_seed`` from the menus (Z, P)
+    with fits on ``basis``, advanced in ``lockstep``; every drawing step maps
+    the seed's normals, and a run stops early once its direction vanishes.
+    Its record says why it stopped (``stop``: ``direction_vanished``,
+    ``max_iters`` or ``nonfinite_gradient``), the rank of the sampled span
+    removed by its last projection (``retained_rank``, None when it stopped
+    before its first), and the count of its steps whose draws the
+    certificate spared (``certified_steps``).
 
     Each step's directions come from one ``morph_step_directions`` call over
     the running rows whose gradient is finite.  The fit histories live in one
     (R, max_iters + 1, K) array: the seed fit, then one fit per step, so at
-    step s every running row holds s + 2 fits.  A run keeps the normals it
-    drew while it may step again, and drops them once it leaves the stack.
+    step s every running row holds s + 2 fits.
     """
     R = len(Z)
     history = None
-    held = {}           # run -> its normals, or None while it has drawn none
     stop, rank = ["max_iters"] * R, [None] * R
     certified_steps = np.zeros(R, dtype=int)
 
     def morph(s, rows, D, y, fit, P, B, f, df):
-        nonlocal history, held
+        nonlocal history
         if s == 0:          # every run's history starts at its seed fit
             seed = _fit_logits(D[:, :1], y[:, :1]).theta
             history = np.empty((R, config.max_iters + 1, seed.shape[1]))
@@ -361,11 +281,9 @@ def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, rngs, master_see
         for r in rows[~finite]:
             stop[r] = "nonfinite_gradient"
         live = np.flatnonzero(finite)
-        normals, hold = [held.get(r) for r in rows[live]], s + 1 < config.max_iters
         directions, ranks, certified = morph_step_directions(
             df.reshape(len(rows), -1)[live], P[live], history[rows[live], :s + 2],
-            B.reshape(len(rows), -1, B.shape[-1])[live], [rngs[r] for r in rows[live]],
-            config, normals=normals, hold=hold)
+            B.reshape(len(rows), -1, B.shape[-1])[live], master_seed, config)
         certified_steps[rows[live]] += certified
         # The norm of each row as ``np.linalg.norm`` takes it: sqrt(d . d).
         vanished = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0]) \
@@ -374,7 +292,6 @@ def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, rngs, master_see
             rank[r] = k
             if gone:
                 stop[r] = "direction_vanished"
-        held = {r: z for r, z, gone in zip(rows[live], normals, vanished) if hold and not gone}
         moving = live[~vanished]
         delta[moving] = -config.step_size * directions[~vanished].reshape(-1, *P.shape[1:])
         go[moving] = True
@@ -390,6 +307,6 @@ def run_morph_indices(predictor, cfg, indices):
     """Morphing runs ``indices`` of the pipeline config ``cfg``, with fits on
     the default I-spline basis over the theory basis's domain, advanced as
     one stack; their records in the order of ``indices``."""
-    Z, P, rngs = index_block(cfg, indices, 1)
+    Z, P = index_block(cfg, indices, 1)
     return morph_lockstep(predictor, cfg.morph, ISplineBasis(domain=cfg.theory_basis["domain"]),
-                          Z[:, 0], P[:, 0], rngs, cfg.seed, indices)
+                          Z[:, 0], P[:, 0], cfg.seed, indices)

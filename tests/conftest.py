@@ -529,15 +529,15 @@ def null_space_projection(g_star, sampled_grads, rank_tol: float = 1e-6) -> np.n
     return out[0]
 
 
-def morph_step_direction(pred_grad, probs, history, basis_rows, rng, config):
-    """One run's morph step: ``morph_step_directions`` on a stack of one.
-    ``pred_grad`` is (2J,), ``probs`` (2, J), ``history`` a sequence of at
-    least two fits and ``basis_rows`` (2J, K); returns the direction (2J,)
-    and the retained rank."""
+def morph_step_direction(pred_grad, probs, history, basis_rows, master_seed, config):
+    """One run's morph step: ``morph_step_directions`` on a stack of one,
+    mapping the normals of ``master_seed``.  ``pred_grad`` is (2J,),
+    ``probs`` (2, J), ``history`` a sequence of at least two fits and
+    ``basis_rows`` (2J, K); returns the direction (2J,) and the retained rank."""
     directions, ranks, _ = morphing.morph_step_directions(
         np.asarray(pred_grad, dtype=float)[None], np.asarray(probs, dtype=float)[None],
         np.atleast_2d(np.array(history, dtype=float))[None],
-        np.asarray(basis_rows, dtype=float)[None], [rng], config)
+        np.asarray(basis_rows, dtype=float)[None], master_seed, config)
     return directions[0], int(ranks[0])
 
 

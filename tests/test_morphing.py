@@ -1,8 +1,4 @@
-import copy
 import math
-import os
-import sys
-import threading
 from collections import Counter
 
 import numpy as np
@@ -12,6 +8,7 @@ from anomgen import morphing
 from anomgen.adversarial import index_block, run_adversarial_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
+from anomgen.lotteries import normals_rng, run_rng
 from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_basis,
                               morph_step_directions, run_morph_indices)
 from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
@@ -26,7 +23,7 @@ class TestSampleThetaHistory:
     # With identity basis rows the utilities are theta itself.
     def test_two_point_history_moments(self):
         h = [np.array([0.0, 1.0]), np.array([2.0, 3.0])]
-        draws = sample_theta_history(h, 10_000, np.random.default_rng(1), np.eye(2))
+        draws = sample_theta_history(h, 10_000, normals_rng(1), np.eye(2))
         mean = np.array([1.0, 2.0])
         # Sample covariance of two points is rank one with variance 2.
         se = np.sqrt(2.0 / 10_000)
@@ -36,8 +33,8 @@ class TestSampleThetaHistory:
     def test_seed_reproducible(self):
         h = [np.zeros(3), np.ones(3)]
         rows = np.arange(12.0).reshape(4, 3)
-        a = sample_theta_history(h, 100, np.random.default_rng(2), rows)
-        b = sample_theta_history(h, 100, np.random.default_rng(2), rows)
+        a = sample_theta_history(h, 100, normals_rng(2), rows)
+        b = sample_theta_history(h, 100, normals_rng(2), rows)
         np.testing.assert_array_equal(a, b)
 
     def test_single_entry_fallback(self):
@@ -66,7 +63,7 @@ class TestUtilityDraws:
         H = np.array(history)
         mean = H.mean(axis=0)
         cov = np.cov(H, rowvar=False, ddof=1) + COV_JITTER * np.eye(basis.dim)
-        U = sample_theta_history(history, n, np.random.default_rng(13), rows)
+        U = sample_theta_history(history, n, normals_rng(13), rows)
         ref = np.random.default_rng(14).multivariate_normal(mean, cov, size=n) @ rows.T
         assert U.shape == (rows.shape[0], n)
         # Two independent estimates of the same moments: five standard errors
@@ -160,15 +157,16 @@ class TestGramMatchesSvd:
         basis = ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0))
         rng = np.random.default_rng(18)
         compared = 0
-        for _ in range(25):
+        for seed in range(25):
             x0 = sample_random_menu(rng, 2, 0.0, 10.0)
             rows = np.concatenate([basis.eval(z) for z in x0[0]])
             f0 = predict(pred, x0)
             menu = x0[0], np.stack([rng.dirichlet([2, 2]), rng.dirichlet([2, 2])])
             history = [fit_theta(basis, *stack([x0]), [f0]).theta,
                        fit_theta(basis, *stack([x0, menu]), [f0, predict(pred, menu)]).theta]
-            step_rng = copy.deepcopy(rng)             # the same draws for the step
-            G_t = sample_step_gradients(probs_of(menu), history, 200_000, rng, rows)
+            # The step's draws: the normals of its master seed.
+            G_t = sample_step_gradients(probs_of(menu), history, 200_000, normals_rng(seed),
+                                        rows)
             g = grad(pred, menu)
             g_t = tangent(g, 2)
             # A singular value within 1% of the cutoff may fall on either
@@ -184,7 +182,7 @@ class TestGramMatchesSvd:
             np.testing.assert_allclose(null_space_projection(g_t, G_t, rank_tol),
                                        reference, rtol=0, atol=1e-10)
             step, _ = morph_step_direction(
-                g, probs_of(menu), history, rows, step_rng,
+                g, probs_of(menu), history, rows, seed,
                 MorphConfig(n_gradient_samples=200_000, rank_tol=rank_tol))
             np.testing.assert_allclose(step, reference, rtol=0, atol=1e-10)
             compared += 1
@@ -343,17 +341,17 @@ class TestMorphStepDirection:
         # descends the tangent predictor gradient and is orthogonal to every
         # retained sampled gradient of its own draws.
         rng = np.random.default_rng(11)
-        for _ in range(200):
+        for seed in range(200):
             g = rng.normal(size=4)
             rows = rng.normal(size=(4, 5))            # random basis values
             history = list(rng.normal(size=(int(rng.integers(2, 5)), 5)))
             menu = sample_random_menu(rng, 2, 0.0, 10.0)
             count = int(rng.integers(1, 6))
-            twin = copy.deepcopy(rng)
             v, rank = morph_step_direction(
-                g, probs_of(menu), history, rows, rng,
+                g, probs_of(menu), history, rows, seed,
                 MorphConfig(n_gradient_samples=count, rank_tol=1e-6))
-            grads = sample_step_gradients(probs_of(menu), history, count, twin, rows)
+            grads = sample_step_gradients(probs_of(menu), history, count, normals_rng(seed),
+                                          rows)
             assert 0 <= rank <= min(count, 2)
             g_t = tangent(g, 2)
             assert -(v @ g_t) <= 1e-10
@@ -364,11 +362,13 @@ class TestMorphStepDirection:
 
 
 class RecordingRng:
-    """Passes ``standard_normal`` through to a generator, by ``size`` or into
-    ``out``, and keeps a copy of each draw (a step reuses its ``out``)."""
+    """Passes ``standard_normal`` through to a seed's stream
+    (``normals_rng``), by ``size`` or into ``out``, and keeps a copy of each
+    draw (a step reuses its ``out``)."""
 
     def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
+        self.seed = seed
+        self.rng = normals_rng(seed)
         self.draws = []
 
     def standard_normal(self, size=None, out=None):
@@ -396,6 +396,18 @@ def morph_like_state(rng, J, shared_payoff=False):
     return grad(pred, menu), menu, history, rows
 
 
+def recording_streams(monkeypatch):
+    """Every stream ``morphing`` builds from here on, as a ``RecordingRng``."""
+    streams = []
+
+    def build(seed):
+        streams.append(RecordingRng(seed))
+        return streams[-1]
+
+    monkeypatch.setattr(morphing, "normals_rng", build)
+    return streams
+
+
 class TestBlockedGram:
     """The blocked step against the whole-array route on the same draws."""
 
@@ -406,23 +418,17 @@ class TestBlockedGram:
         rng = np.random.default_rng(31 + J)
         compared = skipped = certified = 0
         ranks = set()
-        for _ in range(12):
+        for seed in range(12):
             g, menu, history, rows = morph_like_state(rng, J)
             cfg = MorphConfig(n_gradient_samples=count, rank_tol=rank_tol)
-            twin, start = copy.deepcopy(rng), copy.deepcopy(rng)
-            step, rank = morph_step_direction(g, probs_of(menu), history, rows, rng, cfg)
-            G_t = sample_step_gradients(probs_of(menu), history, count, twin, rows)
+            step, rank = morph_step_direction(g, probs_of(menu), history, rows, seed, cfg)
+            G_t = sample_step_gradients(probs_of(menu), history, count, normals_rng(seed), rows)
             if reference_certificate(probs_of(menu), history, rows, count, rank_tol)[1]:
-                # A certified step consumed none of the stream, and its
-                # direction is the one its sampled Gram matrix gives.
-                assert rng.bit_generator.state == start.bit_generator.state
+                # A certified step's direction is the one its sampled Gram
+                # matrix gives.
                 assert_same_bits(step, reference_step_direction(g, probs_of(menu), history, rows,
-                                                                start, cfg)[0])
+                                                                normals_rng(seed), cfg)[0])
                 certified += 1
-                rng = twin              # the next state as if the step had drawn
-            else:
-                # A drawn step consumed the stream the whole draw did.
-                assert rng.bit_generator.state == twin.bit_generator.state
             kept = G_t[np.linalg.norm(G_t, axis=1) > rank_tol]
             atol = gap_tolerance(kept, rank_tol)
             if atol is None:
@@ -448,7 +454,7 @@ class TestBlockedGram:
     def test_block_size_moves_no_draw(self, monkeypatch):
         # Two block sizes read the same (count, d) stream as one whole draw
         # and agree on the direction within the gap-dependent tolerance; a
-        # certified step reads none of it at either size.
+        # certified step builds no stream at either size.
         count = 3 * 4096 + 17
         rng = np.random.default_rng(37)
         compared = certified = 0
@@ -458,29 +464,25 @@ class TestBlockedGram:
             results = {}
             for block in (1000, 4096):
                 monkeypatch.setattr(morphing, "_DRAW_BLOCK", block)
-                recorder = RecordingRng(trial)
-                step, rank = morph_step_direction(g, probs_of(menu), history, rows,
-                                                  recorder, cfg)
-                assert [d.shape[0] for d in recorder.draws[:-1]] == \
-                    [block] * (len(recorder.draws) - 1)
-                results[block] = (recorder.draws, step, rank, recorder.rng.bit_generator.state)
-            (z1, step1, rank1, state1), (z2, step2, rank2, state2) = results.values()
-            whole = np.random.default_rng(trial)
+                streams = recording_streams(monkeypatch)
+                step, rank = morph_step_direction(g, probs_of(menu), history, rows, trial, cfg)
+                draws = [z for stream in streams for z in stream.draws]
+                assert [stream.seed for stream in streams] == [trial] * len(streams)
+                assert [z.shape[0] for z in draws[:-1]] == [block] * (len(draws) - 1)
+                results[block] = (draws, step, rank)
+            (z1, step1, rank1), (z2, step2, rank2) = results.values()
             if reference_certificate(probs_of(menu), history, rows, count, cfg.rank_tol)[1]:
                 assert z1 == z2 == []
-                assert state1 == state2 == whole.bit_generator.state
                 assert rank1 == rank2 == 0
                 assert_same_bits(step1, step2)
                 assert_same_bits(step1, reference_step_direction(g, probs_of(menu), history, rows,
-                                                                 whole, cfg)[0])
+                                                                 normals_rng(trial), cfg)[0])
                 certified += 1
                 continue
             z1, z2 = np.concatenate(z1), np.concatenate(z2)
-            np.testing.assert_array_equal(z1, whole.standard_normal(z1.shape))
+            np.testing.assert_array_equal(z1, normals_rng(trial).standard_normal((count, 3)))
             np.testing.assert_array_equal(z1, z2)
-            assert state1 == state2 == whole.bit_generator.state
-            G_t = sample_step_gradients(probs_of(menu), history, count,
-                                        np.random.default_rng(trial), rows)
+            G_t = sample_step_gradients(probs_of(menu), history, count, normals_rng(trial), rows)
             atol = gap_tolerance(G_t[np.linalg.norm(G_t, axis=1) > cfg.rank_tol],
                                  cfg.rank_tol)
             if atol is None:
@@ -516,154 +518,38 @@ class TestStackedStep:
     @pytest.mark.parametrize("count, h", [(17, 7), (2000, 6), (morphing._DRAW_BLOCK, 2),
                                           (3 * morphing._DRAW_BLOCK + 17, 3)])
     def test_rows_equal_their_own_steps(self, count, h, J):
-        cfg = MorphConfig(n_gradient_samples=count)
+        cfg, seed = MorphConfig(n_gradient_samples=count), 5
         g, probs, H, rows = morph_like_stack(np.random.default_rng(50 + J), 64, J, h)
         certified = np.array([reference_certificate(probs[k], H[k], rows[k], count,
                                                     cfg.rank_tol)[1] for k in range(64)])
-        alone, reference, states = [], [], []
-        for k in range(64):
-            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-            alone.append(morph_step_direction(g[k], probs[k], list(H[k]), rows[k], rng, cfg))
-            reference.append(reference_step_direction(g[k], probs[k], list(H[k]), rows[k],
-                                                      ref_rng, cfg))
-            # A drawn row consumes the stream the reference's whole draw
-            # does; a certified row consumes none of it.
-            expected = np.random.default_rng(k) if certified[k] else ref_rng
-            assert rng.bit_generator.state == expected.bit_generator.state
-            states.append(rng.bit_generator.state)
+        alone = [morph_step_direction(g[k], probs[k], list(H[k]), rows[k], seed, cfg)
+                 for k in range(64)]
         # Every row, certified or drawn, has the bits of the reference's
-        # sampled step.
-        for (direction, rank), (ref_direction, ref_rank) in zip(alone, reference):
+        # sampled step on the seed's normals.
+        for k, (direction, rank) in enumerate(alone):
+            ref_direction, ref_rank = reference_step_direction(
+                g[k], probs[k], list(H[k]), rows[k], normals_rng(seed), cfg)
             assert_same_bits(direction, ref_direction)
             assert rank == ref_rank
         for R in (1, 7, 29, 64):
-            rngs = [np.random.default_rng(k) for k in range(R)]
             directions, ranks, spared = morph_step_directions(g[:R], probs[:R], H[:R], rows[:R],
-                                                              rngs, cfg)
+                                                              seed, cfg)
             assert directions.shape == (R, 2 * J) and ranks.shape == (R,)
             np.testing.assert_array_equal(spared, certified[:R])
             for k in range(R):
                 assert_same_bits(directions[k], alone[k][0])
                 assert ranks[k] == alone[k][1]
-                assert rngs[k].bit_generator.state == states[k]
         # The stack of 64 groups rows of more than one retained rank.
         assert len(set(ranks.tolist())) >= 2
         # Two fits at J = 2 leave some rows a narrow law that certifies.
         assert certified.any() or (J, h) != (2, 2)
 
-    def test_one_fit_history_rejected_before_drawing(self):
+    def test_one_fit_history_rejected_before_drawing(self, monkeypatch):
         g, probs, H, rows = morph_like_stack(np.random.default_rng(3), 1, 2, 2)
-        rng = np.random.default_rng(0)
+        streams = recording_streams(monkeypatch)
         with pytest.raises(ValueError, match="at least two fits"):
-            morph_step_direction(g[0], probs[0], H[0, :1], rows[0], rng, MorphConfig())
-        assert rng.random() == np.random.default_rng(0).random()
-
-
-class ThreadRecordingRng:
-    """Passes ``standard_normal`` through to a generator and notes the thread
-    of each call; ``fill``, when given, then overwrites the draw or raises."""
-
-    def __init__(self, seed, fill=None):
-        self.rng = np.random.default_rng(seed)
-        self.fill = fill
-        self.threads = []
-
-    def standard_normal(self, size=None, out=None):
-        self.threads.append(threading.get_ident())
-        out = self.rng.standard_normal(size, out=out)
-        if self.fill is not None:
-            out[...] = self.fill()
-        return out
-
-
-def with_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
-class TestThreadedDraws:
-    """A stack's runs are drawn on as many threads as the process has CPUs,
-    up to one per run, once a run draws more than one block; the bytes do
-    not depend on the thread count."""
-
-    @pytest.mark.parametrize("J", [2, 3])
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_rows_equal_their_own_steps_on_any_thread_count(self, monkeypatch, cpus, J):
-        count, R = 3 * morphing._DRAW_BLOCK + 17, 7
-        cfg = MorphConfig(n_gradient_samples=count)
-        g, probs, H, rows = morph_like_stack(np.random.default_rng(60 + J), R, J, 4)
-        alone_rngs = [np.random.default_rng(k) for k in range(R)]
-        alone = [morph_step_direction(g[k], probs[k], list(H[k]), rows[k], alone_rngs[k], cfg)
-                 for k in range(R)]
-        with_cpus(monkeypatch, cpus)
-        assert morphing.draw_threads(R, count) == cpus
-        rngs = [ThreadRecordingRng(k) for k in range(R)]
-        # Switch threads often, so that a buffer or Gram row two threads
-        # shared would be overwritten mid-block.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            directions, ranks, _ = morph_step_directions(g, probs, H, rows, rngs, cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        for k in range(R):
-            assert_same_bits(directions[k], alone[k][0])
-            assert ranks[k] == alone[k][1]
-            assert rngs[k].rng.bit_generator.state == alone_rngs[k].bit_generator.state
-            # Each run is drawn whole by one thread, block after block.
-            assert len(rngs[k].threads) == 4 and len(set(rngs[k].threads)) == 1
-        threads = [r.threads[0] for r in rngs]
-        assert len(set(threads)) == cpus
-        assert threads[0] == threading.get_ident()
-
-    @pytest.mark.parametrize("count", [17, morphing._DRAW_BLOCK])
-    def test_one_block_draws_on_the_calling_thread(self, monkeypatch, count):
-        with_cpus(monkeypatch, 3)
-        assert morphing.draw_threads(7, count) == 1
-        g, probs, H, rows = morph_like_stack(np.random.default_rng(5), 7, 2, 3)
-        rngs = [ThreadRecordingRng(k) for k in range(7)]
-        before = threading.active_count()
-        morph_step_directions(g, probs, H, rows, rngs, MorphConfig(n_gradient_samples=count))
-        assert {t for r in rngs for t in r.threads} == {threading.get_ident()}
-        assert threading.active_count() == before
-
-    def test_error_in_a_thread_share_is_raised_and_every_thread_joined(self, monkeypatch):
-        with_cpus(monkeypatch, 2)
-        g, probs, H, rows = morph_like_stack(np.random.default_rng(6), 7, 2, 3)
-
-        def fail():
-            raise RuntimeError("generator failed")
-
-        rngs = [ThreadRecordingRng(k) for k in range(6)] + [ThreadRecordingRng(6, fail)]
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="generator failed"):
-            morph_step_directions(g, probs, H, rows, rngs,
-                                  MorphConfig(n_gradient_samples=2 * morphing._DRAW_BLOCK + 1))
-        assert rngs[6].threads and rngs[6].threads[0] != threading.get_ident()
-        assert threading.active_count() == before
-
-    def test_threads_keep_the_callers_error_state(self, monkeypatch):
-        # Infinite normals in a thread's share make its gradients invalid:
-        # numpy warns there as it would on the calling thread, and stays
-        # silent there under the caller's errstate.
-        with_cpus(monkeypatch, 2)
-        count = 2 * morphing._DRAW_BLOCK + 1
-        cfg = MorphConfig(n_gradient_samples=count)
-        g, probs, H, rows = morph_like_stack(np.random.default_rng(7), 7, 2, 3)
-
-        def step():
-            rngs = [ThreadRecordingRng(k) for k in range(6)] + \
-                [ThreadRecordingRng(6, lambda: np.inf)]
-            return rngs, morph_step_directions(g, probs, H, rows, rngs, cfg)
-
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            step()
-        with np.errstate(invalid="ignore"):
-            rngs, (directions, _, _) = step()
-        assert rngs[6].threads[0] != threading.get_ident()
-        for k in range(6):
-            assert_same_bits(directions[k],
-                             morph_step_direction(g[k], probs[k], list(H[k]), rows[k],
-                                                  np.random.default_rng(k), cfg)[0])
+            morph_step_direction(g[0], probs[0], H[0, :1], rows[0], 0, MorphConfig())
+        assert streams == []
 
 
 def chi2_tail(d, t):
@@ -677,25 +563,35 @@ def chi2_tail(d, t):
 def lockstep_steps():
     """Morph runs of seed 4 (CPT bruhin-b), 30 runs of up to 10 steps at
     2,000 samples and 16 runs of up to 3 steps at 200,000: per sample count,
-    the (inputs, outputs) of each step's ``morph_step_directions`` call, the
-    runs' generators and their records."""
+    the (inputs, outputs) of each step's ``morph_step_directions`` call with
+    the runs its rows belong to, and the runs' records."""
     pred = CptPredictor(CptParams(0.726, 0.309))
-    original = morphing.morph_step_directions
+    original, original_lockstep = morphing.morph_step_directions, morphing.lockstep
     out = {}
     for count, runs, iters in ((2_000, 30, 10), (200_000, 16, 3)):
         cfg = pipeline_config(4, morph={"n_gradient_samples": count, "max_iters": iters})
-        Z, P, rngs = index_block(cfg, range(runs), 1)
-        steps = []
+        Z, P = index_block(cfg, range(runs), 1)
+        steps, step_runs = [], []
 
         def capture(*args, **kwargs):
             steps.append((args, original(*args, **kwargs)))
             return steps[-1][1]
 
+        def capture_lockstep(predictor, config, basis, Z, P, step, *rest):
+            # A step's rows are its running runs whose gradient is finite.
+            def recorded(s, rows, D, y, fit, P, B, f, df):
+                step_runs.append(rows[np.all(np.isfinite(df), axis=(1, 2))])
+                return step(s, rows, D, y, fit, P, B, f, df)
+
+            return original_lockstep(predictor, config, basis, Z, P, recorded, *rest)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(morphing, "morph_step_directions", capture)
+            mp.setattr(morphing, "lockstep", capture_lockstep)
             recs = morphing.morph_lockstep(pred, cfg.morph, ISplineBasis(), Z[:, 0], P[:, 0],
-                                           rngs, cfg.seed, range(runs))
-        out[count] = steps, rngs, recs
+                                           cfg.seed, range(runs))
+        assert len(step_runs) == len(steps)
+        out[count] = list(zip(steps, step_runs)), recs
     return out
 
 
@@ -733,11 +629,10 @@ class TestCertificate:
 
     @pytest.mark.parametrize("count", [2_000, 200_000])
     def test_records_count_their_certified_steps(self, lockstep_steps, count):
-        steps, rngs, recs = lockstep_steps[count]
+        steps, recs = lockstep_steps[count]
         certified_steps = Counter()
-        for (*_, step_rngs, _), (_, _, certified) in steps:
-            certified_steps.update(next(r for r, rng in enumerate(rngs) if rng is step_rng)
-                                   for step_rng, spared in zip(step_rngs, certified) if spared)
+        for (_, (_, _, certified)), runs in steps:
+            certified_steps.update(runs[certified].tolist())
         assert [rec["certified_steps"] for rec in recs] == \
             [certified_steps[r] for r in range(len(recs))]
         assert sum(certified_steps.values()) > 0
@@ -746,121 +641,90 @@ class TestCertificate:
     def test_certified_rows_keep_no_draw(self, lockstep_steps, count):
         # The steps of real runs: the certificate agrees with the reference
         # bound, and each certified row's sampled gradients, drawn here
-        # anyway, all fall under the bound and so under rank_tol.
-        steps, _, _ = lockstep_steps[count]
+        # anyway from the seed's normals, all fall under the bound and so
+        # under rank_tol.
+        steps, _ = lockstep_steps[count]
         checked = 0
-        for (g, probs, H, rows, _, cfg), (directions, ranks, certified) in steps:
+        for ((g, probs, H, rows, seed, cfg), (directions, ranks, certified)), _ in steps:
             for k in range(len(g)):
                 bound, expected = reference_certificate(probs[k], H[k], rows[k], count,
                                                         cfg.rank_tol)
                 assert certified[k] == expected
                 if not certified[k]:
                     continue
-                G = sample_step_gradients(probs[k], H[k], count,
-                                          np.random.default_rng(checked), rows[k])
+                G = sample_step_gradients(probs[k], H[k], count, normals_rng(seed), rows[k])
                 assert np.linalg.norm(G, axis=1).max() <= bound <= cfg.rank_tol
                 assert ranks[k] == 0
                 np.testing.assert_allclose(directions[k], tangent(g[k], probs.shape[-1]),
                                            rtol=0, atol=1e-14 * np.abs(g[k]).max())
                 checked += 1
         # At step 0 a fifth of the runs or more are certified.
-        assert steps[0][1][2].mean() >= 0.2 and checked >= 10
+        assert steps[0][0][1][2].mean() >= 0.2 and checked >= 10
 
-    def test_certified_rows_are_never_drawn_on_any_thread_count(self, lockstep_steps,
-                                                                monkeypatch):
-        # The first 200k step of 16 runs: the drawn rows, and only they,
-        # are shared out, and the bytes do not depend on the thread count.
-        (g, probs, H, rows, _, cfg), (_, _, certified) = lockstep_steps[200_000][0][0]
+    def test_an_all_certified_stack_builds_no_generator(self, lockstep_steps, monkeypatch):
+        # The first 200k step of 16 runs: its certified rows alone build no
+        # stream, its drawn rows alone build one, and each row has the bits
+        # it had in the whole stack.
+        ((g, probs, H, rows, seed, cfg), whole), _ = lockstep_steps[200_000][0][0]
+        certified = whole[2]
         assert 0 < certified.sum() < len(g)
         blocks = -(-cfg.n_gradient_samples // morphing._DRAW_BLOCK)
-        outs = []
-        for cpus in (1, 2):
-            with_cpus(monkeypatch, cpus)
-            rngs = [ThreadRecordingRng(k) for k in range(len(g))]
-            outs.append(morph_step_directions(g, probs, H, rows, rngs, cfg))
-            drawn = [r.threads for r, spared in zip(rngs, certified) if not spared]
-            assert all(not r.threads for r, spared in zip(rngs, certified) if spared)
-            assert all(len(t) == blocks and len(set(t)) == 1 for t in drawn)
-            # Each thread draws an even share of the uncertified rows.
-            per_thread = Counter(t[0] for t in drawn)
-            assert len(per_thread) == cpus
-            assert max(per_thread.values()) - min(per_thread.values()) <= 1
-        for a, b in zip(*outs):
-            assert_same_bits(a, b)
-        np.testing.assert_array_equal(outs[0][2], certified)
-
-
-class BlockRng:
-    """Hands out the rows of a held (count, d) block of normals in order, as
-    a generator's ``standard_normal`` would draw them."""
-
-    def __init__(self, block):
-        self.block, self.row = block, 0
-
-    def standard_normal(self, size):
-        out = self.block[self.row:self.row + size[0]]
-        assert out.shape == size
-        self.row += size[0]
-        return out
+        for part, streams_built in ((certified, 0), (~certified, 1)):
+            streams = recording_streams(monkeypatch)
+            out = morph_step_directions(g[part], probs[part], H[part], rows[part], seed, cfg)
+            assert len(streams) == streams_built
+            assert all(len(stream.draws) == blocks for stream in streams)
+            np.testing.assert_array_equal(out[2], certified[part])
+            for a, b in zip(out, whole):
+                assert_same_bits(a, b[part])
 
 
 class TestCommonRandomNumbers:
-    """A run draws its normals once, at its first step that draws, and each
-    later step maps that block through its own factor."""
+    """Every drawing step of every run of one master seed maps the same
+    normals, the seed's stream, through its own factor."""
 
     @pytest.mark.parametrize("count, runs, iters", [(2_000, 24, 8),
                                                     (3 * morphing._DRAW_BLOCK + 17, 8, 4)])
-    def test_later_steps_map_the_first_drawing_steps_normals(self, count, runs, iters):
+    def test_every_drawing_step_maps_the_seeds_normals(self, count, runs, iters, monkeypatch):
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = pipeline_config(4, morph={"n_gradient_samples": count, "max_iters": iters})
-        Z, P, rngs = index_block(cfg, range(runs), 1)
-        _, _, fresh = index_block(cfg, range(runs), 1)
+        Z, P = index_block(cfg, range(runs), 1)
         original, steps = morphing.morph_step_directions, []
+        streams = recording_streams(monkeypatch)
 
-        def capture(*args, normals, hold):
-            passed = list(normals)
-            out = original(*args, normals=normals, hold=hold)
-            steps.append((args, passed, list(normals), hold, out))
-            return out
+        def capture(*args):
+            built = len(streams)
+            steps.append((args, original(*args), streams[built:]))
+            return steps[-1][1]
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(morphing, "morph_step_directions", capture)
-            morphing.morph_lockstep(pred, cfg.morph, ISplineBasis(), Z[:, 0], P[:, 0], rngs,
-                                    cfg.seed, range(runs))
-        blocks, later = {}, 0
-        for s, ((g, probs, H, rows, step_rngs, _), passed, kept, hold, out) in enumerate(steps):
-            assert hold == (s + 1 < iters)
-            directions, ranks, certified = out
-            for k, rng in enumerate(step_rngs):
-                r = next(i for i, run_rng in enumerate(rngs) if run_rng is rng)
-                # A run comes to a step with the normals it drew, if any.
-                assert (passed[k] is None) == (r not in blocks)
-                if certified[k]:
-                    assert kept[k] is passed[k]
-                    continue
-                if r in blocks:
-                    # A later drawing step maps the held block and draws nothing.
-                    assert kept[k] is passed[k]
-                    source = BlockRng(blocks[r])
-                    later += 1
-                else:
-                    # The first drawing step reads the run's generator as a
-                    # fresh draw does, and has that draw's bits.
-                    d = 2 * probs.shape[-1] - 1
-                    blocks[r] = copy.deepcopy(fresh[r]).standard_normal((count, d))
-                    source = fresh[r]
-                    if hold:
-                        np.testing.assert_array_equal(kept[k], blocks[r])
-                    else:
-                        assert kept[k] is None
+        monkeypatch.setattr(morphing, "morph_step_directions", capture)
+        morphing.morph_lockstep(pred, cfg.morph, ISplineBasis(), Z[:, 0], P[:, 0], cfg.seed,
+                                range(runs))
+        whole = normals_rng(cfg.seed).standard_normal((count, 2 * cfg.n_payoffs - 1))
+        drawn = 0
+        for (g, probs, H, rows, seed, _), (directions, ranks, certified), built in steps:
+            assert seed == cfg.seed
+            # A step with a drawing row builds one stream, reads it from its
+            # start, and maps those normals through each drawing row's factor.
+            assert len(built) == (not certified.all())
+            for stream in built:
+                np.testing.assert_array_equal(np.concatenate(stream.draws), whole)
+            for k in range(len(g)):
                 direction, rank = reference_step_direction(g[k], probs[k], H[k], rows[k],
-                                                           source, cfg.morph)
+                                                           normals_rng(seed), cfg.morph)
                 assert_same_bits(directions[k], direction)
                 assert ranks[k] == rank
-        # Every generator stood still after its run's first drawing step.
-        for rng, ref in zip(rngs, fresh):
-            assert rng.bit_generator.state == ref.bit_generator.state
-        assert len(blocks) >= runs // 2 and later >= runs
+            drawn += (~certified).sum()
+        assert sum(len(built) for *_, built in steps) >= 2 and drawn >= runs
+
+    @pytest.mark.parametrize("seed", [0, 23])
+    def test_the_seeds_stream_is_no_runs_stream(self, seed):
+        # The shared stream's first block against the first normals of the
+        # generators of runs 0..999 of the same seed.
+        shape = (morphing._DRAW_BLOCK, 3)
+        first = normals_rng(seed).standard_normal(shape)
+        assert not any(np.array_equal(first, run_rng(seed, i).standard_normal(shape))
+                       for i in range(1000))
 
 
 def lifted(J):
@@ -923,8 +787,7 @@ class TestAgainstOldLayout:
         compared, ranks = 0, set()
         for trial in range(10):
             g, menu, history, rows = morph_like_state(rng, J)
-            step, rank = morph_step_direction(g, probs_of(menu), history, rows,
-                                              np.random.default_rng(trial), cfg)
+            step, rank = morph_step_direction(g, probs_of(menu), history, rows, trial, cfg)
             G = tangent(sampled_gradients(history, count, np.random.default_rng(1000 + trial),
                                           rows, menu), J)
             g_t = tangent(g, J)

@@ -111,9 +111,11 @@ class TestStartup:
 
     @pytest.mark.parametrize("argv", [
         ["baseline", "--inits", "4"],
+        ["morph", "--inits", "2"],
         ["verify", "--in", str(DATA / "golden_candidates.jsonl")]])
     def test_a_pool_of_workers_loads_no_morphing(self, argv, tmp_path):
-        # Only morph gives its pool an initializer, which sets the draw CPUs.
+        # A pool's parent process loads no search module: only the workers
+        # import what their chunks run.
         loaded = fresh_modules(
             "from anomgen.cli import run_command\n"
             f"assert run_command({argv + ['--workers', '2', '--out', 'o.jsonl']!r}) == 0",
