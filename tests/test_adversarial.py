@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run,
+from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run, index_block,
                                  interior_menu, run_adversarial_indices)
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor, logistic
-from anomgen.lotteries import LOTTERY_SIGN
+from anomgen.lotteries import LOTTERY_SIGN, draw_menus, run_rng
 from anomgen.morphing import run_morph_indices
 from anomgen.records import record_to_collection
 from anomgen.theory import eu_difference_rows, stack_basis_values
@@ -189,6 +189,18 @@ class TestGenerateAdversarial:
         assert result["procedure"] == "adversarial" and result["id"] == "adversarial-000003"
         assert result["master_seed"] == 12 and result["run_index"] == 3
         assert result["iterations"] == 50
+
+    def test_index_block_stacks_each_runs_own_menus(self):
+        # The menus of each run come from its own generator, whatever the
+        # runs stacked with it; no runs give empty stacks.
+        cfg = pipeline_config(13)
+        Z, P = index_block(cfg, [5, 0, 3], 2)
+        assert Z.shape == P.shape == (3, 2, 2, cfg.n_payoffs)
+        for r, i in enumerate([5, 0, 3]):
+            Zi, Pi = draw_menus(run_rng(13, i), 2, cfg.n_payoffs, *cfg.theory_basis["domain"])
+            np.testing.assert_array_equal(Z[r], Zi)
+            np.testing.assert_array_equal(P[r], Pi)
+        assert [a.shape for a in index_block(cfg, [], 1)] == [(0, 1, 2, cfg.n_payoffs)] * 2
 
 
 class TestEstimatedPredictors:

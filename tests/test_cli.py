@@ -1348,6 +1348,13 @@ class TestLockstepBytes:
                 out = f"m-{block}-{workers}.jsonl"
                 run_ok(argv + ["--workers", str(workers), "--out", out], capsys)
                 outputs[out] = Path(out).read_bytes()
+        # A process held to one CPU writes the same bytes.
+        proc = subprocess.run(
+            ["taskset", "-c", str(min(os.sched_getaffinity(0))), sys.executable, "-c",
+             "from anomgen.cli import main; main()", *argv, "--out", "m-cpu.jsonl"],
+            env=cli_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs["m-cpu.jsonl"] = Path("m-cpu.jsonl").read_bytes()
         assert len(set(outputs.values())) == 1, list(outputs)
         # Some runs drew at more than one step, and some steps were certified.
         _, recs = read_jsonl("m-1-1.jsonl")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -550,6 +551,63 @@ class TestStackedStep:
         with pytest.raises(ValueError, match="at least two fits"):
             morph_step_direction(g[0], probs[0], H[0, :1], rows[0], 0, MorphConfig())
         assert streams == []
+
+
+class TestStreamedDraws:
+    """A step reads the seed's stream once, block by block, for its whole
+    stack: each block is drawn once and mapped through every drawing row."""
+
+    @pytest.mark.parametrize("count", [1, 17, morphing._DRAW_BLOCK, morphing._DRAW_BLOCK + 1,
+                                       3 * morphing._DRAW_BLOCK + 17])
+    def test_each_block_is_drawn_once_for_the_whole_stack(self, monkeypatch, count):
+        cfg, seed, R = MorphConfig(n_gradient_samples=count), 8, 7
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(61), R, 2, 3)
+        alone = [morph_step_direction(g[k], probs[k], list(H[k]), rows[k], seed, cfg)
+                 for k in range(R)]
+        streams = recording_streams(monkeypatch)
+        directions, ranks, certified = morph_step_directions(g, probs, H, rows, seed, cfg)
+        assert (~certified).sum() >= 2
+        # One stream for the stack, read in full blocks and then the rest.
+        assert len(streams) == 1 and streams[0].seed == seed
+        full, rest = divmod(count, morphing._DRAW_BLOCK)
+        assert [z.shape for z in streams[0].draws] == \
+            [(morphing._DRAW_BLOCK, 3)] * full + [(rest, 3)] * (rest > 0)
+        np.testing.assert_array_equal(np.concatenate(streams[0].draws),
+                                      normals_rng(seed).standard_normal((count, 3)))
+        for k in range(R):
+            assert_same_bits(directions[k], alone[k][0])
+            assert ranks[k] == alone[k][1]
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_a_step_builds_no_count_wide_array(self, J):
+        # The peak of what a 200k step of 8 rows allocates stays under one
+        # float per sample, the size of an array as wide as the count.
+        count = 200_000
+        cfg = MorphConfig(n_gradient_samples=count)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(62 + J), 8, J, 3)
+        tracemalloc.start()
+        try:
+            np.empty(count)
+            _, control = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _, _, certified = morph_step_directions(g, probs, H, rows, 4, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The tracer sees numpy's arrays, and the step drew.
+        assert control >= 8 * count and not certified.all()
+        assert peak < 8 * count
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_rows_keep_their_bits_in_any_order(self, J):
+        cfg = MorphConfig(n_gradient_samples=3 * morphing._DRAW_BLOCK + 17)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(63 + J), 12, J, 4)
+        order = np.random.default_rng(J).permutation(12)
+        whole = morph_step_directions(g, probs, H, rows, 6, cfg)
+        shuffled = morph_step_directions(g[order], probs[order], H[order], rows[order], 6, cfg)
+        assert not whole[2].all()
+        for a, b in zip(shuffled, whole):
+            assert_same_bits(a, b[order])
 
 
 def chi2_tail(d, t):
