@@ -4,13 +4,13 @@ categorize -> cluster -> report.
 Every subcommand writes outputs atomically and prints a single machine-
 readable JSON summary line to stdout.  Generation and verification cut their
 runs into consecutive blocks and fan them over a worker pool; records stream
-to disk block by block, in index order.  ``categorize`` and ``report`` read
-their input one record at a time, and ``categorize`` writes each record it
-does not change as the line it read.  Verification runs a block as
-stacks, one per record shape: one stacked fit and one stacked LP solve per
-grid size, each acting on every record on its own.  Records depend only on
-(master seed, run index), so outputs are byte-identical for any worker
-count or block size; bit-reproducibility matters more than speed.
+to disk block by block, in index order.  ``categorize``, ``cluster`` and
+``report`` read their input one record at a time, and ``categorize`` writes
+each record it does not change as the line it read.  Verification runs a
+block as stacks, one per record shape: one stacked fit and one stacked LP
+solve per grid size, each acting on every record on its own.  Records
+depend only on (master seed, run index), so outputs are byte-identical for
+any worker count or block size; bit-reproducibility matters more than speed.
 
 A command imports the modules it runs when it runs, so each command's
 process loads only those: ``report`` loads no search or verifier module, and
@@ -34,7 +34,7 @@ from .basis import basis_from_config
 from .config import ConfigError, PipelineConfig, build_predictor, load_config, parse_config
 from .cpt import simulate_choices
 from .data import load_dataset, save_dataset
-from .lotteries import Collection, draw_menus, implied_choices, run_rng
+from .lotteries import Collection, draw_menus, implied_choices, merge_payoff_grids, run_rng
 
 
 def _summary(**kwargs) -> int:
@@ -135,10 +135,11 @@ def _verify_chunk(cfg: PipelineConfig, recs) -> list:
     basis = basis_from_config(cfg.theory_basis)
     out = [dict(rec) for rec in recs]
     for rows, Z, P, q in records.stack_records(recs):
-        if fault := size_fault(Z):
+        grids = merge_payoff_grids(Z)
+        if fault := size_fault(Z, grids[1]):
             raise ValueError(f"record {recs[rows[fault[0]]].get('id')!r}: {fault[1]}")
         pvs = parametrized_verdicts(basis, Z, P, q, cfg.kl_threshold)
-        avs = utility_verdicts(Z, P, implied_choices(q), cfg.margin_threshold)
+        avs = utility_verdicts(Z, P, implied_choices(q), cfg.margin_threshold, grids)
         for i, pv, av, *row in zip(rows, pvs, avs, Z, P, q):
             minimal = None if av.consistent else minimal_anomaly(Collection(*row),
                                                                  cfg.margin_threshold)
@@ -217,8 +218,14 @@ def cmd_cluster(args) -> int:
     from . import analysis
 
     start = time.perf_counter()
-    _, recs = records.read_jsonl(args.inp, expected_kind="categorized")
-    rows = cluster_rows(recs)
+    lines = records.read_lines(args.inp, expected_kind="categorized")
+    next(lines)
+    n_records, rows = 0, []
+    for n_records, (rec, _) in enumerate(lines, 1):
+        rows += cluster_rows([rec])
+        if rows and "id" not in rows[-1]:
+            raise ValueError(f"{args.inp}: record {n_records}, a non-FOSD anomaly with "
+                             "features, has no id")
     if len(rows) < args.k:
         raise ValueError(f"{len(rows)} non-FOSD anomalies with features, "
                          f"fewer than the {args.k} clusters asked for")
@@ -236,7 +243,7 @@ def cmd_cluster(args) -> int:
                     explained_variance=[round(float(v), 6)
                                         for v in pc.explained_variance[:2]],
                     top_loadings=loadings, out=args.out,
-                    **_throughput(start, len(recs), "records"))
+                    **_throughput(start, n_records, "records"))
 
 
 def cmd_report(args) -> int:

@@ -136,8 +136,8 @@ def merge_payoff_grids(Z) -> tuple[np.ndarray, np.ndarray]:
     (grids, sizes).  Row r's grid is ``grids[r, :sizes[r]]``; +inf pads the rest."""
     values = np.sort(np.asarray(Z, dtype=float).reshape(len(Z), -1), axis=-1)
     keep = np.ones(values.shape, dtype=bool)
-    last = values[:, 0]
-    for j in range(1, values.shape[1]):
+    last = np.full(len(values), -np.inf)
+    for j in range(values.shape[1]):
         keep[:, j] = values[:, j] - last > PAYOFF_MERGE_TOL
         last = np.where(keep[:, j], values[:, j], last)
     grids = np.full(values.shape, np.inf)

@@ -93,11 +93,14 @@ class MlpModel:
     def load(cls, path) -> "MlpModel":
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
-        widths = d["widths"]
-        weights = [np.array(w).reshape(widths[l], widths[l + 1])
-                   for l, w in enumerate(d["weights"])]
-        return cls(widths, weights, [np.array(b) for b in d["biases"]],
-                   np.array(d["input_scaling"]))
+        try:
+            widths = d["widths"]
+            weights = [np.array(w).reshape(widths[l], widths[l + 1])
+                       for l, w in enumerate(d["weights"])]
+            return cls(widths, weights, [np.array(b) for b in d["biases"]],
+                       np.array(d["input_scaling"]))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not an MLP model ({exc!r})") from None
 
 
 # The width of the default payoff domain [0, 10]; MLP payoff inputs are divided by it.
@@ -105,12 +108,9 @@ PAYOFF_SCALE = 10.0
 
 
 def menu_input_scaling(n_payoffs: int) -> np.ndarray:
-    """Divide payoff coordinates by the sampling range so inputs lie in [0, 1]."""
-    J = n_payoffs
-    s = np.ones(4 * J)
-    s[:J] = 1.0 / PAYOFF_SCALE
-    s[2 * J:3 * J] = 1.0 / PAYOFF_SCALE
-    return s
+    """Divide payoff coordinates by the sampling range so inputs lie in [0, 1]:
+    the factors of (z0, p0, z1, p1)."""
+    return np.tile(np.repeat([1.0 / PAYOFF_SCALE, 1.0], n_payoffs), 2)
 
 
 def _backprop(model: MlpModel, X: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -239,7 +239,7 @@ class MlpPredictor:
 class CptFit:
     params: CptParams
     cross_entropy: float
-    converged: bool       # the gradient stop test holds at params
+    converged: bool       # the duality gap test holds at params
     iterations: int       # Newton steps taken
 
 
@@ -258,15 +258,14 @@ def _cpt_logits(Z: np.ndarray, P: np.ndarray, scale: float):
 
 def fit_cpt_params(ds: ChoiceDataset, scale: float = 1.0) -> CptFit:
     """Max-likelihood probability-weighting parameters: ``damped_newton`` on
-    (log delta, log gamma) from (1, 1), one problem with no ball (radius inf)
-    and the dataset's row weights.  A direction the data cannot identify is
-    left out of each Fisher step; the residual is the gradient norm, so
-    ``converged`` says that it is at most ``KKT_TOL`` at the returned point."""
+    x = (log delta, log gamma) from (1, 1), one problem with the dataset's row
+    weights, in a ball no fit comes near.  A direction the data cannot identify
+    is left out of each Fisher step.  ``converged``: the gap g.x + 100 ||g|| is
+    at most 1e-8 at the returned x, a stationarity test (||g|| <~ 1e-10)."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    x, value, converged, steps = damped_newton(
-        _cpt_logits(ds.Z, ds.P, scale), np.zeros((1, 2)),
-        _clip_targets(ds.outcomes)[None], ds.weights[None], np.inf)
+    x, value, converged, steps = damped_newton(_cpt_logits(ds.Z, ds.P, scale), np.zeros((1, 2)),
+                                               _clip_targets(ds.outcomes)[None], ds.weights[None])
     return CptFit(CptParams(*map(float, np.exp(x[0]))), float(value[0]), bool(converged[0]),
                   int(steps[0]))
 

@@ -9,6 +9,8 @@ probability is a logistic regression on the per-menu feature vector
 Fitting cross-entropy over theta is therefore convex; the inner minimization
 of the anomaly search reduces to small soft-label logistic regressions, which
 one stacked damped Newton solver fits, as it fits the weighting parameters.
+A fit converges when its duality gap, which bounds theta's loss's excess over
+its minimum on the coefficient ball, is at most 1e-8.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ TARGET_CLIP = 1e-6
 # behaviorally plausible logits; anything larger lets exploding coefficients
 # rationalize near-parallel conflicting menus and empties the parametrized
 # class of content.  The logit noise scale is fixed at 1, because scale s
-# with this radius is the same class as scale 1 with radius 100 s.
+# with this radius is the same class as scale 1 with radius 100 s.  The
+# weighting fit runs in the same ball on (log delta, log gamma), far from
+# its edge.
 THETA_NORM_BOUND = 100.0
 
 
@@ -63,10 +67,11 @@ def _entropy(y: np.ndarray):
     return (-y * np.log(y) - (1 - y) * np.log(1 - y)).sum(axis=-1) / y.shape[-1]
 
 
-# ``damped_newton`` stops once the residual is below KKT_TOL; the cap only
+# ``damped_newton`` stops a row once its Frank-Wolfe duality gap is at most
+# GAP_TOL, three decades under the default ``kl_threshold``; the cap only
 # bounds a fit whose line search keeps failing.
 MAX_NEWTON_ITER = 50
-KKT_TOL = 1e-10
+GAP_TOL = 1e-8
 BOUND_TOL = 1e-9      # a norm this close to the bound counts as on it
 
 
@@ -77,7 +82,7 @@ class FitResult:
     theta: np.ndarray
     kl: np.ndarray
     cross_entropy: np.ndarray
-    converged: np.ndarray       # the KKT test holds at theta (or the fit is exact)
+    converged: np.ndarray       # the gap test holds at theta (or the fit is exact)
     on_norm_bound: np.ndarray
 
 
@@ -127,30 +132,21 @@ def _ball_point(H: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     return z
 
 
-def _kkt_residual(x: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
-    """||g + lam x||, lam = max(0, -g.x/||x||^2) on the ball and 0 inside it."""
-    xx = _dot(x, x)
-    lam = np.maximum(0.0, np.divide(-_dot(g, x), xx, out=np.zeros_like(xx),
-                                    where=xx >= (radius - BOUND_TOL) ** 2))
-    v = g + lam[:, None] * x
-    return np.sqrt(_dot(v, v))
-
-
-def damped_newton(logits, x: np.ndarray, y: np.ndarray, w: np.ndarray, radius: float):
+def damped_newton(logits, x: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Damped Newton for both fits, theta's and the weighting fit's: the
-    w-weighted mean CE of sigma(u) against y over ||x|| <= radius, for a stack
-    x (R, k).  ``logits(rows, x)`` gives the logits u (R', n) of problems
-    ``rows`` at x and their Jacobian (R', n, k).  Returns (x, value,
-    converged, steps) per row.  Rows that take another step form the Fisher
-    matrix J^T S J (the Hessian when u is linear in x) and go to the model's
-    minimizer over the ball; the Armijo backtrack tries t = 1, 1/2, ... >
-    1e-10, with a few ulps of slack for a last full step whose predicted
-    decrease is below the rounding of the loss.  A row leaves the stack once
-    its KKT residual is at most ``KKT_TOL``, after ``MAX_NEWTON_ITER`` steps,
-    on a step that does not descend, when every t fails, or when the accepted
-    step leaves x bit for bit as it was (a fit at the rounding floor of its
-    loss), since from the same x it would take the same step again;
-    ``converged`` is the residual test at the returned point.
+    w-weighted mean CE of sigma(u) against y over the ball ||x|| <= rho =
+    ``THETA_NORM_BOUND``, for a stack x (R, k).  ``logits(rows, x)`` gives the
+    logits u (R', n) of problems ``rows`` at x and their Jacobian (R', n, k).
+    Returns (x, value, converged, steps) per row.  Rows that take another
+    step form the Fisher matrix J^T S J (the Hessian when u is linear in x)
+    and go to the model's minimizer over the ball; the Armijo backtrack tries
+    t = 1, 1/2, ... > 1e-10, with a few ulps of slack for a last full step
+    whose predicted decrease is below the rounding of the loss.  A row leaves
+    the stack once its Frank-Wolfe duality gap g.x + rho ||g|| (Jaggi 2013)
+    is at most ``GAP_TOL``, after ``MAX_NEWTON_ITER`` steps, on a step that
+    does not descend, or when every t fails; ``converged`` is the gap test at
+    the returned point.  For a loss convex in x, as theta's is, the gap
+    bounds its excess over the minimum; at ||x|| << rho it reads ||g|| <~ 1e-10.
     """
     total = w.sum(axis=-1)
     x, steps, converged = x.copy(), np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
@@ -164,16 +160,17 @@ def damped_newton(logits, x: np.ndarray, y: np.ndarray, w: np.ndarray, radius: f
     value, sig = _cross_entropy(u, y, w), logistic(u)
     g = gradient(rows)
     while True:
-        converged[rows] = _kkt_residual(x[rows], g[rows], radius) <= KKT_TOL
+        gr = g[rows]
+        converged[rows] = _dot(gr, x[rows]) + THETA_NORM_BOUND * np.sqrt(_dot(gr, gr)) <= GAP_TOL
         rows = rows[~converged[rows] & (steps[rows] < MAX_NEWTON_ITER)]
         if not rows.size:
             return x, value, converged, steps
         s = sig[rows] * (1.0 - sig[rows]) * w[rows]
         H = np.matmul(np.swapaxes(J[rows], 1, 2) * s[:, None], J[rows]) / total[rows, None, None]
-        step = _ball_point(H, g[rows] - _matvec(H, x[rows]), radius) - x[rows]
+        step = _ball_point(H, g[rows] - _matvec(H, x[rows]), THETA_NORM_BOUND) - x[rows]
         slope = _dot(g[rows], step)
         rows, step, slope = rows[slope < 0.0], step[slope < 0.0], slope[slope < 0.0]
-        t, moved, search = np.ones(len(rows)), np.zeros(len(rows), bool), np.arange(len(rows))
+        t, search = np.ones(len(rows)), np.arange(len(rows))
         while search.size:
             r = rows[search]
             cand = x[r] + t[search, None] * step[search]
@@ -182,13 +179,12 @@ def damped_newton(logits, x: np.ndarray, y: np.ndarray, w: np.ndarray, radius: f
             ok = cand_value <= (value[r] + 1e-4 * t[search] * slope[search]
                                 + 4 * np.finfo(float).eps * value[r])
             a = r[ok]
-            moved[search[ok]] = (cand[ok] != x[a]).any(axis=-1)
             x[a], value[a], sig[a], J[a] = cand[ok], cand_value[ok], logistic(u[ok]), Jc[ok]
             g[a] = gradient(a)
             steps[a] += 1
             t[search[~ok]] *= 0.5
             search = search[~ok & (t[search] > 1e-10)]
-        rows = rows[moved]
+        rows = rows[t > 1e-10]          # a row whose every t failed stops
 
 
 def _fit_logits(D: np.ndarray, y: np.ndarray) -> FitResult:
@@ -225,9 +221,8 @@ def _fit_logits(D: np.ndarray, y: np.ndarray) -> FitResult:
     for k in np.flatnonzero(np.bincount(rank := kept[todo].sum(axis=-1))):
         rows = todo[rank == k]
         A, V = U[rows, :, :k] * svals[rows, None, :k], Vt[rows, :k]
-        w, _, converged[rows], _ = damped_newton(
-            lambda i, w: (_matvec(A[i], w), A[i]), _matvec(V, theta[rows]),
-            y[rows], ones[rows], THETA_NORM_BOUND)
+        w, _, converged[rows], _ = damped_newton(lambda i, w: (_matvec(A[i], w), A[i]),
+                                                 _matvec(V, theta[rows]), y[rows], ones[rows])
         theta[rows] = _matvec(np.swapaxes(V, 1, 2), w)
     ce[todo] = _cross_entropy(_matvec(D[todo], theta[todo]), y[todo], ones[todo])
     on_bound[todo] = np.sqrt(_dot(theta[todo], theta[todo])) >= THETA_NORM_BOUND - BOUND_TOL

@@ -77,28 +77,27 @@ def _margin_lp(Q, choices):
     return sol.objective - 1.0, witnesses
 
 
-def size_fault(Z) -> tuple[int, str] | None:
+def size_fault(Z, sizes) -> tuple[int, str] | None:
     """(row, why) of the first collection of Z (R, m, 2, J) too large to
-    verify, with more than ``MAX_MENUS`` menus or more than
-    ``MAX_DISTINCT_PAYOFFS`` distinct payoffs; None when every one fits."""
+    verify: more than ``MAX_MENUS`` menus, or a grid size in ``sizes`` (R,),
+    of ``merge_payoff_grids``, above ``MAX_DISTINCT_PAYOFFS``; else None."""
     if not 1 <= Z.shape[1] <= MAX_MENUS:
         return 0, f"collection size must be in [1, {MAX_MENUS}]"
-    sizes = merge_payoff_grids(Z)[1]
     big = np.flatnonzero(sizes > MAX_DISTINCT_PAYOFFS)
     if big.size:
         return int(big[0]), f"{sizes[big[0]]} distinct payoffs exceeds {MAX_DISTINCT_PAYOFFS}"
     return None
 
 
-def utility_verdicts(Z, P, choices,
-                     margin_threshold: float = MARGIN_THRESHOLD) -> list[VerificationResult]:
+def utility_verdicts(Z, P, choices, margin_threshold: float = MARGIN_THRESHOLD,
+                     grids=None) -> list[VerificationResult]:
     """Feasibility of each collection's strict rationalization system, with
-    margin: Z and P (R, m, 2, J), choices (R, m).  A collection too large to
-    verify (``size_fault``) raises ValueError."""
+    margin: Z and P (R, m, 2, J), choices (R, m), grids merge_payoff_grids(Z)
+    or None.  A collection too large to verify (``size_fault``) raises ValueError."""
     R, m, _, J = Z.shape
-    if fault := size_fault(Z):
+    grids, sizes = merge_payoff_grids(Z) if grids is None else grids
+    if fault := size_fault(Z, sizes):
         raise ValueError(fault[1])
-    grids, sizes = merge_payoff_grids(Z)
     # All payoffs identical: every choice is a tie between identical
     # lotteries; vacuously consistent.
     out = [VerificationResult(True, 0.0, None)] * R

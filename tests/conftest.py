@@ -17,7 +17,7 @@ from anomgen.lotteries import (Collection, draw_menus, flat_stack, grid_probs,
 from anomgen.morphing import COV_JITTER, run_morph_indices
 from anomgen.records import record_to_collection, write_jsonl
 from anomgen.verifier import utility_verdicts
-from anomgen.theory import (BOUND_TOL, KKT_TOL, TARGET_CLIP, THETA_NORM_BOUND, FitResult,
+from anomgen.theory import (GAP_TOL, TARGET_CLIP, THETA_NORM_BOUND, FitResult,
                             _clip_targets, _cross_entropy, _entropy, _fit_logits,
                             eu_difference_rows, stack_basis_values)
 
@@ -409,13 +409,12 @@ def _reference_ball_point(H, b, radius):
         mu += step
 
 
-def reference_newton_fit(D, y, ball_point=_reference_ball_point, stop_when_still=True):
+def reference_newton_fit(D, y, ball_point=_reference_ball_point):
     """(theta, converged, steps) of one problem, D (n, K) and y (n,), by the
     one-row loop that ``theory.damped_newton`` stacks: the interpolating
     start of ``_fit_logits``, then, unless it is exact, damped Newton in D's
-    row space with a scalar ball step, Armijo backtrack and KKT test.
-    ``ball_point`` solves the ball step; with ``stop_when_still`` false, a
-    fit whose accepted step leaves it where it was goes on to the cap."""
+    row space with a scalar ball step, Armijo backtrack and duality gap
+    test.  ``ball_point`` solves the ball step."""
     from anomgen.theory import MAX_NEWTON_ITER      # read at call time: tests patch it
     B, (n, K) = THETA_NORM_BOUND, D.shape
     y = _clip_targets(y)
@@ -438,13 +437,9 @@ def reference_newton_fit(D, y, ball_point=_reference_ball_point, stop_when_still
         sig = logistic(A @ w)
         return ((sig - y) @ A) / n, (A.T * (sig * (1.0 - sig))) @ A / n
 
-    def residual(w, g):
-        lam = max(0.0, -(g @ w) / (w @ w)) if w @ w >= (B - BOUND_TOL) ** 2 else 0.0
-        return np.linalg.norm(g + lam * w)
-
     w = V @ theta
     value, (g, H), steps = loss(w), derivatives(w), 0
-    while (res := residual(w, g)) > KKT_TOL and steps < MAX_NEWTON_ITER:
+    while (gap := g @ w + B * np.sqrt(g @ g)) > GAP_TOL and steps < MAX_NEWTON_ITER:
         step = ball_point(H, g - H @ w, B) - w
         slope = g @ step
         if not slope < 0.0:
@@ -457,11 +452,8 @@ def reference_newton_fit(D, y, ball_point=_reference_ball_point, stop_when_still
             t *= 0.5
         else:
             break
-        still = stop_when_still and np.array_equal(cand, w)
         w, value, (g, H), steps = cand, loss(cand), derivatives(cand), steps + 1
-        if still:
-            break
-    return V.T @ w, bool(res <= KKT_TOL), steps
+    return V.T @ w, bool(gap <= GAP_TOL), steps
 
 
 def cpt_objective(ds, scale: float):

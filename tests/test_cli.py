@@ -22,7 +22,7 @@ from anomgen.cli import run_command
 from anomgen.config import ConfigError, build_predictor, load_config, parse_config
 from anomgen.cpt import CptParams, CptPredictor, logistic, lottery_values, simulate_choices
 from anomgen.data import load_dataset
-from anomgen.lotteries import draw_menus, run_rng
+from anomgen.lotteries import draw_menus, merge_payoff_grids, run_rng
 from anomgen.morphing import MorphConfig
 from anomgen.records import read_jsonl, record_to_collection, write_jsonl
 from anomgen.verifier import (MAX_DISTINCT_PAYOFFS, minimal_anomaly, verify_collection,
@@ -716,6 +716,23 @@ class TestVerifyStacks:
         assert record_to_collection(by_id["off-000007"]).P[0, 0].tolist() \
             != by_id["off-000007"]["menus"][0]["lottery0"]["probs"]
 
+    def test_each_stack_merges_its_payoff_grids_once(self, tmp_path, capsys, monkeypatch):
+        # 7 consistent baseline pairs of one shape, one block: one stack,
+        # whose grids the size check and the margin LPs share.
+        os.chdir(tmp_path)
+        run_ok(["baseline", "--inits", "7", "--seed", "3", "--out", "b.jsonl"], capsys)
+        merged = []
+
+        def counted(Z):
+            merged.append(len(Z))
+            return merge_payoff_grids(Z)
+
+        monkeypatch.setattr(cli, "merge_payoff_grids", counted)
+        monkeypatch.setattr(sys.modules["anomgen.verifier"], "merge_payoff_grids", counted)
+        summary = run_ok(["verify", "--in", "b.jsonl", "--out", "v.jsonl"], capsys)
+        assert summary["any_utility_inconsistent"] == 0
+        assert merged == [7]
+
     @pytest.mark.parametrize("malform", [
         lambda rec: rec["predicted_probs"].__setitem__(0, 1.5),
         lambda rec: rec["menus"][0]["lottery0"]["probs"].__setitem__(0, 0.5 + 1e-5),
@@ -886,6 +903,31 @@ class TestBadInputIsOneErrorLine:
             assert run_command(["cluster", "--in", "cat.jsonl", f"--k={k}", "--out", "out"]) == 1
         assert [str(w.message) for w in caught] == []
         assert error_line(capsys) == {"command": "cluster", "error": f"--k: invalid value {k}"}
+        assert not os.path.exists("out")
+
+    def test_cluster_row_without_an_id(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        write_anomalies("cat.jsonl", 6)
+        _, recs = read_jsonl("cat.jsonl")
+        del recs[4]["id"]
+        write_jsonl("bad.jsonl", recs, kind="categorized")
+        assert run_command(["cluster", "--in", "bad.jsonl", "--k", "2", "--out", "out"]) == 1
+        assert error_line(capsys) == {
+            "command": "cluster",
+            "error": "bad.jsonl: record 5, a non-FOSD anomaly with features, has no id"}
+        assert not os.path.exists("out")
+
+    @pytest.mark.parametrize("model", [{}, [1, 2]], ids=["empty-object", "list"])
+    def test_model_file_that_is_json_but_not_a_model(self, model, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("model.json").write_text(json.dumps(model))
+        Path("cfg.json").write_text(json.dumps(
+            {"predictor": {"kind": "mlp", "model_path": "model.json"}}))
+        assert run_command(["adversarial", "--config", "cfg.json", "--inits", "1",
+                            "--out", "out"]) == 1
+        error = error_line(capsys)
+        assert error["command"] == "adversarial"
+        assert error["error"].startswith("model.json: not an MLP model (")
         assert not os.path.exists("out")
 
     def test_jsonl_string_with_a_unicode_line_break(self, tmp_path):

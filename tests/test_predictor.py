@@ -14,7 +14,7 @@ from anomgen.lotteries import flat_stack
 from anomgen.predictor import (MlpModel, MlpPredictor, MlpTrainConfig,
                                evaluate, fit_cpt_params, menu_input_scaling,
                                train_mlp, _backprop, _cpt_logits)
-from anomgen.theory import KKT_TOL, _clip_targets, _cross_entropy
+from anomgen.theory import GAP_TOL, THETA_NORM_BOUND, _clip_targets, _cross_entropy
 from conftest import (BRUHIN_B, central_difference, cpt_dataset, cpt_objective, flat, grad,
                       lottery, menu, predict, sample_random_menu, stack, unchecked_menu)
 
@@ -254,15 +254,18 @@ class TestFitCptParams:
             fit_cpt_params(ChoiceDataset(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), []))
 
     @staticmethod
-    def _gradient_at(ds, fit):
+    def _gap_at(ds, fit):
+        """The duality gap g.x + rho ||g|| at the fit's x = log(delta, gamma),
+        formed from ``cpt_objective``'s gradient g."""
         x = np.log([fit.params.delta, fit.params.gamma])
-        return cpt_objective(ds, 1.0)(x)[1]()[0]
+        g = cpt_objective(ds, 1.0)(x)[1]()[0]
+        return g @ x + THETA_NORM_BOUND * np.linalg.norm(g)
 
-    def test_converged_means_gradient_stop(self):
+    def test_converged_means_gap_stop(self):
         ds = cpt_dataset(2000, seed=16, kind="binary")
         fit = fit_cpt_params(ds)
         assert fit.converged and 1 <= fit.iterations < theory.MAX_NEWTON_ITER
-        assert np.linalg.norm(self._gradient_at(ds, fit)) <= KKT_TOL
+        assert self._gap_at(ds, fit) <= GAP_TOL
 
     def test_logit_jacobian_matches_finite_differences(self):
         ds = cpt_dataset(500, seed=17, kind="rate", count=50)
@@ -288,8 +291,7 @@ class TestFitCptParams:
         assert np.isfinite([fit.params.delta, fit.params.gamma]).all()
         assert fit.params.gamma == 1.0
         assert fit.params.delta == pytest.approx(0.726, abs=0.1)
-        gnorm = np.linalg.norm(self._gradient_at(ds, fit))
-        assert fit.converged == (gnorm <= KKT_TOL)
+        assert fit.converged == (self._gap_at(ds, fit) <= GAP_TOL)
         assert fit.converged
 
     def test_iteration_cap_reports_unconverged(self, monkeypatch):
@@ -297,7 +299,7 @@ class TestFitCptParams:
         monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 1)
         fit = fit_cpt_params(ds)
         assert fit.iterations == 1 and not fit.converged
-        assert np.linalg.norm(self._gradient_at(ds, fit)) > KKT_TOL
+        assert self._gap_at(ds, fit) > GAP_TOL
 
 
 class TestRowWeights:

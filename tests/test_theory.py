@@ -140,6 +140,12 @@ def clipped(y):
     return np.clip(y, theory.TARGET_CLIP, 1 - theory.TARGET_CLIP)
 
 
+def duality_gap(x, grad):
+    """The Frank-Wolfe duality gap g.x + rho ||g|| over the ball of radius
+    rho = ``THETA_NORM_BOUND``, at x with loss gradient g."""
+    return grad @ x + THETA_NORM_BOUND * np.linalg.norm(grad)
+
+
 def bracketed_ball_point(H, b, radius):
     """argmin b.z + z.Hz/2 over ||z|| <= radius for one problem, by Newton on
     1/||z(mu)|| = 1/radius from the top of mu's bracket, bisecting whenever
@@ -257,19 +263,16 @@ class TestBallPoint:
 
 
 class TestBallConstrainedFit:
-    def test_on_bound_fits_satisfy_kkt(self, on_bound_cases):
+    def test_on_bound_fits_meet_the_gap_test(self, on_bound_cases):
         assert len(on_bound_cases) >= 50
         for D, y in on_bound_cases:
             fit = fit_problem(D, y)
-            y = clipped(y)
-            theta = fit.theta
-            grad = ((1.0 / (1.0 + np.exp(-(D @ theta))) - y) @ D) / len(y)
-            norm = np.linalg.norm(theta)
-            lam = -(grad @ theta) / norm ** 2
+            grad = (logistic(D @ fit.theta) - clipped(y)) @ D / len(y)
+            norm = np.linalg.norm(fit.theta)
             assert fit.on_norm_bound and fit.converged
             assert abs(norm - THETA_NORM_BOUND) <= 1e-9
-            assert lam >= 0.0
-            assert np.linalg.norm(grad + lam * theta) <= 1e-10
+            assert -(grad @ fit.theta) >= 0.0          # the loss falls outward
+            assert duality_gap(fit.theta, grad) <= theory.GAP_TOL
 
     def test_two_row_fits_match_dense_circle_scan(self, on_bound_cases):
         pairs = [(D, y) for D, y in on_bound_cases if len(y) == 2][:20]
@@ -294,77 +297,52 @@ class TestBallConstrainedFit:
         monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 1)
         assert not fit_problem(D, y).converged
 
-    def test_fits_that_cannot_move_stop_as_they_would_at_the_cap(self, monkeypatch):
-        # The unconverged fits of 512 adversarial runs at 50 iterations (seed
-        # 3) include fits at the rounding floor of their loss, whose accepted
-        # Armijo steps leave theta bit for bit where it was.  Such a fit
-        # leaves the stack at its first such step, with the theta and the
-        # verdict it has at the cap.
-        cases = []
-
-        def record(D, y):
-            fit = theory._fit_logits(D, y)
-            cases.extend((D[r].copy(), y[r].copy()) for r in np.flatnonzero(~fit.converged))
-            return fit
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(adversarial, "_fit_logits", record)
-            list(run_adversarial_indices(CptPredictor(CptParams(0.726, 0.309)),
-                                         pipeline_config(3), range(512)))
-        steps, newton = [], theory.damped_newton
-
-        def counted(*args):
-            out = newton(*args)
-            steps.append(int(out[3][0]))
-            return out
-
-        monkeypatch.setattr(theory, "damped_newton", counted)
-        stopped_early = 0
-        for D, y in cases:
-            steps.clear()
-            fit = fit_problem(D, y)           # a row's fit is its one-row fit
-            at_cap, at_cap_converged, at_cap_steps = reference_newton_fit(
-                D, y, stop_when_still=False)
-            np.testing.assert_array_equal(fit.theta, at_cap)
-            assert not fit.converged and not at_cap_converged
-            assert steps == [reference_newton_fit(D, y)[2]]
-            stopped_early += steps[0] < at_cap_steps == theory.MAX_NEWTON_ITER
-        assert stopped_early >= 1
-
     def test_cap_at_the_steps_needed_reports_converged(self, on_bound_cases, monkeypatch):
-        # The first on-bound case meets the KKT test after its third Newton
-        # step, so a cap of 3 returns the uncapped fit, converged; a cap of 2
+        # The first on-bound case meets the gap test after its second Newton
+        # step, so a cap of 2 returns the uncapped fit, converged; a cap of 1
         # stops one step short.
         D, y = on_bound_cases[0]
         full = fit_problem(D, y)
-        monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 3)
+        monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 2)
         capped = fit_problem(D, y)
         assert capped.converged
         np.testing.assert_array_equal(capped.theta, full.theta)
-        monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 2)
+        monkeypatch.setattr(theory, "MAX_NEWTON_ITER", 1)
         assert not fit_problem(D, y).converged
 
     @pytest.mark.parametrize("cap", [1, 50])
-    @pytest.mark.parametrize("which", ["theta", "weighting"])
-    def test_converged_is_the_residual_test_at_the_returned_point(
+    @pytest.mark.parametrize("which", ["on_ball", "interior", "weighting"])
+    def test_the_gap_bounds_the_excess_over_a_long_fit(
             self, on_bound_cases, monkeypatch, which, cap):
         # Both fits run ``theory.damped_newton``: whatever stops it, converged
-        # reports the fit's residual test, recomputed at the returned point.
-        monkeypatch.setattr(theory, "MAX_NEWTON_ITER", cap)
-        if which == "theta":
-            D, y = on_bound_cases[0]
-            fit = fit_problem(D, y)
-            theta, y = fit.theta, clipped(y)
-            grad = ((logistic(D @ theta) - y) @ D) / len(y)
-            lam = max(0.0, -(grad @ theta) / (theta @ theta)) if fit.on_norm_bound else 0.0
-            residual = np.linalg.norm(grad + lam * theta)
-        else:
+        # is the gap test recomputed at the returned point, and the returned
+        # loss is within that gap of a fit run to 200 steps with no gap test.
+        def fit_at(steps, tol):
+            monkeypatch.setattr(theory, "MAX_NEWTON_ITER", steps)
+            monkeypatch.setattr(theory, "GAP_TOL", tol)
+            if which == "weighting":
+                fit = fit_cpt_params(ds)
+                x = np.log([fit.params.delta, fit.params.gamma])
+                grad = cpt_objective(ds, 1.0)(x)[1]()[0]
+            else:
+                fit = fit_problem(D, y)
+                x = fit.theta
+                grad = (logistic(D @ x) - clipped(y)) @ D / len(y)
+            return fit, fit.cross_entropy, duality_gap(x, grad)
+
+        if which == "weighting":
             ds = cpt_dataset(1000, seed=19, kind="binary")
-            fit = fit_cpt_params(ds)
-            x = np.log([fit.params.delta, fit.params.gamma])
-            residual = np.linalg.norm(cpt_objective(ds, 1.0)(x)[1]()[0])
-        assert fit.converged == (residual <= theory.KKT_TOL)
+        else:
+            D, y = on_bound_cases[0]
+            if which == "interior":         # one menu twice, with two targets
+                D = D[[0, 0]]
+            assert fit_problem(D, y).on_norm_bound == (which == "on_ball")
+        tol = theory.GAP_TOL
+        fit, loss, gap = fit_at(cap, tol)
+        _, best, _ = fit_at(200, 0.0)
+        assert fit.converged == (gap <= tol)
         assert fit.converged == (cap == 50)
+        assert loss - best <= gap
 
     def test_stacked_fit_gives_each_problems_own_newton_fit(self, on_bound_cases):
         # On-bound problems stacked with exact ones: every row of the stacked
