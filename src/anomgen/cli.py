@@ -206,12 +206,27 @@ def cmd_categorize(args) -> int:
                     **_throughput(start, n_records, "records"))
 
 
+def _category_tag(rec) -> str:
+    """The tag of a categorized anomaly's category, ``other`` where it has
+    none; a category that is not an object with a known tag is a ValueError
+    naming the record."""
+    from .categorize import CATEGORY_TAGS
+
+    category = rec.get("category") or {}
+    tag = category.get("tag", "other") if isinstance(category, dict) else None
+    if tag not in CATEGORY_TAGS:
+        raise ValueError(f"record {rec.get('id')!r}: category {rec.get('category')!r} "
+                         f"has no tag of {CATEGORY_TAGS}")
+    return tag
+
+
 def cluster_rows(recs) -> list:
     """The categorized records ``cluster`` groups: non-FOSD anomalies with
-    features."""
+    features.  One whose category has no known tag is a ValueError naming it
+    (``_category_tag``)."""
     return [r for r in recs
             if r.get("any_utility_inconsistent") and r.get("features")
-            and (r.get("category") or {}).get("tag") != "fosd"]
+            and _category_tag(r) != "fosd"]
 
 
 def cmd_cluster(args) -> int:
@@ -259,12 +274,7 @@ def cmd_report(args) -> int:
         seen.add(p)
         if not r.get("any_utility_inconsistent"):
             continue
-        category = r.get("category") or {}
-        tag = category.get("tag", "other") if isinstance(category, dict) else None
-        if tag not in CATEGORY_TAGS:
-            raise ValueError(f"record {r.get('id')!r}: category {r.get('category')!r} "
-                             f"has no tag of {CATEGORY_TAGS}")
-        counts[(tag, p)] += 1
+        counts[(_category_tag(r), p)] += 1
     predictors = sorted(seen)
     rows = [[tag] + [counts[(tag, p)] for p in predictors] for tag in CATEGORY_TAGS]
     totals = [sum(counts[(tag, p)] for tag in CATEGORY_TAGS) for p in predictors]

@@ -23,14 +23,19 @@ no draw: each sampled gradient's norm falls under ``rank_tol``, the Gram
 matrix stays zero and the direction is the whole predictor gradient.  A
 tail bound on the draws proves this from the factors alone
 (``_certified``), and such a step draws nothing; it differs from the
-sampled step with probability at most ``CERTIFY_MISS`` = 1e-12.
+sampled step with probability at most ``CERTIFY_MISS`` = 1e-12.  The same
+bound over one block's own draws, its extremes of z0 and |z| in place of
+the tail bound's radius (``_all_or_none``), often decides a drawing row's
+kept test for the whole block: the row then skips the test, when every
+draw is kept, or the block, when none is, with the same bytes.
 
 Every drawing step of every run of one master seed maps the same (count, d)
 standard normals, the seed's stream (``lotteries.normals_rng``), through its
 own factor: common random numbers (Glasserman, *Monte Carlo Methods in
-Financial Engineering*, 2003, ch. 4).  Generating the normals is most of a
-drawing 200k step, and a step generates them once for its whole stack, one
-block at a time, rather than once per run.
+Financial Engineering*, 2003, ch. 4).  A step generates them once for its
+whole stack, one block at a time, rather than once per run: a block of
+8,192 costs about as much as mapping it through three or four rows, so
+at paper scale the mapping, not the normals, is most of a drawing step.
 
 Runs advance through the adversarial search's loop
 (``adversarial.lockstep``), and one call per step,
@@ -67,16 +72,6 @@ _DRAW_BLOCK = 8192
 # the rounding of the kept test.
 CERTIFY_MISS = 1e-12
 CERTIFY_MARGIN = 1e-9
-
-
-def _add_kept_gram(gram: np.ndarray, cols: np.ndarray, scale: np.ndarray, rank_tol: float,
-                   work: np.ndarray) -> None:
-    """Add into ``gram`` the Gram matrix of the gradients ``scale[j] * cols[:, j]``,
-    one per column, whose norm exceeds ``rank_tol``; the others are dropped.
-    ``scale`` is overwritten, and ``work`` is scratch of the shape of ``cols``."""
-    weights = np.multiply(scale, scale, out=scale)
-    weights[~(weights * np.einsum("ij,ij->j", cols, cols) > rank_tol ** 2)] = 0.0
-    gram += np.multiply(cols, weights, out=work) @ cols.T
 
 
 def _project_off_span(g: np.ndarray, grams: np.ndarray,
@@ -137,6 +132,44 @@ def _step_factors(probs: np.ndarray, histories: np.ndarray, basis_rows: np.ndarr
     return (G @ theta_mean[..., None])[..., 0], np.linalg.qr(N, mode="r").transpose(0, 2, 1)
 
 
+def _slope(a: np.ndarray) -> np.ndarray:
+    """The logistic slope sigma'(a) = e / (1 + e)^2 at |a|, with e = exp(-|a|):
+    one exp, no overflow, and falling in |a|."""
+    e = np.exp(-np.abs(a))
+    return e / (1.0 + e) ** 2
+
+
+def _spread(w_map: np.ndarray) -> np.ndarray:
+    """||W||_2 of each factor block W (R, m, d), from the largest eigenvalue
+    of W W^T, which, unlike an SVD, a NaN does not stop."""
+    return np.sqrt(np.linalg.eigvalsh(w_map @ w_map.transpose(0, 2, 1))[:, -1])
+
+
+def _all_or_none(mean: np.ndarray, scale: np.ndarray, spread: np.ndarray, z0: np.ndarray,
+                 radius, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (R,) whose kept test, sigma'(a) |w| > ``rank_tol``, keeps every
+    draw, and rows whose test keeps none, of all the draws (a, w) = mean + L z
+    whose normals have z0 within the ends ``z0`` (2,) and |z| <= ``radius``;
+    ``scale`` is L00 and ``spread`` ||L[1:]||_2 (``_spread``).
+
+    a = mean_a + L00 z0 is monotone in z0, and so is its rounded value, so
+    |a| lies between ``near`` (0 where the ends straddle 0) and ``far``;
+    |w| lies within |mean_w| -+ ||L[1:]||_2 radius; and the slope falls with
+    |a|.  Every draw is kept when sigma'(far) times |w|'s lower end clears
+    ``rank_tol``, that end less CERTIFY_MARGIN of |mean_w| + ||L[1:]||_2
+    radius, which covers the rounding of w = mean_w + L[1:] z even where its
+    two terms nearly cancel.  None is kept when sigma'(near) times |w|'s
+    upper end falls under ``rank_tol`` (1 - CERTIFY_MARGIN).  A factor that
+    is not finite gives NaN bounds, which decide neither.
+    """
+    a = mean[:, :1] + scale[:, None] * z0
+    lo, hi = a.min(axis=1), a.max(axis=1)
+    norm, reach = np.linalg.norm(mean[:, 1:], axis=1), spread * radius
+    low = _slope(np.maximum(-lo, hi)) * (norm - reach - CERTIFY_MARGIN * (norm + reach))
+    high = _slope(np.maximum(0.0, np.maximum(lo, -hi))) * (norm + reach)
+    return low > rank_tol, high <= rank_tol * (1.0 - CERTIFY_MARGIN)
+
+
 def _certified(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float) -> np.ndarray:
     """Rows (R,) of a step whose ``count`` draws the kept test would all drop,
     save with probability at most ``CERTIFY_MISS``: their Gram matrix is zero.
@@ -146,54 +179,67 @@ def _certified(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float) -> 
     tail bound (*Ann. Statist.* 28(5), 2000, Lemma 1),
     P(|z|^2 >= d + 2 sqrt(d x) + 2x) <= e^-x, so with x = ln(count /
     CERTIFY_MISS) every draw has |z| <= R = sqrt(d + 2 sqrt(d x) + 2x) but
-    with probability at most CERTIFY_MISS.  In that ball
-    |a| >= |mean_a| - |L00| R and |w| <= |mean_w| + ||L[1:]||_2 R, and the
-    slope sigma'(a) = e / (1 + e)^2, e = exp(-|a|), falls with |a|; so
+    with probability at most CERTIFY_MISS.  In that ball |z0| <= R too, so
+    over z0 in [-R, R] and |z| <= R (``_all_or_none``)
     B = sigma'(max(0, |mean_a| - |L00| R)) (|mean_w| + ||L[1:]||_2 R) bounds
     every draw's sigma'(a) |w|.  A row is certified when
     B <= rank_tol (1 - CERTIFY_MARGIN); a factor that is not finite is not.
     """
-    d, W = L.shape[-1], L[:, 1:]
+    d = L.shape[-1]
     x = np.log(count / CERTIFY_MISS)
     radius = np.sqrt(d + 2.0 * np.sqrt(d * x) + 2.0 * x)
-    e = np.exp(-np.maximum(0.0, np.abs(mean[:, 0]) - np.abs(L[:, 0, 0]) * radius))
-    # ||W||_2 from the largest eigenvalue of W W^T, which, unlike an SVD, a
-    # NaN does not stop.
-    spread = np.sqrt(np.linalg.eigvalsh(W @ W.transpose(0, 2, 1))[:, -1])
-    bound = e / (1.0 + e) ** 2 * (np.linalg.norm(mean[:, 1:], axis=1) + spread * radius)
-    return bound <= rank_tol * (1.0 - CERTIFY_MARGIN)
+    return _all_or_none(mean, L[:, 0, 0], _spread(L[:, 1:]), np.array([-radius, radius]),
+                        radius, rank_tol)[1]
 
 
 def _draw_grams(grams: np.ndarray, rows: np.ndarray, master_seed: int, mean: np.ndarray,
-                scale: np.ndarray, w_map: np.ndarray, count: int, rank_tol: float) -> None:
+                L: np.ndarray, count: int, rank_tol: float) -> None:
     """Add into ``grams[k]``, for each row k of ``rows``, the Gram matrix of
-    the ``count`` draws the seed's (count, d) standard normals
-    (``normals_rng(master_seed)``) map to through row k's factor: one pass
-    over the stream's blocks of at most ``_DRAW_BLOCK`` rows, each drawn once
-    into one buffer and mapped and summed through every row in turn, in work
-    buffers that every block and row reuse."""
-    m, d = w_map.shape[1:]
+    the gradients sigma'(a) w of the ``count`` draws (a, w) the seed's
+    (count, d) standard normals (``normals_rng(master_seed)``) map to through
+    row k's factor, those whose norm exceeds ``rank_tol``: one pass over the
+    stream's blocks of at most ``_DRAW_BLOCK`` rows, each drawn once into one
+    buffer, copied once into (d, n) columns and mapped and summed through
+    every row in turn, in work buffers that every block and row reuse.
+
+    Each block first bounds every row's sigma'(a) |w| over its own draws
+    (``_all_or_none`` over the block's extremes of z0 and |z|).  A row that
+    keeps every draw of the block skips the kept test, which would zero no
+    weight; a row that keeps none skips the block, whose sum would add only
+    zeros.  Either way its Gram matrix has the bytes of the tested sum.
+    """
+    mean, scale, w_map = mean[rows], L[rows, 0, 0], np.ascontiguousarray(L[rows, 1:])
+    spread, (m, d) = _spread(w_map), w_map.shape[1:]
     stream = normals_rng(master_seed)
     block = min(count, _DRAW_BLOCK)
     # Flat buffers for one block; a block of n draws views them as
     # contiguous arrays of its own size.
-    normals, grads, weighted, logits, slopes = (np.empty(size) for size in
-                                                (d * block, m * block, m * block, block, block))
+    normals, columns, grads, weighted, logits, slopes = (
+        np.empty(size) for size in (d * block, d * block, m * block, m * block, block, block))
     for start in range(0, count, _DRAW_BLOCK):
         n = min(_DRAW_BLOCK, count - start)
         z = stream.standard_normal(out=normals[:n * d].reshape(n, d))
-        a, s = logits[:n], slopes[:n]
-        for k in rows:
-            np.multiply(z[:, 0], scale[k], out=a)
-            a += mean[k, 0]
-            # sigma'(a) = e / (1 + e)^2 with e = exp(-|a|): one exp, no overflow.
+        zT = columns[:d * n].reshape(d, n)
+        zT[...] = z.T
+        z0, a, s = zT[0], logits[:n], slopes[:n]
+        radius = np.sqrt(np.einsum("ij,ij->j", zT, zT, out=a).max())
+        every, none = _all_or_none(mean, scale, spread, np.array([z0.min(), z0.max()]), radius,
+                                   rank_tol)
+        for i in np.flatnonzero(~none):
+            k = rows[i]
+            np.multiply(z0, scale[i], out=a)
+            a += mean[i, 0]
+            # ``_slope``, in the work buffers.
             e = np.exp(np.negative(np.abs(a, out=a), out=a), out=a)
             np.add(1.0, e, out=s)
             s **= 2
             np.divide(e, s, out=s)
-            w = np.matmul(w_map[k], z.T, out=grads[:m * n].reshape(m, n))
-            w += mean[k, 1:, None]
-            _add_kept_gram(grams[k], w, s, rank_tol, weighted[:m * n].reshape(m, n))
+            w = np.matmul(w_map[i], zT, out=grads[:m * n].reshape(m, n))
+            w += mean[i, 1:, None]
+            weights = np.multiply(s, s, out=s)
+            if not every[i]:
+                weights[~(weights * np.einsum("ij,ij->j", w, w) > rank_tol ** 2)] = 0.0
+            grams[k] += np.multiply(w, weights, out=weighted[:m * n].reshape(m, n)) @ w.T
 
 
 def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: np.ndarray,
@@ -235,13 +281,12 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     R, _, J = probs.shape
     T = _tangent_basis(J)
     mean, L = _step_factors(probs, histories, basis_rows, T)
-    scale, w_map = L[:, 0, 0], np.ascontiguousarray(L[:, 1:])
-    count, m = config.n_gradient_samples, w_map.shape[1]
+    count, m = config.n_gradient_samples, L.shape[1] - 1
     grams = np.zeros((R, m, m))
     certified = _certified(mean, L, count, config.rank_tol)
     drawn = np.flatnonzero(~certified)
     if drawn.size:
-        _draw_grams(grams, drawn, master_seed, mean, scale, w_map, count, config.rank_tol)
+        _draw_grams(grams, drawn, master_seed, mean, L, count, config.rank_tol)
     directions, ranks = _project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
                                           config.rank_tol)
     return (T @ directions[..., None])[..., 0], ranks, certified

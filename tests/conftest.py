@@ -514,10 +514,8 @@ def null_space_projection(g_star, sampled_grads, rank_tol: float = 1e-6) -> np.n
     G = np.atleast_2d(np.asarray(sampled_grads, dtype=float))
     if G.shape[1] != g_star.size:
         raise ValueError("dimension mismatch between gradient and samples")
-    gram = np.zeros((1, g_star.size, g_star.size))
-    morphing._add_kept_gram(gram[0], G.T, np.ones(G.shape[0]), rank_tol,
-                            np.empty(G.T.shape))
-    out, _ = morphing._project_off_span(g_star[None], gram, rank_tol)
+    gram = _reference_kept_gram(G.T, np.ones(G.shape[0]), rank_tol)
+    out, _ = morphing._project_off_span(g_star[None], gram[None], rank_tol)
     return out[0]
 
 
@@ -568,12 +566,17 @@ def reference_certificate(probs, history, basis_rows, count: int, rank_tol: floa
     return bound, bool(bound <= rank_tol * (1 - morphing.CERTIFY_MARGIN))
 
 
+def reference_kept(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray:
+    """The plain kept test: which gradients ``scale[j] * cols[:, j]`` have a
+    norm above ``rank_tol``, squared as the step squares it."""
+    return scale * scale * np.einsum("ij,ij->j", cols, cols) > rank_tol ** 2
+
+
 def _reference_kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray:
     """Gram matrix of the gradients ``scale[j] * cols[:, j]`` whose norm
     exceeds ``rank_tol``, built from fresh arrays."""
-    weights = scale * scale
-    kept = weights * np.einsum("ij,ij->j", cols, cols) > rank_tol ** 2
-    return (cols * np.where(kept, weights, 0.0)) @ cols.T
+    kept = reference_kept(cols, scale, rank_tol)
+    return (cols * np.where(kept, scale * scale, 0.0)) @ cols.T
 
 
 def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config):

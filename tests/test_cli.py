@@ -869,17 +869,24 @@ class TestBadInputIsOneErrorLine:
         assert not os.path.exists("out")
 
     @pytest.mark.parametrize("category", [{"tag": "bogus"}, "fosd"], ids=["bogus-tag", "string"])
-    def test_report_category_without_a_known_tag(self, category, tmp_path, capsys):
+    def test_report_and_cluster_reject_a_category_without_a_known_tag(self, category, tmp_path,
+                                                                      capsys):
+        # The same record, an anomaly with features, in both commands: one
+        # JSON error line naming it, and no traceback.
         os.chdir(tmp_path)
         write_anomalies("cat.jsonl", 3)
         _, recs = read_jsonl("cat.jsonl")
+        assert recs[1]["features"]
         recs[1]["category"] = category
         write_jsonl("bad.jsonl", recs, kind="categorized")
-        assert run_command(["report", "--in", "bad.jsonl", "--out", "out"]) == 1
-        error = error_line(capsys)
-        assert error["command"] == "report"
-        assert error["error"].startswith("record 'x-000001': ")
-        assert not os.path.exists("out")
+        for argv in (["report"], ["cluster", "--k", "1"]):
+            assert run_command(argv + ["--in", "bad.jsonl", "--out", "out"]) == 1
+            error = error_line(capsys)
+            assert error["command"] == argv[0]
+            assert error["error"].startswith("record 'x-000001': category ")
+            assert not os.path.exists("out")
+        with pytest.raises(ValueError, match="record 'x-000001'"):
+            cli.cluster_rows(recs)
 
     @pytest.mark.parametrize("kind", ["candidates", "verified"])
     def test_report_of_a_stream_that_is_not_categorized(self, kind, tmp_path, capsys):

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomgen import morphing
 from anomgen.adversarial import index_block, run_adversarial_indices
@@ -15,9 +17,9 @@ from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_b
 from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
 from conftest import (fit_theta, flat, grad, morph_step_direction, null_space_projection,
                       pipeline_config, predict, record_menus, reference_certificate,
-                      reference_step_direction, reference_step_factor, reference_utility_factor,
-                      sample_random_menu, sample_step_gradients, sample_theta_history,
-                      search_iterates, stack, tangent)
+                      reference_kept, reference_step_direction, reference_step_factor,
+                      reference_utility_factor, sample_random_menu, sample_step_gradients,
+                      sample_theta_history, search_iterates, stack, tangent)
 
 
 class TestSampleThetaHistory:
@@ -608,6 +610,80 @@ class TestStreamedDraws:
         assert not whole[2].all()
         for a, b in zip(shuffled, whole):
             assert_same_bits(a, b[order])
+
+
+def block_decision(mean, L, z, rank_tol):
+    """``_draw_grams``' decision for one row's factor (mean (d,), L (d, d)) on
+    one block of normals z (n, d): (every draw kept, none kept)."""
+    every, none = morphing._all_or_none(
+        mean[None], L[None, 0, 0], morphing._spread(L[None, 1:]),
+        np.array([z[:, 0].min(), z[:, 0].max()]), np.linalg.norm(z, axis=1).max(), rank_tol)
+    return bool(every[0]), bool(none[0])
+
+
+def scaled_stack(rng, J):
+    """Eight morph-like states, each three times with its fits scaled by 1/4,
+    1 and 4: small fits keep slopes near 1/4 with short gradients, large ones
+    long gradients with logits far out, so a stack's blocks keep every draw,
+    none, or some."""
+    g, probs, H, rows = morph_like_stack(rng, 8, J, 3)
+    scales = np.repeat([0.25, 1.0, 4.0], 8)[:, None, None]
+    return (np.tile(g, (3, 1)), np.tile(probs, (3, 1, 1)), np.tile(H, (3, 1, 1)) * scales,
+            np.tile(rows, (3, 1, 1)))
+
+
+class TestBlockDecision:
+    """A block whose own extremes of z0 and |z| decide a row's kept test, all
+    kept or none, skips the test or the row, and the row keeps its bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), J=st.sampled_from([2, 3]), n=st.integers(1, 300),
+           mean_a=st.floats(-40.0, 40.0), log_w=st.floats(-3.0, 2.0),
+           log_l=st.floats(-4.0, 1.0), rank_tol=st.sampled_from([0.1, 1e-6]))
+    def test_a_decided_block_keeps_every_draw_or_none(self, seed, J, n, mean_a, log_w, log_l,
+                                                      rank_tol):
+        # A random factor state and block, drawn as the reference maps them.
+        rng = np.random.default_rng(seed)
+        d = 2 * J - 1
+        L = np.tril(rng.normal(size=(d, d))) * 10.0 ** log_l
+        mean = np.concatenate([[mean_a], rng.normal(size=d - 1) * 10.0 ** log_w])
+        z = rng.standard_normal((n, d))
+        every, none = block_decision(mean, L, z, rank_tol)
+        e = np.exp(-np.abs(z[:, 0] * L[0, 0] + mean[0]))
+        w = np.ascontiguousarray(L[1:]) @ z.T
+        w += mean[1:, None]
+        kept = reference_kept(w, e / (1.0 + e) ** 2, rank_tol)
+        assert not (every and none)
+        if every:
+            assert kept.all()
+        if none:
+            assert not kept.any()
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("count", [17, morphing._DRAW_BLOCK + 1,
+                                       3 * morphing._DRAW_BLOCK + 17])
+    def test_decided_rows_keep_the_references_bits(self, count, J, monkeypatch):
+        cfg, seed = MorphConfig(n_gradient_samples=count), 5
+        g, probs, H, rows = scaled_stack(np.random.default_rng(90 + J), J)
+        decisions, original = [], morphing._all_or_none
+
+        def spy(*args):
+            decisions.append(original(*args))
+            return decisions[-1]
+
+        monkeypatch.setattr(morphing, "_all_or_none", spy)
+        directions, ranks, certified = morph_step_directions(g, probs, H, rows, seed, cfg)
+        for k in range(len(g)):
+            direction, rank = reference_step_direction(g[k], probs[k], H[k], rows[k],
+                                                       normals_rng(seed), cfg)
+            assert_same_bits(directions[k], direction)
+            assert ranks[k] == rank
+        # The certificate decides first, then each block for the drawn rows.
+        (_, spared), *blocks = decisions
+        np.testing.assert_array_equal(spared, certified)
+        assert len(blocks) == -(-count // morphing._DRAW_BLOCK)
+        every, none = (np.concatenate(part) for part in zip(*blocks))
+        assert every.any() and none.any() and (~every & ~none).any()
 
 
 def chi2_tail(d, t):
