@@ -18,18 +18,16 @@ sampled gradients is read from their (2J - 2) x (2J - 2) Gram matrix in
 tangent coordinates.  A step sums that matrix in one pass over fixed blocks
 of draws, so no array as wide as the sample count is built.
 
-A step whose logistic slope is tiny wherever its law puts its mass keeps
-no draw: each sampled gradient's norm falls under ``rank_tol``, the Gram
-matrix stays zero and the direction is the whole predictor gradient.  A
-tail bound on the draws proves this from the factors alone
-(``_certified``), and such a step draws nothing; it differs from the
-sampled step with probability at most ``CERTIFY_MISS`` = 1e-12.  The same
-bound over one block's own draws, its extremes of z0 and |z| in place of
-the tail bound's radius (``_all_or_none``), often decides a drawing row's
-kept test for the whole block: the row then skips the test, when every
-draw is kept, or the block, when none is, with the same bytes.
+A step whose logistic slope is tiny wherever its draws fall keeps no
+draw: each sampled gradient's norm falls under ``rank_tol``, the Gram
+matrix stays zero and the direction is the whole predictor gradient.  One
+bound over each block's own draws, its extremes of z0 and |z|
+(``_all_or_none``), often decides a row's kept test for the whole block:
+the row then skips the test, when every draw is kept, or the block, when
+none is, with the same bytes.  A row that the bound finds keeps no draw in
+any block is a quiet row of its step.
 
-Every drawing step of every run of one master seed maps the same (count, d)
+Every step of every run of one master seed maps the same (count, d)
 standard normals, the seed's stream (``lotteries.normals_rng``), through its
 own factor: common random numbers (Glasserman, *Monte Carlo Methods in
 Financial Engineering*, 2003, ch. 4).  A step generates them once for its
@@ -42,7 +40,7 @@ Runs advance through the adversarial search's loop
 ``morph_step_directions``, gives every running run its direction: the
 QR factors, eigendecompositions and projections act on the whole stack,
 and each block of the stream is drawn once and mapped and summed through
-every drawing run's factor in turn.  A run's Gram matrix sums the blocks in
+every run's factor in turn.  A run's Gram matrix sums the blocks in
 stream order, so every row has the bytes it has in a stack of one.
 """
 
@@ -66,11 +64,8 @@ COV_JITTER = 1e-8
 # Rows of the (count, d) standard-normal stream drawn and reduced at a time:
 # a block's arrays stay in cache, and the size moves no draw.
 _DRAW_BLOCK = 8192
-# A step's certificate (``_certified``): the chance that a certified step's
-# sampled Gram matrix would keep a draw is at most CERTIFY_MISS, and its
-# bound must fall CERTIFY_MARGIN (relative) under ``rank_tol``, which covers
-# the rounding of the kept test.
-CERTIFY_MISS = 1e-12
+# The relative margin by which a block's bound (``_all_or_none``) must clear
+# ``rank_tol`` to decide its kept test, which covers the test's rounding.
 CERTIFY_MARGIN = 1e-9
 
 
@@ -170,46 +165,31 @@ def _all_or_none(mean: np.ndarray, scale: np.ndarray, spread: np.ndarray, z0: np
     return low > rank_tol, high <= rank_tol * (1.0 - CERTIFY_MARGIN)
 
 
-def _certified(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float) -> np.ndarray:
-    """Rows (R,) of a step whose ``count`` draws the kept test would all drop,
-    save with probability at most ``CERTIFY_MISS``: their Gram matrix is zero.
-
-    A draw is (a, w) = mean + L z with z ~ N(0, I_d), and its gradient is
-    kept when sigma'(a) |w| > rank_tol.  By Laurent and Massart's chi-square
-    tail bound (*Ann. Statist.* 28(5), 2000, Lemma 1),
-    P(|z|^2 >= d + 2 sqrt(d x) + 2x) <= e^-x, so with x = ln(count /
-    CERTIFY_MISS) every draw has |z| <= R = sqrt(d + 2 sqrt(d x) + 2x) but
-    with probability at most CERTIFY_MISS.  In that ball |z0| <= R too, so
-    over z0 in [-R, R] and |z| <= R (``_all_or_none``)
-    B = sigma'(max(0, |mean_a| - |L00| R)) (|mean_w| + ||L[1:]||_2 R) bounds
-    every draw's sigma'(a) |w|.  A row is certified when
-    B <= rank_tol (1 - CERTIFY_MARGIN); a factor that is not finite is not.
-    """
-    d = L.shape[-1]
-    x = np.log(count / CERTIFY_MISS)
-    radius = np.sqrt(d + 2.0 * np.sqrt(d * x) + 2.0 * x)
-    return _all_or_none(mean, L[:, 0, 0], _spread(L[:, 1:]), np.array([-radius, radius]),
-                        radius, rank_tol)[1]
-
-
-def _draw_grams(grams: np.ndarray, rows: np.ndarray, master_seed: int, mean: np.ndarray,
-                L: np.ndarray, count: int, rank_tol: float) -> None:
-    """Add into ``grams[k]``, for each row k of ``rows``, the Gram matrix of
-    the gradients sigma'(a) w of the ``count`` draws (a, w) the seed's
-    (count, d) standard normals (``normals_rng(master_seed)``) map to through
-    row k's factor, those whose norm exceeds ``rank_tol``: one pass over the
-    stream's blocks of at most ``_DRAW_BLOCK`` rows, each drawn once into one
-    buffer, copied once into (d, n) columns and mapped and summed through
-    every row in turn, in work buffers that every block and row reuse.
+def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
+                rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Gram matrix (R, m, m) of the gradients sigma'(a) w of the
+    ``count`` draws (a, w) the seed's (count, d) standard normals
+    (``normals_rng(master_seed)``) map to through the row's factor, those
+    whose norm exceeds ``rank_tol``, and which rows are quiet (R,): one pass
+    over the stream's blocks of at most ``_DRAW_BLOCK`` rows, each drawn once
+    into one buffer, copied once into (d, n) columns and mapped and summed
+    through every row in turn, in work buffers that every block and row
+    reuse.  An empty stack builds no generator.
 
     Each block first bounds every row's sigma'(a) |w| over its own draws
     (``_all_or_none`` over the block's extremes of z0 and |z|).  A row that
     keeps every draw of the block skips the kept test, which would zero no
     weight; a row that keeps none skips the block, whose sum would add only
-    zeros.  Either way its Gram matrix has the bytes of the tested sum.
+    zeros.  Either way its Gram matrix has the bytes of the tested sum.  A
+    quiet row is one that the bound found keeps none in every block: its
+    Gram matrix is zero.
     """
-    mean, scale, w_map = mean[rows], L[rows, 0, 0], np.ascontiguousarray(L[rows, 1:])
-    spread, (m, d) = _spread(w_map), w_map.shape[1:]
+    R, m, d = len(L), L.shape[1] - 1, L.shape[2]
+    grams, quiet = np.zeros((R, m, m)), np.ones(R, dtype=bool)
+    if not R:
+        return grams, quiet
+    scale, w_map = L[:, 0, 0], np.ascontiguousarray(L[:, 1:])
+    spread = _spread(w_map)
     stream = normals_rng(master_seed)
     block = min(count, _DRAW_BLOCK)
     # Flat buffers for one block; a block of n draws views them as
@@ -225,8 +205,8 @@ def _draw_grams(grams: np.ndarray, rows: np.ndarray, master_seed: int, mean: np.
         radius = np.sqrt(np.einsum("ij,ij->j", zT, zT, out=a).max())
         every, none = _all_or_none(mean, scale, spread, np.array([z0.min(), z0.max()]), radius,
                                    rank_tol)
+        quiet &= none
         for i in np.flatnonzero(~none):
-            k = rows[i]
             np.multiply(z0, scale[i], out=a)
             a += mean[i, 0]
             # ``_slope``, in the work buffers.
@@ -239,7 +219,8 @@ def _draw_grams(grams: np.ndarray, rows: np.ndarray, master_seed: int, mean: np.
             weights = np.multiply(s, s, out=s)
             if not every[i]:
                 weights[~(weights * np.einsum("ij,ij->j", w, w) > rank_tol ** 2)] = 0.0
-            grams[k] += np.multiply(w, weights, out=weighted[:m * n].reshape(m, n)) @ w.T
+            grams[i] += np.multiply(w, weights, out=weighted[:m * n].reshape(m, n)) @ w.T
+    return grams, quiet
 
 
 def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: np.ndarray,
@@ -247,7 +228,8 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
                           config: MorphConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One morph step for a stack of runs of ``master_seed``: each row's
     direction (R, 2J), the rank of the sampled span it removes (R,), and
-    whether the certificate spared its draws (R,).
+    whether it is quiet (R,): whether the block bound found, in every block
+    of the draws, that it keeps none (``_draw_grams``).
 
     Row k draws ``config.n_gradient_samples`` utility vectors U = (U0, U1)
     around its fit history ``histories[k]`` (h, K), each mapped from a row of
@@ -263,45 +245,37 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     the kept gradients' Gram matrix with the relative cutoff
     ``config.rank_tol``.
 
-    A row that ``_certified`` proves would keep none of its draws is not
-    drawn: its Gram matrix stays zero, and a stack with no other row builds
-    no generator.  Its direction has the bits its sampled step's would have
-    whenever that step's Gram matrix is zero, which fails with probability
-    at most ``CERTIFY_MISS``.
+    A quiet row's Gram matrix is zero, so its direction is the whole
+    tangent gradient T T^T g.
 
     Everything but the draws is done for the whole stack at once: the
     history means and one QR factor per run (``_step_factors``), the Gram
     eigendecompositions and the projections.  The draws go block by block
     of ``_DRAW_BLOCK`` rows of the normals (``_draw_grams``); each block is
-    mapped straight to every drawn row's a and w and added into its
+    mapped straight to every row's a and w and added into its
     (2J - 2) x (2J - 2) Gram matrix, so no count-wide array is built.  Every
     operation acts on one row, and a row sums its blocks in stream order, so
     a row's bytes do not depend on the rows stacked with it.
     """
-    R, _, J = probs.shape
-    T = _tangent_basis(J)
+    T = _tangent_basis(probs.shape[-1])
     mean, L = _step_factors(probs, histories, basis_rows, T)
-    count, m = config.n_gradient_samples, L.shape[1] - 1
-    grams = np.zeros((R, m, m))
-    certified = _certified(mean, L, count, config.rank_tol)
-    drawn = np.flatnonzero(~certified)
-    if drawn.size:
-        _draw_grams(grams, drawn, master_seed, mean, L, count, config.rank_tol)
+    grams, quiet = _draw_grams(master_seed, mean, L, config.n_gradient_samples,
+                               config.rank_tol)
     directions, ranks = _project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
                                           config.rank_tol)
-    return (T @ directions[..., None])[..., 0], ranks, certified
+    return (T @ directions[..., None])[..., 0], ranks, quiet
 
 
 def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, master_seed,
                    indices) -> list[dict]:
     """Morphing runs ``indices`` of ``master_seed`` from the menus (Z, P)
-    with fits on ``basis``, advanced in ``lockstep``; every drawing step maps
+    with fits on ``basis``, advanced in ``lockstep``; every step maps
     the seed's normals, and a run stops early once its direction vanishes.
     Its record says why it stopped (``stop``: ``direction_vanished``,
     ``max_iters`` or ``nonfinite_gradient``), the rank of the sampled span
     removed by its last projection (``retained_rank``, None when it stopped
-    before its first), and the count of its steps whose draws the
-    certificate spared (``certified_steps``).
+    before its first), and the count of its quiet steps, those whose every
+    block of draws the block bound proved keeps no draw (``certified_steps``).
 
     Each step's directions come from one ``morph_step_directions`` call over
     the running rows whose gradient is finite.  The fit histories live in one
@@ -326,10 +300,10 @@ def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, master_seed,
         for r in rows[~finite]:
             stop[r] = "nonfinite_gradient"
         live = np.flatnonzero(finite)
-        directions, ranks, certified = morph_step_directions(
+        directions, ranks, quiet = morph_step_directions(
             df.reshape(len(rows), -1)[live], P[live], history[rows[live], :s + 2],
             B.reshape(len(rows), -1, B.shape[-1])[live], master_seed, config)
-        certified_steps[rows[live]] += certified
+        certified_steps[rows[live]] += quiet
         # The norm of each row as ``np.linalg.norm`` takes it: sqrt(d . d).
         vanished = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0]) \
             < STOP_NORM

@@ -1,7 +1,6 @@
 """Shared fixtures: the classic menus and small helpers used across tests."""
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -548,22 +547,6 @@ def reference_step_factor(probs, history, basis_rows):
     N = np.concatenate([(H - theta_mean) @ G.T / np.sqrt(H.shape[0] - 1),
                         np.sqrt(COV_JITTER) * G.T])
     return G @ theta_mean, np.linalg.qr(N, mode="r").T
-
-
-def reference_certificate(probs, history, basis_rows, count: int, rank_tol: float):
-    """(bound, certified) of one run's step, formed on its own: the largest
-    slope times tangent-gradient norm, sigma'(a) |w|, over the draws whose
-    normals z lie in the ball |z| <= R, where R^2 is Laurent and Massart's
-    chi-square quantile bound at tail ``CERTIFY_MISS / count``, and whether
-    that bound clears ``rank_tol`` by the certificate's margin."""
-    mean, L = reference_step_factor(probs, history, basis_rows)
-    d = L.shape[1]
-    x = math.log(count / morphing.CERTIFY_MISS)
-    radius = math.sqrt(d + 2 * math.sqrt(d * x) + 2 * x)
-    f = logistic(max(0.0, abs(mean[0]) - abs(L[0, 0]) * radius))
-    bound = f * (1 - f) * (np.linalg.norm(mean[1:])
-                           + np.linalg.svd(L[1:], compute_uv=False)[0] * radius)
-    return bound, bool(bound <= rank_tol * (1 - morphing.CERTIFY_MARGIN))
 
 
 def reference_kept(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray:

@@ -360,6 +360,20 @@ class TestPipelineCommands:
         assert (tmp_path / "c.jsonl").read_bytes() == \
             (DATA / "golden_tags_categorized.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("module", ["anomgen", "anomgen.cli"])
+    def test_python_dash_m_runs_the_command_line(self, module, tmp_path):
+        # ``python -m`` on the package or on its CLI module runs what the
+        # ``anomgen`` console script (``anomgen.cli:main``) runs.
+        outs = []
+        for argv in (["-m", module], ["-c", "from anomgen.cli import main; main()"]):
+            out = f"{len(outs)}.jsonl"
+            proc = subprocess.run([sys.executable, *argv, "baseline", "--inits", "2", "--out", out],
+                                  cwd=tmp_path, env=cli_env(), capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append((tmp_path / out).read_bytes())
+        assert outs[0] == outs[1]
+
     def test_golden_report_reproduced_byte_for_byte(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         run_ok(["report", "--in", str(DATA / "golden_categorized.jsonl"),
@@ -482,7 +496,7 @@ class TestPipelineCommands:
         _, recs = read_jsonl(outs[0])
         assert {r["stop"] for r in recs} <= {"direction_vanished", "max_iters"}
         assert any(r["iterations"] > 0 for r in recs)
-        # Certified steps, which draw nothing, ride in the same stacks.
+        # Quiet steps, whose every block keeps no draw, ride in the same stacks.
         assert any(r["certified_steps"] > 0 for r in recs)
 
     def test_epsilon_command(self, tmp_path, capsys, allais_menus):
@@ -1405,7 +1419,7 @@ class TestLockstepBytes:
         assert proc.returncode == 0, proc.stderr
         outputs["m-cpu.jsonl"] = Path("m-cpu.jsonl").read_bytes()
         assert len(set(outputs.values())) == 1, list(outputs)
-        # Some runs drew at more than one step, and some steps were certified.
+        # Some runs kept draws at more than one step, and some steps were quiet.
         _, recs = read_jsonl("m-1-1.jsonl")
         assert any(r["iterations"] - r["certified_steps"] >= 2 for r in recs)
         assert any(r["certified_steps"] > 0 for r in recs)
