@@ -9,7 +9,8 @@ import argparse
 
 import numpy as np
 
-from anomgen.cpt import PRESETS, CptParams, simulate_choices
+from anomgen.cpt import PRESETS, CptParams, CptPredictor
+from anomgen.data import simulate_choices
 from anomgen.lotteries import draw_menus
 from anomgen.predictor import fit_cpt_params
 
@@ -24,10 +25,10 @@ def main():
     print(f"{'preset':<10} {'n':>7} {'delta':>8} {'gamma':>8} "
           f"{'d-hat':>8} {'g-hat':>8} {'|d err|':>8} {'|g err|':>8}")
     for name, (delta, gamma) in PRESETS.items():
-        params = CptParams(delta, gamma)
+        oracle = CptPredictor(CptParams(delta, gamma))
         for n in sizes:
             rng = np.random.default_rng((args.seed, n, sum(map(ord, name))))
-            ds = simulate_choices(rng, *draw_menus(rng, n, 2, 0, 10), params, kind="binary")
+            ds = simulate_choices(rng, oracle, *draw_menus(rng, n, 2, 0, 10), kind="binary")
             fit = fit_cpt_params(ds)
             print(f"{name:<10} {n:>7} {delta:>8.3f} {gamma:>8.3f} "
                   f"{fit.params.delta:>8.3f} {fit.params.gamma:>8.3f} "

@@ -14,9 +14,8 @@ import numpy as np
 from anomgen.adversarial import run_adversarial_indices
 from anomgen.basis import basis_from_config
 from anomgen.categorize import categorize
-from anomgen.config import parse_config
-from anomgen.cpt import simulate_choices
-from anomgen.data import split_dataset
+from anomgen.config import build_predictor, parse_config
+from anomgen.data import simulate_choices, split_dataset
 from anomgen.lotteries import draw_menus
 from anomgen.morphing import run_morph_indices
 from anomgen.predictor import MlpPredictor, MlpTrainConfig, evaluate, train_mlp
@@ -34,11 +33,11 @@ def main():
     args = ap.parse_args()
 
     cfg = parse_config({"seed": args.seed})
-    params, _ = cfg.predictor.cpt_params()
+    oracle = build_predictor(cfg.predictor)
     rng = np.random.default_rng(args.seed)
-    ds = simulate_choices(rng, *draw_menus(rng, args.n, cfg.n_payoffs,
-                                           *cfg.theory_basis["domain"]),
-                          params, kind="rate", count=1000)
+    ds = simulate_choices(rng, oracle, *draw_menus(rng, args.n, cfg.n_payoffs,
+                                                   *cfg.theory_basis["domain"]),
+                          kind="rate", count=1000)
     train, test = split_dataset(ds, 0.2, seed=args.seed)
 
     hidden = tuple(int(w) for w in args.hidden.split(","))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .basis import basis_from_config
 from .config import GdaConfig
-from .lotteries import LOTTERY_SIGN, check_probs, draw_menus, project_to_simplex, run_rng
+from .lotteries import LOTTERY_SIGN, index_block, project_to_simplex
 from .records import stack_to_records
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
@@ -117,7 +117,6 @@ def lockstep(predictor, config, basis, Z, P, step, columns, procedure: str, mast
         go = finite & go
         active = active[go]
         P[active] = project_to_simplex(Pa[go] + delta[go])
-        check_probs(P[active])
         iterations[active] += 1
 
     return stack_to_records(
@@ -144,21 +143,6 @@ def gda_run(predictor, config: GdaConfig, basis, Z, P, master_seed, indices) -> 
                     lambda: {"inner_fits_on_bound": on_bound.tolist(),
                              "inner_fits_unconverged": unconverged.tolist()},
                     "adversarial", master_seed, indices)
-
-
-def index_block(cfg, indices, n_menus: int):
-    """Runs ``indices`` of the pipeline config ``cfg``, each addressed by
-    (``cfg.seed``, run index), stacked together: their menus' (R, n_menus,
-    2, J) payoff and probability stacks, drawn with ``cfg.n_payoffs``
-    payoffs over the theory basis's domain (``draw_menus``) from each run's
-    generator ``run_rng``.  No indices give empty stacks, which every
-    generator maps to no records."""
-    Z = np.empty((len(indices), n_menus, 2, cfg.n_payoffs))
-    P = np.empty_like(Z)
-    for r, i in enumerate(indices):
-        Z[r], P[r] = draw_menus(run_rng(cfg.seed, i), n_menus, cfg.n_payoffs,
-                                *cfg.theory_basis["domain"])
-    return Z, P
 
 
 def run_adversarial_indices(predictor, cfg, indices):

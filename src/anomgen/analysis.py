@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lotteries import Collection, implied_choices, lottery_stats
+from .lotteries import Collection, implied_choices, index_block, lottery_stats
 from .records import stack_to_records
 
 PATTERNS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -23,9 +23,7 @@ PCA_TOP_LOADINGS = 4
 
 def run_baseline_indices(predictor, cfg, indices) -> list[dict]:
     """Baseline runs ``indices`` of the pipeline config ``cfg``: two random
-    menus each (``adversarial.index_block``), predicted in one batch call."""
-    from .adversarial import index_block
-
+    menus each (``lotteries.index_block``), predicted in one batch call."""
     Z, P = index_block(cfg, indices, 2)
     q = predictor.predict_batch(Z.reshape(-1, *Z.shape[2:]), P.reshape(-1, *P.shape[2:]))
     return stack_to_records(Z, P, q.reshape(len(Z), 2), "baseline", predictor.label,

@@ -32,8 +32,7 @@ import numpy as np
 from . import records
 from .basis import basis_from_config
 from .config import ConfigError, PipelineConfig, build_predictor, load_config, parse_config
-from .cpt import simulate_choices
-from .data import load_dataset, save_dataset
+from .data import load_dataset, save_dataset, simulate_choices
 from .lotteries import Collection, draw_menus, implied_choices, merge_payoff_grids, run_rng
 
 
@@ -289,16 +288,15 @@ def cmd_report(args) -> int:
 def cmd_simulate(args) -> int:
     start = time.perf_counter()
     cfg = _config_from_args(args)
-    params, _ = cfg.predictor.cpt_params()
+    predictor = build_predictor(cfg.predictor)
     if args.n < 1:
         raise ValueError("empty dataset")
     rng = run_rng(cfg.seed, 0)
     Z, P = draw_menus(rng, args.n, cfg.n_payoffs, *cfg.theory_basis["domain"])
-    ds = simulate_choices(rng, Z, P, params, kind=args.kind, count=args.count,
-                          scale=cfg.predictor.scale)
+    ds = simulate_choices(rng, predictor, Z, P, kind=args.kind, count=args.count)
     save_dataset(ds, args.out)
     return _summary(command="simulate", rows=len(ds), kind=args.kind,
-                    delta=params.delta, gamma=params.gamma, out=args.out,
+                    predictor=predictor.label, out=args.out,
                     **_throughput(start, len(ds), "rows"))
 
 
@@ -333,8 +331,9 @@ def cmd_fit_cpt(args) -> int:
     from .predictor import fit_cpt_params
 
     start = time.perf_counter()
+    cfg = _config_from_args(args)
     ds = load_dataset(args.inp)
-    fit = fit_cpt_params(ds)
+    fit = fit_cpt_params(ds, scale=cfg.predictor.scale)
     if args.out:
         records.atomic_write_lines(args.out, [json.dumps(
             {"delta": fit.params.delta, "gamma": fit.params.gamma}, sort_keys=True)])
@@ -424,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--step-size", type=float, default=0.5)
 
-    p = command("fit-cpt", cmd_fit_cpt, "fit probability-weighting parameters", out=False)
+    p = command("fit-cpt", cmd_fit_cpt, "fit probability-weighting parameters", ("config",),
+                out=False)
     p.add_argument("--out", default=None)
 
     p = command("epsilon", cmd_epsilon, "idiosyncratic-error estimate", inp=False, out=False)

@@ -3,14 +3,16 @@
 This module holds every setting: the search sections' dataclasses
 (``GdaConfig``, ``MorphConfig``), the verifier's default thresholds and the
 smallest rank cutoff, beside the parser.  It imports only ``basis`` and
-``cpt``, so a command pays for the modules it runs and no others.  Each
-search section parses straight into its search's config type, which
-holds only that search's settings, and a key left out takes that dataclass
-field's default.  The menu description (``n_payoffs``, ``theory_basis``) and
-the run address (``seed``) live in ``PipelineConfig`` alone, and every
-generator takes it.  Each value is checked here, once; unknown keys and bad
-values are rejected with their path so config typos fail loudly before a
-long batch run.
+``cpt``, so a command pays for the modules it runs and no others.  The
+predictor section is every command's one source of choice probabilities:
+the oracle at a preset or at the (delta, gamma) ``fit-cpt`` writes, or an
+MLP.  Each search section parses straight into its search's config type,
+which holds only that search's settings, and a key left out takes that
+dataclass field's default.  The menu description (``n_payoffs``,
+``theory_basis``) and the run address (``seed``) live in ``PipelineConfig``
+alone, and every generator takes it.  Each value is checked here, once;
+unknown keys and bad values are rejected with their path so config typos
+fail loudly before a long batch run.
 """
 
 from __future__ import annotations
@@ -102,20 +104,12 @@ class MorphConfig:
 
 @dataclass
 class PredictorSection:
-    kind: str = "cpt"                   # cpt | mlp | cpt_fit
+    kind: str = "cpt"                   # cpt | mlp
     preset: str = "bruhin-b"
-    delta: float | None = None
+    delta: float | None = None          # with gamma, overrides the preset
     gamma: float | None = None
     model_path: str | None = None
-    dataset_path: str | None = None
     scale: float = 1.0
-
-    def cpt_params(self) -> tuple[CptParams, str]:
-        """(parameters, label): the explicit (delta, gamma) when given, else
-        the preset."""
-        if self.delta is not None:
-            return CptParams(self.delta, self.gamma), f"cpt({self.delta:g},{self.gamma:g})"
-        return CptParams.preset(self.preset), f"cpt:{self.preset}"
 
 
 @dataclass
@@ -134,10 +128,9 @@ class PipelineConfig:
 def parse_config(raw: dict) -> PipelineConfig:
     raw = dict(raw)
     predictor = PredictorSection(**_pick(raw.pop("predictor", {}), "predictor", {
-        "kind": lambda v: v in ("cpt", "mlp", "cpt_fit"),
+        "kind": lambda v: v in ("cpt", "mlp"),
         "preset": lambda v: v in PRESETS,
-        "delta": _positive, "gamma": _positive,
-        "model_path": None, "dataset_path": None, "scale": _positive}))
+        "delta": _positive, "gamma": _positive, "model_path": None, "scale": _positive}))
     if (predictor.delta is None) != (predictor.gamma is None):
         raise ConfigError("predictor.delta and predictor.gamma must be given together")
     theory = _pick(raw.pop("theory", {}), "theory", {"basis": _is_dict})
@@ -176,23 +169,16 @@ def load_config(path) -> PipelineConfig:
 
 
 def build_predictor(section: PredictorSection):
-    """Materialize the configured predictor handle.  Only the ``mlp`` and
-    ``cpt_fit`` kinds load the model and dataset modules."""
-    if section.kind == "cpt":
-        params, label = section.cpt_params()
-        return CptPredictor(params, scale=section.scale, label=label)
-    from .data import load_dataset
-    from .predictor import MlpModel, MlpPredictor, fit_cpt_params
-
+    """Materialize the configured predictor handle: the ``mlp`` model, the
+    one kind that loads the model module, or the oracle at the explicit
+    (delta, gamma) when given, else at the preset."""
     if section.kind == "mlp":
         if not section.model_path:
             raise ConfigError("predictor.model_path required for kind 'mlp'")
-        return MlpPredictor(MlpModel.load(section.model_path),
-                            label=f"mlp:{section.model_path}")
-    if section.kind == "cpt_fit":
-        if not section.dataset_path:
-            raise ConfigError("predictor.dataset_path required for kind 'cpt_fit'")
-        params = fit_cpt_params(load_dataset(section.dataset_path), scale=section.scale).params
-        return CptPredictor(params, scale=section.scale,
-                            label=f"cpt-fit({params.delta:.3f},{params.gamma:.3f})")
-    raise ConfigError(f"unknown predictor kind {section.kind!r}")
+        from .predictor import MlpModel, MlpPredictor
+
+        return MlpPredictor(MlpModel.load(section.model_path), label=f"mlp:{section.model_path}")
+    if section.delta is None:
+        return CptPredictor(CptParams.preset(section.preset), scale=section.scale,
+                            label=f"cpt:{section.preset}")
+    return CptPredictor(CptParams(section.delta, section.gamma), scale=section.scale)

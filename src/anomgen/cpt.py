@@ -5,6 +5,9 @@ A lottery (z, p) is valued as sum_j w_j(p) * z_j where
 probability of choosing lottery 1 from a menu is the logistic of the value
 difference.  Weights need not sum to one: delta < 1 gives subcertainty
 (pessimism), delta > 1 supercertainty.
+
+``CptPredictor`` is the oracle as a predictor handle, which
+``config.build_predictor`` builds; the module imports ``lotteries`` alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ChoiceDataset
 from .lotteries import LOTTERY_SIGN
 
 # Calibrated (delta, gamma) presets used throughout the experiments.
@@ -116,23 +118,3 @@ class CptPredictor:
         f = logistic(self.scale * (V[..., 1] - V[..., 0]))
         slope = self.scale * f * (1.0 - f)
         return f, slope[..., None, None] * (LOTTERY_SIGN * dV)
-
-
-def simulate_choices(rng: np.random.Generator, Z: np.ndarray, P: np.ndarray,
-                     params: CptParams, kind: str = "binary", count: int = 1,
-                     scale: float = 1.0) -> ChoiceDataset:
-    """Simulate a choice dataset from the oracle on the menus of (n, 2, J)
-    payoff and probability stacks.
-
-    ``binary`` draws one Bernoulli(f*(x)) outcome per menu; ``rate`` records
-    the empirical mean of ``count`` draws.
-    """
-    if kind not in ("binary", "rate"):
-        raise ValueError("kind must be 'binary' or 'rate'")
-    if kind == "rate" and count < 1:
-        raise ValueError("rate mode needs count >= 1")
-    V = lottery_values(Z, P, params)
-    f = logistic(scale * (V[:, 1] - V[:, 0]))
-    # ``count`` draws per menu in rate mode, one in binary mode, menu by menu.
-    draws = rng.random((len(f), count if kind == "rate" else 1))
-    return ChoiceDataset(Z, P, (draws < f[:, None]).mean(axis=1), kind)

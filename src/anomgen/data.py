@@ -1,5 +1,5 @@
-"""Choice datasets: rows of choice data as arrays, CSV ingestion,
-deterministic splits.
+"""Choice datasets: rows of choice data as arrays, simulation from a
+predictor, CSV ingestion, deterministic splits.
 
 A row is a menu and the observed probability that lottery 1 is chosen from
 it.  A dataset holds its menus as a block of records is read: (n, 2, J)
@@ -8,7 +8,8 @@ payoff and probability stacks, probabilities read by ``read_probs``.
 CSV schema (J = 2 shown; J = 3 appends _3 columns, and the loader reads J
 from the header):
 ``z0_1,z0_2,p0_1,p0_2,z1_1,z1_2,p1_1,p1_2,outcome,outcome_kind``
-with an optional trailing ``weight`` column.
+with an optional trailing ``weight`` column.  ``simulate_choices`` draws
+the outcomes from any predictor handle, such as the configured one.
 """
 
 from __future__ import annotations
@@ -58,6 +59,24 @@ class ChoiceDataset:
         """The dataset of ``rows`` (indices or a mask), in their order."""
         return ChoiceDataset(self.Z[rows], self.P[rows], self.outcomes[rows],
                              self.kinds[rows], self.weights[rows])
+
+
+def simulate_choices(rng: np.random.Generator, predictor, Z: np.ndarray, P: np.ndarray,
+                     kind: str = "binary", count: int = 1) -> ChoiceDataset:
+    """Simulate a choice dataset from ``predictor`` on the menus of (n, 2, J)
+    payoff and probability stacks.
+
+    ``binary`` draws one Bernoulli(f(x)) outcome per menu; ``rate`` records
+    the empirical mean of ``count`` draws.
+    """
+    if kind not in ("binary", "rate"):
+        raise ValueError("kind must be 'binary' or 'rate'")
+    if kind == "rate" and count < 1:
+        raise ValueError("rate mode needs count >= 1")
+    f = predictor.predict_batch(Z, P)
+    # ``count`` draws per menu in rate mode, one in binary mode, menu by menu.
+    draws = rng.random((len(f), count if kind == "rate" else 1))
+    return ChoiceDataset(Z, P, (draws < f[:, None]).mean(axis=1), kind)
 
 
 def _schema_columns(n_payoffs: int) -> list:

@@ -21,21 +21,6 @@ PAYOFF_MERGE_TOL = 1e-9
 SIMPLEX_TOL = 64 * np.finfo(float).eps
 
 
-def check_probs(P) -> None:
-    """Raise unless each lottery (last axis) of ``P`` is a probability vector:
-    finite, nonnegative within ``PAYOFF_MERGE_TOL`` and summing to 1 within
-    1e-9.  The searches check their whole (R, 2, J) probability stacks
-    here."""
-    P = np.asarray(P, dtype=float)
-    low = P.min(initial=np.inf)         # NaN fails the test below, +inf the sum's
-    if not low >= -PAYOFF_MERGE_TOL:
-        raise ValueError("negative probability" if low < 0 else "non-finite probability")
-    error = np.abs(P.sum(axis=-1) - 1.0)
-    if not error.max(initial=0.0) <= 1e-9:
-        worst = P.reshape(-1, P.shape[-1])[np.asarray(error).argmax()]
-        raise ValueError(f"probabilities sum to {worst.sum()}, not 1")
-
-
 def read_probs(P) -> tuple[np.ndarray, np.ndarray]:
     """Each probability vector (last axis) of ``P`` as it is read from a
     record: (vectors, bad).
@@ -212,6 +197,21 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     workers reproduce single-threaded output.
     """
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(run_index,)))
+
+
+def index_block(cfg, indices, n_menus: int):
+    """Runs ``indices`` of the pipeline config ``cfg``, each addressed by
+    (``cfg.seed``, run index), stacked together: their menus' (R, n_menus,
+    2, J) payoff and probability stacks, drawn with ``cfg.n_payoffs``
+    payoffs over the theory basis's domain (``draw_menus``) from each run's
+    generator ``run_rng``.  No indices give empty stacks, which every
+    generator maps to no records."""
+    Z = np.empty((len(indices), n_menus, 2, cfg.n_payoffs))
+    P = np.empty_like(Z)
+    for r, i in enumerate(indices):
+        Z[r], P[r] = draw_menus(run_rng(cfg.seed, i), n_menus, cfg.n_payoffs,
+                                *cfg.theory_basis["domain"])
+    return Z, P
 
 
 def normals_rng(master_seed: int) -> np.random.Generator:

@@ -50,10 +50,10 @@ import functools
 
 import numpy as np
 
-from .adversarial import index_block, lockstep
+from .adversarial import lockstep
 from .basis import ISplineBasis
 from .config import MIN_RANK_TOL, MorphConfig
-from .lotteries import normals_rng
+from .lotteries import index_block, normals_rng
 from .theory import _fit_logits
 
 STOP_NORM = 1e-8

@@ -10,7 +10,8 @@ from anomgen import morphing
 from anomgen.adversarial import run_adversarial_indices
 from anomgen.analysis import PATTERNS, pattern_frequencies
 from anomgen.config import parse_config
-from anomgen.cpt import CptParams, logistic, lottery_values, simulate_choices
+from anomgen.cpt import CptParams, CptPredictor, logistic, lottery_values
+from anomgen.data import simulate_choices
 from anomgen.lotteries import (Collection, draw_menus, flat_stack, grid_probs,
                                implied_choices, run_rng)
 from anomgen.morphing import COV_JITTER, run_morph_indices
@@ -179,7 +180,7 @@ def cpt_dataset(n, seed, kind="rate", count=500, params=BRUHIN_B):
     """n random two-payoff menus with choices simulated from a CPT chooser."""
     Z, P = stack([sample_random_menu(np.random.default_rng((seed, i)), 2, 0, 10)
                   for i in range(n)])
-    return simulate_choices(np.random.default_rng((seed, n + 1)), Z, P, params,
+    return simulate_choices(np.random.default_rng((seed, n + 1)), CptPredictor(params), Z, P,
                             kind=kind, count=count)
 
 

@@ -19,7 +19,8 @@ from anomgen.analysis import estimate_epsilon, kmeans, pattern_frequencies, pca,
 from anomgen.basis import PolynomialBasis, basis_from_config
 from anomgen.categorize import categorize, decompose_shared_components
 from anomgen.cli import run_command
-from anomgen.cpt import CptParams, CptPredictor, simulate_choices
+from anomgen.cpt import CptParams, CptPredictor
+from anomgen.data import simulate_choices
 from anomgen.lotteries import draw_menus, on_merged_grid
 from anomgen.morphing import run_morph_indices
 from anomgen.predictor import (MlpModel, MlpPredictor, fit_cpt_params,
@@ -265,8 +266,8 @@ def test_criterion_9_estimation_recoveries():
                                      ("bruhin-b", (0.726, 0.309)),
                                      ("bruhin-c", (1.063, 0.451))):
             rng = np.random.default_rng((501, hashsum(name)))
-            ds = simulate_choices(rng, *draw_menus(rng, 25_000, 2, 0, 10),
-                                  CptParams(delta, gamma), kind="binary")
+            ds = simulate_choices(rng, CptPredictor(CptParams(delta, gamma)),
+                                  *draw_menus(rng, 25_000, 2, 0, 10), kind="binary")
             fit = fit_cpt_params(ds)
             assert fit.params.delta == pytest.approx(delta, abs=0.05), name
             assert fit.params.gamma == pytest.approx(gamma, abs=0.05), name

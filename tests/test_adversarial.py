@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run, index_block,
-                                 interior_menu, run_adversarial_indices)
+from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run, interior_menu,
+                                 run_adversarial_indices)
 from anomgen.basis import PolynomialBasis
 from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor, logistic
-from anomgen.lotteries import LOTTERY_SIGN, draw_menus, run_rng
+from anomgen.lotteries import LOTTERY_SIGN
 from anomgen.morphing import run_morph_indices
 from anomgen.records import record_to_collection
 from anomgen.theory import eu_difference_rows, stack_basis_values
@@ -190,28 +190,16 @@ class TestGenerateAdversarial:
         assert result["master_seed"] == 12 and result["run_index"] == 3
         assert result["iterations"] == 50
 
-    def test_index_block_stacks_each_runs_own_menus(self):
-        # The menus of each run come from its own generator, whatever the
-        # runs stacked with it; no runs give empty stacks.
-        cfg = pipeline_config(13)
-        Z, P = index_block(cfg, [5, 0, 3], 2)
-        assert Z.shape == P.shape == (3, 2, 2, cfg.n_payoffs)
-        for r, i in enumerate([5, 0, 3]):
-            Zi, Pi = draw_menus(run_rng(13, i), 2, cfg.n_payoffs, *cfg.theory_basis["domain"])
-            np.testing.assert_array_equal(Z[r], Zi)
-            np.testing.assert_array_equal(P[r], Pi)
-        assert [a.shape for a in index_block(cfg, [], 1)] == [(0, 1, 2, cfg.n_payoffs)] * 2
-
 
 class TestEstimatedPredictors:
     """Generation runs against fitted models instead of the oracle."""
 
     def _training_data(self, n=800):
-        from anomgen.cpt import simulate_choices
+        from anomgen.data import simulate_choices
         menus = [sample_random_menu(np.random.default_rng((77, i)), 2, 0, 10)
                  for i in range(n)]
-        return simulate_choices(np.random.default_rng(78), *stack(menus),
-                                CptParams(0.726, 0.309), kind="rate", count=200)
+        return simulate_choices(np.random.default_rng(78), CptPredictor(CptParams(0.726, 0.309)),
+                                *stack(menus), kind="rate", count=200)
 
     def test_mlp_backed_generation(self):
         from anomgen.predictor import MlpPredictor, MlpTrainConfig, train_mlp
@@ -226,14 +214,18 @@ class TestEstimatedPredictors:
         assert len(record_to_collection(morph).q) == 2
         assert all(np.isfinite(morph["predicted_probs"]))
 
-    def test_cpt_fit_backed_generation(self, tmp_path):
-        from anomgen.config import PredictorSection, build_predictor
-        from anomgen.data import save_dataset
-        save_dataset(self._training_data(), tmp_path / "d.csv")
-        pred = build_predictor(PredictorSection(kind="cpt_fit",
-                                                dataset_path=str(tmp_path / "d.csv")))
+    def test_fitted_weighting_backed_generation(self):
+        # A fitted weighting reaches the searches as the predictor's explicit
+        # (delta, gamma), as a preset's does.
+        from anomgen.config import build_predictor, parse_config
+        from anomgen.predictor import fit_cpt_params
+        params = fit_cpt_params(self._training_data()).params
+        pred = build_predictor(parse_config({"predictor": {
+            "delta": params.delta, "gamma": params.gamma}}).predictor)
+        assert pred.params == params
         (result,) = run_adversarial_indices(pred, pipeline_config(14), [0])
         assert result["iterations"] == 50
+        assert result["predictor"] == f"cpt({params.delta:g},{params.gamma:g})"
 
 
 class RowNanPredictor(CptPredictor):

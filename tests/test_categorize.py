@@ -268,6 +268,24 @@ class TestSharedComponents:
         assert dec is not None
         assert dec["alpha_a"] == pytest.approx(dec["alpha_b"])
 
+    def test_one_merged_payoff_is_its_own_component(self):
+        # Payoffs within PAYOFF_MERGE_TOL merge: both lotteries are the sure
+        # payoff 3, whole in each component.
+        dec = decompose_shared_components((np.array([3.0, 3.0 + 1e-12]), np.array([0.4, 0.6])),
+                                          (np.array([3.0]), np.array([1.0])))
+        assert dec["alpha_a"] == dec["alpha_b"] == 1.0
+        for key in ("comp1", "comp2"):
+            assert [v.tolist() for v in dec[key]] == [[3.0], [1.0]]
+
+    def test_identical_sure_lotteries_are_one_component(self):
+        # The first support payoff carries all the mass: nothing is left for
+        # a second component, which is the first again.
+        lot = lottery([2, 5, 7], [0.0, 1.0, 0.0])
+        dec = decompose_shared_components(lot, lot)
+        assert dec["alpha_a"] == dec["alpha_b"] == 1.0
+        for key in ("comp1", "comp2"):
+            assert [v.tolist() for v in dec[key]] == [[5.0], [1.0]]
+
     def test_lottery1_family(self):
         # Degenerate base against the mixture that adds the dominating pair.
         dec = decompose_shared_components(

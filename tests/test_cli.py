@@ -20,8 +20,8 @@ from anomgen import analysis, cli, morphing, records
 from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.cli import run_command
 from anomgen.config import ConfigError, build_predictor, load_config, parse_config
-from anomgen.cpt import CptParams, CptPredictor, logistic, lottery_values, simulate_choices
-from anomgen.data import load_dataset
+from anomgen.cpt import CptParams, CptPredictor, logistic, lottery_values
+from anomgen.data import load_dataset, simulate_choices
 from anomgen.lotteries import draw_menus, merge_payoff_grids, run_rng
 from anomgen.morphing import MorphConfig
 from anomgen.records import read_jsonl, record_to_collection, write_jsonl
@@ -29,7 +29,7 @@ from anomgen.verifier import (MAX_DISTINCT_PAYOFFS, minimal_anomaly, verify_coll
                               verify_parametrized)
 from anomgen.basis import ISplineBasis, basis_from_config
 from anomgen.categorize import CATEGORY_TAGS, categorize
-from anomgen.predictor import MlpModel, fit_cpt_params, menu_input_scaling
+from anomgen.predictor import MlpModel, MlpPredictor, fit_cpt_params, menu_input_scaling
 from conftest import (collection, flat, lottery, menu, menu_json, predict,
                       record_menus, reference_generated_record, reference_record,
                       sample_random_menu, write_anomalies)
@@ -121,9 +121,32 @@ class TestConfig:
             parse_config({"predictor": given})
 
     def test_explicit_weighting_pair_used(self):
-        params, label = parse_config(
-            {"predictor": {"delta": 0.5, "gamma": 0.4}}).predictor.cpt_params()
-        assert (params.delta, params.gamma, label) == (0.5, 0.4, "cpt(0.5,0.4)")
+        pred = build_predictor(parse_config(
+            {"predictor": {"delta": 0.5, "gamma": 0.4, "preset": "bruhin-a"}}).predictor)
+        assert (pred.params, pred.label) == (CptParams(0.5, 0.4), "cpt(0.5,0.4)")
+        pred = build_predictor(parse_config({"predictor": {"preset": "bruhin-a"}}).predictor)
+        assert (pred.params, pred.label) == (CptParams.preset("bruhin-a"), "cpt:bruhin-a")
+
+    def test_unknown_basis_kind_named(self):
+        with pytest.raises(ConfigError, match=r"theory.basis.kind: invalid value 'spline'"):
+            parse_config({"theory": {"basis": {"kind": "spline"}}})
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"cfg"', "null"])
+    def test_top_level_that_is_not_an_object(self, text, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="top level must be a JSON object"):
+            load_config(path)
+
+    def test_mlp_predictor_without_a_model_path(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="predictor.model_path required for kind 'mlp'"):
+            build_predictor(parse_config({"predictor": {"kind": "mlp"}}).predictor)
+        os.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"predictor": {"kind": "mlp"}}))
+        assert run_command(["simulate", "--config", "cfg.json", "--n", "5", "--out", "d.csv"]) == 1
+        assert error_line(capsys) == {
+            "command": "simulate", "error": "predictor.model_path required for kind 'mlp'"}
+        assert not os.path.exists("d.csv")
 
     def test_invalid_value_named(self):
         with pytest.raises(ConfigError, match="step_size"):
@@ -585,22 +608,24 @@ class TestPipelineCommands:
         assert 0.3 < fit["delta"] < 1.6
 
     def test_three_payoff_dataset_needs_no_payoff_flag(self, tmp_path, capsys):
-        # The number of payoffs comes from the CSV header, for a cpt_fit
-        # predictor as for fit-cpt and train-mlp; a 3-payoff dataset used to
-        # be read as J = 2 and rejected.
+        # The number of payoffs comes from the CSV header, for fit-cpt and
+        # train-mlp; a 3-payoff dataset used to be read as J = 2 and rejected.
+        # The fitted (delta, gamma) then configure a 3-payoff search.
         os.chdir(tmp_path)
         Path("p3.json").write_text(json.dumps({"n_payoffs": 3}))
         run_ok(["simulate", "--config", "p3.json", "--n", "200", "--seed", "1",
                 "--out", "d3.csv"], capsys)
-        Path("fit.json").write_text(json.dumps({
-            "n_payoffs": 3, "predictor": {"kind": "cpt_fit", "dataset_path": "d3.csv"},
+        fit = run_ok(["fit-cpt", "--in", "d3.csv", "--out", "fit.json"], capsys)
+        assert fit["rows"] == 200
+        Path("search.json").write_text(json.dumps({
+            "n_payoffs": 3, "predictor": json.loads(Path("fit.json").read_text()),
             "adversarial": {"max_iters": 3}}))
-        run_ok(["adversarial", "--config", "fit.json", "--inits", "3", "--seed", "2",
+        run_ok(["adversarial", "--config", "search.json", "--inits", "3", "--seed", "2",
                 "--out", "a.jsonl"], capsys)
         _, recs = read_jsonl("a.jsonl")
-        assert len(recs) == 3 and recs[0]["predictor"].startswith("cpt-fit(")
+        assert len(recs) == 3
+        assert recs[0]["predictor"] == f"cpt({fit['delta']:g},{fit['gamma']:g})"
         assert len(recs[0]["menus"][0]["lottery0"]["probs"]) == 3
-        assert run_ok(["fit-cpt", "--in", "d3.csv"], capsys)["rows"] == 200
         run_ok(["train-mlp", "--in", "d3.csv", "--hidden", "4", "--epochs", "2",
                 "--out", "m3.json"], capsys)
         assert MlpModel.load("m3.json").widths[0] == len(menu_input_scaling(3))
@@ -816,14 +841,11 @@ class TestBadInputIsOneErrorLine:
     @pytest.mark.parametrize("argv", [
         ["fit-cpt", "--in", "short.csv", "--out", "out"],
         ["train-mlp", "--in", "short.csv", "--epochs", "1", "--out", "out"],
-        ["adversarial", "--config", "fit.json", "--inits", "1", "--out", "out"],
-    ], ids=["fit-cpt", "train-mlp", "cpt_fit-config"])
+    ], ids=["fit-cpt", "train-mlp"])
     def test_short_csv_row(self, argv, tmp_path, capsys):
         os.chdir(tmp_path)
         Path("short.csv").write_text(self.HEADER + "1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate,1\n"
                                      "1,2,0.5,0.5,3\n")
-        Path("fit.json").write_text(json.dumps(
-            {"predictor": {"kind": "cpt_fit", "dataset_path": "short.csv"}}))
         assert run_command(argv) == 1
         assert error_line(capsys) == {"command": argv[0],
                                       "error": "row 1: 5 fields, the header has 11"}
@@ -853,6 +875,21 @@ class TestBadInputIsOneErrorLine:
         assert run_command([command, "--in", "in.jsonl", "--out", "out"]) == 1
         assert error_line(capsys) == {"command": command,
                                       "error": f"in.jsonl: line {bad} is not a JSON object"}
+        assert not os.path.exists("out")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind": "candidates", "version": 2}\n{}\n', "unsupported version 2"),
+        ('{"kind": "candidates"}\n', "unsupported version None"),
+        ("", "empty stream"),
+        ("\n  \n", "empty stream"),
+    ], ids=["version-2", "no-version", "empty", "blank"])
+    @pytest.mark.parametrize("command", ["verify", "categorize"])
+    def test_stream_without_a_supported_header(self, command, text, message, tmp_path,
+                                               capsys):
+        os.chdir(tmp_path)
+        Path("in.jsonl").write_text(text)
+        assert run_command([command, "--in", "in.jsonl", "--out", "out"]) == 1
+        assert error_line(capsys) == {"command": command, "error": f"in.jsonl: {message}"}
         assert not os.path.exists("out")
 
     def test_jsonl_line_that_is_not_valid_json(self, tmp_path, capsys):
@@ -1310,7 +1347,7 @@ class TestParser:
                         if any(flag in a.option_strings for a in p._actions)}
                  for flag in ("--config", "--seed", "--workers")}
         generators = {"adversarial", "morph", "baseline"}
-        assert takes == {"--config": generators | {"verify", "simulate"},
+        assert takes == {"--config": generators | {"verify", "simulate", "fit-cpt"},
                          "--seed": generators | {"simulate", "cluster", "train-mlp"},
                          "--workers": generators | {"verify"}}
 
@@ -1573,18 +1610,42 @@ class TestConfiguredValuesReachTheirCode:
         for scale in (2.0, 1.0):
             rng = run_rng(4, 0)
             Z, P = draw_menus(rng, 40, 2, *parse_config({}).theory_basis["domain"])
-            want = simulate_choices(rng, Z, P, CptParams.preset("bruhin-b"), kind="rate",
-                                    count=50, scale=scale)
+            oracle = CptPredictor(CptParams.preset("bruhin-b"), scale=scale)
+            want = simulate_choices(rng, oracle, Z, P, kind="rate", count=50)
             assert (want.outcomes.tobytes() == got.outcomes.tobytes()) is (scale == 2.0)
 
-    def test_predictor_scale_reaches_the_cpt_fit_predictor(self, tmp_path, capsys):
+    def test_predictor_scale_reaches_fit_cpt(self, tmp_path, capsys):
+        # fit-cpt fits at the config's scale: on choices simulated at scale 2
+        # it recovers the preset, where a scale-1 fit reads delta near 1.9.
         os.chdir(tmp_path)
-        run_ok(["simulate", "--n", "200", "--seed", "1", "--kind", "rate",
+        Path("cfg.json").write_text(json.dumps({"predictor": {"scale": 2}}))
+        run_ok(["simulate", "--config", "cfg.json", "--n", "20000", "--seed", "1",
                 "--out", "d.csv"], capsys)
-        ds = load_dataset("d.csv")
-        cfg = parse_config({"predictor": {"kind": "cpt_fit", "dataset_path": "d.csv",
-                                          "scale": 2}})
-        pred = build_predictor(cfg.predictor)
-        assert pred.scale == 2
-        assert pred.params == fit_cpt_params(ds, scale=2.0).params
-        assert pred.params != fit_cpt_params(ds).params
+        fit = run_ok(["fit-cpt", "--config", "cfg.json", "--in", "d.csv", "--out", "fit.json"],
+                     capsys)
+        want = fit_cpt_params(load_dataset("d.csv"), scale=2.0).params
+        assert (fit["delta"], fit["gamma"]) == (want.delta, want.gamma)
+        assert json.loads(Path("fit.json").read_text()) == {"delta": want.delta,
+                                                             "gamma": want.gamma}
+        assert fit["converged"]
+        assert fit["delta"] == pytest.approx(0.726, abs=0.05)
+        assert fit["gamma"] == pytest.approx(0.309, abs=0.05)
+        assert run_ok(["fit-cpt", "--in", "d.csv"], capsys)["delta"] > 1.5
+
+    def test_simulate_draws_from_the_configured_mlp(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        model = MlpModel.init_random([8, 4, 1], menu_input_scaling(2), seed=3)
+        model.save("m.json")
+        Path("mlp.json").write_text(json.dumps(
+            {"predictor": {"kind": "mlp", "model_path": "m.json"}}))
+        summary = run_ok(["simulate", "--config", "mlp.json", "--n", "300", "--seed", "1",
+                          "--kind", "rate", "--count", "20", "--out", "d.csv"], capsys)
+        assert summary["predictor"] == "mlp:m.json"
+        run_ok(["simulate", "--n", "300", "--seed", "1", "--kind", "rate", "--count", "20",
+                "--out", "preset.csv"], capsys)
+        assert Path("d.csv").read_bytes() != Path("preset.csv").read_bytes()
+        rng = run_rng(1, 0)
+        Z, P = draw_menus(rng, 300, 2, *parse_config({}).theory_basis["domain"])
+        want = simulate_choices(rng, MlpPredictor(MlpModel.load("m.json")), Z, P, kind="rate",
+                                count=20)
+        assert load_dataset("d.csv").outcomes.tobytes() == want.outcomes.tobytes()

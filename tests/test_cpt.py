@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomgen.cpt import (CptParams, CptPredictor, logistic, lottery_values,
-                         simulate_choices)
-from anomgen.lotteries import draw_menus
+from anomgen.cpt import CptParams, CptPredictor, logistic, lottery_values
 from conftest import (central_difference, flat, flat_menu_fn, grad, kernel_weights, lottery,
                       menu, predict, sample_random_menu, stack, swapped)
 
@@ -217,52 +215,6 @@ class TestChoiceProbGrad:
         m = menu(lottery([1, 2], [1.0, 0.0]), lottery([1, 2], [0.5, 0.5]))
         with pytest.raises(ValueError, match="boundary"):
             grad(ORACLE_B, m)
-
-
-class TestSimulateChoices:
-    def test_bernoulli_mean_at_half(self):
-        lot = lottery([3, 7], [0.5, 0.5])
-        Z, P = stack([menu(lot, lot)])   # f* = 0.5 exactly
-        ds = simulate_choices(np.random.default_rng(0), Z.repeat(100_000, axis=0),
-                              P.repeat(100_000, axis=0), BRUHIN_B, kind="binary")
-        assert 0.494 <= ds.outcomes.mean() <= 0.506
-
-    def test_seed_determinism(self):
-        Z, P = stack([sample_random_menu(np.random.default_rng(i), 2, 0, 10)
-                            for i in range(20)])
-        d1 = simulate_choices(np.random.default_rng(5), Z, P, BRUHIN_B)
-        d2 = simulate_choices(np.random.default_rng(5), Z, P, BRUHIN_B)
-        np.testing.assert_array_equal(d1.outcomes, d2.outcomes)
-
-    def test_rate_mode(self):
-        m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
-        ds = simulate_choices(np.random.default_rng(1), *stack([m]), BRUHIN_B,
-                              kind="rate", count=5_000)
-        assert abs(ds.outcomes[0] - predict(ORACLE_B, m)) < 0.03
-
-    def test_rate_requires_count(self):
-        m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
-        with pytest.raises(ValueError):
-            simulate_choices(np.random.default_rng(1), *stack([m]), BRUHIN_B,
-                             kind="rate", count=0)
-
-    @pytest.mark.parametrize("J", [2, 3])
-    @pytest.mark.parametrize("kind", ["binary", "rate"])
-    def test_one_array_draw_is_the_menu_by_menu_draw(self, J, kind):
-        # ``simulate`` draws its menus in one ``draw_menus`` call; the menus,
-        # the outcomes and the stream after them are those of one
-        # ``sample_random_menu`` call per menu.
-        seed = (J, kind == "rate")
-        rng = np.random.default_rng(seed)
-        ds = simulate_choices(rng, *draw_menus(rng, 40, J, 0, 10), BRUHIN_B,
-                              kind=kind, count=9)
-        ref_rng = np.random.default_rng(seed)
-        menus = [sample_random_menu(ref_rng, J, 0, 10) for _ in range(40)]
-        ref = simulate_choices(ref_rng, *stack(menus), BRUHIN_B, kind=kind, count=9)
-        for name in ("Z", "P", "outcomes", "kinds", "weights"):
-            np.testing.assert_array_equal(getattr(ds, name), getattr(ref, name))
-        assert rng.random() == ref_rng.random()
-        assert set(ds.kinds) == {kind}
 
 
 class TestPredictorHandle:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from anomgen import records
-from anomgen.cpt import CptParams, simulate_choices
+from anomgen.cpt import CptParams, CptPredictor
 from anomgen.data import (ChoiceDataset, _schema_columns, load_dataset, save_dataset,
-                          split_dataset)
+                          simulate_choices, split_dataset)
 from anomgen.lotteries import SIMPLEX_TOL, draw_menus, flat_stack, read_probs
-from conftest import sample_random_menu, stack
+from conftest import lottery, menu, predict, sample_random_menu, stack
+
+ORACLE_B = CptPredictor(CptParams(0.726, 0.309))
 
 
 HEADER = "z0_1,z0_2,p0_1,p0_2,z1_1,z1_2,p1_1,p1_2,outcome,outcome_kind"
@@ -99,8 +101,7 @@ class TestLoadDataset:
     def test_payoff_count_read_from_header_and_its_columns_checked(self, tmp_path):
         rng = np.random.default_rng(2)
         path = tmp_path / "p3.csv"
-        save_dataset(simulate_choices(rng, *draw_menus(rng, 5, 3, 0, 10),
-                                      CptParams(0.726, 0.309)), path)
+        save_dataset(simulate_choices(rng, ORACLE_B, *draw_menus(rng, 5, 3, 0, 10)), path)
         assert load_dataset(path).Z.shape[-1] == 3
         lines = [line.split(",") for line in path.read_text().splitlines()]
         drop = lines[0].index("p1_3")
@@ -112,8 +113,7 @@ class TestLoadDataset:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         Z, P = stack([sample_random_menu(rng, 2, 0, 10) for _ in range(20)])
-        ds = simulate_choices(np.random.default_rng(1), Z, P,
-                              CptParams(0.726, 0.309), kind="rate", count=64)
+        ds = simulate_choices(np.random.default_rng(1), ORACLE_B, Z, P, kind="rate", count=64)
         path = tmp_path / "round.csv"
         save_dataset(ds, path)
         back = load_dataset(path)
@@ -127,8 +127,7 @@ class TestLoadDataset:
     def test_crlf_lines_load_as_lf_lines(self, tmp_path):
         # Datasets end their lines with LF; files written with CRLF still load.
         rng = np.random.default_rng(0)
-        ds = simulate_choices(rng, *draw_menus(rng, 5, 2, 0, 10), CptParams(0.726, 0.309),
-                              kind="rate", count=8)
+        ds = simulate_choices(rng, ORACLE_B, *draw_menus(rng, 5, 2, 0, 10), kind="rate", count=8)
         path = tmp_path / "lf.csv"
         save_dataset(ds, path)
         assert b"\r" not in path.read_bytes()
@@ -140,8 +139,8 @@ class TestLoadDataset:
 
     def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
-        ds = simulate_choices(rng, *draw_menus(rng, 20, 2, 0, 10), CptParams(0.726, 0.309),
-                              kind="rate", count=8)
+        ds = simulate_choices(rng, ORACLE_B, *draw_menus(rng, 20, 2, 0, 10), kind="rate",
+                              count=8)
         path = tmp_path / "d.csv"
         path.write_bytes(b"old bytes\n")
         fields, csv_field = itertools.count(), records._csv_field
@@ -255,3 +254,61 @@ class TestSplitDataset:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             split_dataset(self._dataset(10), 1.5, seed=0)
+
+
+class TestSimulateChoices:
+    def test_bernoulli_mean_at_half(self):
+        lot = lottery([3, 7], [0.5, 0.5])
+        Z, P = stack([menu(lot, lot)])   # f* = 0.5 exactly
+        ds = simulate_choices(np.random.default_rng(0), ORACLE_B, Z.repeat(100_000, axis=0),
+                              P.repeat(100_000, axis=0), kind="binary")
+        assert 0.494 <= ds.outcomes.mean() <= 0.506
+
+    def test_seed_determinism(self):
+        Z, P = stack([sample_random_menu(np.random.default_rng(i), 2, 0, 10)
+                      for i in range(20)])
+        d1 = simulate_choices(np.random.default_rng(5), ORACLE_B, Z, P)
+        d2 = simulate_choices(np.random.default_rng(5), ORACLE_B, Z, P)
+        np.testing.assert_array_equal(d1.outcomes, d2.outcomes)
+
+    def test_rate_mode(self):
+        m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
+        ds = simulate_choices(np.random.default_rng(1), ORACLE_B, *stack([m]),
+                              kind="rate", count=5_000)
+        assert abs(ds.outcomes[0] - predict(ORACLE_B, m)) < 0.03
+
+    def test_rate_requires_count(self):
+        m = sample_random_menu(np.random.default_rng(0), 2, 0, 10)
+        with pytest.raises(ValueError):
+            simulate_choices(np.random.default_rng(1), ORACLE_B, *stack([m]),
+                             kind="rate", count=0)
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("kind", ["binary", "rate"])
+    def test_one_array_draw_is_the_menu_by_menu_draw(self, J, kind):
+        # ``simulate`` draws its menus in one ``draw_menus`` call; the menus,
+        # the outcomes and the stream after them are those of one
+        # ``sample_random_menu`` call per menu.
+        seed = (J, kind == "rate")
+        rng = np.random.default_rng(seed)
+        ds = simulate_choices(rng, ORACLE_B, *draw_menus(rng, 40, J, 0, 10),
+                              kind=kind, count=9)
+        ref_rng = np.random.default_rng(seed)
+        menus = [sample_random_menu(ref_rng, J, 0, 10) for _ in range(40)]
+        ref = simulate_choices(ref_rng, ORACLE_B, *stack(menus), kind=kind, count=9)
+        for name in ("Z", "P", "outcomes", "kinds", "weights"):
+            np.testing.assert_array_equal(getattr(ds, name), getattr(ref, name))
+        assert rng.random() == ref_rng.random()
+        assert set(ds.kinds) == {kind}
+
+    def test_draws_from_the_handle_it_is_given(self):
+        # Any handle's predict_batch is the source: a chooser certain of
+        # lottery 1 on even rows and of lottery 0 on odd ones.
+        class Alternating:
+            def predict_batch(self, Z, P):
+                return (np.arange(len(Z)) % 2 == 0).astype(float)
+
+        rng = np.random.default_rng(3)
+        ds = simulate_choices(rng, Alternating(), *draw_menus(rng, 10, 2, 0, 10),
+                              kind="rate", count=7)
+        np.testing.assert_array_equal(ds.outcomes, [1.0, 0.0] * 5)

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomgen.lotteries import (check_probs, draw_menus, flat_stack, fosd_dominates,
+from anomgen.lotteries import (draw_menus, flat_stack, fosd_dominates, index_block,
                                lottery_stats, normals_rng, on_merged_grid, project_to_simplex,
                                run_rng)
 from anomgen.records import parse_menus, read_menus
-from conftest import flat, lottery, menu, menu_json, sample_random_menu, stack
+from conftest import flat, lottery, menu, menu_json, pipeline_config, sample_random_menu, stack
 
 
 class TestMakeLottery:
@@ -97,25 +97,25 @@ class TestStackedProjection:
                                           out.reshape(40, 5, n))
 
 
-class TestCheckProbs:
-    @pytest.mark.parametrize("bad, match", [
-        ([[0.5, 0.5], [np.nan, 1.0]], "non-finite"),
-        ([[0.5, 0.5], [1.1, -0.1]], "negative"),
-        ([[0.5, 0.5], [0.6, 0.5]], "sum to"),
-        ([[0.5, 0.5], [np.inf, 0.0]], "sum to"),
-    ])
+class TestReadMenusProbabilityRule:
+    @pytest.mark.parametrize("bad", [
+        [[0.5, 0.5], [np.nan, 1.0]],
+        [[0.5, 0.5], [1.1, -0.1]],
+        [[0.5, 0.5], [0.6, 0.5]],
+        [[0.5, 0.5], [np.inf, 0.0]],
+    ], ids=["nan", "negative", "sum", "inf"])
     @pytest.mark.filterwarnings("error")
-    def test_rejects_what_a_lottery_rejects(self, bad, match):
-        with pytest.raises(ValueError, match=match):
-            check_probs(np.array(bad))
-        # The records' rule rejects the same vector.
+    def test_rejects_a_vector_off_the_simplex(self, bad):
         X = parse_menus([menu_json((np.zeros((2, 2)), np.array(bad)))])
         _, _, faults = read_menus(X[None])
         assert dict(faults)["probabilities not within 1e-6 of the simplex"][0]
 
-    def test_accepts_rounding_and_empty_stacks(self):
-        check_probs(np.array([[0.3, 0.7 + 1e-12], [1.0, -1e-10]]))
-        check_probs(np.zeros((0, 2, 2)))
+    def test_accepts_rounding(self):
+        X = parse_menus([menu_json((np.zeros((2, 2)), np.array([[0.3, 0.7 + 1e-12],
+                                                                 [1.0, -1e-10]])))])
+        _, P, faults = read_menus(X[None])
+        assert not any(bad[0] for _, bad in faults)
+        assert (P >= 0).all()
 
 
 class TestSampling:
@@ -283,3 +283,17 @@ class TestRunRng:
         first = normals_rng(99).standard_normal((64, 3))
         np.testing.assert_array_equal(normals_rng(99).standard_normal((64, 3)), first)
         assert not np.array_equal(normals_rng(100).standard_normal((64, 3)), first)
+
+
+class TestIndexBlock:
+    def test_stacks_each_runs_own_menus(self):
+        # The menus of each run come from its own generator, whatever the
+        # runs stacked with it; no runs give empty stacks.
+        cfg = pipeline_config(13)
+        Z, P = index_block(cfg, [5, 0, 3], 2)
+        assert Z.shape == P.shape == (3, 2, 2, cfg.n_payoffs)
+        for r, i in enumerate([5, 0, 3]):
+            Zi, Pi = draw_menus(run_rng(13, i), 2, cfg.n_payoffs, *cfg.theory_basis["domain"])
+            np.testing.assert_array_equal(Z[r], Zi)
+            np.testing.assert_array_equal(P[r], Pi)
+        assert [a.shape for a in index_block(cfg, [], 1)] == [(0, 1, 2, cfg.n_payoffs)] * 2

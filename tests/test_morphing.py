@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomgen import morphing
-from anomgen.adversarial import index_block, run_adversarial_indices
+from anomgen.adversarial import run_adversarial_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
-from anomgen.lotteries import normals_rng, run_rng
+from anomgen.lotteries import index_block, normals_rng, run_rng
 from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_basis,
                               morph_step_directions, run_morph_indices)
 from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values

@@ -122,3 +122,13 @@ class TestStartup:
             tmp_path)
         assert "concurrent.futures" in loaded
         assert "anomgen.morphing" not in loaded
+
+    def test_baseline_loads_no_search_or_theory(self, tmp_path):
+        # The baseline draws its menus with ``lotteries.index_block`` and
+        # predicts them; it fits no theory and runs no search.
+        loaded = fresh_modules(
+            "from anomgen.cli import run_command\n"
+            "assert run_command(['baseline', '--inits', '4', '--out', 'b.jsonl']) == 0",
+            tmp_path)
+        assert "anomgen.analysis" in loaded
+        assert not loaded & {"anomgen.adversarial", "anomgen.morphing", "anomgen.theory"}

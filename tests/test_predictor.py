@@ -6,8 +6,8 @@ import resource
 import numpy as np
 import pytest
 
-from anomgen.cpt import CptParams, CptPredictor, logistic, simulate_choices
-from anomgen.data import ChoiceDataset, split_dataset
+from anomgen.cpt import CptParams, CptPredictor, logistic
+from anomgen.data import ChoiceDataset, simulate_choices, split_dataset
 from anomgen import theory
 from anomgen.adversarial import interior_menu
 from anomgen.lotteries import flat_stack
@@ -56,6 +56,29 @@ class TestMlpModel:
         with pytest.raises(ValueError):
             MlpModel([8, 4, 1], [np.zeros((8, 3)), np.zeros((4, 1))],
                      [np.zeros(4), np.zeros(1)], np.ones(8))
+
+    @pytest.mark.parametrize("widths, weights, biases, scaling, message", [
+        ([8, 4, 2], [(8, 4), (4, 2)], [4, 2], 8, "output layer must have width 1"),
+        ([8, 4, 1], [(8, 4)], [4], 8, "weight count does not match layer count"),
+        ([8, 4, 1], [(8, 4), (4, 1)], [3, 1], 8, "layer 0 bias shape inconsistent"),
+        ([8, 4, 1], [(8, 4), (4, 1)], [4, 1], 7, "input scaling length mismatch"),
+    ], ids=["output-width", "weight-count", "bias-shape", "scaling-length"])
+    def test_malformed_model_rejected(self, widths, weights, biases, scaling, message):
+        with pytest.raises(ValueError, match=message):
+            MlpModel(widths, [np.zeros(shape) for shape in weights],
+                     [np.zeros(n) for n in biases], np.ones(scaling))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, value, tmp_path):
+        model = MlpModel.init_random([8, 4, 1], menu_input_scaling(2), seed=0)
+        model.biases[1][0] = value
+        with pytest.raises(ValueError, match="non-finite parameter"):
+            model.copy()
+        # A model file holding one (JSON's NaN or Infinity) is not a model.
+        path = tmp_path / "model.json"
+        model.save(path)
+        with pytest.raises(ValueError, match=r"not an MLP model \(ValueError\('non-finite"):
+            MlpModel.load(path)
 
     def test_dimension_mismatch_on_predict(self):
         model = MlpModel.init_random([8, 4, 1], menu_input_scaling(2), seed=0)
@@ -283,8 +306,8 @@ class TestFitCptParams:
         # With p = (.5, .5) in every lottery each weight is delta / (1 + delta)
         # or 1 / (1 + delta), whatever gamma is: the Fisher matrix is singular.
         rng = np.random.default_rng(18)
-        ds = simulate_choices(rng, rng.uniform(0, 10, (2000, 2, 2)), np.full((2000, 2, 2), 0.5),
-                              BRUHIN_B)
+        ds = simulate_choices(rng, CptPredictor(BRUHIN_B), rng.uniform(0, 10, (2000, 2, 2)),
+                              np.full((2000, 2, 2), 0.5))
         H = cpt_objective(ds, 1.0)(np.zeros(2))[1]()[1]
         assert np.linalg.matrix_rank(H) == 1
         fit = fit_cpt_params(ds)
