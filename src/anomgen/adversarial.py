@@ -76,31 +76,36 @@ def ascent_objective(theta: np.ndarray, P: np.ndarray, B: np.ndarray, f: np.ndar
     return -m * g, -(g[:, None, None] * grad_m + m[:, None, None] * grad_g)
 
 
-def lockstep(predictor, config, basis, Z, P, step, columns, procedure: str, master_seed,
-             indices) -> list[dict]:
+def lockstep(predictor, config, basis, Z, P, step, procedure: str, master_seed, indices,
+             declined=None, columns=dict) -> list[dict]:
     """Both searches' loop: runs that each move a copy of their initial menu
     (payoffs ``Z`` and probabilities ``P``, (R, 2, J)) against the menu
     itself, as one stack, with the theory fit on ``basis``; ``P`` moves in
-    place.
+    place.  The loop keeps every run's books; a step rule keeps none.
 
-    Step ``s`` refits the running rows (run positions ``rows``) to their
-    (anchor, current) pairs; ``step(s, rows, D, y, fit, P, B, f, df)`` maps
-    the fit's design rows D (R', 2, K), targets y (R', 2) and result, the
-    rows' probabilities P and basis values B, and the predictor's f and df at
-    ``interior_menu(P)`` to the rows' moves (R', 2, J) and a mask of the rows
-    that take them.  A row whose move is not finite is flagged
-    ``nonfinite_gradient@iter{s}``; a row that takes no move leaves the
-    stack.  Returns the records of runs ``indices`` of ``master_seed``, each
-    its (initial, final) pair, with the per-run fields ``columns()`` gives
-    after the loop.
+    Step ``s`` refits the running rows to their (anchor, current) pairs,
+    counts each row's fits that end on the coefficient ball or unconverged,
+    and drops the rows whose predictor gradient df at ``interior_menu(P)``
+    is not finite.  ``step(s, rows, D, y, theta, P, B, f, df)`` maps the
+    others (run positions ``rows``), with their fits' design rows D (R', 2,
+    K), targets y (R', 2) and coefficients, their probabilities P and basis
+    values B and the predictor's f and df, to their moves (R', 2, J) and a
+    mask of the rows that take them.  A row whose gradient or move is not
+    finite is flagged ``nonfinite_gradient@iter{s}``; a row that takes no
+    move stops for the step's one reason, ``declined``.  Returns the
+    records of runs ``indices`` of ``master_seed``: each run's (initial,
+    final) pair, ``iterations``, why it stopped (``stop``: ``max_iters``,
+    ``nonfinite_gradient`` or ``declined``), its fit counts
+    (``inner_fits_on_bound``, ``inner_fits_unconverged``) and the fields
+    ``columns()`` gives after the loop.
     """
     P0 = P.copy()
     B = stack_basis_values(basis, Z)
     f0 = predictor.predict_batch(Z, P)
     d0 = eu_difference_rows(P, B)
 
-    iterations = np.zeros(len(Z), dtype=int)
-    flags = [[] for _ in Z]
+    iterations, on_bound, unconverged = (np.zeros(len(Z), dtype=int) for _ in range(3))
+    flags, stop = [[] for _ in Z], ["max_iters"] * len(Z)
     active = np.arange(len(Z))
     for s in range(config.max_iters):
         if active.size == 0:
@@ -109,40 +114,41 @@ def lockstep(predictor, config, basis, Z, P, step, columns, procedure: str, mast
         D = np.stack([d0[active], eu_difference_rows(Pa, Ba)], axis=1)
         y = np.stack([f0[active], predictor.predict_batch(Za, Pa)], axis=1)
         fit = _fit_logits(D, y)
+        on_bound[active] += fit.on_norm_bound
+        unconverged[active] += ~fit.converged
         f, df = predictor.grad_batch(Za, interior_menu(Pa))
-        delta, go = step(s, active, D, y, fit, Pa, Ba, f, df)
+        ok = np.all(np.isfinite(df), axis=(1, 2))
+        rows, D, y, theta, Pa, Ba, f, df = (
+            a[ok] for a in (active, D, y, fit.theta, Pa, Ba, f, df))
+        delta, go = step(s, rows, D, y, theta, Pa, Ba, f, df)
         finite = np.all(np.isfinite(delta), axis=(1, 2))
-        for r in active[~finite]:
+        ok[ok] = finite
+        for r in active[~ok]:
             flags[r].append(f"nonfinite_gradient@iter{s}")
+            stop[r] = "nonfinite_gradient"
         go = finite & go
-        active = active[go]
+        for r in rows[finite & ~go]:
+            stop[r] = declined
+        active = rows[go]
         P[active] = project_to_simplex(Pa[go] + delta[go])
         iterations[active] += 1
 
     return stack_to_records(
         np.stack([Z, Z], axis=1), np.stack([P0, P], axis=1),
         np.stack([f0, predictor.predict_batch(Z, P)], axis=1), procedure, predictor.label,
-        master_seed, indices, iterations=iterations.tolist(), flags=flags, **columns())
+        master_seed, indices, iterations=iterations.tolist(), flags=flags, stop=stop,
+        inner_fits_on_bound=on_bound.tolist(), inner_fits_unconverged=unconverged.tolist(),
+        **columns())
 
 
 def gda_run(predictor, config: GdaConfig, basis, Z, P, master_seed, indices) -> list[dict]:
     """Descent-ascent runs from the menus (Z, P) against the theory on
-    ``basis``, advanced in ``lockstep``.
-    Each record counts the run's inner fits that ended on the coefficient
-    ball (``inner_fits_on_bound``) and unconverged
-    (``inner_fits_unconverged``)."""
-    on_bound = np.zeros(len(Z), dtype=int)
-    unconverged = np.zeros(len(Z), dtype=int)
+    ``basis``, advanced in ``lockstep``; the step takes every row's move."""
 
-    def ascend(s, rows, D, y, fit, P, B, f, df):
-        on_bound[rows] += fit.on_norm_bound
-        unconverged[rows] += ~fit.converged
-        return config.step_size * ascent_objective(fit.theta, P, B, f, df)[1], True
+    def ascend(s, rows, D, y, theta, P, B, f, df):
+        return config.step_size * ascent_objective(theta, P, B, f, df)[1], True
 
-    return lockstep(predictor, config, basis, Z, P, ascend,
-                    lambda: {"inner_fits_on_bound": on_bound.tolist(),
-                             "inner_fits_unconverged": unconverged.tolist()},
-                    "adversarial", master_seed, indices)
+    return lockstep(predictor, config, basis, Z, P, ascend, "adversarial", master_seed, indices)
 
 
 def run_adversarial_indices(predictor, cfg, indices):

@@ -221,11 +221,23 @@ def _category_tag(rec) -> str:
 
 def cluster_rows(recs) -> list:
     """The categorized records ``cluster`` groups: non-FOSD anomalies with
-    features.  One whose category has no known tag is a ValueError naming it
-    (``_category_tag``)."""
-    return [r for r in recs
+    features.  One whose category has no known tag (``_category_tag``), or
+    whose features are not one finite number per ``analysis.FEATURE_NAMES``,
+    is a ValueError naming it: ``analysis.standardize`` would zero the whole
+    column of a NaN, or of a missing value, for every record."""
+    from .analysis import FEATURE_NAMES
+
+    rows = [r for r in recs
             if r.get("any_utility_inconsistent") and r.get("features")
             and _category_tag(r) != "fosd"]
+    for r in rows:
+        features = r["features"]
+        if not (isinstance(features, list) and len(features) == len(FEATURE_NAMES)
+                and all(type(v) in (int, float) for v in features)
+                and np.isfinite(features).all()):
+            raise ValueError(f"record {r.get('id')!r}: features are not "
+                             f"{len(FEATURE_NAMES)} finite numbers")
+    return rows
 
 
 def cmd_cluster(args) -> int:
@@ -333,12 +345,15 @@ def cmd_fit_cpt(args) -> int:
     start = time.perf_counter()
     cfg = _config_from_args(args)
     ds = load_dataset(args.inp)
-    fit = fit_cpt_params(ds, scale=cfg.predictor.scale)
+    scale = cfg.predictor.scale
+    fit = fit_cpt_params(ds, scale=scale)
     if args.out:
+        # A whole predictor section: the pair and the scale it was fitted at.
         records.atomic_write_lines(args.out, [json.dumps(
-            {"delta": fit.params.delta, "gamma": fit.params.gamma}, sort_keys=True)])
+            {"delta": fit.params.delta, "gamma": fit.params.gamma, "kind": "cpt",
+             "scale": scale}, sort_keys=True)])
     return _summary(command="fit-cpt", rows=len(ds), delta=fit.params.delta,
-                    gamma=fit.params.gamma,
+                    gamma=fit.params.gamma, scale=scale,
                     cross_entropy=round(fit.cross_entropy, 6),
                     converged=fit.converged, iterations=fit.iterations, out=args.out,
                     **_throughput(start, len(ds), "rows"))

@@ -59,6 +59,23 @@ _BASIS_DEFAULTS = {cls.kind: cls().config_dict() for cls in BASES}
 _BASIS_CHECKS = {"kind": None, "order": _count(1), "knots": _count(2), "degree": _count(1),
                  "domain": lambda v: type(v) is list and len(v) == 2
                  and 0 < v[1] - v[0] < math.inf}
+# Each predictor kind's keys and their checks: the oracle's weighting and
+# logit scale, or the network's file.
+_PREDICTOR_CHECKS = {
+    "cpt": {"kind": None, "preset": lambda v: v in PRESETS, "delta": _positive,
+            "gamma": _positive, "scale": _positive},
+    "mlp": {"kind": None, "model_path": None}}
+
+
+def _kind(section, path: str, kinds: dict) -> str:
+    """The kind ``section`` names, by default the first of ``kinds``; a kind
+    ``kinds`` does not hold is rejected with its path."""
+    kind = next(iter(kinds))
+    if isinstance(section, dict):
+        kind = section.get("kind", kind)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"{path}.kind: invalid value {kind!r}")
+    return kind
 
 
 def _pick(section, path: str, checks: dict) -> dict:
@@ -127,10 +144,9 @@ class PipelineConfig:
 
 def parse_config(raw: dict) -> PipelineConfig:
     raw = dict(raw)
-    predictor = PredictorSection(**_pick(raw.pop("predictor", {}), "predictor", {
-        "kind": lambda v: v in ("cpt", "mlp"),
-        "preset": lambda v: v in PRESETS,
-        "delta": _positive, "gamma": _positive, "model_path": None, "scale": _positive}))
+    section = raw.pop("predictor", {})
+    predictor = PredictorSection(**_pick(section, "predictor", _PREDICTOR_CHECKS[
+        _kind(section, "predictor", _PREDICTOR_CHECKS)]))
     if (predictor.delta is None) != (predictor.gamma is None):
         raise ConfigError("predictor.delta and predictor.gamma must be given together")
     theory = _pick(raw.pop("theory", {}), "theory", {"basis": _is_dict})
@@ -146,10 +162,7 @@ def parse_config(raw: dict) -> PipelineConfig:
 
     # The theory basis merges over the defaults of the kind it names.
     basis = theory.get("basis", {})
-    kind = basis.get("kind", BASES[0].kind)
-    if not (isinstance(kind, str) and kind in _BASIS_DEFAULTS):
-        raise ConfigError(f"theory.basis.kind: invalid value {kind!r}")
-    defaults = _BASIS_DEFAULTS[kind]
+    defaults = _BASIS_DEFAULTS[_kind(basis, "theory.basis", _BASIS_DEFAULTS)]
     theory_basis = {**defaults, **_pick(basis, "theory.basis",
                                         {key: _BASIS_CHECKS[key] for key in defaults})}
     return PipelineConfig(predictor=predictor, theory_basis=theory_basis,

@@ -270,56 +270,45 @@ def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, master_seed,
                    indices) -> list[dict]:
     """Morphing runs ``indices`` of ``master_seed`` from the menus (Z, P)
     with fits on ``basis``, advanced in ``lockstep``; every step maps
-    the seed's normals, and a run stops early once its direction vanishes.
-    Its record says why it stopped (``stop``: ``direction_vanished``,
-    ``max_iters`` or ``nonfinite_gradient``), the rank of the sampled span
-    removed by its last projection (``retained_rank``, None when it stopped
-    before its first), and the count of its quiet steps, those whose every
-    block of draws the block bound proved keeps no draw (``certified_steps``).
+    the seed's normals, and a run stops early once its direction vanishes
+    (``stop``: ``direction_vanished``).  Its record also holds the rank of
+    the sampled span removed by its last projection (``retained_rank``, None
+    when it stopped before its first), and the count of its quiet steps,
+    those whose every block of draws the block bound proved keeps no draw
+    (``certified_steps``).
 
     Each step's directions come from one ``morph_step_directions`` call over
-    the running rows whose gradient is finite.  The fit histories live in one
+    the rows ``lockstep`` gives it.  The fit histories live in one
     (R, max_iters + 1, K) array: the seed fit, then one fit per step, so at
     step s every running row holds s + 2 fits.
     """
     R = len(Z)
     history = None
-    stop, rank = ["max_iters"] * R, [None] * R
+    rank = [None] * R
     certified_steps = np.zeros(R, dtype=int)
 
-    def morph(s, rows, D, y, fit, P, B, f, df):
+    def morph(s, rows, D, y, theta, P, B, f, df):
         nonlocal history
         if s == 0:          # every run's history starts at its seed fit
-            seed = _fit_logits(D[:, :1], y[:, :1]).theta
-            history = np.empty((R, config.max_iters + 1, seed.shape[1]))
-            history[:, 0] = seed
-        history[rows, s + 1] = fit.theta
-        delta, go = np.zeros_like(df), np.zeros(len(rows), dtype=bool)
-        finite = np.all(np.isfinite(df), axis=(1, 2))
-        delta[~finite] = np.nan
-        for r in rows[~finite]:
-            stop[r] = "nonfinite_gradient"
-        live = np.flatnonzero(finite)
+            history = np.empty((R, config.max_iters + 1, theta.shape[1]))
+            history[rows, 0] = _fit_logits(D[:, :1], y[:, :1]).theta
+        history[rows, s + 1] = theta
+        n = 2 * P.shape[-1]         # a menu's probabilities; ``rows`` may be empty
         directions, ranks, quiet = morph_step_directions(
-            df.reshape(len(rows), -1)[live], P[live], history[rows[live], :s + 2],
-            B.reshape(len(rows), -1, B.shape[-1])[live], master_seed, config)
-        certified_steps[rows[live]] += quiet
+            df.reshape(-1, n), P, history[rows, :s + 2], B.reshape(-1, n, B.shape[-1]),
+            master_seed, config)
+        certified_steps[rows] += quiet
+        for r, k in zip(rows, ranks.tolist()):
+            rank[r] = k
         # The norm of each row as ``np.linalg.norm`` takes it: sqrt(d . d).
         vanished = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0]) \
             < STOP_NORM
-        for r, k, gone in zip(rows[live], ranks.tolist(), vanished):
-            rank[r] = k
-            if gone:
-                stop[r] = "direction_vanished"
-        moving = live[~vanished]
-        delta[moving] = -config.step_size * directions[~vanished].reshape(-1, *P.shape[1:])
-        go[moving] = True
-        return delta, go
+        return -config.step_size * directions.reshape(P.shape), ~vanished
 
-    return lockstep(predictor, config, basis, Z, P, morph,
-                    lambda: {"stop": stop, "retained_rank": rank,
-                             "certified_steps": certified_steps.tolist()},
-                    "morphing", master_seed, indices)
+    return lockstep(predictor, config, basis, Z, P, morph, "morphing", master_seed, indices,
+                    declined="direction_vanished",
+                    columns=lambda: {"retained_rank": rank,
+                                     "certified_steps": certified_steps.tolist()})
 
 
 def run_morph_indices(predictor, cfg, indices):

@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from anomgen import adversarial
 from anomgen.adversarial import (GdaConfig, ascent_objective, gda_run, interior_menu,
                                  run_adversarial_indices)
-from anomgen.basis import PolynomialBasis
+from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import GRAD_BOUNDARY, CptParams, CptPredictor, logistic
-from anomgen.lotteries import LOTTERY_SIGN
+from anomgen.lotteries import LOTTERY_SIGN, index_block
 from anomgen.morphing import run_morph_indices
 from anomgen.records import record_to_collection
-from anomgen.theory import eu_difference_rows, stack_basis_values
+from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
 from conftest import (TheorySpec, central_difference, fit_theta, flat, pipeline_config,
                       predict, record_bytes, record_menus, sample_random_menu, search_iterates,
                       stack, swapped, theory_loss, unchecked_menu)
@@ -262,7 +265,9 @@ class TestLockstep:
             (alone,) = run_morph_indices(pred, cfg, [i])
             assert record_bytes(alone) == record_bytes(result)
 
-    def test_nonfinite_run_stops_and_others_go_on(self):
+    def test_nonfinite_run_stops_and_others_go_on(self, monkeypatch):
+        # Every record, its stop and inner-fit counts included, has the bytes
+        # of its run alone.
         pred = RowNanPredictor(CptParams(0.726, 0.309))
         cfg = GdaConfig(max_iters=5)
         rng = np.random.default_rng(41)
@@ -273,10 +278,36 @@ class TestLockstep:
         for r, (menu, result) in enumerate(zip(menus, results)):
             n = result["iterations"]
             assert result["flags"] == ([f"nonfinite_gradient@iter{n}"] if n < 5 else [])
+            assert result["stop"] == ("nonfinite_gradient" if n < 5 else "max_iters")
             (alone,) = gda_menus(pred, cfg, [menu], [r])
             assert record_bytes(alone) == record_bytes(result)
         cfg = pipeline_config(41, morph={"max_iters": 5})
+        # The loop's inner fits, each row keyed by its run's anchor logit row.
+        # Morph's I-spline fits here all converge inside the ball, so the
+        # probe plants flags, which no step reads: every fit on the ball, and
+        # the odd runs' fits unconverged.
+        Z, P = index_block(cfg, range(12), 1)
+        anchors = eu_difference_rows(P[:, 0], stack_basis_values(
+            ISplineBasis(domain=cfg.theory_basis["domain"]), Z[:, 0]))
+        run_of = {a.tobytes(): r for r, a in enumerate(anchors)}
+        assert len(run_of) == 12
+        fits, steps = np.zeros((12, 2), dtype=int), []
+
+        def probe(D, y):
+            runs = np.array([run_of[d.tobytes()] for d in D[:, 0]], dtype=int)
+            steps.append(runs)
+            return dataclasses.replace(_fit_logits(D, y), on_norm_bound=np.ones(len(D), bool),
+                                       converged=runs % 2 == 0)
+
+        monkeypatch.setattr(adversarial, "_fit_logits", probe)
         results = list(run_morph_indices(pred, cfg, range(12)))
+        for runs in steps:
+            fits[runs, 0] += 1
+            fits[runs, 1] += runs % 2
+        assert [[r["inner_fits_on_bound"], r["inner_fits_unconverged"]]
+                for r in results] == fits.tolist()
+        # A run that stops on its gradient at step 0 counts that step's fit.
+        assert len(steps) >= 2 and fits[0].tolist() == [1, 0] and fits[9].tolist() == [2, 2]
         stops = [r["stop"] for r in results]
         # Runs stop at step 0 on a non-finite gradient while others go on.
         assert results[0]["iterations"] == 0 and stops[0] == "nonfinite_gradient"

@@ -138,6 +138,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="top level must be a JSON object"):
             load_config(path)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("mlp", "preset", "bruhin-a"), ("mlp", "delta", 0.5), ("mlp", "gamma", 0.4),
+        ("mlp", "scale", 2.0), ("cpt", "model_path", "m.json")])
+    def test_predictor_takes_only_its_kinds_keys(self, kind, key, value):
+        # The network reads none of the oracle's keys, and the oracle no file.
+        with pytest.raises(ConfigError, match=f"^unknown key 'predictor.{key}'$"):
+            parse_config({"predictor": {"kind": kind, key: value}})
+
     def test_mlp_predictor_without_a_model_path(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="predictor.model_path required for kind 'mlp'"):
             build_predictor(parse_config({"predictor": {"kind": "mlp"}}).predictor)
@@ -963,6 +971,21 @@ class TestBadInputIsOneErrorLine:
         assert error_line(capsys) == {"command": "cluster", "error": f"--k: invalid value {k}"}
         assert not os.path.exists("out")
 
+    @pytest.mark.parametrize("features", [[None] + [0.5] * 17, [float("nan")] + [0.5] * 17,
+                                          [0.5] * 17], ids=["null", "nan", "short"])
+    def test_cluster_rejects_features_that_are_not_18_finite_numbers(self, features,
+                                                                      tmp_path, capsys):
+        # One record of the five, named; no table is written.
+        os.chdir(tmp_path)
+        write_anomalies("cat.jsonl", 5)
+        _, recs = read_jsonl("cat.jsonl")
+        recs[2]["features"] = features
+        write_jsonl("bad.jsonl", recs, kind="categorized")
+        assert run_command(["cluster", "--in", "bad.jsonl", "--k", "2", "--out", "out"]) == 1
+        assert error_line(capsys) == {
+            "command": "cluster", "error": "record 'x-000002': features are not 18 finite numbers"}
+        assert not os.path.exists("out")
+
     def test_cluster_row_without_an_id(self, tmp_path, capsys):
         os.chdir(tmp_path)
         write_anomalies("cat.jsonl", 6)
@@ -1624,13 +1647,22 @@ class TestConfiguredValuesReachTheirCode:
         fit = run_ok(["fit-cpt", "--config", "cfg.json", "--in", "d.csv", "--out", "fit.json"],
                      capsys)
         want = fit_cpt_params(load_dataset("d.csv"), scale=2.0).params
-        assert (fit["delta"], fit["gamma"]) == (want.delta, want.gamma)
-        assert json.loads(Path("fit.json").read_text()) == {"delta": want.delta,
-                                                             "gamma": want.gamma}
+        assert (fit["delta"], fit["gamma"], fit["scale"]) == (want.delta, want.gamma, 2)
+        assert json.loads(Path("fit.json").read_text()) == {
+            "delta": want.delta, "gamma": want.gamma, "kind": "cpt", "scale": 2}
         assert fit["converged"]
         assert fit["delta"] == pytest.approx(0.726, abs=0.05)
         assert fit["gamma"] == pytest.approx(0.309, abs=0.05)
-        assert run_ok(["fit-cpt", "--in", "d.csv"], capsys)["delta"] > 1.5
+        fit1 = run_ok(["fit-cpt", "--in", "d.csv", "--out", "fit1.json"], capsys)
+        assert fit1["delta"] > 1.5 and fit1["scale"] == 1.0
+        # The written file, used as a predictor section, is the oracle at its
+        # pair and the scale it was fitted at.
+        Z, P = draw_menus(run_rng(2, 0), 200, 2, 0, 10)
+        for path, scale in (("fit.json", 2.0), ("fit1.json", 1.0)):
+            section = json.loads(Path(path).read_text())
+            got = build_predictor(parse_config({"predictor": section}).predictor)
+            oracle = CptPredictor(CptParams(section["delta"], section["gamma"]), scale=scale)
+            assert got.predict_batch(Z, P).tobytes() == oracle.predict_batch(Z, P).tobytes()
 
     def test_simulate_draws_from_the_configured_mlp(self, tmp_path, capsys):
         os.chdir(tmp_path)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anomgen import morphing
 from anomgen.adversarial import run_adversarial_indices
+from anomgen.analysis import run_baseline_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
 from anomgen.cpt import CptParams, CptPredictor, logistic
 from anomgen.lotteries import index_block, normals_rng, run_rng
@@ -754,13 +755,12 @@ def lockstep_steps():
             steps.append((args, original(*args, **kwargs)))
             return steps[-1][1]
 
-        def capture_lockstep(predictor, config, basis, Z, P, step, *rest):
-            # A step's rows are its running runs whose gradient is finite.
-            def recorded(s, rows, D, y, fit, P, B, f, df):
-                step_runs.append(rows[np.all(np.isfinite(df), axis=(1, 2))])
-                return step(s, rows, D, y, fit, P, B, f, df)
+        def capture_lockstep(predictor, config, basis, Z, P, step, *rest, **kwargs):
+            def recorded(s, rows, *state):
+                step_runs.append(rows)
+                return step(s, rows, *state)
 
-            return original_lockstep(predictor, config, basis, Z, P, recorded, *rest)
+            return original_lockstep(predictor, config, basis, Z, P, recorded, *rest, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(morphing, "morph_step_directions", capture)
@@ -984,6 +984,10 @@ class TestStopRecord:
         recs = [vanished, capped, nonfinite]
         assert [r["stop"] for r in recs] == ["direction_vanished", "max_iters",
                                              "nonfinite_gradient"]
+        # Each step's inner fit is counted, the one that found no gradient too.
+        for rec, fits in zip(recs, (1, 2, 1)):
+            assert 0 <= rec["inner_fits_on_bound"] <= fits
+            assert 0 <= rec["inner_fits_unconverged"] <= fits
         # A full tangent span (rank 2 for J = 2) leaves no direction.
         assert recs[0]["iterations"] == 0 and recs[0]["retained_rank"] == 2
         assert recs[1]["iterations"] == 2 and recs[1]["retained_rank"] in (0, 1)
@@ -991,8 +995,11 @@ class TestStopRecord:
         assert recs[2]["iterations"] == 0 and recs[2]["retained_rank"] is None
         assert recs[2]["flags"] == ["nonfinite_gradient@iter0"]
 
-    def test_other_records_have_no_stop(self):
+    def test_search_records_stop_and_baseline_records_do_not(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = pipeline_config(6, adversarial={"max_iters": 2})
         (rec,) = run_adversarial_indices(pred, cfg, [0])
-        assert "stop" not in rec and "retained_rank" not in rec
+        assert rec["stop"] == "max_iters" and "retained_rank" not in rec
+        (base,) = run_baseline_indices(pred, cfg, [0])
+        assert not base.keys() & {"stop", "retained_rank", "inner_fits_on_bound",
+                                  "inner_fits_unconverged"}
