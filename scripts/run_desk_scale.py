@@ -11,8 +11,10 @@ import argparse
 import json
 import os
 import time
+from collections import Counter
 
 from anomgen.cli import cluster_rows, run_command
+from anomgen.records import read_lines, write_jsonl
 
 
 def sh(argv):
@@ -50,17 +52,15 @@ def main():
     cfg_path = os.path.join(args.outdir, "config.json")
     with open(cfg_path, "w") as fh:
         json.dump({"seed": args.seed,
-                   "predictor": {"kind": "cpt", "preset": args.preset},
-                   "adversarial": {"inits": args.inits},
-                   "morph": {"inits": args.inits}}, fh, indent=2)
+                   "predictor": {"kind": "cpt", "preset": args.preset}}, fh, indent=2)
 
     def path(name):
         return os.path.join(args.outdir, name)
 
     start = time.time()
     common = ["--config", cfg_path, "--workers", str(args.workers)]
-    sh(["adversarial", *common, "--out", path("adversarial.jsonl")])
-    sh(["morph", *common, "--out", path("morph.jsonl")])
+    for stem in ("adversarial", "morph"):
+        sh([stem, *common, "--inits", str(args.inits), "--out", path(f"{stem}.jsonl")])
     sh(["baseline", *common, "--inits", str(args.baseline_pairs),
         "--out", path("baseline.jsonl")])
 
@@ -70,24 +70,38 @@ def main():
         sh(["categorize", "--in", path(f"{stem}_verified.jsonl"),
             "--out", path(f"{stem}_categorized.jsonl")])
 
-    # Pool the two optimized procedures for the report and clustering.
-    from anomgen.records import read_jsonl, write_jsonl
-    pooled = []
-    for stem in ("adversarial", "morph"):
-        pooled += read_jsonl(path(f"{stem}_categorized.jsonl"))[1]
-    write_jsonl(path("pooled_categorized.jsonl"), pooled, kind="categorized")
+    def tally(stems, counts, rows=None):
+        """The lines of ``stems``' categorized streams as they are read, each
+        record counted into ``counts`` and, given ``rows``, added to it if
+        ``cluster`` groups it."""
+        for stem in stems:
+            lines = read_lines(path(f"{stem}_categorized.jsonl"), expected_kind="categorized")
+            next(lines)
+            for rec, line in lines:
+                counts["records"] += 1
+                counts["parametrized"] += rec.get("parametrized_inconsistent", False)
+                counts["full"] += rec.get("any_utility_inconsistent", False)
+                if rows is not None:
+                    rows += cluster_rows([rec])
+                yield line
+
+    # Pool the two optimized procedures for the report and clustering, one
+    # line at a time: a pooled line is its categorized line as read.
+    pooled, rows = Counter(), []
+    write_jsonl(path("pooled_categorized.jsonl"), tally(("adversarial", "morph"), pooled, rows),
+                kind="categorized")
     sh(["report", "--in", path("pooled_categorized.jsonl"),
         "--out", path("report.csv")])
-    cluster_pooled(pooled, path("pooled_categorized.jsonl"), path("clusters.csv"),
+    cluster_pooled(rows, path("pooled_categorized.jsonl"), path("clusters.csv"),
                    k=4, seed=args.seed)
 
-    n_par = sum(r.get("parametrized_inconsistent", False) for r in pooled)
-    n_full = sum(r.get("any_utility_inconsistent", False) for r in pooled)
-    _, baseline = read_jsonl(path("baseline_categorized.jsonl"))
-    base_full = sum(r.get("any_utility_inconsistent", False) for r in baseline)
-    print(f"\npooled runs: {len(pooled)}  parametrized-inconsistent: {n_par} "
-          f"({n_par / len(pooled):.1%})  fully verified: {n_full}")
-    print(f"baseline pairs: {len(baseline)}  fully verified: {base_full}")
+    baseline = Counter()
+    for _ in tally(("baseline",), baseline):
+        pass
+    n_par = pooled["parametrized"]
+    print(f"\npooled runs: {pooled['records']}  parametrized-inconsistent: {n_par} "
+          f"({n_par / pooled['records']:.1%})  fully verified: {pooled['full']}")
+    print(f"baseline pairs: {baseline['records']}  fully verified: {baseline['full']}")
     print(f"elapsed: {time.time() - start:.0f}s")
     with open(path("report.csv"), encoding="utf-8") as fh:
         print("\n" + fh.read())

@@ -31,28 +31,27 @@ import numpy as np
 
 from .basis import basis_from_config
 from .config import GdaConfig
+from .cpt import GRAD_BOUNDARY
 from .lotteries import LOTTERY_SIGN, index_block, project_to_simplex
 from .records import stack_to_records
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
-INTERIOR_EPS = 1e-8
-
 
 def interior_menu(P: np.ndarray) -> np.ndarray:
-    """A probability stack (..., J) moved at least ``eps = INTERIOR_EPS``
-    inside the simplex, lottery by lottery, for differentiation.
+    """A probability stack (..., J) moved at least ``eps = GRAD_BOUNDARY``,
+    the bound the oracle's gradient enforces, inside the simplex, lottery by
+    lottery, for differentiation.
 
     Probabilities are clamped to ``[eps, 1 - eps]`` and renormalized.  When
     renormalizing pushes a clamped coordinate back below ``eps``, the lottery
     becomes ``eps + (1 - J eps) p``, which sums to one with every coordinate
     at least ``eps``.
     """
-    eps = INTERIOR_EPS
-    p = np.clip(P, eps, 1.0 - eps)
+    p = np.clip(P, GRAD_BOUNDARY, 1.0 - GRAD_BOUNDARY)
     p = p / p.sum(axis=-1, keepdims=True)
-    low = p.min(axis=-1) < eps
+    low = p.min(axis=-1) < GRAD_BOUNDARY
     if np.any(low):
-        p[low] = eps + (1.0 - p.shape[-1] * eps) * p[low]
+        p[low] = GRAD_BOUNDARY + (1.0 - p.shape[-1] * GRAD_BOUNDARY) * p[low]
     return p
 
 

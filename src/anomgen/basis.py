@@ -14,10 +14,22 @@ import numpy as np
 DOMAIN_TOL = 1e-9
 
 
-def _check_domain(z: np.ndarray, low: float, high: float) -> np.ndarray:
+def _domain(domain) -> tuple[float, float]:
+    """``domain`` as floats (low, high); high <= low is a ValueError."""
+    low, high = float(domain[0]), float(domain[1])
+    if not high > low:
+        raise ValueError("degenerate payoff domain")
+    return low, high
+
+
+def _rescale(z, domain: tuple[float, float]) -> np.ndarray:
+    """Payoffs ``z`` as a 1-d array rescaled from ``domain`` to [0, 1]; one
+    more than DOMAIN_TOL outside the domain is a ValueError."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    low, high = domain
     if np.any(z < low - DOMAIN_TOL) or np.any(z > high + DOMAIN_TOL):
         raise ValueError(f"payoff outside basis domain [{low}, {high}]")
-    return np.clip(z, low, high)
+    return (np.clip(z, low, high) - low) / (high - low)
 
 
 class PolynomialBasis:
@@ -28,20 +40,15 @@ class PolynomialBasis:
     def __init__(self, order: int = 6, domain=(0.0, 10.0)):
         if order < 1:
             raise ValueError("polynomial order must be >= 1")
-        low, high = float(domain[0]), float(domain[1])
-        if not high > low:
-            raise ValueError("degenerate payoff domain")
         self.order = order
-        self.domain = (low, high)
+        self.domain = _domain(domain)
 
     @property
     def dim(self) -> int:
         return self.order
 
     def eval(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        low, high = self.domain
-        t = (_check_domain(z, low, high) - low) / (high - low)
+        t = _rescale(z, self.domain)
         powers = np.arange(1, self.order + 1)
         return t[:, None] ** powers[None, :]
 
@@ -90,12 +97,9 @@ class ISplineBasis:
             raise ValueError("need at least two mesh points")
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        low, high = float(domain[0]), float(domain[1])
-        if not high > low:
-            raise ValueError("degenerate payoff domain")
         self.n_knots = knots
         self.degree = degree
-        self.domain = (low, high)
+        self.domain = _domain(domain)
         mesh = np.linspace(0.0, 1.0, knots)
         k = degree
         # Order-(k+1) knot sequence used by the closed-form I-spline sum.
@@ -106,9 +110,7 @@ class ISplineBasis:
         return self.n_knots + self.degree - 2
 
     def eval(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        low, high = self.domain
-        t = (_check_domain(z, low, high) - low) / (high - low)
+        t = _rescale(z, self.domain)
         k = self.degree
         knots = self._knots
         M = _mspline_values(t, knots, k + 1)
@@ -121,7 +123,7 @@ class ISplineBasis:
             [(knots[m + k] - knots[m - 1]) * M[m - 1] / (k + 1)
              for m in range(1, M.shape[0] + 1)]
         )
-        out = np.zeros((z.size, n))
+        out = np.zeros((t.size, n))
         for i in range(1, n + 1):
             include = (np.arange(1, M.shape[0] + 1)[:, None] >= i + 1) & \
                       (np.arange(1, M.shape[0] + 1)[:, None] <= j[None, :])

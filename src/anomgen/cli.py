@@ -50,12 +50,11 @@ def _throughput(start: float, count: int, unit: str) -> dict:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    """The pipeline config, with the command's --seed and --workers over it
-    where the command takes them."""
+    """The pipeline config, with the command's --seed over it where the
+    command takes one."""
     cfg = load_config(args.config) if args.config else parse_config({})
-    for flag in ("seed", "workers"):
-        if (value := getattr(args, flag, None)) is not None:
-            setattr(cfg, flag, value)
+    if getattr(args, "seed", None) is not None:
+        cfg.seed = args.seed
     return cfg
 
 
@@ -114,12 +113,11 @@ def cmd_generate(args) -> int:
     start = time.perf_counter()
     procedure = args.command
     cfg = _config_from_args(args)
-    inits = args.inits if args.inits is not None else getattr(cfg, procedure).inits
     predictor = build_predictor(cfg.predictor)
     records.write_jsonl(args.out, _fan_out(_generate_chunk, (predictor, cfg, procedure),
-                                           range(inits), cfg.workers), kind="candidates")
-    return _summary(command=procedure, runs=inits, seed=cfg.seed, out=args.out,
-                    workers=cfg.workers, **_throughput(start, inits, "runs"))
+                                           range(args.inits), args.workers), kind="candidates")
+    return _summary(command=procedure, runs=args.inits, seed=cfg.seed, out=args.out,
+                    workers=args.workers, **_throughput(start, args.inits, "runs"))
 
 
 # -- verification / categorization ------------------------------------------
@@ -167,7 +165,7 @@ def cmd_verify(args) -> int:
             counts["fit_unconverged"] += not rec["fit_converged"]
             yield rec
 
-    records.write_jsonl(args.out, counted(_fan_out(_verify_chunk, (cfg,), recs, cfg.workers)),
+    records.write_jsonl(args.out, counted(_fan_out(_verify_chunk, (cfg,), recs, args.workers)),
                         kind="verified")
     return _summary(command="verify", out=args.out, **counts,
                     **_throughput(start, counts["records"], "records"))
@@ -403,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         if "config" in flags:
             p.add_argument("--config", default=None, help="pipeline config JSON")
-        for flag in ("seed", "workers"):
+        for flag, default in (("seed", None), ("workers", 1)):
             if flag in flags:
-                p.add_argument(f"--{flag}", type=int, default=None)
+                p.add_argument(f"--{flag}", type=int, default=default)
         if inp:
             p.add_argument("--in", dest="inp", required=True)
         if out:
@@ -415,10 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("adversarial", "morph", "baseline"):
         p = command(name, cmd_generate, f"run the {name} generator",
                     ("config", "seed", "workers"), inp=False)
-        # The searches default to their config section's inits; the baseline
-        # has no section.
-        p.add_argument("--inits", type=int, default=None,
-                       required=name == "baseline")
+        p.add_argument("--inits", type=int, required=True)
 
     command("verify", cmd_verify, "verify candidate collections", ("config", "workers"))
     command("categorize", cmd_categorize, "categorize verified anomalies")

@@ -10,7 +10,8 @@ MLP.  Each search section parses straight into its search's config type,
 which holds only that search's settings, and a key left out takes that
 dataclass field's default.  The menu description (``n_payoffs``,
 ``theory_basis``) and the run address (``seed``) live in ``PipelineConfig``
-alone, and every generator takes it.  Each value is checked here, once;
+alone, and every generator takes it; no byte depends on a batch's run and
+worker counts, which are flags only.  Each value is checked here, once;
 unknown keys and bad values are rejected with their path so config typos
 fail loudly before a long batch run.
 """
@@ -103,14 +104,12 @@ def _pick(section, path: str, checks: dict) -> dict:
 class GdaConfig:
     step_size: float = 0.01
     max_iters: int = 50
-    inits: int = 100                    # runs a CLI batch makes without --inits
 
 
 @dataclass(frozen=True)
 class MorphConfig:
     step_size: float = 10.0
     max_iters: int = 50
-    inits: int = 100                    # runs a CLI batch makes without --inits
     n_gradient_samples: int = 2_000     # paper-scale runs use 200,000
     # Rank cutoff separating genuinely pinned directions from covariance
     # jitter.  Early-iteration sampled-gradient spectra have second singular
@@ -139,7 +138,6 @@ class PipelineConfig:
     margin_threshold: float = MARGIN_THRESHOLD
     n_payoffs: int = 2
     seed: int = 0
-    workers: int = 1
 
 
 def parse_config(raw: dict) -> PipelineConfig:
@@ -150,7 +148,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     if (predictor.delta is None) != (predictor.gamma is None):
         raise ConfigError("predictor.delta and predictor.gamma must be given together")
     theory = _pick(raw.pop("theory", {}), "theory", {"basis": _is_dict})
-    search = {"step_size": _positive, "max_iters": _count(1), "inits": _count(1)}
+    search = {"step_size": _positive, "max_iters": _count(1)}
     adversarial = _pick(raw.pop("adversarial", {}), "adversarial", search)
     morph = _pick(raw.pop("morph", {}), "morph", {
         **search, "n_gradient_samples": _count(1),
@@ -158,7 +156,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     verification = _pick(raw.pop("verification", {}), "verification", {
         "kl_threshold": _positive, "margin_threshold": _positive})
     top = _pick(raw, "", {"n_payoffs": lambda v: v in (2, 3) and type(v) is int,
-                          "seed": _count(0), "workers": _count(1)})
+                          "seed": _count(0)})
 
     # The theory basis merges over the defaults of the kind it names.
     basis = theory.get("basis", {})

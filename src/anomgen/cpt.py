@@ -26,7 +26,9 @@ PRESETS = {
 }
 
 # Probability coordinates below this are treated as boundary points: the
-# weighting function is not differentiable at p_j = 0.
+# weighting function is not differentiable at p_j = 0.  The searches lift
+# their menus this far inside before differentiating
+# (``adversarial.interior_menu``).
 GRAD_BOUNDARY = 1e-8
 
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from .adversarial import lockstep
 from .basis import ISplineBasis
-from .config import MIN_RANK_TOL, MorphConfig
+from .config import MorphConfig
 from .lotteries import index_block, normals_rng
 from .theory import _fit_logits
 
@@ -127,11 +127,14 @@ def _step_factors(probs: np.ndarray, histories: np.ndarray, basis_rows: np.ndarr
     return (G @ theta_mean[..., None])[..., 0], np.linalg.qr(N, mode="r").transpose(0, 2, 1)
 
 
-def _slope(a: np.ndarray) -> np.ndarray:
+def _slope(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The logistic slope sigma'(a) = e / (1 + e)^2 at |a|, with e = exp(-|a|):
-    one exp, no overflow, and falling in |a|."""
-    e = np.exp(-np.abs(a))
-    return e / (1.0 + e) ** 2
+    one exp, no overflow, and falling in |a|.  Given ``out``, it is computed
+    in place: e overwrites ``a`` and the slope is written to ``out``."""
+    e = np.abs(a, out=None if out is None else a)
+    e = np.exp(np.negative(e, out=e), out=e)
+    s = np.square(np.add(1.0, e, out=out), out=out)
+    return np.divide(e, s, out=s)
 
 
 def _spread(w_map: np.ndarray) -> np.ndarray:
@@ -209,11 +212,7 @@ def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
         for i in np.flatnonzero(~none):
             np.multiply(z0, scale[i], out=a)
             a += mean[i, 0]
-            # ``_slope``, in the work buffers.
-            e = np.exp(np.negative(np.abs(a, out=a), out=a), out=a)
-            np.add(1.0, e, out=s)
-            s **= 2
-            np.divide(e, s, out=s)
+            _slope(a, out=s)
             w = np.matmul(w_map[i], zT, out=grads[:m * n].reshape(m, n))
             w += mean[i, 1:, None]
             weights = np.multiply(s, s, out=s)

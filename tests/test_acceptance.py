@@ -353,15 +353,14 @@ def test_criterion_12_pipeline_determinism(tmp_path):
     with criterion(12, "byte-identical outputs across reruns and worker counts"):
         os.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 77,
-                                   "adversarial": {"inits": 10},
-                                   "morph": {"inits": 10}}))
+        cfg.write_text(json.dumps({"seed": 77}))
 
         def pipeline(tag, workers):
             args = ["--config", str(cfg), "--workers", str(workers)]
-            assert run_command(["adversarial", *args,
+            assert run_command(["adversarial", *args, "--inits", "10",
                                 "--out", f"a_{tag}.jsonl"]) == 0
-            assert run_command(["morph", *args, "--out", f"m_{tag}.jsonl"]) == 0
+            assert run_command(["morph", *args, "--inits", "10",
+                                "--out", f"m_{tag}.jsonl"]) == 0
             assert run_command(["verify", "--in", f"a_{tag}.jsonl", *args,
                                 "--out", f"av_{tag}.jsonl"]) == 0
             assert run_command(["verify", "--in", f"m_{tag}.jsonl", *args,

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from anomgen import analysis, cli, morphing, records
 from anomgen.adversarial import GdaConfig, run_adversarial_indices
 from anomgen.cli import run_command
-from anomgen.config import ConfigError, build_predictor, load_config, parse_config
+from anomgen.config import (MIN_RANK_TOL, ConfigError, build_predictor, load_config,
+                            parse_config)
 from anomgen.cpt import CptParams, CptPredictor, logistic, lottery_values
 from anomgen.data import load_dataset, simulate_choices
 from anomgen.lotteries import draw_menus, merge_payoff_grids, run_rng
@@ -93,18 +94,22 @@ class TestConfig:
 
     def test_paper_scale_values_accepted(self):
         cfg = parse_config({
-            "adversarial": {"step_size": 0.01, "max_iters": 50, "inits": 25000},
-            "morph": {"step_size": 10.0, "n_gradient_samples": 200000,
-                      "inits": 15000},
+            "adversarial": {"step_size": 0.01, "max_iters": 50},
+            "morph": {"step_size": 10.0, "n_gradient_samples": 200000},
         })
         assert cfg.morph.n_gradient_samples == 200000
-        assert cfg.adversarial.inits == 25000
+        assert cfg.adversarial == GdaConfig(step_size=0.01, max_iters=50)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="adversarial.learning_rate"):
             parse_config({"adversarial": {"learning_rate": 0.1}})
         with pytest.raises(ConfigError, match="typo"):
             parse_config({"typo": 1})
+        # A batch's run and worker counts are flags: no byte depends on them.
+        for raw, key in (({"adversarial": {"inits": 5}}, "adversarial.inits"),
+                         ({"morph": {"inits": 5}}, "morph.inits"), ({"workers": 2}, "workers")):
+            with pytest.raises(ConfigError, match=f"^unknown key '{key}'$"):
+                parse_config(raw)
         # The search moves only probabilities of one menu against the initial
         # one, by one score: there is no coordinate, objective or mode switch.
         for key, value in (("ascent_coords", "all"), ("objective", "raw_loss"),
@@ -163,10 +168,8 @@ class TestConfig:
         # TypeError out of the comparison.
         with pytest.raises(ConfigError, match="morph.step_size"):
             parse_config({"morph": {"step_size": "fast"}})
-        for raw, path in (({"seed": "x"}, "seed"), ({"workers": 1.5}, "workers"),
+        for raw, path in (({"seed": "x"}, "seed"),
                           ({"adversarial": {"max_iters": 2.5}}, "adversarial.max_iters"),
-                          ({"adversarial": {"inits": 0}}, "adversarial.inits"),
-                          ({"morph": {"inits": 0}}, "morph.inits"),
                           ({"morph": {"n_gradient_samples": 1e5}},
                            "morph.n_gradient_samples")):
             with pytest.raises(ConfigError, match=path):
@@ -274,14 +277,12 @@ class TestPipelineCommands:
         assert rc != 0
         assert not os.path.exists("x.jsonl")
 
-    @pytest.mark.parametrize("procedure", ["adversarial", "morph"])
-    def test_zero_config_inits_named(self, procedure, tmp_path, capsys):
+    @pytest.mark.parametrize("procedure", ["adversarial", "morph", "baseline"])
+    def test_every_generator_requires_inits(self, procedure, tmp_path, capsys):
         os.chdir(tmp_path)
-        Path("cfg.json").write_text(json.dumps({procedure: {"inits": 0}}))
-        assert run_command([procedure, "--config", "cfg.json", "--out", "x.jsonl"]) == 1
-        assert _error_line(capsys) == {"command": procedure,
-                                       "error": f"{procedure}.inits: invalid value 0"}
-        assert os.listdir() == ["cfg.json"]
+        assert run_command([procedure, "--out", "x.jsonl"]) == 2
+        assert "--inits" in capsys.readouterr().err
+        assert os.listdir() == []
 
     def test_worker_count_below_one_errors(self, tmp_path, capsys):
         os.chdir(tmp_path)
@@ -291,13 +292,16 @@ class TestPipelineCommands:
                                        "error": "--workers: invalid value 0"}
         assert not os.path.exists("x.jsonl")
 
-    def test_workers_flag_overrides_the_config(self, tmp_path, capsys):
+    def test_workers_is_a_flag_only(self, tmp_path, capsys):
         os.chdir(tmp_path)
         Path("cfg.json").write_text(json.dumps({"workers": 2}))
-        for argv, workers in (([], 2), (["--workers", "1"], 1)):
-            summary = run_ok(["baseline", "--config", "cfg.json", "--inits", "2", *argv,
-                              "--out", "x.jsonl"], capsys)
-            assert summary["workers"] == workers
+        assert run_command(["baseline", "--config", "cfg.json", "--inits", "2",
+                            "--out", "x.jsonl"]) == 1
+        assert _error_line(capsys) == {"command": "baseline", "error": "unknown key 'workers'"}
+        assert os.listdir() == ["cfg.json"]
+        summary = run_ok(["baseline", "--inits", "2", "--workers", "2", "--out", "x.jsonl"],
+                         capsys)
+        assert summary["workers"] == 2
 
     def test_three_menu_anomaly_categorized(self, tmp_path, capsys):
         # ``verify`` takes up to MAX_MENUS menus, and ``categorize`` tags a
@@ -324,11 +328,6 @@ class TestPipelineCommands:
         assert rc == 1 and len(err) == 1
         assert "predictor.preset" in json.loads(err[0])["error"]
         assert not os.path.exists("x.jsonl")
-
-    def test_baseline_requires_inits(self, tmp_path, capsys):
-        os.chdir(tmp_path)
-        assert run_command(["baseline", "--seed", "1", "--out", "b.jsonl"]) != 0
-        assert not os.path.exists("b.jsonl")
 
     def test_unknown_flag_usage_error(self):
         rc = run_command(["adversarial", "--bogus", "1"])
@@ -1110,7 +1109,7 @@ class TestRankTolBound:
         # The span is taken in tangent coordinates, so the retained rank is
         # at most 2J - 2 = 2 for J = 2, even at the smallest accepted cutoff.
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = parse_config({"seed": 6, "morph": {"rank_tol": morphing.MIN_RANK_TOL}})
+        cfg = parse_config({"seed": 6, "morph": {"rank_tol": MIN_RANK_TOL}})
         ranks = [r["retained_rank"]
                  for r in morphing.run_morph_indices(pred, cfg, range(12))]
         assert all(r is not None and r <= 2 for r in ranks)

@@ -11,6 +11,7 @@ from anomgen import morphing
 from anomgen.adversarial import run_adversarial_indices
 from anomgen.analysis import run_baseline_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
+from anomgen.config import MIN_RANK_TOL
 from anomgen.cpt import CptParams, CptPredictor, logistic
 from anomgen.lotteries import index_block, normals_rng, run_rng
 from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_basis,
@@ -286,7 +287,7 @@ class TestMorphRun:
         # spans the tangent space, the projected direction is ~0 and the run
         # stops at step 0.
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = pipeline_config(6, morph={"rank_tol": morphing.MIN_RANK_TOL})
+        cfg = pipeline_config(6, morph={"rank_tol": MIN_RANK_TOL})
         (result,) = run_morph_indices(pred, cfg, [0])
         assert result["iterations"] == 0
         m0, mS = record_menus(result)
