@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Desk-scale anomaly-generation experiment, end to end.
 
-Runs both search procedures against a calibrated weighting-function oracle,
-verifies and categorizes every candidate, compares against the random-pair
-baseline, and prints a category-count table.  Outputs land in --outdir as
-JSONL/CSV streams reusable by the anomgen CLI.
+Runs both search procedures against the predictor of --config (by default
+the calibrated weighting-function oracle at bruhin-b), verifies and
+categorizes every candidate, compares against the random-pair baseline, and
+prints a category-count table.  Outputs land in --outdir as JSONL/CSV
+streams reusable by the anomgen CLI; its config.json is the config run.
 """
 
 import argparse
@@ -37,22 +38,28 @@ def cluster_pooled(pooled, pooled_path, out, k, seed):
         "--out", out])
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="runs/desk")
     ap.add_argument("--inits", type=int, default=300, help="runs per procedure")
     ap.add_argument("--baseline-pairs", type=int, default=5000)
     ap.add_argument("--seed", type=int, default=23)
-    ap.add_argument("--preset", default="bruhin-b",
-                    choices=("bruhin-a", "bruhin-b", "bruhin-c"))
+    ap.add_argument("--config", help="pipeline config JSON; --seed replaces its seed")
     ap.add_argument("--workers", type=int, default=1)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
+    raw = {}
+    try:
+        if args.config:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        raw = {**raw, "seed": args.seed}
+    except (OSError, TypeError, ValueError) as exc:
+        raise SystemExit(f"{args.config}: not a config object ({exc})") from None
     os.makedirs(args.outdir, exist_ok=True)
     cfg_path = os.path.join(args.outdir, "config.json")
-    with open(cfg_path, "w") as fh:
-        json.dump({"seed": args.seed,
-                   "predictor": {"kind": "cpt", "preset": args.preset}}, fh, indent=2)
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh, indent=2)
 
     def path(name):
         return os.path.join(args.outdir, name)

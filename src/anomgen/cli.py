@@ -366,10 +366,13 @@ def cmd_epsilon(args) -> int:
     expected = ["pattern_00", "pattern_01", "pattern_10", "pattern_11"]
     if len(lines) < 2 or lines[0].split(",")[:4] != expected:
         raise ConfigError(f"{args.freqs}: expected columns {expected} and a row of counts")
-    target = analysis.pattern_frequencies(lines[1].split(",")[:4])
-    with open(args.menus, encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
+        target = analysis.pattern_frequencies(lines[1].split(",")[:4])
+    except ValueError as exc:
+        raise ConfigError(f"{args.freqs}: {exc}") from None
+    try:
+        with open(args.menus, encoding="utf-8") as fh:
+            data = json.load(fh)
         (Z,), (P,), faults = records.read_menus(records.parse_menus(data)[None])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.menus}: expected a list of menus ({exc!r})") from None

@@ -1,5 +1,5 @@
 """Choice datasets: rows of choice data as arrays, simulation from a
-predictor, CSV ingestion, deterministic splits.
+predictor, CSV ingestion.
 
 A row is a menu and the observed probability that lottery 1 is chosen from
 it.  A dataset holds its menus as a block of records is read: (n, 2, J)
@@ -54,11 +54,6 @@ class ChoiceDataset:
 
     def __len__(self):
         return len(self.outcomes)
-
-    def take(self, rows) -> "ChoiceDataset":
-        """The dataset of ``rows`` (indices or a mask), in their order."""
-        return ChoiceDataset(self.Z[rows], self.P[rows], self.outcomes[rows],
-                             self.kinds[rows], self.weights[rows])
 
 
 def simulate_choices(rng: np.random.Generator, predictor, Z: np.ndarray, P: np.ndarray,
@@ -130,19 +125,3 @@ def save_dataset(ds: ChoiceDataset, path) -> None:
               ([*map(repr, x), kind, repr(weight)] for x, kind, weight
                in zip(X.tolist(), ds.kinds.tolist(), ds.weights.tolist())))
 
-
-def split_dataset(ds: ChoiceDataset, holdout_fraction: float, seed: int):
-    """Disjoint, exhaustive, seed-deterministic (train, test) split; each
-    part keeps the dataset's row order."""
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout fraction must be in (0, 1)")
-    n = len(ds)
-    if n < 2:
-        raise ValueError("dataset too small to split")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_test = max(1, int(round(n * holdout_fraction)))
-    n_test = min(n_test, n - 1)
-    held = np.zeros(n, dtype=bool)
-    held[perm[:n_test]] = True
-    return ds.take(~held), ds.take(held)

@@ -91,9 +91,9 @@ class MlpModel:
 
     @classmethod
     def load(cls, path) -> "MlpModel":
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
         try:
+            with open(path, encoding="utf-8") as fh:
+                d = json.load(fh)
             widths = d["widths"]
             weights = [np.array(w).reshape(widths[l], widths[l + 1])
                        for l, w in enumerate(d["weights"])]

@@ -549,6 +549,9 @@ class TestPipelineCommands:
          [{"lottery0": {"payoffs": [1, 2], "probs": [0.5, 0.6]},
            "lottery1": {"payoffs": [1, 2], "probs": [0.5, 0.5]}}] * 2,
          "menus.json: probabilities"),
+        ("pattern_00,pattern_01,pattern_10,pattern_11\n45,x,5,45\n", [], "freqs.csv: "),
+        ("pattern_00,pattern_01,pattern_10,pattern_11\n0,0,0,0\n", [],
+         "freqs.csv: all-zero counts"),
     ])
     def test_malformed_epsilon_input_is_one_json_error_line(self, tmp_path, capsys,
                                                             freqs, menus, named):
@@ -559,6 +562,14 @@ class TestPipelineCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 1 and len(err) == 1
         assert named in json.loads(err[0])["error"]
+
+    def test_empty_epsilon_menus_file_is_named(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("freqs.csv").write_text(
+            "pattern_00,pattern_01,pattern_10,pattern_11\n45,5,5,45\n")
+        Path("menus.json").write_text("")
+        assert run_command(["epsilon", "--freqs", "freqs.csv", "--menus", "menus.json"]) == 1
+        assert error_line(capsys)["error"].startswith("menus.json: ")
 
     def test_epsilon_menus_of_unequal_payoff_counts_are_one_json_error_line(
             self, tmp_path, capsys, allais_menus, certainty_menus):
@@ -1008,6 +1019,16 @@ class TestBadInputIsOneErrorLine:
         error = error_line(capsys)
         assert error["command"] == "adversarial"
         assert error["error"].startswith("model.json: not an MLP model (")
+        assert not os.path.exists("out")
+
+    def test_model_file_that_is_not_json(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("model.json").write_text("{oops")
+        Path("cfg.json").write_text(json.dumps(
+            {"predictor": {"kind": "mlp", "model_path": "model.json"}}))
+        assert run_command(["adversarial", "--config", "cfg.json", "--inits", "1",
+                            "--out", "out"]) == 1
+        assert error_line(capsys)["error"].startswith("model.json: not an MLP model (")
         assert not os.path.exists("out")
 
     def test_jsonl_string_with_a_unicode_line_break(self, tmp_path):

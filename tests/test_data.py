@@ -6,7 +6,7 @@ import pytest
 from anomgen import records
 from anomgen.cpt import CptParams, CptPredictor
 from anomgen.data import (ChoiceDataset, _schema_columns, load_dataset, save_dataset,
-                          simulate_choices, split_dataset)
+                          simulate_choices)
 from anomgen.lotteries import SIMPLEX_TOL, draw_menus, flat_stack, read_probs
 from conftest import lottery, menu, predict, sample_random_menu, stack
 
@@ -206,54 +206,6 @@ class TestChoiceDataset:
             ChoiceDataset(Z, P[:, :, :1], [0.5] * 3)
         with pytest.raises(ValueError):
             ChoiceDataset(Z, P, [0.5] * 2)
-
-    def test_take_keeps_the_order_asked_for(self):
-        Z, P = draw_menus(np.random.default_rng(0), 5, 2, 0, 10)
-        ds = ChoiceDataset(Z, P, np.linspace(0, 1, 5), weights=np.arange(1.0, 6.0))
-        part = ds.take([3, 0, 3])
-        np.testing.assert_array_equal(part.Z, Z[[3, 0, 3]])
-        np.testing.assert_array_equal(part.weights, [4.0, 1.0, 4.0])
-
-
-class TestSplitDataset:
-    def _dataset(self, n):
-        rng = np.random.default_rng(2)
-        Z, P = stack([sample_random_menu(rng, 2, 0, 10) for _ in range(n)])
-        return ChoiceDataset(Z, P, np.full(n, 0.5))
-
-    def test_proportions(self):
-        train, test = split_dataset(self._dataset(9831), 1000 / 9831, seed=0)
-        assert (len(train), len(test)) == (8831, 1000)
-
-    def test_two_rows(self):
-        train, test = split_dataset(self._dataset(2), 0.5, seed=0)
-        assert (len(train), len(test)) == (1, 1)
-
-    def test_deterministic_and_disjoint(self):
-        ds = self._dataset(50)
-        t1, h1 = split_dataset(ds, 0.3, seed=7)
-        t2, h2 = split_dataset(ds, 0.3, seed=7)
-        first = {tuple(x) for x in flat_stack(t1.Z, t1.P)}
-        second = {tuple(x) for x in flat_stack(t2.Z, t2.P)}
-        held = {tuple(x) for x in flat_stack(h1.Z, h1.P)}
-        assert first == second
-        assert not (first & held)
-        assert len(first) + len(held) == 50
-
-    def test_parts_keep_the_row_order(self):
-        ds = self._dataset(50)
-        ds = ChoiceDataset(ds.Z, ds.P, np.linspace(0, 1, 50))
-        train, test = split_dataset(ds, 0.3, seed=7)
-        for part in (train, test):
-            assert np.all(np.diff(part.outcomes) > 0)
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            split_dataset(self._dataset(1), 0.5, seed=0)
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            split_dataset(self._dataset(10), 1.5, seed=0)
 
 
 class TestSimulateChoices:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anomgen.cpt import CptParams, CptPredictor, logistic
-from anomgen.data import ChoiceDataset, simulate_choices, split_dataset
+from anomgen.data import ChoiceDataset, simulate_choices
 from anomgen import theory
 from anomgen.adversarial import interior_menu
 from anomgen.lotteries import flat_stack
@@ -118,8 +118,8 @@ class TestTrainMlp:
         assert np.all(np.abs(preds - 0.5) < 0.01)
 
     def test_cpt_rates_reach_low_heldout_mse(self):
-        ds = cpt_dataset(5000, seed=4, kind="rate", count=1000)
-        train, test = split_dataset(ds, 0.2, seed=0)
+        train = cpt_dataset(4000, seed=4, kind="rate", count=1000)
+        test = cpt_dataset(1000, seed=40, kind="rate", count=1000)
         model = train_mlp(train, hidden=(32, 32),
                           config=MlpTrainConfig(epochs=150, step_size=0.5, seed=1))
         metrics = evaluate(MlpPredictor(model), test)
@@ -159,8 +159,8 @@ class TestTrainMlp:
             np.testing.assert_array_equal(a, b)
 
     def test_beats_constant_predictor(self):
-        ds = cpt_dataset(2000, seed=8, kind="rate", count=500)
-        train, test = split_dataset(ds, 0.25, seed=0)
+        train = cpt_dataset(1500, seed=8, kind="rate", count=500)
+        test = cpt_dataset(500, seed=80, kind="rate", count=500)
         model = train_mlp(train, hidden=(16, 16),
                           config=MlpTrainConfig(epochs=80, seed=0))
         mlp_mse = evaluate(MlpPredictor(model), test)["mse"]
@@ -334,7 +334,8 @@ class TestRowWeights:
         ds = cpt_dataset(400, seed=20, kind="rate", count=20)
         weights = np.ones(len(ds))
         weights[row] = 2.0
-        return (ds.take(np.r_[np.arange(len(ds)), row]),
+        rows = np.r_[np.arange(len(ds)), row]
+        return (ChoiceDataset(ds.Z[rows], ds.P[rows], ds.outcomes[rows], ds.kinds[rows]),
                 ChoiceDataset(ds.Z, ds.P, ds.outcomes, ds.kinds, weights))
 
     def test_weighting_fit(self):

@@ -26,19 +26,66 @@ def run_script(name, *args, cwd):
                           timeout=300)
 
 
-@pytest.mark.parametrize("name, args, outputs", [
-    ("train_choice_model.py", ["--n", "300", "--epochs", "5", "--runs", "1",
-                               "--hidden", "8,8"], []),
-    ("recover_weighting_params.py", ["--sizes", "200"], []),
-    ("run_desk_scale.py", ["--inits", "2", "--baseline-pairs", "10",
-                           "--outdir", "desk"], ["desk/report.csv"]),
-])
-def test_script_runs(name, args, outputs, tmp_path):
-    out = run_script(name, *args, cwd=tmp_path)
+def test_desk_script_runs(tmp_path):
+    out = run_script("run_desk_scale.py", "--inits", "2", "--baseline-pairs", "10",
+                     "--outdir", "desk", cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
-    for path in outputs:
-        assert (tmp_path / path).is_file(), path
+    assert (tmp_path / "desk/report.csv").is_file()
+
+
+def test_desk_script_runs_the_configured_predictor(tmp_path):
+    (tmp_path / "a.json").write_text('{"predictor": {"preset": "bruhin-a"}}')
+    out = run_script("run_desk_scale.py", "--config", "a.json", "--inits", "2",
+                     "--baseline-pairs", "10", "--outdir", "desk", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    labels = {rec["predictor"] for stem in ("adversarial", "morph", "baseline")
+              for rec in read_jsonl(tmp_path / f"desk/{stem}_categorized.jsonl")[1]}
+    assert labels == {"cpt:bruhin-a"}
+    assert json.loads((tmp_path / "desk/config.json").read_text()) == {
+        "predictor": {"preset": "bruhin-a"}, "seed": 23}
+
+
+@pytest.mark.parametrize("text", ["{oops", "[1, 2]", None])
+def test_desk_script_stops_on_a_config_that_is_not_an_object(text, tmp_path):
+    if text is not None:
+        (tmp_path / "a.json").write_text(text)
+    out = run_script("run_desk_scale.py", "--config", "a.json", "--inits", "2",
+                     "--baseline-pairs", "10", "--outdir", "desk", cwd=tmp_path)
+    assert out.returncode == 1
+    assert out.stderr.strip().splitlines()[-1].startswith("a.json: not a config object (")
+    assert not (tmp_path / "desk").exists()
+
+
+def test_desk_script_seed_replaces_the_configs_seed(tmp_path):
+    (tmp_path / "a.json").write_text('{"seed": 5}')
+    for outdir, config in (("plain", []), ("configured", ["--config", "a.json"])):
+        out = run_script("run_desk_scale.py", *config, "--seed", "7", "--inits", "2",
+                         "--baseline-pairs", "10", "--outdir", outdir, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert json.loads((tmp_path / outdir / "config.json").read_text()) == {"seed": 7}
+    for stem in ("adversarial", "morph", "baseline"):
+        name = f"{stem}_categorized.jsonl"
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "configured" / name).read_bytes()
+
+def test_ground_truth_script(tmp_path):
+    out = run_script("ground_truth.py", "--n", "300", "--runs", "2", "--sizes", "200",
+                     "--outdir", "gt", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    lines = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("{")]
+    recovery = [line for line in lines if "preset" in line]
+    assert [(r["preset"], r["n"]) for r in recovery] == [
+        (preset, 200) for preset in ("bruhin-a", "bruhin-b", "bruhin-c")]
+    for r in recovery:
+        assert r["abs_error"] == [abs(e - t) for e, t in zip(r["estimate"], r["true"])]
+    (held_out,) = [line["held_out"] for line in lines if "held_out" in line]
+    assert 0 <= held_out["mse"] < 0.25
+    # The learned predictor's desk run is one compare_runs.py reads.
+    shutil.copytree(tmp_path / "gt/desk", tmp_path / "copy")
+    out = run_script("compare_runs.py", "gt/desk", "copy", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["records"] == {"old": 24, "new": 24}
 
 
 def load_script(name):
