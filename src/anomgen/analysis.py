@@ -96,12 +96,8 @@ def kmeans(matrix: np.ndarray, k: int, seed: int = 0) -> KmeansResult:
     X = np.asarray(matrix, dtype=float)
     if k < 1 or k > X.shape[0]:
         raise ValueError("k must be between 1 and the number of rows")
-    best = None
-    for r in range(KMEANS_RESTARTS):
-        result = _kmeans_once(X, k, np.random.default_rng((seed, r)))
-        if best is None or result.inertia < best.inertia:
-            best = result
-    return best
+    return min((_kmeans_once(X, k, np.random.default_rng((seed, r)))
+                for r in range(KMEANS_RESTARTS)), key=lambda result: result.inertia)
 
 
 @dataclass

@@ -4,11 +4,11 @@ categorize -> cluster -> report.
 Every subcommand writes outputs atomically and prints a single machine-
 readable JSON summary line to stdout.  Generation and verification cut their
 runs into consecutive blocks and fan them over a worker pool; records stream
-to disk block by block, in index order.  ``categorize``, ``cluster`` and
-``report`` read their input one record at a time, and ``categorize`` writes
-each record it does not change as the line it read.  Verification runs a
-block as stacks, one per record shape: one stacked fit and one stacked LP
-solve per grid size, each acting on every record on its own.  Records
+to disk block by block, in index order.  ``verify``, ``categorize``,
+``cluster`` and ``report`` each read their input one record at a time;
+``categorize`` writes a record it leaves as the line it read.  Verification
+runs a block as stacks, one per record shape: one stacked fit and one stacked
+LP solve per grid size, each acting on every record on its own.  Records
 depend only on (master seed, run index), so outputs are byte-identical for
 any worker count or block size; bit-reproducibility matters more than speed.
 
@@ -25,7 +25,7 @@ import json
 import sys
 import time
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -83,12 +83,15 @@ def _block_size(count: int, workers: int) -> int:
 
 
 def _fan_out(chunk_fn, args: tuple, items, workers: int):
-    """The records of ``chunk_fn(*args, block)`` over consecutive blocks of
-    ``items`` (``_block_size``), yielded in order as each block is done, in a
-    pool if ``workers > 1``."""
-    size = _block_size(len(items), workers)
-    calls = (chunk_fn, *map(repeat, args),
-             (items[i:i + size] for i in range(0, len(items), size)))
+    """The records of ``chunk_fn(*args, block)`` over consecutive lists of
+    ``items``, any iterable, yielded in order as each block is done, in a
+    pool if ``workers > 1``.  Blocks hold ``_block_size`` items, counted
+    over the first ``_RUN_BLOCK * workers``; only those are read ahead."""
+    items = iter(items)
+    head = list(islice(items, _RUN_BLOCK * workers))
+    size, items = _block_size(len(head), workers), chain(head, items)
+    del head  # so the items read ahead are freed once the chain has passed them
+    calls = (chunk_fn, *map(repeat, args), iter(lambda: list(islice(items, size)), []))
     if workers == 1:
         yield from chain.from_iterable(map(*calls))
         return
@@ -123,14 +126,13 @@ def cmd_generate(args) -> int:
 # -- verification / categorization ------------------------------------------
 
 def _verify_chunk(cfg: PipelineConfig, recs) -> list:
-    """Verify a block of records, one stack per shape (``records.stack_records``):
-    one fit and one stacked LP solve per grid size and shape.  An
-    inconsistent record's row of the stack goes to ``minimal_anomaly``.  A
+    """Write the verdicts into a block of records and return it.  One stack
+    per shape (``records.stack_records``) takes one fit and one stacked LP
+    solve per grid size; an inconsistent row goes to ``minimal_anomaly``; a
     record too large to verify (``size_fault``) raises ValueError naming it."""
     from .verifier import minimal_anomaly, parametrized_verdicts, size_fault, utility_verdicts
 
     basis = basis_from_config(cfg.theory_basis)
-    out = [dict(rec) for rec in recs]
     for rows, Z, P, q in records.stack_records(recs):
         grids = merge_payoff_grids(Z)
         if fault := size_fault(Z, grids[1]):
@@ -140,29 +142,29 @@ def _verify_chunk(cfg: PipelineConfig, recs) -> list:
         for i, pv, av, *row in zip(rows, pvs, avs, Z, P, q):
             minimal = None if av.consistent else minimal_anomaly(Collection(*row),
                                                                  cfg.margin_threshold)
-            out[i].update(
+            recs[i].update(
                 min_kl=pv.min_kl, parametrized_inconsistent=pv.inconsistent,
                 fit_converged=pv.converged, fit_on_bound=pv.on_norm_bound,
                 any_utility_inconsistent=not av.consistent, margin=av.margin,
                 witness=None if av.witness_utility is None else av.witness_utility.tolist(),
                 anomaly_minimal_indices=list(minimal[0]) if minimal else None)
-    return out
+    return recs
 
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     cfg = _config_from_args(args)
-    _, recs = records.read_jsonl(args.inp)
-    counts = dict.fromkeys(("records", "parametrized_inconsistent", "any_utility_inconsistent",
-                            "fit_on_bound", "fit_unconverged"), 0)
+    recs = (rec for rec, _ in records.read_lines(args.inp))
+    next(recs)  # the header, which read_lines checks
+    flags = ("parametrized_inconsistent", "any_utility_inconsistent", "fit_on_bound")
+    counts = dict.fromkeys(("records", *flags, "fit_unconverged"), 0)
 
     def counted(verified):
         for rec in verified:
             counts["records"] += 1
-            counts["parametrized_inconsistent"] += rec["parametrized_inconsistent"]
-            counts["any_utility_inconsistent"] += rec["any_utility_inconsistent"]
-            counts["fit_on_bound"] += rec["fit_on_bound"]
             counts["fit_unconverged"] += not rec["fit_converged"]
+            for flag in flags:
+                counts[flag] += rec[flag]
             yield rec
 
     records.write_jsonl(args.out, counted(_fan_out(_verify_chunk, (cfg,), recs, args.workers)),

@@ -46,10 +46,6 @@ def _positive(v):
     return v > 0
 
 
-def _is_dict(v):
-    return isinstance(v, dict)
-
-
 def _count(minimum: int):
     # bool is an int subclass and a float count fails later inside range().
     return lambda v: type(v) is int and v >= minimum
@@ -147,7 +143,7 @@ def parse_config(raw: dict) -> PipelineConfig:
         _kind(section, "predictor", _PREDICTOR_CHECKS)]))
     if (predictor.delta is None) != (predictor.gamma is None):
         raise ConfigError("predictor.delta and predictor.gamma must be given together")
-    theory = _pick(raw.pop("theory", {}), "theory", {"basis": _is_dict})
+    theory = _pick(raw.pop("theory", {}), "theory", {"basis": lambda v: isinstance(v, dict)})
     search = {"step_size": _positive, "max_iters": _count(1)}
     adversarial = _pick(raw.pop("adversarial", {}), "adversarial", search)
     morph = _pick(raw.pop("morph", {}), "morph", {

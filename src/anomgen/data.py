@@ -92,29 +92,33 @@ def load_dataset(path) -> ChoiceDataset:
     """Read a CSV choice dataset; J is the number of its ``z0_*`` columns,
     and the rest of J's schema must be there too.  A row short of a schema
     column or with a value that is not a number raises ValueError with its
-    index, unless an earlier row is rejected; a missing weight is 1."""
+    index, unless an earlier row is rejected; a missing weight is 1.  Every
+    ValueError, a ``ChoiceDataset`` one too, starts with ``path``."""
     values, kinds, weights = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        # A header without a z0_* column misses at least the J = 1 columns.
-        n_payoffs = max(sum(c.startswith("z0_") for c in header), 1)
-        missing = [c for c in _schema_columns(n_payoffs) if c not in header]
-        if missing:
-            raise ValueError(f"missing columns: {missing}")
-        cols = [header.index(c) for c in _schema_columns(n_payoffs)]
-        w = header.index("weight") if "weight" in header else len(header)
-        for i, fields in enumerate(f for f in reader if f):
-            try:
-                if len(fields) <= max(cols):
-                    raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
-                values.append([float(fields[c]) for c in cols[:-1]])
-                kinds.append(fields[cols[-1]])
-                weights.append(float(fields[w] if w < len(fields) and fields[w] else 1.0))
-            except ValueError as exc:
-                _dataset(values[:i], kinds[:i], weights[:i], n_payoffs)
-                raise ValueError(f"row {i}: {exc}") from exc
-    return _dataset(values, kinds, weights, n_payoffs)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            # A header without a z0_* column misses at least the J = 1 columns.
+            n_payoffs = max(sum(c.startswith("z0_") for c in header), 1)
+            missing = [c for c in _schema_columns(n_payoffs) if c not in header]
+            if missing:
+                raise ValueError(f"missing columns: {missing}")
+            cols = [header.index(c) for c in _schema_columns(n_payoffs)]
+            w = header.index("weight") if "weight" in header else len(header)
+            for i, fields in enumerate(f for f in reader if f):
+                try:
+                    if len(fields) <= max(cols):
+                        raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
+                    values.append([float(fields[c]) for c in cols[:-1]])
+                    kinds.append(fields[cols[-1]])
+                    weights.append(float(fields[w] if w < len(fields) and fields[w] else 1.0))
+                except ValueError as exc:
+                    _dataset(values[:i], kinds[:i], weights[:i], n_payoffs)
+                    raise ValueError(f"row {i}: {exc}") from exc
+        return _dataset(values, kinds, weights, n_payoffs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_dataset(ds: ChoiceDataset, path) -> None:

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -866,7 +867,26 @@ class TestBadInputIsOneErrorLine:
                                      "1,2,0.5,0.5,3\n")
         assert run_command(argv) == 1
         assert error_line(capsys) == {"command": argv[0],
-                                      "error": "row 1: 5 fields, the header has 11"}
+                                      "error": "short.csv: row 1: 5 fields, the header has 11"}
+        assert not os.path.exists("out")
+
+    def test_fit_cpt_names_a_csv_without_the_schema(self, tmp_path, capsys):
+        os.chdir(tmp_path)
+        Path("freqs.csv").write_text("pattern_00,pattern_01,pattern_10,pattern_11\n40,7,3,50\n")
+        assert run_command(["fit-cpt", "--in", "freqs.csv", "--out", "out"]) == 1
+        assert error_line(capsys) == {
+            "command": "fit-cpt", "error": "freqs.csv: missing columns: "
+            "['z0_1', 'p0_1', 'z1_1', 'p1_1', 'outcome', 'outcome_kind']"}
+        assert not os.path.exists("out")
+
+    def test_train_mlp_names_the_csv_of_a_rejected_row(self, tmp_path, capsys):
+        # The kind is checked by ChoiceDataset, after every row is read.
+        os.chdir(tmp_path)
+        Path("bogus.csv").write_text(self.HEADER + "1,2,0.5,0.5,3,4,0.25,0.75,0.8,bogus,1\n")
+        assert run_command(["train-mlp", "--in", "bogus.csv", "--epochs", "1",
+                            "--out", "out"]) == 1
+        assert error_line(capsys) == {
+            "command": "train-mlp", "error": "bogus.csv: row 0: kind not binary or rate: 'bogus'"}
         assert not os.path.exists("out")
 
     @pytest.mark.parametrize("argv, message", [
@@ -1141,9 +1161,25 @@ def _block_chunk(tag, block):
     return [(tag, list(block))]
 
 
+def _block_length(block):
+    """The length of the block ``cli._fan_out`` cut, as its one item."""
+    return [len(block)]
+
+
 class TestStreaming:
-    """Generation cuts a batch into consecutive blocks and writes each block's
-    records as soon as the block is done."""
+    """Generation and verification cut their input into consecutive blocks
+    and write each block's records as soon as the block is done."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 513])
+    @pytest.mark.parametrize("items", [lambda n: list(range(n)), range,
+                                       lambda n: (i for i in range(n))],
+                             ids=["list", "range", "generator"])
+    def test_any_iterable_is_cut_as_its_count_asks(self, items, n, workers):
+        # A generator has no len(): its first items are counted as read.
+        size = min(cli._RUN_BLOCK, math.ceil(n / workers))
+        cuts = [size] * (n // size) + [n % size] * (n % size > 0)
+        assert list(cli._fan_out(_block_length, (), items(n), workers)) == cuts
 
     def test_one_worker_runs_a_block_when_its_records_are_read(self, monkeypatch):
         monkeypatch.setattr(cli, "_RUN_BLOCK", 4)
@@ -1196,6 +1232,55 @@ class TestStreaming:
         assert run_command(["baseline", "--inits", "8", "--out", "b.jsonl"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "run 5 failed"
         assert os.listdir() == []
+
+    def test_verify_reads_a_block_only_after_writing_the_last(self, tmp_path, capsys,
+                                                             monkeypatch):
+        os.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_RUN_BLOCK", 4)
+        run_ok(["baseline", "--inits", "10", "--out", "c.jsonl"], capsys)
+        events = []
+        read, write = records.read_lines, records.write_jsonl
+
+        def read_tapped(path, expected_kind=None):
+            for i, pair in enumerate(read(path, expected_kind)):
+                events.append(("read", i))
+                yield pair
+
+        def write_tapped(path, stream, kind):
+            write(path, (events.append(("write", i)) or rec
+                         for i, rec in enumerate(stream, 1)), kind)
+
+        monkeypatch.setattr(records, "read_lines", read_tapped)
+        monkeypatch.setattr(records, "write_jsonl", write_tapped)
+        run_ok(["verify", "--in", "c.jsonl", "--workers", "1", "--out", "v.jsonl"], capsys)
+        assert events == [("read", 0)] + [(event, i) for block in ((1, 5), (5, 9), (9, 11))
+                                          for event in ("read", "write")
+                                          for i in range(*block)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("bad", ["line", "menus"])
+    def test_a_bad_record_after_the_first_block_leaves_nothing(self, bad, workers, tmp_path,
+                                                              capsys, monkeypatch):
+        # Blocks of 4: the ninth record is in the third block, which one
+        # worker reads only after writing the first two.
+        os.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_RUN_BLOCK", 4)
+        run_ok(["baseline", "--inits", "10", "--out", "c.jsonl"], capsys)
+        lines = Path("c.jsonl").read_text().splitlines()
+        if bad == "line":
+            lines[9] = "{oops"
+        else:
+            rec = json.loads(lines[9])
+            del rec["menus"][0]["lottery1"]
+            lines[9] = json.dumps(rec)
+        Path("c.jsonl").write_text("\n".join(lines) + "\n")
+        assert run_command(["verify", "--in", "c.jsonl", "--workers", workers,
+                            "--out", "v.jsonl"]) == 1
+        error = error_line(capsys)
+        assert error["command"] == "verify"
+        assert error["error"].startswith("c.jsonl: line 10 is not valid JSON (" if bad == "line"
+                                         else "record 'baseline-000008': malformed menus")
+        assert os.listdir() == ["c.jsonl"]
 
     def test_predictor_is_built_once(self, tmp_path, capsys, monkeypatch):
         os.chdir(tmp_path)

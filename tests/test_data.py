@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ class TestLoadDataset:
     def test_every_bad_row_is_named(self, tmp_path, row, named):
         path = small_csv(tmp_path, ["1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate,1", row],
                          header=HEADER + ",weight")
-        with pytest.raises(ValueError, match=f"^row 1: .*{named}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 1: .*{named}"):
             load_dataset(path)
 
     def test_the_first_bad_row_is_named(self, tmp_path):
@@ -78,7 +79,7 @@ class TestLoadDataset:
         path = small_csv(tmp_path, ["1,2,0.5,0.5,3,4,0.25,0.75,0.8,rate",
                                     "1,2,0.5,0.4,3,4,0.25,0.75,0.8,rate",
                                     "1,2,0.5"])
-        with pytest.raises(ValueError, match="^row 1: probabilities"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 1: probabilities"):
             load_dataset(path)
 
     def test_missing_or_empty_weight_is_one(self, tmp_path):
@@ -188,7 +189,8 @@ class TestCsvReadingRule:
         Z, P = self.stacks(J, 0.0)
         P[1, 1, 0] += 2e-6
         path = stack_csv(tmp_path, Z, P)
-        with pytest.raises(ValueError, match="^row 1: probabilities not within 1e-6"):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: row 1: probabilities not within 1e-6"):
             load_dataset(path)
 
 
