@@ -24,7 +24,7 @@ import functools
 import json
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -76,29 +76,27 @@ def _config_from_args(args) -> PipelineConfig:
 _RUN_BLOCK = 256
 
 
-def _block_size(count: int, workers: int) -> int:
-    """Items in a block: at most ``_RUN_BLOCK``, fewer when that keeps every
-    worker busy."""
-    return min(_RUN_BLOCK, (count + workers - 1) // workers) or 1
-
-
 def _fan_out(chunk_fn, args: tuple, items, workers: int):
     """The records of ``chunk_fn(*args, block)`` over consecutive lists of
-    ``items``, any iterable, yielded in order as each block is done, in a
-    pool if ``workers > 1``.  Blocks hold ``_block_size`` items, counted
-    over the first ``_RUN_BLOCK * workers``; only those are read ahead."""
+    ``items``, any iterable, yielded in order as each block is done; over
+    ``workers > 1`` a pool holds at most ``2 * workers`` blocks.  A block has
+    at most ``_RUN_BLOCK`` items, fewer to keep every worker busy over the
+    first ``_RUN_BLOCK * workers``, the only items read ahead."""
     items = iter(items)
     head = list(islice(items, _RUN_BLOCK * workers))
-    size, items = _block_size(len(head), workers), chain(head, items)
-    del head  # so the items read ahead are freed once the chain has passed them
-    calls = (chunk_fn, *map(repeat, args), iter(lambda: list(islice(items, size)), []))
+    size, items = min(_RUN_BLOCK, -(-len(head) // workers)) or 1, chain(iter(head), items)
+    del head  # the chain holds only head's iterator, which drops the list once passed
+    blocks = iter(lambda: list(islice(items, size)), [])
     if workers == 1:
-        yield from chain.from_iterable(map(*calls))
+        yield from chain.from_iterable(map(chunk_fn, *map(repeat, args), blocks))
         return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from chain.from_iterable(pool.map(*calls))
+        window = deque(pool.submit(chunk_fn, *args, b) for b in islice(blocks, 2 * workers - 1))
+        while window:
+            window.extend(pool.submit(chunk_fn, *args, b) for b in islice(blocks, 1))
+            yield from window.popleft().result()
 
 
 def _generate_chunk(predictor, cfg: PipelineConfig, procedure: str, indices) -> list:

@@ -1,6 +1,8 @@
 import argparse
+import concurrent.futures
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -10,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1166,9 +1169,52 @@ def _block_length(block):
     return [len(block)]
 
 
+class _Item:
+    """An item a weak reference can follow."""
+
+
+class _Read(concurrent.futures.Future):
+    """A future that books with its pool when its result is read."""
+
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool.unread -= 1
+        return super().result(timeout)
+
+
+class _CountingPool(concurrent.futures.Executor):
+    """An in-process stand-in for ``ProcessPoolExecutor``: it runs each block
+    as it is submitted and counts the blocks submitted but not yet read."""
+
+    def __init__(self):
+        self.submitted, self.unread, self.most_unread = [], 0, 0
+
+    def submit(self, fn, *args):
+        future = _Read(self)
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        self.submitted.append(args[-1])
+        self.unread += 1
+        self.most_unread = max(self.most_unread, self.unread)
+        return future
+
+
 class TestStreaming:
     """Generation and verification cut their input into consecutive blocks
     and write each block's records as soon as the block is done."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """The one pool ``cli._fan_out`` opens, cutting blocks of 3."""
+        pool = _CountingPool()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: pool)
+        monkeypatch.setattr(cli, "_RUN_BLOCK", 3)
+        return pool
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 7, 513])
@@ -1203,6 +1249,45 @@ class TestStreaming:
         monkeypatch.setattr(cli, "_RUN_BLOCK", 7)
         assert list(cli._fan_out(_block_chunk, ("r",), range(17), workers)) == [
             ("r", list(b)) for b in blocks]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_pool_holds_at_most_two_blocks_per_worker(self, pool, workers):
+        # 40 items in blocks of 3: 14 blocks, every one back in order.
+        assert list(cli._fan_out(_block_chunk, ("r",), range(40), workers)) == [
+            ("r", list(range(i, min(i + 3, 40)))) for i in range(0, 40, 3)]
+        assert len(pool.submitted) == 14
+        assert pool.most_unread == 2 * workers
+        assert pool.unread == 0
+
+    def test_a_failing_block_stops_the_pool_within_its_window(self, pool):
+        def chunk(block):
+            if block[0] == 6:
+                raise RuntimeError("block 2 failed")
+            return block
+
+        with pytest.raises(RuntimeError, match="block 2 failed"):
+            list(cli._fan_out(chunk, (), range(40), 2))
+        blocks = [b[0] for b in pool.submitted]
+        assert blocks[:3] == [0, 3, 6]
+        assert len(blocks) - 3 <= 2 * 2
+
+    def test_one_worker_frees_the_items_it_read_ahead(self, monkeypatch):
+        monkeypatch.setattr(cli, "_RUN_BLOCK", 4)
+        refs = []
+
+        def items():
+            for _ in range(12):
+                item = _Item()
+                refs.append(weakref.ref(item))
+                yield item
+
+        # One worker reads one block ahead, items 0-3, to size its blocks:
+        # reading the second block passes them, and nothing holds them then.
+        stream = cli._fan_out(_block_length, (), items(), 1)
+        assert [next(stream), next(stream)] == [4, 4]
+        gc.collect()
+        assert len(refs) == 8
+        assert [ref() for ref in refs[:4]] == [None] * 4
 
     def test_failing_record_stream_leaves_no_file(self, tmp_path):
         def recs():
