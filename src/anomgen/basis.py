@@ -22,13 +22,23 @@ def _domain(domain) -> tuple[float, float]:
     return low, high
 
 
+def domain_fault(Z, domain: tuple[float, float]) -> tuple[int, str] | None:
+    """(row, why) of the first row of a payoff stack Z (R, ...) with a payoff
+    more than DOMAIN_TOL outside ``domain``; else None."""
+    low, high = domain
+    outside = ((Z < low - DOMAIN_TOL) | (Z > high + DOMAIN_TOL)).reshape(len(Z), -1).any(axis=1)
+    if not outside.any():
+        return None
+    return int(np.argmax(outside)), f"payoff outside basis domain [{low}, {high}]"
+
+
 def _rescale(z, domain: tuple[float, float]) -> np.ndarray:
     """Payoffs ``z`` as a 1-d array rescaled from ``domain`` to [0, 1]; one
-    more than DOMAIN_TOL outside the domain is a ValueError."""
+    outside the domain (``domain_fault``) is a ValueError."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    if fault := domain_fault(z[None], domain):
+        raise ValueError(fault[1])
     low, high = domain
-    if np.any(z < low - DOMAIN_TOL) or np.any(z > high + DOMAIN_TOL):
-        raise ValueError(f"payoff outside basis domain [{low}, {high}]")
     return (np.clip(z, low, high) - low) / (high - low)
 
 

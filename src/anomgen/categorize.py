@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lotteries import Collection, fosd_dominates, implied_choices, on_merged_grid, read_probs
+from .lotteries import (PAYOFF_MERGE_TOL, Collection, fosd_dominates, implied_choices,
+                        on_merged_grid, read_probs)
 
-PAYOFF_STRICT = 1e-9
 DEFAULT_TOL = 1e-6      # raw optimizer output; paper tables need 0.02
 # In the row order of the category report.
 CATEGORY_TAGS = ("dominated_consequence", "reverse_dominated_consequence",
@@ -54,7 +54,7 @@ def solve_degenerate_mix(base, candidate, anchor: float, tol: float = DEFAULT_TO
     Returns None when no alpha reproduces the candidate within tolerance.
     """
     grid, (pb, pc) = on_merged_grid([base, candidate])
-    payoff_tol = max(tol, PAYOFF_STRICT)
+    payoff_tol = max(tol, PAYOFF_MERGE_TOL)
     if not np.any(np.abs(base[0] - anchor) <= payoff_tol):
         return None
     anchor_idx = int(np.argmin(np.abs(grid - anchor)))
@@ -106,7 +106,7 @@ def _pattern_certificate(tag: str, collection: Collection, choices, base_idx: in
     comps = [_lottery(collection, 1 - base_idx, l) for l in (c0, 1 - c0)]
     anchors = [float(ell[0].min() if side == "low" else ell[0].max())
                for ell, side in zip(ells, sides)]
-    if sides[0] == sides[1] and not anchors[0] < anchors[1] - PAYOFF_STRICT:
+    if sides[0] == sides[1] and not anchors[0] < anchors[1] - PAYOFF_MERGE_TOL:
         return None
     alphas = [solve_degenerate_mix(ell, comp, anchor, tol)
               for ell, comp, anchor in zip(ells, comps, anchors)]

@@ -30,7 +30,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from . import records
-from .basis import basis_from_config
+from .basis import basis_from_config, domain_fault
 from .config import ConfigError, PipelineConfig, build_predictor, load_config, parse_config
 from .data import load_dataset, save_dataset, simulate_choices
 from .lotteries import Collection, draw_menus, implied_choices, merge_payoff_grids, run_rng
@@ -127,16 +127,16 @@ def _verify_chunk(cfg: PipelineConfig, recs) -> list:
     """Write the verdicts into a block of records and return it.  One stack
     per shape (``records.stack_records``) takes one fit and one stacked LP
     solve per grid size; an inconsistent row goes to ``minimal_anomaly``; a
-    record too large to verify (``size_fault``) raises ValueError naming it."""
+    record ``size_fault`` or ``domain_fault`` rejects raises ValueError naming it."""
     from .verifier import minimal_anomaly, parametrized_verdicts, size_fault, utility_verdicts
 
     basis = basis_from_config(cfg.theory_basis)
     for rows, Z, P, q in records.stack_records(recs):
-        grids = merge_payoff_grids(Z)
-        if fault := size_fault(Z, grids[1]):
+        merged = merge_payoff_grids(Z, P)
+        if fault := size_fault(Z, merged[1]) or domain_fault(Z, basis.domain):
             raise ValueError(f"record {recs[rows[fault[0]]].get('id')!r}: {fault[1]}")
         pvs = parametrized_verdicts(basis, Z, P, q, cfg.kl_threshold)
-        avs = utility_verdicts(Z, P, implied_choices(q), cfg.margin_threshold, grids)
+        avs = utility_verdicts(Z, P, implied_choices(q), cfg.margin_threshold, merged)
         for i, pv, av, *row in zip(rows, pvs, avs, Z, P, q):
             minimal = None if av.consistent else minimal_anomaly(Collection(*row),
                                                                  cfg.margin_threshold)

@@ -42,8 +42,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(v) -> bool:
+    # A finite JSON number: bool is an int subclass, and JSON reads Infinity.
+    return type(v) in (int, float) and abs(v) < math.inf
+
+
 def _positive(v):
-    return v > 0
+    return _number(v) and v > 0
 
 
 def _count(minimum: int):
@@ -55,7 +60,7 @@ def _count(minimum: int):
 _BASIS_DEFAULTS = {cls.kind: cls().config_dict() for cls in BASES}
 _BASIS_CHECKS = {"kind": None, "order": _count(1), "knots": _count(2), "degree": _count(1),
                  "domain": lambda v: type(v) is list and len(v) == 2
-                 and 0 < v[1] - v[0] < math.inf}
+                 and all(map(_number, v)) and 0 < v[1] - v[0] < math.inf}
 # Each predictor kind's keys and their checks: the oracle's weighting and
 # logit scale, or the network's file.
 _PREDICTOR_CHECKS = {
@@ -148,7 +153,7 @@ def parse_config(raw: dict) -> PipelineConfig:
     adversarial = _pick(raw.pop("adversarial", {}), "adversarial", search)
     morph = _pick(raw.pop("morph", {}), "morph", {
         **search, "n_gradient_samples": _count(1),
-        "rank_tol": lambda v: v >= MIN_RANK_TOL})
+        "rank_tol": lambda v: _number(v) and v >= MIN_RANK_TOL})
     verification = _pick(raw.pop("verification", {}), "verification", {
         "kl_threshold": _positive, "margin_threshold": _positive})
     top = _pick(raw, "", {"n_payoffs": lambda v: v in (2, 3) and type(v) is int,

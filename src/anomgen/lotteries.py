@@ -5,6 +5,10 @@ pair of (..., 2, J) payoff and probability arrays, lottery 0 first, and a
 lottery is a (payoffs, probs) pair of J-vectors.  Choice models see a menu
 through its canonical flattened coordinate vector ``(z0, p0, z1, p1)`` of
 length 4J.
+
+Lotteries are compared over their merged payoff grid (``merge_payoff_grids``):
+payoffs within ``PAYOFF_MERGE_TOL`` (1e-9) of the smallest amount of their
+group are that amount, and their probability goes there.
 """
 
 from __future__ import annotations
@@ -115,56 +119,43 @@ def draw_menus(rng: np.random.Generator, n_menus: int, n_payoffs: int,
     return payoff_low + (payoff_high - payoff_low) * U[:, :, 0], P
 
 
-def merge_payoff_grids(Z) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct sorted payoffs of each row of a payoff stack (R, ...), a
-    value within ``PAYOFF_MERGE_TOL`` of the last one kept merging into it:
-    (grids, sizes).  Row r's grid is ``grids[r, :sizes[r]]``; +inf pads the rest."""
-    values = np.sort(np.asarray(Z, dtype=float).reshape(len(Z), -1), axis=-1)
+def merge_payoff_grids(Z, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The merged payoff grid of each row of payoff and probability stacks
+    (R, ..., J), and each lottery's probabilities on it: (grids, sizes, Q).
+
+    A sorted payoff within ``PAYOFF_MERGE_TOL`` of the last one kept merges
+    into it, and its probability, added in payoff order, goes with it.  Row
+    r's grid is ``grids[r, :sizes[r]]`` and +inf pads the rest to the row's n
+    payoffs; Q (R, ..., n) holds the lotteries' probabilities on it."""
+    flat = Z.reshape(len(Z), -1)
+    order = np.argsort(flat, axis=-1)
+    values = np.take_along_axis(flat, order, axis=-1)
     keep = np.ones(values.shape, dtype=bool)
     last = np.full(len(values), -np.inf)
     for j in range(values.shape[1]):
         keep[:, j] = values[:, j] - last > PAYOFF_MERGE_TOL
         last = np.where(keep[:, j], values[:, j], last)
+    slots = np.cumsum(keep, axis=1) - 1
     grids = np.full(values.shape, np.inf)
-    rows, _ = np.nonzero(keep)
-    grids[rows, np.cumsum(keep, axis=1)[keep] - 1] = values[keep]
-    return grids, keep.sum(axis=1)
+    grids[np.nonzero(keep)[0], slots[keep]] = values[keep]
+    # Each payoff's slot, back in payoff order.
+    slot = np.take_along_axis(slots, np.argsort(order, axis=1), axis=1).reshape(Z.shape)
+    Q = np.zeros((*Z.shape[:-1], values.shape[1]))
+    lottery = np.indices(Z.shape[:-1])
+    for j in range(Z.shape[-1]):
+        Q[(*lottery, slot[..., j])] += P[..., j]
+    return grids, keep.sum(axis=1), Q
 
 
-def grid_probs(Z, P, grids) -> np.ndarray:
-    """Probabilities (R, L, k) of lotteries (R, L, J) re-expressed over
-    their row's grid, one of ``grids`` (R, k) padded with +inf.
-
-    A payoff goes to the first grid value at or above it if that is within
-    ``PAYOFF_MERGE_TOL``, else to the one below; its probability is added to
-    the value's in payoff order.
-    """
-    Z, P, grids = (np.asarray(v, dtype=float) for v in (Z, P, grids))
-    R, L, J = Z.shape
-    k = grids.shape[1]
-    # Padded so that column i + 1 holds grid value i: the ends never match.
-    padded = np.concatenate([np.full((R, 1), -np.inf), grids, np.full((R, 1), np.inf)],
-                            axis=1)
-    out = np.zeros((R, L, k))
-    r, l = np.indices((R, L))
-    for j in range(J):
-        z = Z[:, :, j]
-        i = (grids[:, None, :] < z[..., None]).sum(axis=-1)     # searchsorted, left
-        above = np.abs(padded[r, i + 1] - z) <= PAYOFF_MERGE_TOL
-        below = np.abs(padded[r, i] - z) <= PAYOFF_MERGE_TOL
-        if not np.all(above | below):
-            raise ValueError(f"payoff {z[~(above | below)][0]} not on merged grid")
-        out[r, l, np.where(above, i, i - 1)] += P[:, :, j]
-    return out
-
-
-def on_merged_grid(lotteries) -> tuple[np.ndarray, list]:
+def on_merged_grid(lotteries) -> tuple[np.ndarray, np.ndarray]:
     """The merged payoff grid of lotteries given as (payoffs, probs) vectors
-    of any lengths, and each lottery's probabilities on it."""
-    grids, sizes = merge_payoff_grids(np.concatenate([z for z, _ in lotteries])[None])
-    grid = grids[0, :sizes[0]]
-    return grid, [grid_probs(z[None, None], p[None, None], grid[None])[0, 0]
-                  for z, p in lotteries]
+    of any lengths, and each lottery's probabilities on it, a row each: one
+    merge of all their payoffs, each row zero on the other lotteries'."""
+    z = np.concatenate([payoffs for payoffs, _ in lotteries])
+    P = np.array([np.concatenate([probs * (i == row) for i, (_, probs) in enumerate(lotteries)])
+                  for row in range(len(lotteries))])
+    grids, sizes, Q = merge_payoff_grids(np.broadcast_to(z, P.shape)[None], P[None])
+    return grids[0, :sizes[0]], Q[0, :, :sizes[0]]
 
 
 def fosd_dominates(a, b) -> bool:

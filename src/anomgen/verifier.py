@@ -33,7 +33,7 @@ import numpy as np
 
 from . import simplex_lp
 from .config import DEFAULT_KL_THRESHOLD, MARGIN_THRESHOLD
-from .lotteries import Collection, grid_probs, implied_choices, merge_payoff_grids
+from .lotteries import Collection, implied_choices, merge_payoff_grids
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
 MAX_MENUS = 8
@@ -90,22 +90,19 @@ def size_fault(Z, sizes) -> tuple[int, str] | None:
 
 
 def utility_verdicts(Z, P, choices, margin_threshold: float = MARGIN_THRESHOLD,
-                     grids=None) -> list[VerificationResult]:
+                     merged=None) -> list[VerificationResult]:
     """Feasibility of each collection's strict rationalization system, with
-    margin: Z and P (R, m, 2, J), choices (R, m), grids merge_payoff_grids(Z)
+    margin: Z and P (R, m, 2, J), choices (R, m), merged merge_payoff_grids(Z, P)
     or None.  A collection too large to verify (``size_fault``) raises ValueError."""
-    R, m, _, J = Z.shape
-    grids, sizes = merge_payoff_grids(Z) if grids is None else grids
+    _, sizes, Q = merge_payoff_grids(Z, P) if merged is None else merged
     if fault := size_fault(Z, sizes):
         raise ValueError(fault[1])
     # All payoffs identical: every choice is a tie between identical
     # lotteries; vacuously consistent.
-    out = [VerificationResult(True, 0.0, None)] * R
+    out = [VerificationResult(True, 0.0, None)] * len(Z)
     for k in sorted(set(sizes[sizes >= 2].tolist())):
         rows = np.flatnonzero(sizes == k)
-        Q = grid_probs(Z[rows].reshape(-1, 2 * m, J), P[rows].reshape(-1, 2 * m, J),
-                       grids[rows, :k]).reshape(-1, m, 2, k)
-        margins, witnesses = _margin_lp(Q, choices[rows])
+        margins, witnesses = _margin_lp(Q[rows, ..., :k], choices[rows])
         for r, margin, witness in zip(rows, margins, witnesses):
             consistent = bool(margin > margin_threshold)
             out[r] = VerificationResult(consistent, float(margin),

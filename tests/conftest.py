@@ -12,8 +12,7 @@ from anomgen.analysis import PATTERNS, pattern_frequencies
 from anomgen.config import parse_config
 from anomgen.cpt import CptParams, CptPredictor, logistic, lottery_values
 from anomgen.data import simulate_choices
-from anomgen.lotteries import (Collection, draw_menus, flat_stack, grid_probs,
-                               implied_choices, run_rng)
+from anomgen.lotteries import Collection, draw_menus, flat_stack, implied_choices, run_rng
 from anomgen.morphing import COV_JITTER, run_morph_indices
 from anomgen.records import record_to_collection, write_jsonl
 from anomgen.verifier import utility_verdicts
@@ -97,8 +96,12 @@ def grad(predictor, menu) -> np.ndarray:
 
 
 def probs_on_grid(lottery, grid) -> np.ndarray:
-    """A lottery's probabilities re-expressed over a merged payoff grid."""
-    return grid_probs(lottery[0][None, None], lottery[1][None, None], np.asarray(grid)[None])[0, 0]
+    """A lottery's probabilities re-expressed over a merged payoff grid: each
+    payoff's probability added, in payoff order, to the grid value nearest it."""
+    out = np.zeros(len(grid))
+    for z, p in zip(*lottery):
+        out[np.argmin(np.abs(np.asarray(grid) - z))] += p
+    return out
 
 
 @pytest.fixture

@@ -195,6 +195,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{path}: invalid value"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("path", [
+        "predictor.delta", "predictor.gamma", "predictor.scale", "adversarial.step_size",
+        "morph.step_size", "morph.rank_tol", "verification.kl_threshold",
+        "verification.margin_threshold", "theory.basis.domain"])
+    @pytest.mark.parametrize("value", [math.inf, True], ids=["Infinity", "true"])
+    def test_float_value_must_be_a_finite_number(self, path, value, tmp_path, capsys):
+        # JSON reads Infinity as a float, and true as a bool, which is an int.
+        os.chdir(tmp_path)
+        *sections, key = path.split(".")
+        raw = {key: [0, value] if key == "domain" else value}
+        for section in reversed(sections):
+            raw = {section: raw}
+        Path("cfg.json").write_text(json.dumps(raw))
+        rc = run_command(["baseline", "--config", "cfg.json", "--inits", "1", "--out", "b.jsonl"])
+        assert rc == 1
+        assert _error_line(capsys)["error"].startswith(f"{path}: invalid value")
+        assert not os.path.exists("b.jsonl")
+
     def test_basis_key_typo_named(self):
         with pytest.raises(ConfigError, match="theory.basis.ordr"):
             parse_config({"theory": {"basis": {"kind": "polynomial", "ordr": 4}}})
@@ -784,9 +802,9 @@ class TestVerifyStacks:
         run_ok(["baseline", "--inits", "7", "--seed", "3", "--out", "b.jsonl"], capsys)
         merged = []
 
-        def counted(Z):
+        def counted(Z, P):
             merged.append(len(Z))
-            return merge_payoff_grids(Z)
+            return merge_payoff_grids(Z, P)
 
         monkeypatch.setattr(cli, "merge_payoff_grids", counted)
         monkeypatch.setattr(sys.modules["anomgen.verifier"], "merge_payoff_grids", counted)
@@ -805,8 +823,9 @@ class TestVerifyStacks:
         lambda rec: rec.update(menus=rec["menus"] * 5, predicted_probs=rec["predicted_probs"] * 5),
         lambda rec: rec.update(menus=rec["menus"] + [shifted(m, 0.5) for m in rec["menus"]],
                                predicted_probs=rec["predicted_probs"] * 2),
+        lambda rec: rec["menus"][1]["lottery0"]["payoffs"].__setitem__(0, 50.0),
     ], ids=["choice-1.5", "sum-1e-5-off", "negative-1e-6", "nan-payoff", "mixed-J",
-            "menus-vs-probs", "10-menus", "16-payoffs"])
+            "menus-vs-probs", "10-menus", "16-payoffs", "outside-domain"])
     def test_malformed_record_in_a_block_is_one_json_error_line(self, malform, tmp_path,
                                                                 capsys):
         os.chdir(tmp_path)

@@ -224,6 +224,17 @@ class TestFosd:
             assert not (fosd_dominates((z0, p0), (z1, p1))
                         and fosd_dominates((z1, p1), (z0, p0)))
 
+    def test_a_chain_of_payoffs_merges_into_its_first_value(self):
+        # 0.6e-9 is within the merge tolerance of 0 and of 1.2e-9, which are
+        # not within it of each other: it merges into 0, and so does its
+        # probability, and the two lotteries are the same.
+        chain = lottery([0, 0.6e-9, 1.2e-9], [0.2, 0.3, 0.5])
+        pair = lottery([0, 1.2e-9], [0.5, 0.5])
+        grid, (p_chain, p_pair) = on_merged_grid([chain, pair])
+        assert grid.tolist() == [0.0, 1.2e-9]
+        assert p_chain.tolist() == p_pair.tolist() == [0.5, 0.5]
+        assert not fosd_dominates(chain, pair)
+
     def test_invariant_to_payoff_splitting(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
