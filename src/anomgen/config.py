@@ -31,11 +31,12 @@ from .cpt import PRESETS, CptParams, CptPredictor
 DEFAULT_KL_THRESHOLD = 1e-5
 MARGIN_THRESHOLD = 1e-9
 # Smallest rank cutoff the morph step's Gram route resolves.  The eigenvalue
-# cutoff is rank_tol**2 times the largest eigenvalue, and the summed Gram
-# matrix carries rounding of some eps times the largest: at 1e-6 the cutoff
-# stays decades above that noise, while near sqrt(eps) the noise would
-# decide the retained rank.
-MIN_RANK_TOL = 1e-6
+# cutoff is rank_tol**2 times the largest eigenvalue, and the step maps its
+# draws in float32, so its Gram matrix carries rounding of up to about 3e-7
+# of the largest (a rank-deficient one shows a spurious eigenvalue up to
+# about 5e-8 of it): at 1e-2 the cutoff, 1e-4, stays 2.5 decades above that
+# noise, while near sqrt(3e-7) the noise would decide the retained rank.
+MIN_RANK_TOL = 1e-2
 
 
 class ConfigError(ValueError):
@@ -115,7 +116,7 @@ class MorphConfig:
     # Rank cutoff separating genuinely pinned directions from covariance
     # jitter.  Early-iteration sampled-gradient spectra have second singular
     # values up to ~2e-3 of the first from jitter alone, so cutoffs below
-    # ~1e-2 treat the span as full-rank and stall every run at step 0.
+    # ~1e-2 treat the span as full-rank after about one step.
     rank_tol: float = 0.1
 
 

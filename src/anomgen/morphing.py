@@ -27,12 +27,19 @@ the row then skips the test, when every draw is kept, or the block, when
 none is, with the same bytes.  A row that the bound finds keeps no draw in
 any block is a quiet row of its step.
 
+The draws are mapped in float32, and each block's Gram matrix is added
+into a float64 sum: the rounding, under 3e-7 of a Gram matrix's largest
+eigenvalue on real runs' steps, sits four decades under the Monte Carlo
+error of 200,000 draws (about 2e-3), and the smallest rank cutoff,
+``config.MIN_RANK_TOL`` = 1e-2, keeps the eigenvalue cutoff ``rank_tol**2``
+2.5 decades above it.
+
 Every step of every run of one master seed maps the same (count, d)
 standard normals, the seed's stream (``lotteries.normals_rng``), through its
 own factor: common random numbers (Glasserman, *Monte Carlo Methods in
 Financial Engineering*, 2003, ch. 4).  A step generates them once for its
 whole stack, one block at a time, rather than once per run: a block of
-8,192 costs about as much as mapping it through three or four rows, so
+8,192 costs about as much as mapping it through five to eight rows, so
 at paper scale the mapping, not the normals, is most of a drawing step.
 
 Runs advance through the adversarial search's loop
@@ -65,8 +72,13 @@ COV_JITTER = 1e-8
 # a block's arrays stay in cache, and the size moves no draw.
 _DRAW_BLOCK = 8192
 # The relative margin by which a block's bound (``_all_or_none``) must clear
-# ``rank_tol`` to decide its kept test, which covers the test's rounding.
-CERTIFY_MARGIN = 1e-9
+# ``rank_tol`` to decide its kept test, per unit of 1 + the logit's reach
+# |mean_a| + |L00| max|z0|: 64 float32 unit roundoffs u = 2**-24.  The map
+# runs in float32, and at J <= 3 its slope (numpy's float32 exp is within 2.52
+# ulp), tangent gradient, block radius, squares and threshold move the kept
+# test's sigma'(a) |w| by at most 43 u relative; the logit is off by at most
+# 3 u of its reach, and moves the slope by as much (|d log sigma' / da| <= 1).
+CERTIFY_MARGIN = 2.0 ** -18
 
 
 def _project_off_span(g: np.ndarray, grams: np.ndarray,
@@ -150,22 +162,28 @@ def _all_or_none(mean: np.ndarray, scale: np.ndarray, spread: np.ndarray, z0: np
     whose normals have z0 within the ends ``z0`` (2,) and |z| <= ``radius``;
     ``scale`` is L00 and ``spread`` ||L[1:]||_2 (``_spread``).
 
-    a = mean_a + L00 z0 is monotone in z0, and so is its rounded value, so
-    |a| lies between ``near`` (0 where the ends straddle 0) and ``far``;
-    |w| lies within |mean_w| -+ ||L[1:]||_2 radius; and the slope falls with
-    |a|.  Every draw is kept when sigma'(far) times |w|'s lower end clears
-    ``rank_tol``, that end less CERTIFY_MARGIN of |mean_w| + ||L[1:]||_2
-    radius, which covers the rounding of w = mean_w + L[1:] z even where its
-    two terms nearly cancel.  None is kept when sigma'(near) times |w|'s
-    upper end falls under ``rank_tol`` (1 - CERTIFY_MARGIN).  A factor that
-    is not finite gives NaN bounds, which decide neither.
+    a = mean_a + L00 z0 is monotone in z0, so |a| lies between ``near`` (0
+    where the ends straddle 0) and ``far``; |w| lies within
+    |mean_w| -+ ||L[1:]||_2 radius; and the slope falls with |a|.  The test
+    maps in float32, and ``margin``, CERTIFY_MARGIN times 1 + the logit's
+    reach, covers its rounding.  Every draw is kept when sigma'(far) times
+    |w|'s lower end clears ``rank_tol``, that end less ``margin`` of
+    |mean_w| + ||L[1:]||_2 radius, even where w = mean_w + L[1:] z nearly
+    cancels.  None is kept when sigma'(near) times |w|'s upper end falls
+    under ``rank_tol`` (1 - ``margin``).  Only rows whose |w| stays under
+    2**56 are decided: there, at ``rank_tol`` >= 2**-7 (``MIN_RANK_TOL``),
+    the test's float32 squares neither overflow nor, in a row that keeps
+    every draw, underflow.  A factor that is not finite gives NaN bounds,
+    which decide neither.
     """
     a = mean[:, :1] + scale[:, None] * z0
     lo, hi = a.min(axis=1), a.max(axis=1)
     norm, reach = np.linalg.norm(mean[:, 1:], axis=1), spread * radius
-    low = _slope(np.maximum(-lo, hi)) * (norm - reach - CERTIFY_MARGIN * (norm + reach))
+    margin = CERTIFY_MARGIN * (1.0 + np.abs(mean[:, 0]) + np.abs(scale) * np.abs(z0).max())
+    low = _slope(np.maximum(-lo, hi)) * (norm - reach - margin * (norm + reach))
     high = _slope(np.maximum(0.0, np.maximum(lo, -hi))) * (norm + reach)
-    return low > rank_tol, high <= rank_tol * (1.0 - CERTIFY_MARGIN)
+    normal = norm + reach < 2.0 ** 56
+    return normal & (low > rank_tol), normal & (high <= rank_tol * (1.0 - margin))
 
 
 def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
@@ -175,9 +193,10 @@ def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
     (``normals_rng(master_seed)``) map to through the row's factor, those
     whose norm exceeds ``rank_tol``, and which rows are quiet (R,): one pass
     over the stream's blocks of at most ``_DRAW_BLOCK`` rows, each drawn once
-    into one buffer, copied once into (d, n) columns and mapped and summed
-    through every row in turn, in work buffers that every block and row
-    reuse.  An empty stack builds no generator.
+    into one buffer, cast once into float32 (d, n) columns and mapped and
+    summed through every row in turn, in float32 work buffers that every
+    block and row reuse.  Each block's float32 Gram product adds into the
+    float64 sum.  An empty stack builds no generator.
 
     Each block first bounds every row's sigma'(a) |w| over its own draws
     (``_all_or_none`` over the block's extremes of z0 and |z|).  A row that
@@ -191,14 +210,18 @@ def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
     grams, quiet = np.zeros((R, m, m)), np.ones(R, dtype=bool)
     if not R:
         return grams, quiet
+    # L is a transposed QR factor; the map reads a C-ordered copy, as not
+    # every BLAS kernel maps a one-draw block alike in both orders.
     scale, w_map = L[:, 0, 0], np.ascontiguousarray(L[:, 1:])
     spread = _spread(w_map)
+    scale32, mean32, w_map32 = (x.astype(np.float32) for x in (scale, mean, w_map))
     stream = normals_rng(master_seed)
     block = min(count, _DRAW_BLOCK)
-    # Flat buffers for one block; a block of n draws views them as
-    # contiguous arrays of its own size.
-    normals, columns, grads, weighted, logits, slopes = (
-        np.empty(size) for size in (d * block, d * block, m * block, m * block, block, block))
+    # Flat buffers for one block, its normals and the map's float32 work; a
+    # block of n draws views them as contiguous arrays of its own size.
+    normals = np.empty(d * block)
+    columns, grads, weighted, logits, slopes = (
+        np.empty(size, np.float32) for size in (d * block, m * block, m * block, block, block))
     for start in range(0, count, _DRAW_BLOCK):
         n = min(_DRAW_BLOCK, count - start)
         z = stream.standard_normal(out=normals[:n * d].reshape(n, d))
@@ -210,11 +233,11 @@ def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
                                    rank_tol)
         quiet &= none
         for i in np.flatnonzero(~none):
-            np.multiply(z0, scale[i], out=a)
-            a += mean[i, 0]
+            np.multiply(z0, scale32[i], out=a)
+            a += mean32[i, 0]
             _slope(a, out=s)
-            w = np.matmul(w_map[i], zT, out=grads[:m * n].reshape(m, n))
-            w += mean[i, 1:, None]
+            w = np.matmul(w_map32[i], zT, out=grads[:m * n].reshape(m, n))
+            w += mean32[i, 1:, None]
             weights = np.multiply(s, s, out=s)
             if not every[i]:
                 weights[~(weights * np.einsum("ij,ij->j", w, w) > rank_tol ** 2)] = 0.0

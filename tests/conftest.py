@@ -566,21 +566,32 @@ def _reference_kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray
     return (cols * np.where(kept, scale * scale, 0.0)) @ cols.T
 
 
-def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config):
-    """One run's morph step, (direction (2J,), retained rank), computed on its
-    own: the per-run step that ``morphing.morph_step_directions`` stacks, and
-    the bit-for-bit reference for every row of a stack."""
-    T = morphing._tangent_basis(probs.shape[-1])
-    mean, L = reference_step_factor(probs, history, basis_rows)
+def reference_gram(probs, history, basis_rows, rng, config, dtype=np.float32) -> np.ndarray:
+    """One run's Gram matrix (2J - 2, 2J - 2) of its kept sampled gradients,
+    computed on its own: each block of ``rng``'s draws is mapped in
+    ``dtype``, by default float32 as the step maps them, and its kept Gram
+    matrix is added into a float64 sum."""
+    mean, L = (x.astype(dtype) for x in reference_step_factor(probs, history, basis_rows))
     w_map = np.ascontiguousarray(L[1:])
-    gram = np.zeros((T.shape[1], T.shape[1]))
+    gram = np.zeros((len(w_map), len(w_map)))
     count = config.n_gradient_samples
     for start in range(0, count, morphing._DRAW_BLOCK):
         z = rng.standard_normal((min(morphing._DRAW_BLOCK, count - start), L.shape[1]))
-        e = np.exp(-np.abs(z[:, 0] * L[0, 0] + mean[0]))
-        w = w_map @ z.T
+        zT = np.ascontiguousarray(z.T, dtype=dtype)
+        e = np.exp(-np.abs(zT[0] * L[0, 0] + mean[0]))
+        w = w_map @ zT
         w += mean[1:, None]
         gram += _reference_kept_gram(w, e / (1.0 + e) ** 2, config.rank_tol)
+    return gram
+
+
+def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config):
+    """One run's morph step, (direction (2J,), retained rank), computed on its
+    own from its ``reference_gram``: the per-run step that
+    ``morphing.morph_step_directions`` stacks, and the bit-for-bit reference
+    for every row of a stack."""
+    T = morphing._tangent_basis(probs.shape[-1])
+    gram = reference_gram(probs, history, basis_rows, rng, config)
     evals, vecs = np.linalg.eigh(gram)
     kept = evals > config.rank_tol ** 2 * evals[-1]
     g = T.T @ pred_grad

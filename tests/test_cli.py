@@ -1157,11 +1157,12 @@ class TestStageTiming:
 
 class TestRankTolBound:
     def test_smallest_cutoff_accepted_and_below_rejected(self, tmp_path, capsys):
-        assert parse_config({"morph": {"rank_tol": 1e-6}}).morph.rank_tol == 1e-6
+        assert MIN_RANK_TOL == 1e-2
+        assert parse_config({"morph": {"rank_tol": 1e-2}}).morph.rank_tol == 1e-2
         with pytest.raises(ConfigError, match="morph.rank_tol"):
-            parse_config({"morph": {"rank_tol": 9.9e-7}})
+            parse_config({"morph": {"rank_tol": 9.9e-3}})
         os.chdir(tmp_path)
-        Path("cfg.json").write_text(json.dumps({"morph": {"rank_tol": 1e-9}}))
+        Path("cfg.json").write_text(json.dumps({"morph": {"rank_tol": 9.9e-3}}))
         rc = run_command(["morph", "--config", "cfg.json", "--inits", "1", "--out", "m.jsonl"])
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 1 and len(err) == 1

@@ -18,7 +18,7 @@ from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_b
                               morph_step_directions, run_morph_indices)
 from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
 from conftest import (fit_theta, flat, grad, morph_step_direction, null_space_projection,
-                      pipeline_config, predict, record_menus, reference_kept,
+                      pipeline_config, predict, record_menus, reference_gram, reference_kept,
                       reference_step_direction, reference_step_factor, reference_utility_factor,
                       sample_random_menu, sample_step_gradients, sample_theta_history,
                       search_iterates, stack, tangent)
@@ -128,11 +128,17 @@ def sampled_gradients(history, count, rng, rows, menu):
 
 
 def gap_tolerance(kept_rows, rank_tol):
-    """Gap-dependent tolerance of the Gram route against an SVD, or None when
-    a singular value lies within 1% of the cutoff (either side is then right).
+    """Gap-dependent tolerance of a step against an SVD of float64 gradients,
+    or None when a singular value lies within 1% of the cutoff (either side
+    is then right).
 
-    1e-10 while the weakest retained singular value is at least 1e-3 of the
-    largest, ``100 eps / ratio**2`` below that."""
+    The Gram route squares the singular values, so a rounding of the Gram
+    matrix of eps times its largest eigenvalue moves the weakest retained
+    direction by about eps / ratio**2, ratio its singular value over the
+    largest: 1e-10 while that ratio is at least 1e-3, ``100 eps / ratio**2``
+    below.  The step maps its draws in float32, whose Gram products round
+    at float32's eps instead, which adds ``100 eps32 / ratio**2``, derived the
+    same way."""
     if kept_rows.shape[0] == 0:
         return 1e-10
     ratios = np.linalg.svd(kept_rows, compute_uv=False)
@@ -140,7 +146,8 @@ def gap_tolerance(kept_rows, rank_tol):
     if np.any(np.abs(ratios / rank_tol - 1.0) < 0.01):
         return None
     weakest = ratios[ratios > rank_tol].min()
-    return 1e-10 if weakest >= 1e-3 else 1e2 * np.finfo(float).eps / weakest ** 2
+    float64 = 1e-10 if weakest >= 1e-3 else 1e2 * np.finfo(float).eps / weakest ** 2
+    return float64 + 1e2 * np.finfo(np.float32).eps / weakest ** 2
 
 
 def svd_projection(g_star, sampled_grads, rank_tol):
@@ -154,14 +161,14 @@ def svd_projection(g_star, sampled_grads, rank_tol):
 
 
 class TestGramMatchesSvd:
-    @pytest.mark.parametrize("rank_tol", [0.1, 1e-6])
+    @pytest.mark.parametrize("rank_tol", [0.1, MIN_RANK_TOL])
     def test_morph_like_gradients(self, rank_tol):
         # Sampled gradients built as a morph step builds them, around the inner
         # fits at a random start menu and at a second menu with its payoffs.
         pred = CptPredictor(CptParams(0.726, 0.309))
         basis = ISplineBasis(knots=10, degree=3, domain=(0.0, 10.0))
         rng = np.random.default_rng(18)
-        compared = 0
+        compared, ranks = 0, set()
         for seed in range(25):
             x0 = sample_random_menu(rng, 2, 0.0, 10.0)
             rows = np.concatenate([basis.eval(z) for z in x0[0]])
@@ -177,21 +184,22 @@ class TestGramMatchesSvd:
             # A singular value within 1% of the cutoff may fall on either
             # side of it under the two routes' rounding; such cases are not
             # comparable and must stay rare.
-            kept = G_t[np.linalg.norm(G_t, axis=1) > rank_tol]
-            if kept.shape[0]:
-                ratios = np.linalg.svd(kept, compute_uv=False)
-                ratios = ratios / ratios[0]
-                if np.any(np.abs(ratios / rank_tol - 1.0) < 0.01):
-                    continue
+            atol = gap_tolerance(G_t[np.linalg.norm(G_t, axis=1) > rank_tol], rank_tol)
+            if atol is None:
+                continue
             reference = svd_projection(g_t, G_t, rank_tol)
             np.testing.assert_allclose(null_space_projection(g_t, G_t, rank_tol),
                                        reference, rtol=0, atol=1e-10)
-            step, _ = morph_step_direction(
+            # The step maps the same normals in float32.
+            step, rank = morph_step_direction(
                 g, probs_of(menu), history, rows, seed,
                 MorphConfig(n_gradient_samples=200_000, rank_tol=rank_tol))
-            np.testing.assert_allclose(step, reference, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(step, reference, rtol=0, atol=atol)
+            ranks.add(rank)
             compared += 1
         assert compared >= 23
+        # The smallest cutoff still sees the span fill the tangent space.
+        assert 2 in ranks
 
     @pytest.mark.parametrize("rank_tol", [0.1, 1e-6])
     def test_random_gradients(self, rank_tol):
@@ -283,15 +291,16 @@ class TestTangent:
 
 class TestMorphRun:
     def test_full_tangent_span_stops_immediately(self):
-        # Force rank_tol to the smallest accepted cutoff: the sampled ensemble
-        # spans the tangent space, the projected direction is ~0 and the run
-        # stops at step 0.
+        # Force rank_tol to the smallest accepted cutoff: after the run's
+        # first step the sampled ensemble spans the tangent space, the
+        # projected direction is ~0 and the run stops there.
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = pipeline_config(6, morph={"rank_tol": MIN_RANK_TOL})
         (result,) = run_morph_indices(pred, cfg, [0])
-        assert result["iterations"] == 0
+        assert result["iterations"] == 1 and result["stop"] == "direction_vanished"
+        assert result["retained_rank"] == 2
         m0, mS = record_menus(result)
-        np.testing.assert_array_equal(flat(m0), flat(mS))
+        assert not np.array_equal(flat(m0), flat(mS))
 
     def test_simplex_feasibility_along_trajectory(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
@@ -344,8 +353,12 @@ class TestMorphStepDirection:
     def test_descent_against_predictor_gradient(self):
         # Criterion-8 style property on random tangent states: the step
         # descends the tangent predictor gradient and is orthogonal to every
-        # retained sampled gradient of its own draws.
+        # kept sampled gradient of its own draws, but for the part of it in
+        # the span the eigenvalue cutoff drops: at most the dropped one of
+        # the two eigenvalues, under rank_tol**2 times the largest, itself at
+        # most the kept gradients' squared Frobenius norm, bounds that part.
         rng = np.random.default_rng(11)
+        ranks = set()
         for seed in range(200):
             g = rng.normal(size=4)
             rows = rng.normal(size=(4, 5))            # random basis values
@@ -354,16 +367,31 @@ class TestMorphStepDirection:
             count = int(rng.integers(1, 6))
             v, rank = morph_step_direction(
                 g, probs_of(menu), history, rows, seed,
-                MorphConfig(n_gradient_samples=count, rank_tol=1e-6))
+                MorphConfig(n_gradient_samples=count, rank_tol=MIN_RANK_TOL))
+            ranks.add(rank)
             grads = sample_step_gradients(probs_of(menu), history, count, normals_rng(seed),
                                           rows)
             assert 0 <= rank <= min(count, 2)
             g_t = tangent(g, 2)
             assert -(v @ g_t) <= 1e-10
-            # Orthogonal to every retained (tangent-projected) gradient.
-            for row in grads:
-                assert abs(v @ row) <= 1e-6 * (np.linalg.norm(v) + 1e-300) * \
-                    (np.linalg.norm(row) + 1e-300) + 1e-12
+            kept = grads[np.linalg.norm(grads, axis=1) > MIN_RANK_TOL]
+            for row in kept:
+                assert abs(v @ row) <= MIN_RANK_TOL * np.linalg.norm(v) * np.linalg.norm(kept) \
+                    + 1e-12
+        # Some steps' draws fill the tangent space.
+        assert 2 in ranks
+
+    def test_one_draw_spans_at_most_one_direction(self):
+        # float32 rounding leaves a rank-deficient Gram matrix a spurious
+        # eigenvalue up to about 5e-8 of its largest, far under the smallest
+        # cutoff's rank_tol**2: a one-draw step keeps rank 1 or 0 (at
+        # rank_tol 1e-6 it reports up to 4).
+        cfg = MorphConfig(n_gradient_samples=1, rank_tol=MIN_RANK_TOL)
+        for J in (2, 3):
+            g, probs, H, rows = morph_like_stack(np.random.default_rng(12 + J), 64, J, 3)
+            for seed in range(8):
+                _, ranks, _ = morph_step_directions(g, probs, H, rows, seed, cfg)
+                assert ranks.max() == 1
 
 
 class RecordingRng:
@@ -416,7 +444,7 @@ def recording_streams(monkeypatch):
 class TestBlockedGram:
     """The blocked step against the whole-array route on the same draws."""
 
-    @pytest.mark.parametrize("rank_tol", [0.1, 1e-6])
+    @pytest.mark.parametrize("rank_tol", [0.1, MIN_RANK_TOL])
     @pytest.mark.parametrize("J", [2, 3])
     def test_matches_null_space_projection(self, rank_tol, J):
         count = 2 * morphing._DRAW_BLOCK + 17
@@ -450,9 +478,11 @@ class TestBlockedGram:
             ranks.add(rank)
             compared += 1
         assert skipped <= 2 and compared >= 10
-        # At the default cutoff the states cover more than one retained rank;
-        # at 1e-6 every sampled span fills the tangent space.
-        assert len(ranks) >= 2 or rank_tol < 1e-3
+        # The states cover more than one retained rank, but for J = 3's at the
+        # smallest cutoff, which all keep rank 2; at both cutoffs some J = 2
+        # spans fill the tangent space.
+        assert len(ranks) >= 2 or (J, rank_tol) == (3, MIN_RANK_TOL)
+        assert 2 * J - 2 in ranks or J == 3
         # The J = 2 states at the default cutoff include quiet steps.
         assert quiet >= 1 or (J, rank_tol) != (2, 0.1)
 
@@ -609,10 +639,24 @@ class TestStreamedDraws:
 def block_decision(mean, L, z, rank_tol):
     """``_draw_grams``' decision for one row's factor (mean (d,), L (d, d)) on
     one block of normals z (n, d): (every draw kept, none kept)."""
+    z = z.astype(np.float32)            # the step's float32 columns
     every, none = morphing._all_or_none(
         mean[None], L[None, 0, 0], morphing._spread(L[None, 1:]),
-        np.array([z[:, 0].min(), z[:, 0].max()]), np.linalg.norm(z, axis=1).max(), rank_tol)
+        np.array([z[:, 0].min(), z[:, 0].max()]), np.sqrt(np.einsum("ij,ij->i", z, z).max()),
+        rank_tol)
     return bool(every[0]), bool(none[0])
+
+
+def float32_map(mean, L, z):
+    """The slopes (n,) and tangent gradients (m, n) that one row's factor
+    (mean (d,), L (d, d)) maps the normals z (n, d) to, in float32 as the
+    step maps them."""
+    zT = np.ascontiguousarray(z.T, dtype=np.float32)
+    L, mean = L.astype(np.float32), mean.astype(np.float32)
+    e = np.exp(-np.abs(zT[0] * L[0, 0] + mean[0]))
+    w = np.ascontiguousarray(L[1:]) @ zT
+    w += mean[1:, None]
+    return e / (1.0 + e) ** 2, w
 
 
 def keeps_none(mean, L, z, rank_tol):
@@ -660,20 +704,19 @@ class TestBlockDecision:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), J=st.sampled_from([2, 3]), n=st.integers(1, 300),
            mean_a=st.floats(-40.0, 40.0), log_w=st.floats(-3.0, 2.0),
-           log_l=st.floats(-4.0, 1.0), rank_tol=st.sampled_from([0.1, 1e-6]))
+           log_l=st.floats(-4.0, 1.0), rank_tol=st.sampled_from([0.1, MIN_RANK_TOL]))
     def test_a_decided_block_keeps_every_draw_or_none(self, seed, J, n, mean_a, log_w, log_l,
                                                       rank_tol):
-        # A random factor state and block, drawn as the reference maps them.
+        # A random factor state and block, mapped in float32 as the step
+        # maps them.
         rng = np.random.default_rng(seed)
         d = 2 * J - 1
         L = np.tril(rng.normal(size=(d, d))) * 10.0 ** log_l
         mean = np.concatenate([[mean_a], rng.normal(size=d - 1) * 10.0 ** log_w])
         z = rng.standard_normal((n, d))
         every, none = block_decision(mean, L, z, rank_tol)
-        e = np.exp(-np.abs(z[:, 0] * L[0, 0] + mean[0]))
-        w = np.ascontiguousarray(L[1:]) @ z.T
-        w += mean[1:, None]
-        kept = reference_kept(w, e / (1.0 + e) ** 2, rank_tol)
+        slopes, w = float32_map(mean, L, z)
+        kept = reference_kept(w, slopes, rank_tol)
         assert not (every and none)
         if every:
             assert kept.all()
@@ -736,6 +779,39 @@ class TestBlockDecision:
                                                 np.array([-1.0, 1.0]), 2.0, 0.1)
             _, quiet = morphing._draw_grams(0, mean, L, 2_000, 0.1)
         assert not (every.any() or none.any() or quiet.any())
+
+    def test_rows_at_the_edge_keep_the_float32_tests_verdict(self):
+        # A factor with no spread maps every draw of a block to one
+        # sigma'(a) |w|, here within 300 float32 roundoffs of rank_tol either
+        # side, where the test's float32 rounding can turn its verdict: the
+        # margin keeps the bound from deciding any row against the test (a
+        # margin of 1e-9, float64's, decides one).
+        rng, rank_tol = np.random.default_rng(0), 0.1
+        z, L = rng.standard_normal((8, 3)), np.zeros((3, 3))
+        decided = 0
+        for mean_a in np.linspace(-30.0, 30.0, 61):
+            unit = rng.normal(size=2)
+            edge = unit / np.linalg.norm(unit) * rank_tol / morphing._slope(np.abs([mean_a]))
+            for k in range(-300, 301, 3):
+                mean = np.concatenate([[mean_a], edge * (1.0 + k * 2.0 ** -24)])
+                every, none = block_decision(mean, L, z, rank_tol)
+                slopes, w = float32_map(mean, L, z)
+                kept = reference_kept(w, slopes, rank_tol)
+                assert not (every and not kept.all() or none and kept.any())
+                decided += every or none
+        assert decided >= 100
+
+    def test_a_gradient_float32_cannot_square_decides_no_block(self):
+        # |w| = 2**66 overflows the kept test's float32 square, and a slope
+        # near 2e-22 squares to a float32 subnormal, so the test keeps every
+        # draw, although sigma'(a) |w| is near 0.014, under rank_tol: the
+        # bound, which would find none kept, decides neither.
+        mean, L = np.array([50.0, 2.0 ** 66, 0.0]), np.diag([1e-3, 1e-3, 1e-3])
+        z = normals_rng(0).standard_normal((100, 3))
+        assert block_decision(mean, L, z, 0.1) == (False, False)
+        with np.errstate(over="ignore"):
+            slopes, w = float32_map(mean, L, z)
+            assert reference_kept(w, slopes, 0.1).all()
 
 
 @pytest.fixture(scope="module")
@@ -825,6 +901,34 @@ class TestQuietSteps:
             assert all(len(stream.draws) == blocks for stream in streams)
             for a, b in zip(out, whole):
                 assert_same_bits(a, b[part])
+
+
+class TestFloat32Map:
+    """The step maps its draws in float32; on real runs' steps it decides
+    what a float64 map of the same normals decides."""
+
+    @pytest.mark.parametrize("count", [2_000, 200_000])
+    def test_quiet_flags_and_ranks_match_a_float64_map(self, lockstep_steps, count):
+        # A step is quiet exactly where the float64 map keeps no draw, and
+        # keeps the float64 map's rank.  Each kept draw's float32 Gram term is
+        # off by a few eps32 of its trace share, and the terms' rounding
+        # averages out over the draws (measured under 2.5 eps32 of the
+        # trace): the bound is gap_tolerance's float32 term, 100 eps32.
+        steps, _ = lockstep_steps[count]
+        drawn = 0
+        for ((g, probs, H, rows, seed, cfg), (_, ranks, quiet)), _ in steps:
+            mean, L = _step_factors(probs, H, rows, _tangent_basis(probs.shape[-1]))
+            grams, _ = morphing._draw_grams(seed, mean, L, count, cfg.rank_tol)
+            for k in range(len(g)):
+                gram = reference_gram(probs[k], H[k], rows[k], normals_rng(seed), cfg,
+                                      np.float64)
+                evals = np.linalg.eigvalsh(gram)
+                assert quiet[k] == (not gram.any())
+                assert ranks[k] == np.sum(evals > cfg.rank_tol ** 2 * evals[-1])
+                assert np.abs(grams[k] - gram).max() <= \
+                    1e2 * np.finfo(np.float32).eps * np.trace(gram)
+                drawn += not quiet[k]
+        assert drawn >= 30
 
 
 class TestCommonRandomNumbers:
@@ -976,9 +1080,9 @@ class TestStopRecord:
 
     def test_each_stop_value(self):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        # Cutoffs below ~1e-2 see a full-rank span at step 0 (MorphConfig).
-        (vanished,) = run_morph_indices(pred, pipeline_config(6, morph={"rank_tol": 1e-3}),
-                                        [0])
+        # At the smallest cutoff this run's span fills after one step.
+        (vanished,) = run_morph_indices(
+            pred, pipeline_config(6, morph={"rank_tol": MIN_RANK_TOL}), [0])
         (capped,) = run_morph_indices(pred, pipeline_config(11, morph={"max_iters": 2}), [3])
         (nonfinite,) = run_morph_indices(NanGradPredictor(CptParams(0.726, 0.309)),
                                          pipeline_config(6), [0])
@@ -986,11 +1090,11 @@ class TestStopRecord:
         assert [r["stop"] for r in recs] == ["direction_vanished", "max_iters",
                                              "nonfinite_gradient"]
         # Each step's inner fit is counted, the one that found no gradient too.
-        for rec, fits in zip(recs, (1, 2, 1)):
+        for rec, fits in zip(recs, (2, 2, 1)):
             assert 0 <= rec["inner_fits_on_bound"] <= fits
             assert 0 <= rec["inner_fits_unconverged"] <= fits
         # A full tangent span (rank 2 for J = 2) leaves no direction.
-        assert recs[0]["iterations"] == 0 and recs[0]["retained_rank"] == 2
+        assert recs[0]["iterations"] == 1 and recs[0]["retained_rank"] == 2
         assert recs[1]["iterations"] == 2 and recs[1]["retained_rank"] in (0, 1)
         # No step reached the projection, so no rank was retained.
         assert recs[2]["iterations"] == 0 and recs[2]["retained_rank"] is None
