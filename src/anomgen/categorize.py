@@ -10,21 +10,26 @@ first.  Three-payoff pairs are instead decomposed as compound lotteries over
 shared two-payoff components.
 
 A collection is a record's arrays (``lotteries.Collection``), and a lottery
-a (payoffs, probs) pair of vectors.  Every category carries a
-machine-checkable certificate.  Each category's test is one function that
-the categorizer and ``check_certificate`` both run: the checker re-derives a
-certificate from the raw menus through the rule that made it, and compares.
+a (payoffs, probs) pair of vectors.  Every category but ``other`` has one
+rule, which builds its certificate at an anchor the certificate names:
+``menu_index`` for ``fosd``, ``base_menu`` for the three patterns, and
+``family`` for ``shared_component_reversal``.  ``categorize`` tries the rules
+in turn; ``check_certificate`` runs the named rule at the named anchor and
+the caller's tolerance, and compares every field of the JSON form of what it
+re-derives with the certificate's, floats within that tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lotteries import (PAYOFF_MERGE_TOL, Collection, fosd_dominates, implied_choices,
-                        on_merged_grid, read_probs)
+                        on_merged_grid)
 
 DEFAULT_TOL = 1e-6      # raw optimizer output; paper tables need 0.02
 # In the row order of the category report.
@@ -119,9 +124,13 @@ def _pattern_certificate(tag: str, collection: Collection, choices, base_idx: in
     return cert
 
 
-def _dominated(collection: Collection, i: int, choice: int) -> bool:
-    """Whether menu ``i``'s unchosen lottery first-order dominates its choice."""
-    return fosd_dominates(_lottery(collection, i, 1 - choice), _lottery(collection, i, choice))
+def _fosd_certificate(collection: Collection, choices, i: int, tol: float):
+    """Certificate that menu ``i``'s unchosen lottery first-order dominates
+    its choice, or None."""
+    choice = choices[i]
+    if not fosd_dominates(_lottery(collection, i, 1 - choice), _lottery(collection, i, choice)):
+        return None
+    return {"menu_index": i, "implied_choice": choice}
 
 
 def _subsets(indices):
@@ -217,76 +226,90 @@ def _family_decomposition(collection: Collection, j: int, tol: float):
         return None
 
 
-def _reverses(dec: dict, choices, j: int, tol: float) -> bool:
-    """Whether the choice switch reverses family j's shared-component order.
+def _reversal_certificate(collection: Collection, choices, j: int, tol: float):
+    """Certificate that the choice switch reverses family ``j``'s
+    shared-component order, or None.
 
-    Comp1 must dominate comp2, and the weight on comp1 must move against the
-    switch: down when the second menu's choice moved to lottery j, up when it
-    moved away.
+    Both families must decompose.  Family j's comp1 must dominate its comp2,
+    and the weight on comp1 must move against the switch: down when the
+    second menu's choice moved to lottery j, up when it moved away.
     """
     if choices[0] == choices[1]:
-        return False
-    if not fosd_dominates(dec["comp1"], dec["comp2"]):
-        return False
-    delta_alpha = dec["alpha_b"] - dec["alpha_a"]
-    moved_to_j = choices[1] == j
-    return bool((moved_to_j and delta_alpha < -tol) or (not moved_to_j and delta_alpha > tol))
-
-
-def _same_lottery(stored: dict, lottery, tol: float) -> bool:
-    """Whether a stored certificate component puts the same mass, within
-    tol, on each payoff as ``lottery``.  The component comes from outside
-    the program, so it is read as a record's lottery is: finite payoffs, and
-    probabilities by ``read_probs``, which rejects a vector off the simplex."""
-    z = np.asarray(stored["payoffs"], dtype=float)
-    p, bad = read_probs(stored["probs"])
-    if z.ndim != 1 or z.shape != p.shape or not z.size or bad or not np.isfinite(z).all():
-        raise ValueError(f"certificate component {stored} is not a lottery")
-    _, (ps, pl) = on_merged_grid([(z, p), lottery])
-    return bool(np.abs(ps - pl).max() <= tol)
+        return None
+    decs = [_family_decomposition(collection, i, tol) for i in (0, 1)]
+    if None in decs or not fosd_dominates(decs[j]["comp1"], decs[j]["comp2"]):
+        return None
+    delta_alpha = decs[j]["alpha_b"] - decs[j]["alpha_a"]
+    if not (delta_alpha < -tol if choices[1] == j else delta_alpha > tol):
+        return None
+    return {"family": j,
+            "alpha_a": {i: decs[i]["alpha_a"] for i in (0, 1)},
+            "alpha_b": {i: decs[i]["alpha_b"] for i in (0, 1)},
+            "comp1": _lottery_json(decs[j]["comp1"]),
+            "comp2": _lottery_json(decs[j]["comp2"]),
+            "choices": choices,
+            "tol": tol}
 
 
 def _lottery_json(lottery) -> dict:
     return {"payoffs": lottery[0].tolist(), "probs": lottery[1].tolist()}
 
 
-def check_certificate(category: AnomalyCategory, collection: Collection) -> bool:
-    """Re-derive a certificate through the rule that made it, from the raw menus."""
+# tag -> (the rule that builds its certificate, the certificate key of the
+# rule's anchor), in the order categorize tries them.
+_RULES = {"fosd": (_fosd_certificate, "menu_index"),
+          **{tag: (functools.partial(_pattern_certificate, tag), "base_menu")
+             for tag in _PATTERNS},
+          "shared_component_reversal": (_reversal_certificate, "family")}
+
+
+def _anchors(tag: str, collection: Collection):
+    """The anchors at which ``tag``'s rule applies, in the order categorize
+    tries them: every menu for ``fosd``; a pair's two menus for a pattern on
+    two payoffs, and its two lottery families for the reversal on more."""
+    n_menus, n_payoffs = collection.Z.shape[0], collection.Z.shape[-1]
+    if tag == "fosd":
+        return range(n_menus)
+    if n_menus != 2 or (n_payoffs > 2) != (tag == "shared_component_reversal"):
+        return ()
+    return (0, 1)
+
+
+def _agree(got, stored, tol: float) -> bool:
+    """Whether two JSON values are equal, floats within ``tol``."""
+    if type(got) is not type(stored):
+        return False
+    if isinstance(got, dict):
+        return got.keys() == stored.keys() and all(_agree(got[k], stored[k], tol) for k in got)
+    if isinstance(got, list):
+        return len(got) == len(stored) and all(_agree(g, s, tol) for g, s in zip(got, stored))
+    return abs(got - stored) <= tol if isinstance(got, float) else got == stored
+
+
+def check_certificate(category: AnomalyCategory, collection: Collection,
+                      tol: float = DEFAULT_TOL) -> bool:
+    """Whether the category's rule, run at ``tol`` and at the anchor the
+    certificate names, re-derives the certificate from the raw menus: every
+    field of the two JSON forms equal, floats within ``tol``.  An anchor that
+    is not one of the rule's is no certificate; ``other`` has no rule."""
     tag, cert = category.tag, category.certificate
     if tag == "other":
         return True
-    if not cert:
-        raise ValueError("missing certificate")
-    choices = implied_choices(collection.q)
-    if tag == "fosd":
-        i = cert["menu_index"]
-        choice = int(choices[i])
-        return _dominated(collection, i, choice) and choice == cert["implied_choice"]
-    tol = cert.get("tol", DEFAULT_TOL)
-    if tag == "shared_component_reversal":
-        # Both families' weights and family j's components must match the
-        # recomputed decompositions; JSONL gives the weight keys back as strings.
-        j = cert["family"]
-        decs = [_family_decomposition(collection, i, tol) for i in (0, 1)]
-        if j not in (0, 1) or None in decs or list(choices) != cert["choices"]:
-            return False
-        alphas = [({int(k): a for k, a in cert[key].items()}[i], decs[i][key])
-                  for key in ("alpha_a", "alpha_b") for i in (0, 1)]
-        return (all(abs(stored - got) <= tol for stored, got in alphas)
-                and all(_same_lottery(cert[key], decs[j][key], tol) for key in ("comp1", "comp2"))
-                and _reverses(decs[j], choices, j, tol))
-    # A pattern: its rule must give the stored roles, alphas within tol, and a
-    # common ratio wherever the certificate claims one.
-    got = _pattern_certificate(tag, collection, choices, cert["base_menu"], tol)
-    return bool(got is not None
-                and all(cert["roles"][k] == v for k, v in got["roles"].items())
-                and not (abs(got["alpha0"] - cert["alpha0"]) > tol
-                         or abs(got["alpha1"] - cert["alpha1"]) > tol)
-                and (not cert.get("common_ratio") or got.get("common_ratio")))
+    if not cert or not isinstance(cert, dict):
+        raise ValueError(f"missing certificate, or not a JSON object: {cert!r}")
+    rule, key = _RULES[tag]
+    anchor = cert.get(key)
+    if type(anchor) is not int or anchor not in _anchors(tag, collection):
+        return False
+    got = rule(collection, implied_choices(collection.q).tolist(), anchor, tol)
+    # JSONL gives integer keys back as strings: compare the JSON forms.
+    return got is not None and _agree(json.loads(json.dumps(got)), json.loads(json.dumps(cert)),
+                                      tol)
 
 
 def categorize(collection: Collection, tol: float = DEFAULT_TOL) -> AnomalyCategory:
-    """Category of a verified anomaly.
+    """Category of a verified anomaly: the first rule that holds at one of its
+    anchors, else ``other``.
 
     A menu whose choice is first-order dominated is tagged first, at every
     collection size and payoff arity.  Otherwise a collection of other than
@@ -295,30 +318,9 @@ def categorize(collection: Collection, tol: float = DEFAULT_TOL) -> AnomalyCateg
     shared-component reversal.
     """
     choices = implied_choices(collection.q).tolist()
-    for idx, choice in enumerate(choices):
-        if _dominated(collection, idx, choice):
-            return AnomalyCategory("fosd", {"menu_index": idx, "implied_choice": int(choice)})
-    if len(choices) != 2:
-        return AnomalyCategory("other", {})
-    if collection.Z.shape[-1] <= 2:
-        for tag in _PATTERNS:
-            for base_idx in (0, 1):
-                cert = _pattern_certificate(tag, collection, choices, base_idx, tol)
-                if cert is not None:
-                    return AnomalyCategory(tag, cert)
-        return AnomalyCategory("other", {})
-    decs = [_family_decomposition(collection, j, tol) for j in (0, 1)]
-    if None in decs:
-        return AnomalyCategory("other", {})
-    for j, dec in enumerate(decs):
-        if _reverses(dec, choices, j, tol):
-            return AnomalyCategory("shared_component_reversal", {
-                "family": j,
-                "alpha_a": {i: decs[i]["alpha_a"] for i in (0, 1)},
-                "alpha_b": {i: decs[i]["alpha_b"] for i in (0, 1)},
-                "comp1": _lottery_json(dec["comp1"]),
-                "comp2": _lottery_json(dec["comp2"]),
-                "choices": choices,
-                "tol": tol,
-            })
+    for tag, (rule, _) in _RULES.items():
+        for anchor in _anchors(tag, collection):
+            cert = rule(collection, choices, anchor, tol)
+            if cert is not None:
+                return AnomalyCategory(tag, cert)
     return AnomalyCategory("other", {})

@@ -1,14 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anomgen.categorize import (AnomalyCategory, categorize, check_certificate,
+from anomgen.categorize import (DEFAULT_TOL, AnomalyCategory, categorize, check_certificate,
                                 decompose_shared_components, solve_degenerate_mix)
 from anomgen.lotteries import Collection, fosd_dominates
-from anomgen.records import read_jsonl, write_jsonl
+from anomgen.records import read_jsonl, record_to_collection, write_jsonl
 from conftest import (TABLE_TOL, collection, lottery, menu, probs_on_grid, sample_random_menu,
                       swapped)
 
@@ -29,6 +30,11 @@ def _flip_role(role):
     return lambda cert: {**cert, "roles": {**cert["roles"], role: 1 - cert["roles"][role]}}
 
 
+def _other_pattern(cert):
+    patterns = ["dominated_consequence", "reverse_dominated_consequence", "strict_dominance"]
+    return {**cert, "pattern": patterns[patterns.index(cert["pattern"]) - 1]}
+
+
 TAMPERS = [
     *[(tag, field, tamper)
       for tag in ("dominated_consequence", "reverse_dominated_consequence", "strict_dominance")
@@ -36,7 +42,11 @@ TAMPERS = [
                             ("alpha1", lambda c: {**c, "alpha1": c["alpha1"] + 0.1}),
                             ("base_menu", _flip("base_menu")),
                             *[(role, _flip_role(role))
-                              for role in ("ell0", "ell1", "comp0", "comp1")])],
+                              for role in ("ell0", "ell1", "comp0", "comp1")],
+                            ("anchors", lambda c: {**c, "anchors": [c["anchors"][0] + 0.1,
+                                                                    c["anchors"][1]]}),
+                            ("pattern", _other_pattern),
+                            ("roles-extra", lambda c: {**c, "roles": {**c["roles"], "ell2": 0}}))],
     ("strict_dominance", "common_ratio", lambda c: {**c, "common_ratio": True}),
     ("shared_component_reversal", "family", _flip("family")),
     ("shared_component_reversal", "choices", lambda c: {**c, "choices": c["choices"][::-1]}),
@@ -46,7 +56,40 @@ TAMPERS = [
      lambda c: {**c, "alpha_b": {i: a + 0.1 for i, a in c["alpha_b"].items()}}),
     ("shared_component_reversal", "comp2", lambda c: {**c, "comp2": c["comp1"]}),
     ("fosd", "implied_choice", _flip("implied_choice")),
+    ("fosd", "menu_index", lambda c: {**c, "menu_index": -1}),
 ]
+# The key of each tag's anchor in its certificate.
+ANCHOR_KEYS = {"dominated_consequence": "base_menu", "reverse_dominated_consequence": "base_menu",
+               "strict_dominance": "base_menu", "fosd": "menu_index",
+               "shared_component_reversal": "family"}
+GOLDEN_TAGS = Path(__file__).parent / "data" / "golden_tags_categorized.jsonl"
+
+
+def _unstructured_pair():
+    """Disjoint payoff supports: no mixing relation can hold, no dominance."""
+    menu_a = menu(lottery([2, 8], [0.5, 0.5]),
+                  lottery([1, 9], [0.4, 0.6]))
+    menu_b = menu(lottery([3.3, 7.7], [0.6, 0.4]),
+                  lottery([0.5, 9.5], [0.5, 0.5]))
+    return collection([menu_a, menu_b], [0.8, 0.2])
+
+
+def _float_paths(value, path=()):
+    """The key paths of every float in a JSON value."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _float_paths(v, (*path, k))]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _float_paths(v, (*path, i))]
+    return [path] if isinstance(value, float) else []
+
+
+def _moved(value, path, by):
+    """A copy of a JSON value with the float at ``path`` moved by ``by``."""
+    if not path:
+        return value + by
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _moved(value[path[0]], path[1:], by)
+    return copy
 
 
 @pytest.fixture
@@ -108,17 +151,17 @@ class TestTwoPayoffCategorization:
         assert cert["roles"]["ell0"] == 1 and cert["roles"]["ell1"] == 0
         assert cert["alpha0"] == pytest.approx(0.759, abs=TABLE_TOL)
         assert cert["alpha1"] == pytest.approx(0.89, abs=TABLE_TOL)
-        assert check_certificate(cat, dc_example_collection)
+        assert check_certificate(cat, dc_example_collection, tol=TABLE_TOL)
 
     def test_reverse_dominated_consequence_table(self, rdc_example_collection):
         cat = categorize(rdc_example_collection, tol=TABLE_TOL)
         assert cat.tag == "reverse_dominated_consequence"
-        assert check_certificate(cat, rdc_example_collection)
+        assert check_certificate(cat, rdc_example_collection, tol=TABLE_TOL)
 
     def test_strict_dominance_table(self, sd_example_collection):
         cat = categorize(sd_example_collection, tol=TABLE_TOL)
         assert cat.tag == "strict_dominance"
-        assert check_certificate(cat, sd_example_collection)
+        assert check_certificate(cat, sd_example_collection, tol=TABLE_TOL)
 
     def test_fosd_first(self, fosd_example_collection):
         coll = fosd_example_collection
@@ -157,14 +200,56 @@ class TestTwoPayoffCategorization:
         assert not check_certificate(claimed, coll)
 
     def test_unstructured_pair_is_other(self):
-        # Disjoint payoff supports: no mixing relation can hold, no dominance.
-        menu_a = menu(lottery([2, 8], [0.5, 0.5]),
-                      lottery([1, 9], [0.4, 0.6]))
-        menu_b = menu(lottery([3.3, 7.7], [0.6, 0.4]),
-                      lottery([0.5, 9.5], [0.5, 0.5]))
-        coll = collection([menu_a, menu_b], [0.8, 0.2])
-        cat = categorize(coll)
-        assert cat.tag == "other"
+        assert categorize(_unstructured_pair()).tag == "other"
+
+    def test_a_certificate_names_no_tolerance_of_its_own(self):
+        # The unstructured pair, categorized at a tolerance of 1.0: its
+        # certificate says so, and is still checked at the caller's.
+        coll = _unstructured_pair()
+        cat = categorize(coll, tol=1.0)
+        assert cat.tag != "other" and cat.certificate["tol"] == 1.0
+        assert check_certificate(cat, coll, tol=1.0)
+        assert not check_certificate(cat, coll)
+
+    @pytest.mark.parametrize("anchor", [-1, 2, True, 1.0, "1"])
+    @pytest.mark.parametrize("tag", ["dominated_consequence", "fosd", "shared_component_reversal"])
+    def test_an_anchor_out_of_range_or_not_an_int_does_not_check(self, request, tag, anchor):
+        # Each rule holds at anchor 1, the menus in reverse order where it
+        # holds at 0: Python's indexing would read -1 and True as 1.
+        coll = request.getfixturevalue(COLLECTIONS[tag])
+        key = ANCHOR_KEYS[tag]
+        if categorize(coll, tol=TABLE_TOL).certificate[key] == 0:
+            coll = Collection(*(v[::-1] for v in coll))
+        cat = categorize(coll, tol=TABLE_TOL)
+        assert (cat.tag, cat.certificate[key]) == (tag, 1)
+        assert check_certificate(cat, coll, tol=TABLE_TOL)
+        assert not check_certificate(AnomalyCategory(tag, {**cat.certificate, key: anchor}), coll,
+                                     tol=TABLE_TOL)
+
+    @pytest.mark.parametrize("cert", [{}, None, "fosd", [0, 0], 0])
+    def test_a_certificate_that_is_not_a_json_object_is_an_error(
+            self, fosd_example_collection, cert):
+        with pytest.raises(ValueError):
+            check_certificate(AnomalyCategory("fosd", cert), fosd_example_collection)
+
+    def test_golden_certificates_check_and_every_float_is_checked(self):
+        # Every tag's certificate as the program wrote it and JSONL reads it
+        # back: each checks at the default tolerance, and none does with any
+        # one of its floats moved by ten times that tolerance.
+        _, recs = read_jsonl(GOLDEN_TAGS, expected_kind="categorized")
+        cats = [(rec["category"], record_to_collection(rec)) for rec in recs
+                if rec["any_utility_inconsistent"]]
+        assert {cat["tag"] for cat, _ in cats} == set(ANCHOR_KEYS) | {"other"}
+        moved = 0
+        for cat, coll in cats:
+            assert check_certificate(AnomalyCategory(cat["tag"], cat["certificate"]), coll)
+            for path in _float_paths(cat["certificate"]):
+                for by in (10 * DEFAULT_TOL, -10 * DEFAULT_TOL):
+                    tampered = _moved(cat["certificate"], path, by)
+                    assert not check_certificate(AnomalyCategory(cat["tag"], tampered), coll), \
+                        (cat["tag"], path, by)
+                    moved += 1
+        assert moved > 50
 
     def test_relabel_invariance(self, dc_example_collection):
         # Swapping lotteries (with flipped probabilities) and menu order must
@@ -181,8 +266,9 @@ class TestTwoPayoffCategorization:
     def test_perturbed_alpha_ordering_fails_certificate(self, request, tag, field, tamper):
         coll = request.getfixturevalue(COLLECTIONS[tag])
         cat = categorize(coll, tol=TABLE_TOL)
-        assert cat.tag == tag and check_certificate(cat, coll)
-        assert not check_certificate(AnomalyCategory(tag, tamper(cat.certificate)), coll)
+        assert cat.tag == tag and check_certificate(cat, coll, tol=TABLE_TOL)
+        assert not check_certificate(AnomalyCategory(tag, tamper(cat.certificate)), coll,
+                                     tol=TABLE_TOL)
 
     @pytest.mark.parametrize("tag", COLLECTIONS)
     def test_certificate_checks_after_a_json_round_trip(self, request, tag):
@@ -191,7 +277,7 @@ class TestTwoPayoffCategorization:
         cat = categorize(coll, tol=TABLE_TOL)
         assert cat.tag == tag
         assert check_certificate(
-            AnomalyCategory(tag, json.loads(json.dumps(cat.certificate))), coll)
+            AnomalyCategory(tag, json.loads(json.dumps(cat.certificate))), coll, tol=TABLE_TOL)
 
     def test_reversal_certificate_checks_after_a_jsonl_round_trip(
             self, tmp_path, ternary_example_collection):
@@ -202,8 +288,8 @@ class TestTwoPayoffCategorization:
         _, (rec,) = read_jsonl(tmp_path / "c.jsonl", expected_kind="categorized")
         back = AnomalyCategory(cat.tag, rec["category"]["certificate"])
         assert set(back.certificate["alpha_a"]) == {"0", "1"}
-        assert check_certificate(cat, ternary_example_collection)
-        assert check_certificate(back, ternary_example_collection)
+        assert check_certificate(cat, ternary_example_collection, tol=TABLE_TOL)
+        assert check_certificate(back, ternary_example_collection, tol=TABLE_TOL)
 
     @settings(max_examples=300, deadline=None)
     @given(payoffs=st.lists(st.integers(0, 10), min_size=4, max_size=4, unique=True),
@@ -237,16 +323,16 @@ class TestTwoPayoffCategorization:
                 else collection(menus, probs))
         cat = categorize(coll, tol)
         assert check_certificate(
-            AnomalyCategory(cat.tag, json.loads(json.dumps(cat.certificate))), coll)
+            AnomalyCategory(cat.tag, json.loads(json.dumps(cat.certificate))), coll, tol=tol)
 
     def test_stored_component_off_the_simplex_is_rejected(self, ternary_example_collection):
         # A certificate's components come from outside the program: one whose
-        # probabilities are off the simplex is an error, not a verdict.
+        # probabilities are off the simplex is not the component re-derived.
         cat = categorize(ternary_example_collection, tol=TABLE_TOL)
         comp1 = cat.certificate["comp1"]
         bad = {**cat.certificate, "comp1": {**comp1, "probs": [2 * p for p in comp1["probs"]]}}
-        with pytest.raises(ValueError):
-            check_certificate(AnomalyCategory(cat.tag, bad), ternary_example_collection)
+        assert not check_certificate(AnomalyCategory(cat.tag, bad), ternary_example_collection,
+                                     tol=TABLE_TOL)
 
     def test_dominated_choice_is_fosd_at_any_size(self, fosd_example_collection,
                                                   dc_example_collection):
@@ -345,7 +431,7 @@ class TestThreePayoffCategorization:
         assert cat.certificate["family"] == 1
         assert cat.certificate["alpha_a"][1] == pytest.approx(0.0, abs=TABLE_TOL)
         assert cat.certificate["alpha_b"][1] == pytest.approx(0.70, abs=TABLE_TOL)
-        assert check_certificate(cat, ternary_example_collection)
+        assert check_certificate(cat, ternary_example_collection, tol=TABLE_TOL)
 
     def test_fosd_first(self):
         dominated = menu(lottery([5, 6, 7], [0.3, 0.3, 0.4]),
