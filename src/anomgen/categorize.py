@@ -291,10 +291,12 @@ def check_certificate(category: AnomalyCategory, collection: Collection,
     """Whether the category's rule, run at ``tol`` and at the anchor the
     certificate names, re-derives the certificate from the raw menus: every
     field of the two JSON forms equal, floats within ``tol``.  An anchor that
-    is not one of the rule's is no certificate; ``other`` has no rule."""
+    is not one of the rule's is no certificate.  ``other`` has no rule: it
+    checks when its certificate is empty and ``categorize`` at ``tol`` finds
+    no rule that holds."""
     tag, cert = category.tag, category.certificate
     if tag == "other":
-        return True
+        return cert == {} and categorize(collection, tol).tag == "other"
     if not cert or not isinstance(cert, dict):
         raise ValueError(f"missing certificate, or not a JSON object: {cert!r}")
     rule, key = _RULES[tag]

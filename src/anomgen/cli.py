@@ -71,8 +71,8 @@ def _config_from_args(args) -> PipelineConfig:
 # stack.  A morph step factors, projects and maps a block's runs as one
 # stack, and draws each block of ``morphing._DRAW_BLOCK`` standard normals
 # once for all of them, so its per-sample arrays do not grow with the runs:
-# 256 morph runs at 200,000 samples peaked at 39.2 MB in one block at one
-# step and 39.3 MB at two steps on one worker, and at 36.0 MB on two.
+# 256 morph runs at 200,000 samples (seed 5) peaked at 40.6 MB in one block
+# at one step and at two steps on one worker, and at 36.5 to 36.6 MB on two.
 _RUN_BLOCK = 256
 
 

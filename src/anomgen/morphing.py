@@ -15,8 +15,10 @@ through its logit and its gradient in the simplex's tangent space: 2J - 1
 numbers, drawn directly from 2J - 1 standard normals through one QR factor
 of the fit history's deviations (``_step_factors``).  The span of the
 sampled gradients is read from their (2J - 2) x (2J - 2) Gram matrix in
-tangent coordinates.  A step sums that matrix in one pass over fixed blocks
-of draws, so no array as wide as the sample count is built.
+tangent coordinates.  A draw's tangent gradient is linear in its normals, so
+a step sums each run's Gram matrix from weighted moments of the normals, in
+one pass over fixed blocks of draws: the same kept draws, the same sum, and
+no array as wide as the sample count is built.
 
 A step whose logistic slope is tiny wherever its draws fall keeps no
 draw: each sampled gradient's norm falls under ``rank_tol``, the Gram
@@ -27,32 +29,35 @@ the row then skips the test, when every draw is kept, or the block, when
 none is, with the same bytes.  A row that the bound finds keeps no draw in
 any block is a quiet row of its step.
 
-The draws are mapped in float32, and each block's Gram matrix is added
-into a float64 sum: the rounding, under 3e-7 of a Gram matrix's largest
-eigenvalue on real runs' steps, sits four decades under the Monte Carlo
-error of 200,000 draws (about 2e-3), and the smallest rank cutoff,
-``config.MIN_RANK_TOL`` = 1e-2, keeps the eigenvalue cutoff ``rank_tol**2``
-2.5 decades above it.
+The draws are mapped in float32, and each block's moments are added into
+float64 sums: on real runs' steps the Gram matrix's rounding stays under
+2.2e-6 of its largest eigenvalue, three decades under the Monte Carlo error
+of 200,000 draws (about 2e-3).  A one-draw Gram matrix, of rank one, shows a
+spurious eigenvalue up to about 3e-6 of its largest, and the smallest rank
+cutoff, ``config.MIN_RANK_TOL`` = 1e-2, keeps the eigenvalue cutoff
+``rank_tol**2`` 1.5 decades above it.
 
 Every step of every run of one master seed maps the same (count, d)
 standard normals, the seed's stream (``lotteries.normals_rng``), through its
 own factor: common random numbers (Glasserman, *Monte Carlo Methods in
 Financial Engineering*, 2003, ch. 4).  A step generates them once for its
 whole stack, one block at a time, rather than once per run: a block of
-8,192 costs about as much as mapping it through five to eight rows, so
-at paper scale the mapping, not the normals, is most of a drawing step.
+8,192 costs about as much as mapping it through ten to twenty rows, and
+past a step's first block one helper thread draws the next block while
+the step maps this one.
 
 Runs advance through the adversarial search's loop
 (``adversarial.lockstep``), and one call per step,
 ``morph_step_directions``, gives every running run its direction: the
 QR factors, eigendecompositions and projections act on the whole stack,
 and each block of the stream is drawn once and mapped and summed through
-every run's factor in turn.  A run's Gram matrix sums the blocks in
-stream order, so every row has the bytes it has in a stack of one.
+every run's factor in turn.  A run's moments sum the blocks in stream
+order, so every row has the bytes it has in a stack of one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -71,6 +76,9 @@ COV_JITTER = 1e-8
 # Rows of the (count, d) standard-normal stream drawn and reduced at a time:
 # a block's arrays stay in cache, and the size moves no draw.
 _DRAW_BLOCK = 8192
+# Rows whose logits and slopes are mapped together, as (group, n) arrays: one
+# numpy call per group, not per row, and no row's bits depend on its group.
+_ROW_GROUP = 4
 # The relative margin by which a block's bound (``_all_or_none``) must clear
 # ``rank_tol`` to decide its kept test, per unit of 1 + the logit's reach
 # |mean_a| + |L00| max|z0|: 64 float32 unit roundoffs u = 2**-24.  The map
@@ -186,25 +194,112 @@ def _all_or_none(mean: np.ndarray, scale: np.ndarray, spread: np.ndarray, z0: np
     return normal & (low > rank_tol), normal & (high <= rank_tol * (1.0 - margin))
 
 
+@functools.cache
+def _moment_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (j, k) of the moment matrix of z-hat = (z, 1) (d + 1 by
+    d + 1) that a row's moments hold, in their order: z_j for j < d, then
+    z_j z_k for j <= k < d in row-major order, each a product row of a
+    block, then 1, the weights' own sum.  Built once per d and shared
+    read-only."""
+    j, k = np.triu_indices(d)
+    pairs = np.concatenate([np.arange(d), j, [d]]), np.concatenate([np.full(d, d), k, [d]])
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _blocks(master_seed: int, count: int, d: int):
+    """The blocks of the seed's (count, d) standard normals
+    (``normals_rng(master_seed)``), read in order, at most ``_DRAW_BLOCK``
+    rows at a time: for each, its moment products (P, n) float32, the products
+    of z-hat = (z, 1) that ``_moment_pairs(d)`` lists but the last, 1, whose
+    first d rows are the block's normals as columns, then the ends of its z0
+    (2,) and its largest |z|.
+
+    A block is drawn into one float64 buffer and cast into float32 (d, n)
+    columns, whose z0 ends and largest |z| are taken there.  In a step of
+    more than one block, one helper thread does that for the next block
+    while the caller maps this one (the generator's fills and numpy's copies
+    release the GIL); a one-block step draws inline.  The stream is read by
+    one thread at a time, in order.  The products are built from the columns
+    before the next block is drawn into them, and stay valid until the
+    caller asks for the next block.  Closing the generator waits for the
+    helper's block, if one is drawing, and stops the thread.
+    """
+    stream = normals_rng(master_seed)
+    block = min(count, _DRAW_BLOCK)
+    normals, columns = np.empty(d * block), np.empty(d * block, np.float32)
+    products = np.empty((len(_moment_pairs(d)[0]) - 1) * block, np.float32)
+
+    def draw(start):
+        n = min(_DRAW_BLOCK, count - start)
+        z = stream.standard_normal(out=normals[:n * d].reshape(n, d))
+        zT = columns[:d * n].reshape(d, n)
+        zT[...] = z.T
+        # Once cast, the draw's buffer holds the squared norms.
+        norms = normals.view(np.float32)[:n]
+        radius = np.sqrt(np.einsum("ij,ij->j", zT, zT, out=norms).max())
+        return zT, np.array([zT[0].min(), zT[0].max()]), radius
+
+    def products_of(zT):
+        n = zT.shape[1]
+        out = products[:len(products) // block * n].reshape(-1, n)
+        out[:d] = zT
+        row = d
+        for j in range(d):
+            np.multiply(zT[j:], zT[j], out=out[row:row + d - j])
+            row += d - j
+        return out
+
+    starts = range(0, count, _DRAW_BLOCK)
+    if len(starts) == 1:
+        zT, ends, radius = draw(0)
+        yield products_of(zT), ends, radius
+        return
+    # Imported here: a one-block step, every step of a desk-scale run, needs
+    # no thread and does not pay for the module.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(draw, 0)
+        for start in starts:
+            zT, ends, radius = ahead.result()
+            out = products_of(zT)
+            if start + _DRAW_BLOCK < count:
+                ahead = helper.submit(draw, start + _DRAW_BLOCK)
+            yield out, ends, radius
+
+
 def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
                 rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Each row's Gram matrix (R, m, m) of the gradients sigma'(a) w of the
     ``count`` draws (a, w) the seed's (count, d) standard normals
     (``normals_rng(master_seed)``) map to through the row's factor, those
     whose norm exceeds ``rank_tol``, and which rows are quiet (R,): one pass
-    over the stream's blocks of at most ``_DRAW_BLOCK`` rows, each drawn once
-    into one buffer, cast once into float32 (d, n) columns and mapped and
-    summed through every row in turn, in float32 work buffers that every
-    block and row reuse.  Each block's float32 Gram product adds into the
-    float64 sum.  An empty stack builds no generator.
+    over the stream's blocks (``_blocks``).  An empty stack builds no
+    generator.
+
+    A draw's tangent gradient is w = W z-hat, with W = [L[1:] | mean_w]
+    (m, d + 1) and z-hat = (z, 1), so a row's Gram matrix is W M W^T, where
+    M = sum_i k_i s_i^2 z-hat_i z-hat_i^T, s_i the slope and k_i the kept
+    flag: the slope reads the row only through mean_a and L00.  Each block
+    holds the products of z-hat once for every row (``_moment_pairs``).  The
+    rows' logits and slopes are mapped in float32, ``_ROW_GROUP`` rows at a
+    time, and each row's squared slopes, its weights, meet the products in one
+    float32 matrix-vector product of its own, added into the row's float64
+    moments.  The last moment, the weights' sum, is each row's pairwise sum:
+    a BLAS sum of weights that barely vary, where the logit barely moves,
+    rounds one way, by up to about 128 eps32 over a block.  W M W^T is formed
+    in float64 at the end; a row that kept no draw has a zero Gram matrix.
 
     Each block first bounds every row's sigma'(a) |w| over its own draws
     (``_all_or_none`` over the block's extremes of z0 and |z|).  A row that
     keeps every draw of the block skips the kept test, which would zero no
-    weight; a row that keeps none skips the block, whose sum would add only
-    zeros.  Either way its Gram matrix has the bytes of the tested sum.  A
-    quiet row is one that the bound found keeps none in every block: its
-    Gram matrix is zero.
+    weight; a row that keeps none skips the block, whose product would add
+    only zeros.  Only a row the bound leaves undecided maps w = W z-hat in
+    float32 for its kept test.  Either way its moments have the bytes of the
+    tested sum.  A quiet row is one that the bound found keeps none in every
+    block.
     """
     R, m, d = len(L), L.shape[1] - 1, L.shape[2]
     grams, quiet = np.zeros((R, m, m)), np.ones(R, dtype=bool)
@@ -215,33 +310,40 @@ def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
     scale, w_map = L[:, 0, 0], np.ascontiguousarray(L[:, 1:])
     spread = _spread(w_map)
     scale32, mean32, w_map32 = (x.astype(np.float32) for x in (scale, mean, w_map))
-    stream = normals_rng(master_seed)
+    pairs = _moment_pairs(d)
+    moments = np.zeros((R, len(pairs[0])))
+    # A group's logits and slopes.  The logits' buffer, free once the slopes
+    # are taken, holds an undecided row's tangent gradients and their
+    # squared norms.
     block = min(count, _DRAW_BLOCK)
-    # Flat buffers for one block, its normals and the map's float32 work; a
-    # block of n draws views them as contiguous arrays of its own size.
-    normals = np.empty(d * block)
-    columns, grads, weighted, logits, slopes = (
-        np.empty(size, np.float32) for size in (d * block, m * block, m * block, block, block))
-    for start in range(0, count, _DRAW_BLOCK):
-        n = min(_DRAW_BLOCK, count - start)
-        z = stream.standard_normal(out=normals[:n * d].reshape(n, d))
-        zT = columns[:d * n].reshape(d, n)
-        zT[...] = z.T
-        z0, a, s = zT[0], logits[:n], slopes[:n]
-        radius = np.sqrt(np.einsum("ij,ij->j", zT, zT, out=a).max())
-        every, none = _all_or_none(mean, scale, spread, np.array([z0.min(), z0.max()]), radius,
-                                   rank_tol)
-        quiet &= none
-        for i in np.flatnonzero(~none):
-            np.multiply(z0, scale32[i], out=a)
-            a += mean32[i, 0]
-            _slope(a, out=s)
-            w = np.matmul(w_map32[i], zT, out=grads[:m * n].reshape(m, n))
-            w += mean32[i, 1:, None]
-            weights = np.multiply(s, s, out=s)
-            if not every[i]:
-                weights[~(weights * np.einsum("ij,ij->j", w, w) > rank_tol ** 2)] = 0.0
-            grams[i] += np.multiply(w, weights, out=weighted[:m * n].reshape(m, n)) @ w.T
+    logits, slopes = (np.empty(rows * block, np.float32)
+                      for rows in (max(_ROW_GROUP, m + 1), _ROW_GROUP))
+    with contextlib.closing(_blocks(master_seed, count, d)) as blocks:
+        for products, ends, radius in blocks:
+            n = products.shape[1]
+            every, none = _all_or_none(mean, scale, spread, ends, radius, rank_tol)
+            quiet &= none
+            drawing = np.flatnonzero(~none)
+            for first in range(0, len(drawing), _ROW_GROUP):
+                group = drawing[first:first + _ROW_GROUP]
+                a = np.multiply(scale32[group, None], products[0],
+                                out=logits[:len(group) * n].reshape(-1, n))
+                a += mean32[group, :1]
+                weights = _slope(a, out=slopes[:len(group) * n].reshape(-1, n))
+                np.multiply(weights, weights, out=weights)
+                for i, weight in zip(group.tolist(), weights):
+                    if not every[i]:
+                        w = np.matmul(w_map32[i], products[:d], out=logits[:m * n].reshape(m, n))
+                        w += mean32[i, 1:, None]
+                        norms = np.einsum("ij,ij->j", w, w, out=logits[m * n:(m + 1) * n])
+                        weight[~(np.multiply(weight, norms, out=norms) > rank_tol ** 2)] = 0.0
+                    moments[i, :-1] += products @ weight
+                moments[group, -1] += weights.sum(axis=1)
+    drawn = moments.any(axis=1)
+    M = np.zeros((drawn.sum(), d + 1, d + 1))
+    M[:, pairs[0], pairs[1]] = M[:, pairs[1], pairs[0]] = moments[drawn]
+    W = np.concatenate([L[drawn, 1:], mean[drawn, 1:, None]], axis=2)
+    grams[drawn] = W @ M @ W.transpose(0, 2, 1)
     return grams, quiet
 
 
@@ -273,11 +375,12 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     Everything but the draws is done for the whole stack at once: the
     history means and one QR factor per run (``_step_factors``), the Gram
     eigendecompositions and the projections.  The draws go block by block
-    of ``_DRAW_BLOCK`` rows of the normals (``_draw_grams``); each block is
-    mapped straight to every row's a and w and added into its
-    (2J - 2) x (2J - 2) Gram matrix, so no count-wide array is built.  Every
-    operation acts on one row, and a row sums its blocks in stream order, so
-    a row's bytes do not depend on the rows stacked with it.
+    of ``_DRAW_BLOCK`` rows of the normals (``_draw_grams``); each block's
+    weighted moments are added into every row's sums, from which its
+    (2J - 2) x (2J - 2) Gram matrix is formed, so no count-wide array is
+    built.  Every operation acts on one row, elementwise or in a product of
+    its own, and a row sums its blocks in stream order, so a row's bytes do
+    not depend on the rows stacked with it.
     """
     T = _tangent_basis(probs.shape[-1])
     mean, L = _step_factors(probs, histories, basis_rows, T)

@@ -566,23 +566,65 @@ def _reference_kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray
     return (cols * np.where(kept, scale * scale, 0.0)) @ cols.T
 
 
-def reference_gram(probs, history, basis_rows, rng, config, dtype=np.float32) -> np.ndarray:
-    """One run's Gram matrix (2J - 2, 2J - 2) of its kept sampled gradients,
-    computed on its own: each block of ``rng``'s draws is mapped in
-    ``dtype``, by default float32 as the step maps them, and its kept Gram
-    matrix is added into a float64 sum."""
-    mean, L = (x.astype(dtype) for x in reference_step_factor(probs, history, basis_rows))
-    w_map = np.ascontiguousarray(L[1:])
-    gram = np.zeros((len(w_map), len(w_map)))
-    count = config.n_gradient_samples
+def reference_products(zT: np.ndarray) -> np.ndarray:
+    """The rows a morph step's moments sum in one product, for one block's
+    normals as columns zT (d, n), built from fresh arrays: the products of
+    z-hat = (z, 1) in the step's order, z_j, then z_j z_k for j <= k in
+    row-major order."""
+    j, k = np.triu_indices(len(zT))
+    return np.concatenate([zT, zT[j] * zT[k]])
+
+
+def reference_factor_gram(mean, L, rng, count: int, rank_tol: float) -> np.ndarray:
+    """The Gram matrix (m, m) of the kept gradients of one factor's ``count``
+    draws (mean (d,), L (d, d)) of ``rng``'s normals, in the moment form the
+    step sums, computed on its own: per block of ``morphing._DRAW_BLOCK``
+    draws, float32 slopes and a float32 map of w for the kept test, the
+    kept draws' squared slopes times the block's products of z-hat = (z, 1)
+    as one float32 product, and their own float32 sum, added into float64
+    moment sums, and at the end W M W^T in float64, W = [L[1:] | mean_w].  A
+    factor that keeps no draw has a zero Gram matrix."""
+    mean32, L32 = mean.astype(np.float32), L.astype(np.float32)
+    d = L.shape[1]
+    moments = np.zeros((d + 1) * (d + 2) // 2)
     for start in range(0, count, morphing._DRAW_BLOCK):
-        z = rng.standard_normal((min(morphing._DRAW_BLOCK, count - start), L.shape[1]))
-        zT = np.ascontiguousarray(z.T, dtype=dtype)
+        z = rng.standard_normal((min(morphing._DRAW_BLOCK, count - start), d))
+        zT = np.ascontiguousarray(z.T, dtype=np.float32)
+        e = np.exp(-np.abs(zT[0] * L32[0, 0] + mean32[0]))
+        slopes = e / (1.0 + e) ** 2
+        w = np.ascontiguousarray(L32[1:]) @ zT + mean32[1:, None]
+        weights = np.where(reference_kept(w, slopes, rank_tol), slopes * slopes, 0.0)
+        moments[:-1] += reference_products(zT) @ weights
+        moments[-1] += weights.sum()
+    if not np.any(moments):
+        return np.zeros((d - 1, d - 1))
+    j, k = np.triu_indices(d)
+    rows, cols = np.r_[np.arange(d), j, d], np.r_[np.full(d, d), k, d]
+    M = np.zeros((d + 1, d + 1))
+    M[rows, cols] = moments
+    M[cols, rows] = moments
+    W = np.column_stack([L[1:], mean[1:]])
+    return W @ M @ W.T
+
+
+def per_draw_gram(mean, L, rng, count: int, rank_tol: float) -> np.ndarray:
+    """The Gram matrix (m, m) of the kept gradients of one factor's ``count``
+    draws of ``rng``'s normals, mapped in float64 draw by draw: each block's
+    slopes and gradients w, and their kept Gram matrix, summed."""
+    gram = np.zeros((len(L) - 1, len(L) - 1))
+    for start in range(0, count, morphing._DRAW_BLOCK):
+        zT = rng.standard_normal((min(morphing._DRAW_BLOCK, count - start), L.shape[1])).T
         e = np.exp(-np.abs(zT[0] * L[0, 0] + mean[0]))
-        w = w_map @ zT
-        w += mean[1:, None]
-        gram += _reference_kept_gram(w, e / (1.0 + e) ** 2, config.rank_tol)
+        gram += _reference_kept_gram(L[1:] @ zT + mean[1:, None], e / (1.0 + e) ** 2, rank_tol)
     return gram
+
+
+def reference_gram(probs, history, basis_rows, rng, config) -> np.ndarray:
+    """One run's Gram matrix (2J - 2, 2J - 2) of its kept sampled gradients,
+    computed on its own in the moment form the step sums
+    (``reference_factor_gram``) from its own factor."""
+    return reference_factor_gram(*reference_step_factor(probs, history, basis_rows), rng,
+                                 config.n_gradient_samples, config.rank_tol)
 
 
 def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config):

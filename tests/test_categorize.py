@@ -201,6 +201,18 @@ class TestTwoPayoffCategorization:
 
     def test_unstructured_pair_is_other(self):
         assert categorize(_unstructured_pair()).tag == "other"
+        assert check_certificate(AnomalyCategory("other", {}), _unstructured_pair())
+
+    @pytest.mark.parametrize("cert", [{"menu_index": 0}, {"tol": DEFAULT_TOL}, None, []])
+    def test_other_checks_only_an_empty_certificate(self, cert):
+        assert not check_certificate(AnomalyCategory("other", cert), _unstructured_pair())
+
+    def test_other_does_not_check_where_a_rule_holds(self, fosd_example_collection):
+        # An FOSD pair is named by its rule, so ``other`` is no certificate
+        # for it; at a tolerance of 1.0 the unstructured pair is named too.
+        assert categorize(fosd_example_collection).tag == "fosd"
+        assert not check_certificate(AnomalyCategory("other", {}), fosd_example_collection)
+        assert not check_certificate(AnomalyCategory("other", {}), _unstructured_pair(), tol=1.0)
 
     def test_a_certificate_names_no_tolerance_of_its_own(self):
         # The unstructured pair, categorized at a tolerance of 1.0: its

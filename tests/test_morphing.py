@@ -1,10 +1,11 @@
 import math
+import threading
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anomgen import morphing
@@ -18,7 +19,7 @@ from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_b
                               morph_step_directions, run_morph_indices)
 from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
 from conftest import (fit_theta, flat, grad, morph_step_direction, null_space_projection,
-                      pipeline_config, predict, record_menus, reference_gram, reference_kept,
+                      per_draw_gram, pipeline_config, predict, record_menus, reference_kept,
                       reference_step_direction, reference_step_factor, reference_utility_factor,
                       sample_random_menu, sample_step_gradients, sample_theta_history,
                       search_iterates, stack, tangent)
@@ -382,10 +383,10 @@ class TestMorphStepDirection:
         assert 2 in ranks
 
     def test_one_draw_spans_at_most_one_direction(self):
-        # float32 rounding leaves a rank-deficient Gram matrix a spurious
-        # eigenvalue up to about 5e-8 of its largest, far under the smallest
-        # cutoff's rank_tol**2: a one-draw step keeps rank 1 or 0 (at
-        # rank_tol 1e-6 it reports up to 4).
+        # float32 rounding of the moments leaves a rank-deficient Gram matrix
+        # a spurious eigenvalue up to about 3e-6 of its largest, under the
+        # smallest cutoff's rank_tol**2: a one-draw step keeps rank 1 or 0
+        # (at rank_tol 1e-6 it reports up to 3).
         cfg = MorphConfig(n_gradient_samples=1, rank_tol=MIN_RANK_TOL)
         for J in (2, 3):
             g, probs, H, rows = morph_like_stack(np.random.default_rng(12 + J), 64, J, 3)
@@ -558,7 +559,9 @@ class TestStackedStep:
                 g[k], probs[k], list(H[k]), rows[k], normals_rng(seed), cfg)
             assert_same_bits(direction, ref_direction)
             assert rank == ref_rank
-        for R in (1, 7, 29, 64):
+        # Stacks at the row group's edges, and past them.
+        group = morphing._ROW_GROUP
+        for R in sorted({1, group - 1, group, group + 1, 7, 29, 64} - {0}):
             directions, ranks, stack_quiet = morph_step_directions(g[:R], probs[:R], H[:R],
                                                                    rows[:R], seed, cfg)
             assert directions.shape == (R, 2 * J) and ranks.shape == (R,)
@@ -623,6 +626,49 @@ class TestStreamedDraws:
         # The tracer sees numpy's arrays, and the step summed draws.
         assert control >= 8 * count and not quiet.all()
         assert peak < 8 * count
+
+    @pytest.mark.parametrize("count", [morphing._DRAW_BLOCK, 6 * morphing._DRAW_BLOCK])
+    def test_no_thread_outlives_a_step(self, monkeypatch, count):
+        # A step of more than one block draws the next block on one helper
+        # thread while it maps this one; a one-block step draws inline.
+        cfg, seed = MorphConfig(n_gradient_samples=count), 9
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(64), 7, 2, 3)
+        before, during, original = threading.active_count(), [], morphing._all_or_none
+
+        def spy(*args):
+            during.append(threading.active_count())
+            return original(*args)
+
+        monkeypatch.setattr(morphing, "_all_or_none", spy)
+        morph_step_directions(g, probs, H, rows, seed, cfg)
+        assert threading.active_count() == before
+        assert max(during) == before + (count > morphing._DRAW_BLOCK)
+
+    def test_a_failing_block_stops_the_helper_thread(self, monkeypatch):
+        # The third block's mapping raises: the step raises, its helper
+        # thread is gone, and the stream was read in block order, at most one
+        # block past the one that failed.
+        cfg, seed = MorphConfig(n_gradient_samples=6 * morphing._DRAW_BLOCK), 9
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(64), 7, 2, 3)
+        streams, decided, original = recording_streams(monkeypatch), [], morphing._all_or_none
+
+        def failing(*args):
+            decided.append(original(*args))
+            if len(decided) == 3:
+                raise RuntimeError("the third block")
+            return decided[-1]
+
+        monkeypatch.setattr(morphing, "_all_or_none", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="the third block"):
+            morph_step_directions(g, probs, H, rows, seed, cfg)
+        assert threading.active_count() == before
+        (stream,) = streams
+        assert 3 <= len(stream.draws) <= 4
+        assert [z.shape for z in stream.draws] == [(morphing._DRAW_BLOCK, 3)] * len(stream.draws)
+        np.testing.assert_array_equal(
+            np.concatenate(stream.draws),
+            normals_rng(seed).standard_normal((len(stream.draws) * morphing._DRAW_BLOCK, 3)))
 
     @pytest.mark.parametrize("J", [2, 3])
     def test_rows_keep_their_bits_in_any_order(self, J):
@@ -910,18 +956,18 @@ class TestFloat32Map:
     @pytest.mark.parametrize("count", [2_000, 200_000])
     def test_quiet_flags_and_ranks_match_a_float64_map(self, lockstep_steps, count):
         # A step is quiet exactly where the float64 map keeps no draw, and
-        # keeps the float64 map's rank.  Each kept draw's float32 Gram term is
-        # off by a few eps32 of its trace share, and the terms' rounding
-        # averages out over the draws (measured under 2.5 eps32 of the
-        # trace): the bound is gap_tolerance's float32 term, 100 eps32.
+        # keeps the float64 map's rank.  Each kept draw's float32 moment terms
+        # are off by a few eps32 of its trace share, and the terms' rounding
+        # averages out over the draws (measured under 6 eps32 of the trace):
+        # the bound is gap_tolerance's float32 term, 100 eps32.
         steps, _ = lockstep_steps[count]
         drawn = 0
         for ((g, probs, H, rows, seed, cfg), (_, ranks, quiet)), _ in steps:
             mean, L = _step_factors(probs, H, rows, _tangent_basis(probs.shape[-1]))
             grams, _ = morphing._draw_grams(seed, mean, L, count, cfg.rank_tol)
             for k in range(len(g)):
-                gram = reference_gram(probs[k], H[k], rows[k], normals_rng(seed), cfg,
-                                      np.float64)
+                gram = per_draw_gram(*reference_step_factor(probs[k], H[k], rows[k]),
+                                     normals_rng(seed), count, cfg.rank_tol)
                 evals = np.linalg.eigvalsh(gram)
                 assert quiet[k] == (not gram.any())
                 assert ranks[k] == np.sum(evals > cfg.rank_tol ** 2 * evals[-1])
@@ -929,6 +975,36 @@ class TestFloat32Map:
                     1e2 * np.finfo(np.float32).eps * np.trace(gram)
                 drawn += not quiet[k]
         assert drawn >= 30
+
+    @settings(max_examples=200, deadline=None)
+    @example(seed=12, J=2, count=2 * morphing._DRAW_BLOCK + 17, mean_a=3.05, log_l00=-7.0,
+             log_l=0.0, log_gap=4.0, rank_tol=0.1)
+    @given(seed=st.integers(0, 2 ** 32 - 1), J=st.sampled_from([2, 3]),
+           count=st.integers(1, 2 * morphing._DRAW_BLOCK + 17), mean_a=st.floats(-6.0, 6.0),
+           log_l00=st.floats(-7.0, 0.0), log_l=st.floats(-2.0, 1.0), log_gap=st.floats(-3.0, 6.0),
+           rank_tol=st.sampled_from([0.1, MIN_RANK_TOL]))
+    def test_moment_grams_match_a_float64_per_draw_map(self, seed, J, count, mean_a, log_l00,
+                                                       log_l, log_gap, rank_tol):
+        # Random factors, up to |mean_w| a million times ||L[1:]||_2, where
+        # the moment sums cancel, and logits that barely move, whose squared
+        # slopes are nearly equal: the Gram matrix summed from the block's
+        # moments is within the bound above of the float64 Gram matrix of the
+        # same kept draws, mapped draw by draw.
+        rng = np.random.default_rng(seed)
+        d = 2 * J - 1
+        L = np.tril(rng.normal(size=(d, d)))
+        L[0, 0], L[0, 1:], L[1:] = L[0, 0] * 10.0 ** log_l00, 0.0, L[1:] * 10.0 ** log_l
+        mean = np.concatenate([[mean_a], rng.normal(size=d - 1) * 10.0 ** (log_l + log_gap)])
+        (gram,), _ = morphing._draw_grams(seed, mean[None], L[None], count, rank_tol)
+        z = normals_rng(seed).standard_normal((count, d))
+        kept = np.concatenate([reference_kept(w, slopes, rank_tol) for slopes, w in (
+            float32_map(mean, L, z[i:i + morphing._DRAW_BLOCK])
+            for i in range(0, count, morphing._DRAW_BLOCK))])
+        aw = z[kept] @ L.T + mean
+        e = np.exp(-np.abs(aw[:, 0]))
+        grads = aw[:, 1:] * (e / (1.0 + e) ** 2)[:, None]
+        expected = grads.T @ grads
+        assert np.abs(gram - expected).max() <= 1e2 * np.finfo(np.float32).eps * np.trace(expected)
 
 
 class TestCommonRandomNumbers:
