@@ -30,12 +30,15 @@ from .cpt import PRESETS, CptParams, CptPredictor
 # utility must exceed to rationalize its choices.
 DEFAULT_KL_THRESHOLD = 1e-5
 MARGIN_THRESHOLD = 1e-9
-# Smallest rank cutoff the morph step's Gram route resolves.  The eigenvalue
-# cutoff is rank_tol**2 times the largest eigenvalue, and the step maps its
-# draws in float32, so its Gram matrix carries rounding of up to about 3e-7
-# of the largest (a rank-deficient one shows a spurious eigenvalue up to
-# about 5e-8 of it): at 1e-2 the cutoff, 1e-4, stays 2.5 decades above that
-# noise, while near sqrt(3e-7) the noise would decide the retained rank.
+# Smallest rank cutoff the morph step's Gram matrix resolves.  The
+# eigenvalue cutoff is rank_tol**2 times the largest eigenvalue.  The
+# sampler of J >= 3 steps maps its draws in float32 and sums them as
+# moments, so its Gram matrix carries rounding of up to about 2.2e-6 of the
+# largest, and a rank-deficient one shows a spurious eigenvalue up to about
+# 3.2e-6 of it: at 1e-2 the cutoff, 1e-4, stays 1.5 decades above that
+# noise, while near sqrt(3.2e-6) the noise would decide the retained rank.
+# The floor guards that sampler; a J = 2 step takes its Gram matrix in
+# expectation, in float64.
 MIN_RANK_TOL = 1e-2
 
 

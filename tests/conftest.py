@@ -522,12 +522,27 @@ def null_space_projection(g_star, sampled_grads, rank_tol: float = 1e-6) -> np.n
     return out[0]
 
 
-def morph_step_direction(pred_grad, probs, history, basis_rows, master_seed, config):
-    """One run's morph step: ``morph_step_directions`` on a stack of one,
-    mapping the normals of ``master_seed``.  ``pred_grad`` is (2J,),
-    ``probs`` (2, J), ``history`` a sequence of at least two fits and
-    ``basis_rows`` (2J, K); returns the direction (2J,) and the retained rank."""
-    directions, ranks, _ = morphing.morph_step_directions(
+def sampled_step_directions(pred_grads, probs, histories, basis_rows, master_seed, config):
+    """A stack's morph step with every row's Gram matrix summed over its
+    draws from the seed's normals (``morphing._draw_grams``), at any J: the
+    route ``morphing.morph_step_directions`` takes for J >= 3.  Returns the
+    directions (R, 2J), ranks (R,) and quiet flags (R,)."""
+    T = morphing._tangent_basis(probs.shape[-1])
+    mean, L = morphing._step_factors(probs, histories, basis_rows, T)
+    grams, quiet = morphing._draw_grams(master_seed, mean, L, config.n_gradient_samples,
+                                        config.rank_tol)
+    directions, ranks = morphing._project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
+                                                   config.rank_tol)
+    return (T @ directions[..., None])[..., 0], ranks, quiet
+
+
+def morph_step_direction(pred_grad, probs, history, basis_rows, master_seed, config,
+                         step=None):
+    """One run's morph step: ``step`` (``morph_step_directions`` by default)
+    on a stack of one, of ``master_seed``.  ``pred_grad`` is (2J,), ``probs``
+    (2, J), ``history`` a sequence of at least two fits and ``basis_rows``
+    (2J, K); returns the direction (2J,) and the retained rank."""
+    directions, ranks, _ = (step or morphing.morph_step_directions)(
         np.asarray(pred_grad, dtype=float)[None], np.asarray(probs, dtype=float)[None],
         np.atleast_2d(np.array(history, dtype=float))[None],
         np.asarray(basis_rows, dtype=float)[None], master_seed, config)
@@ -619,21 +634,28 @@ def per_draw_gram(mean, L, rng, count: int, rank_tol: float) -> np.ndarray:
     return gram
 
 
-def reference_gram(probs, history, basis_rows, rng, config) -> np.ndarray:
-    """One run's Gram matrix (2J - 2, 2J - 2) of its kept sampled gradients,
-    computed on its own in the moment form the step sums
-    (``reference_factor_gram``) from its own factor."""
-    return reference_factor_gram(*reference_step_factor(probs, history, basis_rows), rng,
-                                 config.n_gradient_samples, config.rank_tol)
+def reference_gram(probs, history, basis_rows, rng, config, sampled=False) -> np.ndarray:
+    """One run's Gram matrix (2J - 2, 2J - 2) of its kept gradients, from its
+    own factor: for J = 2, unless ``sampled``, in expectation, the one-row
+    route (``morphing._expected_grams``), and ``rng`` is not read; else
+    summed over ``rng``'s draws in the moment form the step sums, computed
+    on its own (``reference_factor_gram``)."""
+    mean, L = reference_step_factor(probs, history, basis_rows)
+    if probs.shape[-1] == 2 and not sampled:
+        (gram,), _ = morphing._expected_grams(mean[None], L[None], config.n_gradient_samples,
+                                              config.rank_tol)
+        return gram
+    return reference_factor_gram(mean, L, rng, config.n_gradient_samples, config.rank_tol)
 
 
-def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config):
+def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config, sampled=False):
     """One run's morph step, (direction (2J,), retained rank), computed on its
     own from its ``reference_gram``: the per-run step that
-    ``morphing.morph_step_directions`` stacks, and the bit-for-bit reference
-    for every row of a stack."""
+    ``morphing.morph_step_directions`` stacks (``sampled_step_directions``
+    with ``sampled``), and the bit-for-bit reference for every row of a
+    stack."""
     T = morphing._tangent_basis(probs.shape[-1])
-    gram = reference_gram(probs, history, basis_rows, rng, config)
+    gram = reference_gram(probs, history, basis_rows, rng, config, sampled)
     evals, vecs = np.linalg.eigh(gram)
     kept = evals > config.rank_tol ** 2 * evals[-1]
     g = T.T @ pred_grad

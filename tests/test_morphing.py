@@ -22,7 +22,7 @@ from conftest import (fit_theta, flat, grad, morph_step_direction, null_space_pr
                       per_draw_gram, pipeline_config, predict, record_menus, reference_kept,
                       reference_step_direction, reference_step_factor, reference_utility_factor,
                       sample_random_menu, sample_step_gradients, sample_theta_history,
-                      search_iterates, stack, tangent)
+                      sampled_step_directions, search_iterates, stack, tangent)
 
 
 class TestSampleThetaHistory:
@@ -191,10 +191,11 @@ class TestGramMatchesSvd:
             reference = svd_projection(g_t, G_t, rank_tol)
             np.testing.assert_allclose(null_space_projection(g_t, G_t, rank_tol),
                                        reference, rtol=0, atol=1e-10)
-            # The step maps the same normals in float32.
+            # The sampler maps the same normals in float32.
             step, rank = morph_step_direction(
                 g, probs_of(menu), history, rows, seed,
-                MorphConfig(n_gradient_samples=200_000, rank_tol=rank_tol))
+                MorphConfig(n_gradient_samples=200_000, rank_tol=rank_tol),
+                step=sampled_step_directions)
             np.testing.assert_allclose(step, reference, rtol=0, atol=atol)
             ranks.add(rank)
             compared += 1
@@ -352,9 +353,9 @@ class TestMorphRun:
 
 class TestMorphStepDirection:
     def test_descent_against_predictor_gradient(self):
-        # Criterion-8 style property on random tangent states: the step
-        # descends the tangent predictor gradient and is orthogonal to every
-        # kept sampled gradient of its own draws, but for the part of it in
+        # Criterion-8 style property on random tangent states: the sampled
+        # step descends the tangent predictor gradient and is orthogonal to
+        # every kept sampled gradient of its own draws, but for the part of it in
         # the span the eigenvalue cutoff drops: at most the dropped one of
         # the two eigenvalues, under rank_tol**2 times the largest, itself at
         # most the kept gradients' squared Frobenius norm, bounds that part.
@@ -368,7 +369,8 @@ class TestMorphStepDirection:
             count = int(rng.integers(1, 6))
             v, rank = morph_step_direction(
                 g, probs_of(menu), history, rows, seed,
-                MorphConfig(n_gradient_samples=count, rank_tol=MIN_RANK_TOL))
+                MorphConfig(n_gradient_samples=count, rank_tol=MIN_RANK_TOL),
+                step=sampled_step_directions)
             ranks.add(rank)
             grads = sample_step_gradients(probs_of(menu), history, count, normals_rng(seed),
                                           rows)
@@ -383,15 +385,15 @@ class TestMorphStepDirection:
         assert 2 in ranks
 
     def test_one_draw_spans_at_most_one_direction(self):
-        # float32 rounding of the moments leaves a rank-deficient Gram matrix
-        # a spurious eigenvalue up to about 3e-6 of its largest, under the
+        # The sampler's float32 rounding of the moments leaves a rank-deficient
+        # Gram matrix a spurious eigenvalue up to about 3.2e-6 of its largest, under the
         # smallest cutoff's rank_tol**2: a one-draw step keeps rank 1 or 0
         # (at rank_tol 1e-6 it reports up to 3).
         cfg = MorphConfig(n_gradient_samples=1, rank_tol=MIN_RANK_TOL)
         for J in (2, 3):
             g, probs, H, rows = morph_like_stack(np.random.default_rng(12 + J), 64, J, 3)
             for seed in range(8):
-                _, ranks, _ = morph_step_directions(g, probs, H, rows, seed, cfg)
+                _, ranks, _ = sampled_step_directions(g, probs, H, rows, seed, cfg)
                 assert ranks.max() == 1
 
 
@@ -443,7 +445,8 @@ def recording_streams(monkeypatch):
 
 
 class TestBlockedGram:
-    """The blocked step against the whole-array route on the same draws."""
+    """The blocked sampled step against the whole-array route on the same
+    draws."""
 
     @pytest.mark.parametrize("rank_tol", [0.1, MIN_RANK_TOL])
     @pytest.mark.parametrize("J", [2, 3])
@@ -455,13 +458,15 @@ class TestBlockedGram:
         for seed in range(12):
             g, menu, history, rows = morph_like_state(rng, J)
             cfg = MorphConfig(n_gradient_samples=count, rank_tol=rank_tol)
-            step, rank = morph_step_direction(g, probs_of(menu), history, rows, seed, cfg)
+            step, rank = morph_step_direction(g, probs_of(menu), history, rows, seed, cfg,
+                                              step=sampled_step_directions)
             G_t = sample_step_gradients(probs_of(menu), history, count, normals_rng(seed), rows)
             if quiet_step(probs_of(menu), history, rows, seed, count, rank_tol):
                 # A quiet step's direction is the one its sampled Gram matrix
                 # gives.
                 assert_same_bits(step, reference_step_direction(g, probs_of(menu), history, rows,
-                                                                normals_rng(seed), cfg)[0])
+                                                                normals_rng(seed), cfg,
+                                                                sampled=True)[0])
                 quiet += 1
             kept = G_t[np.linalg.norm(G_t, axis=1) > rank_tol]
             atol = gap_tolerance(kept, rank_tol)
@@ -501,7 +506,8 @@ class TestBlockedGram:
             for block in (1000, 4096):
                 monkeypatch.setattr(morphing, "_DRAW_BLOCK", block)
                 streams = recording_streams(monkeypatch)
-                step, rank = morph_step_direction(g, probs_of(menu), history, rows, trial, cfg)
+                step, rank = morph_step_direction(g, probs_of(menu), history, rows, trial, cfg,
+                                                  step=sampled_step_directions)
                 draws = [z for stream in streams for z in stream.draws]
                 assert [stream.seed for stream in streams] == [trial]
                 assert [z.shape[0] for z in draws[:-1]] == [block] * (len(draws) - 1)
@@ -548,12 +554,14 @@ class TestStackedStep:
     def test_rows_equal_their_own_steps(self, count, h, J):
         cfg, seed = MorphConfig(n_gradient_samples=count), 5
         g, probs, H, rows = morph_like_stack(np.random.default_rng(50 + J), 64, J, h)
-        quiet = np.array([quiet_step(probs[k], H[k], rows[k], seed, count, cfg.rank_tol)
+        quiet_of = quiet_step if J == 3 else expected_quiet
+        quiet = np.array([quiet_of(probs[k], H[k], rows[k], seed, count, cfg.rank_tol)
                           for k in range(64)])
         alone = [morph_step_direction(g[k], probs[k], list(H[k]), rows[k], seed, cfg)
                  for k in range(64)]
-        # Every row, quiet or not, has the bits of the reference's
-        # sampled step on the seed's normals.
+        # Every row, quiet or not, has the bits of the reference's step,
+        # sampled on the seed's normals for J = 3 and in expectation for
+        # J = 2, from the row's own factor.
         for k, (direction, rank) in enumerate(alone):
             ref_direction, ref_rank = reference_step_direction(
                 g[k], probs[k], list(H[k]), rows[k], normals_rng(seed), cfg)
@@ -575,7 +583,7 @@ class TestStackedStep:
         assert quiet.any() or (J, h) != (2, 2)
 
     def test_one_fit_history_rejected_before_drawing(self, monkeypatch):
-        g, probs, H, rows = morph_like_stack(np.random.default_rng(3), 1, 2, 2)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(3), 1, 3, 2)
         streams = recording_streams(monkeypatch)
         with pytest.raises(ValueError, match="at least two fits"):
             morph_step_direction(g[0], probs[0], H[0, :1], rows[0], 0, MorphConfig())
@@ -583,14 +591,15 @@ class TestStackedStep:
 
 
 class TestStreamedDraws:
-    """A step reads the seed's stream once, block by block, for its whole
-    stack: each block is drawn once and mapped through every drawing row."""
+    """A sampling step (J >= 3) reads the seed's stream once, block by block,
+    for its whole stack: each block is drawn once and mapped through every
+    drawing row.  A J = 2 step reads no stream."""
 
     @pytest.mark.parametrize("count", [1, 17, morphing._DRAW_BLOCK, morphing._DRAW_BLOCK + 1,
                                        3 * morphing._DRAW_BLOCK + 17])
     def test_each_block_is_drawn_once_for_the_whole_stack(self, monkeypatch, count):
         cfg, seed, R = MorphConfig(n_gradient_samples=count), 8, 7
-        g, probs, H, rows = morph_like_stack(np.random.default_rng(61), R, 2, 3)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(61), R, 3, 3)
         alone = [morph_step_direction(g[k], probs[k], list(H[k]), rows[k], seed, cfg)
                  for k in range(R)]
         streams = recording_streams(monkeypatch)
@@ -600,9 +609,9 @@ class TestStreamedDraws:
         assert len(streams) == 1 and streams[0].seed == seed
         full, rest = divmod(count, morphing._DRAW_BLOCK)
         assert [z.shape for z in streams[0].draws] == \
-            [(morphing._DRAW_BLOCK, 3)] * full + [(rest, 3)] * (rest > 0)
+            [(morphing._DRAW_BLOCK, 5)] * full + [(rest, 5)] * (rest > 0)
         np.testing.assert_array_equal(np.concatenate(streams[0].draws),
-                                      normals_rng(seed).standard_normal((count, 3)))
+                                      normals_rng(seed).standard_normal((count, 5)))
         for k in range(R):
             assert_same_bits(directions[k], alone[k][0])
             assert ranks[k] == alone[k][1]
@@ -632,7 +641,7 @@ class TestStreamedDraws:
         # A step of more than one block draws the next block on one helper
         # thread while it maps this one; a one-block step draws inline.
         cfg, seed = MorphConfig(n_gradient_samples=count), 9
-        g, probs, H, rows = morph_like_stack(np.random.default_rng(64), 7, 2, 3)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(64), 7, 3, 3)
         before, during, original = threading.active_count(), [], morphing._all_or_none
 
         def spy(*args):
@@ -649,7 +658,7 @@ class TestStreamedDraws:
         # thread is gone, and the stream was read in block order, at most one
         # block past the one that failed.
         cfg, seed = MorphConfig(n_gradient_samples=6 * morphing._DRAW_BLOCK), 9
-        g, probs, H, rows = morph_like_stack(np.random.default_rng(64), 7, 2, 3)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(64), 7, 3, 3)
         streams, decided, original = recording_streams(monkeypatch), [], morphing._all_or_none
 
         def failing(*args):
@@ -665,10 +674,32 @@ class TestStreamedDraws:
         assert threading.active_count() == before
         (stream,) = streams
         assert 3 <= len(stream.draws) <= 4
-        assert [z.shape for z in stream.draws] == [(morphing._DRAW_BLOCK, 3)] * len(stream.draws)
+        assert [z.shape for z in stream.draws] == [(morphing._DRAW_BLOCK, 5)] * len(stream.draws)
         np.testing.assert_array_equal(
             np.concatenate(stream.draws),
-            normals_rng(seed).standard_normal((len(stream.draws) * morphing._DRAW_BLOCK, 3)))
+            normals_rng(seed).standard_normal((len(stream.draws) * morphing._DRAW_BLOCK, 5)))
+
+    def test_a_two_payoff_step_reads_no_stream(self, monkeypatch):
+        # A J = 2 step takes its Gram matrices in expectation: no stream, no
+        # helper thread and no sampled Gram matrix, at any count.
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(65), 7, 2, 3)
+        streams, before = recording_streams(monkeypatch), threading.active_count()
+
+        def no_draws(*args):
+            raise AssertionError("a J = 2 step sampled")
+
+        monkeypatch.setattr(morphing, "_draw_grams", no_draws)
+        for count in (1, 6 * morphing._DRAW_BLOCK):
+            morph_step_directions(g, probs, H, rows, 9, MorphConfig(n_gradient_samples=count))
+        assert streams == [] and threading.active_count() == before
+
+    def test_three_payoff_steps_are_the_samplers(self):
+        # For J = 3 the step is the sampled one, bit for bit.
+        cfg = MorphConfig(n_gradient_samples=2 * morphing._DRAW_BLOCK + 17)
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(66), 9, 3, 3)
+        for a, b in zip(morph_step_directions(g, probs, H, rows, 7, cfg),
+                        sampled_step_directions(g, probs, H, rows, 7, cfg)):
+            assert_same_bits(a, b)
 
     @pytest.mark.parametrize("J", [2, 3])
     def test_rows_keep_their_bits_in_any_order(self, J):
@@ -714,10 +745,18 @@ def keeps_none(mean, L, z, rank_tol):
 
 
 def quiet_step(probs, history, basis_rows, seed, count, rank_tol):
-    """Whether one run's step, its factor formed on its own, is quiet on the
-    seed's first ``count`` normals."""
+    """Whether one run's sampled step, its factor formed on its own, is
+    quiet on the seed's first ``count`` normals."""
     mean, L = reference_step_factor(probs, history, basis_rows)
     return keeps_none(mean, L, normals_rng(seed).standard_normal((count, L.shape[1])), rank_tol)
+
+
+def expected_quiet(probs, history, basis_rows, seed, count, rank_tol):
+    """Whether one run's J = 2 step, its factor formed on its own, is quiet:
+    whether its ``count`` draws would keep fewer than one gradient in
+    expectation (``seed`` is not read)."""
+    mean, L = reference_step_factor(probs, history, basis_rows)
+    return bool(morphing._expected_grams(mean[None], L[None], count, rank_tol)[1][0])
 
 
 def tail_ball_keeps_none(mean, L, count, rank_tol):
@@ -744,8 +783,9 @@ def scaled_stack(rng, J):
 
 
 class TestBlockDecision:
-    """A block whose own extremes of z0 and |z| decide a row's kept test, all
-    kept or none, skips the test or the row, and the row keeps its bytes."""
+    """A sampled block whose own extremes of z0 and |z| decide a row's kept
+    test, all kept or none, skips the test or the row, and the row keeps its
+    bytes."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), J=st.sampled_from([2, 3]), n=st.integers(1, 300),
@@ -782,10 +822,10 @@ class TestBlockDecision:
             return decisions[-1]
 
         monkeypatch.setattr(morphing, "_all_or_none", spy)
-        directions, ranks, quiet = morph_step_directions(g, probs, H, rows, seed, cfg)
+        directions, ranks, quiet = sampled_step_directions(g, probs, H, rows, seed, cfg)
         for k in range(len(g)):
             direction, rank = reference_step_direction(g[k], probs[k], H[k], rows[k],
-                                                       normals_rng(seed), cfg)
+                                                       normals_rng(seed), cfg, sampled=True)
             assert_same_bits(directions[k], direction)
             assert ranks[k] == rank
         # Each block decides every row once; a row is quiet when every block
@@ -803,7 +843,7 @@ class TestBlockDecision:
         g, probs, H, rows = scaled_stack(np.random.default_rng(90 + J), J)
         mean, L = _step_factors(probs, H, rows, T)
         grams, quiet = morphing._draw_grams(seed, mean, L, count, cfg.rank_tol)
-        directions, _, step_quiet = morph_step_directions(g, probs, H, rows, seed, cfg)
+        directions, _, step_quiet = sampled_step_directions(g, probs, H, rows, seed, cfg)
         np.testing.assert_array_equal(step_quiet, quiet)
         z = normals_rng(seed).standard_normal((count, 2 * J - 1))
         np.testing.assert_array_equal(
@@ -816,6 +856,32 @@ class TestBlockDecision:
         # The stack holds a quiet row that the whole count's tail ball does
         # not decide.
         assert (quiet & ~tail_ball_keeps_none(mean, L, count, cfg.rank_tol)).any()
+
+    @pytest.mark.parametrize("count", [17, 3 * morphing._DRAW_BLOCK + 17])
+    def test_a_block_no_row_draws_from_forms_no_products(self, count, monkeypatch):
+        # Every row forced to keep none: no block's moment products are
+        # formed, every Gram matrix stays zero and every row is quiet.
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(67), 6, 3, 3)
+        formed = []
+
+        def none_kept(mean, *rest):
+            return np.zeros(len(mean), dtype=bool), np.ones(len(mean), dtype=bool)
+
+        def products(*args):
+            formed.append(args)
+            return original(*args)
+
+        original, decide = morphing._products, morphing._all_or_none
+        monkeypatch.setattr(morphing, "_all_or_none", none_kept)
+        monkeypatch.setattr(morphing, "_products", products)
+        mean, L = _step_factors(probs, H, rows, _tangent_basis(3))
+        grams, quiet = morphing._draw_grams(5, mean, L, count, 0.1)
+        assert formed == [] and quiet.all()
+        assert_same_bits(grams, np.zeros((6, 4, 4)))
+        # Left to decide, the same blocks form their products.
+        monkeypatch.setattr(morphing, "_all_or_none", decide)
+        morphing._draw_grams(5, mean, L, count, 0.1)
+        assert len(formed) == -(-count // morphing._DRAW_BLOCK)
 
     def test_a_factor_that_is_not_finite_decides_no_block(self):
         mean, L = np.zeros((4, 3)), np.zeros((4, 3, 3))
@@ -895,9 +961,21 @@ def lockstep_steps():
     return out
 
 
+def kept_probabilities(mean, L, rank_tol, rule=None):
+    """Each J = 2 row's kept probability (R,) under ``rule``, the shipped one
+    by default, over the row's window (``morphing._expected_chunk``)."""
+    rule = rule or morphing._quadrature()
+    lo, hi = morphing._window(mean, L, rank_tol)
+    live, kept = ~(hi <= lo), np.zeros(len(L))
+    if live.any():
+        kept[live] = morphing._expected_chunk(mean[live], L[live], lo[live], hi[live], rank_tol,
+                                              rule)[1]
+    return kept
+
+
 class TestQuietSteps:
-    """The steps of real runs: a run's record counts its quiet steps, whose
-    every block the bound proved keeps no draw."""
+    """The steps of real runs (J = 2): a run's record counts its quiet steps,
+    those whose draws would keep fewer than one gradient in expectation."""
 
     @pytest.mark.parametrize("count", [2_000, 200_000])
     def test_records_count_their_quiet_steps(self, lockstep_steps, count):
@@ -910,47 +988,160 @@ class TestQuietSteps:
         assert sum(quiet_steps.values()) > 0
 
     @pytest.mark.parametrize("count", [2_000, 200_000])
-    def test_quiet_rows_keep_no_draw(self, lockstep_steps, count):
-        # A row is quiet when every block decides that it keeps none, and
-        # each quiet row's sampled gradients, drawn here whole from the
-        # seed's normals, all fall under rank_tol.
+    def test_quiet_rows_expect_under_one_kept_draw(self, lockstep_steps, count):
+        # A row is quiet when count P(kept) < 1; its rank is 0 and its
+        # direction the whole tangent gradient.  Over the quiet rows the
+        # seed's draws, mapped here whole, keep about as many gradients as
+        # their count P(kept) add to (five Poisson standard deviations).
         steps, _ = lockstep_steps[count]
-        checked = 0
+        expected = drawn = checked = 0
         for ((g, probs, H, rows, seed, cfg), (directions, ranks, quiet)), _ in steps:
             T = _tangent_basis(probs.shape[-1])
             mean, L = _step_factors(probs, H, rows, T)
-            z = normals_rng(seed).standard_normal((count, L.shape[-1]))
-            for k in range(len(g)):
-                assert quiet[k] == keeps_none(mean[k], L[k], z, cfg.rank_tol)
-                if not quiet[k]:
-                    continue
+            kept = count * kept_probabilities(mean, L, cfg.rank_tol)
+            np.testing.assert_array_equal(quiet, kept < 1.0)
+            for k in np.flatnonzero(quiet):
                 G = sample_step_gradients(probs[k], H[k], count, normals_rng(seed), rows[k])
-                assert np.linalg.norm(G, axis=1).max() <= cfg.rank_tol
+                expected += kept[k]
+                drawn += np.sum(np.linalg.norm(G, axis=1) > cfg.rank_tol)
                 assert ranks[k] == 0
                 assert_same_bits(directions[k], T @ (T.T @ g[k]))
                 checked += 1
+        assert drawn <= expected + 5 * np.sqrt(expected) + 5
         # At step 0 a fifth of the runs or more are quiet.
         assert steps[0][0][1][2].mean() >= 0.2 and checked >= 10
 
     def test_each_part_of_a_stack_keeps_its_bits(self, lockstep_steps, monkeypatch):
         # The first 200k step of 16 runs: its quiet rows alone and its other
-        # rows alone each read the whole stream once, each row has the bits
-        # it had in the whole stack, and an empty stack builds no generator.
+        # rows alone each have the bits they had in the whole stack, an empty
+        # stack gives empty arrays, and no part reads the seed's stream.
         ((g, probs, H, rows, seed, cfg), whole), _ = lockstep_steps[200_000][0][0]
         quiet = whole[2]
         assert 0 < quiet.sum() < len(g)
-        blocks = -(-cfg.n_gradient_samples // morphing._DRAW_BLOCK)
+        streams = recording_streams(monkeypatch)
         for part in (quiet, ~quiet, np.zeros_like(quiet)):
-            streams = recording_streams(monkeypatch)
             out = morph_step_directions(g[part], probs[part], H[part], rows[part], seed, cfg)
-            assert len(streams) == part.any()
-            assert all(len(stream.draws) == blocks for stream in streams)
             for a, b in zip(out, whole):
                 assert_same_bits(a, b[part])
+        assert streams == []
+
+
+def lockstep_factors(lockstep_steps, count):
+    """The (mean, L) factors (R, 3), (R, 3, 3) of every step row of the
+    captured J = 2 runs at ``count`` samples, stacked, and the runs' rank
+    cutoff."""
+    steps, _ = lockstep_steps[count]
+    factors = [_step_factors(probs, H, rows, _tangent_basis(2))
+               for ((g, probs, H, rows, seed, cfg), _), _ in steps]
+    return (np.concatenate([mean for mean, _ in factors]),
+            np.concatenate([L for _, L in factors]), steps[0][0][0][5].rank_tol)
+
+
+class TestExpectedGram:
+    """A J = 2 step's Gram matrix in expectation: its erfc, its rule against
+    a converged one and against a large sample, and its rows' bytes."""
+
+    # Composite Gauss-Legendre with 800 nodes in z0 (200 panels of 4), and
+    # 64 angles: its ranks and Gram entries no longer move with the rule.
+    CONVERGED = morphing._quadrature(200, 4, 64)
+
+    def test_erfc_against_math(self):
+        # erfc(x) = 2 phi(sqrt 2 x) mills(sqrt 2 x), far into the tail.
+        x = np.linspace(0.0, 26.0, 26_001)
+        rho = np.sqrt(2.0) * x
+        ours = 2.0 * np.exp(-rho * rho / 2.0) / np.sqrt(2.0 * np.pi) * morphing._mills(rho)
+        exact = np.array([math.erfc(v) for v in x])
+        assert exact[-1] > 0.0
+        assert np.abs(ours / exact - 1.0).max() < 2.5e-8
+
+    @pytest.mark.parametrize("lo, hi", [(8.0, 9.0), (-9.0, -8.0)])
+    def test_interval_masses_come_from_their_own_tails(self, lo, hi):
+        # Phi(hi) - Phi(lo) from the tail its ends lie in, phi times the
+        # Mills ratio at each end: 6.2e-16 of mass, with no cancellation.
+        # Taken as a difference of values near 1 it is off by 7%.
+        near, far = sorted((abs(lo), abs(hi)))
+        exact = (math.erfc(near / math.sqrt(2.0)) - math.erfc(far / math.sqrt(2.0))) / 2.0
+        ends = np.array([near, far])
+        tails = np.exp(-ends * ends / 2.0) / np.sqrt(2.0 * np.pi) * morphing._mills(ends)
+        assert abs((tails[0] - tails[1]) / exact - 1.0) < 1e-6
+        assert abs(((1.0 - tails[1]) - (1.0 - tails[0])) / exact - 1.0) > 0.05
+        # The radial tails use the same ratio: T1(rho) - rho T0(rho) is
+        # sqrt(2 pi) Q(rho).
+        e, first, _ = morphing._tails(ends.copy())
+        np.testing.assert_allclose(first - ends * e, np.sqrt(2.0 * np.pi) * tails, rtol=1e-13)
+
+    @pytest.mark.parametrize("count", [2_000, 200_000])
+    def test_shipped_ranks_equal_a_converged_rules(self, lockstep_steps, count):
+        # On every step row of the captured runs the shipped rule keeps the
+        # converged rule's rank and quiet flag.  A row whose converged
+        # eigenvalue ratio, or count P(kept), lies within 2% of its cutoff
+        # (a singular value within 1%) may fall on either side under the
+        # shipped rule's error; such rows are not comparable and must stay
+        # rare.
+        mean, L, rank_tol = lockstep_factors(lockstep_steps, count)
+        ranks, quiet = [], []
+        for rule in (None, self.CONVERGED):
+            grams, q = morphing._expected_grams(mean, L, count, rank_tol, rule)
+            ranks.append(morphing._project_off_span(np.zeros((len(L), 2)), grams, rank_tol)[1])
+            quiet.append(q)
+        evals = np.linalg.eigvalsh(grams[~q])
+        near = np.zeros(len(L), dtype=bool)
+        near[~q] = np.abs(evals[:, 0] / (rank_tol ** 2 * evals[:, 1]) - 1.0) < 0.02
+        near |= np.abs(count * kept_probabilities(mean, L, rank_tol, self.CONVERGED) - 1.0) < 0.02
+        assert near.sum() <= 2
+        np.testing.assert_array_equal(quiet[0][~near], quiet[1][~near])
+        np.testing.assert_array_equal(ranks[0][~near], ranks[1][~near])
+        assert set(ranks[1].tolist()) == {0, 1, 2}
+
+    def test_entries_and_kept_probability_match_a_large_sample(self, lockstep_steps):
+        # Every 200k step row that keeps a share of 2,000,000 float64 draws
+        # worth estimating (50 or more in expectation): the converged rule's
+        # Gram entries and kept probability lie within 4 standard errors of
+        # the sample's, taken from 16 batch means (and within one draw's
+        # share of it, for a kept probability the sample cannot resolve).
+        mean, L, rank_tol = lockstep_factors(lockstep_steps, 200_000)
+        grams, _ = morphing._expected_grams(mean, L, 10 ** 12, rank_tol, self.CONVERGED)
+        kept = kept_probabilities(mean, L, rank_tol, self.CONVERGED)
+        compared = 0
+        for k in np.flatnonzero(kept * 2_000_000 >= 50):
+            batches = np.zeros((16, 4))
+            for b, rng in enumerate(np.random.default_rng(k).spawn(16)):
+                aw = rng.standard_normal((125_000, 3)) @ L[k].T + mean[k]
+                e = np.exp(-np.abs(aw[:, 0]))
+                g = aw[:, 1:] * (e / (1.0 + e) ** 2)[:, None]
+                g[np.einsum("ij,ij->i", g, g) <= rank_tol ** 2] = 0.0
+                batches[b] = [*(g.T @ g / len(g))[[0, 0, 1], [0, 1, 1]], np.mean(g[:, 0] != 0.0)]
+            sample, se = batches.mean(axis=0), batches.std(axis=0, ddof=1) / 4.0
+            ours = np.array([grams[k, 0, 0], grams[k, 0, 1], grams[k, 1, 1], kept[k]])
+            assert np.all(np.abs(ours - sample) <= 4.0 * se + [0.0, 0.0, 0.0, 5e-7]), k
+            compared += 1
+        assert compared >= 25
+
+    def test_rows_keep_their_bytes_in_any_stack(self, lockstep_steps):
+        # Stacks of 1, 3, 64 and 65 rows, the last past a chunk's edge, from
+        # several offsets: each row has the bytes it has in the whole stack.
+        mean, L, rank_tol = lockstep_factors(lockstep_steps, 2_000)
+        whole = morphing._expected_grams(mean, L, 2_000, rank_tol)
+        for R in (1, 3, 64, 65):
+            for first in (0, 5, len(L) - R):
+                part = morphing._expected_grams(mean[first:first + R], L[first:first + R], 2_000,
+                                                rank_tol)
+                for a, b in zip(part, whole):
+                    assert_same_bits(a, b[first:first + R])
+        # A row whose factor is not finite leaves every other row's bytes,
+        # and is neither quiet nor finite itself.
+        bad_mean, bad_L = mean[:65].copy(), L[:65].copy()
+        bad_mean[3, 0], bad_L[40, 2, 1] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            grams, quiet = morphing._expected_grams(bad_mean, bad_L, 2_000, rank_tol)
+        others = np.setdiff1d(np.arange(65), [3, 40])
+        assert_same_bits(grams[others], whole[0][others])
+        assert_same_bits(quiet[others], whole[1][others])
+        assert np.isnan(grams[[3, 40]]).all() and not quiet[[3, 40]].any()
 
 
 class TestFloat32Map:
-    """The step maps its draws in float32; on real runs' steps it decides
+    """The sampler maps its draws in float32; on real runs' steps it decides
     what a float64 map of the same normals decides."""
 
     @pytest.mark.parametrize("count", [2_000, 200_000])
@@ -962,9 +1153,10 @@ class TestFloat32Map:
         # the bound is gap_tolerance's float32 term, 100 eps32.
         steps, _ = lockstep_steps[count]
         drawn = 0
-        for ((g, probs, H, rows, seed, cfg), (_, ranks, quiet)), _ in steps:
+        for ((g, probs, H, rows, seed, cfg), _), _ in steps:
             mean, L = _step_factors(probs, H, rows, _tangent_basis(probs.shape[-1]))
-            grams, _ = morphing._draw_grams(seed, mean, L, count, cfg.rank_tol)
+            grams, quiet = morphing._draw_grams(seed, mean, L, count, cfg.rank_tol)
+            ranks = morphing._project_off_span(np.zeros((len(g), 2)), grams, cfg.rank_tol)[1]
             for k in range(len(g)):
                 gram = per_draw_gram(*reference_step_factor(probs[k], H[k], rows[k]),
                                      normals_rng(seed), count, cfg.rank_tol)
@@ -1008,14 +1200,15 @@ class TestFloat32Map:
 
 
 class TestCommonRandomNumbers:
-    """Every drawing step of every run of one master seed maps the same
-    normals, the seed's stream, through its own factor."""
+    """Every sampling step (J >= 3) of every run of one master seed maps the
+    same normals, the seed's stream, through its own factor."""
 
     @pytest.mark.parametrize("count, runs, iters", [(2_000, 24, 8),
                                                     (3 * morphing._DRAW_BLOCK + 17, 8, 4)])
     def test_every_drawing_step_maps_the_seeds_normals(self, count, runs, iters, monkeypatch):
         pred = CptPredictor(CptParams(0.726, 0.309))
-        cfg = pipeline_config(4, morph={"n_gradient_samples": count, "max_iters": iters})
+        cfg = pipeline_config(4, n_payoffs=3,
+                              morph={"n_gradient_samples": count, "max_iters": iters})
         Z, P = index_block(cfg, range(runs), 1)
         original, steps = morphing.morph_step_directions, []
         streams = recording_streams(monkeypatch)
@@ -1105,8 +1298,8 @@ class TestStepFactors:
 
 
 class TestAgainstOldLayout:
-    """At 200k samples the step agrees with the old (count, r) draw, made
-    from an independent stream, within its Monte Carlo error."""
+    """At 200k samples the sampled step agrees with the old (count, r) draw,
+    made from an independent stream, within its Monte Carlo error."""
 
     @pytest.mark.parametrize("J", [2, 3])
     def test_direction_and_rank_agree(self, J):
@@ -1115,7 +1308,8 @@ class TestAgainstOldLayout:
         compared, ranks = 0, set()
         for trial in range(10):
             g, menu, history, rows = morph_like_state(rng, J)
-            step, rank = morph_step_direction(g, probs_of(menu), history, rows, trial, cfg)
+            step, rank = morph_step_direction(g, probs_of(menu), history, rows, trial, cfg,
+                                              step=sampled_step_directions)
             G = tangent(sampled_gradients(history, count, np.random.default_rng(1000 + trial),
                                           rows, menu), J)
             g_t = tangent(g, J)
