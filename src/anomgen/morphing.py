@@ -25,7 +25,7 @@ Gram matrix zero and its direction the whole predictor gradient, when its
 draws would keep fewer than one gradient in expectation.  This replaces
 the paper's sampled span by its limit; ``n_gradient_samples`` enters only
 through that rule and the quadrature's size (``_rule``).  No normal is
-drawn and no thread is started.
+drawn.
 
 For J >= 3 a step samples (``_draw_grams``).  A draw's tangent gradient is
 linear in its normals, so a step sums each run's Gram matrix from weighted
@@ -51,8 +51,9 @@ through its own factor: common random numbers (Glasserman, *Monte Carlo
 Methods in Financial Engineering*, 2003, ch. 4).  A step generates them
 once for its whole stack, one block at a time, rather than once per run: a
 block of 8,192 costs about as much as mapping it through ten to twenty
-rows, and past a step's first block one helper thread draws the next block
-while the step maps this one.
+rows.  The step draws, bounds and maps each block in turn on the caller's
+thread; the process pool of ``--workers`` is the program's only
+concurrency.
 
 Runs advance through the adversarial search's loop
 (``adversarial.lockstep``), and one call per step,
@@ -65,7 +66,6 @@ in a stack of one.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 
 import numpy as np
@@ -259,95 +259,39 @@ def _products(zT: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blocks(master_seed: int, count: int, d: int, decide):
-    """The blocks of the seed's (count, d) standard normals
-    (``normals_rng(master_seed)``), read in order, at most ``_DRAW_BLOCK``
-    rows at a time: for each, ``decide(ends, radius)`` of the ends of its z0
-    (2,) and its largest |z|, the rows that keep every draw of the block and
-    those that keep none (``_all_or_none``), and, when some row keeps some,
-    its moment products (``_products``); else None.
-
-    A block is drawn into one float64 buffer and cast into float32 (d, n)
-    columns, whose z0 ends and largest |z| are taken there.  In a step of
-    more than one block, one helper thread does that for the next block
-    while the caller maps this one (the generator's fills and numpy's copies
-    release the GIL); a one-block step draws inline.  The stream is read by
-    one thread at a time, in order.  A block is decided, and its products
-    built from the columns, before the next block is drawn into them, and
-    they stay valid until the caller asks for the next block.  Closing the
-    generator waits for the helper's block, if one is drawing, and stops the
-    thread.
-    """
-    stream = normals_rng(master_seed)
-    block = min(count, _DRAW_BLOCK)
-    normals, columns = np.empty(d * block), np.empty(d * block, np.float32)
-    products = np.empty((len(_moment_pairs(d)[0]) - 1) * block, np.float32)
-
-    def draw(start):
-        n = min(_DRAW_BLOCK, count - start)
-        z = stream.standard_normal(out=normals[:n * d].reshape(n, d))
-        zT = columns[:d * n].reshape(d, n)
-        zT[...] = z.T
-        # Once cast, the draw's buffer holds the squared norms.
-        norms = normals.view(np.float32)[:n]
-        radius = np.sqrt(np.einsum("ij,ij->j", zT, zT, out=norms).max())
-        return zT, np.array([zT[0].min(), zT[0].max()]), radius
-
-    def decided(zT, ends, radius):
-        every, none = decide(ends, radius)
-        if none.all():
-            return None, every, none
-        n = zT.shape[1]
-        return _products(zT, products[:len(products) // block * n].reshape(-1, n)), every, none
-
-    starts = range(0, count, _DRAW_BLOCK)
-    if len(starts) == 1:
-        yield decided(*draw(0))
-        return
-    # Imported here: a one-block step, every step of a desk-scale run, needs
-    # no thread and does not pay for the module.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(draw, 0)
-        for start in starts:
-            out = decided(*ahead.result())
-            if start + _DRAW_BLOCK < count:
-                ahead = helper.submit(draw, start + _DRAW_BLOCK)
-            yield out
-
-
 def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
                 rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Each row's Gram matrix (R, m, m) of the gradients sigma'(a) w of the
     ``count`` draws (a, w) the seed's (count, d) standard normals
     (``normals_rng(master_seed)``) map to through the row's factor, those
     whose norm exceeds ``rank_tol``, and which rows are quiet (R,): one pass
-    over the stream's blocks (``_blocks``).  An empty stack builds no
-    generator.
+    over the stream, at most ``_DRAW_BLOCK`` rows at a time.  An empty stack
+    reads no stream.
 
     A draw's tangent gradient is w = W z-hat, with W = [L[1:] | mean_w]
     (m, d + 1) and z-hat = (z, 1), so a row's Gram matrix is W M W^T, where
     M = sum_i k_i s_i^2 z-hat_i z-hat_i^T, s_i the slope and k_i the kept
-    flag: the slope reads the row only through mean_a and L00.  A block's
-    products of z-hat are formed once for every row (``_moment_pairs``), and
-    only when some row draws from it.  The rows' logits and slopes are
-    mapped in float32, ``_ROW_GROUP`` rows at a time, and each row's squared
-    slopes, its weights, meet the products in one float32 matrix-vector
-    product of its own, added into the row's float64 moments.  The last
-    moment, the weights' sum, is each row's pairwise sum: a BLAS sum of
-    weights that barely vary, where the logit barely moves, rounds one way,
-    by up to about 128 eps32 over a block.  W M W^T is formed in float64 at
-    the end; a row that kept no draw has a zero Gram matrix.
+    flag: the slope reads the row only through mean_a and L00.  Each block
+    is drawn into one float64 buffer and cast into float32 (d, n) columns;
+    its products of z-hat are formed from them once for every row
+    (``_moment_pairs``), and only when some row draws from it.  The rows'
+    logits and slopes are mapped in float32, ``_ROW_GROUP`` rows at a time,
+    and each row's squared slopes, its weights, meet the products in one
+    float32 matrix-vector product of its own, added into the row's float64
+    moments.  The last moment, the weights' sum, is each row's pairwise sum:
+    a BLAS sum of weights that barely vary, where the logit barely moves,
+    rounds one way, by up to about 128 eps32 over a block.  W M W^T is
+    formed in float64 at the end; a row that kept no draw has a zero Gram
+    matrix.
 
     Each block first bounds every row's sigma'(a) |w| over its own draws
-    (``_all_or_none`` over the block's extremes of z0 and |z|).  A row that
-    keeps every draw of the block skips the kept test, which would zero no
-    weight; a row that keeps none skips the block, whose product would add
-    only zeros.  Only a row the bound leaves undecided maps w = W z-hat in
-    float32 for its kept test.  Either way its moments have the bytes of the
-    tested sum.  A quiet row is one that the bound found keeps none in every
-    block.
+    (``_all_or_none`` over the block's extremes of z0 and |z|, taken on the
+    columns).  A row that keeps every draw of the block skips the kept test,
+    which would zero no weight; a row that keeps none skips the block, whose
+    product would add only zeros.  Only a row the bound leaves undecided
+    maps w = W z-hat in float32 for its kept test.  Either way its moments
+    have the bytes of the tested sum.  A quiet row is one that the bound
+    found keeps none in every block.
     """
     R, m, d = len(L), L.shape[1] - 1, L.shape[2]
     grams, quiet = np.zeros((R, m, m)), np.ones(R, dtype=bool)
@@ -360,38 +304,45 @@ def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
     scale32, mean32, w_map32 = (x.astype(np.float32) for x in (scale, mean, w_map))
     pairs = _moment_pairs(d)
     moments = np.zeros((R, len(pairs[0])))
-    # A group's logits and slopes.  The logits' buffer, free once the slopes
-    # are taken, holds an undecided row's tangent gradients and their
-    # squared norms.
+    # A block's draws, columns and products, and a group's logits and
+    # slopes.  The logits' buffer, free once the slopes are taken, holds an
+    # undecided row's tangent gradients and their squared norms.
     block = min(count, _DRAW_BLOCK)
+    normals, columns = np.empty(d * block), np.empty(d * block, np.float32)
+    product_buffer = np.empty((len(pairs[0]) - 1) * block, np.float32)
     logits, slopes = (np.empty(rows * block, np.float32)
                       for rows in (max(_ROW_GROUP, m + 1), _ROW_GROUP))
-
-    def decide(ends, radius):
-        return _all_or_none(mean, scale, spread, ends, radius, rank_tol)
-
-    with contextlib.closing(_blocks(master_seed, count, d, decide)) as blocks:
-        for products, every, none in blocks:
-            quiet &= none
-            if products is None:
-                continue
-            n = products.shape[1]
-            drawing = np.flatnonzero(~none)
-            for first in range(0, len(drawing), _ROW_GROUP):
-                group = drawing[first:first + _ROW_GROUP]
-                a = np.multiply(scale32[group, None], products[0],
-                                out=logits[:len(group) * n].reshape(-1, n))
-                a += mean32[group, :1]
-                weights = _slope(a, out=slopes[:len(group) * n].reshape(-1, n))
-                np.multiply(weights, weights, out=weights)
-                for i, weight in zip(group.tolist(), weights):
-                    if not every[i]:
-                        w = np.matmul(w_map32[i], products[:d], out=logits[:m * n].reshape(m, n))
-                        w += mean32[i, 1:, None]
-                        norms = np.einsum("ij,ij->j", w, w, out=logits[m * n:(m + 1) * n])
-                        weight[~(np.multiply(weight, norms, out=norms) > rank_tol ** 2)] = 0.0
-                    moments[i, :-1] += products @ weight
-                moments[group, -1] += weights.sum(axis=1)
+    stream = normals_rng(master_seed)
+    for start in range(0, count, _DRAW_BLOCK):
+        n = min(_DRAW_BLOCK, count - start)
+        z = stream.standard_normal(out=normals[:n * d].reshape(n, d))
+        zT = columns[:d * n].reshape(d, n)
+        zT[...] = z.T
+        # Once cast, the draw's buffer holds the squared norms.
+        norms = normals.view(np.float32)[:n]
+        radius = np.sqrt(np.einsum("ij,ij->j", zT, zT, out=norms).max())
+        every, none = _all_or_none(mean, scale, spread, np.array([zT[0].min(), zT[0].max()]),
+                                   radius, rank_tol)
+        quiet &= none
+        if none.all():
+            continue
+        products = _products(zT, product_buffer[:len(product_buffer) // block * n].reshape(-1, n))
+        drawing = np.flatnonzero(~none)
+        for first in range(0, len(drawing), _ROW_GROUP):
+            group = drawing[first:first + _ROW_GROUP]
+            a = np.multiply(scale32[group, None], products[0],
+                            out=logits[:len(group) * n].reshape(-1, n))
+            a += mean32[group, :1]
+            weights = _slope(a, out=slopes[:len(group) * n].reshape(-1, n))
+            np.multiply(weights, weights, out=weights)
+            for i, weight in zip(group.tolist(), weights):
+                if not every[i]:
+                    w = np.matmul(w_map32[i], products[:d], out=logits[:m * n].reshape(m, n))
+                    w += mean32[i, 1:, None]
+                    norms = np.einsum("ij,ij->j", w, w, out=logits[m * n:(m + 1) * n])
+                    weight[~(np.multiply(weight, norms, out=norms) > rank_tol ** 2)] = 0.0
+                moments[i, :-1] += products @ weight
+            moments[group, -1] += weights.sum(axis=1)
     drawn = moments.any(axis=1)
     M = np.zeros((drawn.sum(), d + 1, d + 1))
     M[:, pairs[0], pairs[1]] = M[:, pairs[1], pairs[0]] = moments[drawn]

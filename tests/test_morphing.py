@@ -636,10 +636,10 @@ class TestStreamedDraws:
         assert control >= 8 * count and not quiet.all()
         assert peak < 8 * count
 
-    @pytest.mark.parametrize("count", [morphing._DRAW_BLOCK, 6 * morphing._DRAW_BLOCK])
-    def test_no_thread_outlives_a_step(self, monkeypatch, count):
-        # A step of more than one block draws the next block on one helper
-        # thread while it maps this one; a one-block step draws inline.
+    @pytest.mark.parametrize("count", [2_000, 6 * morphing._DRAW_BLOCK])
+    def test_a_step_starts_no_thread(self, monkeypatch, count):
+        # A step draws, bounds and maps each block in turn on the caller's
+        # thread, in one block or in many.
         cfg, seed = MorphConfig(n_gradient_samples=count), 9
         g, probs, H, rows = morph_like_stack(np.random.default_rng(64), 7, 3, 3)
         before, during, original = threading.active_count(), [], morphing._all_or_none
@@ -650,13 +650,12 @@ class TestStreamedDraws:
 
         monkeypatch.setattr(morphing, "_all_or_none", spy)
         morph_step_directions(g, probs, H, rows, seed, cfg)
-        assert threading.active_count() == before
-        assert max(during) == before + (count > morphing._DRAW_BLOCK)
+        assert len(during) == -(-count // morphing._DRAW_BLOCK)
+        assert max(during) == before and threading.active_count() == before
 
-    def test_a_failing_block_stops_the_helper_thread(self, monkeypatch):
-        # The third block's mapping raises: the step raises, its helper
-        # thread is gone, and the stream was read in block order, at most one
-        # block past the one that failed.
+    def test_a_failing_block_stops_the_step(self, monkeypatch):
+        # The third block's bound raises: the step raises, and the stream was
+        # read in block order, no block past the one that failed.
         cfg, seed = MorphConfig(n_gradient_samples=6 * morphing._DRAW_BLOCK), 9
         g, probs, H, rows = morph_like_stack(np.random.default_rng(64), 7, 3, 3)
         streams, decided, original = recording_streams(monkeypatch), [], morphing._all_or_none
@@ -668,20 +667,17 @@ class TestStreamedDraws:
             return decided[-1]
 
         monkeypatch.setattr(morphing, "_all_or_none", failing)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="the third block"):
             morph_step_directions(g, probs, H, rows, seed, cfg)
-        assert threading.active_count() == before
         (stream,) = streams
-        assert 3 <= len(stream.draws) <= 4
-        assert [z.shape for z in stream.draws] == [(morphing._DRAW_BLOCK, 5)] * len(stream.draws)
+        assert [z.shape for z in stream.draws] == [(morphing._DRAW_BLOCK, 5)] * 3
         np.testing.assert_array_equal(
             np.concatenate(stream.draws),
-            normals_rng(seed).standard_normal((len(stream.draws) * morphing._DRAW_BLOCK, 5)))
+            normals_rng(seed).standard_normal((3 * morphing._DRAW_BLOCK, 5)))
 
     def test_a_two_payoff_step_reads_no_stream(self, monkeypatch):
         # A J = 2 step takes its Gram matrices in expectation: no stream, no
-        # helper thread and no sampled Gram matrix, at any count.
+        # thread and no sampled Gram matrix, at any count.
         g, probs, H, rows = morph_like_stack(np.random.default_rng(65), 7, 2, 3)
         streams, before = recording_streams(monkeypatch), threading.active_count()
 
