@@ -68,13 +68,12 @@ def _config_from_args(args) -> PipelineConfig:
 # 2-core Xeon VM): 25,000 runs took 84 s and peaked at 41 MB in blocks of
 # 256; 6,000 runs took 26 s at 40 MB in blocks of 64, 18 s at 41 MB in
 # blocks of 256, 18 s at 47 MB in blocks of 1,024 and 18 s at 79 MB as one
-# stack.  A morph step factors, projects and maps a block's runs as one
-# stack; a J = 2 step draws no normal, and a J >= 3 step draws each block of
-# ``morphing._DRAW_BLOCK`` standard normals once for all of them, so no
-# per-sample array grows with the runs.  256 morph runs at 200,000 samples
-# (seed 5), at one step and at two, peaked at 39.6 to 39.9 MB for J = 2 and
-# 40.3 to 40.6 MB for J = 3 on one worker, and at 36.3 to 36.5 and 37.3 to
-# 37.7 MB on two.
+# stack.  A morph step factors, projects and takes Gram matrices in
+# expectation for a block's runs as one stack, a few rows at a time, and
+# draws no normal at any J, so no per-sample array grows with the runs.
+# 256 morph runs at 200,000 samples (seed 5), at one step and at two,
+# peaked at 39.5 MB for J = 2 and 39.5 to 39.7 MB for J = 3 on one worker,
+# and at 36.3 to 36.6 and 36.6 to 36.8 MB on two.
 _RUN_BLOCK = 256
 
 

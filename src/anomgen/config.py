@@ -30,15 +30,12 @@ from .cpt import PRESETS, CptParams, CptPredictor
 # utility must exceed to rationalize its choices.
 DEFAULT_KL_THRESHOLD = 1e-5
 MARGIN_THRESHOLD = 1e-9
-# Smallest rank cutoff the morph step's Gram matrix resolves.  The
-# eigenvalue cutoff is rank_tol**2 times the largest eigenvalue.  The
-# sampler of J >= 3 steps maps its draws in float32 and sums them as
-# moments, so its Gram matrix carries rounding of up to about 2.2e-6 of the
-# largest, and a rank-deficient one shows a spurious eigenvalue up to about
-# 3.2e-6 of it: at 1e-2 the cutoff, 1e-4, stays 1.5 decades above that
-# noise, while near sqrt(3.2e-6) the noise would decide the retained rank.
-# The floor guards that sampler; a J = 2 step takes its Gram matrix in
-# expectation, in float64.
+# Smallest rank cutoff a morph step accepts.  The eigenvalue cutoff is
+# rank_tol**2 times the largest eigenvalue, and ``MorphConfig.rank_tol`` is
+# calibrated against the spread the covariance jitter adds: early steps'
+# Gram matrices hold second eigenvalues up to about (2e-3)**2 of the first
+# from jitter alone, so below 1e-2 the cutoff would read the jitter as
+# pinned directions.
 MIN_RANK_TOL = 1e-2
 
 
@@ -117,9 +114,9 @@ class MorphConfig:
     max_iters: int = 50
     n_gradient_samples: int = 2_000     # paper-scale runs use 200,000
     # Rank cutoff separating genuinely pinned directions from covariance
-    # jitter.  Early-iteration sampled-gradient spectra have second singular
-    # values up to ~2e-3 of the first from jitter alone, so cutoffs below
-    # ~1e-2 treat the span as full-rank after about one step.
+    # jitter.  Early steps' expected Gram matrices have second eigenvalues
+    # whose square roots reach ~2e-3 of the first's from jitter alone, so
+    # cutoffs below ~1e-2 treat the span as full-rank after about one step.
     rank_tol: float = 0.1
 
 

@@ -204,13 +204,3 @@ def index_block(cfg, indices, n_menus: int):
                                 *cfg.theory_basis["domain"])
     return Z, P
 
-
-def normals_rng(master_seed: int) -> np.random.Generator:
-    """The morph steps' standard-normal generator of ``master_seed``.
-
-    It is drawn from the master seed's root sequence, the parent whose
-    children (spawn keys (i,)) are the runs' generators ``run_rng``, so it
-    is none of them, and it depends on the master seed alone: every drawing
-    morph step of every run of the seed reads the same stream from its start.
-    """
-    return np.random.default_rng(np.random.SeedSequence(master_seed))

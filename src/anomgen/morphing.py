@@ -12,56 +12,27 @@ every gradient its Gram matrix's kept span holds.
 Payoffs stay frozen, so a sampled theory enters only through its 2J
 utilities at the menu's payoffs, and a step reads a utility draw only
 through its logit and its gradient in the simplex's tangent space: 2J - 1
-numbers, drawn directly from 2J - 1 standard normals through one QR factor
-of the fit history's deviations (``_step_factors``).  The span of the
-gradients is read from their (2J - 2) x (2J - 2) Gram matrix in tangent
-coordinates, of the gradients whose norm exceeds ``rank_tol``.
+numbers, a linear map of 2J - 1 standard normals through one QR factor of
+the fit history's deviations (``_step_factors``).  The span of the
+gradients is read from their m x m Gram matrix in tangent coordinates,
+m = 2J - 2, of the gradients whose norm exceeds ``rank_tol``.
 
-For J = 2 a step takes that Gram matrix in expectation under the step's law
-instead of summing draws (``_expected_grams``): given the logit's normal,
-the tangent gradient is Gaussian in the other two, so the expectation is a
-one-dimensional quadrature of closed-form moments, and a row is quiet, its
-Gram matrix zero and its direction the whole predictor gradient, when its
-draws would keep fewer than one gradient in expectation.  This replaces
-the paper's sampled span by its limit; ``n_gradient_samples`` enters only
-through that rule and the quadrature's size (``_rule``).  No normal is
-drawn.
-
-For J >= 3 a step samples (``_draw_grams``).  A draw's tangent gradient is
-linear in its normals, so a step sums each run's Gram matrix from weighted
-moments of the normals, in one pass over fixed blocks of draws: the same
-kept draws, the same sum, and no array as wide as the sample count is
-built.  One bound over each block's own draws, its extremes of z0 and |z|
-(``_all_or_none``), often decides a row's kept test for the whole block:
-the row then skips the test, when every draw is kept, or the block, when
-none is, with the same bytes.  A row that the bound finds keeps no draw in
-any block is a quiet row of its step.
-
-The sampled draws are mapped in float32, and each block's moments are added
-into float64 sums: on real runs' steps the Gram matrix's rounding stays
-under 2.2e-6 of its largest eigenvalue, three decades under the Monte Carlo
-error of 200,000 draws (about 2e-3).  A one-draw Gram matrix, of rank one,
-shows a spurious eigenvalue up to about 3.2e-6 of its largest, and the
-smallest rank cutoff, ``config.MIN_RANK_TOL`` = 1e-2, keeps the eigenvalue
-cutoff ``rank_tol**2`` 1.5 decades above it.
-
-Every sampling step of every run of one master seed maps the same
-(count, d) standard normals, the seed's stream (``lotteries.normals_rng``),
-through its own factor: common random numbers (Glasserman, *Monte Carlo
-Methods in Financial Engineering*, 2003, ch. 4).  A step generates them
-once for its whole stack, one block at a time, rather than once per run: a
-block of 8,192 costs about as much as mapping it through ten to twenty
-rows.  The step draws, bounds and maps each block in turn on the caller's
-thread; the process pool of ``--workers`` is the program's only
-concurrency.
+A step takes that Gram matrix in expectation under the step's law instead
+of summing draws (``_expected_grams``): given the logit's normal, the
+tangent gradient is Gaussian in the other m, so the expectation is a
+one-dimensional quadrature of closed-form moments over lines through the
+origin, and a row is quiet, its Gram matrix zero and its direction the
+whole predictor gradient, when its draws would keep fewer than one gradient
+in expectation.  This replaces the paper's sampled span by its limit;
+``n_gradient_samples`` enters only through that rule and the quadrature's
+size (``_rule``).  No normal is drawn, at any J.
 
 Runs advance through the adversarial search's loop
 (``adversarial.lockstep``), and one call per step,
 ``morph_step_directions``, gives every running run its direction: the
 QR factors, eigendecompositions and projections act on the whole stack.
 Each row's Gram matrix is computed on its own, in the expectation's row
-chunks or in the sampler's stream order, so every row has the bytes it has
-in a stack of one.
+chunks, so every row has the bytes it has in a stack of one.
 """
 
 from __future__ import annotations
@@ -73,7 +44,7 @@ import numpy as np
 from .adversarial import lockstep
 from .basis import ISplineBasis
 from .config import MorphConfig
-from .lotteries import index_block, normals_rng
+from .lotteries import index_block
 from .theory import _fit_logits
 
 STOP_NORM = 1e-8
@@ -81,28 +52,23 @@ STOP_NORM = 1e-8
 # cov + COV_JITTER I): a history's fits may not vary along every coefficient,
 # and ``MorphConfig.rank_tol`` is calibrated against the spread it adds.
 COV_JITTER = 1e-8
-# Rows of the (count, d) standard-normal stream drawn and reduced at a time:
-# a block's arrays stay in cache, and the size moves no draw.
-_DRAW_BLOCK = 8192
-# Rows whose logits and slopes are mapped together, as (group, n) arrays: one
-# numpy call per group, not per row, and no row's bits depend on its group.
-_ROW_GROUP = 4
-# The relative margin by which a block's bound (``_all_or_none``) must clear
-# ``rank_tol`` to decide its kept test, per unit of 1 + the logit's reach
-# |mean_a| + |L00| max|z0|: 64 float32 unit roundoffs u = 2**-24.  The map
-# runs in float32, and at J <= 3 its slope (numpy's float32 exp is within 2.52
-# ulp), tangent gradient, block radius, squares and threshold move the kept
-# test's sigma'(a) |w| by at most 43 u relative; the logit is off by at most
-# 3 u of its reach, and moves the slope by as much (|d log sigma' / da| <= 1).
-CERTIFY_MARGIN = 2.0 ** -18
 
-# The rule of a J = 2 step's Gram matrix in expectation (``_expected_grams``):
-# _Z0_PANELS panels of _Z0_NODES Gauss-Legendre nodes in z0, laid over the
-# part of [-_Z0_REACH, _Z0_REACH] (outside it the normal's mass is 1.2e-15)
-# where a row's draw can be kept, times _ANGLES equispaced angles of
-# (z1, z2).
-_Z0_REACH, _Z0_PANELS, _Z0_NODES, _ANGLES = 8.0, 12, 4, 6
-# The sample count at which that rule's error, a few parts in a thousand of
+# The rule of a step's Gram matrix in expectation (``_expected_grams``):
+# panels of _Z0_NODES Gauss-Legendre nodes in z0, laid over the part of
+# [-_Z0_REACH, _Z0_REACH] (outside it the normal's mass is 1.2e-15) where a
+# row's draw can be kept, times lines through the origin of the other m
+# normals.  At _RULE_COUNT draws, m = 2 takes 12 panels and _LINES
+# equispaced lines (6 angles), and m = 4 takes 6 panels and the tesseract's
+# 8 lines (``_TESSERACT``).
+_Z0_REACH, _Z0_NODES, _LINES = 8.0, 4, 3
+_Z0_PANELS = {2: 12, 4: 6}
+# The tesseract's vertices (+-1, +-1, +-1, +-1) / 2, one per antipodal
+# pair, as columns: a spherical 3-design on S^3 (Delsarte, Goethals and
+# Seidel, *Geom. Dedicata* 6, 1977), whose mean of e e^T is I / 4 and whose
+# odd moments vanish by antipodal symmetry.
+_TESSERACT = np.concatenate([np.ones((1, 8)),
+                             1.0 - 2.0 * (np.arange(8) >> np.arange(3)[:, None] & 1)]) / 2.0
+# The sample count at which a rule's error, a few parts in a thousand of
 # the eigenvalue ratio, matches the draws' Monte Carlo error; larger counts
 # refine it (``_rule``).
 _RULE_COUNT = 2_000
@@ -112,15 +78,15 @@ _RHO_MAX = 40.0
 # vanishes (a zero B e, a zero discriminant), past any radius that matters.
 _TINY = 1e-300
 # Elements of the (lines, rows, z0 nodes) arrays of the rows taken at a
-# time, 32 rows of the rule of ``_RULE_COUNT`` draws: the arrays stay in
-# cache, neither the stack nor the rule grows them, and the size moves no
-# byte.
-_EXPECT_SIZE = 4608
+# time, 64 rows of the m = 2 rule of ``_RULE_COUNT`` draws and 48 of the
+# m = 4 one: the arrays stay in cache, neither the stack nor the rule grows
+# them, and the size moves no byte.  Against 4,608, it cut the CPU of the
+# captured 200,000-draw steps by 7% per row for J = 2 and 23% for J = 3.
+_EXPECT_SIZE = 9216
 # The Mills ratio Q(x) / phi(x) on [0, 40] as P(x) / Q(x), lowest degree
 # first: a weighted least-squares fit of the relative error in 50-digit
-# arithmetic, within 2.1e-8 of it there, under float32's rounding, which
-# the sampler's map carries.  Every coefficient is positive, so Horner's
-# rule cancels nothing.
+# arithmetic, within 2.1e-8 of it there, five decades under the rule's
+# error.  Every coefficient is positive, so Horner's rule cancels nothing.
 _MILLS_P = (1.253314162970477068, 1.1523449049913481473, 0.50017968600428342426,
             0.11592819172627119378, 0.012483323183430834385)
 _MILLS_Q = (1.0, 1.7173241094105870989, 1.2692981198912223854, 0.51260681258561588483,
@@ -185,199 +151,50 @@ def _step_factors(probs: np.ndarray, histories: np.ndarray, basis_rows: np.ndarr
     return (G @ theta_mean[..., None])[..., 0], np.linalg.qr(N, mode="r").transpose(0, 2, 1)
 
 
-def _slope(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _slope(a: np.ndarray) -> np.ndarray:
     """The logistic slope sigma'(a) = e / (1 + e)^2 at |a|, with e = exp(-|a|):
-    one exp, no overflow, and falling in |a|.  Given ``out``, it is computed
-    in place: e overwrites ``a`` and the slope is written to ``out``."""
-    e = np.abs(a, out=None if out is None else a)
+    one exp, no overflow, and falling in |a|."""
+    e = np.abs(a)
     e = np.exp(np.negative(e, out=e), out=e)
-    s = np.square(np.add(1.0, e, out=out), out=out)
+    s = np.square(np.add(1.0, e))
     return np.divide(e, s, out=s)
 
 
-def _spread(w_map: np.ndarray) -> np.ndarray:
-    """||W||_2 of each factor block W (R, m, d), from the largest eigenvalue
-    of W W^T, which, unlike an SVD, a NaN does not stop."""
-    return np.sqrt(np.linalg.eigvalsh(w_map @ w_map.transpose(0, 2, 1))[:, -1])
-
-
-def _all_or_none(mean: np.ndarray, scale: np.ndarray, spread: np.ndarray, z0: np.ndarray,
-                 radius, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (R,) whose kept test, sigma'(a) |w| > ``rank_tol``, keeps every
-    draw, and rows whose test keeps none, of all the draws (a, w) = mean + L z
-    whose normals have z0 within the ends ``z0`` (2,) and |z| <= ``radius``;
-    ``scale`` is L00 and ``spread`` ||L[1:]||_2 (``_spread``).
-
-    a = mean_a + L00 z0 is monotone in z0, so |a| lies between ``near`` (0
-    where the ends straddle 0) and ``far``; |w| lies within
-    |mean_w| -+ ||L[1:]||_2 radius; and the slope falls with |a|.  The test
-    maps in float32, and ``margin``, CERTIFY_MARGIN times 1 + the logit's
-    reach, covers its rounding.  Every draw is kept when sigma'(far) times
-    |w|'s lower end clears ``rank_tol``, that end less ``margin`` of
-    |mean_w| + ||L[1:]||_2 radius, even where w = mean_w + L[1:] z nearly
-    cancels.  None is kept when sigma'(near) times |w|'s upper end falls
-    under ``rank_tol`` (1 - ``margin``).  Only rows whose |w| stays under
-    2**56 are decided: there, at ``rank_tol`` >= 2**-7 (``MIN_RANK_TOL``),
-    the test's float32 squares neither overflow nor, in a row that keeps
-    every draw, underflow.  A factor that is not finite gives NaN bounds,
-    which decide neither.
-    """
-    a = mean[:, :1] + scale[:, None] * z0
-    lo, hi = a.min(axis=1), a.max(axis=1)
-    norm, reach = np.linalg.norm(mean[:, 1:], axis=1), spread * radius
-    margin = CERTIFY_MARGIN * (1.0 + np.abs(mean[:, 0]) + np.abs(scale) * np.abs(z0).max())
-    low = _slope(np.maximum(-lo, hi)) * (norm - reach - margin * (norm + reach))
-    high = _slope(np.maximum(0.0, np.maximum(lo, -hi))) * (norm + reach)
-    normal = norm + reach < 2.0 ** 56
-    return normal & (low > rank_tol), normal & (high <= rank_tol * (1.0 - margin))
-
-
-@functools.cache
-def _moment_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entries (j, k) of the moment matrix of z-hat = (z, 1) (d + 1 by
-    d + 1) that a row's moments hold, in their order: z_j for j < d, then
-    z_j z_k for j <= k < d in row-major order, each a product row of a
-    block, then 1, the weights' own sum.  Built once per d and shared
-    read-only."""
-    j, k = np.triu_indices(d)
-    pairs = np.concatenate([np.arange(d), j, [d]]), np.concatenate([np.full(d, d), k, [d]])
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
-def _products(zT: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """A block's moment products (P, n) float32, written into ``out``: the
-    products of z-hat = (z, 1) that ``_moment_pairs(d)`` lists but the last,
-    1, whose first d rows are the block's normals ``zT`` (d, n)."""
-    d = len(zT)
-    out[:d] = zT
-    row = d
-    for j in range(d):
-        np.multiply(zT[j:], zT[j], out=out[row:row + d - j])
-        row += d - j
-    return out
-
-
-def _draw_grams(master_seed: int, mean: np.ndarray, L: np.ndarray, count: int,
-                rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's Gram matrix (R, m, m) of the gradients sigma'(a) w of the
-    ``count`` draws (a, w) the seed's (count, d) standard normals
-    (``normals_rng(master_seed)``) map to through the row's factor, those
-    whose norm exceeds ``rank_tol``, and which rows are quiet (R,): one pass
-    over the stream, at most ``_DRAW_BLOCK`` rows at a time.  An empty stack
-    reads no stream.
-
-    A draw's tangent gradient is w = W z-hat, with W = [L[1:] | mean_w]
-    (m, d + 1) and z-hat = (z, 1), so a row's Gram matrix is W M W^T, where
-    M = sum_i k_i s_i^2 z-hat_i z-hat_i^T, s_i the slope and k_i the kept
-    flag: the slope reads the row only through mean_a and L00.  Each block
-    is drawn into one float64 buffer and cast into float32 (d, n) columns;
-    its products of z-hat are formed from them once for every row
-    (``_moment_pairs``), and only when some row draws from it.  The rows'
-    logits and slopes are mapped in float32, ``_ROW_GROUP`` rows at a time,
-    and each row's squared slopes, its weights, meet the products in one
-    float32 matrix-vector product of its own, added into the row's float64
-    moments.  The last moment, the weights' sum, is each row's pairwise sum:
-    a BLAS sum of weights that barely vary, where the logit barely moves,
-    rounds one way, by up to about 128 eps32 over a block.  W M W^T is
-    formed in float64 at the end; a row that kept no draw has a zero Gram
-    matrix.
-
-    Each block first bounds every row's sigma'(a) |w| over its own draws
-    (``_all_or_none`` over the block's extremes of z0 and |z|, taken on the
-    columns).  A row that keeps every draw of the block skips the kept test,
-    which would zero no weight; a row that keeps none skips the block, whose
-    product would add only zeros.  Only a row the bound leaves undecided
-    maps w = W z-hat in float32 for its kept test.  Either way its moments
-    have the bytes of the tested sum.  A quiet row is one that the bound
-    found keeps none in every block.
-    """
-    R, m, d = len(L), L.shape[1] - 1, L.shape[2]
-    grams, quiet = np.zeros((R, m, m)), np.ones(R, dtype=bool)
-    if not R:
-        return grams, quiet
-    # L is a transposed QR factor; the map reads a C-ordered copy, as not
-    # every BLAS kernel maps a one-draw block alike in both orders.
-    scale, w_map = L[:, 0, 0], np.ascontiguousarray(L[:, 1:])
-    spread = _spread(w_map)
-    scale32, mean32, w_map32 = (x.astype(np.float32) for x in (scale, mean, w_map))
-    pairs = _moment_pairs(d)
-    moments = np.zeros((R, len(pairs[0])))
-    # A block's draws, columns and products, and a group's logits and
-    # slopes.  The logits' buffer, free once the slopes are taken, holds an
-    # undecided row's tangent gradients and their squared norms.
-    block = min(count, _DRAW_BLOCK)
-    normals, columns = np.empty(d * block), np.empty(d * block, np.float32)
-    product_buffer = np.empty((len(pairs[0]) - 1) * block, np.float32)
-    logits, slopes = (np.empty(rows * block, np.float32)
-                      for rows in (max(_ROW_GROUP, m + 1), _ROW_GROUP))
-    stream = normals_rng(master_seed)
-    for start in range(0, count, _DRAW_BLOCK):
-        n = min(_DRAW_BLOCK, count - start)
-        z = stream.standard_normal(out=normals[:n * d].reshape(n, d))
-        zT = columns[:d * n].reshape(d, n)
-        zT[...] = z.T
-        # Once cast, the draw's buffer holds the squared norms.
-        norms = normals.view(np.float32)[:n]
-        radius = np.sqrt(np.einsum("ij,ij->j", zT, zT, out=norms).max())
-        every, none = _all_or_none(mean, scale, spread, np.array([zT[0].min(), zT[0].max()]),
-                                   radius, rank_tol)
-        quiet &= none
-        if none.all():
-            continue
-        products = _products(zT, product_buffer[:len(product_buffer) // block * n].reshape(-1, n))
-        drawing = np.flatnonzero(~none)
-        for first in range(0, len(drawing), _ROW_GROUP):
-            group = drawing[first:first + _ROW_GROUP]
-            a = np.multiply(scale32[group, None], products[0],
-                            out=logits[:len(group) * n].reshape(-1, n))
-            a += mean32[group, :1]
-            weights = _slope(a, out=slopes[:len(group) * n].reshape(-1, n))
-            np.multiply(weights, weights, out=weights)
-            for i, weight in zip(group.tolist(), weights):
-                if not every[i]:
-                    w = np.matmul(w_map32[i], products[:d], out=logits[:m * n].reshape(m, n))
-                    w += mean32[i, 1:, None]
-                    norms = np.einsum("ij,ij->j", w, w, out=logits[m * n:(m + 1) * n])
-                    weight[~(np.multiply(weight, norms, out=norms) > rank_tol ** 2)] = 0.0
-                moments[i, :-1] += products @ weight
-            moments[group, -1] += weights.sum(axis=1)
-    drawn = moments.any(axis=1)
-    M = np.zeros((drawn.sum(), d + 1, d + 1))
-    M[:, pairs[0], pairs[1]] = M[:, pairs[1], pairs[0]] = moments[drawn]
-    W = np.concatenate([L[drawn, 1:], mean[drawn, 1:, None]], axis=2)
-    grams[drawn] = W @ M @ W.transpose(0, 2, 1)
-    return grams, quiet
-
-
-@functools.cache
-def _quadrature(panels: int = _Z0_PANELS, nodes: int = _Z0_NODES,
-                angles: int = _ANGLES) -> tuple[np.ndarray, ...]:
-    """The rule of ``_expected_grams``: its count of panels in z0; the
+def _quadrature(panels: int, nodes: int, lines: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A rule of ``_expected_grams``: its count of panels in z0; the
     Gauss-Legendre nodes and weights (``nodes``,) on [-1, 1], the
     eigenvalues of the Jacobi matrix and twice the squared first entries of
-    its eigenvectors (Golub and Welsch, *Math. Comp.* 23, 1969); and the
-    cosines and sines (angles / 2,) of the lines through the origin of
-    (z1, z2) that carry ``angles`` equispaced rays, two per line.  Built
-    once per rule, its arrays shared read-only."""
+    its eigenvectors (Golub and Welsch, *Math. Comp.* 23, 1969); and its
+    ``lines`` (m, n), unit vectors of the lines through the origin of the
+    other m normals, two rays each, every ray of equal weight.  Its arrays
+    are read-only."""
     k = np.arange(1.0, nodes)
     x, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
-    theta = np.pi * (np.arange(angles // 2) + 0.5) / (angles // 2)
-    arrays = x, 2.0 * vecs[0] ** 2, np.cos(theta), np.sin(theta)
+    arrays = x, 2.0 * vecs[0] ** 2, np.array(lines, dtype=float)
     for part in arrays:
         part.flags.writeable = False
     return (panels, *arrays)
 
 
-def _rule(count: int) -> tuple[np.ndarray, ...]:
-    """The rule of a step of ``count`` draws: ``_quadrature()`` up to
-    ``_RULE_COUNT`` draws, past that with panels and angles scaled by
-    (count / _RULE_COUNT)^(1/4).  The rule's error falls as the square of
-    its spacing, and the Monte Carlo error of the draws it replaces as
-    count^(-1/2), so the rule stays as accurate as the sample."""
+def _circle(lines: int) -> np.ndarray:
+    """(2, ``lines``): the cosines and sines of ``lines`` lines through the
+    origin of the plane that carry 2 ``lines`` equispaced rays."""
+    theta = np.pi * (np.arange(lines) + 0.5) / lines
+    return np.stack([np.cos(theta), np.sin(theta)])
+
+
+@functools.cache
+def _rule(m: int, count: int) -> tuple[np.ndarray, ...]:
+    """The rule of a step of ``count`` draws of m tangent coordinates, built
+    once and shared: ``_Z0_PANELS[m]`` panels in z0 up to ``_RULE_COUNT``
+    draws, past that scaled by (count / _RULE_COUNT)^(1/4).  For m = 2 the
+    _LINES equispaced lines (``_circle``) scale alike: the rule's error falls
+    as the square of its spacing, and the Monte Carlo error of the draws it
+    replaces as count^(-1/2), so the rule stays as accurate as the sample.
+    For m = 4 the lines are the tesseract's (``_TESSERACT``) at any count."""
     scale = max(1.0, (count / _RULE_COUNT) ** 0.25)
-    return _quadrature(round(_Z0_PANELS * scale), _Z0_NODES, 2 * round(_ANGLES / 2 * scale))
+    lines = _circle(round(_LINES * scale)) if m == 2 else _TESSERACT
+    return _quadrature(round(_Z0_PANELS[m] * scale), _Z0_NODES, lines)
 
 
 def _horner(coefficients: tuple[float, ...], x: np.ndarray) -> np.ndarray:
@@ -400,31 +217,57 @@ def _mills(x: np.ndarray) -> np.ndarray:
     return np.divide(p, _horner(_MILLS_Q, x), out=p)
 
 
-def _tails(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tails(rho: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The radial tail moments, from ``rho`` (>= 0) out, of the standard
-    normal on the plane, int_rho^inf r^k r e^(-r^2 / 2) dr for k = 0, 1, 2,
-    in closed form: e^(-rho^2 / 2) times 1, rho + Q(rho) / phi(rho)
-    (``_mills``) and rho^2 + 2.  The 1st is written over ``rho``."""
+    normal on R^m, m = 2 or 4: T_k = I_(k+m-1)(rho) / I_(m-1)(0) for
+    k = 0, 1, 2, where I_n(x) = int_x^inf r^n e^(-r^2 / 2) dr, in closed form
+    from I_n = x^(n-1) e + (n - 1) I_(n-2), I_1 = e and I_0 = e Q(x) / phi(x)
+    (``_mills``), e = e^(-x^2 / 2).  For m = 2 they are e times 1,
+    rho + mills(rho) and rho^2 + 2; for m = 4, e / 2 times rho^2 + 2,
+    rho^3 + 3 rho + 3 mills(rho) and rho^4 + 4 rho^2 + 8.  At 0 they are 1,
+    sqrt(pi / 2) (1.5 sqrt(pi / 2) for m = 4) and m."""
     square = np.square(rho)
     e = np.multiply(square, -0.5)
     np.exp(e, out=e)
-    first = np.add(rho, _mills(rho), out=rho)
+    first = _mills(rho)
+    first += rho
+    if m == 2:
+        zeroth = e
+        square += 2.0
+    else:
+        first *= 3.0
+        first += rho * square
+        e *= 0.5
+        zeroth = np.add(square, 2.0)
+        square *= square
+        square += 4.0 * zeroth
+        zeroth *= e
     first *= e
-    square += 2.0
     square *= e
-    return e, first, square
+    return zeroth, first, square
+
+
+def _dot(a: list, b: list) -> np.ndarray:
+    """sum_k a[k] b[k] over the k that ``a`` holds, one product and one sum at
+    a time in order of k."""
+    total = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        total = total + x * y
+    return total
 
 
 def _centre(mean: np.ndarray, L: np.ndarray, rank_tol: float,
-            z0: np.ndarray) -> tuple[np.ndarray, ...]:
+            z0: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """At each row's z0 (r, N): the squared slope s(a)^2, C = |c|^2 - r^2
     for the draws' centre c = mean_w + L[1:, 0] z0 and r = ``rank_tol`` /
-    s(a), so that the draw at u = 0 is kept where C > 0, and c's two
+    s(a), so that the draw at u = 0 is kept where C > 0, and c's m
     entries.  r is taken at a slope floored at 1e-100, past which no draw
     is kept."""
     s2 = np.square(_slope(mean[:, :1] + L[:, 0, :1] * z0))
-    cx, cy = (mean[:, i:i + 1] + L[:, i, :1] * z0 for i in (1, 2))
-    return s2, cx * cx + cy * cy - rank_tol ** 2 / np.maximum(s2, 1e-200), cx, cy
+    c = [mean[:, i:i + 1] + L[:, i, :1] * z0 for i in range(1, mean.shape[1])]
+    C = _dot(c, c)
+    C -= rank_tol ** 2 / np.maximum(s2, 1e-200)
+    return s2, C, c
 
 
 def _window(mean: np.ndarray, L: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -477,13 +320,13 @@ def _z0_nodes(mean: np.ndarray, L: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def _expected_chunk(mean: np.ndarray, L: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                     rank_tol: float,
                     rule: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """``_expected_grams`` of a chunk of rows: their Gram matrices (r, 2, 2)
+    """``_expected_grams`` of a chunk of rows: their Gram matrices (r, m, m)
     and kept probabilities (r,), each row computed on its own.
 
     Arrays run over (row, z0 node) and over (line, row, z0 node).  On the
-    line through the origin of u = (z1, z2) along e, w = c + rho B e, with
-    c = mean_w + L[1:, 0] z0 and B = L[1:, 1:], lower triangular, and the
-    draw is dropped where |w|^2 <= r^2, r = ``rank_tol`` / s(a):
+    line through the origin of u = (z1, ..., zm) along e, w = c + rho B e,
+    with c = mean_w + L[1:, 0] z0 and B = L[1:, 1:], lower triangular, and
+    the draw is dropped where |w|^2 <= r^2, r = ``rank_tol`` / s(a):
     A rho^2 + 2 beta rho + C <= 0, with A = |Be|^2, beta = c . Be and
     C = |c|^2 - r^2.  Its roots come from p = |beta| + sqrt(beta^2 - A C),
     as p / A and t = C / p, so no root is a difference: on the ray that runs
@@ -494,18 +337,22 @@ def _expected_chunk(mean: np.ndarray, L: np.ndarray, lo: np.ndarray, hi: np.ndar
     of t and -t being clipped to 0: their moments are tails (``_tails``)
     at p / A and |t|, and no moment is a difference of two masses near 1.
     Even moments add over a line's two rays; the odd one is taken along e,
-    the ray along which beta is positive counting against it.
+    the ray along which beta is positive counting against it.  With the
+    line sums kept = sum 0th, kappa = sum 1st e and K = sum 2nd e e^T, the
+    Gram matrix is c c^T kept + c (B kappa)^T + (B kappa) c^T + B K B^T,
+    integrated over z0 and averaged over the rays.
     """
-    cos, sin = rule[3:]
+    lines = rule[3]
+    m = len(lines)
     z0, weights = _z0_nodes(mean, L, lo, hi, rank_tol, rule)
-    s2, C, cx, cy = _centre(mean, L, rank_tol, z0)
+    s2, C, c = _centre(mean, L, rank_tol, z0)
     # Per line and row: Be, its square floored where B e vanishes.
-    bx = (cos[:, None] * L[:, 1, 1])[..., None]
-    by = (cos[:, None] * L[:, 2, 1] + sin[:, None] * L[:, 2, 2])[..., None]
-    A = np.maximum(bx * bx + by * by, _TINY)
+    B = [[L[:, i + 1, j + 1:j + 2] for j in range(i + 1)] for i in range(m)]
+    Be = [_dot([row[:, 0] for row in B[i]], [line[:, None] for line in lines])[..., None]
+          for i in range(m)]
+    A = np.maximum(_dot(Be, Be), _TINY)
     # Per line, row and z0 node: the roots.
-    beta = bx * cx
-    beta += by * cy
+    beta = _dot(Be, c)
     p = beta * beta
     p -= A * C
     p = np.sqrt(np.maximum(p, 0.0, out=p), out=p)
@@ -514,72 +361,87 @@ def _expected_chunk(mean: np.ndarray, L: np.ndarray, lo: np.ndarray, hi: np.ndar
     ends = np.empty((2,) + beta.shape)
     np.minimum(np.maximum(np.divide(p, A, out=p), t, out=ends[0]), _RHO_MAX, out=ends[0])
     np.minimum(np.abs(t, out=ends[1]), _RHO_MAX, out=ends[1])
-    (e, e_t), (first, first_t), (second, second_t) = _tails(ends)
+    (e, e_t), (first, first_t), (second, second_t) = _tails(ends, m)
     # The two rays' kept moments.  With sign = +1 where t >= 0, the 0th is
     # e + 2 - e_t there and e + e_t elsewhere, the 2nd likewise with
-    # second + 4 - second_t; the 1st along e is taken along beta here.
+    # second + 2 m - second_t (m is the 2nd's whole mass); the 1st along e
+    # is taken along beta here.
     sign = np.copysign(1.0, t, out=t)
     both = np.add(sign, 1.0, out=p)
     zeroth = np.add(e, both, out=e)
     zeroth -= np.multiply(sign, e_t, out=e_t)
-    even = np.add(second, np.add(both, both, out=both), out=second)
+    even = np.add(second, np.multiply(both, m, out=both), out=second)
     even -= np.multiply(sign, second_t, out=second_t)
     odd = np.subtract(first, first_t, out=first)
     odd *= np.copysign(1.0, beta, out=beta)
     # Their sums over the lines, the 1st and 2nd weighted by e and e e^T.
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
     sums = []
-    for moment, weight in ((zeroth, None), (odd, cos), (odd, sin), (even, cos * cos),
-                           (even, cos * sin), (even, sin * sin)):
+    for moment, weight in ([(zeroth, None)] + [(odd, lines[i]) for i in range(m)]
+                           + [(even, lines[i] * lines[j]) for i, j in pairs]):
         if weight is not None:
             moment = np.multiply(moment, weight[:, None, None], out=p)
         total = moment[0].copy()
-        for line in range(1, len(cos)):
+        for line in range(1, len(moment)):
             total += moment[line]
         sums.append(total)
-    kept, k1x, k1y, kxx, kxy, kyy = sums
+    kept, kappa, K = sums[0], sums[1:m + 1], {}
+    for (i, j), total in zip(pairs, sums[m + 1:]):
+        K[i, j] = K[j, i] = total
     # Per row and z0 node: the 1st moment's B kappa (negated, as it was
     # taken along beta) and the 2nd's B K B^T, then the integral over z0
-    # and the mean over the angles.
-    B11, B21, B22 = L[:, 1, 1:2], L[:, 2, 1:2], L[:, 2, 2:3]
-    g1, g2 = -B11 * k1x, -(B21 * k1x + B22 * k1y)
-    h21, h22 = B21 * kxx + B22 * kxy, B21 * kxy + B22 * kyy
-    H11, H12, H22 = B11 * B11 * kxx, B11 * h21, B21 * h21 + B22 * h22
+    # and the mean over the rays.  Row i of B K B^T is taken from
+    # h_i = K B_i^T past the first row; the corner, whose row of B holds one
+    # entry, is B00^2 K00.
+    g = [-_dot(B[i], kappa) for i in range(m)]
+    h = {(i, j): _dot(B[i], [K[k, j] for k in range(m)]) for i in range(1, m) for j in range(m)}
+    H = {(0, 0): B[0][0] * B[0][0] * K[0, 0]}
+    for i, j in pairs[1:]:
+        H[i, j] = _dot(B[i], [h[j, k] for k in range(m)])
     v = weights * s2
-    grams = np.empty((len(L), 2, 2))
-    grams[:, 0, 0] = (v * (cx * cx * kept + 2.0 * cx * g1 + H11)).sum(axis=1)
-    grams[:, 0, 1] = (v * (cx * cy * kept + cx * g2 + cy * g1 + H12)).sum(axis=1)
-    grams[:, 1, 1] = (v * (cy * cy * kept + 2.0 * cy * g2 + H22)).sum(axis=1)
-    grams /= 2 * len(cos)
-    grams[:, 1, 0] = grams[:, 0, 1]
-    return grams, (weights * kept).sum(axis=1) / (2 * len(cos))
+    grams = np.empty((len(L), m, m))
+    for i, j in pairs:
+        if i == j:
+            entry = c[i] * c[i] * kept + 2.0 * c[i] * g[i] + H[i, i]
+        else:
+            entry = c[i] * c[j] * kept + c[i] * g[j] + c[j] * g[i] + H[i, j]
+        grams[:, i, j] = (v * entry).sum(axis=1)
+    grams /= 2 * lines.shape[1]
+    for i, j in pairs:
+        grams[:, j, i] = grams[:, i, j]
+    return grams, (weights * kept).sum(axis=1) / (2 * lines.shape[1])
 
 
 def _expected_grams(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float,
                     rule: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each J = 2 row's Gram matrix (R, 2, 2) in expectation,
+    """Each row's Gram matrix (R, m, m) in expectation,
     E[s(a)^2 w w^T 1{s(a) |w| > rank_tol}] under its step's law
     (a, w) = mean + L z, and which rows are quiet (R,): those whose
     ``count`` draws would keep fewer than one in expectation,
     count P(kept) < 1.  A quiet row's Gram matrix is zero.  ``rule``, by
-    default ``_rule(count)``, is a ``_quadrature``.
+    default ``_rule(m, count)``, is a ``_quadrature``.
 
-    a = mean_a + L00 z0, and given z0, w is Gaussian in u = (z1, z2): the
-    expectation is an integral over z0, by composite Gauss-Legendre on
+    a = mean_a + L00 z0, and given z0, w is Gaussian in u = (z1, ..., zm):
+    the expectation is an integral over z0, by composite Gauss-Legendre on
     panels fitted to each row (``_z0_nodes``) over the z0 where a draw can
-    be kept (``_window``; a row with none keeps nothing), of a periodic
-    integral over the angle of u, by the trapezoid rule (Trefethen and
-    Weideman, *SIAM Review* 56(3), 2014), of closed-form radial moments over
-    the radii the kept test keeps (``_expected_chunk``): conditional Monte
-    Carlo taken to its limit (Glasserman 2003, ch. 4).  The rows go a few at
-    a time (``_EXPECT_SIZE``), so no array grows with the stack, and every
-    operation acts on one row, so a row has the bytes it has in a stack of
-    one.
+    be kept (``_window``; a row with none keeps nothing), of an integral
+    over the direction of u, on the rule's lines through the origin, of
+    closed-form radial moments over the radii the kept test keeps
+    (``_expected_chunk``): conditional Monte Carlo taken to its limit
+    (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003,
+    ch. 4).  For m = 2 the lines are equispaced angles, the trapezoid rule
+    of a periodic integral (Trefethen and Weideman, *SIAM Review* 56(3),
+    2014); for m = 4 they are a spherical design (``_TESSERACT``).  The rows
+    go a few at a time (``_EXPECT_SIZE``), so no array grows with the stack,
+    and every operation acts on one row, so a row has the bytes it has in a
+    stack of one.
     """
-    rule, (lo, hi) = rule or _rule(count), _window(mean, L, rank_tol)
-    grams, kept = np.zeros((len(L), 2, 2)), np.zeros(len(L))
+    m = L.shape[1] - 1
+    rule, (lo, hi) = rule or _rule(m, count), _window(mean, L, rank_tol)
+    grams, kept = np.zeros((len(L), m, m)), np.zeros(len(L))
     live = np.flatnonzero(~(hi <= lo))
-    panels, nodes, _, lines, _ = rule
-    chunk = max(1, _EXPECT_SIZE // (panels * len(nodes) * len(lines)))
+    panels, nodes, _, lines = rule
+    chunk = max(1, _EXPECT_SIZE // (panels * len(nodes) * lines.shape[1]))
     for first in range(0, len(live), chunk):
         rows = live[first:first + chunk]
         grams[rows], kept[rows] = _expected_chunk(mean[rows], L[rows], lo[rows], hi[rows],
@@ -590,11 +452,11 @@ def _expected_grams(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float
 
 
 def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: np.ndarray,
-                          basis_rows: np.ndarray, master_seed: int,
+                          basis_rows: np.ndarray,
                           config: MorphConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One morph step for a stack of runs of ``master_seed``: each row's
-    direction (R, 2J), the rank of the span it removes (R,), and whether it
-    is quiet (R,), its Gram matrix zero.
+    """One morph step for a stack of runs: each row's direction (R, 2J), the
+    rank of the span it removes (R,), and whether it is quiet (R,), its Gram
+    matrix zero.
 
     Row k's theory draws ``config.n_gradient_samples`` utility vectors
     U = (U0, U1) around its fit history ``histories[k]`` (h, K);
@@ -609,14 +471,10 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     the kept gradients' Gram matrix with the relative cutoff
     ``config.rank_tol``.
 
-    For J = 2 that Gram matrix is the expectation of one draw's
+    That Gram matrix is the expectation of one draw's
     (``_expected_grams``), and a row is quiet when its draws would keep
-    fewer than one gradient in expectation; ``master_seed`` is not read.
-    For J >= 3 it is summed over the draws, each mapped from a row of the
-    seed's (count, d) standard normals (``normals_rng(master_seed)``, read
-    from its start, ``_draw_grams``), and a row is quiet when the block
-    bound found, in every block, that it keeps none.  A quiet row's
-    direction is the whole tangent gradient T T^T g.
+    fewer than one gradient in expectation.  A quiet row's direction is the
+    whole tangent gradient T T^T g.
 
     The history means and one QR factor per run (``_step_factors``), the
     Gram eigendecompositions and the projections are done for the whole
@@ -626,11 +484,7 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     """
     T = _tangent_basis(probs.shape[-1])
     mean, L = _step_factors(probs, histories, basis_rows, T)
-    if probs.shape[-1] == 2:
-        grams, quiet = _expected_grams(mean, L, config.n_gradient_samples, config.rank_tol)
-    else:
-        grams, quiet = _draw_grams(master_seed, mean, L, config.n_gradient_samples,
-                                   config.rank_tol)
+    grams, quiet = _expected_grams(mean, L, config.n_gradient_samples, config.rank_tol)
     directions, ranks = _project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
                                           config.rank_tol)
     return (T @ directions[..., None])[..., 0], ranks, quiet
@@ -643,10 +497,8 @@ def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, master_seed,
     once its direction vanishes (``stop``: ``direction_vanished``).  Its
     record also holds the rank of the span removed by its last projection
     (``retained_rank``, None when it stopped before its first), and the
-    count of its quiet steps (``certified_steps``): for J = 2 those whose
-    draws would keep fewer than one gradient in expectation, for J >= 3
-    those whose every block of the seed's normals the block bound proved
-    keeps no draw (``morph_step_directions``).
+    count of its quiet steps (``certified_steps``), those whose draws would
+    keep fewer than one gradient in expectation (``morph_step_directions``).
 
     Each step's directions come from one ``morph_step_directions`` call over
     the rows ``lockstep`` gives it.  The fit histories live in one
@@ -666,8 +518,7 @@ def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, master_seed,
         history[rows, s + 1] = theta
         n = 2 * P.shape[-1]         # a menu's probabilities; ``rows`` may be empty
         directions, ranks, quiet = morph_step_directions(
-            df.reshape(-1, n), P, history[rows, :s + 2], B.reshape(-1, n, B.shape[-1]),
-            master_seed, config)
+            df.reshape(-1, n), P, history[rows, :s + 2], B.reshape(-1, n, B.shape[-1]), config)
         certified_steps[rows] += quiet
         for r, k in zip(rows, ranks.tolist()):
             rank[r] = k

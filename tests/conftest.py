@@ -522,30 +522,15 @@ def null_space_projection(g_star, sampled_grads, rank_tol: float = 1e-6) -> np.n
     return out[0]
 
 
-def sampled_step_directions(pred_grads, probs, histories, basis_rows, master_seed, config):
-    """A stack's morph step with every row's Gram matrix summed over its
-    draws from the seed's normals (``morphing._draw_grams``), at any J: the
-    route ``morphing.morph_step_directions`` takes for J >= 3.  Returns the
-    directions (R, 2J), ranks (R,) and quiet flags (R,)."""
-    T = morphing._tangent_basis(probs.shape[-1])
-    mean, L = morphing._step_factors(probs, histories, basis_rows, T)
-    grams, quiet = morphing._draw_grams(master_seed, mean, L, config.n_gradient_samples,
-                                        config.rank_tol)
-    directions, ranks = morphing._project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
-                                                   config.rank_tol)
-    return (T @ directions[..., None])[..., 0], ranks, quiet
-
-
-def morph_step_direction(pred_grad, probs, history, basis_rows, master_seed, config,
-                         step=None):
-    """One run's morph step: ``step`` (``morph_step_directions`` by default)
-    on a stack of one, of ``master_seed``.  ``pred_grad`` is (2J,), ``probs``
-    (2, J), ``history`` a sequence of at least two fits and ``basis_rows``
-    (2J, K); returns the direction (2J,) and the retained rank."""
-    directions, ranks, _ = (step or morphing.morph_step_directions)(
+def morph_step_direction(pred_grad, probs, history, basis_rows, config):
+    """One run's morph step: ``morphing.morph_step_directions`` on a stack of
+    one.  ``pred_grad`` is (2J,), ``probs`` (2, J), ``history`` a sequence of
+    at least two fits and ``basis_rows`` (2J, K); returns the direction (2J,)
+    and the retained rank."""
+    directions, ranks, _ = morphing.morph_step_directions(
         np.asarray(pred_grad, dtype=float)[None], np.asarray(probs, dtype=float)[None],
         np.atleast_2d(np.array(history, dtype=float))[None],
-        np.asarray(basis_rows, dtype=float)[None], master_seed, config)
+        np.asarray(basis_rows, dtype=float)[None], config)
     return directions[0], int(ranks[0])
 
 
@@ -581,81 +566,28 @@ def _reference_kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray
     return (cols * np.where(kept, scale * scale, 0.0)) @ cols.T
 
 
-def reference_products(zT: np.ndarray) -> np.ndarray:
-    """The rows a morph step's moments sum in one product, for one block's
-    normals as columns zT (d, n), built from fresh arrays: the products of
-    z-hat = (z, 1) in the step's order, z_j, then z_j z_k for j <= k in
-    row-major order."""
-    j, k = np.triu_indices(len(zT))
-    return np.concatenate([zT, zT[j] * zT[k]])
-
-
-def reference_factor_gram(mean, L, rng, count: int, rank_tol: float) -> np.ndarray:
-    """The Gram matrix (m, m) of the kept gradients of one factor's ``count``
-    draws (mean (d,), L (d, d)) of ``rng``'s normals, in the moment form the
-    step sums, computed on its own: per block of ``morphing._DRAW_BLOCK``
-    draws, float32 slopes and a float32 map of w for the kept test, the
-    kept draws' squared slopes times the block's products of z-hat = (z, 1)
-    as one float32 product, and their own float32 sum, added into float64
-    moment sums, and at the end W M W^T in float64, W = [L[1:] | mean_w].  A
-    factor that keeps no draw has a zero Gram matrix."""
-    mean32, L32 = mean.astype(np.float32), L.astype(np.float32)
-    d = L.shape[1]
-    moments = np.zeros((d + 1) * (d + 2) // 2)
-    for start in range(0, count, morphing._DRAW_BLOCK):
-        z = rng.standard_normal((min(morphing._DRAW_BLOCK, count - start), d))
-        zT = np.ascontiguousarray(z.T, dtype=np.float32)
-        e = np.exp(-np.abs(zT[0] * L32[0, 0] + mean32[0]))
-        slopes = e / (1.0 + e) ** 2
-        w = np.ascontiguousarray(L32[1:]) @ zT + mean32[1:, None]
-        weights = np.where(reference_kept(w, slopes, rank_tol), slopes * slopes, 0.0)
-        moments[:-1] += reference_products(zT) @ weights
-        moments[-1] += weights.sum()
-    if not np.any(moments):
-        return np.zeros((d - 1, d - 1))
-    j, k = np.triu_indices(d)
-    rows, cols = np.r_[np.arange(d), j, d], np.r_[np.full(d, d), k, d]
-    M = np.zeros((d + 1, d + 1))
-    M[rows, cols] = moments
-    M[cols, rows] = moments
-    W = np.column_stack([L[1:], mean[1:]])
-    return W @ M @ W.T
-
-
 def per_draw_gram(mean, L, rng, count: int, rank_tol: float) -> np.ndarray:
     """The Gram matrix (m, m) of the kept gradients of one factor's ``count``
     draws of ``rng``'s normals, mapped in float64 draw by draw: each block's
     slopes and gradients w, and their kept Gram matrix, summed."""
     gram = np.zeros((len(L) - 1, len(L) - 1))
-    for start in range(0, count, morphing._DRAW_BLOCK):
-        zT = rng.standard_normal((min(morphing._DRAW_BLOCK, count - start), L.shape[1])).T
+    for start in range(0, count, 8192):
+        zT = rng.standard_normal((min(8192, count - start), L.shape[1])).T
         e = np.exp(-np.abs(zT[0] * L[0, 0] + mean[0]))
         gram += _reference_kept_gram(L[1:] @ zT + mean[1:, None], e / (1.0 + e) ** 2, rank_tol)
     return gram
 
 
-def reference_gram(probs, history, basis_rows, rng, config, sampled=False) -> np.ndarray:
-    """One run's Gram matrix (2J - 2, 2J - 2) of its kept gradients, from its
-    own factor: for J = 2, unless ``sampled``, in expectation, the one-row
-    route (``morphing._expected_grams``), and ``rng`` is not read; else
-    summed over ``rng``'s draws in the moment form the step sums, computed
-    on its own (``reference_factor_gram``)."""
-    mean, L = reference_step_factor(probs, history, basis_rows)
-    if probs.shape[-1] == 2 and not sampled:
-        (gram,), _ = morphing._expected_grams(mean[None], L[None], config.n_gradient_samples,
-                                              config.rank_tol)
-        return gram
-    return reference_factor_gram(mean, L, rng, config.n_gradient_samples, config.rank_tol)
-
-
-def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config, sampled=False):
+def reference_step_direction(pred_grad, probs, history, basis_rows, config):
     """One run's morph step, (direction (2J,), retained rank), computed on its
-    own from its ``reference_gram``: the per-run step that
-    ``morphing.morph_step_directions`` stacks (``sampled_step_directions``
-    with ``sampled``), and the bit-for-bit reference for every row of a
-    stack."""
+    own: its factor formed on its own (``reference_step_factor``), the one-row
+    Gram matrix in expectation (``morphing._expected_grams``) and its own
+    eigendecomposition and projection.  The bit-for-bit reference for every
+    row of a stack."""
     T = morphing._tangent_basis(probs.shape[-1])
-    gram = reference_gram(probs, history, basis_rows, rng, config, sampled)
+    mean, L = reference_step_factor(probs, history, basis_rows)
+    (gram,), _ = morphing._expected_grams(mean[None], L[None], config.n_gradient_samples,
+                                          config.rank_tol)
     evals, vecs = np.linalg.eigh(gram)
     kept = evals > config.rank_tol ** 2 * evals[-1]
     g = T.T @ pred_grad
@@ -665,8 +597,8 @@ def reference_step_direction(pred_grad, probs, history, basis_rows, rng, config,
 def sample_step_gradients(probs, history, count: int, rng: np.random.Generator,
                           basis_rows: np.ndarray) -> np.ndarray:
     """The (count, 2J) tangent-projected choice-probability gradients s_i v_i
-    of a morph step's draws, built from one whole (count, d) draw of the
-    stream the step reads block by block."""
+    of ``count`` draws of a morph step's law, from one whole (count, d) draw
+    of ``rng``'s standard normals."""
     mean, L = reference_step_factor(probs, history, basis_rows)
     aw = rng.standard_normal((count, L.shape[1])) @ L.T + mean
     fb = logistic(aw[:, 0])
@@ -678,9 +610,8 @@ def sample_theta_history(history, count: int, rng: np.random.Generator,
     """Reference draw of the utilities ``basis_rows @ theta`` for theta
     around the fit history, built whole.
 
-    The standard normals are drawn in the (count, r) layout, the stream a
-    morph step reads block by block, and mapped through the factor of
-    ``reference_utility_factor``.  Returns an (R, count) array, one draw per
+    The standard normals are drawn in the (count, r) layout and mapped
+    through the factor of ``reference_utility_factor``.  Returns an (R, count) array, one draw per
     column.
     """
     mean, factor = reference_utility_factor(history, basis_rows)

@@ -532,11 +532,12 @@ class TestPipelineCommands:
         assert Path("m1.jsonl").read_bytes() == Path("m2.jsonl").read_bytes()
 
     def test_worker_count_does_not_change_multi_block_morph_bytes(self, tmp_path, capsys):
-        # A step draws its samples in blocks; three full blocks and a
-        # remainder must give the same bytes on any number of workers.
+        # A step draws nothing: its sample count sizes the rule of its Gram
+        # matrices in expectation, and at 24,593 samples the bytes are the
+        # same on any number of workers.
         os.chdir(tmp_path)
         Path("cfg.json").write_text(json.dumps({"morph": {
-            "n_gradient_samples": 3 * morphing._DRAW_BLOCK + 17, "max_iters": 4}}))
+            "n_gradient_samples": 24_593, "max_iters": 4}}))
         outs = []
         for workers in (1, 2, 3):
             outs.append(f"m{workers}.jsonl")
@@ -548,7 +549,8 @@ class TestPipelineCommands:
         _, recs = read_jsonl(outs[0])
         assert {r["stop"] for r in recs} <= {"direction_vanished", "max_iters"}
         assert any(r["iterations"] > 0 for r in recs)
-        # Quiet steps, whose every block keeps no draw, ride in the same stacks.
+        # Quiet steps, whose draws would keep fewer than one gradient in
+        # expectation, ride in the same stacks.
         assert any(r["certified_steps"] > 0 for r in recs)
 
     def test_epsilon_command(self, tmp_path, capsys, allais_menus):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomgen.lotteries import (draw_menus, flat_stack, fosd_dominates, index_block,
-                               lottery_stats, normals_rng, on_merged_grid, project_to_simplex,
+                               lottery_stats, on_merged_grid, project_to_simplex,
                                run_rng)
 from anomgen.records import parse_menus, read_menus
 from conftest import flat, lottery, menu, menu_json, pipeline_config, sample_random_menu, stack
@@ -289,11 +289,6 @@ class TestRunRng:
         a = [run_rng(99, i).random() for i in range(5)]
         b = [run_rng(99, i).random() for i in reversed(range(5))]
         assert a == b[::-1]
-
-    def test_normals_stream_depends_on_the_seed_alone(self):
-        first = normals_rng(99).standard_normal((64, 3))
-        np.testing.assert_array_equal(normals_rng(99).standard_normal((64, 3)), first)
-        assert not np.array_equal(normals_rng(100).standard_normal((64, 3)), first)
 
 
 class TestIndexBlock:
