@@ -781,6 +781,166 @@ class TestExpectedGram:
         assert_same_bits(quiet[others], whole[1][others])
         assert np.isnan(grams[[3, 40]]).all() and not quiet[[3, 40]].any()
 
+    def test_gauss_legendre_nodes_are_exact_to_degree_seven(self):
+        # A panel's 4 nodes and weights integrate x^k over [-1, 1] exactly
+        # for k <= 7, 2 n - 1, and x^8 no longer.
+        _, x, w, _ = morphing._quadrature(1, morphing._Z0_NODES, morphing._circle(1))
+        assert len(x) == 4 and not x.flags.writeable and not w.flags.writeable
+        for k in range(8):
+            assert abs(w @ x ** k - (1 + (-1) ** k) / (k + 1)) < 1e-15
+        assert abs(w @ x ** 8 - 2.0 / 9.0) > 1e-4
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("count, panels, lines", [(1, {2: 12, 4: 6}, {2: 3, 4: 8}),
+                                                      (2_000, {2: 12, 4: 6}, {2: 3, 4: 8}),
+                                                      (24_593, {2: 22, 4: 11}, {2: 6, 4: 8}),
+                                                      (200_000, {2: 38, 4: 19}, {2: 9, 4: 8})])
+    def test_rule_refines_with_the_count(self, m, count, panels, lines):
+        # Up to 2,000 draws the rule is fixed; past it, its z0 panels, and
+        # for m = 2 its lines, grow as count^(1/4): 12 panels and 6 angles
+        # become 38 and 18 at 200,000 draws, and m = 4's 6 panels become 19
+        # on the tesseract's 8 lines.
+        rule = morphing._rule(m, count)
+        assert rule[0] == panels[m] and rule[3].shape == (m, lines[m])
+        assert len(rule[1]) == len(rule[2]) == morphing._Z0_NODES
+        assert rule is morphing._rule(m, count)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_circle_is_the_trapezoid_rule_of_the_circle(self, n):
+        # The 2 n rays of n equispaced lines average cos(k theta) and
+        # sin(k theta) to 0 for 0 < k < 2 n, exactly as the circle does, and
+        # cos(2 n theta) to -1: the rule is exact for every trigonometric
+        # polynomial of degree under 2 n.
+        lines = morphing._circle(n)
+        theta = np.arctan2(lines[1], lines[0])
+        rays = np.concatenate([theta, theta + np.pi])
+        for k in range(1, 2 * n):
+            assert abs(np.cos(k * rays).mean()) < 1e-14 and abs(np.sin(k * rays).mean()) < 1e-14
+        assert abs(np.cos(2 * n * rays).mean() + 1.0) < 1e-14
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_tails_fall_from_their_values_at_zero(self, m):
+        # The tails are masses and moments of the radii past rho: they start
+        # at 1, E|u| and E|u|^2 = m, never rise, are at least rho^k times
+        # the 0th (every radius counted is past rho), and vanish at _RHO_MAX.
+        # Past rho = 37.5 they are subnormal (e^(-rho^2 / 2) < 1e-305), and
+        # their rounding is no longer monotone.
+        rho = np.linspace(0.0, morphing._RHO_MAX, 4_001)
+        zeroth, first, second = morphing._tails(rho.copy(), m)
+        mean_radius = np.sqrt(np.pi / 2.0) * (1.0 if m == 2 else 1.5)
+        np.testing.assert_allclose([zeroth[0], first[0], second[0]], [1.0, mean_radius, m],
+                                   rtol=3e-8)
+        normal = rho <= 37.5
+        for k, tail in enumerate((zeroth, first, second)):
+            assert np.all(tail >= 0.0) and np.all(np.diff(tail[normal]) < 0.0)
+            assert np.all(tail[normal] >= rho[normal] ** k * zeroth[normal] * (1.0 - 1e-12))
+            assert tail[-1] == 0.0
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("count", [2_000, 200_000])
+    def test_a_cutoff_that_drops_nothing_leaves_the_gaussian_second_moment(self, J, count):
+        # At a cutoff of 1e-9 every draw is kept, and given z0 the Gram
+        # matrix is s(a)^2 (c c^T + B B^T): the rule's lines, with the radial
+        # 2nd moment m at 0, integrate u u^T to I exactly.  With the shipped
+        # lines and 800 nodes in z0, each row is within 1e-12 of a 400-node
+        # Gauss-Legendre integral over z0 of that closed form.
+        rng = np.random.default_rng(80 + J)
+        d, R = 2 * J - 1, 20
+        L = np.tril(rng.normal(size=(R, d, d)))
+        L[:, 0, 1:], L[:, 0, 0] = 0.0, L[:, 0, 0] / 2.0
+        mean = rng.normal(size=(R, d))
+        rule = morphing._quadrature(200, 4, morphing._rule(d - 1, count)[3])
+        grams, quiet = morphing._expected_grams(mean, L, count, 1e-9, rule)
+        kept = expected_parts(mean, L, 1e-9, count, rule)[1]
+        x, w = np.polynomial.legendre.leggauss(400)
+        z0, w = 8.0 * x, 8.0 * w * np.exp(-32.0 * x * x) / np.sqrt(2.0 * np.pi)
+        for k in range(R):
+            e = np.exp(-np.abs(mean[k, 0] + L[k, 0, 0] * z0))
+            v = w * (e / (1.0 + e) ** 2) ** 2
+            c = mean[k, 1:, None] + L[k, 1:, :1] * z0
+            B = L[k, 1:, 1:]
+            reference = np.einsum("n,in,jn->ij", v, c, c) + v.sum() * B @ B.T
+            np.testing.assert_allclose(grams[k], reference, rtol=0,
+                                       atol=1e-12 * np.abs(reference).max())
+        assert not quiet.any()
+        np.testing.assert_allclose(kept, 1.0, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_a_cutoff_past_every_gradient_keeps_nothing(self, J):
+        # s(a) <= 1/4, so a cutoff of 100 keeps only gradients w with
+        # |w| > 400, out of any row's reach: every row keeps nothing, exactly,
+        # at any count, and is quiet.
+        rng = np.random.default_rng(90 + J)
+        d, R = 2 * J - 1, 20
+        L = np.tril(rng.normal(size=(R, d, d)))
+        L[:, 0, 1:] = 0.0
+        mean = rng.normal(size=(R, d))
+        for count in (2_000, 10 ** 12):
+            grams, kept = expected_parts(mean, L, 100.0, count)
+            assert np.all(kept == 0.0) and np.all(grams == 0.0)
+            grams, quiet = morphing._expected_grams(mean, L, count, 100.0)
+            assert quiet.all() and np.all(grams == 0.0)
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("size", [1, 1_000, 10 ** 6])
+    def test_chunk_size_moves_no_byte(self, lockstep_steps, monkeypatch, J, size):
+        # Chunks of one row, of a few, and of the whole stack: every row has
+        # the bytes of the shipped chunk size.
+        mean, L, rank_tol = lockstep_factors(lockstep_steps, J, 2_000)
+        shipped = morphing._expected_grams(mean, L, 2_000, rank_tol)
+        monkeypatch.setattr(morphing, "_EXPECT_SIZE", size)
+        for a, b in zip(morphing._expected_grams(mean, L, 2_000, rank_tol), shipped):
+            assert_same_bits(a, b)
+        assert not shipped[1].all()
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_scaling_the_gradient_and_cutoff_scales_the_gram(self, lockstep_steps, J, scale):
+        # w = mean_w + L[1:] z and the cutoff scaled by a power of two: every
+        # step of the rule scales exactly, so each row's Gram matrix is
+        # scale^2 times its own, bit for bit, and its quiet flag is kept.
+        for count in (2_000, 200_000):
+            mean, L, rank_tol = lockstep_factors(lockstep_steps, J, count)
+            grams, quiet = morphing._expected_grams(mean, L, count, rank_tol)
+            mean, L = mean.copy(order="K"), L.copy(order="K")
+            mean[:, 1:] *= scale
+            L[:, 1:] *= scale
+            scaled = morphing._expected_grams(mean, L, count, rank_tol * scale)
+            assert_same_bits(scaled[0], grams * scale ** 2)
+            assert_same_bits(scaled[1], quiet)
+            assert 0 < quiet.sum() < len(quiet) or (J, count) == (3, 200_000)
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_negating_the_gradient_leaves_the_gram(self, lockstep_steps, J):
+        # w -> -w: the kept test reads |w| and the Gram matrix w w^T, and the
+        # rule's arithmetic flips only signs, so every row keeps its bytes.
+        for count in (2_000, 200_000):
+            mean, L, rank_tol = lockstep_factors(lockstep_steps, J, count)
+            whole = morphing._expected_grams(mean, L, count, rank_tol)
+            mean, L = mean.copy(order="K"), L.copy(order="K")
+            mean[:, 1:] *= -1.0
+            L[:, 1:] *= -1.0
+            for a, b in zip(morphing._expected_grams(mean, L, count, rank_tol), whole):
+                assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("count", [2_000, 200_000])
+    def test_grams_are_symmetric_and_positive_semidefinite(self, lockstep_steps, J, count):
+        # Each ray's kept moment of s(a)^2 w w^T is positive semidefinite,
+        # and the rule's weights are positive: on every captured step row the
+        # Gram matrix is symmetric, bit for bit, its eigenvalues are
+        # nonnegative but for rounding, and its kept probability lies in
+        # [0, 1] but for the rule's error in z0.  At 2,000 draws, 4-node
+        # panels over [-8, 8] take the normal's mass to 3.2e-8 (12 panels)
+        # and 1.3e-4 (6), and the captured rows' largest is 1 + 1.7e-4.
+        mean, L, rank_tol = lockstep_factors(lockstep_steps, J, count)
+        grams, kept = expected_parts(mean, L, rank_tol, count)
+        assert_same_bits(grams, grams.transpose(0, 2, 1))
+        evals = np.linalg.eigvalsh(grams)
+        assert np.all(evals[:, 0] >= -1e-12 * np.abs(evals[:, -1]))
+        assert np.all(kept >= 0.0) and np.all(kept <= 1.0 + (5e-4 if count == 2_000 else 1e-12))
+        assert (evals[:, -1] > 0.0).any()
+
 
 def lifted(J):
     """(2J + 1, 2J - 1): maps (a, w) in tangent coordinates back to (a, v)."""
