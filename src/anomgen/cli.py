@@ -72,8 +72,8 @@ def _config_from_args(args) -> PipelineConfig:
 # expectation for a block's runs as one stack, a few rows at a time, and
 # draws no normal at any J, so no per-sample array grows with the runs.
 # 256 morph runs at 200,000 samples (seed 5), at one step and at two,
-# peaked at 39.5 MB for J = 2 and 39.5 to 39.7 MB for J = 3 on one worker,
-# and at 36.3 to 36.6 and 36.6 to 36.8 MB on two.
+# peaked at 39.4 to 39.5 MB for J = 2 and 39.5 to 39.9 MB for J = 3 on one
+# worker, and at 36.5 to 36.6 and 36.4 to 36.8 MB on two.
 _RUN_BLOCK = 256
 
 

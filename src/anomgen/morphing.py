@@ -59,7 +59,8 @@ COV_JITTER = 1e-8
 # row's draw can be kept, times lines through the origin of the other m
 # normals.  At _RULE_COUNT draws, m = 2 takes 12 panels and _LINES
 # equispaced lines (6 angles), and m = 4 takes 6 panels and the tesseract's
-# 8 lines (``_TESSERACT``).
+# 8 lines (``_TESSERACT``); past it, m = 4 takes the 24-cell's 12
+# (``_CELL24``).
 _Z0_REACH, _Z0_NODES, _LINES = 8.0, 4, 3
 _Z0_PANELS = {2: 12, 4: 6}
 # The tesseract's vertices (+-1, +-1, +-1, +-1) / 2, one per antipodal
@@ -68,6 +69,10 @@ _Z0_PANELS = {2: 12, 4: 6}
 # odd moments vanish by antipodal symmetry.
 _TESSERACT = np.concatenate([np.ones((1, 8)),
                              1.0 - 2.0 * (np.arange(8) >> np.arange(3)[:, None] & 1)]) / 2.0
+# The 24-cell's vertices, one per antipodal pair: the 4 axes, the
+# permutations of (+-1, 0, 0, 0), and the tesseract's 8 lines, a spherical
+# 5-design.
+_CELL24 = np.concatenate([np.eye(4), _TESSERACT], axis=1)
 # The sample count at which a rule's error, a few parts in a thousand of
 # the eigenvalue ratio, matches the draws' Monte Carlo error; larger counts
 # refine it (``_rule``).
@@ -81,7 +86,7 @@ _TINY = 1e-300
 # time, 64 rows of the m = 2 rule of ``_RULE_COUNT`` draws and 48 of the
 # m = 4 one: the arrays stay in cache, neither the stack nor the rule grows
 # them, and the size moves no byte.  Against 4,608, it cut the CPU of the
-# captured 200,000-draw steps by 7% per row for J = 2 and 23% for J = 3.
+# captured 200,000-draw steps by 7% per row for J = 2 and 11% for J = 3.
 _EXPECT_SIZE = 9216
 # The Mills ratio Q(x) / phi(x) on [0, 40] as P(x) / Q(x), lowest degree
 # first: a weighted least-squares fit of the relative error in 50-digit
@@ -191,9 +196,15 @@ def _rule(m: int, count: int) -> tuple[np.ndarray, ...]:
     _LINES equispaced lines (``_circle``) scale alike: the rule's error falls
     as the square of its spacing, and the Monte Carlo error of the draws it
     replaces as count^(-1/2), so the rule stays as accurate as the sample.
-    For m = 4 the lines are the tesseract's (``_TESSERACT``) at any count."""
+    For m = 4 the lines are the tesseract's 8 (``_TESSERACT``) up to
+    ``_RULE_COUNT`` draws and the 24-cell's 12 (``_CELL24``) past it, at
+    every larger count: there only the z0 panels refine, and the error of
+    the integral over the direction no longer falls with the count."""
     scale = max(1.0, (count / _RULE_COUNT) ** 0.25)
-    lines = _circle(round(_LINES * scale)) if m == 2 else _TESSERACT
+    if m == 2:
+        lines = _circle(round(_LINES * scale))
+    else:
+        lines = _TESSERACT if count <= _RULE_COUNT else _CELL24
     return _quadrature(round(_Z0_PANELS[m] * scale), _Z0_NODES, lines)
 
 
@@ -416,10 +427,10 @@ def _expected_grams(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float
                     rule: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's Gram matrix (R, m, m) in expectation,
     E[s(a)^2 w w^T 1{s(a) |w| > rank_tol}] under its step's law
-    (a, w) = mean + L z, and which rows are quiet (R,): those whose
-    ``count`` draws would keep fewer than one in expectation,
-    count P(kept) < 1.  A quiet row's Gram matrix is zero.  ``rule``, by
-    default ``_rule(m, count)``, is a ``_quadrature``.
+    (a, w) = mean + L z, and its kept probability P(kept) (R,).  A row is
+    quiet when its ``count`` draws would keep fewer than one in
+    expectation, count P(kept) < 1, and a quiet row's Gram matrix is zero.
+    ``rule``, by default ``_rule(m, count)``, is a ``_quadrature``.
 
     a = mean_a + L00 z0, and given z0, w is Gaussian in u = (z1, ..., zm):
     the expectation is an integral over z0, by composite Gauss-Legendre on
@@ -431,7 +442,7 @@ def _expected_grams(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float
     (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003,
     ch. 4).  For m = 2 the lines are equispaced angles, the trapezoid rule
     of a periodic integral (Trefethen and Weideman, *SIAM Review* 56(3),
-    2014); for m = 4 they are a spherical design (``_TESSERACT``).  The rows
+    2014); for m = 4 they are a spherical design (``_rule``).  The rows
     go a few at a time (``_EXPECT_SIZE``), so no array grows with the stack,
     and every operation acts on one row, so a row has the bytes it has in a
     stack of one.
@@ -446,9 +457,8 @@ def _expected_grams(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float
         rows = live[first:first + chunk]
         grams[rows], kept[rows] = _expected_chunk(mean[rows], L[rows], lo[rows], hi[rows],
                                                   rank_tol, rule)
-    quiet = count * kept < 1.0
-    grams[quiet] = 0.0
-    return grams, quiet
+    grams[count * kept < 1.0] = 0.0
+    return grams, kept
 
 
 def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: np.ndarray,
@@ -484,7 +494,8 @@ def morph_step_directions(pred_grads: np.ndarray, probs: np.ndarray, histories: 
     """
     T = _tangent_basis(probs.shape[-1])
     mean, L = _step_factors(probs, histories, basis_rows, T)
-    grams, quiet = _expected_grams(mean, L, config.n_gradient_samples, config.rank_tol)
+    grams, kept = _expected_grams(mean, L, config.n_gradient_samples, config.rank_tol)
+    quiet = config.n_gradient_samples * kept < 1.0
     directions, ranks = _project_off_span((T.T @ pred_grads[..., None])[..., 0], grams,
                                           config.rank_tol)
     return (T @ directions[..., None])[..., 0], ranks, quiet

@@ -566,16 +566,19 @@ def _reference_kept_gram(cols: np.ndarray, scale, rank_tol: float) -> np.ndarray
     return (cols * np.where(kept, scale * scale, 0.0)) @ cols.T
 
 
-def per_draw_gram(mean, L, rng, count: int, rank_tol: float) -> np.ndarray:
+def per_draw_gram(mean, L, rng, count: int, rank_tol: float) -> tuple[np.ndarray, int]:
     """The Gram matrix (m, m) of the kept gradients of one factor's ``count``
-    draws of ``rng``'s normals, mapped in float64 draw by draw: each block's
-    slopes and gradients w, and their kept Gram matrix, summed."""
-    gram = np.zeros((len(L) - 1, len(L) - 1))
+    draws of ``rng``'s normals, mapped in float64 draw by draw, and the
+    count of kept gradients: each block's slopes and gradients w, their kept
+    Gram matrix and their kept count, summed."""
+    gram, kept = np.zeros((len(L) - 1, len(L) - 1)), 0
     for start in range(0, count, 8192):
         zT = rng.standard_normal((min(8192, count - start), L.shape[1])).T
         e = np.exp(-np.abs(zT[0] * L[0, 0] + mean[0]))
-        gram += _reference_kept_gram(L[1:] @ zT + mean[1:, None], e / (1.0 + e) ** 2, rank_tol)
-    return gram
+        cols, scale = L[1:] @ zT + mean[1:, None], e / (1.0 + e) ** 2
+        gram += _reference_kept_gram(cols, scale, rank_tol)
+        kept += int(reference_kept(cols, scale, rank_tol).sum())
+    return gram, kept
 
 
 def reference_step_direction(pred_grad, probs, history, basis_rows, config):
