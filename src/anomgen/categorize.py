@@ -7,7 +7,9 @@ dominated consequence), or ell0 down and ell1 up (strict dominance).  The
 choices fix the roles: the base menu's chosen lottery is ell1, the compound
 menu's chosen lottery is comp0.  Direct dominance violations are tagged
 first.  Three-payoff pairs are instead decomposed as compound lotteries over
-shared two-payoff components.
+shared two-payoff components: a family's two lotteries lie on one chord of
+the probability simplex, whose two ends are the components, so two different
+lotteries on at most three payoffs always split.
 
 A collection is a record's arrays (``lotteries.Collection``), and a lottery
 a (payoffs, probs) pair of vectors.  Every category but ``other`` has one
@@ -22,7 +24,6 @@ re-derives with the certificate's, floats within that tolerance.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -32,6 +33,10 @@ from .lotteries import (PAYOFF_MERGE_TOL, Collection, fosd_dominates, implied_ch
                         on_merged_grid)
 
 DEFAULT_TOL = 1e-6      # raw optimizer output; paper tables need 0.02
+# A probability, or its change along a family's line, within this of zero is
+# rounding (``decompose_shared_components``): such a change crosses zero
+# nowhere, and two crossings at an end within it meet at a vertex.
+_ROUNDING = 1e-14
 # In the row order of the category report.
 CATEGORY_TAGS = ("dominated_consequence", "reverse_dominated_consequence",
                  "strict_dominance", "fosd", "shared_component_reversal", "other")
@@ -133,22 +138,17 @@ def _fosd_certificate(collection: Collection, choices, i: int, tol: float):
     return {"menu_index": i, "implied_choice": choice}
 
 
-def _subsets(indices):
-    for size in (1, 2):
-        yield from itertools.combinations(indices, size)
-
-
 def decompose_shared_components(lot_a, lot_b, tol: float = DEFAULT_TOL):
-    """Write both lotteries, (payoffs, probs) pairs, as mixtures of the same
-    two components.
+    """Write both lotteries, (payoffs, probs) pairs, as mixtures
+    lot = alpha * comp1 + (1 - alpha) * comp2 of the same two components,
+    each on at most two of the merged payoffs, or None if there are none.
 
-    Solves lot = alpha * comp1 + (1 - alpha) * comp2 where each component is
-    supported on at most two of the merged payoffs.  Geometrically: the line
-    through the two probability vectors must cross both component faces of the
-    simplex.  Returns the first feasible split in canonical order, with comp1
-    normalized to the higher-expected-value component; a component is a
-    (payoffs, probs) pair too.
-    """
+    On at most three payoffs both probability vectors lie on one line
+    pa + t d, d = pb - pa, and the components are the ends of its chord:
+    on each side the first zero crossing of a coordinate whose change is
+    more than ``_ROUNDING``, the mean of two that meet there at a vertex.
+    The end keeping fewer payoffs, then lower ones, comes first, and
+    ``_orient`` makes comp1 the higher-expected-value component."""
     grid, (pa, pb) = on_merged_grid([lot_a, lot_b])
     k = grid.size
     if k > 3:
@@ -172,41 +172,19 @@ def decompose_shared_components(lot_a, lot_b, tol: float = DEFAULT_TOL):
             comp2 = (grid[keep], rest[keep] / rest[keep].sum())
         return _orient(comp1, comp2, alpha, alpha)
 
-    def face_param(vanish):
-        """t with (pa + t d) zero on the vanish coordinates, or None."""
-        ts = []
-        for i in vanish:
-            if abs(d[i]) <= 1e-14:
-                if abs(pa[i]) > tol:
-                    return None
-            else:
-                ts.append(-pa[i] / d[i])
-        if not ts:
-            return None
-        t = float(np.mean(ts))
-        q = pa + t * d
-        if np.any(np.abs(q[list(vanish)]) > tol) or np.any(q < -tol):
-            return None
-        return t
-
-    indices = tuple(range(k))
-    for s1 in _subsets(indices):
-        for s2 in _subsets(indices):
-            if s1 == s2 or set(s1) | set(s2) != set(indices):
-                continue
-            t1 = face_param([i for i in indices if i not in s1])
-            t2 = face_param([i for i in indices if i not in s2])
-            if t1 is None or t2 is None or abs(t1 - t2) <= 1e-12:
-                continue
-            alpha_a = (0.0 - t2) / (t1 - t2)
-            alpha_b = (1.0 - t2) / (t1 - t2)
-            if not (-tol <= alpha_a <= 1 + tol and -tol <= alpha_b <= 1 + tol):
-                continue
-            q1 = np.clip(pa + t1 * d, 0.0, None)
-            q2 = np.clip(pa + t2 * d, 0.0, None)
-            return _orient((grid, q1 / q1.sum()), (grid, q2 / q2.sum()),
-                           float(np.clip(alpha_a, 0, 1)), float(np.clip(alpha_b, 0, 1)))
-    return None
+    if not (np.any(d > _ROUNDING) and np.any(d < -_ROUNDING)):
+        return None     # totals that differ by more than tol: the line misses the simplex
+    cross = np.divide(-pa, d, out=np.zeros(k), where=np.abs(d) > _ROUNDING)
+    ends = []
+    for side, nearest in ((d > _ROUNDING, np.max), (d < -_ROUNDING, np.min)):
+        zero = side & (np.abs(pa + nearest(cross[side]) * d) <= _ROUNDING)
+        t = float(np.mean(cross[zero]))
+        q = np.clip(pa + t * d, 0.0, None)
+        kept = tuple(np.flatnonzero(~zero))
+        ends.append((len(kept), kept, t, (grid, q / q.sum())))
+    (*_, t1, comp1), (*_, t2, comp2) = sorted(ends, key=lambda end: end[:2])
+    alpha_a, alpha_b = (float(np.clip((s - t2) / (t1 - t2), 0, 1)) for s in (0.0, 1.0))
+    return _orient(comp1, comp2, alpha_a, alpha_b)
 
 
 def _orient(comp1, comp2, alpha_a: float, alpha_b: float) -> dict:

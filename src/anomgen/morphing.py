@@ -447,6 +447,11 @@ def _expected_grams(mean: np.ndarray, L: np.ndarray, count: int, rank_tol: float
     and every operation acts on one row, so a row has the bytes it has in a
     stack of one.
     """
+    # The factors are read in the layout ``_step_factors`` returns, each
+    # row's L stored column by column: a sum's order follows the layout, so
+    # another layout of the same values would move bytes.
+    mean = np.ascontiguousarray(mean)
+    L = np.ascontiguousarray(L.transpose(0, 2, 1)).transpose(0, 2, 1)
     m = L.shape[1] - 1
     rule, (lo, hi) = rule or _rule(m, count), _window(mean, L, rank_tol)
     grams, kept = np.zeros((len(L), m, m)), np.zeros(len(L))

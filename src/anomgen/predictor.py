@@ -113,20 +113,25 @@ def menu_input_scaling(n_payoffs: int) -> np.ndarray:
     return np.tile(np.repeat([1.0 / PAYOFF_SCALE, 1.0], n_payoffs), 2)
 
 
+def _output_deltas(weights: list, acts: list, delta: np.ndarray):
+    """(layer l, its output delta), last layer first: ``delta``, then each
+    pulled back through layer l and masked where ``acts[l]``, a ReLU output, is zero."""
+    for l in range(len(weights) - 1, -1, -1):
+        yield l, delta
+        if l > 0:
+            delta = delta @ weights[l].T
+            delta[acts[l] <= 0.0] = 0.0
+
+
 def _backprop(model: MlpModel, X: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Mean-CE gradients for all weights and biases on a scaled batch."""
     logits, acts = model.forward(X, keep=True)
     f = logistic(logits)
     wn = w / w.sum()
-    delta = ((f - _clip_targets(y)) * wn)[:, None]
     gW, gb = [None] * len(model.weights), [None] * len(model.weights)
-    for l in range(len(model.weights) - 1, -1, -1):
-        inputs = acts[l]
-        gW[l] = inputs.T @ delta
+    for l, delta in _output_deltas(model.weights, acts, ((f - _clip_targets(y)) * wn)[:, None]):
+        gW[l] = acts[l].T @ delta
         gb[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = delta @ model.weights[l].T
-            delta[acts[l] <= 0.0] = 0.0
     return gW, gb
 
 
@@ -222,10 +227,8 @@ class MlpPredictor:
         logits, acts = self._forward(Z, P)
         weights = self.model.weights
         f = logistic(logits)
-        delta = np.ones((f.size, 1, 1))
-        for l in range(len(weights) - 1, 0, -1):
-            delta = np.matmul(delta, weights[l].T)
-            delta[acts[l] <= 0.0] = 0.0
+        # The last pair holds the first layer's output delta.
+        *_, (_, delta) = _output_deltas(weights, acts, np.ones((f.size, 1, 1)))
         dx_scaled = np.matmul(delta, weights[0].T)[:, 0, :]
         grad = (f * (1.0 - f))[:, None] * dx_scaled * self.model.input_scaling
         return f, grad.reshape(f.size, 2, 2, -1)[:, :, 1, :]

@@ -131,12 +131,6 @@ def certainty_menus():
 
 
 @pytest.fixture
-def certainty_collection(certainty_menus):
-    menu_a, menu_b = certainty_menus
-    return collection([menu_a, menu_b], [0.8, 0.2])
-
-
-@pytest.fixture
 def dc_example_collection():
     """Two-payoff dominated-consequence pair (choices: lottery 0, lottery 1)."""
     menu_a = menu(lottery([6.44, 6.71], [0.00, 1.00]),

@@ -429,6 +429,49 @@ class TestSharedComponents:
             np.testing.assert_allclose(
                 dec["alpha_b"] * c1 + (1 - dec["alpha_b"]) * c2, lot_b[1], atol=1e-9)
 
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, TABLE_TOL])
+    @pytest.mark.parametrize("kind", ["interior", "edge", "vertex", "both_edge"])
+    def test_components_are_the_chords_ends(self, kind, tol):
+        # Two different lotteries on three payoffs: both inside the simplex,
+        # one on an edge, one at a vertex, or both on one edge.  Each
+        # component lies on the simplex with a zero on the merged grid, the
+        # weights reproduce both lotteries, and the line runs off the
+        # simplex just past either end, wherever it passes near a vertex.
+        rng = np.random.default_rng(7)
+        grid = np.array([1.0, 4.0, 9.0])
+        checked = 0
+        while checked < 500:
+            p = rng.dirichlet(np.ones(3), size=2)
+            if kind == "edge":
+                p[0, rng.integers(3)] = 0.0
+            elif kind == "vertex":
+                p[0] = np.eye(3)[rng.integers(3)]
+            elif kind == "both_edge":
+                p[:, rng.integers(3)] = 0.0
+            p /= p.sum(axis=1, keepdims=True)
+            if np.max(np.abs(p[1] - p[0])) <= tol:
+                continue        # the same lottery within tol: no line
+            p = p[rng.permutation(2)]
+            dec = decompose_shared_components(lottery(grid, p[0]), lottery(grid, p[1]), tol)
+            comps = [probs_on_grid(dec[key], grid) for key in ("comp1", "comp2")]
+            for comp in comps:
+                assert comp.min() >= 0.0 and abs(comp.sum() - 1.0) <= 1e-12
+                assert comp.min() <= 1e-15
+            for alpha, probs in ((dec["alpha_a"], p[0]), (dec["alpha_b"], p[1])):
+                assert 0.0 <= alpha <= 1.0
+                np.testing.assert_allclose(alpha * comps[0] + (1 - alpha) * comps[1], probs,
+                                           rtol=0, atol=1e-12)
+            for end, other in (comps, comps[::-1]):
+                assert (end + 1e-6 * (end - other)).min() < -1e-12
+            checked += 1
+
+    def test_totals_that_differ_by_more_than_tol_do_not_split(self):
+        # Raw vectors whose totals differ by more than tol: every coordinate
+        # moves one way, and the line never crosses the simplex.
+        grid = np.array([1.0, 4.0, 9.0])
+        assert decompose_shared_components((grid, np.array([0.5, 0.5, 0.0])),
+                                           (grid, np.array([0.5 + 2e-6, 0.5, 0.0]))) is None
+
     def test_too_many_payoffs_rejected(self):
         with pytest.raises(ValueError):
             decompose_shared_components(

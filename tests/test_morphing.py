@@ -780,6 +780,21 @@ class TestExpectedGram:
         assert_same_bits(kept[others], whole[1][others])
         assert np.isnan(grams[[3, 40]]).all() and not (2_000 * kept[[3, 40]] < 1.0).any()
 
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_factors_in_any_layout_keep_their_bytes(self, lockstep_steps, J):
+        # Each captured step's factors as ``_step_factors`` returns them give
+        # the shipped bytes, and C- and F-ordered copies of the same values
+        # give them too.
+        for count in (2_000, 200_000):
+            for ((_, probs, H, rows, cfg), _), _ in lockstep_steps[J, count][0]:
+                mean, L = _step_factors(probs, H, rows, _tangent_basis(J))
+                shipped = morphing._expected_grams(mean, L, count, cfg.rank_tol)
+                for order in "CF":
+                    copied = morphing._expected_grams(mean.copy(order), L.copy(order), count,
+                                                      cfg.rank_tol)
+                    for a, b in zip(copied, shipped):
+                        assert_same_bits(a, b)
+
     def test_gauss_legendre_nodes_are_exact_to_degree_seven(self):
         # A panel's 4 nodes and weights integrate x^k over [-1, 1] exactly
         # for k <= 7, 2 n - 1, and x^8 no longer.
