@@ -2,9 +2,10 @@
 
 Payoffs are affinely rescaled to [0, 1] before evaluation, which keeps
 polynomial conditioning sane at order 6 and puts I-spline meshes on a fixed
-unit interval.  I-splines follow Ramsay's construction: each member is the
-integral of an M-spline, evaluated through the closed-form sum over M-splines
-of one order higher.
+unit interval.  I-splines follow Ramsay (Statist. Sci. 3(4), 1988): a
+member of degree k is the integral of an M-spline, in closed form the
+running sum of the order-(k+1) B-splines from the member's index on.  Those
+B-splines come from one array recursion over all members at once.
 """
 
 from __future__ import annotations
@@ -66,33 +67,6 @@ class PolynomialBasis:
         return {"kind": "polynomial", "order": self.order, "domain": list(self.domain)}
 
 
-def _mspline_values(x: np.ndarray, knots: np.ndarray, order: int) -> np.ndarray:
-    """All M-spline members of a given order on a knot sequence.
-
-    Returns an array of shape (len(knots) - order, len(x)).  Intervals are
-    half-open [t_i, t_{i+1}).
-    """
-    n1 = len(knots) - 1
-    M = np.zeros((n1, x.size))
-    for i in range(n1):
-        ti, ti1 = knots[i], knots[i + 1]
-        if ti1 > ti:
-            M[i] = ((x >= ti) & (x < ti1)) / (ti1 - ti)
-    for k in range(2, order + 1):
-        nk = len(knots) - k
-        Mk = np.zeros((nk, x.size))
-        for i in range(nk):
-            span = knots[i + k] - knots[i]
-            if span <= 0:
-                continue
-            c = k / ((k - 1) * span)
-            left = x - knots[i]
-            right = knots[i + k] - x
-            Mk[i] = c * (left * M[i] + right * M[i + 1])
-        M = Mk
-    return M
-
-
 class ISplineBasis:
     """Monotone I-spline family: q equally spaced mesh points, given degree.
 
@@ -120,29 +94,31 @@ class ISplineBasis:
         return self.n_knots + self.degree - 2
 
     def eval(self, z) -> np.ndarray:
-        t = _rescale(z, self.domain)
-        k = self.degree
-        knots = self._knots
-        M = _mspline_values(t, knots, k + 1)
-        # 1-based index j with t_j <= x < t_{j+1}; at x = 1 it lands past every
-        # interval, which the branching below turns into the exact value 1.
+        t = _rescale(z, self.domain)[:, None]
+        k, knots = self.degree, self._knots
+        # Order-1 M-splines: the indicator of [t_i, t_{i+1}) over its width,
+        # 0 on a zero-width interval; then Ramsay's recursion up to order k+1.
+        width = np.diff(knots)
+        inside = (t >= knots[:-1]) & (t < knots[1:])
+        M = np.divide(inside, width, out=np.zeros(inside.shape), where=width > 0)
+        for r in range(2, k + 2):
+            span = knots[r:] - knots[:-r]
+            c = np.divide(r, (r - 1) * span, out=np.zeros(span.shape), where=span > 0)
+            M = c * ((t - knots[:-r]) * M[:, :-1] + (knots[r:] - t) * M[:, 1:])
+        # Order-(k+1) B-splines: a payoff in interval j (t_j <= t < t_{j+1},
+        # 1-based) has nonzero columns only among j-k-1 .. j-1, +0.0 elsewhere.
+        B = (knots[k + 1:] - knots[:-k - 1]) * M / (k + 1)
+        # Member i (1-based) is the sum of B[:, i:] in index order: the k + 1
+        # columns from i hold every nonzero one where i >= j - k (none where
+        # i >= j, giving +0.0), and the member is exactly 1 where i < j - k.
+        # Adding whole columns keeps each payoff's order of additions whatever
+        # the number of payoffs; ``sum(axis=1)`` sums one payoff's row
+        # pairwise, so eval([z]) would differ in the last bit from z in a batch.
+        sums = B[:, 1:].copy()
+        for d in range(1, k + 1):
+            sums[:, :-d] += B[:, 1 + d:]
         j = np.searchsorted(knots, t, side="right")
-        n = self.dim
-        # Row m-1 holds the summand for member index m (1-based).
-        summands = np.array(
-            [(knots[m + k] - knots[m - 1]) * M[m - 1] / (k + 1)
-             for m in range(1, M.shape[0] + 1)]
-        )
-        out = np.zeros((t.size, n))
-        for i in range(1, n + 1):
-            include = (np.arange(1, M.shape[0] + 1)[:, None] >= i + 1) & \
-                      (np.arange(1, M.shape[0] + 1)[:, None] <= j[None, :])
-            # A running sum adds the rows in index order whatever the number
-            # of payoffs; ``sum(axis=0)`` sums one payoff's column pairwise,
-            # so eval([z]) would differ in the last bit from z in a batch.
-            sums = np.cumsum(summands * include, axis=0)[-1]
-            out[:, i - 1] = np.where(i > j, 0.0, np.where(i < j - k, 1.0, sums))
-        return out
+        return np.where(np.arange(1, self.dim + 1) < j - k, 1.0, sums)
 
     def config_dict(self) -> dict:
         return {"kind": "ispline", "knots": self.n_knots, "degree": self.degree,

@@ -141,7 +141,8 @@ def _fosd_certificate(collection: Collection, choices, i: int, tol: float):
 def decompose_shared_components(lot_a, lot_b, tol: float = DEFAULT_TOL):
     """Write both lotteries, (payoffs, probs) pairs, as mixtures
     lot = alpha * comp1 + (1 - alpha) * comp2 of the same two components,
-    each on at most two of the merged payoffs, or None if there are none.
+    each on the merged payoffs with at most two of them positive, or None if
+    there are none.
 
     On at most three payoffs both probability vectors lie on one line
     pa + t d, d = pb - pa, and the components are the ends of its chord:
@@ -159,17 +160,14 @@ def decompose_shared_components(lot_a, lot_b, tol: float = DEFAULT_TOL):
 
     d = pb - pa
     if np.max(np.abs(d)) <= tol:
-        # Identical lotteries: split off the first support payoff.
+        # Identical lotteries: split off pa's first support payoff; the rest
+        # of pa, however little, is comp2, so the split reproduces pa.
         i = int(np.argmax(pa > tol))
         alpha = float(pa[i])
-        comp1 = (grid[[i]], np.ones(1))
+        comp1 = (grid, np.eye(k)[i])
         rest = pa.copy()
         rest[i] = 0.0
-        if rest.sum() <= tol:
-            comp2 = comp1
-        else:
-            keep = rest > tol
-            comp2 = (grid[keep], rest[keep] / rest[keep].sum())
+        comp2 = comp1 if rest.sum() <= _ROUNDING else (grid, rest / rest.sum())
         return _orient(comp1, comp2, alpha, alpha)
 
     if not (np.any(d > _ROUNDING) and np.any(d < -_ROUNDING)):

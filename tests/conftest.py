@@ -330,6 +330,56 @@ def write_anomalies(path, n):
     write_jsonl(path, recs, kind="categorized")
 
 
+# -- reference I-spline: one M-spline member at a time, one masked sum each -----
+
+def _reference_mspline_values(x: np.ndarray, knots: np.ndarray, order: int) -> np.ndarray:
+    """All M-spline members (len(knots) - order, len(x)) of a given order on a
+    knot sequence, by the member-by-member recursion; intervals are half-open
+    [t_i, t_{i+1})."""
+    n1 = len(knots) - 1
+    M = np.zeros((n1, x.size))
+    for i in range(n1):
+        ti, ti1 = knots[i], knots[i + 1]
+        if ti1 > ti:
+            M[i] = ((x >= ti) & (x < ti1)) / (ti1 - ti)
+    for k in range(2, order + 1):
+        nk = len(knots) - k
+        Mk = np.zeros((nk, x.size))
+        for i in range(nk):
+            span = knots[i + k] - knots[i]
+            if span <= 0:
+                continue
+            c = k / ((k - 1) * span)
+            left = x - knots[i]
+            right = knots[i + k] - x
+            Mk[i] = c * (left * M[i] + right * M[i + 1])
+        M = Mk
+    return M
+
+
+def reference_ispline_values(basis, z) -> np.ndarray:
+    """``ISplineBasis.eval`` (len(z), dim) by Ramsay's closed form: member i
+    is 0 below its support, 1 above it, and between the sum of the order-(k+1)
+    summands i+1 .. j, each member's summands picked by its own mask."""
+    low, high = basis.domain
+    t = (np.clip(np.atleast_1d(np.asarray(z, dtype=float)), low, high) - low) / (high - low)
+    k = basis.degree
+    mesh = np.linspace(0.0, 1.0, basis.n_knots)
+    knots = np.concatenate([np.zeros(k + 1), mesh[1:-1], np.ones(k + 1)])
+    M = _reference_mspline_values(t, knots, k + 1)
+    j = np.searchsorted(knots, t, side="right")
+    n = basis.dim
+    summands = np.array([(knots[m + k] - knots[m - 1]) * M[m - 1] / (k + 1)
+                         for m in range(1, M.shape[0] + 1)])
+    out = np.zeros((t.size, n))
+    for i in range(1, n + 1):
+        include = (np.arange(1, M.shape[0] + 1)[:, None] >= i + 1) & \
+                  (np.arange(1, M.shape[0] + 1)[:, None] <= j[None, :])
+        sums = np.cumsum(summands * include, axis=0)[-1]
+        out[:, i - 1] = np.where(i > j, 0.0, np.where(i < j - k, 1.0, sums))
+    return out
+
+
 # -- reference theory and draws ------------------------------------------------
 
 @dataclass(frozen=True)

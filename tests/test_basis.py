@@ -3,6 +3,8 @@ import pytest
 
 from anomgen.basis import BASES, ISplineBasis, PolynomialBasis, basis_from_config
 
+from conftest import reference_ispline_values
+
 
 class TestPolynomialBasis:
     def test_rescaled_endpoint(self):
@@ -38,7 +40,8 @@ class TestISplineBasis:
         v = b.eval(5.0)[0]
         assert np.all(v >= 0) and np.all(v <= 1)
 
-    @pytest.mark.parametrize("knots, degree", [(10, 3), (6, 2), (12, 4)])
+    @pytest.mark.parametrize("knots, degree",
+                             [(10, 3), (6, 2), (12, 4), (2, 1), (2, 5), (30, 1), (30, 5)])
     def test_one_payoff_has_the_bits_of_its_row_in_a_batch(self, knots, degree):
         # A value must not depend on the payoffs evaluated with it, down to
         # the last bit: one-row callers and stacked callers share bytes.
@@ -47,6 +50,20 @@ class TestISplineBasis:
         batch = b.eval(zs)
         for z, row in zip(zs, batch):
             assert b.eval([z])[0].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("knots", [2, 3, 5, 10, 12, 20, 30])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_bytes_of_the_member_by_member_sum(self, knots, degree):
+        # The running sums of B-splines give the bytes of Ramsay's closed
+        # form taken one member at a time, also at every mesh point, one ulp
+        # either side of it, and at both ends of the domain.
+        for low, high in ((0.0, 10.0), (0.0, 5.0), (-3.0, 7.5)):
+            b = ISplineBasis(knots=knots, degree=degree, domain=(low, high))
+            mesh = low + np.linspace(0.0, 1.0, knots) * (high - low)
+            zs = np.concatenate([np.random.default_rng(knots * 10 + degree).uniform(low, high, 5000),
+                                 mesh, np.nextafter(mesh, -np.inf), np.nextafter(mesh, np.inf)])
+            zs = np.clip(zs, low, high)
+            assert b.eval(zs).tobytes() == reference_ispline_values(b, zs).tobytes()
 
 
 class TestBasisFromConfig:

@@ -382,7 +382,36 @@ class TestSharedComponents:
         dec = decompose_shared_components(lot, lot)
         assert dec["alpha_a"] == dec["alpha_b"] == 1.0
         for key in ("comp1", "comp2"):
-            assert [v.tolist() for v in dec[key]] == [[5.0], [1.0]]
+            assert [v.tolist() for v in dec[key]] == [[2.0, 5.0, 7.0], [0.0, 1.0, 0.0]]
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, TABLE_TOL])
+    def test_near_identical_components_split_the_lottery(self, tol):
+        # Lotteries within tol of each other split off the first support
+        # payoff, whatever mass is left beside it: both components lie on
+        # the merged grid and the simplex, and the weight reproduces pa.
+        grid = np.array([1.0, 4.0, 9.0])
+        rng = np.random.default_rng(11)
+        # At tol 0.02, 0.03 of pa is left beside its first support payoff,
+        # spread over two payoffs of 0.015 each.
+        families = [(np.array([0.97, 0.015, 0.015]), np.array([0.96, 0.02, 0.02]))]
+        while len(families) < 2000:
+            pa = rng.dirichlet(np.full(3, rng.choice([0.1, 0.3, 1.0, 3.0])))
+            pb = np.clip(pa + rng.uniform(-tol, tol, 3), 0.0, None)
+            families.append((pa, pb / pb.sum()))
+        families = [(pa, pb) for pa, pb in families if np.max(np.abs(pb - pa)) <= tol]
+        assert len(families) > 1000
+        for pa, pb in families:
+            dec = decompose_shared_components((grid, pa), (grid, pb), tol)
+            comps = []
+            for key in ("comp1", "comp2"):
+                z, p = dec[key]
+                assert z.tolist() == grid.tolist()
+                assert p.min() >= 0.0 and abs(p.sum() - 1.0) <= 1e-12
+                comps.append(p)
+            alpha = dec["alpha_a"]
+            assert dec["alpha_b"] == alpha and 0.0 <= alpha <= 1.0
+            np.testing.assert_allclose(alpha * comps[0] + (1 - alpha) * comps[1], pa,
+                                       rtol=0, atol=1e-12)
 
     def test_lottery1_family(self):
         # Degenerate base against the mixture that adds the dominating pair.

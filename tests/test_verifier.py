@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from anomgen import simplex_lp, verifier
 from anomgen.basis import PolynomialBasis
-from anomgen.lotteries import implied_choices, on_merged_grid
+from anomgen.categorize import categorize
+from anomgen.lotteries import Collection, fosd_dominates, implied_choices, on_merged_grid
 from anomgen.verifier import minimal_anomaly, verify_collection, verify_parametrized
 from conftest import (collection, lottery, menu, probs_on_grid, reference_margin_lp,
                       sample_random_menu, stack, swapped, verify_menus)
@@ -236,6 +237,58 @@ class TestIsAnomaly:
         m = menu(lottery([2, 8], [0.5, 0.5]), lottery([1, 9], [0.4, 0.6]))
         coll = collection([m, m], [0.7, 0.7])
         assert minimal_anomaly(coll) is None
+
+
+def dominance_menus(rng, n, J, boundary):
+    """n menus (Z, P) (n, 2, J) of distinct lotteries whose payoffs come from
+    the integers 0 .. 5, so that the two lotteries share some of them;
+    interior probabilities, or with ``boundary`` one of each lottery's set to
+    0, which projects it onto a face of the simplex."""
+    Z = np.sort([[rng.choice(6, J, replace=False) for _ in range(2)] for _ in range(n)], axis=-1)
+    P = rng.dirichlet(np.ones(J), size=(n, 2))
+    if boundary:
+        np.put_along_axis(P, rng.integers(J, size=(n, 2, 1)), 0.0, axis=-1)
+        P /= P.sum(axis=-1, keepdims=True)
+    # Two identical lotteries are excluded: the LP calls either choice
+    # inconsistent at margin 0, yet neither lottery strictly dominates.
+    distinct = [np.ptp(on_merged_grid(list(zip(Zm, Pm)))[1], axis=0).max() > 1e-12
+                for Zm, Pm in zip(Z, P)]
+    return Z[distinct].astype(float), P[distinct]
+
+
+class TestDominatedChoice:
+    """A single menu's any-utility verdict is its FOSD verdict: the choice is
+    inconsistent exactly when the other lottery first-order dominates it."""
+
+    @pytest.mark.parametrize("boundary", [False, True])
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_one_menu_is_inconsistent_exactly_when_dominated(self, J, boundary):
+        rng = np.random.default_rng(10 * J + boundary)
+        Z, P = dominance_menus(rng, 2000, J, boundary)
+        inconsistent = 0
+        for choice in (0, 1):
+            verdicts = verifier.utility_verdicts(Z[:, None], P[:, None],
+                                                 np.full((len(Z), 1), choice))
+            for Zm, Pm, v in zip(Z, P, verdicts):
+                dominated = fosd_dominates((Zm[1 - choice], Pm[1 - choice]),
+                                           (Zm[choice], Pm[choice]))
+                assert (not v.consistent) == dominated, (Zm, Pm, choice, v.margin)
+                inconsistent += dominated
+        assert inconsistent > 100
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_a_singleton_minimal_anomaly_categorizes_as_fosd_there(self, J):
+        rng = np.random.default_rng(J)
+        Z, P = dominance_menus(rng, 600, J, boundary=False)
+        singletons = 0
+        for k in range(0, len(Z) - 1, 2):
+            coll = Collection(Z[k:k + 2], P[k:k + 2], rng.uniform(0.05, 0.95, 2))
+            minimal = minimal_anomaly(coll)
+            if minimal is not None and len(minimal[0]) == 1:
+                cat = categorize(coll)
+                assert cat.tag == "fosd" and cat.certificate["menu_index"] == minimal[0][0]
+                singletons += 1
+        assert singletons > 20
 
 
 class TestVerifyParametrized:
