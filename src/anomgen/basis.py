@@ -25,9 +25,10 @@ def _domain(domain) -> tuple[float, float]:
 
 def domain_fault(Z, domain: tuple[float, float]) -> tuple[int, str] | None:
     """(row, why) of the first row of a payoff stack Z (R, ...) with a payoff
-    more than DOMAIN_TOL outside ``domain``; else None."""
+    more than DOMAIN_TOL outside ``domain``, or NaN; else None."""
     low, high = domain
-    outside = ((Z < low - DOMAIN_TOL) | (Z > high + DOMAIN_TOL)).reshape(len(Z), -1).any(axis=1)
+    inside = (Z >= low - DOMAIN_TOL) & (Z <= high + DOMAIN_TOL)
+    outside = ~inside.reshape(len(Z), -1).all(axis=1)
     if not outside.any():
         return None
     return int(np.argmax(outside)), f"payoff outside basis domain [{low}, {high}]"

@@ -85,8 +85,10 @@ _TINY = 1e-300
 # Elements of the (lines, rows, z0 nodes) arrays of the rows taken at a
 # time, 64 rows of the m = 2 rule of ``_RULE_COUNT`` draws and 48 of the
 # m = 4 one: the arrays stay in cache, neither the stack nor the rule grows
-# them, and the size moves no byte.  Against 4,608, it cut the CPU of the
-# captured 200,000-draw steps by 7% per row for J = 2 and 11% for J = 3.
+# them, and the size moves no byte.  On captured 200,000-draw steps, 4,608
+# took 3-12% more CPU for J = 2 and 1-5% more for J = 3; 18,432 took 5-9%
+# less, but won only 8 of 10 alternating pairs at J = 3 in one of two runs,
+# and saved nothing on J = 3's 2,000-draw steps.
 _EXPECT_SIZE = 9216
 # The Mills ratio Q(x) / phi(x) on [0, 40] as P(x) / Q(x), lowest degree
 # first: a weighted least-squares fit of the relative error in 50-digit
@@ -348,19 +350,19 @@ def _expected_chunk(mean: np.ndarray, L: np.ndarray, lo: np.ndarray, hi: np.ndar
     of t and -t being clipped to 0: their moments are tails (``_tails``)
     at p / A and |t|, and no moment is a difference of two masses near 1.
     Even moments add over a line's two rays; the odd one is taken along e,
-    the ray along which beta is positive counting against it.  With the
-    line sums kept = sum 0th, kappa = sum 1st e and K = sum 2nd e e^T, the
-    Gram matrix is c c^T kept + c (B kappa)^T + (B kappa) c^T + B K B^T,
-    integrated over z0 and averaged over the rays.
+    the ray along which beta is positive counting against it.  So a line
+    adds c c^T 0th + (c (Be)^T + Be c^T) 1st + Be (Be)^T 2nd, and with the
+    sums over the lines kept = sum 0th and g = sum 1st Be, the Gram matrix
+    is c c^T kept + c g^T + g c^T + sum 2nd Be (Be)^T, integrated over z0
+    and averaged over the rays.
     """
     lines = rule[3]
     m = len(lines)
     z0, weights = _z0_nodes(mean, L, lo, hi, rank_tol, rule)
     s2, C, c = _centre(mean, L, rank_tol, z0)
     # Per line and row: Be, its square floored where B e vanishes.
-    B = [[L[:, i + 1, j + 1:j + 2] for j in range(i + 1)] for i in range(m)]
-    Be = [_dot([row[:, 0] for row in B[i]], [line[:, None] for line in lines])[..., None]
-          for i in range(m)]
+    Be = [_dot([L[:, i + 1, j + 1] for j in range(i + 1)], [line[:, None] for line in lines])
+          [..., None] for i in range(m)]
     A = np.maximum(_dot(Be, Be), _TINY)
     # Per line, row and z0 node: the roots.
     beta = _dot(Be, c)
@@ -385,41 +387,20 @@ def _expected_chunk(mean: np.ndarray, L: np.ndarray, lo: np.ndarray, hi: np.ndar
     even -= np.multiply(sign, second_t, out=second_t)
     odd = np.subtract(first, first_t, out=first)
     odd *= np.copysign(1.0, beta, out=beta)
-    # Their sums over the lines, the 1st and 2nd weighted by e and e e^T.
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    sums = []
-    for moment, weight in ([(zeroth, None)] + [(odd, lines[i]) for i in range(m)]
-                           + [(even, lines[i] * lines[j]) for i, j in pairs]):
-        if weight is not None:
-            moment = np.multiply(moment, weight[:, None, None], out=p)
-        total = moment[0].copy()
-        for line in range(1, len(moment)):
-            total += moment[line]
-        sums.append(total)
-    kept, kappa, K = sums[0], sums[1:m + 1], {}
-    for (i, j), total in zip(pairs, sums[m + 1:]):
-        K[i, j] = K[j, i] = total
-    # Per row and z0 node: the 1st moment's B kappa (negated, as it was
-    # taken along beta) and the 2nd's B K B^T, then the integral over z0
-    # and the mean over the rays.  Row i of B K B^T is taken from
-    # h_i = K B_i^T past the first row; the corner, whose row of B holds one
-    # entry, is B00^2 K00.
-    g = [-_dot(B[i], kappa) for i in range(m)]
-    h = {(i, j): _dot(B[i], [K[k, j] for k in range(m)]) for i in range(1, m) for j in range(m)}
-    H = {(0, 0): B[0][0] * B[0][0] * K[0, 0]}
-    for i, j in pairs[1:]:
-        H[i, j] = _dot(B[i], [h[j, k] for k in range(m)])
+    # Per row and z0 node, each a sum over the lines in order: the kept
+    # mass, g = -sum odd Be (negated, as the 1st moment was taken along
+    # beta) and each entry's sum even Be_i Be_j; then the integral over z0
+    # and the mean over the rays.
+    kept = zeroth.sum(axis=0)
+    g = [-np.multiply(odd, Be[i], out=p).sum(axis=0) for i in range(m)]
     v = weights * s2
     grams = np.empty((len(L), m, m))
-    for i, j in pairs:
-        if i == j:
-            entry = c[i] * c[i] * kept + 2.0 * c[i] * g[i] + H[i, i]
-        else:
-            entry = c[i] * c[j] * kept + c[i] * g[j] + c[j] * g[i] + H[i, j]
-        grams[:, i, j] = (v * entry).sum(axis=1)
+    for i in range(m):
+        for j in range(i, m):
+            entry = c[i] * c[j] * kept + c[i] * g[j] + c[j] * g[i]
+            entry += np.multiply(even, Be[i] * Be[j], out=p).sum(axis=0)
+            grams[:, i, j] = grams[:, j, i] = (v * entry).sum(axis=1)
     grams /= 2 * lines.shape[1]
-    for i, j in pairs:
-        grams[:, j, i] = grams[:, i, j]
     return grams, (weights * kept).sum(axis=1) / (2 * lines.shape[1])
 
 

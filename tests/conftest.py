@@ -625,6 +625,70 @@ def per_draw_gram(mean, L, rng, count: int, rank_tol: float) -> tuple[np.ndarray
     return gram, kept
 
 
+def reference_expected_chunk(mean, L, lo, hi, rank_tol: float, rule):
+    """``morphing._expected_chunk`` through the line sums kept = sum 0th,
+    kappa = sum 1st e and K = sum 2nd e e^T: the Gram matrix is
+    c c^T kept + c (B kappa)^T + (B kappa) c^T + B K B^T, with B K B^T
+    taken from h_i = K B_i^T past the first row and the corner B00^2 K00."""
+    _dot, lines = morphing._dot, rule[3]
+    m = len(lines)
+    z0, weights = morphing._z0_nodes(mean, L, lo, hi, rank_tol, rule)
+    s2, C, c = morphing._centre(mean, L, rank_tol, z0)
+    B = [[L[:, i + 1, j + 1:j + 2] for j in range(i + 1)] for i in range(m)]
+    Be = [_dot([row[:, 0] for row in B[i]], [line[:, None] for line in lines])[..., None]
+          for i in range(m)]
+    A = np.maximum(_dot(Be, Be), morphing._TINY)
+    beta = _dot(Be, c)
+    p = beta * beta
+    p -= A * C
+    p = np.sqrt(np.maximum(p, 0.0, out=p), out=p)
+    p += np.abs(beta)
+    t = np.divide(C, np.maximum(p, morphing._TINY, out=p))
+    ends = np.empty((2,) + beta.shape)
+    np.minimum(np.maximum(np.divide(p, A, out=p), t, out=ends[0]), morphing._RHO_MAX,
+               out=ends[0])
+    np.minimum(np.abs(t, out=ends[1]), morphing._RHO_MAX, out=ends[1])
+    (e, e_t), (first, first_t), (second, second_t) = morphing._tails(ends, m)
+    sign = np.copysign(1.0, t, out=t)
+    both = np.add(sign, 1.0, out=p)
+    zeroth = np.add(e, both, out=e)
+    zeroth -= np.multiply(sign, e_t, out=e_t)
+    even = np.add(second, np.multiply(both, m, out=both), out=second)
+    even -= np.multiply(sign, second_t, out=second_t)
+    odd = np.subtract(first, first_t, out=first)
+    odd *= np.copysign(1.0, beta, out=beta)
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    sums = []
+    for moment, weight in ([(zeroth, None)] + [(odd, lines[i]) for i in range(m)]
+                           + [(even, lines[i] * lines[j]) for i, j in pairs]):
+        if weight is not None:
+            moment = np.multiply(moment, weight[:, None, None], out=p)
+        total = moment[0].copy()
+        for line in range(1, len(moment)):
+            total += moment[line]
+        sums.append(total)
+    kept, kappa, K = sums[0], sums[1:m + 1], {}
+    for (i, j), total in zip(pairs, sums[m + 1:]):
+        K[i, j] = K[j, i] = total
+    g = [-_dot(B[i], kappa) for i in range(m)]
+    h = {(i, j): _dot(B[i], [K[k, j] for k in range(m)]) for i in range(1, m) for j in range(m)}
+    H = {(0, 0): B[0][0] * B[0][0] * K[0, 0]}
+    for i, j in pairs[1:]:
+        H[i, j] = _dot(B[i], [h[j, k] for k in range(m)])
+    v = weights * s2
+    grams = np.empty((len(L), m, m))
+    for i, j in pairs:
+        if i == j:
+            entry = c[i] * c[i] * kept + 2.0 * c[i] * g[i] + H[i, i]
+        else:
+            entry = c[i] * c[j] * kept + c[i] * g[j] + c[j] * g[i] + H[i, j]
+        grams[:, i, j] = (v * entry).sum(axis=1)
+    grams /= 2 * lines.shape[1]
+    for i, j in pairs:
+        grams[:, j, i] = grams[:, i, j]
+    return grams, (weights * kept).sum(axis=1) / (2 * lines.shape[1])
+
+
 def reference_step_direction(pred_grad, probs, history, basis_rows, config):
     """One run's morph step, (direction (2J,), retained rank), computed on its
     own: its factor formed on its own (``reference_step_factor``), the one-row

@@ -66,6 +66,14 @@ class TestISplineBasis:
             assert b.eval(zs).tobytes() == reference_ispline_values(b, zs).tobytes()
 
 
+@pytest.mark.parametrize("basis", [PolynomialBasis(), ISplineBasis()])
+def test_nan_payoff_is_outside_the_domain(basis):
+    # Every comparison with NaN is false, so the domain test asks for the
+    # payoff inside it: a NaN row is rejected, not valued.
+    with pytest.raises(ValueError, match="domain"):
+        basis.eval([np.nan, 5.0])
+
+
 class TestBasisFromConfig:
     def test_polynomial(self):
         b = basis_from_config({"kind": "polynomial", "order": 6})

@@ -18,9 +18,9 @@ from anomgen.morphing import (COV_JITTER, MorphConfig, _step_factors, _tangent_b
 from anomgen.theory import _fit_logits, eu_difference_rows, stack_basis_values
 from conftest import (fit_theta, flat, grad, morph_step_direction, null_space_projection,
                       per_draw_gram, pipeline_config, predict, record_menus,
-                      reference_step_direction, reference_step_factor, reference_utility_factor,
-                      sample_random_menu, sample_step_gradients, sample_theta_history,
-                      search_iterates, stack, tangent)
+                      reference_expected_chunk, reference_step_direction, reference_step_factor,
+                      reference_utility_factor, sample_random_menu, sample_step_gradients,
+                      sample_theta_history, search_iterates, stack, tangent)
 
 
 class TestSampleThetaHistory:
@@ -902,6 +902,27 @@ class TestExpectedGram:
         for a, b in zip(morphing._expected_grams(mean, L, 2_000, rank_tol), shipped):
             assert_same_bits(a, b)
         assert not (2_000 * shipped[1] < 1.0).all()
+
+    @pytest.mark.parametrize("J", [2, 3])
+    @pytest.mark.parametrize("count", [2_000, 200_000])
+    def test_line_sums_agree_with_the_kappa_and_k_assembly(self, lockstep_steps, monkeypatch,
+                                                             J, count):
+        # Every captured step row: the Gram matrix summed line by line is
+        # within 4 eps of its largest entry of the one rebuilt from the line
+        # sums kappa and K (``reference_expected_chunk``), the rank agrees,
+        # and the kept probability, so the quiet flag, has the same bytes.
+        mean, L, rank_tol = lockstep_factors(lockstep_steps, J, count)
+        grams, kept = morphing._expected_grams(mean, L, count, rank_tol)
+        monkeypatch.setattr(morphing, "_expected_chunk", reference_expected_chunk)
+        old_grams, old_kept = morphing._expected_grams(mean, L, count, rank_tol)
+        assert_same_bits(kept, old_kept)
+        bound = 4 * np.finfo(float).eps * np.abs(old_grams).max(axis=(1, 2))
+        assert np.all(np.abs(grams - old_grams) <= bound[:, None, None])
+        zeros = np.zeros((len(L), 2 * J - 2))
+        np.testing.assert_array_equal(morphing._project_off_span(zeros, grams, rank_tol)[1],
+                                      morphing._project_off_span(zeros, old_grams, rank_tol)[1])
+        quiet = count * kept < 1.0
+        assert 0 < quiet.sum() < len(quiet) or (J, count) == (3, 200_000)
 
     @pytest.mark.parametrize("J", [2, 3])
     @pytest.mark.parametrize("scale", [0.5, 2.0])
