@@ -7,10 +7,11 @@ runs into consecutive blocks and fan them over a worker pool; records stream
 to disk block by block, in index order.  ``verify``, ``categorize``,
 ``cluster`` and ``report`` each read their input one record at a time;
 ``categorize`` writes a record it leaves as the line it read.  Verification
-runs a block as stacks, one per record shape: one stacked fit and one stacked
-LP solve per grid size, each acting on every record on its own.  Records
-depend only on (master seed, run index), so outputs are byte-identical for
-any worker count or block size; bit-reproducibility matters more than speed.
+runs a block as stacks, one per record shape: one stacked fit and one
+closed-form any-utility value per record, each acting on every record on its
+own.  Records depend only on (master seed, run index), so outputs are
+byte-identical for any worker count or block size; bit-reproducibility
+matters more than speed.
 
 A command imports the modules it runs when it runs, so each command's
 process loads only those: ``report`` loads no search or verifier module, and
@@ -126,8 +127,8 @@ def cmd_generate(args) -> int:
 
 def _verify_chunk(cfg: PipelineConfig, recs) -> list:
     """Write the verdicts into a block of records and return it.  One stack
-    per shape (``records.stack_records``) takes one fit and one stacked LP
-    solve per grid size; an inconsistent row goes to ``minimal_anomaly``; a
+    per shape (``records.stack_records``) takes one fit and one closed-form
+    any-utility value per row; an inconsistent row goes to ``minimal_anomaly``; a
     record ``size_fault`` or ``domain_fault`` rejects raises ValueError naming it."""
     from .verifier import minimal_anomaly, parametrized_verdicts, size_fault, utility_verdicts
 
@@ -145,7 +146,6 @@ def _verify_chunk(cfg: PipelineConfig, recs) -> list:
                 min_kl=pv.min_kl, parametrized_inconsistent=pv.inconsistent,
                 fit_converged=pv.converged, fit_on_bound=pv.on_norm_bound,
                 any_utility_inconsistent=not av.consistent, margin=av.margin,
-                witness=None if av.witness_utility is None else av.witness_utility.tolist(),
                 anomaly_minimal_indices=list(minimal[0]) if minimal else None)
     return recs
 

@@ -26,8 +26,9 @@ from .basis import BASES
 from .cpt import PRESETS, CptParams, CptPredictor
 
 # The verifier's default thresholds: the best logit-EUT fit's mean KL above
-# which a collection is parametrized-inconsistent, and the LP margin a
-# utility must exceed to rationalize its choices.
+# which a collection is parametrized-inconsistent, and the value (the
+# verifier's margin) a collection's menu tails must exceed for some
+# increasing utility to rationalize its choices.
 DEFAULT_KL_THRESHOLD = 1e-5
 MARGIN_THRESHOLD = 1e-9
 # Smallest rank cutoff a morph step accepts.  The eigenvalue cutoff is

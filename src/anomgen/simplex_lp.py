@@ -1,98 +1,45 @@
-"""Dense tableau simplex for the tiny LPs used by the verifier.
+"""The value of the verifier's LP over the probability simplex, in closed form.
 
-Solves   max c'x   s.t.  A x <= b,  x >= 0,  with b >= 0,
+For a stack of line sets T (R, m, n) the value of row r is
 
-so the all-slack basis is feasible and a single primal phase suffices.  Bland's
-rule guards against cycling.  A stack of problems of one size is pivoted at
-once: each step takes one Bland pivot in every problem still running, and a
-problem leaves the stack once it is solved, so every problem goes through
-the same arithmetic as when it is solved alone, and its solution has the
-same bytes.  Problem sizes here are at most ~15 variables and ~30 rows, and
-bit-reproducibility matters more than speed.
+    v = min over lambda in the simplex of  max_l  sum_i lambda_i T[r, i, l],
+
+the value of the game in which one player mixes the m rows and the other
+picks a column.  The verifier decides collections of at most two menus, so
+m is 1 or 2 and the LP needs no pivoting:
+
+* m = 1: v is the largest entry, max_l T_1l;
+* m = 2: with lambda = (1 - t, t), v is the lowest point, over t in [0, 1],
+  of the upper envelope of the lines (1 - t) T_1l + t T_2l.  The envelope is
+  convex and piecewise linear, so its minimum lies at t = 0, at t = 1 or
+  where two lines cross.
+
+Every step acts on each row on its own, so a value has the same bytes
+whatever it is stacked with.  Entries padded onto a row leave its value's
+bytes as they are if no padded entry can be the maximum: pad with a large
+finite negative number, not -inf, whose crossings are NaN.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-_EPS = 1e-12
 
-
-class SimplexError(RuntimeError):
-    pass
-
-
-@dataclass
-class LpSolution:
-    """A stack's solutions, one entry per problem."""
-
-    x: np.ndarray
-    objective: np.ndarray
-    iterations: np.ndarray
-
-
-def solve_max(c, A, b, max_iter: int = 10_000) -> LpSolution:
-    """Solve a stack of problems, A (R, m, n) with c (R, n) and b (R, m).
-    Any problem of the stack that is unbounded, or still running after
-    ``max_iter`` pivots, fails the whole call."""
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    R, m, n = A.shape
-    if c.shape != (R, n) or b.shape != (R, m):
-        raise ValueError("inconsistent LP dimensions")
-    if np.any(b < -_EPS):
-        raise SimplexError("negative right-hand side; initial basis infeasible")
-
-    # Tableaux: [A | I | b] with the objective row [-c | 0 | 0] underneath.
-    # ``T`` holds the problems still running, ``running`` their indices;
-    # a problem leaves both once no column improves its objective.
-    T = np.zeros((R, m + 1, n + m + 1))
-    T[:, :m, :n] = A
-    T[:, :m, n:n + m] = np.eye(m)
-    T[:, :m, -1] = np.maximum(b, 0.0)
-    T[:, m, :n] = -c
-    basis = np.tile(np.arange(n, n + m), (R, 1))
-    running = np.arange(R)
-    x = np.empty((R, n + m))
-    objective = np.empty(R)
-    iterations = np.zeros(R, dtype=int)
-    k = np.arange(R)
-
-    for it in range(max_iter):
-        entering = T[:, m, :-1] < -_EPS
-        done = ~entering.any(axis=1)
-        if done.any():
-            finished = running[done]
-            solved = np.zeros((finished.size, n + m))
-            np.put_along_axis(solved, basis[done], T[done, :m, -1], axis=1)
-            x[finished] = solved
-            objective[finished] = T[done, m, -1]
-            iterations[finished] = it
-            T, basis, running, entering = (v[~done] for v in (T, basis, running, entering))
-            if running.size == 0:
-                break
-            k = np.arange(running.size)
-        col = entering.argmax(axis=1)  # Bland's rule: the first improving column
-        pivots = T[k, :m, col]
-        ratios = np.divide(T[:, :m, -1], pivots, out=np.full(pivots.shape, np.inf),
-                           where=pivots > _EPS)
-        best = ratios.min(axis=1, keepdims=True)
-        if not np.isfinite(best).all():
-            raise SimplexError("unbounded LP")
-        # Bland tie-break: smallest basis index among minimal ratios.
-        ties = np.abs(ratios - best) <= _EPS * (1 + np.abs(best))
-        row = np.where(ties, basis, n + m).argmin(axis=1)
-        # Eliminate the column from every row by one rank-1 update.  A row
-        # with a zero in the column changes at most a -0.0 into 0.0: the tests
-        # above compare against +-_EPS, and the right-hand sides, which start
-        # at max(b, 0), hold no -0.0, so pivots and solution keep their bytes.
-        pivot_row = T[k, row] / pivots[k, row][:, None]
-        T -= T[k, :, col][:, :, None] * pivot_row[:, None, :]
-        T[k, row] = pivot_row
-        basis[k, row] = col
-    if running.size:
-        raise SimplexError("iteration limit reached")
-    return LpSolution(x=x[:, :n], objective=objective, iterations=iterations)
+def simplex_value(T) -> np.ndarray:
+    """v (R,) of the line sets T (R, m, n), m in {1, 2}."""
+    T = np.asarray(T, dtype=float)
+    if T.shape[1] == 1:
+        return T[:, 0].max(axis=1)
+    if T.shape[1] != 2:
+        raise ValueError(f"closed form needs 1 or 2 rows of lines, got {T.shape[1]}")
+    a, b = T[:, 0], T[:, 1]
+    slope = b - a
+    # Lines l < k cross where a_l + t s_l = a_k + t s_k.  Parallel lines
+    # give inf or NaN and padded lines cross far outside [0, 1]; the range
+    # test drops them.
+    l, k = np.triu_indices(T.shape[2], 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cross = (a[:, k] - a[:, l]) / (slope[:, l] - slope[:, k])
+    cross = np.where((cross >= 0.0) & (cross <= 1.0), cross, 0.0)
+    t = np.concatenate([np.zeros((len(T), 1)), np.ones((len(T), 1)), cross], axis=1)[:, :, None]
+    return ((1.0 - t) * a[:, None] + t * b[:, None]).max(axis=2).min(axis=1)

@@ -4,11 +4,10 @@ Two layers, each verifying a stack of collections of one shape, m menus over
 J payoffs, given as (R, m, 2, J) payoff and probability arrays:
 
 * ``utility_verdicts`` asks whether ANY strictly increasing utility (no
-  noise) rationalizes the implied binary choices.  Strict inequalities are
-  encoded through a shared maximized slack t over the merged payoff grid, so
-  the verdict comes with a margin and, when consistent, a witness utility.
-  The LPs of the collections whose grids have one size are built as one
-  array and solved by one stacked ``simplex_lp.solve_max`` call.
+  noise) rationalizes the implied binary choices.  By Gordan's alternative
+  none does exactly when some mixture of the menus' tails is nowhere
+  positive; the verdict's margin is the value of that mixture LP, which
+  ``simplex_lp.simplex_value`` finds in closed form for m <= 2 menus.
 * ``parametrized_verdicts`` asks whether the logit-EUT class fits the stated
   choice probabilities, thresholding the best achievable mean KL; the whole
   stack is one ``theory._fit_logits`` call.
@@ -36,45 +35,17 @@ from .config import DEFAULT_KL_THRESHOLD, MARGIN_THRESHOLD
 from .lotteries import Collection, implied_choices, merge_payoff_grids
 from .theory import _fit_logits, eu_difference_rows, stack_basis_values
 
-MAX_MENUS = 8
+MAX_MENUS = 2
 MAX_DISTINCT_PAYOFFS = 12
+# Fills the tails past a grid's size: never the maximum of real tails, which
+# lie in [-1, 1], and finite, so that its crossings with them are not NaN.
+_PAD = -1e300
 
 
 @dataclass(frozen=True)
 class VerificationResult:
     consistent: bool
     margin: float
-    witness_utility: np.ndarray | None
-
-
-def _margin_lp(Q, choices):
-    """(margins, witnesses) of the max-slack LPs over utilities on each
-    collection's grid: Q (R, m, 2, k) holds the menus' probabilities on
-    grids of k payoffs, choices (R, m) the implied choices.
-
-    Variables are the interior utility levels u_2..u_{k-1} (u_1 = 0, u_k = 1
-    pin down location and scale) plus tau = t + 1 >= 0.  Each row c of C, a
-    menu's chosen-minus-other grid probabilities or a monotonicity step
-    u_{j+1} - u_j, asks c . u >= t, which is the LP row (-c_free, 1) <= 1 + c_k.
-    The box rows u_j <= 1 follow.  All right-hand sides are nonnegative by
-    construction, so the one-phase solver applies.
-    """
-    R, m, _, k = Q.shape
-    n_free = k - 2
-    r, i = np.indices((R, m))
-    chosen, other = Q[r, i, choices], Q[r, i, 1 - choices]
-    steps = np.broadcast_to(np.diff(np.eye(k), axis=0), (R, k - 1, k))
-    C = np.concatenate([chosen - other, steps], axis=1)
-    A = np.zeros((R, m + k - 1 + n_free, n_free + 1))
-    A[:, :m + k - 1, :n_free] = -C[:, :, 1:-1]
-    A[:, :m + k - 1, -1] = 1.0
-    A[:, m + k - 1:, :n_free] = np.eye(n_free)
-    b = np.concatenate([1.0 + C[:, :, -1], np.ones((R, n_free))], axis=1)
-    sol = simplex_lp.solve_max(np.tile(np.eye(n_free + 1)[-1], (R, 1)), A, b)
-    witnesses = np.zeros((R, k))
-    witnesses[:, 1:-1] = sol.x[:, :n_free]
-    witnesses[:, -1] = 1.0
-    return sol.objective - 1.0, witnesses
 
 
 def size_fault(Z, sizes) -> tuple[int, str] | None:
@@ -91,23 +62,30 @@ def size_fault(Z, sizes) -> tuple[int, str] | None:
 
 def utility_verdicts(Z, P, choices, margin_threshold: float = MARGIN_THRESHOLD,
                      merged=None) -> list[VerificationResult]:
-    """Feasibility of each collection's strict rationalization system, with
-    margin: Z and P (R, m, 2, J), choices (R, m), merged merge_payoff_grids(Z, P)
-    or None.  A collection too large to verify (``size_fault``) raises ValueError."""
+    """Whether some strictly increasing utility rationalizes each
+    collection's choices, with margin: Z and P (R, m, 2, J), choices (R, m),
+    merged merge_payoff_grids(Z, P) or None.
+
+    Write a utility on a grid of k payoffs as u_1 plus steps d_l > 0 at grid
+    points l = 2..k.  A menu's choice then asks T_i . d > 0, where T_il sums
+    its chosen-minus-other probabilities from grid point l up.  By Gordan's
+    alternative no d > 0 meets every menu's ask exactly when some mixture
+    lambda of the menus has sum_i lambda_i T_i <= 0, so the collection is
+    consistent when v = min_lambda max_l sum_i lambda_i T_il exceeds
+    ``margin_threshold``, and v is its margin.  A grid of one payoff is
+    vacuously consistent at margin 0.  A collection too large to verify
+    (``size_fault``) raises ValueError."""
     _, sizes, Q = merge_payoff_grids(Z, P) if merged is None else merged
     if fault := size_fault(Z, sizes):
         raise ValueError(fault[1])
-    # All payoffs identical: every choice is a tie between identical
-    # lotteries; vacuously consistent.
-    out = [VerificationResult(True, 0.0, None)] * len(Z)
-    for k in sorted(set(sizes[sizes >= 2].tolist())):
-        rows = np.flatnonzero(sizes == k)
-        margins, witnesses = _margin_lp(Q[rows, ..., :k], choices[rows])
-        for r, margin, witness in zip(rows, margins, witnesses):
-            consistent = bool(margin > margin_threshold)
-            out[r] = VerificationResult(consistent, float(margin),
-                                        witness if consistent else None)
-    return out
+    r, i = np.indices(choices.shape)
+    diff = Q[r, i, choices] - Q[r, i, 1 - choices]
+    tails = np.cumsum(diff[..., ::-1], axis=-1)[..., -2::-1]     # grid points 2..n
+    on_grid = np.arange(1, Q.shape[-1]) < sizes[:, None, None]
+    values = simplex_lp.simplex_value(np.where(on_grid, tails, _PAD))
+    return [VerificationResult(True, 0.0) if k < 2
+            else VerificationResult(bool(v > margin_threshold), float(v))
+            for k, v in zip(sizes, values)]
 
 
 def verify_collection(collection: Collection,

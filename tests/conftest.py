@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from anomgen.analysis import PATTERNS, pattern_frequencies
 from anomgen.config import parse_config
 from anomgen.cpt import CptParams, CptPredictor, logistic, lottery_values
 from anomgen.data import simulate_choices
-from anomgen.lotteries import Collection, draw_menus, flat_stack, implied_choices, run_rng
+from anomgen.lotteries import (Collection, draw_menus, flat_stack, implied_choices,
+                               on_merged_grid, run_rng)
 from anomgen.morphing import COV_JITTER, run_morph_indices
 from anomgen.records import record_to_collection, write_jsonl
 from anomgen.verifier import utility_verdicts
@@ -729,77 +731,44 @@ def sample_theta_history(history, count: int, rng: np.random.Generator,
     return (rng.standard_normal((count, factor.shape[1])) @ factor.T + mean).T
 
 
-# -- reference margin LP: built and pivoted one row at a time ------------------
+# -- exact any-utility reference: Gordan's alternative in rationals -----------
 
-def reference_solve_max(c, A, b, max_iter: int = 10_000):
-    """``simplex_lp.solve_max`` with the elimination as a loop over rows:
-    (x, objective, iterations)."""
-    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
-    m, n = A.shape
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = np.maximum(b, 0.0)
-    T[m, :n] = -c
-    basis = list(range(n, n + m))
-    for it in range(max_iter):
-        candidates = np.nonzero(T[m, :-1] < -1e-12)[0]
-        if candidates.size == 0:
-            x = np.zeros(n + m)
-            x[basis] = T[:m, -1]
-            return x[:n], float(T[m, -1]), it
-        col = int(candidates.min())
-        ratios = np.full(m, np.inf)
-        positive = T[:m, col] > 1e-12
-        ratios[positive] = T[:m, -1][positive] / T[:m, col][positive]
-        if not np.any(np.isfinite(ratios)):
-            raise RuntimeError("unbounded LP")
-        row = int(np.argmin(ratios))
-        best = ratios[row]
-        ties = np.nonzero(np.abs(ratios - best) <= 1e-12 * (1 + abs(best)))[0]
-        if ties.size > 1:
-            row = int(min(ties, key=lambda r: basis[r]))
-        pivot = T[row, col]
-        T[row] /= pivot
-        for r in range(m + 1):
-            if r != row and abs(T[r, col]) > 0:
-                T[r] -= T[r, col] * T[row]
-        basis[row] = col
-    raise RuntimeError("iteration limit reached")
+def reference_gordan(menus, choices, normalize: bool = True):
+    """The exact value v of one or two menus with their choices, or None on a
+    grid of one payoff: v = min over mixtures lambda of the menus of
+    max_l sum_i lambda_i T_il, where T_il sums menu i's chosen-minus-other
+    probabilities, as Fractions of the stored floats, from grid point l = 2
+    up.  Some strictly increasing utility rationalizes the choices exactly
+    when v > 0.
 
-
-def reference_margin_lp(menus, choices, grid):
-    """(margin, witness, (c, A, b)) of the verifier's max-slack LP, each row
-    built by its own call."""
-    k = grid.size
-    n_free = k - 2
-    rows, rhs = [], []
-
-    def add_geq(coeffs_full, const):
-        # sum_j coeffs_full[j] * u_j + const >= t  ->  LP row in (u_free, tau).
-        row = np.zeros(n_free + 1)
-        row[:n_free] = -np.asarray(coeffs_full)[1:k - 1]
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(1.0 + const + coeffs_full[-1])
-
+    ``normalize`` divides each lottery by its sum first.  Without it a
+    utility's level is no longer free to ignore, which adds each menu's
+    whole-grid sum S_i as the two lines S and -S: the unnormalized rule, in
+    which a chosen lottery with more mass than the other can always win."""
+    grid, _ = on_merged_grid([(z, p) for Z, P in menus for z, p in zip(Z, P)])
+    if grid.size < 2:
+        return None
+    lines = []
     for (Z, P), y in zip(menus, choices):
-        add_geq(probs_on_grid((Z[y], P[y]), grid) - probs_on_grid((Z[1 - y], P[1 - y]), grid),
-                0.0)
-    for j in range(k - 1):
-        e = np.zeros(k)
-        e[j + 1], e[j] = 1.0, -1.0
-        add_geq(e, 0.0)
-    for j in range(n_free):
-        row = np.zeros(n_free + 1)
-        row[j] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    c = np.zeros(n_free + 1)
-    c[-1] = 1.0
-    lp = (c, np.array(rows), np.array(rhs))
-    x, objective, _ = reference_solve_max(*lp)
-    witness = np.empty(k)
-    witness[0], witness[-1] = 0.0, 1.0
-    witness[1:k - 1] = x[:n_free]
-    return objective - 1.0, witness, lp
+        on_grid = []
+        for z, p in ((Z[y], P[y]), (Z[1 - y], P[1 - y])):
+            exact = [Fraction(float(v)) for v in p]
+            total = sum(exact) if normalize else Fraction(1)
+            probs = [Fraction(0)] * grid.size
+            for zj, pj in zip(z, exact):
+                # The grid point a payoff merged into: the last one at or below it.
+                probs[int(np.searchsorted(grid, zj, side="right")) - 1] += pj / total
+            on_grid.append(probs)
+        diff = [c - o for c, o in zip(*on_grid)]
+        tails = [sum(diff[l:]) for l in range(grid.size)]
+        lines.append(tails[1:] if normalize else [tails[0], -tails[0], *tails[1:]])
+    if len(lines) == 1:
+        return max(lines[0])
+    a, b = lines
+    ts = {Fraction(0), Fraction(1)}
+    for al, bl in zip(a, b):
+        for ak, bk in zip(a, b):
+            if bl - al != bk - ak:
+                ts.add((ak - al) / ((bl - al) - (bk - ak)))
+    return min(max((1 - t) * al + t * bl for al, bl in zip(a, b))
+               for t in ts if 0 <= t <= 1)

@@ -288,7 +288,7 @@ def hashsum(s):
 
 
 def test_criterion_10_lp_oracle_equivalence():
-    with criterion(10, "margin LP agrees with the utility-grid scan"):
+    with criterion(10, "any-utility verdict agrees with the utility-grid scan"):
         rng = np.random.default_rng(601)
         checked = 0
         for _ in range(1000):
@@ -298,10 +298,10 @@ def test_criterion_10_lp_oracle_equivalence():
             other = base[0], np.stack([p0 / p0.sum(), p1 / p1.sum()])
             menus = [base, other]
             choices = rng.integers(0, 2, size=2)
-            lp = verify_menus(menus, choices)
+            verdict = verify_menus(menus, choices)
             if _grid_consistent(menus, choices):
                 checked += 1
-                assert lp.consistent
+                assert verdict.consistent
         assert checked >= 400
 
 

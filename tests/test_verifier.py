@@ -1,16 +1,17 @@
-from unittest import mock
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anomgen import simplex_lp, verifier
+from anomgen.analysis import PATTERNS, consistent_patterns
 from anomgen.basis import PolynomialBasis
 from anomgen.categorize import categorize
 from anomgen.lotteries import Collection, fosd_dominates, implied_choices, on_merged_grid
 from anomgen.verifier import minimal_anomaly, verify_collection, verify_parametrized
-from conftest import (collection, lottery, menu, probs_on_grid, reference_margin_lp,
+from conftest import (collection, lottery, menu, probs_on_grid, reference_gordan,
                       sample_random_menu, stack, swapped, verify_menus)
 
 
@@ -23,7 +24,7 @@ def grid_consistent(menus, choices, steps=200, strictness=1e-6):
 
     Grid-consistent means some utility on the grid satisfies every strict
     inequality with slack above ``strictness``; this one-sidedly implies the
-    LP verdict must be consistent.
+    verdict must be consistent.
     """
     grid, _ = on_merged_grid(lotteries_of(menus))
     k = grid.size
@@ -83,8 +84,6 @@ class TestVerifyIncreasingUtility:
         for choice in (0, 1):
             res = verify_menus([m], [choice])
             assert res.consistent and res.margin > 1e-6
-            # Witness satisfies all constraints it claims to.
-            assert np.all(np.diff(res.witness_utility) > 0)
 
     def test_dominated_single_choice_inconsistent(self):
         m = menu(lottery([5], [1.0]), lottery([6], [1.0]))
@@ -119,17 +118,15 @@ class TestVerifyIncreasingUtility:
 
     def test_margin_monotone_in_collection_size(self):
         # On a shared payoff grid (the pipeline case: probabilities morph,
-        # payoffs stay), adding menus only adds constraints.
+        # payoffs stay), adding a menu only adds constraints.
         rng = np.random.default_rng(2)
         for _ in range(20):
             base = sample_random_menu(rng, 2, 0, 10)
-            menus = [base] + [_reprob(base, rng) for _ in range(2)]
-            choices = rng.integers(0, 2, size=3)
-            m1 = verify_menus(menus[:1], choices[:1]).margin
-            m2 = verify_menus(menus[:2], choices[:2]).margin
-            m3 = verify_menus(menus, choices).margin
-            assert m1 >= m2 - 1e-9
-            assert m2 >= m3 - 1e-9
+            menus = [base, _reprob(base, rng)]
+            choices = rng.integers(0, 2, size=2)
+            pair = verify_menus(menus, choices).margin
+            for i in (0, 1):
+                assert verify_menus(menus[i:i + 1], choices[i:i + 1]).margin >= pair - 1e-9
 
     def test_agrees_with_grid_oracle(self):
         # Grid-consistent instances must never be declared inconsistent.
@@ -139,81 +136,160 @@ class TestVerifyIncreasingUtility:
             base = sample_random_menu(rng, 2, 0, 10)
             menus = [base, _reprob(base, rng)]
             choices = rng.integers(0, 2, size=2)
-            lp = verify_menus(menus, choices)
+            verdict = verify_menus(menus, choices)
             if grid_consistent(menus, choices):
                 checked += 1
-                disagreements += not lp.consistent
+                disagreements += not verdict.consistent
         assert checked > 100
         assert disagreements == 0
 
     def test_size_limit(self):
         rng = np.random.default_rng(4)
-        menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(9)]
-        with pytest.raises(ValueError):
-            verify_menus(menus, [0] * 9)
+        menus = [sample_random_menu(rng, 2, 0, 10) for _ in range(3)]
+        with pytest.raises(ValueError, match=r"^collection size must be in \[1, 2\]$"):
+            verify_collection(collection(menus, [0.2, 0.8, 0.3]))
 
     def test_degenerate_single_payoff(self):
         m = menu(lottery([5.0], [1.0]), lottery([5.0], [1.0]))
         res = verify_menus([m], [1])
-        assert res.consistent and res.margin == 0.0 and res.witness_utility is None
+        assert res.consistent and res.margin == 0.0
 
-    def test_payoff_count_checked_before_the_lp(self, monkeypatch):
-        def no_lp(*args):
-            raise AssertionError("LP solved for a collection over the payoff limit")
+    def test_payoff_count_checked_before_the_value(self, monkeypatch):
+        def no_value(*args):
+            raise AssertionError("value taken for a collection over the payoff limit")
 
-        monkeypatch.setattr(simplex_lp, "solve_max", no_lp)
-        menus = [menu(lottery([4 * i, 4 * i + 1], [0.5, 0.5]),
-                      lottery([4 * i + 2, 4 * i + 3], [0.5, 0.5])) for i in range(4)]
+        monkeypatch.setattr(simplex_lp, "simplex_value", no_value)
+        quarter = [0.25] * 4
+        menus = [menu(lottery(np.arange(8 * i, 8 * i + 4), quarter),
+                      lottery(np.arange(8 * i + 4, 8 * i + 8), quarter)) for i in range(2)]
         with pytest.raises(ValueError, match="16 distinct payoffs"):
-            verify_menus(menus, [0, 1, 0, 1])
+            verify_menus(menus, [0, 1])
 
 
 @st.composite
-def lp_collections(draw):
-    """Menus over J in {2, 3} payoffs drawn from one pool of at most 12
-    values, integers (shared between lotteries) mixed with fresh floats, and
-    probabilities with exact zeros; one choice per menu."""
+def small_collections(draw):
+    """One or two menus over J in {2, 3} payoffs drawn from one pool of at
+    most 12 values, integers (shared between lotteries) mixed with fresh
+    floats; probabilities from integer weights, with exact zeros, or from
+    float weights, whose sums may miss 1 by a few ulps; one choice per menu.
+    A second menu may keep the first one's payoffs, as a search's does."""
     J = draw(st.sampled_from([2, 3]))
     pool = draw(st.lists(st.one_of(st.integers(0, 10).map(float), st.floats(0, 10)),
                          min_size=2, max_size=12, unique=True))
     payoffs = st.lists(st.sampled_from(pool), min_size=J, max_size=J)
-    weights = st.lists(st.integers(0, 4), min_size=J, max_size=J).filter(any)
+    weights = st.one_of(st.lists(st.integers(0, 4).map(float), min_size=J, max_size=J),
+                        st.lists(st.floats(0, 1), min_size=J, max_size=J))
 
-    def drawn_lottery():
-        w = np.array(draw(weights), dtype=float)
-        return lottery(draw(payoffs), w / w.sum())
+    def drawn_lottery(z):
+        w = np.array(draw(weights.filter(lambda w: sum(w) > 1e-3)))
+        return lottery(z, w / w.sum())
 
-    menus = [menu(drawn_lottery(), drawn_lottery()) for _ in range(draw(st.integers(1, 4)))]
+    menus = [menu(drawn_lottery(draw(payoffs)), drawn_lottery(draw(payoffs)))]
+    if draw(st.booleans()):
+        Z = menus[0][0] if draw(st.booleans()) else [draw(payoffs), draw(payoffs)]
+        menus.append(menu(drawn_lottery(Z[0]), drawn_lottery(Z[1])))
     return menus, np.array(draw(st.lists(st.integers(0, 1), min_size=len(menus),
                                          max_size=len(menus))))
 
 
-class TestMarginLpArrays:
-    """The LP built as one matrix and pivoted by rank-1 updates has the bytes
-    of the LP built and pivoted row by row, signed zeros included, and so
-    have its margin and witness."""
+def exact_values(menus, choices) -> dict:
+    """``reference_gordan`` of every sub-collection, in
+    ``itertools.combinations`` order, smallest first."""
+    n = len(menus)
+    return {subset: reference_gordan([menus[i] for i in subset], choices[list(subset)])
+            for size in range(1, n + 1) for subset in itertools.combinations(range(n), size)}
 
-    @settings(max_examples=300, deadline=None)
-    @given(lp_collections())
-    def test_margin_and_witness_match_row_by_row(self, drawn):
+
+class TestExactReference:
+    """Where the exact value is not within 1e-9 of zero, the float verdict,
+    its margin and the minimal sub-collection are the rationals'."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_collections())
+    # A sure 1 over 0.8 of 2, then 0.4 of 2 over the sure 1: each choice is
+    # consistent alone, and the pair's lines cross at t = 1/2, at value -0.2.
+    @example(([menu(lottery([1.0, 1.0], [1.0, 0.0]), lottery([0.0, 2.0], [0.2, 0.8])),
+               menu(lottery([1.0, 1.0], [1.0, 0.0]), lottery([0.0, 2.0], [0.6, 0.4]))],
+              np.array([0, 1])))
+    def test_verdict_margin_and_minimal_subset_match_the_exact_rule(self, drawn):
         menus, choices = drawn
-        grid, _ = on_merged_grid(lotteries_of(menus))
-        if grid.size < 2:
-            return
-        solve, built = simplex_lp.solve_max, []
+        exact = exact_values(menus, choices)
+        whole = exact[tuple(range(len(menus)))]
+        got = verify_menus(menus, choices)
+        if whole is None:
+            assert got.consistent and got.margin == 0.0
+        elif abs(whole) > 1e-9:
+            assert got.consistent == (whole > 0)
+            assert got.margin == pytest.approx(float(whole), abs=1e-12)
+        if all(v is None or abs(v) > 1e-9 for v in exact.values()):
+            want = next((s for s, v in exact.items() if v is not None and v < 0), None)
+            minimal = minimal_anomaly(collection(menus, 0.25 + 0.5 * choices))
+            assert (minimal and minimal[0]) == want
 
-        def recording(*lp):
-            built.append(lp)
-            return solve(*lp)
 
-        Q = np.array([[probs_on_grid(lot, grid) for lot in zip(Z, P)] for Z, P in menus])
-        with mock.patch.object(simplex_lp, "solve_max", recording):
-            (margin,), (witness,) = verifier._margin_lp(Q[None], choices[None])
-        ref_margin, ref_witness, ref_lp = reference_margin_lp(menus, choices, grid)
-        assert np.float64(margin).tobytes() == np.float64(ref_margin).tobytes()
-        assert witness.tobytes() == ref_witness.tobytes()
-        # A one-problem stack has the bytes of the one problem.
-        assert [v.tobytes() for v in built[0]] == [v.tobytes() for v in ref_lp]
+class TestSimplexValue:
+    """``simplex_lp.simplex_value`` on raw line sets."""
+
+    def test_two_rows_match_a_dense_scan_of_the_mixture(self):
+        rng = np.random.default_rng(7)
+        T = rng.normal(size=(500, 2, 6))
+        t = np.linspace(0.0, 1.0, 4001)[:, None]
+        scan = np.array([((1 - t) * a + t * b).max(axis=1).min() for a, b in T])
+        v = simplex_lp.simplex_value(T)
+        # The scan's points are feasible mixtures: it bounds v from above,
+        # by at most a line's slope times half the scan's step.
+        assert np.all(v <= scan + 1e-15) and np.all(scan - v <= 4 / 4000)
+
+    def test_padding_never_wins_and_a_row_keeps_its_bytes_in_any_stack(self):
+        rng = np.random.default_rng(8)
+        T = rng.uniform(-1, 1, size=(40, 2, 5))
+        alone = np.concatenate([simplex_lp.simplex_value(row[None]) for row in T])
+        padded = np.concatenate([T, np.full((40, 2, 7), verifier._PAD)], axis=-1)
+        assert simplex_lp.simplex_value(padded).tobytes() == alone.tobytes()
+        assert simplex_lp.simplex_value(T[:, :1]).tolist() == T[:, 0].max(axis=1).tolist()
+
+    def test_three_rows_rejected(self):
+        with pytest.raises(ValueError, match="1 or 2 rows"):
+            simplex_lp.simplex_value(np.zeros((1, 3, 4)))
+
+
+class TestTraps:
+    """Cases a naive exact rule or a careless float path gets wrong."""
+
+    def test_fosd_choice_against_a_lottery_short_of_one_stays_inconsistent(self):
+        # The other lottery takes 2**-53 off the chosen one's lowest payoff:
+        # its floats sum to 1 - 2**-53, and divided by that sum it puts more
+        # mass on 10 than the chosen one does, so it strictly dominates.
+        short = 0.5 - 2.0 ** -53
+        m = menu(lottery([0.0, 10.0], [0.5, 0.5]), lottery([0.0, 10.0], [short, 0.5]))
+        assert np.sum(m[1][1]) == 1.0 - 2.0 ** -53
+        assert not verify_collection(collection([m], [0.2])).consistent
+        assert reference_gordan([m], [0]) < 0
+        # Unnormalized, the chosen lottery carries 2**-53 more mass than the
+        # other, so a high enough utility level rationalizes the choice.
+        assert reference_gordan([m], [0], normalize=False) > 0
+
+    def test_dominated_consequence_pair_is_inconsistent_only_as_a_pair(
+            self, dc_example_collection):
+        Z, P, q = dc_example_collection
+        menus, choices = list(zip(Z, P)), implied_choices(q)
+        exact = exact_values(menus, choices)
+        assert exact[(0,)] > 1e-9 and exact[(1,)] > 1e-9 and exact[(0, 1)] < -1e-9
+        assert [verify_menus(menus[i:i + 1], choices[i:i + 1]).consistent
+                for i in (0, 1)] == [True, True]
+        subset, sub = minimal_anomaly(dc_example_collection)
+        assert subset == (0, 1) and not sub.consistent
+        assert categorize(dc_example_collection).tag == "dominated_consequence"
+
+    def test_allais_pair_is_consistent_on_the_diagonal_only(self, allais_menus):
+        # Off the diagonal the menus' tails cancel: the exact value is a tie
+        # within rounding of zero, which the margin threshold calls
+        # inconsistent; on it, the value is clear of zero.
+        Z, P = stack(allais_menus)
+        assert consistent_patterns(Z, P) == [(0, 0), (1, 1)]
+        for pattern in PATTERNS:
+            v = reference_gordan(list(allais_menus), np.array(pattern))
+            assert (v > 1e-9) if pattern in ((0, 0), (1, 1)) else (abs(v) < 1e-15)
 
 
 class TestIsAnomaly:
@@ -249,7 +325,7 @@ def dominance_menus(rng, n, J, boundary):
     if boundary:
         np.put_along_axis(P, rng.integers(J, size=(n, 2, 1)), 0.0, axis=-1)
         P /= P.sum(axis=-1, keepdims=True)
-    # Two identical lotteries are excluded: the LP calls either choice
+    # Two identical lotteries are excluded: the verifier calls either choice
     # inconsistent at margin 0, yet neither lottery strictly dominates.
     distinct = [np.ptp(on_merged_grid(list(zip(Zm, Pm)))[1], axis=0).max() > 1e-12
                 for Zm, Pm in zip(Z, P)]
