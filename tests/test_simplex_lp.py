@@ -1,195 +1,129 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from anomgen.simplex_lp import LpSolution, SimplexError, solve_max
-from conftest import reference_solve_max
+from anomgen import verifier
+from anomgen.simplex_lp import simplex_value
 
 
-def _stack(problems):
-    return [np.array(v) for v in zip(*problems)]
-
-
-def solve_one(c, A, b, **kwargs) -> LpSolution:
-    """The solution of one problem, solved as a stack of one."""
-    sol = solve_max(*_stack([(c, A, b)]), **kwargs)
-    return LpSolution(sol.x[0], sol.objective[0], sol.iterations[0])
-
-
-def brute_force_box_grid(c, A, b, resolution=60):
-    """Grid search over [0, ub]^n as an independent LP oracle."""
-    n = len(c)
-    # Upper bounds per coordinate implied by single-variable feasibility.
-    ubs = []
-    for j in range(n):
-        col = A[:, j]
-        pos = col > 1e-12
-        ubs.append(min((b[pos] / col[pos]).min() if pos.any() else 5.0, 5.0))
-    axes = [np.linspace(0, ub, resolution) for ub in ubs]
-    best = -np.inf
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    feasible = np.all(pts @ A.T <= b + 1e-9, axis=1)
-    if feasible.any():
-        best = (pts[feasible] @ c).max()
+def dual_value(lines) -> Fraction:
+    """The exact value of one line set (m, n), m in {1, 2}, from the dual
+    side of the minimax theorem: max over mixtures mu of the columns of
+    min_i sum_l mu_l T_il, in Fractions of the stored floats.  With two rows
+    the best mu is a pure column or mixes two columns l, k whose gaps
+    d = T_1 - T_2 have opposite signs, at the weight that closes the gap."""
+    rows = [[Fraction(float(x)) for x in row] for row in lines]
+    if len(rows) == 1:
+        return max(rows[0])
+    a, b = rows
+    best = max(min(al, bl) for al, bl in zip(a, b))
+    for l, k in itertools.combinations(range(len(a)), 2):
+        dl, dk = a[l] - b[l], a[k] - b[k]
+        if dl * dk < 0:
+            mu = dk / (dk - dl)
+            best = max(best, mu * a[l] + (1 - mu) * a[k])
     return best
 
 
-class TestSolveMax:
-    def test_textbook_instance(self):
-        # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18
-        sol = solve_one([3, 5], [[1, 0], [0, 2], [3, 2]], [4, 12, 18])
-        assert sol.objective == pytest.approx(36)
-        np.testing.assert_allclose(sol.x, [2, 6], atol=1e-9)
-
-    def test_degenerate_objective(self):
-        sol = solve_one([0, 0], [[1, 1]], [1])
-        assert sol.objective == pytest.approx(0)
-
-    def test_binding_box(self):
-        sol = solve_one([1, 1], [[1, 0], [0, 1]], [2, 3])
-        assert sol.objective == pytest.approx(5)
-
-    def test_unbounded_detected(self):
-        with pytest.raises(SimplexError, match="unbounded"):
-            solve_one([1], np.array([[-1.0]]), np.array([1.0]))
-
-    def test_negative_rhs_rejected(self):
-        with pytest.raises(SimplexError):
-            solve_one([1], np.array([[1.0]]), np.array([-1.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_one([1, 2], np.array([[1.0]]), np.array([1.0]))
-
-    def test_agrees_with_grid_oracle_on_random_instances(self):
-        rng = np.random.default_rng(0)
-        for _ in range(60):
-            n, m = rng.integers(1, 4), rng.integers(1, 5)
-            A = rng.uniform(0.1, 2.0, size=(m, n))
-            b = rng.uniform(0.5, 3.0, size=m)
-            c = rng.uniform(-1.0, 2.0, size=n)
-            sol = solve_one(c, A, b)
-            grid = brute_force_box_grid(c, A, b)
-            assert sol.objective >= grid - 0.15   # grid undershoots by mesh size
-            assert np.all(A @ sol.x <= b + 1e-9)
-            assert np.all(sol.x >= -1e-12)
-
-    def test_solution_feasibility_is_tight(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            n, m = rng.integers(1, 6), rng.integers(1, 8)
-            A = rng.uniform(0.05, 1.5, size=(m, n))
-            b = rng.uniform(0.2, 2.5, size=m)
-            c = rng.uniform(0.0, 1.0, size=n)
-            sol = solve_one(c, A, b)
-            # Optimality spot check: no single-coordinate increase is feasible.
-            for j in range(n):
-                if c[j] <= 1e-12:
-                    continue
-                slack = b - A @ sol.x
-                room = np.min(slack / np.maximum(A[:, j], 1e-12))
-                assert room < 1e-6
-
-    def test_rank_one_pivot_matches_row_loop(self):
-        # Exact zeros of both signs in A, b and c, where the rank-1 update and
-        # the row loop differ in the sign of a zero inside the tableau.
-        rng = np.random.default_rng(2)
-        for _ in range(400):
-            n, m = rng.integers(1, 8), rng.integers(1, 12)
-            A = rng.normal(0.3, 1.0, size=(m, n))
-            A[rng.random(A.shape) < 0.3] = 0.0
-            A[rng.random(A.shape) < 0.2] = -0.0
-            b = rng.uniform(0.0, 2.0, size=m)
-            b[rng.random(m) < 0.2] = 0.0
-            b[rng.random(m) < 0.2] = -0.0
-            c = rng.normal(0.2, 1.0, size=n)
-            c[rng.random(n) < 0.3] = -0.0
-            try:
-                x, objective, iterations = reference_solve_max(c, A, b)
-            except RuntimeError:
-                with pytest.raises(SimplexError):
-                    solve_one(c, A, b)
-                continue
-            sol = solve_one(c, A, b)
-            assert sol.x.tobytes() == x.tobytes()
-            assert (sol.objective, sol.iterations) == (objective, iterations)
+def random_lines(rng, count, m, n):
+    """count line sets (m, n): half of normal floats, half of quarters in
+    [-1, 1], which give exact ties, parallel lines and crossings at the ends
+    of [0, 1]."""
+    floats = rng.normal(size=(count - count // 2, m, n))
+    quarters = rng.integers(-4, 5, size=(count // 2, m, n)) / 4
+    return np.concatenate([floats, quarters])
 
 
-def _assert_matches_reference(sol, problems):
-    """Each problem of a stacked solve has the bytes of its reference solve."""
-    for r, (c, A, b) in enumerate(problems):
-        x, objective, iterations = reference_solve_max(c, A, b)
-        assert sol.x[r].tobytes() == x.tobytes()
-        assert np.float64(sol.objective[r]).tobytes() == np.float64(objective).tobytes()
-        assert sol.iterations[r] == iterations
+class TestKnownValues:
+    @pytest.mark.parametrize("T, v", [
+        ([[-1.0, 3.0, 2.0]], 3.0),
+        ([[2.0], [-1.0]], -1.0),
+        ([[1.0, -1.0], [-1.0, 1.0]], 0.0),
+        ([[-1.0, -2.0], [3.0, 1.0]], -1.0),
+        ([[3.0, 1.0], [-2.0, -1.0]], -1.0),
+        ([[0.0, 1.0], [1.0, 2.0]], 1.0),
+        ([[2.0, 0.0, -1.0], [-2.0, 0.0, 3.0]], 0.5),
+        ([[1.0, 1.0], [1.0, 1.0]], 1.0),
+    ], ids=["one-row", "one-line", "cross-at-half", "min-at-0", "min-at-1",
+            "parallel", "idle-middle-line", "equal-rows"])
+    def test_hand_computed_value(self, T, v):
+        assert simplex_value(np.array([T])).tolist() == [v]
 
 
-def _random_problems(rng, count, m, n):
-    """The sign-mixed problems of ``test_rank_one_pivot_matches_row_loop``,
-    of one size, that the row-loop reference solves."""
-    problems = []
-    while len(problems) < count:
-        A = rng.normal(0.3, 1.0, size=(m, n))
-        A[rng.random(A.shape) < 0.3] = 0.0
-        A[rng.random(A.shape) < 0.2] = -0.0
-        b = rng.uniform(0.0, 2.0, size=m)
-        b[rng.random(m) < 0.2] = 0.0
-        b[rng.random(m) < 0.2] = -0.0
-        c = rng.normal(0.2, 1.0, size=n)
-        c[rng.random(n) < 0.3] = -0.0
-        try:
-            reference_solve_max(c, A, b)
-        except RuntimeError:
-            continue
-        problems.append((c, A, b))
-    return problems
+class TestExactDual:
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (2, 1), (2, 2), (2, 3), (2, 8)])
+    def test_value_matches_the_exact_dual(self, m, n):
+        T = random_lines(np.random.default_rng(10 * m + n), 300, m, n)
+        for lines, v in zip(T, simplex_value(T)):
+            assert v == pytest.approx(float(dual_value(lines)), abs=1e-12), lines
 
 
-# A ratio tie at the second pivot whose smallest basic index is not in the
-# first minimal row: Bland's rule solves it in 2 pivots, the first minimal
-# row would take 3.
-BLAND_TIE = ([1.0, 2.0], [[1.0, 1.0], [2.0, 1.0], [2.0, 0.0]], [1.0, 1.0, 1.0])
+class TestStacks:
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (2, 7)])
+    def test_each_row_of_a_stack_has_the_bytes_of_its_own_value(self, m, n):
+        T = random_lines(np.random.default_rng(m * 100 + n), 60, m, n)
+        alone = np.concatenate([simplex_value(lines[None]) for lines in T])
+        assert simplex_value(T).tobytes() == alone.tobytes()
+        assert simplex_value(T[::-1]).tobytes() == alone[::-1].tobytes()
+
+    def test_padding_never_wins_and_a_row_keeps_its_bytes_in_any_stack(self):
+        rng = np.random.default_rng(8)
+        T = rng.uniform(-1, 1, size=(40, 2, 5))
+        alone = np.concatenate([simplex_value(row[None]) for row in T])
+        padded = np.concatenate([T, np.full((40, 2, 7), verifier._PAD)], axis=-1)
+        assert simplex_value(padded).tobytes() == alone.tobytes()
+        assert simplex_value(T[:, :1]).tolist() == T[:, 0].max(axis=1).tolist()
+
+    def test_one_row_stack_keeps_one_value(self):
+        assert simplex_value(np.zeros((1, 2, 3))).shape == (1,)
+
+    def test_empty_stack_gives_no_values(self):
+        assert simplex_value(np.zeros((0, 2, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("m", [0, 3, 5])
+    def test_other_row_counts_rejected(self, m):
+        with pytest.raises(ValueError, match="1 or 2 rows"):
+            simplex_value(np.zeros((1, m, 4)))
 
 
-class TestStackedSolveMax:
-    @pytest.mark.parametrize("m, n", [(1, 1), (3, 2), (7, 3), (11, 7)])
-    def test_each_problem_of_a_stack_matches_its_own_solve(self, m, n):
-        problems = _random_problems(np.random.default_rng(m * 100 + n), 60, m, n)
-        sol = solve_max(*_stack(problems))
-        _assert_matches_reference(sol, problems)
-        if m > 1:
-            assert len(set(sol.iterations.tolist())) > 1      # mixed pivot counts
+class TestShape:
+    def test_two_rows_match_a_dense_scan_of_the_mixture(self):
+        rng = np.random.default_rng(7)
+        T = rng.normal(size=(500, 2, 6))
+        t = np.linspace(0.0, 1.0, 4001)[:, None]
+        scan = np.array([((1 - t) * a + t * b).max(axis=1).min() for a, b in T])
+        v = simplex_value(T)
+        # The scan's points are feasible mixtures: it bounds v from above,
+        # by at most a line's slope times half the scan's step.
+        assert np.all(v <= scan + 1e-15) and np.all(scan - v <= 4 / 4000)
 
-    def test_bland_tie_in_a_stack(self):
-        problems = [BLAND_TIE] + _random_problems(np.random.default_rng(5), 5, 3, 2)
-        _assert_matches_reference(solve_max(*_stack(problems)), problems)
-        assert solve_one(*BLAND_TIE).iterations == 2
+    # Doubling is exact in floats, and permuting or duplicating columns
+    # leaves the set of crossings as it is: the value keeps its bytes.
+    @pytest.mark.parametrize("transform, expected", [
+        (lambda T: 2.0 * T, lambda v: 2.0 * v),
+        (lambda T: T[:, :, ::-1], lambda v: v),
+        (lambda T: np.concatenate([T, T[:, :, :2]], axis=-1), lambda v: v),
+    ], ids=["doubled", "columns-reversed", "columns-duplicated"])
+    def test_exact_invariance(self, transform, expected):
+        T = random_lines(np.random.default_rng(9), 200, 2, 4)
+        assert simplex_value(transform(T)).tobytes() == expected(simplex_value(T)).tobytes()
 
-    def test_one_problem_stack_keeps_one_solution_per_problem(self):
-        stacked = solve_max(*_stack([BLAND_TIE]))
-        assert stacked.x.shape == (1, 2) and stacked.iterations.shape == (1,)
-        assert stacked.objective.shape == (1,)
-        _assert_matches_reference(stacked, [BLAND_TIE])
+    # Shifting every line moves the value by the shift; swapping the rows
+    # maps t to 1 - t.  Both round differently.
+    @pytest.mark.parametrize("transform, expected", [
+        (lambda T: T + 0.3, lambda v: v + 0.3),
+        (lambda T: T[:, ::-1], lambda v: v),
+    ], ids=["shifted", "rows-swapped"])
+    def test_invariance_up_to_rounding(self, transform, expected):
+        T = random_lines(np.random.default_rng(11), 200, 2, 4)
+        np.testing.assert_allclose(simplex_value(transform(T)), expected(simplex_value(T)),
+                                   rtol=0, atol=1e-12)
 
-    def test_two_dimensional_problem_rejected(self):
-        with pytest.raises(ValueError):
-            solve_max(*BLAND_TIE)
+    def test_a_second_row_never_raises_the_value(self):
+        # Mixing in a second menu only adds choices to the minimizer.
+        T = random_lines(np.random.default_rng(12), 300, 2, 5)
+        both = simplex_value(T)
+        assert np.all(both <= simplex_value(T[:, :1])) and np.all(both <= simplex_value(T[:, 1:]))
 
-    def test_an_unbounded_problem_fails_the_stack(self):
-        problems = [([1.0], [[1.0]], [1.0]), ([1.0], [[-1.0]], [1.0]), ([1.0], [[2.0]], [1.0])]
-        with pytest.raises(SimplexError, match="^unbounded LP$"):
-            solve_max(*_stack(problems))
-
-    def test_a_problem_at_the_iteration_limit_fails_the_stack(self):
-        # The textbook instance takes more pivots than the others.
-        problems = [([3.0, 5.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]], [4.0, 12.0, 18.0]),
-                    ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0])]
-        iterations = solve_max(*_stack(problems)).iterations
-        assert iterations.tolist() == [reference_solve_max(*p)[2] for p in problems]
-        solve_max(*_stack(problems), max_iter=int(iterations.max()) + 1)
-        with pytest.raises(SimplexError, match="^iteration limit reached$"):
-            solve_max(*_stack(problems), max_iter=int(iterations.max()))
-
-    def test_stacked_dimensions_checked(self):
-        with pytest.raises(ValueError):
-            solve_max(np.ones((2, 2)), np.ones((2, 3, 2)), np.ones((1, 3)))

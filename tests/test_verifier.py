@@ -227,32 +227,6 @@ class TestExactReference:
             assert (minimal and minimal[0]) == want
 
 
-class TestSimplexValue:
-    """``simplex_lp.simplex_value`` on raw line sets."""
-
-    def test_two_rows_match_a_dense_scan_of_the_mixture(self):
-        rng = np.random.default_rng(7)
-        T = rng.normal(size=(500, 2, 6))
-        t = np.linspace(0.0, 1.0, 4001)[:, None]
-        scan = np.array([((1 - t) * a + t * b).max(axis=1).min() for a, b in T])
-        v = simplex_lp.simplex_value(T)
-        # The scan's points are feasible mixtures: it bounds v from above,
-        # by at most a line's slope times half the scan's step.
-        assert np.all(v <= scan + 1e-15) and np.all(scan - v <= 4 / 4000)
-
-    def test_padding_never_wins_and_a_row_keeps_its_bytes_in_any_stack(self):
-        rng = np.random.default_rng(8)
-        T = rng.uniform(-1, 1, size=(40, 2, 5))
-        alone = np.concatenate([simplex_lp.simplex_value(row[None]) for row in T])
-        padded = np.concatenate([T, np.full((40, 2, 7), verifier._PAD)], axis=-1)
-        assert simplex_lp.simplex_value(padded).tobytes() == alone.tobytes()
-        assert simplex_lp.simplex_value(T[:, :1]).tolist() == T[:, 0].max(axis=1).tolist()
-
-    def test_three_rows_rejected(self):
-        with pytest.raises(ValueError, match="1 or 2 rows"):
-            simplex_lp.simplex_value(np.zeros((1, 3, 4)))
-
-
 class TestTraps:
     """Cases a naive exact rule or a careless float path gets wrong."""
 
