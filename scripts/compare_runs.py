@@ -20,21 +20,22 @@ a run cannot be read.
 With ``--rates`` the records of several OLD and several NEW directories
 (several seeds, say) are pooled, and each procedure's rates are compared
 instead: the shares of parametrized-inconsistent and of any-utility
-(fully verified) inconsistent records, of the records in each anomaly
-category seen (``category=<tag>``) and of the non-FOSD anomalies and, for
-the searches, the share of runs of at most one step, each ``stop`` reason's
-share (``max_iters`` is the share that hit the cap) and the mean step
-count.  A share gets a Wilson 95% interval (Wilson 1927) on each side, and
-its difference NEW - OLD Newcombe's hybrid score interval (Newcombe 1998,
-method 10); the mean's difference gets a normal interval.  The difference
-intervals hold jointly at 95%: each is at the Bonferroni level 1 - 0.05 / k
-over the k differences compared.  One JSON line is printed per comparison,
-then a summary line, which also gives on each side each search's lift over
-the random-pair baseline: the ratio of its parametrized and of its
-any-utility share to the baseline's, with a 95% interval; the lift is not
-compared.  The exit status is 1 when a difference interval excludes 0 or a
-procedure is in one set only, 0 when none is and 2 when a run cannot be
-read.
+(fully verified) inconsistent records, of pair anomalies (``pair_anomaly``:
+records whose minimal inconsistent sub-collection holds both menus), of the
+records in each anomaly category seen (``category=<tag>``) and of the
+non-FOSD anomalies and, for the searches, the share of runs of at most one
+step, each ``stop`` reason's share (``max_iters`` is the share that hit the
+cap) and the mean step count.  A share gets a Wilson 95% interval (Wilson
+1927) on each side, and its difference NEW - OLD Newcombe's hybrid score
+interval (Newcombe 1998, method 10); the mean's difference gets a normal
+interval.  The difference intervals hold jointly at 95%: each is at the
+Bonferroni level 1 - 0.05 / k over the k differences compared.  One JSON
+line is printed per comparison, then a summary line, which also gives on
+each side each search's lift over the random-pair baseline: the ratio of
+its parametrized and of its any-utility share to the baseline's, with a 95%
+interval; the lift is not compared.  The exit status is 1 when a difference
+interval excludes 0 or a procedure is in one set only, 0 when none is and 2
+when a run cannot be read.
 
     python scripts/compare_runs.py --rates --old runs/p23 runs/p1729 \
         --new runs/n23 runs/n1729
@@ -49,7 +50,7 @@ from collections import Counter, defaultdict
 from glob import glob
 from statistics import NormalDist, fmean, variance
 
-from anomgen.records import read_jsonl
+from anomgen.records import pair_anomaly, read_jsonl
 
 VERDICTS = ("parametrized_inconsistent", "any_utility_inconsistent")
 VERDICT_KEYS = ("implied_choices", *VERDICTS, "anomaly_minimal_indices")
@@ -162,6 +163,7 @@ def rate_samples(recs, stops, tags) -> dict:
         proc = rec["procedure"]
         for verdict in VERDICTS:
             out[proc, verdict].append(int(bool(rec[verdict])))
+        out[proc, "pair_anomaly"].append(int(pair_anomaly(rec)))
         tag = verdicts(rec)["category"]
         for name in tags:
             out[proc, f"category={name}"].append(int(tag == name))

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 
 from anomgen.cli import cluster_rows, run_command
-from anomgen.records import read_lines, write_jsonl
+from anomgen.records import pair_anomaly, read_lines, write_jsonl
 
 
 def sh(argv):
@@ -88,6 +88,7 @@ def main(argv=None):
                 counts["records"] += 1
                 counts["parametrized"] += rec.get("parametrized_inconsistent", False)
                 counts["full"] += rec.get("any_utility_inconsistent", False)
+                counts["pairs"] += pair_anomaly(rec)
                 if rows is not None:
                     rows += cluster_rows([rec])
                 yield line
@@ -107,8 +108,10 @@ def main(argv=None):
         pass
     n_par = pooled["parametrized"]
     print(f"\npooled runs: {pooled['records']}  parametrized-inconsistent: {n_par} "
-          f"({n_par / pooled['records']:.1%})  fully verified: {pooled['full']}")
-    print(f"baseline pairs: {baseline['records']}  fully verified: {baseline['full']}")
+          f"({n_par / pooled['records']:.1%})  fully verified: {pooled['full']}  "
+          f"pair anomalies: {pooled['pairs']}")
+    print(f"baseline pairs: {baseline['records']}  fully verified: {baseline['full']}  "
+          f"pair anomalies: {baseline['pairs']}")
     print(f"elapsed: {time.time() - start:.0f}s")
     with open(path("report.csv"), encoding="utf-8") as fh:
         print("\n" + fh.read())

@@ -3,13 +3,14 @@
 Two-payoff pairs are matched against three compounding operations that mix
 each lottery of a base menu with a degenerate payoff: both mixed toward their
 low payoffs (dominated consequence), both toward their high payoffs (reverse
-dominated consequence), or ell0 down and ell1 up (strict dominance).  The
-choices fix the roles: the base menu's chosen lottery is ell1, the compound
-menu's chosen lottery is comp0.  Direct dominance violations are tagged
-first.  Three-payoff pairs are instead decomposed as compound lotteries over
-shared two-payoff components: a family's two lotteries lie on one chord of
-the probability simplex, whose two ends are the components, so two different
-lotteries on at most three payoffs always split.
+dominated consequence), or ell0 down and ell1 up (strict dominance).  A
+compound lottery is a point on the chord from its anchor's point mass to its
+base lottery.  The choices fix the roles: the base menu's chosen lottery is
+ell1, the compound menu's chosen lottery is comp0.  Direct dominance
+violations are tagged first.  Three-payoff pairs are instead decomposed as
+compound lotteries over shared two-payoff components: a family's two
+lotteries lie on one chord of the probability simplex, whose two ends are the
+components, so two different lotteries on at most three payoffs always split.
 
 A collection is a record's arrays (``lotteries.Collection``), and a lottery
 a (payoffs, probs) pair of vectors.  Every category but ``other`` has one
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,37 +61,25 @@ def _lottery(collection: Collection, i: int, l: int) -> tuple:
 
 def solve_degenerate_mix(base, candidate, anchor: float, tol: float = DEFAULT_TOL):
     """alpha in [0, 1] with candidate = alpha * base + (1 - alpha) * delta(anchor),
-    for lotteries given as (payoffs, probs) vectors.
+    for (payoffs, probs) lotteries whose payoffs include the anchor, or None.
 
-    Returns None when no alpha reproduces the candidate within tolerance.
+    The candidate must lie on the chord from the anchor's point mass e to the
+    base: on the merged grid alpha projects c = p_candidate - e onto
+    d = p_base - e, and max |c - alpha d| <= tol, over every coordinate, decides.
+    A base within ``tol`` of e spans no chord and takes alpha = 1.
     """
     grid, (pb, pc) = on_merged_grid([base, candidate])
     payoff_tol = max(tol, PAYOFF_MERGE_TOL)
-    if not np.any(np.abs(base[0] - anchor) <= payoff_tol):
+    at = int(np.argmin(np.abs(grid - anchor)))
+    if max(np.min(np.abs(base[0] - anchor)), abs(grid[at] - anchor)) > payoff_tol:
         return None
-    anchor_idx = int(np.argmin(np.abs(grid - anchor)))
-    if abs(grid[anchor_idx] - anchor) > payoff_tol:
-        return None
-    mask = np.ones(grid.size, dtype=bool)
-    mask[anchor_idx] = False
-    pb_o, pc_o = pb[mask], pc[mask]
-    if np.any((pb_o <= tol) & (pc_o > tol)):
-        return None
-    active = pb_o > tol
-    if not np.any(active):
-        # Base is (numerically) the degenerate anchor lottery itself.
-        if np.all(pc_o <= tol):
-            return 1.0
-        return None
-    alpha = float(pc_o[active] @ pb_o[active] / (pb_o[active] @ pb_o[active]))
+    d, c = (p - np.eye(grid.size)[at] for p in (pb, pc))
+    # fsum, not a BLAS dot, so that alpha's bits do not depend on the kernel.
+    alpha = math.fsum(c * d) / math.fsum(d * d) if np.max(np.abs(d)) > tol else 1.0
     if not -tol <= alpha <= 1 + tol:
         return None
-    alpha = float(np.clip(alpha, 0.0, 1.0))
-    if np.max(np.abs(pc_o - alpha * pb_o)) > tol:
-        return None
-    if abs(pc[anchor_idx] - (alpha * pb[anchor_idx] + (1 - alpha))) > tol:
-        return None
-    return alpha
+    alpha = min(max(alpha, 0.0), 1.0)
+    return alpha if np.max(np.abs(c - alpha * d)) <= tol else None
 
 
 # tag -> (anchor sides of ell0 and ell1, (i, k) when alpha_i >= alpha_k must hold)

@@ -156,11 +156,12 @@ def cmd_verify(args) -> int:
     recs = (rec for rec, _ in records.read_lines(args.inp))
     next(recs)  # the header, which read_lines checks
     flags = ("parametrized_inconsistent", "any_utility_inconsistent", "fit_on_bound")
-    counts = dict.fromkeys(("records", *flags, "fit_unconverged"), 0)
+    counts = dict.fromkeys(("records", *flags, "pair_anomalies", "fit_unconverged"), 0)
 
     def counted(verified):
         for rec in verified:
             counts["records"] += 1
+            counts["pair_anomalies"] += records.pair_anomaly(rec)
             counts["fit_unconverged"] += not rec["fit_converged"]
             for flag in flags:
                 counts[flag] += rec[flag]
@@ -277,7 +278,7 @@ def cmd_report(args) -> int:
     start = time.perf_counter()
     lines = records.read_lines(args.inp, expected_kind="categorized")
     next(lines)
-    n_records, seen, counts = 0, set(), Counter()
+    n_records, pairs, seen, counts = 0, 0, set(), Counter()
     for r, _ in lines:
         n_records += 1
         p = str(r.get("predictor"))
@@ -285,12 +286,14 @@ def cmd_report(args) -> int:
         if not r.get("any_utility_inconsistent"):
             continue
         counts[(_category_tag(r), p)] += 1
+        pairs += records.pair_anomaly(r)
     predictors = sorted(seen)
     rows = [[tag] + [counts[(tag, p)] for p in predictors] for tag in CATEGORY_TAGS]
     totals = [sum(counts[(tag, p)] for tag in CATEGORY_TAGS) for p in predictors]
     rows.append(["total"] + totals)
     records.write_csv(args.out, ["category"] + predictors, rows)
-    return _summary(command="report", records=n_records, anomalies=sum(totals), out=args.out,
+    return _summary(command="report", records=n_records, anomalies=sum(totals),
+                    pair_anomalies=pairs, out=args.out,
                     **_throughput(start, n_records, "records"))
 
 

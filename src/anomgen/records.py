@@ -120,6 +120,14 @@ def record_to_collection(record: dict) -> Collection:
     return Collection(Z[0], P[0], q[0])
 
 
+def pair_anomaly(record: dict) -> bool:
+    """Whether a verified record is a pair anomaly: its minimal inconsistent
+    sub-collection (``anomaly_minimal_indices``) holds every one of its two
+    or more menus, so no menu's choice is inconsistent on its own."""
+    minimal = record.get("anomaly_minimal_indices") or ()
+    return 1 < len(minimal) == len(record.get("menus", ()))
+
+
 def atomic_write_lines(path, lines, end: str = "\n") -> None:
     """Write each of ``lines`` and ``end`` to ``path`` in UTF-8 as they come,
     through a temp file and an atomic rename: a failure partway, in writing

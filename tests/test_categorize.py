@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,60 @@ class TestSolveDegenerateMix:
     def test_anchor_must_be_base_payoff(self):
         base = lottery([1, 5], [0.5, 0.5])
         assert solve_degenerate_mix(base, base, 3.0) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(payoffs=st.lists(st.integers(0, 100), min_size=3, max_size=3, unique=True),
+           n_payoffs=st.sampled_from([2, 3]),
+           weights=st.lists(st.integers(1, 1000), min_size=3, max_size=3),
+           face=st.sampled_from([None, 0, 1, 2]),
+           high=st.booleans(),
+           alpha=st.fractions(0, 1, max_denominator=1000))
+    def test_an_exact_compound_is_recovered_on_its_chord(
+            self, payoffs, n_payoffs, weights, face, high, alpha):
+        # A base inside the simplex or on a face (one probability 0), its
+        # anchor at the lowest or the highest payoff, and the candidate
+        # alpha * base + (1 - alpha) * delta(anchor) built in rationals.
+        z = np.sort(payoffs[:n_payoffs]).astype(float)
+        weights = weights[:n_payoffs]
+        if face is not None and face < n_payoffs:
+            weights[face] = 0
+        k = n_payoffs - 1 if high else 0
+        exact = [Fraction(w, sum(weights)) for w in weights]
+        delta = [Fraction(int(i == k)) for i in range(n_payoffs)]
+        mixed = [alpha * p + (1 - alpha) * e for p, e in zip(exact, delta)]
+        base, cand = (z, np.array(exact, dtype=float)), (z, np.array(mixed, dtype=float))
+        d = base[1] - np.array(delta, dtype=float)
+        got = solve_degenerate_mix(base, cand, z[k])
+        if not d.any():
+            # The base is delta(anchor) itself: no chord, and alpha = 1.
+            assert got == 1.0
+        else:
+            assert got is not None and 0.0 <= got <= 1.0
+        if np.max(np.abs(d)) >= 0.01:
+            assert abs(got - alpha) <= 1e-12
+        # An anchor that is not a base payoff is no anchor.
+        assert solve_degenerate_mix(base, cand, z[k] + 0.5) is None
+        if n_payoffs == 3:
+            # Off the chord by 10 tol: along the direction of the plane
+            # sum(p) = 1 that is orthogonal to the chord.
+            off = np.cross(d, np.ones(3))
+            moved = (z, cand[1] + 10 * DEFAULT_TOL * off / np.max(np.abs(off)))
+            assert solve_degenerate_mix(base, moved, z[k]) is None
+
+    @pytest.mark.parametrize("n_payoffs", [2, 3])
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 0.9, 1.1, 2.0, 10.0])
+    def test_a_base_at_the_anchor_takes_alpha_one_near_it_and_none_away(self, n_payoffs, scale):
+        # delta(anchor) spans no chord: a candidate within tol of it is
+        # alpha = 1, and one further away is no compound of it.
+        z = np.array([1.0, 4.0, 9.0][:n_payoffs])
+        rng = np.random.default_rng(n_payoffs)
+        for k in (0, n_payoffs - 1):
+            base = (z, np.eye(n_payoffs)[k])
+            for _ in range(20):
+                move = rng.dirichlet(np.ones(n_payoffs)) - base[1]
+                cand = (z, base[1] + scale * DEFAULT_TOL * move / np.max(np.abs(move)))
+                got = solve_degenerate_mix(base, cand, z[k])
+                assert got == (1.0 if scale <= 1.0 else None)
 
 
 class TestTwoPayoffCategorization:

@@ -459,6 +459,34 @@ class TestPipelineCommands:
         assert recs[0]["any_utility_inconsistent"] is True
         assert recs[0]["min_kl"] == pytest.approx(0.1927, abs=1e-3)
 
+    def test_pair_anomalies_are_counted_apart_from_dominated_choices(
+            self, tmp_path, capsys, dc_example_collection):
+        # A dominated choice is an anomaly of its own menu; the
+        # dominated-consequence pair is inconsistent only as a pair.
+        dominated = collection([menu(lottery([5, 6], [0.5, 0.5]), lottery([6, 7], [0.5, 0.5])),
+                                menu(lottery([2, 8], [0.5, 0.5]), lottery([1, 9], [0.4, 0.6]))],
+                               [0.2, 0.8])
+        os.chdir(tmp_path)
+        write_jsonl("c.jsonl", [reference_record(dc_example_collection, "dc-000000"),
+                                reference_record(dominated, "fosd-000000")], kind="candidates")
+        verify = run_ok(["verify", "--in", "c.jsonl", "--out", "v.jsonl"], capsys)
+        assert (verify["any_utility_inconsistent"], verify["pair_anomalies"]) == (2, 1)
+        _, recs = read_jsonl("v.jsonl")
+        assert [r["anomaly_minimal_indices"] for r in recs] == [[0, 1], [0]]
+        assert [records.pair_anomaly(r) for r in recs] == [True, False]
+        run_ok(["categorize", "--in", "v.jsonl", "--out", "cat.jsonl"], capsys)
+        _, recs = read_jsonl("cat.jsonl")
+        assert [r["category"]["tag"] for r in recs] == ["dominated_consequence", "fosd"]
+        report = run_ok(["report", "--in", "cat.jsonl", "--out", "r.csv"], capsys)
+        assert (report["anomalies"], report["pair_anomalies"]) == (2, 1)
+
+    def test_a_single_menu_is_no_pair_anomaly(self):
+        # Its minimal sub-collection holds its one menu, and no pair.
+        rec = {"menus": [{}], "anomaly_minimal_indices": [0]}
+        assert not records.pair_anomaly(rec)
+        assert records.pair_anomaly({**rec, "menus": [{}, {}], "anomaly_minimal_indices": [0, 1]})
+        assert not records.pair_anomaly({**rec, "anomaly_minimal_indices": None})
+
     def test_verified_records_flag_fits_on_the_ball(self, tmp_path, capsys):
         # Seed 3, run 0 ends on a collection whose best fit lies on the
         # coefficient ball; run 1 is fit inside it.

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from anomgen.records import read_jsonl, write_jsonl
+from anomgen.records import pair_anomaly, read_jsonl, write_jsonl
 from conftest import write_anomalies
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +32,19 @@ def test_desk_script_runs(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()
     assert (tmp_path / "desk/report.csv").is_file()
+    # Each verify summary, the report summary and the closing lines count
+    # the pair anomalies of the streams they read.
+    streams = {stem: read_jsonl(tmp_path / f"desk/{stem}_categorized.jsonl")[1]
+               for stem in ("adversarial", "morph", "baseline")}
+    pairs = {stem: sum(map(pair_anomaly, recs)) for stem, recs in streams.items()}
+    summaries = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("{")]
+    assert [s["pair_anomalies"] for s in summaries if s["command"] == "verify"] == \
+        list(pairs.values())
+    (report,) = [s for s in summaries if s["command"] == "report"]
+    pooled = pairs["adversarial"] + pairs["morph"]
+    assert report["pair_anomalies"] == pooled
+    closing = [line for line in out.stdout.splitlines() if "pair anomalies:" in line]
+    assert [line.rsplit(": ", 1)[1] for line in closing] == [str(pooled), str(pairs["baseline"])]
 
 
 def test_desk_script_runs_the_configured_predictor(tmp_path):
@@ -239,7 +252,8 @@ class TestCompareRates:
         quantities = {(e["procedure"], e["quantity"]) for e in entries}
         assert {("morphing", "stop=max_iters"), ("morphing", "mean_steps"),
                 ("adversarial", "at_most_one_step"),
-                ("baseline", "any_utility_inconsistent")} <= quantities
+                ("baseline", "any_utility_inconsistent"), ("adversarial", "pair_anomaly"),
+                ("baseline", "pair_anomaly")} <= quantities
         for e in entries:
             assert e["difference"] == 0.0 and e["interval"][0] <= 0.0 <= e["interval"][1]
             assert e["old"] == e["new"]
