@@ -181,10 +181,11 @@ class TestSolveDegenerateMix:
             assert solve_degenerate_mix(base, moved, z[k]) is None
 
     @pytest.mark.parametrize("n_payoffs", [2, 3])
-    @pytest.mark.parametrize("scale", [0.0, 0.5, 0.9, 1.1, 2.0, 10.0])
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 10.0])
     def test_a_base_at_the_anchor_takes_alpha_one_near_it_and_none_away(self, n_payoffs, scale):
         # delta(anchor) spans no chord: a candidate within tol of it is
-        # alpha = 1, and one further away is no compound of it.
+        # alpha = 1, and one further away is no compound of it.  A move of
+        # exactly tol is left out: 1 - tol rounds to a residual just past tol.
         z = np.array([1.0, 4.0, 9.0][:n_payoffs])
         rng = np.random.default_rng(n_payoffs)
         for k in (0, n_payoffs - 1):
