@@ -34,7 +34,7 @@ from . import records
 from .basis import basis_from_config, domain_fault
 from .config import ConfigError, PipelineConfig, build_predictor, load_config, parse_config
 from .data import load_dataset, save_dataset, simulate_choices
-from .lotteries import Collection, draw_menus, implied_choices, merge_payoff_grids, run_rng
+from .lotteries import draw_menus, implied_choices, merge_payoff_grids, run_rng
 
 
 def _summary(**kwargs) -> int:
@@ -128,9 +128,9 @@ def cmd_generate(args) -> int:
 def _verify_chunk(cfg: PipelineConfig, recs) -> list:
     """Write the verdicts into a block of records and return it.  One stack
     per shape (``records.stack_records``) takes one fit and one closed-form
-    any-utility value per row; an inconsistent row goes to ``minimal_anomaly``; a
+    any-utility verdict per row, which names its minimal sub-collection; a
     record ``size_fault`` or ``domain_fault`` rejects raises ValueError naming it."""
-    from .verifier import minimal_anomaly, parametrized_verdicts, size_fault, utility_verdicts
+    from .verifier import parametrized_verdicts, size_fault, utility_verdicts
 
     basis = basis_from_config(cfg.theory_basis)
     for rows, Z, P, q in records.stack_records(recs):
@@ -139,14 +139,12 @@ def _verify_chunk(cfg: PipelineConfig, recs) -> list:
             raise ValueError(f"record {recs[rows[fault[0]]].get('id')!r}: {fault[1]}")
         pvs = parametrized_verdicts(basis, Z, P, q, cfg.kl_threshold)
         avs = utility_verdicts(Z, P, implied_choices(q), cfg.margin_threshold, merged)
-        for i, pv, av, *row in zip(rows, pvs, avs, Z, P, q):
-            minimal = None if av.consistent else minimal_anomaly(Collection(*row),
-                                                                 cfg.margin_threshold)
+        for i, pv, av in zip(rows, pvs, avs):
             recs[i].update(
                 min_kl=pv.min_kl, parametrized_inconsistent=pv.inconsistent,
                 fit_converged=pv.converged, fit_on_bound=pv.on_norm_bound,
                 any_utility_inconsistent=not av.consistent, margin=av.margin,
-                anomaly_minimal_indices=list(minimal[0]) if minimal else None)
+                anomaly_minimal_indices=av.minimal)
     return recs
 
 

@@ -122,8 +122,8 @@ def record_to_collection(record: dict) -> Collection:
 
 def pair_anomaly(record: dict) -> bool:
     """Whether a verified record is a pair anomaly: its minimal inconsistent
-    sub-collection (``anomaly_minimal_indices``) holds every one of its two
-    or more menus, so no menu's choice is inconsistent on its own."""
+    sub-collection (``anomaly_minimal_indices``) holds both of its two
+    menus, so no menu's choice is inconsistent on its own."""
     minimal = record.get("anomaly_minimal_indices") or ()
     return 1 < len(minimal) == len(record.get("menus", ()))
 

@@ -18,14 +18,15 @@ than speed.  The per-collection functions ``verify_collection`` and
 ``verify_parametrized`` are one-collection stacks; a collection is a
 record's arrays (``lotteries.Collection``: Z and P (m, 2, J), q (m,)).
 
-``minimal_anomaly`` adds the minimality requirement: a collection is an
-anomaly (inconsistent, with every proper subset consistent) exactly when the
-smallest inconsistent sub-collection it returns is the whole collection.
+A verdict also names the collection's smallest inconsistent sub-collection,
+``minimal``: menu i alone is the same value read at the mixture lambda = e_i,
+its largest tail on the collection's grid.  A collection is an anomaly
+(Definition 2: inconsistent, with every proper subset consistent) exactly
+when ``minimal`` holds all of its indices; ``minimal_anomaly`` reads it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ _PAD = -1e300
 class VerificationResult:
     consistent: bool
     margin: float
+    minimal: tuple[int, ...] | None = None
 
 
 def size_fault(Z, sizes) -> tuple[int, str] | None:
@@ -72,9 +74,11 @@ def utility_verdicts(Z, P, choices, margin_threshold: float = MARGIN_THRESHOLD,
     alternative no d > 0 meets every menu's ask exactly when some mixture
     lambda of the menus has sum_i lambda_i T_i <= 0, so the collection is
     consistent when v = min_lambda max_l sum_i lambda_i T_il exceeds
-    ``margin_threshold``, and v is its margin.  A grid of one payoff is
-    vacuously consistent at margin 0.  A collection too large to verify
-    (``size_fault``) raises ValueError."""
+    ``margin_threshold``, and v is its margin.  An inconsistent collection's
+    ``minimal`` is (i,) for the first menu refuted alone, its value at
+    lambda = e_i, max_l T_il, at or below the threshold; else every index.
+    A grid of one payoff is vacuously consistent at margin 0.  A collection
+    too large to verify (``size_fault``) raises ValueError."""
     _, sizes, Q = merge_payoff_grids(Z, P) if merged is None else merged
     if fault := size_fault(Z, sizes):
         raise ValueError(fault[1])
@@ -82,10 +86,14 @@ def utility_verdicts(Z, P, choices, margin_threshold: float = MARGIN_THRESHOLD,
     diff = Q[r, i, choices] - Q[r, i, 1 - choices]
     tails = np.cumsum(diff[..., ::-1], axis=-1)[..., -2::-1]     # grid points 2..n
     on_grid = np.arange(1, Q.shape[-1]) < sizes[:, None, None]
-    values = simplex_lp.simplex_value(np.where(on_grid, tails, _PAD))
+    tails = np.where(on_grid, tails, _PAD)
+    values = simplex_lp.simplex_value(tails)
+    alone = tails.max(axis=-1) <= margin_threshold
+    whole = tuple(range(choices.shape[1]))
     return [VerificationResult(True, 0.0) if k < 2
-            else VerificationResult(bool(v > margin_threshold), float(v))
-            for k, v in zip(sizes, values)]
+            else VerificationResult(True, float(v)) if v > margin_threshold
+            else VerificationResult(False, float(v), (int(a.argmax()),) if a.any() else whole)
+            for k, v, a in zip(sizes, values, alone)]
 
 
 def verify_collection(collection: Collection,
@@ -97,27 +105,12 @@ def verify_collection(collection: Collection,
 
 def minimal_anomaly(collection: Collection,
                     margin_threshold: float = MARGIN_THRESHOLD):
-    """Smallest inconsistent sub-collection, or None if consistent.
-
-    A candidate pair whose one menu is already a dominance violation yields
-    that singleton; a pair inconsistent only jointly yields the pair itself.
-    Subsets are judged at the same margin threshold as the full collection,
-    the subsets of one size as one stack, and the first inconsistent one in
-    ``itertools.combinations`` order is returned.  The collection is an
-    anomaly (Definition 2) exactly when the returned subset holds all of its
-    indices.
-    """
-    Z, P, q = collection
-    choices = implied_choices(q)
-    n = len(choices)
-    for size in range(1, n + 1):
-        subsets = list(itertools.combinations(range(n), size))
-        idx = np.array(subsets)
-        for subset, sub in zip(subsets, utility_verdicts(Z[idx], P[idx], choices[idx],
-                                                         margin_threshold)):
-            if not sub.consistent:
-                return subset, sub
-    return None
+    """(``minimal``, verdict) of ``verify_collection``: the smallest
+    inconsistent sub-collection and the whole collection's verdict, or None
+    if it is consistent.  The collection is an anomaly (Definition 2)
+    exactly when the subset holds all of its indices."""
+    verdict = verify_collection(collection, margin_threshold)
+    return None if verdict.consistent else (verdict.minimal, verdict)
 
 
 @dataclass(frozen=True)

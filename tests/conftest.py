@@ -1,6 +1,7 @@
 """Shared fixtures: the classic menus and small helpers used across tests."""
 
 import json
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -772,3 +773,21 @@ def reference_gordan(menus, choices, normalize: bool = True):
                 ts.add((ak - al) / ((bl - al) - (bk - ak)))
     return min(max((1 - t) * al + t * bl for al, bl in zip(a, b))
                for t in ts if 0 <= t <= 1)
+
+
+def reference_minimal(coll: Collection):
+    """The smallest inconsistent sub-collection by subset enumeration, or
+    None: each subset merged and judged on its own grid, the subsets of one
+    size as one stack, the first inconsistent one in
+    ``itertools.combinations`` order.  A menu whose payoffs merge to one
+    point is vacuously consistent here on its own."""
+    Z, P, q = coll
+    choices = implied_choices(q)
+    n = len(choices)
+    for size in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), size))
+        idx = np.array(subsets)
+        for subset, sub in zip(subsets, utility_verdicts(Z[idx], P[idx], choices[idx])):
+            if not sub.consistent:
+                return subset
+    return None

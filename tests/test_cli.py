@@ -480,6 +480,19 @@ class TestPipelineCommands:
         report = run_ok(["report", "--in", "cat.jsonl", "--out", "r.csv"], capsys)
         assert (report["anomalies"], report["pair_anomalies"]) == (2, 1)
 
+    @pytest.mark.parametrize("tie", [lottery([5, 5], [0.5, 0.5]), lottery([2, 8], [0.3, 0.7])])
+    def test_a_menu_offering_one_lottery_twice_is_no_pair_anomaly(self, tmp_path, capsys, tie):
+        # The tie menu is refuted alone at margin 0 on the pair's grid, even
+        # where its own payoffs merge to one point.
+        ok = menu(lottery([2, 8], [0.5, 0.5]), lottery([1, 9], [0.4, 0.6]))
+        os.chdir(tmp_path)
+        write_jsonl("c.jsonl", [reference_record(collection([menu(tie, tie), ok], [0.3, 0.7]),
+                                                 "tie-000000")], kind="candidates")
+        verify = run_ok(["verify", "--in", "c.jsonl", "--out", "v.jsonl"], capsys)
+        assert (verify["any_utility_inconsistent"], verify["pair_anomalies"]) == (1, 0)
+        _, (rec,) = read_jsonl("v.jsonl")
+        assert (rec["margin"], rec["anomaly_minimal_indices"]) == (0.0, [0])
+
     def test_a_single_menu_is_no_pair_anomaly(self):
         # Its minimal sub-collection holds its one menu, and no pair.
         rec = {"menus": [{}], "anomaly_minimal_indices": [0]}

@@ -12,7 +12,7 @@ from anomgen.categorize import categorize
 from anomgen.lotteries import Collection, fosd_dominates, implied_choices, on_merged_grid
 from anomgen.verifier import minimal_anomaly, verify_collection, verify_parametrized
 from conftest import (collection, lottery, menu, probs_on_grid, reference_gordan,
-                      sample_random_menu, stack, swapped, verify_menus)
+                      reference_minimal, sample_random_menu, stack, swapped, verify_menus)
 
 
 def lotteries_of(menus) -> list:
@@ -202,7 +202,9 @@ def exact_values(menus, choices) -> dict:
 
 class TestExactReference:
     """Where the exact value is not within 1e-9 of zero, the float verdict,
-    its margin and the minimal sub-collection are the rationals'."""
+    its margin and the minimal sub-collection are the rationals'.  A menu
+    whose payoffs merge to one point has no exact value of its own, yet in a
+    pair over a wider grid its tails there are all zero: it is refuted alone."""
 
     @settings(max_examples=400, deadline=None)
     @given(small_collections())
@@ -222,9 +224,11 @@ class TestExactReference:
             assert got.consistent == (whole > 0)
             assert got.margin == pytest.approx(float(whole), abs=1e-12)
         if all(v is None or abs(v) > 1e-9 for v in exact.values()):
-            want = next((s for s, v in exact.items() if v is not None and v < 0), None)
+            refuted = {s: v < 0 if v is not None else whole is not None
+                       for s, v in exact.items()}
+            want = next((s for s, r in refuted.items() if r), None)
             minimal = minimal_anomaly(collection(menus, 0.25 + 0.5 * choices))
-            assert (minimal and minimal[0]) == want
+            assert (minimal and minimal[0]) == want == got.minimal
 
 
 class TestTraps:
@@ -287,6 +291,34 @@ class TestIsAnomaly:
         m = menu(lottery([2, 8], [0.5, 0.5]), lottery([1, 9], [0.4, 0.6]))
         coll = collection([m, m], [0.7, 0.7])
         assert minimal_anomaly(coll) is None
+
+    @pytest.mark.parametrize("tie", [lottery([5, 5], [0.5, 0.5]), lottery([2, 8], [0.3, 0.7])])
+    def test_a_menu_offering_one_lottery_twice_is_refuted_alone(self, tie):
+        # Its tails on the pair's grid, the value at lambda = e_0, are all
+        # zero, even for a sure payoff offered twice, which on its own grid
+        # of one payoff is vacuously consistent.
+        ok = menu(lottery([2, 8], [0.5, 0.5]), lottery([1, 9], [0.4, 0.6]))
+        coll = collection([menu(tie, tie), ok], [0.3, 0.7])
+        verdict = verify_collection(coll)
+        assert not verdict.consistent and verdict.margin == 0.0
+        assert verdict.minimal == (0,)
+        assert minimal_anomaly(coll)[0] == (0,)
+
+
+class TestMinimalSubCollection:
+    """A verdict's ``minimal`` reads the subset enumeration's answer off the
+    collection's own tails."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_collections())
+    def test_minimal_is_the_subset_enumerations_where_no_menu_is_one_payoff(self, drawn):
+        menus, choices = drawn
+        got = verify_menus(menus, choices)
+        assert (got.minimal is None) == got.consistent
+        if len(menus) == 1 and not got.consistent:
+            assert got.minimal == (0,)
+        if all(on_merged_grid(lotteries_of([m]))[0].size > 1 for m in menus):
+            assert got.minimal == reference_minimal(collection(menus, 0.25 + 0.5 * choices))
 
 
 def dominance_menus(rng, n, J, boundary):
