@@ -33,9 +33,11 @@ Bonferroni level 1 - 0.05 / k over the k differences compared.  One JSON
 line is printed per comparison, then a summary line, which also gives on
 each side each search's lift over the random-pair baseline: the ratio of
 its parametrized and of its any-utility share to the baseline's, with a 95%
-interval; the lift is not compared.  The exit status is 1 when a difference
-interval excludes 0 or a procedure is in one set only, 0 when none is and 2
-when a run cannot be read.
+interval, and the morphing search's projections: its runs' shares by
+final ``retained_rank`` ("None" for a run stopped before its first
+projection) and its mean ``certified_steps``.  Neither is compared.  The
+exit status is 1 when a difference interval excludes 0 or a procedure is
+in one set only, 0 when none is and 2 when a run cannot be read.
 
     python scripts/compare_runs.py --rates --old runs/p23 runs/p1729 \
         --new runs/n23 runs/n1729
@@ -154,6 +156,20 @@ def lifts(recs) -> dict:
     return out
 
 
+def projections(recs) -> dict:
+    """Procedure -> the shares of its runs by final ``retained_rank`` and
+    its mean ``certified_steps``, for the procedures whose records carry
+    them (the morphing search's)."""
+    ranks, certified = defaultdict(Counter), defaultdict(list)
+    for rec in recs:
+        if "retained_rank" in rec:
+            ranks[rec["procedure"]][str(rec["retained_rank"])] += 1
+            certified[rec["procedure"]].append(rec["certified_steps"])
+    return {proc: {"retained_rank": {rank: n / len(certified[proc]) for rank, n in counts.items()},
+                   "mean_certified_steps": fmean(certified[proc]), "n": len(certified[proc])}
+            for proc, counts in sorted(ranks.items())}
+
+
 def rate_samples(recs, stops, tags) -> dict:
     """(procedure, quantity) -> per-record values: 0/1 for a share, the step
     count for ``mean_steps``.  ``stops`` names the ``stop`` reasons and
@@ -241,7 +257,9 @@ def main(argv=None) -> int:
         differing = sum(e["differs"] for e in entries)
         print(json.dumps({"comparisons": len(entries), "differing": differing,
                           "old": args.old, "new": args.new,
-                          "lift": {"old": lifts(old), "new": lifts(new)}}, sort_keys=True))
+                          "lift": {"old": lifts(old), "new": lifts(new)},
+                          "projection": {"old": projections(old), "new": projections(new)}},
+                         sort_keys=True))
         return 1 if differing else 0
     diffs = compare(old, new)
     for diff in diffs:

@@ -4,7 +4,7 @@ theory cannot see.
 At each step the predictor's probability-gradient is projected onto the
 (approximate) common null space of sampled theory gradients and the menu is
 stepped against that projection.  The theory gradients come from coefficient
-vectors drawn around the running history of inner fits; directions they pin
+vectors drawn around the run's inner fits, one per step; directions they pin
 down are removed, directions they leave free carry the morph.  The projected
 step is always a descent direction for the predictor and is orthogonal to
 every gradient its Gram matrix's kept span holds.
@@ -45,12 +45,12 @@ from .adversarial import lockstep
 from .basis import ISplineBasis
 from .config import MorphConfig
 from .lotteries import index_block
-from .theory import _fit_logits
 
 STOP_NORM = 1e-8
 # Variance added to each coefficient of the sampled law, theta ~ N(mean,
-# cov + COV_JITTER I): a history's fits may not vary along every coefficient,
-# and ``MorphConfig.rank_tol`` is calibrated against the spread it adds.
+# cov + COV_JITTER I): a history's fits may not vary along every coefficient
+# (a one-fit history along none), and ``MorphConfig.rank_tol`` is calibrated
+# against the spread it adds.
 COV_JITTER = 1e-8
 
 # The rule of a step's Gram matrix in expectation (``_expected_grams``):
@@ -136,24 +136,25 @@ def _step_factors(probs: np.ndarray, histories: np.ndarray, basis_rows: np.ndarr
     v = (-U0, U1).
 
     Row k draws theta ~ N(mean, cov + COV_JITTER I) around its fit history
-    ``histories[k]``, h >= 2 fits of K coefficients with deviations X from
+    ``histories[k]``, h >= 1 fits of K coefficients with deviations X from
     their mean.  (a, w) = G theta for G = [a_map; T^T v_map] @ basis_rows, so
-    its covariance is N^T N for N = [X G^T / sqrt(h - 1); sqrt(COV_JITTER) G^T].
-    One QR of N, the square-root form, gives L = R^T with L L^T = N^T N: no
-    covariance is formed, and a singular law needs no care.  mean + L z with
-    z ~ N(0, I_d) draws (a, w) from d = 2J - 1 normals (h + K, if fewer), and
-    L's first row is (L00, 0, ...).
+    its covariance is N^T N for N = [X G^T / sqrt(max(h - 1, 1));
+    sqrt(COV_JITTER) G^T], the jitter's alone for one fit.  One QR of N, the
+    square-root form, gives L = R^T with L L^T = N^T N: no covariance is
+    formed, and a singular law needs no care.  mean + L z with z ~ N(0, I_d)
+    draws (a, w) from d = 2J - 1 normals (h + K, if fewer), and L's first
+    row is (L00, 0, ...).
     """
     h = histories.shape[1]
-    if h < 2:
-        raise ValueError("history must contain at least two fits")
+    if h < 1:
+        raise ValueError("history must contain at least one fit")
     J = probs.shape[-1]
     logit = np.concatenate([-probs[:, 0], probs[:, 1]], axis=1)[:, None, :]
     flip = np.repeat([-1.0, 1.0], J)                # U -> v
     G = np.concatenate([logit @ basis_rows, (T.T * flip) @ basis_rows], axis=1)
     theta_mean = histories.mean(axis=1)
     Gt = G.transpose(0, 2, 1)
-    N = np.concatenate([(histories - theta_mean[:, None, :]) @ Gt / np.sqrt(h - 1),
+    N = np.concatenate([(histories - theta_mean[:, None, :]) @ Gt / np.sqrt(max(h - 1, 1)),
                         np.sqrt(COV_JITTER) * Gt], axis=1)
     return (G @ theta_mean[..., None])[..., 0], np.linalg.qr(N, mode="r").transpose(0, 2, 1)
 
@@ -499,23 +500,19 @@ def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, master_seed,
 
     Each step's directions come from one ``morph_step_directions`` call over
     the rows ``lockstep`` gives it.  The fit histories live in one
-    (R, max_iters + 1, K) array: the seed fit, then one fit per step, so at
-    step s every running row holds s + 2 fits.
+    (R, max_iters, K) array, one fit per step, so at step s every running
+    row holds its s + 1 fits: step 0's is its (anchor, anchor) pair's.
     """
     R = len(Z)
-    history = None
+    history = np.empty((R, config.max_iters, basis.dim))
     rank = [None] * R
     certified_steps = np.zeros(R, dtype=int)
 
     def morph(s, rows, D, y, theta, P, B, f, df):
-        nonlocal history
-        if s == 0:          # every run's history starts at its seed fit
-            history = np.empty((R, config.max_iters + 1, theta.shape[1]))
-            history[rows, 0] = _fit_logits(D[:, :1], y[:, :1]).theta
-        history[rows, s + 1] = theta
+        history[rows, s] = theta
         n = 2 * P.shape[-1]         # a menu's probabilities; ``rows`` may be empty
         directions, ranks, quiet = morph_step_directions(
-            df.reshape(-1, n), P, history[rows, :s + 2], B.reshape(-1, n, B.shape[-1]), config)
+            df.reshape(-1, n), P, history[rows, :s + 1], B.reshape(-1, n, B.shape[-1]), config)
         certified_steps[rows] += quiet
         for r, k in zip(rows, ranks.tolist()):
             rank[r] = k

@@ -534,11 +534,12 @@ def cpt_objective(ds, scale: float):
 def reference_utility_factor(history, basis_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean (2J,) and factor (2J, r) of one run's utilities ``basis_rows @ theta``,
     formed on their own: ``np.cov`` of the history plus the jitter, its
-    Cholesky factor, and the SVD of ``basis_rows @ chol(cov)``."""
+    Cholesky factor, and the SVD of ``basis_rows @ chol(cov)``.  One fit has
+    no spread (``ddof`` 0), so its covariance is the jitter alone."""
     H = np.atleast_2d(np.array(history, dtype=float))
-    if H.shape[0] < 2:
-        raise ValueError("history must contain at least two fits")
-    cov = np.cov(H, rowvar=False, ddof=1) + COV_JITTER * np.eye(H.shape[1])
+    if H.shape[0] < 1:
+        raise ValueError("history must contain at least one fit")
+    cov = np.cov(H, rowvar=False, ddof=min(1, H.shape[0] - 1)) + COV_JITTER * np.eye(H.shape[1])
     rows = np.asarray(basis_rows, dtype=float)
     W, svals, _ = np.linalg.svd(rows @ np.linalg.cholesky(cov), full_matrices=False)
     return rows @ H.mean(axis=0), W * svals
@@ -572,7 +573,7 @@ def null_space_projection(g_star, sampled_grads, rank_tol: float = 1e-6) -> np.n
 def morph_step_direction(pred_grad, probs, history, basis_rows, config):
     """One run's morph step: ``morphing.morph_step_directions`` on a stack of
     one.  ``pred_grad`` is (2J,), ``probs`` (2, J), ``history`` a sequence of
-    at least two fits and ``basis_rows`` (2J, K); returns the direction (2J,)
+    at least one fit and ``basis_rows`` (2J, K); returns the direction (2J,)
     and the retained rank."""
     directions, ranks, _ = morphing.morph_step_directions(
         np.asarray(pred_grad, dtype=float)[None], np.asarray(probs, dtype=float)[None],
@@ -585,17 +586,18 @@ def reference_step_factor(probs, history, basis_rows):
     """One run's (mean (2J - 1,), L (2J - 1, d)) of the logit and tangent
     gradient of its utility draws, formed on its own: the map
     G = [a_map; T^T v_map] @ basis_rows of theta to them, and the QR of the
-    history's deviations and the jitter's square root, both mapped by G."""
+    history's deviations and the jitter's square root, both mapped by G.  A
+    one-fit history's deviations are zero, and are divided by 1."""
     J = probs.shape[-1]
     H = np.atleast_2d(np.array(history, dtype=float))
-    if H.shape[0] < 2:
-        raise ValueError("history must contain at least two fits")
+    if H.shape[0] < 1:
+        raise ValueError("history must contain at least one fit")
     T = morphing._tangent_basis(J)
     flip = np.repeat([-1.0, 1.0], J)
     logit = np.concatenate([-probs[0], probs[1]])
     G = np.concatenate([logit[None] @ basis_rows, (T.T * flip) @ basis_rows])
     theta_mean = H.mean(axis=0)
-    N = np.concatenate([(H - theta_mean) @ G.T / np.sqrt(H.shape[0] - 1),
+    N = np.concatenate([(H - theta_mean) @ G.T / np.sqrt(max(H.shape[0] - 1, 1)),
                         np.sqrt(COV_JITTER) * G.T])
     return G @ theta_mean, np.linalg.qr(N, mode="r").T
 

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from anomgen import morphing
+from anomgen import adversarial, morphing
 from anomgen.adversarial import run_adversarial_indices
 from anomgen.analysis import run_baseline_indices
 from anomgen.basis import ISplineBasis, PolynomialBasis
@@ -41,21 +41,24 @@ class TestSampleThetaHistory:
         b = sample_theta_history(h, 100, np.random.default_rng(2), rows)
         np.testing.assert_array_equal(a, b)
 
-    def test_single_entry_fallback(self):
-        # There is no isotropic fallback for a one-fit history: it raises
-        # before drawing, so the generator's stream is untouched.
+    def test_one_fit_history_is_the_jitter_law(self):
+        # A run's first step reads its one fit: the utilities' mean is the
+        # basis rows times that fit and their covariance the jitter's alone.
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="at least two fits"):
-            sample_theta_history([np.arange(5.0)], 20_000, rng, np.eye(5))
-        assert rng.random() == np.random.default_rng(0).random()
+        theta, rows = rng.normal(size=5), rng.normal(size=(4, 5))
+        mean, factor = reference_utility_factor([theta], rows)
+        np.testing.assert_allclose(mean, rows @ theta, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(factor @ factor.T, COV_JITTER * rows @ rows.T, rtol=0,
+                                   atol=1e-13 * COV_JITTER * np.abs(rows @ rows.T).max())
+        draws = sample_theta_history([theta], 20_000, rng, rows)
+        assert np.all(np.abs(draws.mean(axis=1) - rows @ theta)
+                      < 5 * np.sqrt(COV_JITTER * np.diag(rows @ rows.T) / 20_000))
 
     def test_empty_history_rejected(self):
-        # A run samples after the seed fit and its first step's fit, so a
-        # history always holds two fits; fewer has no covariance to draw from.
-        for history in (np.empty((0, 3)), [np.arange(3.0)]):
-            with pytest.raises(ValueError):
-                sample_theta_history(history, 10, np.random.default_rng(0),
-                                     np.eye(3))
+        # A run samples after its first step's fit, so a history always
+        # holds a fit; none has no mean to draw around.
+        with pytest.raises(ValueError, match="at least one fit"):
+            sample_theta_history(np.empty((0, 3)), 10, np.random.default_rng(0), np.eye(3))
 
 
 class TestUtilityDraws:
@@ -273,7 +276,7 @@ class TestMorphRun:
         # projected direction is ~0 and the run stops there.
         pred = CptPredictor(CptParams(0.726, 0.309))
         cfg = pipeline_config(6, morph={"rank_tol": MIN_RANK_TOL})
-        (result,) = run_morph_indices(pred, cfg, [0])
+        (result,) = run_morph_indices(pred, cfg, [2])
         assert result["iterations"] == 1 and result["stop"] == "direction_vanished"
         assert result["retained_rank"] == 2
         m0, mS = record_menus(result)
@@ -324,6 +327,53 @@ class TestMorphRun:
             assert (given.kl[0], given.cross_entropy[0], given.converged[0],
                     given.on_norm_bound[0]) == (plain.kl, plain.cross_entropy,
                                                 plain.converged, plain.on_norm_bound)
+
+
+class TestFitHistory:
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_each_step_reads_its_runs_fits_once(self, monkeypatch, J):
+        # Step s's law reads each running row's s + 1 lockstep fits, in step
+        # order, bit for bit: step 0's (anchor, anchor) pair fit is the
+        # initial menu's one fit, and no second fit of that menu joins it.
+        fits, histories, step_rows = [], [], []
+        fit, step, loop = adversarial._fit_logits, morphing.morph_step_directions, \
+            morphing.lockstep
+
+        def spy_fit(D, y):
+            fits.append((D, y, fit(D, y)))
+            return fits[-1][2]
+
+        def spy_step(*args, **kwargs):
+            histories.append(args[2].copy())
+            return step(*args, **kwargs)
+
+        def spy_lockstep(predictor, config, basis, Z, P, rule, *rest, **kwargs):
+            def recorded(s, rows, *state):
+                step_rows.append(rows.copy())
+                return rule(s, rows, *state)
+
+            return loop(predictor, config, basis, Z, P, recorded, *rest, **kwargs)
+
+        monkeypatch.setattr(adversarial, "_fit_logits", spy_fit)
+        monkeypatch.setattr(morphing, "morph_step_directions", spy_step)
+        monkeypatch.setattr(morphing, "lockstep", spy_lockstep)
+        runs = 6
+        run_morph_indices(CptPredictor(CptParams(0.726, 0.309)),
+                          pipeline_config(12, n_payoffs=J, morph={"max_iters": 4}), range(runs))
+        # One fit and one step per loop step, and some runs reach step 3.
+        assert len(fits) == len(histories) == len(step_rows) == 4
+        # The initial menu's one-pair fit, of each run's step-0 (anchor, anchor) pair.
+        D0, y0, _ = fits[0]
+        initial = _fit_logits(D0[:, :1], y0[:, :1]).theta
+        assert_same_bits(step_rows[0], np.arange(runs))
+        for s, (H, rows) in enumerate(zip(histories, step_rows)):
+            assert H.shape == (len(rows), s + 1, initial.shape[1])
+            for k, run in enumerate(rows):
+                # Row j of the history is step j's fit of this run.
+                for j in range(s + 1):
+                    assert_same_bits(H[k, j], fits[j][2].theta[step_rows[j] == run][0])
+                # The initial menu's fit is there at most as step 0's own fit.
+                assert not any(np.array_equal(row, initial[run]) for row in H[k, 1:])
 
 
 class TestMorphStepDirection:
@@ -426,10 +476,50 @@ class TestStackedStep:
         # Two fits at J = 2 leave some rows a narrow law that keeps no draw.
         assert quiet.any() or (J, h) != (2, 2)
 
-    def test_one_fit_history_rejected(self):
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_one_fit_history_is_the_jitter_law(self, J):
+        # Step 0 reads one fit theta: its law's mean is G theta and
+        # L L^T = COV_JITTER G G^T, the jitter's alone, to rounding.
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(3), 8, J, 3)
+        T = _tangent_basis(J)
+        mean, L = _step_factors(probs, H[:, :1], rows, T)
+        flip = np.repeat([-1.0, 1.0], J)
+        for k in range(len(g)):
+            logit = np.concatenate([-probs[k, 0], probs[k, 1]])
+            G = np.concatenate([(logit @ rows[k])[None], (T.T * flip) @ rows[k]])
+            cov = COV_JITTER * G @ G.T
+            np.testing.assert_allclose(mean[k], G @ H[k, 0], rtol=0,
+                                       atol=1e-13 * np.abs(G @ H[k, 0]).max())
+            np.testing.assert_allclose(L[k] @ L[k].T, cov, rtol=0, atol=1e-13 * np.abs(cov).max())
+            ref_mean, ref_L = reference_step_factor(probs[k], H[k, :1], rows[k])
+            assert_same_bits(mean[k], ref_mean)
+            assert_same_bits(L[k], ref_L)
+
+    @pytest.mark.parametrize("J", [2, 3])
+    def test_one_fit_and_multi_fit_rows_keep_their_bits(self, J):
+        # A stack's rows share their history length, so rows of one fit and
+        # of three meet in the Gram matrices in expectation and the
+        # projection: there each row keeps the bits of its step alone.
+        cfg = MorphConfig()
+        g, probs, H, rows = morph_like_stack(np.random.default_rng(4), 10, J, 3)
+        T = _tangent_basis(J)
+        mean, L = _step_factors(probs, H, rows, T)
+        one_mean, one_L = _step_factors(probs, H[:, :1], rows, T)
+        mean[::2], L[::2] = one_mean[::2], one_L[::2]       # even rows read one fit
+        grams, _ = morphing._expected_grams(mean, L, cfg.n_gradient_samples, cfg.rank_tol)
+        directions, ranks = morphing._project_off_span((T.T @ g[..., None])[..., 0], grams,
+                                                       cfg.rank_tol)
+        directions = (T @ directions[..., None])[..., 0]
+        for k in range(len(g)):
+            alone = reference_step_direction(g[k], probs[k], H[k, :1 if k % 2 == 0 else 3],
+                                             rows[k], cfg)
+            assert_same_bits(directions[k], alone[0])
+            assert ranks[k] == alone[1]
+
+    def test_empty_history_rejected(self):
         g, probs, H, rows = morph_like_stack(np.random.default_rng(3), 1, 3, 2)
-        with pytest.raises(ValueError, match="at least two fits"):
-            morph_step_direction(g[0], probs[0], H[0, :1], rows[0], MorphConfig())
+        with pytest.raises(ValueError, match="at least one fit"):
+            morph_step_direction(g[0], probs[0], H[0, :0], rows[0], MorphConfig())
 
     @pytest.mark.parametrize("J", [2, 3])
     def test_a_step_builds_no_count_wide_array(self, J):
@@ -1077,7 +1167,7 @@ class TestStopRecord:
         pred = CptPredictor(CptParams(0.726, 0.309))
         # At the smallest cutoff this run's span fills after one step.
         (vanished,) = run_morph_indices(
-            pred, pipeline_config(6, morph={"rank_tol": MIN_RANK_TOL}), [0])
+            pred, pipeline_config(6, morph={"rank_tol": MIN_RANK_TOL}), [2])
         (capped,) = run_morph_indices(pred, pipeline_config(11, morph={"max_iters": 2}), [3])
         (nonfinite,) = run_morph_indices(NanGradPredictor(CptParams(0.726, 0.309)),
                                          pipeline_config(6), [0])

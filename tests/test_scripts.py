@@ -299,6 +299,33 @@ class TestCompareRates:
         lift = new["morphing"]["any_utility_inconsistent"]
         assert lift["interval95"][0] < lift["ratio"] < lift["interval95"][1]
 
+    def test_projections_are_reported_not_compared(self, desk_run, tmp_path):
+        # Every morph run planted at retained rank 2 with 4 certified steps
+        # moves the projection summary alone: no rate differs.
+        planted = tmp_path / "planted"
+        shutil.copytree(desk_run, planted)
+        path = planted / "morph_categorized.jsonl"
+        header, recs = read_jsonl(path)
+        for rec in recs:
+            rec["retained_rank"], rec["certified_steps"] = 2, 4
+        write_jsonl(path, recs, kind=header["kind"])
+        out = run_script("compare_runs.py", "--rates", "--old", str(desk_run),
+                         "--new", str(planted), cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        summary = json.loads(out.stdout.splitlines()[-1])
+        assert summary["differing"] == 0
+        old, new = summary["projection"]["old"], summary["projection"]["new"]
+        assert set(old) == set(new) == {"morphing"}
+        assert new["morphing"] == {"retained_rank": {"2": 1.0}, "mean_certified_steps": 4.0,
+                                   "n": len(recs)}
+        ranks = read_jsonl(desk_run / "morph_categorized.jsonl")[1]
+        assert old["morphing"]["n"] == len(ranks)
+        assert old["morphing"]["retained_rank"] == {
+            str(rank): sum(r["retained_rank"] == rank for r in ranks) / len(ranks)
+            for rank in {r["retained_rank"] for r in ranks}}
+        assert old["morphing"]["mean_certified_steps"] == \
+            sum(r["certified_steps"] for r in ranks) / len(ranks)
+
     def test_katz_ratio(self):
         compare = load_script("compare_runs.py")
         # 5 in 600 against 1 in 5,000: log-ratio standard error
