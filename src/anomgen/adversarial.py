@@ -55,19 +55,19 @@ def interior_menu(P: np.ndarray) -> np.ndarray:
     return p
 
 
-def ascent_objective(theta: np.ndarray, P: np.ndarray, B: np.ndarray, f: np.ndarray,
+def ascent_objective(theta: np.ndarray, d: np.ndarray, B: np.ndarray, f: np.ndarray,
                      df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values (R,), gradients (R, 2, J) over the probabilities (p0, p1)) of
     the disagreement score for a stack of menus.
 
-    ``theta`` (R, K) holds each menu's coefficients and ``B`` (R, 2, J, K)
-    the basis values at its payoffs (``stack_basis_values``); ``f`` and
-    ``df`` are the predictor's probabilities and their gradients
-    (``grad_batch``).  Only probabilities move, and the expected-utility
-    difference is linear in them with gradient (-u0, u1), the utilities at
-    the frozen payoffs.
+    ``theta`` (R, K) holds each menu's coefficients, ``d`` (R, K) its design
+    row (``eu_difference_rows``) and ``B`` (R, 2, J, K) the basis values at
+    its payoffs; ``f`` and ``df`` are the predictor's probabilities and their
+    gradients (``grad_batch``).  Only probabilities move, and the
+    expected-utility difference d . theta is linear in them with gradient
+    (-u0, u1), the utilities at the frozen payoffs.
     """
-    g = np.matmul(eu_difference_rows(P, B)[:, None, :], theta[:, :, None])[:, 0, 0]
+    g = np.matmul(d[:, None, :], theta[:, :, None])[:, 0, 0]
     grad_g = LOTTERY_SIGN * np.matmul(B, theta[:, None, :, None])[..., 0]
     f = np.clip(f, 1e-12, 1 - 1e-12)
     m = np.log(f / (1.0 - f))
@@ -80,20 +80,22 @@ def lockstep(predictor, config, basis, Z, P, step, procedure: str, master_seed, 
     """Both searches' loop: runs that each move a copy of their initial menu
     (payoffs ``Z`` and probabilities ``P``, (R, 2, J)) against the menu
     itself, as one stack, with the theory fit on ``basis``; ``P`` moves in
-    place.  The loop keeps every run's books; a step rule keeps none.
+    place.  The loop keeps every run's books; a step rule keeps only what
+    its search adds (the morph rule: fit histories, ``retained_rank`` and
+    quiet steps).
 
     Step ``s`` refits the running rows to their (anchor, current) pairs,
     counts each row's fits that end on the coefficient ball or unconverged,
     and drops the rows whose predictor gradient df at ``interior_menu(P)``
-    is not finite.  ``step(s, rows, D, y, theta, P, B, f, df)`` maps the
-    others (run positions ``rows``), with their fits' design rows D (R', 2,
-    K), targets y (R', 2) and coefficients, their probabilities P and basis
-    values B and the predictor's f and df, to their moves (R', 2, J) and a
-    mask of the rows that take them.  A row whose gradient or move is not
-    finite is flagged ``nonfinite_gradient@iter{s}``; a row that takes no
-    move stops for the step's one reason, ``declined``.  Returns the
-    records of runs ``indices`` of ``master_seed``: each run's (initial,
-    final) pair, ``iterations``, why it stopped (``stop``: ``max_iters``,
+    is not finite.  ``step(s, rows, D, theta, P, B, f, df)`` maps the others
+    (run positions ``rows``), with their fits' design rows D (R', 2, K), the
+    moving menu's at ``D[:, 1]``, and coefficients, their probabilities P and
+    basis values B and the predictor's f and df, to their moves (R', 2, J)
+    and a mask of the rows that take them.  A row whose gradient or move is
+    not finite is flagged ``nonfinite_gradient@iter{s}``; a row that takes no
+    move stops for the step's one reason, ``declined``.  Returns the records
+    of runs ``indices`` of ``master_seed``: each run's (initial, final) pair,
+    ``iterations``, why it stopped (``stop``: ``max_iters``,
     ``nonfinite_gradient`` or ``declined``), its fit counts
     (``inner_fits_on_bound``, ``inner_fits_unconverged``) and the fields
     ``columns()`` gives after the loop.
@@ -111,15 +113,13 @@ def lockstep(predictor, config, basis, Z, P, step, procedure: str, master_seed, 
             break
         Za, Pa, Ba = Z[active], P[active], B[active]
         D = np.stack([d0[active], eu_difference_rows(Pa, Ba)], axis=1)
-        y = np.stack([f0[active], predictor.predict_batch(Za, Pa)], axis=1)
-        fit = _fit_logits(D, y)
+        fit = _fit_logits(D, np.stack([f0[active], predictor.predict_batch(Za, Pa)], axis=1))
         on_bound[active] += fit.on_norm_bound
         unconverged[active] += ~fit.converged
         f, df = predictor.grad_batch(Za, interior_menu(Pa))
         ok = np.all(np.isfinite(df), axis=(1, 2))
-        rows, D, y, theta, Pa, Ba, f, df = (
-            a[ok] for a in (active, D, y, fit.theta, Pa, Ba, f, df))
-        delta, go = step(s, rows, D, y, theta, Pa, Ba, f, df)
+        rows, D, theta, Pa, Ba, f, df = (a[ok] for a in (active, D, fit.theta, Pa, Ba, f, df))
+        delta, go = step(s, rows, D, theta, Pa, Ba, f, df)
         finite = np.all(np.isfinite(delta), axis=(1, 2))
         ok[ok] = finite
         for r in active[~ok]:
@@ -144,8 +144,8 @@ def gda_run(predictor, config: GdaConfig, basis, Z, P, master_seed, indices) -> 
     """Descent-ascent runs from the menus (Z, P) against the theory on
     ``basis``, advanced in ``lockstep``; the step takes every row's move."""
 
-    def ascend(s, rows, D, y, theta, P, B, f, df):
-        return config.step_size * ascent_objective(theta, P, B, f, df)[1], True
+    def ascend(s, rows, D, theta, P, B, f, df):
+        return config.step_size * ascent_objective(theta, D[:, 1], B, f, df)[1], True
 
     return lockstep(predictor, config, basis, Z, P, ascend, "adversarial", master_seed, indices)
 

@@ -66,12 +66,13 @@ def _config_from_args(args) -> PipelineConfig:
 # the loop's per-iteration overhead against memory, since a block's stacks,
 # per-step arrays and records live until the block is written.  One worker
 # at 50 adversarial iterations, through ``anomgen adversarial`` (seed 5,
-# 2-core Xeon VM): 25,000 runs took 84 s and peaked at 41 MB in blocks of
-# 256; 6,000 runs took 26 s at 40 MB in blocks of 64, 18 s at 41 MB in
-# blocks of 256, 18 s at 47 MB in blocks of 1,024 and 18 s at 79 MB as one
-# stack.  A morph step factors, projects and takes Gram matrices in
-# expectation for a block's runs as one stack, a few rows at a time, and
-# draws no normal at any J, so no per-sample array grows with the runs.
+# 2-core Xeon VM): 25,000 runs took 21 s and peaked at 39 MB in blocks of
+# 256; 6,000 runs, timed three times, took 9.8 to 10.8 s at 38 MB in blocks
+# of 64, 4.2 to 4.6 s at 39 MB in blocks of 256 and 2.7 to 3.0 s at 43 MB in
+# blocks of 1,024, and once 2.6 s at 70 MB as one stack.  A morph step
+# factors, projects and takes Gram matrices in expectation for a block's
+# runs as one stack, a few rows at a time, and draws no normal at any J, so
+# no per-sample array grows with the runs.
 # 256 morph runs at 200,000 samples (seed 5), at one step and at two,
 # peaked at 39.4 to 39.5 MB for J = 2 and 39.5 to 39.9 MB for J = 3 on one
 # worker, and at 36.5 to 36.6 and 36.4 to 36.8 MB on two.

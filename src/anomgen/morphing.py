@@ -508,7 +508,7 @@ def morph_lockstep(predictor, config: MorphConfig, basis, Z, P, master_seed,
     rank = [None] * R
     certified_steps = np.zeros(R, dtype=int)
 
-    def morph(s, rows, D, y, theta, P, B, f, df):
+    def morph(s, rows, D, theta, P, B, f, df):
         history[rows, s] = theta
         n = 2 * P.shape[-1]         # a menu's probabilities; ``rows`` may be empty
         directions, ranks, quiet = morph_step_directions(

@@ -196,10 +196,11 @@ def _fit_logits(D: np.ndarray, y: np.ndarray) -> FitResult:
     values below ``max(n, K) eps`` times the largest treated as zero, clipped
     to the ball.  Where that attains the CE lower bound (the target entropy)
     the row is exact and needs no search.  The loss sees theta only through
-    D theta, so any other row's optimum lies in D's row space: theta = V^T w,
-    with V (rank, K) the leading right singular vectors and logits A w, A =
-    U S.  ``damped_newton`` fits those rows, one call per rank.  Every
-    operation acts row by row, so a row's fit does not depend on its stack.
+    D theta, so any other row's optimum lies in D's row space: theta = V^T w
+    with logits A w, A = U S.  A singular value below the cutoff gives A a
+    zero column and w a zero coordinate, so one ``damped_newton`` call fits
+    every such row, whatever its rank.  Every operation acts row by row, so
+    a row's fit does not depend on its stack.
     """
     R, n, K = D.shape
     y = _clip_targets(y)
@@ -217,13 +218,10 @@ def _fit_logits(D: np.ndarray, y: np.ndarray) -> FitResult:
     ce = _cross_entropy(_matvec(D, theta), y, ones)
     converged, on_bound = np.ones(R, dtype=bool), np.zeros(R, dtype=bool)
     todo = np.flatnonzero(~(ce - entropy < 1e-12))
-    # The ranks present; np.unique would import numpy.ma, a megabyte of RSS.
-    for k in np.flatnonzero(np.bincount(rank := kept[todo].sum(axis=-1))):
-        rows = todo[rank == k]
-        A, V = U[rows, :, :k] * svals[rows, None, :k], Vt[rows, :k]
-        w, _, converged[rows], _ = damped_newton(lambda i, w: (_matvec(A[i], w), A[i]),
-                                                 _matvec(V, theta[rows]), y[rows], ones[rows])
-        theta[rows] = _matvec(np.swapaxes(V, 1, 2), w)
+    A, V, kept = U[todo] * (svals * kept)[todo, None], Vt[todo], kept[todo]
+    w, _, converged[todo], _ = damped_newton(lambda i, w: (_matvec(A[i], w), A[i]),
+                                             _matvec(V, theta[todo]) * kept, y[todo], ones[todo])
+    theta[todo] = _matvec(np.swapaxes(V, 1, 2), w)
     ce[todo] = _cross_entropy(_matvec(D[todo], theta[todo]), y[todo], ones[todo])
     on_bound[todo] = np.sqrt(_dot(theta[todo], theta[todo])) >= THETA_NORM_BOUND - BOUND_TOL
     return FitResult(theta, np.maximum(ce - entropy, 0.0), ce, converged, on_bound)

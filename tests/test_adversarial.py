@@ -43,7 +43,8 @@ def objective(pred, spec, menu):
     """The disagreement score and its gradient for one menu, flattened to
     (p0, p1) order."""
     Z, P = stack([menu])
-    value, grad = ascent_objective(spec.theta[None], P, stack_basis_values(BASIS, Z),
+    B = stack_basis_values(BASIS, Z)
+    value, grad = ascent_objective(spec.theta[None], eu_difference_rows(P, B), B,
                                    *pred.grad_batch(Z, interior_menu(P)))
     return value[0], grad[0].reshape(-1)
 

@@ -394,8 +394,7 @@ class TestBallConstrainedFit:
     @pytest.mark.parametrize("R", [1, 7, 64])
     def test_mixed_rank_stack_gives_each_row_its_own_fit(self, on_bound_cases, R):
         # Rank-1 rows (one menu listed twice with two targets) cycled with
-        # rank-2 on-bound rows: each goes to its own rank group and its own
-        # rows of the stacked solver, and equals its one-row fit to the bit.
+        # rank-2 on-bound rows: each equals its one-row fit to the bit.
         two_row = [(D, y) for D, y in on_bound_cases if len(y) == 2][:8]
         rank_one = [(D[[0, 0]], y) for D, y in two_row]
         problems = [p for pair in zip(rank_one, two_row) for p in pair]
@@ -410,6 +409,47 @@ class TestBallConstrainedFit:
             np.testing.assert_array_equal(stacked.theta[r], alone.theta)
             assert (stacked.kl[r], stacked.converged[r], stacked.on_norm_bound[r]) == \
                 (alone.kl, alone.converged, alone.on_norm_bound)
+
+    @pytest.mark.parametrize("R", [7, 40])
+    def test_one_solver_call_fits_every_rank(self, monkeypatch, R):
+        # Three menus a problem, K = 6: an exact row cycled with inexact rows
+        # of rank 0 to 3, inside the ball and on it.  One damped_newton call
+        # fits every inexact row, whatever its rank; each row keeps the bits
+        # of its fit alone, and its KL is the one-row reference's, which
+        # fits in rank-wide coordinates.
+        rng = np.random.default_rng(31)
+        d = rng.normal(size=(3, 6))
+        conflict, steep, apart = [0.2, 0.7, 0.9], [0.99, 0.999, 0.9999], [0.99, 0.01, 0.999]
+        problems = [(d, logistic(d @ rng.normal(0, 0.1, 6))),             # exact
+                    (np.zeros((3, 6)), conflict),                           # rank 0
+                    (d[[0, 0, 0]], conflict), (1e-3 * d[[0, 0, 0]], steep),  # rank 1
+                    (d[[0, 1, 0]], [0.2, 0.6, 0.8]), (1e-3 * d[[0, 1, 0]], apart),
+                    (1e-3 * d, apart)]                                      # rank 3
+        problems = [(D, np.asarray(y, dtype=float)) for D, y in problems]
+        problems = [problems[r % len(problems)] for r in range(R)]
+        D, y = np.stack([D for D, _ in problems]), np.stack([y for _, y in problems])
+        calls = []
+
+        def spy(logits, x, *args):
+            calls.append(len(x))
+            return newton(logits, x, *args)
+
+        newton = theory.damped_newton
+        monkeypatch.setattr(theory, "damped_newton", spy)
+        stacked = theory._fit_logits(D, y)
+        inexact = np.arange(R) % 7 > 0
+        assert calls == [inexact.sum()]
+        assert (stacked.kl[inexact] > 0).all()
+        assert [np.linalg.matrix_rank(D[r]) for r in range(1, 7)] == [0, 1, 1, 2, 2, 3]
+        assert stacked.on_norm_bound[:7].tolist() == [False] * 3 + [True, False, True, True]
+        for r, (Dr, yr) in enumerate(problems):
+            alone = fit_problem(Dr, yr)
+            np.testing.assert_array_equal(stacked.theta[r], alone.theta)
+            assert (stacked.kl[r], stacked.converged[r], stacked.on_norm_bound[r]) == \
+                (alone.kl, alone.converged, alone.on_norm_bound)
+            ref_theta, ref_converged, _ = reference_newton_fit(Dr, yr)
+            assert abs(stacked.kl[r] - mean_kl(Dr, clipped(yr), ref_theta)[0]) <= 1e-12
+            assert stacked.converged[r] == ref_converged
 
 
 class TestTheoryLoss:
